@@ -26,11 +26,8 @@ echo "== sg-trace smoke (tiny trace; analyze/diff/check + failure exits) =="
 echo "== sg-check smoke (bounded exploration; seeded bug; failure exits) =="
 ./scripts/check_smoke.sh
 
-echo "== sg-msgbench smoke (tiny datapath bench; artifact schema check) =="
-./scripts/msgbench_smoke.sh
-
-echo "== sg-netbench smoke (wire v5 throughput lane; zero-alloc pool gate; drift check) =="
-./scripts/netbench_smoke.sh
+echo "== sg-perf smoke (builds perf/ against these crates; every workload once, checked) =="
+bash perf/run.sh --smoke
 
 echo "== sg-sim smoke (discrete-event 512-worker lanes; determinism replay; drift check) =="
 ./scripts/sim_smoke.sh
@@ -38,13 +35,13 @@ echo "== sg-sim smoke (discrete-event 512-worker lanes; determinism replay; drif
 echo "== sg-net smoke (loopback multi-process cluster; fault recovery) =="
 ./scripts/net_smoke.sh
 
-echo "== sg-obs smoke (live telemetry scrape; sg-top; overhead guard) =="
+echo "== sg-obs smoke (live telemetry scrape; sg-top) =="
 ./scripts/obs_smoke.sh
 
-echo "== sg-audit smoke (live 1SR verdicts; violation sentinels; overhead guard) =="
+echo "== sg-audit smoke (live 1SR verdicts; violation sentinels) =="
 ./scripts/audit_smoke.sh
 
-echo "== sg-serve smoke (live /query plane; stable snapshot checksums; MVCC overhead guard) =="
+echo "== sg-serve smoke (live /query plane; stable snapshot checksums; sg-bench serve) =="
 ./scripts/serve_smoke.sh
 
 echo "CI green."

@@ -6,27 +6,26 @@
 //! buffer cache (capacity 1 = every remote message is its own batch) and
 //! shows the simulated time collapse towards vertex-grain behavior.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin ablation_batching --
-//!   [--scale-div N] [--workers 8]`
+//! Usage: `sg-bench ablation-batching [--scale-div N] [--workers 8]`
 
+use crate::OrSim;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::{Args, Table};
 use sg_core::prelude::*;
 use sg_core::Runner;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
-    let scale_div = args.get_or("scale-div", 16u64);
-    let workers = args.get_or("workers", 8u32);
-    let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div));
+pub fn run(args: &Args) -> ExitCode {
+    let OrSim {
+        workers,
+        graph,
+        mut log,
+        ..
+    } = OrSim::new(args, "ablation_batching", "pagerank", 8);
 
     println!(
         "Batching ablation: PageRank(0.01) on OR-sim, {workers} workers, partition-based locking\n"
-    );
-    let mut log = BenchLog::new(
-        "ablation_batching",
-        &format!("pagerank/or_sim-div{scale_div}/w{workers}"),
     );
     let mut t = Table::new([
         "buffer cap",
@@ -65,8 +64,5 @@ fn main() {
     println!(
         "\nExpected: cap 1 ≈ vertex-based locking's tiny batches; large caps amortize latency."
     );
-    match log.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH json: {e}"),
-    }
+    crate::finish(log)
 }

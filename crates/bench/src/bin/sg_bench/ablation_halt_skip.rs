@@ -7,26 +7,25 @@
 //! Section 5.2). Compares partition-based locking with and without the
 //! skip.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin ablation_halt_skip --
-//!   [--scale-div N] [--workers 8]`
+//! Usage: `sg-bench ablation-halt-skip [--scale-div N] [--workers 8]`
 
+use crate::OrSim;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::{Args, Table};
 use sg_core::prelude::*;
 use sg_core::Runner;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
-    let scale_div = args.get_or("scale-div", 16u64);
-    let workers = args.get_or("workers", 8u32);
-    let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div));
+pub fn run(args: &Args) -> ExitCode {
+    let OrSim {
+        workers,
+        graph,
+        mut log,
+        ..
+    } = OrSim::new(args, "ablation_halt_skip", "sssp", 8);
 
     println!("Halted-partition skip ablation: SSSP on OR-sim, {workers} workers\n");
-    let mut log = BenchLog::new(
-        "ablation_halt_skip",
-        &format!("sssp/or_sim-div{scale_div}/w{workers}"),
-    );
     let mut t = Table::new([
         "variant",
         "sim time",
@@ -58,8 +57,5 @@ fn main() {
     }
     t.print();
     println!("\nExpected: the skip variant trades fork traffic for `skips` and finishes sooner.");
-    match log.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH json: {e}"),
-    }
+    crate::finish(log)
 }

@@ -7,22 +7,25 @@
 //! locking: fewer cut edges → fewer virtual partition edges → fewer forks
 //! and fewer remote messages.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin ablation_partitioning --
-//!   [--scale-div N] [--workers 8]`
+//! Usage: `sg-bench ablation-partitioning [--scale-div N] [--workers 8]`
 
+use crate::OrSim;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::{Args, Table};
 use sg_core::prelude::*;
 use sg_core::sg_engine::Engine;
 use sg_core::sg_graph::partition::{HashPartitioner, LdgPartitioner, Partitioner};
 use sg_core::sg_graph::PartitionMap;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
-    let scale_div = args.get_or("scale-div", 16u64);
-    let workers = args.get_or("workers", 8u32);
-    let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div));
+pub fn run(args: &Args) -> ExitCode {
+    let OrSim {
+        workers,
+        graph,
+        mut log,
+        ..
+    } = OrSim::new(args, "ablation_partitioning", "pagerank", 8);
     let layout = ClusterLayout::new(workers, workers);
     println!(
         "Partitioning ablation: PageRank(0.01) with partition-based locking on OR-sim \
@@ -31,10 +34,6 @@ fn main() {
         graph.num_edges()
     );
 
-    let mut log = BenchLog::new(
-        "ablation_partitioning",
-        &format!("pagerank/or_sim-div{scale_div}/w{workers}"),
-    );
     let mut t = Table::new([
         "partitioner",
         "cut edges",
@@ -95,8 +94,5 @@ fn main() {
     }
     t.print();
     println!("\nExpected: LDG cuts fewer edges, so fewer remote messages and forks.");
-    match log.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH json: {e}"),
-    }
+    crate::finish(log)
 }

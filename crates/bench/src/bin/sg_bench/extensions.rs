@@ -9,21 +9,25 @@
 //! Compares both against the paper's serializable AP configurations on
 //! graph coloring and SSSP.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin extensions --
-//!   [--scale-div N] [--workers 8]`
+//! Usage: `sg-bench extensions [--scale-div N] [--workers 8]`
 
+use crate::OrSim;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::{Args, Table};
 use sg_core::prelude::*;
 use sg_core::sg_algos::validate;
 use sg_core::Runner;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
-    let scale_div = args.get_or("scale-div", 16u64);
-    let workers = args.get_or("workers", 8u32);
-    let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div).to_undirected());
+pub fn run(args: &Args) -> ExitCode {
+    let OrSim {
+        workers,
+        graph,
+        mut log,
+        ..
+    } = OrSim::new(args, "extensions", "coloring+sssp", 8);
+    let graph = Arc::new(graph.to_undirected());
     println!(
         "Serializable execution regimes: coloring + SSSP on OR-sim undirected \
          ({} vertices / {} edges), {workers} workers\n",
@@ -52,10 +56,6 @@ fn main() {
     };
 
     println!("== graph coloring ==");
-    let mut log = BenchLog::new(
-        "extensions",
-        &format!("coloring+sssp/or_sim-div{scale_div}/w{workers}"),
-    );
     let mut t = Table::new([
         "regime",
         "sim time",
@@ -130,8 +130,5 @@ fn main() {
          Proposition 1 pays heavily in sub-supersteps — the reason the paper\n\
          declined to implement it (Section 6)."
     );
-    match log.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH json: {e}"),
-    }
+    crate::finish(log)
 }

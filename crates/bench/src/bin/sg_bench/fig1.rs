@@ -17,26 +17,29 @@
 //! `results/TRACE_fig1_spectrum.json`) for `sg-trace analyze`/`diff` and
 //! Perfetto.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin fig1_spectrum --
-//!   [--scale-div N] [--workers 8] [--algo pagerank] [--trace [path]]`
+//! Usage: `sg-bench fig1 [--scale-div N] [--workers 8] [--algo pagerank]
+//!   [--trace [path]]`
 
+use crate::OrSim;
 use sg_bench::experiment::{fmt_makespan, run_pregel_obs, Algo};
-use sg_bench::{emit_obs, Args, BenchLog, Table};
+use sg_bench::{emit_obs, Args, Table};
 use sg_core::prelude::*;
 use sg_core::sg_metrics::critical_path::{self, Category};
 use sg_core::Runner;
 use std::path::Path;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
-    let scale_div = args.get_or("scale-div", 16u64);
-    let workers = args.get_or("workers", 8u32);
+pub fn run(args: &Args) -> ExitCode {
     let algo = Algo::from_name(args.get("algo").unwrap_or("pagerank"), 0.01).expect("algo");
     let trace_requested = args.get("trace").is_some() || args.has_flag("trace");
-    let workload = format!("{}/or_sim-div{scale_div}/w{workers}", algo.name());
-
-    let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div));
+    let OrSim {
+        scale_div,
+        workers,
+        graph,
+        workload,
+        mut log,
+    } = OrSim::new(args, "fig1_spectrum", algo.name(), 8);
     println!(
         "Figure 1 spectrum on OR-sim (scale-div={scale_div}), {} vertices / {} edges, {workers} workers, algo={}\n",
         graph.num_vertices(),
@@ -44,7 +47,6 @@ fn main() {
         algo.name(),
     );
 
-    let mut log = BenchLog::new("fig1_spectrum", &workload);
     let mut t = Table::new([
         "technique",
         "sim time",
@@ -166,11 +168,7 @@ fn main() {
             .max_supersteps(50_000);
         let out = runner.run_pagerank(0.01).expect("config");
         // Count virtual partition edges for this layout.
-        let pm = sg_core::sg_graph::PartitionMap::build(
-            &graph,
-            ClusterLayout::new(workers, ppw),
-            &sg_core::sg_graph::partition::HashPartitioner::new(runner.config().partition_seed),
-        );
+        let pm = runner.config().partition_map(&graph).expect("config");
         t.row([
             ppw.to_string(),
             (workers * ppw).to_string(),
@@ -195,8 +193,6 @@ fn main() {
          vertex grain = most transfers, smallest batches; partition-based\n\
          in between, best simulated time near the Giraph default |P|/worker = |W|."
     );
-    match log.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write BENCH json: {e}"),
-    }
+    println!();
+    crate::finish(log)
 }

@@ -10,13 +10,14 @@
 //! * **Serializable AP** (any technique): terminates with a proper
 //!   2-coloring.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin fig2_fig3`
+//! Usage: `sg-bench fig2-3`
 
-use sg_bench::{BenchLog, Table};
+use sg_bench::{Args, BenchLog, Table};
 use sg_core::prelude::*;
 use sg_core::sg_algos::validate;
 use sg_core::sg_algos::ConflictFixColoring;
 use sg_core::sg_engine::Engine;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Run the paper's layout, capturing the color vector after each superstep
@@ -88,7 +89,7 @@ fn print_run(log: &mut BenchLog, title: &str, model: Model, technique: Technique
     );
 }
 
-fn main() {
+pub fn run(_args: &Args) -> ExitCode {
     println!("Graph: 4-cycle v0-v1-v3-v2-v0; W1 = {{v0, v2}}, W2 = {{v1, v3}}");
     let mut log = BenchLog::new("fig2_fig3", "coloring/paper-c4/w2");
     print_run(
@@ -119,8 +120,6 @@ fn main() {
         Technique::DualToken,
         20,
     );
-    match log.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write BENCH json: {e}"),
-    }
+    println!();
+    crate::finish(log)
 }

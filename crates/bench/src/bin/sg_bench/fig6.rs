@@ -15,18 +15,16 @@
 //! passing degrading with worker count, vertex-based locking burdened by
 //! per-fork traffic and tiny batches.
 //!
-//! Usage:
-//!   cargo run -p sg-bench --release --bin fig6 -- \
-//!     [--algo coloring|pagerank|sssp|wcc|all] [--scale-div N] \
-//!     [--workers16 16] [--workers32 32] [--include-ar]
+//! Usage: `sg-bench fig6 [--algo coloring|pagerank|sssp|wcc|all]
+//!   [--scale-div N] [--workers16 16] [--workers32 32] [--include-ar]`
 
 use sg_bench::experiment::{fmt_makespan, run_gas_vertex_lock, run_pregel, Algo};
 use sg_bench::{Args, BenchLog, Table};
 use sg_core::prelude::*;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) -> ExitCode {
     let scale_div = args.get_or("scale-div", 16u64);
     let w_small = args.get_or("workers16", 16u32);
     let w_large = args.get_or("workers32", 32u32);
@@ -68,53 +66,36 @@ fn main() {
             let algo = Algo::from_name(algo_name, pr_threshold).expect("algo");
             let graph = Arc::new(load(gname, scale_div));
             for &workers in &[w_small, w_large] {
-                // Dual-layer token passing (Giraph async).
-                let r = run_pregel(
-                    &graph,
-                    algo,
-                    Technique::DualToken,
-                    workers,
-                    4,
-                    max_supersteps,
-                );
-                push_row(&mut t, gname, workers, "token (dual)", &r);
-                log.cell(
-                    &format!("{algo_name}/{gname}/w{workers}/token-dual"),
-                    Technique::DualToken.label(),
-                    &r,
-                );
-                // Partition-based distributed locking (the paper's).
-                let r = run_pregel(
-                    &graph,
-                    algo,
-                    Technique::PartitionLock,
-                    workers,
-                    4,
-                    max_supersteps,
-                );
-                push_row(&mut t, gname, workers, "partition-lock", &r);
-                log.cell(
-                    &format!("{algo_name}/{gname}/w{workers}/partition-lock"),
-                    Technique::PartitionLock.label(),
-                    &r,
-                );
-                // Vertex-based distributed locking (GraphLab async).
-                let r = run_gas_vertex_lock(&graph, algo, workers, 8, max_exec);
-                push_row(&mut t, gname, workers, "vertex-lock (GAS)", &r);
-                log.cell(
-                    &format!("{algo_name}/{gname}/w{workers}/vertex-lock-gas"),
-                    Technique::VertexLock.label(),
-                    &r,
-                );
+                // Giraph async's dual-layer token passing, the paper's
+                // partition-based locking, and GraphLab async's
+                // vertex-based locking on the GAS engine.
+                for (name, slug, technique) in [
+                    ("token (dual)", "token-dual", Technique::DualToken),
+                    ("partition-lock", "partition-lock", Technique::PartitionLock),
+                    (
+                        "vertex-lock (GAS)",
+                        "vertex-lock-gas",
+                        Technique::VertexLock,
+                    ),
+                ] {
+                    let r = if technique == Technique::VertexLock {
+                        run_gas_vertex_lock(&graph, algo, workers, 8, max_exec)
+                    } else {
+                        run_pregel(&graph, algo, technique, workers, 4, max_supersteps)
+                    };
+                    push_row(&mut t, gname, workers, name, &r);
+                    log.cell(
+                        &format!("{algo_name}/{gname}/w{workers}/{slug}"),
+                        technique.label(),
+                        &r,
+                    );
+                }
             }
         }
         t.print();
         println!();
     }
-    match log.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH json: {e}"),
-    }
+    crate::finish(log)
 }
 
 fn load(name: &str, scale_div: u64) -> Graph {

@@ -14,34 +14,31 @@
 //! reproducible, but the structural overhead (extra supersteps and
 //! messages of user-level protocols) is.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin giraphx_compare --
-//!   [--scale-div N] [--workers 16]`
+//! Usage: `sg-bench giraphx [--scale-div N] [--workers 16]`
 
+use crate::OrSim;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::{Args, Table};
 use sg_core::prelude::*;
 use sg_core::sg_algos::giraphx::{ByIdColoring, UserTokenColoring};
 use sg_core::sg_algos::{validate, GreedyColoring};
-use sg_core::sg_graph::partition::HashPartitioner;
-use sg_core::sg_graph::PartitionMap;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
-    let scale_div = args.get_or("scale-div", 16u64);
-    let workers = args.get_or("workers", 16u32);
-
-    let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div).to_undirected());
+pub fn run(args: &Args) -> ExitCode {
+    let OrSim {
+        workers,
+        graph,
+        mut log,
+        ..
+    } = OrSim::new(args, "giraphx_compare", "coloring", 16);
+    let graph = Arc::new(graph.to_undirected());
     println!(
         "Giraphx comparison: coloring on OR-sim undirected ({} vertices / {} edges), {workers} workers\n",
         graph.num_vertices(),
         graph.num_edges()
     );
 
-    let mut log = BenchLog::new(
-        "giraphx_compare",
-        &format!("coloring/or_sim-div{scale_div}/w{workers}"),
-    );
     let mut t = Table::new([
         "approach",
         "sim time",
@@ -82,11 +79,7 @@ fn main() {
     // User-level token passing: gating embedded in the algorithm.
     {
         let config = base(1, Technique::None);
-        let pm = PartitionMap::build(
-            &graph,
-            ClusterLayout::new(workers, config.effective_ppw()),
-            &HashPartitioner::new(config.partition_seed),
-        );
+        let pm = config.partition_map(&graph).expect("config");
         let out = Engine::new(
             Arc::clone(&graph),
             UserTokenColoring::new(Arc::new(pm)),
@@ -131,8 +124,5 @@ fn main() {
     }
 
     t.print();
-    match log.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH json: {e}"),
-    }
+    crate::finish(log)
 }

@@ -1,4 +1,4 @@
-//! sg-servebench — wall-clock benchmark of the live serving layer.
+//! `sg-bench serve` — wall-clock benchmark of the live serving layer.
 //!
 //! Measures what the MVCC store buys over "wait for the run to finish":
 //! point-lookup throughput from concurrent reader threads while a
@@ -27,6 +27,7 @@
 use sg_bench::{Args, BenchLog};
 use sg_core::sg_engine::{Context, Engine, EngineConfig, Model, TechniqueKind, VertexProgram};
 use sg_core::sg_graph::{gen, Graph, VertexId};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -225,8 +226,7 @@ fn bench_idle(verts: u32, rounds: u64, readers: usize, idle_ms: u64) -> ServeSta
     }
 }
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) -> ExitCode {
     let verts: u32 = args.get_or("verts", 2_000);
     let rounds: u64 = args.get_or("rounds", 60);
     let readers: usize = args.get_or("readers", 2);
@@ -240,7 +240,7 @@ fn main() {
     ];
 
     let mut log = BenchLog::new("serve", &format!("serve/v{verts}/r{rounds}/rd{readers}"));
-    println!("sg-servebench: verts={verts} rounds={rounds} readers={readers} idle_ms={idle_ms}");
+    println!("sg-bench serve: verts={verts} rounds={rounds} readers={readers} idle_ms={idle_ms}");
     println!();
     println!(
         "{:<26} {:>12} {:>10} {:>12} {:>12}",
@@ -316,7 +316,7 @@ fn main() {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: could not write BENCH_serve.json: {e}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         }
     };
     println!("wrote {}", path.display());
@@ -331,17 +331,20 @@ fn main() {
                 && doc
                     .get("cells")
                     .and_then(|c| c.as_arr())
-                    .is_some_and(|c| !c.is_empty()) => {}
+                    .is_some_and(|c| !c.is_empty()) =>
+        {
+            ExitCode::SUCCESS
+        }
         Ok(_) => {
             eprintln!(
                 "error: {} is valid JSON but not a schema_version-2 bench log",
                 path.display()
             );
-            std::process::exit(2);
+            ExitCode::from(2)
         }
         Err(e) => {
             eprintln!("error: {} is malformed: {e:?}", path.display());
-            std::process::exit(2);
+            ExitCode::from(2)
         }
     }
 }

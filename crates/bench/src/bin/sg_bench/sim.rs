@@ -1,7 +1,7 @@
-//! `sg-simbench` — the paper's experiments on the `sg-sim` discrete-event
+//! `sg-bench sim` — the paper's experiments on the `sg-sim` discrete-event
 //! cluster simulator.
 //!
-//! Where `fig1_spectrum`/`fig6` spend one OS thread per simulated compute
+//! Where `fig1`/`fig6` spend one OS thread per simulated compute
 //! thread (topping out at tens of workers on a laptop), every run here
 //! executes as a single-threaded event-loop walk with exact virtual-time
 //! makespans — so the paper's 16×4 testbed shape (64 workers) and the
@@ -30,8 +30,7 @@
 //! virtual time, so CI gates them against the committed baseline with a
 //! tight tolerance (`scripts/sim_smoke.sh`).
 //!
-//! Usage: `cargo run -p sg-bench --release --bin sg-simbench --
-//!   [--scale-div N] [--full]`
+//! Usage: `sg-bench sim [--scale-div N] [--full]`
 
 use sg_bench::experiment::{fmt_makespan, run_sim, Algo, ExperimentResult};
 use sg_bench::{emit_obs, Args, BenchLog, Table};
@@ -39,10 +38,10 @@ use sg_core::prelude::*;
 use sg_core::sg_metrics::critical_path::{self, Category};
 use sg_core::sg_sim::{fit_cost_model, simulate};
 use sg_core::Runner;
+use std::process::ExitCode;
 use std::sync::Arc;
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) -> ExitCode {
     let scale_div = args.get_or("scale-div", 16u64);
     let full = args.has_flag("full");
     let max_supersteps = args.get_or("max-supersteps", 20_000u64);
@@ -50,7 +49,7 @@ fn main() {
 
     let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div));
     println!(
-        "sg-simbench on OR-sim (scale-div={scale_div}), {} vertices / {} edges\n",
+        "sg-bench sim on OR-sim (scale-div={scale_div}), {} vertices / {} edges\n",
         graph.num_vertices(),
         graph.num_edges(),
     );
@@ -63,10 +62,8 @@ fn main() {
     determinism_replay(&graph, max_supersteps, &mut log);
     calibration_round_trip(&graph, max_supersteps, &mut log);
 
-    match log.write() {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write BENCH json: {e}"),
-    }
+    println!();
+    crate::finish(log)
 }
 
 const FIG1_TECHNIQUES: [(&str, Technique); 5] = [

@@ -4,14 +4,14 @@
 //! values used by graph coloring), and the maximum degree for the four
 //! synthetic dataset stand-ins.
 //!
-//! Usage: `cargo run -p sg-bench --release --bin table1 [-- --scale-div N]`
+//! Usage: `sg-bench table1 [--scale-div N]`
 
 use sg_bench::{Args, BenchLog, Table};
 use sg_core::sg_graph::gen::datasets;
 use sg_core::sg_graph::stats::GraphStats;
+use std::process::ExitCode;
 
-fn main() {
-    let args = Args::from_env();
+pub fn run(args: &Args) -> ExitCode {
     let scale_div = args.get_or("scale-div", 16u64);
 
     println!("Table 1: directed datasets (synthetic stand-ins, scale-div={scale_div})");
@@ -52,8 +52,5 @@ fn main() {
         "\nReal datasets for reference (paper): OR 3.0M/117M, AR 22.7M/639M, \
          TW 41.6M/1.46B, UK 105M/3.73B; |E|/|V| ratios are preserved."
     );
-    match log.write() {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write BENCH json: {e}"),
-    }
+    crate::finish(log)
 }

@@ -24,7 +24,7 @@
 //! speed). `--fault 1:drop=3,kill=12` injects deterministic data-plane
 //! faults at worker 1's 3rd/12th frames.
 //!
-//! `bench` is the netbench lane: greedy coloring across all four
+//! `bench` runs greedy coloring across all four
 //! techniques (plus the unsynchronized baseline), emitting
 //! `results/BENCH_net.json` and a merged Chrome trace
 //! `results/TRACE_net.json` consumable by `sg-trace analyze`. Each cell
@@ -504,7 +504,7 @@ fn print_counters(m: &sg_core::sg_metrics::MetricsSnapshot) {
     }
 }
 
-/// The netbench lane: coloring under every technique over loopback,
+/// `sg-cluster bench`: coloring under every technique over loopback,
 /// `results/BENCH_net.json` + a merged Chrome trace from the last run.
 fn bench(args: &[String]) -> ExitCode {
     let mut workers = 2u32;

@@ -8,8 +8,8 @@
 //!                [--cell <label>] [--tolerance <pct>]
 //! ```
 //!
-//! Traces come from any bench binary run with `--trace` (e.g.
-//! `fig1_spectrum`), or from [`sg_bench::emit_obs`]. Exit codes: 0 ok,
+//! Traces come from any bench lane run with `--trace` (e.g.
+//! `sg-bench fig1`), or from [`sg_bench::emit_obs`]. Exit codes: 0 ok,
 //! 1 usage, 2 malformed/incompatible input, 3 tolerance failure.
 
 use sg_bench::sgtrace::{

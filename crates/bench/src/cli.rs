@@ -10,11 +10,6 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from `std::env::args` (skipping the binary name).
-    pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
-    }
-
     /// Parse from an iterator of tokens.
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Self {
         let mut values = HashMap::new();

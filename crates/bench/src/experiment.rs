@@ -102,30 +102,14 @@ pub fn run_pregel_obs(
     max_supersteps: u64,
     obs: ObsConfig,
 ) -> ExperimentResult {
-    let runner = |g: Arc<Graph>| {
+    run_on(graph, algo, |g| {
         Runner::from_arc(g)
             .workers(workers)
             .threads_per_worker(threads_per_worker)
             .max_supersteps(max_supersteps)
             .technique(technique)
             .observability(obs.clone())
-    };
-    match algo {
-        Algo::Coloring => wrap(
-            runner(Arc::new(graph.to_undirected()))
-                .run_coloring()
-                .expect("config"),
-        ),
-        Algo::PageRank(OrderedF64(t)) => {
-            wrap(runner(Arc::clone(graph)).run_pagerank(t).expect("config"))
-        }
-        Algo::Sssp => wrap(
-            runner(Arc::clone(graph))
-                .run_sssp(VertexId::new(0))
-                .expect("config"),
-        ),
-        Algo::Wcc => wrap(runner(Arc::clone(graph)).run_wcc().expect("config")),
-    }
+    })
 }
 
 /// Run `algo` on the `sg-sim` discrete-event simulator under `technique`.
@@ -146,7 +130,7 @@ pub fn run_sim(
     opts: SimOptions,
     obs: ObsConfig,
 ) -> ExperimentResult {
-    let runner = |g: Arc<Graph>| {
+    run_on(graph, algo, |g| {
         Runner::from_arc(g)
             .workers(workers)
             .partitions_per_worker(ppw)
@@ -155,22 +139,33 @@ pub fn run_sim(
             .technique(technique)
             .observability(obs.clone())
             .simulated(opts)
-    };
+    })
+}
+
+/// Dispatch `algo` on the runner `configure` builds over its input graph
+/// (symmetrized for coloring, as the paper does).
+fn run_on(
+    graph: &Arc<Graph>,
+    algo: Algo,
+    configure: impl Fn(Arc<Graph>) -> Runner,
+) -> ExperimentResult {
     match algo {
         Algo::Coloring => wrap(
-            runner(Arc::new(graph.to_undirected()))
+            configure(Arc::new(graph.to_undirected()))
                 .run_coloring()
                 .expect("config"),
         ),
-        Algo::PageRank(OrderedF64(t)) => {
-            wrap(runner(Arc::clone(graph)).run_pagerank(t).expect("config"))
-        }
+        Algo::PageRank(OrderedF64(t)) => wrap(
+            configure(Arc::clone(graph))
+                .run_pagerank(t)
+                .expect("config"),
+        ),
         Algo::Sssp => wrap(
-            runner(Arc::clone(graph))
+            configure(Arc::clone(graph))
                 .run_sssp(VertexId::new(0))
                 .expect("config"),
         ),
-        Algo::Wcc => wrap(runner(Arc::clone(graph)).run_wcc().expect("config")),
+        Algo::Wcc => wrap(configure(Arc::clone(graph)).run_wcc().expect("config")),
     }
 }
 

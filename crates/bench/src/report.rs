@@ -1,7 +1,7 @@
 //! Machine-readable and human-readable per-run artifacts under `results/`.
 //!
-//! Every bench binary records its headline numbers as
-//! `results/BENCH_<name>.json` (one JSON object per run of the binary, with
+//! Every `sg-bench` lane records its headline numbers as
+//! `results/BENCH_<name>.json` (one JSON object per run of the lane, with
 //! one entry per experiment cell and per-superstep deltas when the cell was
 //! instrumented), so the perf trajectory across PRs is diffable by tooling.
 //! Instrumented runs additionally export a Chrome `trace_event` file
@@ -9,6 +9,7 @@
 
 use crate::experiment::ExperimentResult;
 use sg_core::sg_metrics::report::snapshot_json;
+use sg_core::sg_metrics::telemetry::json_string;
 use sg_core::sg_metrics::ObsReport;
 use std::fmt::Write as _;
 use std::fs;
@@ -39,7 +40,7 @@ pub fn write_results_file(filename: &str, contents: &str) -> io::Result<PathBuf>
 /// files whose versions differ.
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
-/// Collects one bench binary's cells and writes `results/BENCH_<name>.json`.
+/// Collects one bench lane's cells and writes `results/BENCH_<name>.json`.
 pub struct BenchLog {
     name: String,
     workload: String,
@@ -47,7 +48,7 @@ pub struct BenchLog {
 }
 
 impl BenchLog {
-    /// A log for the binary `name` (e.g. `"fig1_spectrum"`) running
+    /// A log for the lane artifact `name` (e.g. `"fig1_spectrum"`) running
     /// `workload` (e.g. `"pagerank/or_sim"`) — the identity fields tooling
     /// uses to refuse cross-workload comparisons.
     pub fn new(name: &str, workload: &str) -> Self {
@@ -77,7 +78,7 @@ impl BenchLog {
     }
 
     /// Record a raw engine [`Outcome`](sg_core::sg_engine::Outcome) — for
-    /// binaries that drive the engine directly instead of going through
+    /// lanes that drive the engine directly instead of going through
     /// the [`crate::experiment`] helpers. When the run carried a live
     /// telemetry registry, its final snapshot is embedded in the cell so
     /// the live scrape endpoint and the post-hoc artifact cross-check.
@@ -113,9 +114,10 @@ impl BenchLog {
         obs: Option<&ObsReport>,
         telemetry: Option<&sg_core::sg_metrics::TelemetrySnapshot>,
     ) {
-        let mut c = String::from("{");
-        let _ = write!(c, "\"label\":\"{}\"", escape(label));
-        let _ = write!(c, ",\"technique\":\"{}\"", escape(technique));
+        let mut c = String::from("{\"label\":");
+        json_string(&mut c, label);
+        c.push_str(",\"technique\":");
+        json_string(&mut c, technique);
         let _ = write!(c, ",\"makespan_ns\":{makespan_ns}");
         let _ = write!(c, ",\"iterations\":{iterations}");
         let _ = write!(c, ",\"converged\":{converged}");
@@ -131,13 +133,15 @@ impl BenchLog {
         self.cells.push(c);
     }
 
-    /// Record a cell that is just labelled key/value numbers (for binaries
+    /// Record a cell that is just labelled key/value numbers (for lanes
     /// whose rows aren't [`ExperimentResult`]s, e.g. dataset statistics).
     pub fn raw_cell(&mut self, label: &str, fields: &[(&str, String)]) {
-        let mut c = String::from("{");
-        let _ = write!(c, "\"label\":\"{}\"", escape(label));
+        let mut c = String::from("{\"label\":");
+        json_string(&mut c, label);
         for (k, v) in fields {
-            let _ = write!(c, ",\"{}\":{}", escape(k), v);
+            c.push(',');
+            json_string(&mut c, k);
+            let _ = write!(c, ":{v}");
         }
         c.push('}');
         self.cells.push(c);
@@ -147,17 +151,15 @@ impl BenchLog {
     pub fn write(self) -> io::Result<PathBuf> {
         let mut out = String::from("{");
         let _ = write!(out, "\"schema_version\":{BENCH_SCHEMA_VERSION}");
-        let _ = write!(out, ",\"bench\":\"{}\"", escape(&self.name));
-        let _ = write!(out, ",\"workload\":\"{}\"", escape(&self.workload));
+        out.push_str(",\"bench\":");
+        json_string(&mut out, &self.name);
+        out.push_str(",\"workload\":");
+        json_string(&mut out, &self.workload);
         out.push_str(",\"cells\":[");
         out.push_str(&self.cells.join(","));
         out.push_str("]}");
         write_results_file(&format!("BENCH_{}.json", self.name), &out)
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Export an instrumented run's artifacts: the Chrome `trace_event` JSON

@@ -1,6 +1,6 @@
 //! The `sg-trace` CLI: offline critical-path analysis of exported traces.
 //!
-//! The bench binaries export Chrome `trace_event` files whose
+//! The `sg-bench` lanes export Chrome `trace_event` files whose
 //! `serigraph_run` metadata record carries run identity (schema version,
 //! technique, workload, exact makespan). This module reads those files back
 //! into [`TraceEvent`]s and drives
@@ -16,9 +16,8 @@
 //!   [--tolerance pct]` — cross-checks the trace's makespan and technique
 //!   against the recorded bench cell. When the positional file is itself
 //!   a `BENCH_<name>.json`, check runs bench-vs-bench instead: relational
-//!   cells (`speedup/...` ratios, `pool/steady/...` alloc counts) from a
-//!   fresh run are gated against the committed baseline — the CI drift
-//!   gate for `results/BENCH_netpath.json`.
+//!   cells (`speedup/...` ratios) from a fresh run are gated against the
+//!   committed baseline — the CI drift gate for `results/BENCH_sim.json`.
 //!
 //! Exit codes: 0 ok, 1 usage error, 2 malformed or incompatible input,
 //! 3 tolerance failure.
@@ -26,6 +25,7 @@
 use crate::json::Json;
 use sg_core::sg_metrics::critical_path::{self, Category, CriticalPathReport};
 use sg_core::sg_metrics::simtime::fmt_sim_ns;
+use sg_core::sg_metrics::telemetry::json_string;
 use sg_core::sg_metrics::trace::{TraceEvent, TraceEventKind};
 use std::fmt;
 use std::fs;
@@ -198,11 +198,15 @@ pub fn analyze_text(trace: &ParsedTrace, top_k: usize, json: bool) -> String {
     let report = critical_path::analyze(&trace.events, trace.makespan_ns);
     if json {
         let mut out = String::from("{");
-        if let Some(t) = &trace.meta.technique {
-            out.push_str(&format!("\"technique\":\"{}\",", escape(t)));
-        }
-        if let Some(w) = &trace.meta.workload {
-            out.push_str(&format!("\"workload\":\"{}\",", escape(w)));
+        for (key, value) in [
+            ("\"technique\":", &trace.meta.technique),
+            ("\"workload\":", &trace.meta.workload),
+        ] {
+            if let Some(v) = value {
+                out.push_str(key);
+                json_string(&mut out, v);
+                out.push(',');
+            }
         }
         out.push_str("\"critical_path\":");
         out.push_str(&report.to_json());
@@ -216,10 +220,6 @@ pub fn analyze_text(trace: &ParsedTrace, top_k: usize, json: bool) -> String {
             report.render_text(top_k)
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Refuse to compare two runs whose identity fields conflict.
@@ -587,12 +587,9 @@ pub fn looks_like_bench(text: &str) -> bool {
 /// Only *relational* cells are compared — absolute wall-clock numbers
 /// shift with the host, but ratios measured within one run do not:
 ///
-/// * every `speedup/...` cell present in both files is gated one-sided:
-///   the fresh `speedup` may exceed the baseline freely but must not fall
-///   more than `tolerance_pct` percent below it;
-/// * every `pool/steady/...` cell whose baseline records zero `allocs`
-///   must still record zero — the pooled send path's alloc-free property
-///   is absolute, not a ratio.
+/// every `speedup/...` cell present in both files is gated one-sided: the
+/// fresh `speedup` may exceed the baseline freely but must not fall more
+/// than `tolerance_pct` percent below it.
 ///
 /// Workloads may differ (CI smoke runs tiny sizes against the committed
 /// full-size baseline); bench names and schema versions may not.
@@ -632,41 +629,26 @@ pub fn check_bench_text(
     let mut compared = 0usize;
     let mut failures = Vec::new();
     for (label, _) in &base.cells {
-        if let Some(base_speedup) = field_of(base, label, "speedup") {
-            let Some(fresh_speedup) = field_of(fresh, label, "speedup") else {
-                continue;
-            };
-            compared += 1;
-            let floor = base_speedup * (1.0 - tolerance_pct / 100.0);
-            let verdict = if fresh_speedup < floor { "FAIL" } else { "ok" };
-            out.push_str(&format!(
-                "{label}: baseline {base_speedup:.3}x, fresh {fresh_speedup:.3}x \
-                 (floor {floor:.3}x) {verdict}\n"
-            ));
-            if fresh_speedup < floor {
-                failures.push(label.clone());
-            }
-        } else if label.starts_with("pool/steady") {
-            let (Some(base_allocs), Some(fresh_allocs)) = (
-                field_of(base, label, "allocs"),
-                field_of(fresh, label, "allocs"),
-            ) else {
-                continue;
-            };
-            compared += 1;
-            let regressed = base_allocs == 0.0 && fresh_allocs > 0.0;
-            out.push_str(&format!(
-                "{label}: baseline {base_allocs:.0} allocs, fresh {fresh_allocs:.0} {}\n",
-                if regressed { "FAIL" } else { "ok" }
-            ));
-            if regressed {
-                failures.push(label.clone());
-            }
+        let (Some(base_speedup), Some(fresh_speedup)) = (
+            field_of(base, label, "speedup"),
+            field_of(fresh, label, "speedup"),
+        ) else {
+            continue;
+        };
+        compared += 1;
+        let floor = base_speedup * (1.0 - tolerance_pct / 100.0);
+        let verdict = if fresh_speedup < floor { "FAIL" } else { "ok" };
+        out.push_str(&format!(
+            "{label}: baseline {base_speedup:.3}x, fresh {fresh_speedup:.3}x \
+             (floor {floor:.3}x) {verdict}\n"
+        ));
+        if fresh_speedup < floor {
+            failures.push(label.clone());
         }
     }
     if compared == 0 {
         return Err(CliError::malformed(
-            "no comparable cells (speedup/... or pool/steady/...) shared by both artifacts",
+            "no comparable cells (speedup/...) shared by both artifacts",
         ));
     }
     if failures.is_empty() {
@@ -729,6 +711,19 @@ mod tests {
         let mut expect = original.clone();
         expect.sort_by_key(|e| (e.worker, e.ts_ns, e.kind as u8));
         assert_eq!(recovered, expect);
+    }
+
+    /// Metadata is caller-supplied text: newlines, quotes and control
+    /// characters must come back exactly, not break the document.
+    #[test]
+    fn metadata_with_control_characters_round_trips() {
+        let workload = "page\"rank\"\n\ttoy\u{1}\\";
+        let text = sample_trace_json(&meta_v2("partition-lock", workload, 1000));
+        let parsed = parse_trace(&text).unwrap();
+        assert_eq!(parsed.meta.workload.as_deref(), Some(workload));
+        let json = analyze_text(&parsed, 5, true);
+        let doc = Json::parse(&json).expect("analyze --json stays valid JSON");
+        assert_eq!(doc.get("workload").and_then(|w| w.as_str()), Some(workload));
     }
 
     #[test]

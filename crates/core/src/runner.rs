@@ -7,8 +7,7 @@ use sg_algos::{
     TriangleCount, Wcc,
 };
 use sg_engine::{
-    Combiner, Engine, EngineConfig, EngineError, Model, Outcome, TechniqueKind, TransportKind,
-    VertexProgram,
+    Combiner, Engine, EngineConfig, EngineError, Model, Outcome, TechniqueKind, VertexProgram,
 };
 use sg_graph::{Graph, PartitionId, VertexId};
 use sg_metrics::{CostModel, ObsConfig, ObsReport, TraceBuffer};
@@ -222,7 +221,6 @@ impl Runner {
     /// [`Runner::run_sssp`], [`Runner::run_mis`], [`Runner::run_pagerank`])
     /// are available networked.
     pub fn networked(mut self, opts: NetworkOptions) -> Self {
-        self.config.transport = TransportKind::Tcp;
         self.net = Some(opts);
         self
     }
@@ -346,7 +344,7 @@ impl Runner {
             workload,
             max_supersteps: self.config.max_supersteps,
             buffer_cap: self.config.buffer_cap as u64,
-            partition_seed: 0xC0FFEE,
+            partition_seed: self.config.partition_seed,
             explicit_partitions: self
                 .config
                 .explicit_partitions

@@ -1,9 +1,16 @@
-//! Engine configuration: cluster shape, computation model, synchronization
-//! technique, and cost model.
+//! Engine configuration — cluster shape, computation model, synchronization
+//! technique, cost model — and the host-independent set-up every host
+//! derives from it: the partition map and the technique's synchronizer.
 
-use sg_graph::PartitionId;
-use sg_metrics::{CostModel, ObsConfig};
+use sg_graph::partition::HashPartitioner;
+use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap};
+use sg_metrics::{CostModel, Metrics, ObsConfig};
+use sg_sync::{
+    BspVertexLock, DualLayerToken, NoSync, PartitionLock, SingleLayerToken, Synchronizer,
+    VertexLock,
+};
 use std::fmt;
+use std::sync::Arc;
 
 /// Computation model (Section 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,20 +69,28 @@ impl TechniqueKind {
     }
 }
 
-/// Which transport carries cross-worker protocol traffic (token passes,
-/// fork transfers, C1 write-all flushes).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TransportKind {
-    /// Workers are threads in one address space; the engine's own buffer
-    /// and store machinery is the network (the default, and the only kind
-    /// [`crate::Engine`] hosts directly).
-    #[default]
-    InProcess,
-    /// Workers are separate OS processes connected by TCP sockets. Runs
-    /// through the `sg-net` cluster runtime (`Runner::networked` in
-    /// `sg-core`), which replaces the engine's in-process datapath with a
-    /// framed wire protocol; [`crate::Engine::new`] rejects it.
-    Tcp,
+/// Build the synchronizer for `kind` over `pm` — the one technique
+/// factory every host (thread engine, simulator, cluster coordinator and
+/// worker replicas) constructs its protocol object with. `metrics` must
+/// already carry its telemetry registry, if any: the techniques grab their
+/// histogram handles at construction.
+pub fn build_synchronizer(
+    kind: TechniqueKind,
+    graph: &Graph,
+    pm: &Arc<PartitionMap>,
+    metrics: Arc<Metrics>,
+) -> Arc<dyn Synchronizer> {
+    match kind {
+        TechniqueKind::None => Arc::new(NoSync),
+        TechniqueKind::SingleToken => Arc::new(SingleLayerToken::new(Arc::clone(pm), metrics)),
+        TechniqueKind::DualToken => Arc::new(DualLayerToken::new(Arc::clone(pm), metrics)),
+        TechniqueKind::VertexLock => Arc::new(VertexLock::new(graph, pm, metrics)),
+        TechniqueKind::PartitionLock => Arc::new(PartitionLock::new(pm, metrics)),
+        TechniqueKind::PartitionLockNoSkip => {
+            Arc::new(PartitionLock::with_options(pm, metrics, false))
+        }
+        TechniqueKind::BspVertexLock => Arc::new(BspVertexLock::new(graph, pm, metrics)),
+    }
 }
 
 /// Everything that shapes an engine run.
@@ -132,10 +147,6 @@ pub struct EngineConfig {
     /// the engine's behaviour and counters are unchanged and each
     /// would-be trace event costs one branch.
     pub obs: ObsConfig,
-    /// Transport carrying cross-worker traffic. [`TransportKind::Tcp`]
-    /// selects the `sg-net` socket runtime and is only honoured by
-    /// `Runner::networked`; the in-process engine rejects it.
-    pub transport: TransportKind,
 }
 
 impl Default for EngineConfig {
@@ -156,7 +167,6 @@ impl Default for EngineConfig {
             fail_at_superstep: None,
             barrierless: false,
             obs: ObsConfig::default(),
-            transport: TransportKind::InProcess,
         }
     }
 }
@@ -165,6 +175,40 @@ impl EngineConfig {
     /// Effective partitions per worker.
     pub fn effective_ppw(&self) -> u32 {
         self.partitions_per_worker.unwrap_or(self.workers).max(1)
+    }
+
+    /// Place `graph` on the configured cluster shape: the explicit
+    /// assignment when one is given (one entry per vertex, every id below
+    /// the partition count — anything else is `InvalidConfig`), otherwise
+    /// the seeded hash partitioner (Section 7.1).
+    pub fn partition_map(&self, graph: &Graph) -> Result<PartitionMap, EngineError> {
+        let layout = ClusterLayout::new(self.workers, self.effective_ppw());
+        let Some(assignment) = &self.explicit_partitions else {
+            let hash = HashPartitioner::new(self.partition_seed);
+            return Ok(PartitionMap::build(graph, layout, &hash));
+        };
+        if assignment.len() != graph.num_vertices() as usize {
+            return Err(EngineError::InvalidConfig(format!(
+                "explicit_partitions has {} entries for {} vertices",
+                assignment.len(),
+                graph.num_vertices()
+            )));
+        }
+        if let Some(p) = assignment
+            .iter()
+            .find(|p| p.raw() >= layout.num_partitions())
+        {
+            return Err(EngineError::InvalidConfig(format!(
+                "explicit_partitions names partition {} but the layout has {}",
+                p.raw(),
+                layout.num_partitions()
+            )));
+        }
+        Ok(PartitionMap::from_assignment(
+            graph,
+            layout,
+            assignment.clone(),
+        ))
     }
 
     /// Validate the configuration.

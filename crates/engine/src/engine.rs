@@ -2,12 +2,11 @@
 //! routing, and the virtual-time accounting.
 
 use crate::aggregators::AggregatorSet;
-use crate::config::{EngineConfig, EngineError, Model, TechniqueKind};
+use crate::config::{build_synchronizer, EngineConfig, EngineError, Model};
 use crate::context::Context;
 use crate::program::{Combiner, VertexProgram};
 use crate::state::PartitionData;
 use crate::store::{Envelope, OutboundBuffers, PartitionStore, Routed, StagingBuffers};
-use sg_graph::partition::{ExplicitPartitioner, HashPartitioner};
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
     CostModel, Counter, GaugeHandle, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SimClocks,
@@ -16,10 +15,7 @@ use sg_metrics::{
 use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
 use sg_store::{GraphReader, VertexStore};
 use sg_sync::technique::LockGranularity;
-use sg_sync::{
-    BspVertexLock, DualLayerToken, ForkSnapshot, NoSync, PartitionLock, SingleLayerToken,
-    SyncTransport, Synchronizer, VertexLock,
-};
+use sg_sync::{ForkSnapshot, SyncTransport, Synchronizer};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::sync::{Arc, Barrier};
@@ -105,30 +101,7 @@ impl<P: VertexProgram> Engine<P> {
     /// Section 7.1) and validates the configuration.
     pub fn new(graph: Arc<Graph>, program: P, config: EngineConfig) -> Result<Self, EngineError> {
         config.validate()?;
-        if config.transport != crate::config::TransportKind::InProcess {
-            return Err(EngineError::InvalidConfig(
-                "the in-process engine only hosts TransportKind::InProcess; \
-                 socket transports run through the sg-net cluster runtime \
-                 (Runner::networked)"
-                    .into(),
-            ));
-        }
-        let layout = sg_graph::ClusterLayout::new(config.workers, config.effective_ppw());
-        let pm = match &config.explicit_partitions {
-            Some(assignment) => {
-                if assignment.len() != graph.num_vertices() as usize {
-                    return Err(EngineError::InvalidConfig(format!(
-                        "explicit_partitions has {} entries for {} vertices",
-                        assignment.len(),
-                        graph.num_vertices()
-                    )));
-                }
-                PartitionMap::build(&graph, layout, &ExplicitPartitioner(assignment.clone()))
-            }
-            None => {
-                PartitionMap::build(&graph, layout, &HashPartitioner::new(config.partition_seed))
-            }
-        };
+        let pm = config.partition_map(&graph)?;
         let store = Arc::new(VertexStore::new(graph.num_vertices() as usize));
         for v in graph.vertices() {
             store.install_bootstrap(v.index(), program.init(v, &graph));
@@ -177,33 +150,12 @@ impl<P: VertexProgram> Engine<P> {
         if self.config.obs.telemetry {
             metrics.attach_telemetry(Arc::new(Telemetry::new()));
         }
-        let sync: Arc<dyn Synchronizer> = match self.config.technique {
-            TechniqueKind::None => Arc::new(NoSync),
-            TechniqueKind::SingleToken => Arc::new(SingleLayerToken::new(
-                Arc::clone(&self.pm),
-                Arc::clone(&metrics),
-            )),
-            TechniqueKind::DualToken => Arc::new(DualLayerToken::new(
-                Arc::clone(&self.pm),
-                Arc::clone(&metrics),
-            )),
-            TechniqueKind::VertexLock => {
-                Arc::new(VertexLock::new(&self.graph, &self.pm, Arc::clone(&metrics)))
-            }
-            TechniqueKind::PartitionLock => {
-                Arc::new(PartitionLock::new(&self.pm, Arc::clone(&metrics)))
-            }
-            TechniqueKind::PartitionLockNoSkip => Arc::new(PartitionLock::with_options(
-                &self.pm,
-                Arc::clone(&metrics),
-                false,
-            )),
-            TechniqueKind::BspVertexLock => Arc::new(BspVertexLock::new(
-                &self.graph,
-                &self.pm,
-                Arc::clone(&metrics),
-            )),
-        };
+        let sync = build_synchronizer(
+            self.config.technique,
+            &self.graph,
+            &self.pm,
+            Arc::clone(&metrics),
+        );
 
         let threads_per_worker = match sync.max_threads_per_worker() {
             Some(k) => self.config.threads_per_worker.min(k).max(1),
@@ -1386,6 +1338,7 @@ impl<P: VertexProgram> Core<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TechniqueKind;
     use sg_graph::gen;
 
     /// Counts supersteps: runs for `rounds` supersteps then halts.

@@ -35,7 +35,7 @@ pub mod state;
 pub mod store;
 
 pub use aggregators::{AggOp, AggregatorSet};
-pub use config::{EngineConfig, EngineError, Model, TechniqueKind, TransportKind};
+pub use config::{build_synchronizer, EngineConfig, EngineError, Model, TechniqueKind};
 pub use context::Context;
 pub use engine::{Engine, Outcome};
 pub use program::{Combiner, MinCombiner, SumCombiner, VertexProgram, WireCodec};

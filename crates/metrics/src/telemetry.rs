@@ -14,7 +14,7 @@
 //!    `AtomicU64` (histograms: three). Handles are `Arc`s to the atomic
 //!    cells, registered once (cold path, one short mutex) and then cloned
 //!    freely into worker threads. No locks, no allocation, no syscalls on
-//!    the record path — the msgbench `telemetry` lane guards the overhead.
+//!    the record path (`perf/` reports `sg-metrics.telemetry_overhead_pct`).
 //! 2. **Coherent snapshots.** A histogram's `count`, `sum`, and buckets are
 //!    separate atomics; a reader racing a writer could observe a bucket
 //!    increment without its count. [`HistogramCore::snapshot`] retries
@@ -730,7 +730,9 @@ fn render_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&
     out.push('}');
 }
 
-fn json_string(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string (RFC 8259 escapes, control
+/// characters included) — the workspace's one JSON string writer.
+pub fn json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

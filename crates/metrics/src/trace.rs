@@ -27,6 +27,7 @@
 //!    per worker; `total_recorded` still counts everything, so exporters can
 //!    say how much was dropped.
 
+use crate::telemetry::json_string;
 use std::fmt;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -419,11 +420,16 @@ impl TraceBuffer {
             w.write_all(
                 b",{\"name\":\"serigraph_run\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{",
             )?;
+            let mut pair = String::new();
             for (i, (k, v)) in meta.iter().enumerate() {
+                pair.clear();
                 if i > 0 {
-                    w.write_all(b",")?;
+                    pair.push(',');
                 }
-                write!(w, "\"{}\":\"{}\"", escape_json(k), escape_json(v))?;
+                json_string(&mut pair, k);
+                pair.push(':');
+                json_string(&mut pair, v);
+                w.write_all(pair.as_bytes())?;
             }
             w.write_all(b"}}")?;
         }
@@ -465,12 +471,6 @@ impl TraceBuffer {
         }
         w.write_all(b"]}")
     }
-}
-
-/// Minimal JSON string escape for metadata keys/values (they are plain
-/// technique/workload names; control characters never appear).
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl fmt::Debug for TraceBuffer {

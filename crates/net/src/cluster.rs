@@ -20,16 +20,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use sg_engine::TechniqueKind;
-use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
+use sg_engine::{build_synchronizer, EngineConfig, TechniqueKind};
+use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
     merge_ranked_events, Counter, Metrics, MetricsSnapshot, TraceEvent, TraceEventKind,
 };
 use sg_serial::{History, HistorySummary, TxnRecord};
-use sg_sync::{
-    BspVertexLock, DualLayerToken, NoSync, PartitionLock, SingleLayerToken, SyncTransport,
-    Synchronizer, VertexLock,
-};
+use sg_sync::{SyncTransport, Synchronizer};
 
 use crate::audit::{AuditConfig, AuditHub};
 use crate::link::{CtrlConn, FrameReader};
@@ -261,29 +258,6 @@ pub(crate) fn technique_from_label(label: &str) -> Option<TechniqueKind> {
     ]
     .into_iter()
     .find(|t| t.label() == label)
-}
-
-/// The engine's technique factory, shared by the coordinator (the real,
-/// state-holding instance) and the workers (stateless replicas used for
-/// `vertex_allowed` gating, granularity, and the skip decision — token
-/// holders are pure functions of the superstep).
-pub(crate) fn build_technique(
-    kind: TechniqueKind,
-    graph: &Graph,
-    pm: &Arc<PartitionMap>,
-    metrics: Arc<Metrics>,
-) -> Arc<dyn Synchronizer> {
-    match kind {
-        TechniqueKind::None => Arc::new(NoSync),
-        TechniqueKind::SingleToken => Arc::new(SingleLayerToken::new(Arc::clone(pm), metrics)),
-        TechniqueKind::DualToken => Arc::new(DualLayerToken::new(Arc::clone(pm), metrics)),
-        TechniqueKind::VertexLock => Arc::new(VertexLock::new(graph, pm, metrics)),
-        TechniqueKind::PartitionLock => Arc::new(PartitionLock::new(pm, metrics)),
-        TechniqueKind::PartitionLockNoSkip => {
-            Arc::new(PartitionLock::with_options(pm, metrics, false))
-        }
-        TechniqueKind::BspVertexLock => Arc::new(BspVertexLock::new(graph, pm, metrics)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -781,32 +755,25 @@ impl QueryService for ClusterQueryService {
 /// Launch the cluster, drive the run to completion, and merge results.
 pub fn run_cluster(graph: &Graph, cfg: &ClusterConfig) -> Result<ClusterOutcome, NetError> {
     validate(cfg)?;
-    let layout = ClusterLayout::new(cfg.workers, cfg.partitions_per_worker);
-    let assignment: Vec<u32> = match &cfg.explicit_partitions {
-        Some(parts) => {
-            if parts.len() != graph.num_vertices() as usize {
-                return Err(NetError::Config(format!(
-                    "explicit partition vector has {} entries for {} vertices",
-                    parts.len(),
-                    graph.num_vertices()
-                )));
-            }
-            parts.clone()
-        }
-        None => {
-            let pm = PartitionMap::build(
-                graph,
-                layout,
-                &sg_graph::partition::HashPartitioner::new(cfg.partition_seed),
-            );
-            graph.vertices().map(|v| pm.partition_of(v).raw()).collect()
-        }
+    // The engine's placement rule, so a cluster run and an in-process run
+    // of one configuration partition identically (and reject the same
+    // malformed explicit vectors).
+    let placement = EngineConfig {
+        workers: cfg.workers,
+        partitions_per_worker: Some(cfg.partitions_per_worker),
+        partition_seed: cfg.partition_seed,
+        explicit_partitions: cfg
+            .explicit_partitions
+            .as_ref()
+            .map(|parts| parts.iter().map(|&p| PartitionId::new(p)).collect()),
+        ..EngineConfig::default()
     };
-    let pm = Arc::new(PartitionMap::from_assignment(
-        graph,
-        layout,
-        assignment.iter().map(|&p| PartitionId::new(p)).collect(),
-    ));
+    let pm = Arc::new(
+        placement
+            .partition_map(graph)
+            .map_err(|e| NetError::Config(e.to_string()))?,
+    );
+    let assignment: Vec<u32> = graph.vertices().map(|v| pm.partition_of(v).raw()).collect();
 
     let listener = TcpListener::bind(&cfg.bind_addr)?;
     let coord_addr = listener.local_addr()?.to_string();
@@ -1106,7 +1073,7 @@ fn drive(
         }
         None => None,
     };
-    let sync = build_technique(cfg.technique, graph, pm, Arc::clone(&metrics));
+    let sync = build_synchronizer(cfg.technique, graph, pm, Arc::clone(&metrics));
     let transport = CoordTransport {
         coord: Arc::clone(&coord),
     };
@@ -1429,6 +1396,25 @@ mod tests {
         let g = gen::paper_c4();
         let cfg = ClusterConfig::new(2, technique, workload);
         run_cluster(&g, &cfg).expect("cluster run")
+    }
+
+    /// The label is what crosses the wire in `RunSpec::technique`; a kind
+    /// whose label does not map back would start workers on the wrong
+    /// protocol (or none).
+    #[test]
+    fn every_technique_label_round_trips() {
+        for kind in [
+            TechniqueKind::None,
+            TechniqueKind::SingleToken,
+            TechniqueKind::DualToken,
+            TechniqueKind::VertexLock,
+            TechniqueKind::PartitionLock,
+            TechniqueKind::PartitionLockNoSkip,
+            TechniqueKind::BspVertexLock,
+        ] {
+            assert_eq!(technique_from_label(kind.label()), Some(kind));
+        }
+        assert_eq!(technique_from_label("no-such-technique"), None);
     }
 
     #[test]

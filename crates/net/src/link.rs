@@ -36,14 +36,14 @@
 use std::collections::VecDeque;
 use std::io::{BufReader, IoSlice, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector};
 use crate::wire::{
-    batch_view, local_features, peek_header, read_frame, read_frame_into, BatchView, Frame,
-    Message, WireError, PROTOCOL_VERSION,
+    batch_view, peek_header, read_frame, read_frame_into, BatchView, Frame, Message, WireError,
+    PROTOCOL_VERSION,
 };
 use crate::{Clock, NetError};
 use sg_metrics::{CounterHandle, GaugeHandle, HistogramHandle, Telemetry};
@@ -176,7 +176,6 @@ fn write_handshake(
             version: PROTOCOL_VERSION,
             rank,
             resume_from,
-            features: local_features(),
         },
     };
     (&mut (&*stream)).write_all(&frame.encode())
@@ -239,7 +238,7 @@ impl LinkStats {
 /// A free list of reusable frame buffers shared by the send path and the
 /// retransmit tail. After warm-up every steady-state send is served from
 /// the free list — the [`BufPool::allocs`] counter goes flat, which is
-/// exactly what `netbench_smoke.sh` asserts.
+/// exactly what `steady_state_sends_reuse_pooled_buffers` asserts.
 pub struct BufPool {
     free: Mutex<Vec<Vec<u8>>>,
     allocs: AtomicU64,
@@ -340,10 +339,6 @@ struct SendHalf {
     /// Encoded unsequenced frames (acks, heartbeats) awaiting the next
     /// submission; they ride behind the staged batches.
     ctrl: Vec<Vec<u8>>,
-    /// Compression scratch (uncompressed body staging), pooled with the
-    /// send half.
-    #[cfg(feature = "wire-compress")]
-    z_scratch: Vec<u8>,
     backoff: Duration,
     next_dial: Instant,
     last_write: Instant,
@@ -363,8 +358,6 @@ struct LinkInner {
     /// Next sequenced incoming frame we will apply.
     recv_next: AtomicU64,
     shutdown: AtomicBool,
-    /// Feature bits the peer advertised at the last handshake.
-    peer_features: AtomicU32,
     /// Frame-buffer pool shared by sends and the retransmit tail.
     pool: BufPool,
     /// Wire stats, when a telemetry registry was attached.
@@ -382,13 +375,6 @@ impl LinkInner {
             }
         }
         buf
-    }
-
-    /// Is batch-flush compression negotiated on this link?
-    #[cfg(feature = "wire-compress")]
-    fn compress_on(&self) -> bool {
-        let both = local_features() & self.peer_features.load(Ordering::Relaxed);
-        both & crate::wire::FEATURE_COMPRESS != 0
     }
 }
 
@@ -427,8 +413,6 @@ impl PeerLink {
                     staged_bytes: 0,
                     staged_frames: 0,
                     ctrl: Vec::new(),
-                    #[cfg(feature = "wire-compress")]
-                    z_scratch: Vec::new(),
                     backoff: DIAL_BACKOFF_MIN,
                     next_dial: now,
                     last_write: now,
@@ -436,22 +420,20 @@ impl PeerLink {
                 cv: Condvar::new(),
                 recv_next: AtomicU64::new(1),
                 shutdown: AtomicBool::new(false),
-                peer_features: AtomicU32::new(0),
                 pool: BufPool::new(),
                 stats: telemetry.map(|t| LinkStats::new(t, peer_rank)),
             }),
         }
     }
 
-    /// This link's frame-buffer pool counters: `(allocs, reuses)`. The
-    /// netbench steady-state assertion reads these directly.
+    /// This link's frame-buffer pool counters: `(allocs, reuses)`.
     pub fn pool_stats(&self) -> (u64, u64) {
         self.inner.pool.stats()
     }
 
     /// Pre-provision the frame-buffer pool with `n` buffers of
     /// `capacity` bytes. Callers that know their per-fence frame demand
-    /// (the worker's outbound stage, the netbench) prime once at startup
+    /// (the worker's outbound stage) prime once at startup
     /// so even the very first superstep's sends — and every control ack
     /// racing them — come off the free list.
     pub fn prime_pool(&self, n: usize, capacity: usize) {
@@ -498,12 +480,8 @@ impl PeerLink {
                 }))
             }
             Message::PeerHello {
-                rank,
-                resume_from,
-                features,
-                ..
+                rank, resume_from, ..
             } if rank == self.inner.peer_rank => {
-                self.inner.peer_features.store(features, Ordering::Relaxed);
                 if redial {
                     if let Some(st) = &self.inner.stats {
                         st.redials.inc();
@@ -525,16 +503,8 @@ impl PeerLink {
     /// `TCP_NODELAY` is mandatory on every data-plane socket — fence
     /// round-trips ride on it — so failing to set it fails the accept
     /// (the dialer side already errors on the same condition).
-    pub fn accept(
-        &self,
-        stream: TcpStream,
-        peer_resume_from: u64,
-        peer_features: u32,
-    ) -> std::io::Result<()> {
+    pub fn accept(&self, stream: TcpStream, peer_resume_from: u64) -> std::io::Result<()> {
         stream.set_nodelay(true)?;
-        self.inner
-            .peer_features
-            .store(peer_features, Ordering::Relaxed);
         self.attach(stream, peer_resume_from);
         Ok(())
     }
@@ -596,19 +566,6 @@ impl PeerLink {
         s.next_seq += 1;
         let mut bytes = self.inner.pool_get();
         let clock = self.inner.clock.tick();
-        #[cfg(feature = "wire-compress")]
-        if self.inner.compress_on() {
-            crate::wire::encode_frame_into_compressed(
-                seq,
-                clock,
-                &msg,
-                &mut bytes,
-                &mut s.z_scratch,
-            );
-        } else {
-            crate::wire::encode_frame_into(seq, clock, &msg, &mut bytes);
-        }
-        #[cfg(not(feature = "wire-compress"))]
         crate::wire::encode_frame_into(seq, clock, &msg, &mut bytes);
         let fault = if self.inner.fault.is_active() {
             self.inner.fault.next().1
@@ -934,12 +891,10 @@ fn reader_loop(inner: Arc<LinkInner>, stream: TcpStream, generation: u64) {
         inner: Arc::clone(&inner),
     };
     let mut reader = BufReader::new(stream);
-    // Reused across frames: the raw payload buffer and the compression
-    // inflate scratch — the zero-copy, alloc-free receive path. Batch
-    // payloads are handed to the handler as borrowed views of these
-    // buffers and never decoded into owned messages.
+    // Reused across frames: the raw payload buffer — the zero-copy,
+    // alloc-free receive path. Batch payloads are handed to the handler as
+    // borrowed views of this buffer and never decoded into owned messages.
     let mut payload: Vec<u8> = Vec::new();
-    let mut inflate: Vec<u8> = Vec::new();
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -1020,7 +975,7 @@ fn reader_loop(inner: Arc<LinkInner>, stream: TcpStream, generation: u64) {
             // the receive buffer. Validation happens BEFORE the watermark
             // advances — a malformed batch must not count as applied, so
             // the fence retransmit path redelivers it.
-            match batch_view(&payload, &mut inflate) {
+            match batch_view(&payload, &mut Vec::new()) {
                 Ok(view) => {
                     inner.recv_next.store(expected + 1, Ordering::SeqCst);
                     inner.handler.on_batch(inner.peer_rank, view);
@@ -1078,14 +1033,14 @@ fn prune_acked(inner: &LinkInner, ack_through: u64) {
 }
 
 /// Accept-side handshake: read the dialer's `PeerHello`, reply with ours.
-/// Returns `(rank, peer_resume_from, peer_features)` so the mesh can
-/// route the stream to its link (via [`PeerLink::accept`]).
+/// Returns `(rank, peer_resume_from)` so the mesh can route the stream to
+/// its link (via [`PeerLink::accept`]).
 pub fn accept_handshake(
     stream: &TcpStream,
     clock: &Clock,
     my_rank: u32,
     my_resume_from: impl Fn(u32) -> u64,
-) -> Result<(u32, u64, u32), NetError> {
+) -> Result<(u32, u64), NetError> {
     let hello = read_frame_timeout(stream, HANDSHAKE_TIMEOUT)?;
     clock.join(hello.clock);
     match hello.msg {
@@ -1093,10 +1048,9 @@ pub fn accept_handshake(
             version,
             rank,
             resume_from,
-            features,
         } if version == PROTOCOL_VERSION => {
             write_handshake(stream, clock, my_rank, my_resume_from(rank))?;
-            Ok((rank, resume_from, features))
+            Ok((rank, resume_from))
         }
         Message::PeerHello { version, .. } => Err(NetError::Wire(WireError::VersionMismatch {
             ours: PROTOCOL_VERSION,
@@ -1200,14 +1154,12 @@ mod tests {
                 for stream in listener.incoming() {
                     let Ok(stream) = stream else { break };
                     let b2 = b.clone();
-                    let Ok((_rank, resume, features)) =
-                        accept_handshake(&stream, &clock_b, 1, |_| {
-                            b2.inner.recv_next.load(Ordering::SeqCst)
-                        })
-                    else {
+                    let Ok((_rank, resume)) = accept_handshake(&stream, &clock_b, 1, |_| {
+                        b2.inner.recv_next.load(Ordering::SeqCst)
+                    }) else {
                         continue;
                     };
-                    let _ = b.accept(stream, resume, features);
+                    let _ = b.accept(stream, resume);
                 }
             });
         }

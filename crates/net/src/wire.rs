@@ -41,29 +41,11 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// snapshots over workers' vertex stores while the run executes. v5 is the
 /// data-plane rebuild: `BatchFlush` and `ValuesUpload` carry
 /// length-delimited variable-size payloads instead of one fixed `u64` word
-/// per message (unblocking MIS/PageRank over the cluster), `PeerHello`
-/// gained a `features` negotiation bitfield, and the negotiated
-/// [`FEATURE_COMPRESS`] bit enables the compressed `BatchFlushZ` frame for
-/// large batches (built with the `wire-compress` cargo feature).
-pub const PROTOCOL_VERSION: u8 = 5;
-
-/// `PeerHello::features` bit: this side can *decode* compressed
-/// `BatchFlushZ` frames. A sender compresses only when both sides
-/// advertised the bit at handshake. Advertised automatically when the
-/// crate is built with the `wire-compress` feature.
-pub const FEATURE_COMPRESS: u32 = 1;
-
-/// The feature bits this build advertises in `PeerHello`.
-pub fn local_features() -> u32 {
-    #[cfg(feature = "wire-compress")]
-    {
-        FEATURE_COMPRESS
-    }
-    #[cfg(not(feature = "wire-compress"))]
-    {
-        0
-    }
-}
+/// per message (unblocking MIS/PageRank over the cluster); it also gave
+/// `PeerHello` a `features` capability word whose only bit negotiated an
+/// optional compressed batch frame. v6 removed that frame (never enabled,
+/// never measured) and the word with it.
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Codec failure. All variants are recoverable at the connection level
 /// (the connection is dropped and re-established; the process never
@@ -728,9 +710,6 @@ pub enum Message {
         rank: u32,
         /// Next frame seq expected from the peer (0 on first connect).
         resume_from: u64,
-        /// Capability bits ([`FEATURE_COMPRESS`], …). A capability is in
-        /// effect only when both sides advertised it.
-        features: u32,
     },
     /// A batch of remote vertex messages with variable-length payloads.
     /// On the receive hot path this frame is *not* decoded to `Message` —
@@ -801,13 +780,6 @@ const K_HEARTBEAT_ACK: u8 = 26;
 const K_AUDIT_UPLOAD: u8 = 27;
 const K_QUERY_REQ: u8 = 28;
 const K_QUERY_RESP: u8 = 29;
-/// Compressed `BatchFlush`: body is `[uncompressed_len: u32][lz bytes]`,
-/// where the lz bytes decompress to exactly a `BatchFlush` body. Only on
-/// the wire when both ends negotiated [`FEATURE_COMPRESS`]; decoding it
-/// requires the `wire-compress` feature (otherwise `BadKind`, which is
-/// correct — an un-negotiated sender is a protocol violation).
-#[cfg_attr(not(feature = "wire-compress"), allow(dead_code))]
-pub(crate) const K_BATCH_FLUSH_Z: u8 = 30;
 
 /// `QueryRequest` op: resolve `vertices` at the latest committed frontier.
 pub const QUERY_OP_MULTI_LOOKUP: u8 = 0;
@@ -1004,12 +976,10 @@ impl Message {
                 version,
                 rank,
                 resume_from,
-                features,
             } => {
                 put_u8(buf, *version);
                 put_u32(buf, *rank);
                 put_u64(buf, *resume_from);
-                put_u32(buf, *features);
             }
             Message::BatchFlush { batch } => {
                 put_u32(buf, batch.count);
@@ -1203,18 +1173,9 @@ impl Message {
                 version: r.u8()?,
                 rank: r.u32()?,
                 resume_from: r.u64()?,
-                features: r.u32()?,
             },
             K_BATCH_FLUSH => {
                 let view = BatchView::parse(r.take(r.remaining())?)?;
-                Message::BatchFlush {
-                    batch: view.to_owned_batch(),
-                }
-            }
-            #[cfg(feature = "wire-compress")]
-            K_BATCH_FLUSH_Z => {
-                let body = decompress_batch_body(r.take(r.remaining())?)?;
-                let view = BatchView::parse(&body)?;
                 Message::BatchFlush {
                     batch: view.to_owned_batch(),
                 }
@@ -1314,16 +1275,6 @@ impl Frame {
         encode_frame_into(self.seq, self.clock, &self.msg, out);
     }
 
-    /// Like [`Frame::encode_into`], but emits a compressed `BatchFlushZ`
-    /// frame when the message is a batch flush whose body is at least
-    /// [`COMPRESS_MIN`] bytes *and* compression actually shrinks it;
-    /// falls back to the plain encoding otherwise. `scratch` holds the
-    /// uncompressed body between calls (pooled by the link).
-    #[cfg(feature = "wire-compress")]
-    pub fn encode_into_compressed(&self, out: &mut Vec<u8>, scratch: &mut Vec<u8>) {
-        encode_frame_into_compressed(self.seq, self.clock, &self.msg, out, scratch);
-    }
-
     /// Decode a payload (the bytes *after* the length prefix). Rejects
     /// unknown kinds, truncation, bad lengths, and trailing garbage.
     pub fn decode(payload: &[u8]) -> Result<Frame, WireError> {
@@ -1353,41 +1304,6 @@ pub fn encode_frame_into(seq: u64, clock: u64, msg: &Message, out: &mut Vec<u8>)
     out[..4].copy_from_slice(&n.to_le_bytes());
 }
 
-/// Minimum `BatchFlush` body size (bytes) worth compressing; smaller
-/// frames always ship plain even when compression is negotiated.
-#[cfg(feature = "wire-compress")]
-pub const COMPRESS_MIN: usize = 512;
-
-/// Borrow-based counterpart of [`Frame::encode_into_compressed`].
-#[cfg(feature = "wire-compress")]
-pub fn encode_frame_into_compressed(
-    seq: u64,
-    clock: u64,
-    msg: &Message,
-    out: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-) {
-    let batch = match msg {
-        Message::BatchFlush { batch } if 4 + batch.byte_len() >= COMPRESS_MIN => batch,
-        _ => return encode_frame_into(seq, clock, msg, out),
-    };
-    scratch.clear();
-    put_u32(scratch, batch.count);
-    scratch.extend_from_slice(&batch.bytes);
-    out.clear();
-    out.extend_from_slice(&[0, 0, 0, 0]);
-    put_u8(out, K_BATCH_FLUSH_Z);
-    put_u64(out, seq);
-    put_u64(out, clock);
-    put_u32(out, scratch.len() as u32);
-    lz::compress(scratch, out);
-    if out.len() >= scratch.len() + 21 {
-        return encode_frame_into(seq, clock, msg, out);
-    }
-    let n = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&n.to_le_bytes());
-}
-
 /// A frame header peeked off a raw payload without decoding the body —
 /// the zero-copy receive path's dispatch point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1401,17 +1317,10 @@ pub struct FrameHeader {
 }
 
 impl FrameHeader {
-    /// Is this a data-plane batch flush (plain or compressed)? Such
-    /// payloads can be walked with [`batch_view`] without allocating.
+    /// Is this a data-plane batch flush? Such payloads can be walked
+    /// with [`batch_view`] without allocating.
     pub fn is_batch(&self) -> bool {
-        #[cfg(feature = "wire-compress")]
-        {
-            self.kind == K_BATCH_FLUSH || self.kind == K_BATCH_FLUSH_Z
-        }
-        #[cfg(not(feature = "wire-compress"))]
-        {
-            self.kind == K_BATCH_FLUSH
-        }
+        self.kind == K_BATCH_FLUSH
     }
 }
 
@@ -1428,26 +1337,19 @@ pub fn peek_header(payload: &[u8]) -> Result<FrameHeader, WireError> {
 
 /// Borrow a validated [`BatchView`] out of a batch-flush payload (bytes
 /// after the length prefix; header must satisfy [`FrameHeader::is_batch`]).
-/// For compressed frames the body is inflated into `scratch` and the view
-/// borrows that instead — either way, no per-message allocation.
+/// The view borrows `payload` — no per-message allocation. `_scratch` is
+/// unread: it was the inflate buffer of the removed compressed frame, and
+/// the parameter stays because `perf/` (not editable) calls this signature.
 pub fn batch_view<'a>(
     payload: &'a [u8],
-    scratch: &'a mut Vec<u8>,
+    _scratch: &mut Vec<u8>,
 ) -> Result<BatchView<'a>, WireError> {
     let mut r = Reader::new(payload);
     let kind = r.u8()?;
     let _seq = r.u64()?;
     let _clock = r.u64()?;
     match kind {
-        K_BATCH_FLUSH => {
-            let _ = &scratch;
-            BatchView::parse(r.take(r.remaining())?)
-        }
-        #[cfg(feature = "wire-compress")]
-        K_BATCH_FLUSH_Z => {
-            decompress_batch_body_into(r.take(r.remaining())?, scratch)?;
-            BatchView::parse(scratch)
-        }
+        K_BATCH_FLUSH => BatchView::parse(r.take(r.remaining())?),
         other => Err(WireError::BadKind(other)),
     }
 }
@@ -1495,136 +1397,6 @@ pub fn read_frame_into<R: std::io::Read>(
     buf.resize(n, 0);
     r.read_exact(buf)?;
     Ok(Some(Ok(n + 4)))
-}
-
-// ---------------------------------------------------------------------------
-// Optional batch-flush compression (`wire-compress` feature)
-
-/// Inflate a `BatchFlushZ` body (`[uncompressed_len: u32][lz bytes]`) into
-/// an owned buffer.
-#[cfg(feature = "wire-compress")]
-fn decompress_batch_body(body: &[u8]) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::new();
-    decompress_batch_body_into(body, &mut out)?;
-    Ok(out)
-}
-
-#[cfg(feature = "wire-compress")]
-fn decompress_batch_body_into(body: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
-    let mut r = Reader::new(body);
-    let expect = r.u32()? as usize;
-    if expect > MAX_FRAME_LEN {
-        return Err(WireError::BadLength(expect as u64));
-    }
-    let compressed = r.take(r.remaining())?;
-    lz::decompress(compressed, expect, out)
-}
-
-/// A small dependency-free LZ77: literal runs and back-references over a
-/// 64 KiB window, greedy matching via a 4-byte-prefix hash table. Token
-/// stream: control byte `c < 0x80` = literal run of `c + 1` bytes follows;
-/// `c >= 0x80` = match of length `(c & 0x7F) + 4` at distance given by the
-/// next two LE bytes (1-based, within the bytes already produced).
-/// Built only with the `wire-compress` feature; the exact byte format is
-/// internal to one connection (both ends run the same build — the
-/// negotiated feature bit, not this format, is the compatibility surface).
-#[cfg(feature = "wire-compress")]
-mod lz {
-    use super::WireError;
-
-    const MIN_MATCH: usize = 4;
-    const MAX_MATCH: usize = 0x7F + MIN_MATCH;
-    const MAX_DIST: usize = u16::MAX as usize;
-    const HASH_BITS: u32 = 13;
-
-    fn hash(bytes: &[u8]) -> usize {
-        let w = u32::from_le_bytes(bytes[..4].try_into().unwrap());
-        (w.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
-    }
-
-    fn flush_literals(src: &[u8], out: &mut Vec<u8>) {
-        for chunk in src.chunks(0x80) {
-            out.push((chunk.len() - 1) as u8);
-            out.extend_from_slice(chunk);
-        }
-    }
-
-    /// Append the compressed form of `src` to `out`.
-    pub fn compress(src: &[u8], out: &mut Vec<u8>) {
-        let mut table = vec![0u32; 1 << HASH_BITS]; // position + 1; 0 = empty
-        let mut i = 0usize;
-        let mut lit_start = 0usize;
-        while i + MIN_MATCH <= src.len() {
-            let h = hash(&src[i..]);
-            let cand = table[h] as usize;
-            table[h] = (i + 1) as u32;
-            if cand > 0 {
-                let cand = cand - 1;
-                let dist = i - cand;
-                if dist > 0 && dist <= MAX_DIST && src[cand..cand + 4] == src[i..i + 4] {
-                    let mut len = 4;
-                    let max = (src.len() - i).min(MAX_MATCH);
-                    while len < max && src[cand + len] == src[i + len] {
-                        len += 1;
-                    }
-                    flush_literals(&src[lit_start..i], out);
-                    out.push(0x80 | (len - MIN_MATCH) as u8);
-                    out.extend_from_slice(&(dist as u16).to_le_bytes());
-                    // Seed the table through the matched region so later
-                    // repeats of its interior still find a candidate.
-                    for j in (i + 1)..(i + len).min(src.len().saturating_sub(3)) {
-                        table[hash(&src[j..])] = (j + 1) as u32;
-                    }
-                    i += len;
-                    lit_start = i;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-        flush_literals(&src[lit_start..], out);
-    }
-
-    /// Inflate into `out` (cleared first); the result must be exactly
-    /// `expect` bytes or the stream is rejected.
-    pub fn decompress(src: &[u8], expect: usize, out: &mut Vec<u8>) -> Result<(), WireError> {
-        out.clear();
-        out.reserve(expect);
-        let mut i = 0usize;
-        while i < src.len() {
-            let c = src[i];
-            i += 1;
-            if c < 0x80 {
-                let n = c as usize + 1;
-                if src.len() - i < n || out.len() + n > expect {
-                    return Err(WireError::Truncated);
-                }
-                out.extend_from_slice(&src[i..i + n]);
-                i += n;
-            } else {
-                let len = (c & 0x7F) as usize + MIN_MATCH;
-                if src.len() - i < 2 {
-                    return Err(WireError::Truncated);
-                }
-                let dist = u16::from_le_bytes(src[i..i + 2].try_into().unwrap()) as usize;
-                i += 2;
-                if dist == 0 || dist > out.len() || out.len() + len > expect {
-                    return Err(WireError::BadLength(dist as u64));
-                }
-                // Byte-at-a-time: overlapping copies (dist < len) are
-                // legal and reproduce run-length behavior.
-                let start = out.len() - dist;
-                for j in 0..len {
-                    let b = out[start + j];
-                    out.push(b);
-                }
-            }
-        }
-        if out.len() != expect {
-            return Err(WireError::Truncated);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1900,22 +1672,6 @@ mod tests {
     }
 
     #[test]
-    fn peer_hello_round_trips_features() {
-        let f = Frame {
-            seq: 0,
-            clock: 1,
-            msg: Message::PeerHello {
-                version: PROTOCOL_VERSION,
-                rank: 3,
-                resume_from: 99,
-                features: FEATURE_COMPRESS,
-            },
-        };
-        let bytes = f.encode();
-        assert_eq!(Frame::decode(&bytes[4..]).unwrap(), f);
-    }
-
-    #[test]
     fn values_upload_round_trips_variable_payloads() {
         let f = Frame {
             seq: 5,
@@ -1962,103 +1718,5 @@ mod tests {
             f.encode_into(&mut buf);
             assert_eq!(buf, f.encode());
         }
-    }
-
-    #[cfg(feature = "wire-compress")]
-    #[test]
-    fn lz_round_trips_and_rejects_corruption() {
-        let cases: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![7],
-            vec![0; 10_000],
-            (0..=255u8).cycle().take(5000).collect(),
-            b"abcabcabcabcXabcabcabc".repeat(40),
-            {
-                // Pseudo-random — worst case, must still round-trip.
-                let mut v = Vec::new();
-                let mut x = 0x12345678u64;
-                for _ in 0..3000 {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    v.push((x >> 33) as u8);
-                }
-                v
-            },
-        ];
-        for src in cases {
-            let mut packed = Vec::new();
-            lz::compress(&src, &mut packed);
-            let mut out = Vec::new();
-            lz::decompress(&packed, src.len(), &mut out).unwrap();
-            assert_eq!(out, src);
-            // A wrong expected length must be rejected, not mis-sized.
-            if !src.is_empty() {
-                let mut out = Vec::new();
-                assert!(lz::decompress(&packed, src.len() - 1, &mut out).is_err());
-            }
-        }
-        // Truncated stream rejected.
-        let mut packed = Vec::new();
-        lz::compress(&[1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3], &mut packed);
-        let mut out = Vec::new();
-        assert!(lz::decompress(&packed[..packed.len() - 1], 12, &mut out).is_err());
-    }
-
-    #[cfg(feature = "wire-compress")]
-    #[test]
-    fn compressed_batch_frame_round_trips() {
-        let mut batch = MsgBatch::new();
-        for i in 0..200u32 {
-            batch.push(i, i + 1, &u64::from(i % 7).to_le_bytes());
-        }
-        let f = Frame {
-            seq: 42,
-            clock: 43,
-            msg: Message::BatchFlush {
-                batch: batch.clone(),
-            },
-        };
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        f.encode_into_compressed(&mut out, &mut scratch);
-        // Repetitive payloads compress: smaller than the plain encoding.
-        assert!(out.len() < f.encode().len());
-        let hdr = peek_header(&out[4..]).unwrap();
-        assert_eq!(hdr.kind, K_BATCH_FLUSH_Z);
-        assert!(hdr.is_batch());
-        // Full decode and zero-copy view both recover the batch.
-        assert_eq!(Frame::decode(&out[4..]).unwrap(), f);
-        let mut inflate = Vec::new();
-        let view = batch_view(&out[4..], &mut inflate).unwrap();
-        assert_eq!(view.len(), 200);
-        let mut expect = batch.iter();
-        for got in view.iter() {
-            let (t, f, p) = expect.next().unwrap();
-            assert_eq!(got, (t, f, p));
-        }
-    }
-
-    #[cfg(feature = "wire-compress")]
-    #[test]
-    fn incompressible_batch_falls_back_to_plain() {
-        let mut payload = Vec::new();
-        let mut x = 0xDEADBEEFu64;
-        for _ in 0..5000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            payload.push((x >> 33) as u8);
-        }
-        let mut batch = MsgBatch::new();
-        batch.push(1, 2, &payload);
-        let f = Frame {
-            seq: 1,
-            clock: 2,
-            msg: Message::BatchFlush { batch },
-        };
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        f.encode_into_compressed(&mut out, &mut scratch);
-        assert_eq!(out, f.encode());
-        assert_eq!(peek_header(&out[4..]).unwrap().kind, K_BATCH_FLUSH);
     }
 }

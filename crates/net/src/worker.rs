@@ -34,12 +34,12 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
-use sg_engine::{AggregatorSet, Context, VertexProgram, WireCodec};
+use sg_engine::{build_synchronizer, AggregatorSet, Context, VertexProgram, WireCodec};
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
 use sg_sync::{LockGranularity, Synchronizer};
 
-use crate::cluster::{build_technique, technique_from_label, GOODBYE_SUPERSTEP};
+use crate::cluster::{technique_from_label, GOODBYE_SUPERSTEP};
 use crate::fault::FaultInjector;
 use crate::link::{accept_handshake, CtrlConn, FrameReader, PeerHandler, PeerLink};
 use crate::wire::{
@@ -394,7 +394,7 @@ where
     // Stateless replica: token holders are pure functions of the
     // superstep, so gating/granularity/skip queries answer locally; lock
     // acquisition state lives only at the coordinator.
-    let replica = build_technique(technique, &graph, &pm, Arc::clone(&metrics));
+    let replica = build_synchronizer(technique, &graph, &pm, Arc::clone(&metrics));
     let n = graph.num_vertices() as usize;
     let trace = if spec.trace_capacity > 0 {
         Trace::enabled(spec.workers as usize, spec.trace_capacity as usize)
@@ -492,9 +492,9 @@ where
                                     .and_then(|l| l.as_ref())
                                     .map_or(1, |l| l.recv_next())
                             });
-                            if let Ok((peer, resume, features)) = handshake {
+                            if let Ok((peer, resume)) = handshake {
                                 if let Some(Some(link)) = links.get(peer as usize) {
-                                    let _ = link.accept(stream, resume, features);
+                                    let _ = link.accept(stream, resume);
                                 }
                             }
                         }

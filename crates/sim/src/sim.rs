@@ -29,17 +29,13 @@
 use crate::event::{EventKind, EventQueue};
 use crate::net::{NetAction, NetModel, SimTransport};
 use sg_engine::{
-    AggregatorSet, Combiner, Context, EngineConfig, EngineError, Model, Outcome, TechniqueKind,
-    VertexProgram,
+    build_synchronizer, AggregatorSet, Combiner, Context, EngineConfig, EngineError, Model,
+    Outcome, TechniqueKind, VertexProgram,
 };
-use sg_graph::partition::{ExplicitPartitioner, HashPartitioner};
-use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId};
+use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
 use sg_metrics::{CostModel, Counter, Metrics, ObsReport, Trace, TraceEventKind};
 use sg_serial::Recorder;
-use sg_sync::{
-    DualLayerToken, LockGranularity, NoSync, PartitionLock, SingleLayerToken, Synchronizer,
-    VertexLock,
-};
+use sg_sync::{LockGranularity, Synchronizer};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -226,35 +222,10 @@ pub fn simulate<P: VertexProgram>(
 
     let wall_start = Instant::now();
     let workers = config.workers;
-    let ppw = config.partitions_per_worker.unwrap_or(workers);
-    let layout = ClusterLayout::new(workers, ppw);
-    let pm = match &config.explicit_partitions {
-        Some(assignment) => {
-            PartitionMap::build(&graph, layout, &ExplicitPartitioner(assignment.clone()))
-        }
-        None => PartitionMap::build(&graph, layout, &HashPartitioner::new(config.partition_seed)),
-    };
-
+    let ppw = config.effective_ppw();
+    let pm = Arc::new(config.partition_map(&graph)?);
     let metrics = Arc::new(Metrics::new());
-    let pm = Arc::new(pm);
-    let sync: Arc<dyn Synchronizer> = match config.technique {
-        TechniqueKind::None => Arc::new(NoSync),
-        TechniqueKind::SingleToken => {
-            Arc::new(SingleLayerToken::new(Arc::clone(&pm), Arc::clone(&metrics)))
-        }
-        TechniqueKind::DualToken => {
-            Arc::new(DualLayerToken::new(Arc::clone(&pm), Arc::clone(&metrics)))
-        }
-        TechniqueKind::VertexLock => Arc::new(VertexLock::new(&graph, &pm, Arc::clone(&metrics))),
-        TechniqueKind::PartitionLock => Arc::new(PartitionLock::new(&pm, Arc::clone(&metrics))),
-        TechniqueKind::PartitionLockNoSkip => Arc::new(PartitionLock::with_options(
-            &pm,
-            Arc::clone(&metrics),
-            false,
-        )),
-        // Rejected above, before this match.
-        TechniqueKind::BspVertexLock => unreachable!("BspVertexLock rejected above"),
-    };
+    let sync = build_synchronizer(config.technique, &graph, &pm, Arc::clone(&metrics));
     let lanes_per_worker = match sync.max_threads_per_worker() {
         Some(k) => config.threads_per_worker.min(k).max(1),
         None => config.threads_per_worker.max(1),

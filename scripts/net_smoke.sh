@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # sg-net smoke: loopback 2-process cluster runs of every synchronization
 # technique (real fork/exec workers, real TCP sockets), one injected
-# connection-kill recovery run, and the netbench lane's artifact schema.
+# connection-kill recovery run, and `sg-cluster bench`'s artifact schema.
 # Offline-safe (loopback only); writes only under target/.
 #
 # Called by ci.sh and .github/workflows/ci.yml after the release build.
@@ -35,7 +35,7 @@ grep -q 'converged=true' "$SMOKE/run-faulted.log" \
 grep -q '1SR=true' "$SMOKE/run-faulted.log" \
     || { echo "FAIL: faulted run not one-copy serializable"; exit 1; }
 
-echo "-- netbench lane (thread mode for speed) + artifact sanity"
+echo "-- sg-cluster bench (thread mode for speed) + artifact sanity"
 SG_RESULTS_DIR="$SMOKE" "${CLUSTER[@]}" bench --workers 2 --threads \
     >"$SMOKE/bench.log"
 ART="$SMOKE/BENCH_net.json"

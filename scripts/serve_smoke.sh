@@ -4,9 +4,9 @@
 # a vertex through /query, open a consistent whole-graph snapshot and
 # assert its checksum is stable across two reads (the run keeps writing
 # underneath — only MVCC makes the two reads agree), and reject a bad op.
-# Afterwards the msgbench MVCC lane must hold the write-through overhead
-# under its 10% budget, and the sg-servebench artifact must self-check.
-# Offline-safe (loopback only); writes only under target/.
+# Afterwards the `sg-bench serve` artifact must self-check. What
+# write-through costs is `sg-store.commit_ns_per_txn` / `.commit_share` in
+# perf/. Offline-safe (loopback only); writes only under target/.
 #
 # Called by ci.sh and .github/workflows/ci.yml after the release build.
 set -euo pipefail
@@ -18,57 +18,15 @@ mkdir -p "$SMOKE"
 
 cargo build -q --release -p sg-bench
 CLUSTER=target/release/sg-cluster
-MSGBENCH=target/release/sg-msgbench
-SERVEBENCH=target/release/sg-servebench
 
-HAVE_CURL=
-command -v curl >/dev/null 2>&1 && HAVE_CURL=1
-
-# Fetch a URL with curl when available, else a bash /dev/tcp GET (the
-# query plane speaks plain HTTP/1.1 with Content-Length framing).
-scrape() { # scrape URL OUTFILE
-    if [ -n "$HAVE_CURL" ]; then
-        curl -fsS --max-time 2 "$1" -o "$2" 2>/dev/null
-    else
-        local rest=${1#http://} host port path
-        host=${rest%%/*}
-        path=/${rest#*/}
-        port=${host##*:}
-        host=${host%%:*}
-        exec 9<>"/dev/tcp/$host/$port" || return 1
-        printf 'GET %s HTTP/1.1\r\nHost: %s\r\nConnection: close\r\n\r\n' "$path" "$host" >&9
-        local raw
-        raw=$(cat <&9)
-        exec 9<&- 9>&-
-        printf '%s' "${raw#*$'\r\n\r\n'}" >"$2"
-        case $raw in "HTTP/1.1 200"*) return 0 ;; *) return 1 ;; esac
-    fi
-}
+source scripts/lib.sh
 
 echo "-- 2-worker thread-mode run with the query plane (vertex-lock, sssp, ring:3000)"
-# Ephemeral ports (127.0.0.1:0), retried launches: same discipline as
-# obs_smoke.sh. SSSP from one source on a long ring relaxes distances for
-# ~1500 supersteps (a couple of seconds of wall) — plenty of live writer
-# for the probes below to land mid-run.
-ADDR=
-RUN_PID=
-for launch in 1 2 3; do
-    "$CLUSTER" run --workers 2 --threads --technique vertex-lock \
-        --workload sssp --source 0 --graph ring:3000 --max-supersteps 4000 \
-        --telemetry-addr 127.0.0.1:0 --telemetry-interval-ms 50 \
-        >"$SMOKE/run.log" 2>&1 &
-    RUN_PID=$!
-    for _ in $(seq 1 200); do
-        ADDR=$(sed -n 's#^serving: queries at http://\([^/]*\)/query$#\1#p' "$SMOKE/run.log")
-        [ -n "$ADDR" ] && break
-        kill -0 "$RUN_PID" 2>/dev/null && sleep 0.05 || break
-    done
-    [ -n "$ADDR" ] && break
-    wait "$RUN_PID" 2>/dev/null || true
-    echo "   launch $launch never served queries, retrying"
-    cat "$SMOKE/run.log"
-done
-[ -n "$ADDR" ] || { echo "FAIL: query address never printed in 3 launches"; exit 1; }
+# SSSP from one source on a long ring relaxes distances for ~1500
+# supersteps (a couple of seconds of wall) — plenty of live writer for the
+# probes below to land mid-run.
+launch_run "$SMOKE/run.log" --workers 2 --threads --technique vertex-lock \
+    --workload sssp --source 0 --graph ring:3000 --max-supersteps 4000
 
 echo "-- GET /healthz during the run"
 scrape "http://$ADDR/healthz" "$SMOKE/healthz.json" \
@@ -116,29 +74,10 @@ fi
 wait "$RUN_PID" || { cat "$SMOKE/run.log"; echo "FAIL: cluster run failed"; exit 1; }
 grep -q 'converged=true' "$SMOKE/run.log" || { echo "FAIL: run did not converge"; exit 1; }
 
-echo "-- MVCC write-path overhead guard (msgbench mvcc lane, <10% budget)"
-# Write-through costs one txn begin/commit against the status table plus
-# one version prepend per vertex update. Best-of-reps damps scheduler
-# noise; noise only ever inflates the ratio, so 3 attempts, first one
-# under budget passes.
-OK=
-for attempt in 1 2 3; do
-    SG_RESULTS_DIR="$SMOKE" "$MSGBENCH" --ops 150000 --threads 1 --reps 5 \
-        >"$SMOKE/msgbench-$attempt.log"
-    PCT=$(sed -n 's/^mvcc overhead: \(-\{0,1\}[0-9.]*\)%.*/\1/p' "$SMOKE/msgbench-$attempt.log")
-    [ -n "$PCT" ] || { echo "FAIL: mvcc overhead line missing from msgbench output"; exit 1; }
-    echo "   attempt $attempt: ${PCT}%"
-    if awk -v p="$PCT" 'BEGIN { exit !(p < 10.0) }'; then
-        OK=1
-        break
-    fi
-done
-[ "$OK" = 1 ] || { echo "FAIL: mvcc overhead >= 10% on all 3 attempts"; exit 1; }
-
-echo "-- sg-servebench tiny run (artifact self-check is in the binary)"
-SG_RESULTS_DIR="$SMOKE" "$SERVEBENCH" --verts 400 --rounds 24 --readers 2 --idle-ms 120 \
-    >"$SMOKE/servebench.log" \
-    || { cat "$SMOKE/servebench.log"; echo "FAIL: sg-servebench"; exit 1; }
+echo "-- sg-bench serve tiny run (artifact self-check is in the lane)"
+SG_RESULTS_DIR="$SMOKE" target/release/sg-bench serve --verts 400 --rounds 24 --readers 2 \
+    --idle-ms 120 >"$SMOKE/servebench.log" \
+    || { cat "$SMOKE/servebench.log"; echo "FAIL: sg-bench serve"; exit 1; }
 grep -q '"schema_version":2' "$SMOKE/BENCH_serve.json" \
     || { echo "FAIL: BENCH_serve.json missing schema_version 2"; exit 1; }
 

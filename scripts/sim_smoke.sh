@@ -8,7 +8,7 @@
 #      diffs the two BENCH artifacts byte-for-byte (virtual time + default
 #      cost model ⇒ nothing may drift, not even across machines);
 #   2. the fig1 technique ordering at the paper shape (asserted inside
-#      sg-simbench; its absence from the log fails the smoke);
+#      sg-bench sim; its absence from the log fails the smoke);
 #   3. no drift of the relational speedup cells from the committed
 #      results/BENCH_sim.json baseline (sg-trace check, bench-vs-bench;
 #      tight tolerance because virtual-time ratios are exact).
@@ -24,8 +24,8 @@ SMOKE=target/ci-sim-smoke
 rm -rf "$SMOKE"
 mkdir -p "$SMOKE/a" "$SMOKE/b"
 
-echo "-- sg-simbench (all lanes, default CI-budget sizes)"
-SG_RESULTS_DIR="$SMOKE/a" cargo run -q -p sg-bench --release --bin sg-simbench \
+echo "-- sg-bench sim (all lanes, default CI-budget sizes)"
+SG_RESULTS_DIR="$SMOKE/a" cargo run -q -p sg-bench --release --bin sg-bench -- sim \
     >"$SMOKE/simbench.log"
 
 ART="$SMOKE/a/BENCH_sim.json"
@@ -50,7 +50,7 @@ grep -q 'critical path:' "$SMOKE/simbench.log" \
     || { echo "FAIL: critical-path attribution missing"; exit 1; }
 
 echo "-- determinism replay: re-run the whole bench; artifacts must be byte-identical"
-SG_RESULTS_DIR="$SMOKE/b" cargo run -q -p sg-bench --release --bin sg-simbench \
+SG_RESULTS_DIR="$SMOKE/b" cargo run -q -p sg-bench --release --bin sg-bench -- sim \
     >/dev/null
 # Virtual-time cells are exact. Only wall_us varies between runs — plus
 # the calibrate/fit cell, which fits from a *real* multi-threaded engine
@@ -60,7 +60,7 @@ for f in a b; do
         "$SMOKE/$f/BENCH_sim.json" >"$SMOKE/$f.normalized"
 done
 cmp -s "$SMOKE/a.normalized" "$SMOKE/b.normalized" \
-    || { echo "FAIL: two sg-simbench runs produced different virtual-time artifacts"; exit 1; }
+    || { echo "FAIL: two sg-bench sim runs produced different virtual-time artifacts"; exit 1; }
 
 echo "-- simulated trace analyzes through sg-trace (512-worker attribution)"
 TRACE="$SMOKE/a/TRACE_sim_dual512.json"

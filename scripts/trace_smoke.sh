@@ -13,9 +13,9 @@ SG_TRACE=target/release/sg-trace
 rm -rf "$SMOKE"
 mkdir -p "$SMOKE"
 
-echo "-- generating tiny traced fig1_spectrum run (scale-div 256, 4 workers)"
-SG_RESULTS_DIR="$SMOKE" cargo run -q -p sg-bench --release --bin fig1_spectrum -- \
-    --scale-div 256 --workers 4 --trace >"$SMOKE/fig1.log"
+echo "-- generating tiny traced sg-bench fig1 run (scale-div 256, 4 workers)"
+SG_RESULTS_DIR="$SMOKE" cargo run -q -p sg-bench --release --bin sg-bench -- \
+    fig1 --scale-div 256 --workers 4 --trace >"$SMOKE/fig1.log"
 
 echo "-- analyze (text + json)"
 "$SG_TRACE" analyze "$SMOKE/TRACE_fig1_spectrum.json" --top-k 3 >/dev/null
@@ -42,6 +42,20 @@ echo "-- negative: usage error must exit 1"
 rc=0
 "$SG_TRACE" frobnicate >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 1 ] || { echo "FAIL: bad subcommand exited $rc, want 1"; exit 1; }
+
+echo "-- negative: sg-bench with no lane or an unknown lane lists all eleven, exits 1"
+lane_usage() { # lane_usage [LANE]
+    rc=0
+    target/release/sg-bench "$@" >/dev/null 2>"$SMOKE/lanes.err" || rc=$?
+    [ "$rc" -eq 1 ] || { echo "FAIL: sg-bench $* exited $rc, want 1"; exit 1; }
+    for name in table1 fig1 fig2-3 fig6 giraphx ablation-batching ablation-halt-skip \
+        ablation-partitioning extensions sim serve; do
+        grep -q "^    $name " "$SMOKE/lanes.err" \
+            || { echo "FAIL: sg-bench $* did not list lane $name"; exit 1; }
+    done
+}
+lane_usage
+lane_usage frobnicate
 
 echo "-- negative: out-of-tolerance check must exit 3"
 # The single-token trace vs. the partition-lock cell: makespans differ by

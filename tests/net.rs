@@ -16,7 +16,9 @@ use serigraph::sg_net::{
     parse_fault_plan, run_cluster, Clock, ClusterConfig, ClusterOutcome, Frame, Message, MsgBatch,
     NetError, RunSpec, SpawnMode, WireCodec, WireError, Workload, PROTOCOL_VERSION,
 };
+use serigraph::sg_sim::simulate;
 use serigraph::NetworkOptions;
+use std::sync::Arc;
 
 const TECHNIQUES: [Technique; 4] = [
     Technique::SingleToken,
@@ -117,7 +119,6 @@ fn every_message() -> Vec<Message> {
             version: PROTOCOL_VERSION,
             rank: 1,
             resume_from: 6,
-            features: 1,
         },
         Message::BatchFlush {
             batch: batch_of(&[(1, 2, &3u64.to_le_bytes()), (4, 5, &[])]),
@@ -460,7 +461,7 @@ fn wire_codec_value_types_round_trip() {
 }
 
 #[test]
-fn handshake_rejects_a_v4_peer_outright() {
+fn handshake_rejects_a_v5_peer_outright() {
     use std::io::Write as _;
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
@@ -470,10 +471,9 @@ fn handshake_rejects_a_v4_peer_outright() {
             seq: 0,
             clock: 1,
             msg: Message::PeerHello {
-                version: 4,
+                version: 5,
                 rank: 1,
                 resume_from: 0,
-                features: 0,
             },
         };
         s.write_all(&stale.encode()).expect("write hello");
@@ -481,11 +481,11 @@ fn handshake_rejects_a_v4_peer_outright() {
     });
     let (stream, _) = listener.accept().expect("accept");
     let clock = Clock::new();
-    let err = accept_handshake(&stream, &clock, 0, |_| 0).expect_err("v4 must be rejected");
+    let err = accept_handshake(&stream, &clock, 0, |_| 0).expect_err("v5 must be rejected");
     match err {
         NetError::Wire(WireError::VersionMismatch { ours, theirs }) => {
             assert_eq!(ours, PROTOCOL_VERSION);
-            assert_eq!(theirs, 4);
+            assert_eq!(theirs, 5);
         }
         other => panic!("expected a version mismatch, got {other}"),
     }
@@ -506,6 +506,50 @@ fn cluster(graph: &Graph, technique: Technique, workload: Workload) -> ClusterOu
     cfg.partitions_per_worker = 1;
     cfg.explicit_partitions = Some(c4_assignment());
     run_cluster(graph, &cfg).expect("cluster run")
+}
+
+/// An explicit assignment that is too short, or names a partition the
+/// layout does not have, is a configuration error on every host — the
+/// thread engine, the simulator and the cluster share one placement rule —
+/// never a panic.
+#[test]
+fn malformed_explicit_partitions_are_errors_on_every_host() {
+    let g = Arc::new(gen::paper_c4());
+    for bad in [vec![0, 0, 1], vec![0, 0, 1, 2]] {
+        let config = EngineConfig {
+            workers: 2,
+            partitions_per_worker: Some(1),
+            explicit_partitions: Some(bad.iter().map(|&p| PartitionId::new(p)).collect()),
+            ..EngineConfig::default()
+        };
+        assert!(
+            matches!(
+                Engine::new(Arc::clone(&g), GreedyColoring, config.clone()),
+                Err(EngineError::InvalidConfig(_))
+            ),
+            "engine accepted {bad:?}"
+        );
+        assert!(
+            matches!(
+                simulate(
+                    Arc::clone(&g),
+                    GreedyColoring,
+                    None,
+                    &config,
+                    &SimOptions::default()
+                ),
+                Err(EngineError::InvalidConfig(_))
+            ),
+            "simulator accepted {bad:?}"
+        );
+        let mut cfg = ClusterConfig::new(2, Technique::PartitionLock, Workload::Coloring);
+        cfg.partitions_per_worker = 1;
+        cfg.explicit_partitions = Some(bad.clone());
+        assert!(
+            matches!(run_cluster(&g, &cfg), Err(NetError::Config(_))),
+            "cluster accepted {bad:?}"
+        );
+    }
 }
 
 #[test]
