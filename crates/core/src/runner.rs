@@ -390,16 +390,33 @@ impl Runner {
         })
     }
 
+    /// The workload table's one row shape: a wire-routed program runs on
+    /// whichever host the builder selected — the simulator, the cluster
+    /// (as `workload`), or the in-process engine — with its combiner
+    /// wherever that host combines.
+    fn run_workload<P: VertexProgram<Value: WireCodec>>(
+        &self,
+        program: P,
+        combiner: Option<Box<dyn Combiner<P::Message>>>,
+        workload: Workload,
+    ) -> Result<Outcome<P::Value>, EngineError> {
+        if self.sim.is_some() {
+            return self.run_simulated(program, combiner);
+        }
+        if let Some(opts) = &self.net {
+            return self.run_networked(opts, workload);
+        }
+        let engine = Engine::new(Arc::clone(&self.graph), program, self.config.clone())?;
+        Ok(match combiner {
+            Some(c) => engine.with_combiner(c).run(),
+            None => engine.run(),
+        })
+    }
+
     /// Greedy graph coloring (Algorithm 1). Requires a symmetric graph;
     /// proper colorings require a serializable technique.
     pub fn run_coloring(&self) -> Result<Outcome<u32>, EngineError> {
-        if self.sim.is_some() {
-            return self.run_simulated(GreedyColoring, None);
-        }
-        if let Some(opts) = &self.net {
-            return self.run_networked(opts, Workload::Coloring);
-        }
-        self.run_program(GreedyColoring)
+        self.run_workload(GreedyColoring, None, Workload::Coloring)
     }
 
     /// Conflict-repair coloring (the Figures 2/3 variant).
@@ -409,66 +426,25 @@ impl Runner {
 
     /// PageRank with the given residual threshold (paper: 0.01 / 0.1).
     pub fn run_pagerank(&self, threshold: f64) -> Result<Outcome<f64>, EngineError> {
-        if self.sim.is_some() {
-            return self.run_simulated(
-                DeltaPageRank::new(threshold),
-                Some(Box::new(DeltaPageRank::combiner())),
-            );
-        }
-        if let Some(opts) = &self.net {
-            return self.run_networked(opts, Workload::Pagerank(threshold));
-        }
-        Ok(Engine::new(
-            Arc::clone(&self.graph),
-            DeltaPageRank::new(threshold),
-            self.config.clone(),
-        )?
-        .with_combiner(Box::new(DeltaPageRank::combiner()))
-        .run())
+        let (program, wire) = (DeltaPageRank::new(threshold), Workload::Pagerank(threshold));
+        self.run_workload(program, Some(Box::new(DeltaPageRank::combiner())), wire)
     }
 
     /// SSSP from `source` with unit weights.
     pub fn run_sssp(&self, source: VertexId) -> Result<Outcome<u64>, EngineError> {
-        if self.sim.is_some() {
-            return self.run_simulated(Sssp::new(source), Some(Box::new(Sssp::combiner())));
-        }
-        if let Some(opts) = &self.net {
-            return self.run_networked(opts, Workload::Sssp(source.raw()));
-        }
-        Ok(Engine::new(
-            Arc::clone(&self.graph),
-            Sssp::new(source),
-            self.config.clone(),
-        )?
-        .with_combiner(Box::new(Sssp::combiner()))
-        .run())
+        let (program, wire) = (Sssp::new(source), Workload::Sssp(source.raw()));
+        self.run_workload(program, Some(Box::new(Sssp::combiner())), wire)
     }
 
     /// Weakly connected components (HCC).
     pub fn run_wcc(&self) -> Result<Outcome<u32>, EngineError> {
-        if self.sim.is_some() {
-            return self.run_simulated(Wcc, Some(Box::new(Wcc::combiner())));
-        }
-        if let Some(opts) = &self.net {
-            return self.run_networked(opts, Workload::Wcc);
-        }
-        Ok(
-            Engine::new(Arc::clone(&self.graph), Wcc, self.config.clone())?
-                .with_combiner(Box::new(Wcc::combiner()))
-                .run(),
-        )
+        self.run_workload(Wcc, Some(Box::new(Wcc::combiner())), Workload::Wcc)
     }
 
     /// Greedy maximal independent set (requires a serializable technique
     /// for correctness).
     pub fn run_mis(&self) -> Result<Outcome<MisState>, EngineError> {
-        if self.sim.is_some() {
-            return self.run_simulated(GreedyMis, None);
-        }
-        if let Some(opts) = &self.net {
-            return self.run_networked(opts, Workload::Mis);
-        }
-        self.run_program(GreedyMis)
+        self.run_workload(GreedyMis, None, Workload::Mis)
     }
 
     /// Triangle counting (symmetric input expected); sum the per-vertex

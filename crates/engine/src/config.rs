@@ -177,6 +177,14 @@ impl EngineConfig {
         self.partitions_per_worker.unwrap_or(self.workers).max(1)
     }
 
+    /// Compute lanes per worker under `sync`: the configured thread count,
+    /// capped where the technique demands it (single-layer token passing
+    /// runs exactly one, Section 4.2), never below one.
+    pub fn lanes_per_worker(&self, sync: &dyn Synchronizer) -> u32 {
+        let cap = sync.max_threads_per_worker().unwrap_or(u32::MAX);
+        self.threads_per_worker.min(cap).max(1)
+    }
+
     /// Place `graph` on the configured cluster shape: the explicit
     /// assignment when one is given (one entry per vertex, every id below
     /// the partition count — anything else is `InvalidConfig`), otherwise

@@ -1,0 +1,360 @@
+//! The transaction half of the superstep cycle: one vertex execution,
+//! start to finish, written once for every host.
+//!
+//! [`sg_sync::PartitionWalk`] decides *which* vertex runs next and under
+//! which unit; [`Cycle::run_vertex`] is what running it means, in the
+//! order conditions C1 and C2 lean on:
+//!
+//! 1. **drain** the vertex's inbox (the reads the transaction makes);
+//! 2. **open** the record — the in-process [`Recorder`]'s and the host's;
+//! 3. call the program's `compute` — the only call site in the engine,
+//!    the networked worker and the simulator;
+//! 4. **commit** the halt vote and the new value;
+//! 5. record and route each outgoing message, in send order, to the
+//!    host's local or remote path — remote messages are *staged* here,
+//!    before the walk's `Release`, so the release-triggered write-all
+//!    finds them (C1);
+//! 6. **close** the record and count the execution.
+//!
+//! What differs per host — where inboxes and values live, how a message
+//! reaches another worker — sits behind the [`Host`] hooks; `run_vertex`
+//! is generic over them (monomorphised, no dynamic dispatch per vertex).
+
+use crate::aggregators::AggregatorSet;
+use crate::context::Context;
+use crate::program::VertexProgram;
+use sg_graph::{Graph, PartitionMap, VertexId};
+use sg_metrics::{CostModel, Counter, Metrics, Trace, TraceEventKind};
+use sg_serial::Recorder;
+
+/// The IO one vertex transaction needs from its host. Hooks are called in
+/// the module header's order, all for the same vertex `v`, the `local`-th
+/// of the partition being walked.
+pub trait Host<P: VertexProgram> {
+    /// Move the vertex's queued messages into `into` (empty on entry), in
+    /// arrival order.
+    fn drain(&mut self, local: usize, v: VertexId, into: &mut Vec<P::Message>);
+
+    /// Open the host's own record, if it keeps one (Lamport stamps):
+    /// after the drain, so it orders after every write about to be read.
+    fn open(&mut self, _v: VertexId) {}
+
+    /// The vertex's value, for `compute` to mutate in place.
+    fn value_mut(&mut self, local: usize, v: VertexId) -> &mut P::Value;
+
+    /// Store the halt vote and publish the value `compute` left behind.
+    fn commit(&mut self, local: usize, v: VertexId, halt: bool);
+
+    /// Deliver to a vertex of the executing worker: visible at once.
+    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message);
+
+    /// Stage for `to_worker`: visible there after the host's next flush,
+    /// which must precede any handover of the executing unit.
+    fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message);
+
+    /// The transaction is over: close what [`Host::open`] opened, let go
+    /// of what the sends held.
+    fn close(&mut self, _v: VertexId) {}
+}
+
+/// The read-only context of a run's vertex transactions.
+pub struct Env<'a, P: VertexProgram> {
+    pub program: &'a P,
+    pub graph: &'a Graph,
+    pub pm: &'a PartitionMap,
+    pub aggregators: &'a AggregatorSet,
+    /// Sink for the program's `trace_marker` annotations.
+    pub trace: &'a Trace,
+    /// The in-process history recorder, when the run keeps one.
+    pub recorder: Option<&'a Recorder>,
+    pub metrics: &'a Metrics,
+}
+
+/// The vertex transaction, plus the scratch buffers it reuses: one per
+/// compute lane, alive for the whole run, so steady-state executions
+/// allocate nothing here.
+pub struct Cycle<'a, P: VertexProgram> {
+    env: Env<'a, P>,
+    messages: Vec<P::Message>,
+    outgoing: Vec<(VertexId, P::Message)>,
+}
+
+impl<'a, P: VertexProgram> Cycle<'a, P> {
+    /// A cycle over `env`, with empty scratch.
+    pub fn new(env: Env<'a, P>) -> Self {
+        Self {
+            env,
+            messages: Vec::new(),
+            outgoing: Vec::new(),
+        }
+    }
+
+    /// Execute vertex `v` on `worker` in `superstep` as one transaction
+    /// against `host`; `clock_ns` is the executing lane's clock on entry
+    /// (virtual or wall, the host's choice). Returns `(messages consumed,
+    /// messages sent)` for the host to charge and trace.
+    pub fn run_vertex<H: Host<P>>(
+        &mut self,
+        host: &mut H,
+        superstep: u64,
+        worker: u32,
+        clock_ns: u64,
+        local: usize,
+        v: VertexId,
+    ) -> (u64, u64) {
+        let env = &self.env;
+        self.messages.clear();
+        host.drain(local, v, &mut self.messages);
+        let guard = env.recorder.map(|r| r.begin(v));
+        host.open(v);
+        let mut ctx = Context::<P>::external(
+            v,
+            superstep,
+            worker,
+            env.graph,
+            host.value_mut(local, v),
+            &mut self.outgoing,
+            env.aggregators,
+            env.trace,
+            clock_ns,
+        );
+        env.program.compute(&mut ctx, &self.messages);
+        let halt = ctx.halted();
+        host.commit(local, v, halt);
+
+        let n_out = self.outgoing.len() as u64;
+        let mut n_local = 0u64;
+        for (to, msg) in self.outgoing.drain(..) {
+            if let Some(r) = env.recorder {
+                r.on_send(v, to);
+            }
+            let to_worker = env.pm.worker_of(to).raw();
+            if to_worker == worker {
+                n_local += 1;
+                host.send_local(v, to, msg);
+            } else {
+                host.send_remote(to_worker, v, to, msg);
+            }
+        }
+        host.close(v);
+        if let (Some(r), Some(g)) = (env.recorder, guard) {
+            r.end(g);
+        }
+
+        if n_out > 0 {
+            env.metrics.add(Counter::LocalMessages, n_local);
+            env.metrics.add(Counter::RemoteMessages, n_out - n_local);
+        }
+        env.metrics.inc(Counter::VertexExecutions);
+        (self.messages.len() as u64, n_out)
+    }
+}
+
+/// Virtual-time hosts: `unit` became available at `ready`. If the lane
+/// had to wait, trace the gap and advance `clock` over it. Returns the wait.
+pub fn charge_lock_wait(
+    trace: &Trace,
+    worker: u32,
+    superstep: u64,
+    clock: &mut u64,
+    ready: u64,
+    unit: u32,
+) -> u64 {
+    let wait = ready.saturating_sub(*clock);
+    if wait > 0 {
+        let kind = TraceEventKind::LockWait;
+        trace.record(worker, superstep, kind, *clock, wait, unit.into());
+        *clock = ready;
+    }
+    wait
+}
+
+/// Virtual-time hosts: charge the execution whose `(consumed, sent)`
+/// counts [`Cycle::run_vertex`] returned — a `VertexExecute` span of the
+/// model's cost, then a `MessageSend` marker if it sent. Returns the cost.
+pub fn charge_virtual(
+    cost: &CostModel,
+    trace: &Trace,
+    worker: u32,
+    superstep: u64,
+    clock: &mut u64,
+    (n_in, n_out): (u64, u64),
+) -> u64 {
+    let ns = cost.vertex_cost(n_in, n_out);
+    let kind = TraceEventKind::VertexExecute;
+    trace.record(worker, superstep, kind, *clock, ns, n_in);
+    *clock += ns;
+    if n_out > 0 {
+        let kind = TraceEventKind::MessageSend;
+        trace.record(worker, superstep, kind, *clock, 0, n_out);
+    }
+    ns
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sg_graph::partition::ExplicitPartitioner;
+    use sg_graph::{gen, ClusterLayout, PartitionId};
+    use std::sync::Arc;
+
+    /// Sums its mail into its value, then writes to 3, 1, 2, 0 in that
+    /// order and votes to halt.
+    struct Scatter;
+    impl VertexProgram for Scatter {
+        type Value = u64;
+        type Message = u64;
+        fn init(&self, _v: VertexId, _g: &Graph) -> u64 {
+            0
+        }
+        fn compute(&self, ctx: &mut Context<'_, Self>, msgs: &[u64]) {
+            assert_eq!((ctx.superstep(), ctx.worker()), (7, 0));
+            assert_eq!(ctx.virtual_time_ns(), 1234);
+            ctx.set_value(msgs.iter().sum());
+            for to in [3, 1, 2, 0] {
+                ctx.send(VertexId::new(to), u64::from(to) * 10);
+            }
+            ctx.vote_to_halt();
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Call {
+        Drain(usize, u32),
+        Open(u32),
+        Value(usize, u32),
+        Commit(usize, u32, bool, u64),
+        Local(u32, u32, u64),
+        Remote(u32, u32, u32, u64),
+        Close(u32),
+    }
+
+    #[derive(Default)]
+    struct Fake {
+        value: u64,
+        calls: Vec<Call>,
+    }
+
+    impl Host<Scatter> for Fake {
+        fn drain(&mut self, local: usize, v: VertexId, into: &mut Vec<u64>) {
+            assert!(into.is_empty());
+            into.extend([5, 6]);
+            self.calls.push(Call::Drain(local, v.raw()));
+        }
+        fn open(&mut self, v: VertexId) {
+            self.calls.push(Call::Open(v.raw()));
+        }
+        fn value_mut(&mut self, local: usize, v: VertexId) -> &mut u64 {
+            self.calls.push(Call::Value(local, v.raw()));
+            &mut self.value
+        }
+        fn commit(&mut self, local: usize, v: VertexId, halt: bool) {
+            self.calls
+                .push(Call::Commit(local, v.raw(), halt, self.value));
+        }
+        fn send_local(&mut self, from: VertexId, to: VertexId, msg: u64) {
+            self.calls.push(Call::Local(from.raw(), to.raw(), msg));
+        }
+        fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: u64) {
+            self.calls
+                .push(Call::Remote(to_worker, from.raw(), to.raw(), msg));
+        }
+        fn close(&mut self, v: VertexId) {
+            self.calls.push(Call::Close(v.raw()));
+        }
+    }
+
+    #[test]
+    fn hooks_fire_in_transaction_order_and_counters_match() {
+        // The paper's C4 layout: worker 0 owns {0, 2}, worker 1 owns {1, 3}.
+        let graph = gen::paper_c4();
+        let parts = [0, 1, 0, 1].map(PartitionId::new).to_vec();
+        let pm = PartitionMap::build(
+            &graph,
+            ClusterLayout::new(2, 1),
+            &ExplicitPartitioner(parts),
+        );
+        let (metrics, aggs, trace) = (Metrics::new(), AggregatorSet::new(), Trace::disabled());
+        let recorder = Recorder::new(Arc::new(graph.clone()));
+        let mut host = Fake::default();
+        let mut cycle = Cycle::new(Env {
+            program: &Scatter,
+            graph: &graph,
+            pm: &pm,
+            aggregators: &aggs,
+            trace: &trace,
+            recorder: Some(&recorder),
+            metrics: &metrics,
+        });
+        let counts = cycle.run_vertex(&mut host, 7, 0, 1234, 1, VertexId::new(2));
+        assert_eq!(counts, (2, 4));
+        assert_eq!(
+            host.calls,
+            [
+                Call::Drain(1, 2),
+                Call::Open(2),
+                Call::Value(1, 2),
+                // compute ran between the two: 5 + 6 stored, halt voted.
+                Call::Commit(1, 2, true, 11),
+                Call::Remote(1, 2, 3, 30),
+                Call::Remote(1, 2, 1, 10),
+                Call::Local(2, 2, 20),
+                Call::Local(2, 0, 0),
+                Call::Close(2),
+            ]
+        );
+        // The recorder saw one transaction, opened and closed, on vertex 2.
+        let history = recorder.history();
+        assert_eq!(history.len(), 1);
+        assert_eq!(history.txns()[0].vertex, VertexId::new(2));
+        let snap = metrics.snapshot();
+        assert_eq!(snap.vertex_executions, 1);
+        assert_eq!(snap.local_messages, 2);
+        assert_eq!(snap.remote_messages, 2);
+
+        // The scratch buffers are reused, not leaked into the next run.
+        host.calls.clear();
+        assert_eq!(
+            cycle.run_vertex(&mut host, 7, 0, 1234, 1, VertexId::new(2)),
+            (2, 4)
+        );
+        assert_eq!(host.calls.len(), 9);
+    }
+
+    #[test]
+    fn virtual_charge_advances_the_clock_and_traces_both_events() {
+        let cost = CostModel {
+            vertex_compute_ns: 100,
+            per_message_compute_ns: 10,
+            per_send_ns: 1,
+            ..CostModel::zero()
+        };
+        let trace = Trace::enabled(2, 8);
+        let mut clock = 1_000;
+        assert_eq!(charge_virtual(&cost, &trace, 1, 3, &mut clock, (2, 4)), 124);
+        assert_eq!(clock, 1_124);
+        let events = trace.buffer().expect("enabled").events(1);
+        let seen: Vec<_> = events
+            .iter()
+            .map(|e| (e.kind, e.superstep, e.ts_ns, e.dur_ns, e.arg))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (TraceEventKind::VertexExecute, 3, 1_000, 124, 2),
+                (TraceEventKind::MessageSend, 3, 1_124, 0, 4),
+            ]
+        );
+        // Nothing sent: no send marker. No wait: no event, no charge.
+        charge_virtual(&cost, &trace, 1, 3, &mut clock, (0, 0));
+        assert_eq!(charge_lock_wait(&trace, 1, 3, &mut clock, 9, 42), 0);
+        assert_eq!(trace.buffer().expect("enabled").events(1).len(), 3);
+        assert_eq!(charge_lock_wait(&trace, 1, 3, &mut clock, 2_000, 42), 776);
+        assert_eq!(clock, 2_000);
+        let wait = trace.buffer().expect("enabled").events(1)[3];
+        assert_eq!(
+            (wait.kind, wait.ts_ns, wait.dur_ns, wait.arg),
+            (TraceEventKind::LockWait, 1_224, 776, 42)
+        );
+    }
+}

@@ -3,9 +3,9 @@
 
 use crate::aggregators::AggregatorSet;
 use crate::config::{build_synchronizer, EngineConfig, EngineError, Model};
-use crate::context::Context;
+use crate::cycle::{charge_lock_wait, charge_virtual, Cycle, Env, Host};
 use crate::program::{Combiner, VertexProgram};
-use crate::state::PartitionData;
+use crate::state::{gather_values, PartitionData};
 use crate::store::{Envelope, OutboundBuffers, PartitionStore, Routed, StagingBuffers};
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
@@ -14,11 +14,9 @@ use sg_metrics::{
 };
 use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
 use sg_store::{GraphReader, VertexStore};
-use sg_sync::technique::LockGranularity;
-use sg_sync::{ForkSnapshot, SyncTransport, Synchronizer};
+use sg_sync::{ForkSnapshot, LockGranularity, PartitionWalk, Step, SyncTransport, Synchronizer};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Result of an engine run.
@@ -157,10 +155,7 @@ impl<P: VertexProgram> Engine<P> {
             Arc::clone(&metrics),
         );
 
-        let threads_per_worker = match sync.max_threads_per_worker() {
-            Some(k) => self.config.threads_per_worker.min(k).max(1),
-            None => self.config.threads_per_worker.max(1),
-        };
+        let threads_per_worker = self.config.lanes_per_worker(&*sync);
 
         let recorder = self
             .config
@@ -168,8 +163,8 @@ impl<P: VertexProgram> Engine<P> {
             .then(|| Arc::new(Recorder::new(Arc::clone(&self.graph))));
 
         // When a recorder runs, the MVCC commit rides on the recorded
-        // transaction's close: `run_partition` installs the new version and
-        // parks its xid here; the recorder's end() fires this hook, which
+        // transaction's close: the execution's commit installs the new version
+        // and parks its xid here; the recorder's end() fires this hook, which
         // flips the version visible. Without a recorder the execution
         // commits directly.
         let pending_xid: Arc<Vec<AtomicU64>> = Arc::new(
@@ -231,16 +226,13 @@ impl<P: VertexProgram> Engine<P> {
                 .map(|_| Mutex::new(StagingBuffers::new(workers, has_combiner)))
                 .collect(),
             threads_per_worker: tpw,
+            lane_rows: (0..workers * tpw).map(|_| Mutex::default()).collect(),
             combiner: self.combiner,
             aggs,
             metrics: Arc::clone(&metrics),
             clocks: SimClocks::new(workers),
             cost: self.config.cost,
-            trace: if obs.trace {
-                Trace::enabled(workers, obs.trace_capacity)
-            } else {
-                Trace::disabled()
-            },
+            trace: obs.trace_handle(workers),
             timers: obs.breakdown.then(|| WorkerTimers::new(workers)),
             pending: AtomicU64::new(0),
             in_flight: (0..workers).map(|_| AtomicU64::new(0)).collect(),
@@ -279,22 +271,16 @@ impl<P: VertexProgram> Engine<P> {
             })
         });
 
+        let wall_start = Instant::now();
         if self.config.barrierless {
-            return run_barrierless(
-                core,
-                recorder,
-                audit_handle,
-                metrics,
-                self.config.max_supersteps,
-                watchdog,
-            );
+            let ended = run_barrierless(&core, self.config.max_supersteps);
+            return core.outcome(ended, Vec::new(), wall_start, audit_handle, watchdog);
         }
 
         let total_threads = workers * threads_per_worker as usize;
         let start_barrier = Arc::new(Barrier::new(total_threads + 1));
         let end_barrier = Arc::new(Barrier::new(total_threads + 1));
 
-        let wall_start = Instant::now();
         let mut handles = Vec::with_capacity(total_threads);
         for w in 0..workers {
             for slot in 0..tpw {
@@ -331,6 +317,7 @@ impl<P: VertexProgram> Engine<P> {
             start_barrier.wait();
             // ... workers execute superstep s ...
             end_barrier.wait();
+            core.settle_lanes();
 
             // Sample staging depth before the master flush drains it: this
             // is how much each superstep left sitting in sender-side
@@ -435,35 +422,13 @@ impl<P: VertexProgram> Engine<P> {
         for h in handles {
             h.join().expect("worker thread panicked");
         }
-        let audit = audit_handle.map(|h| h.join().expect("audit thread panicked").finish());
-
-        // Collect values by vertex id.
-        let mut values: Vec<P::Value> = Vec::with_capacity(core.graph.num_vertices() as usize);
-        {
-            let mut by_vertex: Vec<Option<P::Value>> =
-                vec![None; core.graph.num_vertices() as usize];
-            for pdata in &core.partitions {
-                let d = pdata.lock().unwrap();
-                for (i, &v) in d.vertices.iter().enumerate() {
-                    by_vertex[v.index()] = Some(d.values[i].clone());
-                }
-            }
-            values.extend(by_vertex.into_iter().map(|v| v.expect("vertex unassigned")));
-        }
-
-        let stalled = watchdog.map(Watchdog::stop).unwrap_or(false);
-        Outcome {
-            values,
-            supersteps: executed,
-            converged,
-            metrics: metrics.snapshot(),
-            makespan_ns: core.clocks.makespan(),
-            wall_time: wall_start.elapsed(),
-            history: recorder.map(|r| r.history()),
-            audit,
-            obs: core.obs_report(rows, stalled),
-            telemetry: metrics.telemetry().map(|t| t.snapshot()),
-        }
+        core.outcome(
+            (executed, converged),
+            rows,
+            wall_start,
+            audit_handle,
+            watchdog,
+        )
     }
 }
 
@@ -536,6 +501,10 @@ struct Core<P: VertexProgram> {
     /// before the fork moves; the lock is uncontended on the hot path.
     staging: Vec<Mutex<StagingBuffers<P::Message>>>,
     threads_per_worker: usize,
+    /// Each compute thread's [`LaneClock`], indexed like `staging`. Only
+    /// its thread touches it while threads execute; the master reads it
+    /// between supersteps ([`Core::settle_lanes`]).
+    lane_rows: Vec<Mutex<LaneClock>>,
     combiner: Option<Box<dyn Combiner<P::Message>>>,
     aggs: AggregatorSet,
     metrics: Arc<Metrics>,
@@ -544,6 +513,7 @@ struct Core<P: VertexProgram> {
     /// Event tracing handle (disabled = one branch per would-be event).
     trace: Trace,
     /// Per-worker busy/blocked/idle accumulators, when breakdown is on.
+    /// Busy and blocked are charged by [`Core::settle_lanes`] only.
     timers: Option<WorkerTimers>,
     /// Messages anywhere in the system (stores + buffers), for termination.
     pending: AtomicU64,
@@ -629,14 +599,7 @@ impl<P: VertexProgram> SyncTransport for Core<P> {
 /// Section 3.2 covers it explicitly ("per-worker logical supersteps"), and
 /// the locking techniques keep enforcing C1/C2 because the write-all flush
 /// rides on fork handovers, not barriers.
-fn run_barrierless<P: VertexProgram>(
-    core: Arc<Core<P>>,
-    recorder: Option<Arc<Recorder>>,
-    audit_handle: Option<std::thread::JoinHandle<StreamingAuditor>>,
-    metrics: Arc<Metrics>,
-    max_rounds: u64,
-    watchdog: Option<Watchdog>,
-) -> Outcome<P::Value> {
+fn run_barrierless<P: VertexProgram>(core: &Arc<Core<P>>, max_rounds: u64) -> (u64, bool) {
     assert!(
         core.aggs.is_empty(),
         "aggregators need global barriers; not available in barrierless mode"
@@ -644,12 +607,11 @@ fn run_barrierless<P: VertexProgram>(
     let layout = *core.pm.layout();
     let workers = layout.num_workers() as usize;
     let tpw = core.total_threads / workers;
-    let wall_start = Instant::now();
 
     let mut handles = Vec::with_capacity(core.total_threads);
     for w in 0..workers {
         for slot in 0..tpw {
-            let core = Arc::clone(&core);
+            let core = Arc::clone(core);
             handles.push(std::thread::spawn(move || {
                 barrierless_loop(&core, w, slot, tpw, max_rounds);
             }));
@@ -658,18 +620,10 @@ fn run_barrierless<P: VertexProgram>(
     for h in handles {
         h.join().expect("worker thread panicked");
     }
-    let audit = audit_handle.map(|h| h.join().expect("audit thread panicked").finish());
+    core.settle_lanes();
 
     let rounds = core.rounds.load(Ordering::SeqCst);
-    metrics.add(Counter::Supersteps, rounds);
-    let mut by_vertex: Vec<Option<P::Value>> = vec![None; core.graph.num_vertices() as usize];
-    for pdata in &core.partitions {
-        let d = pdata.lock().unwrap();
-        for (i, &v) in d.vertices.iter().enumerate() {
-            by_vertex[v.index()] = Some(d.values[i].clone());
-        }
-    }
-    let stalled = watchdog.map(Watchdog::stop).unwrap_or(false);
+    core.metrics.add(Counter::Supersteps, rounds);
     if let Some(t) = &core.timers {
         // No barriers ever leveled the clocks: the final spread is the
         // workers' terminal skew (idle is derived from the makespan).
@@ -678,21 +632,7 @@ fn run_barrierless<P: VertexProgram>(
             t.set_skew(w, frontier - core.clocks.now(w));
         }
     }
-    Outcome {
-        values: by_vertex
-            .into_iter()
-            .map(|v| v.expect("vertex unassigned"))
-            .collect(),
-        supersteps: rounds,
-        converged: !core.round_capped.load(Ordering::SeqCst),
-        metrics: metrics.snapshot(),
-        makespan_ns: core.clocks.makespan(),
-        wall_time: wall_start.elapsed(),
-        history: recorder.map(|r| r.history()),
-        audit,
-        obs: core.obs_report(Vec::new(), stalled),
-        telemetry: metrics.telemetry().map(|t| t.snapshot()),
-    }
+    (rounds, !core.round_capped.load(Ordering::SeqCst))
 }
 
 fn barrierless_loop<P: VertexProgram>(
@@ -709,8 +649,7 @@ fn barrierless_loop<P: VertexProgram>(
         .filter(|k| *k as usize % tpw == slot)
         .map(|k| PartitionId::new(worker as u32 * ppw + k))
         .collect();
-    let staging = &core.staging[worker * tpw + slot];
-    let mut thread_clock = 0u64;
+    let mut lane = core.lane(worker, slot);
     let mut round = 0u64;
     loop {
         if core.stop.load(Ordering::SeqCst) {
@@ -720,14 +659,14 @@ fn barrierless_loop<P: VertexProgram>(
         for &p in &my_parts {
             if core.partition_has_work(p.index()) {
                 did_work = true;
-                core.execute_partition(worker, p, round, staging, &mut thread_clock);
+                core.execute_partition(worker, p, round, &mut lane);
             }
         }
         // Per-round flush of this thread's own staging plus the worker's
         // shared buffers; the C1 write-all (`flush_outbound`) still drains
         // every sibling thread's staging when a fork moves.
-        core.flush_thread_outbound(worker, staging);
-        core.clocks.observe(worker, thread_clock);
+        core.flush_thread_outbound(worker, lane.staging);
+        core.clocks.observe(worker, lane.clock.lock().unwrap().now);
         if did_work {
             round += 1;
             core.rounds.fetch_max(round, Ordering::SeqCst);
@@ -812,7 +751,7 @@ fn worker_loop<P: VertexProgram>(
 ) {
     let layout = *core.pm.layout();
     let ppw = layout.partitions_per_worker();
-    let staging = &core.staging[worker * core.threads_per_worker + slot];
+    let mut lane = core.lane(worker, slot);
     loop {
         start_barrier.wait();
         if core.stop.load(Ordering::SeqCst) {
@@ -822,247 +761,230 @@ fn worker_loop<P: VertexProgram>(
         // This OS thread models one core of the simulated worker: its
         // virtual clock starts at the worker's barrier-leveled frontier
         // and advances with everything the thread executes or waits on.
-        let mut thread_clock = core.clocks.now(worker);
+        *lane.clock.lock().unwrap() = LaneClock {
+            now: core.clocks.now(worker),
+            ..LaneClock::default()
+        };
         loop {
             let k = core.claim[worker].fetch_add(1, Ordering::SeqCst);
             if k >= ppw {
                 break;
             }
             let p = PartitionId::new(worker as u32 * ppw + k);
-            core.execute_partition(worker, p, s, staging, &mut thread_clock);
+            core.execute_partition(worker, p, s, &mut lane);
         }
-        core.clocks.observe(worker, thread_clock);
+        core.clocks.observe(worker, lane.clock.lock().unwrap().now);
         end_barrier.wait();
     }
 }
 
+/// One compute thread's virtual clock and what advanced it since it was
+/// last seeded — vertex executions (`busy`) and waits for a unit's last
+/// fork (`blocked`): `now - seed == busy + blocked`, exactly.
+#[derive(Clone, Copy, Debug, Default)]
+struct LaneClock {
+    now: u64,
+    busy: u64,
+    blocked: u64,
+}
+
+/// What one compute thread keeps for the whole run: the shared cycle and
+/// its scratch, the drain scratch, its staging buffer, its clock (a row of
+/// `Core::lane_rows`; barrierless runs never re-seed it).
+struct Lane<'a, P: VertexProgram> {
+    cycle: Cycle<'a, P>,
+    envelopes: Vec<Envelope<P::Message>>,
+    staging: &'a Mutex<StagingBuffers<P::Message>>,
+    clock: &'a Mutex<LaneClock>,
+}
+
+/// The thread engine's side of one partition walk: the partition's state
+/// (locked for the walk — Giraph's "vertices in each partition are executed
+/// sequentially"), its message store, and the lane executing it.
+struct PartitionHost<'a, P: VertexProgram> {
+    core: &'a Core<P>,
+    worker: usize,
+    data: MutexGuard<'a, PartitionData<P::Value>>,
+    store: &'a PartitionStore<P::Message>,
+    staging: &'a Mutex<StagingBuffers<P::Message>>,
+    /// The staging lock, held from a vertex's first remote send to its
+    /// close: taken once per vertex, not once per message, and never
+    /// across a synchronizer call.
+    staged: Option<MutexGuard<'a, StagingBuffers<P::Message>>>,
+    envelopes: &'a mut Vec<Envelope<P::Message>>,
+    clock: MutexGuard<'a, LaneClock>,
+}
+
+impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
+    fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
+        let drained = self.store.drain_into(local, self.envelopes) as u64;
+        if drained > 0 {
+            self.core.pending.fetch_sub(drained, Ordering::SeqCst);
+        }
+        into.extend(self.envelopes.drain(..).map(|(_, m)| m));
+    }
+
+    fn value_mut(&mut self, local: usize, _v: VertexId) -> &mut P::Value {
+        &mut self.data.values[local]
+    }
+
+    /// Write-through: install the execution's result as a new MVCC
+    /// version. With a recorder the commit is deferred to the recorded
+    /// transaction's close (its end fires the hook); without one the
+    /// execution commits here. Either way readers only ever see committed
+    /// versions — never the in-place working value a neighbor's compute
+    /// might be mutating.
+    fn commit(&mut self, local: usize, v: VertexId, halt: bool) {
+        self.data.set_halted(local, halt);
+        let core = self.core;
+        let txn = core.vstore.begin();
+        core.vstore
+            .install(v.index(), self.data.values[local].clone(), txn.xid);
+        if core.recorder.is_some() {
+            core.pending_xid[v.index()].store(txn.xid, Ordering::SeqCst);
+        } else {
+            core.vstore.commit(txn);
+        }
+    }
+
+    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message) {
+        self.core.deliver(from, to, msg);
+    }
+
+    /// Into the executing thread's staging buffer — where the combiner
+    /// merges sender-side — batching into the shared buffer caches when
+    /// the destination's staged run reaches the buffer cap.
+    fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
+        let (core, staging, to_worker) = (self.core, self.staging, to_worker as usize);
+        let st = self.staged.get_or_insert_with(|| staging.lock().unwrap());
+        let (grew, staged) = st.stage(to_worker, (to, from, msg), core.combiner.as_deref());
+        if grew {
+            core.pending.fetch_add(1, Ordering::SeqCst);
+        } else {
+            core.metrics.inc(Counter::SenderCombines);
+        }
+        if staged >= core.buffer_cap {
+            core.flush_staged(self.worker, to_worker, st);
+        }
+    }
+
+    fn close(&mut self, _v: VertexId) {
+        self.staged = None;
+    }
+}
+
 impl<P: VertexProgram> Core<P> {
+    fn lane(&self, worker: usize, slot: usize) -> Lane<'_, P> {
+        Lane {
+            cycle: Cycle::new(Env {
+                program: &self.program,
+                graph: &self.graph,
+                pm: &self.pm,
+                aggregators: &self.aggs,
+                trace: &self.trace,
+                recorder: self.recorder.as_deref(),
+                metrics: &self.metrics,
+            }),
+            envelopes: Vec::new(),
+            staging: &self.staging[worker * self.threads_per_worker + slot],
+            clock: &self.lane_rows[worker * self.threads_per_worker + slot],
+        }
+    }
+
     /// Any active vertex or queued message in partition `p`?
     fn partition_has_work(&self, p: usize) -> bool {
         self.current[p].total() > 0 || self.partitions[p].lock().unwrap().any_active()
     }
 
-    fn execute_partition(
-        &self,
-        worker: usize,
-        p: PartitionId,
-        s: u64,
-        staging: &Mutex<StagingBuffers<P::Message>>,
-        thread_clock: &mut u64,
-    ) {
-        let p_idx = p.index();
-        let has_work = self.partition_has_work(p_idx);
-        match self.sync.granularity() {
-            LockGranularity::Partition => {
-                if self.sync.unit_skippable(p.raw(), has_work) {
-                    return;
+    /// Host one [`PartitionWalk`]: block where it says acquire, run the
+    /// shared vertex transaction where it says run, and charge the lane's
+    /// virtual clock for both.
+    fn execute_partition(&self, worker: usize, p: PartitionId, s: u64, lane: &mut Lane<'_, P>) {
+        let store = &self.current[p.index()];
+        let mut host = PartitionHost {
+            core: self,
+            worker,
+            data: self.partitions[p.index()].lock().unwrap(),
+            store,
+            staging: lane.staging,
+            staged: None,
+            envelopes: &mut lane.envelopes,
+            clock: lane.clock.lock().unwrap(),
+        };
+        let has_work = store.total() > 0 || host.data.any_active();
+        let mut walk = PartitionWalk::new(p, &*self.sync, has_work);
+        let w = worker as u32;
+        loop {
+            let data = &host.data;
+            let awake = |i, _| !data.halted(i) || store.has_messages(i);
+            match walk.next(&*self.sync, s, &data.vertices, awake) {
+                Step::Acquire(unit) => {
+                    // The unit may start once this core is free AND its
+                    // last fork has arrived.
+                    let ready = self.sync.acquire_unit(unit, self);
+                    let now = &mut host.clock.now;
+                    host.clock.blocked += charge_lock_wait(&self.trace, w, s, now, ready, unit);
+                    walk.granted();
                 }
-                let ready = self.sync.acquire_unit(p.raw(), self);
-                // The partition may start once this core is free AND its
-                // last fork has arrived.
-                let wait = ready.saturating_sub(*thread_clock);
-                if wait > 0 {
-                    if let Some(t) = &self.timers {
-                        t.add_blocked(worker, wait);
-                    }
-                    self.trace.record(
-                        worker as u32,
-                        s,
-                        TraceEventKind::LockWait,
-                        *thread_clock,
-                        wait,
-                        u64::from(p.raw()),
-                    );
+                Step::Run { local, v } => {
+                    let now = host.clock.now;
+                    let counts = lane.cycle.run_vertex(&mut host, s, w, now, local, v);
+                    let now = &mut host.clock.now;
+                    host.clock.busy += charge_virtual(&self.cost, &self.trace, w, s, now, counts);
                 }
-                *thread_clock = (*thread_clock).max(ready);
-                self.run_partition(worker, p_idx, s, false, staging, thread_clock);
-                self.sync.release_unit(p.raw(), *thread_clock, self);
-            }
-            LockGranularity::Vertex => {
-                if !has_work {
-                    return;
-                }
-                self.run_partition(worker, p_idx, s, true, staging, thread_clock);
-            }
-            LockGranularity::None => {
-                if !has_work {
-                    return;
-                }
-                self.run_partition(worker, p_idx, s, false, staging, thread_clock);
+                Step::Release(unit) => self.sync.release_unit(unit, host.clock.now, self),
+                Step::Done => return,
             }
         }
     }
 
-    fn run_partition(
-        &self,
-        worker: usize,
-        p_idx: usize,
-        s: u64,
-        per_vertex_lock: bool,
-        staging: &Mutex<StagingBuffers<P::Message>>,
-        thread_clock: &mut u64,
-    ) {
-        let mut data = self.partitions[p_idx].lock().unwrap();
-        let store = &self.current[p_idx];
-        let mut outgoing: Vec<(VertexId, P::Message)> = Vec::new();
-        // Scratch buffers reused across vertices: the drain path allocates
-        // nothing in steady state.
-        let mut envelopes: Vec<Envelope<P::Message>> = Vec::new();
-        let mut messages: Vec<P::Message> = Vec::new();
-        let mut busy = 0u64;
-
-        for i in 0..data.vertices.len() {
-            let v = data.vertices[i];
-            if data.halted(i) && !store.has_messages(i) {
-                continue;
-            }
-            if !self.sync.vertex_allowed(s, v) {
-                continue; // gated: keeps its messages and activity
-            }
-            if per_vertex_lock {
-                let ready = self.sync.acquire_unit(v.raw(), self);
-                let wait = ready.saturating_sub(*thread_clock);
-                if wait > 0 {
-                    if let Some(t) = &self.timers {
-                        t.add_blocked(worker, wait);
-                    }
-                    self.trace.record(
-                        worker as u32,
-                        s,
-                        TraceEventKind::LockWait,
-                        *thread_clock,
-                        wait,
-                        u64::from(v.raw()),
-                    );
-                }
-                *thread_clock = (*thread_clock).max(ready);
-            }
-
-            envelopes.clear();
-            let drained = store.drain_into(i, &mut envelopes);
-            if drained > 0 {
-                self.pending.fetch_sub(drained as u64, Ordering::SeqCst);
-            }
-            let guard = self.recorder.as_ref().map(|r| r.begin(v));
-            messages.clear();
-            messages.extend(envelopes.drain(..).map(|(_, m)| m));
-
-            let mut ctx = Context::<P> {
-                vertex: v,
-                superstep: s,
-                worker: worker as u32,
-                graph: &self.graph,
-                value: &mut data.values[i],
-                halt: false,
-                outgoing: &mut outgoing,
-                aggregators: &self.aggs,
-                trace: &self.trace,
-                clock_ns: *thread_clock,
-            };
-            self.program.compute(&mut ctx, &messages);
-            let halt = ctx.halt;
-            data.set_halted(i, halt);
-
-            // Write-through: install the execution's result as a new MVCC
-            // version. With a recorder the commit is deferred to the
-            // recorded transaction's close (r.end fires the hook); without
-            // one the execution commits here. Either way readers only ever
-            // see committed versions — never the in-place working value a
-            // neighbor's compute might be mutating.
-            let txn = self.vstore.begin();
-            self.vstore
-                .install(v.index(), data.values[i].clone(), txn.xid);
-            if guard.is_some() {
-                self.pending_xid[v.index()].store(txn.xid, Ordering::SeqCst);
-            } else {
-                self.vstore.commit(txn);
-            }
-
-            let n_in = messages.len() as u64;
-            let n_out = outgoing.len() as u64;
-            if n_out > 0 {
-                self.send_all(worker, staging, v, &mut outgoing);
-            }
-            if let (Some(r), Some(g)) = (self.recorder.as_ref(), guard) {
-                r.end(g);
-            }
-            let cost = self.cost.vertex_cost(n_in, n_out);
-            self.trace.record(
-                worker as u32,
-                s,
-                TraceEventKind::VertexExecute,
-                *thread_clock,
-                cost,
-                n_in,
-            );
-            *thread_clock += cost;
-            busy += cost;
-            if n_out > 0 {
-                self.trace.record(
-                    worker as u32,
-                    s,
-                    TraceEventKind::MessageSend,
-                    *thread_clock,
-                    0,
-                    n_out,
-                );
-            }
-            if per_vertex_lock {
-                self.sync.release_unit(v.raw(), *thread_clock, self);
-            }
-            self.metrics.inc(Counter::VertexExecutions);
-        }
-        drop(data);
-        if let Some(t) = &self.timers {
-            if busy > 0 {
-                t.add_busy(worker, busy);
-            }
+    /// Charge each worker's breakdown with the row of the lane whose clock
+    /// the worker adopted — the last to finish of those that ran. Busy +
+    /// blocked is then exactly that lane's clock advance and cannot exceed
+    /// the worker's, however many sibling lanes were blocked over the same
+    /// virtual interval.
+    fn settle_lanes(&self) {
+        let Some(t) = &self.timers else { return };
+        for (w, lanes) in self.lane_rows.chunks(self.threads_per_worker).enumerate() {
+            let ran = |r: &LaneClock| r.busy + r.blocked > 0;
+            let rows = lanes.iter().map(|l| *l.lock().unwrap()).filter(ran);
+            let row = rows.max_by_key(|r| r.now).unwrap_or_default();
+            t.add_busy(w, row.busy);
+            t.add_blocked(w, row.blocked);
         }
     }
 
-    /// Route one vertex's outgoing messages. Local messages go straight to
-    /// the recipient's store (eagerly visible under AP, next-superstep
-    /// under BSP); remote messages land in the executing thread's staging
-    /// buffer — where the combiner merges them sender-side — and batch into
-    /// the shared buffer caches when a destination's staged run reaches the
-    /// buffer cap. The staging lock is taken once per vertex, not once per
-    /// message, and is never held across a synchronizer call.
-    fn send_all(
+    /// How both thread regimes end — after `supersteps`, `converged` or
+    /// capped: stop the side threads, assemble the run's outcome.
+    fn outcome(
         &self,
-        from_worker: usize,
-        staging: &Mutex<StagingBuffers<P::Message>>,
-        sender: VertexId,
-        outgoing: &mut Vec<(VertexId, P::Message)>,
-    ) {
-        let to_next = self.model == Model::Bsp;
-        let mut st = staging.lock().unwrap();
-        for (to, msg) in outgoing.drain(..) {
-            if let Some(r) = &self.recorder {
-                r.on_send(sender, to);
-            }
-            let to_worker = self.pm.worker_of(to).index();
-            if to_worker == from_worker {
-                self.metrics.inc(Counter::LocalMessages);
-                self.deliver(sender, to, msg, to_next);
-            } else {
-                self.metrics.inc(Counter::RemoteMessages);
-                let (grew, staged) =
-                    st.stage(to_worker, (to, sender, msg), self.combiner.as_deref());
-                if grew {
-                    self.pending.fetch_add(1, Ordering::SeqCst);
-                } else {
-                    self.metrics.inc(Counter::SenderCombines);
-                }
-                if staged >= self.buffer_cap {
-                    self.flush_staged(from_worker, to_worker, &mut st);
-                }
-            }
+        (supersteps, converged): (u64, bool),
+        rows: Vec<SuperstepRow>,
+        wall_start: Instant,
+        audit: Option<std::thread::JoinHandle<StreamingAuditor>>,
+        watchdog: Option<Watchdog>,
+    ) -> Outcome<P::Value> {
+        let audit = audit.map(|h| h.join().expect("audit thread panicked").finish());
+        let stalled = watchdog.map(Watchdog::stop).unwrap_or(false);
+        let parts = self.partitions.iter().map(|p| p.lock().unwrap());
+        Outcome {
+            values: gather_values(parts, self.graph.num_vertices() as usize),
+            supersteps,
+            converged,
+            metrics: self.metrics.snapshot(),
+            makespan_ns: self.clocks.makespan(),
+            wall_time: wall_start.elapsed(),
+            history: self.recorder.as_ref().map(|r| r.history()),
+            audit,
+            obs: self.obs_report(rows, stalled),
+            telemetry: self.metrics.telemetry().map(|t| t.snapshot()),
         }
     }
 
-    /// Insert into the recipient's store. `to_next` = BSP semantics
+    /// Insert into the recipient's store — under BSP the next superstep's
     /// (visible after the next barrier).
-    fn deliver(&self, sender: VertexId, to: VertexId, msg: P::Message, to_next: bool) {
+    fn deliver(&self, sender: VertexId, to: VertexId, msg: P::Message) {
+        let to_next = self.model == Model::Bsp;
         let (p, l) = self.locate[to.index()];
         let store = if to_next {
             &self.next[p as usize]
@@ -1135,9 +1057,8 @@ impl<P: VertexProgram> Core<P> {
             );
         }
         self.pending.fetch_sub(n, Ordering::SeqCst);
-        let to_next = self.model == Model::Bsp;
         for (to_v, sender, m) in routed {
-            self.deliver(sender, to_v, m, to_next);
+            self.deliver(sender, to_v, m);
         }
     }
 
@@ -1338,7 +1259,7 @@ impl<P: VertexProgram> Core<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TechniqueKind;
+    use crate::{Context, TechniqueKind};
     use sg_graph::gen;
 
     /// Counts supersteps: runs for `rounds` supersteps then halts.

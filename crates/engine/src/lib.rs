@@ -29,6 +29,7 @@
 pub mod aggregators;
 pub mod config;
 pub mod context;
+pub mod cycle;
 pub mod engine;
 pub mod program;
 pub mod state;
@@ -37,6 +38,7 @@ pub mod store;
 pub use aggregators::{AggOp, AggregatorSet};
 pub use config::{build_synchronizer, EngineConfig, EngineError, Model, TechniqueKind};
 pub use context::Context;
+pub use cycle::{Cycle, Env, Host};
 pub use engine::{Engine, Outcome};
 pub use program::{Combiner, MinCombiner, SumCombiner, VertexProgram, WireCodec};
 pub use sg_store::{GraphReader, Snapshot, SnapshotView, VertexStore};

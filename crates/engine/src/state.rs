@@ -13,6 +13,7 @@
 //! that can change the count.
 
 use sg_graph::VertexId;
+use std::ops::Deref;
 
 /// State of one partition's vertices. Index `i` corresponds to the `i`-th
 /// vertex of the partition in ascending id order.
@@ -101,9 +102,37 @@ impl<V> PartitionData<V> {
     }
 }
 
+/// Assemble a run's result: every partition's values, indexed by vertex
+/// id over a graph of `n` vertices.
+///
+/// # Panics
+/// Panics if some vertex below `n` belongs to no partition.
+pub fn gather_values<V: Clone, D: Deref<Target = PartitionData<V>>>(
+    partitions: impl IntoIterator<Item = D>,
+    n: usize,
+) -> Vec<V> {
+    let mut by_vertex: Vec<Option<V>> = vec![None; n];
+    for d in partitions {
+        for (&v, value) in d.vertices.iter().zip(&d.values) {
+            by_vertex[v.index()] = Some(value.clone());
+        }
+    }
+    by_vertex
+        .into_iter()
+        .map(|v| v.expect("vertex unassigned"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gather_orders_values_by_vertex_id() {
+        let a = PartitionData::new(vec![VertexId::new(2), VertexId::new(0)], vec!['c', 'a']);
+        let b = PartitionData::new(vec![VertexId::new(1)], vec!['b']);
+        assert_eq!(gather_values([&a, &b], 3), ['a', 'b', 'c']);
+    }
 
     #[test]
     fn starts_fully_active() {

@@ -254,11 +254,7 @@ impl<P: GasProgram> AsyncGasEngine<P> {
             metrics: Arc::clone(&metrics),
             clocks: SimClocks::new(machines),
             recorder: recorder.clone(),
-            trace: if self.config.obs.trace {
-                Trace::enabled(machines, self.config.obs.trace_capacity)
-            } else {
-                Trace::disabled()
-            },
+            trace: self.config.obs.trace_handle(machines),
             timers: self
                 .config
                 .obs

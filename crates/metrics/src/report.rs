@@ -4,12 +4,13 @@
 //! The engines populate these when observability is enabled in
 //! [`ObsConfig`]; the bench harness prints/persists them under `results/`.
 //! Everything here is assembled *after* the run from data collected on the
-//! hot path by [`WorkerTimers`] (three relaxed atomic adds per partition
-//! execution, not per vertex) — the run itself never formats anything.
+//! hot path into [`WorkerTimers`] (the Pregel engine settles one lane's
+//! row per worker per superstep, the GAS engine adds per execution) — the
+//! run itself never formats anything.
 
 use crate::counters::{Counter, MetricsSnapshot};
 use crate::simtime::fmt_sim_ns;
-use crate::trace::TraceBuffer;
+use crate::trace::{Trace, TraceBuffer};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -54,6 +55,16 @@ impl Default for ObsConfig {
 }
 
 impl ObsConfig {
+    /// The trace handle these settings ask for: a ring per worker when
+    /// `trace` is on, the disabled handle otherwise.
+    pub fn trace_handle(&self, workers: usize) -> Trace {
+        if self.trace {
+            Trace::enabled(workers, self.trace_capacity)
+        } else {
+            Trace::disabled()
+        }
+    }
+
     /// Everything on (watchdog at 30 s) — what `--trace` enables in the
     /// bench harness.
     pub fn full() -> Self {

@@ -113,6 +113,11 @@ impl CtrlConn {
         stream.write_all(scratch)
     }
 
+    /// The Lamport clock every send on this connection ticks.
+    pub fn clock(&self) -> &Arc<Clock> {
+        &self.clock
+    }
+
     /// Shut the connection down (unblocks the reader thread too).
     pub fn close(&self) {
         let w = self.writer.lock().unwrap();

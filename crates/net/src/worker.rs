@@ -19,13 +19,15 @@
 //! * the **maintenance** thread — heartbeats idle links and re-dials
 //!   dead ones with backoff.
 //!
-//! Vertex execution mirrors the in-process engine's loop exactly: skip
-//! halted vertices without pending input, honor `vertex_allowed` gating
-//! (denied vertices keep their messages and stay active), acquire/release
-//! lock units around partitions or p-boundary vertices, and stage
-//! remote messages *before* the unit release so the release-triggered
-//! write-all finds them. Workers run one compute thread each — rank is
-//! worker is thread, which is the paper's single-threaded-worker setting.
+//! The compute thread *hosts* the shared superstep cycle rather than
+//! transcribing it: [`sg_sync::PartitionWalk`] decides which vertex runs
+//! next and where the acquire/release brackets go, [`sg_engine::Cycle`]
+//! runs the vertex transaction, and this module supplies the IO — the
+//! byte-queue inbox, wire-format staging with eager overflow sends, the
+//! lock RPC, Lamport stamps. Remote messages are staged *before* the
+//! walk's release step, so the release-triggered write-all finds them.
+//! Workers run one compute thread each — rank is worker is thread, which
+//! is the paper's single-threaded-worker setting.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -34,10 +36,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
-use sg_engine::{build_synchronizer, AggregatorSet, Context, VertexProgram, WireCodec};
+use sg_engine::{build_synchronizer, AggregatorSet, Cycle, Env, Host, VertexProgram, WireCodec};
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
-use sg_sync::{LockGranularity, Synchronizer};
+use sg_sync::{LockGranularity, PartitionWalk, Step, Synchronizer};
 
 use crate::cluster::{technique_from_label, GOODBYE_SUPERSTEP};
 use crate::fault::FaultInjector;
@@ -90,46 +92,20 @@ pub fn worker_main(coord_addr: &str, rank: u32) -> Result<(), NetError> {
             )))
         }
     };
-    match spec.workload.as_str() {
-        "coloring" => run_worker(
-            GreedyColoring,
-            rank,
-            spec,
-            peers,
-            listener,
-            clock,
-            ctrl,
-            reader,
-        ),
-        "wcc" => run_worker(Wcc, rank, spec, peers, listener, clock, ctrl, reader),
+    let (workload, arg) = (spec.workload.clone(), spec.workload_arg);
+    match workload.as_str() {
+        "coloring" => run_worker(GreedyColoring, rank, spec, peers, listener, ctrl, reader),
+        "wcc" => run_worker(Wcc, rank, spec, peers, listener, ctrl, reader),
         "sssp" => {
-            let source = VertexId::new(spec.workload_arg as u32);
-            run_worker(
-                Sssp::new(source),
-                rank,
-                spec,
-                peers,
-                listener,
-                clock,
-                ctrl,
-                reader,
-            )
+            let program = Sssp::new(VertexId::new(arg as u32));
+            run_worker(program, rank, spec, peers, listener, ctrl, reader)
         }
-        "mis" => run_worker(GreedyMis, rank, spec, peers, listener, clock, ctrl, reader),
+        "mis" => run_worker(GreedyMis, rank, spec, peers, listener, ctrl, reader),
         "pagerank" => {
             // The convergence threshold ships as the f64 bit pattern in
             // the workload argument word.
-            let threshold = f64::from_bits(spec.workload_arg);
-            run_worker(
-                DeltaPageRank::new(threshold),
-                rank,
-                spec,
-                peers,
-                listener,
-                clock,
-                ctrl,
-                reader,
-            )
+            let program = DeltaPageRank::new(f64::from_bits(arg));
+            run_worker(program, rank, spec, peers, listener, ctrl, reader)
         }
         other => Err(NetError::Protocol(format!("unknown workload `{other}`"))),
     }
@@ -198,11 +174,11 @@ impl PayloadQueue {
         self.count == 0
     }
 
-    /// Decode every queued payload in arrival order. Undecodable runs are
-    /// impossible on a well-typed cluster (every worker runs the same
-    /// program) and are skipped defensively.
-    fn decode_all<M: WireCodec>(&self) -> Vec<M> {
-        let mut out = Vec::with_capacity(self.count);
+    /// Decode every queued payload onto `out` in arrival order.
+    /// Undecodable runs are impossible on a well-typed cluster (every
+    /// worker runs the same program) and are skipped defensively.
+    fn decode_into<M: WireCodec>(&self, out: &mut Vec<M>) {
+        out.reserve(self.count);
         let mut rest = self.bytes.as_slice();
         while rest.len() >= 4 {
             let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
@@ -215,7 +191,6 @@ impl PayloadQueue {
             }
             rest = &rest[len..];
         }
-        out
     }
 }
 
@@ -358,14 +333,12 @@ enum Cmd {
     Disconnected,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_worker<P>(
     program: P,
     rank: u32,
     spec: RunSpec,
     peers: Vec<(u32, String)>,
     listener: TcpListener,
-    clock: Arc<Clock>,
     ctrl: Arc<CtrlConn>,
     reader: FrameReader,
 ) -> Result<(), NetError>
@@ -374,6 +347,7 @@ where
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
+    let clock = Arc::clone(ctrl.clock());
     let technique = technique_from_label(&spec.technique)
         .ok_or_else(|| NetError::Protocol(format!("unknown technique `{}`", spec.technique)))?;
     let graph = Graph::from_edges(spec.num_vertices, &spec.edges);
@@ -567,9 +541,36 @@ where
             .expect("spawn dispatcher thread")
     };
 
-    let result = compute_loop(
-        &program, rank, &spec, &graph, &pm, &replica, &shared, &links, &rx,
-    );
+    // The wire-routed programs use no aggregators; the coordinator keeps
+    // the history, from the Lamport stamps `close` records.
+    let no_aggregators = AggregatorSet::new();
+    let mut cycle = Cycle::new(Env {
+        program: &program,
+        graph: &graph,
+        pm: &pm,
+        aggregators: &no_aggregators,
+        trace: &shared.trace,
+        recorder: None,
+        metrics: &metrics,
+    });
+    let result = Compute {
+        shared: &shared,
+        links: &links,
+        rx: &rx,
+        pm: &pm,
+        replica: &*replica,
+        my_partitions: pm
+            .layout()
+            .partitions_of_worker(WorkerId::new(rank))
+            .collect(),
+        record_history: spec.record_history,
+        values: graph.vertices().map(|v| program.init(v, &graph)).collect(),
+        halted: vec![false; n],
+        txns: Vec::new(),
+        enc: Vec::new(),
+        opened: 0,
+    }
+    .run(&mut cycle);
 
     shutdown.store(true, Ordering::SeqCst);
     for link in links.iter().flatten() {
@@ -788,392 +789,340 @@ fn handle_flush(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn compute_loop<P>(
-    program: &P,
-    rank: u32,
-    spec: &RunSpec,
-    graph: &Graph,
-    pm: &Arc<PartitionMap>,
-    replica: &Arc<dyn Synchronizer>,
-    shared: &Arc<Shared>,
-    links: &Arc<Vec<Option<PeerLink>>>,
-    rx: &mpsc::Receiver<Cmd>,
-) -> Result<(), NetError>
+/// The compute thread's state — the cluster handles it does IO through,
+/// the vertex state it owns, its scratch: the networked [`Host`].
+struct Compute<'a, P: VertexProgram> {
+    shared: &'a Shared,
+    links: &'a [Option<PeerLink>],
+    rx: &'a mpsc::Receiver<Cmd>,
+    pm: &'a PartitionMap,
+    /// Stateless technique replica (see `run_worker`).
+    replica: &'a dyn Synchronizer,
+    my_partitions: Vec<PartitionId>,
+    record_history: bool,
+    values: Vec<P::Value>,
+    halted: Vec<bool>,
+    txns: Vec<WireTxn>,
+    /// Encode scratch for one outgoing payload.
+    enc: Vec<u8>,
+    /// Lamport stamp the open transaction started at.
+    opened: u64,
+}
+
+impl<P> Compute<'_, P>
 where
     P: VertexProgram,
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
-    let n = graph.num_vertices() as usize;
-    let mut values: Vec<P::Value> = graph.vertices().map(|v| program.init(v, graph)).collect();
-    let mut halted = vec![false; n];
-    let mut txns: Vec<WireTxn> = Vec::new();
-    let mut aggs = AggregatorSet::new();
-    program.register_aggregators(&mut aggs);
-    let my_partitions: Vec<PartitionId> = pm
-        .layout()
-        .partitions_of_worker(WorkerId::new(rank))
-        .collect();
-    let granularity = replica.granularity();
+    fn run(mut self, cycle: &mut Cycle<'_, P>) -> Result<(), NetError> {
+        let shared = self.shared;
+        loop {
+            match self.rx.recv() {
+                Ok(Cmd::Start(s)) => {
+                    self.run_superstep(cycle, s)?;
+                    flush_all(shared, self.links)?;
+                    shared.ctrl.send(&Message::ComputeDone { superstep: s })?;
+                }
+                Ok(Cmd::Report(s)) => {
+                    let (active, pending) = self.barrier_vote();
+                    shared.ctrl.send(&Message::BarrierVote {
+                        superstep: s,
+                        active,
+                        pending,
+                    })?;
+                }
+                Ok(Cmd::Halt) => return self.upload(),
+                Ok(Cmd::Granted(unit)) => {
+                    return Err(NetError::Protocol(format!(
+                        "unsolicited UnitGranted({unit}) outside an acquire"
+                    )));
+                }
+                Ok(Cmd::Disconnected) | Err(_) => {
+                    return Err(NetError::Protocol("coordinator connection lost".into()));
+                }
+            }
+        }
+    }
 
-    loop {
-        match rx.recv() {
-            Ok(Cmd::Start(s)) => {
-                run_superstep(
-                    program,
-                    s,
-                    granularity,
-                    graph,
-                    pm,
-                    replica,
-                    shared,
-                    links,
-                    rx,
-                    &my_partitions,
-                    &mut values,
-                    &mut halted,
-                    &mut txns,
-                    spec.record_history,
-                )?;
-                flush_all(shared, links)?;
-                shared.ctrl.send(&Message::ComputeDone { superstep: s })?;
+    /// Quiescent-state vote: a vertex is active if it has undelivered input
+    /// or has not voted to halt; `pending` counts undelivered messages.
+    fn barrier_vote(&self) -> (u64, u64) {
+        let shared = self.shared;
+        let inbox = shared.inbox.lock().unwrap();
+        let mut active = 0u64;
+        let mut pending = 0u64;
+        for &p in &self.my_partitions {
+            for &v in self.pm.vertices_in(p) {
+                let queued = inbox[v.index()].len() as u64;
+                pending += queued;
+                if queued > 0 || !self.halted[v.index()] {
+                    active += 1;
+                }
             }
-            Ok(Cmd::Report(s)) => {
-                let (active, pending) = barrier_vote(shared, pm, &my_partitions, &halted);
-                shared.ctrl.send(&Message::BarrierVote {
-                    superstep: s,
-                    active,
-                    pending,
-                })?;
-            }
-            Ok(Cmd::Halt) => {
-                upload(shared, spec, pm, &my_partitions, &values, &txns)?;
-                return Ok(());
-            }
-            Ok(Cmd::Granted(unit)) => {
+        }
+        drop(inbox);
+        shared.wtel.active.set(active);
+        shared.wtel.pending.set(pending);
+        let staged: usize = {
+            let ob = shared.outbound.lock().unwrap();
+            ob.staged.iter().map(MsgBatch::len).sum()
+        };
+        shared.wtel.staged.set(staged as u64);
+        shared.wtel.uptime_ns.set(wall_ns(shared.epoch_ns));
+        (active, pending)
+    }
+
+    /// Blocking lock RPC: request the unit, wait for the grant.
+    fn acquire_unit_rpc(&self, superstep: u64, unit: u32) -> Result<(), NetError> {
+        let shared = self.shared;
+        let t0 = wall_ns(shared.epoch_ns);
+        shared.ctrl.send(&Message::AcquireUnit { unit })?;
+        match self.rx.recv() {
+            Ok(Cmd::Granted(u)) if u == unit => {}
+            Ok(Cmd::Granted(u)) => {
                 return Err(NetError::Protocol(format!(
-                    "unsolicited UnitGranted({unit}) outside an acquire"
-                )));
+                    "grant for unit {u} while waiting on {unit}"
+                )))
             }
             Ok(Cmd::Disconnected) | Err(_) => {
-                return Err(NetError::Protocol("coordinator connection lost".into()));
+                return Err(NetError::Protocol(
+                    "coordinator connection lost during acquire".into(),
+                ))
+            }
+            Ok(_) => {
+                return Err(NetError::Protocol(
+                    "barrier frame while waiting on a grant".into(),
+                ))
             }
         }
+        let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
+        shared.wtel.lock_wait_ns.add(dur);
+        shared.trace.record(
+            shared.rank,
+            superstep,
+            TraceEventKind::LockWait,
+            t0,
+            dur,
+            u64::from(unit),
+        );
+        Ok(())
     }
-}
 
-/// Quiescent-state vote: a vertex is active if it has undelivered input
-/// or has not voted to halt; `pending` counts undelivered messages.
-fn barrier_vote(
-    shared: &Shared,
-    pm: &PartitionMap,
-    my_partitions: &[PartitionId],
-    halted: &[bool],
-) -> (u64, u64) {
-    let inbox = shared.inbox.lock().unwrap();
-    let mut active = 0u64;
-    let mut pending = 0u64;
-    for &p in my_partitions {
-        for &v in pm.vertices_in(p) {
-            let queued = inbox[v.index()].len() as u64;
-            pending += queued;
-            if queued > 0 || !halted[v.index()] {
-                active += 1;
+    /// Result uploads, chunked to stay far under the frame cap, terminated
+    /// by the goodbye marker.
+    fn upload(&self) -> Result<(), NetError> {
+        let shared = self.shared;
+        let mut pairs = Vec::new();
+        for &p in &self.my_partitions {
+            for &v in self.pm.vertices_in(p) {
+                let mut payload = Vec::new();
+                self.values[v.index()].encode_into(&mut payload);
+                pairs.push((v.raw(), payload));
             }
         }
+        for chunk in pairs.chunks(UPLOAD_CHUNK) {
+            shared.ctrl.send(&Message::ValuesUpload {
+                values: chunk.to_vec(),
+            })?;
+        }
+        if self.record_history {
+            for chunk in self.txns.chunks(UPLOAD_CHUNK) {
+                shared.ctrl.send(&Message::HistoryUpload {
+                    txns: chunk.to_vec(),
+                })?;
+            }
+        }
+        // Final audit drain: compute is quiescent, so everything staged ships
+        // with a closing watermark — the coordinator's frontier stops waiting
+        // on this rank even before the goodbye lands.
+        if let Some(a) = &shared.audit {
+            let staged = std::mem::take(&mut *a.buf.lock().unwrap());
+            shared.ctrl.send(&Message::AuditUpload {
+                txns: staged,
+                watermark: u64::MAX,
+            })?;
+        }
+        let snapshot = shared.metrics.snapshot();
+        shared.ctrl.send(&Message::MetricsUpload {
+            counters: Counter::ALL.iter().map(|&c| snapshot.get(c)).collect(),
+        })?;
+        // Final telemetry frame: the coordinator's post-run aggregate (and the
+        // BENCH_net.json snapshot) must include everything up to halt.
+        shared.send_telemetry();
+        if let Some(buffer) = shared.trace.buffer() {
+            let events: Vec<WireTraceEvent> = buffer
+                .events(shared.rank as usize)
+                .into_iter()
+                .map(|e| WireTraceEvent {
+                    worker: e.worker,
+                    superstep: e.superstep,
+                    kind: e.kind as u8,
+                    ts_ns: e.ts_ns,
+                    dur_ns: e.dur_ns,
+                    arg: e.arg,
+                    peer: e.peer.unwrap_or(u32::MAX),
+                })
+                .collect();
+            for chunk in events.chunks(UPLOAD_CHUNK) {
+                shared.ctrl.send(&Message::TraceUpload {
+                    events: chunk.to_vec(),
+                })?;
+            }
+        }
+        shared.ctrl.send(&Message::ComputeDone {
+            superstep: GOODBYE_SUPERSTEP,
+        })?;
+        Ok(())
     }
-    drop(inbox);
-    shared.wtel.active.set(active);
-    shared.wtel.pending.set(pending);
-    let staged: usize = {
-        let ob = shared.outbound.lock().unwrap();
-        ob.staged.iter().map(MsgBatch::len).sum()
-    };
-    shared.wtel.staged.set(staged as u64);
-    shared.wtel.uptime_ns.set(wall_ns(shared.epoch_ns));
-    (active, pending)
+
+    /// Host one [`PartitionWalk`] per owned partition: the lock RPC where
+    /// it says acquire, the shared vertex transaction where it says run,
+    /// timed on the wall clock.
+    fn run_superstep(&mut self, cycle: &mut Cycle<'_, P>, s: u64) -> Result<(), NetError> {
+        let shared = self.shared;
+        let (pm, replica) = (self.pm, self.replica);
+        let granularity = replica.granularity();
+        // Only p-boundary vertices are philosophers; the technique's
+        // acquire is a no-op for the rest (free in-process), so their
+        // round trip to the coordinator's fork table is skipped.
+        let needs_rpc = |unit: u32| {
+            granularity != LockGranularity::Vertex || pm.is_p_boundary(VertexId::new(unit))
+        };
+        // The Pregel activity test; one inbox lock per scan, not one per
+        // halted vertex.
+        let awake = |halted: &[bool], inbox: &[PayloadQueue], v: VertexId| {
+            !halted[v.index()] || !inbox[v.index()].is_empty()
+        };
+        for k in 0..self.my_partitions.len() {
+            let p = self.my_partitions[k];
+            let vertices = pm.vertices_in(p);
+            let has_work = {
+                let inbox = shared.inbox.lock().unwrap();
+                vertices.iter().any(|&v| awake(&self.halted, &inbox, v))
+            };
+            let mut walk = PartitionWalk::new(p, replica, has_work);
+            loop {
+                let step = {
+                    let inbox = shared.inbox.lock().unwrap();
+                    walk.next(replica, s, vertices, |_, v| awake(&self.halted, &inbox, v))
+                };
+                match step {
+                    Step::Acquire(unit) => {
+                        if needs_rpc(unit) {
+                            self.acquire_unit_rpc(s, unit)?;
+                        }
+                        walk.granted();
+                    }
+                    Step::Run { local, v } => {
+                        let (rank, t0) = (shared.rank, wall_ns(shared.epoch_ns));
+                        let (n_in, _) = cycle.run_vertex(self, s, rank, t0, local, v);
+                        let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
+                        shared.wtel.compute_ns.add(dur);
+                        let kind = TraceEventKind::VertexExecute;
+                        shared.trace.record(rank, s, kind, t0, dur, n_in);
+                    }
+                    Step::Release(unit) if needs_rpc(unit) => {
+                        shared.ctrl.send(&Message::ReleaseUnit { unit })?;
+                    }
+                    Step::Release(_) => {}
+                    Step::Done => break,
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Blocking lock RPC: request the unit, wait for the grant.
-fn acquire_unit_rpc(
-    shared: &Shared,
-    rx: &mpsc::Receiver<Cmd>,
-    superstep: u64,
-    unit: u32,
-) -> Result<(), NetError> {
-    let t0 = wall_ns(shared.epoch_ns);
-    shared.ctrl.send(&Message::AcquireUnit { unit })?;
-    match rx.recv() {
-        Ok(Cmd::Granted(u)) if u == unit => {}
-        Ok(Cmd::Granted(u)) => {
-            return Err(NetError::Protocol(format!(
-                "grant for unit {u} while waiting on {unit}"
-            )))
-        }
-        Ok(Cmd::Disconnected) | Err(_) => {
-            return Err(NetError::Protocol(
-                "coordinator connection lost during acquire".into(),
-            ))
-        }
-        Ok(_) => {
-            return Err(NetError::Protocol(
-                "barrier frame while waiting on a grant".into(),
-            ))
-        }
-    }
-    let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
-    shared.wtel.lock_wait_ns.add(dur);
-    shared.trace.record(
-        shared.rank,
-        superstep,
-        TraceEventKind::LockWait,
-        t0,
-        dur,
-        u64::from(unit),
-    );
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_superstep<P>(
-    program: &P,
-    s: u64,
-    granularity: LockGranularity,
-    graph: &Graph,
-    pm: &Arc<PartitionMap>,
-    replica: &Arc<dyn Synchronizer>,
-    shared: &Arc<Shared>,
-    links: &Arc<Vec<Option<PeerLink>>>,
-    rx: &mpsc::Receiver<Cmd>,
-    my_partitions: &[PartitionId],
-    values: &mut [P::Value],
-    halted: &mut [bool],
-    txns: &mut Vec<WireTxn>,
-    record_history: bool,
-) -> Result<(), NetError>
+impl<P> Host<P> for Compute<'_, P>
 where
     P: VertexProgram,
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
-    let is_active = |shared: &Shared, halted: &[bool], v: VertexId| {
-        !halted[v.index()] || !shared.inbox.lock().unwrap()[v.index()].is_empty()
-    };
-    for &p in my_partitions {
-        let vertices = pm.vertices_in(p).to_vec();
-        let has_work = vertices.iter().any(|&v| is_active(shared, halted, v));
-        match granularity {
-            LockGranularity::Partition => {
-                if replica.unit_skippable(p.raw(), has_work) {
-                    continue;
-                }
-                acquire_unit_rpc(shared, rx, s, p.raw())?;
-                for &v in &vertices {
-                    if !is_active(shared, halted, v) || !replica.vertex_allowed(s, v) {
-                        continue;
-                    }
-                    run_vertex(
-                        program,
-                        s,
-                        v,
-                        graph,
-                        pm,
-                        shared,
-                        links,
-                        values,
-                        halted,
-                        txns,
-                        record_history,
-                    );
-                }
-                // Messages are staged before the release: the
-                // release-triggered write-all must see them.
-                shared.ctrl.send(&Message::ReleaseUnit { unit: p.raw() })?;
-            }
-            LockGranularity::Vertex => {
-                if !has_work {
-                    continue;
-                }
-                for &v in &vertices {
-                    if !is_active(shared, halted, v) || !replica.vertex_allowed(s, v) {
-                        continue;
-                    }
-                    // Only p-boundary vertices are philosophers; the
-                    // technique's acquire is a no-op for the rest, so the
-                    // RPC is skipped entirely (engine parity: it calls
-                    // acquire unconditionally but in-process that no-op
-                    // is free).
-                    let philosopher = pm.is_p_boundary(v);
-                    if philosopher {
-                        acquire_unit_rpc(shared, rx, s, v.raw())?;
-                    }
-                    run_vertex(
-                        program,
-                        s,
-                        v,
-                        graph,
-                        pm,
-                        shared,
-                        links,
-                        values,
-                        halted,
-                        txns,
-                        record_history,
-                    );
-                    if philosopher {
-                        shared.ctrl.send(&Message::ReleaseUnit { unit: v.raw() })?;
-                    }
-                }
-            }
-            LockGranularity::None => {
-                if !has_work {
-                    continue;
-                }
-                for &v in &vertices {
-                    if !is_active(shared, halted, v) || !replica.vertex_allowed(s, v) {
-                        continue;
-                    }
-                    run_vertex(
-                        program,
-                        s,
-                        v,
-                        graph,
-                        pm,
-                        shared,
-                        links,
-                        values,
-                        halted,
-                        txns,
-                        record_history,
-                    );
-                }
-            }
+    fn drain(&mut self, _local: usize, v: VertexId, into: &mut Vec<P::Message>) {
+        let queued = std::mem::take(&mut self.shared.inbox.lock().unwrap()[v.index()]);
+        queued.decode_into(into);
+    }
+
+    /// Messages just drained arrived on link readers that joined the
+    /// sender's clock first, so this tick orders after every sender write.
+    fn open(&mut self, _v: VertexId) {
+        if let Some(a) = &self.shared.audit {
+            a.inflight.store(self.shared.clock.now(), Ordering::SeqCst);
         }
+        self.opened = self.shared.clock.tick();
     }
-    Ok(())
-}
 
-/// One vertex transaction: drain the inbox, run `compute`, dispatch the
-/// outgoing messages (local apply / remote stage with eager batch
-/// overflow), stamp the Lamport interval.
-#[allow(clippy::too_many_arguments)]
-fn run_vertex<P>(
-    program: &P,
-    s: u64,
-    v: VertexId,
-    graph: &Graph,
-    pm: &PartitionMap,
-    shared: &Shared,
-    links: &[Option<PeerLink>],
-    values: &mut [P::Value],
-    halted: &mut [bool],
-    txns: &mut Vec<WireTxn>,
-    record_history: bool,
-) where
-    P: VertexProgram,
-    P::Value: WireCodec,
-    P::Message: WireCodec,
-{
-    // Messages in the inbox arrived on link readers that joined the
-    // sender's clock first, so this tick orders after every sender write.
-    if let Some(a) = &shared.audit {
-        a.inflight.store(shared.clock.now(), Ordering::SeqCst);
+    fn value_mut(&mut self, _local: usize, v: VertexId) -> &mut P::Value {
+        &mut self.values[v.index()]
     }
-    let start = shared.clock.tick();
-    let queued = {
-        let mut inbox = shared.inbox.lock().unwrap();
-        std::mem::take(&mut inbox[v.index()])
-    };
-    let messages: Vec<P::Message> = queued.decode_all();
-    let t0 = wall_ns(shared.epoch_ns);
-    let mut outgoing: Vec<(VertexId, P::Message)> = Vec::new();
-    let aggs = AggregatorSet::new();
-    let trace_handle = Trace::disabled();
-    let mut ctx = Context::<P>::external(
-        v,
-        s,
-        shared.rank,
-        graph,
-        &mut values[v.index()],
-        &mut outgoing,
-        &aggs,
-        &trace_handle,
-        t0,
-    );
-    program.compute(&mut ctx, &messages);
-    halted[v.index()] = ctx.halted();
 
-    // Publish the execution's result to the serving plane: one MVCC
-    // transaction, committed here — the same instant the Lamport interval
-    // below closes — so a serving snapshot's visible set is always a
-    // prefix of this worker's committed executions.
-    {
-        let vstore = &shared.serve.vstore;
+    /// Publish the execution's result to the serving plane: one MVCC
+    /// transaction, committed here, so a serving snapshot's visible set is
+    /// always a prefix of this worker's committed executions.
+    fn commit(&mut self, _local: usize, v: VertexId, halt: bool) {
+        self.halted[v.index()] = halt;
+        let vstore = &self.shared.serve.vstore;
         let txn = vstore.begin();
-        vstore.install(v.index(), values[v.index()].to_word(), txn.xid);
+        vstore.install(v.index(), self.values[v.index()].to_word(), txn.xid);
         vstore.commit(txn);
     }
 
-    let n_in = messages.len() as u64;
-    let mut enc = Vec::new();
-    for (to, m) in outgoing.drain(..) {
-        let w = pm.worker_of(to).raw();
-        enc.clear();
-        m.encode_into(&mut enc);
-        if w == shared.rank {
-            shared.inbox.lock().unwrap()[to.index()].push(&enc);
-            shared.metrics.inc(Counter::LocalMessages);
-        } else {
-            shared.metrics.inc(Counter::RemoteMessages);
-            let batch = {
-                let mut ob = shared.outbound.lock().unwrap();
-                ob.staged[w as usize].push(to.raw(), v.raw(), &enc);
-                ob.dirty[w as usize] = true;
-                (ob.staged[w as usize].len() >= shared.buffer_cap)
-                    .then(|| std::mem::take(&mut ob.staged[w as usize]))
-            };
-            if let Some(batch) = batch {
-                if let Some(Some(link)) = links.get(w as usize) {
-                    shared.metrics.inc(Counter::RemoteBatches);
-                    let len = batch.len() as u64;
-                    link.send(Message::BatchFlush { batch });
-                    shared.trace.record_peer(
-                        shared.rank,
-                        s,
-                        TraceEventKind::BatchFlush,
-                        wall_ns(shared.epoch_ns),
-                        0,
-                        len,
-                        w,
-                    );
-                }
-            }
-        }
+    fn send_local(&mut self, _from: VertexId, to: VertexId, msg: P::Message) {
+        self.enc.clear();
+        msg.encode_into(&mut self.enc);
+        self.shared.inbox.lock().unwrap()[to.index()].push(&self.enc);
     }
-    shared.metrics.inc(Counter::VertexExecutions);
-    let end = shared.clock.tick();
-    if record_history {
-        let rec = WireTxn {
-            vertex: v.raw(),
-            start: stamp(start, shared.rank),
-            end: stamp(end, shared.rank),
-            stale: Vec::new(),
+
+    /// Stage in wire format; a batch that reaches the cap ships at once.
+    fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
+        let shared = self.shared;
+        let w = to_worker as usize;
+        self.enc.clear();
+        msg.encode_into(&mut self.enc);
+        let batch = {
+            let mut ob = shared.outbound.lock().unwrap();
+            ob.staged[w].push(to.raw(), from.raw(), &self.enc);
+            ob.dirty[w] = true;
+            (ob.staged[w].len() >= shared.buffer_cap).then(|| std::mem::take(&mut ob.staged[w]))
         };
-        if let Some(a) = &shared.audit {
-            // Stage before clearing inflight: a watermark computed in
-            // between still sees either the open interval or the staged
-            // record, never neither.
-            a.buf.lock().unwrap().push(rec.clone());
-            a.inflight.store(u64::MAX, Ordering::SeqCst);
+        if let (Some(batch), Some(Some(link))) = (batch, self.links.get(w)) {
+            shared.metrics.inc(Counter::RemoteBatches);
+            let len = batch.len() as u64;
+            link.send(Message::BatchFlush { batch });
+            shared.trace.record_peer(
+                shared.rank,
+                shared.superstep.load(Ordering::Relaxed),
+                TraceEventKind::BatchFlush,
+                wall_ns(shared.epoch_ns),
+                0,
+                len,
+                to_worker,
+            );
         }
-        txns.push(rec);
     }
-    let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
-    shared.wtel.compute_ns.add(dur);
-    shared
-        .trace
-        .record(shared.rank, s, TraceEventKind::VertexExecute, t0, dur, n_in);
+
+    fn close(&mut self, v: VertexId) {
+        let (shared, start) = (self.shared, self.opened);
+        let end = shared.clock.tick();
+        if self.record_history {
+            let rec = WireTxn {
+                vertex: v.raw(),
+                start: stamp(start, shared.rank),
+                end: stamp(end, shared.rank),
+                stale: Vec::new(),
+            };
+            if let Some(a) = &shared.audit {
+                // Stage before clearing inflight: a watermark computed in
+                // between still sees either the open interval or the staged
+                // record, never neither.
+                a.buf.lock().unwrap().push(rec.clone());
+                a.inflight.store(u64::MAX, Ordering::SeqCst);
+            }
+            self.txns.push(rec);
+        }
+    }
 }
 
 /// End-of-superstep write-all: every peer that received traffic since its
@@ -1200,78 +1149,5 @@ fn flush_all(shared: &Shared, links: &[Option<PeerLink>]) -> Result<(), NetError
         }
         link.flush_fence(shared.next_fence(), FENCE_TIMEOUT)?;
     }
-    Ok(())
-}
-
-/// Result uploads, chunked to stay far under the frame cap, terminated by
-/// the goodbye marker.
-fn upload<V: WireCodec>(
-    shared: &Shared,
-    spec: &RunSpec,
-    pm: &PartitionMap,
-    my_partitions: &[PartitionId],
-    values: &[V],
-    txns: &[WireTxn],
-) -> Result<(), NetError> {
-    let mut pairs = Vec::new();
-    for &p in my_partitions {
-        for &v in pm.vertices_in(p) {
-            let mut payload = Vec::new();
-            values[v.index()].encode_into(&mut payload);
-            pairs.push((v.raw(), payload));
-        }
-    }
-    for chunk in pairs.chunks(UPLOAD_CHUNK) {
-        shared.ctrl.send(&Message::ValuesUpload {
-            values: chunk.to_vec(),
-        })?;
-    }
-    if spec.record_history {
-        for chunk in txns.chunks(UPLOAD_CHUNK) {
-            shared.ctrl.send(&Message::HistoryUpload {
-                txns: chunk.to_vec(),
-            })?;
-        }
-    }
-    // Final audit drain: compute is quiescent, so everything staged ships
-    // with a closing watermark — the coordinator's frontier stops waiting
-    // on this rank even before the goodbye lands.
-    if let Some(a) = &shared.audit {
-        let staged = std::mem::take(&mut *a.buf.lock().unwrap());
-        shared.ctrl.send(&Message::AuditUpload {
-            txns: staged,
-            watermark: u64::MAX,
-        })?;
-    }
-    let snapshot = shared.metrics.snapshot();
-    shared.ctrl.send(&Message::MetricsUpload {
-        counters: Counter::ALL.iter().map(|&c| snapshot.get(c)).collect(),
-    })?;
-    // Final telemetry frame: the coordinator's post-run aggregate (and the
-    // BENCH_net.json snapshot) must include everything up to halt.
-    shared.send_telemetry();
-    if let Some(buffer) = shared.trace.buffer() {
-        let events: Vec<WireTraceEvent> = buffer
-            .events(shared.rank as usize)
-            .into_iter()
-            .map(|e| WireTraceEvent {
-                worker: e.worker,
-                superstep: e.superstep,
-                kind: e.kind as u8,
-                ts_ns: e.ts_ns,
-                dur_ns: e.dur_ns,
-                arg: e.arg,
-                peer: e.peer.unwrap_or(u32::MAX),
-            })
-            .collect();
-        for chunk in events.chunks(UPLOAD_CHUNK) {
-            shared.ctrl.send(&Message::TraceUpload {
-                events: chunk.to_vec(),
-            })?;
-        }
-    }
-    shared.ctrl.send(&Message::ComputeDone {
-        superstep: GOODBYE_SUPERSTEP,
-    })?;
     Ok(())
 }

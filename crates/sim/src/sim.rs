@@ -2,22 +2,24 @@
 //!
 //! One OS thread walks a binary-heap event queue over virtual time. Each
 //! simulated worker machine owns `threads_per_worker` *lanes* (simulated
-//! compute threads); a lane's `Step` event claims partitions, executes one
-//! vertex program invocation (through the engine's own
-//! [`Context::external`]), or retries a blocked lock acquisition. Remote
-//! message batches travel as `Deliver` events through the [`NetModel`].
+//! compute threads); a lane's `Step` event claims partitions and follows
+//! each one's [`PartitionWalk`] — the product's own scan/acquire/release
+//! order, not a transcription of it — through one [`Cycle::run_vertex`]
+//! (the product's own vertex transaction), or retries a blocked lock
+//! acquisition. Remote message batches travel as `Deliver` events through
+//! the [`NetModel`].
 //!
 //! The synchronization techniques are the **unmodified** `sg-sync`
-//! protocol objects: the simulation drives them through
-//! [`Synchronizer::try_acquire_unit`] / `release_unit` / `end_superstep`
-//! exactly as the model checker does, and hosts their transport callbacks
-//! behind [`SimTransport`] — the fourth transport beside the in-process
-//! engine, `sg-check`'s virtual transport, and `sg-net`'s sockets.
+//! protocol objects: where the walk says acquire the simulation polls
+//! [`Synchronizer::try_acquire_unit`] and parks the lane, exactly as the
+//! model checker does, and it hosts their transport callbacks behind
+//! [`SimTransport`] — the fourth transport beside the in-process engine,
+//! `sg-check`'s virtual transport, and `sg-net`'s sockets.
 //!
-//! Fidelity notes (mirroring `sg-engine`):
+//! Fidelity notes (what the simulator's IO half shares with `sg-engine`):
 //! * local messages are visible immediately (AP model); remote messages
-//!   stage per destination worker, combine sender-side, and flush as
-//!   batches when `buffer_cap` accumulate;
+//!   stage in the engine's own [`StagingBuffers`], one per worker, combine
+//!   sender-side, and flush as batches when `buffer_cap` accumulate;
 //! * a fork/token handover performs the write-all flush of the sender's
 //!   outbound messages *synchronously* (condition C1) — in-flight batches
 //!   from that worker are applied before the handover completes;
@@ -28,15 +30,17 @@
 
 use crate::event::{EventKind, EventQueue};
 use crate::net::{NetAction, NetModel, SimTransport};
+use sg_engine::cycle::{charge_lock_wait, charge_virtual};
+use sg_engine::state::{gather_values, PartitionData};
+use sg_engine::store::{Routed, StagingBuffers};
 use sg_engine::{
-    build_synchronizer, AggregatorSet, Combiner, Context, EngineConfig, EngineError, Model,
-    Outcome, TechniqueKind, VertexProgram,
+    build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Host,
+    Model, Outcome, TechniqueKind, VertexProgram,
 };
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
 use sg_metrics::{CostModel, Counter, Metrics, ObsReport, Trace, TraceEventKind};
 use sg_serial::Recorder;
-use sg_sync::{LockGranularity, Synchronizer};
-use std::collections::{BTreeMap, HashMap};
+use sg_sync::{LockGranularity, PartitionWalk, Step, Synchronizer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -91,47 +95,16 @@ fn fnv_fold(mut h: u64, word: u64) -> u64 {
     h
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LaneState {
-    /// Done with this superstep.
-    Idle,
-    /// Claim the worker's next partition on the next step.
-    Scan,
-    /// Executing partition `p`, next vertex at `vpos`; `locked` = holds
-    /// the partition-granularity lock.
-    Run {
-        p: PartitionId,
-        vpos: u32,
-        locked: bool,
-    },
-    /// Parked waiting for partition `p`'s forks.
-    WaitPartition { p: PartitionId },
-    /// Parked waiting for vertex `vpos` of `p`'s forks.
-    WaitVertex { p: PartitionId, vpos: u32 },
-}
-
-#[derive(Clone, Copy, Debug)]
+/// One simulated compute thread: a clock, the walk of the partition it
+/// has claimed, and whether it is parked on a contended unit.
+#[derive(Clone, Copy, Debug, Default)]
 struct Lane {
     clock: u64,
-    state: LaneState,
+    /// `None` between partitions (and once the worker's claims run out).
+    walk: Option<PartitionWalk>,
+    /// The unit whose forks the lane waits for; a release re-polls it.
+    parked: Option<u32>,
     pending_step: bool,
-}
-
-/// Messages staged for one `(from, to)` worker pair, combined sender-side.
-struct StagedRun<M> {
-    /// `(recipient, sender, message)` in stage order.
-    run: Vec<(VertexId, VertexId, M)>,
-    /// recipient raw id -> index in `run`, for the sender-side combiner.
-    index: HashMap<u32, usize>,
-}
-
-impl<M> Default for StagedRun<M> {
-    fn default() -> Self {
-        Self {
-            run: Vec::new(),
-            index: HashMap::new(),
-        }
-    }
 }
 
 /// A batch in flight between two workers.
@@ -139,27 +112,28 @@ struct Batch<M> {
     from: u32,
     to: u32,
     arrival: u64,
-    entries: Vec<(VertexId, VertexId, M)>,
+    entries: Vec<Routed<M>>,
 }
 
 struct Sim<'a, P: VertexProgram> {
-    graph: Arc<Graph>,
     program: &'a P,
     combiner: Option<&'a dyn Combiner<P::Message>>,
-    pm: Arc<PartitionMap>,
+    pm: &'a PartitionMap,
     sync: Arc<dyn Synchronizer>,
     transport: SimTransport,
     cost: CostModel,
-    metrics: Arc<Metrics>,
-    trace: Trace,
-    recorder: Option<Recorder>,
-    aggs: AggregatorSet,
+    metrics: &'a Metrics,
+    trace: &'a Trace,
+    recorder: Option<&'a Recorder>,
+    aggs: &'a AggregatorSet,
     buffer_cap: usize,
     superstep: u64,
 
-    values: Vec<P::Value>,
-    halted: Vec<bool>,
+    /// Values and halt votes, per partition.
+    parts: Vec<PartitionData<P::Value>>,
+    /// Per-vertex mailboxes, and how many messages each partition's hold.
     inbox: Vec<Vec<P::Message>>,
+    queued: Vec<usize>,
 
     workers: u32,
     ppw: u32,
@@ -172,10 +146,13 @@ struct Sim<'a, P: VertexProgram> {
     /// the barrier.
     floor: Vec<u64>,
 
-    staged: BTreeMap<(u32, u32), StagedRun<P::Message>>,
+    /// Per-worker outbound staging, plus the destinations each worker has
+    /// staged for since its last write-all (so a 512-worker barrier visits
+    /// what is dirty, not a workers × workers table).
+    staging: Vec<StagingBuffers<P::Message>>,
+    dirty: Vec<Vec<u32>>,
     batches: Vec<Option<Batch<P::Message>>>,
     queue: EventQueue,
-    scratch_out: Vec<(VertexId, P::Message)>,
 
     digest: u64,
     events: u64,
@@ -226,69 +203,68 @@ pub fn simulate<P: VertexProgram>(
     let pm = Arc::new(config.partition_map(&graph)?);
     let metrics = Arc::new(Metrics::new());
     let sync = build_synchronizer(config.technique, &graph, &pm, Arc::clone(&metrics));
-    let lanes_per_worker = match sync.max_threads_per_worker() {
-        Some(k) => config.threads_per_worker.min(k).max(1),
-        None => config.threads_per_worker.max(1),
-    };
+    let lanes_per_worker = config.lanes_per_worker(&*sync);
 
     let net = opts
         .net
         .unwrap_or_else(|| NetModel::from_cost(&config.cost));
-    let trace = if config.obs.trace {
-        Trace::enabled(workers as usize, config.obs.trace_capacity)
-    } else {
-        Trace::disabled()
-    };
+    let trace = config.obs.trace_handle(workers as usize);
     let record_history = config.record_history || config.obs.audit;
     let recorder = record_history.then(|| Recorder::new(Arc::clone(&graph)));
 
     let n = graph.num_vertices() as usize;
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        values.push(program.init(VertexId::new(i as u32), &graph));
-    }
+    let parts: Vec<_> = (pm.layout().partitions())
+        .map(|p| {
+            let vertices = pm.vertices_in(p).to_vec();
+            let values = vertices.iter().map(|&v| program.init(v, &graph)).collect();
+            PartitionData::new(vertices, values)
+        })
+        .collect();
     let mut aggs = AggregatorSet::new();
     program.register_aggregators(&mut aggs);
 
+    let mut cycle = Cycle::new(Env {
+        program: &program,
+        graph: &graph,
+        pm: &pm,
+        aggregators: &aggs,
+        trace: &trace,
+        recorder: recorder.as_ref(),
+        metrics: &metrics,
+    });
     let mut sim = Sim {
-        graph,
         program: &program,
         combiner: combiner.as_deref(),
-        pm,
+        pm: &pm,
         sync,
         transport: SimTransport::new(net),
         cost: config.cost,
-        metrics,
-        trace,
-        recorder,
-        aggs,
+        metrics: &metrics,
+        trace: &trace,
+        recorder: recorder.as_ref(),
+        aggs: &aggs,
         buffer_cap: config.buffer_cap,
         superstep: 0,
-        values,
-        halted: vec![false; n],
+        queued: vec![0; parts.len()],
+        parts,
         inbox: (0..n).map(|_| Vec::new()).collect(),
         workers,
         ppw,
         lanes_per_worker,
-        lanes: vec![
-            Lane {
-                clock: 0,
-                state: LaneState::Idle,
-                pending_step: false,
-            };
-            (workers * lanes_per_worker) as usize
-        ],
+        lanes: vec![Lane::default(); (workers * lanes_per_worker) as usize],
         claim: vec![0; workers as usize],
         floor: vec![0; workers as usize],
-        staged: BTreeMap::new(),
+        staging: (0..workers)
+            .map(|_| StagingBuffers::new(workers as usize, combiner.is_some()))
+            .collect(),
+        dirty: vec![Vec::new(); workers as usize],
         batches: Vec::new(),
         queue: EventQueue::new(),
-        scratch_out: Vec::new(),
         digest: FNV_OFFSET,
         events: 0,
     };
 
-    let (converged, executed, makespan) = sim.run(config.max_supersteps)?;
+    let (converged, executed, makespan) = sim.run(&mut cycle, config.max_supersteps)?;
 
     let metrics_snapshot = sim.metrics.snapshot();
     let obs = sim.trace.buffer().map(|buf| ObsReport {
@@ -299,15 +275,15 @@ pub fn simulate<P: VertexProgram>(
         makespan_ns: makespan,
         stalled: false,
     });
-    let history = sim.recorder.take().map(|r| r.history());
+    let history = recorder.as_ref().map(Recorder::history);
     let audit = (config.obs.audit)
-        .then(|| history.as_ref().map(|h| h.summarize(&sim.graph)))
+        .then(|| history.as_ref().map(|h| h.summarize(&graph)))
         .flatten();
     let digest = fnv_fold(sim.digest, makespan);
 
     Ok(SimReport {
         outcome: Outcome {
-            values: sim.values,
+            values: gather_values(&sim.parts, n),
             supersteps: executed,
             converged,
             metrics: metrics_snapshot,
@@ -324,16 +300,20 @@ pub fn simulate<P: VertexProgram>(
 }
 
 impl<P: VertexProgram> Sim<'_, P> {
-    fn lane_idx(&self, worker: u32, lane: u32) -> usize {
-        (worker * self.lanes_per_worker + lane) as usize
-    }
-
-    fn run(&mut self, max_supersteps: u64) -> Result<(bool, u64, u64), EngineError> {
+    fn run(
+        &mut self,
+        cycle: &mut Cycle<'_, P>,
+        max_supersteps: u64,
+    ) -> Result<(bool, u64, u64), EngineError> {
         let mut executed = 0u64;
         let mut converged = false;
         let makespan;
         loop {
-            self.seed_superstep();
+            // Reset claims; wake every lane at its (barrier-leveled) clock.
+            self.claim.fill(0);
+            for li in 0..self.lanes.len() {
+                self.wake(li, 0);
+            }
             while let Some(ev) = self.queue.pop() {
                 self.events += 1;
                 let (k, payload) = ev.kind.digest_words();
@@ -341,7 +321,7 @@ impl<P: VertexProgram> Sim<'_, P> {
                 self.digest = fnv_fold(self.digest, (k << 56) | payload);
                 match ev.kind {
                     EventKind::Deliver { batch } => self.apply_batch(batch as usize),
-                    EventKind::Step { worker, lane } => self.step_lane(worker, lane, ev.at),
+                    EventKind::Step { worker, lane } => self.step_lane(cycle, worker, lane, ev.at),
                 }
             }
             if let Some(report) = self.blocked_report() {
@@ -350,8 +330,8 @@ impl<P: VertexProgram> Sim<'_, P> {
             let frontier = self.master_phase();
             executed += 1;
             let s = self.superstep;
-            let active = self.halted.iter().filter(|&&h| !h).count();
-            let pending: usize = self.inbox.iter().map(Vec::len).sum();
+            let active: usize = self.parts.iter().map(PartitionData::active_count).sum();
+            let pending: usize = self.queued.iter().sum();
             if self.program.master_halt(s, &self.aggs.view()) || (active == 0 && pending == 0) {
                 converged = true;
                 makespan = frontier;
@@ -366,22 +346,6 @@ impl<P: VertexProgram> Sim<'_, P> {
         Ok((converged, executed, makespan))
     }
 
-    /// Reset claims and wake every lane at its (barrier-leveled) clock.
-    fn seed_superstep(&mut self) {
-        for c in &mut self.claim {
-            *c = 0;
-        }
-        for w in 0..self.workers {
-            for l in 0..self.lanes_per_worker {
-                let i = self.lane_idx(w, l);
-                self.lanes[i].state = LaneState::Scan;
-                self.lanes[i].pending_step = true;
-                self.queue
-                    .push(self.lanes[i].clock, EventKind::Step { worker: w, lane: l });
-            }
-        }
-    }
-
     /// The engine's master phase: flush stragglers, rotate tokens, roll
     /// aggregators, level clocks. Returns the post-barrier frontier (the
     /// makespan so far).
@@ -389,16 +353,13 @@ impl<P: VertexProgram> Sim<'_, P> {
         let s = self.superstep;
         // Fold lane clocks into the worker machine clocks (the engine's
         // end-of-superstep `clocks.observe`).
-        for w in 0..self.workers as usize {
-            for l in 0..self.lanes_per_worker {
-                let c = self.lanes[self.lane_idx(w as u32, l)].clock;
-                self.floor[w] = self.floor[w].max(c);
-            }
+        for (li, lane) in self.lanes.iter().enumerate() {
+            let w = li / self.lanes_per_worker as usize;
+            self.floor[w] = self.floor[w].max(lane.clock);
         }
         // Deliver everything still staged (write-all at the barrier).
-        let keys: Vec<(u32, u32)> = self.staged.keys().copied().collect();
-        for (f, t) in keys {
-            self.flush_staged_sync(f, t);
+        for from in 0..self.workers {
+            self.write_all_from(from);
         }
         self.sync.end_superstep(s, &self.transport);
         self.drain_actions();
@@ -424,277 +385,89 @@ impl<P: VertexProgram> Sim<'_, P> {
         leveled
     }
 
-    /// Advance one lane: claim partitions, skip quiet vertices inline
-    /// (zero virtual cost, no event spam), execute at most one costed
-    /// vertex, then reschedule — or park on a contended lock.
-    fn step_lane(&mut self, w: u32, l: u32, now: u64) {
-        let li = self.lane_idx(w, l);
+    /// Advance one lane: claim partitions and follow each one's walk —
+    /// quiet vertices are skipped inline (zero virtual cost, no event
+    /// spam) — through at most one costed vertex, then reschedule; or park
+    /// on a contended unit.
+    fn step_lane(&mut self, cycle: &mut Cycle<'_, P>, w: u32, l: u32, now: u64) {
+        let li = (w * self.lanes_per_worker + l) as usize;
         self.lanes[li].pending_step = false;
+        let s = self.superstep;
+        let per_vertex = self.sync.granularity() == LockGranularity::Vertex;
         loop {
-            match self.lanes[li].state {
-                LaneState::Idle => return,
-                LaneState::Scan => {
-                    let k = self.claim[w as usize];
-                    if k >= self.ppw {
-                        self.lanes[li].state = LaneState::Idle;
-                        return;
-                    }
-                    self.claim[w as usize] += 1;
-                    let p = PartitionId::new(w * self.ppw + k);
-                    let has_work = self.partition_has_work(p);
-                    match self.sync.granularity() {
-                        LockGranularity::Partition => {
-                            if self.sync.unit_skippable(p.raw(), has_work) {
-                                continue;
-                            }
-                            match self.sync.try_acquire_unit(p.raw(), &self.transport) {
-                                None => {
-                                    self.drain_actions();
-                                    self.lanes[li].state = LaneState::WaitPartition { p };
-                                    return;
-                                }
-                                Some(ready) => {
-                                    self.drain_actions();
-                                    self.note_lock_wait(w, li, ready, u64::from(p.raw()));
-                                    self.lanes[li].state = LaneState::Run {
-                                        p,
-                                        vpos: 0,
-                                        locked: true,
-                                    };
-                                }
-                            }
-                        }
-                        LockGranularity::Vertex | LockGranularity::None => {
-                            if !has_work {
-                                continue;
-                            }
-                            self.lanes[li].state = LaneState::Run {
-                                p,
-                                vpos: 0,
-                                locked: false,
-                            };
-                        }
-                    }
+            let Some(walk) = &mut self.lanes[li].walk else {
+                let k = self.claim[w as usize];
+                if k >= self.ppw {
+                    return; // done with this superstep
                 }
-                LaneState::Run { p, vpos, locked } => {
-                    let Some((v, vpos)) = self.next_runnable(p, vpos) else {
-                        if locked {
-                            let end = self.lanes[li].clock;
-                            self.sync.release_unit(p.raw(), end, &self.transport);
-                            self.drain_actions();
-                            self.repoll_waiters(now);
-                        }
-                        self.lanes[li].state = LaneState::Scan;
-                        continue;
-                    };
-                    if self.sync.granularity() == LockGranularity::Vertex {
-                        match self.sync.try_acquire_unit(v.raw(), &self.transport) {
-                            None => {
-                                self.drain_actions();
-                                self.lanes[li].state = LaneState::WaitVertex { p, vpos };
-                                return;
-                            }
-                            Some(ready) => {
-                                self.drain_actions();
-                                self.note_lock_wait(w, li, ready, u64::from(v.raw()));
-                                self.execute_vertex(w, li, v);
-                                let end = self.lanes[li].clock;
-                                self.sync.release_unit(v.raw(), end, &self.transport);
-                                self.drain_actions();
-                                self.repoll_waiters(now);
-                            }
-                        }
-                    } else {
-                        self.execute_vertex(w, li, v);
-                    }
-                    self.lanes[li].state = LaneState::Run {
-                        p,
-                        vpos: vpos + 1,
-                        locked,
-                    };
-                    self.schedule_lane(w, l);
-                    return;
-                }
-                LaneState::WaitPartition { p } => {
-                    match self.sync.try_acquire_unit(p.raw(), &self.transport) {
-                        None => {
-                            self.drain_actions();
-                            return; // still parked; a release will re-poll
-                        }
-                        Some(ready) => {
-                            self.drain_actions();
-                            self.note_lock_wait(w, li, ready, u64::from(p.raw()));
-                            self.lanes[li].state = LaneState::Run {
-                                p,
-                                vpos: 0,
-                                locked: true,
-                            };
-                        }
-                    }
-                }
-                LaneState::WaitVertex { p, vpos } => {
-                    let v = self.pm.vertices_in(p)[vpos as usize];
-                    match self.sync.try_acquire_unit(v.raw(), &self.transport) {
-                        None => {
-                            self.drain_actions();
-                            return;
-                        }
-                        Some(ready) => {
-                            self.drain_actions();
-                            self.note_lock_wait(w, li, ready, u64::from(v.raw()));
-                            self.execute_vertex(w, li, v);
-                            let end = self.lanes[li].clock;
-                            self.sync.release_unit(v.raw(), end, &self.transport);
-                            self.drain_actions();
-                            self.repoll_waiters(now);
-                            self.lanes[li].state = LaneState::Run {
-                                p,
-                                vpos: vpos + 1,
-                                locked: false,
-                            };
-                            self.schedule_lane(w, l);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Next vertex of `p` at or after `vpos` that must run this superstep:
-    /// not (halted with an empty inbox), and allowed by the technique's
-    /// superstep gate. Gated vertices keep their messages and activity.
-    fn next_runnable(&self, p: PartitionId, vpos: u32) -> Option<(VertexId, u32)> {
-        let verts = self.pm.vertices_in(p);
-        let s = self.superstep;
-        for (i, &v) in verts.iter().enumerate().skip(vpos as usize) {
-            if self.halted[v.index()] && self.inbox[v.index()].is_empty() {
+                self.claim[w as usize] += 1;
+                let p = (w * self.ppw + k) as usize;
+                let has_work = self.queued[p] > 0 || self.parts[p].any_active();
+                let p = PartitionId::new(p as u32);
+                self.lanes[li].walk = Some(PartitionWalk::new(p, &*self.sync, has_work));
                 continue;
-            }
-            if !self.sync.vertex_allowed(s, v) {
-                continue;
-            }
-            return Some((v, i as u32));
-        }
-        None
-    }
-
-    /// Advance the lane clock to `ready`, tracing the blocked gap.
-    fn note_lock_wait(&mut self, w: u32, li: usize, ready: u64, unit: u64) {
-        let clock = self.lanes[li].clock;
-        let wait = ready.saturating_sub(clock);
-        if wait > 0 {
-            self.trace.record(
-                w,
-                self.superstep,
-                TraceEventKind::LockWait,
-                clock,
-                wait,
-                unit,
-            );
-            self.lanes[li].clock = ready;
-        }
-    }
-
-    fn schedule_lane(&mut self, w: u32, l: u32) {
-        let li = self.lane_idx(w, l);
-        if !self.lanes[li].pending_step {
-            self.lanes[li].pending_step = true;
-            self.queue
-                .push(self.lanes[li].clock, EventKind::Step { worker: w, lane: l });
-        }
-    }
-
-    /// Wake every parked lane: a release may have yielded the forks it
-    /// needs. Retries run at `max(now, lane clock)`.
-    fn repoll_waiters(&mut self, now: u64) {
-        for w in 0..self.workers {
-            for l in 0..self.lanes_per_worker {
-                let li = self.lane_idx(w, l);
-                if matches!(
-                    self.lanes[li].state,
-                    LaneState::WaitPartition { .. } | LaneState::WaitVertex { .. }
-                ) && !self.lanes[li].pending_step
-                {
-                    self.lanes[li].pending_step = true;
-                    self.queue.push(
-                        now.max(self.lanes[li].clock),
-                        EventKind::Step { worker: w, lane: l },
-                    );
+            };
+            let p = walk.partition().index();
+            let (part, inbox) = (&self.parts[p], &self.inbox);
+            let awake = |i, v: VertexId| !part.halted(i) || !inbox[v.index()].is_empty();
+            match walk.next(&*self.sync, s, self.pm.vertices_in(walk.partition()), awake) {
+                Step::Done => self.lanes[li].walk = None,
+                Step::Acquire(unit) => {
+                    let got = self.sync.try_acquire_unit(unit, &self.transport);
+                    if got.is_some() {
+                        walk.granted();
+                    }
+                    self.lanes[li].parked = got.is_none().then_some(unit);
+                    self.drain_actions();
+                    let Some(ready) = got else {
+                        return; // parked; a release will re-poll
+                    };
+                    charge_lock_wait(self.trace, w, s, &mut self.lanes[li].clock, ready, unit);
+                }
+                Step::Run { local, v } => {
+                    let entered = self.lanes[li].clock;
+                    let mut host = LaneHost { sim: self, w, p };
+                    let counts = cycle.run_vertex(&mut host, s, w, entered, local, v);
+                    let clock = &mut self.lanes[li].clock;
+                    charge_virtual(&self.cost, self.trace, w, s, clock, counts);
+                    // One costed vertex per event — plus, when the unit
+                    // was acquired for this vertex alone, its release.
+                    if !per_vertex {
+                        break;
+                    }
+                }
+                Step::Release(unit) => {
+                    let end = self.lanes[li].clock;
+                    self.sync.release_unit(unit, end, &self.transport);
+                    self.drain_actions();
+                    // It may have yielded the forks a parked lane needs.
+                    for other in 0..self.lanes.len() {
+                        if self.lanes[other].parked.is_some() {
+                            self.wake(other, now);
+                        }
+                    }
+                    if per_vertex {
+                        break;
+                    }
                 }
             }
         }
+        self.wake(li, 0);
     }
 
-    fn partition_has_work(&self, p: PartitionId) -> bool {
-        self.pm
-            .vertices_in(p)
-            .iter()
-            .any(|v| !self.halted[v.index()] || !self.inbox[v.index()].is_empty())
-    }
-
-    /// One vertex program invocation on lane `li` of worker `w`.
-    fn execute_vertex(&mut self, w: u32, li: usize, v: VertexId) {
-        let idx = v.index();
-        let msgs = std::mem::take(&mut self.inbox[idx]);
-        let n_in = msgs.len() as u64;
-        let s = self.superstep;
-        let start = self.lanes[li].clock;
-        let guard = self.recorder.as_ref().map(|r| r.begin(v));
-
-        let mut outgoing = std::mem::take(&mut self.scratch_out);
-        let program = self.program;
-        let halt = {
-            let mut ctx = Context::<P>::external(
-                v,
-                s,
-                w,
-                &self.graph,
-                &mut self.values[idx],
-                &mut outgoing,
-                &self.aggs,
-                &self.trace,
-                start,
-            );
-            program.compute(&mut ctx, &msgs);
-            ctx.halted()
-        };
-        self.halted[idx] = halt;
-
-        let n_out = outgoing.len() as u64;
-        for (to, msg) in outgoing.drain(..) {
-            if let Some(r) = &self.recorder {
-                r.on_send(v, to);
-            }
-            let tw = self.pm.worker_of(to).raw();
-            if tw == w {
-                self.metrics.inc(Counter::LocalMessages);
-                self.local_deliver(v, to, msg);
-            } else {
-                self.metrics.inc(Counter::RemoteMessages);
-                self.stage_remote(w, tw, v, to, msg);
-            }
+    /// Schedule lane `li`'s next step at `max(at, its clock)`, unless one
+    /// is already queued.
+    fn wake(&mut self, li: usize, at: u64) {
+        let lane = &mut self.lanes[li];
+        if !std::mem::replace(&mut lane.pending_step, true) {
+            let (li, lpw) = (li as u32, self.lanes_per_worker);
+            let (worker, lane_no) = (li / lpw, li % lpw);
+            let step = EventKind::Step {
+                worker,
+                lane: lane_no,
+            };
+            self.queue.push(at.max(lane.clock), step);
         }
-        self.scratch_out = outgoing;
-
-        if let (Some(r), Some(g)) = (self.recorder.as_ref(), guard) {
-            r.end(g);
-        }
-        let cost = self.cost.vertex_cost(n_in, n_out);
-        self.trace
-            .record(w, s, TraceEventKind::VertexExecute, start, cost, n_in);
-        self.lanes[li].clock = start + cost;
-        if n_out > 0 {
-            self.trace.record(
-                w,
-                s,
-                TraceEventKind::MessageSend,
-                self.lanes[li].clock,
-                0,
-                n_out,
-            );
-        }
-        self.metrics.inc(Counter::VertexExecutions);
     }
 
     /// Insert into a vertex's inbox, applying the combiner (at most one
@@ -706,56 +479,28 @@ impl<P: VertexProgram> Sim<'_, P> {
                 let old = slot.pop().expect("non-empty");
                 slot.push(c.combine(old, msg));
             }
-            _ => slot.push(msg),
+            _ => {
+                slot.push(msg);
+                self.queued[self.pm.partition_of(to).index()] += 1;
+            }
         }
         if let Some(r) = &self.recorder {
             r.on_visible(sender, to);
         }
     }
 
-    fn local_deliver(&mut self, sender: VertexId, to: VertexId, msg: P::Message) {
-        self.inbox_insert(sender, to, msg);
-    }
-
-    /// Stage a remote message, sender-side combining per recipient; flush
-    /// as a wire batch when the staged run reaches `buffer_cap`.
-    fn stage_remote(
-        &mut self,
-        from: u32,
-        to_w: u32,
-        sender: VertexId,
-        to: VertexId,
-        msg: P::Message,
-    ) {
-        let run = self.staged.entry((from, to_w)).or_default();
-        if let Some(c) = self.combiner {
-            if let Some(&i) = run.index.get(&to.raw()) {
-                let entry = &mut run.run[i];
-                entry.1 = sender;
-                let old = entry.2.clone();
-                entry.2 = c.combine(old, msg);
-                self.metrics.inc(Counter::SenderCombines);
-                return;
-            }
-            run.index.insert(to.raw(), run.run.len());
-        }
-        run.run.push((to, sender, msg));
-        if run.run.len() >= self.buffer_cap {
-            self.flush_staged_wire(from, to_w);
-        }
-    }
-
-    /// Ship the staged `(from, to)` run as an in-flight batch: the sender
-    /// machine pays assembly overhead, the batch arrives after the link's
-    /// latency plus its bandwidth term.
-    fn flush_staged_wire(&mut self, from: u32, to: u32) {
-        let Some(run) = self.staged.remove(&(from, to)) else {
-            return;
-        };
-        if run.run.is_empty() {
+    /// Ship the staged `(from, to)` run as one batch: the sender machine
+    /// pays assembly overhead, the batch arrives after the link's latency
+    /// plus its bandwidth term. On the write-all path (fork handovers, the
+    /// barrier) it is applied immediately — the receiver's machine clock
+    /// still joins the simulated arrival instant; otherwise it travels as
+    /// a `Deliver` event.
+    fn flush_staged(&mut self, from: u32, to: u32, write_all: bool) {
+        let entries = std::mem::take(self.staging[from as usize].take_run(to as usize));
+        if entries.is_empty() {
             return;
         }
-        let n = run.run.len() as u64;
+        let n = entries.len() as u64;
         self.metrics.inc(Counter::StagingFlushes);
         self.metrics.inc(Counter::RemoteBatches);
         self.floor[from as usize] += self.cost.batch_overhead_ns;
@@ -770,59 +515,49 @@ impl<P: VertexProgram> Sim<'_, P> {
             n,
             to,
         );
-        let arrival = send_t + lat;
-        let id = self.batches.len();
-        self.batches.push(Some(Batch {
+        let batch = Batch {
             from,
             to,
-            arrival,
-            entries: run.run,
-        }));
-        self.queue
-            .push(arrival, EventKind::Deliver { batch: id as u32 });
-    }
-
-    /// Flush the staged `(from, to)` run and apply it immediately — the
-    /// write-all path (fork handovers, barrier). The receiver's machine
-    /// clock still joins the simulated arrival instant.
-    fn flush_staged_sync(&mut self, from: u32, to: u32) {
-        let Some(run) = self.staged.remove(&(from, to)) else {
-            return;
+            arrival: send_t + lat,
+            entries,
         };
-        if run.run.is_empty() {
-            return;
-        }
-        let n = run.run.len() as u64;
-        self.metrics.inc(Counter::StagingFlushes);
-        self.metrics.inc(Counter::RemoteBatches);
-        self.floor[from as usize] += self.cost.batch_overhead_ns;
-        let send_t = self.floor[from as usize];
-        let lat = self.transport.net().batch_latency_ns(from, to, n);
-        self.trace.record_peer(
-            from,
-            self.superstep,
-            TraceEventKind::BatchFlush,
-            send_t,
-            lat,
-            n,
-            to,
-        );
-        let arrival = send_t + lat;
-        self.floor[to as usize] = self.floor[to as usize].max(arrival);
-        for (to_v, sender, m) in run.run {
-            self.inbox_insert(sender, to_v, m);
+        if write_all {
+            self.apply(batch);
+        } else {
+            self.queue.push(
+                batch.arrival,
+                EventKind::Deliver {
+                    batch: self.batches.len() as u32,
+                },
+            );
+            self.batches.push(Some(batch));
         }
     }
 
-    /// A `Deliver` event fired: apply the batch (unless a write-all flush
-    /// already applied it early) and join the receiver's clock.
-    fn apply_batch(&mut self, id: usize) {
-        let Some(b) = self.batches[id].take() else {
-            return;
-        };
+    /// Write-all of everything worker `from` has staged, in ascending
+    /// destination order (the order replay determinism is pinned to); a
+    /// destination listed twice, or already flushed, flushes nothing.
+    fn write_all_from(&mut self, from: u32) {
+        let mut dests = std::mem::take(&mut self.dirty[from as usize]);
+        dests.sort_unstable();
+        for to in dests {
+            self.flush_staged(from, to, true);
+        }
+    }
+
+    /// Join the receiver's clock with the batch's arrival and deliver it.
+    fn apply(&mut self, b: Batch<P::Message>) {
         self.floor[b.to as usize] = self.floor[b.to as usize].max(b.arrival);
         for (to_v, sender, m) in b.entries {
             self.inbox_insert(sender, to_v, m);
+        }
+    }
+
+    /// A `Deliver` event fired: apply the batch, unless a write-all flush
+    /// already applied it early.
+    fn apply_batch(&mut self, id: usize) {
+        if let Some(b) = self.batches[id].take() {
+            self.apply(b);
         }
     }
 
@@ -849,15 +584,7 @@ impl<P: VertexProgram> Sim<'_, P> {
             match a {
                 NetAction::Transfer { from, to, unit } => {
                     self.apply_in_flight_from(from);
-                    let outs: Vec<u32> = self
-                        .staged
-                        .keys()
-                        .filter(|(f, _)| *f == from)
-                        .map(|(_, t)| *t)
-                        .collect();
-                    for t in outs {
-                        self.flush_staged_sync(from, t);
-                    }
+                    self.write_all_from(from);
                     let ring = self.sync.granularity() == LockGranularity::None;
                     let net = *self.transport.net();
                     let (kind, lat) = if ring {
@@ -895,44 +622,70 @@ impl<P: VertexProgram> Sim<'_, P> {
         }
     }
 
-    /// After the event queue drains, every lane must be `Idle`; a parked
-    /// lane means the protocol deadlocked (which Chandy–Misra hygiene
-    /// should make impossible — report the wait-for edges if it happens).
+    /// After the event queue drains no lane may still be parked: that
+    /// means the protocol deadlocked (which Chandy–Misra hygiene should
+    /// make impossible — report the wait-for edges if it happens).
     fn blocked_report(&self) -> Option<String> {
-        let mut stuck = Vec::new();
-        for w in 0..self.workers {
-            for l in 0..self.lanes_per_worker {
-                let li = self.lane_idx(w, l);
-                let unit = match self.lanes[li].state {
-                    LaneState::WaitPartition { p } => Some(p.raw()),
-                    LaneState::WaitVertex { p, vpos } => {
-                        Some(self.pm.vertices_in(p)[vpos as usize].raw())
-                    }
-                    LaneState::Idle => None,
-                    // Scan/Run with no pending event cannot happen: those
-                    // states always reschedule before returning.
-                    _ => Some(u32::MAX),
-                };
-                if let Some(u) = unit {
-                    let waiting = if u == u32::MAX {
-                        Vec::new()
-                    } else {
-                        self.sync.unit_waiting_on(u)
-                    };
-                    stuck.push(format!(
-                        "worker {w} lane {l}: unit {u} waits on {waiting:?}"
-                    ));
-                }
-            }
-        }
-        if stuck.is_empty() {
-            None
-        } else {
-            Some(format!(
+        let stuck: Vec<String> = (self.lanes.iter().enumerate())
+            .filter_map(|(i, lane)| {
+                let (u, lpw) = (lane.parked?, self.lanes_per_worker as usize);
+                let waiting = self.sync.unit_waiting_on(u);
+                Some(format!(
+                    "worker {} lane {}: unit {u} waits on {waiting:?}",
+                    i / lpw,
+                    i % lpw
+                ))
+            })
+            .collect();
+        (!stuck.is_empty()).then(|| {
+            format!(
                 "simulation deadlock in superstep {}: {}",
                 self.superstep,
                 stuck.join("; ")
-            ))
+            )
+        })
+    }
+}
+
+/// The simulator's side of one vertex transaction: worker `w` executing
+/// a vertex of partition `p`.
+struct LaneHost<'s, 'a, P: VertexProgram> {
+    sim: &'s mut Sim<'a, P>,
+    w: u32,
+    p: usize,
+}
+
+impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
+    fn drain(&mut self, _local: usize, v: VertexId, into: &mut Vec<P::Message>) {
+        into.append(&mut self.sim.inbox[v.index()]);
+        self.sim.queued[self.p] -= into.len();
+    }
+
+    fn value_mut(&mut self, local: usize, _v: VertexId) -> &mut P::Value {
+        &mut self.sim.parts[self.p].values[local]
+    }
+
+    fn commit(&mut self, local: usize, _v: VertexId, halt: bool) {
+        self.sim.parts[self.p].set_halted(local, halt);
+    }
+
+    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message) {
+        self.sim.inbox_insert(from, to, msg);
+    }
+
+    /// Stage, combining sender-side; flush as a wire batch when the staged
+    /// run reaches `buffer_cap`.
+    fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
+        let (sim, w) = (&mut *self.sim, self.w as usize);
+        let (grew, staged) =
+            sim.staging[w].stage(to_worker as usize, (to, from, msg), sim.combiner);
+        if !grew {
+            sim.metrics.inc(Counter::SenderCombines);
+        } else if staged == 1 {
+            sim.dirty[w].push(to_worker);
+        }
+        if staged >= sim.buffer_cap {
+            sim.flush_staged(self.w, to_worker, false);
         }
     }
 }

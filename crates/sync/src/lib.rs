@@ -29,16 +29,21 @@
 //!
 //! Engines drive a technique through the [`Synchronizer`] trait and provide
 //! a [`SyncTransport`] so the technique can trigger the C1 flushes and
-//! charge virtual time for its network traffic.
+//! charge virtual time for its network traffic. The order in which the
+//! trait's methods are called around a partition's vertices — the calling
+//! contract C1 and C2 rest on — is written once, as [`PartitionWalk`];
+//! every host (threads, sockets, the event loop) asks it what comes next.
 
 pub mod bsp_lock;
 pub mod chandy_misra;
 pub mod technique;
 pub mod token;
 pub mod transport;
+pub mod walk;
 
 pub use bsp_lock::BspVertexLock;
 pub use chandy_misra::{ForkSnapshot, ForkTable};
 pub use technique::{LockGranularity, NoSync, PartitionLock, Synchronizer, VertexLock};
 pub use token::{DualLayerToken, SingleLayerToken};
 pub use transport::{NoopTransport, SyncTransport};
+pub use walk::{PartitionWalk, Step};

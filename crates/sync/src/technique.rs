@@ -1,7 +1,9 @@
 //! The [`Synchronizer`] abstraction and the two distributed-locking
 //! techniques.
 //!
-//! An engine in *serializable mode* drives its technique at four points:
+//! A host in *serializable mode* drives its technique at four points —
+//! the first, second and fourth in the order [`crate::PartitionWalk`]
+//! dictates, which is the one place that order is written:
 //!
 //! 1. [`Synchronizer::vertex_allowed`] — token techniques gate which
 //!    vertices may execute in a superstep (only a subset executes per

@@ -575,26 +575,81 @@ fn all_four_techniques_color_properly_and_serializably_over_tcp() {
 #[test]
 fn token_techniques_match_the_in_process_engine_exactly() {
     // Token passing with one compute thread per worker is deterministic:
-    // cross-worker neighbor reads are token-serialized, so the networked
-    // run must reproduce the in-process engine's values bit for bit.
-    let g = gen::paper_c4();
-    let parts: Vec<PartitionId> = c4_assignment().into_iter().map(PartitionId::new).collect();
-    for technique in [Technique::SingleToken, Technique::DualToken] {
-        let wire = cluster(&g, technique, Workload::Coloring);
-        let local = Runner::new(g.clone())
-            .workers(2)
-            .partitions_per_worker(1)
-            .threads_per_worker(1)
-            .technique(technique)
-            .explicit_partitions(parts.clone())
-            .run_coloring()
-            .expect("in-process run");
-        assert_eq!(
-            wire.typed_values::<u32>(),
-            local.values,
-            "{technique:?}: networked and in-process colorings diverged"
-        );
-        assert_eq!(wire.converged, local.converged);
+    // cross-worker neighbor reads are token-serialized. So the three hosts
+    // of the one superstep cycle — thread engine, simulator, cluster —
+    // must agree bit for bit on values, supersteps and every message
+    // counter, and the two virtual-time hosts on the makespan to the
+    // nanosecond. The expected numbers were measured before the hosts
+    // shared that cycle, when each still hand-wrote its own loop.
+    let cases = [
+        (
+            gen::paper_c4(),
+            c4_assignment(),
+            [5, 9, 4, 4, 2],
+            12_542_280,
+        ),
+        (
+            gen::grid(6, 6),
+            (0..36).map(|v| (v / 3) % 2).collect(),
+            [5, 105, 108, 12, 2],
+            12_556_560,
+        ),
+    ];
+    let tally = |supersteps: u64, m: &serigraph::sg_metrics::MetricsSnapshot| {
+        [
+            supersteps,
+            m.vertex_executions,
+            m.local_messages,
+            m.remote_messages,
+            m.remote_batches,
+        ]
+    };
+    for (g, assignment, counts, makespan_ns) in cases {
+        for technique in [Technique::SingleToken, Technique::DualToken] {
+            let config = EngineConfig {
+                workers: 2,
+                partitions_per_worker: Some(1),
+                threads_per_worker: 1,
+                technique,
+                explicit_partitions: Some(
+                    assignment.iter().map(|&p| PartitionId::new(p)).collect(),
+                ),
+                ..EngineConfig::default()
+            };
+            let graph = Arc::new(g.clone());
+            let local = Engine::new(Arc::clone(&graph), GreedyColoring, config.clone())
+                .expect("engine config")
+                .run();
+            let sim = simulate(graph, GreedyColoring, None, &config, &SimOptions::default())
+                .expect("sim config")
+                .outcome;
+            let mut cfg = ClusterConfig::new(2, technique, Workload::Coloring);
+            cfg.partitions_per_worker = 1;
+            cfg.explicit_partitions = Some(assignment.clone());
+            let wire = run_cluster(&g, &cfg).expect("cluster run");
+
+            let at = format!("{technique:?} on {} vertices", g.num_vertices());
+            assert!(local.converged && sim.converged && wire.converged, "{at}");
+            assert_eq!(sim.values, local.values, "{at}: sim vs engine values");
+            assert_eq!(
+                wire.typed_values::<u32>(),
+                local.values,
+                "{at}: networked and in-process colorings diverged"
+            );
+            assert_eq!(
+                tally(local.supersteps, &local.metrics),
+                counts,
+                "{at}: engine"
+            );
+            assert_eq!(tally(sim.supersteps, &sim.metrics), counts, "{at}: sim");
+            assert_eq!(
+                tally(wire.supersteps, &wire.metrics),
+                counts,
+                "{at}: cluster"
+            );
+            assert_eq!(local.makespan_ns, makespan_ns, "{at}: engine makespan");
+            assert_eq!(sim.makespan_ns, makespan_ns, "{at}: sim makespan");
+        }
     }
 }
 

@@ -90,44 +90,51 @@ fn superstep_deltas_reconstruct_totals() {
 
 /// The trace buffer records the structural events every AP locking run
 /// must produce, stamped within the run's virtual-time span, and the
-/// per-worker breakdown accounts busy/blocked/idle against the makespan.
+/// per-worker breakdown accounts busy/blocked/idle against the makespan —
+/// exactly, however many compute lanes a worker runs: a worker's row is
+/// the row of the lane whose clock it adopted, so two lanes blocked on
+/// forks over the same virtual interval are not summed.
 #[test]
 fn trace_events_and_breakdown_are_consistent() {
     let workers = 4;
-    let out = Runner::new(gen::datasets::or_sim(256))
-        .workers(workers)
-        .technique(Technique::PartitionLock)
-        .observability(instrumented())
-        .run_coloring()
-        .expect("config");
-    assert!(out.converged);
-    let obs = out.obs.expect("report");
+    for threads in [1, 2, 4] {
+        let out = Runner::new(gen::datasets::or_sim(256))
+            .workers(workers)
+            .threads_per_worker(threads)
+            .technique(Technique::PartitionLock)
+            .observability(instrumented())
+            .run_coloring()
+            .expect("config");
+        assert!(out.converged);
+        let obs = out.obs.expect("report");
 
-    let buf = obs.trace.as_ref().expect("trace enabled");
-    let events = buf.all_events();
-    assert!(!events.is_empty());
-    let mut saw = [false; 3];
-    for e in &events {
-        assert!(e.worker < workers, "worker id in range");
-        assert!(e.ts_ns <= obs.makespan_ns, "event within the run's span");
-        match e.kind {
-            TraceEventKind::VertexExecute => saw[0] = true,
-            TraceEventKind::ForkTransfer => saw[1] = true,
-            TraceEventKind::BarrierWait => saw[2] = true,
-            _ => {}
+        let buf = obs.trace.as_ref().expect("trace enabled");
+        let events = buf.all_events();
+        assert!(!events.is_empty());
+        let mut saw = [false; 3];
+        for e in &events {
+            assert!(e.worker < workers, "worker id in range");
+            assert!(e.ts_ns <= obs.makespan_ns, "event within the run's span");
+            match e.kind {
+                TraceEventKind::VertexExecute => saw[0] = true,
+                TraceEventKind::ForkTransfer => saw[1] = true,
+                TraceEventKind::BarrierWait => saw[2] = true,
+                _ => {}
+            }
         }
-    }
-    assert!(saw[0], "vertex_execute events recorded");
-    assert!(saw[1], "fork_transfer events recorded");
-    assert!(saw[2], "barrier_wait events recorded");
+        assert!(saw[0], "vertex_execute events recorded");
+        assert!(saw[1], "fork_transfer events recorded");
+        assert!(saw[2], "barrier_wait events recorded");
 
-    assert_eq!(obs.per_worker.len() as u32, workers);
-    for b in &obs.per_worker {
-        assert!(b.busy_ns > 0, "every worker computed something");
-        assert!(
-            b.busy_ns + b.blocked_ns + b.idle_ns <= obs.makespan_ns,
-            "accounted time fits in the makespan"
-        );
+        assert_eq!(obs.per_worker.len() as u32, workers);
+        for b in &obs.per_worker {
+            assert!(b.busy_ns > 0, "every worker computed something");
+            assert!(
+                b.busy_ns + b.blocked_ns + b.idle_ns <= obs.makespan_ns,
+                "{threads} threads: accounted time fits in the makespan"
+            );
+            assert_eq!(b.accounting_error_ns, 0, "{threads} threads per worker");
+        }
     }
 }
 
