@@ -10,10 +10,11 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, all targets, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== one superstep cycle: one compute call site (cycle.rs), no hand-written scan in any host =="
-hosts="crates/engine/src crates/net/src crates/sim/src"
+echo "== one superstep cycle: one compute call site (cycle.rs), no hand-written scan in any host, one transport queue, one technique table =="
+hosts="crates/engine/src crates/net/src crates/sim/src crates/check/src"
 [ "$(grep -rn '\.compute(&mut' $hosts | cut -d: -f1)" = crates/engine/src/cycle.rs ]
 if grep -rnE 'vertex_allowed\(|unit_skippable\(' $hosts; then exit 1; fi
+if grep -rnE 'enum (NetAction|TransportEvent|CheckTechnique)' crates | grep -v '^crates/sync/src/transport.rs:'; then exit 1; fi
 
 echo "== tier-1: release build + root test suite =="
 cargo build --release

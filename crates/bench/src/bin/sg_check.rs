@@ -9,36 +9,47 @@
 //! sg-check replay <counterexample.json> [--trace <file>]
 //! ```
 //!
-//! `explore` drives every protocol event (acquire, compute, release,
-//! barrier, token delivery) through a virtual transport and checks C1/C2,
-//! serialization-graph acyclicity, token liveness, and deadlock-freedom at
-//! every explored state. A violation writes a replayable counterexample
+//! `explore` schedules every protocol event (acquire, compute, release,
+//! barrier, token delivery) of the real `sg-sync` techniques and checks
+//! C1/C2, serialization-graph acyclicity, token liveness, and
+//! deadlock-freedom at every explored state. A violation writes a replayable counterexample
 //! and exits 3. `replay` re-runs a counterexample's decision log and
 //! confirms the violation reproduces. `--trace` exports a Chrome trace
 //! readable by `sg-trace analyze`.
 //!
-//! Exit codes: 0 clean, 1 usage, 2 malformed input, 3 violation.
+//! Exit codes: 0 clean, 1 usage, 2 malformed input (or a technique the
+//! model cannot host), 3 violation.
 
+use sg_bench::cli::{self, Flag};
 use sg_bench::sgcheck::{run_explore, run_replay};
 use sg_bench::sgtrace::{CliError, EXIT_MALFORMED, EXIT_USAGE};
-use sg_core::sg_check::{CheckTechnique, ExploreConfig, FaultPlan, GraphSpec, StrategyKind};
+use sg_core::sg_check::{
+    ConfigError, ExploreConfig, FaultPlan, GraphSpec, StrategyKind, TechniqueKind,
+};
 use std::process::ExitCode;
 
-const USAGE: &str = "sg-check — schedule exploration for the synchronization techniques
+fn usage_text() -> String {
+    let techniques: Vec<&str> = TechniqueKind::ALL.iter().map(|t| t.label()).collect();
+    format!(
+        "sg-check — schedule exploration for the synchronization techniques
 
 USAGE:
-    sg-check explore --technique <none|single-token|dual-token|vertex-lock|partition-lock>
+    sg-check explore --technique <TECHNIQUE>
                      [--strategy <random|dfs|adversary>] [--seed N] [--graph SPEC]
                      [--workers N] [--ppw N] [--supersteps N] [--episodes N]
                      [--max-depth N] [--max-events N] [--broken-ring SUPERSTEP]
                      [--out FILE] [--trace FILE]
     sg-check replay <counterexample.json> [--trace FILE]
 
-Graph specs: ring:<n>, complete:<n>, grid:<r>x<c>, paper-c4.
+Techniques: {}.
+Graph specs: ring:<n>, complete:<n>, grid:<r>x<c>, er:<n>:<m>:<seed>, paper-c4.
 --broken-ring S injects a lost-token fault into superstep S's ring pass
 (regression-testing the checker itself).
 
-Exit codes: 0 clean, 1 usage, 2 malformed input, 3 violation found.";
+Exit codes: 0 clean, 1 usage, 2 malformed input, 3 violation found.",
+        techniques.join(", ")
+    )
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,27 +68,22 @@ fn main() -> ExitCode {
 fn usage(message: &str) -> CliError {
     CliError {
         code: EXIT_USAGE,
-        message: format!("{message}\n\n{USAGE}"),
+        message: format!("{message}\n\n{}", usage_text()),
     }
 }
 
 /// The engine runs more techniques than the checker models. When someone
-/// asks to explore one of those, say *why* it is outside the model (a
+/// asks to explore one of those, say *why* it is outside the model (the
 /// typed `not modelable` diagnostic, exit 2) instead of pretending the
-/// name is unknown.
-fn bad_technique(v: &str) -> CliError {
-    use sg_core::{model_coverage, ModelCoverage, Technique};
-    for t in [Technique::PartitionLockNoSkip, Technique::BspVertexLock] {
-        if let ModelCoverage::NotModelable { technique, reason } = model_coverage(t) {
-            if technique == v {
-                return CliError {
-                    code: EXIT_MALFORMED,
-                    message: format!("technique {v:?} is not modelable: {reason}"),
-                };
-            }
-        }
+/// name is unknown; everything else the model refuses is a usage error.
+fn bad_config(e: ConfigError) -> CliError {
+    match e {
+        ConfigError::NotModelable { .. } => CliError {
+            code: EXIT_MALFORMED,
+            message: e.to_string(),
+        },
+        _ => usage(&e.to_string()),
     }
-    usage(&format!("unknown technique {v:?}"))
 }
 
 fn run(args: &[String]) -> Result<(String, i32), CliError> {
@@ -108,30 +114,32 @@ fn run(args: &[String]) -> Result<(String, i32), CliError> {
                 return Err(usage(&format!("unexpected argument {extra:?}")));
             }
             let mut technique = None;
-            let mut cfg = ExploreConfig::smoke(CheckTechnique::SingleToken);
+            let mut cfg = ExploreConfig::smoke(TechniqueKind::SingleToken);
             let mut out = None;
             let mut trace = None;
             for (flag, value) in &flags {
                 let v = value.as_deref().unwrap_or("");
                 match flag.as_str() {
                     "technique" => {
-                        technique = Some(CheckTechnique::parse(v).ok_or_else(|| bad_technique(v))?);
+                        technique = Some(
+                            TechniqueKind::from_label(v)
+                                .ok_or_else(|| usage(&format!("unknown technique {v:?}")))?,
+                        );
                     }
                     "strategy" => {
                         cfg.strategy = StrategyKind::parse(v)
                             .ok_or_else(|| usage(&format!("unknown strategy {v:?}")))?;
                     }
                     "graph" => {
-                        cfg.graph = GraphSpec::parse(v)
-                            .ok_or_else(|| usage(&format!("bad graph spec {v:?}")))?;
+                        cfg.graph = GraphSpec::parse(v).map_err(|e| usage(&e))?;
                     }
                     "seed" => cfg.seed = parse_num(flag, v)?,
-                    "workers" => cfg.workers = parse_num(flag, v)? as u32,
-                    "ppw" => cfg.ppw = parse_num(flag, v)? as u32,
+                    "workers" => cfg.workers = parse_num(flag, v)?,
+                    "ppw" => cfg.ppw = parse_num(flag, v)?,
                     "supersteps" => cfg.supersteps = parse_num(flag, v)?,
-                    "episodes" => cfg.episodes = parse_num(flag, v)? as usize,
-                    "max-depth" => cfg.max_depth = parse_num(flag, v)? as usize,
-                    "max-events" => cfg.max_events = parse_num(flag, v)? as usize,
+                    "episodes" => cfg.episodes = parse_num(flag, v)?,
+                    "max-depth" => cfg.max_depth = parse_num(flag, v)?,
+                    "max-events" => cfg.max_events = parse_num(flag, v)?,
                     "broken-ring" => {
                         cfg.fault = FaultPlan::DropDelayedTokenPass {
                             superstep: parse_num(flag, v)?,
@@ -146,16 +154,7 @@ fn run(args: &[String]) -> Result<(String, i32), CliError> {
                 return Err(usage("explore requires --technique"));
             };
             cfg.technique = technique;
-            if cfg.workers == 0 || cfg.ppw == 0 {
-                return Err(usage("--workers and --ppw must be positive"));
-            }
-            if matches!(cfg.fault, FaultPlan::DropDelayedTokenPass { .. })
-                && !technique.uses_global_token()
-            {
-                return Err(usage(&format!(
-                    "--broken-ring needs a token-ring technique, not {technique}"
-                )));
-            }
+            cfg.validate().map_err(bad_config)?;
             let cmd_out = run_explore(&cfg, out.as_deref(), trace.as_deref())?;
             Ok((cmd_out.text, cmd_out.code))
         }
@@ -178,46 +177,18 @@ fn run(args: &[String]) -> Result<(String, i32), CliError> {
             let cmd_out = run_replay(&text, trace.as_deref())?;
             Ok((cmd_out.text, cmd_out.code))
         }
-        "--help" | "-h" | "help" => Ok((format!("{USAGE}\n"), 0)),
+        "--help" | "-h" | "help" => Ok((format!("{}\n", usage_text()), 0)),
         other => Err(usage(&format!("unknown subcommand {other:?}"))),
     }
 }
 
-fn parse_num(flag: &str, v: &str) -> Result<u64, CliError> {
+/// An integer flag value that fits the field it is for (`--workers
+/// 4294967298` is an error, not 2).
+fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
     v.parse()
-        .map_err(|_| usage(&format!("--{flag} needs an integer, got {v:?}")))
+        .map_err(|_| usage(&format!("--{flag} needs an integer in range, got {v:?}")))
 }
 
-/// A parsed `--flag` with its value, when the flag takes one.
-type Flag = (String, Option<String>);
-
-/// Split argv into positionals and `--flag [value]` pairs. Only the flags
-/// named in `value_flags` consume the next token.
 fn split_args(args: &[String], value_flags: &[&str]) -> Result<(Vec<String>, Vec<Flag>), CliError> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if name.is_empty() {
-                return Err(usage("stray --"));
-            }
-            let value = if value_flags.contains(&name) {
-                i += 1;
-                Some(
-                    args.get(i)
-                        .ok_or_else(|| usage(&format!("--{name} needs a value")))?
-                        .clone(),
-                )
-            } else {
-                None
-            };
-            flags.push((name.to_owned(), value));
-        } else {
-            positional.push(a.clone());
-        }
-        i += 1;
-    }
-    Ok((positional, flags))
+    cli::split_args(args, value_flags).map_err(|m| usage(&m))
 }

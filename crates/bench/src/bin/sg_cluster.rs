@@ -51,14 +51,17 @@
 use sg_bench::json::Json;
 use sg_bench::{emit_obs, BenchLog};
 use sg_core::sg_algos::validate;
-use sg_core::sg_graph::{gen, Graph, VertexId};
+use sg_core::sg_graph::{gen, Graph, GraphSpec, VertexId};
 use sg_core::sg_net::{self, http_get, parse_fault_plan, FaultPlan, SpawnMode, Workload};
 use sg_core::{NetworkOptions, Runner, Technique};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
-const USAGE: &str = "sg-cluster — multi-process cluster runs of the synchronization techniques
+fn usage_text() -> String {
+    let techniques: Vec<&str> = Technique::ALL.iter().map(|t| t.label()).collect();
+    format!(
+        "sg-cluster — multi-process cluster runs of the synchronization techniques
 
 USAGE:
     sg-cluster run [--workers N] [--ppw N] [--technique LABEL] [--workload W]
@@ -71,11 +74,11 @@ USAGE:
     sg-cluster top --addr ADDR [--once] [--interval-ms N] [--raw] [--json]
     sg-cluster audit --addr ADDR [--once] [--interval-ms N]
 
-    techniques: none single-token dual-token vertex-lock partition-lock
+    techniques: {}
     workloads:  coloring (default) | wcc | sssp (--source picks the root)
                 | mis | pagerank (--threshold picks the residual cutoff)
-    graphs:     ring:N | grid:R:C | paper-c4 | complete:N | er:N:M:SEED
-                (default grid:8:8)
+    graphs:     ring:N | grid:R:C (or grid:RxC) | paper-c4 | complete:N
+                | er:N:M:SEED (default grid:8:8)
     faults:     RANK:drop=F,dup=F,delay=F:MS,kill=F — data-plane frame
                 indices of worker RANK
     telemetry:  --telemetry-addr serves live metrics over HTTP during the
@@ -87,7 +90,10 @@ USAGE:
                 coordinator during the run for live Theorem 1 verdicts
                 (served at GET /audit when --telemetry-addr is up;
                 --audit-log appends JSONL violation sentinels). `audit`
-                polls such an endpoint and renders the live verdict.";
+                polls such an endpoint and renders the live verdict.",
+        techniques.join(" ")
+    )
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -98,15 +104,16 @@ fn main() -> ExitCode {
         Some("top") => top(&args[1..]),
         Some("audit") => audit(&args[1..]),
         Some("--help") | Some("-h") | Some("help") => {
-            println!("{USAGE}");
+            println!("{}", usage_text());
             ExitCode::SUCCESS
         }
         other => {
             eprintln!(
-                "sg-cluster: {}\n\n{USAGE}",
+                "sg-cluster: {}\n\n{}",
                 other.map_or("missing subcommand".into(), |o| format!(
                     "unknown subcommand {o:?}"
-                ))
+                )),
+                usage_text()
             );
             ExitCode::FAILURE
         }
@@ -216,7 +223,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             }
             "--technique" => {
                 let label = next(args, &mut i, "--technique")?;
-                out.technique = technique_by_label(&label)
+                out.technique = Technique::from_label(&label)
                     .ok_or_else(|| format!("unknown technique {label:?}"))?;
             }
             "--workload" => {
@@ -296,40 +303,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     Ok(out)
 }
 
-fn technique_by_label(label: &str) -> Option<Technique> {
-    [
-        Technique::None,
-        Technique::SingleToken,
-        Technique::DualToken,
-        Technique::VertexLock,
-        Technique::PartitionLock,
-        Technique::PartitionLockNoSkip,
-    ]
-    .into_iter()
-    .find(|t| t.label() == label)
-}
-
-fn parse_graph(spec: &str) -> Result<Graph, String> {
-    let mut parts = spec.split(':');
-    let kind = parts.next().unwrap_or("");
-    let nums: Vec<u64> = parts
-        .map(|p| {
-            p.parse::<u64>()
-                .map_err(|_| format!("graph spec {spec:?}: {p:?} is not a number"))
-        })
-        .collect::<Result<_, _>>()?;
-    match (kind, nums.as_slice()) {
-        ("ring", [n]) => Ok(gen::ring(*n as u32)),
-        ("grid", [r, c]) => Ok(gen::grid(*r as u32, *c as u32)),
-        ("paper-c4", []) => Ok(gen::paper_c4()),
-        ("complete", [n]) => Ok(gen::complete(*n as u32)),
-        ("er", [n, m, seed]) => Ok(gen::erdos_renyi(*n as u32, *m, true, *seed)),
-        _ => Err(format!(
-            "unknown graph spec {spec:?} (ring:N grid:R:C paper-c4 complete:N er:N:M:SEED)"
-        )),
-    }
-}
-
 fn spawn_mode(threads: bool) -> Result<SpawnMode, String> {
     if threads {
         return Ok(SpawnMode::Threads);
@@ -342,14 +315,18 @@ fn spawn_mode(threads: bool) -> Result<SpawnMode, String> {
 }
 
 fn run(args: &[String]) -> ExitCode {
-    let parsed = match parse_run_args(args) {
+    let parsed = parse_run_args(args).and_then(|a| {
+        let graph = GraphSpec::parse(&a.graph_spec)?.build();
+        Ok((a, graph))
+    });
+    let (parsed, graph) = match parsed {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("sg-cluster run: {e}\n\n{USAGE}");
+            eprintln!("sg-cluster run: {e}\n\n{}", usage_text());
             return ExitCode::FAILURE;
         }
     };
-    match execute(&parsed) {
+    match execute(&parsed, graph) {
         Ok(ok) => {
             if ok {
                 ExitCode::SUCCESS
@@ -366,8 +343,7 @@ fn run(args: &[String]) -> ExitCode {
 
 /// Run one cluster configuration; `Ok(false)` means the run finished but
 /// failed validation (conflicts, non-convergence, or a 1SR violation).
-fn execute(a: &RunArgs) -> Result<bool, String> {
-    let graph = parse_graph(&a.graph_spec)?;
+fn execute(a: &RunArgs, graph: Graph) -> Result<bool, String> {
     let spawn = spawn_mode(a.threads)?;
     let mut runner = Runner::new(graph.clone())
         .workers(a.workers)
@@ -890,7 +866,7 @@ fn top(args: &[String]) -> ExitCode {
     let a = match parse_top_args(args) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("sg-cluster top: {e}\n\n{USAGE}");
+            eprintln!("sg-cluster top: {e}\n\n{}", usage_text());
             return ExitCode::FAILURE;
         }
     };
@@ -1022,7 +998,7 @@ fn audit(args: &[String]) -> ExitCode {
     let a = match parse_top_args(args) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("sg-cluster audit: {e}\n\n{USAGE}");
+            eprintln!("sg-cluster audit: {e}\n\n{}", usage_text());
             return ExitCode::FAILURE;
         }
     };

@@ -12,6 +12,7 @@
 //! `sg-bench fig1`), or from [`sg_bench::emit_obs`]. Exit codes: 0 ok,
 //! 1 usage, 2 malformed/incompatible input, 3 tolerance failure.
 
+use sg_bench::cli::{self, Flag};
 use sg_bench::sgtrace::{
     self, analyze_text, check_text, diff_text, load_trace, CliError, EXIT_USAGE,
 };
@@ -170,37 +171,6 @@ fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// A parsed `--flag` with its value, when the flag takes one.
-type Flag = (String, Option<String>);
-
-/// Split argv into positionals and `--flag [value]` pairs. Only the flags
-/// named in `value_flags` consume the next token; everything else is
-/// boolean (`--json`) and keeps a `None` value.
 fn split_args(args: &[String], value_flags: &[&str]) -> Result<(Vec<String>, Vec<Flag>), CliError> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if name.is_empty() {
-                return Err(usage("stray --"));
-            }
-            let value = if value_flags.contains(&name) {
-                i += 1;
-                Some(
-                    args.get(i)
-                        .ok_or_else(|| usage(&format!("--{name} needs a value")))?
-                        .clone(),
-                )
-            } else {
-                None
-            };
-            flags.push((name.to_owned(), value));
-        } else {
-            positional.push(a.clone());
-        }
-        i += 1;
-    }
-    Ok((positional, flags))
+    cli::split_args(args, value_flags).map_err(|m| usage(&m))
 }

@@ -1,4 +1,6 @@
-//! Tiny `--key value` argument parser (no external dependencies).
+//! Tiny argument parsers (no external dependencies): [`Args`] for the
+//! `sg-bench` lanes' `--key value` soup, [`split_args`] for the subcommand
+//! CLIs that know which of their flags take a value.
 
 use std::collections::HashMap;
 
@@ -48,6 +50,45 @@ impl Args {
     }
 }
 
+/// A parsed `--flag` with its value, when the flag takes one.
+pub type Flag = (String, Option<String>);
+
+/// Split argv into positionals and `--flag [value]` pairs. Only the flags
+/// named in `value_flags` consume the next token; everything else is
+/// boolean (`--json`) and keeps a `None` value. The error is the message
+/// for the caller's usage text.
+pub fn split_args(
+    args: &[String],
+    value_flags: &[&str],
+) -> Result<(Vec<String>, Vec<Flag>), String> {
+    let mut positional = Vec::new();
+    let mut flags = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let a = &args[i];
+        if let Some(name) = a.strip_prefix("--") {
+            if name.is_empty() {
+                return Err("stray --".into());
+            }
+            let value = if value_flags.contains(&name) {
+                i += 1;
+                Some(
+                    args.get(i)
+                        .ok_or_else(|| format!("--{name} needs a value"))?
+                        .clone(),
+                )
+            } else {
+                None
+            };
+            flags.push((name.to_owned(), value));
+        } else {
+            positional.push(a.clone());
+        }
+        i += 1;
+    }
+    Ok((positional, flags))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,5 +119,27 @@ mod tests {
         let a = parse("--x --y 5");
         assert!(a.has_flag("x"));
         assert_eq!(a.get_or("y", 0u32), 5);
+    }
+
+    #[test]
+    fn split_args_gives_values_only_to_the_flags_that_take_one() {
+        let argv: Vec<String> = "a --top-k 3 --json b"
+            .split(' ')
+            .map(str::to_owned)
+            .collect();
+        let (positional, flags) = split_args(&argv, &["top-k"]).unwrap();
+        assert_eq!(positional, ["a", "b"]);
+        assert_eq!(
+            flags,
+            [
+                ("top-k".to_owned(), Some("3".to_owned())),
+                ("json".to_owned(), None)
+            ]
+        );
+        assert_eq!(
+            split_args(&argv[..2], &["top-k"]).unwrap_err(),
+            "--top-k needs a value"
+        );
+        assert_eq!(split_args(&["--".to_owned()], &[]).unwrap_err(), "stray --");
     }
 }

@@ -13,7 +13,7 @@ use crate::json::Json;
 use crate::report::{write_results_file, BENCH_SCHEMA_VERSION};
 use crate::sgtrace::{CliError, EXIT_MALFORMED};
 use sg_core::sg_check::{
-    explore, CheckTechnique, Counterexample, ExploreConfig, FaultPlan, GraphSpec, StrategyKind,
+    explore, Counterexample, ExploreConfig, FaultPlan, GraphSpec, StrategyKind, TechniqueKind,
     COUNTEREXAMPLE_SCHEMA_VERSION,
 };
 use sg_core::sg_metrics::TraceBuffer;
@@ -92,8 +92,9 @@ pub fn run_explore(
                     p.to_string()
                 }
                 None => {
-                    let filename =
-                        format!("CHECK_{}_{}_{}.json", cfg.technique, cfg.strategy, cfg.seed);
+                    // `partition-lock/noskip` must not name a directory.
+                    let technique = cfg.technique.label().replace('/', "-");
+                    let filename = format!("CHECK_{technique}_{}_{}.json", cfg.strategy, cfg.seed);
                     let p = write_results_file(&filename, &ce.to_json()).map_err(|e| CliError {
                         code: EXIT_MALFORMED,
                         message: format!("writing counterexample: {e}"),
@@ -243,10 +244,10 @@ pub fn parse_counterexample(text: &str) -> Result<Counterexample, CliError> {
             "counterexample: unsupported schema_version {schema_version} (this build reads {COUNTEREXAMPLE_SCHEMA_VERSION})"
         )));
     }
-    let technique = CheckTechnique::parse(str_field("technique")?)
+    let technique = TechniqueKind::from_label(str_field("technique")?)
         .ok_or_else(|| malformed("counterexample: unknown technique"))?;
     let graph = GraphSpec::parse(str_field("graph")?)
-        .ok_or_else(|| malformed("counterexample: unknown graph spec"))?;
+        .map_err(|e| malformed(format!("counterexample: {e}")))?;
     let strategy = StrategyKind::parse(str_field("strategy")?)
         .ok_or_else(|| malformed("counterexample: unknown strategy"))?;
     let fault = FaultPlan::parse(str_field("fault")?)
@@ -262,28 +263,29 @@ pub fn parse_counterexample(text: &str) -> Result<Counterexample, CliError> {
                 .ok_or_else(|| malformed("counterexample: non-integer decision"))
         })
         .collect::<Result<Vec<u32>, CliError>>()?;
-    let workers = num_field("workers")? as u32;
-    let ppw = num_field("ppw")? as u32;
-    if workers == 0 || ppw == 0 {
-        return Err(malformed(
-            "counterexample: workers and ppw must be positive",
-        ));
-    }
+    let fits = |key: &str| -> Result<u32, CliError> {
+        u32::try_from(num_field(key)?)
+            .map_err(|_| malformed(format!("counterexample: {key:?} exceeds {}", u32::MAX)))
+    };
+    let config = ExploreConfig {
+        technique,
+        graph,
+        workers: fits("workers")?,
+        ppw: fits("ppw")?,
+        supersteps: num_field("supersteps")?,
+        strategy,
+        seed: num_field("seed")?,
+        episodes: 1,
+        max_depth: usize::MAX,
+        max_events: usize::try_from(num_field("max_events")?).unwrap_or(usize::MAX),
+        fault,
+    };
+    config
+        .validate()
+        .map_err(|e| malformed(format!("counterexample: {e}")))?;
     Ok(Counterexample {
         schema_version,
-        config: ExploreConfig {
-            technique,
-            graph,
-            workers,
-            ppw,
-            supersteps: num_field("supersteps")?,
-            strategy,
-            seed: num_field("seed")?,
-            episodes: 1,
-            max_depth: usize::MAX,
-            max_events: num_field("max_events")? as usize,
-            fault,
-        },
+        config,
         decisions,
         violation: str_field("violation")?.to_string(),
     })
@@ -298,7 +300,7 @@ mod tests {
             strategy: StrategyKind::Dfs,
             supersteps: 2,
             fault: FaultPlan::DropDelayedTokenPass { superstep: 0 },
-            ..ExploreConfig::smoke(CheckTechnique::SingleToken)
+            ..ExploreConfig::smoke(TechniqueKind::SingleToken)
         }
     }
 
@@ -322,23 +324,46 @@ mod tests {
         );
     }
 
+    /// A well-formed counterexample document with three fields of choice.
+    fn document(technique: &str, graph: &str, workers: &str) -> String {
+        format!(
+            "{{\"schema_version\":1,\"technique\":\"{technique}\",\"graph\":\"{graph}\",\
+             \"workers\":{workers},\"ppw\":1,\"supersteps\":2,\"strategy\":\"dfs\",\"seed\":1,\
+             \"max_events\":10,\"fault\":\"none\",\"violation\":\"token-lost\",\"decisions\":[]}}"
+        )
+    }
+
     #[test]
     fn malformed_counterexamples_are_rejected_not_crashed() {
-        for bad in [
-            "",
-            "not json",
-            "{}",
-            "{\"schema_version\":99}",
+        parse_counterexample(&document("single-token", "ring:8", "2")).expect("the control");
+        for (bad, why) in [
+            (String::new(), ""),
+            ("not json".into(), ""),
+            ("{}".into(), "schema_version"),
+            (
+                "{\"schema_version\":99}".into(),
+                "unsupported schema_version",
+            ),
             // Deep nesting: the parser's depth guard must catch this.
-            &format!("{}{}", "[".repeat(5000), "]".repeat(5000)),
+            (format!("{}{}", "[".repeat(5000), "]".repeat(5000)), ""),
             // Valid JSON, wrong shape.
-            "{\"schema_version\":1,\"technique\":\"warp-drive\"}",
-            "{\"schema_version\":1,\"technique\":\"single-token\",\"graph\":\"ring:8\",\
-             \"workers\":0,\"ppw\":1,\"supersteps\":2,\"strategy\":\"dfs\",\"seed\":1,\
-             \"max_events\":10,\"fault\":\"none\",\"violation\":\"token-lost\",\"decisions\":[]}",
+            (
+                "{\"schema_version\":1,\"technique\":\"warp-drive\"}".into(),
+                "unknown technique",
+            ),
+            (document("single-token", "ring:8", "0"), "must be positive"),
+            // What `as u32` used to read as 2 workers.
+            (document("single-token", "ring:8", "4294967298"), "exceeds"),
+            // Degenerate graphs used to reach the generators' assertions.
+            (document("single-token", "ring:0", "2"), "at least 3"),
+            (document("single-token", "complete:0", "2"), "at least 1"),
+            (document("single-token", "grid:0x3", "2"), "at least 1 row"),
+            // A real technique the model cannot host says so.
+            (document("bsp-vertex-lock", "ring:8", "2"), "not modelable"),
         ] {
-            let err = parse_counterexample(bad).expect_err(bad);
+            let err = parse_counterexample(&bad).expect_err(&bad);
             assert_eq!(err.code, EXIT_MALFORMED, "{bad}");
+            assert!(err.message.contains(why), "{bad}: {}", err.message);
         }
     }
 
@@ -364,7 +389,7 @@ mod tests {
 
     #[test]
     fn clean_explore_exits_zero() {
-        let mut cfg = ExploreConfig::smoke(CheckTechnique::PartitionLock);
+        let mut cfg = ExploreConfig::smoke(TechniqueKind::PartitionLock);
         cfg.episodes = 4;
         let out = run_explore(&cfg, None, None).unwrap();
         assert_eq!(out.code, 0);
@@ -374,7 +399,7 @@ mod tests {
     #[test]
     fn stale_counterexample_is_flagged_as_malformed() {
         // A clean config with a declared violation cannot reproduce.
-        let cfg = ExploreConfig::smoke(CheckTechnique::SingleToken);
+        let cfg = ExploreConfig::smoke(TechniqueKind::SingleToken);
         let ce = Counterexample {
             schema_version: COUNTEREXAMPLE_SCHEMA_VERSION,
             config: cfg,

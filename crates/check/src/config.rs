@@ -1,129 +1,14 @@
 //! Exploration configuration: which technique and workload to model, which
 //! strategy drives the scheduler, and which fault (if any) to inject.
 //!
-//! Every enum here round-trips through a compact spec string so that a
-//! counterexample file fully describes how to rebuild the model it was
-//! found in.
+//! Every enum here — and the two the configuration borrows, `sg-sync`'s
+//! [`TechniqueKind`] and `sg-graph`'s [`GraphSpec`] — round-trips through
+//! a compact spec string so that a counterexample file fully describes how
+//! to rebuild the model it was found in.
 
-use sg_graph::{gen, Graph};
+use sg_graph::GraphSpec;
+use sg_sync::TechniqueKind;
 use std::fmt;
-
-/// The synchronization technique under test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckTechnique {
-    /// Plain unsynchronized execution — the negative control the checkers
-    /// must catch.
-    NoSync,
-    /// Single-layer token ring (Section 4.2).
-    SingleToken,
-    /// Dual-layer token ring (Section 5.3).
-    DualToken,
-    /// Vertex-grain distributed locking (Section 4.3).
-    VertexLock,
-    /// Partition-grain distributed locking (Section 5.4).
-    PartitionLock,
-}
-
-impl CheckTechnique {
-    /// The four serializable techniques (excludes the negative control).
-    pub const SERIALIZABLE: [CheckTechnique; 4] = [
-        CheckTechnique::SingleToken,
-        CheckTechnique::DualToken,
-        CheckTechnique::VertexLock,
-        CheckTechnique::PartitionLock,
-    ];
-
-    /// Stable spec-string / report label.
-    pub fn label(self) -> &'static str {
-        match self {
-            CheckTechnique::NoSync => "none",
-            CheckTechnique::SingleToken => "single-token",
-            CheckTechnique::DualToken => "dual-token",
-            CheckTechnique::VertexLock => "vertex-lock",
-            CheckTechnique::PartitionLock => "partition-lock",
-        }
-    }
-
-    /// Inverse of [`CheckTechnique::label`].
-    pub fn parse(s: &str) -> Option<CheckTechnique> {
-        Some(match s {
-            "none" => CheckTechnique::NoSync,
-            "single-token" => CheckTechnique::SingleToken,
-            "dual-token" => CheckTechnique::DualToken,
-            "vertex-lock" => CheckTechnique::VertexLock,
-            "partition-lock" => CheckTechnique::PartitionLock,
-            _ => return None,
-        })
-    }
-
-    /// Does this technique move an exclusive global token between workers?
-    pub fn uses_global_token(self) -> bool {
-        matches!(
-            self,
-            CheckTechnique::SingleToken | CheckTechnique::DualToken
-        )
-    }
-}
-
-impl fmt::Display for CheckTechnique {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Workload graph, parseable from a compact spec string such as `ring:8`,
-/// `complete:6`, `grid:3x4`, or `paper-c4`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GraphSpec {
-    /// Undirected cycle of `n` vertices.
-    Ring(u32),
-    /// Clique on `n` vertices — maximal conflict density.
-    Complete(u32),
-    /// `rows x cols` grid.
-    Grid(u32, u32),
-    /// The paper's running four-vertex example.
-    PaperC4,
-}
-
-impl GraphSpec {
-    /// Parse a spec string.
-    pub fn parse(s: &str) -> Option<GraphSpec> {
-        if s == "paper-c4" {
-            return Some(GraphSpec::PaperC4);
-        }
-        let (kind, arg) = s.split_once(':')?;
-        match kind {
-            "ring" => arg.parse().ok().map(GraphSpec::Ring),
-            "complete" => arg.parse().ok().map(GraphSpec::Complete),
-            "grid" => {
-                let (r, c) = arg.split_once('x')?;
-                Some(GraphSpec::Grid(r.parse().ok()?, c.parse().ok()?))
-            }
-            _ => None,
-        }
-    }
-
-    /// Materialize the graph.
-    pub fn build(self) -> Graph {
-        match self {
-            GraphSpec::Ring(n) => gen::ring(n),
-            GraphSpec::Complete(n) => gen::complete(n),
-            GraphSpec::Grid(r, c) => gen::grid(r, c),
-            GraphSpec::PaperC4 => gen::paper_c4(),
-        }
-    }
-}
-
-impl fmt::Display for GraphSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GraphSpec::Ring(n) => write!(f, "ring:{n}"),
-            GraphSpec::Complete(n) => write!(f, "complete:{n}"),
-            GraphSpec::Grid(r, c) => write!(f, "grid:{r}x{c}"),
-            GraphSpec::PaperC4 => f.write_str("paper-c4"),
-        }
-    }
-}
 
 /// How the explorer picks among enabled events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,7 +102,7 @@ impl fmt::Display for FaultPlan {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ExploreConfig {
     /// Technique under test.
-    pub technique: CheckTechnique,
+    pub technique: TechniqueKind,
     /// Workload graph.
     pub graph: GraphSpec,
     /// Simulated workers.
@@ -244,7 +129,7 @@ impl ExploreConfig {
     /// A small default workload: `ring:8` on 2 workers x 2 partitions for
     /// 4 supersteps — one full single-layer rotation plus slack, finishing
     /// in well under a second per strategy.
-    pub fn smoke(technique: CheckTechnique) -> Self {
+    pub fn smoke(technique: TechniqueKind) -> Self {
         Self {
             technique,
             graph: GraphSpec::Ring(8),
@@ -259,44 +144,114 @@ impl ExploreConfig {
             fault: FaultPlan::None,
         }
     }
+
+    /// Can the model host this configuration? The CLI, the counterexample
+    /// parser and [`Model::new`](crate::Model::new) all ask here.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.technique == TechniqueKind::BspVertexLock {
+            return Err(ConfigError::NotModelable {
+                technique: self.technique,
+                reason: "Proposition 1's BSP-constrained vertex locking exchanges forks only \
+                         at global barriers with sub-superstep execution, which needs the \
+                         barrier epilogue and a BSP next-store the model does not host (see \
+                         DESIGN.md §12.5)",
+            });
+        }
+        if self.workers == 0 || self.ppw == 0 {
+            return Err(ConfigError::Invalid(
+                "workers and ppw must be positive".into(),
+            ));
+        }
+        if self.fault != FaultPlan::None && !self.technique.uses_global_token() {
+            return Err(ConfigError::Invalid(format!(
+                "a broken ring needs a token-ring technique, not {}",
+                self.technique
+            )));
+        }
+        self.graph.validate().map_err(ConfigError::Invalid)?;
+        Ok(())
+    }
 }
+
+/// Why [`ExploreConfig::validate`] refused a configuration.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The technique exists — the engine runs it — but the model cannot
+    /// host it; `reason` says why.
+    NotModelable {
+        /// The refused technique.
+        technique: TechniqueKind,
+        /// What the model lacks.
+        reason: &'static str,
+    },
+    /// No model of any technique could be built from it: an empty
+    /// cluster, a graph outside its generator's bounds, a token-pass fault
+    /// without a token ring. The message names which.
+    Invalid(String),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NotModelable { technique, reason } => {
+                write!(
+                    f,
+                    "technique {:?} is not modelable: {reason}",
+                    technique.label()
+                )
+            }
+            ConfigError::Invalid(why) => f.write_str(why),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn technique_labels_round_trip() {
-        for t in CheckTechnique::SERIALIZABLE
-            .iter()
-            .chain([CheckTechnique::NoSync].iter())
-        {
-            assert_eq!(CheckTechnique::parse(t.label()), Some(*t));
+    fn validate_refuses_what_the_model_cannot_host_with_a_typed_reason() {
+        for t in TechniqueKind::ALL {
+            let verdict = ExploreConfig::smoke(t).validate();
+            if t == TechniqueKind::BspVertexLock {
+                let err = verdict.expect_err("outside the model");
+                assert!(
+                    matches!(err, ConfigError::NotModelable { technique, .. } if technique == t)
+                );
+                let text = err.to_string();
+                assert!(
+                    text.contains("\"bsp-vertex-lock\" is not modelable"),
+                    "{text}"
+                );
+                assert!(text.contains("barrier"), "reason explains the gap: {text}");
+            } else {
+                assert_eq!(verdict, Ok(()), "{t}");
+            }
         }
-        assert_eq!(CheckTechnique::parse("token"), None);
-    }
-
-    #[test]
-    fn graph_specs_round_trip_and_build() {
-        for spec in [
-            GraphSpec::Ring(8),
-            GraphSpec::Complete(5),
-            GraphSpec::Grid(3, 4),
-            GraphSpec::PaperC4,
-        ] {
-            assert_eq!(GraphSpec::parse(&spec.to_string()), Some(spec));
-        }
-        assert_eq!(
-            GraphSpec::parse("grid:3x4").unwrap().build().num_vertices(),
-            12
+        let smoke = ExploreConfig::smoke(TechniqueKind::VertexLock);
+        let no_workers = ExploreConfig {
+            workers: 0,
+            ..smoke.clone()
+        };
+        assert!(
+            matches!(no_workers.validate(), Err(ConfigError::Invalid(why)) if why.contains("positive"))
         );
-        assert_eq!(
-            GraphSpec::parse("paper-c4").unwrap().build().num_vertices(),
-            4
+        let no_ring = ExploreConfig {
+            fault: FaultPlan::DropDelayedTokenPass { superstep: 0 },
+            ..smoke.clone()
+        };
+        assert!(
+            matches!(no_ring.validate(), Err(ConfigError::Invalid(why)) if why.contains("not vertex-lock"))
         );
-        assert_eq!(GraphSpec::parse("torus:9"), None);
-        assert_eq!(GraphSpec::parse("grid:3"), None);
-        assert_eq!(GraphSpec::parse("ring:x"), None);
+        let no_graph = ExploreConfig {
+            graph: GraphSpec::Ring(2),
+            ..smoke
+        };
+        assert!(
+            matches!(no_graph.validate(), Err(ConfigError::Invalid(why)) if why.contains("at least 3"))
+        );
     }
 
     #[test]

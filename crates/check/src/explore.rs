@@ -316,9 +316,17 @@ impl Counterexample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CheckTechnique, FaultPlan, GraphSpec};
+    use crate::config::FaultPlan;
+    use sg_graph::GraphSpec;
+    use sg_sync::TechniqueKind;
 
-    fn base(technique: CheckTechnique, strategy: StrategyKind) -> ExploreConfig {
+    /// Every serializable technique the model hosts.
+    fn serializable() -> impl Iterator<Item = TechniqueKind> {
+        (TechniqueKind::ALL.into_iter())
+            .filter(|&t| t.serializable() && ExploreConfig::smoke(t).validate().is_ok())
+    }
+
+    fn base(technique: TechniqueKind, strategy: StrategyKind) -> ExploreConfig {
         ExploreConfig {
             strategy,
             ..ExploreConfig::smoke(technique)
@@ -327,7 +335,7 @@ mod tests {
 
     #[test]
     fn all_serializable_techniques_explore_clean_under_every_strategy() {
-        for technique in CheckTechnique::SERIALIZABLE {
+        for technique in serializable() {
             for strategy in StrategyKind::ALL {
                 let mut cfg = base(technique, strategy);
                 cfg.episodes = 12;
@@ -347,7 +355,7 @@ mod tests {
     #[test]
     fn every_strategy_finds_the_seeded_token_loss() {
         for strategy in StrategyKind::ALL {
-            let mut cfg = base(CheckTechnique::SingleToken, strategy);
+            let mut cfg = base(TechniqueKind::SingleToken, strategy);
             cfg.fault = FaultPlan::DropDelayedTokenPass { superstep: 0 };
             cfg.supersteps = 2;
             let report = explore(&cfg);
@@ -364,7 +372,7 @@ mod tests {
 
     #[test]
     fn random_walks_catch_nosync_violations() {
-        let mut cfg = base(CheckTechnique::NoSync, StrategyKind::Random);
+        let mut cfg = base(TechniqueKind::None, StrategyKind::Random);
         cfg.graph = GraphSpec::Complete(6);
         cfg.ppw = 1;
         cfg.supersteps = 2;
@@ -382,7 +390,7 @@ mod tests {
 
     #[test]
     fn counterexample_replay_reproduces_the_violation_exactly() {
-        let mut cfg = base(CheckTechnique::SingleToken, StrategyKind::Dfs);
+        let mut cfg = base(TechniqueKind::SingleToken, StrategyKind::Dfs);
         cfg.fault = FaultPlan::DropDelayedTokenPass { superstep: 0 };
         cfg.supersteps = 2;
         let report = explore(&cfg);
@@ -402,7 +410,7 @@ mod tests {
 
     #[test]
     fn exploration_is_deterministic_per_seed() {
-        let mut cfg = base(CheckTechnique::PartitionLock, StrategyKind::Random);
+        let mut cfg = base(TechniqueKind::PartitionLock, StrategyKind::Random);
         cfg.episodes = 3;
         let a = explore(&cfg);
         let b = explore(&cfg);
@@ -412,7 +420,7 @@ mod tests {
 
     #[test]
     fn counterexample_json_lists_every_field() {
-        let cfg = base(CheckTechnique::SingleToken, StrategyKind::Dfs);
+        let cfg = base(TechniqueKind::SingleToken, StrategyKind::Dfs);
         let ce = Counterexample {
             schema_version: COUNTEREXAMPLE_SCHEMA_VERSION,
             config: ExploreConfig {
@@ -441,7 +449,7 @@ mod tests {
 
     #[test]
     fn truncation_guard_stops_runaway_episodes() {
-        let mut cfg = base(CheckTechnique::PartitionLock, StrategyKind::Random);
+        let mut cfg = base(TechniqueKind::PartitionLock, StrategyKind::Random);
         cfg.max_events = 10;
         cfg.episodes = 1;
         let report = explore(&cfg);

@@ -8,9 +8,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`model::Model`] — the four production techniques from `sg-sync`,
-//!   driven single-threaded through a virtual transport
-//!   ([`net::VirtualNet`]) so that every protocol step (token pass, fork
+//! * [`model::Model`] — the production techniques from `sg-sync`, built
+//!   by the shared factory and driven single-threaded in the order
+//!   `sg_sync::PartitionWalk` dictates, their transport calls queued and
+//!   applied by the model, so that every protocol step (token pass, fork
 //!   transfer, lock grant, message flush, barrier, vertex execution)
 //!   becomes an explicit, reorderable event. Every explored state is
 //!   checked: C1/C2 and serialization-graph acyclicity via
@@ -32,12 +33,12 @@
 pub mod config;
 pub mod explore;
 pub mod model;
-pub mod net;
 
-pub use config::{CheckTechnique, ExploreConfig, FaultPlan, GraphSpec, StrategyKind};
+pub use config::{ConfigError, ExploreConfig, FaultPlan, StrategyKind};
 pub use explore::{
     explore, run_episode, Counterexample, EpisodeOutcome, ExploreReport, ViolationReport,
     COUNTEREXAMPLE_SCHEMA_VERSION,
 };
 pub use model::{Event, Model, Violation};
-pub use net::{NetAction, VirtualNet};
+pub use sg_graph::GraphSpec;
+pub use sg_sync::TechniqueKind;

@@ -14,24 +14,30 @@
 //!   [`sg_serial::IncrementalChecker`], on every event;
 //! * **token liveness** — the exclusive global token is always either held
 //!   or in flight, never lost or duplicated;
-//! * **token routing** — only the holder passes, always to the ring
-//!   successor (checked in the virtual transport);
+//! * **token routing** — only the holder passes, and never while a pass is
+//!   already in flight (checked as each pass is applied);
 //! * **deadlock freedom** — some event is enabled until the run finishes.
 //!
-//! The execution-unit structure mirrors the engines: techniques that demand
-//! a single compute thread per worker (single-layer token) get one
-//! sequential *container* per worker; all others get one per partition
-//! (maximal modeled concurrency).
+//! The model is a host like the thread engine, the socket worker and the
+//! simulator: it builds its protocol object with
+//! [`sg_sync::build_synchronizer`], asks [`PartitionWalk`] — the product's
+//! own scan/acquire/release order — what each lane does next, and applies
+//! what the technique tells its transport from the shared
+//! [`QueueTransport`], right after each protocol call. The lane structure
+//! mirrors the engines: techniques that demand a single compute thread per
+//! worker (single-layer token) get one sequential lane per worker walking
+//! all its partitions in order; all others get one per partition (maximal
+//! modeled concurrency). The model's abstract program never halts: every
+//! vertex is runnable in every superstep.
 
-use crate::config::{CheckTechnique, ExploreConfig, FaultPlan};
-use crate::net::{NetAction, VirtualNet};
+use crate::config::{ExploreConfig, FaultPlan};
 use sg_graph::partition::HashPartitioner;
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Metrics, TraceBuffer, TraceEventKind};
 use sg_serial::{HistorySummary, IncrementalChecker};
 use sg_sync::{
-    DualLayerToken, LockGranularity, NoSync, PartitionLock, SingleLayerToken, Synchronizer,
-    VertexLock,
+    build_synchronizer, LockGranularity, NetAction, PartitionWalk, QueueTransport, Step,
+    Synchronizer,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -39,14 +45,14 @@ use std::sync::Arc;
 /// One atomic, reorderable step of the modeled execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Event {
-    /// Container runs one non-blocking pass of its unit acquisition
-    /// (request missing forks, collect yielded ones).
+    /// Lane runs one non-blocking pass of its unit acquisition (request
+    /// missing forks, collect yielded ones).
     TryAcquire(u32),
-    /// Container begins its current vertex's transaction (the read step).
+    /// Lane begins its current vertex's transaction (the read step).
     Begin(u32),
-    /// Container ends its current vertex (sends + write step).
+    /// Lane ends its current vertex (sends + write step).
     End(u32),
-    /// Container releases its held unit (forks hand over here).
+    /// Lane releases its held unit (forks hand over here).
     Release(u32),
     /// Worker reaches the superstep barrier.
     Barrier(u32),
@@ -174,49 +180,57 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One sequential execution lane: the queue of vertices a worker thread
-/// would run this superstep, plus its position in the acquire/execute/
-/// release cycle.
+/// One sequential execution lane — a worker thread of the engines: the
+/// walks of the partitions it runs this superstep, plus the transaction it
+/// has open.
 #[derive(Debug)]
-struct Container {
+struct Lane {
     worker: WorkerId,
-    /// `Some` when the container maps to one partition, `None` when it is
-    /// a whole single-threaded worker.
-    partition: Option<PartitionId>,
-    queue: Vec<VertexId>,
-    idx: usize,
-    /// Unit currently held (granularity Partition/Vertex only).
-    held: Option<u32>,
-    /// Current vertex's transaction is open.
-    open: bool,
-    /// `now` when the open transaction began (trace timestamps).
-    open_since: u64,
-    /// Under vertex granularity: the held unit's vertex already executed
-    /// (next step is the release).
-    ran: bool,
+    /// One walk per partition the lane runs, in order; all built when the
+    /// superstep opens (building one decides the halted-partition skip).
+    walks: Vec<PartitionWalk>,
+    /// The vertex whose transaction is open, and `now` when it began
+    /// (trace timestamps).
+    open: Option<(VertexId, u64)>,
     /// Blocked in acquisition; re-polled after the next release.
     parked: bool,
 }
 
-impl Container {
-    fn done(&self) -> bool {
-        self.idx >= self.queue.len() && self.held.is_none() && !self.open
-    }
+/// A global-token pass in transit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Flight {
+    from: WorkerId,
+    to: WorkerId,
+    /// `now` when the pass was sent.
+    sent_at: u64,
 }
 
 /// The explorable state machine. Drive it with
 /// [`enabled`](Model::enabled) / [`execute`](Model::execute) until
 /// [`finished`](Model::finished) or [`violation`](Model::violation).
 pub struct Model {
-    technique: CheckTechnique,
     fault: FaultPlan,
     graph: Arc<Graph>,
     pm: Arc<PartitionMap>,
-    tech: Box<dyn Synchronizer>,
-    granularity: LockGranularity,
-    net: VirtualNet,
+    tech: Arc<dyn Synchronizer>,
+    /// What the technique told its transport during the last protocol
+    /// call; applied by [`Model::apply_net`] before anything else happens.
+    net: QueueTransport,
+    /// Remote replica updates not yet visible, per sending worker: they
+    /// become visible when a C1 flush point fires (a fork or the token
+    /// leaving the worker, or the superstep's write-all).
+    outbox: Vec<Vec<(VertexId, VertexId)>>,
+    /// Does this run have an exclusive global token to account for?
+    tracks_token: bool,
+    /// Worker holding the global token; `None` while it is in flight — or,
+    /// after an injected fault, lost.
+    token_at: Option<WorkerId>,
+    in_flight: Option<Flight>,
+    /// A routing violation seen while applying a pass (wrong sender, or a
+    /// second pass in flight), reported by the next invariant check.
+    misroute: Option<String>,
     checker: IncrementalChecker,
-    containers: Vec<Container>,
+    lanes: Vec<Lane>,
     superstep: u64,
     max_supersteps: u64,
     barrier: Vec<bool>,
@@ -225,15 +239,19 @@ pub struct Model {
     violation: Option<Violation>,
     /// Executed-event counter, doubling as virtual time.
     now: u64,
-    /// `now` at the moment the current in-flight token was sent.
-    sent_at: Option<u64>,
     trace: Option<Arc<TraceBuffer>>,
 }
 
 impl Model {
     /// Build the initial state (superstep 0, fresh protocol state, empty
     /// history). `trace` optionally records the protocol timeline.
+    ///
+    /// # Panics
+    /// Panics on a configuration [`ExploreConfig::validate`] refuses.
     pub fn new(cfg: &ExploreConfig, trace: Option<Arc<TraceBuffer>>) -> Self {
+        if let Err(e) = cfg.validate() {
+            panic!("unvalidated exploration config: {e}");
+        }
         let graph = Arc::new(cfg.graph.build());
         let layout = ClusterLayout::new(cfg.workers, cfg.ppw);
         let pm = Arc::new(PartitionMap::build(
@@ -241,33 +259,22 @@ impl Model {
             layout,
             &HashPartitioner::default(),
         ));
-        let metrics = Arc::new(Metrics::new());
-        let tech: Box<dyn Synchronizer> = match cfg.technique {
-            CheckTechnique::NoSync => Box::new(NoSync),
-            CheckTechnique::SingleToken => {
-                Box::new(SingleLayerToken::new(Arc::clone(&pm), metrics))
-            }
-            CheckTechnique::DualToken => Box::new(DualLayerToken::new(Arc::clone(&pm), metrics)),
-            CheckTechnique::VertexLock => Box::new(VertexLock::new(&graph, &pm, metrics)),
-            CheckTechnique::PartitionLock => Box::new(PartitionLock::new(&pm, metrics)),
-        };
-        let track_token = cfg.technique.uses_global_token() && cfg.workers > 1;
-        let net = VirtualNet::new(
-            cfg.workers,
-            track_token.then(|| WorkerId::new(0)), // both rings start at worker 0
-        );
+        let tech = build_synchronizer(cfg.technique, &graph, &pm, Arc::new(Metrics::new()));
+        let tracks_token = cfg.technique.uses_global_token() && cfg.workers > 1;
         let checker = IncrementalChecker::new(Arc::clone(&graph));
-        let granularity = tech.granularity();
         let mut model = Self {
-            technique: cfg.technique,
             fault: cfg.fault,
             graph,
             pm,
             tech,
-            granularity,
-            net,
+            net: QueueTransport::default(),
+            outbox: vec![Vec::new(); cfg.workers as usize],
+            tracks_token,
+            token_at: tracks_token.then(|| WorkerId::new(0)), // both rings start at worker 0
+            in_flight: None,
+            misroute: None,
             checker,
-            containers: Vec::new(),
+            lanes: Vec::new(),
             superstep: 0,
             max_supersteps: cfg.supersteps,
             barrier: vec![false; cfg.workers as usize],
@@ -275,94 +282,65 @@ impl Model {
             finished: cfg.supersteps == 0,
             violation: None,
             now: 0,
-            sent_at: None,
             trace,
         };
-        model.build_containers();
+        model.build_lanes();
         model
     }
 
-    /// Rebuild the per-superstep containers from the technique's
-    /// `vertex_allowed` gate.
-    fn build_containers(&mut self) {
-        self.containers.clear();
+    /// Open the superstep: one lane per worker for single-threaded
+    /// techniques, one per partition otherwise, each with fresh walks. A
+    /// partition has work iff it has a vertex.
+    fn build_lanes(&mut self) {
         let layout = *self.pm.layout();
-        let single_threaded = self.tech.max_threads_per_worker() == Some(1);
-        if single_threaded {
-            for w in layout.workers() {
-                let queue: Vec<VertexId> = layout
-                    .partitions_of_worker(w)
-                    .flat_map(|p| self.pm.vertices_in(p).iter().copied())
-                    .filter(|&v| self.tech.vertex_allowed(self.superstep, v))
-                    .collect();
-                self.containers.push(Container {
-                    worker: w,
-                    partition: None,
-                    queue,
-                    idx: 0,
-                    held: None,
-                    open: false,
-                    open_since: 0,
-                    ran: false,
-                    parked: false,
-                });
-            }
-        } else {
-            for p in layout.partitions() {
-                let queue: Vec<VertexId> = self
-                    .pm
-                    .vertices_in(p)
-                    .iter()
-                    .copied()
-                    .filter(|&v| self.tech.vertex_allowed(self.superstep, v))
-                    .collect();
-                self.containers.push(Container {
-                    worker: layout.worker_of_partition(p),
-                    partition: Some(p),
-                    queue,
-                    idx: 0,
-                    held: None,
-                    open: false,
-                    open_since: 0,
-                    ran: false,
-                    parked: false,
-                });
-            }
-        }
+        let runs: Vec<(WorkerId, Vec<PartitionId>)> =
+            if self.tech.max_threads_per_worker() == Some(1) {
+                (layout.workers())
+                    .map(|w| (w, layout.partitions_of_worker(w).collect()))
+                    .collect()
+            } else {
+                (layout.partitions())
+                    .map(|p| (layout.worker_of_partition(p), vec![p]))
+                    .collect()
+            };
+        self.lanes = (runs.into_iter())
+            .map(|(worker, partitions)| Lane {
+                worker,
+                walks: (partitions.into_iter())
+                    .map(|p| {
+                        let has_work = !self.pm.vertices_in(p).is_empty();
+                        PartitionWalk::new(p, &*self.tech, has_work)
+                    })
+                    .collect(),
+                open: None,
+                parked: false,
+            })
+            .collect();
     }
 
-    /// The lockable unit a container currently fronts.
-    fn unit_of(&self, ci: usize) -> u32 {
-        let c = &self.containers[ci];
-        match self.granularity {
-            LockGranularity::Partition => c.partition.expect("partition container").raw(),
-            LockGranularity::Vertex => c.queue[c.idx].raw(),
-            LockGranularity::None => unreachable!("no unit under LockGranularity::None"),
+    /// What lane `li` does next, found on copies of its walks: the first
+    /// step of its first unfinished walk.
+    fn peek(&self, li: usize) -> Step {
+        for walk in &self.lanes[li].walks {
+            let mut copy = *walk;
+            let step = next_step(&*self.tech, &self.pm, self.superstep, &mut copy);
+            if step != Step::Done {
+                return step;
+            }
         }
+        Step::Done
     }
 
-    /// The container's next event, by its stage machine.
-    fn container_event(&self, ci: usize) -> Option<Event> {
-        let c = &self.containers[ci];
-        let i = ci as u32;
-        if c.open {
-            return Some(Event::End(i));
+    /// Take the step [`Model::peek`] showed, on the lane's own walks;
+    /// returns it with the index of the walk it came from.
+    fn advance(&mut self, li: usize) -> (usize, Step) {
+        for (wi, walk) in self.lanes[li].walks.iter_mut().enumerate() {
+            let step = next_step(&*self.tech, &self.pm, self.superstep, walk);
+            if step != Step::Done {
+                return (wi, step);
+            }
         }
-        match self.granularity {
-            LockGranularity::None => (c.idx < c.queue.len()).then_some(Event::Begin(i)),
-            LockGranularity::Partition => match (c.held, c.idx < c.queue.len()) {
-                (Some(_), true) => Some(Event::Begin(i)),
-                (Some(_), false) => Some(Event::Release(i)),
-                (None, true) => (!c.parked).then_some(Event::TryAcquire(i)),
-                (None, false) => None,
-            },
-            LockGranularity::Vertex => match (c.held, c.idx < c.queue.len()) {
-                (Some(_), _) if !c.ran => Some(Event::Begin(i)),
-                (Some(_), _) => Some(Event::Release(i)),
-                (None, true) => (!c.parked).then_some(Event::TryAcquire(i)),
-                (None, false) => None,
-            },
-        }
+        unreachable!("lane {li} advanced past its last step")
     }
 
     /// Every event enabled in the current state, in a deterministic order.
@@ -372,35 +350,46 @@ impl Model {
         if self.finished || self.violation.is_some() {
             return Vec::new();
         }
-        let mut events: Vec<Event> = (0..self.containers.len())
-            .filter_map(|ci| self.container_event(ci))
+        // Per lane: `None` while its transaction is open, else its walks'
+        // next step.
+        let next: Vec<Option<Step>> = (self.lanes.iter().enumerate())
+            .map(|(li, lane)| lane.open.is_none().then(|| self.peek(li)))
             .collect();
-        let all_done = self.containers.iter().all(Container::done);
+        let mut events: Vec<Event> = (next.iter().enumerate())
+            .filter_map(|(li, step)| {
+                let i = li as u32;
+                match step {
+                    None => Some(Event::End(i)),
+                    Some(Step::Acquire(_)) => {
+                        (!self.lanes[li].parked).then_some(Event::TryAcquire(i))
+                    }
+                    Some(Step::Run { .. }) => Some(Event::Begin(i)),
+                    Some(Step::Release(_)) => Some(Event::Release(i)),
+                    Some(Step::Done) => None,
+                }
+            })
+            .collect();
+        let done = |li: usize| next[li] == Some(Step::Done);
         for (w, passed) in self.barrier.iter().enumerate() {
-            if !passed
-                && self
-                    .containers
-                    .iter()
-                    .filter(|c| c.worker.raw() as usize == w)
-                    .all(|c| c.done())
-            {
+            let mine = |li: &usize| self.lanes[*li].worker.index() == w;
+            if !passed && (0..self.lanes.len()).filter(mine).all(done) {
                 events.push(Event::Barrier(w as u32));
             }
         }
-        if all_done && !self.master_done {
+        if (0..self.lanes.len()).all(done) && !self.master_done {
             events.push(Event::MasterStep);
         }
-        if self.net.in_flight().is_some() {
+        if self.in_flight.is_some() {
             events.push(Event::DeliverToken);
         }
-        if self.master_done && self.barrier.iter().all(|&b| b) && self.net.in_flight().is_none() {
+        if self.master_done && self.barrier.iter().all(|&b| b) && self.in_flight.is_none() {
             events.push(Event::NextSuperstep);
         }
         events
     }
 
-    /// Execute one enabled event, then drain the transport and re-check
-    /// every invariant.
+    /// Execute one enabled event, then apply what the technique told the
+    /// transport and re-check every invariant.
     ///
     /// # Panics
     /// Panics if `e` is not currently enabled (explorer bug).
@@ -408,37 +397,31 @@ impl Model {
         debug_assert!(self.enabled().contains(&e), "executing disabled {e}");
         self.now += 1;
         match e {
-            Event::TryAcquire(ci) => {
-                let unit = self.unit_of(ci as usize);
+            Event::TryAcquire(li) => {
+                let li = li as usize;
+                let (wi, Step::Acquire(unit)) = self.advance(li) else {
+                    panic!("{e} is not lane {li}'s next step");
+                };
                 match self.tech.try_acquire_unit(unit, &self.net) {
-                    Some(_) => {
-                        let c = &mut self.containers[ci as usize];
-                        c.held = Some(unit);
-                        c.ran = false;
-                    }
+                    Some(_) => self.lanes[li].walks[wi].granted(),
                     None => {
-                        self.containers[ci as usize].parked = true;
-                        self.record(
-                            self.containers[ci as usize].worker.raw(),
-                            TraceEventKind::LockWait,
-                            0,
-                            u64::from(unit),
-                        );
+                        self.lanes[li].parked = true;
+                        let worker = self.lanes[li].worker.raw();
+                        self.record(worker, TraceEventKind::LockWait, 0, u64::from(unit));
                     }
                 }
             }
-            Event::Begin(ci) => {
-                let c = &mut self.containers[ci as usize];
-                let v = c.queue[c.idx];
-                c.open = true;
-                c.open_since = self.now;
+            Event::Begin(li) => {
+                let (_, Step::Run { v, .. }) = self.advance(li as usize) else {
+                    panic!("{e} is not lane {li}'s next step");
+                };
+                self.lanes[li as usize].open = Some((v, self.now));
                 self.checker.begin(v);
             }
-            Event::End(ci) => {
-                let (v, worker, since) = {
-                    let c = &self.containers[ci as usize];
-                    (c.queue[c.idx], c.worker, c.open_since)
-                };
+            Event::End(li) => {
+                let lane = &mut self.lanes[li as usize];
+                let (v, since) = lane.open.take().expect("end without begin");
+                let worker = lane.worker;
                 // The write step: the update to every out-neighbor replica
                 // is sent; same-worker replicas see it immediately, remote
                 // ones wait for a C1 flush point.
@@ -447,16 +430,10 @@ impl Model {
                     if self.pm.worker_of(t) == worker {
                         self.checker.on_visible(v, t);
                     } else {
-                        self.net.buffer_remote(worker, v, t);
+                        self.outbox[worker.index()].push((v, t));
                     }
                 }
                 self.checker.end(v);
-                let c = &mut self.containers[ci as usize];
-                c.open = false;
-                c.ran = true;
-                if self.granularity != LockGranularity::Vertex {
-                    c.idx += 1;
-                }
                 let dur = self.now - since;
                 self.record_full(
                     worker.raw(),
@@ -466,21 +443,15 @@ impl Model {
                     u64::from(v.raw()),
                 );
             }
-            Event::Release(ci) => {
-                let unit = self.containers[ci as usize]
-                    .held
-                    .expect("release without hold");
+            Event::Release(li) => {
+                let (_, Step::Release(unit)) = self.advance(li as usize) else {
+                    panic!("{e} is not lane {li}'s next step");
+                };
                 self.tech.release_unit(unit, self.now, &self.net);
-                let c = &mut self.containers[ci as usize];
-                c.held = None;
-                if self.granularity == LockGranularity::Vertex {
-                    c.idx += 1;
-                    c.ran = false;
-                }
-                // A release may hand forks over: every parked container is
+                // A release may hand forks over: every parked lane is
                 // worth re-polling.
-                for c in &mut self.containers {
-                    c.parked = false;
+                for lane in &mut self.lanes {
+                    lane.parked = false;
                 }
             }
             Event::Barrier(w) => {
@@ -491,31 +462,32 @@ impl Model {
                 // Technique rotation first (the token pass and its C1 flush
                 // of the sender), then the BSP write-all for everyone.
                 self.tech.end_superstep(self.superstep, &self.net);
-                if self.net.in_flight().is_some() {
-                    self.sent_at = Some(self.now);
+                self.apply_net();
+                for w in 0..self.outbox.len() {
+                    self.flush_worker(WorkerId::new(w as u32));
                 }
-                self.net.flush_all();
                 self.master_done = true;
             }
             Event::DeliverToken => {
-                let sent_at = self.sent_at.take().unwrap_or(self.now);
-                let delayed = self.now > sent_at + 1;
+                let flight = self.in_flight.take().expect("deliver without a pass");
+                let delayed = self.now > flight.sent_at + 1;
                 let dropped = matches!(
                     self.fault,
                     FaultPlan::DropDelayedTokenPass { superstep } if superstep == self.superstep
                 ) && delayed;
-                if dropped {
-                    self.net.drop_in_flight();
-                } else if let Some((from, to)) = self.net.deliver_token() {
+                // A dropped pass vanishes: the token is now neither held
+                // nor in transit.
+                if !dropped {
+                    self.token_at = Some(flight.to);
                     if let Some(t) = &self.trace {
                         t.record_peer(
-                            from.raw(),
+                            flight.from.raw(),
                             self.superstep,
                             TraceEventKind::RingPass,
-                            sent_at * 1000,
-                            (self.now - sent_at) * 1000,
+                            flight.sent_at * 1000,
+                            (self.now - flight.sent_at) * 1000,
                             0,
-                            to.raw(),
+                            flight.to.raw(),
                         );
                     }
                 }
@@ -527,45 +499,73 @@ impl Model {
                 } else {
                     self.barrier.iter_mut().for_each(|b| *b = false);
                     self.master_done = false;
-                    self.build_containers();
+                    self.build_lanes();
                 }
             }
         }
         self.post_event();
     }
 
-    /// Drain the transport into the checker/trace, then re-check the
-    /// per-state invariants.
-    fn post_event(&mut self) {
-        for (from, to) in self.net.drain_visible() {
+    /// The C1 flush of worker `w`: everything it buffered becomes visible.
+    fn flush_worker(&mut self, w: WorkerId) {
+        for (from, to) in std::mem::take(&mut self.outbox[w.index()]) {
             self.checker.on_visible(from, to);
         }
-        for action in self.net.drain_actions() {
-            if let Some(t) = &self.trace {
-                match action {
+    }
+
+    /// Apply, in call order, what the technique told the transport during
+    /// its last protocol call. A transfer completes the sender's write-all
+    /// before the resource is considered moved (the C1 contract — fork
+    /// moves have no reorderable window, and making one up would
+    /// manufacture false C1 violations); a global-token pass additionally
+    /// goes *in flight*, its delivery a separate, reorderable
+    /// [`Event::DeliverToken`].
+    fn apply_net(&mut self) {
+        for action in self.net.drain() {
+            match action {
+                NetAction::Transfer { from, to, unit } => {
+                    if unit.is_none() && self.tracks_token {
+                        self.send_token(from, to);
+                    }
+                    self.flush_worker(from);
                     // Ring passes are traced at delivery (they span time).
-                    NetAction::RingPass { .. } => {}
-                    NetAction::ForkMove { from, to, unit } => t.record_peer(
-                        from.raw(),
-                        self.superstep,
-                        TraceEventKind::ForkTransfer,
-                        self.now * 1000,
-                        1000,
-                        unit,
-                        to.raw(),
-                    ),
-                    NetAction::Request { from, to } => t.record_peer(
-                        from.raw(),
-                        self.superstep,
-                        TraceEventKind::RequestToken,
-                        self.now * 1000,
-                        1000,
-                        0,
-                        to.raw(),
-                    ),
+                    if let Some(unit) = unit {
+                        self.record_hop(from, to, TraceEventKind::ForkTransfer, u64::from(unit));
+                    }
+                }
+                NetAction::Request { from, to } => {
+                    self.record_hop(from, to, TraceEventKind::RequestToken, 0);
                 }
             }
         }
+    }
+
+    /// The global token leaves `from` for `to` — legitimately only if
+    /// `from` holds it and no other pass is in flight.
+    fn send_token(&mut self, from: WorkerId, to: WorkerId) {
+        if self.token_at != Some(from) || self.in_flight.is_some() {
+            self.misroute = Some(format!(
+                "worker {} passed the global token to {} but the token is {} (in flight: {})",
+                from.raw(),
+                to.raw(),
+                match self.token_at {
+                    Some(w) => format!("held by worker {}", w.raw()),
+                    None => "not held".to_string(),
+                },
+                match self.in_flight {
+                    Some(f) => format!("{}->{}", f.from.raw(), f.to.raw()),
+                    None => "no".to_string(),
+                },
+            ));
+        }
+        self.token_at = None;
+        let sent_at = self.now;
+        self.in_flight = Some(Flight { from, to, sent_at });
+    }
+
+    /// Apply the transport queue, then re-check the per-state invariants.
+    fn post_event(&mut self) {
+        self.apply_net();
         if self.violation.is_some() {
             return;
         }
@@ -577,17 +577,16 @@ impl Model {
     }
 
     fn check_invariants(&mut self) -> Option<Violation> {
-        if let Some(detail) = self.net.take_misroute() {
+        if let Some(detail) = self.misroute.take() {
             return Some(Violation::TokenMisrouted {
                 superstep: self.superstep,
                 detail,
             });
         }
-        if self.technique.uses_global_token()
-            && self.pm.layout().num_workers() > 1
+        if self.tracks_token
             && !self.finished
-            && self.net.token_at().is_none()
-            && self.net.in_flight().is_none()
+            && self.token_at.is_none()
+            && self.in_flight.is_none()
         {
             return Some(Violation::TokenLost {
                 superstep: self.superstep,
@@ -614,21 +613,19 @@ impl Model {
 
     /// Called by the explorer when [`enabled`](Model::enabled) comes back
     /// empty with work remaining: records a deadlock violation with the
-    /// wait-for edges of every stuck unit.
+    /// wait-for edges of every stuck unit — every lane whose next step is
+    /// an acquire.
     pub fn flag_deadlock(&mut self) {
         if self.finished || self.violation.is_some() {
             return;
         }
-        let mut waiting = Vec::new();
-        if self.granularity != LockGranularity::None {
-            for ci in 0..self.containers.len() {
-                let c = &self.containers[ci];
-                if c.held.is_none() && !c.open && c.idx < c.queue.len() {
-                    let unit = self.unit_of(ci);
-                    waiting.push((unit, self.tech.unit_waiting_on(unit)));
-                }
-            }
-        }
+        let waiting = (0..self.lanes.len())
+            .filter(|&li| self.lanes[li].open.is_none())
+            .filter_map(|li| match self.peek(li) {
+                Step::Acquire(unit) => Some((unit, self.tech.unit_waiting_on(unit))),
+                _ => None,
+            })
+            .collect();
         self.record(0, TraceEventKind::InvariantCheck, 0, 1);
         self.violation = Some(Violation::Deadlock {
             superstep: self.superstep,
@@ -644,15 +641,15 @@ impl Model {
     pub fn delay_score(&self, e: Event) -> u64 {
         match e {
             Event::DeliverToken => 1000,
-            Event::TryAcquire(ci) => {
-                let c = &self.containers[ci as usize];
-                let contention = match self.granularity {
-                    LockGranularity::Partition => c
-                        .partition
-                        .map(|p| self.pm.partition_neighbors(p).len())
-                        .unwrap_or(0),
-                    LockGranularity::Vertex => self.graph.degree(c.queue[c.idx]) as usize,
-                    LockGranularity::None => 0,
+            Event::TryAcquire(li) => {
+                let contention = match (self.peek(li as usize), self.tech.granularity()) {
+                    (Step::Acquire(p), LockGranularity::Partition) => {
+                        self.pm.partition_neighbors(PartitionId::new(p)).len()
+                    }
+                    (Step::Acquire(v), LockGranularity::Vertex) => {
+                        self.graph.degree(VertexId::new(v)) as usize
+                    }
+                    _ => 0,
                 };
                 100 + (contention as u64).min(800)
             }
@@ -707,14 +704,36 @@ impl Model {
             t.record(worker, self.superstep, kind, ts * 1000, dur * 1000, arg);
         }
     }
+
+    /// One protocol message `from -> to`, taking the current tick.
+    fn record_hop(&self, from: WorkerId, to: WorkerId, kind: TraceEventKind, arg: u64) {
+        if let Some(t) = &self.trace {
+            let at = self.now * 1000;
+            t.record_peer(from.raw(), self.superstep, kind, at, 1000, arg, to.raw());
+        }
+    }
+}
+
+/// Ask `walk` for its next step. Every vertex is runnable: the model's
+/// abstract program never votes to halt.
+fn next_step(
+    tech: &dyn Synchronizer,
+    pm: &PartitionMap,
+    superstep: u64,
+    walk: &mut PartitionWalk,
+) -> Step {
+    let vertices = pm.vertices_in(walk.partition());
+    walk.next(tech, superstep, vertices, |_, _| true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{GraphSpec, StrategyKind};
+    use crate::config::StrategyKind;
+    use sg_graph::GraphSpec;
+    use sg_sync::{SyncTransport, TechniqueKind};
 
-    fn cfg(technique: CheckTechnique) -> ExploreConfig {
+    fn cfg(technique: TechniqueKind) -> ExploreConfig {
         ExploreConfig {
             technique,
             graph: GraphSpec::Ring(8),
@@ -751,7 +770,8 @@ mod tests {
 
     #[test]
     fn straight_line_schedules_are_clean_for_every_technique() {
-        for technique in CheckTechnique::SERIALIZABLE {
+        let modelable = |t: &TechniqueKind| t.serializable() && cfg(*t).validate().is_ok();
+        for technique in TechniqueKind::ALL.into_iter().filter(modelable) {
             let mut model = Model::new(&cfg(technique), None);
             run_first_choice(&mut model);
             assert!(
@@ -770,7 +790,7 @@ mod tests {
     fn token_techniques_execute_every_vertex_across_a_rotation() {
         // 4 supersteps = one full single-layer rotation on 2 workers plus
         // slack: every vertex must have run at least once.
-        let mut model = Model::new(&cfg(CheckTechnique::SingleToken), None);
+        let mut model = Model::new(&cfg(TechniqueKind::SingleToken), None);
         run_first_choice(&mut model);
         let summary = model.history_summary();
         assert!(
@@ -786,7 +806,7 @@ mod tests {
         // first-choice schedule takes barriers before the master step and
         // then delivers immediately, so it stays clean. This is exactly
         // why schedule *exploration* is needed to find it.
-        let mut c = cfg(CheckTechnique::SingleToken);
+        let mut c = cfg(TechniqueKind::SingleToken);
         c.fault = FaultPlan::DropDelayedTokenPass { superstep: 0 };
         let mut model = Model::new(&c, None);
         run_first_choice(&mut model);
@@ -796,7 +816,7 @@ mod tests {
 
     #[test]
     fn delaying_the_delivery_triggers_the_seeded_token_loss() {
-        let mut c = cfg(CheckTechnique::SingleToken);
+        let mut c = cfg(TechniqueKind::SingleToken);
         c.fault = FaultPlan::DropDelayedTokenPass { superstep: 0 };
         let mut model = Model::new(&c, None);
         // Drive to completion, ending the superstep as soon as possible
@@ -832,7 +852,7 @@ mod tests {
     #[test]
     fn nosync_has_a_schedule_with_overlapping_neighbors() {
         // Open two neighboring transactions at once: C2 must fire.
-        let mut c = cfg(CheckTechnique::NoSync);
+        let mut c = cfg(TechniqueKind::None);
         c.graph = GraphSpec::Complete(6);
         c.workers = 2;
         c.ppw = 1;
@@ -866,9 +886,104 @@ mod tests {
 
     #[test]
     fn enabled_order_is_deterministic() {
-        let c = cfg(CheckTechnique::PartitionLock);
+        let c = cfg(TechniqueKind::PartitionLock);
         let m1 = Model::new(&c, None);
         let m2 = Model::new(&c, None);
         assert_eq!(m1.enabled(), m2.enabled());
+    }
+
+    fn w(i: u32) -> WorkerId {
+        WorkerId::new(i)
+    }
+
+    /// A fresh token-ring model with one remote update buffered on each
+    /// worker, over an edge `a - b` that the partitioning cuts: `a` lives
+    /// on worker 0 (where the ring starts), `b` on worker 1.
+    fn ring_with_buffered_updates() -> (Model, VertexId, VertexId) {
+        let mut m = Model::new(&cfg(TechniqueKind::SingleToken), None);
+        let home = |m: &Model, x| m.pm.worker_of(x);
+        let (a, b) = (m.graph.vertices())
+            .flat_map(|a| m.graph.out_neighbors(a).iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| home(&m, a) == w(0) && home(&m, b) == w(1))
+            .expect("ring:8 on two workers has a cut edge");
+        for (from, to) in [(a, b), (b, a)] {
+            let sender = home(&m, from).index();
+            m.checker.on_send(from, to);
+            m.outbox[sender].push((from, to));
+        }
+        (m, a, b)
+    }
+
+    #[test]
+    fn a_ring_pass_flushes_only_the_sender_and_the_write_all_the_rest() {
+        let (mut m, a, b) = ring_with_buffered_updates();
+        m.net.transfer(w(0), w(1), None);
+        m.apply_net();
+        assert!(m.outbox[0].is_empty());
+        assert_eq!(m.outbox[1], vec![(b, a)]);
+        // `b` now reads `a` fresh; `a` would still read `b` stale.
+        m.checker.begin(b);
+        assert_eq!(m.checker.status().c1_violations, 0);
+        m.checker.begin(a);
+        assert_eq!(m.checker.status().c1_violations, 1);
+        for w in 0..2 {
+            m.flush_worker(WorkerId::new(w)); // the superstep write-all
+        }
+        assert!(m.outbox.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_token_pass_goes_in_flight_and_lands_on_delivery() {
+        let mut m = Model::new(&cfg(TechniqueKind::SingleToken), None);
+        assert_eq!(m.token_at, Some(w(0)));
+        m.net.transfer(w(0), w(1), None);
+        m.apply_net();
+        assert_eq!(m.token_at, None);
+        let flight = m.in_flight.expect("in flight");
+        assert_eq!((flight.from, flight.to), (w(0), w(1)));
+        assert!(m.misroute.is_none());
+        assert!(m.enabled().contains(&Event::DeliverToken));
+        m.execute(Event::DeliverToken);
+        assert_eq!(m.token_at, Some(w(1)));
+        assert_eq!(m.in_flight, None);
+        assert!(m.violation().is_none(), "{:?}", m.violation());
+    }
+
+    #[test]
+    fn a_pass_by_a_non_holder_is_a_misroute() {
+        let mut m = Model::new(&cfg(TechniqueKind::SingleToken), None);
+        m.net.transfer(w(1), w(0), None);
+        m.post_event();
+        match m.violation() {
+            Some(Violation::TokenMisrouted { detail, .. }) => {
+                assert!(detail.contains("worker 1"), "{detail}");
+            }
+            other => panic!("expected token-misrouted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_dropped_flight_loses_the_token() {
+        let mut c = cfg(TechniqueKind::SingleToken);
+        c.fault = FaultPlan::DropDelayedTokenPass { superstep: 0 };
+        let mut m = Model::new(&c, None);
+        m.net.transfer(w(0), w(1), None);
+        m.apply_net();
+        m.now += 2; // anything scheduled in between delays the delivery
+        m.execute(Event::DeliverToken);
+        assert_eq!((m.token_at, m.in_flight), (None, None));
+        assert_eq!(m.violation().map(Violation::code), Some("token-lost"));
+    }
+
+    #[test]
+    fn fork_moves_flush_without_touching_the_token() {
+        let (mut m, ..) = ring_with_buffered_updates();
+        m.net.transfer(w(0), w(1), Some(7));
+        m.net.request(w(1), w(0));
+        m.post_event();
+        assert!(m.outbox[0].is_empty(), "the fork's sender flushed");
+        assert_eq!(m.outbox[1].len(), 1, "nobody else did");
+        assert_eq!((m.token_at, m.in_flight), (Some(w(0)), None));
+        assert!(m.violation().is_none(), "{:?}", m.violation());
     }
 }

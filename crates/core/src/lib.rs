@@ -37,69 +37,13 @@ pub use sg_sim;
 pub use sg_store;
 pub use sg_sync;
 
-/// Whether (and how) an engine-facing [`Technique`] maps onto the model
-/// checker's technique space — the typed answer behind
-/// [`check_technique`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModelCoverage {
-    /// The checker drives this technique's real protocol objects.
-    Modeled(sg_check::CheckTechnique),
-    /// The technique exists in the engine but is outside the checker's
-    /// model; `reason` says why (surfaced by `sg-check` as a typed
-    /// "not modelable" diagnostic instead of a silent `None`).
-    NotModelable {
-        /// The engine technique label (`TechniqueKind::label`).
-        technique: &'static str,
-        /// Why the checker's model cannot host it.
-        reason: &'static str,
-    },
-}
-
-/// Map an engine-facing [`Technique`] onto the model checker's technique
-/// space, with a typed explanation for the techniques the model does not
-/// cover.
-pub fn model_coverage(technique: Technique) -> ModelCoverage {
-    match technique {
-        Technique::None => ModelCoverage::Modeled(sg_check::CheckTechnique::NoSync),
-        Technique::SingleToken => ModelCoverage::Modeled(sg_check::CheckTechnique::SingleToken),
-        Technique::DualToken => ModelCoverage::Modeled(sg_check::CheckTechnique::DualToken),
-        Technique::VertexLock => ModelCoverage::Modeled(sg_check::CheckTechnique::VertexLock),
-        Technique::PartitionLock => ModelCoverage::Modeled(sg_check::CheckTechnique::PartitionLock),
-        Technique::PartitionLockNoSkip => ModelCoverage::NotModelable {
-            technique: "partition-lock/noskip",
-            reason: "the no-skip ablation differs from partition-lock only in the \
-                     halted-partition skip heuristic, which the checker's model elides: \
-                     its schedules already enumerate every unit order, so the modeled \
-                     partition-lock protocol covers both variants",
-        },
-        Technique::BspVertexLock => ModelCoverage::NotModelable {
-            technique: "bsp-vertex-lock",
-            reason: "Proposition 1's BSP-constrained vertex locking exchanges forks only \
-                     at global barriers with sub-superstep execution — a different state \
-                     machine from the checker's asynchronous container model (see \
-                     DESIGN.md §12.5)",
-        },
-    }
-}
-
-/// Map an engine-facing [`Technique`] onto the model checker's technique
-/// space, so callers can hand a `Runner` configuration straight to
-/// `sg_check::explore`. `None` for techniques the model does not cover;
-/// [`model_coverage`] returns the typed reason.
-pub fn check_technique(technique: Technique) -> Option<sg_check::CheckTechnique> {
-    match model_coverage(technique) {
-        ModelCoverage::Modeled(t) => Some(t),
-        ModelCoverage::NotModelable { .. } => None,
-    }
-}
-
 /// Everything most applications need.
 pub mod prelude {
     pub use crate::runner::{NetworkOptions, Runner, Technique};
     pub use sg_algos::{
         ConflictFixColoring, DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc, NO_COLOR,
     };
-    pub use sg_check::{CheckTechnique, ExploreConfig, StrategyKind};
+    pub use sg_check::{ExploreConfig, StrategyKind};
     pub use sg_engine::{
         Context, Engine, EngineConfig, EngineError, Model, Outcome, TechniqueKind, VertexProgram,
     };

@@ -1,16 +1,14 @@
 //! Engine configuration — cluster shape, computation model, synchronization
 //! technique, cost model — and the host-independent set-up every host
-//! derives from it: the partition map and the technique's synchronizer.
+//! derives from it: the partition map (the technique table and its
+//! synchronizer factory live with the techniques, in `sg-sync`).
 
 use sg_graph::partition::HashPartitioner;
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap};
-use sg_metrics::{CostModel, Metrics, ObsConfig};
-use sg_sync::{
-    BspVertexLock, DualLayerToken, NoSync, PartitionLock, SingleLayerToken, Synchronizer,
-    VertexLock,
-};
+use sg_metrics::{CostModel, ObsConfig};
+use sg_sync::Synchronizer;
+pub use sg_sync::{build_synchronizer, TechniqueKind};
 use std::fmt;
-use std::sync::Arc;
 
 /// Computation model (Section 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,76 +19,6 @@ pub enum Model {
     /// Asynchronous parallel: local messages visible immediately, remote
     /// messages on batch flush; global barriers retained (Giraph async).
     Async,
-}
-
-/// Which synchronization technique to pair with the AP model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TechniqueKind {
-    /// No synchronization: plain BSP/AP. **Not serializable.**
-    None,
-    /// Single-layer token passing (Section 4.2). One thread per worker.
-    SingleToken,
-    /// Dual-layer token passing (Section 5.3).
-    DualToken,
-    /// Vertex-based distributed locking over p-boundary vertices
-    /// (Section 4.3 adapted per Section 5.2; the GraphLab-style
-    /// all-vertices variant lives in `sg-gas`).
-    VertexLock,
-    /// Partition-based distributed locking (Section 5.4) — the paper's
-    /// proposal — with the halted-partition skip optimization.
-    PartitionLock,
-    /// Partition-based locking without the halted-partition skip, for the
-    /// ablation benchmarks.
-    PartitionLockNoSkip,
-    /// Proposition 1: constrained vertex-based locking for the **BSP**
-    /// model — all vertices are philosophers, fork/token exchanges happen
-    /// only at global barriers (sub-superstep execution). The only
-    /// technique valid with [`Model::Bsp`].
-    BspVertexLock,
-}
-
-impl TechniqueKind {
-    /// Does this technique provide serializability (enforce C1 and C2)?
-    pub fn serializable(self) -> bool {
-        !matches!(self, TechniqueKind::None)
-    }
-
-    /// Short name used in benchmark tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            TechniqueKind::None => "none",
-            TechniqueKind::SingleToken => "single-token",
-            TechniqueKind::DualToken => "dual-token",
-            TechniqueKind::VertexLock => "vertex-lock",
-            TechniqueKind::PartitionLock => "partition-lock",
-            TechniqueKind::PartitionLockNoSkip => "partition-lock/noskip",
-            TechniqueKind::BspVertexLock => "bsp-vertex-lock",
-        }
-    }
-}
-
-/// Build the synchronizer for `kind` over `pm` — the one technique
-/// factory every host (thread engine, simulator, cluster coordinator and
-/// worker replicas) constructs its protocol object with. `metrics` must
-/// already carry its telemetry registry, if any: the techniques grab their
-/// histogram handles at construction.
-pub fn build_synchronizer(
-    kind: TechniqueKind,
-    graph: &Graph,
-    pm: &Arc<PartitionMap>,
-    metrics: Arc<Metrics>,
-) -> Arc<dyn Synchronizer> {
-    match kind {
-        TechniqueKind::None => Arc::new(NoSync),
-        TechniqueKind::SingleToken => Arc::new(SingleLayerToken::new(Arc::clone(pm), metrics)),
-        TechniqueKind::DualToken => Arc::new(DualLayerToken::new(Arc::clone(pm), metrics)),
-        TechniqueKind::VertexLock => Arc::new(VertexLock::new(graph, pm, metrics)),
-        TechniqueKind::PartitionLock => Arc::new(PartitionLock::new(pm, metrics)),
-        TechniqueKind::PartitionLockNoSkip => {
-            Arc::new(PartitionLock::with_options(pm, metrics, false))
-        }
-        TechniqueKind::BspVertexLock => Arc::new(BspVertexLock::new(graph, pm, metrics)),
-    }
 }
 
 /// Everything that shapes an engine run.
@@ -360,21 +288,6 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(c.validate(), Err(EngineError::InvalidConfig(_))));
-    }
-
-    #[test]
-    fn technique_labels_and_serializability() {
-        assert!(!TechniqueKind::None.serializable());
-        for t in [
-            TechniqueKind::SingleToken,
-            TechniqueKind::DualToken,
-            TechniqueKind::VertexLock,
-            TechniqueKind::PartitionLock,
-            TechniqueKind::PartitionLockNoSkip,
-        ] {
-            assert!(t.serializable());
-            assert!(!t.label().is_empty());
-        }
     }
 
     #[test]

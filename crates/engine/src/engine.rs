@@ -557,21 +557,45 @@ struct Core<P: VertexProgram> {
 /// write-all flush (Section 4.1's "flush all pending remote replica
 /// updates ... before handing over the shared resource"). Virtual-time
 /// dependencies ride on the fork timestamps themselves (`sg-sync` adds
-/// [`SyncTransport::network_latency_ns`] per cross-machine hop), so only
+/// [`SyncTransport::link_latency_ns`] per cross-machine hop), so only
 /// the *global token* of the ring techniques — which really does stall the
 /// receiving worker — joins whole-worker clocks here.
 impl<P: VertexProgram> SyncTransport for Core<P> {
-    fn on_fork_transfer(&self, from: WorkerId, to: WorkerId) {
-        // Ring passes carry no protocol unit; forks pass theirs through
-        // `on_fork_transfer_detail` below.
-        self.fork_transfer_impl(from, to, 0);
+    /// C1 write-all flush (in one address space it is applied by the time
+    /// `flush_outbound` returns), ring-token clock join, and the
+    /// cross-worker trace edge (`peer` = receiving worker, `arg` = protocol
+    /// unit for forks).
+    fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>) {
+        self.flush_outbound(from.index());
+        // Not `unit.is_none()`: `BspVertexLock` moves forks that carry a
+        // unit but locks nothing, and its barrier-time moves are charged
+        // and traced as ring passes (pinned in tests/proposition1.rs).
+        let ring = self.sync.granularity() == LockGranularity::None;
+        if ring {
+            // Token techniques: the token gates the whole worker.
+            let ts = self.clocks.now(from.index()) + self.cost.network_latency_ns;
+            self.clocks.observe(to.index(), ts);
+        }
+        if self.trace.is_enabled() {
+            let s = self.superstep.load(Ordering::Relaxed);
+            let kind = if ring {
+                TraceEventKind::RingPass
+            } else {
+                TraceEventKind::ForkTransfer
+            };
+            self.trace.record_peer(
+                from.index() as u32,
+                s,
+                kind,
+                self.clocks.now(from.index()),
+                self.cost.network_latency_ns,
+                unit.map_or(0, u64::from),
+                to.index() as u32,
+            );
+        }
     }
 
-    fn on_fork_transfer_detail(&self, from: WorkerId, to: WorkerId, unit: u64) {
-        self.fork_transfer_impl(from, to, unit);
-    }
-
-    fn on_control_message(&self, from: WorkerId, to: WorkerId) {
+    fn request(&self, from: WorkerId, to: WorkerId) {
         if self.trace.is_enabled() {
             let s = self.superstep.load(Ordering::Relaxed);
             self.trace.record_peer(
@@ -586,7 +610,7 @@ impl<P: VertexProgram> SyncTransport for Core<P> {
         }
     }
 
-    fn network_latency_ns(&self) -> u64 {
+    fn link_latency_ns(&self, _from: WorkerId, _to: WorkerId) -> u64 {
         self.cost.network_latency_ns
     }
 }
@@ -1118,36 +1142,6 @@ impl<P: VertexProgram> Core<P> {
             if to != from {
                 self.flush_buffer(from, to);
             }
-        }
-    }
-
-    /// Shared body of the two fork-transfer transport hooks: C1 write-all
-    /// flush, ring-token clock join, and the cross-worker trace edge
-    /// (`peer` = receiving worker, `arg` = protocol unit for forks).
-    fn fork_transfer_impl(&self, from: WorkerId, to: WorkerId, unit: u64) {
-        self.flush_outbound(from.index());
-        let ring = self.sync.granularity() == LockGranularity::None;
-        if ring {
-            // Token techniques: the token gates the whole worker.
-            let ts = self.clocks.now(from.index()) + self.cost.network_latency_ns;
-            self.clocks.observe(to.index(), ts);
-        }
-        if self.trace.is_enabled() {
-            let s = self.superstep.load(Ordering::Relaxed);
-            let kind = if ring {
-                TraceEventKind::RingPass
-            } else {
-                TraceEventKind::ForkTransfer
-            };
-            self.trace.record_peer(
-                from.index() as u32,
-                s,
-                kind,
-                self.clocks.now(from.index()),
-                self.cost.network_latency_ns,
-                unit,
-                to.index() as u32,
-            );
         }
     }
 

@@ -139,15 +139,47 @@ struct Core<P: GasProgram> {
 }
 
 impl<P: GasProgram> SyncTransport for Core<P> {
-    fn on_fork_transfer(&self, from: WorkerId, to: WorkerId) {
-        self.fork_transfer_impl(from, to, 0);
+    /// Write-all: flush every buffered mirror update leaving `from` before
+    /// the fork crosses machines (condition C1, Section 4.3). The fork's
+    /// own network hop is charged onto its timestamp by the fork table, not
+    /// onto whole-machine clocks. Trace events carry the receiving machine
+    /// as `peer` and the traveling fork's philosopher id as `arg`.
+    fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>) {
+        let f = from.index();
+        for dest in 0..self.pending_updates[f].len() {
+            let n = self.pending_updates[f][dest].swap(0, Ordering::SeqCst);
+            if n > 0 {
+                self.metrics.inc(Counter::RemoteBatches);
+                self.clocks.advance(f, self.config.cost.batch_overhead_ns);
+                let ts = self.clocks.now(f) + self.config.cost.batch_cost(n);
+                self.clocks.observe(dest, ts);
+                if self.trace.is_enabled() {
+                    self.trace.record_peer(
+                        f as u32,
+                        0,
+                        TraceEventKind::BatchFlush,
+                        self.clocks.now(f),
+                        self.config.cost.batch_cost(n),
+                        n,
+                        dest as u32,
+                    );
+                }
+            }
+        }
+        if self.trace.is_enabled() {
+            self.trace.record_peer(
+                f as u32,
+                0,
+                TraceEventKind::ForkTransfer,
+                self.clocks.now(f),
+                self.config.cost.network_latency_ns,
+                unit.map_or(0, u64::from),
+                to.index() as u32,
+            );
+        }
     }
 
-    fn on_fork_transfer_detail(&self, from: WorkerId, to: WorkerId, unit: u64) {
-        self.fork_transfer_impl(from, to, unit);
-    }
-
-    fn on_control_message(&self, from: WorkerId, to: WorkerId) {
+    fn request(&self, from: WorkerId, to: WorkerId) {
         if self.trace.is_enabled() {
             self.trace.record_peer(
                 from.index() as u32,
@@ -161,7 +193,7 @@ impl<P: GasProgram> SyncTransport for Core<P> {
         }
     }
 
-    fn network_latency_ns(&self) -> u64 {
+    fn link_latency_ns(&self, _from: WorkerId, _to: WorkerId) -> u64 {
         self.config.cost.network_latency_ns
     }
 }
@@ -369,47 +401,6 @@ impl<P: GasProgram> AsyncGasEngine<P> {
 }
 
 impl<P: GasProgram> Core<P> {
-    /// Shared body of the fork-transfer transport hooks. Write-all: flush
-    /// every buffered mirror update leaving `from` before the fork crosses
-    /// machines (condition C1, Section 4.3). The fork's own network hop is
-    /// charged onto its timestamp by the fork table, not onto whole-machine
-    /// clocks. Trace events carry the receiving machine as `peer` and the
-    /// traveling fork's philosopher id as `arg`.
-    fn fork_transfer_impl(&self, from: WorkerId, to: WorkerId, unit: u64) {
-        let f = from.index();
-        for dest in 0..self.pending_updates[f].len() {
-            let n = self.pending_updates[f][dest].swap(0, Ordering::SeqCst);
-            if n > 0 {
-                self.metrics.inc(Counter::RemoteBatches);
-                self.clocks.advance(f, self.config.cost.batch_overhead_ns);
-                let ts = self.clocks.now(f) + self.config.cost.batch_cost(n);
-                self.clocks.observe(dest, ts);
-                if self.trace.is_enabled() {
-                    self.trace.record_peer(
-                        f as u32,
-                        0,
-                        TraceEventKind::BatchFlush,
-                        self.clocks.now(f),
-                        self.config.cost.batch_cost(n),
-                        n,
-                        dest as u32,
-                    );
-                }
-            }
-        }
-        if self.trace.is_enabled() {
-            self.trace.record_peer(
-                f as u32,
-                0,
-                TraceEventKind::ForkTransfer,
-                self.clocks.now(f),
-                self.config.cost.network_latency_ns,
-                unit,
-                to.index() as u32,
-            );
-        }
-    }
-
     /// GraphLab `signal`: schedule `v` unless already queued.
     fn signal(&self, v: VertexId) {
         if !self.queued[v.index()].swap(true, Ordering::SeqCst) {

@@ -280,6 +280,128 @@ pub fn rmat(scale: u32, num_edges: u64, probs: (f64, f64, f64, f64), seed: u64) 
     Graph::from_edges(n as u32, &edges)
 }
 
+/// A small workload graph named by a compact spec string — `ring:8`,
+/// `complete:6`, `grid:3x4` (or `grid:3:4`), `er:64:200:7`, `paper-c4` —
+/// the one grammar the `sg-check` and `sg-cluster` command lines and the
+/// counterexample files share. [`GraphSpec::parse`] is where such a string
+/// enters the program, so that is where the generators' preconditions are
+/// checked: a parsed spec always builds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GraphSpec {
+    /// Undirected cycle of `n >= 3` vertices.
+    Ring(u32),
+    /// Clique on `n >= 1` vertices — maximal conflict density.
+    Complete(u32),
+    /// `rows x cols` grid, both positive.
+    Grid(u32, u32),
+    /// Symmetric Erdős–Rényi `G(n, m)`: `m` undirected edges over `n >= 2`
+    /// vertices, drawn from `seed`.
+    ErdosRenyi {
+        /// Vertices.
+        n: u32,
+        /// Undirected edges, at most `n (n - 1) / 2`.
+        m: u64,
+        /// Generator seed.
+        seed: u64,
+    },
+    /// The paper's running four-vertex example.
+    PaperC4,
+}
+
+impl GraphSpec {
+    /// Most vertices, and most undirected edges, a spec may ask for: the
+    /// generators allocate for what is asked, and a spec string comes from
+    /// a command line.
+    pub const MAX_SIZE: u64 = 1 << 22;
+
+    /// Parse a spec string; the error names what is wrong with it.
+    pub fn parse(s: &str) -> Result<GraphSpec, String> {
+        let checked = || {
+            let (kind, args) = match s.split_once(':') {
+                Some((kind, args)) => (kind, Some(args)),
+                None => (s, None),
+            };
+            let separators: &[char] = if kind == "grid" { &[':', 'x'] } else { &[':'] };
+            let nums = (args.into_iter().flat_map(|a| a.split(separators)))
+                .map(|p| p.parse().map_err(|_| format!("{p:?} is not a number")))
+                .collect::<Result<Vec<u64>, String>>()?;
+            let count = |n: u64| u32::try_from(n).map_err(|_| format!("{n} exceeds {}", u32::MAX));
+            let spec = match (kind, nums.as_slice()) {
+                ("ring", &[n]) => GraphSpec::Ring(count(n)?),
+                ("complete", &[n]) => GraphSpec::Complete(count(n)?),
+                ("grid", &[r, c]) => GraphSpec::Grid(count(r)?, count(c)?),
+                ("er", &[n, m, seed]) => {
+                    let n = count(n)?;
+                    GraphSpec::ErdosRenyi { n, m, seed }
+                }
+                ("paper-c4", &[]) => GraphSpec::PaperC4,
+                _ => {
+                    return Err("want ring:N, complete:N, grid:RxC, er:N:M:SEED or paper-c4".into())
+                }
+            };
+            spec.validate()
+        };
+        checked().map_err(|why| format!("bad graph spec {s:?}: {why}"))
+    }
+
+    /// Check the bounds [`GraphSpec::build`] needs, for a spec that was
+    /// constructed rather than parsed.
+    pub fn validate(self) -> Result<GraphSpec, String> {
+        let pairs = |n: u32| u64::from(n) * u64::from(n.saturating_sub(1)) / 2;
+        let (vertices, edges) = match self {
+            GraphSpec::Ring(n) if n < 3 => return Err("a ring needs at least 3 vertices".into()),
+            GraphSpec::Ring(n) => (u64::from(n), u64::from(n)),
+            GraphSpec::Complete(0) => return Err("a clique needs at least 1 vertex".into()),
+            GraphSpec::Complete(n) => (u64::from(n), pairs(n)),
+            GraphSpec::Grid(r, c) if r == 0 || c == 0 => {
+                return Err("a grid needs at least 1 row and 1 column".into())
+            }
+            GraphSpec::Grid(r, c) => {
+                let cells = u64::from(r) * u64::from(c);
+                (cells, cells.saturating_mul(2)) // fewer than 2 edges per cell
+            }
+            GraphSpec::ErdosRenyi { n, .. } if n < 2 => {
+                return Err("a random graph needs at least 2 vertices".into())
+            }
+            GraphSpec::ErdosRenyi { n, m, .. } if m > pairs(n) => {
+                return Err(format!("{n} vertices hold at most {} edges", pairs(n)));
+            }
+            GraphSpec::ErdosRenyi { n, m, .. } => (u64::from(n), m),
+            GraphSpec::PaperC4 => (4, 4),
+        };
+        if vertices.max(edges) > Self::MAX_SIZE {
+            return Err(format!("more than {} vertices or edges", Self::MAX_SIZE));
+        }
+        Ok(self)
+    }
+
+    /// Materialize the graph.
+    ///
+    /// # Panics
+    /// Panics (in the generator) on a spec [`GraphSpec::validate`] rejects.
+    pub fn build(self) -> Graph {
+        match self {
+            GraphSpec::Ring(n) => ring(n),
+            GraphSpec::Complete(n) => complete(n),
+            GraphSpec::Grid(r, c) => grid(r, c),
+            GraphSpec::ErdosRenyi { n, m, seed } => erdos_renyi(n, m, true, seed),
+            GraphSpec::PaperC4 => paper_c4(),
+        }
+    }
+}
+
+impl std::fmt::Display for GraphSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphSpec::Ring(n) => write!(f, "ring:{n}"),
+            GraphSpec::Complete(n) => write!(f, "complete:{n}"),
+            GraphSpec::Grid(r, c) => write!(f, "grid:{r}x{c}"),
+            GraphSpec::ErdosRenyi { n, m, seed } => write!(f, "er:{n}:{m}:{seed}"),
+            GraphSpec::PaperC4 => f.write_str("paper-c4"),
+        }
+    }
+}
+
 /// Scaled-down synthetic stand-ins for the paper's Table 1 datasets.
 ///
 /// Each function returns a *directed* graph (like the originals); the
@@ -506,5 +628,68 @@ mod tests {
         let gs = datasets::all(256);
         let sizes: Vec<u64> = gs.iter().map(|(_, g)| g.num_edges()).collect();
         assert!(sizes.windows(2).all(|w| w[0] < w[1]), "sizes {sizes:?}");
+    }
+
+    #[test]
+    fn graph_specs_round_trip_and_build() {
+        for spec in [
+            GraphSpec::Ring(8),
+            GraphSpec::Complete(5),
+            GraphSpec::Grid(3, 4),
+            GraphSpec::ErdosRenyi {
+                n: 16,
+                m: 40,
+                seed: 7,
+            },
+            GraphSpec::PaperC4,
+        ] {
+            assert_eq!(GraphSpec::parse(&spec.to_string()), Ok(spec));
+        }
+        // Either separator names the same grid; files written with `x`
+        // and command lines typed with `:` both keep parsing.
+        assert_eq!(GraphSpec::parse("grid:3:4"), GraphSpec::parse("grid:3x4"));
+        assert_eq!(GraphSpec::Grid(3, 4).build().num_vertices(), 12);
+        assert_eq!(GraphSpec::PaperC4.build().num_vertices(), 4);
+        let er = GraphSpec::parse("er:16:40:7").unwrap().build();
+        assert_eq!((er.num_vertices(), er.num_undirected_edges()), (16, 40));
+        assert_eq!(
+            GraphSpec::Complete(1)
+                .validate()
+                .map(GraphSpec::build)
+                .unwrap()
+                .num_edges(),
+            0
+        );
+    }
+
+    #[test]
+    fn degenerate_graph_specs_are_errors_that_name_the_bound() {
+        for (spec, bound) in [
+            ("ring:0", "at least 3"),
+            ("ring:2", "at least 3"),
+            ("complete:0", "at least 1"),
+            ("grid:0x3", "at least 1 row"),
+            ("grid:0:3", "at least 1 row"),
+            ("grid:3x0", "at least 1 row"),
+            ("er:0:0:1", "at least 2"),
+            ("er:5:1000:1", "at most 10 edges"),
+            // What `as u32` used to read as `ring:3`.
+            ("ring:4294967299", "exceeds 4294967295"),
+            ("grid:65536x65536", "more than"),
+            ("complete:100000", "more than"),
+            ("er:4000000000:5:1", "more than"),
+            ("ring:x", "not a number"),
+            ("ring:", "not a number"),
+            ("grid:3", "want ring:N"),
+            ("ring:3x4", "not a number"),
+            ("torus:9", "want ring:N"),
+            ("paper-c4:1", "want ring:N"),
+            ("", "want ring:N"),
+        ] {
+            let err = GraphSpec::parse(spec).expect_err(spec);
+            assert!(err.contains(bound), "{spec}: {err}");
+            assert!(err.contains(&format!("{spec:?}")), "{spec}: {err}");
+        }
+        assert!(GraphSpec::Ring(2).validate().is_err());
     }
 }

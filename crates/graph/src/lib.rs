@@ -14,7 +14,8 @@
 //!   Section 5.3), and the *virtual partition edges* of Section 5.4.
 //! * [`gen`] — seeded synthetic generators (R-MAT, Erdős–Rényi, preferential
 //!   attachment, rings, grids, …) standing in for the paper's SNAP/LAW
-//!   datasets.
+//!   datasets, and [`GraphSpec`], the `ring:8`-style grammar the command
+//!   lines name the small ones by.
 //! * [`io`] — plain-text edge-list reading and writing (the format the paper
 //!   loads from HDFS).
 //! * [`stats`] — degree/skew/clustering summaries for dataset reports.
@@ -32,6 +33,7 @@ pub mod rng;
 pub mod stats;
 
 pub use builder::GraphBuilder;
+pub use gen::GraphSpec;
 pub use graph::Graph;
 pub use ids::{PartitionId, VertexId, WorkerId};
 pub use partition::{ClusterLayout, PartitionMap, VertexClass};

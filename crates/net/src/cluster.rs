@@ -7,11 +7,10 @@
 //! — and drives it from worker RPCs: `AcquireUnit`/`ReleaseUnit` frames
 //! feed a per-worker executor thread that blocks inside
 //! `Synchronizer::acquire_unit` exactly like an engine thread would, and
-//! the technique's transport callbacks (`on_fork_transfer*`,
-//! `flush_acknowledged`, `on_control_message`) become real network
-//! round-trips: a `FlushForks` request to the surrendering worker, a
-//! batched write-all over the mesh, an application receipt, and only
-//! then does the fork or token move.
+//! the technique's transport calls become real network traffic: one
+//! `transfer` is a `FlushForks` request to the surrendering worker, a
+//! batched write-all over the mesh and an application receipt, and only
+//! then does the fork or token move; a `request` is a relayed frame.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -245,21 +244,6 @@ impl ClusterOutcome {
     }
 }
 
-/// Map a wire label back to a [`TechniqueKind`].
-pub(crate) fn technique_from_label(label: &str) -> Option<TechniqueKind> {
-    [
-        TechniqueKind::None,
-        TechniqueKind::SingleToken,
-        TechniqueKind::DualToken,
-        TechniqueKind::VertexLock,
-        TechniqueKind::PartitionLock,
-        TechniqueKind::PartitionLockNoSkip,
-        TechniqueKind::BspVertexLock,
-    ]
-    .into_iter()
-    .find(|t| t.label() == label)
-}
-
 // ---------------------------------------------------------------------------
 // Coordinator state
 // ---------------------------------------------------------------------------
@@ -277,7 +261,6 @@ struct CoordState {
     txns: Vec<WireTxn>,
     events: Vec<TraceEvent>,
     next_flush: u64,
-    flush_pending: HashMap<(u32, u32), u64>,
     flush_done: HashSet<u64>,
     failed: Option<String>,
 }
@@ -374,55 +357,34 @@ impl ExecQueue {
     }
 }
 
-/// The socket-backed [`SyncTransport`]. Fork/token movement initiates a
-/// `FlushForks` request to the surrendering worker; `flush_acknowledged`
-/// blocks until that worker reports the receiver applied everything —
-/// the C1 write-all receipt, stretched over TCP.
+/// The socket-backed [`SyncTransport`]. Fork/token movement sends a
+/// `FlushForks` request to the surrendering worker and blocks until that
+/// worker reports the receiver applied everything — the C1 write-all
+/// receipt, stretched over TCP.
 struct CoordTransport {
     coord: Arc<Coord>,
 }
 
-impl CoordTransport {
-    fn initiate(&self, from: u32, to: u32, unit: u64, token: bool) {
+impl SyncTransport for CoordTransport {
+    fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>) {
         let flush_seq = {
             let mut st = self.coord.state.lock().unwrap();
             st.next_flush += 1;
-            let seq = st.next_flush;
-            st.flush_pending.insert((from, to), seq);
-            seq
+            st.next_flush
         };
         self.coord.send(
-            from,
+            from.raw(),
             &Message::FlushForks {
-                target: to,
-                unit,
-                token,
+                target: to.raw(),
+                unit: unit.map_or(0, u64::from),
+                token: unit.is_none(),
                 flush_seq,
             },
         );
-    }
-}
-
-impl SyncTransport for CoordTransport {
-    fn on_fork_transfer(&self, from: WorkerId, to: WorkerId) {
-        self.initiate(from.raw(), to.raw(), 0, true);
-    }
-
-    fn on_fork_transfer_detail(&self, from: WorkerId, to: WorkerId, unit: u64) {
-        self.initiate(from.raw(), to.raw(), unit, false);
-    }
-
-    fn flush_acknowledged(&self, from: WorkerId, to: WorkerId) {
-        let key = (from.raw(), to.raw());
-        let seq = {
-            let mut st = self.coord.state.lock().unwrap();
-            st.flush_pending.remove(&key)
-        };
-        let Some(seq) = seq else { return };
         // A failed wait poisons the run via `fail`; the techniques' ()
         // return type means the driver loop surfaces the error instead.
         let result = self.coord.wait_for("flush receipt", FLUSH_TIMEOUT, |st| {
-            st.flush_done.remove(&seq).then_some(())
+            st.flush_done.remove(&flush_seq).then_some(())
         });
         if result.is_err() {
             self.coord.fail(format!(
@@ -433,7 +395,7 @@ impl SyncTransport for CoordTransport {
         }
     }
 
-    fn on_control_message(&self, from: WorkerId, to: WorkerId) {
+    fn request(&self, from: WorkerId, to: WorkerId) {
         self.coord
             .send(from.raw(), &Message::RequestTokenRelay { target: to.raw() });
     }
@@ -1035,7 +997,6 @@ fn drive(
             txns: Vec::new(),
             events: Vec::new(),
             next_flush: 0,
-            flush_pending: HashMap::new(),
             flush_done: HashSet::new(),
             failed: None,
         }),
@@ -1403,18 +1364,10 @@ mod tests {
     /// protocol (or none).
     #[test]
     fn every_technique_label_round_trips() {
-        for kind in [
-            TechniqueKind::None,
-            TechniqueKind::SingleToken,
-            TechniqueKind::DualToken,
-            TechniqueKind::VertexLock,
-            TechniqueKind::PartitionLock,
-            TechniqueKind::PartitionLockNoSkip,
-            TechniqueKind::BspVertexLock,
-        ] {
-            assert_eq!(technique_from_label(kind.label()), Some(kind));
+        for kind in TechniqueKind::ALL {
+            assert_eq!(TechniqueKind::from_label(kind.label()), Some(kind));
         }
-        assert_eq!(technique_from_label("no-such-technique"), None);
+        assert_eq!(TechniqueKind::from_label("no-such-technique"), None);
     }
 
     #[test]

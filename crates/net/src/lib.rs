@@ -24,10 +24,10 @@
 //!
 //! Token holders are pure functions of the superstep number, so workers
 //! replicate the token techniques locally for `vertex_allowed` gating; the
-//! coordinator's replica drives `end_superstep`, whose
-//! `on_fork_transfer` + `flush_acknowledged` pair becomes a real
-//! network round-trip: flush request to the holder, batched messages to
-//! the receiver, application acknowledged, *then* the token moves. The
+//! coordinator's replica drives `end_superstep`, whose one `transfer`
+//! call becomes a real network round-trip: flush request to the holder,
+//! batched messages to the receiver, application acknowledged, *then* the
+//! token moves. The
 //! Chandy-Misra fork tables never know they left one address space — the
 //! whole point of the [`SyncTransport`] abstraction.
 //!

@@ -39,9 +39,9 @@ use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
 use sg_engine::{build_synchronizer, AggregatorSet, Cycle, Env, Host, VertexProgram, WireCodec};
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
-use sg_sync::{LockGranularity, PartitionWalk, Step, Synchronizer};
+use sg_sync::{LockGranularity, PartitionWalk, Step, Synchronizer, TechniqueKind};
 
-use crate::cluster::{technique_from_label, GOODBYE_SUPERSTEP};
+use crate::cluster::GOODBYE_SUPERSTEP;
 use crate::fault::FaultInjector;
 use crate::link::{accept_handshake, CtrlConn, FrameReader, PeerHandler, PeerLink};
 use crate::wire::{
@@ -348,7 +348,7 @@ where
     P::Message: WireCodec,
 {
     let clock = Arc::clone(ctrl.clock());
-    let technique = technique_from_label(&spec.technique)
+    let technique = TechniqueKind::from_label(&spec.technique)
         .ok_or_else(|| NetError::Protocol(format!("unknown technique `{}`", spec.technique)))?;
     let graph = Graph::from_edges(spec.num_vertices, &spec.edges);
     let layout = ClusterLayout::new(spec.workers, spec.partitions_per_worker);
@@ -741,7 +741,7 @@ fn answer_query(shared: &Shared, id: u64, op: u8, a: u64, vertices: &[u32]) {
 
 /// The C1 write-all, serviced on the dispatcher thread: drain staging for
 /// `target`, ship it, fence until applied, then report `FlushDone` so the
-/// coordinator's `flush_acknowledged` unblocks and the fork/token moves.
+/// coordinator's `transfer` returns and the fork/token moves.
 fn handle_flush(
     shared: &Shared,
     links: &[Option<PeerLink>],

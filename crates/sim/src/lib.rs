@@ -1,13 +1,15 @@
 //! # sg-sim — discrete-event cluster simulation
 //!
-//! The fourth transport for the paper's synchronization techniques: a
+//! The fourth host of the paper's synchronization techniques: a
 //! single-threaded discrete-event core (binary-heap event queue over
-//! virtual time) that hosts the **unmodified** `sg-sync` protocol objects
-//! and vertex programs behind the [`SyncTransport`](sg_sync::SyncTransport)
-//! seam. Where the in-process engine spends one OS thread per simulated
-//! compute thread — topping out at tens of workers on a small host — the
-//! simulator walks a 512-worker superstep as one event-loop pass with
-//! exact virtual-time makespans, deterministic under a fixed seed.
+//! virtual time) that runs the **unmodified** `sg-sync` protocol objects
+//! and vertex programs, applying what they tell the
+//! [`SyncTransport`](sg_sync::SyncTransport) seam from `sg-sync`'s own
+//! [`QueueTransport`](sg_sync::QueueTransport). Where the in-process
+//! engine spends one OS thread per simulated compute thread — topping out
+//! at tens of workers on a small host — the simulator walks a 512-worker
+//! superstep as one event-loop pass with exact virtual-time makespans,
+//! deterministic under a fixed seed.
 //!
 //! * [`simulate`] runs a vertex program on a simulated cluster and
 //!   returns the engine-shaped [`Outcome`](sg_engine::Outcome) plus a
@@ -30,5 +32,5 @@ pub mod net;
 mod sim;
 
 pub use calibrate::{fit_cost_model, CostFit};
-pub use net::{NetAction, NetModel, SimTransport};
+pub use net::NetModel;
 pub use sim::{simulate, SimOptions, SimReport};

@@ -1,5 +1,6 @@
-//! The simulated network: a per-link latency model and the
-//! [`SyncTransport`] the protocol objects talk to.
+//! The simulated network: a per-link latency model. The simulation holds
+//! it directly, and `sg-sync`'s queue transport answers the protocol
+//! objects' latency queries from it.
 //!
 //! The model distinguishes the worker mesh (fork transfers, message
 //! batches) from the coordinator uplink (token ring passes, which the
@@ -7,10 +8,7 @@
 //! deterministically from a seed — so a 512-worker topology is not one
 //! uniform constant but still replays bit-identically.
 
-use sg_graph::WorkerId;
 use sg_metrics::CostModel;
-use sg_sync::SyncTransport;
-use std::sync::Mutex;
 
 /// SplitMix64 finalizer: a cheap, well-mixed hash for per-link jitter.
 #[inline]
@@ -94,111 +92,6 @@ impl NetModel {
     }
 }
 
-/// A protocol-level network action recorded by [`SimTransport`] for the
-/// event loop to apply.
-///
-/// The `Synchronizer` trait calls into the transport from inside
-/// `try_acquire_unit` / `release_unit` / `end_superstep`; a discrete-event
-/// core cannot mutate its own state re-entrantly from those callbacks, so
-/// the transport queues what happened and the simulation drains the queue
-/// immediately after each protocol call returns — before any other event
-/// fires, which preserves the engine's synchronous write-all (C1)
-/// semantics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NetAction {
-    /// A fork or token moved `from -> to` guarding protocol `unit`
-    /// (`u64::MAX` for unit-less ring passes). The sender's outbound
-    /// messages must be flushed and applied (write-all) as part of the
-    /// handover.
-    Transfer {
-        /// Sending worker.
-        from: u32,
-        /// Receiving worker.
-        to: u32,
-        /// Protocol unit riding the transfer, or `u64::MAX`.
-        unit: u64,
-    },
-    /// A lightweight control message (fork/token request) moved
-    /// `from -> to`. No flush; just trace it.
-    Request {
-        /// Sending worker.
-        from: u32,
-        /// Receiving worker.
-        to: u32,
-    },
-}
-
-/// The simulator's [`SyncTransport`]: answers latency queries from the
-/// [`NetModel`] and records fork/token movements as [`NetAction`]s.
-#[derive(Debug)]
-pub struct SimTransport {
-    net: NetModel,
-    actions: Mutex<Vec<NetAction>>,
-}
-
-impl SimTransport {
-    /// A transport over `net` with an empty action queue.
-    pub fn new(net: NetModel) -> Self {
-        Self {
-            net,
-            actions: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The network model.
-    pub fn net(&self) -> &NetModel {
-        &self.net
-    }
-
-    /// Drain the actions recorded since the last drain, in call order.
-    pub fn drain(&self) -> Vec<NetAction> {
-        std::mem::take(&mut self.actions.lock().unwrap())
-    }
-
-    fn push(&self, a: NetAction) {
-        self.actions.lock().unwrap().push(a);
-    }
-}
-
-impl SyncTransport for SimTransport {
-    fn on_fork_transfer(&self, from: WorkerId, to: WorkerId) {
-        // Unit-less: token ring passes call this hook directly.
-        self.push(NetAction::Transfer {
-            from: from.raw(),
-            to: to.raw(),
-            unit: u64::MAX,
-        });
-    }
-
-    fn on_fork_transfer_detail(&self, from: WorkerId, to: WorkerId, unit: u64) {
-        self.push(NetAction::Transfer {
-            from: from.raw(),
-            to: to.raw(),
-            unit,
-        });
-    }
-
-    // flush_acknowledged: default no-op. The simulation applies the
-    // write-all flush synchronously while draining the Transfer action,
-    // which happens before any other simulated event can observe the
-    // handover — the same guarantee the in-process engine provides.
-
-    fn on_control_message(&self, from: WorkerId, to: WorkerId) {
-        self.push(NetAction::Request {
-            from: from.raw(),
-            to: to.raw(),
-        });
-    }
-
-    fn network_latency_ns(&self) -> u64 {
-        self.net.mesh_latency_ns
-    }
-
-    fn link_latency_ns(&self, from: WorkerId, to: WorkerId) -> u64 {
-        self.net.link_latency_ns(from.raw(), to.raw())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,30 +134,5 @@ mod tests {
             }
         }
         assert!(distinct.len() > 1, "jitter produced uniform links");
-    }
-
-    #[test]
-    fn transport_records_actions_in_order() {
-        let t = SimTransport::new(NetModel::default());
-        t.on_fork_transfer(WorkerId::new(0), WorkerId::new(1));
-        t.on_fork_transfer_detail(WorkerId::new(1), WorkerId::new(2), 9);
-        t.on_control_message(WorkerId::new(2), WorkerId::new(0));
-        assert_eq!(
-            t.drain(),
-            vec![
-                NetAction::Transfer {
-                    from: 0,
-                    to: 1,
-                    unit: u64::MAX
-                },
-                NetAction::Transfer {
-                    from: 1,
-                    to: 2,
-                    unit: 9
-                },
-                NetAction::Request { from: 2, to: 0 },
-            ]
-        );
-        assert!(t.drain().is_empty());
     }
 }

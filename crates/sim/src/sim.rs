@@ -12,9 +12,10 @@
 //! The synchronization techniques are the **unmodified** `sg-sync`
 //! protocol objects: where the walk says acquire the simulation polls
 //! [`Synchronizer::try_acquire_unit`] and parks the lane, exactly as the
-//! model checker does, and it hosts their transport callbacks behind
-//! [`SimTransport`] — the fourth transport beside the in-process engine,
-//! `sg-check`'s virtual transport, and `sg-net`'s sockets.
+//! model checker does, and their transport is the same
+//! [`QueueTransport`] the model checker drains, answering latency queries
+//! from the [`NetModel`]: each queued action is applied right after the
+//! protocol call that made it returns.
 //!
 //! Fidelity notes (what the simulator's IO half shares with `sg-engine`):
 //! * local messages are visible immediately (AP model); remote messages
@@ -29,7 +30,7 @@
 //!   `barrier_ns`, exactly like the engine's master phase.
 
 use crate::event::{EventKind, EventQueue};
-use crate::net::{NetAction, NetModel, SimTransport};
+use crate::net::NetModel;
 use sg_engine::cycle::{charge_lock_wait, charge_virtual};
 use sg_engine::state::{gather_values, PartitionData};
 use sg_engine::store::{Routed, StagingBuffers};
@@ -40,7 +41,7 @@ use sg_engine::{
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
 use sg_metrics::{CostModel, Counter, Metrics, ObsReport, Trace, TraceEventKind};
 use sg_serial::Recorder;
-use sg_sync::{LockGranularity, PartitionWalk, Step, Synchronizer};
+use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Step, Synchronizer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -120,7 +121,8 @@ struct Sim<'a, P: VertexProgram> {
     combiner: Option<&'a dyn Combiner<P::Message>>,
     pm: &'a PartitionMap,
     sync: Arc<dyn Synchronizer>,
-    transport: SimTransport,
+    transport: QueueTransport,
+    net: NetModel,
     cost: CostModel,
     metrics: &'a Metrics,
     trace: &'a Trace,
@@ -237,7 +239,10 @@ pub fn simulate<P: VertexProgram>(
         combiner: combiner.as_deref(),
         pm: &pm,
         sync,
-        transport: SimTransport::new(net),
+        transport: QueueTransport::with_latency(move |from, to| {
+            net.link_latency_ns(from.raw(), to.raw())
+        }),
+        net,
         cost: config.cost,
         metrics: &metrics,
         trace: &trace,
@@ -505,7 +510,7 @@ impl<P: VertexProgram> Sim<'_, P> {
         self.metrics.inc(Counter::RemoteBatches);
         self.floor[from as usize] += self.cost.batch_overhead_ns;
         let send_t = self.floor[from as usize];
-        let lat = self.transport.net().batch_latency_ns(from, to, n);
+        let lat = self.net.batch_latency_ns(from, to, n);
         self.trace.record_peer(
             from,
             self.superstep,
@@ -583,10 +588,11 @@ impl<P: VertexProgram> Sim<'_, P> {
         for a in self.transport.drain() {
             match a {
                 NetAction::Transfer { from, to, unit } => {
+                    let (from, to) = (from.raw(), to.raw());
                     self.apply_in_flight_from(from);
                     self.write_all_from(from);
-                    let ring = self.sync.granularity() == LockGranularity::None;
-                    let net = *self.transport.net();
+                    let ring = unit.is_none();
+                    let net = self.net;
                     let (kind, lat) = if ring {
                         (TraceEventKind::RingPass, net.uplink_latency_ns(from, to))
                     } else {
@@ -603,19 +609,19 @@ impl<P: VertexProgram> Sim<'_, P> {
                         kind,
                         now,
                         lat,
-                        if unit == u64::MAX { 0 } else { unit },
+                        unit.map_or(0, u64::from),
                         to,
                     );
                 }
                 NetAction::Request { from, to } => {
                     self.trace.record_peer(
-                        from,
+                        from.raw(),
                         self.superstep,
                         TraceEventKind::RequestToken,
-                        self.floor[from as usize],
+                        self.floor[from.index()],
                         0,
                         0,
-                        to,
+                        to.raw(),
                     );
                 }
             }

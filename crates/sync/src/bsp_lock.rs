@@ -201,7 +201,7 @@ impl Synchronizer for BspVertexLock {
                         let (fw, tw) = (self.owner[v as usize], self.owner[holder as usize]);
                         if fw != tw {
                             self.metrics.inc(Counter::RequestTokensRemote);
-                            transport.on_control_message(fw, tw);
+                            transport.request(fw, tw);
                         }
                     }
                 }
@@ -223,8 +223,7 @@ impl Synchronizer for BspVertexLock {
                     self.metrics.inc(Counter::ForkTransfersRemote);
                     // BSP flushes everything at the barrier anyway; the
                     // callback keeps the C1 write-all invariant explicit.
-                    transport.on_fork_transfer_detail(fw, tw, u64::from(to));
-                    transport.flush_acknowledged(fw, tw);
+                    transport.transfer(fw, tw, Some(to));
                 }
             }
         }

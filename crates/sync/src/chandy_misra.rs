@@ -26,8 +26,8 @@
 //! to verify and faithful: what the paper measures about these protocols is
 //! *how many* fork/token transfers cross machine boundaries (counted here
 //! through [`Metrics`]) and when workers must flush messages (triggered
-//! here through [`SyncTransport::on_fork_transfer`]), not the raw lock
-//! throughput of one host.
+//! here through [`SyncTransport::transfer`]), not the raw lock throughput
+//! of one host.
 
 use crate::transport::SyncTransport;
 use sg_graph::WorkerId;
@@ -217,13 +217,11 @@ impl ForkTable {
         let (fw, tw) = (self.owner_of(from), self.owner_of(to));
         if fw != tw {
             self.metrics.inc(Counter::ForkTransfersRemote);
-            // Write-all before the fork crosses machines (C1), plus the
-            // virtual-time join for the fork's network hop. The receiving
-            // philosopher identifies the traveling fork in traces. The fork
-            // hands over only once the receiver acknowledged applying the
-            // flush — asynchronous transports block in `flush_acknowledged`.
-            transport.on_fork_transfer_detail(fw, tw, u64::from(to));
-            transport.flush_acknowledged(fw, tw);
+            // Write-all before the fork crosses machines (C1): the call
+            // returns once the receiver has applied the flush, and only
+            // then is the handover observable. The receiving philosopher
+            // identifies the traveling fork in traces.
+            transport.transfer(fw, tw, Some(to));
         }
     }
 
@@ -233,7 +231,7 @@ impl ForkTable {
         let (fw, tw) = (self.owner_of(from), self.owner_of(to));
         if fw != tw {
             self.metrics.inc(Counter::RequestTokensRemote);
-            transport.on_control_message(fw, tw);
+            transport.request(fw, tw);
         }
     }
 
@@ -560,7 +558,7 @@ fn precedence_acyclic(pairs: &[PairState], n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{NoopTransport, RecordingTransport, TransportEvent};
+    use crate::transport::{NetAction, NoopTransport, QueueTransport};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::thread;
@@ -622,62 +620,36 @@ mod tests {
     }
 
     #[test]
-    fn cross_worker_transfer_flushes() {
-        // Philosophers on different workers: fork movement must call the
-        // transport (the C1 flush site).
+    fn cross_worker_traffic_is_queued_in_call_order() {
+        // Philosophers on different workers: the request leaves first, then
+        // the fork comes back carrying its unit (the C1 flush site).
+        let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
         let t = table(vec![0, 1], &[(0, 1)]);
-        let rec = RecordingTransport::new();
+        let net = QueueTransport::default();
         // Initially the dirty fork is at 1 (larger id), token at 0.
-        t.acquire(0, &rec);
-        let events = rec.take();
-        assert!(events.contains(&TransportEvent::Control(WorkerId::new(0), WorkerId::new(1))));
-        assert!(events.contains(&TransportEvent::Fork(WorkerId::new(1), WorkerId::new(0))));
-        t.release(0, 0, &rec);
-    }
-
-    #[test]
-    fn cross_worker_transfer_waits_for_flush_ack() {
-        // Regression for asynchronous transports: every cross-worker fork
-        // movement must be followed by `flush_acknowledged` for the same
-        // (from, to) pair *before* the fork handover returns — otherwise
-        // the receiver could start reading before the C1 write-all landed.
-        let t = table(vec![0, 1], &[(0, 1)]);
-        let rec = RecordingTransport::new();
-        t.acquire(0, &rec);
-        t.release(0, 0, &rec);
-        t.acquire(1, &rec);
-        t.release(1, 0, &rec);
-        let events = rec.take();
-        let mut pending: Vec<(WorkerId, WorkerId)> = Vec::new();
-        for e in &events {
-            match *e {
-                TransportEvent::Fork(f, to) => pending.push((f, to)),
-                TransportEvent::FlushAck(f, to) => {
-                    assert_eq!(
-                        pending.pop(),
-                        Some((f, to)),
-                        "flush ack must match the immediately preceding fork transfer"
-                    );
-                }
-                TransportEvent::Control(..) => {}
-            }
-        }
-        assert!(
-            pending.is_empty(),
-            "every cross-worker fork transfer must be acknowledged: {events:?}"
+        t.acquire(0, &net);
+        assert_eq!(
+            net.drain(),
+            vec![
+                NetAction::Request { from: w0, to: w1 },
+                NetAction::Transfer {
+                    from: w1,
+                    to: w0,
+                    unit: Some(0)
+                },
+            ]
         );
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, TransportEvent::FlushAck(..))));
+        t.release(0, 0, &net);
+        assert!(net.drain().is_empty(), "nobody asked for the fork back");
     }
 
     #[test]
-    fn same_worker_transfer_does_not_flush() {
+    fn same_worker_transfer_records_nothing() {
         let t = table(vec![0, 0], &[(0, 1)]);
-        let rec = RecordingTransport::new();
-        t.acquire(0, &rec);
-        t.release(0, 0, &rec);
-        assert!(rec.take().is_empty(), "no cross-worker traffic expected");
+        let net = QueueTransport::default();
+        t.acquire(0, &net);
+        t.release(0, 0, &net);
+        assert!(net.drain().is_empty(), "no cross-worker traffic expected");
     }
 
     #[test]

@@ -27,15 +27,18 @@
 //! forks by non-eating philosophers, and deferred transfer of requested
 //! forks after eating.
 //!
-//! Engines drive a technique through the [`Synchronizer`] trait and provide
-//! a [`SyncTransport`] so the technique can trigger the C1 flushes and
-//! charge virtual time for its network traffic. The order in which the
-//! trait's methods are called around a partition's vertices — the calling
-//! contract C1 and C2 rest on — is written once, as [`PartitionWalk`];
-//! every host (threads, sockets, the event loop) asks it what comes next.
+//! Hosts build a technique by name with [`build_synchronizer`] (the one
+//! [`TechniqueKind`] table), drive it through the [`Synchronizer`] trait,
+//! and provide a [`SyncTransport`] so the technique can trigger the C1
+//! flushes and charge virtual time for its network traffic. The order in
+//! which the trait's methods are called around a partition's vertices —
+//! the calling contract C1 and C2 rest on — is written once, as
+//! [`PartitionWalk`]; every host (threads, sockets, the event loop, the
+//! model checker) asks it what comes next.
 
 pub mod bsp_lock;
 pub mod chandy_misra;
+pub mod kind;
 pub mod technique;
 pub mod token;
 pub mod transport;
@@ -43,7 +46,8 @@ pub mod walk;
 
 pub use bsp_lock::BspVertexLock;
 pub use chandy_misra::{ForkSnapshot, ForkTable};
+pub use kind::{build_synchronizer, TechniqueKind};
 pub use technique::{LockGranularity, NoSync, PartitionLock, Synchronizer, VertexLock};
 pub use token::{DualLayerToken, SingleLayerToken};
-pub use transport::{NoopTransport, SyncTransport};
+pub use transport::{NetAction, NoopTransport, QueueTransport, SyncTransport};
 pub use walk::{PartitionWalk, Step};

@@ -18,12 +18,31 @@ use std::sync::Arc;
 /// The `sg_sync_token_pass_ns{technique=...}` histogram, if the metrics
 /// sink has a telemetry registry attached at technique construction.
 /// Measures the wall-clock cost of one global token handover: the C1
-/// flush round-trip (`on_fork_transfer` + `flush_acknowledged`), which on
-/// the networked transport is a real flush-and-ack exchange.
+/// flush round-trip, which on the networked transport is a real
+/// flush-and-ack exchange.
 fn pass_histogram(metrics: &Metrics, technique: &'static str) -> Option<HistogramHandle> {
     metrics
         .telemetry()
         .map(|t| t.histogram("sg_sync_token_pass_ns", &[("technique", technique)]))
+}
+
+/// Pass the global token `from -> to`: counted, and timed around the whole
+/// handover. The holder flushes its remote replica updates before passing
+/// (C1, Section 4.2); `transfer` returns once the receiver has applied
+/// them, and only then is the token passed.
+fn pass_global_token(
+    metrics: &Metrics,
+    hist: Option<&HistogramHandle>,
+    from: WorkerId,
+    to: WorkerId,
+    transport: &dyn SyncTransport,
+) {
+    metrics.inc(Counter::GlobalTokenPasses);
+    let t0 = hist.map(|_| mono_ns());
+    transport.transfer(from, to, None);
+    if let (Some(h), Some(t0)) = (hist, t0) {
+        h.record(mono_ns().saturating_sub(t0));
+    }
 }
 
 /// Single-layer token passing (Section 4.2, from Giraphx): one exclusive
@@ -87,17 +106,8 @@ impl Synchronizer for SingleLayerToken {
                     "sg-invariants: single-layer token left the fixed ring"
                 );
             }
-            self.metrics.inc(Counter::GlobalTokenPasses);
-            // The holder flushes its remote replica updates before passing
-            // the token (C1, Section 4.2). The token is only considered
-            // passed once the receiver acknowledged applying the flush —
-            // asynchronous transports block in `flush_acknowledged`.
-            let t0 = self.pass_hist.as_ref().map(|_| mono_ns());
-            transport.on_fork_transfer(from, to);
-            transport.flush_acknowledged(from, to);
-            if let (Some(h), Some(t0)) = (&self.pass_hist, t0) {
-                h.record(mono_ns().saturating_sub(t0));
-            }
+            let hist = self.pass_hist.as_ref();
+            pass_global_token(&self.metrics, hist, from, to, transport);
         }
     }
 }
@@ -194,13 +204,8 @@ impl Synchronizer for DualLayerToken {
                         "sg-invariants: dual-layer global token left the fixed ring"
                     );
                 }
-                self.metrics.inc(Counter::GlobalTokenPasses);
-                let t0 = self.pass_hist.as_ref().map(|_| mono_ns());
-                transport.on_fork_transfer(from, to);
-                transport.flush_acknowledged(from, to);
-                if let (Some(h), Some(t0)) = (&self.pass_hist, t0) {
-                    h.record(mono_ns().saturating_sub(t0));
-                }
+                let hist = self.pass_hist.as_ref();
+                pass_global_token(&self.metrics, hist, from, to, transport);
             }
         }
     }
@@ -215,7 +220,7 @@ pub fn dual_layer_cycle(layout: &ClusterLayout) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{NoopTransport, RecordingTransport, TransportEvent};
+    use crate::transport::{NetAction, NoopTransport, QueueTransport};
     use sg_graph::partition::HashPartitioner;
     use sg_graph::{gen, Graph};
 
@@ -227,6 +232,15 @@ mod tests {
             &HashPartitioner::default(),
         );
         (g, Arc::new(pm))
+    }
+
+    /// A ring pass carries no unit: that is how a host tells it from a fork.
+    fn ring_pass(from: u32, to: u32) -> NetAction {
+        NetAction::Transfer {
+            from: WorkerId::new(from),
+            to: WorkerId::new(to),
+            unit: None,
+        }
     }
 
     #[test]
@@ -278,15 +292,9 @@ mod tests {
         let (_, pm) = setup(3, 1);
         let m = Arc::new(Metrics::new());
         let t = SingleLayerToken::new(pm, Arc::clone(&m));
-        let rec = RecordingTransport::new();
-        t.end_superstep(0, &rec);
-        assert_eq!(
-            rec.take(),
-            vec![
-                TransportEvent::Fork(WorkerId::new(0), WorkerId::new(1)),
-                TransportEvent::FlushAck(WorkerId::new(0), WorkerId::new(1)),
-            ]
-        );
+        let net = QueueTransport::default();
+        t.end_superstep(0, &net);
+        assert_eq!(net.drain(), vec![ring_pass(0, 1)]);
         assert_eq!(m.snapshot().global_token_passes, 1);
     }
 
@@ -351,17 +359,11 @@ mod tests {
         let (_, pm) = setup(2, 2);
         let m = Arc::new(Metrics::new());
         let t = DualLayerToken::new(pm, Arc::clone(&m));
-        let rec = RecordingTransport::new();
-        t.end_superstep(0, &rec); // within worker 0's tenure
-        assert!(rec.take().is_empty());
-        t.end_superstep(1, &rec); // tenure ends: 0 -> 1
-        assert_eq!(
-            rec.take(),
-            vec![
-                TransportEvent::Fork(WorkerId::new(0), WorkerId::new(1)),
-                TransportEvent::FlushAck(WorkerId::new(0), WorkerId::new(1)),
-            ]
-        );
+        let net = QueueTransport::default();
+        t.end_superstep(0, &net); // within worker 0's tenure
+        assert!(net.drain().is_empty());
+        t.end_superstep(1, &net); // tenure ends: 0 -> 1
+        assert_eq!(net.drain(), vec![ring_pass(0, 1)]);
         let s = m.snapshot();
         assert_eq!(s.global_token_passes, 1);
         assert_eq!(s.local_token_passes, 4); // 2 workers x 2 supersteps

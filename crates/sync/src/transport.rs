@@ -1,73 +1,36 @@
-//! The engine-facing transport hooks a synchronization technique calls when
-//! its protocol traffic crosses (simulated) machine boundaries.
+//! The seam between a synchronization technique and whatever hosts it:
+//! what the technique tells its host when protocol traffic crosses
+//! (simulated) machine boundaries.
 
 use sg_graph::WorkerId;
+use std::sync::Mutex;
 
-/// Callbacks from a synchronization technique into the hosting engine.
+/// Calls from a synchronization technique into its host.
 ///
-/// The engine owns the message buffers and the virtual clocks; the
-/// technique owns the protocol. Whenever a fork or token is about to move
-/// from one worker to another, the technique calls back so the engine can:
-///
-/// 1. **flush** the sending worker's pending remote replica updates and
-///    ensure their receipt *before* the resource is handed over — this is
-///    the write-all step that enforces condition C1 (Sections 4.1, 5.4);
-/// 2. **join clocks**: charge the one-way network latency and make the
-///    receiving worker's virtual clock at least the send timestamp.
+/// The host owns the message buffers and the clocks; the technique owns
+/// the protocol. Three things cross the seam: a shared resource moves, a
+/// request for one moves, and the technique asks what a hop costs.
 pub trait SyncTransport: Send + Sync {
-    /// A fork (or the global token) moves from `from` to `to`, `from != to`.
-    /// The engine must flush `from`'s buffered remote messages (write-all /
-    /// C1) before the transfer is considered complete, then join clocks.
-    fn on_fork_transfer(&self, from: WorkerId, to: WorkerId);
+    /// A fork guarding protocol unit `unit` — or, when `unit` is `None`,
+    /// the global token of a ring technique — moves from `from` to `to`,
+    /// `from != to`. The host flushes `from`'s pending remote replica
+    /// updates (the write-all step that enforces condition C1, Sections
+    /// 4.1 and 5.4) and returns only once they have been *applied at the
+    /// receiver*: the resource must not arrive before the writes it
+    /// guards. Hosts with clocks join them here.
+    fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>);
 
-    /// [`SyncTransport::on_fork_transfer`] with the protocol unit (the
-    /// philosopher / lock id) whose fork is moving, so a tracing engine can
-    /// stamp its trace events with *which* resource traveled. Techniques
-    /// that know the unit call this; the default forwards to the plain hook
-    /// (unit-less ring passes keep calling `on_fork_transfer` directly).
-    fn on_fork_transfer_detail(&self, from: WorkerId, to: WorkerId, unit: u64) {
-        let _ = unit;
-        self.on_fork_transfer(from, to);
-    }
+    /// A request token moves from `from` to `to`. No flush is required —
+    /// request tokens do not guard data.
+    fn request(&self, from: WorkerId, to: WorkerId);
 
-    /// The write-all flush initiated by a preceding
-    /// [`SyncTransport::on_fork_transfer`] for the same `(from, to)` pair
-    /// has been *applied at the receiver*. Techniques call this immediately
-    /// after the fork-transfer hook, before the handover becomes observable
-    /// to any other worker.
-    ///
-    /// For a same-address-space transport the flush completes inside
-    /// `on_fork_transfer` itself, so the default is a no-op. An
-    /// asynchronous transport (sockets) initiates the flush in
-    /// `on_fork_transfer` and must block here until the receiving machine
-    /// acknowledges application — otherwise the C1 write-all barrier is
-    /// violated: the fork (or token) would arrive before the writes it
-    /// guards.
-    fn flush_acknowledged(&self, from: WorkerId, to: WorkerId) {
-        let _ = (from, to);
-    }
-
-    /// A lightweight control message (request token) moves from `from` to
-    /// `to`. No flush is required — request tokens do not guard data — but
-    /// clocks join.
-    fn on_control_message(&self, from: WorkerId, to: WorkerId);
-
-    /// One-way network latency in simulated nanoseconds, added to a fork's
-    /// availability timestamp whenever it crosses worker machines. The
-    /// default of 0 keeps protocol-only tests free of virtual time.
-    fn network_latency_ns(&self) -> u64 {
-        0
-    }
-
-    /// One-way latency of the specific link `from -> to`, in simulated
-    /// nanoseconds. Transports with a topology-aware network model (the
-    /// discrete-event simulator's per-link latency/jitter, coordinator
-    /// uplink vs worker mesh asymmetry) override this; the default keeps
-    /// every link at the uniform [`SyncTransport::network_latency_ns`] so
-    /// existing transports are unaffected.
+    /// One-way latency of the link `from -> to` in simulated nanoseconds,
+    /// added to a fork's availability timestamp whenever it crosses worker
+    /// machines. The default of 0 keeps protocol-only hosts free of
+    /// virtual time.
     fn link_latency_ns(&self, from: WorkerId, to: WorkerId) -> u64 {
         let _ = (from, to);
-        self.network_latency_ns()
+        0
     }
 }
 
@@ -78,57 +41,79 @@ pub trait SyncTransport: Send + Sync {
 pub struct NoopTransport;
 
 impl SyncTransport for NoopTransport {
-    fn on_fork_transfer(&self, _from: WorkerId, _to: WorkerId) {}
-    fn on_control_message(&self, _from: WorkerId, _to: WorkerId) {}
+    fn transfer(&self, _from: WorkerId, _to: WorkerId, _unit: Option<u32>) {}
+    fn request(&self, _from: WorkerId, _to: WorkerId) {}
 }
 
-/// A transport that records every callback, for protocol tests.
-#[derive(Debug, Default)]
-pub struct RecordingTransport {
-    inner: std::sync::Mutex<Vec<TransportEvent>>,
-}
-
-/// One recorded transport callback.
+/// One thing a technique told its transport.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransportEvent {
-    /// `on_fork_transfer(from, to)`.
-    Fork(WorkerId, WorkerId),
-    /// `flush_acknowledged(from, to)`.
-    FlushAck(WorkerId, WorkerId),
-    /// `on_control_message(from, to)`.
-    Control(WorkerId, WorkerId),
+pub enum NetAction {
+    /// [`SyncTransport::transfer`].
+    Transfer {
+        /// Sending worker.
+        from: WorkerId,
+        /// Receiving worker.
+        to: WorkerId,
+        /// Protocol unit whose fork traveled; `None` for a ring pass.
+        unit: Option<u32>,
+    },
+    /// [`SyncTransport::request`].
+    Request {
+        /// Sending worker.
+        from: WorkerId,
+        /// Receiving worker.
+        to: WorkerId,
+    },
 }
 
-impl RecordingTransport {
-    /// New empty recorder.
-    pub fn new() -> Self {
-        Self::default()
+/// The transport of the single-threaded hosts (the model checker, the
+/// discrete-event simulator, protocol tests). A technique calls its
+/// transport from inside `try_acquire_unit` / `release_unit` /
+/// `end_superstep`, where such a host cannot mutate its own state
+/// re-entrantly, so the calls are queued and the host drains the queue
+/// right after each protocol call returns — before anything else can
+/// observe the handover, which keeps `transfer`'s write-all contract.
+#[derive(Default)]
+pub struct QueueTransport {
+    actions: Mutex<Vec<NetAction>>,
+    /// Answers [`SyncTransport::link_latency_ns`]; absent, every link is
+    /// free.
+    latency: Option<Box<dyn Fn(WorkerId, WorkerId) -> u64 + Send + Sync>>,
+}
+
+impl QueueTransport {
+    /// An empty queue answering [`SyncTransport::link_latency_ns`] from
+    /// `latency` ([`QueueTransport::default`] has zero-latency links).
+    pub fn with_latency(
+        latency: impl Fn(WorkerId, WorkerId) -> u64 + Send + Sync + 'static,
+    ) -> Self {
+        Self {
+            actions: Mutex::default(),
+            latency: Some(Box::new(latency)),
+        }
     }
 
-    /// Drain the recorded events.
-    pub fn take(&self) -> Vec<TransportEvent> {
-        std::mem::take(&mut self.inner.lock().unwrap())
+    /// Drain the actions queued since the last drain, in call order.
+    pub fn drain(&self) -> Vec<NetAction> {
+        std::mem::take(&mut self.queue())
+    }
+
+    fn queue(&self) -> std::sync::MutexGuard<'_, Vec<NetAction>> {
+        self.actions.lock().expect("no panic while queueing")
     }
 }
 
-impl SyncTransport for RecordingTransport {
-    fn on_fork_transfer(&self, from: WorkerId, to: WorkerId) {
-        self.inner
-            .lock()
-            .unwrap()
-            .push(TransportEvent::Fork(from, to));
+impl SyncTransport for QueueTransport {
+    fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>) {
+        self.queue().push(NetAction::Transfer { from, to, unit });
     }
-    fn flush_acknowledged(&self, from: WorkerId, to: WorkerId) {
-        self.inner
-            .lock()
-            .unwrap()
-            .push(TransportEvent::FlushAck(from, to));
+
+    fn request(&self, from: WorkerId, to: WorkerId) {
+        self.queue().push(NetAction::Request { from, to });
     }
-    fn on_control_message(&self, from: WorkerId, to: WorkerId) {
-        self.inner
-            .lock()
-            .unwrap()
-            .push(TransportEvent::Control(from, to));
+
+    fn link_latency_ns(&self, from: WorkerId, to: WorkerId) -> u64 {
+        self.latency.as_ref().map_or(0, |latency| latency(from, to))
     }
 }
 
@@ -137,36 +122,38 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recording_transport_captures_in_order() {
-        let t = RecordingTransport::new();
-        t.on_fork_transfer(WorkerId::new(0), WorkerId::new(1));
-        t.flush_acknowledged(WorkerId::new(0), WorkerId::new(1));
-        t.on_control_message(WorkerId::new(1), WorkerId::new(0));
+    fn queue_yields_actions_in_call_order_then_empties() {
+        let (w0, w1, w2) = (WorkerId::new(0), WorkerId::new(1), WorkerId::new(2));
+        let t = QueueTransport::default();
+        t.transfer(w0, w1, None);
+        t.transfer(w1, w2, Some(9));
+        t.request(w2, w0);
         assert_eq!(
-            t.take(),
+            t.drain(),
             vec![
-                TransportEvent::Fork(WorkerId::new(0), WorkerId::new(1)),
-                TransportEvent::FlushAck(WorkerId::new(0), WorkerId::new(1)),
-                TransportEvent::Control(WorkerId::new(1), WorkerId::new(0)),
+                NetAction::Transfer {
+                    from: w0,
+                    to: w1,
+                    unit: None
+                },
+                NetAction::Transfer {
+                    from: w1,
+                    to: w2,
+                    unit: Some(9)
+                },
+                NetAction::Request { from: w2, to: w0 },
             ]
         );
-        assert!(t.take().is_empty());
+        assert!(t.drain().is_empty());
     }
 
     #[test]
-    fn flush_acknowledged_defaults_to_noop() {
-        struct Bare;
-        impl SyncTransport for Bare {
-            fn on_fork_transfer(&self, _from: WorkerId, _to: WorkerId) {}
-            fn on_control_message(&self, _from: WorkerId, _to: WorkerId) {}
-        }
-        Bare.flush_acknowledged(WorkerId::new(0), WorkerId::new(1));
-    }
-
-    #[test]
-    fn noop_transport_is_callable() {
-        let t = NoopTransport;
-        t.on_fork_transfer(WorkerId::new(0), WorkerId::new(1));
-        t.on_control_message(WorkerId::new(0), WorkerId::new(1));
+    fn latency_defaults_to_zero_and_follows_the_given_function() {
+        let (w0, w3) = (WorkerId::new(0), WorkerId::new(3));
+        assert_eq!(NoopTransport.link_latency_ns(w0, w3), 0);
+        assert_eq!(QueueTransport::default().link_latency_ns(w0, w3), 0);
+        let t = QueueTransport::with_latency(|from, to| u64::from(from.raw() + 10 * to.raw()));
+        assert_eq!(t.link_latency_ns(w0, w3), 30);
+        assert_eq!(t.link_latency_ns(w3, w0), 3);
     }
 }

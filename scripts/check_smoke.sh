@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # sg-check end-to-end smoke: bounded exploration on every serializable
-# technique must come back clean, the seeded broken-ring bug must be found
-# by every strategy and reproduced by replay, and the failure exits must
-# stay failures. Offline-safe; writes only under target/.
+# technique the model hosts must come back clean, the seeded broken-ring
+# bug must be found by every strategy and reproduced by replay, and the
+# failure exits must stay failures — typed, never a panic. Offline-safe;
+# writes only under target/.
 #
 # Called by ci.sh and .github/workflows/ci.yml after the release build.
 set -euo pipefail
@@ -14,8 +15,9 @@ SG_TRACE=target/release/sg-trace
 rm -rf "$SMOKE"
 mkdir -p "$SMOKE"
 
-echo "-- clean exploration: four techniques x bounded budget must exit 0"
-for technique in single-token dual-token vertex-lock partition-lock; do
+echo "-- clean exploration: every modelable technique x bounded budget must exit 0"
+for technique in single-token dual-token vertex-lock partition-lock \
+    partition-lock/noskip; do
     "$SG_CHECK" explore --technique "$technique" --strategy adversary \
         --episodes 8 >/dev/null
     "$SG_CHECK" explore --technique "$technique" --strategy random \
@@ -50,7 +52,32 @@ rc=0
 "$SG_CHECK" replay "$SMOKE/deep.json" >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "FAIL: deeply nested json exited $rc, want 2"; exit 1; }
 
+echo "-- negative: a degenerate graph in a counterexample file must exit 2, not crash"
+sed 's/"graph":"ring:8"/"graph":"ring:0"/' "$SMOKE/ce-dfs.json" >"$SMOKE/ring0.json"
+grep -q '"graph":"ring:0"' "$SMOKE/ring0.json"
+rc=0
+"$SG_CHECK" replay "$SMOKE/ring0.json" >/dev/null 2>"$SMOKE/ring0.err" || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: ring:0 counterexample exited $rc, want 2"; exit 1; }
+grep -q 'at least 3 vertices' "$SMOKE/ring0.err" \
+    || { echo "FAIL: ring:0 diagnostic does not name the bound"; exit 1; }
+
+echo "-- negative: a technique outside the model gets the typed reason (exit 2)"
+rc=0
+"$SG_CHECK" explore --technique bsp-vertex-lock >/dev/null 2>"$SMOKE/bsp.err" || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: bsp-vertex-lock exited $rc, want 2"; exit 1; }
+grep -q 'not modelable' "$SMOKE/bsp.err" \
+    || { echo "FAIL: diagnostic does not say why the technique is outside the model"; exit 1; }
+
 echo "-- negative: usage errors must exit 1"
+for spec in ring:0 ring:2 grid:0x3 complete:0 ring:4294967299; do
+    rc=0
+    "$SG_CHECK" explore --technique single-token --graph "$spec" \
+        >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] || { echo "FAIL: --graph $spec exited $rc, want 1"; exit 1; }
+done
+rc=0
+"$SG_CHECK" explore --technique single-token --workers 4294967298 >/dev/null 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || { echo "FAIL: --workers 4294967298 exited $rc, want 1"; exit 1; }
 rc=0
 "$SG_CHECK" explore >/dev/null 2>&1 || rc=$?
 [ "$rc" -eq 1 ] || { echo "FAIL: missing --technique exited $rc, want 1"; exit 1; }

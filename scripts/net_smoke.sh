@@ -26,6 +26,22 @@ for technique in single-token dual-token vertex-lock partition-lock; do
         || { echo "FAIL: $technique not one-copy serializable"; exit 1; }
 done
 
+echo "-- negative: a known technique the cluster cannot run says why; bad graphs are usage errors"
+rc=0
+"${CLUSTER[@]}" run --workers 2 --threads --technique bsp-vertex-lock \
+    >/dev/null 2>"$SMOKE/bsp.err" || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: bsp-vertex-lock exited $rc, want 2"; exit 1; }
+grep -q 'no cluster-runtime equivalent' "$SMOKE/bsp.err" \
+    || { echo "FAIL: bsp-vertex-lock refusal does not name the cluster runtime"; exit 1; }
+if grep -q 'unknown technique' "$SMOKE/bsp.err"; then
+    echo "FAIL: bsp-vertex-lock reported as an unknown technique"; exit 1
+fi
+for spec in ring:0 grid:0:3 er:0:0:1 er:5:1000:1; do
+    rc=0
+    "${CLUSTER[@]}" run --workers 2 --threads --graph "$spec" >/dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 1 ] || { echo "FAIL: --graph $spec exited $rc, want 1"; exit 1; }
+done
+
 echo "-- injected connection kill mid-run recovers (partition-lock)"
 "${CLUSTER[@]}" run --workers 2 --technique partition-lock \
     --workload coloring --graph grid:6:6 --fault 0:kill=2 \

@@ -74,14 +74,4 @@ echo "-- drift gate against the committed baseline (bench-vs-bench check)"
 cargo run -q -p sg-bench --release --bin sg-trace -- \
     check "$ART" --against results/BENCH_sim.json --tolerance 2
 
-echo "-- negative: a not-modelable technique gets a typed diagnostic (exit 2)"
-set +e
-cargo run -q -p sg-bench --release --bin sg-check -- \
-    explore --technique bsp-vertex-lock >/dev/null 2>"$SMOKE/sgcheck.err"
-code=$?
-set -e
-[ "$code" -eq 2 ] || { echo "FAIL: expected exit 2 for bsp-vertex-lock, got $code"; exit 1; }
-grep -q 'not modelable' "$SMOKE/sgcheck.err" \
-    || { echo "FAIL: diagnostic does not say why the technique is outside the model"; exit 1; }
-
 echo "sg-sim smoke green."

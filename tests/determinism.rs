@@ -115,11 +115,13 @@ fn seeded_inputs_are_stable() {
 #[test]
 fn model_checker_replay_is_deterministic() {
     use serigraph::sg_check::{
-        CheckTechnique, Counterexample, ExploreConfig, COUNTEREXAMPLE_SCHEMA_VERSION,
+        Counterexample, ExploreConfig, TechniqueKind, COUNTEREXAMPLE_SCHEMA_VERSION,
     };
     use serigraph::sg_graph::SplitMix64;
 
-    for technique in CheckTechnique::SERIALIZABLE {
+    let modelable =
+        |t: &TechniqueKind| t.serializable() && ExploreConfig::smoke(*t).validate().is_ok();
+    for technique in TechniqueKind::ALL.into_iter().filter(modelable) {
         // Record one random episode's decision log...
         let cfg = ExploreConfig::smoke(technique);
         let mut rng = SplitMix64::new(cfg.seed);

@@ -1,18 +1,30 @@
-//! Model-checking regression harness over `sg-check`: the four
-//! serializable techniques explore clean at the smoke budget, the checker
-//! catches real violations on the unsynchronized control, and a seeded
+//! Model-checking regression harness over `sg-check`: the serializable
+//! techniques the model hosts explore clean at the smoke budget, the
+//! checker catches real violations on the unsynchronized control, a seeded
 //! protocol bug (a token ring that drops delayed passes) is found by
-//! every exploration strategy and reproduced by counterexample replay.
+//! every exploration strategy and reproduced by counterexample replay, and
+//! the model's schedules are pinned event for event.
 
 use serigraph::sg_check::{
-    explore, CheckTechnique, Counterexample, ExploreConfig, FaultPlan, GraphSpec, StrategyKind,
+    explore, run_episode, ConfigError, Counterexample, ExploreConfig, FaultPlan, GraphSpec,
+    StrategyKind, TechniqueKind,
 };
-/// ISSUE acceptance: bounded exploration on all four techniques finds
-/// nothing at the smoke budget, under every strategy, and the per-episode
-/// Theorem 1 batch verdict agrees.
+
+/// Every serializable technique the model hosts: the paper's four plus the
+/// no-skip ablation of partition locking.
+fn serializable() -> impl Iterator<Item = TechniqueKind> {
+    (TechniqueKind::ALL.into_iter())
+        .filter(|&t| t.serializable() && ExploreConfig::smoke(t).validate().is_ok())
+}
+
+/// ISSUE acceptance: bounded exploration on every modelable technique —
+/// `partition-lock/noskip` among them, since the shared factory builds it
+/// — finds nothing at the smoke budget, under every strategy, and the
+/// per-episode Theorem 1 batch verdict agrees.
 #[test]
 fn serializable_techniques_are_clean_at_the_smoke_budget() {
-    for technique in CheckTechnique::SERIALIZABLE {
+    assert!(serializable().any(|t| t == TechniqueKind::PartitionLockNoSkip));
+    for technique in serializable() {
         for strategy in StrategyKind::ALL {
             let mut cfg = ExploreConfig::smoke(technique);
             cfg.strategy = strategy;
@@ -39,7 +51,7 @@ fn adversary_finds_nothing_on_contended_workloads() {
         (GraphSpec::PaperC4, 2, 1),
         (GraphSpec::Grid(3, 4), 2, 2),
     ] {
-        for technique in CheckTechnique::SERIALIZABLE {
+        for technique in serializable() {
             let mut cfg = ExploreConfig::smoke(technique);
             cfg.graph = graph;
             cfg.workers = workers;
@@ -60,7 +72,7 @@ fn adversary_finds_nothing_on_contended_workloads() {
 /// violations — a checker that never fires proves nothing.
 #[test]
 fn unsynchronized_execution_is_caught() {
-    let mut cfg = ExploreConfig::smoke(CheckTechnique::NoSync);
+    let mut cfg = ExploreConfig::smoke(TechniqueKind::None);
     cfg.graph = GraphSpec::Complete(6);
     cfg.ppw = 1;
     cfg.supersteps = 2;
@@ -78,8 +90,8 @@ fn every_strategy_finds_the_broken_ring_and_replays_it() {
     // global ring only after each worker's ppw local rotations — target
     // each technique's first actual pass.
     for (technique, vulnerable) in [
-        (CheckTechnique::SingleToken, 0),
-        (CheckTechnique::DualToken, 1),
+        (TechniqueKind::SingleToken, 0),
+        (TechniqueKind::DualToken, 1),
     ] {
         for strategy in StrategyKind::ALL {
             let mut cfg = ExploreConfig::smoke(technique);
@@ -124,7 +136,7 @@ fn every_strategy_finds_the_broken_ring_and_replays_it() {
 /// which is exactly what exploration buys over plain testing.
 #[test]
 fn the_seeded_bug_is_invisible_without_reordering() {
-    let mut cfg = ExploreConfig::smoke(CheckTechnique::SingleToken);
+    let mut cfg = ExploreConfig::smoke(TechniqueKind::SingleToken);
     cfg.supersteps = 2;
     cfg.fault = FaultPlan::DropDelayedTokenPass { superstep: 0 };
     let straight = Counterexample {
@@ -146,7 +158,7 @@ fn the_seeded_bug_is_invisible_without_reordering() {
 /// engines use — sanity-check the re-export wiring end to end.
 #[test]
 fn model_histories_flow_through_sg_serial() {
-    let cfg = ExploreConfig::smoke(CheckTechnique::PartitionLock);
+    let cfg = ExploreConfig::smoke(TechniqueKind::PartitionLock);
     let mut report = explore(&cfg);
     let summary = report.clean_summary.take().expect("clean run");
     assert_eq!(summary.c1_violations, 0);
@@ -156,29 +168,15 @@ fn model_histories_flow_through_sg_serial() {
     let _: serigraph::sg_serial::HistorySummary = summary;
 }
 
-/// `Runner` techniques map onto the checker's space through the facade.
+/// What the model cannot host is refused with a typed reason, in one
+/// place, before any schedule is explored — not by a second technique
+/// enum that lacks the variant.
 #[test]
-fn engine_techniques_map_to_check_techniques() {
-    use serigraph::{check_technique, Technique};
-    assert_eq!(
-        check_technique(Technique::SingleToken),
-        Some(CheckTechnique::SingleToken)
-    );
-    assert_eq!(
-        check_technique(Technique::PartitionLock),
-        Some(CheckTechnique::PartitionLock)
-    );
-    assert_eq!(check_technique(Technique::BspVertexLock), None);
-}
-
-/// The techniques outside the checker's model carry a typed explanation,
-/// not a silent `None`.
-#[test]
-fn unmodelable_techniques_carry_typed_reasons() {
-    use serigraph::{model_coverage, ModelCoverage, Technique};
-    match model_coverage(Technique::BspVertexLock) {
-        ModelCoverage::NotModelable { technique, reason } => {
-            assert_eq!(technique, "bsp-vertex-lock");
+fn bsp_vertex_lock_is_refused_with_the_typed_reason() {
+    let cfg = ExploreConfig::smoke(TechniqueKind::BspVertexLock);
+    match cfg.validate() {
+        Err(ConfigError::NotModelable { technique, reason }) => {
+            assert_eq!(technique, TechniqueKind::BspVertexLock);
             assert!(
                 reason.contains("barrier"),
                 "reason explains the gap: {reason}"
@@ -186,15 +184,133 @@ fn unmodelable_techniques_carry_typed_reasons() {
         }
         other => panic!("expected NotModelable, got {other:?}"),
     }
-    match model_coverage(Technique::PartitionLockNoSkip) {
-        ModelCoverage::NotModelable { technique, .. } => {
-            assert_eq!(technique, "partition-lock/noskip");
-        }
-        other => panic!("expected NotModelable, got {other:?}"),
+    // `Runner` techniques ARE the checker's: no mapping to get wrong.
+    let _: serigraph::Technique = cfg.technique;
+}
+
+fn fnv1a(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        // Not the textbook FNV prime (2^40 + 0x1b3): the digests below were
+        // taken with 2^44 + 0x1b3, and any odd multiplier pins an order.
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
     }
-    // Modeled techniques agree with the thin `check_technique` wrapper.
-    assert_eq!(
-        model_coverage(Technique::DualToken),
-        ModelCoverage::Modeled(CheckTechnique::DualToken)
+}
+
+/// One seeded random episode, digested: at each branching point fold the
+/// `Display` of every enabled event, in order, then the decimal choice.
+fn decision_log(cfg: &ExploreConfig) -> (usize, usize, u64, Option<&'static str>) {
+    let mut rng = serigraph::sg_graph::SplitMix64::new(cfg.seed);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let outcome = run_episode(
+        cfg,
+        |enabled, _| {
+            for e in enabled {
+                fnv1a(&mut digest, e.to_string().as_bytes());
+            }
+            let choice = rng.gen_index(enabled.len());
+            fnv1a(&mut digest, choice.to_string().as_bytes());
+            choice
+        },
+        None,
     );
+    let code = outcome.violation.as_ref().map(|v| v.code());
+    (outcome.events, outcome.decisions.len(), digest, code)
+}
+
+/// The model is event for event what it was before it became a host of
+/// `PartitionWalk`, the shared factory and the shared transport queue:
+/// every row below — events / decisions / digest of every enabled set and
+/// choice, per technique — was measured on the commit before that change.
+/// The unsynchronized control stops at the named violation; the rest run
+/// clean. `ring:3` on 4 x 2 leaves at least five of the eight partitions
+/// empty (the walk's `has_work` case).
+#[test]
+fn decision_logs_are_stable() {
+    use TechniqueKind::{DualToken, PartitionLock, SingleToken, VertexLock};
+    let techniques = [
+        TechniqueKind::None,
+        SingleToken,
+        DualToken,
+        VertexLock,
+        PartitionLock,
+    ];
+    let workloads = [
+        (
+            ("ring:8", 2, 2, "c1-stale-read"),
+            [
+                (4, 4, "6774a8526d527fb5"),
+                (52, 13, "81d203a4ad441e7d"),
+                (50, 28, "b006ff292e03fd44"),
+                (153, 128, "747452372359c7dd"),
+                (128, 84, "7d00803b5f2e0ab8"),
+            ],
+        ),
+        (
+            ("grid:3x4", 2, 2, "c1-stale-read"),
+            [
+                (4, 4, "6774a8526d527fb5"),
+                (84, 51, "4fae554f97004e10"),
+                (58, 38, "1be315cc36fee53d"),
+                (235, 205, "11a68ce90b513cb0"),
+                (165, 79, "d2806bdcdea32573"),
+            ],
+        ),
+        (
+            ("complete:6", 3, 1, "c2-neighbor-overlap"),
+            [
+                (2, 2, "3822b984cdb9eef4"),
+                (38, 19, "7303d7879d04ca2b"),
+                (38, 19, "7303d7879d04ca2b"),
+                (143, 74, "e90e6fd5828ea3a3"),
+                (104, 38, "dd8a7dd07d40a226"),
+            ],
+        ),
+        (
+            ("ring:3", 4, 2, "c2-neighbor-overlap"),
+            [
+                (4, 4, "581a94bfd7431085"),
+                (34, 19, "39c1d3191c9ecd68"),
+                (30, 18, "c033be4e32d8c263"),
+                (80, 45, "77f41dfa11c76fb1"),
+                (80, 45, "77f41dfa11c76fb1"),
+            ],
+        ),
+    ];
+    for ((graph, workers, ppw, uncontrolled), rows) in workloads {
+        for (technique, (events, decisions, digest)) in techniques.into_iter().zip(rows) {
+            let cfg = ExploreConfig {
+                graph: GraphSpec::parse(graph).expect("valid spec"),
+                workers,
+                ppw,
+                ..ExploreConfig::smoke(technique)
+            };
+            let (e, d, h, violation) = decision_log(&cfg);
+            assert_eq!(
+                (e, d, format!("{h:016x}").as_str()),
+                (events, decisions, digest),
+                "{technique} on {graph} {workers}x{ppw}"
+            );
+            let expected = (!technique.serializable()).then_some(uncontrolled);
+            assert_eq!(violation, expected, "{technique} on {graph}");
+        }
+    }
+    // And the explorer's totals: 8 episodes on the smoke workload.
+    for (technique, adversary, dfs) in [
+        (SingleToken, 416, 416),
+        (DualToken, 400, 400),
+        (VertexLock, 1152, 1152),
+        (PartitionLock, 896, 905),
+    ] {
+        for (strategy, total) in [
+            (StrategyKind::Adversary, adversary),
+            (StrategyKind::Dfs, dfs),
+        ] {
+            let cfg = ExploreConfig {
+                strategy,
+                episodes: 8,
+                ..ExploreConfig::smoke(technique)
+            };
+            assert_eq!(explore(&cfg).total_events, total, "{technique}/{strategy}");
+        }
+    }
 }
