@@ -16,6 +16,9 @@ hosts="crates/engine/src crates/net/src crates/sim/src crates/check/src"
 if grep -rnE 'vertex_allowed\(|unit_skippable\(' $hosts; then exit 1; fi
 if grep -rnE 'enum (NetAction|TransportEvent|CheckTechnique)' crates | grep -v '^crates/sync/src/transport.rs:'; then exit 1; fi
 
+echo "== the incremental checker stays linear: no nested-Vec adjacency, no membership scan (tests below #[cfg(test)] may) =="
+if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'Vec<Vec<|\.contains\('; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q
@@ -25,6 +28,9 @@ cargo test -q --workspace
 
 echo "== sg-sync with runtime invariant assertions enabled =="
 cargo test -q -p sg-sync --features sg-invariants
+
+echo "== sg-serial optimised (the 20,000-degree hub test as the benchmark builds it) =="
+cargo test -q -p sg-serial --release
 
 echo "== sg-trace smoke (tiny trace; analyze/diff/check + failure exits) =="
 ./scripts/trace_smoke.sh

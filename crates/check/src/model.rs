@@ -683,7 +683,7 @@ impl Model {
 
     /// Run the batch Theorem 1 checkers over everything recorded so far.
     pub fn history_summary(&self) -> HistorySummary {
-        self.checker.history().summarize(self.checker.graph())
+        self.checker.log().summarize(self.checker.graph())
     }
 
     fn record(&self, worker: u32, kind: TraceEventKind, dur: u64, arg: u64) {

@@ -998,7 +998,7 @@ impl<P: VertexProgram> Core<P> {
             metrics: self.metrics.snapshot(),
             makespan_ns: self.clocks.makespan(),
             wall_time: wall_start.elapsed(),
-            history: self.recorder.as_ref().map(|r| r.history()),
+            history: self.recorder.as_ref().map(|r| r.take_history()),
             audit,
             obs: self.obs_report(rows, stalled),
             telemetry: self.metrics.telemetry().map(|t| t.snapshot()),

@@ -393,7 +393,7 @@ impl<P: GasProgram> AsyncGasEngine<P> {
             metrics: metrics.snapshot(),
             makespan_ns: makespan,
             wall_time: wall_start.elapsed(),
-            history: recorder.map(|r| r.history()),
+            history: recorder.map(|r| r.take_history()),
             audit,
             obs,
         }

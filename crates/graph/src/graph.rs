@@ -175,6 +175,21 @@ impl Graph {
         merged
     }
 
+    /// The neighbors of `v` (as [`Graph::neighbors`]: distinct, sorted,
+    /// without `v`) that satisfy `keep`. Probes the adjacency slices first
+    /// and allocates only when some neighbor qualifies — the C2 probes of
+    /// the serializability recorder and checker, which under a working
+    /// technique never find one.
+    pub fn neighbors_where(&self, v: VertexId, keep: impl Fn(VertexId) -> bool) -> Vec<VertexId> {
+        let hit = |&w: &VertexId| w != v && keep(w);
+        if !self.out_neighbors(v).iter().any(hit) && !self.in_neighbors(v).iter().any(hit) {
+            return Vec::new();
+        }
+        let mut all = self.neighbors(v);
+        all.retain(|&w| keep(w));
+        all
+    }
+
     /// Out-degree of `v`, counting parallel edges (the paper's
     /// `deg+(u)` used by PageRank).
     #[inline]
@@ -198,7 +213,8 @@ impl Graph {
 
     /// Global in-CSR index of the edge `source -> target`, if present.
     ///
-    /// Parallel edges share the first matching slot. Used by the
+    /// Parallel edges share one of their slots — whichever the binary
+    /// search lands on, the same on every call. Used by the
     /// serializability recorder to key per-directed-pair counters.
     pub fn in_edge_index(&self, target: VertexId, source: VertexId) -> Option<u64> {
         let (a, b) = self.in_range(target.index());
@@ -206,6 +222,14 @@ impl Graph {
             .binary_search(&source)
             .ok()
             .map(|pos| (a + pos) as u64)
+    }
+
+    /// In-CSR index of `v`'s first in-edge: `in_neighbors(v)[k]` occupies
+    /// global slot `in_edge_base(v) + k`, the index space of
+    /// [`Graph::in_edge_index`].
+    #[inline]
+    pub fn in_edge_base(&self, v: VertexId) -> u64 {
+        self.in_offsets[v.index()]
     }
 
     /// Maximum total degree over all vertices (Table 1's "Max Degree").
@@ -338,6 +362,18 @@ mod tests {
     fn neighbors_skips_self_loop() {
         let g = Graph::from_edges(2, &[(0, 0), (0, 1)]);
         assert_eq!(g.neighbors(v(0)), vec![v(1)]);
+    }
+
+    #[test]
+    fn neighbors_where_filters_the_distinct_neighbors() {
+        // Parallel edges, a self-loop, one-way edges in both directions.
+        let g = Graph::from_edges(4, &[(0, 0), (0, 1), (0, 1), (2, 0), (0, 2), (3, 0)]);
+        assert_eq!(g.neighbors_where(v(0), |_| true), g.neighbors(v(0)));
+        assert_eq!(g.neighbors_where(v(0), |w| w.raw() != 2), [v(1), v(3)]);
+        assert!(g.neighbors_where(v(0), |w| w == v(0)).is_empty());
+        // v0's three in-edges come first; v1's two slots both hold v0.
+        assert_eq!(g.in_edge_base(v(1)), 3);
+        assert!((3..5).contains(&g.in_edge_index(v(1), v(0)).unwrap()));
     }
 
     #[test]

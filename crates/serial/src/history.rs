@@ -58,6 +58,11 @@ impl History {
         Self { txns }
     }
 
+    /// Append one more transaction (the incremental checker's log).
+    pub(crate) fn push(&mut self, txn: TxnRecord) {
+        self.txns.push(txn);
+    }
+
     /// The recorded transactions.
     pub fn txns(&self) -> &[TxnRecord] {
         &self.txns
@@ -101,11 +106,15 @@ impl History {
 
         let mut out = Vec::new();
         for u in g.vertices() {
+            let us = &per_vertex[u.index()];
+            if us.is_empty() {
+                continue;
+            }
             for v in g.neighbors(u) {
                 if v.raw() <= u.raw() {
                     continue; // each undirected pair once
                 }
-                let (us, vs) = (&per_vertex[u.index()], &per_vertex[v.index()]);
+                let vs = &per_vertex[v.index()];
                 // Merge scan: for each txn of u, find overlapping txns of v.
                 let mut j = 0;
                 for &ti in us {
@@ -135,77 +144,16 @@ impl History {
     /// Build the serialization graph (Bernstein et al.): one node per
     /// transaction, an edge `Ti -> Tj` whenever `Ti` and `Tj` issue
     /// conflicting operations (same vertex, at least one write) and `Ti`'s
-    /// operation comes first. Returns the adjacency list.
+    /// operation comes first. Returns the adjacency list, each row sorted
+    /// and free of duplicates.
     ///
     /// Operation model: `Ti(Nu)` reads `u` and `u`'s in-edge neighbors at
     /// `start`, writes `u` at `end`. Timestamps are globally unique, so the
     /// order is total.
     pub fn serialization_graph(&self, g: &Graph) -> Vec<Vec<TxnId>> {
-        #[derive(Clone, Copy)]
-        struct Op {
-            time: u64,
-            txn: TxnId,
-            is_write: bool,
-        }
-
-        // Ops per item (= vertex): writes by the vertex's own txns; reads by
-        // the vertex's own txns and by txns of its out-edge neighbors
-        // (u ∈ N_v iff v is an out-edge neighbor of u).
-        let mut ops: Vec<Vec<Op>> = vec![Vec::new(); g.num_vertices() as usize];
-        for (i, t) in self.txns.iter().enumerate() {
-            let u = t.vertex;
-            ops[u.index()].push(Op {
-                time: t.start,
-                txn: i,
-                is_write: false,
-            });
-            ops[u.index()].push(Op {
-                time: t.end,
-                txn: i,
-                is_write: true,
-            });
-            for &v in g.in_neighbors(u) {
-                if v != u {
-                    ops[v.index()].push(Op {
-                        time: t.start,
-                        txn: i,
-                        is_write: false,
-                    });
-                }
-            }
-        }
-
         let mut adj: Vec<Vec<TxnId>> = vec![Vec::new(); self.txns.len()];
-        for item_ops in &mut ops {
-            item_ops.sort_by_key(|o| o.time);
-            // Conflict edges in transitive-reduction form: between
-            // consecutive writes w1 < w2: w1 -> (reads between) -> w2 and
-            // w1 -> w2; reads before the first write -> first write.
-            let mut last_write: Option<TxnId> = None;
-            let mut reads_since_write: Vec<TxnId> = Vec::new();
-            for op in item_ops.iter() {
-                if op.is_write {
-                    if let Some(w) = last_write {
-                        if w != op.txn {
-                            adj[w].push(op.txn);
-                        }
-                    }
-                    for &r in &reads_since_write {
-                        if r != op.txn {
-                            adj[r].push(op.txn);
-                        }
-                    }
-                    reads_since_write.clear();
-                    last_write = Some(op.txn);
-                } else {
-                    if let Some(w) = last_write {
-                        if w != op.txn {
-                            adj[w].push(op.txn);
-                        }
-                    }
-                    reads_since_write.push(op.txn);
-                }
-            }
+        for (from, to) in self.conflict_edges(g) {
+            adj[from as usize].push(to as usize);
         }
         for edges in &mut adj {
             edges.sort_unstable();
@@ -214,13 +162,91 @@ impl History {
         adj
     }
 
+    /// The serialization graph's edges in transitive-reduction form, in no
+    /// particular order and possibly repeated: per item, between
+    /// consecutive writes `w1 < w2`, `w1 -> (reads between) -> w2` and
+    /// `w1 -> w2`; a read before the first write `->` that write.
+    ///
+    /// An operation is a `u32`, `txn << 1 | is_write`. All operations are
+    /// bucketed by item (= vertex) with one counting sort, dealt out in
+    /// global timestamp order so every bucket is born sorted: an item sees
+    /// writes by its own transactions, and reads by those and by the
+    /// transactions of its out-edge neighbors (`u ∈ N_v` iff `v` is an
+    /// out-edge neighbor of `u`).
+    fn conflict_edges(&self, g: &Graph) -> Vec<(u32, u32)> {
+        assert!(
+            self.txns.len() <= (u32::MAX >> 1) as usize,
+            "history too long for 31-bit transaction ids"
+        );
+        let n = g.num_vertices() as usize;
+        let foreign_reads = |t: &TxnRecord| {
+            let u = t.vertex;
+            g.in_neighbors(u).iter().filter(move |&&v| v != u)
+        };
+
+        let mut events: Vec<(u64, u32)> = Vec::with_capacity(2 * self.txns.len());
+        let mut offsets = vec![0usize; n + 1];
+        for (i, t) in self.txns.iter().enumerate() {
+            let read = (i as u32) << 1;
+            events.push((t.start, read));
+            events.push((t.end, read | 1));
+            offsets[t.vertex.index() + 1] += 2;
+            for v in foreign_reads(t) {
+                offsets[v.index() + 1] += 1;
+            }
+        }
+        // Stable: equal stamps keep transaction order, a read before a write.
+        events.sort_by_key(|&(time, _)| time);
+        for item in 0..n {
+            offsets[item + 1] += offsets[item];
+        }
+
+        let mut ops = vec![0u32; offsets[n]];
+        let mut cursor = offsets[..n].to_vec();
+        let mut deal = |item: VertexId, op: u32| {
+            ops[cursor[item.index()]] = op;
+            cursor[item.index()] += 1;
+        };
+        for &(_, op) in &events {
+            let t = &self.txns[(op >> 1) as usize];
+            deal(t.vertex, op);
+            if op & 1 == 0 {
+                for &v in foreign_reads(t) {
+                    deal(v, op);
+                }
+            }
+        }
+
+        // At most one edge per operation plus one per read at the next
+        // write; starting from one per operation means at most one regrowth.
+        let mut edges = Vec::with_capacity(ops.len());
+        for item in 0..n {
+            let bucket = &ops[offsets[item]..offsets[item + 1]];
+            let mut last_write: Option<u32> = None;
+            // bucket[reads_from..k] are the reads since the last write.
+            let mut reads_from = 0;
+            for (k, &op) in bucket.iter().enumerate() {
+                let txn = op >> 1;
+                if let Some(w) = last_write.filter(|&w| w != txn) {
+                    edges.push((w, txn));
+                }
+                if op & 1 == 1 {
+                    let readers = bucket[reads_from..k].iter().map(|&r| r >> 1);
+                    edges.extend(readers.filter(|&r| r != txn).map(|r| (r, txn)));
+                    reads_from = k + 1;
+                    last_write = Some(txn);
+                }
+            }
+        }
+        edges
+    }
+
     /// Is the serialization graph acyclic? By the serializability theorem,
     /// an acyclic serialization graph means the history is
     /// conflict-serializable; combined with C1 (Lemma 1 collapses replicas
     /// to one logical copy) this certifies one-copy serializability.
     pub fn serialization_graph_acyclic(&self, g: &Graph) -> bool {
-        let adj = self.serialization_graph(g);
-        acyclic(&adj)
+        self.equivalent_serial_order(g).is_some()
     }
 
     /// The full Theorem 1 check: C1 holds, C2 holds, and the serialization
@@ -234,8 +260,7 @@ impl History {
     /// A topological order of transactions — an *equivalent serial
     /// execution* — if the serialization graph is acyclic.
     pub fn equivalent_serial_order(&self, g: &Graph) -> Option<Vec<TxnId>> {
-        let adj = self.serialization_graph(g);
-        topo_sort(&adj)
+        topo_sort(self.txns.len(), &self.conflict_edges(g))
     }
 
     /// One-call report of everything the Theorem 1 checkers can say about
@@ -303,30 +328,39 @@ impl std::fmt::Display for HistorySummary {
     }
 }
 
-fn topo_sort(adj: &[Vec<TxnId>]) -> Option<Vec<TxnId>> {
-    let n = adj.len();
-    let mut indeg = vec![0usize; n];
-    for edges in adj {
-        for &v in edges {
-            indeg[v] += 1;
-        }
+/// Kahn's algorithm over a CSR built from `edges` (repeats welcome: they
+/// raise the in-degree and are walked once each). `None` iff there is a
+/// cycle.
+fn topo_sort(n: usize, edges: &[(u32, u32)]) -> Option<Vec<TxnId>> {
+    let mut offsets = vec![0usize; n + 1];
+    let mut indeg = vec![0u32; n];
+    for &(from, to) in edges {
+        offsets[from as usize + 1] += 1;
+        indeg[to as usize] += 1;
     }
-    let mut queue: Vec<TxnId> = (0..n).filter(|&v| indeg[v] == 0).collect();
-    let mut order = Vec::with_capacity(n);
-    while let Some(u) = queue.pop() {
-        order.push(u);
-        for &v in &adj[u] {
-            indeg[v] -= 1;
-            if indeg[v] == 0 {
-                queue.push(v);
+    for u in 0..n {
+        offsets[u + 1] += offsets[u];
+    }
+    let mut targets = vec![0u32; edges.len()];
+    let mut cursor = offsets[..n].to_vec();
+    for &(from, to) in edges {
+        targets[cursor[from as usize]] = to;
+        cursor[from as usize] += 1;
+    }
+
+    // The order so far doubles as the queue of nodes left to expand.
+    let mut order: Vec<TxnId> = (0..n).filter(|&v| indeg[v] == 0).collect();
+    let mut next = 0;
+    while let Some(&u) = order.get(next) {
+        next += 1;
+        for &v in &targets[offsets[u]..offsets[u + 1]] {
+            indeg[v as usize] -= 1;
+            if indeg[v as usize] == 0 {
+                order.push(v as usize);
             }
         }
     }
     (order.len() == n).then_some(order)
-}
-
-fn acyclic(adj: &[Vec<TxnId>]) -> bool {
-    topo_sort(adj).is_some()
 }
 
 #[cfg(test)]

@@ -7,19 +7,24 @@
 //! checkers per event would be quadratic in history length, so this module
 //! maintains the same three verdicts incrementally:
 //!
-//! * **C1** — per-directed-pair `sent`/`visible` counters, tested when a
-//!   transaction begins (exactly [`crate::Recorder`]'s freshness test);
+//! * **C1** — a per-directed-pair count of messages sent but not yet
+//!   visible, tested when a transaction begins (exactly
+//!   [`crate::Recorder`]'s freshness test);
 //! * **C2** — eager overlap detection: an interval overlap exists iff the
 //!   later transaction begins while the earlier is still open, so checking
 //!   open neighbors at `begin` finds every violating pair exactly once;
-//! * **serialization graph** — per-item `last_write` / `reads_since_write`
-//!   state; because the driver is single-threaded, operations arrive in
-//!   global timestamp order and fold into exactly the edges
-//!   [`History::serialization_graph`] computes, with a reachability probe
-//!   per added edge for cycle detection.
+//! * **serialization graph** — per-item `last_write` / `written_at` and
+//!   per-vertex `newest_txn` state; because the driver is single-threaded,
+//!   operations arrive in global timestamp order and fold into a subset of
+//!   the edges [`History::serialization_graph`] computes with the same
+//!   reachability (an edge is left out only when a path of kept edges
+//!   already implies it), with a reachability probe per added edge for
+//!   cycle detection. Every structure is a flat array indexed by vertex or
+//!   transaction, and no step scans an adjacency, so a transaction costs
+//!   O(its degree) however the graph is skewed.
 //!
 //! The checker also accumulates full [`TxnRecord`]s, so the final
-//! [`IncrementalChecker::history`] is byte-for-byte comparable with a
+//! [`IncrementalChecker::log`] is byte-for-byte comparable with a
 //! recorded run (the replay-determinism tests rely on this).
 //!
 //! # Watermark-ordered ingestion (the streaming audit plane)
@@ -77,6 +82,18 @@ pub struct StampedTxn {
     pub stale_reads: Vec<VertexId>,
 }
 
+impl From<&TxnRecord> for StampedTxn {
+    /// The part of a recorded transaction a checker ingests.
+    fn from(t: &TxnRecord) -> Self {
+        Self {
+            vertex: t.vertex,
+            start: t.start,
+            end: t.end,
+            stale_reads: t.stale_reads.clone(),
+        }
+    }
+}
+
 /// One observability event surfaced by [`IncrementalChecker::advance`] —
 /// what the audit plane turns into sentinels and heatmap increments.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -106,10 +123,94 @@ pub enum AuditEvent {
 
 /// An open (begun, not yet ended) transaction.
 struct OpenTxn {
-    txn: TxnId,
+    txn: u32,
     start: u64,
     stale_reads: Vec<VertexId>,
     concurrent_neighbors: Vec<VertexId>,
+}
+
+/// "No edge" / "no transaction" in the `u32` index spaces below.
+const NIL: u32 = u32::MAX;
+
+/// The serialization graph so far — every transaction's out-edges as a
+/// linked list through one edge arena — and whether a cycle has closed yet.
+struct SerializationGraph {
+    /// Per transaction: its newest out-edge in `edges`, [`NIL`] if none.
+    head: Vec<u32>,
+    /// `(to, next out-edge of the same transaction)`.
+    edges: Vec<(u32, u32)>,
+    /// Cycle-probe scratch: `seen[t] == epoch` marks `t` visited in the
+    /// current probe, so probes allocate nothing in steady state.
+    seen: Vec<u64>,
+    epoch: u64,
+    stack: Vec<u32>,
+    /// Transactions the cycle probes have walked through, over all probes.
+    probe_steps: u64,
+    cyclic: bool,
+}
+
+impl SerializationGraph {
+    fn first_out(&self, txn: u32) -> u32 {
+        self.head.get(txn as usize).copied().unwrap_or(NIL)
+    }
+
+    /// Add edge `from -> to`, probing for a new cycle (is `from` reachable
+    /// from `to`?) unless one was already found. Only a repeat of `from`'s
+    /// newest edge is recognised and dropped; any other repeat is stored
+    /// again — it changes no reachability, and finding it would mean
+    /// scanning `from`'s list.
+    fn add_edge(&mut self, from: u32, to: u32) {
+        if from == NIL || from == to {
+            return;
+        }
+        if self.head.len() <= from as usize {
+            self.head.resize(from as usize + 1, NIL);
+        }
+        let newest = self.head[from as usize];
+        if newest != NIL && self.edges[newest as usize].0 == to {
+            return;
+        }
+        self.head[from as usize] =
+            u32::try_from(self.edges.len()).expect("edge arena outgrew u32 indices");
+        self.edges.push((to, newest));
+        if !self.cyclic && self.reaches(to, from) {
+            self.cyclic = true;
+        }
+    }
+
+    /// DFS reachability `from -> target`. In the common case — the new
+    /// edge's head is a transaction nothing has been ordered after yet —
+    /// `from` has no out-edge and the probe is O(1).
+    fn reaches(&mut self, from: u32, target: u32) -> bool {
+        if self.first_out(from) == NIL {
+            return false;
+        }
+        if self.seen.len() < self.head.len() {
+            self.seen.resize(self.head.len(), 0);
+        }
+        self.epoch += 1;
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(t) = self.stack.pop() {
+            if t == target {
+                return true;
+            }
+            self.probe_steps += 1;
+            // A transaction past the end of `seen` has no out-edge either.
+            let mut edge = self.first_out(t);
+            if edge == NIL
+                || std::mem::replace(&mut self.seen[t as usize], self.epoch) == self.epoch
+            {
+                continue;
+            }
+            while edge != NIL {
+                let (to, next) = self.edges[edge as usize];
+                self.stack.push(to);
+                edge = next;
+            }
+        }
+        false
+    }
 }
 
 /// Incremental Theorem 1 checker driven by a single-threaded explorer.
@@ -123,29 +224,29 @@ pub struct IncrementalChecker {
     clock: u64,
     /// vertex -> its currently open transaction, if any.
     open: Vec<Option<OpenTxn>>,
-    /// Messages handed to the system per directed pair (in-CSR indexed).
-    sent: Vec<u64>,
-    /// Messages readable by the recipient per directed pair.
-    visible: Vec<u64>,
-    /// Serialization-graph adjacency, grown per committed operation.
-    adj: Vec<Vec<TxnId>>,
-    /// Per item (vertex): the transaction that last wrote it.
-    last_write: Vec<Option<TxnId>>,
-    /// Per item: transactions that read it since the last write.
-    reads_since_write: Vec<Vec<TxnId>>,
-    /// Number of `open` slots currently occupied (txn id assignment).
+    /// Number of `open` slots currently occupied.
     open_count: usize,
-    /// Cycle-probe scratch: `seen[t] == epoch` marks `t` visited in the
-    /// current probe, so probes allocate nothing in steady state.
-    seen: Vec<u64>,
-    epoch: u64,
-    stack: Vec<TxnId>,
-    txns: Vec<TxnRecord>,
+    /// Messages sent but not yet readable per directed pair (in-CSR
+    /// indexed; a send adds one, a delivery takes one away). Allocated by
+    /// the first send or delivery: the streaming entry points never make
+    /// one, their producers ship the C1 witnesses.
+    in_flight: Vec<u64>,
+    sg: SerializationGraph,
+    /// Per item (vertex): the transaction that last wrote it, or [`NIL`].
+    last_write: Vec<u32>,
+    /// Per item: how many transactions had begun when it was last written
+    /// — the smallest id that can have read that version.
+    written_at: Vec<u32>,
+    /// Per vertex: its newest transaction, open or committed, or [`NIL`].
+    newest_txn: Vec<u32>,
+    /// Committed transactions, in commit order.
+    log: History,
     c1: usize,
     c2: usize,
-    cyclic: bool,
     /// Buffered stamped transactions awaiting release (streaming mode).
     slab: Vec<Option<StampedTxn>>,
+    /// Emptied `slab` slots awaiting reuse.
+    free_slots: Vec<usize>,
     /// Min-heap of buffered events: `(time, slab index, is_commit)`.
     events: BinaryHeap<Reverse<(u64, usize, bool)>>,
     /// Largest event stamp applied so far (streaming mode).
@@ -156,28 +257,40 @@ impl IncrementalChecker {
     /// New checker over `graph`.
     pub fn new(graph: Arc<Graph>) -> Self {
         let n = graph.num_vertices() as usize;
-        let e = graph.num_edges() as usize;
         Self {
             graph,
             clock: 0,
             open: (0..n).map(|_| None).collect(),
-            sent: vec![0; e],
-            visible: vec![0; e],
-            adj: Vec::new(),
-            last_write: vec![None; n],
-            reads_since_write: vec![Vec::new(); n],
             open_count: 0,
-            seen: Vec::new(),
-            epoch: 0,
-            stack: Vec::new(),
-            txns: Vec::new(),
+            in_flight: Vec::new(),
+            sg: SerializationGraph {
+                head: Vec::new(),
+                edges: Vec::new(),
+                seen: Vec::new(),
+                epoch: 0,
+                stack: Vec::new(),
+                probe_steps: 0,
+                cyclic: false,
+            },
+            last_write: vec![NIL; n],
+            written_at: vec![0; n],
+            newest_txn: vec![NIL; n],
+            log: History::new(Vec::new()),
             c1: 0,
             c2: 0,
-            cyclic: false,
             slab: Vec::new(),
+            free_slots: Vec::new(),
             events: BinaryHeap::new(),
             applied: 0,
         }
+    }
+
+    /// Transactions begun so far: the next transaction's id.
+    fn begun(&self) -> u32 {
+        u32::try_from(self.log.len() + self.open_count)
+            .ok()
+            .filter(|&t| t != NIL)
+            .expect("more transactions than u32 ids")
     }
 
     fn tick(&mut self) -> u64 {
@@ -186,65 +299,55 @@ impl IncrementalChecker {
         t
     }
 
-    fn pair_index(&self, from: VertexId, to: VertexId) -> Option<usize> {
-        self.graph.in_edge_index(to, from).map(|i| i as usize)
+    fn in_flight_mut(&mut self, from: VertexId, to: VertexId) -> Option<&mut u64> {
+        let i = self.graph.in_edge_index(to, from)? as usize;
+        if self.in_flight.is_empty() {
+            self.in_flight = vec![0; self.graph.num_edges() as usize];
+        }
+        Some(&mut self.in_flight[i])
     }
 
     /// Vertex `from` handed a message for `to` to the system.
     pub fn on_send(&mut self, from: VertexId, to: VertexId) {
-        if let Some(i) = self.pair_index(from, to) {
-            self.sent[i] += 1;
+        if let Some(count) = self.in_flight_mut(from, to) {
+            *count = count.wrapping_add(1);
         }
     }
 
     /// A message from `from` became readable by `to`.
     pub fn on_visible(&mut self, from: VertexId, to: VertexId) {
-        if let Some(i) = self.pair_index(from, to) {
-            self.visible[i] += 1;
+        if let Some(count) = self.in_flight_mut(from, to) {
+            *count = count.wrapping_sub(1);
         }
-    }
-
-    /// Record a read operation of `txn` on item `v` at the current instant,
-    /// folding the serialization-graph edges the batch algorithm would
-    /// produce (reads order after the item's last write).
-    fn read_op(&mut self, txn: TxnId, v: VertexId) {
-        if let Some(w) = self.last_write[v.index()] {
-            if w != txn {
-                self.add_edge(w, txn);
-            }
-        }
-        self.reads_since_write[v.index()].push(txn);
     }
 
     /// Core of a transaction begin at `start` with producer-supplied C1
     /// witnesses: assign an id, count violations, fold the read operations.
-    fn apply_begin(&mut self, u: VertexId, start: u64, stale_reads: Vec<VertexId>) -> TxnId {
+    fn apply_begin(&mut self, u: VertexId, start: u64, stale_reads: Vec<VertexId>) -> u32 {
         assert!(
             self.open[u.index()].is_none(),
             "vertex {u:?} began twice without ending"
         );
-        let txn = self.txns.len() + self.open_count;
+        let txn = self.begun();
         if !stale_reads.is_empty() {
             self.c1 += 1;
         }
 
-        let concurrent_neighbors: Vec<VertexId> = self
-            .graph
-            .neighbors(u)
-            .into_iter()
-            .filter(|v| self.open[v.index()].is_some())
-            .collect();
+        let concurrent_neighbors = if self.open_count > 0 {
+            let open = &self.open;
+            self.graph.neighbors_where(u, |v| open[v.index()].is_some())
+        } else {
+            Vec::new()
+        };
         self.c2 += concurrent_neighbors.len();
 
         // Read set: u itself plus in-edge neighbors (the batch algorithm's
-        // operation model).
-        self.read_op(txn, u);
-        let in_neighbors: Vec<VertexId> = self.graph.in_neighbors(u).to_vec();
-        for v in in_neighbors {
-            if v != u {
-                self.read_op(txn, v);
-            }
+        // operation model). A read orders after the item's last write.
+        self.sg.add_edge(self.last_write[u.index()], txn);
+        for &v in self.graph.in_neighbors(u) {
+            self.sg.add_edge(self.last_write[v.index()], txn);
         }
+        self.newest_txn[u.index()] = txn;
 
         self.open[u.index()] = Some(OpenTxn {
             txn,
@@ -265,28 +368,31 @@ impl IncrementalChecker {
         self.open_count -= 1;
         let txn = open.txn;
 
-        // Write op on item u: edges from the previous write and from every
-        // read since it, then the item's state resets to this writer.
-        if let Some(w) = self.last_write[u.index()] {
-            if w != txn {
-                self.add_edge(w, txn);
+        // Write op on item u: it orders after the previous write — only
+        // u's transactions write u, so that edge went in with this
+        // transaction's own read of u — and after every read of that
+        // version. Those readers are transactions of u's out-edge
+        // neighbors, begun since `written_at[u]`; of each neighbor only the
+        // newest needs an edge, its earlier transactions reach that one
+        // through the neighbor's own write -> read chain.
+        let since = self.written_at[u.index()];
+        for &x in self.graph.out_neighbors(u) {
+            // A neighbor that never ran holds NIL, which `add_edge` drops.
+            let reader = self.newest_txn[x.index()];
+            if reader >= since {
+                self.sg.add_edge(reader, txn);
             }
         }
-        let readers = std::mem::take(&mut self.reads_since_write[u.index()]);
-        for r in readers {
-            if r != txn {
-                self.add_edge(r, txn);
-            }
-        }
-        self.last_write[u.index()] = Some(txn);
+        self.last_write[u.index()] = txn;
 
-        self.txns.push(TxnRecord {
+        self.log.push(TxnRecord {
             vertex: u,
             start: open.start,
             end,
             stale_reads: open.stale_reads,
             concurrent_neighbors: open.concurrent_neighbors,
         });
+        self.written_at[u.index()] = self.begun();
     }
 
     /// Vertex `u` begins executing: C1 freshness test, eager C2 probe, and
@@ -298,18 +404,18 @@ impl IncrementalChecker {
     pub fn begin(&mut self, u: VertexId) -> TxnId {
         let start = self.tick();
 
+        // `in_neighbors(u)[k]` owns counter slot `base + k`; see
+        // `Recorder::begin` for why parallel edges need no special case.
         let mut stale_reads = Vec::new();
-        for &v in self.graph.in_neighbors(u) {
-            if v == u {
-                continue;
-            }
-            if let Some(i) = self.pair_index(v, u) {
-                if self.sent[i] != self.visible[i] && stale_reads.last() != Some(&v) {
+        if !self.in_flight.is_empty() {
+            let base = self.graph.in_edge_base(u) as usize;
+            for (k, &v) in self.graph.in_neighbors(u).iter().enumerate() {
+                if v != u && self.in_flight[base + k] != 0 && stale_reads.last() != Some(&v) {
                     stale_reads.push(v);
                 }
             }
         }
-        self.apply_begin(u, start, stale_reads)
+        self.apply_begin(u, start, stale_reads) as TxnId
     }
 
     /// Vertex `u`'s execution commits its write.
@@ -344,10 +450,13 @@ impl IncrementalChecker {
             txn.start,
             self.applied
         );
-        let idx = self.slab.len();
+        let idx = self.free_slots.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            self.slab.len() - 1
+        });
         self.events.push(Reverse((txn.start, idx, false)));
         self.events.push(Reverse((txn.end, idx, true)));
-        self.slab.push(Some(txn));
+        self.slab[idx] = Some(txn);
     }
 
     /// Apply every buffered event with `time < frontier`, in global
@@ -375,9 +484,10 @@ impl IncrementalChecker {
             self.applied = time;
             if is_commit {
                 let txn = self.slab[idx].take().expect("commit without buffered txn");
-                let was_cyclic = self.cyclic;
+                self.free_slots.push(idx);
+                let was_cyclic = self.sg.cyclic;
                 self.apply_end(txn.vertex, time);
-                if self.cyclic && !was_cyclic {
+                if self.sg.cyclic && !was_cyclic {
                     out.push(AuditEvent::Cycle { vertex: txn.vertex });
                 }
             } else {
@@ -408,7 +518,7 @@ impl IncrementalChecker {
 
     /// Number of buffered transactions not yet fully applied.
     pub fn pending(&self) -> usize {
-        self.slab.iter().flatten().count()
+        self.slab.len() - self.free_slots.len()
     }
 
     /// Largest event stamp applied so far (streaming mode).
@@ -418,7 +528,7 @@ impl IncrementalChecker {
 
     /// Committed transactions applied so far.
     pub fn transactions(&self) -> usize {
-        self.txns.len()
+        self.log.len()
     }
 
     /// The verdicts plus volume, in [`History::summarize`]'s shape — what
@@ -426,7 +536,7 @@ impl IncrementalChecker {
     pub fn summary(&self) -> HistorySummary {
         let st = self.status();
         HistorySummary {
-            transactions: self.txns.len(),
+            transactions: self.log.len(),
             c1_violations: st.c1_violations,
             c2_violations: st.c2_violations,
             serialization_graph_acyclic: st.serialization_graph_acyclic,
@@ -434,79 +544,51 @@ impl IncrementalChecker {
         }
     }
 
-    /// Add serialization-graph edge `from -> to`, probing for a new cycle
-    /// (is `from` reachable from `to`?) unless one was already found.
-    fn add_edge(&mut self, from: TxnId, to: TxnId) {
-        let needed = from.max(to) + 1;
-        if self.adj.len() < needed {
-            self.adj.resize(needed, Vec::new());
-        }
-        if self.adj[from].contains(&to) {
-            return;
-        }
-        self.adj[from].push(to);
-        if !self.cyclic && self.reaches(to, from) {
-            self.cyclic = true;
-        }
-    }
-
-    /// DFS reachability `from -> target` over the current adjacency.
-    /// Epoch-stamped scratch instead of a fresh visited set: in the common
-    /// case (the new edge's head is the newest transaction, with no
-    /// outgoing edges yet) the probe is O(1), and probes that do walk
-    /// allocate nothing in steady state.
-    fn reaches(&mut self, from: TxnId, target: TxnId) -> bool {
-        if from == target {
-            return true;
-        }
-        if self.adj.get(from).is_none_or(Vec::is_empty) {
-            return false;
-        }
-        if self.seen.len() < self.adj.len() {
-            self.seen.resize(self.adj.len(), 0);
-        }
-        self.epoch += 1;
-        self.stack.clear();
-        self.stack.push(from);
-        while let Some(t) = self.stack.pop() {
-            if t == target {
-                return true;
-            }
-            if t >= self.adj.len() || std::mem::replace(&mut self.seen[t], self.epoch) == self.epoch
-            {
-                continue;
-            }
-            let (stack, adj) = (&mut self.stack, &self.adj);
-            stack.extend(adj[t].iter().copied());
-        }
-        false
-    }
-
     /// The verdicts as of the last applied operation.
     pub fn status(&self) -> CheckStatus {
         CheckStatus {
             c1_violations: self.c1,
             c2_violations: self.c2,
-            serialization_graph_acyclic: !self.cyclic,
+            serialization_graph_acyclic: !self.sg.cyclic,
         }
     }
 
     /// Committed transactions so far as a batch-checkable [`History`]
-    /// (open transactions are not included).
+    /// (open transactions are not included), borrowed.
+    pub fn log(&self) -> &History {
+        &self.log
+    }
+
+    /// An owned copy of [`IncrementalChecker::log`].
     pub fn history(&self) -> History {
-        History::new(self.txns.clone())
+        self.log.clone()
     }
 
     /// The graph this checker observes.
     pub fn graph(&self) -> &Arc<Graph> {
         &self.graph
     }
+
+    /// Serialization-graph edges stored so far, repeats included.
+    #[doc(hidden)]
+    pub fn edge_count(&self) -> usize {
+        self.sg.edges.len()
+    }
+
+    /// Transactions the cycle probes have walked through so far; zero
+    /// while every probe has taken the O(1) path.
+    #[doc(hidden)]
+    pub fn probe_steps(&self) -> u64 {
+        self.sg.probe_steps
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::{Recorder, TxnGuard};
     use sg_graph::{gen, SplitMix64};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn v(raw: u32) -> VertexId {
         VertexId::new(raw)
@@ -527,7 +609,7 @@ mod tests {
                 assert!(c.status().clean());
             }
         }
-        assert!(c.history().is_one_copy_serializable(&g));
+        assert!(c.log().is_one_copy_serializable(&g));
     }
 
     #[test]
@@ -541,7 +623,7 @@ mod tests {
         c.begin(v(1)); // undelivered message: stale replica of v0
         assert_eq!(c.status().c1_violations, 1);
         c.end(v(1));
-        assert_eq!(c.history().c1_violations(), vec![1]);
+        assert_eq!(c.log().c1_violations(), vec![1]);
     }
 
     #[test]
@@ -658,7 +740,7 @@ mod tests {
             }]
         );
         assert_eq!(c.status().c1_violations, 1);
-        assert_eq!(c.history().c1_violations(), vec![0]);
+        assert_eq!(c.log().c1_violations(), vec![0]);
     }
 
     /// `advance` releases strictly below the frontier and buffers the rest.
@@ -709,142 +791,226 @@ mod tests {
         });
     }
 
-    /// Property: a watermark-buffered, shuffled feed produces byte-for-byte
-    /// the same history and identical verdicts as the in-order feed.
+    /// 10,000 observe/advance rounds with one to three transactions in
+    /// flight: the buffer never holds more slots than that, and `pending`
+    /// counts them without walking it.
     #[test]
-    fn prop_out_of_order_feed_matches_in_order() {
-        let g = Arc::new(gen::complete(5));
-        for seed in 0..25u64 {
-            let mut rng = SplitMix64::new(seed);
-            // Generate a random stamped schedule (possibly overlapping) by
-            // running the self-clocked checker and harvesting its history.
-            let mut gen_c = IncrementalChecker::new(Arc::clone(&g));
-            let mut open: Vec<VertexId> = Vec::new();
-            for _ in 0..60 {
-                let u = v(rng.gen_range(5) as u32);
-                if let Some(pos) = open.iter().position(|&x| x == u) {
-                    if rng.gen_bool(0.5) {
-                        for &t in g.out_neighbors(u) {
-                            gen_c.on_send(u, t);
-                            if rng.gen_bool(0.5) {
-                                gen_c.on_visible(u, t);
-                            }
+    fn buffer_slots_are_reused_across_rounds() {
+        let g = Arc::new(gen::ring(8));
+        let mut c = IncrementalChecker::new(Arc::clone(&g));
+        let (mut peak, mut total) = (0, 0);
+        let mut t = 0u64;
+        for round in 0..10_000u32 {
+            let in_flight = 1 + round % 3;
+            for k in 0..in_flight {
+                // Vertices 0, 2, 4 of the ring are pairwise non-adjacent.
+                c.observe(StampedTxn {
+                    vertex: v(2 * k),
+                    start: t,
+                    end: t + 1,
+                    stale_reads: Vec::new(),
+                });
+                t += 2;
+            }
+            assert_eq!(c.pending(), in_flight as usize);
+            peak = peak.max(c.pending());
+            total += c.pending();
+            assert!(c.advance(t).is_empty());
+            assert_eq!(c.pending(), 0);
+        }
+        assert_eq!(c.transactions(), total);
+        assert!(
+            c.slab.len() <= peak,
+            "{} slots for at most {peak} transactions in flight",
+            c.slab.len()
+        );
+        assert!(c.status().clean());
+    }
+
+    /// The graphs the property tests draw schedules over: a clique (every
+    /// pair conflicts), a skewed directed R-MAT (hubs; in- and out-edge
+    /// neighborhoods differ), and a multigraph with parallel edges in both
+    /// directions, one-way edges and a self-loop.
+    fn prop_graphs() -> Vec<(&'static str, Arc<Graph>)> {
+        let multi = [
+            (0, 1),
+            (0, 1),
+            (0, 1),
+            (1, 0),
+            (1, 2),
+            (1, 2),
+            (2, 1),
+            (2, 0),
+            (3, 1),
+            (3, 1),
+            (1, 3),
+            (4, 4),
+            (4, 0),
+            (0, 4),
+            (0, 4),
+        ];
+        vec![
+            ("complete-5", Arc::new(gen::complete(5))),
+            (
+                "rmat-8",
+                Arc::new(gen::rmat(8, 1500, gen::datasets::SKEW, 7)),
+            ),
+            ("multi-edge", Arc::new(Graph::from_edges(5, &multi))),
+        ]
+    }
+
+    /// Drive the self-clocked checker and a [`Recorder`] in lockstep through
+    /// a random schedule that overlaps neighbors and leaves sends
+    /// undelivered, checking every begin's stale reads against a per-pair
+    /// count kept here, and the live verdicts against the batch checkers
+    /// whenever no transaction is open (the batch checkers see committed
+    /// transactions only). Returns the checker and the recorder's history.
+    fn drive_random(g: &Arc<Graph>, seed: u64) -> (IncrementalChecker, History) {
+        let mut rng = SplitMix64::new(seed);
+        let n = u64::from(g.num_vertices());
+        let mut c = IncrementalChecker::new(Arc::clone(g));
+        let rec = Recorder::new(Arc::clone(g));
+        let mut undelivered: BTreeMap<(VertexId, VertexId), i64> = BTreeMap::new();
+        let mut open: Vec<(VertexId, TxnGuard)> = Vec::new();
+        for _ in 0..12 * n.min(40) {
+            // Half the time aim at a neighbor of an open transaction, so a
+            // large sparse graph sees overlaps too.
+            let near = open.last().map(|(o, _)| g.neighbors(*o));
+            let u = match near {
+                Some(near) if !near.is_empty() && rng.gen_bool(0.5) => {
+                    near[rng.gen_range(near.len() as u64) as usize]
+                }
+                _ => v(rng.gen_range(n) as u32),
+            };
+            if let Some(pos) = open.iter().position(|(x, _)| *x == u) {
+                if rng.gen_bool(0.6) {
+                    for &t in g.out_neighbors(u) {
+                        c.on_send(u, t);
+                        rec.on_send(u, t);
+                        *undelivered.entry((u, t)).or_default() += 1;
+                        if rng.gen_bool(0.5) {
+                            c.on_visible(u, t);
+                            rec.on_visible(u, t);
+                            *undelivered.entry((u, t)).or_default() -= 1;
                         }
                     }
-                    gen_c.end(u);
-                    open.swap_remove(pos);
-                } else if open.len() < 3 {
-                    gen_c.begin(u);
-                    open.push(u);
                 }
-            }
-            for &u in &open {
-                gen_c.end(u);
-            }
-            let stamped: Vec<StampedTxn> = gen_c
-                .history()
-                .txns()
-                .iter()
-                .map(|t| StampedTxn {
-                    vertex: t.vertex,
-                    start: t.start,
-                    end: t.end,
-                    stale_reads: t.stale_reads.clone(),
-                })
-                .collect();
-
-            // In-order feed: sorted by start, finish at the end.
-            let mut in_order = IncrementalChecker::new(Arc::clone(&g));
-            let mut sorted = stamped.clone();
-            sorted.sort_by_key(|t| t.start);
-            for t in sorted {
-                in_order.observe(t);
-            }
-            in_order.finish();
-
-            // Out-of-order feed: shuffled arrivals, watermark-batched
-            // advances after every few observes.
-            let mut shuffled = stamped.clone();
-            for i in (1..shuffled.len()).rev() {
-                let j = rng.gen_range(i as u64 + 1) as usize;
-                shuffled.swap(i, j);
-            }
-            let mut ooo = IncrementalChecker::new(Arc::clone(&g));
-            // The safe frontier after each arrival is the smallest stamp of
-            // any not-yet-observed transaction — exactly the guarantee a
-            // per-producer watermark merge provides.
-            let mut unseen: std::collections::BTreeSet<u64> =
-                shuffled.iter().flat_map(|t| [t.start, t.end]).collect();
-            for (i, t) in shuffled.into_iter().enumerate() {
-                unseen.remove(&t.start);
-                unseen.remove(&t.end);
-                ooo.observe(t);
-                if i % 3 == 0 {
-                    let frontier = unseen.iter().next().copied().unwrap_or(u64::MAX);
-                    ooo.advance(frontier);
+                c.end(u);
+                rec.end(open.swap_remove(pos).1);
+                if open.is_empty() {
+                    assert_matches_batch(
+                        &c,
+                        g,
+                        &format!("seed {seed}, {} committed", c.transactions()),
+                    );
                 }
+            } else if open.len() < 3 {
+                let mut stale: Vec<VertexId> = g.in_neighbors(u).to_vec();
+                stale.dedup();
+                stale.retain(|&w| w != u && undelivered.get(&(w, u)).is_some_and(|&d| d != 0));
+                c.begin(u);
+                assert_eq!(c.open[u.index()].as_ref().unwrap().stale_reads, stale);
+                open.push((u, rec.begin(u)));
             }
-            ooo.finish();
+        }
+        for (u, guard) in open {
+            c.end(u);
+            rec.end(guard);
+        }
+        (c, rec.history())
+    }
 
-            assert_eq!(
-                in_order.history().txns(),
-                ooo.history().txns(),
-                "seed {seed}: histories diverged"
-            );
-            assert_eq!(in_order.status(), ooo.status(), "seed {seed}");
-            let h = ooo.history();
-            let st = ooo.status();
-            assert_eq!(st.c1_violations, h.c1_violations().len(), "seed {seed}");
-            assert_eq!(st.c2_violations, h.c2_violations(&g).len(), "seed {seed}");
-            assert_eq!(
-                st.serialization_graph_acyclic,
-                h.serialization_graph_acyclic(&g),
-                "seed {seed}"
+    /// Live verdicts of `c` against the batch checkers over its own log.
+    fn assert_matches_batch(c: &IncrementalChecker, g: &Graph, what: &str) {
+        let h = c.log();
+        let st = c.status();
+        assert_eq!(st.c1_violations, h.c1_violations().len(), "{what}");
+        assert_eq!(st.c2_violations, h.c2_violations(g).len(), "{what}");
+        assert_eq!(
+            st.serialization_graph_acyclic,
+            h.serialization_graph_acyclic(g),
+            "{what}"
+        );
+        assert_eq!(c.summary(), h.summarize(g), "{what}");
+    }
+
+    /// Property: against randomized schedules (most of them violating),
+    /// the incremental verdicts agree with the batch [`History`] checkers,
+    /// and the checker's log is the recorder's history record for record —
+    /// stale reads and concurrent neighbors included.
+    #[test]
+    fn prop_matches_batch_checkers() {
+        for (name, g) in prop_graphs() {
+            let (mut stale, mut overlapping, mut cyclic) = (0, 0, 0);
+            for seed in 0..25u64 {
+                let (c, recorded) = drive_random(&g, seed);
+                let what = format!("{name} seed {seed}");
+                assert_eq!(c.log().txns(), recorded.txns(), "{what}");
+                assert_matches_batch(&c, &g, &what);
+                let st = c.status();
+                stale += usize::from(st.c1_violations > 0);
+                overlapping += usize::from(st.c2_violations > 0);
+                cyclic += usize::from(!st.serialization_graph_acyclic);
+            }
+            assert!(
+                stale > 0 && overlapping > 0 && cyclic > 0,
+                "{name}: {stale} stale, {overlapping} overlapping, {cyclic} cyclic of 25 schedules"
             );
         }
     }
 
-    /// Property: against randomized schedules (possibly violating ones),
-    /// the incremental verdicts and the final history must agree with the
-    /// batch [`History`] checkers.
+    /// Property: a watermark-buffered, shuffled feed produces byte-for-byte
+    /// the same history and identical verdicts as the in-order feed, and
+    /// both agree with the batch checkers.
     #[test]
-    fn prop_matches_batch_checkers() {
-        let g = Arc::new(gen::complete(5));
-        for seed in 0..25u64 {
-            let mut rng = SplitMix64::new(seed);
-            let mut c = IncrementalChecker::new(Arc::clone(&g));
-            let mut open: Vec<VertexId> = Vec::new();
-            for _ in 0..60 {
-                let u = v(rng.gen_range(5) as u32);
-                if let Some(pos) = open.iter().position(|&x| x == u) {
-                    // Close it, sometimes sending (half delivered).
-                    if rng.gen_bool(0.6) {
-                        for &t in g.out_neighbors(u) {
-                            c.on_send(u, t);
-                            if rng.gen_bool(0.5) {
-                                c.on_visible(u, t);
-                            }
-                        }
-                    }
-                    c.end(u);
-                    open.swap_remove(pos);
-                } else if open.len() < 3 {
-                    c.begin(u);
-                    open.push(u);
+    fn prop_out_of_order_feed_matches_in_order() {
+        for (name, g) in prop_graphs() {
+            for seed in 0..25u64 {
+                let what = format!("{name} seed {seed}");
+                let mut rng = SplitMix64::new(seed ^ 0x5EED);
+                // A random stamped schedule (possibly overlapping), harvested
+                // from the self-clocked checker's log.
+                let recorded = drive_random(&g, seed).1;
+                let stamped: Vec<StampedTxn> =
+                    recorded.txns().iter().map(StampedTxn::from).collect();
+
+                // In-order feed: sorted by start, finish at the end.
+                let mut in_order = IncrementalChecker::new(Arc::clone(&g));
+                let mut sorted = stamped.clone();
+                sorted.sort_by_key(|t| t.start);
+                for t in sorted {
+                    in_order.observe(t);
                 }
+                in_order.finish();
+
+                // Out-of-order feed: shuffled arrivals, watermark-batched
+                // advances after every few observes.
+                let mut shuffled = stamped.clone();
+                for i in (1..shuffled.len()).rev() {
+                    let j = rng.gen_range(i as u64 + 1) as usize;
+                    shuffled.swap(i, j);
+                }
+                let mut ooo = IncrementalChecker::new(Arc::clone(&g));
+                // The safe frontier after each arrival is the smallest stamp
+                // of any not-yet-observed transaction — exactly the guarantee
+                // a per-producer watermark merge provides.
+                let mut unseen: BTreeSet<u64> =
+                    shuffled.iter().flat_map(|t| [t.start, t.end]).collect();
+                for (i, t) in shuffled.into_iter().enumerate() {
+                    unseen.remove(&t.start);
+                    unseen.remove(&t.end);
+                    ooo.observe(t);
+                    if i % 3 == 0 {
+                        let frontier = unseen.iter().next().copied().unwrap_or(u64::MAX);
+                        ooo.advance(frontier);
+                    }
+                }
+                ooo.finish();
+
+                assert_eq!(in_order.log().txns(), ooo.log().txns(), "{what}");
+                assert_eq!(in_order.status(), ooo.status(), "{what}");
+                assert_matches_batch(&ooo, &g, &what);
             }
-            for &u in &open {
-                c.end(u);
-            }
-            let h = c.history();
-            let st = c.status();
-            assert_eq!(st.c1_violations, h.c1_violations().len(), "seed {seed}");
-            assert_eq!(st.c2_violations, h.c2_violations(&g).len(), "seed {seed}");
-            assert_eq!(
-                st.serialization_graph_acyclic,
-                h.serialization_graph_acyclic(&g),
-                "seed {seed}"
-            );
         }
     }
 }

@@ -12,17 +12,23 @@
 //!   which neighbors are mid-execution (condition C2, eagerly);
 //! * [`Recorder::end`] — the execution commits its write.
 //!
-//! Recording costs one binary search per message plus two atomic ops, so it
-//! is enabled only for validation runs, not benchmarks.
+//! Recording costs one binary search plus one atomic add per message
+//! event, and one pass of atomic loads over the in-edge range per
+//! execution. `sg-perf`'s `coloring-dtoken-audited` workload prices it end
+//! to end on every benchmark run (`sg-serial.record_ns_per_txn`,
+//! `record_overhead_x`): about 3x an unrecorded colouring run at ~13 reads
+//! per transaction (EXPERIMENTS.md, "Wall-clock performance").
 
 use crate::history::{History, TxnRecord};
+use crate::incremental::StampedTxn;
 use sg_graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
-/// Concurrent execution recorder. Cheap enough for test-scale graphs;
-/// attach via the engines' `with_recorder` options.
+/// Concurrent execution recorder: two `|E|`-sized counter arrays plus one
+/// [`TxnRecord`] per execution. Attach via the engines' `record_history`
+/// option.
 pub struct Recorder {
     graph: Arc<Graph>,
     clock: AtomicU64,
@@ -109,26 +115,26 @@ impl Recorder {
         self.executing_since[u.index()].store(self.clock.load(Ordering::SeqCst), Ordering::SeqCst);
         let start = self.tick();
 
+        // `in_neighbors(u)[k]` owns counter slot `base + k`. Of a run of
+        // parallel edges only the slot `pair_index` lands on ever counts;
+        // the others stay at 0 == 0, so one walk over the range sees what a
+        // binary search per neighbor would.
+        let ins = self.graph.in_neighbors(u);
+        let base = self.graph.in_edge_base(u) as usize;
         let mut stale_reads = Vec::new();
-        for &v in self.graph.in_neighbors(u) {
-            if v == u {
-                continue;
-            }
-            if let Some(i) = self.pair_index(v, u) {
-                if self.sent[i].load(Ordering::SeqCst) != self.visible[i].load(Ordering::SeqCst)
-                    && stale_reads.last() != Some(&v)
-                {
-                    stale_reads.push(v);
-                }
+        for (k, &v) in ins.iter().enumerate() {
+            let i = base + k;
+            if v != u
+                && self.sent[i].load(Ordering::SeqCst) != self.visible[i].load(Ordering::SeqCst)
+                && stale_reads.last() != Some(&v)
+            {
+                stale_reads.push(v);
             }
         }
 
-        let concurrent_neighbors: Vec<VertexId> = self
+        let concurrent_neighbors = self
             .graph
-            .neighbors(u)
-            .into_iter()
-            .filter(|v| self.executing[v.index()].load(Ordering::SeqCst))
-            .collect();
+            .neighbors_where(u, |v| self.executing[v.index()].load(Ordering::SeqCst));
 
         TxnGuard {
             vertex: u,
@@ -162,13 +168,25 @@ impl Recorder {
         History::new(self.txns.lock().unwrap().clone())
     }
 
-    /// Completed transactions recorded after the first `from` — the
-    /// streaming auditor's read-only cursor. Records arrive in *end*
-    /// order, so a consumer holding `from = previous total` sees every
-    /// record exactly once.
-    pub fn txns_since(&self, from: usize) -> Vec<TxnRecord> {
+    /// Move the recorded transactions out as a [`History`], leaving the
+    /// log empty. For the end of a run, once every execution has ended and
+    /// any [`crate::StreamingAuditor`] on this recorder has finished: the
+    /// auditor's cursor counts records from the start of the log.
+    pub fn take_history(&self) -> History {
+        History::new(std::mem::take(&mut *self.txns.lock().unwrap()))
+    }
+
+    /// Completed transactions recorded after the first `from`, as the
+    /// stamped form an incremental checker ingests — the streaming
+    /// auditor's read-only cursor. Records arrive in *end* order, so a
+    /// consumer holding `from = previous total` sees every record exactly
+    /// once.
+    pub fn txns_since(&self, from: usize) -> Vec<StampedTxn> {
         let txns = self.txns.lock().unwrap();
-        txns[from.min(txns.len())..].to_vec()
+        txns[from.min(txns.len())..]
+            .iter()
+            .map(StampedTxn::from)
+            .collect()
     }
 
     /// A timestamp every future (and still-open) transaction's interval

@@ -280,7 +280,7 @@ pub fn simulate<P: VertexProgram>(
         makespan_ns: makespan,
         stalled: false,
     });
-    let history = recorder.as_ref().map(Recorder::history);
+    let history = recorder.as_ref().map(Recorder::take_history);
     let audit = (config.obs.audit)
         .then(|| history.as_ref().map(|h| h.summarize(&graph)))
         .flatten();

@@ -25,10 +25,13 @@ CLUSTER=target/release/sg-cluster
 
 source scripts/lib.sh
 
+# The graph sets how long the run stays up to be scraped: grid:400:400 runs
+# for about 1.5 s on the reference host (grid:300:300, 0.5 s, was missed by
+# one launch in three).
 echo "-- 4-process unsynchronized control (technique=none) with the audit plane on"
 SENTINELS="$SMOKE/sentinels.jsonl"
 launch_run "$SMOKE/none.log" \
-    --workers 4 --technique none --workload coloring --graph grid:300:300 \
+    --workers 4 --technique none --workload coloring --graph grid:400:400 \
     --max-supersteps 40 --audit-interval-ms 20 --audit-log "$SENTINELS"
 
 echo "-- scraping http://$ADDR/audit for a live violation verdict"
