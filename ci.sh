@@ -19,6 +19,10 @@ if grep -rnE 'enum (NetAction|TransportEvent|CheckTechnique)' crates | grep -v '
 echo "== the incremental checker stays linear: no nested-Vec adjacency, no membership scan (tests below #[cfg(test)] may) =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'Vec<Vec<|\.contains\('; then exit 1; fi
 
+echo "== a fork costs what a fork costs: flat fork table, counters batched per protocol call, ring pass vs fork move told apart by the unit =="
+if sed '/^#\[cfg(test)\]/,$d' crates/sync/src/chandy_misra.rs | grep -nE 'Vec<Vec<|metrics\.inc\('; then exit 1; fi
+if grep -n 'granularity() == LockGranularity::None' crates/engine/src/engine.rs; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

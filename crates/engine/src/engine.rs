@@ -14,7 +14,7 @@ use sg_metrics::{
 };
 use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
 use sg_store::{GraphReader, VertexStore};
-use sg_sync::{ForkSnapshot, LockGranularity, PartitionWalk, Step, SyncTransport, Synchronizer};
+use sg_sync::{ForkSnapshot, PartitionWalk, Step, SyncTransport, Synchronizer};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -140,8 +140,9 @@ impl<P: VertexProgram> Engine<P> {
         &self.store
     }
 
-    /// Execute to completion.
-    pub fn run(self) -> Outcome<P::Value> {
+    /// Everything a run's threads share, ready to execute superstep 0,
+    /// and the configuration it was built from.
+    fn into_core(self) -> (Arc<Core<P>>, EngineConfig) {
         let metrics = Arc::new(Metrics::new());
         // The registry must be attached before the technique is built: the
         // techniques grab their histogram handles at construction.
@@ -209,7 +210,7 @@ impl<P: VertexProgram> Engine<P> {
         let mut aggs = AggregatorSet::new();
         self.program.register_aggregators(&mut aggs);
 
-        let obs = self.config.obs.clone();
+        let obs = &self.config.obs;
         let tpw = threads_per_worker as usize;
         let has_combiner = self.combiner.is_some();
         let core = Arc::new(Core {
@@ -236,9 +237,10 @@ impl<P: VertexProgram> Engine<P> {
             timers: obs.breakdown.then(|| WorkerTimers::new(workers)),
             pending: AtomicU64::new(0),
             in_flight: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            owed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             superstep: AtomicU64::new(0),
             sync,
-            recorder: recorder.clone(),
+            recorder,
             vstore: Arc::clone(&self.store),
             pending_xid,
             buffer_cap: self.config.buffer_cap.max(1),
@@ -247,12 +249,19 @@ impl<P: VertexProgram> Engine<P> {
             barrierless: self.config.barrierless,
             idle: Mutex::new(0),
             idle_cv: std::sync::Condvar::new(),
-            total_threads: workers * threads_per_worker as usize,
+            total_threads: workers * tpw,
             rounds: AtomicU64::new(0),
             round_capped: AtomicBool::new(false),
         });
+        (core, self.config)
+    }
 
-        let watchdog = spawn_watchdog(&obs, &core);
+    /// Execute to completion.
+    pub fn run(self) -> Outcome<P::Value> {
+        let (core, config) = self.into_core();
+        let (metrics, recorder, obs) = (&core.metrics, &core.recorder, &config.obs);
+        let (workers, tpw) = (core.clocks.len(), core.threads_per_worker);
+        let watchdog = spawn_watchdog(obs, &core);
 
         // The in-process audit plane: a streaming checker over the live
         // recorder, drained on a sidecar thread so live Theorem 1 verdicts
@@ -272,12 +281,12 @@ impl<P: VertexProgram> Engine<P> {
         });
 
         let wall_start = Instant::now();
-        if self.config.barrierless {
-            let ended = run_barrierless(&core, self.config.max_supersteps);
+        if config.barrierless {
+            let ended = run_barrierless(&core, config.max_supersteps);
             return core.outcome(ended, Vec::new(), wall_start, audit_handle, watchdog);
         }
 
-        let total_threads = workers * threads_per_worker as usize;
+        let total_threads = core.total_threads;
         let start_barrier = Arc::new(Barrier::new(total_threads + 1));
         let end_barrier = Arc::new(Barrier::new(total_threads + 1));
 
@@ -296,18 +305,17 @@ impl<P: VertexProgram> Engine<P> {
         let mut converged = false;
         let mut executed = 0u64;
         let mut logical = 0u64;
-        let max_supersteps = self.config.max_supersteps;
+        let max_supersteps = config.max_supersteps;
         let mut rows: Vec<SuperstepRow> = Vec::new();
         let mut prev_snap = obs.breakdown.then(|| metrics.snapshot());
         // Section 6.4: checkpoints are in-memory snapshots taken at
         // barriers (quiescent: no executing vertices, no in-flight
         // messages, forks and tokens at rest). A superstep-0 checkpoint is
         // always available once fault tolerance is enabled.
-        let ckpt_enabled =
-            self.config.checkpoint_every.is_some() || self.config.fail_at_superstep.is_some();
+        let ckpt_enabled = config.checkpoint_every.is_some() || config.fail_at_superstep.is_some();
         let mut latest_ckpt = ckpt_enabled.then(|| core.take_checkpoint(0));
-        let mut fail_at = self.config.fail_at_superstep;
-        let gauges = EngineGauges::from(&metrics);
+        let mut fail_at = config.fail_at_superstep;
+        let gauges = EngineGauges::from(metrics);
         loop {
             let s = logical;
             core.superstep.store(s, Ordering::SeqCst);
@@ -336,6 +344,10 @@ impl<P: VertexProgram> Engine<P> {
             for w in 0..workers {
                 core.flush_outbound(w);
             }
+            debug_assert!(
+                core.owed.iter().all(|o| o.load(Ordering::SeqCst) == 0),
+                "a worker still owes messages after the barrier's write-all"
+            );
             core.sync.end_superstep(s, core.as_ref());
             if core.model == Model::Bsp {
                 core.bsp_swap();
@@ -390,7 +402,7 @@ impl<P: VertexProgram> Engine<P> {
             }
             logical += 1;
 
-            if let Some(every) = self.config.checkpoint_every {
+            if let Some(every) = config.checkpoint_every {
                 if logical.is_multiple_of(every) {
                     latest_ckpt = Some(core.take_checkpoint(logical));
                     core.metrics.inc(Counter::Checkpoints);
@@ -525,6 +537,15 @@ struct Core<P: VertexProgram> {
     /// holder's writes are visible, and a greedy-coloring neighbor would
     /// pick against a stale store.
     in_flight: Vec<AtomicU64>,
+    /// Per worker, what it owes the others: remote messages that a closed
+    /// (or mid-transaction cap-flushing) transaction of the worker has
+    /// staged and that are not yet inserted into their destination stores.
+    /// A sender raises it while it still holds the staging lock — before
+    /// any flusher can see the messages — and the shipper lowers it only
+    /// after `deliver`, so it is never below the truth: reading 0 means
+    /// every write the worker's finished transactions made is applied, and
+    /// the C1 write-all has nothing to do. 0 at every barrier.
+    owed: Vec<AtomicU64>,
     superstep: AtomicU64,
     sync: Arc<dyn Synchronizer>,
     recorder: Option<Arc<Recorder>>,
@@ -566,11 +587,14 @@ impl<P: VertexProgram> SyncTransport for Core<P> {
     /// cross-worker trace edge (`peer` = receiving worker, `arg` = protocol
     /// unit for forks).
     fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>) {
-        self.flush_outbound(from.index());
-        // Not `unit.is_none()`: `BspVertexLock` moves forks that carry a
-        // unit but locks nothing, and its barrier-time moves are charged
-        // and traced as ring passes (pinned in tests/proposition1.rs).
-        let ring = self.sync.granularity() == LockGranularity::None;
+        // Every transaction the resource guarded raised `owed` before the
+        // technique let the resource go, so 0 here means all their writes
+        // are applied at their receivers — most forks move with nothing
+        // owed, and pay one load for it.
+        if self.owed[from.index()].load(Ordering::SeqCst) != 0 {
+            self.flush_outbound(from.index());
+        }
+        let ring = unit.is_none();
         if ring {
             // Token techniques: the token gates the whole worker.
             let ts = self.clocks.now(from.index()) + self.cost.network_latency_ns;
@@ -835,8 +859,22 @@ struct PartitionHost<'a, P: VertexProgram> {
     /// close: taken once per vertex, not once per message, and never
     /// across a synchronizer call.
     staged: Option<MutexGuard<'a, StagingBuffers<P::Message>>>,
+    /// Envelopes the open transaction has staged and not yet added to
+    /// `Core::owed`.
+    unowed: u64,
     envelopes: &'a mut Vec<Envelope<P::Message>>,
     clock: MutexGuard<'a, LaneClock>,
+}
+
+impl<P: VertexProgram> PartitionHost<'_, P> {
+    /// Count what the open transaction staged as owed by its worker. Called
+    /// with the staging lock still held, so no flusher has seen it yet.
+    fn owe(&mut self) {
+        if self.unowed > 0 {
+            self.core.owed[self.worker].fetch_add(self.unowed, Ordering::SeqCst);
+            self.unowed = 0;
+        }
+    }
 }
 
 impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
@@ -884,15 +922,22 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
         let (grew, staged) = st.stage(to_worker, (to, from, msg), core.combiner.as_deref());
         if grew {
             core.pending.fetch_add(1, Ordering::SeqCst);
+            self.unowed += 1;
         } else {
             core.metrics.inc(Counter::SenderCombines);
         }
         if staged >= core.buffer_cap {
+            // The run is about to ship, this transaction's part with it.
+            self.owe();
+            let st = self.staged.as_mut().expect("locked above");
             core.flush_staged(self.worker, to_worker, st);
         }
     }
 
+    /// Once per transaction, not per message: what it staged becomes owed,
+    /// then the staging lock goes and flushers may find it.
     fn close(&mut self, _v: VertexId) {
+        self.owe();
         self.staged = None;
     }
 }
@@ -932,6 +977,7 @@ impl<P: VertexProgram> Core<P> {
             store,
             staging: lane.staging,
             staged: None,
+            unowed: 0,
             envelopes: &mut lane.envelopes,
             clock: lane.clock.lock().unwrap(),
         };
@@ -1084,6 +1130,8 @@ impl<P: VertexProgram> Core<P> {
         for (to_v, sender, m) in routed {
             self.deliver(sender, to_v, m);
         }
+        let owed = self.owed[from].fetch_sub(n, Ordering::SeqCst);
+        debug_assert!(owed >= n, "worker {from} shipped {n} messages, owed {owed}");
     }
 
     /// Write-all flush of everything leaving worker `from` (the C1 step):
@@ -1226,6 +1274,9 @@ impl<P: VertexProgram> Core<P> {
             store.restore(snapshot.clone());
         }
         self.pending.store(ckpt.pending, Ordering::SeqCst);
+        for owed in &self.owed {
+            owed.store(0, Ordering::SeqCst);
+        }
         self.aggs.import(&ckpt.aggregators);
         if let Some(forks) = &ckpt.forks {
             self.sync.restore(forks);
@@ -1493,6 +1544,69 @@ mod tests {
         let out = Engine::new(g, MaxId, config).unwrap().run();
         assert!(out.audit.is_none());
         assert!(out.history.is_none());
+    }
+
+    /// The paper's C4 (v0 -> v1 -> v2 -> v3 -> v0) on two workers, W0 =
+    /// {v0, v2} and W1 = {v1, v3}, so every edge crosses.
+    fn c4_core(buffer_cap: usize) -> Arc<Core<MaxId>> {
+        let config = EngineConfig {
+            workers: 2,
+            partitions_per_worker: Some(1),
+            explicit_partitions: Some([0, 1, 0, 1].map(PartitionId::new).to_vec()),
+            model: Model::Async,
+            buffer_cap,
+            ..Default::default()
+        };
+        let engine = Engine::new(Arc::new(gen::paper_c4()), MaxId, config).unwrap();
+        engine.into_core().0
+    }
+
+    #[test]
+    fn write_all_applies_what_is_owed_and_costs_nothing_when_nothing_is() {
+        let core = c4_core(usize::MAX); // nothing ships on size
+        let (w0, w1) = (WorkerId::new(0), WorkerId::new(1));
+        let owed = |w: usize| core.owed[w].load(Ordering::SeqCst);
+        let flushes = || {
+            let m = core.metrics.snapshot();
+            (m.staging_flushes, m.remote_batches)
+        };
+        let start = core.take_checkpoint(0);
+
+        // Worker 0 runs v0 and v2: one writes to v1, one to v3, both staged.
+        core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
+        assert_eq!((owed(0), owed(1)), (2, 0));
+        assert_eq!(core.current[1].total(), 0, "nothing applied yet");
+
+        // A fork guarding them moves to worker 1: applied on return.
+        core.transfer(w0, w1, Some(0));
+        assert_eq!(core.current[1].total(), 2);
+        assert_eq!((owed(0), flushes()), (0, (1, 1)));
+
+        // Nothing owed: the next fork moves without touching a buffer, and
+        // worker 1, which never sent, never pays.
+        core.transfer(w0, w1, Some(2));
+        core.transfer(w1, w0, Some(1));
+        assert_eq!(flushes(), (1, 1));
+        assert_eq!(core.current[1].total(), 2);
+
+        // Owed again, then a rollback: the count goes with the messages.
+        core.execute_partition(1, PartitionId::new(1), 0, &mut core.lane(1, 0));
+        assert!(owed(1) > 0);
+        core.flush_outbound(1);
+        assert_eq!(core.restore_checkpoint(&start), 0);
+        assert_eq!((owed(0), owed(1)), (0, 0));
+        assert_eq!(core.current[1].total(), 0);
+    }
+
+    #[test]
+    fn a_transaction_that_ships_on_size_owes_before_it_ships() {
+        // Each remote send ships from inside the open transaction; the
+        // count must already cover it (`ship_batch` asserts so in debug
+        // builds).
+        let core = c4_core(1);
+        core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
+        assert_eq!(core.owed[0].load(Ordering::SeqCst), 0);
+        assert_eq!(core.current[1].total(), 2);
     }
 
     #[test]

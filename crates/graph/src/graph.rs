@@ -26,6 +26,31 @@ pub struct Graph {
     in_sources: Vec<VertexId>,
 }
 
+/// The distinct vertices of two ascending runs, ascending.
+fn merge_distinct<'a>(a: &'a [VertexId], b: &'a [VertexId]) -> impl Iterator<Item = VertexId> + 'a {
+    // A symmetric graph lists every neighbor in both runs: one is enough.
+    let b = if a == b { &[] } else { b };
+    let (mut i, mut j) = (0, 0);
+    let mut last = None;
+    std::iter::from_fn(move || loop {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), y) if y.is_none_or(|&y| x <= y) => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+            _ => return None,
+        };
+        if last != Some(next) {
+            last = Some(next);
+            return Some(next);
+        }
+    })
+}
+
 impl Graph {
     /// Build a graph from a directed edge list.
     ///
@@ -139,40 +164,19 @@ impl Graph {
     /// every synchronization technique: `u` must not run concurrently with
     /// any vertex in this set.
     pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let outs = self.out_neighbors(v);
-        let ins = self.in_neighbors(v);
-        let mut merged = Vec::with_capacity(outs.len() + ins.len());
-        // Merge two sorted lists, dropping duplicates and self-loops.
-        let (mut i, mut j) = (0, 0);
-        while i < outs.len() || j < ins.len() {
-            let next = match (outs.get(i), ins.get(j)) {
-                (Some(&a), Some(&b)) => {
-                    if a <= b {
-                        i += 1;
-                        if a == b {
-                            j += 1;
-                        }
-                        a
-                    } else {
-                        j += 1;
-                        b
-                    }
-                }
-                (Some(&a), None) => {
-                    i += 1;
-                    a
-                }
-                (None, Some(&b)) => {
-                    j += 1;
-                    b
-                }
-                (None, None) => unreachable!(),
-            };
-            if next != v && merged.last() != Some(&next) {
-                merged.push(next);
-            }
-        }
+        let mut merged = Vec::with_capacity(self.degree(v) as usize);
+        let both = merge_distinct(self.out_neighbors(v), self.in_neighbors(v));
+        merged.extend(both.filter(|&u| u != v));
         merged
+    }
+
+    /// The [`Graph::neighbors`] of `v` with a larger id than `v`, ascending,
+    /// without allocating. Over all `v` in order this enumerates every
+    /// undirected edge once, as `(v, u)` in ascending order.
+    pub fn higher_neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let above = |run: &'_ [VertexId]| run.partition_point(|&u| u <= v);
+        let (outs, ins) = (self.out_neighbors(v), self.in_neighbors(v));
+        merge_distinct(&outs[above(outs)..], &ins[above(ins)..])
     }
 
     /// The neighbors of `v` (as [`Graph::neighbors`]: distinct, sorted,
@@ -374,6 +378,31 @@ mod tests {
         // v0's three in-edges come first; v1's two slots both hold v0.
         assert_eq!(g.in_edge_base(v(1)), 3);
         assert!((3..5).contains(&g.in_edge_index(v(1), v(0)).unwrap()));
+    }
+
+    #[test]
+    fn higher_neighbors_are_the_neighbors_above() {
+        // Parallel edges, self-loops, one-way edges in both directions; and
+        // a symmetric graph, whose two runs are the same list.
+        let messy = Graph::from_edges(
+            5,
+            &[
+                (2, 2),
+                (2, 4),
+                (2, 4),
+                (3, 2),
+                (2, 3),
+                (0, 2),
+                (2, 1),
+                (4, 4),
+            ],
+        );
+        for g in [messy, c4()] {
+            for u in g.vertices() {
+                let above: Vec<_> = g.neighbors(u).into_iter().filter(|&w| w > u).collect();
+                assert_eq!(g.higher_neighbors(u).collect::<Vec<_>>(), above, "{u:?}");
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //! through [`Metrics`]) and when workers must flush messages (triggered
 //! here through [`SyncTransport::transfer`]), not the raw lock throughput
 //! of one host.
+//!
+//! The table is flat arrays. Adjacency is CSR — philosopher `p`'s
+//! neighbors, ascending, each with the index of the pair they share —
+//! and a pair is one flag byte plus its availability stamp. A pair does not
+//! store its endpoints: whoever walks to it through the adjacency knows
+//! both, and the lower endpoint is the smaller id.
 
 use crate::transport::SyncTransport;
 use sg_graph::WorkerId;
@@ -63,53 +69,58 @@ enum Status {
     Eating,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct PairState {
-    /// Lower endpoint id.
-    a: PhilId,
-    /// Higher endpoint id.
-    b: PhilId,
-    /// `true` when the fork sits at endpoint `a`.
-    fork_at_a: bool,
-    /// Dirty forks are yielded on request; clean forks are kept.
-    dirty: bool,
-    /// `true` when the request token sits at endpoint `a`.
-    token_at_a: bool,
-    /// Virtual time at which the fork is available at its current
-    /// location: the last holder's eat-end, plus one network latency per
-    /// cross-machine hop. This is what makes the virtual-time model track
-    /// *resource* dependencies instead of serializing whole machines.
-    ts: u64,
+/// Pair flag: the fork sits at the pair's lower endpoint.
+const FORK_LOW: u8 = 1;
+/// Pair flag: dirty forks are yielded on request; clean forks are kept.
+const DIRTY: u8 = 2;
+/// Pair flag: the request token sits at the pair's lower endpoint.
+const TOKEN_LOW: u8 = 4;
+/// Section 6.3 initialization: dirty fork to the larger id, request token
+/// to the smaller id => acyclic precedence.
+const INITIAL: u8 = DIRTY | TOKEN_LOW;
+
+/// Does an endpoint hold the fork (`bit` = `FORK_LOW`) or the token
+/// (`TOKEN_LOW`) of a pair with these `flags`? `low` says which endpoint is
+/// asking: the pair's lower one or its higher one.
+#[inline]
+fn at(flags: u8, bit: u8, low: bool) -> bool {
+    (flags & bit != 0) == low
 }
 
-impl PairState {
-    #[inline]
-    fn fork_at(&self, p: PhilId) -> bool {
-        (p == self.a) == self.fork_at_a
-    }
-
-    #[inline]
-    fn token_at(&self, p: PhilId) -> bool {
-        (p == self.a) == self.token_at_a
-    }
-
-    #[inline]
-    fn move_fork_to(&mut self, p: PhilId) {
-        self.fork_at_a = p == self.a;
-    }
-
-    #[inline]
-    fn move_token_to(&mut self, p: PhilId) {
-        self.token_at_a = p == self.a;
+/// `flags` with the fork or the token (`bit`, as in [`at`]) placed at the
+/// pair's lower (`low`) or higher endpoint.
+#[inline]
+fn moved(flags: u8, bit: u8, low: bool) -> u8 {
+    if low {
+        flags | bit
+    } else {
+        flags & !bit
     }
 }
 
 struct State {
     status: Vec<Status>,
-    pairs: Vec<PairState>,
+    /// `FORK_LOW | DIRTY | TOKEN_LOW` per pair.
+    flags: Vec<u8>,
+    /// Per pair, the virtual time at which the fork is available at its
+    /// current location: the last holder's eat-end, plus one network
+    /// latency per cross-machine hop. This is what makes the virtual-time
+    /// model track *resource* dependencies instead of serializing whole
+    /// machines.
+    ts: Vec<u64>,
     /// Wall-clock ([`mono_ns`]) eat-start per philosopher; only written
     /// when telemetry is enabled. Indexed like `status`.
     eat_started: Vec<u64>,
+}
+
+/// Fork and token moves of one protocol call, added to the shared
+/// [`Metrics`] once when the call ends.
+#[derive(Default)]
+struct Moves {
+    forks: u64,
+    forks_remote: u64,
+    tokens: u64,
+    tokens_remote: u64,
 }
 
 /// A shared fork table over `n` philosophers.
@@ -122,8 +133,11 @@ struct State {
 pub struct ForkTable {
     state: Mutex<State>,
     cv: Vec<Condvar>,
-    /// adjacency: philosopher -> [(neighbor, pair index)]
-    adj: Vec<Vec<(PhilId, u32)>>,
+    /// CSR adjacency: philosopher `p`'s `(neighbor, pair index)` entries,
+    /// ascending by neighbor, are `adj[offsets[p]..offsets[p + 1]]`. Pairs
+    /// are numbered in ascending `(lower, higher)` order.
+    offsets: Vec<u32>,
+    adj: Vec<(PhilId, u32)>,
     /// philosopher -> owning (simulated) worker machine
     owner: Vec<WorkerId>,
     metrics: Arc<Metrics>,
@@ -138,40 +152,99 @@ impl ForkTable {
     /// the worker machine hosting philosopher `p`, and `edges` lists the
     /// conflicting pairs (duplicates and self-pairs are ignored).
     pub fn new(owner: Vec<WorkerId>, edges: &[(PhilId, PhilId)], metrics: Arc<Metrics>) -> Self {
+        // Bucket each pair's higher endpoint under its lower one, then put
+        // every (short) bucket in order; repeats end up adjacent.
         let n = owner.len();
-        let mut normalized: Vec<(PhilId, PhilId)> = edges
-            .iter()
-            .filter(|(x, y)| x != y)
-            .map(|&(x, y)| (x.min(y), x.max(y)))
-            .collect();
-        normalized.sort_unstable();
-        normalized.dedup();
-
-        let mut adj: Vec<Vec<(PhilId, u32)>> = vec![Vec::new(); n];
-        let mut pairs = Vec::with_capacity(normalized.len());
-        for (idx, &(a, b)) in normalized.iter().enumerate() {
-            assert!((b as usize) < n, "philosopher {b} out of range");
-            adj[a as usize].push((b, idx as u32));
-            adj[b as usize].push((a, idx as u32));
-            pairs.push(PairState {
-                a,
-                b,
-                // Section 6.3 initialization: dirty fork to the larger id,
-                // request token to the smaller id => acyclic precedence.
-                fork_at_a: false,
-                dirty: true,
-                token_at_a: true,
-                ts: 0,
-            });
+        assert!(edges.len() <= u32::MAX as usize, "too many pairs");
+        let mut starts = vec![0u32; n + 1];
+        for &(x, y) in edges {
+            assert!(
+                (x.max(y) as usize) < n,
+                "philosopher {} out of range",
+                x.max(y)
+            );
+            if x != y {
+                starts[x.min(y) as usize + 1] += 1;
+            }
         }
+        for p in 0..n {
+            starts[p + 1] += starts[p];
+        }
+        let mut higher = vec![0 as PhilId; starts[n] as usize];
+        let mut cursor = starts.clone();
+        for &(x, y) in edges {
+            if x != y {
+                let slot = &mut cursor[x.min(y) as usize];
+                higher[*slot as usize] = x.max(y);
+                *slot += 1;
+            }
+        }
+        for p in 0..n {
+            higher[starts[p] as usize..starts[p + 1] as usize].sort_unstable();
+        }
+        Self::from_sorted_pairs(owner, metrics, |emit| {
+            for a in 0..n {
+                let bucket = &higher[starts[a] as usize..starts[a + 1] as usize];
+                for (k, &b) in bucket.iter().enumerate() {
+                    if k == 0 || bucket[k - 1] != b {
+                        emit(a as PhilId, b);
+                    }
+                }
+            }
+        })
+    }
+
+    /// As [`ForkTable::new`], for a caller that can enumerate its
+    /// conflicting pairs in order: `pairs` calls its argument once per pair
+    /// `(a, b)`, `a < b`, in ascending `(a, b)` order without repeats. It
+    /// runs twice — once to size the adjacency, once to fill it in place —
+    /// and must enumerate the same pairs both times.
+    pub(crate) fn from_sorted_pairs(
+        owner: Vec<WorkerId>,
+        metrics: Arc<Metrics>,
+        pairs: impl Fn(&mut dyn FnMut(PhilId, PhilId)),
+    ) -> Self {
+        let n = owner.len();
+        let mut offsets = vec![0u32; n + 1];
+        let mut num_pairs = 0usize;
+        let mut last = None;
+        pairs(&mut |a, b| {
+            assert!(a < b && (b as usize) < n, "pair ({a}, {b}) is no pair");
+            assert!(last < Some((a, b)), "pair ({a}, {b}) out of order");
+            last = Some((a, b));
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+            num_pairs += 1;
+        });
+        assert!(num_pairs <= (u32::MAX / 2) as usize, "too many forks");
+        for p in 0..n {
+            offsets[p + 1] += offsets[p];
+        }
+        // Pairs arrive in ascending (a, b) order, so every philosopher's
+        // lower neighbors are appended — ascending — before the pairs it
+        // is the lower endpoint of, which follow ascending too.
+        let mut adj = vec![(0 as PhilId, 0u32); 2 * num_pairs];
+        let mut cursor = offsets.clone();
+        let mut pair = 0u32;
+        pairs(&mut |a, b| {
+            for (p, q) in [(a, b), (b, a)] {
+                let slot = &mut cursor[p as usize];
+                adj[*slot as usize] = (q, pair);
+                *slot += 1;
+            }
+            pair += 1;
+        });
+        assert_eq!(pair as usize, num_pairs, "pairs differed between passes");
 
         Self {
             state: Mutex::new(State {
                 status: vec![Status::Thinking; n],
-                pairs,
+                flags: vec![INITIAL; num_pairs],
+                ts: vec![0; num_pairs],
                 eat_started: vec![0; n],
             }),
             cv: (0..n).map(|_| Condvar::new()).collect(),
+            offsets,
             adj,
             owner,
             metrics,
@@ -202,7 +275,13 @@ impl ForkTable {
 
     /// Number of forks (conflicting pairs).
     pub fn num_forks(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.adj.len() / 2
+    }
+
+    /// Number of forks philosopher `p` shares; 0 means `p` never waits.
+    #[inline]
+    pub fn degree(&self, p: PhilId) -> usize {
+        self.neighbors_of(p).len()
     }
 
     /// Worker hosting philosopher `p`.
@@ -211,27 +290,24 @@ impl ForkTable {
         self.owner[p as usize]
     }
 
+    /// `p`'s `(neighbor, pair index)` entries, ascending by neighbor.
     #[inline]
-    fn count_fork_transfer(&self, from: PhilId, to: PhilId, transport: &dyn SyncTransport) {
-        self.metrics.inc(Counter::ForkTransfers);
-        let (fw, tw) = (self.owner_of(from), self.owner_of(to));
-        if fw != tw {
-            self.metrics.inc(Counter::ForkTransfersRemote);
-            // Write-all before the fork crosses machines (C1): the call
-            // returns once the receiver has applied the flush, and only
-            // then is the handover observable. The receiving philosopher
-            // identifies the traveling fork in traces.
-            transport.transfer(fw, tw, Some(to));
-        }
+    fn neighbors_of(&self, p: PhilId) -> &[(PhilId, u32)] {
+        let p = p as usize;
+        &self.adj[self.offsets[p] as usize..self.offsets[p + 1] as usize]
     }
 
-    #[inline]
-    fn count_request_token(&self, from: PhilId, to: PhilId, transport: &dyn SyncTransport) {
-        self.metrics.inc(Counter::RequestTokens);
-        let (fw, tw) = (self.owner_of(from), self.owner_of(to));
-        if fw != tw {
-            self.metrics.inc(Counter::RequestTokensRemote);
-            transport.request(fw, tw);
+    /// Add one protocol call's moves to the shared counters.
+    fn count(&self, moves: Moves) {
+        for (counter, n) in [
+            (Counter::ForkTransfers, moves.forks),
+            (Counter::ForkTransfersRemote, moves.forks_remote),
+            (Counter::RequestTokens, moves.tokens),
+            (Counter::RequestTokensRemote, moves.tokens_remote),
+        ] {
+            if n > 0 {
+                self.metrics.add(counter, n);
+            }
         }
     }
 
@@ -240,36 +316,50 @@ impl ForkTable {
     /// immediately yielded dirty forks. Returns the number of forks `p` is
     /// still missing.
     fn scan_locked(&self, s: &mut State, p: PhilId, transport: &dyn SyncTransport) -> usize {
+        let pw = self.owner_of(p);
         let mut missing = 0usize;
-        for &(q, pair_idx) in &self.adj[p as usize] {
-            let pair = s.pairs[pair_idx as usize];
-            if pair.fork_at(p) {
+        let mut moves = Moves::default();
+        for &(q, pair) in self.neighbors_of(p) {
+            let (pair, p_low) = (pair as usize, p < q);
+            let flags = s.flags[pair];
+            if at(flags, FORK_LOW, p_low) {
                 continue;
             }
             missing += 1;
-            if pair.token_at(p) {
-                // Send the request token to the fork holder.
-                s.pairs[pair_idx as usize].move_token_to(q);
-                self.count_request_token(p, q, transport);
-                // The holder yields immediately iff it is not eating
-                // and the fork is dirty (hygiene rule).
-                if s.status[q as usize] != Status::Eating && pair.dirty {
-                    let ps = &mut s.pairs[pair_idx as usize];
-                    ps.move_fork_to(p);
-                    ps.dirty = false;
-                    if self.owner_of(q) != self.owner_of(p) {
-                        ps.ts += transport.link_latency_ns(self.owner_of(q), self.owner_of(p));
-                    }
-                    missing -= 1;
-                    self.count_fork_transfer(q, p, transport);
-                    self.assert_precedence_acyclic(s);
-                    // If the holder was hungry and waiting, it does not
-                    // need a wakeup — it lost a fork, gained nothing.
-                }
+            if !at(flags, TOKEN_LOW, p_low) {
+                // The token is already with the holder: our request is
+                // pending and will be satisfied on its release.
+                continue;
             }
-            // Otherwise the token is already with the holder: our
-            // request is pending and will be satisfied on its release.
+            // Send the request token to the fork holder.
+            s.flags[pair] = moved(flags, TOKEN_LOW, !p_low);
+            moves.tokens += 1;
+            let qw = self.owner_of(q);
+            if qw != pw {
+                moves.tokens_remote += 1;
+                transport.request(pw, qw);
+            }
+            // The holder yields immediately iff it is not eating and the
+            // fork is dirty (hygiene rule). If it was hungry and waiting,
+            // it does not need a wakeup — it lost a fork, gained nothing.
+            if s.status[q as usize] != Status::Eating && flags & DIRTY != 0 {
+                s.flags[pair] = moved(s.flags[pair], FORK_LOW, p_low) & !DIRTY;
+                missing -= 1;
+                moves.forks += 1;
+                if qw != pw {
+                    s.ts[pair] += transport.link_latency_ns(qw, pw);
+                    moves.forks_remote += 1;
+                    // Write-all before the fork crosses machines (C1): the
+                    // call returns once the receiver has applied the flush,
+                    // and only then is the handover observable. The
+                    // receiving philosopher identifies the traveling fork
+                    // in traces.
+                    transport.transfer(qw, pw, Some(p));
+                }
+                self.assert_precedence_acyclic(s);
+            }
         }
+        self.count(moves);
         missing
     }
 
@@ -282,11 +372,10 @@ impl ForkTable {
             s.eat_started[p as usize] = mono_ns();
         }
         let mut ready_at = 0u64;
-        for &(q, pair_idx) in &self.adj[p as usize] {
+        for &(q, pair) in self.neighbors_of(p) {
             // Eating dirties every fork of the eater.
-            let pair = &mut s.pairs[pair_idx as usize];
-            pair.dirty = true;
-            ready_at = ready_at.max(pair.ts);
+            s.flags[pair as usize] |= DIRTY;
+            ready_at = ready_at.max(s.ts[pair as usize]);
             assert_ne!(
                 s.status[q as usize],
                 Status::Eating,
@@ -304,7 +393,7 @@ impl ForkTable {
     fn assert_precedence_acyclic(&self, s: &State) {
         #[cfg(feature = "sg-invariants")]
         assert!(
-            precedence_acyclic(&s.pairs, self.owner.len()),
+            self.precedence_acyclic(s),
             "sg-invariants: precedence graph cyclic after a fork transfer"
         );
         #[cfg(not(feature = "sg-invariants"))]
@@ -371,9 +460,9 @@ impl ForkTable {
         if s.status[p as usize] != Status::Hungry {
             return Vec::new();
         }
-        self.adj[p as usize]
+        self.neighbors_of(p)
             .iter()
-            .filter(|&&(_, pair_idx)| !s.pairs[pair_idx as usize].fork_at(p))
+            .filter(|&&(q, pair)| !at(s.flags[pair as usize], FORK_LOW, p < q))
             .map(|&(q, _)| q)
             .collect()
     }
@@ -393,30 +482,41 @@ impl ForkTable {
         if let Some(h) = self.hists.get() {
             h.hold.record(mono_ns().saturating_sub(s.eat_started[pi]));
         }
-        for &(q, pair_idx) in &self.adj[pi] {
-            {
-                let ps = &mut s.pairs[pair_idx as usize];
-                ps.ts = ps.ts.max(end_ts);
-            }
-            let pair = s.pairs[pair_idx as usize];
+        let pw = self.owner_of(p);
+        let mut moves = Moves::default();
+        for &(q, pair) in self.neighbors_of(p) {
+            let (pair, p_low) = (pair as usize, p < q);
+            s.ts[pair] = s.ts[pair].max(end_ts);
+            let flags = s.flags[pair];
             // fork here + token here = a deferred request from q.
-            if pair.fork_at(p) && pair.token_at(p) {
-                let ps = &mut s.pairs[pair_idx as usize];
-                ps.move_fork_to(q);
-                ps.dirty = false;
-                if self.owner_of(p) != self.owner_of(q) {
-                    ps.ts += transport.link_latency_ns(self.owner_of(p), self.owner_of(q));
+            if at(flags, FORK_LOW, p_low) && at(flags, TOKEN_LOW, p_low) {
+                s.flags[pair] = moved(flags, FORK_LOW, !p_low) & !DIRTY;
+                moves.forks += 1;
+                let qw = self.owner_of(q);
+                if qw != pw {
+                    s.ts[pair] += transport.link_latency_ns(pw, qw);
+                    moves.forks_remote += 1;
+                    // The C1 write-all, as in `scan_locked`.
+                    transport.transfer(pw, qw, Some(q));
                 }
-                self.count_fork_transfer(p, q, transport);
                 self.assert_precedence_acyclic(&s);
                 self.cv[q as usize].notify_one();
             }
         }
+        self.count(moves);
     }
 
     /// Is `p` currently eating? (test/diagnostic helper)
     pub fn is_eating(&self, p: PhilId) -> bool {
         self.state.lock().unwrap().status[p as usize] == Status::Eating
+    }
+
+    /// Every pair as `(lower endpoint, higher endpoint, pair index)`.
+    fn pairs(&self) -> impl Iterator<Item = (PhilId, PhilId, usize)> + '_ {
+        (0..self.owner.len() as PhilId).flat_map(move |a| {
+            let higher = self.neighbors_of(a).iter().filter(move |&&(b, _)| a < b);
+            higher.map(move |&(b, pair)| (a, b, pair as usize))
+        })
     }
 
     /// Check structural invariants; intended for tests at quiescent points.
@@ -427,19 +527,17 @@ impl ForkTable {
     ///   dirty-fork directions is acyclic (no deadlock is latent).
     pub fn check_invariants(&self) {
         let s = self.state.lock().unwrap();
-        for (pair_idx, pair) in s.pairs.iter().enumerate() {
-            let _ = pair_idx;
-            let (a, b) = (pair.a as usize, pair.b as usize);
+        for (a, b, _) in self.pairs() {
             assert!(
-                !(s.status[a] == Status::Eating && s.status[b] == Status::Eating),
+                !(s.status[a as usize] == Status::Eating && s.status[b as usize] == Status::Eating),
                 "neighbors {a} and {b} both eating"
             );
         }
         for (p, st) in s.status.iter().enumerate() {
             if *st == Status::Eating {
-                for &(_, pair_idx) in &self.adj[p] {
+                for &(q, pair) in self.neighbors_of(p as PhilId) {
                     assert!(
-                        s.pairs[pair_idx as usize].fork_at(p as PhilId),
+                        at(s.flags[pair as usize], FORK_LOW, (p as PhilId) < q),
                         "eating philosopher {p} missing a fork"
                     );
                 }
@@ -447,10 +545,44 @@ impl ForkTable {
         }
         if s.status.iter().all(|st| *st == Status::Thinking) {
             assert!(
-                precedence_acyclic(&s.pairs, self.owner.len()),
+                self.precedence_acyclic(&s),
                 "precedence graph has a cycle at quiescence"
             );
         }
+    }
+
+    /// In the Chandy–Misra precedence graph, an edge points from the
+    /// philosopher that will defer to the one that has priority: the holder
+    /// of a *clean* fork has priority, the holder of a *dirty* fork will
+    /// yield. Returns `true` if that graph is acyclic.
+    fn precedence_acyclic(&self, s: &State) -> bool {
+        // Edge u -> v means v has priority over u (u yields to v): along a
+        // dirty fork from its holder, along a clean one towards it. Kahn's
+        // algorithm over the table's own adjacency.
+        let n = self.owner.len();
+        let yields_to = |u: PhilId, v: PhilId, pair: u32| {
+            let flags = s.flags[pair as usize];
+            at(flags, FORK_LOW, u < v) == (flags & DIRTY != 0)
+        };
+        let mut indeg = vec![0u32; n];
+        for (a, b, pair) in self.pairs() {
+            let winner = if yields_to(a, b, pair as u32) { b } else { a };
+            indeg[winner as usize] += 1;
+        }
+        let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
+        let mut seen = 0usize;
+        while let Some(u) = queue.pop() {
+            seen += 1;
+            for &(v, pair) in self.neighbors_of(u) {
+                if yields_to(u, v, pair) {
+                    indeg[v as usize] -= 1;
+                    if indeg[v as usize] == 0 {
+                        queue.push(v);
+                    }
+                }
+            }
+        }
+        seen == n
     }
 }
 
@@ -461,7 +593,8 @@ impl ForkTable {
 /// eating and no fork or token is in transit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForkSnapshot {
-    /// `(fork_at_a, dirty, token_at_a, ts)` per pair, in pair-index order.
+    /// `(fork_at_a, dirty, token_at_a, ts)` per pair, in pair-index order
+    /// (`a` is the pair's lower endpoint).
     pairs: Vec<(bool, bool, bool, u64)>,
 }
 
@@ -487,12 +620,10 @@ impl ForkTable {
             s.status.iter().all(|st| *st == Status::Thinking),
             "checkpoint requires quiescence"
         );
+        let tuple =
+            |(&f, &ts): (&u8, &u64)| (f & FORK_LOW != 0, f & DIRTY != 0, f & TOKEN_LOW != 0, ts);
         ForkSnapshot {
-            pairs: s
-                .pairs
-                .iter()
-                .map(|p| (p.fork_at_a, p.dirty, p.token_at_a, p.ts))
-                .collect(),
+            pairs: s.flags.iter().zip(&s.ts).map(tuple).collect(),
         }
     }
 
@@ -504,55 +635,17 @@ impl ForkTable {
             "recovery requires quiescence"
         );
         assert_eq!(
-            s.pairs.len(),
+            s.flags.len(),
             snapshot.pairs.len(),
             "snapshot shape mismatch"
         );
-        for (pair, &(fork_at_a, dirty, token_at_a, ts)) in s.pairs.iter_mut().zip(&snapshot.pairs) {
-            pair.fork_at_a = fork_at_a;
-            pair.dirty = dirty;
-            pair.token_at_a = token_at_a;
-            pair.ts = ts;
+        let State { flags, ts, .. } = &mut *s;
+        for (pair, &(fork_at_a, dirty, token_at_a, at_ts)) in snapshot.pairs.iter().enumerate() {
+            flags[pair] = moved(moved(0, FORK_LOW, fork_at_a), TOKEN_LOW, token_at_a)
+                | if dirty { DIRTY } else { 0 };
+            ts[pair] = at_ts;
         }
     }
-}
-
-/// In the Chandy–Misra precedence graph, an edge points from the
-/// philosopher that will defer to the one that has priority: the holder of
-/// a *clean* fork has priority, the holder of a *dirty* fork will yield.
-/// Returns `true` if that graph is acyclic.
-fn precedence_acyclic(pairs: &[PairState], n: usize) -> bool {
-    // Edge u -> v means v has priority over u (u yields to v).
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for pair in pairs {
-        let holder = if pair.fork_at_a { pair.a } else { pair.b };
-        let other = if pair.fork_at_a { pair.b } else { pair.a };
-        if pair.dirty {
-            // Dirty fork: holder yields, other has priority.
-            adj[holder as usize].push(other);
-        } else {
-            adj[other as usize].push(holder);
-        }
-    }
-    // Kahn's algorithm.
-    let mut indeg = vec![0u32; n];
-    for edges in &adj {
-        for &v in edges {
-            indeg[v as usize] += 1;
-        }
-    }
-    let mut queue: Vec<u32> = (0..n as u32).filter(|&v| indeg[v as usize] == 0).collect();
-    let mut seen = 0usize;
-    while let Some(u) = queue.pop() {
-        seen += 1;
-        for &v in &adj[u as usize] {
-            indeg[v as usize] -= 1;
-            if indeg[v as usize] == 0 {
-                queue.push(v);
-            }
-        }
-    }
-    seen == n
 }
 
 #[cfg(test)]
@@ -575,6 +668,157 @@ mod tests {
         assert_eq!(t.num_philosophers(), 3);
         // (0,1) deduped with (1,0); (2,2) self-pair ignored.
         assert_eq!(t.num_forks(), 2);
+    }
+
+    /// Pairs (0,1) (0,3) (1,2) (1,3) (2,4), handed over shuffled, with
+    /// repeats, reversed pairs and self-pairs.
+    const MESSY: [(u32, u32); 11] = [
+        (4, 2),
+        (1, 0),
+        (3, 3),
+        (3, 1),
+        (0, 3),
+        (2, 1),
+        (0, 1),
+        (1, 3),
+        (0, 0),
+        (2, 4),
+        (3, 0),
+    ];
+
+    #[test]
+    fn messy_edge_list_yields_sorted_pairs_in_section_6_3_placement() {
+        let t = table(vec![0; 5], &MESSY);
+        assert_eq!(t.num_forks(), 5);
+        assert_eq!(
+            [0, 1, 2, 3, 4].map(|p| t.degree(p)),
+            [2, 3, 2, 2, 1],
+            "one fork per distinct neighbor"
+        );
+        // Dirty fork at the higher id, token at the lower, never stamped.
+        assert_eq!(t.snapshot().tuples(), [(false, true, true, 0); 5]);
+        t.check_invariants();
+
+        // Pair indices ascend with (a, b): each eater below rewrites exactly
+        // the tuples of its own pairs.
+        let eat = |p, end_ts| {
+            t.acquire(p, &NoopTransport);
+            t.release(p, end_ts, &NoopTransport);
+        };
+        let taken = |ts| (true, true, false, ts); // fork pulled to the lower id
+        let kept = |ts| (false, true, true, ts); // fork stayed at the higher id
+        eat(0, 7); // (0,1) and (0,3): pairs 0 and 1
+        assert_eq!(
+            t.snapshot().tuples(),
+            [taken(7), taken(7), kept(0), kept(0), kept(0)]
+        );
+        eat(4, 9); // (2,4): pair 4
+        assert_eq!(
+            t.snapshot().tuples(),
+            [taken(7), taken(7), kept(0), kept(0), kept(9)]
+        );
+        eat(2, 11); // (1,2) and (2,4): pairs 2 and 4
+        assert_eq!(
+            t.snapshot().tuples(),
+            [taken(7), taken(7), kept(11), kept(0), taken(11)]
+        );
+    }
+
+    /// Philosopher 0 on worker 0 at the center of a star whose leaves sit on
+    /// workers 1, 0, 2, 1.
+    fn mixed_owner_star(metrics: Arc<Metrics>) -> ForkTable {
+        let owner = [0, 1, 0, 2, 1].map(WorkerId::new).to_vec();
+        ForkTable::new(owner, &[(3, 0), (0, 1), (4, 0), (0, 2), (1, 0)], metrics)
+    }
+
+    #[test]
+    fn star_traffic_is_queued_in_ascending_neighbor_order() {
+        // The order the deterministic hosts' schedules are built on
+        // (tests/model_check.rs::decision_logs_are_stable).
+        let [w0, w1, w2] = [0, 1, 2].map(WorkerId::new);
+        let request = |from, to| NetAction::Request { from, to };
+        let transfer = |from, to, unit| NetAction::Transfer {
+            from,
+            to,
+            unit: Some(unit),
+        };
+        let t = mixed_owner_star(Arc::new(Metrics::new()));
+        let net = QueueTransport::default();
+        // Every leaf yields its dirty fork at once; leaf 2 is local.
+        assert_eq!(t.try_acquire(0, &net), Some(0));
+        assert_eq!(
+            net.drain(),
+            [
+                request(w0, w1),
+                transfer(w1, w0, 0),
+                request(w0, w2),
+                transfer(w2, w0, 0),
+                request(w0, w1),
+                transfer(w1, w0, 0),
+            ]
+        );
+        // Leaves ask while the center eats, in an order of their own ...
+        for leaf in [3, 1, 4] {
+            assert_eq!(t.try_acquire(leaf, &net), None);
+        }
+        assert_eq!(
+            net.drain(),
+            [request(w2, w0), request(w1, w0), request(w1, w0)]
+        );
+        // ... and are served in the center's adjacency order.
+        t.release(0, 5, &net);
+        assert_eq!(
+            net.drain(),
+            [
+                transfer(w0, w1, 1),
+                transfer(w0, w2, 3),
+                transfer(w0, w1, 4)
+            ]
+        );
+    }
+
+    #[test]
+    fn batched_counters_match_the_queued_actions() {
+        let m = Arc::new(Metrics::new());
+        let t = mixed_owner_star(Arc::clone(&m));
+        let net = QueueTransport::default();
+        assert!(t.try_acquire(0, &net).is_some()); // 4 tokens, 4 forks; 3 + 3 remote
+        for leaf in [1, 2, 3] {
+            assert!(t.try_acquire(leaf, &net).is_none()); // a token each, 2 remote
+        }
+        t.release(0, 0, &net); // 3 forks, 2 remote
+        let actions = net.drain();
+        let transfers = actions
+            .iter()
+            .filter(|a| matches!(a, NetAction::Transfer { .. }))
+            .count() as u64;
+        let requests = actions.len() as u64 - transfers;
+        let s = m.snapshot();
+        assert_eq!((s.fork_transfers, s.request_tokens), (7, 7));
+        assert_eq!((s.fork_transfers_remote, s.request_tokens_remote), (5, 5));
+        assert_eq!(
+            (transfers, requests),
+            (5, 5),
+            "only remote moves are queued"
+        );
+    }
+
+    #[test]
+    fn restore_returns_the_table_to_a_snapshot() {
+        let t = table(vec![0, 1, 0, 1, 0], &MESSY);
+        let net = QueueTransport::with_latency(|_, _| 100);
+        let initial = t.snapshot();
+        for (p, end_ts) in [(1, 10), (3, 20), (0, 30)] {
+            t.acquire(p, &net);
+            t.release(p, end_ts, &net);
+        }
+        let moved = t.snapshot();
+        assert_ne!(moved, initial);
+        t.restore(&initial);
+        assert_eq!(t.snapshot(), initial);
+        t.restore(&moved);
+        assert_eq!(t.snapshot(), moved);
+        t.check_invariants();
     }
 
     #[test]

@@ -236,9 +236,9 @@ impl Synchronizer for PartitionLock {
 /// philosopher and the fork count reaches the full `O(|E|)` of the paper —
 /// see `sg-gas`.
 pub struct VertexLock {
+    /// A vertex without forks here is no philosopher: it never touches
+    /// the table.
     table: ForkTable,
-    /// Per-vertex: does this vertex need forks at all?
-    is_philosopher: Vec<bool>,
 }
 
 impl VertexLock {
@@ -256,23 +256,25 @@ impl VertexLock {
 
     fn build(g: &Graph, pm: &PartitionMap, metrics: Arc<Metrics>, all_vertices: bool) -> Self {
         let owner: Vec<_> = g.vertices().map(|v| pm.worker_of(v)).collect();
-        let mut edges = Vec::new();
-        let mut is_philosopher = vec![false; g.num_vertices() as usize];
-        for v in g.vertices() {
-            for u in g.neighbors(v) {
-                if u.raw() > v.raw() && (all_vertices || pm.partition_of(u) != pm.partition_of(v)) {
-                    edges.push((v.raw(), u.raw()));
-                    is_philosopher[v.index()] = true;
-                    is_philosopher[u.index()] = true;
+        // The graph's adjacency is sorted, so walking it in vertex order
+        // enumerates the pairs in the order the table stores them.
+        let table = ForkTable::from_sorted_pairs(owner, metrics, |emit| {
+            for v in g.vertices() {
+                let pv = pm.partition_of(v);
+                for u in g.higher_neighbors(v) {
+                    if all_vertices || pm.partition_of(u) != pv {
+                        emit(v.raw(), u.raw());
+                    }
                 }
             }
-        }
-        let table = ForkTable::new(owner, &edges, metrics);
+        });
         table.enable_telemetry("vertex-lock");
-        Self {
-            table,
-            is_philosopher,
-        }
+        Self { table }
+    }
+
+    #[inline]
+    fn is_philosopher(&self, unit: u32) -> bool {
+        self.table.degree(unit) > 0
     }
 
     /// Number of forks — `O(|E|)` (the scalability problem of Section 5.2).
@@ -291,7 +293,7 @@ impl Synchronizer for VertexLock {
     }
 
     fn acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> u64 {
-        if self.is_philosopher[unit as usize] {
+        if self.is_philosopher(unit) {
             self.table.acquire(unit, transport)
         } else {
             0
@@ -299,7 +301,7 @@ impl Synchronizer for VertexLock {
     }
 
     fn try_acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> Option<u64> {
-        if self.is_philosopher[unit as usize] {
+        if self.is_philosopher(unit) {
             self.table.try_acquire(unit, transport)
         } else {
             Some(0)
@@ -307,7 +309,7 @@ impl Synchronizer for VertexLock {
     }
 
     fn unit_waiting_on(&self, unit: u32) -> Vec<u32> {
-        if self.is_philosopher[unit as usize] {
+        if self.is_philosopher(unit) {
             self.table.waiting_on(unit)
         } else {
             Vec::new()
@@ -315,7 +317,7 @@ impl Synchronizer for VertexLock {
     }
 
     fn release_unit(&self, unit: u32, end_ts: u64, transport: &dyn SyncTransport) {
-        if self.is_philosopher[unit as usize] {
+        if self.is_philosopher(unit) {
             self.table.release(unit, end_ts, transport);
         }
     }

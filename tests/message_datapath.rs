@@ -187,8 +187,11 @@ fn wcc_correct_across_techniques_threads_and_caps() {
 /// Regression for the C1 write-all flush: with `buffer_cap = usize::MAX`
 /// nothing ships on size, so every remote update a fork handoff depends on
 /// must come out of the *staging* buffers (all sibling threads') during
-/// the C1 flush. If that drain were missing, recorded histories would
-/// show C1/C2 violations and lose one-copy serializability.
+/// the C1 flush. If that drain were missing — or skipped while the moving
+/// worker still owed a message — recorded histories would show C1/C2
+/// violations and lose one-copy serializability. Barrierless as well:
+/// there no barrier ever flushes, the fork handoffs' write-all is all the
+/// locked neighbors have.
 #[test]
 fn c1_write_all_drains_staging_before_fork_handoff() {
     let mut rng = SplitMix64::new(0xC1_F1);
@@ -196,40 +199,32 @@ fn c1_write_all_drains_staging_before_fork_handoff() {
         let g = random_undirected(&mut rng, 20, 60);
         let seed = rng.gen_range(1_000);
         for technique in [Technique::PartitionLock, Technique::VertexLock] {
-            let config = EngineConfig {
-                workers: 3,
-                technique,
-                record_history: true,
-                threads_per_worker: 2,
-                buffer_cap: usize::MAX,
-                max_supersteps: 2_000,
-                partition_seed: seed,
-                ..Default::default()
-            };
-            // No combiner: coloring needs every neighbor color, and the
-            // staging drain under test happens with or without one.
-            let out = Engine::new(Arc::new(g.clone()), GreedyColoring, config)
-                .expect("config")
-                .run();
-            assert!(out.converged, "case {case} {technique:?}");
-            let h = out.history.expect("recorded");
-            assert!(
-                h.c1_violations().is_empty(),
-                "case {case} {technique:?}: C1 violated"
-            );
-            assert!(
-                h.c2_violations(&g).is_empty(),
-                "case {case} {technique:?}: C2 violated"
-            );
-            assert!(
-                h.is_one_copy_serializable(&g),
-                "case {case} {technique:?}: not 1SR"
-            );
-            assert_eq!(
-                validate::coloring_conflicts(&g, &out.values),
-                0,
-                "case {case} {technique:?}: improper coloring"
-            );
+            for barrierless in [false, true] {
+                let config = EngineConfig {
+                    workers: 3,
+                    technique,
+                    record_history: true,
+                    threads_per_worker: 2,
+                    buffer_cap: usize::MAX,
+                    max_supersteps: 2_000,
+                    partition_seed: seed,
+                    barrierless,
+                    ..Default::default()
+                };
+                let arm = format!("case {case} {technique:?} barrierless={barrierless}");
+                // No combiner: coloring needs every neighbor color, and the
+                // staging drain under test happens with or without one.
+                let out = Engine::new(Arc::new(g.clone()), GreedyColoring, config)
+                    .expect("config")
+                    .run();
+                assert!(out.converged, "{arm}");
+                let h = out.history.expect("recorded");
+                assert!(h.c1_violations().is_empty(), "{arm}: C1 violated");
+                assert!(h.c2_violations(&g).is_empty(), "{arm}: C2 violated");
+                assert!(h.is_one_copy_serializable(&g), "{arm}: not 1SR");
+                let conflicts = validate::coloring_conflicts(&g, &out.values);
+                assert_eq!(conflicts, 0, "{arm}: improper coloring");
+            }
         }
     }
 }

@@ -119,15 +119,14 @@ fn model_technique_pairing_enforced() {
     assert_eq!(err, EngineError::BspWithSynchronization);
 }
 
-/// `BspVertexLock` reports `LockGranularity::None` yet moves forks that
-/// carry a unit, so the thread engine — its only host — charges and traces
-/// its barrier-time fork moves as ring passes, each joining the receiving
-/// worker's clock. Telling the two apart by the unit instead would be an
-/// observable change (0 `RingPass` + 159 `ForkTransfer`, a 37,573,360 ns
-/// makespan; ROADMAP open item 2c), so what the engine does today is
-/// pinned. One thread per worker: with two the makespan wobbles by ~1 µs.
+/// `BspVertexLock` reports `LockGranularity::None` — it blocks nobody — yet
+/// the forks it moves at barriers carry a unit, and the thread engine, its
+/// only host, tells a fork from a ring token by that unit: every move is
+/// traced as a `ForkTransfer` and joins no whole-worker clock (BSP's
+/// barrier levels them anyway). One thread per worker: with two the
+/// makespan wobbles by ~1 µs.
 #[test]
-fn bsp_fork_moves_are_charged_and_traced_as_ring_passes() {
+fn bsp_fork_moves_are_charged_and_traced_as_fork_transfers() {
     use serigraph::sg_metrics::TraceEventKind;
     let out = bsp_locked(&gen::grid(6, 6), 3)
         .threads_per_worker(1)
@@ -137,7 +136,7 @@ fn bsp_fork_moves_are_charged_and_traced_as_ring_passes() {
     let events = out.obs.expect("traced").trace.expect("buffer").all_events();
     let count = |k| events.iter().filter(|e| e.kind == k).count();
     assert_eq!(out.supersteps, 14);
-    assert_eq!(count(TraceEventKind::RingPass), 159);
-    assert_eq!(count(TraceEventKind::ForkTransfer), 0);
-    assert_eq!(out.makespan_ns, 59_533_280);
+    assert_eq!(count(TraceEventKind::RingPass), 0);
+    assert_eq!(count(TraceEventKind::ForkTransfer), 159);
+    assert_eq!(out.makespan_ns, 37_573_360);
 }
