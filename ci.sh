@@ -23,6 +23,10 @@ echo "== a fork costs what a fork costs: flat fork table, counters batched per p
 if sed '/^#\[cfg(test)\]/,$d' crates/sync/src/chandy_misra.rs | grep -nE 'Vec<Vec<|metrics\.inc\('; then exit 1; fi
 if grep -n 'granularity() == LockGranularity::None' crates/engine/src/engine.rs; then exit 1; fi
 
+echo "== one message store, two hosts: no mailbox or rank-wide inbox lock in sg-net, no per-vertex neighbour Vec in the partition map =="
+if grep -rnE 'struct PayloadQueue|inbox\.lock\(\)' crates/net/src; then exit 1; fi
+if sed '/^#\[cfg(test)\]/,$d' crates/graph/src/partition.rs | grep -n '\.neighbors('; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

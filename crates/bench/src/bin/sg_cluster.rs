@@ -753,8 +753,8 @@ fn render_dashboard(rows: &[ScrapeRow], prev: &mut BTreeMap<String, (u64, u64, u
     );
     let _ = writeln!(
         out,
-        "{:<7} {:>6} {:>8} {:>9} {:>7} {:>7} {:>9}",
-        "WORKER", "STEP", "ACTIVE", "PENDING", "STAGED", "BUSY%", "BLOCKED%"
+        "{:<7} {:>6} {:>8} {:>9} {:>7} {:>9} {:>7} {:>9}",
+        "WORKER", "STEP", "ACTIVE", "PENDING", "STAGED", "REJECTED", "BUSY%", "BLOCKED%"
     );
     for w in &workers {
         let uptime = gauge("sg_worker_uptime_ns", w);
@@ -773,12 +773,13 @@ fn render_dashboard(rows: &[ScrapeRow], prev: &mut BTreeMap<String, (u64, u64, u
         };
         let _ = writeln!(
             out,
-            "{:<7} {:>6} {:>8} {:>9} {:>7} {:>7.1} {:>9.1}",
+            "{:<7} {:>6} {:>8} {:>9} {:>7} {:>9} {:>7.1} {:>9.1}",
             w,
             gauge("sg_worker_superstep", w),
             gauge("sg_worker_active_vertices", w),
             gauge("sg_worker_pending_messages", w),
             gauge("sg_worker_staged_messages", w),
+            gauge("sg_worker_rejected_messages_total", w),
             pct(compute.saturating_sub(pc)),
             pct(lock_wait.saturating_sub(pl)),
         );

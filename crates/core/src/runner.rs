@@ -392,8 +392,10 @@ impl Runner {
 
     /// The workload table's one row shape: a wire-routed program runs on
     /// whichever host the builder selected — the simulator, the cluster
-    /// (as `workload`), or the in-process engine — with its combiner
-    /// wherever that host combines.
+    /// (as `workload`), or the in-process engine — with its combiner on
+    /// every one of them. The cluster takes no `combiner` argument because
+    /// a worker process attaches the same one itself, from the workload
+    /// name (`sg_net::worker_main`'s dispatch): keep the two tables equal.
     fn run_workload<P: VertexProgram<Value: WireCodec>>(
         &self,
         program: P,

@@ -69,47 +69,96 @@ impl Graph {
         }
         let n = num_vertices as usize;
 
-        let mut out_counts = vec![0u64; n + 1];
-        let mut in_counts = vec![0u64; n + 1];
-        for &(s, t) in edges {
-            out_counts[s as usize + 1] += 1;
-            in_counts[t as usize + 1] += 1;
+        let mut out_offsets = vec![0u64; n + 1];
+        for &(s, _) in edges {
+            out_offsets[s as usize + 1] += 1;
         }
         for i in 0..n {
-            out_counts[i + 1] += out_counts[i];
-            in_counts[i + 1] += in_counts[i];
+            out_offsets[i + 1] += out_offsets[i];
         }
-        let out_offsets = out_counts;
-        let in_offsets = in_counts;
-
         let mut out_targets = vec![VertexId::new(0); edges.len()];
-        let mut in_sources = vec![VertexId::new(0); edges.len()];
         let mut out_cursor: Vec<u64> = out_offsets[..n].to_vec();
-        let mut in_cursor: Vec<u64> = in_offsets[..n].to_vec();
         for &(s, t) in edges {
             let oc = &mut out_cursor[s as usize];
             out_targets[*oc as usize] = VertexId::new(t);
             *oc += 1;
-            let ic = &mut in_cursor[t as usize];
-            in_sources[*ic as usize] = VertexId::new(s);
-            *ic += 1;
         }
-
         // Sort each adjacency run for deterministic iteration order.
-        let mut g = Graph {
+        for v in 0..n {
+            out_targets[out_offsets[v] as usize..out_offsets[v + 1] as usize].sort_unstable();
+        }
+        Self::with_in_csr(num_vertices, out_offsets, out_targets)
+    }
+
+    /// Build a graph from its out-CSR: `offsets` (`num_vertices + 1` of
+    /// them, from 0 to `targets.len()`) delimit each vertex's run of
+    /// `targets`, every run ascending — what [`Graph::out_csr`] of an
+    /// existing graph returns, so a copy shipped in that form is rebuilt
+    /// without an edge list and without sorting. The input is checked, not
+    /// trusted: it arrives over a socket.
+    pub fn from_sorted_csr(
+        num_vertices: u32,
+        offsets: Vec<u64>,
+        targets: Vec<u32>,
+    ) -> Result<Self, String> {
+        let n = num_vertices as usize;
+        if offsets.len() != n + 1 || offsets[0] != 0 || offsets[n] != targets.len() as u64 {
+            return Err(format!(
+                "{} CSR offsets do not span {n} vertices and {} edges",
+                offsets.len(),
+                targets.len()
+            ));
+        }
+        for v in 0..n {
+            let Some(run) = targets.get(offsets[v] as usize..offsets[v + 1] as usize) else {
+                return Err(format!(
+                    "CSR offsets of vertex {v} are not a range of the edges"
+                ));
+            };
+            if run.last().is_some_and(|&t| t >= num_vertices) {
+                return Err(format!("vertex {v} has an edge out of range"));
+            }
+            if run.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("vertex {v}'s adjacency run is not ascending"));
+            }
+        }
+        let out_targets = targets.into_iter().map(VertexId::new).collect();
+        Ok(Self::with_in_csr(num_vertices, offsets, out_targets))
+    }
+
+    /// The out-CSR, as [`Graph::from_sorted_csr`] takes it.
+    pub fn out_csr(&self) -> (&[u64], &[VertexId]) {
+        (&self.out_offsets, &self.out_targets)
+    }
+
+    /// Complete a graph from its out-CSR with ascending runs. Sources are
+    /// visited in ascending order, so one counting pass leaves every in-run
+    /// ascending too.
+    fn with_in_csr(num_vertices: u32, out_offsets: Vec<u64>, out_targets: Vec<VertexId>) -> Self {
+        let n = num_vertices as usize;
+        let mut in_offsets = vec![0u64; n + 1];
+        for t in &out_targets {
+            in_offsets[t.index() + 1] += 1;
+        }
+        for i in 0..n {
+            in_offsets[i + 1] += in_offsets[i];
+        }
+        let mut in_sources = vec![VertexId::new(0); out_targets.len()];
+        let mut in_cursor: Vec<u64> = in_offsets[..n].to_vec();
+        for v in 0..n {
+            for t in &out_targets[out_offsets[v] as usize..out_offsets[v + 1] as usize] {
+                let ic = &mut in_cursor[t.index()];
+                in_sources[*ic as usize] = VertexId::new(v as u32);
+                *ic += 1;
+            }
+        }
+        Graph {
             num_vertices,
             out_offsets,
             out_targets,
             in_offsets,
             in_sources,
-        };
-        for v in 0..n {
-            let (a, b) = g.out_range(v);
-            g.out_targets[a..b].sort_unstable();
-            let (a, b) = g.in_range(v);
-            g.in_sources[a..b].sort_unstable();
         }
-        g
     }
 
     #[inline]
@@ -165,9 +214,14 @@ impl Graph {
     /// any vertex in this set.
     pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
         let mut merged = Vec::with_capacity(self.degree(v) as usize);
-        let both = merge_distinct(self.out_neighbors(v), self.in_neighbors(v));
-        merged.extend(both.filter(|&u| u != v));
+        merged.extend(self.neighbors_iter(v));
         merged
+    }
+
+    /// [`Graph::neighbors`] without the allocation: distinct, ascending,
+    /// without `v`.
+    pub fn neighbors_iter(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        merge_distinct(self.out_neighbors(v), self.in_neighbors(v)).filter(move |&u| u != v)
     }
 
     /// The [`Graph::neighbors`] of `v` with a larger id than `v`, ascending,
@@ -453,6 +507,46 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_edge_panics() {
         Graph::from_edges(2, &[(0, 2)]);
+    }
+
+    #[test]
+    fn sorted_csr_rebuilds_the_graph_it_came_from() {
+        // Unsorted input, a parallel edge, a self-loop, an isolated vertex.
+        let edges = [(3, 1), (0, 2), (3, 0), (0, 2), (1, 1), (2, 0), (3, 2)];
+        let g = Graph::from_edges(5, &edges);
+        let (offsets, targets) = g.out_csr();
+        let raw = targets.iter().map(|t| t.raw()).collect();
+        let copy = Graph::from_sorted_csr(5, offsets.to_vec(), raw).expect("well-formed");
+        assert_eq!(copy.num_edges(), g.num_edges());
+        for u in g.vertices() {
+            assert_eq!(copy.out_neighbors(u), g.out_neighbors(u));
+            assert_eq!(copy.in_neighbors(u), g.in_neighbors(u));
+            assert_eq!(copy.in_edge_base(u), g.in_edge_base(u));
+        }
+        assert_eq!(g.in_neighbors(v(2)), &[v(0), v(0), v(3)], "in-runs ascend");
+    }
+
+    #[test]
+    fn malformed_csr_is_an_error_not_a_panic() {
+        let bad = |offsets: &[u64], targets: &[u32]| {
+            Graph::from_sorted_csr(3, offsets.to_vec(), targets.to_vec()).is_err()
+        };
+        assert!(!bad(&[0, 2, 2, 3], &[1, 2, 0]));
+        assert!(bad(&[0, 2, 3], &[1, 2, 0]), "an offset short");
+        assert!(bad(&[1, 2, 2, 3], &[1, 2, 0]), "does not start at 0");
+        assert!(bad(&[0, 2, 2, 2], &[1, 2, 0]), "does not end at the edges");
+        assert!(bad(&[0, 2, 1, 3], &[1, 2, 0]), "offsets decrease");
+        assert!(bad(&[0, 9, 2, 3], &[1, 2, 0]), "offset past the edges");
+        assert!(bad(&[0, 2, 2, 3], &[1, 3, 0]), "target out of range");
+        assert!(bad(&[0, 2, 2, 3], &[2, 1, 0]), "run not ascending");
+        assert!(
+            Graph::from_sorted_csr(0, vec![], vec![]).is_err(),
+            "no offsets"
+        );
+        assert!(
+            Graph::from_sorted_csr(0, vec![0], vec![]).is_ok(),
+            "empty graph"
+        );
     }
 
     #[test]

@@ -255,7 +255,7 @@ impl Partitioner for LdgPartitioner {
         for v in g.vertices() {
             // Count already-placed neighbors per partition.
             let mut touched: Vec<usize> = Vec::new();
-            for u in g.neighbors(v) {
+            for u in g.neighbors_iter(v) {
                 if let Some(p) = assignment[u.index()] {
                     if scores[p.index()] == 0 {
                         touched.push(p.index());
@@ -352,19 +352,24 @@ impl PartitionMap {
             vertices_in_partition[partition_of[v.index()].index()].push(v);
         }
 
+        // One pass over both adjacency runs, no scratch per vertex or per
+        // edge: a cross edge marks its cell of the |P| × |P| partition
+        // adjacency matrix (a parallel edge, or one present in both runs,
+        // marks the same cell again), and each row is read out once.
         let mut class = Vec::with_capacity(g.num_vertices() as usize);
-        let mut partition_neighbors: Vec<Vec<PartitionId>> = vec![Vec::new(); np];
+        let mut adjacent = vec![false; np * np];
         for v in g.vertices() {
             let pv = partition_of[v.index()];
             let wv = layout.worker_of_partition(pv);
+            let row = &mut adjacent[pv.index() * np..][..np];
             let mut has_local_cross = false;
             let mut has_remote = false;
-            for u in g.neighbors(v) {
+            for &u in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
                 let pu = partition_of[u.index()];
                 if pu == pv {
                     continue;
                 }
-                partition_neighbors[pv.index()].push(pu);
+                row[pu.index()] = true;
                 if layout.worker_of_partition(pu) == wv {
                     has_local_cross = true;
                 } else {
@@ -378,10 +383,13 @@ impl PartitionMap {
                 (true, true) => VertexClass::MixedBoundary,
             });
         }
-        for nbrs in &mut partition_neighbors {
-            nbrs.sort_unstable();
-            nbrs.dedup();
-        }
+        let partition_neighbors = adjacent
+            .chunks(np)
+            .map(|row| {
+                let marked = row.iter().enumerate().filter(|&(_, &m)| m);
+                marked.map(|(q, _)| PartitionId::new(q as u32)).collect()
+            })
+            .collect();
 
         Self {
             layout,

@@ -916,25 +916,14 @@ fn drive(
         peer_addrs.push((rank as u32, data_addr));
     }
 
-    let edges: Vec<(u32, u32)> = graph
-        .vertices()
-        .flat_map(|v| {
-            graph
-                .out_neighbors(v)
-                .iter()
-                .map(move |t| (v.raw(), t.raw()))
-        })
-        .collect();
-    for rank in 0..cfg.workers {
-        let fault = cfg
-            .faults
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map(|(_, f)| f.clone())
-            .unwrap_or_default();
-        let spec = RunSpec {
+    // One spec for every rank — only the fault plan differs — and the graph
+    // in it as the CSR it already is.
+    let (offsets, targets) = graph.out_csr();
+    let mut setup = Message::Setup {
+        spec: Box::new(RunSpec {
             num_vertices: graph.num_vertices(),
-            edges: edges.clone(),
+            offsets: offsets.to_vec(),
+            targets: targets.iter().map(|t| t.raw()).collect(),
             assignment: assignment.to_vec(),
             workers: cfg.workers,
             partitions_per_worker: cfg.partitions_per_worker,
@@ -948,11 +937,15 @@ fn drive(
             epoch_ns,
             telemetry_interval_ms: cfg.telemetry_interval_ms,
             audit_interval_ms: cfg.audit_interval_ms,
-            fault,
-        };
-        conns[rank as usize].send(&Message::Setup {
-            spec: Box::new(spec),
-        })?;
+            fault: FaultPlan::default(),
+        }),
+    };
+    for rank in 0..cfg.workers {
+        let plan = cfg.faults.iter().find(|(r, _)| *r == rank);
+        if let Message::Setup { spec } = &mut setup {
+            spec.fault = plan.map(|(_, f)| f.clone()).unwrap_or_default();
+        }
+        conns[rank as usize].send(&setup)?;
         conns[rank as usize].send(&Message::PeerMap {
             peers: peer_addrs.clone(),
         })?;

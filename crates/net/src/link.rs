@@ -860,6 +860,10 @@ fn retransmit_locked(inner: &LinkInner, s: &mut SendHalf) {
     if s.stream.is_none() || s.buffer.is_empty() {
         return;
     }
+    // A frame queued while the link had no stream yet (a rank that starts
+    // computing before its acceptor has adopted the connection) goes out
+    // here for the first time: written, but not a retransmit.
+    let resent = s.buffer.iter().filter(|f| f.written).count() as u64;
     let (result, wrote_bytes, wrote_frames) = {
         let SendHalf { stream, buffer, .. } = &mut *s;
         let stream = stream.as_mut().unwrap();
@@ -880,7 +884,7 @@ fn retransmit_locked(inner: &LinkInner, s: &mut SendHalf) {
                 st.frames_out.add(wrote_frames);
                 st.bytes_out.add(wrote_bytes as u64);
                 st.writevs.add(calls);
-                st.retransmits.add(wrote_frames);
+                st.retransmits.add(resent);
             }
         }
         Err(_) => {

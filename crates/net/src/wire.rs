@@ -44,8 +44,10 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// per message (unblocking MIS/PageRank over the cluster); it also gave
 /// `PeerHello` a `features` capability word whose only bit negotiated an
 /// optional compressed batch frame. v6 removed that frame (never enabled,
-/// never measured) and the word with it.
-pub const PROTOCOL_VERSION: u8 = 6;
+/// never measured) and the word with it. v7 ships the graph in `Setup` as
+/// its out-CSR (`offsets`, `targets`) instead of an edge list the worker
+/// had to sort back into one.
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Codec failure. All variants are recoverable at the connection level
 /// (the connection is dropped and re-established; the process never
@@ -408,8 +410,12 @@ impl FaultPlan {
 pub struct RunSpec {
     /// Vertex count of the (directed) graph.
     pub num_vertices: u32,
-    /// Directed edge list.
-    pub edges: Vec<(u32, u32)>,
+    /// The graph's out-CSR, as `Graph::out_csr` returns it and
+    /// `Graph::from_sorted_csr` takes (and checks) it: `num_vertices + 1`
+    /// offsets into `targets`.
+    pub offsets: Vec<u64>,
+    /// Out-edge targets, one ascending run per vertex.
+    pub targets: Vec<u32>,
     /// Vertex -> partition assignment (global partition ids; worker of a
     /// partition is `partition / partitions_per_worker`).
     pub assignment: Vec<u32>,
@@ -923,10 +929,13 @@ impl Message {
             }
             Message::Setup { spec } => {
                 put_u32(buf, spec.num_vertices);
-                put_u32(buf, spec.edges.len() as u32);
-                for &(a, b) in &spec.edges {
-                    put_u32(buf, a);
-                    put_u32(buf, b);
+                put_u32(buf, spec.offsets.len() as u32);
+                for &o in &spec.offsets {
+                    put_u64(buf, o);
+                }
+                put_u32(buf, spec.targets.len() as u32);
+                for &t in &spec.targets {
+                    put_u32(buf, t);
                 }
                 put_u32(buf, spec.assignment.len() as u32);
                 for &p in &spec.assignment {
@@ -1125,15 +1134,16 @@ impl Message {
             K_SETUP => {
                 let num_vertices = r.u32()?;
                 let n = r.len(8)?;
-                let edges = (0..n)
-                    .map(|_| Ok((r.u32()?, r.u32()?)))
-                    .collect::<Result<_, WireError>>()?;
+                let offsets = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
+                let n = r.len(4)?;
+                let targets = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
                 let n = r.len(4)?;
                 let assignment = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
                 Message::Setup {
                     spec: Box::new(RunSpec {
                         num_vertices,
-                        edges,
+                        offsets,
+                        targets,
                         assignment,
                         workers: r.u32()?,
                         partitions_per_worker: r.u32()?,

@@ -23,11 +23,23 @@
 //! transcribing it: [`sg_sync::PartitionWalk`] decides which vertex runs
 //! next and where the acquire/release brackets go, [`sg_engine::Cycle`]
 //! runs the vertex transaction, and this module supplies the IO — the
-//! byte-queue inbox, wire-format staging with eager overflow sends, the
-//! lock RPC, Lamport stamps. Remote messages are staged *before* the
-//! walk's release step, so the release-triggered write-all finds them.
-//! Workers run one compute thread each — rank is worker is thread, which
-//! is the paper's single-threaded-worker setting.
+//! `Inbox`, wire-format staging with eager overflow sends, the lock RPC,
+//! Lamport stamps. Remote messages are staged *before* the walk's release
+//! step, so the release-triggered write-all finds them. Workers run one
+//! compute thread each — rank is worker is thread, which is the paper's
+//! single-threaded-worker setting.
+//!
+//! Incoming messages live where the thread engine keeps them: one
+//! [`sg_engine::store::PartitionStore`] per owned partition, typed by the
+//! program's message and fed through its canonical combiner (the one
+//! `Runner` attaches in-process), so a vertex's mail is at most one
+//! envelope when the program has one. A local send inserts the value as it
+//! is; a peer's batch is decoded on the link reader that received it and
+//! inserted under the destination's stripe lock — the compute thread and
+//! the readers share no rank-wide lock, and bytes exist only on the wire.
+//! What a peer sends that this rank cannot take — a vertex it does not own,
+//! a payload that does not decode — is counted in
+//! `sg_worker_rejected_messages_total`, never dropped silently.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -36,7 +48,10 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
-use sg_engine::{build_synchronizer, AggregatorSet, Cycle, Env, Host, VertexProgram, WireCodec};
+use sg_engine::store::{Envelope, PartitionStore};
+use sg_engine::{
+    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Host, VertexProgram, WireCodec,
+};
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
 use sg_sync::{LockGranularity, PartitionWalk, Step, Synchronizer, TechniqueKind};
@@ -92,23 +107,44 @@ pub fn worker_main(coord_addr: &str, rank: u32) -> Result<(), NetError> {
             )))
         }
     };
+    // Each program with the combiner `Runner` gives it in-process.
     let (workload, arg) = (spec.workload.clone(), spec.workload_arg);
+    let joined = Joined {
+        rank,
+        spec,
+        peers,
+        listener,
+        ctrl,
+        reader,
+    };
     match workload.as_str() {
-        "coloring" => run_worker(GreedyColoring, rank, spec, peers, listener, ctrl, reader),
-        "wcc" => run_worker(Wcc, rank, spec, peers, listener, ctrl, reader),
+        "coloring" => run_worker(GreedyColoring, None, joined),
+        "wcc" => run_worker(Wcc, Some(Box::new(Wcc::combiner())), joined),
         "sssp" => {
             let program = Sssp::new(VertexId::new(arg as u32));
-            run_worker(program, rank, spec, peers, listener, ctrl, reader)
+            run_worker(program, Some(Box::new(Sssp::combiner())), joined)
         }
-        "mis" => run_worker(GreedyMis, rank, spec, peers, listener, ctrl, reader),
+        "mis" => run_worker(GreedyMis, None, joined),
         "pagerank" => {
             // The convergence threshold ships as the f64 bit pattern in
             // the workload argument word.
             let program = DeltaPageRank::new(f64::from_bits(arg));
-            run_worker(program, rank, spec, peers, listener, ctrl, reader)
+            run_worker(program, Some(Box::new(DeltaPageRank::combiner())), joined)
         }
         other => Err(NetError::Protocol(format!("unknown workload `{other}`"))),
     }
+}
+
+/// A rank the coordinator has set up: what `worker_main` hands `run_worker`
+/// besides the program.
+struct Joined {
+    rank: u32,
+    spec: RunSpec,
+    peers: Vec<(u32, String)>,
+    /// The data-plane listener whose address went out in `Hello`.
+    listener: TcpListener,
+    ctrl: Arc<CtrlConn>,
+    reader: FrameReader,
 }
 
 fn connect_retry(addr: &str) -> Result<TcpStream, NetError> {
@@ -147,49 +183,61 @@ struct Outbound {
     dirty: Vec<bool>,
 }
 
-/// A per-vertex queue of variable-length message payloads, stored as
-/// `[len: u32 LE][payload]` runs in one contiguous buffer — the networked
-/// counterpart of the engine's mailbox, kept untyped so [`Shared`] works
-/// for every vertex program. Payload slices copied in here are the only
-/// copy the receive path makes.
-#[derive(Default)]
-struct PayloadQueue {
-    bytes: Vec<u8>,
-    count: usize,
+/// This rank's incoming messages: the engine's message store, hosted a
+/// second time. One [`PartitionStore`] per owned partition plus the table
+/// that finds a vertex's slot; local sends and link readers insert through
+/// the program's combiner, the compute thread drains and probes, and the
+/// stripe locks inside the stores are all the locking there is.
+struct Inbox<M> {
+    /// Indexed like `Compute::my_partitions`.
+    stores: Vec<PartitionStore<M>>,
+    /// Vertex -> (index into `stores`, local index in its partition);
+    /// `NOT_OWNED` in the first half for another rank's vertices.
+    locate: Vec<(u32, u32)>,
+    combiner: Option<Box<dyn Combiner<M>>>,
+    /// `sg_worker_rejected_messages_total`.
+    rejected: CounterHandle,
 }
 
-impl PayloadQueue {
-    fn push(&mut self, payload: &[u8]) {
-        self.bytes
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.bytes.extend_from_slice(payload);
-        self.count += 1;
-    }
+const NOT_OWNED: u32 = u32::MAX;
 
-    fn len(&self) -> usize {
-        self.count
-    }
-
-    fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Decode every queued payload onto `out` in arrival order.
-    /// Undecodable runs are impossible on a well-typed cluster (every
-    /// worker runs the same program) and are skipped defensively.
-    fn decode_into<M: WireCodec>(&self, out: &mut Vec<M>) {
-        out.reserve(self.count);
-        let mut rest = self.bytes.as_slice();
-        while rest.len() >= 4 {
-            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-            rest = &rest[4..];
-            if rest.len() < len {
-                break;
+impl<M: WireCodec> Inbox<M> {
+    /// An empty inbox for the rank that owns `my_partitions` of `pm`'s
+    /// `num_vertices` vertices.
+    fn new(
+        num_vertices: usize,
+        pm: &PartitionMap,
+        my_partitions: &[PartitionId],
+        combiner: Option<Box<dyn Combiner<M>>>,
+        telemetry: &Telemetry,
+    ) -> Self {
+        let mut locate = vec![(NOT_OWNED, 0); num_vertices];
+        for (k, &p) in my_partitions.iter().enumerate() {
+            for (local, v) in pm.vertices_in(p).iter().enumerate() {
+                locate[v.index()] = (k as u32, local as u32);
             }
-            if let Some(m) = M::decode(&rest[..len]) {
-                out.push(m);
+        }
+        Inbox {
+            stores: my_partitions
+                .iter()
+                .map(|&p| PartitionStore::new(pm.vertices_in(p).len()))
+                .collect(),
+            locate,
+            combiner,
+            rejected: telemetry.counter("sg_worker_rejected_messages_total", &[]),
+        }
+    }
+
+    /// Queue `msg` for vertex `to`, combining into what is already queued.
+    /// `false` if this rank does not own `to` (peer input may name any id).
+    fn insert(&self, from: VertexId, to: VertexId, msg: M) -> bool {
+        match self.locate.get(to.index()) {
+            Some(&(k, local)) if k != NOT_OWNED => {
+                let combiner = self.combiner.as_deref();
+                self.stores[k as usize].insert(local as usize, from, msg, combiner);
+                true
             }
-            rest = &rest[len..];
+            _ => false,
         }
     }
 }
@@ -258,7 +306,6 @@ struct Shared {
     rank: u32,
     ctrl: Arc<CtrlConn>,
     clock: Arc<Clock>,
-    inbox: Mutex<Vec<PayloadQueue>>,
     outbound: Mutex<Outbound>,
     metrics: Arc<Metrics>,
     trace: Trace,
@@ -300,20 +347,22 @@ impl Shared {
 }
 
 /// Applies incoming batches straight into the inbox (AP-model arrival
-/// visibility, like the engine's store application).
-struct InboxHandler {
-    shared: Arc<Shared>,
+/// visibility, like the engine's store application), decoding each payload
+/// here, on the link reader, out of the link's receive buffer.
+struct InboxHandler<M> {
+    inbox: Arc<Inbox<M>>,
 }
 
-impl PeerHandler for InboxHandler {
+impl<M: WireCodec> PeerHandler for InboxHandler<M> {
     fn on_batch(&self, _from: u32, batch: BatchView<'_>) {
-        // Payload slices borrow the link's receive buffer; the copy into
-        // the per-vertex queue is the receive path's only copy.
-        let mut inbox = self.shared.inbox.lock().unwrap();
-        for (to, _from_v, payload) in batch.iter() {
-            if let Some(q) = inbox.get_mut(to as usize) {
-                q.push(payload);
-            }
+        let mut rejected = 0;
+        for (to, from_v, payload) in batch.iter() {
+            let (from, to) = (VertexId::new(from_v), VertexId::new(to));
+            let landed = M::decode(payload).is_some_and(|msg| self.inbox.insert(from, to, msg));
+            rejected += u64::from(!landed);
+        }
+        if rejected > 0 {
+            self.inbox.rejected.add(rejected);
         }
     }
 
@@ -335,22 +384,31 @@ enum Cmd {
 
 fn run_worker<P>(
     program: P,
-    rank: u32,
-    spec: RunSpec,
-    peers: Vec<(u32, String)>,
-    listener: TcpListener,
-    ctrl: Arc<CtrlConn>,
-    reader: FrameReader,
+    combiner: Option<Box<dyn Combiner<P::Message>>>,
+    joined: Joined,
 ) -> Result<(), NetError>
 where
     P: VertexProgram,
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
+    let Joined {
+        rank,
+        mut spec,
+        peers,
+        listener,
+        ctrl,
+        reader,
+    } = joined;
     let clock = Arc::clone(ctrl.clock());
     let technique = TechniqueKind::from_label(&spec.technique)
         .ok_or_else(|| NetError::Protocol(format!("unknown technique `{}`", spec.technique)))?;
-    let graph = Graph::from_edges(spec.num_vertices, &spec.edges);
+    let (offsets, targets) = (
+        std::mem::take(&mut spec.offsets),
+        std::mem::take(&mut spec.targets),
+    );
+    let graph = Graph::from_sorted_csr(spec.num_vertices, offsets, targets)
+        .map_err(|e| NetError::Protocol(format!("Setup graph: {e}")))?;
     let layout = ClusterLayout::new(spec.workers, spec.partitions_per_worker);
     let pm = Arc::new(PartitionMap::from_assignment(
         &graph,
@@ -392,7 +450,6 @@ where
         rank,
         ctrl: Arc::clone(&ctrl),
         clock: Arc::clone(&clock),
-        inbox: Mutex::new((0..n).map(|_| PayloadQueue::default()).collect()),
         outbound: Mutex::new(Outbound {
             staged: vec![MsgBatch::new(); spec.workers as usize],
             dirty: vec![false; spec.workers as usize],
@@ -419,8 +476,13 @@ where
     // all of them so the fault plan's frame indices count every
     // data-plane frame this worker sends, in order.
     let fault = Arc::new(FaultInjector::new(spec.fault.clone()));
+    let my_partitions: Vec<PartitionId> = pm
+        .layout()
+        .partitions_of_worker(WorkerId::new(rank))
+        .collect();
+    let inbox = Arc::new(Inbox::new(n, &pm, &my_partitions, combiner, &telemetry));
     let handler: Arc<dyn PeerHandler> = Arc::new(InboxHandler {
-        shared: Arc::clone(&shared),
+        inbox: Arc::clone(&inbox),
     });
     let mut link_vec: Vec<Option<PeerLink>> = vec![None; spec.workers as usize];
     for &(peer, ref addr) in &peers {
@@ -555,18 +617,18 @@ where
     });
     let result = Compute {
         shared: &shared,
+        inbox: &inbox,
         links: &links,
         rx: &rx,
         pm: &pm,
         replica: &*replica,
-        my_partitions: pm
-            .layout()
-            .partitions_of_worker(WorkerId::new(rank))
-            .collect(),
+        my_partitions,
+        walking: 0,
         record_history: spec.record_history,
         values: graph.vertices().map(|v| program.init(v, &graph)).collect(),
         halted: vec![false; n],
         txns: Vec::new(),
+        envelopes: Vec::new(),
         enc: Vec::new(),
         opened: 0,
     }
@@ -793,17 +855,23 @@ fn handle_flush(
 /// the vertex state it owns, its scratch: the networked [`Host`].
 struct Compute<'a, P: VertexProgram> {
     shared: &'a Shared,
+    inbox: &'a Inbox<P::Message>,
     links: &'a [Option<PeerLink>],
     rx: &'a mpsc::Receiver<Cmd>,
     pm: &'a PartitionMap,
     /// Stateless technique replica (see `run_worker`).
     replica: &'a dyn Synchronizer,
     my_partitions: Vec<PartitionId>,
+    /// Index into `my_partitions` (and the inbox's stores) of the partition
+    /// `run_superstep` is walking: the one `Host::drain`'s `local` is in.
+    walking: usize,
     record_history: bool,
     values: Vec<P::Value>,
     halted: Vec<bool>,
     txns: Vec<WireTxn>,
-    /// Encode scratch for one outgoing payload.
+    /// Drain scratch: the store hands out envelopes, `compute` takes messages.
+    envelopes: Vec<Envelope<P::Message>>,
+    /// Encode scratch for one outgoing remote payload.
     enc: Vec<u8>,
     /// Lamport stamp the open transaction started at.
     opened: u64,
@@ -846,22 +914,20 @@ where
     }
 
     /// Quiescent-state vote: a vertex is active if it has undelivered input
-    /// or has not voted to halt; `pending` counts undelivered messages.
+    /// or has not voted to halt; `pending` counts the envelopes queued —
+    /// the stores' `total()`, after combining.
     fn barrier_vote(&self) -> (u64, u64) {
         let shared = self.shared;
-        let inbox = shared.inbox.lock().unwrap();
         let mut active = 0u64;
         let mut pending = 0u64;
-        for &p in &self.my_partitions {
-            for &v in self.pm.vertices_in(p) {
-                let queued = inbox[v.index()].len() as u64;
-                pending += queued;
-                if queued > 0 || !self.halted[v.index()] {
+        for (store, &p) in self.inbox.stores.iter().zip(&self.my_partitions) {
+            pending += store.total() as u64;
+            for (local, v) in self.pm.vertices_in(p).iter().enumerate() {
+                if !self.halted[v.index()] || store.has_messages(local) {
                     active += 1;
                 }
             }
         }
-        drop(inbox);
         shared.wtel.active.set(active);
         shared.wtel.pending.set(pending);
         let staged: usize = {
@@ -910,28 +976,26 @@ where
     }
 
     /// Result uploads, chunked to stay far under the frame cap, terminated
-    /// by the goodbye marker.
-    fn upload(&self) -> Result<(), NetError> {
+    /// by the goodbye marker. Every chunk is moved into its frame: nothing
+    /// the run produced is copied on the way out.
+    fn upload(self) -> Result<(), NetError> {
         let shared = self.shared;
-        let mut pairs = Vec::new();
-        for &p in &self.my_partitions {
-            for &v in self.pm.vertices_in(p) {
-                let mut payload = Vec::new();
-                self.values[v.index()].encode_into(&mut payload);
-                pairs.push((v.raw(), payload));
-            }
-        }
-        for chunk in pairs.chunks(UPLOAD_CHUNK) {
-            shared.ctrl.send(&Message::ValuesUpload {
-                values: chunk.to_vec(),
-            })?;
-        }
+        let owned = self
+            .my_partitions
+            .iter()
+            .flat_map(|&p| self.pm.vertices_in(p));
+        // `ValuesUpload` owns each value's bytes, so each is encoded into
+        // its own buffer once and never again.
+        let pairs = owned.map(|v| {
+            let mut payload = Vec::new();
+            self.values[v.index()].encode_into(&mut payload);
+            (v.raw(), payload)
+        });
+        upload_chunks(shared, pairs, |values| Message::ValuesUpload { values })?;
         if self.record_history {
-            for chunk in self.txns.chunks(UPLOAD_CHUNK) {
-                shared.ctrl.send(&Message::HistoryUpload {
-                    txns: chunk.to_vec(),
-                })?;
-            }
+            upload_chunks(shared, self.txns.into_iter(), |txns| {
+                Message::HistoryUpload { txns }
+            })?;
         }
         // Final audit drain: compute is quiescent, so everything staged ships
         // with a closing watermark — the coordinator's frontier stops waiting
@@ -951,24 +1015,17 @@ where
         // BENCH_net.json snapshot) must include everything up to halt.
         shared.send_telemetry();
         if let Some(buffer) = shared.trace.buffer() {
-            let events: Vec<WireTraceEvent> = buffer
-                .events(shared.rank as usize)
-                .into_iter()
-                .map(|e| WireTraceEvent {
-                    worker: e.worker,
-                    superstep: e.superstep,
-                    kind: e.kind as u8,
-                    ts_ns: e.ts_ns,
-                    dur_ns: e.dur_ns,
-                    arg: e.arg,
-                    peer: e.peer.unwrap_or(u32::MAX),
-                })
-                .collect();
-            for chunk in events.chunks(UPLOAD_CHUNK) {
-                shared.ctrl.send(&Message::TraceUpload {
-                    events: chunk.to_vec(),
-                })?;
-            }
+            let events = buffer.events(shared.rank as usize).into_iter();
+            let events = events.map(|e| WireTraceEvent {
+                worker: e.worker,
+                superstep: e.superstep,
+                kind: e.kind as u8,
+                ts_ns: e.ts_ns,
+                dur_ns: e.dur_ns,
+                arg: e.arg,
+                peer: e.peer.unwrap_or(u32::MAX),
+            });
+            upload_chunks(shared, events, |events| Message::TraceUpload { events })?;
         }
         shared.ctrl.send(&Message::ComputeDone {
             superstep: GOODBYE_SUPERSTEP,
@@ -989,24 +1046,18 @@ where
         let needs_rpc = |unit: u32| {
             granularity != LockGranularity::Vertex || pm.is_p_boundary(VertexId::new(unit))
         };
-        // The Pregel activity test; one inbox lock per scan, not one per
-        // halted vertex.
-        let awake = |halted: &[bool], inbox: &[PayloadQueue], v: VertexId| {
-            !halted[v.index()] || !inbox[v.index()].is_empty()
-        };
+        let inbox = self.inbox;
         for k in 0..self.my_partitions.len() {
             let p = self.my_partitions[k];
-            let vertices = pm.vertices_in(p);
-            let has_work = {
-                let inbox = shared.inbox.lock().unwrap();
-                vertices.iter().any(|&v| awake(&self.halted, &inbox, v))
-            };
+            self.walking = k;
+            let (vertices, store) = (pm.vertices_in(p), &inbox.stores[k]);
+            let has_work = store.total() > 0 || vertices.iter().any(|v| !self.halted[v.index()]);
             let mut walk = PartitionWalk::new(p, replica, has_work);
             loop {
-                let step = {
-                    let inbox = shared.inbox.lock().unwrap();
-                    walk.next(replica, s, vertices, |_, v| awake(&self.halted, &inbox, v))
-                };
+                // The Pregel activity test, as the thread engine makes it.
+                let halted = &self.halted;
+                let awake = |local, v: VertexId| !halted[v.index()] || store.has_messages(local);
+                let step = walk.next(replica, s, vertices, awake);
                 match step {
                     Step::Acquire(unit) => {
                         if needs_rpc(unit) {
@@ -1040,9 +1091,9 @@ where
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
-    fn drain(&mut self, _local: usize, v: VertexId, into: &mut Vec<P::Message>) {
-        let queued = std::mem::take(&mut self.shared.inbox.lock().unwrap()[v.index()]);
-        queued.decode_into(into);
+    fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
+        self.inbox.stores[self.walking].drain_into(local, &mut self.envelopes);
+        into.extend(self.envelopes.drain(..).map(|(_, m)| m));
     }
 
     /// Messages just drained arrived on link readers that joined the
@@ -1069,10 +1120,9 @@ where
         vstore.commit(txn);
     }
 
-    fn send_local(&mut self, _from: VertexId, to: VertexId, msg: P::Message) {
-        self.enc.clear();
-        msg.encode_into(&mut self.enc);
-        self.shared.inbox.lock().unwrap()[to.index()].push(&self.enc);
+    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message) {
+        let owned = self.inbox.insert(from, to, msg);
+        debug_assert!(owned, "the cycle routed {to:?} here as local");
     }
 
     /// Stage in wire format; a batch that reaches the cap ships at once.
@@ -1122,6 +1172,22 @@ where
             }
             self.txns.push(rec);
         }
+    }
+}
+
+/// Send `items` to the coordinator in frames of at most [`UPLOAD_CHUNK`],
+/// each chunk collected straight into the frame that carries it.
+fn upload_chunks<T>(
+    shared: &Shared,
+    mut items: impl Iterator<Item = T>,
+    frame: impl Fn(Vec<T>) -> Message,
+) -> Result<(), NetError> {
+    loop {
+        let chunk: Vec<T> = items.by_ref().take(UPLOAD_CHUNK).collect();
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        shared.ctrl.send(&frame(chunk))?;
     }
 }
 

@@ -7,18 +7,20 @@
 
 use serigraph::prelude::*;
 use serigraph::sg_algos::{validate, MisState};
-use serigraph::sg_net::link::accept_handshake;
+use serigraph::sg_net::link::{accept_handshake, CtrlConn, FrameReader, PeerHandler, PeerLink};
 use serigraph::sg_net::wire::{
     batch_view, peek_header, read_frame, FaultPlan, WireMetricRow, WireTraceEvent, WireTxn,
     MAX_FRAME_LEN,
 };
 use serigraph::sg_net::{
-    parse_fault_plan, run_cluster, Clock, ClusterConfig, ClusterOutcome, Frame, Message, MsgBatch,
-    NetError, RunSpec, SpawnMode, WireCodec, WireError, Workload, PROTOCOL_VERSION,
+    parse_fault_plan, run_cluster, worker_main, BatchView, Clock, ClusterConfig, ClusterOutcome,
+    FaultInjector, Frame, Message, MsgBatch, NetError, RunSpec, SpawnMode, WireCodec, WireError,
+    Workload, PROTOCOL_VERSION,
 };
 use serigraph::sg_sim::simulate;
 use serigraph::NetworkOptions;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const TECHNIQUES: [Technique; 4] = [
     Technique::SingleToken,
@@ -76,7 +78,8 @@ fn every_message() -> Vec<Message> {
         Message::Setup {
             spec: Box::new(RunSpec {
                 num_vertices: 4,
-                edges: vec![(0, 1), (1, 0)],
+                offsets: vec![0, 1, 2, 2, 2],
+                targets: vec![1, 0],
                 assignment: vec![0, 0, 1, 1],
                 workers: 2,
                 partitions_per_worker: 1,
@@ -463,33 +466,37 @@ fn wire_codec_value_types_round_trip() {
 #[test]
 fn handshake_rejects_a_v5_peer_outright() {
     use std::io::Write as _;
-    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap();
-    let dialer = std::thread::spawn(move || {
-        let mut s = std::net::TcpStream::connect(addr).expect("connect");
-        let stale = Frame {
-            seq: 0,
-            clock: 1,
-            msg: Message::PeerHello {
-                version: 5,
-                rank: 1,
-                resume_from: 0,
-            },
-        };
-        s.write_all(&stale.encode()).expect("write hello");
-        s
-    });
-    let (stream, _) = listener.accept().expect("accept");
-    let clock = Clock::new();
-    let err = accept_handshake(&stream, &clock, 0, |_| 0).expect_err("v5 must be rejected");
-    match err {
-        NetError::Wire(WireError::VersionMismatch { ours, theirs }) => {
-            assert_eq!(ours, PROTOCOL_VERSION);
-            assert_eq!(theirs, 5);
+    // Every earlier wire is refused the same way, the one just before this
+    // one (v6: `Setup` carried an edge list) included.
+    for stale_version in [5, PROTOCOL_VERSION - 1] {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let dialer = std::thread::spawn(move || {
+            let mut s = std::net::TcpStream::connect(addr).expect("connect");
+            let stale = Frame {
+                seq: 0,
+                clock: 1,
+                msg: Message::PeerHello {
+                    version: stale_version,
+                    rank: 1,
+                    resume_from: 0,
+                },
+            };
+            s.write_all(&stale.encode()).expect("write hello");
+            s
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        let clock = Clock::new();
+        let err = accept_handshake(&stream, &clock, 0, |_| 0).expect_err("must be rejected");
+        match err {
+            NetError::Wire(WireError::VersionMismatch { ours, theirs }) => {
+                assert_eq!(ours, PROTOCOL_VERSION);
+                assert_eq!(theirs, stale_version);
+            }
+            other => panic!("expected a version mismatch, got {other}"),
         }
-        other => panic!("expected a version mismatch, got {other}"),
+        drop(dialer.join().unwrap());
     }
-    drop(dialer.join().unwrap());
 }
 
 // ---------------------------------------------------------------------------
@@ -752,12 +759,11 @@ fn ring_alternating(n: u32) -> Vec<u32> {
 }
 
 #[test]
-fn networked_pagerank_matches_a_combiner_free_in_process_run_bit_for_bit() {
+fn networked_pagerank_matches_the_in_process_runner_bit_for_bit() {
     // A directed ring has in-degree 1, so every vertex folds exactly one
-    // message per update and the f64 sums are order-independent: the
-    // networked run must reproduce the in-process engine's doubles bit
-    // for bit. The in-process side runs WITHOUT the combiner — the wire
-    // path folds messages in `compute`, not in a combiner.
+    // message per update — the combiner both hosts run has nothing to
+    // merge and the f64 sums are order-independent: the networked run must
+    // reproduce `Runner::run_pagerank`'s doubles bit for bit.
     let g = gen::ring(12);
     let threshold = 1e-4;
     let assignment = ring_alternating(12);
@@ -772,7 +778,7 @@ fn networked_pagerank_matches_a_combiner_free_in_process_run_bit_for_bit() {
         .threads_per_worker(1)
         .technique(Technique::SingleToken)
         .explicit_partitions(assignment.into_iter().map(PartitionId::new).collect())
-        .run_program(DeltaPageRank::new(threshold))
+        .run_pagerank(threshold)
         .expect("in-process pagerank");
     let ranks: Vec<f64> = wire.typed_values();
     assert_eq!(ranks.len(), local.values.len());
@@ -783,6 +789,70 @@ fn networked_pagerank_matches_a_combiner_free_in_process_run_bit_for_bit() {
             "vertex {v}: networked {w} != in-process {l}"
         );
     }
+}
+
+/// Where in-degree is far above 1 the combiner really merges, on both
+/// hosts. `min` is order-free, so WCC and SSSP over TCP equal the
+/// in-process engine exactly whatever the schedule; PageRank's sums are
+/// not, so it is held to the fixed point with the benchmark's tolerances
+/// (`perf/src/run.rs`, `pagerank_ok`).
+#[test]
+fn combined_inboxes_agree_with_the_in_process_engine_on_a_skewed_graph() {
+    let directed = gen::rmat(10, 8_000, gen::datasets::SKEW, 0x5EED);
+    let undirected = directed.to_undirected();
+    let hub = undirected
+        .vertices()
+        .max_by_key(|&v| undirected.in_degree(v));
+    assert!(undirected.in_degree(hub.expect("vertices")) > 100);
+    let on = |g: &Graph, technique: Technique, tcp: bool| {
+        let runner = Runner::new(g.clone())
+            .workers(2)
+            .partitions_per_worker(2)
+            .threads_per_worker(1)
+            .technique(technique);
+        if tcp {
+            runner.networked(NetworkOptions::default())
+        } else {
+            runner
+        }
+    };
+    let lock = Technique::PartitionLock;
+    let (wire, local) = (on(&undirected, lock, true), on(&undirected, lock, false));
+    let (w, l) = (
+        wire.run_wcc().expect("tcp"),
+        local.run_wcc().expect("local"),
+    );
+    assert!(w.converged && l.converged);
+    assert_eq!(w.values, l.values, "WCC labels diverged");
+    let source = VertexId::new(0);
+    let (w, l) = (wire.run_sssp(source), local.run_sssp(source));
+    assert_eq!(w.expect("tcp").values, l.expect("local").values, "SSSP");
+
+    let ranks = on(&directed, lock, true).run_pagerank(0.01).expect("tcp");
+    assert!(ranks.converged);
+    let want = validate::pagerank_reference(&directed, 1e-9, 500);
+    let (mut short, mut total) = (0.0f64, 0.0f64);
+    for (v, (got, want)) in ranks.values.iter().zip(&want).enumerate() {
+        assert!(
+            got.is_finite() && *got <= want + 1e-6,
+            "vertex {v} overshot"
+        );
+        assert!((want - got) / want <= 0.25, "vertex {v}: {got} vs {want}");
+        short += want - got;
+        total += want;
+    }
+    assert!(short / total <= 0.15, "{short} of {total} mass missing");
+
+    // Under token passing with one compute thread per worker the schedule
+    // is a function of the superstep, so the two hosts must send exactly
+    // the same messages — counted at the send, before any combining.
+    let token = Technique::SingleToken;
+    let w = on(&undirected, token, true).run_wcc().expect("tcp");
+    let l = on(&undirected, token, false).run_wcc().expect("local");
+    assert_eq!(w.values, l.values);
+    assert!(l.metrics.remote_messages > 0);
+    assert_eq!(w.metrics.local_messages, l.metrics.local_messages);
+    assert_eq!(w.metrics.remote_messages, l.metrics.remote_messages);
 }
 
 #[test]
@@ -813,6 +883,209 @@ fn runner_networked_routes_mis_and_pagerank() {
     assert!(out.converged);
     let mass: f64 = out.values.iter().sum();
     assert!((mass - 8.0).abs() < 0.1, "pagerank mass drifted: {mass}");
+}
+
+// ---------------------------------------------------------------------------
+// One real rank, hand-driven
+
+/// Rank 1 of a two-rank WCC run with no technique (no lock RPCs, no
+/// gating), as a real `worker_main` thread; the test is its coordinator
+/// and its only peer. The graph is 0–1 and 2–3: the test "owns" vertex 0,
+/// the worker owns 1, 2 and 3.
+struct Puppet {
+    ctrl: CtrlConn,
+    reader: FrameReader,
+    /// Rank 0's end of the data-plane link, dialled by the test.
+    link: PeerLink,
+    fences: u64,
+    worker: std::thread::JoinHandle<Result<(), NetError>>,
+}
+
+/// What rank 1 sends rank 0 is of no interest here.
+struct Ignore;
+impl PeerHandler for Ignore {
+    fn on_batch(&self, _from: u32, _batch: BatchView<'_>) {}
+    fn on_request_token(&self, _from: u32) {}
+}
+
+impl Puppet {
+    fn join() -> Puppet {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let coord_addr = listener.local_addr().expect("addr").to_string();
+        let worker = std::thread::spawn(move || worker_main(&coord_addr, 1));
+        let (stream, _) = listener.accept().expect("worker connects");
+        let clock = Arc::new(Clock::new());
+        let (ctrl, read_half) = CtrlConn::new(stream, Arc::clone(&clock)).expect("ctrl");
+        let mut reader = FrameReader::new(read_half, Arc::clone(&clock));
+        let Some(Message::Hello {
+            rank: 1, data_addr, ..
+        }) = reader.recv().expect("hello")
+        else {
+            panic!("expected rank 1's Hello");
+        };
+        let graph = Graph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
+        let (offsets, targets) = graph.out_csr();
+        let spec = RunSpec {
+            num_vertices: 4,
+            offsets: offsets.to_vec(),
+            targets: targets.iter().map(|t| t.raw()).collect(),
+            assignment: vec![0, 1, 1, 1],
+            workers: 2,
+            partitions_per_worker: 1,
+            technique: "none".into(),
+            workload: "wcc".into(),
+            workload_arg: 0,
+            max_supersteps: 100,
+            buffer_cap: 64,
+            record_history: false,
+            trace_capacity: 0,
+            epoch_ns: 0,
+            fault: FaultPlan::default(),
+            telemetry_interval_ms: 0,
+            audit_interval_ms: 0,
+        };
+        let setup = Message::Setup {
+            spec: Box::new(spec),
+        };
+        ctrl.send(&setup).expect("setup");
+        // The lower rank dials, so rank 1 never uses rank 0's address.
+        let peers = vec![(0, "127.0.0.1:1".to_string()), (1, data_addr.clone())];
+        ctrl.send(&Message::PeerMap { peers }).expect("peer map");
+        let fault = Arc::new(FaultInjector::none());
+        let link = PeerLink::new(0, 1, data_addr, clock, fault, Arc::new(Ignore), None);
+        // The worker's accept thread starts after it has built its graph.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while link.dial().is_err() {
+            assert!(Instant::now() < deadline, "rank 1 never accepted");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        Puppet {
+            ctrl,
+            reader,
+            link,
+            fences: 0,
+            worker,
+        }
+    }
+
+    /// Ship one batch as rank 0 and wait until rank 1 has applied it.
+    fn deliver(&mut self, entries: &[(u32, u32, &[u8])]) {
+        let batch = batch_of(entries);
+        self.link.send(Message::BatchFlush { batch });
+        self.fences += 1;
+        let timeout = Duration::from_secs(10);
+        self.link.flush_fence(self.fences, timeout).expect("fence");
+    }
+
+    /// Rank 1's barrier vote: `(active, pending)`.
+    fn vote(&mut self) -> (u64, u64) {
+        let ask = Message::ReportRequest { superstep: 0 };
+        self.ctrl.send(&ask).expect("report request");
+        match self.reader.recv().expect("vote") {
+            Some(Message::BarrierVote {
+                active, pending, ..
+            }) => (active, pending),
+            other => panic!("expected a vote, got {other:?}"),
+        }
+    }
+
+    fn superstep(&mut self, superstep: u64) {
+        let start = Message::StartSuperstep { superstep };
+        self.ctrl.send(&start).expect("start");
+        match self.reader.recv().expect("compute done") {
+            Some(Message::ComputeDone { superstep: s }) if s == superstep => {}
+            other => panic!("expected ComputeDone({superstep}), got {other:?}"),
+        }
+    }
+
+    /// Halt the rank; returns its WCC labels by vertex and the value of its
+    /// `sg_worker_rejected_messages_total` at the end.
+    fn halt(mut self) -> (Vec<(u32, u32)>, u64) {
+        let halt = Message::Halt {
+            converged: true,
+            supersteps: 0,
+        };
+        self.ctrl.send(&halt).expect("halt");
+        let (mut labels, mut rejected) = (Vec::new(), None);
+        loop {
+            match self
+                .reader
+                .recv()
+                .expect("upload")
+                .expect("goodbye before EOF")
+            {
+                Message::ValuesUpload { values } => labels.extend(
+                    values
+                        .iter()
+                        .map(|(v, bytes)| (*v, u32::decode(bytes).expect("a u32 label"))),
+                ),
+                Message::TelemetryUpload { rows } => {
+                    let row = rows
+                        .iter()
+                        .find(|r| r.name == "sg_worker_rejected_messages_total");
+                    rejected = row.map(|r| r.values[0]);
+                }
+                Message::ComputeDone {
+                    superstep: u64::MAX,
+                } => break,
+                _ => {}
+            }
+        }
+        self.link.shutdown();
+        self.worker.join().expect("worker thread").expect("worker");
+        (labels, rejected.expect("the counter is exported"))
+    }
+}
+
+/// What a peer sends that the rank cannot take is counted, the rest of
+/// the same batch lands, and nothing panics.
+#[test]
+fn forged_batch_entries_are_counted_and_the_rest_still_land() {
+    let mut rank1 = Puppet::join();
+    let label = |l: u32| l.to_le_bytes();
+    rank1.deliver(&[
+        (1, 0, &label(0)),  // well-formed, from its real neighbour
+        (0, 0, &label(0)),  // vertex 0 is rank 0's own
+        (99, 0, &label(0)), // no such vertex
+        (1, 0, &[1, 2, 3]), // three bytes are not a u32
+        (2, 0, &[]),        // nor are none
+        (3, 0, &label(2)),  // well-formed
+    ]);
+    let (active, pending) = rank1.vote();
+    assert_eq!((active, pending), (3, 2), "two entries landed");
+    rank1.superstep(0);
+    let (labels, rejected) = rank1.halt();
+    assert_eq!(rejected, 4);
+    // Vertex 1 took the 0 it was sent; 3 kept what 2 sent it (2) over the
+    // peer's equal 2.
+    assert_eq!(labels, [(1, 0), (2, 2), (3, 2)]);
+}
+
+/// `pending` is the stores' `total()`: what is queued after combining. A
+/// message merged into the slot of a vertex that has voted to halt wakes
+/// it like any other, and the rank still drains to quiescence.
+#[test]
+fn a_combined_inbox_votes_its_envelopes_and_reaches_quiescence() {
+    let mut rank1 = Puppet::join();
+    let label = |l: u32| l.to_le_bytes();
+    rank1.deliver(&[(2, 0, &label(9)), (2, 0, &label(7)), (2, 0, &label(8))]);
+    assert_eq!(rank1.vote(), (3, 1), "three messages, one envelope");
+    // Superstep 0: 2 and 3 exchange labels; the run leaves 3's announcement
+    // of 2 queued at 2, which has halted.
+    rank1.superstep(0);
+    assert_eq!(rank1.vote(), (1, 1));
+    // Merge a smaller label into that slot, and one into 3's empty one.
+    rank1.deliver(&[(2, 0, &label(1)), (3, 0, &label(1))]);
+    assert_eq!(rank1.vote(), (2, 2));
+    rank1.superstep(1);
+    // 2 woke, adopted 1 and told 3; 3 adopted it and told 2, which has
+    // halted again: one message is left, and the next superstep consumes it.
+    assert_eq!(rank1.vote(), (1, 1));
+    rank1.superstep(2);
+    assert_eq!(rank1.vote(), (0, 0), "quiescent");
+    let (labels, rejected) = rank1.halt();
+    assert_eq!(labels, [(1, 1), (2, 1), (3, 1)]);
+    assert_eq!(rejected, 0);
 }
 
 // ---------------------------------------------------------------------------
