@@ -27,6 +27,11 @@ echo "== one message store, two hosts: no mailbox or rank-wide inbox lock in sg-
 if grep -rnE 'struct PayloadQueue|inbox\.lock\(\)' crates/net/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/graph/src/partition.rs | grep -n '\.neighbors('; then exit 1; fi
 
+echo "== a message costs what a message costs: no stripes or SipHash in the store, no run-wide pending counter, one slot table (PartitionMap::slot_of) =="
+if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/store.rs | grep -nE 'HashMap|MAX_STRIPES'; then exit 1; fi
+if grep -n 'pending\.fetch_' crates/engine/src/engine.rs; then exit 1; fi
+if grep -rnE 'locate: Vec<\(u32, u32\)>' crates/engine/src crates/net/src; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

@@ -23,7 +23,7 @@
 use crate::aggregators::AggregatorSet;
 use crate::context::Context;
 use crate::program::VertexProgram;
-use sg_graph::{Graph, PartitionMap, VertexId};
+use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
 use sg_metrics::{CostModel, Counter, Metrics, Trace, TraceEventKind};
 use sg_serial::Recorder;
 
@@ -46,7 +46,15 @@ pub trait Host<P: VertexProgram> {
     fn commit(&mut self, local: usize, v: VertexId, halt: bool);
 
     /// Deliver to a vertex of the executing worker: visible at once.
-    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message);
+    /// `slot` is `to`'s `PartitionMap::slot_of`, which routing the message
+    /// already looked up.
+    fn send_local(
+        &mut self,
+        from: VertexId,
+        to: VertexId,
+        slot: (PartitionId, u32),
+        msg: P::Message,
+    );
 
     /// Stage for `to_worker`: visible there after the host's next flush,
     /// which must precede any handover of the executing unit.
@@ -124,14 +132,18 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
 
         let n_out = self.outgoing.len() as u64;
         let mut n_local = 0u64;
+        let layout = env.pm.layout();
         for (to, msg) in self.outgoing.drain(..) {
             if let Some(r) = env.recorder {
                 r.on_send(v, to);
             }
-            let to_worker = env.pm.worker_of(to).raw();
+            // The message's one table lookup: the owner routes it, the
+            // slot addresses the owner's store.
+            let slot = env.pm.slot_of(to);
+            let to_worker = layout.worker_of_partition(slot.0).raw();
             if to_worker == worker {
                 n_local += 1;
-                host.send_local(v, to, msg);
+                host.send_local(v, to, slot, msg);
             } else {
                 host.send_remote(to_worker, v, to, msg);
             }
@@ -195,7 +207,7 @@ pub fn charge_virtual(
 mod tests {
     use super::*;
     use sg_graph::partition::ExplicitPartitioner;
-    use sg_graph::{gen, ClusterLayout, PartitionId};
+    use sg_graph::{gen, ClusterLayout};
     use std::sync::Arc;
 
     /// Sums its mail into its value, then writes to 3, 1, 2, 0 in that
@@ -252,7 +264,9 @@ mod tests {
             self.calls
                 .push(Call::Commit(local, v.raw(), halt, self.value));
         }
-        fn send_local(&mut self, from: VertexId, to: VertexId, msg: u64) {
+        fn send_local(&mut self, from: VertexId, to: VertexId, slot: (PartitionId, u32), msg: u64) {
+            // W0 = {v0, v2} is partition 0: v0 its 0th vertex, v2 its 1st.
+            assert_eq!(slot, (PartitionId::new(0), to.raw() / 2));
             self.calls.push(Call::Local(from.raw(), to.raw(), msg));
         }
         fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: u64) {

@@ -188,22 +188,20 @@ impl<P: VertexProgram> Engine<P> {
         let num_partitions = layout.num_partitions() as usize;
         let workers = layout.num_workers() as usize;
 
-        // vertex -> (partition index, local index)
-        let mut locate = vec![(0u32, 0u32); self.graph.num_vertices() as usize];
         let mut partitions = Vec::with_capacity(num_partitions);
         let mut current = Vec::with_capacity(num_partitions);
-        let mut next = Vec::with_capacity(num_partitions);
+        // Only BSP holds a superstep's sends back until the barrier.
+        let mut next = Vec::new();
         for p in layout.partitions() {
             let vertices = self.pm.vertices_in(p).to_vec();
-            for (i, &v) in vertices.iter().enumerate() {
-                locate[v.index()] = (p.raw(), i as u32);
-            }
             let values: Vec<P::Value> = vertices
                 .iter()
                 .map(|&v| self.program.init(v, &self.graph))
                 .collect();
             current.push(PartitionStore::new(vertices.len()));
-            next.push(PartitionStore::new(vertices.len()));
+            if self.config.model == Model::Bsp {
+                next.push(PartitionStore::new(vertices.len()));
+            }
             partitions.push(Mutex::new(PartitionData::new(vertices, values)));
         }
 
@@ -218,7 +216,6 @@ impl<P: VertexProgram> Engine<P> {
             program: self.program,
             pm: Arc::clone(&self.pm),
             model: self.config.model,
-            locate,
             partitions,
             current,
             next,
@@ -235,7 +232,6 @@ impl<P: VertexProgram> Engine<P> {
             cost: self.config.cost,
             trace: obs.trace_handle(workers),
             timers: obs.breakdown.then(|| WorkerTimers::new(workers)),
-            pending: AtomicU64::new(0),
             in_flight: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             owed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             superstep: AtomicU64::new(0),
@@ -409,7 +405,7 @@ impl<P: VertexProgram> Engine<P> {
                 }
             }
 
-            let pending = core.pending.load(Ordering::SeqCst);
+            let pending = core.queued() as u64;
             let active: usize = core
                 .partitions
                 .iter()
@@ -501,9 +497,11 @@ struct Core<P: VertexProgram> {
     program: P,
     pm: Arc<PartitionMap>,
     model: Model,
-    locate: Vec<(u32, u32)>,
     partitions: Vec<Mutex<PartitionData<P::Value>>>,
+    /// Per partition, the messages its vertices may read now.
     current: Vec<PartitionStore<P::Message>>,
+    /// Under BSP, per partition, what this superstep sent (readable after
+    /// the barrier's swap); empty under AP.
     next: Vec<PartitionStore<P::Message>>,
     outbound: OutboundBuffers<P::Message>,
     /// Per-compute-thread outbound staging (sender-side combining), indexed
@@ -527,8 +525,6 @@ struct Core<P: VertexProgram> {
     /// Per-worker busy/blocked/idle accumulators, when breakdown is on.
     /// Busy and blocked are charged by [`Core::settle_lanes`] only.
     timers: Option<WorkerTimers>,
-    /// Messages anywhere in the system (stores + buffers), for termination.
-    pending: AtomicU64,
     /// Per-worker count of shipments in progress: messages taken out of a
     /// staging run or outbound buffer but not yet inserted into their
     /// destination stores. The C1 write-all flush must wait for these —
@@ -542,9 +538,9 @@ struct Core<P: VertexProgram> {
     /// staged and that are not yet inserted into their destination stores.
     /// A sender raises it while it still holds the staging lock — before
     /// any flusher can see the messages — and the shipper lowers it only
-    /// after `deliver`, so it is never below the truth: reading 0 means
-    /// every write the worker's finished transactions made is applied, and
-    /// the C1 write-all has nothing to do. 0 at every barrier.
+    /// after the batch is inserted, so it is never below the truth: reading
+    /// 0 means every write the worker's finished transactions made is
+    /// applied, and the C1 write-all has nothing to do. 0 at every barrier.
     owed: Vec<AtomicU64>,
     superstep: AtomicU64,
     sync: Arc<dyn Synchronizer>,
@@ -742,8 +738,9 @@ impl<P: VertexProgram> Core<P> {
 
     /// Park until this thread's partitions have work again; returns `false`
     /// when the engine stopped. The *last* thread to park performs the
-    /// global quiescence check (no other thread is executing then, so the
-    /// pending counter is stable).
+    /// global quiescence check. No other thread is executing then, and each
+    /// flushed its staging and its worker's buffers before it parked, so
+    /// every message there is sits in a store.
     fn park(&self, my_parts: &[PartitionId]) -> bool {
         let mut idle = self.idle.lock().unwrap();
         *idle += 1;
@@ -752,7 +749,7 @@ impl<P: VertexProgram> Core<P> {
                 *idle -= 1;
                 return false;
             }
-            if *idle == self.total_threads && self.pending.load(Ordering::SeqCst) == 0 {
+            if *idle == self.total_threads && self.queued() == 0 {
                 let active: usize = self
                     .partitions
                     .iter()
@@ -785,7 +782,6 @@ struct EngineCheckpoint<V, M> {
     superstep: u64,
     partitions: Vec<(Vec<V>, Vec<bool>)>,
     stores: Vec<Vec<Vec<(VertexId, M)>>>,
-    pending: u64,
     aggregators: Vec<(String, f64, f64)>,
     forks: Option<ForkSnapshot>,
 }
@@ -862,6 +858,8 @@ struct PartitionHost<'a, P: VertexProgram> {
     /// Envelopes the open transaction has staged and not yet added to
     /// `Core::owed`.
     unowed: u64,
+    /// Did the open transaction deliver to a vertex of its own worker?
+    delivered: bool,
     envelopes: &'a mut Vec<Envelope<P::Message>>,
     clock: MutexGuard<'a, LaneClock>,
 }
@@ -879,10 +877,7 @@ impl<P: VertexProgram> PartitionHost<'_, P> {
 
 impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
     fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
-        let drained = self.store.drain_into(local, self.envelopes) as u64;
-        if drained > 0 {
-            self.core.pending.fetch_sub(drained, Ordering::SeqCst);
-        }
+        self.store.drain_into(local, self.envelopes);
         into.extend(self.envelopes.drain(..).map(|(_, m)| m));
     }
 
@@ -909,8 +904,18 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
         }
     }
 
-    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message) {
-        self.core.deliver(from, to, msg);
+    fn send_local(
+        &mut self,
+        from: VertexId,
+        to: VertexId,
+        (p, local): (PartitionId, u32),
+        msg: P::Message,
+    ) {
+        let core = self.core;
+        let combiner = core.combiner.as_deref();
+        core.arrivals()[p.index()].insert(local as usize, from, msg, combiner);
+        core.on_arrival(from, to);
+        self.delivered = true;
     }
 
     /// Into the executing thread's staging buffer — where the combiner
@@ -921,7 +926,6 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
         let st = self.staged.get_or_insert_with(|| staging.lock().unwrap());
         let (grew, staged) = st.stage(to_worker, (to, from, msg), core.combiner.as_deref());
         if grew {
-            core.pending.fetch_add(1, Ordering::SeqCst);
             self.unowed += 1;
         } else {
             core.metrics.inc(Counter::SenderCombines);
@@ -935,10 +939,14 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
     }
 
     /// Once per transaction, not per message: what it staged becomes owed,
-    /// then the staging lock goes and flushers may find it.
+    /// then the staging lock goes and flushers may find it; what it
+    /// delivered may be work for a parked sibling.
     fn close(&mut self, _v: VertexId) {
         self.owe();
         self.staged = None;
+        if std::mem::take(&mut self.delivered) {
+            self.core.wake_parked();
+        }
     }
 }
 
@@ -978,6 +986,7 @@ impl<P: VertexProgram> Core<P> {
             staging: lane.staging,
             staged: None,
             unowed: 0,
+            delivered: false,
             envelopes: &mut lane.envelopes,
             clock: lane.clock.lock().unwrap(),
         };
@@ -1051,27 +1060,40 @@ impl<P: VertexProgram> Core<P> {
         }
     }
 
-    /// Insert into the recipient's store — under BSP the next superstep's
+    /// The stores a send lands in — under BSP the next superstep's
     /// (visible after the next barrier).
-    fn deliver(&self, sender: VertexId, to: VertexId, msg: P::Message) {
-        let to_next = self.model == Model::Bsp;
-        let (p, l) = self.locate[to.index()];
-        let store = if to_next {
-            &self.next[p as usize]
+    fn arrivals(&self) -> &[PartitionStore<P::Message>] {
+        if self.model == Model::Bsp {
+            &self.next
         } else {
-            &self.current[p as usize]
-        };
-        let gained = store.insert(l as usize, sender, msg, self.combiner.as_deref());
-        self.pending.fetch_add(gained as u64, Ordering::SeqCst);
-        if !to_next {
+            &self.current
+        }
+    }
+
+    /// A message from `sender` was inserted for `to`: readable at once,
+    /// except under BSP, where the barrier's swap makes it so.
+    fn on_arrival(&self, sender: VertexId, to: VertexId) {
+        if self.model != Model::Bsp {
             if let Some(r) = &self.recorder {
                 r.on_visible(sender, to);
             }
         }
+    }
+
+    /// Barrierless: wake parked threads, new work may have arrived for
+    /// them. Once per transaction or shipped batch, not per message.
+    fn wake_parked(&self) {
         if self.barrierless {
-            // Wake parked workers: new work may have arrived for them.
             self.idle_cv.notify_all();
         }
+    }
+
+    /// Envelopes queued in every store. With every staging buffer and
+    /// buffer cache flushed — at a barrier, or with every barrierless
+    /// thread parked — this is every message there is.
+    fn queued(&self) -> usize {
+        let stores = self.current.iter().chain(&self.next);
+        stores.map(PartitionStore::total).sum()
     }
 
     /// Drain one destination's staged run into the shared outbound buffer
@@ -1126,10 +1148,22 @@ impl<P: VertexProgram> Core<P> {
                 to as u32,
             );
         }
-        self.pending.fetch_sub(n, Ordering::SeqCst);
-        for (to_v, sender, m) in routed {
-            self.deliver(sender, to_v, m);
+        // One table lookup per message, then one lock acquisition per
+        // destination partition — one store's lock at a time.
+        let slots: Vec<_> = routed.iter().map(|r| self.pm.slot_of(r.0)).collect();
+        let combiner = self.combiner.as_deref();
+        let receiver = WorkerId::new(to as u32);
+        for p in self.pm.layout().partitions_of_worker(receiver) {
+            let mut store = None;
+            for (&(q, local), (to_v, sender, m)) in slots.iter().zip(&routed) {
+                if q == p {
+                    let store = store.get_or_insert_with(|| self.arrivals()[p.index()].lock());
+                    store.insert(local as usize, *sender, m.clone(), combiner);
+                    self.on_arrival(*sender, *to_v);
+                }
+            }
         }
+        self.wake_parked();
         let owed = self.owed[from].fetch_sub(n, Ordering::SeqCst);
         debug_assert!(owed >= n, "worker {from} shipped {n} messages, owed {owed}");
     }
@@ -1235,7 +1269,6 @@ impl<P: VertexProgram> Core<P> {
                 })
                 .collect(),
             stores: self.current.iter().map(|s| s.export()).collect(),
-            pending: self.pending.load(Ordering::SeqCst),
             aggregators: self.aggs.export(),
             forks: self.sync.checkpoint(),
         }
@@ -1273,7 +1306,6 @@ impl<P: VertexProgram> Core<P> {
         for (store, snapshot) in self.current.iter().zip(&ckpt.stores) {
             store.restore(snapshot.clone());
         }
-        self.pending.store(ckpt.pending, Ordering::SeqCst);
         for owed in &self.owed {
             owed.store(0, Ordering::SeqCst);
         }
@@ -1284,9 +1316,7 @@ impl<P: VertexProgram> Core<P> {
         ckpt.superstep
     }
 
-    /// BSP barrier: messages sent this superstep become visible. The
-    /// next-store's slab nodes move straight into the current store — no
-    /// intermediate queue-of-queues is materialized.
+    /// BSP barrier: messages sent this superstep become visible.
     fn bsp_swap(&self) {
         for p in 0..self.next.len() {
             if let Some(r) = &self.recorder {
@@ -1607,6 +1637,23 @@ mod tests {
         core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
         assert_eq!(core.owed[0].load(Ordering::SeqCst), 0);
         assert_eq!(core.current[1].total(), 2);
+    }
+
+    #[test]
+    fn a_rollback_brings_the_queue_total_back_with_the_queues() {
+        // The halt test reads what the stores hold, so a checkpoint needs
+        // no count of its own: restoring the queues restores the total.
+        let core = c4_core(1); // every remote send ships at once
+        core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
+        // v1 and v3 each hold one; v0 holds v2's, sent after v0 ran.
+        assert_eq!(core.queued(), 3);
+        let ckpt = core.take_checkpoint(1);
+        // Worker 1 reads its two and, having learnt nothing new, stays quiet.
+        core.execute_partition(1, PartitionId::new(1), 1, &mut core.lane(1, 0));
+        assert_eq!(core.queued(), 1);
+        assert_eq!(core.restore_checkpoint(&ckpt), 1);
+        assert_eq!((core.queued(), core.current[1].total()), (3, 2));
+        assert!(core.current[1].has_messages(0) && core.current[1].has_messages(1));
     }
 
     #[test]

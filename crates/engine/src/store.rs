@@ -9,16 +9,20 @@
 //! boundaries, and whenever a synchronization technique needs a write-all
 //! flush before handing a fork or token to another worker (condition C1).
 //!
-//! The datapath is lock-minimized in three layers:
+//! A message is priced in cache lines and shared read-modify-writes, so
+//! the three layers keep both to the minimum:
 //!
-//! 1. [`PartitionStore`] stripes its per-vertex slots across up to
-//!    [`MAX_STRIPES`] shards keyed on the local vertex index, so concurrent
-//!    inserts to *different* vertices of the same partition no longer
-//!    contend on one mutex — the intra-store parallelism Section 7.1
-//!    attributes to partition count now also exists *within* a partition.
-//!    Each shard keeps its messages in a flat slab (an intrusive free-list
-//!    of nodes chained per slot) instead of a queue-of-queues, so the
-//!    insert/drain cycle allocates nothing in steady state.
+//! 1. [`PartitionStore`] is one mutex over a flat array of slots, one per
+//!    local vertex, and a slot holds its first envelope *inline*: with a
+//!    combiner — at most one envelope per vertex — an insert touches the
+//!    slot's cache line and nothing else. Later envelopes of a combiner-
+//!    free run chain through a node slab with a free list, so the
+//!    insert/drain cycle allocates nothing in steady state. The queued
+//!    count is a plain integer under the lock; an occupancy bitmap beside
+//!    it answers [`PartitionStore::has_messages`] without the lock. A
+//!    whole batch goes in under one acquisition through
+//!    [`PartitionStore::lock`], which is what keeps the single lock
+//!    uncontended.
 //! 2. [`StagingBuffers`] are per-compute-thread outbound staging areas.
 //!    Sends to remote workers land here first, where the message combiner
 //!    is applied *sender-side* (Giraph's classic optimization): messages to
@@ -27,30 +31,34 @@
 //!    [`OutboundBuffers`] on a size threshold, at superstep boundaries, and
 //!    on every C1 write-all flush.
 //! 3. [`OutboundBuffers`] keep one mutex per (source, destination) worker
-//!    pair, now fed in batches rather than per message, with the
-//!    per-source pending count maintained by a relaxed atomic instead of a
-//!    lock-and-sum scan.
+//!    pair, fed in batches rather than per message.
 
 use crate::program::Combiner;
 use sg_graph::VertexId;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// A queued message: who sent it (needed by the serializability recorder
 /// and the BSP visibility swap) and its payload.
 pub type Envelope<M> = (VertexId, M);
 
-/// Upper bound on the lock stripes of one [`PartitionStore`]. 64 shards is
-/// past the point where stripe collisions matter for the thread counts the
-/// simulation runs (≤ 16 threads per worker), while keeping the per-store
-/// footprint small for many-partition layouts.
-pub const MAX_STRIPES: usize = 64;
-
-/// Sentinel for "no node" in the slab chains.
+/// Sentinel for "no node" in the overflow chains.
 const NIL: u32 = u32::MAX;
 
-/// One slab node: an envelope plus the intrusive chain/free-list link.
+/// One vertex's queue: the first envelope in place, any later ones chained
+/// through [`Slots::slab`] in arrival order.
+#[derive(Debug)]
+struct Slot<M> {
+    first: Option<Envelope<M>>,
+    /// Second envelope's node (`NIL` = none).
+    head: u32,
+    /// Last envelope's node, for O(1) FIFO append (`NIL` with `head`).
+    tail: u32,
+}
+
+/// One overflow node: an envelope plus the intrusive chain/free-list link.
+/// Freed nodes keep their payload until reused (messages are small values;
+/// nothing observes a freed node).
 #[derive(Debug)]
 struct Node<M> {
     sender: VertexId,
@@ -58,138 +66,222 @@ struct Node<M> {
     next: u32,
 }
 
-/// One lock stripe of a [`PartitionStore`]: the slots `local` with
-/// `local % stripes == shard_index`, their FIFO chains, and the shard's
-/// node slab with its free list. Freed nodes keep their payload until
-/// reused (messages are small values; nothing observes a freed node).
+/// Overflow nodes, addressed by a dense index, in chunks of a fixed size:
+/// growing allocates a chunk and moves nothing. (One `Vec` doubling by
+/// copy left the allocator holding the old copies — several MiB of a
+/// colouring run's peak.)
 #[derive(Debug)]
-struct Shard<M> {
-    /// Chain head per within-shard slot (`NIL` = empty).
-    head: Vec<u32>,
-    /// Chain tail per within-shard slot, for O(1) FIFO append.
-    tail: Vec<u32>,
-    /// Flat node slab; indices are stable until the node is freed.
-    slab: Vec<Node<M>>,
-    /// Head of the free list threaded through `slab[i].next`.
-    free: u32,
+struct Slab<M> {
+    chunks: Vec<Vec<Node<M>>>,
+    len: u32,
 }
 
-impl<M> Shard<M> {
-    fn new(slots: usize) -> Self {
-        Self {
-            head: vec![NIL; slots],
-            tail: vec![NIL; slots],
-            slab: Vec::new(),
-            free: NIL,
-        }
-    }
+const CHUNK_BITS: u32 = 10;
+const CHUNK_MASK: u32 = (1 << CHUNK_BITS) - 1;
 
-    /// Allocate a node from the free list (or grow the slab) and append it
-    /// to `slot`'s chain.
-    fn append(&mut self, slot: usize, sender: VertexId, msg: M) {
+impl<M> Slab<M> {
+    fn push(&mut self, node: Node<M>) -> u32 {
+        let idx = self.len;
+        assert!(idx < NIL, "partition store overflow");
+        if idx & CHUNK_MASK == 0 {
+            self.chunks.push(Vec::with_capacity(1 << CHUNK_BITS));
+        }
+        self.chunks[(idx >> CHUNK_BITS) as usize].push(node);
+        self.len += 1;
+        idx
+    }
+}
+
+impl<M> std::ops::Index<u32> for Slab<M> {
+    type Output = Node<M>;
+    #[inline]
+    fn index(&self, idx: u32) -> &Node<M> {
+        &self.chunks[(idx >> CHUNK_BITS) as usize][(idx & CHUNK_MASK) as usize]
+    }
+}
+
+impl<M> std::ops::IndexMut<u32> for Slab<M> {
+    #[inline]
+    fn index_mut(&mut self, idx: u32) -> &mut Node<M> {
+        &mut self.chunks[(idx >> CHUNK_BITS) as usize][(idx & CHUNK_MASK) as usize]
+    }
+}
+
+/// What a [`PartitionStore`]'s mutex guards.
+#[derive(Debug)]
+struct Slots<M> {
+    slots: Vec<Slot<M>>,
+    /// Overflow nodes; indices are stable until the node is freed.
+    slab: Slab<M>,
+    /// Head of the free list threaded through `slab[i].next`.
+    free: u32,
+    /// Envelopes queued across all slots.
+    count: usize,
+}
+
+impl<M> Slots<M> {
+    /// Take a node off the free list (or grow the slab) and append it to
+    /// `local`'s overflow chain.
+    fn chain(&mut self, local: usize, sender: VertexId, msg: M) {
         let idx = if self.free != NIL {
             let idx = self.free;
-            let node = &mut self.slab[idx as usize];
+            let node = &mut self.slab[idx];
             self.free = node.next;
-            node.sender = sender;
-            node.msg = msg;
-            node.next = NIL;
+            *node = Node {
+                sender,
+                msg,
+                next: NIL,
+            };
             idx
         } else {
-            let idx = self.slab.len() as u32;
-            assert!(idx < NIL, "partition store shard overflow");
             self.slab.push(Node {
                 sender,
                 msg,
                 next: NIL,
-            });
-            idx
+            })
         };
-        if self.head[slot] == NIL {
-            self.head[slot] = idx;
+        let slot = &mut self.slots[local];
+        if slot.head == NIL {
+            slot.head = idx;
         } else {
-            self.slab[self.tail[slot] as usize].next = idx;
+            self.slab[slot.tail].next = idx;
         }
-        self.tail[slot] = idx;
-    }
-
-    /// Detach `slot`'s chain, returning its head (caller walks and frees).
-    fn detach(&mut self, slot: usize) -> u32 {
-        let h = self.head[slot];
-        self.head[slot] = NIL;
-        self.tail[slot] = NIL;
-        h
-    }
-
-    /// Return one node to the free list.
-    fn release(&mut self, idx: u32) {
-        self.slab[idx as usize].next = self.free;
-        self.free = idx;
+        slot.tail = idx;
     }
 }
 
-/// Incoming-message store of one partition: one FIFO slot per local vertex,
-/// lock-striped across shards keyed on the local vertex index (interleaved,
-/// so that adjacent locals — the common hot neighborhood — land on
-/// different stripes). The total queued count is a relaxed atomic: exact,
-/// because every insert/drain adjusts it under the shard lock, but not a
-/// synchronization point — the engines' barriers order it before any
-/// decision that needs cross-thread agreement.
+/// Incoming-message store of one partition: one FIFO slot per local vertex
+/// behind a single mutex.
+///
+/// Beside the lock sits one occupancy bit per slot, written only by the
+/// lock's holder and readable by anyone. A reader that must not miss a
+/// message is ordered after its writer by something stronger than the bit
+/// — the technique's hand-over of the unit that guarded the write, or the
+/// superstep barrier — so the bits need no ordering of their own; a reader
+/// racing a writer it is *not* ordered after sees the message this
+/// superstep or the next, exactly as when the probe took the lock.
 #[derive(Debug)]
 pub struct PartitionStore<M> {
-    shards: Vec<Mutex<Shard<M>>>,
-    /// `stripes - 1`; `shard_of(local) = local & mask`.
-    mask: usize,
-    /// `log2(stripes)`; `slot_of(local) = local >> shift`.
-    shift: u32,
+    inner: Mutex<Slots<M>>,
+    /// Bit `local % 64` of word `local / 64`: does the slot hold anything?
+    occupied: Vec<AtomicU64>,
+    /// Number of vertex slots.
     len: usize,
-    count: AtomicU64,
 }
 
-impl<M: Clone + Send + 'static> PartitionStore<M> {
-    /// Store for a partition with `len` vertices.
-    pub fn new(len: usize) -> Self {
-        let stripes = len.max(1).next_power_of_two().min(MAX_STRIPES);
-        let shards = (0..stripes)
-            .map(|s| {
-                // Locals assigned to stripe s: s, s + stripes, s + 2·stripes, …
-                let slots = if s < len {
-                    (len - s).div_ceil(stripes)
-                } else {
-                    0
-                };
-                Mutex::new(Shard::new(slots))
-            })
-            .collect();
-        Self {
-            shards,
-            mask: stripes - 1,
-            shift: stripes.trailing_zeros(),
-            len,
-            count: AtomicU64::new(0),
-        }
-    }
+/// A [`PartitionStore`] with its lock held: insert or drain any number of
+/// slots under the one acquisition.
+pub struct LockedStore<'a, M> {
+    inner: MutexGuard<'a, Slots<M>>,
+    occupied: &'a [AtomicU64],
+}
 
-    /// Number of vertex slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when the store has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn locate(&self, local: usize) -> (&Mutex<Shard<M>>, usize) {
-        debug_assert!(local < self.len, "local {local} out of range {}", self.len);
-        (&self.shards[local & self.mask], local >> self.shift)
+impl<M: Clone + Send + 'static> LockedStore<'_, M> {
+    /// Set or clear `local`'s occupancy bit. Every writer holds the lock,
+    /// so a load and a store do what a read-modify-write would.
+    fn mark(&self, local: usize, occupied: bool) {
+        let (word, bit) = (&self.occupied[local / 64], 1u64 << (local % 64));
+        let was = word.load(Ordering::Relaxed);
+        word.store(
+            if occupied { was | bit } else { was & !bit },
+            Ordering::Relaxed,
+        );
     }
 
     /// Queue a message for local vertex `local`, applying the combiner if
     /// one is configured (keeps at most one message per vertex). Returns
     /// how many envelopes the queue *grew* by (0 when combined into an
-    /// existing one) so callers can keep exact pending-message counts.
+    /// existing one).
+    pub fn insert(
+        &mut self,
+        local: usize,
+        sender: VertexId,
+        msg: M,
+        combiner: Option<&dyn Combiner<M>>,
+    ) -> usize {
+        let slot = &mut self.inner.slots[local];
+        match &mut slot.first {
+            None => {
+                slot.first = Some((sender, msg));
+                self.mark(local, true);
+            }
+            Some(queued) => match combiner {
+                // With a combiner the inline envelope is the only one:
+                // merge into it, adopting the latest sender.
+                Some(c) => {
+                    *queued = (sender, c.combine(queued.1.clone(), msg));
+                    return 0;
+                }
+                None => self.inner.chain(local, sender, msg),
+            },
+        }
+        self.inner.count += 1;
+        1
+    }
+
+    /// Append all messages currently queued for `local` onto `out` (FIFO
+    /// order), returning how many were drained. The caller owns `out` and
+    /// typically reuses it across vertices — the drain path allocates
+    /// nothing beyond `out`'s own growth.
+    pub fn drain_into(&mut self, local: usize, out: &mut Vec<Envelope<M>>) -> usize {
+        let inner = &mut *self.inner;
+        let slot = &mut inner.slots[local];
+        let Some(first) = slot.first.take() else {
+            return 0;
+        };
+        out.push(first);
+        let mut n = 1;
+        let mut idx = std::mem::replace(&mut slot.head, NIL);
+        slot.tail = NIL;
+        while idx != NIL {
+            let node = &mut inner.slab[idx];
+            out.push((node.sender, node.msg.clone()));
+            // Onto the free list; on along the chain.
+            let next = std::mem::replace(&mut node.next, inner.free);
+            inner.free = idx;
+            idx = next;
+            n += 1;
+        }
+        inner.count -= n;
+        self.mark(local, false);
+        n
+    }
+}
+
+impl<M: Clone + Send + 'static> PartitionStore<M> {
+    /// Store for a partition with `len` vertices.
+    pub fn new(len: usize) -> Self {
+        let empty = || Slot {
+            first: None,
+            head: NIL,
+            tail: NIL,
+        };
+        Self {
+            inner: Mutex::new(Slots {
+                slots: (0..len).map(|_| empty()).collect(),
+                slab: Slab {
+                    chunks: Vec::new(),
+                    len: 0,
+                },
+                free: NIL,
+                count: 0,
+            }),
+            occupied: (0..len.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+            len,
+        }
+    }
+
+    /// Take the store's lock for a run of inserts or drains. Hold one
+    /// store's lock at a time ([`PartitionStore::transfer_all`], alone at
+    /// the barrier, is the exception).
+    pub fn lock(&self) -> LockedStore<'_, M> {
+        LockedStore {
+            inner: self.inner.lock().expect("a store holder panicked"),
+            occupied: &self.occupied,
+        }
+    }
+
+    /// [`LockedStore::insert`] under an acquisition of its own.
     pub fn insert(
         &self,
         local: usize,
@@ -197,48 +289,12 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
         msg: M,
         combiner: Option<&dyn Combiner<M>>,
     ) -> usize {
-        let (shard, slot) = self.locate(local);
-        let mut s = shard.lock().unwrap();
-        match combiner {
-            Some(c) if s.head[slot] != NIL => {
-                // With a combiner each slot holds at most one envelope;
-                // merge into it, adopting the latest sender (matching the
-                // pre-striping pop-and-push semantics).
-                let tail = s.tail[slot] as usize;
-                let old = s.slab[tail].msg.clone();
-                s.slab[tail].msg = c.combine(old, msg);
-                s.slab[tail].sender = sender;
-                0
-            }
-            _ => {
-                s.append(slot, sender, msg);
-                self.count.fetch_add(1, Ordering::Relaxed);
-                1
-            }
-        }
+        self.lock().insert(local, sender, msg, combiner)
     }
 
-    /// Append all messages currently queued for `local` onto `out` (FIFO
-    /// order), returning how many were drained. The caller owns `out` and
-    /// typically reuses it across vertices — the drain path allocates
-    /// nothing beyond `out`'s own growth.
+    /// [`LockedStore::drain_into`] under an acquisition of its own.
     pub fn drain_into(&self, local: usize, out: &mut Vec<Envelope<M>>) -> usize {
-        let (shard, slot) = self.locate(local);
-        let mut s = shard.lock().unwrap();
-        let mut idx = s.detach(slot);
-        let mut n = 0usize;
-        while idx != NIL {
-            let node = &mut s.slab[idx as usize];
-            let next = node.next;
-            out.push((node.sender, node.msg.clone()));
-            s.release(idx);
-            idx = next;
-            n += 1;
-        }
-        if n > 0 {
-            self.count.fetch_sub(n as u64, Ordering::Relaxed);
-        }
-        n
+        self.lock().drain_into(local, out)
     }
 
     /// Take all messages currently queued for `local`.
@@ -248,94 +304,70 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
         out
     }
 
-    /// Does `local` have queued messages?
+    /// Does `local` have queued messages? Reads the occupancy bit, not the
+    /// lock — see the type's note on who may rely on the answer.
+    #[inline]
     pub fn has_messages(&self, local: usize) -> bool {
-        let (shard, slot) = self.locate(local);
-        shard.lock().unwrap().head[slot] != NIL
+        self.occupied[local / 64].load(Ordering::Relaxed) >> (local % 64) & 1 == 1
     }
 
-    /// Total queued messages in this store (relaxed atomic read — exact at
-    /// any quiescent point, no lock acquisitions).
+    /// Total queued messages in this store — exact, under the lock.
     pub fn total(&self) -> usize {
-        self.count.load(Ordering::Relaxed) as usize
+        self.lock().inner.count
     }
 
     /// Move every queued message into `dst` (same slot layout), calling
     /// `on_move(local, sender)` per envelope — the BSP barrier swap. Both
     /// stores keep their slab allocations: the source's nodes return to its
-    /// free list, the target allocates from its own. No intermediate
-    /// queue-of-queues is materialized.
+    /// free list, the target allocates from its own.
     ///
     /// # Panics
     /// Panics if the stores have different slot counts.
     pub fn transfer_all(&self, dst: &Self, mut on_move: impl FnMut(usize, VertexId)) {
         assert_eq!(self.len, dst.len, "transfer between mismatched stores");
-        let stripes = self.mask + 1;
-        let mut moved = 0u64;
-        for sh in 0..self.shards.len() {
-            let mut src = self.shards[sh].lock().unwrap();
-            let mut d = dst.shards[sh].lock().unwrap();
-            for slot in 0..src.head.len() {
-                let mut idx = src.detach(slot);
-                while idx != NIL {
-                    let node = &mut src.slab[idx as usize];
-                    let next = node.next;
-                    let (sender, msg) = (node.sender, node.msg.clone());
-                    src.release(idx);
-                    d.append(slot, sender, msg);
-                    on_move(slot * stripes + sh, sender);
-                    moved += 1;
-                    idx = next;
-                }
-            }
+        let (mut src, mut dst) = (self.lock(), dst.lock());
+        if src.inner.count == 0 {
+            return;
         }
-        if moved > 0 {
-            self.count.fetch_sub(moved, Ordering::Relaxed);
-            dst.count.fetch_add(moved, Ordering::Relaxed);
+        let mut run = Vec::new();
+        for local in 0..self.len {
+            src.drain_into(local, &mut run);
+            for (sender, msg) in run.drain(..) {
+                dst.insert(local, sender, msg, None);
+                on_move(local, sender);
+            }
         }
     }
 
     /// Checkpoint support: clone every queue (slot-indexed, FIFO order).
     pub fn export(&self) -> Vec<Vec<Envelope<M>>> {
-        let mut out: Vec<Vec<Envelope<M>>> = (0..self.len).map(|_| Vec::new()).collect();
-        for (local, queue) in out.iter_mut().enumerate() {
-            let (shard, slot) = self.locate(local);
-            let s = shard.lock().unwrap();
-            let mut idx = s.head[slot];
+        let store = self.lock();
+        let inner = &*store.inner;
+        let queue = |slot: &Slot<M>| {
+            let mut queue: Vec<_> = slot.first.iter().cloned().collect();
+            let mut idx = slot.head;
             while idx != NIL {
-                let node = &s.slab[idx as usize];
+                let node = &inner.slab[idx];
                 queue.push((node.sender, node.msg.clone()));
                 idx = node.next;
             }
-        }
-        out
+            queue
+        };
+        inner.slots.iter().map(queue).collect()
     }
 
     /// Checkpoint support: replace every queue with a snapshot.
     pub fn restore(&self, snapshot: Vec<Vec<Envelope<M>>>) {
         assert_eq!(self.len, snapshot.len());
-        let mut total = 0u64;
-        for shard in &self.shards {
-            let mut s = shard.lock().unwrap();
-            let slots = s.head.len();
-            for slot in 0..slots {
-                let mut idx = s.detach(slot);
-                while idx != NIL {
-                    let next = s.slab[idx as usize].next;
-                    s.release(idx);
-                    idx = next;
-                }
-            }
-        }
+        let mut store = self.lock();
+        let mut stale = Vec::new();
         for (local, queue) in snapshot.into_iter().enumerate() {
-            let (shard, slot) = self.locate(local);
-            let mut s = shard.lock().unwrap();
+            store.drain_into(local, &mut stale);
+            stale.clear();
             for (sender, msg) in queue {
-                s.append(slot, sender, msg);
-                total += 1;
+                store.insert(local, sender, msg, None);
             }
         }
-        self.count.store(total, Ordering::Relaxed);
     }
 }
 
@@ -344,13 +376,10 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
 pub type Routed<M> = (VertexId, VertexId, M);
 
 /// Per-(source worker, destination worker) buffer caches, fed in batches by
-/// the per-thread [`StagingBuffers`]. The per-source pending count is a
-/// relaxed atomic maintained on push/take — [`OutboundBuffers::pending_from`]
-/// is O(1) with zero lock acquisitions.
+/// the per-thread [`StagingBuffers`].
 #[derive(Debug)]
 pub struct OutboundBuffers<M> {
     bufs: Vec<Vec<Mutex<Vec<Routed<M>>>>>,
-    pending: Vec<AtomicU64>,
 }
 
 impl<M: Send> OutboundBuffers<M> {
@@ -360,17 +389,7 @@ impl<M: Send> OutboundBuffers<M> {
             bufs: (0..workers)
                 .map(|_| (0..workers).map(|_| Mutex::new(Vec::new())).collect())
                 .collect(),
-            pending: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// Buffer a message from worker `from` to worker `to`; returns the new
-    /// buffer length so the caller can decide to flush.
-    pub fn push(&self, from: usize, to: usize, routed: Routed<M>) -> usize {
-        let mut b = self.bufs[from][to].lock().unwrap();
-        b.push(routed);
-        self.pending[from].fetch_add(1, Ordering::Relaxed);
-        b.len()
     }
 
     /// Drain `staged` into the (from, to) buffer under a single lock
@@ -388,15 +407,12 @@ impl<M: Send> OutboundBuffers<M> {
         if staged.is_empty() {
             return Vec::new();
         }
-        self.pending[from].fetch_add(staged.len() as u64, Ordering::Relaxed);
         let mut full = Vec::new();
         let mut b = self.bufs[from][to].lock().unwrap();
         for r in staged.drain(..) {
             b.push(r);
             if b.len() >= cap {
-                let batch = std::mem::take(&mut *b);
-                self.pending[from].fetch_sub(batch.len() as u64, Ordering::Relaxed);
-                full.push(batch);
+                full.push(std::mem::take(&mut *b));
             }
         }
         full
@@ -404,17 +420,7 @@ impl<M: Send> OutboundBuffers<M> {
 
     /// Take everything buffered from `from` to `to`.
     pub fn take(&self, from: usize, to: usize) -> Vec<Routed<M>> {
-        let taken = std::mem::take(&mut *self.bufs[from][to].lock().unwrap());
-        if !taken.is_empty() {
-            self.pending[from].fetch_sub(taken.len() as u64, Ordering::Relaxed);
-        }
-        taken
-    }
-
-    /// Total buffered messages from worker `from` (all destinations) — a
-    /// relaxed atomic read, no lock acquisitions.
-    pub fn pending_from(&self, from: usize) -> usize {
-        self.pending[from].load(Ordering::Relaxed) as usize
+        std::mem::take(&mut *self.bufs[from][to].lock().unwrap())
     }
 }
 
@@ -437,13 +443,95 @@ pub struct StagingBuffers<M> {
     combine: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct StagedDest<M> {
     /// Staged messages in first-staged order (the flush order).
     run: Vec<Routed<M>>,
     /// Destination vertex -> index into `run`, for sender-side combining.
     /// Unused (empty) when the run has no combiner.
-    index: HashMap<VertexId, usize>,
+    index: RunIndex,
+}
+
+/// Where in a staged run each destination vertex sits: an open-addressed
+/// table of `(epoch, position)` buckets probed linearly from a
+/// multiplicative hash of the vertex id. A bucket is live only while its
+/// epoch is the table's, so a flush empties the table by moving on to the
+/// next epoch. The key is not stored: `run[position].0` is.
+#[derive(Debug)]
+struct RunIndex {
+    buckets: Vec<(u32, u32)>,
+    /// Never 0, the epoch of a bucket that was never written.
+    epoch: u32,
+}
+
+/// Buckets of a run's first table; it doubles whenever the run outgrows
+/// half of it.
+const INDEX_MIN_BUCKETS: usize = 64;
+
+impl RunIndex {
+    fn new() -> Self {
+        Self {
+            buckets: Vec::new(),
+            epoch: 1,
+        }
+    }
+
+    /// First bucket probed for `to` in a table of `len` buckets (a power of
+    /// two): the top bits of the id times 2^32 / φ.
+    #[inline]
+    fn home(to: VertexId, len: usize) -> usize {
+        (to.raw().wrapping_mul(0x9E37_79B9) >> (32 - len.trailing_zeros())) as usize
+    }
+
+    /// The live bucket of `to`, or the empty one where it belongs.
+    #[inline]
+    fn probe<M>(&self, to: VertexId, run: &[Routed<M>]) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut b = Self::home(to, self.buckets.len());
+        loop {
+            let (epoch, at) = self.buckets[b];
+            if epoch != self.epoch || run[at as usize].0 == to {
+                return b;
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Position of `to` in `run`, entering it as `run.len()` — where the
+    /// caller is about to push it — when it is not there yet.
+    #[inline]
+    fn position_or_enter<M>(&mut self, to: VertexId, run: &[Routed<M>]) -> Option<usize> {
+        if run.len() * 2 >= self.buckets.len() {
+            self.grow(run);
+        }
+        let b = self.probe(to, run);
+        let (epoch, at) = self.buckets[b];
+        if epoch == self.epoch {
+            return Some(at as usize);
+        }
+        self.buckets[b] = (self.epoch, run.len() as u32);
+        None
+    }
+
+    /// Double the table and re-enter the run: at most half full afterwards.
+    fn grow<M>(&mut self, run: &[Routed<M>]) {
+        let len = (self.buckets.len() * 2).max(INDEX_MIN_BUCKETS);
+        self.buckets = vec![(0, 0); len];
+        for (at, routed) in run.iter().enumerate() {
+            let b = self.probe(routed.0, run);
+            self.buckets[b] = (self.epoch, at as u32);
+        }
+    }
+
+    /// Forget every entry. Epochs are reused only after a wrap, and the
+    /// wrap wipes the buckets that could still carry them.
+    fn clear(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.buckets.fill((0, 0));
+            self.epoch = 1;
+        }
+    }
 }
 
 impl<M: Clone + Send + 'static> StagingBuffers<M> {
@@ -454,7 +542,7 @@ impl<M: Clone + Send + 'static> StagingBuffers<M> {
             dests: (0..workers)
                 .map(|_| StagedDest {
                     run: Vec::new(),
-                    index: HashMap::new(),
+                    index: RunIndex::new(),
                 })
                 .collect(),
             combine,
@@ -472,31 +560,16 @@ impl<M: Clone + Send + 'static> StagingBuffers<M> {
         combiner: Option<&dyn Combiner<M>>,
     ) -> (bool, usize) {
         let dest = &mut self.dests[to_worker];
-        if self.combine {
-            if let Some(c) = combiner {
-                let (to, sender, msg) = routed;
-                return match dest.index.entry(to) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        let staged = &mut dest.run[*e.get()];
-                        staged.1 = sender;
-                        staged.2 = c.combine(staged.2.clone(), msg);
-                        (false, dest.run.len())
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(dest.run.len());
-                        dest.run.push((to, sender, msg));
-                        (true, dest.run.len())
-                    }
-                };
+        if let (true, Some(c)) = (self.combine, combiner) {
+            if let Some(at) = dest.index.position_or_enter(routed.0, &dest.run) {
+                let staged = &mut dest.run[at];
+                staged.1 = routed.1;
+                staged.2 = c.combine(staged.2.clone(), routed.2);
+                return (false, dest.run.len());
             }
         }
         dest.run.push(routed);
         (true, dest.run.len())
-    }
-
-    /// Envelopes currently staged for `to_worker`.
-    pub fn staged_for(&self, to_worker: usize) -> usize {
-        self.dests[to_worker].run.len()
     }
 
     /// Envelopes staged across all destinations.
@@ -548,44 +621,163 @@ mod tests {
         assert_eq!(drained[0].1, 5);
     }
 
+    /// Random operation sequences against a queue-of-queues reference:
+    /// FIFO order across the inline envelope and the overflow chain, the
+    /// occupancy bits, the count, the barrier swap and the checkpoint pair.
     #[test]
-    fn slab_reuses_nodes_across_insert_drain_cycles() {
-        let s = PartitionStore::new(3);
-        let mut scratch = Vec::new();
-        for round in 0..50u64 {
-            for local in 0..3 {
-                s.insert(local, v(round as u32), round, None);
-                s.insert(local, v(round as u32), round + 1, None);
+    fn store_matches_a_queue_of_queues_model() {
+        use sg_graph::SplitMix64;
+        use std::collections::VecDeque;
+        type Model = Vec<VecDeque<Envelope<u64>>>;
+        let agrees = |store: &PartitionStore<u64>, model: &Model, what: &str| {
+            assert_eq!(
+                store.total(),
+                model.iter().map(VecDeque::len).sum::<usize>()
+            );
+            for (local, queue) in model.iter().enumerate() {
+                assert_eq!(store.has_messages(local), !queue.is_empty(), "{what}");
             }
-            for local in 0..3 {
-                scratch.clear();
-                assert_eq!(s.drain_into(local, &mut scratch), 2);
-                assert_eq!(scratch[0].1, round);
-                assert_eq!(scratch[1].1, round + 1);
+            let exported: Model = store.export().into_iter().map(Into::into).collect();
+            assert_eq!(&exported, model, "{what}");
+        };
+        for (case, combine) in [(0u64, false), (1, true), (2, false), (3, true)] {
+            let mut rng = SplitMix64::new(0x5107 + case);
+            let len = 1 + rng.gen_index(70);
+            let (store, other) = (PartitionStore::new(len), PartitionStore::new(len));
+            let mut model: Model = vec![VecDeque::new(); len];
+            let mut other_model = model.clone();
+            let mut high_water = 0;
+            let combiner = combine.then_some(&MinCombiner as &dyn Combiner<u64>);
+            for step in 0..4_000u32 {
+                let what = format!("case {case} step {step}");
+                let local = rng.gen_index(len);
+                match rng.gen_index(20) {
+                    0..=11 => {
+                        let (sender, msg) = (v(step), rng.gen_range(1_000));
+                        let grew = store.insert(local, sender, msg, combiner);
+                        match (model[local].back_mut(), combine) {
+                            (Some(last), true) => {
+                                *last = (sender, last.1.min(msg));
+                                assert_eq!(grew, 0, "{what}");
+                            }
+                            _ => {
+                                model[local].push_back((sender, msg));
+                                assert_eq!(grew, 1, "{what}");
+                            }
+                        }
+                    }
+                    12..=16 => {
+                        let mut out = vec![(v(0), 7)]; // appended to, not cleared
+                        let n = store.drain_into(local, &mut out);
+                        let want: Vec<_> = model[local].drain(..).collect();
+                        assert_eq!((n, &out[1..]), (want.len(), &want[..]), "{what}");
+                    }
+                    17 => {
+                        // The barrier swap, there and back: what `other`
+                        // already held stays ahead of what moves in.
+                        let mut moved = Vec::new();
+                        store.transfer_all(&other, |local, sender| moved.push((local, sender)));
+                        let want: Vec<_> = model
+                            .iter()
+                            .enumerate()
+                            .flat_map(|(l, q)| q.iter().map(move |e| (l, e.0)))
+                            .collect();
+                        assert_eq!(moved, want, "{what}");
+                        for (from, to) in model.iter_mut().zip(&mut other_model) {
+                            to.append(from);
+                        }
+                        agrees(&other, &other_model, &what);
+                        agrees(&store, &model, &what);
+                        // (The swap never combines, and the engine only
+                        // swaps into drained stores: a combined store is
+                        // not handed a second envelope this way either.)
+                        if !combine && rng.gen_bool(0.5) {
+                            other.transfer_all(&store, |_, _| {});
+                            std::mem::swap(&mut model, &mut other_model);
+                            other_model.iter_mut().for_each(VecDeque::clear);
+                        }
+                    }
+                    18 => {
+                        // Roll back to a snapshot after diverging from it.
+                        let snapshot = store.export();
+                        store.insert(local, v(step), 1, combiner);
+                        store.drain(rng.gen_index(len));
+                        store.restore(snapshot);
+                    }
+                    _ => agrees(&store, &model, &what),
+                }
+                let chained =
+                    |m: &Model| -> usize { m.iter().map(|q| q.len().saturating_sub(1)).sum() };
+                high_water = high_water.max(chained(&model));
+                // Overflow nodes are reused, not leaked: the slab is no
+                // longer than the most the chains ever held at once (plus
+                // what a rollback's scratch insert may have chained).
+                let slab = store.lock().inner.slab.len as usize;
+                assert!(
+                    slab <= high_water + 1,
+                    "{what}: {slab} nodes, peak {high_water}"
+                );
+                assert!(!combine || slab == 0, "{what}: a combined slot chained");
             }
-        }
-        assert_eq!(s.total(), 0);
-        // Every shard's slab stabilized at the high-water mark (2 nodes),
-        // not 100 — the free list recycles.
-        for shard in &s.shards {
-            assert!(shard.lock().unwrap().slab.len() <= 2);
+            agrees(&store, &model, "end");
         }
     }
 
+    /// Four threads insert at once, two per call and two through the
+    /// locked view; the join orders the main thread after all of them, so
+    /// the unlocked probe must then be exact.
     #[test]
-    fn striping_spreads_adjacent_locals() {
-        let s = PartitionStore::<u64>::new(128);
-        let stripes = s.mask + 1;
-        assert!(stripes > 1);
-        // Adjacent locals land on different stripes (interleaved keying):
-        // the mask keeps the low bit, so locals 0 and 1 map to shards 0 and 1.
-        assert_ne!(1 & s.mask, 0);
-        // Every local maps to a valid in-range slot.
-        for local in 0..128 {
-            let (_, slot) = s.locate(local);
-            let shard = s.shards[local & s.mask].lock().unwrap();
-            assert!(slot < shard.head.len(), "local {local}");
+    fn concurrent_inserts_leave_exact_bits_and_count() {
+        const LEN: usize = 300;
+        let store = PartitionStore::new(LEN);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4usize {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    // Thread t owns the locals ≡ t (mod 8) — every word of
+                    // the bitmap is shared by all four — and hits each
+                    // three times.
+                    let mine = (0..LEN).filter(|l| l % 8 == t);
+                    for chunk in mine.collect::<Vec<_>>().chunks(16) {
+                        if t % 2 == 0 {
+                            for i in 0..3 {
+                                chunk.iter().for_each(|&l| {
+                                    store.insert(l, v(t as u32), i, None);
+                                });
+                            }
+                        } else {
+                            let mut locked = store.lock();
+                            for i in 0..3 {
+                                chunk.iter().for_each(|&l| {
+                                    locked.insert(l, v(t as u32), i, None);
+                                });
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let inserted = |l: usize| l % 8 < 4;
+        for local in 0..LEN {
+            assert_eq!(store.has_messages(local), inserted(local), "local {local}");
         }
+        assert_eq!(store.total(), 3 * (0..LEN).filter(|&l| inserted(l)).count());
+        let mut locked = store.lock();
+        let mut out = Vec::new();
+        for local in 0..LEN {
+            out.clear();
+            let n = locked.drain_into(local, &mut out);
+            assert_eq!(n, if inserted(local) { 3 } else { 0 });
+            assert!(out.iter().map(|e| e.1).eq(0..n as u64), "FIFO per slot");
+        }
+        drop(locked);
+        assert_eq!(store.total(), 0);
+        assert!(store
+            .occupied
+            .iter()
+            .all(|w| w.load(Ordering::Relaxed) == 0));
     }
 
     #[test]
@@ -626,46 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_striped_inserts_keep_exact_counts() {
-        use std::sync::Arc;
-        let s = Arc::new(PartitionStore::new(64));
-        let threads: Vec<_> = (0..4)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        s.insert(((t * 17 + i) % 64) as usize, v(t as u32), i, None);
-                    }
-                })
-            })
-            .collect();
-        for th in threads {
-            th.join().unwrap();
-        }
-        assert_eq!(s.total(), 4000);
-        let mut drained = 0;
-        let mut scratch = Vec::new();
-        for local in 0..64 {
-            scratch.clear();
-            drained += s.drain_into(local, &mut scratch);
-        }
-        assert_eq!(drained, 4000);
-        assert_eq!(s.total(), 0);
-    }
-
-    #[test]
-    fn outbound_push_take() {
-        let o = OutboundBuffers::new(2);
-        assert_eq!(o.push(0, 1, (v(5), v(0), 1u64)), 1);
-        assert_eq!(o.push(0, 1, (v(6), v(0), 2)), 2);
-        assert_eq!(o.pending_from(0), 2);
-        let taken = o.take(0, 1);
-        assert_eq!(taken.len(), 2);
-        assert_eq!(o.pending_from(0), 0);
-        assert!(o.take(0, 1).is_empty());
-    }
-
-    #[test]
     fn push_batch_ships_full_batches_at_cap() {
         let o = OutboundBuffers::new(2);
         let mut staged: Vec<Routed<u64>> = (0..7).map(|i| (v(i), v(0), u64::from(i))).collect();
@@ -673,9 +825,8 @@ mod tests {
         assert!(staged.is_empty());
         // 7 staged at cap 3: two full batches ship, one message remains.
         assert_eq!(full.iter().map(Vec::len).collect::<Vec<_>>(), vec![3, 3]);
-        assert_eq!(o.pending_from(0), 1);
-        assert_eq!(o.take(0, 1).len(), 1);
-        assert_eq!(o.pending_from(0), 0);
+        assert_eq!(o.take(0, 1), vec![(v(6), v(0), 6)]);
+        assert!(o.take(0, 1).is_empty());
     }
 
     #[test]
@@ -683,7 +834,8 @@ mod tests {
         let o = OutboundBuffers::new(2);
         let mut staged: Vec<Routed<u64>> = vec![(v(1), v(0), 1)];
         assert!(o.push_batch(0, 1, &mut staged, usize::MAX).is_empty());
-        assert_eq!(o.pending_from(0), 1);
+        assert!(o.take(1, 0).is_empty(), "buffers are per direction");
+        assert_eq!(o.take(0, 1).len(), 1);
     }
 
     #[test]
@@ -698,7 +850,7 @@ mod tests {
         assert_eq!(n, 1);
         let (grew, _) = st.stage(1, (v(8), v(2), 5), Some(&c));
         assert!(grew);
-        assert_eq!(st.staged_for(1), 2);
+        assert_eq!(st.total_staged(), 2);
         assert_eq!(st.total_staged(), 2);
         let run = st.take_run(1);
         assert_eq!(run.as_slice(), &[(v(7), v(1), 3), (v(8), v(2), 5)]);
@@ -706,7 +858,101 @@ mod tests {
         // After a flush the index is reset: the same vertex stages afresh.
         let (grew, _) = st.stage(1, (v(7), v(3), 9), Some(&c));
         assert!(grew);
-        assert_eq!(st.staged_for(1), 1);
+        assert_eq!(st.total_staged(), 1);
+    }
+
+    /// The first `n` vertex ids (from 1) whose home bucket in a table of
+    /// `len` is `v(0)`'s.
+    fn colliding_with_v0(len: usize, n: usize) -> Vec<VertexId> {
+        let home = RunIndex::home(v(0), len);
+        let same = (1..).map(v).filter(|&k| RunIndex::home(k, len) == home);
+        same.take(n).collect()
+    }
+
+    #[test]
+    fn staging_index_keeps_colliding_keys_apart() {
+        let c = MinCombiner;
+        let mut st = StagingBuffers::new(1, true);
+        let mut keys = colliding_with_v0(INDEX_MIN_BUCKETS, 9);
+        keys.push(v(0));
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(
+                st.stage(0, (k, v(1), 100 + i as u64), Some(&c)),
+                (true, i + 1)
+            );
+        }
+        // Each merges into its own envelope, wherever probing put it.
+        for (i, &k) in keys.iter().enumerate().rev() {
+            assert_eq!(
+                st.stage(0, (k, v(2), i as u64), Some(&c)),
+                (false, keys.len())
+            );
+        }
+        let want = keys.iter().enumerate().map(|(i, &k)| (k, v(2), i as u64));
+        assert!(st.take_run(0).drain(..).eq(want));
+    }
+
+    #[test]
+    fn staging_index_outgrows_its_first_table() {
+        // Nothing flushes on size (`buffer_cap = usize::MAX`): the run, and
+        // the table with it, grows for as long as the superstep stages.
+        let c = MinCombiner;
+        let mut st = StagingBuffers::new(2, true);
+        let n = 5 * INDEX_MIN_BUCKETS as u32;
+        let key = |i: u32| v(i.wrapping_mul(2_654_435_761) % 10_007);
+        let mut first_seen = Vec::new();
+        for round in 0..3u64 {
+            for i in 0..n {
+                let (grew, staged) = st.stage(1, (key(i), v(i), 10 - round), Some(&c));
+                assert_eq!(
+                    grew,
+                    !first_seen.contains(&key(i)),
+                    "round {round} send {i}"
+                );
+                if grew {
+                    first_seen.push(key(i));
+                }
+                assert_eq!(staged, first_seen.len());
+            }
+        }
+        assert!(
+            first_seen.len() > INDEX_MIN_BUCKETS,
+            "the table had to grow"
+        );
+        // Flush order is first-staged order; every envelope kept the
+        // minimum and the last sender.
+        let run = st.take_run(1);
+        assert!(run.iter().map(|r| r.0).eq(first_seen.iter().copied()));
+        assert!(run.iter().all(|r| r.2 == 8));
+        let last_sender = |k| (0..n).rev().find(|&i| key(i) == k).map(v);
+        assert!(run.iter().all(|r| Some(r.1) == last_sender(r.0)));
+    }
+
+    #[test]
+    fn staging_index_forgets_a_flushed_run_even_across_an_epoch_wrap() {
+        let c = MinCombiner;
+        let mut st = StagingBuffers::new(1, true);
+        let stage_and_flush = |st: &mut StagingBuffers<u64>, keys: &[VertexId]| {
+            for &k in keys {
+                let (grew, _) = st.stage(0, (k, v(9), 5), Some(&c));
+                assert!(grew, "{k:?} resurfaced from an earlier run");
+                assert!(!st.stage(0, (k, v(8), 5), Some(&c)).0);
+            }
+            let run = st.take_run(0);
+            assert!(run.drain(..).eq(keys.iter().map(|&k| (k, v(8), 5))));
+        };
+        // The first run stamps its buckets with the first epoch. 2^32 - 2
+        // flushes later — of runs that never probe those buckets — that
+        // epoch number comes round again, and what the first run left
+        // behind must not answer for the run that gets it.
+        let (early, late) = ([v(1), v(2), v(3)], [v(4), v(5)]);
+        stage_and_flush(&mut st, &early);
+        let first_epoch = 1..st.dests[0].index.epoch;
+        st.dests[0].index.epoch = u32::MAX;
+        stage_and_flush(&mut st, &late);
+        assert!(first_epoch.contains(&st.dests[0].index.epoch), "wrapped");
+        stage_and_flush(&mut st, &early);
+        stage_and_flush(&mut st, &late);
     }
 
     #[test]
@@ -714,7 +960,7 @@ mod tests {
         let mut st = StagingBuffers::new(2, false);
         st.stage(0, (v(1), v(0), 1u64), None);
         st.stage(0, (v(1), v(0), 2), None);
-        assert_eq!(st.staged_for(0), 2);
+        assert_eq!(st.total_staged(), 2);
         assert_eq!(st.take_run(0).len(), 2);
     }
 
@@ -732,7 +978,7 @@ mod tests {
         }
         shipped.extend(o.take(0, 1));
         assert_eq!(st.total_staged(), 0);
-        assert_eq!(o.pending_from(0), 0);
+        assert!(o.take(0, 1).is_empty());
         let mut payloads: Vec<u64> = shipped.iter().map(|r| r.2).collect();
         payloads.sort_unstable();
         assert_eq!(payloads, (0..10).collect::<Vec<_>>());

@@ -322,7 +322,10 @@ impl Partitioner for ExplicitPartitioner {
 #[derive(Clone, Debug)]
 pub struct PartitionMap {
     layout: ClusterLayout,
-    partition_of: Vec<PartitionId>,
+    /// Where each vertex lives: its partition and its index in that
+    /// partition's [`PartitionMap::vertices_in`] — the one table every
+    /// message store is addressed through.
+    slot_of: Vec<(PartitionId, u32)>,
     vertices_in_partition: Vec<Vec<VertexId>>,
     class: Vec<VertexClass>,
     /// Sorted, deduplicated neighbor partitions of each partition
@@ -348,8 +351,12 @@ impl PartitionMap {
         let np = layout.num_partitions() as usize;
 
         let mut vertices_in_partition: Vec<Vec<VertexId>> = vec![Vec::new(); np];
+        let mut slot_of = Vec::with_capacity(partition_of.len());
         for v in g.vertices() {
-            vertices_in_partition[partition_of[v.index()].index()].push(v);
+            let p = partition_of[v.index()];
+            let members = &mut vertices_in_partition[p.index()];
+            slot_of.push((p, members.len() as u32));
+            members.push(v);
         }
 
         // One pass over both adjacency runs, no scratch per vertex or per
@@ -393,7 +400,7 @@ impl PartitionMap {
 
         Self {
             layout,
-            partition_of,
+            slot_of,
             vertices_in_partition,
             class,
             partition_neighbors,
@@ -409,7 +416,15 @@ impl PartitionMap {
     /// Partition that owns vertex `v`.
     #[inline]
     pub fn partition_of(&self, v: VertexId) -> PartitionId {
-        self.partition_of[v.index()]
+        self.slot_of[v.index()].0
+    }
+
+    /// Partition that owns vertex `v` and `v`'s index in it:
+    /// `vertices_in(p)[local] == v`. One lookup finds a vertex's message
+    /// slot in any host's per-partition store.
+    #[inline]
+    pub fn slot_of(&self, v: VertexId) -> (PartitionId, u32) {
+        self.slot_of[v.index()]
     }
 
     /// Worker that owns vertex `v`.
@@ -638,6 +653,50 @@ mod tests {
         assert_eq!(pm.vertices_in(p(1)), &[v(1)]);
         assert_eq!(pm.vertices_in(p(2)), &[v(3), v(5)]);
         assert_eq!(pm.vertices_in(p(3)), &[v(4), v(6)]);
+    }
+
+    #[test]
+    fn slot_of_inverts_vertices_in() {
+        // `vertices_in(p)[local] == v` for every vertex, whichever way the
+        // assignment was made — including layouts with empty partitions.
+        let mut rng = crate::SplitMix64::new(0x5107);
+        for case in 0..40 {
+            let n = rng.gen_range(60) as u32;
+            let edges: Vec<(u32, u32)> = (0..rng.gen_index(120))
+                .filter(|_| n > 0)
+                .map(|_| {
+                    let (a, b) = (rng.gen_range(n.into()), rng.gen_range(n.into()));
+                    (a as u32, b as u32)
+                })
+                .collect();
+            let g = Graph::from_edges(n, &edges);
+            let layout =
+                ClusterLayout::new(1 + rng.gen_range(4) as u32, 1 + rng.gen_range(4) as u32);
+            let np = u64::from(layout.num_partitions());
+            // Explicit: random ids drawn from the lower half of the range,
+            // so the upper partitions stay empty.
+            let explicit: Vec<PartitionId> = (0..n)
+                .map(|_| p(rng.gen_range(np.div_ceil(2)) as u32))
+                .collect();
+            let maps = [
+                PartitionMap::build(&g, layout, &HashPartitioner::new(case)),
+                PartitionMap::build(&g, layout, &RangePartitioner),
+                PartitionMap::build(&g, layout, &ExplicitPartitioner(explicit)),
+            ];
+            for pm in &maps {
+                for vtx in g.vertices() {
+                    let (part, local) = pm.slot_of(vtx);
+                    assert_eq!(part, pm.partition_of(vtx), "case {case}");
+                    assert_eq!(pm.vertices_in(part)[local as usize], vtx, "case {case}");
+                }
+                let placed: usize = pm.partition_sizes().iter().sum();
+                assert_eq!(placed, n as usize, "case {case}");
+            }
+            // Fewer vertices than partitions: some partition must be empty.
+            if u64::from(n) < np {
+                assert!(maps[0].partition_sizes().contains(&0));
+            }
+        }
     }
 
     #[test]

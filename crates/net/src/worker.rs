@@ -34,9 +34,11 @@
 //! program's message and fed through its canonical combiner (the one
 //! `Runner` attaches in-process), so a vertex's mail is at most one
 //! envelope when the program has one. A local send inserts the value as it
-//! is; a peer's batch is decoded on the link reader that received it and
-//! inserted under the destination's stripe lock — the compute thread and
-//! the readers share no rank-wide lock, and bytes exist only on the wire.
+//! is, at the slot the cycle's routing lookup already found; a peer's batch
+//! is decoded on the link reader that received it and inserted under one
+//! acquisition of each destination partition's lock — the compute thread
+//! and the readers share no rank-wide lock, and bytes exist only on the
+//! wire.
 //! What a peer sends that this rank cannot take — a vertex it does not own,
 //! a payload that does not decode — is counted in
 //! `sg_worker_rejected_messages_total`, never dropped silently.
@@ -184,61 +186,54 @@ struct Outbound {
 }
 
 /// This rank's incoming messages: the engine's message store, hosted a
-/// second time. One [`PartitionStore`] per owned partition plus the table
-/// that finds a vertex's slot; local sends and link readers insert through
-/// the program's combiner, the compute thread drains and probes, and the
-/// stripe locks inside the stores are all the locking there is.
+/// second time. One [`PartitionStore`] per owned partition, addressed
+/// through the run's [`PartitionMap::slot_of`]; local sends and link
+/// readers insert through the program's combiner, the compute thread drains
+/// and probes, and the lock inside each store is all the locking there is.
 struct Inbox<M> {
-    /// Indexed like `Compute::my_partitions`.
+    /// Indexed like `Compute::my_partitions`: partition `first + k` is
+    /// `stores[k]`.
     stores: Vec<PartitionStore<M>>,
-    /// Vertex -> (index into `stores`, local index in its partition);
-    /// `NOT_OWNED` in the first half for another rank's vertices.
-    locate: Vec<(u32, u32)>,
+    first: PartitionId,
+    pm: Arc<PartitionMap>,
+    num_vertices: usize,
     combiner: Option<Box<dyn Combiner<M>>>,
     /// `sg_worker_rejected_messages_total`.
     rejected: CounterHandle,
 }
 
-const NOT_OWNED: u32 = u32::MAX;
-
 impl<M: WireCodec> Inbox<M> {
-    /// An empty inbox for the rank that owns `my_partitions` of `pm`'s
-    /// `num_vertices` vertices.
+    /// An empty inbox for the rank that owns `my_partitions` — a
+    /// contiguous, ascending run — of `pm`'s `num_vertices` vertices.
     fn new(
         num_vertices: usize,
-        pm: &PartitionMap,
+        pm: &Arc<PartitionMap>,
         my_partitions: &[PartitionId],
         combiner: Option<Box<dyn Combiner<M>>>,
         telemetry: &Telemetry,
     ) -> Self {
-        let mut locate = vec![(NOT_OWNED, 0); num_vertices];
-        for (k, &p) in my_partitions.iter().enumerate() {
-            for (local, v) in pm.vertices_in(p).iter().enumerate() {
-                locate[v.index()] = (k as u32, local as u32);
-            }
-        }
         Inbox {
             stores: my_partitions
                 .iter()
                 .map(|&p| PartitionStore::new(pm.vertices_in(p).len()))
                 .collect(),
-            locate,
+            first: my_partitions[0],
+            pm: Arc::clone(pm),
+            num_vertices,
             combiner,
             rejected: telemetry.counter("sg_worker_rejected_messages_total", &[]),
         }
     }
 
-    /// Queue `msg` for vertex `to`, combining into what is already queued.
-    /// `false` if this rank does not own `to` (peer input may name any id).
-    fn insert(&self, from: VertexId, to: VertexId, msg: M) -> bool {
-        match self.locate.get(to.index()) {
-            Some(&(k, local)) if k != NOT_OWNED => {
-                let combiner = self.combiner.as_deref();
-                self.stores[k as usize].insert(local as usize, from, msg, combiner);
-                true
-            }
-            _ => false,
+    /// `(index into stores, local index)` of vertex `to`; `None` if this
+    /// rank does not own it (peer input may name any id).
+    fn slot(&self, to: VertexId) -> Option<(usize, usize)> {
+        if to.index() >= self.num_vertices {
+            return None;
         }
+        let (p, local) = self.pm.slot_of(to);
+        let k = p.index().checked_sub(self.first.index())?;
+        (k < self.stores.len()).then_some((k, local as usize))
     }
 }
 
@@ -355,14 +350,29 @@ struct InboxHandler<M> {
 
 impl<M: WireCodec> PeerHandler for InboxHandler<M> {
     fn on_batch(&self, _from: u32, batch: BatchView<'_>) {
-        let mut rejected = 0;
+        let inbox = &*self.inbox;
+        // Decode and place every entry, then insert store by store: one
+        // lock acquisition per partition the batch reaches, one store's
+        // lock at a time.
+        let mut entries = Vec::with_capacity(batch.len());
         for (to, from_v, payload) in batch.iter() {
-            let (from, to) = (VertexId::new(from_v), VertexId::new(to));
-            let landed = M::decode(payload).is_some_and(|msg| self.inbox.insert(from, to, msg));
-            rejected += u64::from(!landed);
+            if let (Some(slot), Some(msg)) = (inbox.slot(VertexId::new(to)), M::decode(payload)) {
+                entries.push((slot, VertexId::new(from_v), msg));
+            }
         }
+        let rejected = (batch.len() - entries.len()) as u64;
         if rejected > 0 {
-            self.inbox.rejected.add(rejected);
+            inbox.rejected.add(rejected);
+        }
+        let combiner = inbox.combiner.as_deref();
+        for (k, store) in inbox.stores.iter().enumerate() {
+            let mut locked = None;
+            for ((at, local), from, msg) in &entries {
+                if *at == k {
+                    let locked = locked.get_or_insert_with(|| store.lock());
+                    locked.insert(*local, *from, msg.clone(), combiner);
+                }
+            }
         }
     }
 
@@ -409,15 +419,8 @@ where
     );
     let graph = Graph::from_sorted_csr(spec.num_vertices, offsets, targets)
         .map_err(|e| NetError::Protocol(format!("Setup graph: {e}")))?;
-    let layout = ClusterLayout::new(spec.workers, spec.partitions_per_worker);
-    let pm = Arc::new(PartitionMap::from_assignment(
-        &graph,
-        layout,
-        spec.assignment
-            .iter()
-            .map(|&p| PartitionId::new(p))
-            .collect(),
-    ));
+    let (layout, assignment) = checked_layout(&spec, rank)?;
+    let pm = Arc::new(PartitionMap::from_assignment(&graph, layout, assignment));
     let metrics = Arc::new(Metrics::new());
     // Per-worker live-telemetry registry, attached before the technique
     // replica is built (techniques grab their handles at construction).
@@ -643,6 +646,36 @@ where
     let _ = accept_handle.join();
     let _ = maintenance_handle.join();
     result
+}
+
+/// The cluster shape and vertex assignment a `Setup` names, checked before
+/// anything is built from them: the coordinator is outside this process,
+/// and `ClusterLayout::new` and `PartitionMap::from_assignment` assert
+/// what is checked here.
+fn checked_layout(
+    spec: &RunSpec,
+    rank: u32,
+) -> Result<(ClusterLayout, Vec<PartitionId>), NetError> {
+    let malformed = |what: String| Err(NetError::Protocol(format!("Setup {what}")));
+    let (workers, ppw) = (spec.workers, spec.partitions_per_worker);
+    let Some(partitions) = workers.checked_mul(ppw).filter(|&np| np > 0) else {
+        return malformed(format!("layout: {workers} workers x {ppw} partitions"));
+    };
+    if rank >= workers {
+        return malformed(format!("layout: {workers} workers, this is rank {rank}"));
+    }
+    if spec.assignment.len() != spec.num_vertices as usize {
+        let (have, want) = (spec.assignment.len(), spec.num_vertices);
+        return malformed(format!("assignment: {have} entries for {want} vertices"));
+    }
+    if let Some(v) = spec.assignment.iter().position(|&p| p >= partitions) {
+        let p = spec.assignment[v];
+        return malformed(format!(
+            "assignment: vertex {v} in partition {p} of {partitions}"
+        ));
+    }
+    let assignment = spec.assignment.iter().map(|&p| PartitionId::new(p));
+    Ok((ClusterLayout::new(workers, ppw), assignment.collect()))
 }
 
 /// Control-plane reader loop. `FlushForks` and `RequestTokenRelay` are
@@ -1120,9 +1153,16 @@ where
         vstore.commit(txn);
     }
 
-    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message) {
-        let owned = self.inbox.insert(from, to, msg);
-        debug_assert!(owned, "the cycle routed {to:?} here as local");
+    fn send_local(
+        &mut self,
+        from: VertexId,
+        _to: VertexId,
+        (p, local): (PartitionId, u32),
+        msg: P::Message,
+    ) {
+        let inbox = self.inbox;
+        let k = p.index() - inbox.first.index();
+        inbox.stores[k].insert(local as usize, from, msg, inbox.combiner.as_deref());
     }
 
     /// Stage in wire format; a batch that reaches the cap ships at once.

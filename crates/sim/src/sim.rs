@@ -675,7 +675,13 @@ impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
         self.sim.parts[self.p].set_halted(local, halt);
     }
 
-    fn send_local(&mut self, from: VertexId, to: VertexId, msg: P::Message) {
+    fn send_local(
+        &mut self,
+        from: VertexId,
+        to: VertexId,
+        _slot: (PartitionId, u32),
+        msg: P::Message,
+    ) {
         self.sim.inbox_insert(from, to, msg);
     }
 

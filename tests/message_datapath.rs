@@ -1,5 +1,5 @@
-//! Message-datapath semantics: the lock-striped store and sender-side
-//! combining must be invisible to programs — same delivered multisets,
+//! Message-datapath semantics: the store's layout and locking and
+//! sender-side combining must be invisible to programs — same delivered multisets,
 //! same combined values, same serializability guarantees — under every
 //! technique, thread count, and flush cadence.
 //!
@@ -28,8 +28,9 @@ fn random_undirected(rng: &mut SplitMix64, max_n: u32, max_edges: usize) -> Grap
     b.build()
 }
 
-/// Striped-store stress: concurrent inserts from seeded threads deliver
-/// exactly the same per-slot multiset a sequential reference run does.
+/// Store stress (the name dates from the lock-striped store; the property
+/// does not): concurrent inserts from seeded threads deliver exactly the
+/// same per-slot multiset a sequential reference run does.
 #[test]
 fn striped_store_matches_sequential_reference() {
     const THREADS: usize = 4;
@@ -82,7 +83,7 @@ fn striped_store_matches_sequential_reference() {
 fn concurrent_combining_keeps_one_envelope_per_slot() {
     const THREADS: usize = 4;
     const OPS: u64 = 20_000;
-    let slots = 7usize; // few slots -> heavy same-shard contention
+    let slots = 7usize; // few slots -> every insert meets an occupied one
     let store = PartitionStore::<u64>::new(slots);
     std::thread::scope(|scope| {
         for t in 0..THREADS {

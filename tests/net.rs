@@ -908,49 +908,66 @@ impl PeerHandler for Ignore {
     fn on_request_token(&self, _from: u32) {}
 }
 
+/// Play coordinator to a real `worker_main` rank 1 up to the end of
+/// bring-up: take its `Hello`, send it the puppet's `Setup` — as `edit`
+/// leaves it — and the peer map.
+fn greet(
+    edit: impl FnOnce(&mut RunSpec),
+) -> (
+    CtrlConn,
+    FrameReader,
+    String,
+    Arc<Clock>,
+    std::thread::JoinHandle<Result<(), NetError>>,
+) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let coord_addr = listener.local_addr().expect("addr").to_string();
+    let worker = std::thread::spawn(move || worker_main(&coord_addr, 1));
+    let (stream, _) = listener.accept().expect("worker connects");
+    let clock = Arc::new(Clock::new());
+    let (ctrl, read_half) = CtrlConn::new(stream, Arc::clone(&clock)).expect("ctrl");
+    let mut reader = FrameReader::new(read_half, Arc::clone(&clock));
+    let Some(Message::Hello {
+        rank: 1, data_addr, ..
+    }) = reader.recv().expect("hello")
+    else {
+        panic!("expected rank 1's Hello");
+    };
+    let graph = Graph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
+    let (offsets, targets) = graph.out_csr();
+    let mut spec = RunSpec {
+        num_vertices: 4,
+        offsets: offsets.to_vec(),
+        targets: targets.iter().map(|t| t.raw()).collect(),
+        assignment: vec![0, 1, 1, 1],
+        workers: 2,
+        partitions_per_worker: 1,
+        technique: "none".into(),
+        workload: "wcc".into(),
+        workload_arg: 0,
+        max_supersteps: 100,
+        buffer_cap: 64,
+        record_history: false,
+        trace_capacity: 0,
+        epoch_ns: 0,
+        fault: FaultPlan::default(),
+        telemetry_interval_ms: 0,
+        audit_interval_ms: 0,
+    };
+    edit(&mut spec);
+    let setup = Message::Setup {
+        spec: Box::new(spec),
+    };
+    ctrl.send(&setup).expect("setup");
+    // The lower rank dials, so rank 1 never uses rank 0's address.
+    let peers = vec![(0, "127.0.0.1:1".to_string()), (1, data_addr.clone())];
+    ctrl.send(&Message::PeerMap { peers }).expect("peer map");
+    (ctrl, reader, data_addr, clock, worker)
+}
+
 impl Puppet {
     fn join() -> Puppet {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
-        let coord_addr = listener.local_addr().expect("addr").to_string();
-        let worker = std::thread::spawn(move || worker_main(&coord_addr, 1));
-        let (stream, _) = listener.accept().expect("worker connects");
-        let clock = Arc::new(Clock::new());
-        let (ctrl, read_half) = CtrlConn::new(stream, Arc::clone(&clock)).expect("ctrl");
-        let mut reader = FrameReader::new(read_half, Arc::clone(&clock));
-        let Some(Message::Hello {
-            rank: 1, data_addr, ..
-        }) = reader.recv().expect("hello")
-        else {
-            panic!("expected rank 1's Hello");
-        };
-        let graph = Graph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
-        let (offsets, targets) = graph.out_csr();
-        let spec = RunSpec {
-            num_vertices: 4,
-            offsets: offsets.to_vec(),
-            targets: targets.iter().map(|t| t.raw()).collect(),
-            assignment: vec![0, 1, 1, 1],
-            workers: 2,
-            partitions_per_worker: 1,
-            technique: "none".into(),
-            workload: "wcc".into(),
-            workload_arg: 0,
-            max_supersteps: 100,
-            buffer_cap: 64,
-            record_history: false,
-            trace_capacity: 0,
-            epoch_ns: 0,
-            fault: FaultPlan::default(),
-            telemetry_interval_ms: 0,
-            audit_interval_ms: 0,
-        };
-        let setup = Message::Setup {
-            spec: Box::new(spec),
-        };
-        ctrl.send(&setup).expect("setup");
-        // The lower rank dials, so rank 1 never uses rank 0's address.
-        let peers = vec![(0, "127.0.0.1:1".to_string()), (1, data_addr.clone())];
-        ctrl.send(&Message::PeerMap { peers }).expect("peer map");
+        let (ctrl, reader, data_addr, clock, worker) = greet(|_| {});
         let fault = Arc::new(FaultInjector::none());
         let link = PeerLink::new(0, 1, data_addr, clock, fault, Arc::new(Ignore), None);
         // The worker's accept thread starts after it has built its graph.
@@ -1086,6 +1103,33 @@ fn a_combined_inbox_votes_its_envelopes_and_reaches_quiescence() {
     let (labels, rejected) = rank1.halt();
     assert_eq!(labels, [(1, 1), (2, 1), (3, 1)]);
     assert_eq!(rejected, 0);
+}
+
+#[test]
+fn a_malformed_setup_is_a_protocol_error_not_a_panic() {
+    // What `ClusterLayout::new` and `PartitionMap::from_assignment` assert,
+    // a rank checks first: its coordinator is another process.
+    type Edit = fn(&mut RunSpec);
+    let cases: [(&str, Edit); 5] = [
+        ("assignment: 3 entries for 4", |s| s.assignment.truncate(3)),
+        ("assignment: vertex 2 in partition 2 of 2", |s| {
+            s.assignment[2] = 2
+        }),
+        ("layout: 0 workers", |s| s.workers = 0),
+        ("layout: 2 workers x 0", |s| s.partitions_per_worker = 0),
+        ("layout: 65536 workers x 65536", |s| {
+            (s.workers, s.partitions_per_worker) = (1 << 16, 1 << 16)
+        }),
+    ];
+    for (want, edit) in cases {
+        let (_ctrl, _reader, _, _, worker) = greet(edit);
+        match worker.join().expect("the rank must not panic") {
+            Err(NetError::Protocol(why)) => {
+                assert!(why.starts_with("Setup ") && why.contains(want), "{why}");
+            }
+            other => panic!("{want}: expected a protocol error, got {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
