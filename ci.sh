@@ -23,7 +23,11 @@ echo "== a fork costs what a fork costs: flat fork table, counters batched per p
 if sed '/^#\[cfg(test)\]/,$d' crates/sync/src/chandy_misra.rs | grep -nE 'Vec<Vec<|metrics\.inc\('; then exit 1; fi
 if grep -n 'granularity() == LockGranularity::None' crates/engine/src/engine.rs; then exit 1; fi
 
-echo "== one message store, two hosts: no mailbox or rank-wide inbox lock in sg-net, no per-vertex neighbour Vec in the partition map =="
+echo "== one fork table; one message store, three hosts: Proposition 1 and sg-gas on ForkTable, no mailbox of its own in sg-net or sg-sim, no per-vertex neighbour Vec in the partition map =="
+if sed '/^#\[cfg(test)\]/,$d' crates/sync/src/bsp_lock.rs | grep -nE 'struct PairState|Mutex<Vec<'; then exit 1; fi
+if grep -rn --include='*.rs' 'ForkTable::new(' crates src tests examples perf | grep -v '^crates/sync/'; then exit 1; fi
+if for f in crates/sync/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f"; done | grep -n 'ForkTable::new('; then exit 1; fi
+if grep -rn 'Vec<Vec<P::Message>>' crates/sim/src; then exit 1; fi
 if grep -rnE 'struct PayloadQueue|inbox\.lock\(\)' crates/net/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/graph/src/partition.rs | grep -n '\.neighbors('; then exit 1; fi
 

@@ -34,7 +34,9 @@ pub struct EngineConfig {
     pub threads_per_worker: u32,
     /// Computation model.
     pub model: Model,
-    /// Synchronization technique (requires [`Model::Async`] unless `None`).
+    /// Synchronization technique. [`Model::Bsp`] takes only `None` and
+    /// `BspVertexLock` (Proposition 1), which in turn requires it; every
+    /// other technique requires [`Model::Async`].
     pub technique: TechniqueKind,
     /// Hard cap on supersteps; exceeded means `converged = false`.
     pub max_supersteps: u64,

@@ -10,7 +10,7 @@ use sg_metrics::{
     TraceEventKind, Watchdog, WorkerTimers,
 };
 use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
-use sg_sync::{ForkTable, SyncTransport};
+use sg_sync::{SyncTransport, Synchronizer, VertexLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -127,7 +127,9 @@ struct Core<P: GasProgram> {
     executions: AtomicU64,
     stop: AtomicBool,
     live_failed: AtomicBool,
-    forks: Option<ForkTable>,
+    /// Serializable mode's lock: every vertex a philosopher, this core its
+    /// transport.
+    lock: Option<VertexLock>,
     /// Buffered mirror-update counts per (from, to) machine pair
     /// (serializable mode batches them until a fork handover).
     pending_updates: Vec<Vec<AtomicU64>>,
@@ -234,17 +236,9 @@ impl<P: GasProgram> AsyncGasEngine<P> {
             .collect();
 
         let metrics = Arc::new(Metrics::new());
-        let forks = self.config.serializable.then(|| {
-            let owner: Vec<WorkerId> = machine_of.iter().map(|&m| WorkerId::new(m)).collect();
-            let mut edges = Vec::new();
-            for v in g.vertices() {
-                for u in g.neighbors(v) {
-                    if u.raw() > v.raw() {
-                        edges.push((v.raw(), u.raw()));
-                    }
-                }
-            }
-            ForkTable::new(owner, &edges, Arc::clone(&metrics))
+        let lock = self.config.serializable.then(|| {
+            let owner = machine_of.iter().map(|&m| WorkerId::new(m)).collect();
+            VertexLock::new_all_vertices(g, owner, Arc::clone(&metrics))
         });
 
         let recorder = self
@@ -279,7 +273,7 @@ impl<P: GasProgram> AsyncGasEngine<P> {
             executions: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             live_failed: AtomicBool::new(false),
-            forks,
+            lock,
             pending_updates: (0..machines)
                 .map(|_| (0..machines).map(|_| AtomicU64::new(0)).collect())
                 .collect(),
@@ -463,8 +457,8 @@ impl<P: GasProgram> Core<P> {
     /// One full Gather–Apply–Scatter execution of `v`.
     fn execute(&self, machine: usize, v: VertexId, fiber_clock: &mut u64) {
         let g = &self.graph;
-        if let Some(forks) = &self.forks {
-            let ready = forks.acquire(v.raw(), self);
+        if let Some(lock) = &self.lock {
+            let ready = lock.acquire_unit(v.raw(), self);
             let wait = ready.saturating_sub(*fiber_clock);
             if wait > 0 {
                 if let Some(t) = &self.timers {
@@ -514,7 +508,7 @@ impl<P: GasProgram> Core<P> {
             for &dest in &self.mirrors[v.index()] {
                 self.metrics.inc(Counter::RemoteMessages);
                 sent += 1;
-                if self.forks.is_some() {
+                if self.lock.is_some() {
                     // Serializable mode batches updates until a fork hop.
                     self.pending_updates[machine][dest as usize].fetch_add(1, Ordering::SeqCst);
                 } else {
@@ -584,8 +578,8 @@ impl<P: GasProgram> Core<P> {
                 sent,
             );
         }
-        if let Some(forks) = &self.forks {
-            forks.release(v.raw(), *fiber_clock, self);
+        if let Some(lock) = &self.lock {
+            lock.release_unit(v.raw(), *fiber_clock, self);
         }
         self.clocks.observe(machine, *fiber_clock);
     }

@@ -20,6 +20,10 @@
 //!   acquires Chandy–Misra forks on **all** its edges (the paper's
 //!   vertex-based distributed locking over the full `O(|E|)` fork set),
 //!   with mirror updates flushed before any fork crosses machines (C1).
+//!   That lock is `sg-sync`'s own `VertexLock::new_all_vertices`, driven
+//!   through the `Synchronizer` trait like every other host's technique —
+//!   the engine is its `SyncTransport` — so GraphLab's fork table is the
+//!   one the Pregel engines run.
 //!
 //! Communication accounting mirrors GraphLab's write-all mirror updates:
 //! each applied change pushes one update per remote mirror machine;

@@ -18,6 +18,8 @@
 //! protocol call that made it returns.
 //!
 //! Fidelity notes (what the simulator's IO half shares with `sg-engine`):
+//! * inboxes are the engine's own [`PartitionStore`]s, one per partition,
+//!   fed through the program's combiner;
 //! * local messages are visible immediately (AP model); remote messages
 //!   stage in the engine's own [`StagingBuffers`], one per worker, combine
 //!   sender-side, and flush as batches when `buffer_cap` accumulate;
@@ -33,7 +35,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::net::NetModel;
 use sg_engine::cycle::{charge_lock_wait, charge_virtual};
 use sg_engine::state::{gather_values, PartitionData};
-use sg_engine::store::{Routed, StagingBuffers};
+use sg_engine::store::{Envelope, PartitionStore, Routed, StagingBuffers};
 use sg_engine::{
     build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Host,
     Model, Outcome, TechniqueKind, VertexProgram,
@@ -110,7 +112,6 @@ struct Lane {
 
 /// A batch in flight between two workers.
 struct Batch<M> {
-    from: u32,
     to: u32,
     arrival: u64,
     entries: Vec<Routed<M>>,
@@ -133,9 +134,10 @@ struct Sim<'a, P: VertexProgram> {
 
     /// Values and halt votes, per partition.
     parts: Vec<PartitionData<P::Value>>,
-    /// Per-vertex mailboxes, and how many messages each partition's hold.
-    inbox: Vec<Vec<P::Message>>,
-    queued: Vec<usize>,
+    /// Incoming messages, per partition: the engine's own store.
+    stores: Vec<PartitionStore<P::Message>>,
+    /// Scratch for one vertex's drained envelopes.
+    envelopes: Vec<Envelope<P::Message>>,
 
     workers: u32,
     ppw: u32,
@@ -153,7 +155,11 @@ struct Sim<'a, P: VertexProgram> {
     /// what is dirty, not a workers × workers table).
     staging: Vec<StagingBuffers<P::Message>>,
     dirty: Vec<Vec<u32>>,
+    /// Every batch put on the wire, by id; `None` once applied.
     batches: Vec<Option<Batch<P::Message>>>,
+    /// Per sender, the ids of its batches possibly still on the wire,
+    /// ascending: what its next fork handover must apply first.
+    in_flight: Vec<Vec<u32>>,
     queue: EventQueue,
 
     digest: u64,
@@ -250,9 +256,11 @@ pub fn simulate<P: VertexProgram>(
         aggs: &aggs,
         buffer_cap: config.buffer_cap,
         superstep: 0,
-        queued: vec![0; parts.len()],
+        stores: (parts.iter())
+            .map(|part| PartitionStore::new(part.vertices.len()))
+            .collect(),
         parts,
-        inbox: (0..n).map(|_| Vec::new()).collect(),
+        envelopes: Vec::new(),
         workers,
         ppw,
         lanes_per_worker,
@@ -264,6 +272,7 @@ pub fn simulate<P: VertexProgram>(
             .collect(),
         dirty: vec![Vec::new(); workers as usize],
         batches: Vec::new(),
+        in_flight: vec![Vec::new(); workers as usize],
         queue: EventQueue::new(),
         digest: FNV_OFFSET,
         events: 0,
@@ -336,7 +345,7 @@ impl<P: VertexProgram> Sim<'_, P> {
             executed += 1;
             let s = self.superstep;
             let active: usize = self.parts.iter().map(PartitionData::active_count).sum();
-            let pending: usize = self.queued.iter().sum();
+            let pending: usize = self.stores.iter().map(PartitionStore::total).sum();
             if self.program.master_halt(s, &self.aggs.view()) || (active == 0 && pending == 0) {
                 converged = true;
                 makespan = frontier;
@@ -362,6 +371,8 @@ impl<P: VertexProgram> Sim<'_, P> {
             let w = li / self.lanes_per_worker as usize;
             self.floor[w] = self.floor[w].max(lane.clock);
         }
+        // The event queue has drained: nothing is on the wire any more.
+        self.in_flight.iter_mut().for_each(Vec::clear);
         // Deliver everything still staged (write-all at the barrier).
         for from in 0..self.workers {
             self.write_all_from(from);
@@ -407,14 +418,14 @@ impl<P: VertexProgram> Sim<'_, P> {
                 }
                 self.claim[w as usize] += 1;
                 let p = (w * self.ppw + k) as usize;
-                let has_work = self.queued[p] > 0 || self.parts[p].any_active();
+                let has_work = self.stores[p].total() > 0 || self.parts[p].any_active();
                 let p = PartitionId::new(p as u32);
                 self.lanes[li].walk = Some(PartitionWalk::new(p, &*self.sync, has_work));
                 continue;
             };
             let p = walk.partition().index();
-            let (part, inbox) = (&self.parts[p], &self.inbox);
-            let awake = |i, v: VertexId| !part.halted(i) || !inbox[v.index()].is_empty();
+            let (part, store) = (&self.parts[p], &self.stores[p]);
+            let awake = |local, _| !part.halted(local) || store.has_messages(local);
             match walk.next(&*self.sync, s, self.pm.vertices_in(walk.partition()), awake) {
                 Step::Done => self.lanes[li].walk = None,
                 Step::Acquire(unit) => {
@@ -475,20 +486,16 @@ impl<P: VertexProgram> Sim<'_, P> {
         }
     }
 
-    /// Insert into a vertex's inbox, applying the combiner (at most one
-    /// queued message per vertex when combining — engine semantics).
-    fn inbox_insert(&mut self, sender: VertexId, to: VertexId, msg: P::Message) {
-        let slot = &mut self.inbox[to.index()];
-        match self.combiner {
-            Some(c) if !slot.is_empty() => {
-                let old = slot.pop().expect("non-empty");
-                slot.push(c.combine(old, msg));
-            }
-            _ => {
-                slot.push(msg);
-                self.queued[self.pm.partition_of(to).index()] += 1;
-            }
-        }
+    /// Queue a message in `to`'s slot `(p, local)` of the partition stores,
+    /// through the combiner when the run has one.
+    fn deliver(
+        &mut self,
+        sender: VertexId,
+        to: VertexId,
+        (p, local): (PartitionId, u32),
+        msg: P::Message,
+    ) {
+        self.stores[p.index()].insert(local as usize, sender, msg, self.combiner);
         if let Some(r) = &self.recorder {
             r.on_visible(sender, to);
         }
@@ -521,7 +528,6 @@ impl<P: VertexProgram> Sim<'_, P> {
             to,
         );
         let batch = Batch {
-            from,
             to,
             arrival: send_t + lat,
             entries,
@@ -529,12 +535,10 @@ impl<P: VertexProgram> Sim<'_, P> {
         if write_all {
             self.apply(batch);
         } else {
-            self.queue.push(
-                batch.arrival,
-                EventKind::Deliver {
-                    batch: self.batches.len() as u32,
-                },
-            );
+            let id = self.batches.len() as u32;
+            self.queue
+                .push(batch.arrival, EventKind::Deliver { batch: id });
+            self.in_flight[from as usize].push(id);
             self.batches.push(Some(batch));
         }
     }
@@ -553,8 +557,9 @@ impl<P: VertexProgram> Sim<'_, P> {
     /// Join the receiver's clock with the batch's arrival and deliver it.
     fn apply(&mut self, b: Batch<P::Message>) {
         self.floor[b.to as usize] = self.floor[b.to as usize].max(b.arrival);
-        for (to_v, sender, m) in b.entries {
-            self.inbox_insert(sender, to_v, m);
+        for (to, sender, m) in b.entries {
+            let slot = self.pm.slot_of(to);
+            self.deliver(sender, to, slot, m);
         }
     }
 
@@ -567,16 +572,11 @@ impl<P: VertexProgram> Sim<'_, P> {
     }
 
     /// Write-all for worker `from`: apply every in-flight batch it has on
-    /// the wire (the engine's in-flight fence) before a fork handover.
+    /// the wire (the engine's in-flight fence) before a fork handover, in
+    /// the order it sent them.
     fn apply_in_flight_from(&mut self, from: u32) {
-        for id in 0..self.batches.len() {
-            if self.batches[id]
-                .as_ref()
-                .map(|b| b.from == from)
-                .unwrap_or(false)
-            {
-                self.apply_batch(id);
-            }
+        for id in std::mem::take(&mut self.in_flight[from as usize]) {
+            self.apply_batch(id as usize);
         }
     }
 
@@ -662,9 +662,10 @@ struct LaneHost<'s, 'a, P: VertexProgram> {
 }
 
 impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
-    fn drain(&mut self, _local: usize, v: VertexId, into: &mut Vec<P::Message>) {
-        into.append(&mut self.sim.inbox[v.index()]);
-        self.sim.queued[self.p] -= into.len();
+    fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
+        let sim = &mut *self.sim;
+        sim.stores[self.p].drain_into(local, &mut sim.envelopes);
+        into.extend(sim.envelopes.drain(..).map(|(_, m)| m));
     }
 
     fn value_mut(&mut self, local: usize, _v: VertexId) -> &mut P::Value {
@@ -679,10 +680,10 @@ impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
         &mut self,
         from: VertexId,
         to: VertexId,
-        _slot: (PartitionId, u32),
+        slot: (PartitionId, u32),
         msg: P::Message,
     ) {
-        self.sim.inbox_insert(from, to, msg);
+        self.sim.deliver(from, to, slot, msg);
     }
 
     /// Stage, combining sender-side; flush as a wire batch when the staged

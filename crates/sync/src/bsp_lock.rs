@@ -28,130 +28,47 @@
 //! dirty forks are always surrendered to requesters at the barrier, and the
 //! initial precedence order (by id) is acyclic.
 
-use crate::chandy_misra::ForkSnapshot;
-use crate::technique::{LockGranularity, Synchronizer};
+use crate::chandy_misra::{ForkSnapshot, ForkTable};
+use crate::technique::{vertex_forks, LockGranularity, Synchronizer};
 use crate::transport::SyncTransport;
-use sg_graph::{Graph, PartitionMap, VertexId, WorkerId};
-use sg_metrics::{Counter, Metrics};
+use sg_graph::{Graph, PartitionMap, VertexId};
+use sg_metrics::Metrics;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
-
-#[derive(Clone, Copy, Debug)]
-struct PairState {
-    a: u32,
-    b: u32,
-    fork_at_a: bool,
-    dirty: bool,
-    token_at_a: bool,
-}
-
-impl PairState {
-    #[inline]
-    fn fork_at(&self, p: u32) -> bool {
-        (p == self.a) == self.fork_at_a
-    }
-    #[inline]
-    fn token_at(&self, p: u32) -> bool {
-        (p == self.a) == self.token_at_a
-    }
-    #[inline]
-    fn other(&self, p: u32) -> u32 {
-        if p == self.a {
-            self.b
-        } else {
-            self.a
-        }
-    }
-}
 
 /// Vertex-based locking with barrier-synchronized fork exchange
 /// (Proposition 1). Pair with [`sg-engine`]'s BSP model.
 ///
 /// [`sg-engine`]: ../../sg_engine/index.html
 pub struct BspVertexLock {
-    /// Pair states; immutable during a superstep, rewritten at barriers.
-    pairs: Mutex<Vec<PairState>>,
-    /// adjacency: vertex -> [(pair index)]
-    adj: Vec<Vec<u32>>,
-    owner: Vec<WorkerId>,
+    /// Every vertex is a philosopher. Nobody eats through the table: it
+    /// is read during a superstep and rewritten only at barriers, by
+    /// [`ForkTable::exchange_at_barrier`].
+    table: ForkTable,
     /// Vertices that executed this superstep (their forks dirty at the
     /// barrier).
     ate: Vec<AtomicBool>,
     /// Vertices that wanted to execute but lacked forks (they request at
     /// the barrier).
     hungry: Vec<AtomicBool>,
-    metrics: Arc<Metrics>,
 }
 
 impl BspVertexLock {
     /// Build over the whole graph: every vertex is a philosopher, every
     /// undirected edge carries a fork (Proposition 1 condition (i)).
     pub fn new(g: &Graph, pm: &PartitionMap, metrics: Arc<Metrics>) -> Self {
-        let n = g.num_vertices() as usize;
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut pairs = Vec::new();
-        for v in g.vertices() {
-            for u in g.neighbors(v) {
-                if u.raw() > v.raw() {
-                    let idx = pairs.len() as u32;
-                    pairs.push(PairState {
-                        a: v.raw(),
-                        b: u.raw(),
-                        // Same initialization as the async table: dirty
-                        // fork to the larger id, token to the smaller.
-                        fork_at_a: false,
-                        dirty: true,
-                        token_at_a: true,
-                    });
-                    adj[v.index()].push(idx);
-                    adj[u.index()].push(idx);
-                }
-            }
-        }
+        let owner = g.vertices().map(|v| pm.worker_of(v)).collect();
+        let marks = || g.vertices().map(|_| AtomicBool::new(false)).collect();
         Self {
-            pairs: Mutex::new(pairs),
-            adj,
-            owner: g.vertices().map(|v| pm.worker_of(v)).collect(),
-            ate: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            hungry: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            metrics,
+            table: vertex_forks(g, owner, metrics, |_, _| true),
+            ate: marks(),
+            hungry: marks(),
         }
     }
 
     /// Number of forks (= undirected edges).
     pub fn num_forks(&self) -> usize {
-        self.pairs.lock().unwrap().len()
-    }
-
-    /// Does `v` currently hold every fork it shares?
-    fn holds_all(&self, pairs: &[PairState], v: u32) -> bool {
-        self.adj[v as usize]
-            .iter()
-            .all(|&i| pairs[i as usize].fork_at(v))
-    }
-
-    /// Section 6.4 checkpoint: fork/token placement at a barrier.
-    fn snapshot(&self) -> ForkSnapshot {
-        ForkSnapshot::from_tuples(
-            self.pairs
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|p| (p.fork_at_a, p.dirty, p.token_at_a, 0))
-                .collect(),
-        )
-    }
-
-    fn restore_snapshot(&self, snapshot: &ForkSnapshot) {
-        let mut pairs = self.pairs.lock().unwrap();
-        let tuples = snapshot.tuples();
-        assert_eq!(pairs.len(), tuples.len(), "snapshot shape mismatch");
-        for (pair, &(fork_at_a, dirty, token_at_a, _)) in pairs.iter_mut().zip(tuples) {
-            pair.fork_at_a = fork_at_a;
-            pair.dirty = dirty;
-            pair.token_at_a = token_at_a;
-        }
+        self.table.num_forks()
     }
 }
 
@@ -167,74 +84,27 @@ impl Synchronizer for BspVertexLock {
     }
 
     fn vertex_allowed(&self, _superstep: u64, v: VertexId) -> bool {
-        let pairs = self.pairs.lock().unwrap();
-        if self.holds_all(&pairs, v.raw()) {
-            self.ate[v.index()].store(true, Ordering::SeqCst);
-            true
-        } else {
-            self.hungry[v.index()].store(true, Ordering::SeqCst);
-            false
-        }
+        let allowed = self.table.holds_all_forks(v.raw());
+        let mark = if allowed { &self.ate } else { &self.hungry };
+        mark[v.index()].store(true, Ordering::SeqCst);
+        allowed
     }
 
     fn end_superstep(&self, _superstep: u64, transport: &dyn SyncTransport) {
-        let mut pairs = self.pairs.lock().unwrap();
-        // (1) Eating dirties forks.
-        for (v, ate) in self.ate.iter().enumerate() {
-            if ate.swap(false, Ordering::SeqCst) {
-                for &i in &self.adj[v] {
-                    pairs[i as usize].dirty = true;
-                }
-            }
-        }
-        // (2) Hungry vertices lodge requests: the pair's token moves to the
-        // fork holder's side.
-        for (v, hungry) in self.hungry.iter().enumerate() {
-            if hungry.swap(false, Ordering::SeqCst) {
-                let v = v as u32;
-                for &i in &self.adj[v as usize] {
-                    let pair = &mut pairs[i as usize];
-                    if !pair.fork_at(v) && pair.token_at(v) {
-                        let holder = pair.other(v);
-                        pair.token_at_a = holder == pair.a;
-                        self.metrics.inc(Counter::RequestTokens);
-                        let (fw, tw) = (self.owner[v as usize], self.owner[holder as usize]);
-                        if fw != tw {
-                            self.metrics.inc(Counter::RequestTokensRemote);
-                            transport.request(fw, tw);
-                        }
-                    }
-                }
-            }
-        }
-        // (3) Hygiene at the barrier: every *dirty* fork with a pending
-        // request (fork and token on the same side) is surrendered,
-        // cleaned. Clean requested forks stay — their holder has priority
-        // and will execute first.
-        for pair in pairs.iter_mut() {
-            let holder = if pair.fork_at_a { pair.a } else { pair.b };
-            if pair.dirty && pair.token_at(holder) {
-                let to = pair.other(holder);
-                pair.fork_at_a = to == pair.a;
-                pair.dirty = false;
-                self.metrics.inc(Counter::ForkTransfers);
-                let (fw, tw) = (self.owner[holder as usize], self.owner[to as usize]);
-                if fw != tw {
-                    self.metrics.inc(Counter::ForkTransfersRemote);
-                    // BSP flushes everything at the barrier anyway; the
-                    // callback keeps the C1 write-all invariant explicit.
-                    transport.transfer(fw, tw, Some(to));
-                }
-            }
-        }
+        let take = |marks: &[AtomicBool], p: u32| marks[p as usize].swap(false, Ordering::SeqCst);
+        self.table.exchange_at_barrier(
+            |p| take(&self.ate, p),
+            |p| take(&self.hungry, p),
+            transport,
+        );
     }
 
     fn checkpoint(&self) -> Option<ForkSnapshot> {
-        Some(self.snapshot())
+        Some(self.table.snapshot())
     }
 
     fn restore(&self, snapshot: &ForkSnapshot) {
-        self.restore_snapshot(snapshot);
+        self.table.restore(snapshot);
     }
 }
 
@@ -255,9 +125,9 @@ mod tests {
     }
 
     /// Drive the synchronous protocol: in each round, collect the allowed
-    /// set, assert it is independent (C2), and exchange at the barrier.
-    /// Every vertex must get a turn within a bounded number of rounds
-    /// (liveness).
+    /// set, assert it is independent (C2), exchange at the barrier and
+    /// check the table's invariants. Every vertex must get a turn within a
+    /// bounded number of rounds (liveness).
     fn drive(g: &Graph, workers: u32, rounds: usize) -> Vec<usize> {
         let lock = build(g, workers);
         let mut turns = vec![0usize; g.num_vertices() as usize];
@@ -279,6 +149,7 @@ mod tests {
                 turns[v.index()] += 1;
             }
             lock.end_superstep(s as u64, &NoopTransport);
+            lock.table.check_invariants();
         }
         turns
     }
@@ -335,11 +206,10 @@ mod tests {
                 let _ = lock.vertex_allowed(s, v);
             }
             lock.end_superstep(s, &NoopTransport);
+            lock.table.check_invariants();
         }
         let snap = metrics.snapshot();
         assert!(snap.request_tokens > 0);
         assert!(snap.fork_transfers > 0);
     }
-
-    use sg_graph::Graph;
 }

@@ -149,56 +149,11 @@ pub struct ForkTable {
 
 impl ForkTable {
     /// Build a table for philosophers `0..owner.len()`, where `owner[p]` is
-    /// the worker machine hosting philosopher `p`, and `edges` lists the
-    /// conflicting pairs (duplicates and self-pairs are ignored).
-    pub fn new(owner: Vec<WorkerId>, edges: &[(PhilId, PhilId)], metrics: Arc<Metrics>) -> Self {
-        // Bucket each pair's higher endpoint under its lower one, then put
-        // every (short) bucket in order; repeats end up adjacent.
-        let n = owner.len();
-        assert!(edges.len() <= u32::MAX as usize, "too many pairs");
-        let mut starts = vec![0u32; n + 1];
-        for &(x, y) in edges {
-            assert!(
-                (x.max(y) as usize) < n,
-                "philosopher {} out of range",
-                x.max(y)
-            );
-            if x != y {
-                starts[x.min(y) as usize + 1] += 1;
-            }
-        }
-        for p in 0..n {
-            starts[p + 1] += starts[p];
-        }
-        let mut higher = vec![0 as PhilId; starts[n] as usize];
-        let mut cursor = starts.clone();
-        for &(x, y) in edges {
-            if x != y {
-                let slot = &mut cursor[x.min(y) as usize];
-                higher[*slot as usize] = x.max(y);
-                *slot += 1;
-            }
-        }
-        for p in 0..n {
-            higher[starts[p] as usize..starts[p + 1] as usize].sort_unstable();
-        }
-        Self::from_sorted_pairs(owner, metrics, |emit| {
-            for a in 0..n {
-                let bucket = &higher[starts[a] as usize..starts[a + 1] as usize];
-                for (k, &b) in bucket.iter().enumerate() {
-                    if k == 0 || bucket[k - 1] != b {
-                        emit(a as PhilId, b);
-                    }
-                }
-            }
-        })
-    }
-
-    /// As [`ForkTable::new`], for a caller that can enumerate its
-    /// conflicting pairs in order: `pairs` calls its argument once per pair
-    /// `(a, b)`, `a < b`, in ascending `(a, b)` order without repeats. It
-    /// runs twice — once to size the adjacency, once to fill it in place —
-    /// and must enumerate the same pairs both times.
+    /// the worker machine hosting philosopher `p`. `pairs` enumerates the
+    /// conflicting pairs: it calls its argument once per pair `(a, b)`,
+    /// `a < b`, in ascending `(a, b)` order without repeats. It runs twice
+    /// — once to size the adjacency, once to fill it in place — and must
+    /// enumerate the same pairs both times.
     pub(crate) fn from_sorted_pairs(
         owner: Vec<WorkerId>,
         metrics: Arc<Metrics>,
@@ -506,13 +461,88 @@ impl ForkTable {
         self.count(moves);
     }
 
+    /// Does `p` hold every fork it shares? Proposition 1's eligibility test:
+    /// under it nobody eats through [`ForkTable::acquire`], forks move only
+    /// in [`ForkTable::exchange_at_barrier`].
+    pub(crate) fn holds_all_forks(&self, p: PhilId) -> bool {
+        let s = self.state.lock().unwrap();
+        self.neighbors_of(p)
+            .iter()
+            .all(|&(q, pair)| at(s.flags[pair as usize], FORK_LOW, p < q))
+    }
+
+    /// Proposition 1's exchange at a global barrier. `ate(p)` and
+    /// `hungry(p)` say — once per philosopher, ascending — whether `p` ran
+    /// in the superstep just ended or was held back for a missing fork:
+    ///
+    /// 1. eating dirties the eater's forks (it held all of them, so it
+    ///    becomes a source of the precedence graph);
+    /// 2. every hungry philosopher, ascending, sends the request token of
+    ///    each fork it lacks to the holder, along its adjacency;
+    /// 3. pair by pair, each dirty fork whose holder also holds the token
+    ///    is surrendered, clean — the edge keeps its direction. A clean
+    ///    requested fork stays: its holder has priority and runs first.
+    pub(crate) fn exchange_at_barrier(
+        &self,
+        mut ate: impl FnMut(PhilId) -> bool,
+        mut hungry: impl FnMut(PhilId) -> bool,
+        transport: &dyn SyncTransport,
+    ) {
+        let mut s = self.state.lock().unwrap();
+        let n = self.owner.len() as PhilId;
+        for p in 0..n {
+            if ate(p) {
+                for &(_, pair) in self.neighbors_of(p) {
+                    s.flags[pair as usize] |= DIRTY;
+                }
+                self.assert_precedence_acyclic(&s);
+            }
+        }
+        let mut moves = Moves::default();
+        for p in (0..n).filter(|&p| hungry(p)) {
+            let pw = self.owner_of(p);
+            for &(q, pair) in self.neighbors_of(p) {
+                let (pair, p_low) = (pair as usize, p < q);
+                let flags = s.flags[pair];
+                if !at(flags, FORK_LOW, p_low) && at(flags, TOKEN_LOW, p_low) {
+                    s.flags[pair] = moved(flags, TOKEN_LOW, !p_low);
+                    moves.tokens += 1;
+                    let qw = self.owner_of(q);
+                    if qw != pw {
+                        moves.tokens_remote += 1;
+                        transport.request(pw, qw);
+                    }
+                }
+            }
+        }
+        for (a, b, pair) in self.pairs() {
+            let flags = s.flags[pair];
+            let low_holds = flags & FORK_LOW != 0;
+            if flags & DIRTY != 0 && at(flags, TOKEN_LOW, low_holds) {
+                s.flags[pair] = moved(flags, FORK_LOW, !low_holds) & !DIRTY;
+                moves.forks += 1;
+                let (from, to) = if low_holds { (a, b) } else { (b, a) };
+                let (fw, tw) = (self.owner_of(from), self.owner_of(to));
+                if fw != tw {
+                    moves.forks_remote += 1;
+                    // BSP flushes everything at the barrier anyway; the
+                    // call keeps the C1 write-all explicit.
+                    transport.transfer(fw, tw, Some(to));
+                }
+                self.assert_precedence_acyclic(&s);
+            }
+        }
+        self.count(moves);
+    }
+
     /// Is `p` currently eating? (test/diagnostic helper)
     pub fn is_eating(&self, p: PhilId) -> bool {
         self.state.lock().unwrap().status[p as usize] == Status::Eating
     }
 
-    /// Every pair as `(lower endpoint, higher endpoint, pair index)`.
-    fn pairs(&self) -> impl Iterator<Item = (PhilId, PhilId, usize)> + '_ {
+    /// Every pair as `(lower endpoint, higher endpoint, pair index)`, in
+    /// pair-index order.
+    pub(crate) fn pairs(&self) -> impl Iterator<Item = (PhilId, PhilId, usize)> + '_ {
         (0..self.owner.len() as PhilId).flat_map(move |a| {
             let higher = self.neighbors_of(a).iter().filter(move |&&(b, _)| a < b);
             higher.map(move |&(b, pair)| (a, b, pair as usize))
@@ -598,19 +628,6 @@ pub struct ForkSnapshot {
     pairs: Vec<(bool, bool, bool, u64)>,
 }
 
-impl ForkSnapshot {
-    /// Build from raw `(fork_at_a, dirty, token_at_a, ts)` tuples (used by
-    /// the synchronous Proposition 1 table, which shares the format).
-    pub fn from_tuples(pairs: Vec<(bool, bool, bool, u64)>) -> Self {
-        Self { pairs }
-    }
-
-    /// The raw tuples.
-    pub fn tuples(&self) -> &[(bool, bool, bool, u64)] {
-        &self.pairs
-    }
-}
-
 impl ForkTable {
     /// Capture the fork/token placement. Must be called at quiescence
     /// (between supersteps); panics if any philosopher is eating.
@@ -648,6 +665,26 @@ impl ForkTable {
     }
 }
 
+/// Test-side construction from an arbitrary edge list — reversed pairs,
+/// repeats and self-pairs allowed — sorted into the order
+/// [`ForkTable::from_sorted_pairs`] takes.
+#[cfg(test)]
+impl ForkTable {
+    pub(crate) fn from_edges(
+        owner: Vec<WorkerId>,
+        edges: &[(PhilId, PhilId)],
+        metrics: Arc<Metrics>,
+    ) -> Self {
+        let mut pairs: Vec<_> = edges.iter().map(|&(x, y)| (x.min(y), x.max(y))).collect();
+        pairs.retain(|&(a, b)| a != b);
+        pairs.sort_unstable();
+        pairs.dedup();
+        Self::from_sorted_pairs(owner, metrics, |emit| {
+            pairs.iter().for_each(|&(a, b)| emit(a, b));
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,7 +696,11 @@ mod tests {
 
     fn table(owner: Vec<u32>, edges: &[(u32, u32)]) -> Arc<ForkTable> {
         let owner = owner.into_iter().map(WorkerId::new).collect();
-        Arc::new(ForkTable::new(owner, edges, Arc::new(Metrics::new())))
+        Arc::new(ForkTable::from_edges(
+            owner,
+            edges,
+            Arc::new(Metrics::new()),
+        ))
     }
 
     #[test]
@@ -696,7 +737,7 @@ mod tests {
             "one fork per distinct neighbor"
         );
         // Dirty fork at the higher id, token at the lower, never stamped.
-        assert_eq!(t.snapshot().tuples(), [(false, true, true, 0); 5]);
+        assert_eq!(t.snapshot().pairs, [(false, true, true, 0); 5]);
         t.check_invariants();
 
         // Pair indices ascend with (a, b): each eater below rewrites exactly
@@ -709,17 +750,17 @@ mod tests {
         let kept = |ts| (false, true, true, ts); // fork stayed at the higher id
         eat(0, 7); // (0,1) and (0,3): pairs 0 and 1
         assert_eq!(
-            t.snapshot().tuples(),
+            t.snapshot().pairs,
             [taken(7), taken(7), kept(0), kept(0), kept(0)]
         );
         eat(4, 9); // (2,4): pair 4
         assert_eq!(
-            t.snapshot().tuples(),
+            t.snapshot().pairs,
             [taken(7), taken(7), kept(0), kept(0), kept(9)]
         );
         eat(2, 11); // (1,2) and (2,4): pairs 2 and 4
         assert_eq!(
-            t.snapshot().tuples(),
+            t.snapshot().pairs,
             [taken(7), taken(7), kept(11), kept(0), taken(11)]
         );
     }
@@ -728,7 +769,7 @@ mod tests {
     /// workers 1, 0, 2, 1.
     fn mixed_owner_star(metrics: Arc<Metrics>) -> ForkTable {
         let owner = [0, 1, 0, 2, 1].map(WorkerId::new).to_vec();
-        ForkTable::new(owner, &[(3, 0), (0, 1), (4, 0), (0, 2), (1, 0)], metrics)
+        ForkTable::from_edges(owner, &[(3, 0), (0, 1), (4, 0), (0, 2), (1, 0)], metrics)
     }
 
     #[test]
@@ -899,7 +940,7 @@ mod tests {
     #[test]
     fn metrics_count_forks_and_tokens() {
         let m = Arc::new(Metrics::new());
-        let t = ForkTable::new(
+        let t = ForkTable::from_edges(
             vec![WorkerId::new(0), WorkerId::new(1)],
             &[(0, 1)],
             Arc::clone(&m),
@@ -1049,7 +1090,7 @@ mod tests {
         let m = Arc::new(Metrics::new());
         let tel = Arc::new(Telemetry::new());
         assert!(m.attach_telemetry(Arc::clone(&tel)));
-        let t = ForkTable::new(
+        let t = ForkTable::from_edges(
             vec![WorkerId::new(0), WorkerId::new(0)],
             &[(0, 1)],
             Arc::clone(&m),

@@ -20,8 +20,9 @@ pub enum TechniqueKind {
     /// Dual-layer token passing (Section 5.3).
     DualToken,
     /// Vertex-based distributed locking over p-boundary vertices
-    /// (Section 4.3 adapted per Section 5.2; the GraphLab-style
-    /// all-vertices variant lives in `sg-gas`).
+    /// (Section 4.3 adapted per Section 5.2). The GraphLab-style
+    /// all-vertices variant, [`VertexLock::new_all_vertices`], is what
+    /// `sg-gas` runs; it has no label because no Pregel host runs it.
     VertexLock,
     /// Partition-based distributed locking (Section 5.4) — the paper's
     /// proposal — with the halted-partition skip optimization.

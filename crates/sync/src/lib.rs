@@ -19,7 +19,9 @@
 //! | [`VertexLock`] | maximal (per-vertex philosophers) | `O(|E|)` forks |
 //! | [`PartitionLock`] | tunable via `|P|` | `O(|P|²)` forks, batched flushes |
 //!
-//! The distributed-locking techniques share [`chandy_misra::ForkTable`], a
+//! The distributed-locking techniques — vertex- and partition-based,
+//! Proposition 1's [`BspVertexLock`], and the GraphLab-style all-vertices
+//! lock `sg-gas` runs — share one table, [`chandy_misra::ForkTable`], a
 //! faithful implementation of the hygienic dining philosophers algorithm
 //! (Chandy & Misra 1984): per-pair forks with dirty bits and request tokens,
 //! an acyclic initial precedence graph (smaller id ⇒ token, larger id ⇒

@@ -20,7 +20,7 @@
 
 use crate::chandy_misra::{ForkSnapshot, ForkTable};
 use crate::transport::SyncTransport;
-use sg_graph::{Graph, PartitionMap, VertexId};
+use sg_graph::{Graph, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, Metrics};
 use std::sync::Arc;
 
@@ -160,15 +160,15 @@ impl PartitionLock {
             .partitions()
             .map(|p| layout.worker_of_partition(p))
             .collect();
-        let mut edges = Vec::new();
-        for p in layout.partitions() {
-            for &q in pm.partition_neighbors(p) {
-                if q.raw() > p.raw() {
-                    edges.push((p.raw(), q.raw()));
+        // Each partition's neighbors are ascending, so walking them in
+        // partition order enumerates the pairs in the table's order.
+        let table = ForkTable::from_sorted_pairs(owner, Arc::clone(&metrics), |emit| {
+            for p in layout.partitions() {
+                for &q in pm.partition_neighbors(p).iter().filter(|&&q| q > p) {
+                    emit(p.raw(), q.raw());
                 }
             }
-        }
-        let table = ForkTable::new(owner, &edges, Arc::clone(&metrics));
+        });
         table.enable_telemetry("partition-lock");
         Self {
             table,
@@ -227,6 +227,26 @@ impl Synchronizer for PartitionLock {
     }
 }
 
+/// The fork table over the vertices of `g` — vertex `v` hosted by
+/// `owner[v]` — with a fork on every undirected edge `(v, u)`, `v < u`,
+/// that `fork` accepts.
+pub(crate) fn vertex_forks(
+    g: &Graph,
+    owner: Vec<WorkerId>,
+    metrics: Arc<Metrics>,
+    fork: impl Fn(VertexId, VertexId) -> bool,
+) -> ForkTable {
+    // The graph's adjacency is sorted, so walking it in vertex order
+    // enumerates the pairs in the order the table stores them.
+    ForkTable::from_sorted_pairs(owner, metrics, |emit| {
+        for v in g.vertices() {
+            for u in g.higher_neighbors(v).filter(|&u| fork(v, u)) {
+                emit(v.raw(), u.raw());
+            }
+        }
+    })
+}
+
 /// Vertex-based distributed locking (Section 4.3) adapted to a partition
 /// aware engine: every **p-boundary** vertex is a philosopher (p-internal
 /// vertices are already serialized by their partition's sequential
@@ -234,7 +254,7 @@ impl Synchronizer for PartitionLock {
 ///
 /// On the GAS engine (no partitions, GraphLab-style), *every* vertex is a
 /// philosopher and the fork count reaches the full `O(|E|)` of the paper —
-/// see `sg-gas`.
+/// see [`VertexLock::new_all_vertices`].
 pub struct VertexLock {
     /// A vertex without forks here is no philosopher: it never touches
     /// the table.
@@ -245,29 +265,19 @@ impl VertexLock {
     /// Build for `g` partitioned by `pm`. Forks connect neighbor pairs in
     /// different partitions.
     pub fn new(g: &Graph, pm: &PartitionMap, metrics: Arc<Metrics>) -> Self {
-        Self::build(g, pm, metrics, false)
+        let owner = g.vertices().map(|v| pm.worker_of(v)).collect();
+        let cross = |v, u| pm.partition_of(v) != pm.partition_of(u);
+        Self::with_table(vertex_forks(g, owner, metrics, cross))
     }
 
-    /// GraphLab-style: every vertex with a neighbor is a philosopher and
-    /// every undirected edge carries a fork, regardless of partitions.
-    pub fn new_all_vertices(g: &Graph, pm: &PartitionMap, metrics: Arc<Metrics>) -> Self {
-        Self::build(g, pm, metrics, true)
+    /// GraphLab-style, for `sg-gas`: every vertex with a neighbor is a
+    /// philosopher and every undirected edge carries a fork; `owner[v]` is
+    /// the machine hosting vertex `v`.
+    pub fn new_all_vertices(g: &Graph, owner: Vec<WorkerId>, metrics: Arc<Metrics>) -> Self {
+        Self::with_table(vertex_forks(g, owner, metrics, |_, _| true))
     }
 
-    fn build(g: &Graph, pm: &PartitionMap, metrics: Arc<Metrics>, all_vertices: bool) -> Self {
-        let owner: Vec<_> = g.vertices().map(|v| pm.worker_of(v)).collect();
-        // The graph's adjacency is sorted, so walking it in vertex order
-        // enumerates the pairs in the order the table stores them.
-        let table = ForkTable::from_sorted_pairs(owner, metrics, |emit| {
-            for v in g.vertices() {
-                let pv = pm.partition_of(v);
-                for u in g.higher_neighbors(v) {
-                    if all_vertices || pm.partition_of(u) != pv {
-                        emit(v.raw(), u.raw());
-                    }
-                }
-            }
-        });
+    fn with_table(table: ForkTable) -> Self {
         table.enable_telemetry("vertex-lock");
         Self { table }
     }
@@ -349,6 +359,10 @@ mod tests {
         )
     }
 
+    fn owners(g: &Graph, pm: &PartitionMap) -> Vec<WorkerId> {
+        g.vertices().map(|v| pm.worker_of(v)).collect()
+    }
+
     #[test]
     fn partition_lock_fork_count_matches_virtual_edges() {
         let g = gen::ring(32);
@@ -364,9 +378,55 @@ mod tests {
         let pm = pm_for(&g, 4, 4);
         let metrics = Arc::new(Metrics::new());
         let pl = PartitionLock::new(&pm, Arc::clone(&metrics));
-        let vl = VertexLock::new_all_vertices(&g, &pm, metrics);
+        let vl = VertexLock::new_all_vertices(&g, owners(&g, &pm), metrics);
         assert!(pl.num_forks() * 4 < vl.num_forks());
         assert_eq!(vl.num_forks() as u64, g.num_undirected_edges());
+    }
+
+    /// `sg-gas` used to collect the `u > v` pairs of `g.neighbors(v)` and
+    /// hand them to the table's edge-list constructor; `new_all_vertices`
+    /// must build the very same table from the graph alone — here a
+    /// directed one with reversed, parallel and self edges.
+    #[test]
+    fn all_vertices_forks_match_the_deduplicated_edge_list() {
+        let g = Graph::from_edges(
+            6,
+            &[
+                (0, 1),
+                (1, 0),
+                (2, 1),
+                (2, 1),
+                (3, 3),
+                (4, 0),
+                (0, 4),
+                (5, 2),
+                (5, 5),
+                (1, 4),
+                (3, 1),
+            ],
+        );
+        let owner = [0, 1, 0, 1, 2, 2].map(WorkerId::new).to_vec();
+        let mut edges = Vec::new();
+        for v in g.vertices() {
+            for u in g.neighbors(v) {
+                if u.raw() > v.raw() {
+                    edges.push((v.raw(), u.raw()));
+                }
+            }
+        }
+        let vl = VertexLock::new_all_vertices(&g, owner.clone(), Arc::new(Metrics::new()));
+        let reference = ForkTable::from_edges(owner, &edges, Arc::new(Metrics::new()));
+        let pairs = |t: &ForkTable| -> Vec<_> { t.pairs().map(|(a, b, _)| (a, b)).collect() };
+        assert_eq!(
+            pairs(&vl.table),
+            [(0, 1), (0, 4), (1, 2), (1, 3), (1, 4), (2, 5)]
+        );
+        assert_eq!(pairs(&vl.table), pairs(&reference));
+        for p in 0..6 {
+            assert_eq!(vl.table.degree(p), reference.degree(p), "philosopher {p}");
+            assert_eq!(vl.table.owner_of(p), reference.owner_of(p));
+        }
+        assert_eq!(vl.checkpoint(), Some(reference.snapshot()));
     }
 
     #[test]
@@ -491,7 +551,7 @@ mod tests {
         let g = gen::grid(4, 4);
         let pm = pm_for(&g, 2, 2);
         let metrics = Arc::new(Metrics::new());
-        let vl = Arc::new(VertexLock::new_all_vertices(&g, &pm, metrics));
+        let vl = Arc::new(VertexLock::new_all_vertices(&g, owners(&g, &pm), metrics));
         let handles: Vec<_> = (0..16u32)
             .map(|v| {
                 let vl = Arc::clone(&vl);

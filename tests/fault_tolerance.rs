@@ -118,6 +118,35 @@ fn token_technique_recovery() {
 }
 
 #[test]
+fn proposition1_recovery_restores_the_fork_placement() {
+    // BspVertexLock's forks and tokens move only at barriers, so they are
+    // checkpointed with the superstep; rolling back must replay the exact
+    // failure-free schedule from there.
+    let g = gen::preferential_attachment(120, 3, 95);
+    let run = |failing: bool| {
+        let r = Runner::new(g.clone())
+            .workers(3)
+            .threads_per_worker(2)
+            .model(Model::Bsp)
+            .technique(Technique::BspVertexLock)
+            .max_supersteps(5_000);
+        let r = if failing {
+            r.checkpoint_every(4).fail_at_superstep(10)
+        } else {
+            r
+        };
+        r.run_coloring().expect("config")
+    };
+    let (clean, failed) = (run(false), run(true));
+    assert!(clean.converged && failed.converged);
+    assert_eq!(validate::coloring_conflicts(&g, &clean.values), 0);
+    assert_eq!(failed.values, clean.values);
+    assert_eq!(failed.metrics.recoveries, 1);
+    // Superstep 10 failed after the checkpoint at 8: 8, 9 and 10 run twice.
+    assert_eq!((clean.supersteps, failed.supersteps), (28, 31));
+}
+
+#[test]
 fn history_plus_failure_injection_rejected() {
     let err = base(Technique::None)
         .record_history(true)
