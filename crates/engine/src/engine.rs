@@ -913,8 +913,8 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
     ) {
         let core = self.core;
         let combiner = core.combiner.as_deref();
-        core.arrivals()[p.index()].insert(local as usize, from, msg, combiner);
-        core.on_arrival(from, to);
+        let folded = core.arrivals()[p.index()].insert(local as usize, from, msg, combiner);
+        core.on_arrival(from, to, folded);
         self.delivered = true;
     }
 
@@ -924,11 +924,13 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
         let (core, staging, to_worker) = (self.core, self.staging, to_worker as usize);
         let st = self.staged.get_or_insert_with(|| staging.lock().unwrap());
-        let (grew, staged) = st.stage(to_worker, (to, from, msg), core.combiner.as_deref());
-        if grew {
-            self.unowed += 1;
-        } else {
-            core.metrics.inc(Counter::SenderCombines);
+        let (folded, staged) = st.stage(to_worker, (to, from, msg), core.combiner.as_deref());
+        match folded {
+            None => self.unowed += 1,
+            Some(absorbed) => {
+                core.metrics.inc(Counter::SenderCombines);
+                core.on_fold(absorbed, to);
+            }
         }
         if staged >= core.buffer_cap {
             // The run is about to ship, this transaction's part with it.
@@ -1070,13 +1072,27 @@ impl<P: VertexProgram> Core<P> {
         }
     }
 
-    /// A message from `sender` was inserted for `to`: readable at once,
-    /// except under BSP, where the barrier's swap makes it so.
-    fn on_arrival(&self, sender: VertexId, to: VertexId) {
+    /// A message from `sender` was inserted for `to`, folding into an
+    /// envelope from `folded` if the combiner merged it: readable at once,
+    /// except under BSP, where the barrier's swap makes the envelope so.
+    fn on_arrival(&self, sender: VertexId, to: VertexId, folded: Option<VertexId>) {
         if self.model != Model::Bsp {
             if let Some(r) = &self.recorder {
                 r.on_visible(sender, to);
             }
+        } else if let Some(absorbed) = folded {
+            self.on_fold(absorbed, to);
+        }
+    }
+
+    /// A combiner folded a not-yet-readable message from `absorbed` into
+    /// an envelope that now names another sender. The envelope accounts
+    /// for one message when it turns readable, so the absorbed one is
+    /// accounted for here; its content stays in flight with the envelope,
+    /// whose own sender's pair still reads as stale until then (C1).
+    fn on_fold(&self, absorbed: VertexId, to: VertexId) {
+        if let Some(r) = &self.recorder {
+            r.on_visible(absorbed, to);
         }
     }
 
@@ -1158,8 +1174,8 @@ impl<P: VertexProgram> Core<P> {
             for (&(q, local), (to_v, sender, m)) in slots.iter().zip(&routed) {
                 if q == p {
                     let store = store.get_or_insert_with(|| self.arrivals()[p.index()].lock());
-                    store.insert(local as usize, *sender, m.clone(), combiner);
-                    self.on_arrival(*sender, *to_v);
+                    let folded = store.insert(local as usize, *sender, m.clone(), combiner);
+                    self.on_arrival(*sender, *to_v, folded);
                 }
             }
         }

@@ -190,15 +190,17 @@ impl<M: Clone + Send + 'static> LockedStore<'_, M> {
 
     /// Queue a message for local vertex `local`, applying the combiner if
     /// one is configured (keeps at most one message per vertex). Returns
-    /// how many envelopes the queue *grew* by (0 when combined into an
-    /// existing one).
+    /// the sender the envelope named before the message folded into it —
+    /// the fold adopts the latest sender, so whoever accounts for the
+    /// absorbed message must hear of it — or `None` when the queue grew by
+    /// a new envelope.
     pub fn insert(
         &mut self,
         local: usize,
         sender: VertexId,
         msg: M,
         combiner: Option<&dyn Combiner<M>>,
-    ) -> usize {
+    ) -> Option<VertexId> {
         let slot = &mut self.inner.slots[local];
         match &mut slot.first {
             None => {
@@ -209,14 +211,15 @@ impl<M: Clone + Send + 'static> LockedStore<'_, M> {
                 // With a combiner the inline envelope is the only one:
                 // merge into it, adopting the latest sender.
                 Some(c) => {
+                    let absorbed = queued.0;
                     *queued = (sender, c.combine(queued.1.clone(), msg));
-                    return 0;
+                    return Some(absorbed);
                 }
                 None => self.inner.chain(local, sender, msg),
             },
         }
         self.inner.count += 1;
-        1
+        None
     }
 
     /// Append all messages currently queued for `local` onto `out` (FIFO
@@ -288,7 +291,7 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
         sender: VertexId,
         msg: M,
         combiner: Option<&dyn Combiner<M>>,
-    ) -> usize {
+    ) -> Option<VertexId> {
         self.lock().insert(local, sender, msg, combiner)
     }
 
@@ -549,27 +552,28 @@ impl<M: Clone + Send + 'static> StagingBuffers<M> {
         }
     }
 
-    /// Stage one routed message for `to_worker`. Returns `(grew, staged)`:
-    /// whether a new staged envelope was created (`false` = merged into an
-    /// existing one by the sender-side combiner) and how many envelopes are
-    /// now staged for that destination (the caller's threshold check).
+    /// Stage one routed message for `to_worker`. Returns `(folded,
+    /// staged)`: the sender a staged envelope named before the sender-side
+    /// combiner merged this message into it, adopting its sender (`None`:
+    /// a new envelope was staged), and how many envelopes are now staged
+    /// for that destination (the caller's threshold check).
     pub fn stage(
         &mut self,
         to_worker: usize,
         routed: Routed<M>,
         combiner: Option<&dyn Combiner<M>>,
-    ) -> (bool, usize) {
+    ) -> (Option<VertexId>, usize) {
         let dest = &mut self.dests[to_worker];
         if let (true, Some(c)) = (self.combine, combiner) {
             if let Some(at) = dest.index.position_or_enter(routed.0, &dest.run) {
                 let staged = &mut dest.run[at];
-                staged.1 = routed.1;
+                let absorbed = std::mem::replace(&mut staged.1, routed.1);
                 staged.2 = c.combine(staged.2.clone(), routed.2);
-                return (false, dest.run.len());
+                return (Some(absorbed), dest.run.len());
             }
         }
         dest.run.push(routed);
-        (true, dest.run.len())
+        (None, dest.run.len())
     }
 
     /// Envelopes staged across all destinations.
@@ -613,12 +617,10 @@ mod tests {
     fn combiner_collapses_queue() {
         let s = PartitionStore::new(1);
         let c = MinCombiner;
-        s.insert(0, v(1), 10u64, Some(&c));
-        s.insert(0, v(2), 5, Some(&c));
-        s.insert(0, v(3), 7, Some(&c));
-        let drained = s.drain(0);
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1, 5);
+        assert_eq!(s.insert(0, v(1), 10u64, Some(&c)), None);
+        assert_eq!(s.insert(0, v(2), 5, Some(&c)), Some(v(1)));
+        assert_eq!(s.insert(0, v(3), 7, Some(&c)), Some(v(2)));
+        assert_eq!(s.drain(0), [(v(3), 5)]);
     }
 
     /// Random operation sequences against a queue-of-queues reference:
@@ -654,15 +656,15 @@ mod tests {
                 match rng.gen_index(20) {
                     0..=11 => {
                         let (sender, msg) = (v(step), rng.gen_range(1_000));
-                        let grew = store.insert(local, sender, msg, combiner);
+                        let folded = store.insert(local, sender, msg, combiner);
                         match (model[local].back_mut(), combine) {
                             (Some(last), true) => {
+                                assert_eq!(folded, Some(last.0), "{what}");
                                 *last = (sender, last.1.min(msg));
-                                assert_eq!(grew, 0, "{what}");
                             }
                             _ => {
                                 model[local].push_back((sender, msg));
-                                assert_eq!(grew, 1, "{what}");
+                                assert_eq!(folded, None, "{what}");
                             }
                         }
                     }
@@ -842,22 +844,16 @@ mod tests {
     fn staging_combines_sender_side() {
         let c = MinCombiner;
         let mut st = StagingBuffers::new(2, true);
-        let (grew, n) = st.stage(1, (v(7), v(0), 10u64), Some(&c));
-        assert!(grew);
-        assert_eq!(n, 1);
-        let (grew, n) = st.stage(1, (v(7), v(1), 3), Some(&c));
-        assert!(!grew, "second message to v7 must merge");
-        assert_eq!(n, 1);
-        let (grew, _) = st.stage(1, (v(8), v(2), 5), Some(&c));
-        assert!(grew);
-        assert_eq!(st.total_staged(), 2);
+        assert_eq!(st.stage(1, (v(7), v(0), 10u64), Some(&c)), (None, 1));
+        // The second message to v7 merges, reporting the sender it replaced.
+        assert_eq!(st.stage(1, (v(7), v(1), 3), Some(&c)), (Some(v(0)), 1));
+        assert_eq!(st.stage(1, (v(8), v(2), 5), Some(&c)), (None, 2));
         assert_eq!(st.total_staged(), 2);
         let run = st.take_run(1);
         assert_eq!(run.as_slice(), &[(v(7), v(1), 3), (v(8), v(2), 5)]);
         run.clear();
         // After a flush the index is reset: the same vertex stages afresh.
-        let (grew, _) = st.stage(1, (v(7), v(3), 9), Some(&c));
-        assert!(grew);
+        assert_eq!(st.stage(1, (v(7), v(3), 9), Some(&c)).0, None);
         assert_eq!(st.total_staged(), 1);
     }
 
@@ -878,14 +874,14 @@ mod tests {
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(
                 st.stage(0, (k, v(1), 100 + i as u64), Some(&c)),
-                (true, i + 1)
+                (None, i + 1)
             );
         }
         // Each merges into its own envelope, wherever probing put it.
         for (i, &k) in keys.iter().enumerate().rev() {
             assert_eq!(
                 st.stage(0, (k, v(2), i as u64), Some(&c)),
-                (false, keys.len())
+                (Some(v(1)), keys.len())
             );
         }
         let want = keys.iter().enumerate().map(|(i, &k)| (k, v(2), i as u64));
@@ -903,7 +899,8 @@ mod tests {
         let mut first_seen = Vec::new();
         for round in 0..3u64 {
             for i in 0..n {
-                let (grew, staged) = st.stage(1, (key(i), v(i), 10 - round), Some(&c));
+                let (folded, staged) = st.stage(1, (key(i), v(i), 10 - round), Some(&c));
+                let grew = folded.is_none();
                 assert_eq!(
                     grew,
                     !first_seen.contains(&key(i)),
@@ -934,9 +931,9 @@ mod tests {
         let mut st = StagingBuffers::new(1, true);
         let stage_and_flush = |st: &mut StagingBuffers<u64>, keys: &[VertexId]| {
             for &k in keys {
-                let (grew, _) = st.stage(0, (k, v(9), 5), Some(&c));
-                assert!(grew, "{k:?} resurfaced from an earlier run");
-                assert!(!st.stage(0, (k, v(8), 5), Some(&c)).0);
+                let (folded, _) = st.stage(0, (k, v(9), 5), Some(&c));
+                assert_eq!(folded, None, "{k:?} resurfaced from an earlier run");
+                assert_eq!(st.stage(0, (k, v(8), 5), Some(&c)).0, Some(v(9)));
             }
             let run = st.take_run(0);
             assert!(run.drain(..).eq(keys.iter().map(|&k| (k, v(8), 5))));

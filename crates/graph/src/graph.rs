@@ -269,22 +269,8 @@ impl Graph {
         self.out_degree(v) + self.in_degree(v)
     }
 
-    /// Global in-CSR index of the edge `source -> target`, if present.
-    ///
-    /// Parallel edges share one of their slots — whichever the binary
-    /// search lands on, the same on every call. Used by the
-    /// serializability recorder to key per-directed-pair counters.
-    pub fn in_edge_index(&self, target: VertexId, source: VertexId) -> Option<u64> {
-        let (a, b) = self.in_range(target.index());
-        self.in_sources[a..b]
-            .binary_search(&source)
-            .ok()
-            .map(|pos| (a + pos) as u64)
-    }
-
     /// In-CSR index of `v`'s first in-edge: `in_neighbors(v)[k]` occupies
-    /// global slot `in_edge_base(v) + k`, the index space of
-    /// [`Graph::in_edge_index`].
+    /// global slot `in_edge_base(v) + k`.
     #[inline]
     pub fn in_edge_base(&self, v: VertexId) -> u64 {
         self.in_offsets[v.index()]
@@ -429,9 +415,8 @@ mod tests {
         assert_eq!(g.neighbors_where(v(0), |_| true), g.neighbors(v(0)));
         assert_eq!(g.neighbors_where(v(0), |w| w.raw() != 2), [v(1), v(3)]);
         assert!(g.neighbors_where(v(0), |w| w == v(0)).is_empty());
-        // v0's three in-edges come first; v1's two slots both hold v0.
+        // v0's three in-edges come first.
         assert_eq!(g.in_edge_base(v(1)), 3);
-        assert!((3..5).contains(&g.in_edge_index(v(1), v(0)).unwrap()));
     }
 
     #[test]

@@ -42,6 +42,7 @@
 //! would produce, no matter how arrivals were interleaved.
 
 use crate::history::{History, HistorySummary, TxnId, TxnRecord};
+use crate::ledger::{pair_slot, Ledger};
 use sg_graph::{Graph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -226,11 +227,11 @@ pub struct IncrementalChecker {
     open: Vec<Option<OpenTxn>>,
     /// Number of `open` slots currently occupied.
     open_count: usize,
-    /// Messages sent but not yet readable per directed pair (in-CSR
-    /// indexed; a send adds one, a delivery takes one away). Allocated by
-    /// the first send or delivery: the streaming entry points never make
-    /// one, their producers ship the C1 witnesses.
-    in_flight: Vec<u64>,
+    /// Messages sent but not yet readable per directed pair (a send adds
+    /// one, a delivery takes one away) — [`crate::Recorder`]'s ledger.
+    /// Built by the first send or delivery: the streaming entry points
+    /// never make one, their producers ship the C1 witnesses.
+    ledger: Option<Ledger<u32>>,
     sg: SerializationGraph,
     /// Per item (vertex): the transaction that last wrote it, or [`NIL`].
     last_write: Vec<u32>,
@@ -262,7 +263,7 @@ impl IncrementalChecker {
             clock: 0,
             open: (0..n).map(|_| None).collect(),
             open_count: 0,
-            in_flight: Vec::new(),
+            ledger: None,
             sg: SerializationGraph {
                 head: Vec::new(),
                 edges: Vec::new(),
@@ -299,12 +300,11 @@ impl IncrementalChecker {
         t
     }
 
-    fn in_flight_mut(&mut self, from: VertexId, to: VertexId) -> Option<&mut u64> {
-        let i = self.graph.in_edge_index(to, from)? as usize;
-        if self.in_flight.is_empty() {
-            self.in_flight = vec![0; self.graph.num_edges() as usize];
-        }
-        Some(&mut self.in_flight[i])
+    fn in_flight_mut(&mut self, from: VertexId, to: VertexId) -> Option<&mut u32> {
+        let i = pair_slot(&self.graph, from, to)?;
+        let graph = &self.graph;
+        let ledger = self.ledger.get_or_insert_with(|| Ledger::new(graph));
+        Some(&mut ledger.in_flight[i])
     }
 
     /// Vertex `from` handed a message for `to` to the system.
@@ -404,17 +404,10 @@ impl IncrementalChecker {
     pub fn begin(&mut self, u: VertexId) -> TxnId {
         let start = self.tick();
 
-        // `in_neighbors(u)[k]` owns counter slot `base + k`; see
-        // `Recorder::begin` for why parallel edges need no special case.
-        let mut stale_reads = Vec::new();
-        if !self.in_flight.is_empty() {
-            let base = self.graph.in_edge_base(u) as usize;
-            for (k, &v) in self.graph.in_neighbors(u).iter().enumerate() {
-                if v != u && self.in_flight[base + k] != 0 && stale_reads.last() != Some(&v) {
-                    stale_reads.push(v);
-                }
-            }
-        }
+        let stale_reads = match &self.ledger {
+            Some(ledger) => ledger.stale_reads(&self.graph, u, |&c| c != 0),
+            None => Vec::new(),
+        };
         self.apply_begin(u, start, stale_reads) as TxnId
     }
 

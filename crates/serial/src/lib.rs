@@ -19,7 +19,7 @@
 //!   cycle detection ([`History::serialization_graph_acyclic`]).
 //! * [`Recorder`] — a concurrent instrument the engines attach to record
 //!   live executions: logical start/end timestamps per transaction,
-//!   per-edge sent/visible message counters (the freshness test), and
+//!   per-pair counts of messages in flight (the freshness test), and
 //!   eager neighbor-concurrency detection.
 //!
 //! The integration tests validate Theorem 1 empirically in both directions:
@@ -30,6 +30,7 @@
 
 pub mod history;
 pub mod incremental;
+mod ledger;
 pub mod recorder;
 pub mod streaming;
 

@@ -7,26 +7,30 @@
 //! * [`Recorder::on_visible`] — that message became *readable* by `to`
 //!   (immediately for eager local delivery, at flush/barrier otherwise);
 //! * [`Recorder::begin`] — vertex `u` starts executing: the recorder
-//!   timestamps the read, tests freshness of every in-edge replica
-//!   (`sent == visible` per directed pair — condition C1), and snapshots
+//!   timestamps the read, tests freshness of every in-edge replica (no
+//!   message in flight per directed pair — condition C1), and snapshots
 //!   which neighbors are mid-execution (condition C2, eagerly);
 //! * [`Recorder::end`] — the execution commits its write.
 //!
-//! Recording costs one binary search plus one atomic add per message
-//! event, and one pass of atomic loads over the in-edge range per
-//! execution. `sg-perf`'s `coloring-dtoken-audited` workload prices it end
-//! to end on every benchmark run (`sg-serial.record_ns_per_txn`,
-//! `record_overhead_x`): about 3x an unrecorded colouring run at ~13 reads
-//! per transaction (EXPERIMENTS.md, "Wall-clock performance").
+//! Recording costs one binary search over the *sender's* out-run — the
+//! adjacency its `compute` has just walked — plus one atomic add or sub
+//! per message event, into the sender's own contiguous run of counters
+//! (the shared C1 ledger, `ledger.rs`). An execution adds one gathered
+//! pass of atomic loads over its in-edge range. `sg-perf`'s
+//! `coloring-dtoken-audited` workload prices it end to end on every
+//! benchmark run (`sg-serial.record_ns_per_txn`, `record_overhead_x`):
+//! about 1.9x an unrecorded colouring run at ~13 reads per transaction
+//! (EXPERIMENTS.md, "What recording costs").
 
 use crate::history::{History, TxnRecord};
 use crate::incremental::StampedTxn;
+use crate::ledger::{pair_slot, Ledger};
 use sg_graph::{Graph, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
-/// Concurrent execution recorder: two `|E|`-sized counter arrays plus one
+/// Concurrent execution recorder: one `|E|`-sized counter array plus one
 /// [`TxnRecord`] per execution. Attach via the engines' `record_history`
 /// option.
 pub struct Recorder {
@@ -38,10 +42,9 @@ pub struct Recorder {
     /// finished record lands in `txns`, so [`Recorder::safe_watermark`]
     /// never overtakes a transaction it has not yet handed out.
     executing_since: Vec<AtomicU64>,
-    /// Messages handed to the system per directed pair (in-CSR indexed).
-    sent: Vec<AtomicU64>,
-    /// Messages readable by the recipient per directed pair.
-    visible: Vec<AtomicU64>,
+    /// Messages handed to the system but not yet readable, per directed
+    /// pair: a send adds one, a delivery takes one away (wrapping).
+    ledger: Ledger<AtomicU32>,
     txns: Mutex<Vec<TxnRecord>>,
     /// Fired from [`Recorder::end`] once the finished record has landed —
     /// the point at which the vertex execution's write is *committed*.
@@ -64,14 +67,12 @@ impl Recorder {
     /// New recorder over `graph`.
     pub fn new(graph: Arc<Graph>) -> Self {
         let n = graph.num_vertices() as usize;
-        let e = graph.num_edges() as usize;
         Self {
+            ledger: Ledger::new(&graph),
             graph,
             clock: AtomicU64::new(0),
             executing: (0..n).map(|_| AtomicBool::new(false)).collect(),
             executing_since: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            sent: (0..e).map(|_| AtomicU64::new(0)).collect(),
-            visible: (0..e).map(|_| AtomicU64::new(0)).collect(),
             txns: Mutex::new(Vec::new()),
             commit_hook: OnceLock::new(),
         }
@@ -89,22 +90,17 @@ impl Recorder {
         self.clock.fetch_add(1, Ordering::SeqCst)
     }
 
-    #[inline]
-    fn pair_index(&self, from: VertexId, to: VertexId) -> Option<usize> {
-        self.graph.in_edge_index(to, from).map(|i| i as usize)
-    }
-
     /// Vertex `from` handed a message for `to` to the system.
     pub fn on_send(&self, from: VertexId, to: VertexId) {
-        if let Some(i) = self.pair_index(from, to) {
-            self.sent[i].fetch_add(1, Ordering::SeqCst);
+        if let Some(i) = pair_slot(&self.graph, from, to) {
+            self.ledger.in_flight[i].fetch_add(1, Ordering::SeqCst);
         }
     }
 
     /// A message from `from` became readable by `to`.
     pub fn on_visible(&self, from: VertexId, to: VertexId) {
-        if let Some(i) = self.pair_index(from, to) {
-            self.visible[i].fetch_add(1, Ordering::SeqCst);
+        if let Some(i) = pair_slot(&self.graph, from, to) {
+            self.ledger.in_flight[i].fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -115,22 +111,8 @@ impl Recorder {
         self.executing_since[u.index()].store(self.clock.load(Ordering::SeqCst), Ordering::SeqCst);
         let start = self.tick();
 
-        // `in_neighbors(u)[k]` owns counter slot `base + k`. Of a run of
-        // parallel edges only the slot `pair_index` lands on ever counts;
-        // the others stay at 0 == 0, so one walk over the range sees what a
-        // binary search per neighbor would.
-        let ins = self.graph.in_neighbors(u);
-        let base = self.graph.in_edge_base(u) as usize;
-        let mut stale_reads = Vec::new();
-        for (k, &v) in ins.iter().enumerate() {
-            let i = base + k;
-            if v != u
-                && self.sent[i].load(Ordering::SeqCst) != self.visible[i].load(Ordering::SeqCst)
-                && stale_reads.last() != Some(&v)
-            {
-                stale_reads.push(v);
-            }
-        }
+        let in_flight = |c: &AtomicU32| c.load(Ordering::SeqCst) != 0;
+        let stale_reads = self.ledger.stale_reads(&self.graph, u, in_flight);
 
         let concurrent_neighbors = self
             .graph
@@ -370,6 +352,115 @@ mod tests {
         assert_eq!(h.len(), 8);
         assert!(h.c2_violations(&g).is_empty());
         assert!(h.is_one_copy_serializable(&g));
+    }
+
+    /// Property: random `on_send`/`on_visible`/`begin`/`end` sequences
+    /// against a per-pair count of messages in flight — every `begin`
+    /// reports exactly the in-neighbors whose pair count is non-zero.
+    /// The graphs carry parallel edges both ways, self-loops, one-way
+    /// edges and an isolated vertex; the events include sends to
+    /// non-neighbors and deliveries ahead of their send.
+    #[test]
+    fn ledger_matches_a_per_pair_model() {
+        use sg_graph::SplitMix64;
+        use std::collections::HashMap;
+        let multi = Graph::from_edges(
+            7,
+            &[
+                (0, 1),
+                (0, 1),
+                (0, 1),
+                (1, 0),
+                (1, 2),
+                (2, 2),
+                (2, 4),
+                (3, 1),
+                (3, 1),
+                (1, 3),
+                (4, 0),
+                (0, 4),
+                (0, 4),
+                (5, 5),
+                (5, 5),
+                (4, 5),
+            ],
+        );
+        let graphs = [
+            ("multi-edge", multi),
+            ("rmat-6", gen::rmat(6, 300, gen::datasets::SKEW, 3)),
+            ("c4", gen::paper_c4()),
+        ];
+        for (name, g) in graphs {
+            let g = Arc::new(g);
+            let n = u64::from(g.num_vertices());
+            let (mut stale_begins, mut begins) = (0, 0);
+            for seed in 0..20u64 {
+                let mut rng = SplitMix64::new(seed);
+                let r = Recorder::new(Arc::clone(&g));
+                let mut model: HashMap<(VertexId, VertexId), i64> = HashMap::new();
+                // Sends not yet visible, and deliveries not yet sent: what
+                // later events mostly settle, so counts keep returning to 0.
+                let (mut unseen, mut unsent) = (Vec::new(), Vec::new());
+                let mut open: Vec<TxnGuard> = Vec::new();
+                let stale_before = stale_begins;
+                for step in 0..3_000 {
+                    let from = v(rng.gen_range(n) as u32);
+                    // Mostly along an out-edge; else anywhere, self included.
+                    let outs = g.out_neighbors(from);
+                    let to = if !outs.is_empty() && rng.gen_bool(0.8) {
+                        outs[rng.gen_index(outs.len())]
+                    } else {
+                        v(rng.gen_range(n) as u32)
+                    };
+                    let settle = |rng: &mut SplitMix64, owed: &mut Vec<_>, other: &mut Vec<_>| {
+                        if !owed.is_empty() && rng.gen_bool(0.8) {
+                            owed.swap_remove(rng.gen_index(owed.len()))
+                        } else {
+                            other.push((from, to));
+                            (from, to)
+                        }
+                    };
+                    match rng.gen_index(10) {
+                        0..=2 => {
+                            let (from, to) = settle(&mut rng, &mut unsent, &mut unseen);
+                            r.on_send(from, to);
+                            *model.entry((from, to)).or_default() += 1;
+                        }
+                        3..=5 => {
+                            let (from, to) = settle(&mut rng, &mut unseen, &mut unsent);
+                            r.on_visible(from, to);
+                            *model.entry((from, to)).or_default() -= 1;
+                        }
+                        7 | 8 if !open.iter().any(|t| t.vertex == to) => {
+                            let mut want: Vec<VertexId> = g.in_neighbors(to).to_vec();
+                            want.dedup();
+                            want.retain(|&w| {
+                                w != to && model.get(&(w, to)).is_some_and(|&c| c != 0)
+                            });
+                            let guard = r.begin(to);
+                            let what = format!("{name} seed {seed} step {step} begin {to:?}");
+                            assert_eq!(guard.stale_reads, want, "{what}");
+                            stale_begins += usize::from(!want.is_empty());
+                            begins += 1;
+                            open.push(guard);
+                        }
+                        _ if !open.is_empty() => {
+                            r.end(open.swap_remove(rng.gen_index(open.len())));
+                        }
+                        _ => {}
+                    }
+                }
+                for guard in open {
+                    r.end(guard);
+                }
+                let c1 = r.history().c1_violations().len();
+                assert_eq!(c1, stale_begins - stale_before, "{name} seed {seed}");
+            }
+            assert!(
+                stale_begins > begins / 10 && stale_begins < begins * 9 / 10,
+                "{name}: {stale_begins} of {begins} begins stale"
+            );
+        }
     }
 
     use sg_graph::Graph;

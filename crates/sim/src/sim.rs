@@ -690,10 +690,15 @@ impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
     /// run reaches `buffer_cap`.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
         let (sim, w) = (&mut *self.sim, self.w as usize);
-        let (grew, staged) =
+        let (folded, staged) =
             sim.staging[w].stage(to_worker as usize, (to, from, msg), sim.combiner);
-        if !grew {
+        if let Some(absorbed) = folded {
             sim.metrics.inc(Counter::SenderCombines);
+            // The envelope now names `from`: it accounts for one message
+            // when it lands, so the absorbed one is accounted for here.
+            if let Some(r) = &sim.recorder {
+                r.on_visible(absorbed, to);
+            }
         } else if staged == 1 {
             sim.dirty[w].push(to_worker);
         }

@@ -185,6 +185,45 @@ fn wcc_correct_across_techniques_threads_and_caps() {
     }
 }
 
+/// Regression: a combiner folds messages into an envelope already queued —
+/// sender-side in the staging buffers, and in a BSP next-store — and the
+/// folded sender's message must become visible with the envelope that
+/// absorbed it. When the fold dropped it from the recorder's ledger, its
+/// pair stayed in flight for the rest of the run and nearly every recorded
+/// history was C1-dirty under a technique that guarantees C1.
+#[test]
+fn combined_messages_keep_the_c1_ledger_balanced() {
+    let mut rng = SplitMix64::new(0xF01D);
+    let arms = [
+        (Model::Async, Technique::PartitionLock),
+        (Model::Bsp, Technique::BspVertexLock),
+    ];
+    for case in 0..16 {
+        let g = random_undirected(&mut rng, 40, 200);
+        for (model, technique) in arms {
+            let config = EngineConfig {
+                workers: 3,
+                model,
+                technique,
+                record_history: true,
+                max_supersteps: 5_000,
+                partition_seed: case,
+                ..Default::default()
+            };
+            let arm = format!("case {case} {model:?} {technique:?}");
+            let out = Engine::new(Arc::new(g.clone()), Wcc, config)
+                .expect("config")
+                .with_combiner(Box::new(Wcc::combiner()))
+                .run();
+            assert!(out.converged, "{arm}");
+            assert_eq!(out.values, validate::wcc_reference(&g), "{arm}");
+            let h = out.history.expect("recorded");
+            assert!(h.c1_violations().is_empty(), "{arm}: C1 violated");
+            assert!(h.is_one_copy_serializable(&g), "{arm}: not 1SR");
+        }
+    }
+}
+
 /// Regression for the C1 write-all flush: with `buffer_cap = usize::MAX`
 /// nothing ships on size, so every remote update a fork handoff depends on
 /// must come out of the *staging* buffers (all sibling threads') during

@@ -152,6 +152,25 @@ fn simulated_histories_verify_1sr_at_scale() {
     }
 }
 
+/// Regression: the simulator's sender-side combiner folds staged messages
+/// and adopts the latest sender; the absorbed sender's message must still
+/// be accounted visible, or its pair reads stale for the rest of the run.
+#[test]
+fn simulated_combiner_keeps_the_c1_ledger_balanced() {
+    let g = Arc::new(gen::datasets::or_sim(256).to_undirected());
+    for technique in [Technique::PartitionLock, Technique::DualToken] {
+        let cfg = sim_config(4, technique);
+        let combiner = Some(Box::new(Wcc::combiner()) as _);
+        let r = simulate(Arc::clone(&g), Wcc, combiner, &cfg, &SimOptions::default()).expect("sim");
+        assert!(r.outcome.converged, "{technique:?}");
+        assert!(r.outcome.metrics.sender_combines > 0, "{technique:?} folds");
+        assert_eq!(r.outcome.values, validate::wcc_reference(&g));
+        let h = r.outcome.history.expect("recorded");
+        assert!(h.c1_violations().is_empty(), "{technique:?}: C1 violated");
+        assert!(h.is_one_copy_serializable(&g), "{technique:?}: not 1SR");
+    }
+}
+
 /// Simulated trace events drive the unchanged critical-path profiler.
 #[test]
 fn simulated_trace_feeds_critical_path_profiler() {
