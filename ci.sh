@@ -40,6 +40,14 @@ echo "== one C1 ledger, addressed by the sender: no in-CSR pair search, no sent/
 if grep -rn 'in_edge_index' crates/*/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/recorder.rs | grep -nE '\b(sent|visible):'; then exit 1; fi
 
+echo "== one barrier, one inbox pair: the engine and the simulator close a superstep in barrier.rs and keep BSP visibility in the inbox pair; sg-check models every technique =="
+for f in crates/engine/src/*.rs crates/sim/src/*.rs; do
+    if [ "$f" != crates/engine/src/barrier.rs ] && sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'end_superstep\(|\.roll\(\)'; then echo "in $f"; exit 1; fi
+done
+if sed '/^#\[cfg(test)\]/,$d' crates/sim/src/sim.rs | grep -nw 'Model::[A-Za-z]*'; then exit 1; fi
+if grep -nE 'fn (bsp_swap|arrivals)\b' crates/engine/src/engine.rs; then exit 1; fi
+if grep -rn 'NotModelable' crates tests scripts; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

@@ -17,15 +17,12 @@
 //! confirms the violation reproduces. `--trace` exports a Chrome trace
 //! readable by `sg-trace analyze`.
 //!
-//! Exit codes: 0 clean, 1 usage, 2 malformed input (or a technique the
-//! model cannot host), 3 violation.
+//! Exit codes: 0 clean, 1 usage, 2 malformed input, 3 violation.
 
 use sg_bench::cli::{self, Flag};
 use sg_bench::sgcheck::{run_explore, run_replay};
 use sg_bench::sgtrace::{CliError, EXIT_MALFORMED, EXIT_USAGE};
-use sg_core::sg_check::{
-    ConfigError, ExploreConfig, FaultPlan, GraphSpec, StrategyKind, TechniqueKind,
-};
+use sg_core::sg_check::{ExploreConfig, FaultPlan, GraphSpec, StrategyKind, TechniqueKind};
 use std::process::ExitCode;
 
 fn usage_text() -> String {
@@ -69,20 +66,6 @@ fn usage(message: &str) -> CliError {
     CliError {
         code: EXIT_USAGE,
         message: format!("{message}\n\n{}", usage_text()),
-    }
-}
-
-/// The engine runs more techniques than the checker models. When someone
-/// asks to explore one of those, say *why* it is outside the model (the
-/// typed `not modelable` diagnostic, exit 2) instead of pretending the
-/// name is unknown; everything else the model refuses is a usage error.
-fn bad_config(e: ConfigError) -> CliError {
-    match e {
-        ConfigError::NotModelable { .. } => CliError {
-            code: EXIT_MALFORMED,
-            message: e.to_string(),
-        },
-        _ => usage(&e.to_string()),
     }
 }
 
@@ -154,7 +137,7 @@ fn run(args: &[String]) -> Result<(String, i32), CliError> {
                 return Err(usage("explore requires --technique"));
             };
             cfg.technique = technique;
-            cfg.validate().map_err(bad_config)?;
+            cfg.validate().map_err(|e| usage(&e.to_string()))?;
             let cmd_out = run_explore(&cfg, out.as_deref(), trace.as_deref())?;
             Ok((cmd_out.text, cmd_out.code))
         }

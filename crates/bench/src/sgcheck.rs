@@ -358,8 +358,6 @@ mod tests {
             (document("single-token", "ring:0", "2"), "at least 3"),
             (document("single-token", "complete:0", "2"), "at least 1"),
             (document("single-token", "grid:0x3", "2"), "at least 1 row"),
-            // A real technique the model cannot host says so.
-            (document("bsp-vertex-lock", "ring:8", "2"), "not modelable"),
         ] {
             let err = parse_counterexample(&bad).expect_err(&bad);
             assert_eq!(err.code, EXIT_MALFORMED, "{bad}");

@@ -146,17 +146,9 @@ impl ExploreConfig {
     }
 
     /// Can the model host this configuration? The CLI, the counterexample
-    /// parser and [`Model::new`](crate::Model::new) all ask here.
+    /// parser and [`Model::new`](crate::Model::new) all ask here. Every
+    /// technique is modelable; the cluster, graph and fault must make sense.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.technique == TechniqueKind::BspVertexLock {
-            return Err(ConfigError::NotModelable {
-                technique: self.technique,
-                reason: "Proposition 1's BSP-constrained vertex locking exchanges forks only \
-                         at global barriers with sub-superstep execution, which needs the \
-                         barrier epilogue and a BSP next-store the model does not host (see \
-                         DESIGN.md §12.5)",
-            });
-        }
         if self.workers == 0 || self.ppw == 0 {
             return Err(ConfigError::Invalid(
                 "workers and ppw must be positive".into(),
@@ -176,14 +168,6 @@ impl ExploreConfig {
 /// Why [`ExploreConfig::validate`] refused a configuration.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The technique exists — the engine runs it — but the model cannot
-    /// host it; `reason` says why.
-    NotModelable {
-        /// The refused technique.
-        technique: TechniqueKind,
-        /// What the model lacks.
-        reason: &'static str,
-    },
     /// No model of any technique could be built from it: an empty
     /// cluster, a graph outside its generator's bounds, a token-pass fault
     /// without a token ring. The message names which.
@@ -192,16 +176,8 @@ pub enum ConfigError {
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::NotModelable { technique, reason } => {
-                write!(
-                    f,
-                    "technique {:?} is not modelable: {reason}",
-                    technique.label()
-                )
-            }
-            ConfigError::Invalid(why) => f.write_str(why),
-        }
+        let ConfigError::Invalid(why) = self;
+        f.write_str(why)
     }
 }
 
@@ -212,23 +188,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn validate_refuses_what_the_model_cannot_host_with_a_typed_reason() {
+    fn validate_accepts_every_technique_and_refuses_what_no_model_could_be() {
         for t in TechniqueKind::ALL {
-            let verdict = ExploreConfig::smoke(t).validate();
-            if t == TechniqueKind::BspVertexLock {
-                let err = verdict.expect_err("outside the model");
-                assert!(
-                    matches!(err, ConfigError::NotModelable { technique, .. } if technique == t)
-                );
-                let text = err.to_string();
-                assert!(
-                    text.contains("\"bsp-vertex-lock\" is not modelable"),
-                    "{text}"
-                );
-                assert!(text.contains("barrier"), "reason explains the gap: {text}");
-            } else {
-                assert_eq!(verdict, Ok(()), "{t}");
-            }
+            assert_eq!(ExploreConfig::smoke(t).validate(), Ok(()), "{t}");
         }
         let smoke = ExploreConfig::smoke(TechniqueKind::VertexLock);
         let no_workers = ExploreConfig {

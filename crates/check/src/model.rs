@@ -28,7 +28,9 @@
 //! worker (single-layer token) get one sequential lane per worker walking
 //! all its partitions in order; all others get one per partition (maximal
 //! modeled concurrency). The model's abstract program never halts: every
-//! vertex is runnable in every superstep.
+//! vertex is runnable in every superstep. A same-worker update is visible
+//! at once, except under BSP (Proposition 1), where every update waits for
+//! the master's write-all.
 
 use crate::config::{ExploreConfig, FaultPlan};
 use sg_graph::partition::HashPartitioner;
@@ -56,8 +58,10 @@ pub enum Event {
     Release(u32),
     /// Worker reaches the superstep barrier.
     Barrier(u32),
-    /// The master ends the superstep: technique rotation (the token pass
-    /// is *sent* here) plus the BSP write-all flush.
+    /// The master ends the superstep: the technique's end of superstep (a
+    /// token pass is *sent* here; Proposition 1's forks move here), then
+    /// every worker's write-all — under BSP, the flush that makes the
+    /// superstep's updates visible.
     MasterStep,
     /// The in-flight global token lands at its destination.
     DeliverToken,
@@ -216,10 +220,12 @@ pub struct Model {
     /// What the technique told its transport during the last protocol
     /// call; applied by [`Model::apply_net`] before anything else happens.
     net: QueueTransport,
-    /// Remote replica updates not yet visible, per sending worker: they
-    /// become visible when a C1 flush point fires (a fork or the token
-    /// leaving the worker, or the superstep's write-all).
+    /// Replica updates not yet visible, per sending worker: they become
+    /// visible when a C1 flush point fires (a fork or the token leaving the
+    /// worker, or the superstep's write-all).
     outbox: Vec<Vec<(VertexId, VertexId)>>,
+    /// Under BSP, same-worker updates wait in the outbox too.
+    bsp: bool,
     /// Does this run have an exclusive global token to account for?
     tracks_token: bool,
     /// Worker holding the global token; `None` while it is in flight — or,
@@ -269,6 +275,7 @@ impl Model {
             tech,
             net: QueueTransport::default(),
             outbox: vec![Vec::new(); cfg.workers as usize],
+            bsp: cfg.technique.requires_bsp(),
             tracks_token,
             token_at: tracks_token.then(|| WorkerId::new(0)), // both rings start at worker 0
             in_flight: None,
@@ -423,11 +430,11 @@ impl Model {
                 let (v, since) = lane.open.take().expect("end without begin");
                 let worker = lane.worker;
                 // The write step: the update to every out-neighbor replica
-                // is sent; same-worker replicas see it immediately, remote
-                // ones wait for a C1 flush point.
+                // is sent; same-worker replicas see it immediately, unless
+                // under BSP, and the rest wait for a C1 flush point.
                 for &t in self.graph.out_neighbors(v) {
                     self.checker.on_send(v, t);
-                    if self.pm.worker_of(t) == worker {
+                    if !self.bsp && self.pm.worker_of(t) == worker {
                         self.checker.on_visible(v, t);
                     } else {
                         self.outbox[worker.index()].push((v, t));
@@ -466,6 +473,9 @@ impl Model {
                 for w in 0..self.outbox.len() {
                     self.flush_worker(WorkerId::new(w as u32));
                 }
+                // Every walk is over: a gate the end of superstep reopened
+                // (Proposition 1's forks move there) must not revive one.
+                self.lanes.iter_mut().for_each(|l| l.walks.clear());
                 self.master_done = true;
             }
             Event::DeliverToken => {
@@ -687,16 +697,7 @@ impl Model {
     }
 
     fn record(&self, worker: u32, kind: TraceEventKind, dur: u64, arg: u64) {
-        if let Some(t) = &self.trace {
-            t.record(
-                worker,
-                self.superstep,
-                kind,
-                self.now * 1000,
-                dur * 1000,
-                arg,
-            );
-        }
+        self.record_full(worker, kind, self.now, dur, arg);
     }
 
     fn record_full(&self, worker: u32, kind: TraceEventKind, ts: u64, dur: u64, arg: u64) {
@@ -770,8 +771,7 @@ mod tests {
 
     #[test]
     fn straight_line_schedules_are_clean_for_every_technique() {
-        let modelable = |t: &TechniqueKind| t.serializable() && cfg(*t).validate().is_ok();
-        for technique in TechniqueKind::ALL.into_iter().filter(modelable) {
+        for technique in TechniqueKind::ALL.into_iter().filter(|t| t.serializable()) {
             let mut model = Model::new(&cfg(technique), None);
             run_first_choice(&mut model);
             assert!(

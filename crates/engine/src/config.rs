@@ -177,12 +177,7 @@ impl EngineConfig {
                     "barrierless execution requires the asynchronous model".into(),
                 ));
             }
-            if matches!(
-                self.technique,
-                TechniqueKind::SingleToken
-                    | TechniqueKind::DualToken
-                    | TechniqueKind::BspVertexLock
-            ) {
+            if self.technique.uses_global_token() || self.technique.requires_bsp() {
                 return Err(EngineError::InvalidConfig(
                     "token passing and Proposition 1 need globally coordinated supersteps; \
                      barrierless execution supports None/VertexLock/PartitionLock"
@@ -195,24 +190,20 @@ impl EngineConfig {
                 ));
             }
         }
-        if self.model == Model::Async && self.technique == TechniqueKind::BspVertexLock {
+        let bsp = self.model == Model::Bsp;
+        if !bsp && self.technique.requires_bsp() {
             return Err(EngineError::InvalidConfig(
                 "BspVertexLock is the Proposition 1 technique for the BSP model; \
                  use VertexLock/PartitionLock with the asynchronous model"
                     .into(),
             ));
         }
-        if self.model == Model::Bsp
-            && !matches!(
-                self.technique,
-                TechniqueKind::None | TechniqueKind::BspVertexLock
-            )
-        {
+        if bsp && self.technique.serializable() && !self.technique.requires_bsp() {
             // Section 4.1: synchronous models hide updates until the next
             // superstep, so local replicas cannot be updated eagerly and
-            // these techniques cannot enforce C1. (The constrained BSP
-            // variant of Proposition 1 is deliberately not implemented —
-            // Section 6 explains it only magnifies BSP's barrier costs.)
+            // these techniques cannot enforce C1. BSP's one serializable
+            // pairing is Proposition 1's constrained variant,
+            // `BspVertexLock`.
             return Err(EngineError::BspWithSynchronization);
         }
         Ok(())

@@ -2,11 +2,12 @@
 //! routing, and the virtual-time accounting.
 
 use crate::aggregators::AggregatorSet;
-use crate::config::{build_synchronizer, EngineConfig, EngineError, Model};
+use crate::barrier::{self, BarrierHost, BarrierParts};
+use crate::config::{build_synchronizer, EngineConfig, EngineError};
 use crate::cycle::{charge_lock_wait, charge_virtual, Cycle, Env, Host};
 use crate::program::{Combiner, VertexProgram};
 use crate::state::{gather_values, PartitionData};
-use crate::store::{Envelope, OutboundBuffers, PartitionStore, Routed, StagingBuffers};
+use crate::store::{Envelope, InboxPair, OutboundBuffers, PartitionStore, Routed, StagingBuffers};
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
     CostModel, Counter, GaugeHandle, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SimClocks,
@@ -185,25 +186,11 @@ impl<P: VertexProgram> Engine<P> {
         }
 
         let layout = *self.pm.layout();
-        let num_partitions = layout.num_partitions() as usize;
         let workers = layout.num_workers() as usize;
 
-        let mut partitions = Vec::with_capacity(num_partitions);
-        let mut current = Vec::with_capacity(num_partitions);
-        // Only BSP holds a superstep's sends back until the barrier.
-        let mut next = Vec::new();
-        for p in layout.partitions() {
-            let vertices = self.pm.vertices_in(p).to_vec();
-            let values: Vec<P::Value> = vertices
-                .iter()
-                .map(|&v| self.program.init(v, &self.graph))
-                .collect();
-            current.push(PartitionStore::new(vertices.len()));
-            if self.config.model == Model::Bsp {
-                next.push(PartitionStore::new(vertices.len()));
-            }
-            partitions.push(Mutex::new(PartitionData::new(vertices, values)));
-        }
+        let init = |p| PartitionData::init(&self.program, &self.graph, &self.pm, p);
+        let partitions = layout.partitions().map(|p| Mutex::new(init(p))).collect();
+        let inboxes = InboxPair::new(&self.pm, self.config.model, recorder.clone());
 
         let mut aggs = AggregatorSet::new();
         self.program.register_aggregators(&mut aggs);
@@ -215,10 +202,8 @@ impl<P: VertexProgram> Engine<P> {
             graph: Arc::clone(&self.graph),
             program: self.program,
             pm: Arc::clone(&self.pm),
-            model: self.config.model,
             partitions,
-            current,
-            next,
+            inboxes,
             outbound: OutboundBuffers::new(workers),
             staging: (0..workers * tpw)
                 .map(|_| Mutex::new(StagingBuffers::new(workers, has_combiner)))
@@ -335,42 +320,20 @@ impl<P: VertexProgram> Engine<P> {
                 g.staging.set(staged as u64);
             }
 
-            // Master phase: deliver stragglers, rotate tokens, swap BSP
-            // stores, roll aggregators, level virtual clocks, decide halt.
-            for w in 0..workers {
-                core.flush_outbound(w);
+            // Close the superstep. Each worker's gap behind the frontier is
+            // the idle time this barrier absorbed (and its skew behind the
+            // superstep's straggler).
+            let gaps = barrier::close(&mut core.as_ref(), s);
+            if let Some(t) = &core.timers {
+                for (w, &gap) in gaps.iter().enumerate() {
+                    t.add_idle(w, gap);
+                    t.set_skew(w, gap);
+                }
             }
-            debug_assert!(
-                core.owed.iter().all(|o| o.load(Ordering::SeqCst) == 0),
-                "a worker still owes messages after the barrier's write-all"
-            );
-            core.sync.end_superstep(s, core.as_ref());
-            if core.model == Model::Bsp {
-                core.bsp_swap();
-            }
-            core.aggs.roll();
             // Reclaim versions below the oldest open snapshot; the barrier
             // is off the compute hot path, so GC never contends with a
             // vertex execution for its stripe.
             core.vstore.gc();
-            core.metrics.inc(Counter::Supersteps);
-            core.metrics.inc(Counter::Barriers);
-            // Pre-barrier clock spread = idle time absorbed by this barrier
-            // (and each worker's skew behind the superstep's straggler).
-            if core.timers.is_some() || core.trace.is_enabled() {
-                let frontier = core.clocks.makespan();
-                for w in 0..workers {
-                    let now = core.clocks.now(w);
-                    let gap = frontier - now;
-                    if let Some(t) = &core.timers {
-                        t.add_idle(w, gap);
-                        t.set_skew(w, gap);
-                    }
-                    core.trace
-                        .record(w as u32, s, TraceEventKind::BarrierWait, now, gap, 0);
-                }
-            }
-            core.clocks.barrier(core.cost.barrier_ns);
             if let Some(prev) = &mut prev_snap {
                 let snap = metrics.snapshot();
                 rows.push(SuperstepRow {
@@ -405,18 +368,13 @@ impl<P: VertexProgram> Engine<P> {
                 }
             }
 
-            let pending = core.queued() as u64;
-            let active: usize = core
-                .partitions
-                .iter()
-                .map(|p| p.lock().unwrap().active_count())
-                .sum();
+            let (pending, active) = (core.inboxes.queued(), core.active());
             if let Some(g) = &gauges {
                 g.superstep.set(s);
                 g.active.set(active as u64);
-                g.pending.set(pending);
+                g.pending.set(pending as u64);
             }
-            if core.program.master_halt(s, &core.aggs.view()) || (active == 0 && pending == 0) {
+            if barrier::halts(&core.program, s, &core.aggs, active, pending) {
                 converged = true;
                 break;
             }
@@ -496,13 +454,8 @@ struct Core<P: VertexProgram> {
     graph: Arc<Graph>,
     program: P,
     pm: Arc<PartitionMap>,
-    model: Model,
     partitions: Vec<Mutex<PartitionData<P::Value>>>,
-    /// Per partition, the messages its vertices may read now.
-    current: Vec<PartitionStore<P::Message>>,
-    /// Under BSP, per partition, what this superstep sent (readable after
-    /// the barrier's swap); empty under AP.
-    next: Vec<PartitionStore<P::Message>>,
+    inboxes: InboxPair<P::Message>,
     outbound: OutboundBuffers<P::Message>,
     /// Per-compute-thread outbound staging (sender-side combining), indexed
     /// `worker * threads_per_worker + slot`. Behind mutexes (not true
@@ -635,6 +588,36 @@ impl<P: VertexProgram> SyncTransport for Core<P> {
     }
 }
 
+/// The master hosts the barrier between supersteps, with every compute
+/// thread parked; the engine is the technique's transport there too, so a
+/// fork or token moves with its C1 write-all applied inside the call.
+impl<P: VertexProgram> BarrierHost for &Core<P> {
+    type Message = P::Message;
+
+    fn write_all(&mut self, w: usize) {
+        self.flush_outbound(w);
+        debug_assert_eq!(
+            self.owed[w].load(Ordering::SeqCst),
+            0,
+            "worker {w} still owes messages after the barrier's write-all"
+        );
+    }
+
+    fn parts(&self) -> BarrierParts<'_, P::Message> {
+        BarrierParts {
+            sync: &*self.sync,
+            transport: *self,
+            inboxes: &self.inboxes,
+            pm: &self.pm,
+            aggregators: &self.aggs,
+            metrics: &self.metrics,
+            trace: &self.trace,
+            clocks: &self.clocks,
+            barrier_ns: self.cost.barrier_ns,
+        }
+    }
+}
+
 /// Execute in barrierless mode: every thread loops over its statically
 /// assigned partitions in *logical* per-worker supersteps, parking when its
 /// worker has no work. Global termination = all threads parked, no pending
@@ -707,9 +690,10 @@ fn barrierless_loop<P: VertexProgram>(
             }
         }
         // Per-round flush of this thread's own staging plus the worker's
-        // shared buffers; the C1 write-all (`flush_outbound`) still drains
-        // every sibling thread's staging when a fork moves.
-        core.flush_thread_outbound(worker, lane.staging);
+        // shared buffers (siblings flush their own, so the hot loop never
+        // contends on another thread's staging lock); the C1 write-all
+        // (`flush_outbound`) still drains them all when a fork moves.
+        core.ship_from(worker, std::slice::from_ref(lane.staging));
         core.clocks.observe(worker, lane.clock.lock().unwrap().now);
         if did_work {
             round += 1;
@@ -749,17 +733,10 @@ impl<P: VertexProgram> Core<P> {
                 *idle -= 1;
                 return false;
             }
-            if *idle == self.total_threads && self.queued() == 0 {
-                let active: usize = self
-                    .partitions
-                    .iter()
-                    .map(|p| p.lock().unwrap().active_count())
-                    .sum();
-                if active == 0 {
-                    *idle -= 1;
-                    self.finish_barrierless();
-                    return false;
-                }
+            if *idle == self.total_threads && self.inboxes.queued() == 0 && self.active() == 0 {
+                *idle -= 1;
+                self.finish_barrierless();
+                return false;
             }
             if my_parts.iter().any(|&p| self.partition_has_work(p.index())) {
                 *idle -= 1;
@@ -908,13 +885,11 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
         &mut self,
         from: VertexId,
         to: VertexId,
-        (p, local): (PartitionId, u32),
+        slot: (PartitionId, u32),
         msg: P::Message,
     ) {
-        let core = self.core;
-        let combiner = core.combiner.as_deref();
-        let folded = core.arrivals()[p.index()].insert(local as usize, from, msg, combiner);
-        core.on_arrival(from, to, folded);
+        let combiner = self.core.combiner.as_deref();
+        self.core.inboxes.deliver(from, to, slot, msg, combiner);
         self.delivered = true;
     }
 
@@ -929,7 +904,7 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
             None => self.unowed += 1,
             Some(absorbed) => {
                 core.metrics.inc(Counter::SenderCombines);
-                core.on_fold(absorbed, to);
+                core.inboxes.readable(absorbed, to);
             }
         }
         if staged >= core.buffer_cap {
@@ -970,16 +945,22 @@ impl<P: VertexProgram> Core<P> {
         }
     }
 
+    /// Vertices that have not voted to halt, across every partition.
+    fn active(&self) -> usize {
+        let parts = self.partitions.iter();
+        parts.map(|p| p.lock().unwrap().active_count()).sum()
+    }
+
     /// Any active vertex or queued message in partition `p`?
     fn partition_has_work(&self, p: usize) -> bool {
-        self.current[p].total() > 0 || self.partitions[p].lock().unwrap().any_active()
+        self.inboxes.current()[p].total() > 0 || self.partitions[p].lock().unwrap().any_active()
     }
 
     /// Host one [`PartitionWalk`]: block where it says acquire, run the
     /// shared vertex transaction where it says run, and charge the lane's
     /// virtual clock for both.
     fn execute_partition(&self, worker: usize, p: PartitionId, s: u64, lane: &mut Lane<'_, P>) {
-        let store = &self.current[p.index()];
+        let store = &self.inboxes.current()[p.index()];
         let mut host = PartitionHost {
             core: self,
             worker,
@@ -1062,54 +1043,12 @@ impl<P: VertexProgram> Core<P> {
         }
     }
 
-    /// The stores a send lands in — under BSP the next superstep's
-    /// (visible after the next barrier).
-    fn arrivals(&self) -> &[PartitionStore<P::Message>] {
-        if self.model == Model::Bsp {
-            &self.next
-        } else {
-            &self.current
-        }
-    }
-
-    /// A message from `sender` was inserted for `to`, folding into an
-    /// envelope from `folded` if the combiner merged it: readable at once,
-    /// except under BSP, where the barrier's swap makes the envelope so.
-    fn on_arrival(&self, sender: VertexId, to: VertexId, folded: Option<VertexId>) {
-        if self.model != Model::Bsp {
-            if let Some(r) = &self.recorder {
-                r.on_visible(sender, to);
-            }
-        } else if let Some(absorbed) = folded {
-            self.on_fold(absorbed, to);
-        }
-    }
-
-    /// A combiner folded a not-yet-readable message from `absorbed` into
-    /// an envelope that now names another sender. The envelope accounts
-    /// for one message when it turns readable, so the absorbed one is
-    /// accounted for here; its content stays in flight with the envelope,
-    /// whose own sender's pair still reads as stale until then (C1).
-    fn on_fold(&self, absorbed: VertexId, to: VertexId) {
-        if let Some(r) = &self.recorder {
-            r.on_visible(absorbed, to);
-        }
-    }
-
     /// Barrierless: wake parked threads, new work may have arrived for
     /// them. Once per transaction or shipped batch, not per message.
     fn wake_parked(&self) {
         if self.barrierless {
             self.idle_cv.notify_all();
         }
-    }
-
-    /// Envelopes queued in every store. With every staging buffer and
-    /// buffer cache flushed — at a barrier, or with every barrierless
-    /// thread parked — this is every message there is.
-    fn queued(&self) -> usize {
-        let stores = self.current.iter().chain(&self.next);
-        stores.map(PartitionStore::total).sum()
     }
 
     /// Drain one destination's staged run into the shared outbound buffer
@@ -1173,9 +1112,9 @@ impl<P: VertexProgram> Core<P> {
             let mut store = None;
             for (&(q, local), (to_v, sender, m)) in slots.iter().zip(&routed) {
                 if q == p {
-                    let store = store.get_or_insert_with(|| self.arrivals()[p.index()].lock());
+                    let store = store.get_or_insert_with(|| self.inboxes.landing(p.index()).lock());
                     let folded = store.insert(local as usize, *sender, m.clone(), combiner);
-                    self.on_arrival(*sender, *to_v, folded);
+                    self.inboxes.landed(*sender, *to_v, folded);
                 }
             }
         }
@@ -1191,23 +1130,9 @@ impl<P: VertexProgram> Core<P> {
     /// arriving cross-thread must still see the holder's staged messages
     /// flushed before the fork moves.
     fn flush_outbound(&self, from: usize) {
-        let workers = self.clocks.len();
+        let tpw = self.threads_per_worker;
         loop {
-            for slot in 0..self.threads_per_worker {
-                let mut st = self.staging[from * self.threads_per_worker + slot]
-                    .lock()
-                    .unwrap();
-                for to in 0..workers {
-                    if to != from {
-                        self.flush_staged(from, to, &mut st);
-                    }
-                }
-            }
-            for to in 0..workers {
-                if to != from {
-                    self.flush_buffer(from, to);
-                }
-            }
+            self.ship_from(from, &self.staging[from * tpw..][..tpw]);
             // Draining the containers is not enough: a sibling thread's
             // round flush may have taken messages out before we looked and
             // not yet delivered them (and its partial batches re-land in
@@ -1223,24 +1148,18 @@ impl<P: VertexProgram> Core<P> {
         }
     }
 
-    /// Round flush for one barrierless compute thread: its own staging plus
-    /// the worker's shared buffers. Siblings flush their own each round, so
-    /// the hot loop never contends on another thread's staging lock.
-    fn flush_thread_outbound(&self, from: usize, staging: &Mutex<StagingBuffers<P::Message>>) {
-        let workers = self.clocks.len();
-        {
-            let mut st = staging.lock().unwrap();
-            for to in 0..workers {
-                if to != from {
-                    self.flush_staged(from, to, &mut st);
-                }
-            }
+    /// Ship what `staging` holds for other workers, then every buffer of
+    /// worker `from`: one pass of [`Core::flush_outbound`], or with one
+    /// thread's staging, a barrierless round flush.
+    fn ship_from(&self, from: usize, staging: &[Mutex<StagingBuffers<P::Message>>]) {
+        let others = (0..self.clocks.len()).filter(|&to| to != from);
+        for st in staging {
+            let mut st = st.lock().unwrap();
+            others
+                .clone()
+                .for_each(|to| self.flush_staged(from, to, &mut st));
         }
-        for to in 0..workers {
-            if to != from {
-                self.flush_buffer(from, to);
-            }
-        }
+        others.for_each(|to| self.flush_buffer(from, to));
     }
 
     /// Assemble the run's observability report (or `None` when everything
@@ -1284,7 +1203,7 @@ impl<P: VertexProgram> Core<P> {
                     (d.values.clone(), d.halted_snapshot())
                 })
                 .collect(),
-            stores: self.current.iter().map(|s| s.export()).collect(),
+            stores: self.inboxes.current().iter().map(|s| s.export()).collect(),
             aggregators: self.aggs.export(),
             forks: self.sync.checkpoint(),
         }
@@ -1319,7 +1238,7 @@ impl<P: VertexProgram> Core<P> {
             }
         }
         self.vstore.commit(txn);
-        for (store, snapshot) in self.current.iter().zip(&ckpt.stores) {
+        for (store, snapshot) in self.inboxes.current().iter().zip(&ckpt.stores) {
             store.restore(snapshot.clone());
         }
         for owed in &self.owed {
@@ -1331,26 +1250,12 @@ impl<P: VertexProgram> Core<P> {
         }
         ckpt.superstep
     }
-
-    /// BSP barrier: messages sent this superstep become visible.
-    fn bsp_swap(&self) {
-        for p in 0..self.next.len() {
-            if let Some(r) = &self.recorder {
-                let d = self.partitions[p].lock().unwrap();
-                self.next[p].transfer_all(&self.current[p], |local, sender| {
-                    r.on_visible(sender, d.vertices[local]);
-                });
-            } else {
-                self.next[p].transfer_all(&self.current[p], |_, _| {});
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Context, TechniqueKind};
+    use crate::{Context, Model, TechniqueKind};
     use sg_graph::gen;
 
     /// Counts supersteps: runs for `rounds` supersteps then halts.
@@ -1621,11 +1526,11 @@ mod tests {
         // Worker 0 runs v0 and v2: one writes to v1, one to v3, both staged.
         core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
         assert_eq!((owed(0), owed(1)), (2, 0));
-        assert_eq!(core.current[1].total(), 0, "nothing applied yet");
+        assert_eq!(core.inboxes.current()[1].total(), 0, "nothing applied yet");
 
         // A fork guarding them moves to worker 1: applied on return.
         core.transfer(w0, w1, Some(0));
-        assert_eq!(core.current[1].total(), 2);
+        assert_eq!(core.inboxes.current()[1].total(), 2);
         assert_eq!((owed(0), flushes()), (0, (1, 1)));
 
         // Nothing owed: the next fork moves without touching a buffer, and
@@ -1633,7 +1538,7 @@ mod tests {
         core.transfer(w0, w1, Some(2));
         core.transfer(w1, w0, Some(1));
         assert_eq!(flushes(), (1, 1));
-        assert_eq!(core.current[1].total(), 2);
+        assert_eq!(core.inboxes.current()[1].total(), 2);
 
         // Owed again, then a rollback: the count goes with the messages.
         core.execute_partition(1, PartitionId::new(1), 0, &mut core.lane(1, 0));
@@ -1641,7 +1546,7 @@ mod tests {
         core.flush_outbound(1);
         assert_eq!(core.restore_checkpoint(&start), 0);
         assert_eq!((owed(0), owed(1)), (0, 0));
-        assert_eq!(core.current[1].total(), 0);
+        assert_eq!(core.inboxes.current()[1].total(), 0);
     }
 
     #[test]
@@ -1652,7 +1557,7 @@ mod tests {
         let core = c4_core(1);
         core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
         assert_eq!(core.owed[0].load(Ordering::SeqCst), 0);
-        assert_eq!(core.current[1].total(), 2);
+        assert_eq!(core.inboxes.current()[1].total(), 2);
     }
 
     #[test]
@@ -1662,14 +1567,19 @@ mod tests {
         let core = c4_core(1); // every remote send ships at once
         core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
         // v1 and v3 each hold one; v0 holds v2's, sent after v0 ran.
-        assert_eq!(core.queued(), 3);
+        assert_eq!(core.inboxes.queued(), 3);
         let ckpt = core.take_checkpoint(1);
         // Worker 1 reads its two and, having learnt nothing new, stays quiet.
         core.execute_partition(1, PartitionId::new(1), 1, &mut core.lane(1, 0));
-        assert_eq!(core.queued(), 1);
+        assert_eq!(core.inboxes.queued(), 1);
         assert_eq!(core.restore_checkpoint(&ckpt), 1);
-        assert_eq!((core.queued(), core.current[1].total()), (3, 2));
-        assert!(core.current[1].has_messages(0) && core.current[1].has_messages(1));
+        assert_eq!(
+            (core.inboxes.queued(), core.inboxes.current()[1].total()),
+            (3, 2)
+        );
+        assert!(
+            core.inboxes.current()[1].has_messages(0) && core.inboxes.current()[1].has_messages(1)
+        );
     }
 
     #[test]

@@ -25,8 +25,14 @@
 //! threads, the "network" is the in-process buffer/store machinery, and a
 //! virtual-time cost model (`sg-metrics`) produces the simulated
 //! computation time the benchmarks report.
+//!
+//! A superstep is written once for every host: [`cycle`] is one vertex
+//! transaction, [`barrier`] closes the superstep, and
+//! [`store::InboxPair`] states each model's visibility rule. The thread
+//! engine here and `sg-sim`'s discrete-event core both host them.
 
 pub mod aggregators;
+pub mod barrier;
 pub mod config;
 pub mod context;
 pub mod cycle;

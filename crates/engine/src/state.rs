@@ -12,7 +12,8 @@
 //! O(n) scan there is pure waste when halt transitions are the only thing
 //! that can change the count.
 
-use sg_graph::VertexId;
+use crate::program::VertexProgram;
+use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
 use std::ops::Deref;
 
 /// State of one partition's vertices. Index `i` corresponds to the `i`-th
@@ -42,6 +43,17 @@ impl<V> PartitionData<V> {
             halted: vec![false; n],
             active: n,
         }
+    }
+
+    /// Partition `p` of `pm` as a run starts it: every vertex active, at
+    /// `program`'s initial value.
+    pub fn init<P>(program: &P, graph: &Graph, pm: &PartitionMap, p: PartitionId) -> Self
+    where
+        P: VertexProgram<Value = V>,
+    {
+        let vertices = pm.vertices_in(p);
+        let values = vertices.iter().map(|&v| program.init(v, graph)).collect();
+        Self::new(vertices.to_vec(), values)
     }
 
     /// Number of vertices in the partition.

@@ -33,10 +33,12 @@
 //! 3. [`OutboundBuffers`] keep one mutex per (source, destination) worker
 //!    pair, fed in batches rather than per message.
 
+use crate::config::Model;
 use crate::program::Combiner;
-use sg_graph::VertexId;
+use sg_graph::{PartitionId, PartitionMap, VertexId};
+use sg_serial::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A queued message: who sent it (needed by the serializability recorder
 /// and the BSP visibility swap) and its payload.
@@ -371,6 +373,106 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
                 store.insert(local, sender, msg, None);
             }
         }
+    }
+}
+
+/// Every partition's inbox and the model's visibility rule, for any host.
+/// Vertices read the *current* stores. Under AP a send lands there too,
+/// readable at once; under BSP it lands in the partition's *next* store
+/// until [`InboxPair::flip`]. The recorder, when the run keeps one, hears
+/// of each message as it turns readable.
+pub struct InboxPair<M> {
+    current: Vec<PartitionStore<M>>,
+    /// Under BSP, per partition, what this superstep sent; empty under AP.
+    next: Vec<PartitionStore<M>>,
+    recorder: Option<Arc<Recorder>>,
+}
+
+impl<M: Clone + Send + 'static> InboxPair<M> {
+    /// Inboxes for `pm`'s partitions under `model`.
+    pub fn new(pm: &PartitionMap, model: Model, recorder: Option<Arc<Recorder>>) -> Self {
+        let stores = || {
+            let sizes = pm.layout().partitions().map(|p| pm.vertices_in(p).len());
+            sizes.map(PartitionStore::new).collect()
+        };
+        Self {
+            current: stores(),
+            next: (model == Model::Bsp).then(stores).unwrap_or_default(),
+            recorder,
+        }
+    }
+
+    /// The stores vertices read now, by partition.
+    pub fn current(&self) -> &[PartitionStore<M>] {
+        &self.current
+    }
+
+    /// The store a send to partition `p` lands in.
+    #[inline]
+    pub fn landing(&self, p: usize) -> &PartitionStore<M> {
+        if self.next.is_empty() {
+            &self.current[p]
+        } else {
+            &self.next[p]
+        }
+    }
+
+    /// A message from `sender` landed for `to`, folding into an envelope
+    /// from `folded` if the combiner merged it: readable at once, except
+    /// under BSP, where the flip makes the envelope so.
+    #[inline]
+    pub fn landed(&self, sender: VertexId, to: VertexId, folded: Option<VertexId>) {
+        if self.next.is_empty() {
+            self.readable(sender, to);
+        } else if let Some(absorbed) = folded {
+            self.readable(absorbed, to);
+        }
+    }
+
+    /// The recorder counts `from`'s message to `to` readable. A host calls
+    /// it for a message a combiner folded, in sender-side staging, into an
+    /// envelope that now names another sender: the envelope accounts for
+    /// one message when it turns readable, so the absorbed one does here.
+    #[inline]
+    pub fn readable(&self, from: VertexId, to: VertexId) {
+        if let Some(r) = &self.recorder {
+            r.on_visible(from, to);
+        }
+    }
+
+    /// Land one message for `to`, in slot `(p, local)`, through the
+    /// combiner.
+    #[inline]
+    pub fn deliver(
+        &self,
+        sender: VertexId,
+        to: VertexId,
+        (p, local): (PartitionId, u32),
+        msg: M,
+        combiner: Option<&dyn Combiner<M>>,
+    ) {
+        let folded = self
+            .landing(p.index())
+            .insert(local as usize, sender, msg, combiner);
+        self.landed(sender, to, folded);
+    }
+
+    /// The BSP barrier: what this superstep sent becomes readable.
+    pub fn flip(&self, pm: &PartitionMap) {
+        for (p, (next, current)) in self.next.iter().zip(&self.current).enumerate() {
+            let vertices = pm.vertices_in(PartitionId::new(p as u32));
+            next.transfer_all(current, |local, sender| {
+                self.readable(sender, vertices[local])
+            });
+        }
+    }
+
+    /// Envelopes queued in every store. With every staging buffer and
+    /// buffer cache flushed — at a barrier, or with every barrierless
+    /// thread parked — this is every message there is.
+    pub fn queued(&self) -> usize {
+        let stores = self.current.iter().chain(&self.next);
+        stores.map(PartitionStore::total).sum()
     }
 }
 

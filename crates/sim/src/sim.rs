@@ -18,30 +18,35 @@
 //! protocol call that made it returns.
 //!
 //! Fidelity notes (what the simulator's IO half shares with `sg-engine`):
-//! * inboxes are the engine's own [`PartitionStore`]s, one per partition,
-//!   fed through the program's combiner;
-//! * local messages are visible immediately (AP model); remote messages
-//!   stage in the engine's own [`StagingBuffers`], one per worker, combine
-//!   sender-side, and flush as batches when `buffer_cap` accumulate;
+//! * inboxes are the engine's own [`InboxPair`], fed through the
+//!   program's combiner: a local message is readable at once under the
+//!   asynchronous model and after the barrier under BSP;
+//! * remote messages stage in the engine's own [`StagingBuffers`], one per
+//!   worker, combine sender-side, and flush as batches when `buffer_cap`
+//!   accumulate;
 //! * a fork/token handover performs the write-all flush of the sender's
 //!   outbound messages *synchronously* (condition C1) — in-flight batches
 //!   from that worker are applied before the handover completes;
-//! * batch assembly charges the sending machine `batch_overhead_ns`; the
-//!   receiving machine's clock joins the arrival timestamp;
-//! * the barrier levels every clock to the global frontier plus
-//!   `barrier_ns`, exactly like the engine's master phase.
+//! * each worker machine's clock is a row of the engine's [`SimClocks`]:
+//!   batch assembly advances the sender's, an arrival joins the
+//!   receiver's;
+//! * a superstep closes in the engine's own [`barrier::close`] — write-all,
+//!   the technique's end of superstep, the BSP flip, the aggregators, the
+//!   clocks levelled to the frontier plus `barrier_ns` — and stops on the
+//!   engine's own [`barrier::halts`] verdict.
 
 use crate::event::{EventKind, EventQueue};
 use crate::net::NetModel;
+use sg_engine::barrier::{self, BarrierHost, BarrierParts};
 use sg_engine::cycle::{charge_lock_wait, charge_virtual};
 use sg_engine::state::{gather_values, PartitionData};
-use sg_engine::store::{Envelope, PartitionStore, Routed, StagingBuffers};
+use sg_engine::store::{Envelope, InboxPair, Routed, StagingBuffers};
 use sg_engine::{
     build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Host,
-    Model, Outcome, TechniqueKind, VertexProgram,
+    Outcome, VertexProgram,
 };
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
-use sg_metrics::{CostModel, Counter, Metrics, ObsReport, Trace, TraceEventKind};
+use sg_metrics::{CostModel, Counter, Metrics, ObsReport, SimClocks, Trace, TraceEventKind};
 use sg_serial::Recorder;
 use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Step, Synchronizer};
 use std::sync::Arc;
@@ -127,28 +132,26 @@ struct Sim<'a, P: VertexProgram> {
     cost: CostModel,
     metrics: &'a Metrics,
     trace: &'a Trace,
-    recorder: Option<&'a Recorder>,
     aggs: &'a AggregatorSet,
     buffer_cap: usize,
     superstep: u64,
 
     /// Values and halt votes, per partition.
     parts: Vec<PartitionData<P::Value>>,
-    /// Incoming messages, per partition: the engine's own store.
-    stores: Vec<PartitionStore<P::Message>>,
+    /// Incoming messages, per partition: the engine's own inboxes.
+    inboxes: InboxPair<P::Message>,
     /// Scratch for one vertex's drained envelopes.
     envelopes: Vec<Envelope<P::Message>>,
 
-    workers: u32,
     ppw: u32,
     lanes_per_worker: u32,
     lanes: Vec<Lane>,
     /// Per-worker next-partition claim index.
     claim: Vec<u32>,
-    /// Per-worker machine clock floor: joined by batch arrivals and ring
-    /// passes (the engine's `SimClocks::observe`), folded into lanes at
-    /// the barrier.
-    floor: Vec<u64>,
+    /// Per-worker machine clocks: advanced by batch assembly, joined by
+    /// arrivals, ring passes and the lanes' own clocks, levelled at the
+    /// barrier.
+    clocks: SimClocks,
 
     /// Per-worker outbound staging, plus the destinations each worker has
     /// staged for since its last write-all (so a 512-worker barrier visits
@@ -170,10 +173,9 @@ struct Sim<'a, P: VertexProgram> {
 /// `config` and `opts`, returning the engine-shaped outcome plus the
 /// determinism digest.
 ///
-/// The simulator hosts the asynchronous model only: BSP (and the
-/// BSP-constrained [`TechniqueKind::BspVertexLock`]) needs the engine's
-/// sub-superstep store swap, and barrierless / failure-injection runs are
-/// likewise the in-process engine's territory.
+/// The simulator hosts both models and every technique the engine pairs
+/// with them, Proposition 1 included. Barrierless and checkpointing /
+/// failure-injection runs remain the in-process engine's territory.
 pub fn simulate<P: VertexProgram>(
     graph: Arc<Graph>,
     program: P,
@@ -182,18 +184,6 @@ pub fn simulate<P: VertexProgram>(
     opts: &SimOptions,
 ) -> Result<SimReport<P::Value>, EngineError> {
     config.validate()?;
-    if config.model != Model::Async {
-        return Err(EngineError::InvalidConfig(
-            "the discrete-event simulator runs the asynchronous model only".into(),
-        ));
-    }
-    if config.technique == TechniqueKind::BspVertexLock {
-        return Err(EngineError::InvalidConfig(
-            "bsp-vertex-lock's sub-superstep fork exchange requires the BSP engine; \
-             the simulator hosts the asynchronous techniques"
-                .into(),
-        ));
-    }
     if config.barrierless {
         return Err(EngineError::InvalidConfig(
             "barrierless execution is not simulated; use the in-process engine".into(),
@@ -218,16 +208,11 @@ pub fn simulate<P: VertexProgram>(
         .unwrap_or_else(|| NetModel::from_cost(&config.cost));
     let trace = config.obs.trace_handle(workers as usize);
     let record_history = config.record_history || config.obs.audit;
-    let recorder = record_history.then(|| Recorder::new(Arc::clone(&graph)));
+    let recorder = record_history.then(|| Arc::new(Recorder::new(Arc::clone(&graph))));
 
     let n = graph.num_vertices() as usize;
-    let parts: Vec<_> = (pm.layout().partitions())
-        .map(|p| {
-            let vertices = pm.vertices_in(p).to_vec();
-            let values = vertices.iter().map(|&v| program.init(v, &graph)).collect();
-            PartitionData::new(vertices, values)
-        })
-        .collect();
+    let init = |p| PartitionData::init(&program, &graph, &pm, p);
+    let parts: Vec<_> = pm.layout().partitions().map(init).collect();
     let mut aggs = AggregatorSet::new();
     program.register_aggregators(&mut aggs);
 
@@ -237,7 +222,7 @@ pub fn simulate<P: VertexProgram>(
         pm: &pm,
         aggregators: &aggs,
         trace: &trace,
-        recorder: recorder.as_ref(),
+        recorder: recorder.as_deref(),
         metrics: &metrics,
     });
     let mut sim = Sim {
@@ -252,21 +237,17 @@ pub fn simulate<P: VertexProgram>(
         cost: config.cost,
         metrics: &metrics,
         trace: &trace,
-        recorder: recorder.as_ref(),
         aggs: &aggs,
         buffer_cap: config.buffer_cap,
         superstep: 0,
-        stores: (parts.iter())
-            .map(|part| PartitionStore::new(part.vertices.len()))
-            .collect(),
+        inboxes: InboxPair::new(&pm, config.model, recorder.clone()),
         parts,
         envelopes: Vec::new(),
-        workers,
         ppw,
         lanes_per_worker,
         lanes: vec![Lane::default(); (workers * lanes_per_worker) as usize],
         claim: vec![0; workers as usize],
-        floor: vec![0; workers as usize],
+        clocks: SimClocks::new(workers as usize),
         staging: (0..workers)
             .map(|_| StagingBuffers::new(workers as usize, combiner.is_some()))
             .collect(),
@@ -289,7 +270,7 @@ pub fn simulate<P: VertexProgram>(
         makespan_ns: makespan,
         stalled: false,
     });
-    let history = recorder.as_ref().map(Recorder::take_history);
+    let history = recorder.as_deref().map(Recorder::take_history);
     let audit = (config.obs.audit)
         .then(|| history.as_ref().map(|h| h.summarize(&graph)))
         .flatten();
@@ -321,11 +302,13 @@ impl<P: VertexProgram> Sim<'_, P> {
     ) -> Result<(bool, u64, u64), EngineError> {
         let mut executed = 0u64;
         let mut converged = false;
-        let makespan;
+        let lpw = self.lanes_per_worker as usize;
         loop {
-            // Reset claims; wake every lane at its (barrier-leveled) clock.
+            // Reset claims; wake every lane at its worker's (barrier-
+            // levelled) clock.
             self.claim.fill(0);
             for li in 0..self.lanes.len() {
+                self.lanes[li].clock = self.clocks.now(li / lpw);
                 self.wake(li, 0);
             }
             while let Some(ev) = self.queue.pop() {
@@ -341,64 +324,28 @@ impl<P: VertexProgram> Sim<'_, P> {
             if let Some(report) = self.blocked_report() {
                 return Err(EngineError::InvalidConfig(report));
             }
-            let frontier = self.master_phase();
-            executed += 1;
+            // Fold lane clocks into the worker machine clocks (the engine's
+            // end-of-superstep `clocks.observe`). The event queue has
+            // drained: nothing is on the wire any more.
+            for (li, lane) in self.lanes.iter().enumerate() {
+                self.clocks.observe(li / lpw, lane.clock);
+            }
+            self.in_flight.iter_mut().for_each(Vec::clear);
             let s = self.superstep;
+            barrier::close(self, s);
+            executed += 1;
             let active: usize = self.parts.iter().map(PartitionData::active_count).sum();
-            let pending: usize = self.stores.iter().map(PartitionStore::total).sum();
-            if self.program.master_halt(s, &self.aggs.view()) || (active == 0 && pending == 0) {
+            let pending = self.inboxes.queued();
+            if barrier::halts(self.program, s, self.aggs, active, pending) {
                 converged = true;
-                makespan = frontier;
                 break;
             }
             if executed >= max_supersteps {
-                makespan = frontier;
                 break;
             }
             self.superstep += 1;
         }
-        Ok((converged, executed, makespan))
-    }
-
-    /// The engine's master phase: flush stragglers, rotate tokens, roll
-    /// aggregators, level clocks. Returns the post-barrier frontier (the
-    /// makespan so far).
-    fn master_phase(&mut self) -> u64 {
-        let s = self.superstep;
-        // Fold lane clocks into the worker machine clocks (the engine's
-        // end-of-superstep `clocks.observe`).
-        for (li, lane) in self.lanes.iter().enumerate() {
-            let w = li / self.lanes_per_worker as usize;
-            self.floor[w] = self.floor[w].max(lane.clock);
-        }
-        // The event queue has drained: nothing is on the wire any more.
-        self.in_flight.iter_mut().for_each(Vec::clear);
-        // Deliver everything still staged (write-all at the barrier).
-        for from in 0..self.workers {
-            self.write_all_from(from);
-        }
-        self.sync.end_superstep(s, &self.transport);
-        self.drain_actions();
-        self.aggs.roll();
-        self.metrics.inc(Counter::Supersteps);
-        self.metrics.inc(Counter::Barriers);
-
-        let frontier = *self.floor.iter().max().unwrap_or(&0);
-        if self.trace.is_enabled() {
-            for w in 0..self.workers {
-                let now = self.floor[w as usize];
-                self.trace
-                    .record(w, s, TraceEventKind::BarrierWait, now, frontier - now, 0);
-            }
-        }
-        let leveled = frontier + self.cost.barrier_ns;
-        for lane in &mut self.lanes {
-            lane.clock = leveled;
-        }
-        for f in &mut self.floor {
-            *f = leveled;
-        }
-        leveled
+        Ok((converged, executed, self.clocks.makespan()))
     }
 
     /// Advance one lane: claim partitions and follow each one's walk —
@@ -418,13 +365,13 @@ impl<P: VertexProgram> Sim<'_, P> {
                 }
                 self.claim[w as usize] += 1;
                 let p = (w * self.ppw + k) as usize;
-                let has_work = self.stores[p].total() > 0 || self.parts[p].any_active();
+                let has_work = self.inboxes.current()[p].total() > 0 || self.parts[p].any_active();
                 let p = PartitionId::new(p as u32);
                 self.lanes[li].walk = Some(PartitionWalk::new(p, &*self.sync, has_work));
                 continue;
             };
             let p = walk.partition().index();
-            let (part, store) = (&self.parts[p], &self.stores[p]);
+            let (part, store) = (&self.parts[p], &self.inboxes.current()[p]);
             let awake = |local, _| !part.halted(local) || store.has_messages(local);
             match walk.next(&*self.sync, s, self.pm.vertices_in(walk.partition()), awake) {
                 Step::Done => self.lanes[li].walk = None,
@@ -486,21 +433,6 @@ impl<P: VertexProgram> Sim<'_, P> {
         }
     }
 
-    /// Queue a message in `to`'s slot `(p, local)` of the partition stores,
-    /// through the combiner when the run has one.
-    fn deliver(
-        &mut self,
-        sender: VertexId,
-        to: VertexId,
-        (p, local): (PartitionId, u32),
-        msg: P::Message,
-    ) {
-        self.stores[p.index()].insert(local as usize, sender, msg, self.combiner);
-        if let Some(r) = &self.recorder {
-            r.on_visible(sender, to);
-        }
-    }
-
     /// Ship the staged `(from, to)` run as one batch: the sender machine
     /// pays assembly overhead, the batch arrives after the link's latency
     /// plus its bandwidth term. On the write-all path (fork handovers, the
@@ -515,8 +447,9 @@ impl<P: VertexProgram> Sim<'_, P> {
         let n = entries.len() as u64;
         self.metrics.inc(Counter::StagingFlushes);
         self.metrics.inc(Counter::RemoteBatches);
-        self.floor[from as usize] += self.cost.batch_overhead_ns;
-        let send_t = self.floor[from as usize];
+        let send_t = self
+            .clocks
+            .advance(from as usize, self.cost.batch_overhead_ns);
         let lat = self.net.batch_latency_ns(from, to, n);
         self.trace.record_peer(
             from,
@@ -556,10 +489,10 @@ impl<P: VertexProgram> Sim<'_, P> {
 
     /// Join the receiver's clock with the batch's arrival and deliver it.
     fn apply(&mut self, b: Batch<P::Message>) {
-        self.floor[b.to as usize] = self.floor[b.to as usize].max(b.arrival);
+        self.clocks.observe(b.to as usize, b.arrival);
         for (to, sender, m) in b.entries {
             let slot = self.pm.slot_of(to);
-            self.deliver(sender, to, slot, m);
+            self.inboxes.deliver(sender, to, slot, m, self.combiner);
         }
     }
 
@@ -571,15 +504,6 @@ impl<P: VertexProgram> Sim<'_, P> {
         }
     }
 
-    /// Write-all for worker `from`: apply every in-flight batch it has on
-    /// the wire (the engine's in-flight fence) before a fork handover, in
-    /// the order it sent them.
-    fn apply_in_flight_from(&mut self, from: u32) {
-        for id in std::mem::take(&mut self.in_flight[from as usize]) {
-            self.apply_batch(id as usize);
-        }
-    }
-
     /// Apply the protocol-level network actions the technique recorded
     /// during its last call: fork/token handovers perform the C1
     /// write-all flush; ring passes additionally gate the receiving
@@ -588,8 +512,13 @@ impl<P: VertexProgram> Sim<'_, P> {
         for a in self.transport.drain() {
             match a {
                 NetAction::Transfer { from, to, unit } => {
+                    // Write-all: every batch `from` has on the wire, in
+                    // the order it sent them (the engine's in-flight fence),
+                    // then everything it has staged.
                     let (from, to) = (from.raw(), to.raw());
-                    self.apply_in_flight_from(from);
+                    for id in std::mem::take(&mut self.in_flight[from as usize]) {
+                        self.apply_batch(id as usize);
+                    }
                     self.write_all_from(from);
                     let ring = unit.is_none();
                     let net = self.net;
@@ -598,10 +527,10 @@ impl<P: VertexProgram> Sim<'_, P> {
                     } else {
                         (TraceEventKind::ForkTransfer, net.link_latency_ns(from, to))
                     };
-                    let now = self.floor[from as usize];
+                    let now = self.clocks.now(from as usize);
                     if ring {
                         // The token gates the whole worker.
-                        self.floor[to as usize] = self.floor[to as usize].max(now + lat);
+                        self.clocks.observe(to as usize, now + lat);
                     }
                     self.trace.record_peer(
                         from,
@@ -618,7 +547,7 @@ impl<P: VertexProgram> Sim<'_, P> {
                         from.raw(),
                         self.superstep,
                         TraceEventKind::RequestToken,
-                        self.floor[from.index()],
+                        self.clocks.now(from.index()),
                         0,
                         0,
                         to.raw(),
@@ -653,6 +582,35 @@ impl<P: VertexProgram> Sim<'_, P> {
     }
 }
 
+/// The simulator closes a superstep with the engine's own barrier step:
+/// its write-all is the one a fork handover performs, and what the
+/// technique queued on the transport is applied right after its call.
+impl<P: VertexProgram> BarrierHost for Sim<'_, P> {
+    type Message = P::Message;
+
+    fn write_all(&mut self, w: usize) {
+        self.write_all_from(w as u32);
+    }
+
+    fn apply_actions(&mut self) {
+        self.drain_actions();
+    }
+
+    fn parts(&self) -> BarrierParts<'_, P::Message> {
+        BarrierParts {
+            sync: &*self.sync,
+            transport: &self.transport,
+            inboxes: &self.inboxes,
+            pm: self.pm,
+            aggregators: self.aggs,
+            metrics: self.metrics,
+            trace: self.trace,
+            clocks: &self.clocks,
+            barrier_ns: self.cost.barrier_ns,
+        }
+    }
+}
+
 /// The simulator's side of one vertex transaction: worker `w` executing
 /// a vertex of partition `p`.
 struct LaneHost<'s, 'a, P: VertexProgram> {
@@ -664,7 +622,7 @@ struct LaneHost<'s, 'a, P: VertexProgram> {
 impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
     fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
         let sim = &mut *self.sim;
-        sim.stores[self.p].drain_into(local, &mut sim.envelopes);
+        sim.inboxes.current()[self.p].drain_into(local, &mut sim.envelopes);
         into.extend(sim.envelopes.drain(..).map(|(_, m)| m));
     }
 
@@ -683,7 +641,8 @@ impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
         slot: (PartitionId, u32),
         msg: P::Message,
     ) {
-        self.sim.deliver(from, to, slot, msg);
+        let sim = &*self.sim;
+        sim.inboxes.deliver(from, to, slot, msg, sim.combiner);
     }
 
     /// Stage, combining sender-side; flush as a wire batch when the staged
@@ -694,11 +653,7 @@ impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
             sim.staging[w].stage(to_worker as usize, (to, from, msg), sim.combiner);
         if let Some(absorbed) = folded {
             sim.metrics.inc(Counter::SenderCombines);
-            // The envelope now names `from`: it accounts for one message
-            // when it lands, so the absorbed one is accounted for here.
-            if let Some(r) = &sim.recorder {
-                r.on_visible(absorbed, to);
-            }
+            sim.inboxes.readable(absorbed, to);
         } else if staged == 1 {
             sim.dirty[w].push(to_worker);
         }
@@ -712,6 +667,7 @@ impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
 mod tests {
     use super::*;
     use sg_algos::{GreedyColoring, Sssp, Wcc};
+    use sg_engine::TechniqueKind;
     use sg_graph::gen;
 
     fn config(workers: u32, technique: TechniqueKind) -> EngineConfig {
@@ -828,18 +784,39 @@ mod tests {
     }
 
     #[test]
-    fn bsp_and_bsp_vertex_lock_are_rejected() {
+    fn barrierless_and_checkpointing_runs_are_refused() {
         let g = Arc::new(gen::ring(8));
-        let mut cfg = config(2, TechniqueKind::None);
-        cfg.model = Model::Bsp;
-        assert!(simulate(
-            Arc::clone(&g),
-            GreedyColoring,
-            None,
-            &cfg,
-            &SimOptions::default()
-        )
-        .is_err());
+        let refuse = |cfg: EngineConfig, why: &str| {
+            let opts = SimOptions::default();
+            match simulate(Arc::clone(&g), GreedyColoring, None, &cfg, &opts) {
+                Err(EngineError::InvalidConfig(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("expected a refusal naming {why:?}, got {:?}", other.is_ok()),
+            }
+        };
+        let base = config(2, TechniqueKind::PartitionLock);
+        refuse(
+            EngineConfig {
+                barrierless: true,
+                ..base.clone()
+            },
+            "barrierless",
+        );
+        refuse(
+            EngineConfig {
+                checkpoint_every: Some(2),
+                record_history: false,
+                ..base.clone()
+            },
+            "checkpointing",
+        );
+        refuse(
+            EngineConfig {
+                fail_at_superstep: Some(1),
+                record_history: false,
+                ..base
+            },
+            "checkpointing",
+        );
     }
 
     #[test]

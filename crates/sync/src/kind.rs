@@ -54,6 +54,13 @@ impl TechniqueKind {
         !matches!(self, TechniqueKind::None)
     }
 
+    /// Does this technique need BSP visibility — every send, same-worker
+    /// ones included, hidden until the superstep's barrier? Proposition 1
+    /// does, and it is valid with no other model.
+    pub fn requires_bsp(self) -> bool {
+        matches!(self, TechniqueKind::BspVertexLock)
+    }
+
     /// Does this technique move an exclusive global token between workers?
     pub fn uses_global_token(self) -> bool {
         matches!(self, TechniqueKind::SingleToken | TechniqueKind::DualToken)

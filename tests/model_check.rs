@@ -6,12 +6,12 @@
 //! the model's schedules are pinned event for event.
 
 use serigraph::sg_check::{
-    explore, run_episode, ConfigError, Counterexample, ExploreConfig, FaultPlan, GraphSpec,
-    StrategyKind, TechniqueKind,
+    explore, run_episode, Counterexample, ExploreConfig, FaultPlan, GraphSpec, StrategyKind,
+    TechniqueKind,
 };
 
-/// Every serializable technique the model hosts: the paper's four plus the
-/// no-skip ablation of partition locking.
+/// Every serializable technique the model hosts: the paper's four, the
+/// no-skip ablation of partition locking, and Proposition 1 on BSP.
 fn serializable() -> impl Iterator<Item = TechniqueKind> {
     (TechniqueKind::ALL.into_iter())
         .filter(|&t| t.serializable() && ExploreConfig::smoke(t).validate().is_ok())
@@ -166,26 +166,6 @@ fn model_histories_flow_through_sg_serial() {
     assert!(summary.serialization_graph_acyclic);
     // The summary type IS sg-serial's — the model records real histories.
     let _: serigraph::sg_serial::HistorySummary = summary;
-}
-
-/// What the model cannot host is refused with a typed reason, in one
-/// place, before any schedule is explored — not by a second technique
-/// enum that lacks the variant.
-#[test]
-fn bsp_vertex_lock_is_refused_with_the_typed_reason() {
-    let cfg = ExploreConfig::smoke(TechniqueKind::BspVertexLock);
-    match cfg.validate() {
-        Err(ConfigError::NotModelable { technique, reason }) => {
-            assert_eq!(technique, TechniqueKind::BspVertexLock);
-            assert!(
-                reason.contains("barrier"),
-                "reason explains the gap: {reason}"
-            );
-        }
-        other => panic!("expected NotModelable, got {other:?}"),
-    }
-    // `Runner` techniques ARE the checker's: no mapping to get wrong.
-    let _: serigraph::Technique = cfg.technique;
 }
 
 fn fnv1a(h: &mut u64, bytes: &[u8]) {

@@ -110,21 +110,77 @@ fn sim_and_engine_agree_on_algorithm_results() {
     }
 }
 
+/// Under BSP the schedule is the barrier's, not the threads': the
+/// simulator and the in-process engine close every superstep with the same
+/// code, so Proposition 1 runs the same sub-supersteps on both — the same
+/// colours, superstep count, executions, message split and fork moves —
+/// and plain BSP reaches the same WCC labels and SSSP distances.
+#[test]
+fn simulator_and_engine_agree_exactly_under_bsp() {
+    let g = gen::grid(6, 6);
+    let bsp = |technique: Technique, simulated: bool| {
+        let r = Runner::new(g.clone())
+            .workers(3)
+            .threads_per_worker(1)
+            .model(Model::Bsp)
+            .technique(technique)
+            .record_history(true)
+            .max_supersteps(10_000);
+        if simulated {
+            r.simulated(SimOptions::default())
+        } else {
+            r
+        }
+    };
+
+    let locked = |simulated| {
+        let out = bsp(Technique::BspVertexLock, simulated)
+            .run_coloring()
+            .expect("config");
+        assert!(out.converged, "simulated={simulated}");
+        let h = out.history.as_ref().expect("recorded");
+        assert!(h.is_one_copy_serializable(&g), "simulated={simulated}");
+        out
+    };
+    let (engine, sim) = (locked(false), locked(true));
+    assert_eq!(sim.values, engine.values, "colours");
+    assert_eq!(validate::coloring_conflicts(&g, &sim.values), 0);
+    assert_eq!((sim.supersteps, engine.supersteps), (14, 14));
+    let counts = |m: &MetricsSnapshot| {
+        let split = (m.local_messages, m.remote_messages);
+        let forks = (m.fork_transfers, m.fork_transfers_remote);
+        (m.vertex_executions, split, forks)
+    };
+    assert_eq!(counts(&sim.metrics), counts(&engine.metrics));
+    // The 159 cross-worker moves `tests/proposition1.rs` traces.
+    assert_eq!(sim.metrics.fork_transfers_remote, 159);
+
+    let plain = |simulated| bsp(Technique::None, simulated);
+    let (we, ws) = (plain(false).run_wcc(), plain(true).run_wcc());
+    assert_eq!(ws.expect("config").values, we.expect("config").values);
+    let source = VertexId::new(0);
+    let (se, ss) = (plain(false).run_sssp(source), plain(true).run_sssp(source));
+    assert_eq!(ss.expect("config").values, se.expect("config").values);
+}
+
 /// Every serializable technique produces a verified-1SR history in the
-/// simulator, at a worker count the in-process engine could not thread.
+/// simulator, at a worker count the in-process engine could not thread —
+/// Proposition 1 on BSP among them.
 #[test]
 fn simulated_histories_verify_1sr_at_scale() {
     let g = Arc::new(gen::ring(256).to_undirected());
-    for technique in [
-        Technique::SingleToken,
-        Technique::DualToken,
-        Technique::VertexLock,
-        Technique::PartitionLock,
+    for (model, technique) in [
+        (Model::Async, Technique::SingleToken),
+        (Model::Async, Technique::DualToken),
+        (Model::Async, Technique::VertexLock),
+        (Model::Async, Technique::PartitionLock),
+        (Model::Bsp, Technique::BspVertexLock),
     ] {
         let cfg = EngineConfig {
             workers: 64,
             partitions_per_worker: Some(1),
             threads_per_worker: 2,
+            model,
             technique,
             record_history: true,
             max_supersteps: 10_000,
@@ -153,13 +209,21 @@ fn simulated_histories_verify_1sr_at_scale() {
 }
 
 /// Regression: the simulator's sender-side combiner folds staged messages
-/// and adopts the latest sender; the absorbed sender's message must still
-/// be accounted visible, or its pair reads stale for the rest of the run.
+/// and adopts the latest sender, and so does a BSP next store; the
+/// absorbed sender's message must still be accounted visible, or its pair
+/// reads stale for the rest of the run.
 #[test]
 fn simulated_combiner_keeps_the_c1_ledger_balanced() {
     let g = Arc::new(gen::datasets::or_sim(256).to_undirected());
-    for technique in [Technique::PartitionLock, Technique::DualToken] {
-        let cfg = sim_config(4, technique);
+    for (model, technique) in [
+        (Model::Async, Technique::PartitionLock),
+        (Model::Async, Technique::DualToken),
+        (Model::Bsp, Technique::BspVertexLock),
+    ] {
+        let cfg = EngineConfig {
+            model,
+            ..sim_config(4, technique)
+        };
         let combiner = Some(Box::new(Wcc::combiner()) as _);
         let r = simulate(Arc::clone(&g), Wcc, combiner, &cfg, &SimOptions::default()).expect("sim");
         assert!(r.outcome.converged, "{technique:?}");
