@@ -48,6 +48,12 @@ if sed '/^#\[cfg(test)\]/,$d' crates/sim/src/sim.rs | grep -nw 'Model::[A-Za-z]*
 if grep -nE 'fn (bsp_swap|arrivals)\b' crates/engine/src/engine.rs; then exit 1; fi
 if grep -rn 'NotModelable' crates tests scripts; then exit 1; fi
 
+echo "== one staging path, one inbox, one batch insert: the net worker stages in StagingBuffers and lands in an InboxPair; the grouped insert is InboxPair::deliver_batch =="
+if grep -rnE 'struct (Outbound|Inbox)\b|enc: Vec<u8>' crates/net/src; then exit 1; fi
+for f in crates/engine/src/*.rs crates/net/src/*.rs crates/sim/src/*.rs; do
+    if [ "$f" != crates/engine/src/store.rs ] && sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'get_or_insert_with\(\|\|[^;]*\.lock\(\)\)'; then echo "in $f"; exit 1; fi
+done
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

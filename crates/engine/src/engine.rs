@@ -190,7 +190,7 @@ impl<P: VertexProgram> Engine<P> {
 
         let init = |p| PartitionData::init(&self.program, &self.graph, &self.pm, p);
         let partitions = layout.partitions().map(|p| Mutex::new(init(p))).collect();
-        let inboxes = InboxPair::new(&self.pm, self.config.model, recorder.clone());
+        let inboxes = InboxPair::new(&self.pm, self.config.model, recorder.clone(), None);
 
         let mut aggs = AggregatorSet::new();
         self.program.register_aggregators(&mut aggs);
@@ -1103,21 +1103,10 @@ impl<P: VertexProgram> Core<P> {
                 to as u32,
             );
         }
-        // One table lookup per message, then one lock acquisition per
-        // destination partition — one store's lock at a time.
         let slots: Vec<_> = routed.iter().map(|r| self.pm.slot_of(r.0)).collect();
-        let combiner = self.combiner.as_deref();
         let receiver = WorkerId::new(to as u32);
-        for p in self.pm.layout().partitions_of_worker(receiver) {
-            let mut store = None;
-            for (&(q, local), (to_v, sender, m)) in slots.iter().zip(&routed) {
-                if q == p {
-                    let store = store.get_or_insert_with(|| self.inboxes.landing(p.index()).lock());
-                    let folded = store.insert(local as usize, *sender, m.clone(), combiner);
-                    self.inboxes.landed(*sender, *to_v, folded);
-                }
-            }
-        }
+        self.inboxes
+            .deliver_batch(receiver, &slots, &routed, self.combiner.as_deref());
         self.wake_parked();
         let owed = self.owed[from].fetch_sub(n, Ordering::SeqCst);
         debug_assert!(owed >= n, "worker {from} shipped {n} messages, owed {owed}");

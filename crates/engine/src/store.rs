@@ -20,9 +20,10 @@
 //!    insert/drain cycle allocates nothing in steady state. The queued
 //!    count is a plain integer under the lock; an occupancy bitmap beside
 //!    it answers [`PartitionStore::has_messages`] without the lock. A
-//!    whole batch goes in under one acquisition through
-//!    [`PartitionStore::lock`], which is what keeps the single lock
-//!    uncontended.
+//!    whole batch goes in under one acquisition per partition through
+//!    [`InboxPair::deliver_batch`], which is what keeps the single lock
+//!    uncontended; the thread engine, the networked worker and the
+//!    simulator all land batches there.
 //! 2. [`StagingBuffers`] are per-compute-thread outbound staging areas.
 //!    Sends to remote workers land here first, where the message combiner
 //!    is applied *sender-side* (Giraph's classic optimization): messages to
@@ -35,7 +36,7 @@
 
 use crate::config::Model;
 use crate::program::Combiner;
-use sg_graph::{PartitionId, PartitionMap, VertexId};
+use sg_graph::{ClusterLayout, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_serial::Recorder;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -385,19 +386,33 @@ pub struct InboxPair<M> {
     current: Vec<PartitionStore<M>>,
     /// Under BSP, per partition, what this superstep sent; empty under AP.
     next: Vec<PartitionStore<M>>,
+    layout: ClusterLayout,
     recorder: Option<Arc<Recorder>>,
 }
 
 impl<M: Clone + Send + 'static> InboxPair<M> {
-    /// Inboxes for `pm`'s partitions under `model`.
-    pub fn new(pm: &PartitionMap, model: Model, recorder: Option<Arc<Recorder>>) -> Self {
+    /// Inboxes for `pm`'s partitions under `model`: all of them, or with
+    /// `held = Some(w)` worker `w`'s. A partition the pair does not hold
+    /// gets a store with no slots, so indexing stays by global partition.
+    pub fn new(
+        pm: &PartitionMap,
+        model: Model,
+        recorder: Option<Arc<Recorder>>,
+        held: Option<WorkerId>,
+    ) -> Self {
+        let layout = *pm.layout();
         let stores = || {
-            let sizes = pm.layout().partitions().map(|p| pm.vertices_in(p).len());
-            sizes.map(PartitionStore::new).collect()
+            let holds = |p| held.is_none_or(|w| layout.worker_of_partition(p) == w);
+            let len = |p| if holds(p) { pm.vertices_in(p).len() } else { 0 };
+            layout
+                .partitions()
+                .map(|p| PartitionStore::new(len(p)))
+                .collect()
         };
         Self {
             current: stores(),
             next: (model == Model::Bsp).then(stores).unwrap_or_default(),
+            layout,
             recorder,
         }
     }
@@ -455,6 +470,31 @@ impl<M: Clone + Send + 'static> InboxPair<M> {
             .landing(p.index())
             .insert(local as usize, sender, msg, combiner);
         self.landed(sender, to, folded);
+    }
+
+    /// Land a batch for worker `receiver`: `routed[i]` at `slots[i]`, the
+    /// [`PartitionMap::slot_of`] of its destination, through the combiner.
+    /// One lock acquisition per destination partition, one store's lock at
+    /// a time; within a partition the batch's order is kept, so folds and
+    /// the recorder see what [`InboxPair::deliver`] per message shows them.
+    pub fn deliver_batch(
+        &self,
+        receiver: WorkerId,
+        slots: &[(PartitionId, u32)],
+        routed: &[Routed<M>],
+        combiner: Option<&dyn Combiner<M>>,
+    ) {
+        debug_assert_eq!(slots.len(), routed.len());
+        for p in self.layout.partitions_of_worker(receiver) {
+            let mut store = None;
+            for (&(q, local), (to, sender, msg)) in slots.iter().zip(routed) {
+                if q == p {
+                    let store = store.get_or_insert_with(|| self.landing(p.index()).lock());
+                    let folded = store.insert(local as usize, *sender, msg.clone(), combiner);
+                    self.landed(*sender, *to, folded);
+                }
+            }
+        }
     }
 
     /// The BSP barrier: what this superstep sent becomes readable.
@@ -919,6 +959,114 @@ mod tests {
         assert!(!t.has_messages(3));
         assert_eq!(t.drain(0), vec![(v(1), 10), (v(2), 20)]);
         assert_eq!(t.drain(4), vec![(v(3), 30)]);
+    }
+
+    /// `deliver_batch` lands a batch as `deliver` per message does: the
+    /// same envelopes in the same order, the same `queued()` and the same
+    /// recorder ledger — for batches spanning the receiver's partitions,
+    /// with and without a combiner, under AP and under BSP (where the batch
+    /// waits in the next store until `flip`), and in a pair that holds the
+    /// receiver's partitions only.
+    #[test]
+    fn batch_insert_equals_per_message_deliver() {
+        use sg_graph::partition::HashPartitioner;
+        use sg_graph::{gen, SplitMix64};
+        let g = Arc::new(gen::erdos_renyi(90, 700, true, 0xBA7C));
+        let pm = PartitionMap::build(&g, ClusterLayout::new(2, 3), &HashPartitioner::new(7));
+        let receiver = WorkerId::new(1);
+        let edges: Vec<(VertexId, VertexId)> = g
+            .vertices()
+            .flat_map(|u| g.out_neighbors(u).iter().map(move |&v| (u, v)))
+            .filter(|&(_, v)| pm.worker_of(v) == receiver)
+            .collect();
+        let theirs: Vec<_> = pm.layout().partitions_of_worker(WorkerId::new(0)).collect();
+        let ours: Vec<_> = pm.layout().partitions_of_worker(receiver).collect();
+        // Each pair's stores, as the receiver's vertices would read them
+        // now and after the barrier, and the C1 freshness test of each.
+        let observe = |pair: &InboxPair<u64>, rec: &Recorder| {
+            let stores = |p: &PartitionId| {
+                (
+                    pair.current()[p.index()].export(),
+                    pair.landing(p.index()).export(),
+                )
+            };
+            let stale = ours.iter().flat_map(|&p| pm.vertices_in(p)).map(|&v| {
+                let txn = rec.begin(v);
+                rec.end(txn);
+                rec.history().txns().last().unwrap().stale_reads.clone()
+            });
+            (
+                pair.queued(),
+                ours.iter().map(stores).collect::<Vec<_>>(),
+                stale.collect::<Vec<_>>(),
+            )
+        };
+        let cases = [Model::Async, Model::Bsp]
+            .into_iter()
+            .flat_map(|m| [(m, false), (m, true)])
+            .flat_map(|(m, c)| [(m, c, None), (m, c, Some(receiver))]);
+        for (case, (model, combine, held)) in (1..).zip(cases) {
+            let mut rng = SplitMix64::new(0xD17 + case);
+            let combiner = combine.then_some(&MinCombiner as &dyn Combiner<u64>);
+            let inboxes = |held| {
+                let rec = Arc::new(Recorder::new(Arc::clone(&g)));
+                (
+                    InboxPair::new(&pm, model, Some(Arc::clone(&rec)), held),
+                    rec,
+                )
+            };
+            let ((one, one_rec), (batch, batch_rec)) = (inboxes(None), inboxes(held));
+            for &p in theirs.iter().filter(|_| held.is_some()) {
+                assert!(batch.current()[p.index()].export().is_empty(), "not held");
+            }
+            for round in 0..4 {
+                let what = format!("case {case} round {round}");
+                let routed: Vec<Routed<u64>> = (0..1 + rng.gen_index(300))
+                    .map(|_| {
+                        let (from, to) = edges[rng.gen_index(edges.len())];
+                        (to, from, rng.gen_range(1_000))
+                    })
+                    .collect();
+                for &(to, from, _) in &routed {
+                    one_rec.on_send(from, to);
+                    batch_rec.on_send(from, to);
+                }
+                for &(to, from, m) in &routed {
+                    one.deliver(from, to, pm.slot_of(to), m, combiner);
+                }
+                let slots: Vec<_> = routed.iter().map(|r| pm.slot_of(r.0)).collect();
+                let reached = slots
+                    .iter()
+                    .map(|s| s.0)
+                    .collect::<std::collections::BTreeSet<_>>();
+                assert!(reached.len() > 1, "{what}: one partition");
+                batch.deliver_batch(receiver, &slots, &routed, combiner);
+                let landed = observe(&one, &one_rec);
+                assert_eq!(observe(&batch, &batch_rec), landed, "{what}");
+                one.flip(&pm);
+                batch.flip(&pm);
+                assert_eq!(
+                    observe(&batch, &batch_rec),
+                    observe(&one, &one_rec),
+                    "{what}: flipped"
+                );
+                if model == Model::Bsp && round == 0 {
+                    assert_ne!(landed.0, 0, "{what}");
+                    assert!(
+                        landed.2.iter().any(|s| !s.is_empty()),
+                        "{what}: unread until the flip"
+                    );
+                }
+                // Drain, so the next round's batch meets empty and
+                // half-full slots alike.
+                for &p in ours.iter().filter(|_| rng.gen_bool(0.5)) {
+                    for pair in [&one, &batch] {
+                        let store = &pair.current()[p.index()];
+                        (0..pm.vertices_in(p).len()).for_each(|l| drop(store.drain(l)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * the **dispatcher** thread — reads the control connection; barrier
 //!   and grant frames forward to the compute thread, while `FlushForks`
 //!   (the C1 write-all on fork/token surrender) is serviced *inline*:
-//!   drain the staging buffer for the target, ship the batch, fence
-//!   until the peer acknowledges application, then report `FlushDone` —
+//!   ship what is staged for the target, fence until the peer
+//!   acknowledges application, then report `FlushDone` —
 //!   this must run while the compute thread is busy or blocked;
 //! * the **mesh accept** thread — adopts incoming (and replacement)
 //!   data-plane connections;
@@ -23,22 +23,21 @@
 //! transcribing it: [`sg_sync::PartitionWalk`] decides which vertex runs
 //! next and where the acquire/release brackets go, [`sg_engine::Cycle`]
 //! runs the vertex transaction, and this module supplies the IO — the
-//! `Inbox`, wire-format staging with eager overflow sends, the lock RPC,
-//! Lamport stamps. Remote messages are staged *before* the walk's release
-//! step, so the release-triggered write-all finds them. Workers run one
-//! compute thread each — rank is worker is thread, which is the paper's
-//! single-threaded-worker setting.
+//! engine's message datapath, the lock RPC, Lamport stamps. Remote messages
+//! are staged *before* the walk's release step, so the release-triggered
+//! write-all finds them. Workers run one compute thread each — rank is
+//! worker is thread, which is the paper's single-threaded-worker setting.
 //!
-//! Incoming messages live where the thread engine keeps them: one
-//! [`sg_engine::store::PartitionStore`] per owned partition, typed by the
-//! program's message and fed through its canonical combiner (the one
-//! `Runner` attaches in-process), so a vertex's mail is at most one
-//! envelope when the program has one. A local send inserts the value as it
-//! is, at the slot the cycle's routing lookup already found; a peer's batch
-//! is decoded on the link reader that received it and inserted under one
-//! acquisition of each destination partition's lock — the compute thread
-//! and the readers share no rank-wide lock, and bytes exist only on the
-//! wire.
+//! The datapath is the thread engine's, fed through the program's canonical
+//! combiner (the one `Runner` attaches in-process) on both sides. Remote
+//! sends stage typed in a [`StagingBuffers`], combining sender-side, and
+//! are encoded only when a run ships: at `buffer_cap`, at the C1 write-all
+//! and at the end of the superstep, all through [`ship`]. Incoming messages
+//! land in an [`InboxPair`] that holds this rank's partitions: a local send
+//! is [`InboxPair::deliver`] at the slot the cycle's routing lookup already
+//! found; a peer's batch is decoded on the link reader that received it and
+//! landed with [`InboxPair::deliver_batch`] — the compute thread and the
+//! readers share no rank-wide lock, and bytes exist only on the wire.
 //! What a peer sends that this rank cannot take — a vertex it does not own,
 //! a payload that does not decode — is counted in
 //! `sg_worker_rejected_messages_total`, never dropped silently.
@@ -46,13 +45,13 @@
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
-use sg_engine::store::{Envelope, PartitionStore};
+use sg_engine::store::{Envelope, InboxPair, StagingBuffers};
 use sg_engine::{
-    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Host, VertexProgram, WireCodec,
+    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Host, Model, VertexProgram, WireCodec,
 };
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
@@ -176,66 +175,9 @@ fn wall_ns(epoch_ns: u64) -> u64 {
         .saturating_sub(epoch_ns)
 }
 
-/// Remote staging buffers plus the per-peer "sent since last fence" flag
-/// that decides which peers the end-of-superstep write-all must fence.
-/// Messages stage directly in wire format ([`MsgBatch`]): the eventual
-/// `BatchFlush` send serializes the blob without re-walking entries.
-struct Outbound {
-    staged: Vec<MsgBatch>,
-    dirty: Vec<bool>,
-}
-
-/// This rank's incoming messages: the engine's message store, hosted a
-/// second time. One [`PartitionStore`] per owned partition, addressed
-/// through the run's [`PartitionMap::slot_of`]; local sends and link
-/// readers insert through the program's combiner, the compute thread drains
-/// and probes, and the lock inside each store is all the locking there is.
-struct Inbox<M> {
-    /// Indexed like `Compute::my_partitions`: partition `first + k` is
-    /// `stores[k]`.
-    stores: Vec<PartitionStore<M>>,
-    first: PartitionId,
-    pm: Arc<PartitionMap>,
-    num_vertices: usize,
-    combiner: Option<Box<dyn Combiner<M>>>,
-    /// `sg_worker_rejected_messages_total`.
-    rejected: CounterHandle,
-}
-
-impl<M: WireCodec> Inbox<M> {
-    /// An empty inbox for the rank that owns `my_partitions` — a
-    /// contiguous, ascending run — of `pm`'s `num_vertices` vertices.
-    fn new(
-        num_vertices: usize,
-        pm: &Arc<PartitionMap>,
-        my_partitions: &[PartitionId],
-        combiner: Option<Box<dyn Combiner<M>>>,
-        telemetry: &Telemetry,
-    ) -> Self {
-        Inbox {
-            stores: my_partitions
-                .iter()
-                .map(|&p| PartitionStore::new(pm.vertices_in(p).len()))
-                .collect(),
-            first: my_partitions[0],
-            pm: Arc::clone(pm),
-            num_vertices,
-            combiner,
-            rejected: telemetry.counter("sg_worker_rejected_messages_total", &[]),
-        }
-    }
-
-    /// `(index into stores, local index)` of vertex `to`; `None` if this
-    /// rank does not own it (peer input may name any id).
-    fn slot(&self, to: VertexId) -> Option<(usize, usize)> {
-        if to.index() >= self.num_vertices {
-            return None;
-        }
-        let (p, local) = self.pm.slot_of(to);
-        let k = p.index().checked_sub(self.first.index())?;
-        (k < self.stores.len()).then_some((k, local as usize))
-    }
-}
+/// Remote sends staged as the engine stages them, plus per peer whether a
+/// batch went to it since its last fence: what the write-all must fence.
+type Staged<M> = (StagingBuffers<M>, Vec<bool>);
 
 /// This worker's live-telemetry handles (the registry itself rides on
 /// [`Metrics`]): progress gauges set at barrier votes, plus two counters
@@ -297,11 +239,16 @@ struct Serve {
 
 /// State shared between the compute thread, the dispatcher, and the
 /// link reader threads.
-struct Shared {
+struct Shared<M> {
     rank: u32,
     ctrl: Arc<CtrlConn>,
     clock: Arc<Clock>,
-    outbound: Mutex<Outbound>,
+    /// The program's combiner: sender-side in `staging`, receiver-side in
+    /// `inboxes`.
+    combiner: Option<Box<dyn Combiner<M>>>,
+    staging: Mutex<Staged<M>>,
+    /// This rank's partitions' inboxes (AP visibility).
+    inboxes: InboxPair<M>,
     metrics: Arc<Metrics>,
     trace: Trace,
     epoch_ns: u64,
@@ -313,7 +260,11 @@ struct Shared {
     serve: Serve,
 }
 
-impl Shared {
+impl<M> Shared<M> {
+    fn staged(&self) -> MutexGuard<'_, Staged<M>> {
+        self.staging.lock().expect("a staging holder panicked")
+    }
+
     fn next_fence(&self) -> u64 {
         self.fence_seq.fetch_add(1, Ordering::SeqCst) + 1
     }
@@ -341,39 +292,38 @@ impl Shared {
     }
 }
 
-/// Applies incoming batches straight into the inbox (AP-model arrival
+/// Applies incoming batches straight into the inboxes (AP-model arrival
 /// visibility, like the engine's store application), decoding each payload
 /// here, on the link reader, out of the link's receive buffer.
 struct InboxHandler<M> {
-    inbox: Arc<Inbox<M>>,
+    shared: Arc<Shared<M>>,
+    pm: Arc<PartitionMap>,
+    num_vertices: usize,
+    /// `sg_worker_rejected_messages_total`.
+    rejected: CounterHandle,
 }
 
 impl<M: WireCodec> PeerHandler for InboxHandler<M> {
     fn on_batch(&self, _from: u32, batch: BatchView<'_>) {
-        let inbox = &*self.inbox;
-        // Decode and place every entry, then insert store by store: one
-        // lock acquisition per partition the batch reaches, one store's
-        // lock at a time.
-        let mut entries = Vec::with_capacity(batch.len());
-        for (to, from_v, payload) in batch.iter() {
-            if let (Some(slot), Some(msg)) = (inbox.slot(VertexId::new(to)), M::decode(payload)) {
-                entries.push((slot, VertexId::new(from_v), msg));
+        let (shared, me) = (&*self.shared, WorkerId::new(self.shared.rank));
+        let mut slots = Vec::with_capacity(batch.len());
+        let mut routed = Vec::with_capacity(batch.len());
+        for (to, from, payload) in batch.iter() {
+            // Peer input may name any id: take this rank's vertices only.
+            let to = VertexId::new(to);
+            let slot = (to.index() < self.num_vertices).then(|| self.pm.slot_of(to));
+            let mine = slot.filter(|&(p, _)| self.pm.layout().worker_of_partition(p) == me);
+            if let (Some(slot), Some(msg)) = (mine, M::decode(payload)) {
+                slots.push(slot);
+                routed.push((to, VertexId::new(from), msg));
             }
         }
-        let rejected = (batch.len() - entries.len()) as u64;
+        let rejected = (batch.len() - routed.len()) as u64;
         if rejected > 0 {
-            inbox.rejected.add(rejected);
+            self.rejected.add(rejected);
         }
-        let combiner = inbox.combiner.as_deref();
-        for (k, store) in inbox.stores.iter().enumerate() {
-            let mut locked = None;
-            for ((at, local), from, msg) in &entries {
-                if *at == k {
-                    let locked = locked.get_or_insert_with(|| store.lock());
-                    locked.insert(*local, *from, msg.clone(), combiner);
-                }
-            }
-        }
+        let combiner = shared.combiner.as_deref();
+        shared.inboxes.deliver_batch(me, &slots, &routed, combiner);
     }
 
     fn on_request_token(&self, _from: u32) {
@@ -449,14 +399,17 @@ where
         vstore.install_bootstrap(v as usize, program.init(VertexId::new(v), &graph).to_word());
     }
 
+    let workers = spec.workers as usize;
     let shared = Arc::new(Shared {
         rank,
         ctrl: Arc::clone(&ctrl),
         clock: Arc::clone(&clock),
-        outbound: Mutex::new(Outbound {
-            staged: vec![MsgBatch::new(); spec.workers as usize],
-            dirty: vec![false; spec.workers as usize],
-        }),
+        staging: Mutex::new((
+            StagingBuffers::new(workers, combiner.is_some()),
+            vec![false; workers],
+        )),
+        inboxes: InboxPair::new(&pm, Model::Async, None, Some(WorkerId::new(rank))),
+        combiner,
         metrics: Arc::clone(&metrics),
         trace,
         epoch_ns: spec.epoch_ns,
@@ -483,11 +436,13 @@ where
         .layout()
         .partitions_of_worker(WorkerId::new(rank))
         .collect();
-    let inbox = Arc::new(Inbox::new(n, &pm, &my_partitions, combiner, &telemetry));
     let handler: Arc<dyn PeerHandler> = Arc::new(InboxHandler {
-        inbox: Arc::clone(&inbox),
+        shared: Arc::clone(&shared),
+        pm: Arc::clone(&pm),
+        num_vertices: n,
+        rejected: telemetry.counter("sg_worker_rejected_messages_total", &[]),
     });
-    let mut link_vec: Vec<Option<PeerLink>> = vec![None; spec.workers as usize];
+    let mut link_vec: Vec<Option<PeerLink>> = vec![None; workers];
     for &(peer, ref addr) in &peers {
         if peer == rank {
             continue;
@@ -620,7 +575,6 @@ where
     });
     let result = Compute {
         shared: &shared,
-        inbox: &inbox,
         links: &links,
         rx: &rx,
         pm: &pm,
@@ -632,7 +586,6 @@ where
         halted: vec![false; n],
         txns: Vec::new(),
         envelopes: Vec::new(),
-        enc: Vec::new(),
         opened: 0,
     }
     .run(&mut cycle);
@@ -681,8 +634,8 @@ fn checked_layout(
 /// Control-plane reader loop. `FlushForks` and `RequestTokenRelay` are
 /// serviced here — while the compute thread is mid-superstep or blocked
 /// inside an acquire — everything else forwards to the compute thread.
-fn dispatcher(
-    shared: Arc<Shared>,
+fn dispatcher<M: WireCodec>(
+    shared: Arc<Shared<M>>,
     links: Arc<Vec<Option<PeerLink>>>,
     mut reader: FrameReader,
     tx: mpsc::Sender<Cmd>,
@@ -748,7 +701,7 @@ fn dispatcher(
 /// version here — e.g. a vertex another rank owns); checksums fold
 /// [`checksum_word`] over this rank's owned vertices only, so the
 /// coordinator combines disjoint domains with a wrapping sum.
-fn answer_query(shared: &Shared, id: u64, op: u8, a: u64, vertices: &[u32]) {
+fn answer_query<M>(shared: &Shared<M>, id: u64, op: u8, a: u64, vertices: &[u32]) {
     let serve = &shared.serve;
     let count = serve.owned.len() as u64;
     let resp = match op {
@@ -834,11 +787,11 @@ fn answer_query(shared: &Shared, id: u64, op: u8, a: u64, vertices: &[u32]) {
     let _ = shared.ctrl.send(&resp);
 }
 
-/// The C1 write-all, serviced on the dispatcher thread: drain staging for
-/// `target`, ship it, fence until applied, then report `FlushDone` so the
+/// The C1 write-all, serviced on the dispatcher thread: ship what is
+/// staged for `target`, fence until applied, then report `FlushDone` so the
 /// coordinator's `transfer` returns and the fork/token moves.
-fn handle_flush(
-    shared: &Shared,
+fn handle_flush<M: WireCodec>(
+    shared: &Shared<M>,
     links: &[Option<PeerLink>],
     target: u32,
     unit: u64,
@@ -846,18 +799,11 @@ fn handle_flush(
     flush_seq: u64,
 ) {
     let t0 = wall_ns(shared.epoch_ns);
-    let staged = {
-        let mut ob = shared.outbound.lock().unwrap();
-        ob.dirty[target as usize] = false;
-        std::mem::take(&mut ob.staged[target as usize])
-    };
     let Some(Some(link)) = links.get(target as usize) else {
         return;
     };
-    if !staged.is_empty() {
-        shared.metrics.inc(Counter::RemoteBatches);
-        link.send(Message::BatchFlush { batch: staged });
-    }
+    // The staging guard drops with the statement, before the fence.
+    ship(shared, links, &mut shared.staged(), target as usize);
     let fence = shared.next_fence();
     match link.flush_fence(fence, FENCE_TIMEOUT) {
         Ok(()) => {
@@ -887,16 +833,15 @@ fn handle_flush(
 /// The compute thread's state — the cluster handles it does IO through,
 /// the vertex state it owns, its scratch: the networked [`Host`].
 struct Compute<'a, P: VertexProgram> {
-    shared: &'a Shared,
-    inbox: &'a Inbox<P::Message>,
+    shared: &'a Shared<P::Message>,
     links: &'a [Option<PeerLink>],
     rx: &'a mpsc::Receiver<Cmd>,
     pm: &'a PartitionMap,
     /// Stateless technique replica (see `run_worker`).
     replica: &'a dyn Synchronizer,
     my_partitions: Vec<PartitionId>,
-    /// Index into `my_partitions` (and the inbox's stores) of the partition
-    /// `run_superstep` is walking: the one `Host::drain`'s `local` is in.
+    /// The partition `run_superstep` is walking: the one `Host::drain`'s
+    /// `local` is in.
     walking: usize,
     record_history: bool,
     values: Vec<P::Value>,
@@ -904,8 +849,6 @@ struct Compute<'a, P: VertexProgram> {
     txns: Vec<WireTxn>,
     /// Drain scratch: the store hands out envelopes, `compute` takes messages.
     envelopes: Vec<Envelope<P::Message>>,
-    /// Encode scratch for one outgoing remote payload.
-    enc: Vec<u8>,
     /// Lamport stamp the open transaction started at.
     opened: u64,
 }
@@ -953,7 +896,8 @@ where
         let shared = self.shared;
         let mut active = 0u64;
         let mut pending = 0u64;
-        for (store, &p) in self.inbox.stores.iter().zip(&self.my_partitions) {
+        for &p in &self.my_partitions {
+            let store = &shared.inboxes.current()[p.index()];
             pending += store.total() as u64;
             for (local, v) in self.pm.vertices_in(p).iter().enumerate() {
                 if !self.halted[v.index()] || store.has_messages(local) {
@@ -963,10 +907,7 @@ where
         }
         shared.wtel.active.set(active);
         shared.wtel.pending.set(pending);
-        let staged: usize = {
-            let ob = shared.outbound.lock().unwrap();
-            ob.staged.iter().map(MsgBatch::len).sum()
-        };
+        let staged = shared.staged().0.total_staged();
         shared.wtel.staged.set(staged as u64);
         shared.wtel.uptime_ns.set(wall_ns(shared.epoch_ns));
         (active, pending)
@@ -1079,11 +1020,10 @@ where
         let needs_rpc = |unit: u32| {
             granularity != LockGranularity::Vertex || pm.is_p_boundary(VertexId::new(unit))
         };
-        let inbox = self.inbox;
         for k in 0..self.my_partitions.len() {
             let p = self.my_partitions[k];
-            self.walking = k;
-            let (vertices, store) = (pm.vertices_in(p), &inbox.stores[k]);
+            self.walking = p.index();
+            let (vertices, store) = (pm.vertices_in(p), &shared.inboxes.current()[p.index()]);
             let has_work = store.total() > 0 || vertices.iter().any(|v| !self.halted[v.index()]);
             let mut walk = PartitionWalk::new(p, replica, has_work);
             loop {
@@ -1125,7 +1065,8 @@ where
     P::Message: WireCodec,
 {
     fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
-        self.inbox.stores[self.walking].drain_into(local, &mut self.envelopes);
+        let store = &self.shared.inboxes.current()[self.walking];
+        store.drain_into(local, &mut self.envelopes);
         into.extend(self.envelopes.drain(..).map(|(_, m)| m));
     }
 
@@ -1156,40 +1097,29 @@ where
     fn send_local(
         &mut self,
         from: VertexId,
-        _to: VertexId,
-        (p, local): (PartitionId, u32),
+        to: VertexId,
+        slot: (PartitionId, u32),
         msg: P::Message,
     ) {
-        let inbox = self.inbox;
-        let k = p.index() - inbox.first.index();
-        inbox.stores[k].insert(local as usize, from, msg, inbox.combiner.as_deref());
+        let shared = self.shared;
+        shared
+            .inboxes
+            .deliver(from, to, slot, msg, shared.combiner.as_deref());
     }
 
-    /// Stage in wire format; a batch that reaches the cap ships at once.
+    /// Stage, combining sender-side; a run that reaches the cap ships at
+    /// once, and its peer is owed a fence at the next write-all.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
-        let shared = self.shared;
-        let w = to_worker as usize;
-        self.enc.clear();
-        msg.encode_into(&mut self.enc);
-        let batch = {
-            let mut ob = shared.outbound.lock().unwrap();
-            ob.staged[w].push(to.raw(), from.raw(), &self.enc);
-            ob.dirty[w] = true;
-            (ob.staged[w].len() >= shared.buffer_cap).then(|| std::mem::take(&mut ob.staged[w]))
-        };
-        if let (Some(batch), Some(Some(link))) = (batch, self.links.get(w)) {
-            shared.metrics.inc(Counter::RemoteBatches);
-            let len = batch.len() as u64;
-            link.send(Message::BatchFlush { batch });
-            shared.trace.record_peer(
-                shared.rank,
-                shared.superstep.load(Ordering::Relaxed),
-                TraceEventKind::BatchFlush,
-                wall_ns(shared.epoch_ns),
-                0,
-                len,
-                to_worker,
-            );
+        let (shared, w) = (self.shared, to_worker as usize);
+        let mut staged = shared.staged();
+        let combiner = shared.combiner.as_deref();
+        let (folded, n) = staged.0.stage(w, (to, from, msg), combiner);
+        if folded.is_some() {
+            shared.metrics.inc(Counter::SenderCombines);
+        }
+        if n >= shared.buffer_cap {
+            let owed = ship(shared, self.links, &mut staged, w);
+            staged.1[w] = owed;
         }
     }
 
@@ -1217,8 +1147,8 @@ where
 
 /// Send `items` to the coordinator in frames of at most [`UPLOAD_CHUNK`],
 /// each chunk collected straight into the frame that carries it.
-fn upload_chunks<T>(
-    shared: &Shared,
+fn upload_chunks<M, T>(
+    shared: &Shared<M>,
     mut items: impl Iterator<Item = T>,
     frame: impl Fn(Vec<T>) -> Message,
 ) -> Result<(), NetError> {
@@ -1235,25 +1165,55 @@ fn upload_chunks<T>(
 /// last fence gets the residual batch plus a fence, so `ComputeDone`
 /// means "all my messages are applied" — the invariant both the barrier
 /// votes and the BSP-style message visibility rely on.
-fn flush_all(shared: &Shared, links: &[Option<PeerLink>]) -> Result<(), NetError> {
-    for (peer, slot) in links.iter().enumerate() {
-        let Some(link) = slot.as_ref() else {
-            continue;
-        };
-        let (staged, was_dirty) = {
-            let mut ob = shared.outbound.lock().unwrap();
-            let was_dirty = ob.dirty[peer];
-            ob.dirty[peer] = false;
-            (std::mem::take(&mut ob.staged[peer]), was_dirty)
-        };
-        if staged.is_empty() && !was_dirty {
-            continue;
+fn flush_all<M: WireCodec>(shared: &Shared<M>, links: &[Option<PeerLink>]) -> Result<(), NetError> {
+    for (peer, link) in links.iter().enumerate() {
+        let Some(link) = link else { continue };
+        // The staging guard drops with the statement, before the fence.
+        if ship(shared, links, &mut shared.staged(), peer) {
+            link.flush_fence(shared.next_fence(), FENCE_TIMEOUT)?;
         }
-        if !staged.is_empty() {
-            shared.metrics.inc(Counter::RemoteBatches);
-            link.send(Message::BatchFlush { batch: staged });
-        }
-        link.flush_fence(shared.next_fence(), FENCE_TIMEOUT)?;
     }
     Ok(())
+}
+
+/// Ship what is staged for `peer`, under the staging lock the caller
+/// holds: take the run, clear the peer's fence bit, encode each surviving
+/// entry into one [`MsgBatch`] and enqueue its `BatchFlush` on the link.
+/// Returns whether the peer is owed a fence: a batch went now, or one went
+/// since its last fence.
+///
+/// Take, clear and enqueue are one critical section, and that is C1: a
+/// `FlushForks` write-all on the dispatcher waits for the lock, so its
+/// fence is sequenced on the link after every batch taken before it, and
+/// the bit it clears never stands for a batch still unsent.
+fn ship<M: WireCodec>(
+    shared: &Shared<M>,
+    links: &[Option<PeerLink>],
+    (staging, sent): &mut Staged<M>,
+    peer: usize,
+) -> bool {
+    let run = staging.take_run(peer);
+    let owed = std::mem::take(&mut sent[peer]) || !run.is_empty();
+    let (Some(Some(link)), false) = (links.get(peer), run.is_empty()) else {
+        run.clear();
+        return owed;
+    };
+    let (mut batch, mut enc) = (MsgBatch::new(), Vec::new());
+    for (to, from, msg) in run.drain(..) {
+        enc.clear();
+        msg.encode_into(&mut enc);
+        batch.push(to.raw(), from.raw(), &enc);
+    }
+    shared.metrics.inc(Counter::RemoteBatches);
+    shared.trace.record_peer(
+        shared.rank,
+        shared.superstep.load(Ordering::Relaxed),
+        TraceEventKind::BatchFlush,
+        wall_ns(shared.epoch_ns),
+        0,
+        batch.len() as u64,
+        peer as u32,
+    );
+    link.send(Message::BatchFlush { batch });
+    owed
 }

@@ -23,7 +23,8 @@
 //!   asynchronous model and after the barrier under BSP;
 //! * remote messages stage in the engine's own [`StagingBuffers`], one per
 //!   worker, combine sender-side, and flush as batches when `buffer_cap`
-//!   accumulate;
+//!   accumulate; a batch lands through the engine's own
+//!   [`InboxPair::deliver_batch`];
 //! * a fork/token handover performs the write-all flush of the sender's
 //!   outbound messages *synchronously* (condition C1) — in-flight batches
 //!   from that worker are applied before the handover completes;
@@ -45,7 +46,7 @@ use sg_engine::{
     build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Host,
     Outcome, VertexProgram,
 };
-use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
+use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{CostModel, Counter, Metrics, ObsReport, SimClocks, Trace, TraceEventKind};
 use sg_serial::Recorder;
 use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Step, Synchronizer};
@@ -240,7 +241,7 @@ pub fn simulate<P: VertexProgram>(
         aggs: &aggs,
         buffer_cap: config.buffer_cap,
         superstep: 0,
-        inboxes: InboxPair::new(&pm, config.model, recorder.clone()),
+        inboxes: InboxPair::new(&pm, config.model, recorder.clone(), None),
         parts,
         envelopes: Vec::new(),
         ppw,
@@ -490,10 +491,9 @@ impl<P: VertexProgram> Sim<'_, P> {
     /// Join the receiver's clock with the batch's arrival and deliver it.
     fn apply(&mut self, b: Batch<P::Message>) {
         self.clocks.observe(b.to as usize, b.arrival);
-        for (to, sender, m) in b.entries {
-            let slot = self.pm.slot_of(to);
-            self.inboxes.deliver(sender, to, slot, m, self.combiner);
-        }
+        let slots: Vec<_> = b.entries.iter().map(|r| self.pm.slot_of(r.0)).collect();
+        self.inboxes
+            .deliver_batch(WorkerId::new(b.to), &slots, &b.entries, self.combiner);
     }
 
     /// A `Deliver` event fired: apply the batch, unless a write-all flush
