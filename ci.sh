@@ -54,6 +54,9 @@ for f in crates/engine/src/*.rs crates/net/src/*.rs crates/sim/src/*.rs; do
     if [ "$f" != crates/engine/src/store.rs ] && sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'get_or_insert_with\(\|\|[^;]*\.lock\(\)\)'; then echo "in $f"; exit 1; fi
 done
 
+echo "== the wire carries each fact once: one transaction stream, no request-token relay, lock executors on a std channel =="
+if grep -rnE 'HistoryUpload|RequestTokenRelay|Message::RequestToken\b|on_request_token|struct ExecQueue' crates/net/src tests/net.rs; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

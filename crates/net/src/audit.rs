@@ -174,14 +174,14 @@ impl AuditHub {
 
     /// Absorb one `AuditUpload` from `rank`: buffer the transactions,
     /// raise the rank's watermark, advance the frontier.
-    pub fn ingest(&self, rank: usize, txns: Vec<WireTxn>, watermark: u64) {
+    pub fn ingest(&self, rank: usize, txns: &[WireTxn], watermark: u64) {
         let mut inner = self.inner.lock().unwrap();
         for t in txns {
             inner.checker.observe(StampedTxn {
                 vertex: VertexId::new(t.vertex),
                 start: t.start,
                 end: t.end,
-                stale_reads: t.stale.into_iter().map(VertexId::new).collect(),
+                stale_reads: t.stale.iter().copied().map(VertexId::new).collect(),
             });
         }
         if let Some(w) = inner.watermarks.get_mut(rank) {
@@ -461,10 +461,10 @@ mod tests {
         let h = hub(2);
         // Rank 0 runs v0 then v2, rank 1 runs v1 then v3, serially by
         // stamp — no overlap anywhere.
-        h.ingest(0, vec![wt(0, stamp(1, 0), stamp(2, 0))], stamp(3, 0));
-        h.ingest(1, vec![wt(1, stamp(3, 1), stamp(4, 1))], stamp(5, 1));
-        h.ingest(0, vec![wt(2, stamp(5, 0), stamp(6, 0))], stamp(7, 0));
-        h.ingest(1, vec![wt(3, stamp(7, 1), stamp(8, 1))], stamp(9, 1));
+        h.ingest(0, &[wt(0, stamp(1, 0), stamp(2, 0))], stamp(3, 0));
+        h.ingest(1, &[wt(1, stamp(3, 1), stamp(4, 1))], stamp(5, 1));
+        h.ingest(0, &[wt(2, stamp(5, 0), stamp(6, 0))], stamp(7, 0));
+        h.ingest(1, &[wt(3, stamp(7, 1), stamp(8, 1))], stamp(9, 1));
         h.finish_rank(0);
         h.finish_rank(1);
         let s = h.finalize();
@@ -476,10 +476,10 @@ mod tests {
     #[test]
     fn frontier_waits_for_the_slowest_rank() {
         let h = hub(2);
-        h.ingest(0, vec![wt(0, stamp(1, 0), stamp(2, 0))], stamp(3, 0));
+        h.ingest(0, &[wt(0, stamp(1, 0), stamp(2, 0))], stamp(3, 0));
         // Rank 1 has not reported: nothing may be released yet.
         assert_eq!(h.summary().transactions, 0);
-        h.ingest(1, Vec::new(), stamp(4, 1));
+        h.ingest(1, &[], stamp(4, 1));
         // Now the frontier covers rank 0's txn.
         assert_eq!(h.summary().transactions, 1);
     }
@@ -488,8 +488,8 @@ mod tests {
     fn overlapping_neighbors_flip_the_live_verdict_before_finalize() {
         let h = hub(2);
         // v0 and v1 are adjacent in C4 and their intervals overlap.
-        h.ingest(0, vec![wt(0, stamp(1, 0), stamp(10, 0))], stamp(11, 0));
-        h.ingest(1, vec![wt(1, stamp(2, 1), stamp(3, 1))], stamp(12, 1));
+        h.ingest(0, &[wt(0, stamp(1, 0), stamp(10, 0))], stamp(11, 0));
+        h.ingest(1, &[wt(1, stamp(2, 1), stamp(3, 1))], stamp(12, 1));
         let live = h.summary();
         assert_eq!(live.transactions, 2);
         assert!(!live.one_copy_serializable, "violation must surface live");
@@ -519,7 +519,7 @@ mod tests {
         let h = AuditHub::new(g, vec![0, 0, 1, 1], 1, &Telemetry::new(), cfg).unwrap();
         h.ingest(
             0,
-            vec![
+            &[
                 wt(0, stamp(1, 0), stamp(10, 0)),
                 WireTxn {
                     vertex: 1,

@@ -7,16 +7,21 @@
 //! — and drives it from worker RPCs: `AcquireUnit`/`ReleaseUnit` frames
 //! feed a per-worker executor thread that blocks inside
 //! `Synchronizer::acquire_unit` exactly like an engine thread would, and
-//! the technique's transport calls become real network traffic: one
-//! `transfer` is a `FlushForks` request to the surrendering worker, a
-//! batched write-all over the mesh and an application receipt, and only
-//! then does the fork or token move; a `request` is a relayed frame.
+//! the technique's `transfer` calls become real network traffic: a
+//! `FlushForks` request to the surrendering worker, a batched write-all
+//! over the mesh and an application receipt, and only then does the fork
+//! or token move. A `request` sends nothing: the fork table it updates is
+//! here, and request tokens guard no data.
+//!
+//! Transactions arrive once, as `AuditUpload` frames: the coordinator
+//! merges them into the post-hoc [`History`] and, with the audit plane on,
+//! hands the same frames to the [`AuditHub`].
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use sg_engine::{build_synchronizer, EngineConfig, TechniqueKind};
@@ -155,8 +160,9 @@ pub struct ClusterConfig {
     pub telemetry_interval_ms: u64,
     /// How often workers stream `AuditUpload` transaction batches to the
     /// coordinator's [`AuditHub`], in milliseconds. 0 disables the
-    /// streaming audit plane (the post-hoc check still runs when
-    /// `record_history` is on); nonzero requires `record_history`.
+    /// streaming audit plane (workers ship their transactions at halt and
+    /// the post-hoc check still runs when `record_history` is on); nonzero
+    /// requires `record_history`.
     pub audit_interval_ms: u64,
     /// JSONL file receiving audit violation sentinels and threshold
     /// alerts. Only consulted when the audit plane is on.
@@ -255,7 +261,6 @@ struct CoordState {
     compute_done: u32,
     votes: u32,
     active_total: u64,
-    pending_total: u64,
     goodbyes: u32,
     values: Vec<Option<Vec<u8>>>,
     txns: Vec<WireTxn>,
@@ -322,39 +327,11 @@ impl Coord {
 }
 
 /// Lock acquire/release requests, executed in arrival order per worker.
+/// The worker's reader thread holds the sending end; when it ends, so does
+/// the executor.
 enum ExecReq {
     Acquire(u32),
     Release(u32),
-    Stop,
-}
-
-struct ExecQueue {
-    q: Mutex<VecDeque<ExecReq>>,
-    cv: Condvar,
-}
-
-impl ExecQueue {
-    fn new() -> Self {
-        Self {
-            q: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn push(&self, req: ExecReq) {
-        self.q.lock().unwrap().push_back(req);
-        self.cv.notify_one();
-    }
-
-    fn pop(&self) -> ExecReq {
-        let mut q = self.q.lock().unwrap();
-        loop {
-            if let Some(req) = q.pop_front() {
-                return req;
-            }
-            q = self.cv.wait(q).unwrap();
-        }
-    }
 }
 
 /// The socket-backed [`SyncTransport`]. Fork/token movement sends a
@@ -395,10 +372,12 @@ impl SyncTransport for CoordTransport {
         }
     }
 
-    fn request(&self, from: WorkerId, to: WorkerId) {
-        self.coord
-            .send(from.raw(), &Message::RequestTokenRelay { target: to.raw() });
-    }
+    /// Nothing crosses the wire. The request token lives in the fork table
+    /// this coordinator hosts and guards no data. A conflict between ranks
+    /// is ordered by the fork's own chain (`ReleaseUnit`, `FlushForks`, the
+    /// write-all fence, `FlushDone`, `UnitGranted`), and the technique
+    /// counts request tokens itself.
+    fn request(&self, _from: WorkerId, _to: WorkerId) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -525,7 +504,6 @@ impl ClusterQueryService {
                         id,
                         op,
                         a,
-                        b: 0,
                         vertices: vertices.clone(),
                     },
                 );
@@ -801,12 +779,7 @@ pub fn run_cluster(graph: &Graph, cfg: &ClusterConfig) -> Result<ClusterOutcome,
 }
 
 fn validate(cfg: &ClusterConfig) -> Result<(), NetError> {
-    if cfg.workers == 0 || cfg.workers > 255 {
-        return Err(NetError::Config(format!(
-            "workers must be 1..=255 (got {}): history stamps carry the rank in one byte",
-            cfg.workers
-        )));
-    }
+    crate::check_workers(cfg.workers).map_err(NetError::Config)?;
     if cfg.partitions_per_worker == 0 {
         return Err(NetError::Config(
             "partitions_per_worker must be >= 1".into(),
@@ -984,7 +957,6 @@ fn drive(
             compute_done: 0,
             votes: 0,
             active_total: 0,
-            pending_total: 0,
             goodbyes: 0,
             values: vec![None; graph.num_vertices() as usize],
             txns: Vec::new(),
@@ -1031,29 +1003,22 @@ fn drive(
     let transport = CoordTransport {
         coord: Arc::clone(&coord),
     };
-    let queues: Arc<Vec<ExecQueue>> =
-        Arc::new((0..cfg.workers).map(|_| ExecQueue::new()).collect());
-
     let mut service_threads = Vec::new();
     for (rank, read_half) in readers.into_iter().enumerate() {
-        let coord2 = Arc::clone(&coord);
-        let queues2 = Arc::clone(&queues);
-        let clock2 = Arc::clone(&clock);
+        let rank = rank as u32;
+        let (exec, requests) = mpsc::channel();
+        let (coord2, clock2) = (Arc::clone(&coord), Arc::clone(&clock));
         service_threads.push(
             std::thread::Builder::new()
                 .name(format!("sg-net-coord-read-{rank}"))
-                .spawn(move || reader_thread(rank as u32, read_half, clock2, coord2, queues2))
+                .spawn(move || reader_thread(rank, read_half, clock2, coord2, exec))
                 .expect("spawn coordinator reader"),
         );
-    }
-    for rank in 0..cfg.workers {
-        let coord2 = Arc::clone(&coord);
-        let queues2 = Arc::clone(&queues);
-        let sync2 = Arc::clone(&sync);
+        let (coord2, sync2) = (Arc::clone(&coord), Arc::clone(&sync));
         service_threads.push(
             std::thread::Builder::new()
                 .name(format!("sg-net-coord-exec-{rank}"))
-                .spawn(move || executor_thread(rank, coord2, queues2, sync2))
+                .spawn(move || executor_thread(rank, coord2, requests, sync2))
                 .expect("spawn coordinator executor"),
         );
     }
@@ -1072,13 +1037,10 @@ fn drive(
         for rank in 0..cfg.workers {
             coord.send(rank, &Message::ReportRequest { superstep });
         }
-        let (active, _pending) = coord.wait_for("barrier votes", BARRIER_TIMEOUT, |st| {
+        let active = coord.wait_for("barrier votes", BARRIER_TIMEOUT, |st| {
             (st.votes >= cfg.workers).then(|| {
                 st.votes = 0;
-                let out = (st.active_total, st.pending_total);
-                st.active_total = 0;
-                st.pending_total = 0;
-                out
+                std::mem::take(&mut st.active_total)
             })
         })?;
         sync.end_superstep(superstep, &transport);
@@ -1103,20 +1065,13 @@ fn drive(
     // Phase 5: halt, collect uploads, tear down.
     coord.halting.store(true, Ordering::SeqCst);
     for rank in 0..cfg.workers {
-        coord.send(
-            rank,
-            &Message::Halt {
-                converged,
-                supersteps: superstep,
-            },
-        );
+        coord.send(rank, &Message::Halt);
     }
     coord.wait_for("worker uploads", UPLOAD_TIMEOUT, |st| {
         (st.goodbyes >= cfg.workers).then_some(())
     })?;
-    for q in queues.iter() {
-        q.push(ExecReq::Stop);
-    }
+    // Closing the connections ends each reader thread, which drops its
+    // executor's sender and so ends the executor too.
     for conn in &coord.conns {
         conn.close();
     }
@@ -1154,10 +1109,10 @@ fn drive(
     let trace_events = merge_ranked_events(&[std::mem::take(&mut st.events)]);
     drop(st);
 
-    // Every worker's goodbye was preceded by a final AuditUpload drain
-    // (watermark = MAX) and a final TelemetryUpload, so finalize here
-    // releases everything and the aggregate is the complete end-of-run
-    // view — the same data the last live scrape would have served.
+    // Every worker's goodbye was preceded by its final AuditUpload drain
+    // (the last chunk's watermark = MAX) and a final TelemetryUpload, so
+    // finalize here releases everything and the aggregate is the complete
+    // end-of-run view — the same data the last live scrape would have served.
     let audit_summary = audit.as_ref().map(|a| {
         let s = a.finalize();
         eprintln!(
@@ -1192,14 +1147,15 @@ fn drive(
     })
 }
 
-/// Per-worker control-plane reader: dispatches barrier state, lock RPCs,
-/// flush receipts, and result uploads into the shared state.
+/// Per-worker control-plane reader: dispatches barrier state, lock RPCs
+/// (to the rank's executor, through `exec`), flush receipts, and result
+/// uploads into the shared state.
 fn reader_thread(
     rank: u32,
     read_half: TcpStream,
     clock: Arc<Clock>,
     coord: Arc<Coord>,
-    queues: Arc<Vec<ExecQueue>>,
+    exec: mpsc::Sender<ExecReq>,
 ) {
     let mut reader = FrameReader::new(read_half, clock);
     let mut clean_exit = false;
@@ -1226,17 +1182,15 @@ fn reader_thread(
                 st.compute_done += 1;
                 coord.cv.notify_all();
             }
-            Message::BarrierVote {
-                active, pending, ..
-            } => {
+            Message::BarrierVote { active, .. } => {
                 let mut st = coord.state.lock().unwrap();
                 st.votes += 1;
                 st.active_total += active;
-                st.pending_total += pending;
                 coord.cv.notify_all();
             }
-            Message::AcquireUnit { unit } => queues[rank as usize].push(ExecReq::Acquire(unit)),
-            Message::ReleaseUnit { unit } => queues[rank as usize].push(ExecReq::Release(unit)),
+            // A dead executor never grants; the run times out at its barrier.
+            Message::AcquireUnit { unit } => exec.send(ExecReq::Acquire(unit)).unwrap_or(()),
+            Message::ReleaseUnit { unit } => exec.send(ExecReq::Release(unit)).unwrap_or(()),
             Message::FlushDone { flush_seq } => {
                 let mut st = coord.state.lock().unwrap();
                 st.flush_done.insert(flush_seq);
@@ -1250,13 +1204,11 @@ fn reader_thread(
                     }
                 }
             }
-            Message::HistoryUpload { txns } => {
-                coord.state.lock().unwrap().txns.extend(txns);
-            }
             Message::AuditUpload { txns, watermark } => {
                 if let Some(a) = &coord.audit {
-                    a.ingest(rank as usize, txns, watermark);
+                    a.ingest(rank as usize, &txns, watermark);
                 }
+                coord.state.lock().unwrap().txns.extend(txns);
             }
             Message::MetricsUpload { counters } => {
                 // Worker counters sum straight into the cluster totals
@@ -1320,14 +1272,14 @@ fn decode_trace_event(e: &WireTraceEvent) -> Option<TraceEvent> {
 fn executor_thread(
     rank: u32,
     coord: Arc<Coord>,
-    queues: Arc<Vec<ExecQueue>>,
+    requests: mpsc::Receiver<ExecReq>,
     sync: Arc<dyn Synchronizer>,
 ) {
     let transport = CoordTransport {
         coord: Arc::clone(&coord),
     };
-    loop {
-        match queues[rank as usize].pop() {
+    for req in requests {
+        match req {
             ExecReq::Acquire(unit) => {
                 let _ready = sync.acquire_unit(unit, &transport);
                 coord.send(rank, &Message::UnitGranted { unit });
@@ -1336,7 +1288,6 @@ fn executor_thread(
                 let end_ts = coord.clock.tick();
                 sync.release_unit(unit, end_ts, &transport);
             }
-            ExecReq::Stop => break,
         }
     }
 }

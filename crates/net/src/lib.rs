@@ -17,10 +17,12 @@
 //!
 //! * control plane (worker ↔ coordinator): superstep start/barrier frames,
 //!   blocking `AcquireUnit`/`UnitGranted`/`ReleaseUnit` lock RPCs, C1
-//!   flush orchestration (`FlushForks`/`FlushDone`), result uploads;
+//!   flush orchestration (`FlushForks`/`FlushDone`), the transaction
+//!   stream (`AuditUpload`), result uploads;
 //! * data plane (worker ↔ worker): batched vertex messages
-//!   (`BatchFlush`), write-all fences (`FlushPing`/`FlushAck`), relayed
-//!   request tokens, heartbeats.
+//!   (`BatchFlush`), write-all fences (`FlushPing`/`FlushAck`),
+//!   heartbeats. Request tokens never leave the coordinator's fork table:
+//!   they guard no data.
 //!
 //! Token holders are pure functions of the superstep number, so workers
 //! replicate the token techniques locally for `vertex_allowed` gating; the
@@ -33,10 +35,11 @@
 //!
 //! Serializability is still checked end-to-end: every worker keeps a
 //! Lamport clock (joined on every frame), stamps each vertex execution
-//! with a composite `(lamport << 8) | rank` interval, and uploads its
-//! transaction records at halt; the coordinator merges them into one
-//! [`sg_serial::History`] and runs the 1SR checker over the wire-executed
-//! run.
+//! with a composite `(lamport << 8) | rank` interval (hence at most 255
+//! workers), and ships each transaction record once, in `AuditUpload`
+//! frames — periodically when the live audit plane is on, the rest at
+//! halt; the coordinator merges them into one [`sg_serial::History`] and
+//! runs the 1SR checker over the wire-executed run.
 //!
 //! Faults are injectable deterministically per worker ([`FaultPlan`]):
 //! drop/duplicate/delay exact data-plane frame indices or hard-kill a
@@ -146,6 +149,18 @@ impl Clock {
 #[inline]
 pub fn stamp(lamport: u64, rank: u32) -> u64 {
     (lamport << 8) | u64::from(rank & 0xFF)
+}
+
+/// The one bound on a cluster's size, checked by the coordinator's config
+/// and by every worker's `Setup`: [`stamp`] keeps one byte of the rank, so
+/// ranks 0 and 256 would stamp identical intervals.
+pub(crate) fn check_workers(workers: u32) -> Result<(), String> {
+    if (1..=255).contains(&workers) {
+        return Ok(());
+    }
+    Err(format!(
+        "workers must be 1..=255 (got {workers}): history stamps carry the rank in one byte"
+    ))
 }
 
 #[cfg(test)]

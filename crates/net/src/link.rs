@@ -5,9 +5,9 @@
 //! are assumed reliable — a lost coordinator is a lost run.
 //!
 //! Data-plane links (worker ↔ worker) survive injected faults. Every
-//! *sequenced* frame (vertex batches, flush fences, relayed request
-//! tokens) carries a per-direction sequence number starting at 1 and is
-//! buffered until acknowledged; the receiver applies frames strictly in
+//! *sequenced* frame (vertex batches, flush fences) carries a
+//! per-direction sequence number starting at 1 and is buffered until
+//! acknowledged; the receiver applies frames strictly in
 //! sequence (duplicates and gaps are dropped) and reports its applied
 //! watermark in `FlushAck.ack_through`. Unsequenced frames (seq 0 —
 //! handshakes, acks, heartbeats) are idempotent and fire-and-forget.
@@ -27,9 +27,9 @@
 //! post-redial resume) replays the *identical* bytes — no re-encode, no
 //! allocation, no fresh Lamport stamp. Batch flushes are lazily staged and
 //! submitted in one `write_vectored` call when a latency-sensitive frame
-//! follows (fence pings, acks, heartbeats, request tokens — they ride
-//! behind the staged batches in the same syscall) or when the staged run
-//! exceeds [`COALESCE_FRAMES`]/[`COALESCE_BYTES`]. Fault-injection
+//! follows (fence pings, acks, heartbeats — they ride behind the staged
+//! batches in the same syscall) or when the staged run exceeds
+//! [`COALESCE_FRAMES`]/[`COALESCE_BYTES`]. Fault-injection
 //! actions are still claimed at `send` time in frame-index order
 //! (determinism) and applied at submission time.
 
@@ -312,8 +312,6 @@ pub trait PeerHandler: Send + Sync + 'static {
     /// A batch of vertex messages. Payload slices borrow the link's
     /// receive buffer — copy out what must outlive the call.
     fn on_batch(&self, from: u32, batch: BatchView<'_>);
-    /// A relayed Chandy-Misra request token arrived.
-    fn on_request_token(&self, from: u32);
 }
 
 /// One sequenced frame in the retransmit tail: wire bytes encoded exactly
@@ -997,17 +995,13 @@ fn reader_loop(inner: Arc<LinkInner>, stream: TcpStream, generation: u64) {
             break;
         };
         inner.recv_next.store(expected + 1, Ordering::SeqCst);
-        match frame.msg {
-            Message::RequestToken => inner.handler.on_request_token(inner.peer_rank),
-            Message::FlushPing { flush_seq } => {
-                // The sequential read loop guarantees every earlier frame
-                // was applied before this receipt is produced.
-                link.send_unsequenced(Message::FlushAck {
-                    flush_seq,
-                    ack_through: expected,
-                });
-            }
-            _ => {}
+        if let Message::FlushPing { flush_seq } = frame.msg {
+            // The sequential read loop guarantees every earlier frame
+            // was applied before this receipt is produced.
+            link.send_unsequenced(Message::FlushAck {
+                flush_seq,
+                ack_through: expected,
+            });
         }
     }
     // Declare the connection dead only if it is still the live one.
@@ -1077,20 +1071,17 @@ mod tests {
     use super::*;
     use crate::wire::MsgBatch;
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicUsize;
 
     type RecordedBatch = (u32, Vec<(u32, u32, u64)>);
 
     struct CountingHandler {
         batches: Mutex<Vec<RecordedBatch>>,
-        tokens: AtomicUsize,
     }
 
     impl CountingHandler {
         fn new() -> Arc<Self> {
             Arc::new(Self {
                 batches: Mutex::new(Vec::new()),
-                tokens: AtomicUsize::new(0),
             })
         }
     }
@@ -1104,9 +1095,6 @@ mod tests {
                 })
                 .collect();
             self.batches.lock().unwrap().push((from, msgs));
-        }
-        fn on_request_token(&self, _from: u32) {
-            self.tokens.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -1222,14 +1210,6 @@ mod tests {
         let batches = hb.batches.lock().unwrap();
         assert_eq!(batches.len(), 2, "both batches survive the kill");
         assert!(a.is_connected(), "link re-established");
-    }
-
-    #[test]
-    fn request_token_relays() {
-        let (a, _b, _ha, hb, _ta) = linked_pair(FaultInjector::none());
-        a.send(Message::RequestToken);
-        a.flush_fence(1, Duration::from_secs(5)).unwrap();
-        assert_eq!(hb.tokens.load(Ordering::SeqCst), 1);
     }
 
     #[test]

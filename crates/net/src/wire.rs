@@ -46,8 +46,12 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// optional compressed batch frame. v6 removed that frame (never enabled,
 /// never measured) and the word with it. v7 ships the graph in `Setup` as
 /// its out-CSR (`offsets`, `targets`) instead of an edge list the worker
-/// had to sort back into one.
-pub const PROTOCOL_VERSION: u8 = 7;
+/// had to sort back into one. v8 carries each fact once: `AuditUpload` is
+/// the one transaction stream (the halt-time history frame is gone), request
+/// tokens are no longer relayed worker to worker (both relay frames are
+/// gone), and `Halt`, `BarrierVote` and `QueryRequest` lost the fields no
+/// receiver read.
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Codec failure. All variants are recoverable at the connection level
 /// (the connection is dropped and re-established; the process never
@@ -427,13 +431,14 @@ pub struct RunSpec {
     pub technique: String,
     /// Workload name ("coloring", "wcc", "sssp").
     pub workload: String,
-    /// Workload argument (SSSP source; unused otherwise).
+    /// Workload argument (SSSP source, PageRank threshold bits; 0 otherwise).
     pub workload_arg: u64,
     /// Superstep cap.
     pub max_supersteps: u64,
     /// Remote staging buffer capacity before an eager batch flush.
     pub buffer_cap: u64,
-    /// Record per-vertex transaction intervals for the 1SR check.
+    /// Record per-vertex transaction intervals for the 1SR check; they
+    /// reach the coordinator as `AuditUpload` frames.
     pub record_history: bool,
     /// Trace ring capacity per worker; 0 disables tracing.
     pub trace_capacity: u64,
@@ -448,8 +453,7 @@ pub struct RunSpec {
     pub telemetry_interval_ms: u64,
     /// How often (ms) this worker ships an `AuditUpload` frame carrying
     /// the transactions recorded since the last one plus its Lamport
-    /// watermark; 0 disables streaming (history still uploads at halt).
-    /// Requires `record_history`.
+    /// watermark; 0 ships them all at halt. Requires `record_history`.
     pub audit_interval_ms: u64,
 }
 
@@ -563,8 +567,6 @@ pub enum Message {
         superstep: u64,
         /// Vertices still active (unhalted or with undelivered input).
         active: u64,
-        /// Messages applied but not yet consumed by their target vertex.
-        pending: u64,
     },
     /// Blocking lock-acquire request for a partition or vertex unit.
     AcquireUnit {
@@ -588,11 +590,6 @@ pub enum Message {
         /// `WireCodec` byte encoding.
         values: Vec<(u32, Vec<u8>)>,
     },
-    /// Recorded transaction history for the merged 1SR check.
-    HistoryUpload {
-        /// All transactions this worker executed.
-        txns: Vec<WireTxn>,
-    },
     /// Final counter values, summed into the cluster totals.
     MetricsUpload {
         /// Counter values in `Counter::ALL` order.
@@ -608,11 +605,12 @@ pub enum Message {
         /// Flattened registry rows.
         rows: Vec<WireMetricRow>,
     },
-    /// Streaming audit batch: every transaction recorded since the last
-    /// upload, plus this worker's Lamport watermark — a composite stamp
-    /// strictly below every stamp any *future* transaction from this
-    /// worker can carry. The coordinator's audit hub merges these streams
-    /// by advancing a frontier = min watermark across live workers.
+    /// The one transaction stream: every transaction recorded since the
+    /// last upload, plus this worker's Lamport watermark — a composite
+    /// stamp strictly below every stamp any *future* transaction from this
+    /// worker can carry. The coordinator merges the frames into the
+    /// post-hoc history and, with the audit plane on, its audit hub merges
+    /// them live by advancing a frontier = min watermark across workers.
     AuditUpload {
         /// Transactions recorded since the previous `AuditUpload`.
         txns: Vec<WireTxn>,
@@ -649,8 +647,6 @@ pub enum Message {
         op: u8,
         /// First operand (snapshot handle for snapshot ops).
         a: u64,
-        /// Second operand (reserved).
-        b: u64,
         /// Vertices to resolve (for lookups and snapshot reads).
         vertices: Vec<u32>,
     },
@@ -685,26 +681,16 @@ pub enum Message {
     FlushForks {
         /// Receiving worker of the fork/token.
         target: u32,
-        /// Protocol unit traveling (philosopher id; superstep for tokens).
+        /// Protocol unit traveling: the philosopher id of a fork, 0 for a
+        /// token (recorded as the trace event's argument).
         unit: u64,
         /// True for a token ring pass, false for a Chandy-Misra fork.
         token: bool,
         /// Coordinator-chosen id echoed in `FlushDone`.
         flush_seq: u64,
     },
-    /// Forward a request-token control message to `target` over the mesh
-    /// (no flush: request tokens do not guard data).
-    RequestTokenRelay {
-        /// Receiving worker.
-        target: u32,
-    },
     /// The run is over; upload results and shut down.
-    Halt {
-        /// Did the computation converge (vs. hitting the superstep cap)?
-        converged: bool,
-        /// Supersteps executed.
-        supersteps: u64,
-    },
+    Halt,
 
     // -- data plane: worker <-> worker --------------------------------------
     /// Mesh handshake: identifies the dialing worker and, on reconnect,
@@ -738,8 +724,6 @@ pub enum Message {
         /// point).
         ack_through: u64,
     },
-    /// A relayed Chandy-Misra request token (clock join only).
-    RequestToken,
     /// Keepalive. `echo_ns` is an opaque sender-local monotonic timestamp;
     /// the receiver reflects it verbatim in `HeartbeatAck` so the sender
     /// can measure the link round-trip time.
@@ -757,6 +741,8 @@ pub enum Message {
     },
 }
 
+// Kinds 8, 17 and 23 carried v7's history upload and request-token relay;
+// they now decode as `BadKind`.
 const K_HELLO: u8 = 1;
 const K_COMPUTE_DONE: u8 = 2;
 const K_BARRIER_VOTE: u8 = 3;
@@ -764,7 +750,6 @@ const K_ACQUIRE_UNIT: u8 = 4;
 const K_RELEASE_UNIT: u8 = 5;
 const K_FLUSH_DONE: u8 = 6;
 const K_VALUES_UPLOAD: u8 = 7;
-const K_HISTORY_UPLOAD: u8 = 8;
 const K_METRICS_UPLOAD: u8 = 9;
 const K_TRACE_UPLOAD: u8 = 10;
 const K_SETUP: u8 = 11;
@@ -773,13 +758,11 @@ const K_START_SUPERSTEP: u8 = 13;
 const K_REPORT_REQUEST: u8 = 14;
 const K_UNIT_GRANTED: u8 = 15;
 const K_FLUSH_FORKS: u8 = 16;
-const K_REQUEST_TOKEN_RELAY: u8 = 17;
 const K_HALT: u8 = 18;
 const K_PEER_HELLO: u8 = 19;
 const K_BATCH_FLUSH: u8 = 20;
 const K_FLUSH_PING: u8 = 21;
 const K_FLUSH_ACK: u8 = 22;
-const K_REQUEST_TOKEN: u8 = 23;
 const K_HEARTBEAT: u8 = 24;
 const K_TELEMETRY_UPLOAD: u8 = 25;
 const K_HEARTBEAT_ACK: u8 = 26;
@@ -799,38 +782,6 @@ pub const QUERY_OP_SNAP_CLOSE: u8 = 3;
 /// `QueryRequest` op: checksum every owned vertex in snapshot `a`.
 pub const QUERY_OP_SNAP_CHECKSUM: u8 = 4;
 
-fn put_txns(buf: &mut Vec<u8>, txns: &[WireTxn]) {
-    put_u32(buf, txns.len() as u32);
-    for t in txns {
-        put_u32(buf, t.vertex);
-        put_u64(buf, t.start);
-        put_u64(buf, t.end);
-        put_u32(buf, t.stale.len() as u32);
-        for &s in &t.stale {
-            put_u32(buf, s);
-        }
-    }
-}
-
-fn read_txns(r: &mut Reader<'_>) -> Result<Vec<WireTxn>, WireError> {
-    let n = r.len(24)?;
-    (0..n)
-        .map(|_| {
-            let vertex = r.u32()?;
-            let start = r.u64()?;
-            let end = r.u64()?;
-            let m = r.len(4)?;
-            let stale = (0..m).map(|_| r.u32()).collect::<Result<_, _>>()?;
-            Ok(WireTxn {
-                vertex,
-                start,
-                end,
-                stale,
-            })
-        })
-        .collect()
-}
-
 impl Message {
     /// The message's kind byte (stable wire identity).
     pub fn kind(&self) -> u8 {
@@ -842,7 +793,6 @@ impl Message {
             Message::ReleaseUnit { .. } => K_RELEASE_UNIT,
             Message::FlushDone { .. } => K_FLUSH_DONE,
             Message::ValuesUpload { .. } => K_VALUES_UPLOAD,
-            Message::HistoryUpload { .. } => K_HISTORY_UPLOAD,
             Message::MetricsUpload { .. } => K_METRICS_UPLOAD,
             Message::TraceUpload { .. } => K_TRACE_UPLOAD,
             Message::Setup { .. } => K_SETUP,
@@ -851,13 +801,11 @@ impl Message {
             Message::ReportRequest { .. } => K_REPORT_REQUEST,
             Message::UnitGranted { .. } => K_UNIT_GRANTED,
             Message::FlushForks { .. } => K_FLUSH_FORKS,
-            Message::RequestTokenRelay { .. } => K_REQUEST_TOKEN_RELAY,
-            Message::Halt { .. } => K_HALT,
+            Message::Halt => K_HALT,
             Message::PeerHello { .. } => K_PEER_HELLO,
             Message::BatchFlush { .. } => K_BATCH_FLUSH,
             Message::FlushPing { .. } => K_FLUSH_PING,
             Message::FlushAck { .. } => K_FLUSH_ACK,
-            Message::RequestToken => K_REQUEST_TOKEN,
             Message::Heartbeat { .. } => K_HEARTBEAT,
             Message::HeartbeatAck { .. } => K_HEARTBEAT_ACK,
             Message::TelemetryUpload { .. } => K_TELEMETRY_UPLOAD,
@@ -881,14 +829,9 @@ impl Message {
             Message::ComputeDone { superstep }
             | Message::StartSuperstep { superstep }
             | Message::ReportRequest { superstep } => put_u64(buf, *superstep),
-            Message::BarrierVote {
-                superstep,
-                active,
-                pending,
-            } => {
+            Message::BarrierVote { superstep, active } => {
                 put_u64(buf, *superstep);
                 put_u64(buf, *active);
-                put_u64(buf, *pending);
             }
             Message::AcquireUnit { unit }
             | Message::ReleaseUnit { unit }
@@ -904,9 +847,17 @@ impl Message {
                     buf.extend_from_slice(payload);
                 }
             }
-            Message::HistoryUpload { txns } => put_txns(buf, txns),
             Message::AuditUpload { txns, watermark } => {
-                put_txns(buf, txns);
+                put_u32(buf, txns.len() as u32);
+                for t in txns {
+                    put_u32(buf, t.vertex);
+                    put_u64(buf, t.start);
+                    put_u64(buf, t.end);
+                    put_u32(buf, t.stale.len() as u32);
+                    for &s in &t.stale {
+                        put_u32(buf, s);
+                    }
+                }
                 put_u64(buf, *watermark);
             }
             Message::MetricsUpload { counters } => {
@@ -973,14 +924,7 @@ impl Message {
                 put_u8(buf, u8::from(*token));
                 put_u64(buf, *flush_seq);
             }
-            Message::RequestTokenRelay { target } => put_u32(buf, *target),
-            Message::Halt {
-                converged,
-                supersteps,
-            } => {
-                put_u8(buf, u8::from(*converged));
-                put_u64(buf, *supersteps);
-            }
+            Message::Halt => {}
             Message::PeerHello {
                 version,
                 rank,
@@ -1021,13 +965,11 @@ impl Message {
                 id,
                 op,
                 a,
-                b,
                 vertices,
             } => {
                 put_u64(buf, *id);
                 put_u8(buf, *op);
                 put_u64(buf, *a);
-                put_u64(buf, *b);
                 put_u32(buf, vertices.len() as u32);
                 for &v in vertices {
                     put_u32(buf, v);
@@ -1057,7 +999,6 @@ impl Message {
                 put_u64(buf, *echo_ns);
                 put_u64(buf, *ack_through);
             }
-            Message::RequestToken => {}
         }
     }
 
@@ -1080,7 +1021,6 @@ impl Message {
             K_BARRIER_VOTE => Message::BarrierVote {
                 superstep: r.u64()?,
                 active: r.u64()?,
-                pending: r.u64()?,
             },
             K_ACQUIRE_UNIT => Message::AcquireUnit { unit: r.u32()? },
             K_RELEASE_UNIT => Message::ReleaseUnit { unit: r.u32()? },
@@ -1102,13 +1042,26 @@ impl Message {
                     .collect::<Result<_, WireError>>()?;
                 Message::ValuesUpload { values }
             }
-            K_HISTORY_UPLOAD => Message::HistoryUpload {
-                txns: read_txns(r)?,
-            },
-            K_AUDIT_UPLOAD => Message::AuditUpload {
-                txns: read_txns(r)?,
-                watermark: r.u64()?,
-            },
+            K_AUDIT_UPLOAD => {
+                let n = r.len(24)?;
+                let txns = (0..n)
+                    .map(|_| {
+                        let (vertex, start, end) = (r.u32()?, r.u64()?, r.u64()?);
+                        let m = r.len(4)?;
+                        let stale = (0..m).map(|_| r.u32()).collect::<Result<_, _>>()?;
+                        Ok(WireTxn {
+                            vertex,
+                            start,
+                            end,
+                            stale,
+                        })
+                    })
+                    .collect::<Result<_, WireError>>()?;
+                Message::AuditUpload {
+                    txns,
+                    watermark: r.u64()?,
+                }
+            }
             K_METRICS_UPLOAD => {
                 let n = r.len(8)?;
                 let counters = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
@@ -1174,11 +1127,7 @@ impl Message {
                 token: r.u8()? != 0,
                 flush_seq: r.u64()?,
             },
-            K_REQUEST_TOKEN_RELAY => Message::RequestTokenRelay { target: r.u32()? },
-            K_HALT => Message::Halt {
-                converged: r.u8()? != 0,
-                supersteps: r.u64()?,
-            },
+            K_HALT => Message::Halt,
             K_PEER_HELLO => Message::PeerHello {
                 version: r.u8()?,
                 rank: r.u32()?,
@@ -1194,7 +1143,6 @@ impl Message {
                 flush_seq: r.u64()?,
                 ack_through: r.u64()?,
             },
-            K_REQUEST_TOKEN => Message::RequestToken,
             K_HEARTBEAT => Message::Heartbeat { echo_ns: r.u64()? },
             K_HEARTBEAT_ACK => Message::HeartbeatAck {
                 echo_ns: r.u64()?,
@@ -1225,17 +1173,13 @@ impl Message {
                 Message::TelemetryUpload { rows }
             }
             K_QUERY_REQ => {
-                let id = r.u64()?;
-                let op = r.u8()?;
-                let a = r.u64()?;
-                let b = r.u64()?;
+                let (id, op, a) = (r.u64()?, r.u8()?, r.u64()?);
                 let n = r.len(4)?;
                 let vertices = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
                 Message::QueryRequest {
                     id,
                     op,
                     a,
-                    b,
                     vertices,
                 }
             }
@@ -1370,20 +1314,8 @@ pub fn batch_view<'a>(
 pub fn read_frame<R: std::io::Read>(
     r: &mut R,
 ) -> std::io::Result<Option<Result<Frame, WireError>>> {
-    Ok(read_frame_sized(r)?.map(|res| res.map(|(frame, _)| frame)))
-}
-
-/// Like [`read_frame`], but also reports the total wire size of the frame
-/// (length prefix + payload) so link telemetry can count bytes in.
-pub fn read_frame_sized<R: std::io::Read>(
-    r: &mut R,
-) -> std::io::Result<Option<Result<(Frame, usize), WireError>>> {
     let mut payload = Vec::new();
-    match read_frame_into(r, &mut payload)? {
-        None => Ok(None),
-        Some(Err(e)) => Ok(Some(Err(e))),
-        Some(Ok(n)) => Ok(Some(Frame::decode(&payload).map(|f| (f, n)))),
-    }
+    Ok(read_frame_into(r, &mut payload)?.map(|res| res.and_then(|_| Frame::decode(&payload))))
 }
 
 /// Read one frame's payload into a caller-owned buffer (resized to fit,
@@ -1454,14 +1386,12 @@ mod tests {
                 id: 7,
                 op: QUERY_OP_SNAP_READ,
                 a: 42,
-                b: 0,
                 vertices: vec![0, 5, 99],
             },
             Message::QueryRequest {
                 id: 8,
                 op: QUERY_OP_SNAP_OPEN,
                 a: 0,
-                b: 0,
                 vertices: vec![],
             },
             Message::QueryResponse {

@@ -16,8 +16,9 @@
 //!   this must run while the compute thread is busy or blocked;
 //! * the **mesh accept** thread — adopts incoming (and replacement)
 //!   data-plane connections;
-//! * the **maintenance** thread — heartbeats idle links and re-dials
-//!   dead ones with backoff.
+//! * the **maintenance** thread — heartbeats idle links, re-dials dead
+//!   ones with backoff, and ships the transaction log every
+//!   `audit_interval_ms`.
 //!
 //! The compute thread *hosts* the shared superstep cycle rather than
 //! transcribing it: [`sg_sync::PartitionWalk`] decides which vertex runs
@@ -41,6 +42,10 @@
 //! What a peer sends that this rank cannot take — a vertex it does not own,
 //! a payload that does not decode — is counted in
 //! `sg_worker_rejected_messages_total`, never dropped silently.
+//!
+//! With `record_history` on, every execution's Lamport interval goes into
+//! one log, [`AuditShip`], and leaves it once, in `AuditUpload` frames:
+//! the maintenance thread's periodic ships, then the drain at `Halt`.
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
@@ -211,9 +216,12 @@ impl WorkerTelemetry {
     }
 }
 
-/// The worker's half of the streaming audit plane: completed
-/// transactions stage here until the maintenance thread ships them, and
-/// `inflight` pins the watermark below any execution still open.
+/// The worker's one transaction log, kept whenever `record_history` is on:
+/// completed transactions stage here until they ship — every
+/// `audit_interval_ms` from the maintenance thread, the rest at `Halt` —
+/// and `inflight` pins the watermark below any execution still open. A
+/// ship sends its frame under `buf`'s lock, so frames leave in the order
+/// they were taken.
 struct AuditShip {
     buf: Mutex<Vec<WireTxn>>,
     /// Pre-start Lamport snapshot of the transaction the compute thread
@@ -256,7 +264,8 @@ struct Shared<M> {
     fence_seq: AtomicU64,
     buffer_cap: usize,
     wtel: WorkerTelemetry,
-    audit: Option<AuditShip>,
+    /// The transaction log, when `record_history` is on.
+    log: Option<AuditShip>,
     serve: Serve,
 }
 
@@ -274,11 +283,12 @@ impl<M> Shared<M> {
     /// order matters — clock before inflight before the buffer take —
     /// see the safety argument on [`AuditShip::inflight`].
     fn ship_audit(&self) {
-        let Some(a) = &self.audit else { return };
+        let Some(log) = &self.log else { return };
         let clock_now = self.clock.now();
-        let inflight = a.inflight.load(Ordering::SeqCst);
+        let inflight = log.inflight.load(Ordering::SeqCst);
         let watermark = stamp(clock_now.min(inflight), self.rank);
-        let txns = std::mem::take(&mut *a.buf.lock().unwrap());
+        let mut buf = log.buf.lock().unwrap();
+        let txns = std::mem::take(&mut *buf);
         let _ = self.ctrl.send(&Message::AuditUpload { txns, watermark });
     }
 
@@ -324,12 +334,6 @@ impl<M: WireCodec> PeerHandler for InboxHandler<M> {
         }
         let combiner = shared.combiner.as_deref();
         shared.inboxes.deliver_batch(me, &slots, &routed, combiner);
-    }
-
-    fn on_request_token(&self, _from: u32) {
-        // The Lamport join already happened in the link reader; the
-        // actual request-token state lives in the coordinator's fork
-        // table. The frame exists to carry the happens-before edge.
     }
 }
 
@@ -417,7 +421,7 @@ where
         fence_seq: AtomicU64::new(0),
         buffer_cap: spec.buffer_cap.max(1) as usize,
         wtel: WorkerTelemetry::new(Arc::clone(&telemetry)),
-        audit: (spec.audit_interval_ms > 0 && spec.record_history).then(|| AuditShip {
+        log: spec.record_history.then(|| AuditShip {
             buf: Mutex::new(Vec::new()),
             inflight: AtomicU64::new(u64::MAX),
         }),
@@ -581,10 +585,8 @@ where
         replica: &*replica,
         my_partitions,
         walking: 0,
-        record_history: spec.record_history,
         values: graph.vertices().map(|v| program.init(v, &graph)).collect(),
         halted: vec![false; n],
-        txns: Vec::new(),
         envelopes: Vec::new(),
         opened: 0,
     }
@@ -614,6 +616,9 @@ fn checked_layout(
     let Some(partitions) = workers.checked_mul(ppw).filter(|&np| np > 0) else {
         return malformed(format!("layout: {workers} workers x {ppw} partitions"));
     };
+    if let Err(why) = crate::check_workers(workers) {
+        return malformed(format!("layout: {why}"));
+    }
     if rank >= workers {
         return malformed(format!("layout: {workers} workers, this is rank {rank}"));
     }
@@ -631,7 +636,7 @@ fn checked_layout(
     Ok((ClusterLayout::new(workers, ppw), assignment.collect()))
 }
 
-/// Control-plane reader loop. `FlushForks` and `RequestTokenRelay` are
+/// Control-plane reader loop. `FlushForks` and `QueryRequest` are
 /// serviced here — while the compute thread is mid-superstep or blocked
 /// inside an acquire — everything else forwards to the compute thread.
 fn dispatcher<M: WireCodec>(
@@ -656,7 +661,7 @@ fn dispatcher<M: WireCodec>(
             }
             Message::ReportRequest { superstep } => Some(Cmd::Report(superstep)),
             Message::UnitGranted { unit } => Some(Cmd::Granted(unit)),
-            Message::Halt { .. } => Some(Cmd::Halt),
+            Message::Halt => Some(Cmd::Halt),
             Message::FlushForks {
                 target,
                 unit,
@@ -666,18 +671,11 @@ fn dispatcher<M: WireCodec>(
                 handle_flush(&shared, &links, target, unit, token, flush_seq);
                 None
             }
-            Message::RequestTokenRelay { target } => {
-                if let Some(Some(link)) = links.get(target as usize) {
-                    link.send(Message::RequestToken);
-                }
-                None
-            }
             Message::QueryRequest {
                 id,
                 op,
                 a,
                 vertices,
-                ..
             } => {
                 // Serviced inline like FlushForks: queries must answer
                 // while the compute thread is mid-superstep — that is the
@@ -843,10 +841,8 @@ struct Compute<'a, P: VertexProgram> {
     /// The partition `run_superstep` is walking: the one `Host::drain`'s
     /// `local` is in.
     walking: usize,
-    record_history: bool,
     values: Vec<P::Value>,
     halted: Vec<bool>,
-    txns: Vec<WireTxn>,
     /// Drain scratch: the store hands out envelopes, `compute` takes messages.
     envelopes: Vec<Envelope<P::Message>>,
     /// Lamport stamp the open transaction started at.
@@ -869,11 +865,10 @@ where
                     shared.ctrl.send(&Message::ComputeDone { superstep: s })?;
                 }
                 Ok(Cmd::Report(s)) => {
-                    let (active, pending) = self.barrier_vote();
+                    let active = self.barrier_vote();
                     shared.ctrl.send(&Message::BarrierVote {
                         superstep: s,
                         active,
-                        pending,
                     })?;
                 }
                 Ok(Cmd::Halt) => return self.upload(),
@@ -890,9 +885,10 @@ where
     }
 
     /// Quiescent-state vote: a vertex is active if it has undelivered input
-    /// or has not voted to halt; `pending` counts the envelopes queued —
-    /// the stores' `total()`, after combining.
-    fn barrier_vote(&self) -> (u64, u64) {
+    /// or has not voted to halt. Beside it the progress gauges are set,
+    /// `sg_worker_pending_messages` to the envelopes queued — the stores'
+    /// `total()`, after combining.
+    fn barrier_vote(&self) -> u64 {
         let shared = self.shared;
         let mut active = 0u64;
         let mut pending = 0u64;
@@ -910,7 +906,7 @@ where
         let staged = shared.staged().0.total_staged();
         shared.wtel.staged.set(staged as u64);
         shared.wtel.uptime_ns.set(wall_ns(shared.epoch_ns));
-        (active, pending)
+        active
     }
 
     /// Blocking lock RPC: request the unit, wait for the grant.
@@ -965,20 +961,17 @@ where
             self.values[v.index()].encode_into(&mut payload);
             (v.raw(), payload)
         });
-        upload_chunks(shared, pairs, |values| Message::ValuesUpload { values })?;
-        if self.record_history {
-            upload_chunks(shared, self.txns.into_iter(), |txns| {
-                Message::HistoryUpload { txns }
-            })?;
-        }
-        // Final audit drain: compute is quiescent, so everything staged ships
-        // with a closing watermark — the coordinator's frontier stops waiting
-        // on this rank even before the goodbye lands.
-        if let Some(a) = &shared.audit {
-            let staged = std::mem::take(&mut *a.buf.lock().unwrap());
-            shared.ctrl.send(&Message::AuditUpload {
-                txns: staged,
-                watermark: u64::MAX,
+        upload_chunks(shared, pairs, |values, _| Message::ValuesUpload { values })?;
+        // The log's drain: compute is quiescent, so everything staged ships,
+        // and the last chunk's watermark closes the rank's stream — the
+        // coordinator's frontier stops waiting on it even before the goodbye
+        // lands. The lock is held throughout, so no periodic ship slips a
+        // watermark in between; every earlier chunk promises nothing (0).
+        if let Some(log) = &shared.log {
+            let mut buf = log.buf.lock().unwrap();
+            upload_chunks(shared, buf.drain(..), |txns, last| {
+                let watermark = if last { u64::MAX } else { 0 };
+                Message::AuditUpload { txns, watermark }
             })?;
         }
         let snapshot = shared.metrics.snapshot();
@@ -999,7 +992,7 @@ where
                 arg: e.arg,
                 peer: e.peer.unwrap_or(u32::MAX),
             });
-            upload_chunks(shared, events, |events| Message::TraceUpload { events })?;
+            upload_chunks(shared, events, |events, _| Message::TraceUpload { events })?;
         }
         shared.ctrl.send(&Message::ComputeDone {
             superstep: GOODBYE_SUPERSTEP,
@@ -1073,8 +1066,9 @@ where
     /// Messages just drained arrived on link readers that joined the
     /// sender's clock first, so this tick orders after every sender write.
     fn open(&mut self, _v: VertexId) {
-        if let Some(a) = &self.shared.audit {
-            a.inflight.store(self.shared.clock.now(), Ordering::SeqCst);
+        if let Some(log) = &self.shared.log {
+            log.inflight
+                .store(self.shared.clock.now(), Ordering::SeqCst);
         }
         self.opened = self.shared.clock.tick();
     }
@@ -1126,38 +1120,38 @@ where
     fn close(&mut self, v: VertexId) {
         let (shared, start) = (self.shared, self.opened);
         let end = shared.clock.tick();
-        if self.record_history {
-            let rec = WireTxn {
+        if let Some(log) = &shared.log {
+            // Stage before clearing inflight: a watermark computed in
+            // between still sees either the open interval or the staged
+            // record, never neither.
+            log.buf.lock().unwrap().push(WireTxn {
                 vertex: v.raw(),
                 start: stamp(start, shared.rank),
                 end: stamp(end, shared.rank),
                 stale: Vec::new(),
-            };
-            if let Some(a) = &shared.audit {
-                // Stage before clearing inflight: a watermark computed in
-                // between still sees either the open interval or the staged
-                // record, never neither.
-                a.buf.lock().unwrap().push(rec.clone());
-                a.inflight.store(u64::MAX, Ordering::SeqCst);
-            }
-            self.txns.push(rec);
+            });
+            log.inflight.store(u64::MAX, Ordering::SeqCst);
         }
     }
 }
 
 /// Send `items` to the coordinator in frames of at most [`UPLOAD_CHUNK`],
-/// each chunk collected straight into the frame that carries it.
+/// each chunk collected straight into the frame that carries it; `frame`
+/// is told whether its chunk is the last. At least one frame goes, empty
+/// when `items` is.
 fn upload_chunks<M, T>(
     shared: &Shared<M>,
-    mut items: impl Iterator<Item = T>,
-    frame: impl Fn(Vec<T>) -> Message,
+    items: impl Iterator<Item = T>,
+    frame: impl Fn(Vec<T>, bool) -> Message,
 ) -> Result<(), NetError> {
+    let mut items = items.peekable();
     loop {
         let chunk: Vec<T> = items.by_ref().take(UPLOAD_CHUNK).collect();
-        if chunk.is_empty() {
+        let last = items.peek().is_none();
+        shared.ctrl.send(&frame(chunk, last))?;
+        if last {
             return Ok(());
         }
-        shared.ctrl.send(&frame(chunk))?;
     }
 }
 

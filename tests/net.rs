@@ -45,21 +45,12 @@ fn every_message() -> Vec<Message> {
         Message::BarrierVote {
             superstep: 9,
             active: 17,
-            pending: 4,
         },
         Message::AcquireUnit { unit: 42 },
         Message::ReleaseUnit { unit: 42 },
         Message::FlushDone { flush_seq: 7 },
         Message::ValuesUpload {
             values: vec![(0, vec![11, 0, 0, 0]), (5, Vec::new())],
-        },
-        Message::HistoryUpload {
-            txns: vec![WireTxn {
-                vertex: 2,
-                start: 0x100,
-                end: 0x203,
-                stale: vec![1, 3],
-            }],
         },
         Message::MetricsUpload {
             counters: vec![0, 1, 2, 3],
@@ -113,11 +104,7 @@ fn every_message() -> Vec<Message> {
             token: true,
             flush_seq: 12,
         },
-        Message::RequestTokenRelay { target: 1 },
-        Message::Halt {
-            converged: true,
-            supersteps: 33,
-        },
+        Message::Halt,
         Message::PeerHello {
             version: PROTOCOL_VERSION,
             rank: 1,
@@ -131,7 +118,6 @@ fn every_message() -> Vec<Message> {
             flush_seq: 2,
             ack_through: 14,
         },
-        Message::RequestToken,
         Message::TelemetryUpload {
             rows: vec![WireMetricRow {
                 name: "sg_worker_superstep".into(),
@@ -150,7 +136,7 @@ fn every_message() -> Vec<Message> {
                 vertex: 4,
                 start: 0x301,
                 end: 0x402,
-                stale: vec![],
+                stale: vec![1, 3],
             }],
             watermark: 0x500,
         },
@@ -158,7 +144,6 @@ fn every_message() -> Vec<Message> {
             id: 9,
             op: 2,
             a: 3,
-            b: 0,
             vertices: vec![1, 2, 3],
         },
         Message::QueryResponse {
@@ -183,11 +168,11 @@ fn batch_of(entries: &[(u32, u32, &[u8])]) -> MsgBatch {
 #[test]
 fn every_message_kind_round_trips_through_the_codec() {
     let msgs = every_message();
-    // All 29 kinds, no duplicates: the list genuinely covers the protocol.
+    // All 26 kinds, no duplicates: the list genuinely covers the protocol.
     let mut kinds: Vec<u8> = msgs.iter().map(Message::kind).collect();
     kinds.sort_unstable();
     kinds.dedup();
-    assert_eq!(kinds.len(), 29, "message list must cover every wire kind");
+    assert_eq!(kinds.len(), 26, "message list must cover every wire kind");
 
     for (i, msg) in msgs.into_iter().enumerate() {
         let frame = Frame {
@@ -260,18 +245,18 @@ fn truncated_frames_error_cleanly_at_every_cut_point() {
 
 #[test]
 fn malformed_frames_error_cleanly() {
-    // Unknown kind byte.
-    let mut bytes = Frame {
-        seq: 1,
-        clock: 1,
-        msg: Message::Heartbeat { echo_ns: 0 },
+    // Unknown kind bytes, the three v8 retired (history upload, request-token
+    // relay, request token) among them.
+    for kind in [0xEE, 8, 17, 23] {
+        let mut bytes = Frame {
+            seq: 1,
+            clock: 1,
+            msg: Message::Heartbeat { echo_ns: 0 },
+        }
+        .encode();
+        bytes[4] = kind;
+        assert_eq!(Frame::decode(&bytes[4..]), Err(WireError::BadKind(kind)));
     }
-    .encode();
-    bytes[4] = 0xEE;
-    assert!(matches!(
-        Frame::decode(&bytes[4..]),
-        Err(WireError::BadKind(0xEE))
-    ));
 
     // Trailing garbage after a complete message.
     let mut bytes = Frame {
@@ -467,7 +452,7 @@ fn wire_codec_value_types_round_trip() {
 fn handshake_rejects_a_v5_peer_outright() {
     use std::io::Write as _;
     // Every earlier wire is refused the same way, the one just before this
-    // one (v6: `Setup` carried an edge list) included.
+    // one (v7: transactions shipped twice, request tokens relayed) included.
     for stale_version in [5, PROTOCOL_VERSION - 1] {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().unwrap();
@@ -909,7 +894,6 @@ struct Puppet {
 struct Ignore;
 impl PeerHandler for Ignore {
     fn on_batch(&self, _from: u32, _batch: BatchView<'_>) {}
-    fn on_request_token(&self, _from: u32) {}
 }
 
 /// Play coordinator to a real `worker_main` rank 1 up to the end of
@@ -998,14 +982,13 @@ impl Puppet {
         self.link.flush_fence(self.fences, timeout).expect("fence");
     }
 
-    /// Rank 1's barrier vote: `(active, pending)`.
-    fn vote(&mut self) -> (u64, u64) {
+    /// Rank 1's barrier vote: its active vertices. The vote also sets the
+    /// rank's `sg_worker_pending_messages`, which [`Puppet::halt`] reads.
+    fn vote(&mut self) -> u64 {
         let ask = Message::ReportRequest { superstep: 0 };
         self.ctrl.send(&ask).expect("report request");
         match self.reader.recv().expect("vote") {
-            Some(Message::BarrierVote {
-                active, pending, ..
-            }) => (active, pending),
+            Some(Message::BarrierVote { active, .. }) => active,
             other => panic!("expected a vote, got {other:?}"),
         }
     }
@@ -1019,15 +1002,12 @@ impl Puppet {
         }
     }
 
-    /// Halt the rank; returns its WCC labels by vertex and the value of its
-    /// `sg_worker_rejected_messages_total` at the end.
-    fn halt(mut self) -> (Vec<(u32, u32)>, u64) {
-        let halt = Message::Halt {
-            converged: true,
-            supersteps: 0,
-        };
-        self.ctrl.send(&halt).expect("halt");
-        let (mut labels, mut rejected) = (Vec::new(), None);
+    /// Halt the rank; returns its WCC labels by vertex and, from its final
+    /// telemetry, `sg_worker_rejected_messages_total` and the
+    /// `sg_worker_pending_messages` its last vote set.
+    fn halt(mut self) -> (Vec<(u32, u32)>, u64, u64) {
+        self.ctrl.send(&Message::Halt).expect("halt");
+        let (mut labels, mut gauges) = (Vec::new(), None);
         loop {
             match self
                 .reader
@@ -1041,10 +1021,14 @@ impl Puppet {
                         .map(|(v, bytes)| (*v, u32::decode(bytes).expect("a u32 label"))),
                 ),
                 Message::TelemetryUpload { rows } => {
-                    let row = rows
-                        .iter()
-                        .find(|r| r.name == "sg_worker_rejected_messages_total");
-                    rejected = row.map(|r| r.values[0]);
+                    let row = |name: &str| {
+                        let row = rows.iter().find(|r| r.name == name);
+                        row.map(|r| r.values[0]).expect("the row is exported")
+                    };
+                    gauges = Some((
+                        row("sg_worker_rejected_messages_total"),
+                        row("sg_worker_pending_messages"),
+                    ));
                 }
                 Message::ComputeDone {
                     superstep: u64::MAX,
@@ -1054,7 +1038,8 @@ impl Puppet {
         }
         self.link.shutdown();
         self.worker.join().expect("worker thread").expect("worker");
-        (labels, rejected.expect("the counter is exported"))
+        let (rejected, pending) = gauges.expect("final telemetry");
+        (labels, rejected, pending)
     }
 }
 
@@ -1072,10 +1057,10 @@ fn forged_batch_entries_are_counted_and_the_rest_still_land() {
         (2, 0, &[]),        // nor are none
         (3, 0, &label(2)),  // well-formed
     ]);
-    let (active, pending) = rank1.vote();
-    assert_eq!((active, pending), (3, 2), "two entries landed");
+    assert_eq!(rank1.vote(), 3);
     rank1.superstep(0);
-    let (labels, rejected) = rank1.halt();
+    let (labels, rejected, pending) = rank1.halt();
+    assert_eq!(pending, 2, "two entries landed");
     assert_eq!(rejected, 4);
     // Vertex 1 took the 0 it was sent; 3 kept what 2 sent it (2) over the
     // peer's equal 2.
@@ -1087,26 +1072,51 @@ fn forged_batch_entries_are_counted_and_the_rest_still_land() {
 /// it like any other, and the rank still drains to quiescence.
 #[test]
 fn a_combined_inbox_votes_its_envelopes_and_reaches_quiescence() {
-    let mut rank1 = Puppet::join();
     let label = |l: u32| l.to_le_bytes();
-    rank1.deliver(&[(2, 0, &label(9)), (2, 0, &label(7)), (2, 0, &label(8))]);
-    assert_eq!(rank1.vote(), (3, 1), "three messages, one envelope");
+    let three: [(u32, u32, &[u8]); 3] = [(2, 0, &label(9)), (2, 0, &label(7)), (2, 0, &label(8))];
+    let mut rank1 = Puppet::join();
+    rank1.deliver(&three);
+    assert_eq!(rank1.vote(), 3);
+    let (_, _, pending) = rank1.halt();
+    assert_eq!(pending, 1, "three messages, one envelope");
+
+    let mut rank1 = Puppet::join();
+    rank1.deliver(&three);
+    assert_eq!(rank1.vote(), 3);
     // Superstep 0: 2 and 3 exchange labels; the run leaves 3's announcement
     // of 2 queued at 2, which has halted.
     rank1.superstep(0);
-    assert_eq!(rank1.vote(), (1, 1));
+    assert_eq!(rank1.vote(), 1);
     // Merge a smaller label into that slot, and one into 3's empty one.
     rank1.deliver(&[(2, 0, &label(1)), (3, 0, &label(1))]);
-    assert_eq!(rank1.vote(), (2, 2));
+    assert_eq!(rank1.vote(), 2);
     rank1.superstep(1);
     // 2 woke, adopted 1 and told 3; 3 adopted it and told 2, which has
     // halted again: one message is left, and the next superstep consumes it.
-    assert_eq!(rank1.vote(), (1, 1));
+    assert_eq!(rank1.vote(), 1);
     rank1.superstep(2);
-    assert_eq!(rank1.vote(), (0, 0), "quiescent");
-    let (labels, rejected) = rank1.halt();
+    assert_eq!(rank1.vote(), 0, "quiescent");
+    let (labels, rejected, pending) = rank1.halt();
+    assert_eq!(pending, 0, "quiescent");
     assert_eq!(labels, [(1, 1), (2, 1), (3, 1)]);
     assert_eq!(rejected, 0);
+}
+
+/// `stamp` keeps one byte of the rank, so a rank refuses a `Setup` naming
+/// more than 255 workers before it sizes anything by that count: ranks 0
+/// and 256 would stamp identical transaction intervals.
+#[test]
+fn a_setup_naming_more_than_255_workers_is_refused() {
+    let (_ctrl, _reader, _, _, worker) = greet(|s| s.workers = 300);
+    match worker.join().expect("the rank must not panic") {
+        Err(NetError::Protocol(why)) => {
+            assert!(
+                why.starts_with("Setup layout: ") && why.contains("1..=255"),
+                "{why}"
+            );
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
 }
 
 #[test]
@@ -1231,6 +1241,31 @@ fn live_audit_verdict_matches_post_hoc_for_every_technique() {
             "{technique:?}: live and post-hoc verdicts diverged"
         );
         assert!(live.one_copy_serializable, "{technique:?} must serialize");
+    }
+}
+
+/// A transaction crosses the wire once, in an `AuditUpload` frame, and
+/// every one arrives — with the audit plane on and with it off, and when a
+/// rank records more than one upload chunk (65,536) of them: the merged
+/// history holds one record per execution, and the live verdict is the
+/// post-hoc one.
+#[test]
+fn each_transaction_crosses_the_wire_once() {
+    let g = gen::ring(140_000);
+    for audit_interval_ms in [0, 20] {
+        let mut cfg = ClusterConfig::new(2, Technique::PartitionLock, Workload::Coloring);
+        cfg.audit_interval_ms = audit_interval_ms;
+        let out = run_cluster(&g, &cfg).expect("cluster run");
+        let history = out.history.expect("history");
+        assert_eq!(history.len() as u64, out.metrics.vertex_executions);
+        // A stamp's low byte is the rank that recorded it.
+        let rank0 = history.txns().iter().filter(|t| t.start & 0xFF == 0);
+        assert!(rank0.count() > 1 << 16, "rank 0 must ship several chunks");
+        if audit_interval_ms > 0 {
+            let live = out.audit.expect("live audit verdict");
+            assert_eq!(live, history.summarize(&g));
+            assert!(live.one_copy_serializable);
+        }
     }
 }
 
