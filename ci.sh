@@ -57,6 +57,9 @@ done
 echo "== the wire carries each fact once: one transaction stream, no request-token relay, lock executors on a std channel =="
 if grep -rnE 'HistoryUpload|RequestTokenRelay|Message::RequestToken\b|on_request_token|struct ExecQueue' crates/net/src tests/net.rs; then exit 1; fi
 
+echo "== each wire kind is declared once: no hand-written body codec, no hand-counted length guard, no panic on peer input in wire.rs =="
+if sed '/^#\[cfg(test)\]/,$d' crates/net/src/wire.rs | grep -nE 'fn (encode_body|decode_body)|r\.len\([0-9]|unwrap\(\)|expect\('; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

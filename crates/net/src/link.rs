@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector};
 use crate::wire::{
-    batch_view, peek_header, read_frame, read_frame_into, BatchView, Frame, Message, WireError,
+    batch_view, check_version, peek_header, read_frame, read_frame_into, BatchView, Frame, Message,
     PROTOCOL_VERSION,
 };
 use crate::{Clock, NetError};
@@ -475,13 +475,10 @@ impl PeerLink {
         )?;
         let reply = read_frame_timeout(&stream, HANDSHAKE_TIMEOUT)?;
         self.inner.clock.join(reply.clock);
+        if let Message::PeerHello { version, .. } = reply.msg {
+            check_version(version)?;
+        }
         match reply.msg {
-            Message::PeerHello { version, .. } if version != PROTOCOL_VERSION => {
-                Err(NetError::Wire(WireError::VersionMismatch {
-                    ours: PROTOCOL_VERSION,
-                    theirs: version,
-                }))
-            }
             Message::PeerHello {
                 rank, resume_from, ..
             } if rank == self.inner.peer_rank => {
@@ -1051,14 +1048,11 @@ pub fn accept_handshake(
             version,
             rank,
             resume_from,
-        } if version == PROTOCOL_VERSION => {
+        } => {
+            check_version(version)?;
             write_handshake(stream, clock, my_rank, my_resume_from(rank))?;
             Ok((rank, resume_from))
         }
-        Message::PeerHello { version, .. } => Err(NetError::Wire(WireError::VersionMismatch {
-            ours: PROTOCOL_VERSION,
-            theirs: version,
-        })),
         other => Err(NetError::Protocol(format!(
             "expected PeerHello, got kind {}",
             other.kind()

@@ -100,24 +100,10 @@ pub struct TelemetryServer {
 }
 
 impl TelemetryServer {
-    /// Bind `addr` and serve scrapes of `hub` until stopped.
-    pub fn start(addr: &str, hub: Arc<TelemetryHub>) -> std::io::Result<TelemetryServer> {
-        Self::start_with_audit(addr, hub, None)
-    }
-
-    /// Like [`TelemetryServer::start`], additionally wiring the live
-    /// audit plane under `GET /audit`.
-    pub fn start_with_audit(
-        addr: &str,
-        hub: Arc<TelemetryHub>,
-        audit: Option<Arc<AuditHub>>,
-    ) -> std::io::Result<TelemetryServer> {
-        Self::start_full(addr, hub, audit, None)
-    }
-
-    /// The full listener: scrapes, the audit document, and — when a
-    /// [`QueryService`] is attached — the `GET /query` serving plane.
-    pub fn start_full(
+    /// Bind `addr` and serve scrapes of `hub` until stopped; with an
+    /// [`AuditHub`], the live audit document under `GET /audit`, and with a
+    /// [`QueryService`], the `GET /query` serving plane.
+    pub fn start(
         addr: &str,
         hub: Arc<TelemetryHub>,
         audit: Option<Arc<AuditHub>>,
@@ -337,7 +323,7 @@ mod tests {
         coord.counter("sg_test_total", &[]).add(7);
         coord.histogram("sg_test_ns", &[]).record(100);
         let hub = Arc::new(TelemetryHub::new(0, coord));
-        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub)).unwrap();
+        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub), None, None).unwrap();
         let addr = server.addr.to_string();
 
         let text = http_get(&addr, "/metrics", Duration::from_secs(2)).unwrap();
@@ -386,7 +372,7 @@ mod tests {
     #[test]
     fn responses_carry_status_line_and_exact_content_length() {
         let hub = Arc::new(TelemetryHub::new(0, Arc::new(Telemetry::new())));
-        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub)).unwrap();
+        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub), None, None).unwrap();
         let addr = server.addr.to_string();
 
         let (status, headers, body) = raw_get(&addr, "/metrics");
@@ -408,7 +394,7 @@ mod tests {
     #[test]
     fn healthz_reports_uptime() {
         let hub = Arc::new(TelemetryHub::new(0, Arc::new(Telemetry::new())));
-        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub)).unwrap();
+        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub), None, None).unwrap();
         let (status, headers, body) = raw_get(&server.addr.to_string(), "/healthz");
         assert_eq!(status, "HTTP/1.1 200 OK");
         assert_eq!(content_length(&headers), body.len());
@@ -420,7 +406,7 @@ mod tests {
     #[test]
     fn non_get_is_405_with_allow_header() {
         let hub = Arc::new(TelemetryHub::new(0, Arc::new(Telemetry::new())));
-        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub)).unwrap();
+        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub), None, None).unwrap();
         let addr = server.addr.to_string();
         for method in ["POST", "DELETE", "PUT"] {
             let mut stream = TcpStream::connect(&addr).unwrap();
@@ -452,13 +438,9 @@ mod tests {
             }
         }
         let hub = Arc::new(TelemetryHub::new(0, Arc::new(Telemetry::new())));
-        let server = TelemetryServer::start_full(
-            "127.0.0.1:0",
-            Arc::clone(&hub),
-            None,
-            Some(Arc::new(Echo)),
-        )
-        .unwrap();
+        let server =
+            TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub), None, Some(Arc::new(Echo)))
+                .unwrap();
         let addr = server.addr.to_string();
         let body = http_get(&addr, "/query?op=lookup&v=3", Duration::from_secs(2)).unwrap();
         assert_eq!(body, "{\"echo\":\"op=lookup&v=3\"}");
@@ -468,7 +450,7 @@ mod tests {
         server.stop();
 
         // Without a service the route is a plain 404.
-        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub)).unwrap();
+        let server = TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub), None, None).unwrap();
         let (status, _, _) = raw_get(&server.addr.to_string(), "/query?op=lookup");
         assert_eq!(status, "HTTP/1.1 404 Not Found");
         server.stop();
@@ -490,8 +472,7 @@ mod tests {
             .unwrap(),
         );
         let server =
-            TelemetryServer::start_with_audit("127.0.0.1:0", Arc::clone(&hub), Some(audit))
-                .unwrap();
+            TelemetryServer::start("127.0.0.1:0", Arc::clone(&hub), Some(audit), None).unwrap();
         let addr = server.addr.to_string();
         let (status, headers, body) = raw_get(&addr, "/audit");
         assert_eq!(status, "HTTP/1.1 200 OK");

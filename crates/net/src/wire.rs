@@ -7,10 +7,18 @@
 //! `clock` is the sender's Lamport clock, joined by the receiver on every
 //! frame so transaction timestamps from different processes are comparable.
 //!
+//! Each layout is written once. A frame kind is its [`Message`] variant's
+//! field list plus its kind byte, a payload struct is its field list, and
+//! `wire_messages!`/`wire_struct!` derive from that one declaration the
+//! kind byte, the encoder and the decoder: both walk the fields in
+//! declaration order through one private `Field` trait, whose impls fix how
+//! each field type looks on the wire.
+//!
 //! Decoding never panics and never trusts a length field: a malformed,
 //! truncated, or oversized frame yields a [`WireError`]. Every collection
 //! length is validated against the bytes actually remaining before any
-//! allocation happens.
+//! allocation happens, at the minimum encoded size the element type
+//! declares (`Field::MIN`), never at a hand-counted one.
 //!
 //! The data-plane hot path is built for zero-copy: batch-flush bodies are
 //! a flat run of length-delimited entries ([`MsgBatch`]), so a receiver
@@ -52,6 +60,19 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 /// gone), and `Halt`, `BarrierVote` and `QueryRequest` lost the fields no
 /// receiver read.
 pub const PROTOCOL_VERSION: u8 = 8;
+
+/// The one handshake version check — the coordinator's on `Hello`, both
+/// mesh ends' on `PeerHello`: a peer speaking any other wire is refused
+/// outright.
+pub(crate) fn check_version(theirs: u8) -> Result<(), WireError> {
+    if theirs == PROTOCOL_VERSION {
+        return Ok(());
+    }
+    Err(WireError::VersionMismatch {
+        ours: PROTOCOL_VERSION,
+        theirs,
+    })
+}
 
 /// Codec failure. All variants are recoverable at the connection level
 /// (the connection is dropped and re-established; the process never
@@ -96,84 +117,193 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 // ---------------------------------------------------------------------------
-// Byte-level reader/writer
+// Field codec: how each field type looks on the wire
 
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
+struct Reader<'a>(&'a [u8]);
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) = self.0.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self
+            .0
+            .split_first_chunk::<N>()
+            .ok_or(WireError::Truncated)?;
+        self.0 = rest;
+        Ok(*head)
     }
 
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    /// Everything left.
+    fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.0)
     }
 
     /// A collection length, validated against the bytes left assuming each
     /// element occupies at least `min_elem` bytes — so a corrupt length
     /// can never trigger a huge allocation.
     fn len(&mut self, min_elem: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem.max(1)) > self.remaining() {
+        let n = u32::get(self)? as usize;
+        if n.saturating_mul(min_elem.max(1)) > self.0.len() {
             return Err(WireError::BadLength(n as u64));
         }
         Ok(n)
     }
 
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.len(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+    /// A `u32` length, then that many bytes, borrowed.
+    fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.len(<u8 as Field>::MIN)?;
+        self.take(n)
     }
 
     fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes(self.remaining()));
+        match self.0.len() {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
         }
-        Ok(())
     }
+}
+
+/// One field type's wire form. Frame bodies and payload structs are
+/// sequences of these, encoded and decoded in declaration order.
+trait Field: Sized {
+    /// The fewest bytes any value encodes to: what a collection's length
+    /// guard charges per element.
+    const MIN: usize;
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+macro_rules! int_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            const MIN: usize = std::mem::size_of::<$t>();
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+int_field!(u8, u32, u64);
+
+/// One byte; any nonzero byte decodes as `true`.
+impl Field for bool {
+    const MIN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        u8::from(*self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(u8::get(r)? != 0)
+    }
+}
+
+/// A `u32` byte length, then UTF-8.
+impl Field for String {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        buf.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        String::from_utf8(r.bytes()?.to_vec()).map_err(|_| WireError::BadUtf8)
+    }
+}
+
+/// A `u32` count, then the elements; the count is checked against
+/// `count × T::MIN` before anything is allocated.
+impl<T: Field> Field for Vec<T> {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).put(buf);
+        for x in self {
+            x.put(buf);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.len(T::MIN)?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+/// A `u8` tag (0 = `None`, anything else = `Some`), then the value.
+impl<T: Field> Field for Option<T> {
+    const MIN: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => 0u8.put(buf),
+            Some(x) => {
+                1u8.put(buf);
+                x.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(match u8::get(r)? {
+            0 => None,
+            _ => Some(T::get(r)?),
+        })
+    }
+}
+
+impl<T: Field> Field for Box<T> {
+    const MIN: usize = T::MIN;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::get(r).map(Box::new)
+    }
+}
+
+/// Declares a payload struct and derives its `Field` impl from the field
+/// list: the fields in declaration order, `MIN` their sum.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $S:ident {
+            $( $(#[$fmeta:meta])* pub $f:ident : $t:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $S {
+            $( $(#[$fmeta])* pub $f: $t ),*
+        }
+
+        impl Field for $S {
+            const MIN: usize = 0 $( + <$t as Field>::MIN )*;
+            fn put(&self, buf: &mut Vec<u8>) {
+                $( self.$f.put(buf); )*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(Self { $( $f: Field::get(r)? ),* })
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
 // Batch-flush body: flat, length-delimited message entries
+
+/// A batch entry: `to`, `from`, then the payload as a `u32` length and its
+/// bytes — laid out as this tuple would be.
+const ENTRY_MIN: usize = <(u32, (u32, Vec<u8>)) as Field>::MIN;
 
 /// An owned batch of remote vertex messages, stored *in wire format*: a
 /// flat byte run of `[to: u32][from: u32][len: u32][payload: len bytes]`
@@ -198,9 +328,9 @@ impl MsgBatch {
     ///
     /// [`WireCodec`]: sg_engine::WireCodec
     pub fn push(&mut self, to: u32, from: u32, payload: &[u8]) {
-        put_u32(&mut self.bytes, to);
-        put_u32(&mut self.bytes, from);
-        put_u32(&mut self.bytes, payload.len() as u32);
+        to.put(&mut self.bytes);
+        from.put(&mut self.bytes);
+        (payload.len() as u32).put(&mut self.bytes);
         self.bytes.extend_from_slice(payload);
         self.count += 1;
     }
@@ -229,14 +359,22 @@ impl MsgBatch {
     /// Iterate `(to, from, payload)` entries as borrowed slices.
     pub fn iter(&self) -> BatchEntries<'_> {
         BatchEntries {
-            bytes: &self.bytes,
+            entries: Reader(&self.bytes),
             remaining: self.count,
         }
     }
+}
 
-    /// Build from already-validated entry bytes (see [`BatchView`]).
-    fn from_validated(count: u32, bytes: Vec<u8>) -> Self {
-        Self { count, bytes }
+/// The count, then the entry bytes in one `memcpy`; decoding parses a
+/// [`BatchView`] over the rest of the frame and copies it once.
+impl Field for MsgBatch {
+    const MIN: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.count.put(buf);
+        buf.extend_from_slice(&self.bytes);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(BatchView::parse(r.rest())?.to_owned_batch())
     }
 }
 
@@ -254,25 +392,16 @@ impl<'a> BatchView<'a> {
     /// Parse and validate a batch body (the bytes after the frame header).
     /// The declared count must exactly tile the remaining bytes.
     pub fn parse(body: &'a [u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(body);
-        let count = r.len(12)? as u32;
-        let entries = r.take(r.remaining())?;
+        let mut r = Reader(body);
+        let count = r.len(ENTRY_MIN)? as u32;
+        let entries = r.rest();
         // Validate every entry bound now so iteration is infallible.
-        let mut pos = 0usize;
+        let mut e = Reader(entries);
         for _ in 0..count {
-            if entries.len() - pos < 12 {
-                return Err(WireError::Truncated);
-            }
-            let len = u32::from_le_bytes(entries[pos + 8..pos + 12].try_into().unwrap()) as usize;
-            pos += 12;
-            if entries.len() - pos < len {
-                return Err(WireError::BadLength(len as u64));
-            }
-            pos += len;
+            <(u32, u32)>::get(&mut e)?;
+            e.bytes()?;
         }
-        if pos != entries.len() {
-            return Err(WireError::TrailingBytes(entries.len() - pos));
-        }
+        e.finish()?;
         Ok(Self { count, entries })
     }
 
@@ -289,7 +418,7 @@ impl<'a> BatchView<'a> {
     /// Iterate `(to, from, payload)` with payloads borrowing the buffer.
     pub fn iter(&self) -> BatchEntries<'a> {
         BatchEntries {
-            bytes: self.entries,
+            entries: Reader(self.entries),
             remaining: self.count,
         }
     }
@@ -297,7 +426,10 @@ impl<'a> BatchView<'a> {
     /// Copy into an owned [`MsgBatch`] (one allocation for the whole
     /// batch).
     pub fn to_owned_batch(&self) -> MsgBatch {
-        MsgBatch::from_validated(self.count, self.entries.to_vec())
+        MsgBatch {
+            count: self.count,
+            bytes: self.entries.to_vec(),
+        }
     }
 }
 
@@ -307,7 +439,7 @@ impl<'a> BatchView<'a> {
 /// are structurally valid ([`MsgBatch::push`]), so iteration is
 /// infallible.
 pub struct BatchEntries<'a> {
-    bytes: &'a [u8],
+    entries: Reader<'a>,
     remaining: u32,
 }
 
@@ -315,16 +447,9 @@ impl<'a> Iterator for BatchEntries<'a> {
     type Item = (u32, u32, &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        let to = u32::from_le_bytes(self.bytes[0..4].try_into().unwrap());
-        let from = u32::from_le_bytes(self.bytes[4..8].try_into().unwrap());
-        let len = u32::from_le_bytes(self.bytes[8..12].try_into().unwrap()) as usize;
-        let payload = &self.bytes[12..12 + len];
-        self.bytes = &self.bytes[12 + len..];
-        Some((to, from, payload))
+        self.remaining = self.remaining.checked_sub(1)?;
+        let (to, from) = <(u32, u32)>::get(&mut self.entries).ok()?;
+        Some((to, from, self.entries.bytes().ok()?))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -337,21 +462,23 @@ impl ExactSizeIterator for BatchEntries<'_> {}
 // ---------------------------------------------------------------------------
 // Protocol payload structures
 
-/// Deterministic fault-injection plan for one worker's *data-plane* sends.
-/// Frame indices count every frame this worker sends to peers over the
-/// whole run (starting at 0), making injections exactly reproducible.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    /// Swallow these sends (the frame stays in the retransmit buffer, so
-    /// recovery must come from the timeout/retry path).
-    pub drop_frames: Vec<u64>,
-    /// Send these frames twice (receiver-side seq dedup must absorb it).
-    pub duplicate_frames: Vec<u64>,
-    /// Delay these sends by the paired number of milliseconds.
-    pub delay_frames: Vec<(u64, u64)>,
-    /// Hard-close the underlying socket immediately before this send —
-    /// the mid-superstep connection-drop experiment.
-    pub kill_at_frame: Option<u64>,
+wire_struct! {
+    /// Deterministic fault-injection plan for one worker's *data-plane* sends.
+    /// Frame indices count every frame this worker sends to peers over the
+    /// whole run (starting at 0), making injections exactly reproducible.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct FaultPlan {
+        /// Swallow these sends (the frame stays in the retransmit buffer, so
+        /// recovery must come from the timeout/retry path).
+        pub drop_frames: Vec<u64>,
+        /// Send these frames twice (receiver-side seq dedup must absorb it).
+        pub duplicate_frames: Vec<u64>,
+        /// Delay these sends by the paired number of milliseconds.
+        pub delay_frames: Vec<(u64, u64)>,
+        /// Hard-close the underlying socket immediately before this send —
+        /// the mid-superstep connection-drop experiment.
+        pub kill_at_frame: Option<u64>,
+    }
 }
 
 impl FaultPlan {
@@ -362,150 +489,114 @@ impl FaultPlan {
             || !self.delay_frames.is_empty()
             || self.kill_at_frame.is_some()
     }
+}
 
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.drop_frames.len() as u32);
-        for &f in &self.drop_frames {
-            put_u64(buf, f);
-        }
-        put_u32(buf, self.duplicate_frames.len() as u32);
-        for &f in &self.duplicate_frames {
-            put_u64(buf, f);
-        }
-        put_u32(buf, self.delay_frames.len() as u32);
-        for &(f, ms) in &self.delay_frames {
-            put_u64(buf, f);
-            put_u64(buf, ms);
-        }
-        match self.kill_at_frame {
-            None => put_u8(buf, 0),
-            Some(f) => {
-                put_u8(buf, 1);
-                put_u64(buf, f);
-            }
-        }
+wire_struct! {
+    /// Everything a worker process needs to run its share of the computation,
+    /// shipped by the coordinator in the `Setup` frame.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct RunSpec {
+        /// Vertex count of the (directed) graph.
+        pub num_vertices: u32,
+        /// The graph's out-CSR, as `Graph::out_csr` returns it and
+        /// `Graph::from_sorted_csr` takes (and checks) it: `num_vertices + 1`
+        /// offsets into `targets`.
+        pub offsets: Vec<u64>,
+        /// Out-edge targets, one ascending run per vertex.
+        pub targets: Vec<u32>,
+        /// Vertex -> partition assignment (global partition ids; worker of a
+        /// partition is `partition / partitions_per_worker`).
+        pub assignment: Vec<u32>,
+        /// Cluster shape.
+        pub workers: u32,
+        /// Partitions per worker.
+        pub partitions_per_worker: u32,
+        /// `TechniqueKind` label (decoded by the runtime, not the codec).
+        pub technique: String,
+        /// Workload name ("coloring", "wcc", "sssp").
+        pub workload: String,
+        /// Workload argument (SSSP source, PageRank threshold bits; 0 otherwise).
+        pub workload_arg: u64,
+        /// Superstep cap.
+        pub max_supersteps: u64,
+        /// Remote staging buffer capacity before an eager batch flush.
+        pub buffer_cap: u64,
+        /// Record per-vertex transaction intervals for the 1SR check; they
+        /// reach the coordinator as `AuditUpload` frames.
+        pub record_history: bool,
+        /// Trace ring capacity per worker; 0 disables tracing.
+        pub trace_capacity: u64,
+        /// Coordinator's wall-clock epoch (ns since `UNIX_EPOCH`); workers
+        /// stamp trace events relative to it so one merged timeline emerges.
+        pub epoch_ns: u64,
+        /// Fault plan for *this* worker's data-plane connections.
+        pub fault: FaultPlan,
+        /// How often (ms) this worker ships a `TelemetryUpload` snapshot frame
+        /// to the coordinator; 0 disables periodic shipping (a final snapshot
+        /// is always uploaded at halt).
+        pub telemetry_interval_ms: u64,
+        /// How often (ms) this worker ships an `AuditUpload` frame carrying
+        /// the transactions recorded since the last one plus its Lamport
+        /// watermark; 0 ships them all at halt. Requires `record_history`.
+        pub audit_interval_ms: u64,
     }
+}
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let n = r.len(8)?;
-        let drop_frames = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        let n = r.len(8)?;
-        let duplicate_frames = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-        let n = r.len(16)?;
-        let delay_frames = (0..n)
-            .map(|_| Ok((r.u64()?, r.u64()?)))
-            .collect::<Result<_, WireError>>()?;
-        let kill_at_frame = match r.u8()? {
-            0 => None,
-            _ => Some(r.u64()?),
-        };
-        Ok(Self {
-            drop_frames,
-            duplicate_frames,
-            delay_frames,
-            kill_at_frame,
-        })
+wire_struct! {
+    /// One recorded transaction interval, uploaded for the merged 1SR check.
+    /// Timestamps are composite Lamport stamps (`lamport << 8 | rank`), giving
+    /// a process-unique total order consistent with happens-before.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WireTxn {
+        /// Executed vertex.
+        pub vertex: u32,
+        /// Transaction start stamp.
+        pub start: u64,
+        /// Transaction end stamp (half-open interval).
+        pub end: u64,
+        /// In-neighbors whose updates were received but not yet applied at
+        /// start — observable C1 staleness.
+        pub stale: Vec<u32>,
     }
 }
 
-/// Everything a worker process needs to run its share of the computation,
-/// shipped by the coordinator in the `Setup` frame.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunSpec {
-    /// Vertex count of the (directed) graph.
-    pub num_vertices: u32,
-    /// The graph's out-CSR, as `Graph::out_csr` returns it and
-    /// `Graph::from_sorted_csr` takes (and checks) it: `num_vertices + 1`
-    /// offsets into `targets`.
-    pub offsets: Vec<u64>,
-    /// Out-edge targets, one ascending run per vertex.
-    pub targets: Vec<u32>,
-    /// Vertex -> partition assignment (global partition ids; worker of a
-    /// partition is `partition / partitions_per_worker`).
-    pub assignment: Vec<u32>,
-    /// Cluster shape.
-    pub workers: u32,
-    /// Partitions per worker.
-    pub partitions_per_worker: u32,
-    /// `TechniqueKind` label (decoded by the runtime, not the codec).
-    pub technique: String,
-    /// Workload name ("coloring", "wcc", "sssp").
-    pub workload: String,
-    /// Workload argument (SSSP source, PageRank threshold bits; 0 otherwise).
-    pub workload_arg: u64,
-    /// Superstep cap.
-    pub max_supersteps: u64,
-    /// Remote staging buffer capacity before an eager batch flush.
-    pub buffer_cap: u64,
-    /// Record per-vertex transaction intervals for the 1SR check; they
-    /// reach the coordinator as `AuditUpload` frames.
-    pub record_history: bool,
-    /// Trace ring capacity per worker; 0 disables tracing.
-    pub trace_capacity: u64,
-    /// Coordinator's wall-clock epoch (ns since `UNIX_EPOCH`); workers
-    /// stamp trace events relative to it so one merged timeline emerges.
-    pub epoch_ns: u64,
-    /// Fault plan for *this* worker's data-plane connections.
-    pub fault: FaultPlan,
-    /// How often (ms) this worker ships a `TelemetryUpload` snapshot frame
-    /// to the coordinator; 0 disables periodic shipping (a final snapshot
-    /// is always uploaded at halt).
-    pub telemetry_interval_ms: u64,
-    /// How often (ms) this worker ships an `AuditUpload` frame carrying
-    /// the transactions recorded since the last one plus its Lamport
-    /// watermark; 0 ships them all at halt. Requires `record_history`.
-    pub audit_interval_ms: u64,
+wire_struct! {
+    /// One trace event, uploaded for the merged Chrome trace.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WireTraceEvent {
+        /// Recording worker (global rank).
+        pub worker: u32,
+        /// Superstep.
+        pub superstep: u64,
+        /// `TraceEventKind` byte.
+        pub kind: u8,
+        /// Start, ns since the run epoch.
+        pub ts_ns: u64,
+        /// Duration, ns.
+        pub dur_ns: u64,
+        /// Kind-specific payload.
+        pub arg: u64,
+        /// Destination worker for cross-worker events (`u32::MAX` = none).
+        pub peer: u32,
+    }
 }
 
-/// One recorded transaction interval, uploaded for the merged 1SR check.
-/// Timestamps are composite Lamport stamps (`lamport << 8 | rank`), giving
-/// a process-unique total order consistent with happens-before.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireTxn {
-    /// Executed vertex.
-    pub vertex: u32,
-    /// Transaction start stamp.
-    pub start: u64,
-    /// Transaction end stamp (half-open interval).
-    pub end: u64,
-    /// In-neighbors whose updates were received but not yet applied at
-    /// start — observable C1 staleness.
-    pub stale: Vec<u32>,
-}
-
-/// One trace event, uploaded for the merged Chrome trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireTraceEvent {
-    /// Recording worker (global rank).
-    pub worker: u32,
-    /// Superstep.
-    pub superstep: u64,
-    /// `TraceEventKind` byte.
-    pub kind: u8,
-    /// Start, ns since the run epoch.
-    pub ts_ns: u64,
-    /// Duration, ns.
-    pub dur_ns: u64,
-    /// Kind-specific payload.
-    pub arg: u64,
-    /// Destination worker for cross-worker events (`u32::MAX` = none).
-    pub peer: u32,
-}
-
-/// One flattened telemetry metric row, shipped in `TelemetryUpload` frames.
-/// `kind` is a [`sg_metrics::MetricKind`] tag; `values` is the kind's flat
-/// encoding (`[v]` for counters/gauges, `[count, sum, b0..]` for
-/// histograms) as produced by `MetricValue::to_values`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WireMetricRow {
-    /// Metric family name.
-    pub name: String,
-    /// Label pairs.
-    pub labels: Vec<(String, String)>,
-    /// Metric kind tag.
-    pub kind: u8,
-    /// Flattened values.
-    pub values: Vec<u64>,
+wire_struct! {
+    /// One flattened telemetry metric row, shipped in `TelemetryUpload` frames.
+    /// `kind` is a [`sg_metrics::MetricKind`] tag; `values` is the kind's flat
+    /// encoding (`[v]` for counters/gauges, `[count, sum, b0..]` for
+    /// histograms) as produced by `MetricValue::to_values`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct WireMetricRow {
+        /// Metric family name.
+        pub name: String,
+        /// Label pairs.
+        pub labels: Vec<(String, String)>,
+        /// Metric kind tag.
+        pub kind: u8,
+        /// Flattened values.
+        pub values: Vec<u64>,
+    }
 }
 
 impl WireMetricRow {
@@ -542,233 +633,262 @@ impl WireMetricRow {
     }
 }
 
-/// A typed protocol message. Control-plane messages travel on the
-/// coordinator link; data-plane messages on the worker-to-worker mesh.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Message {
-    // -- control plane: worker -> coordinator -------------------------------
-    /// Worker `rank` joined; `data_addr` is its peer-mesh listener.
-    Hello {
-        /// Codec version; mismatches abort the handshake.
-        version: u8,
-        /// Global worker rank.
-        rank: u32,
-        /// `host:port` of this worker's data-plane listener.
-        data_addr: String,
-    },
-    /// Compute for `superstep` finished and all staged batches flushed.
-    ComputeDone {
-        /// The completed superstep.
-        superstep: u64,
-    },
-    /// Quiescent state report (phase two of the barrier).
-    BarrierVote {
-        /// The completed superstep.
-        superstep: u64,
-        /// Vertices still active (unhalted or with undelivered input).
-        active: u64,
-    },
-    /// Blocking lock-acquire request for a partition or vertex unit.
-    AcquireUnit {
-        /// Unit id in the technique's unit space.
-        unit: u32,
-    },
-    /// Unit released after the unit's vertices committed.
-    ReleaseUnit {
-        /// Unit id.
-        unit: u32,
-    },
-    /// The C1 write-all flush requested by `FlushForks` completed: the
-    /// receiving worker acknowledged applying every staged update.
-    FlushDone {
-        /// Echo of the coordinator's flush request id.
-        flush_seq: u64,
-    },
-    /// Final vertex values for this worker's vertices.
-    ValuesUpload {
-        /// `(vertex, value)` pairs; the value is its variable-length
-        /// `WireCodec` byte encoding.
-        values: Vec<(u32, Vec<u8>)>,
-    },
-    /// Final counter values, summed into the cluster totals.
-    MetricsUpload {
-        /// Counter values in `Counter::ALL` order.
-        counters: Vec<u64>,
-    },
-    /// Retained trace events for the merged Chrome trace.
-    TraceUpload {
-        /// Decoded events from this worker's ring.
-        events: Vec<WireTraceEvent>,
-    },
-    /// Live telemetry snapshot (periodic during the run, final at halt).
-    TelemetryUpload {
-        /// Flattened registry rows.
-        rows: Vec<WireMetricRow>,
-    },
-    /// The one transaction stream: every transaction recorded since the
-    /// last upload, plus this worker's Lamport watermark — a composite
-    /// stamp strictly below every stamp any *future* transaction from this
-    /// worker can carry. The coordinator merges the frames into the
-    /// post-hoc history and, with the audit plane on, its audit hub merges
-    /// them live by advancing a frontier = min watermark across workers.
-    AuditUpload {
-        /// Transactions recorded since the previous `AuditUpload`.
-        txns: Vec<WireTxn>,
-        /// Composite Lamport watermark (`lamport << 8 | rank`).
-        watermark: u64,
-    },
+/// Declares [`Message`] — each variant's field list and `= kind byte` —
+/// and derives from it `Message::kind`, the body encoder (`Field::put`
+/// over the fields in order) and the body decoder (`Field::get` in the
+/// same order; any other byte is [`WireError::BadKind`]). A byte given to
+/// two kinds is an unreachable decode arm, which the lint gate refuses.
+macro_rules! wire_messages {
+    (
+        $(#[$meta:meta])*
+        pub enum Message {
+            $(
+                $(#[$vmeta:meta])*
+                $V:ident $({
+                    $( $(#[$fmeta:meta])* $f:ident : $t:ty ),* $(,)?
+                })? = $kind:tt
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Message {
+            $(
+                $(#[$vmeta])*
+                $V $({ $( $(#[$fmeta])* $f: $t ),* })?,
+            )*
+        }
 
-    /// Answer to a `QueryRequest` (worker -> coordinator).
-    QueryResponse {
-        /// Echo of the request id.
-        id: u64,
-        /// 1 = served; 0 = the worker could not satisfy it (e.g. unknown
-        /// snapshot handle after a worker restart).
-        ok: u8,
-        /// Op-dependent values (wire-encoded vertex values for lookups and
-        /// snapshot reads, in request order; `u64::MAX` marks a vertex
-        /// with no committed version).
-        values: Vec<u64>,
-        /// Op-dependent scalar: snapshot `read_ts` for `SnapOpen`, the
-        /// store checksum for `SnapChecksum`, else 0.
-        checksum: u64,
-        /// Vertices this worker owns (checksum combining weight).
-        count: u64,
-    },
+        impl Message {
+            /// The message's kind byte (stable wire identity).
+            pub fn kind(&self) -> u8 {
+                match self {
+                    $( Message::$V { .. } => $kind, )*
+                }
+            }
 
-    // -- control plane: coordinator -> worker -------------------------------
-    /// Serving-plane query against this worker's MVCC vertex store
-    /// (coordinator -> worker). `op` selects the operation; see
-    /// [`QUERY_OP_MULTI_LOOKUP`] and friends for the operand meanings.
-    QueryRequest {
-        /// Coordinator-chosen id echoed in the response.
-        id: u64,
-        /// Operation selector (`QUERY_OP_*`).
-        op: u8,
-        /// First operand (snapshot handle for snapshot ops).
-        a: u64,
-        /// Vertices to resolve (for lookups and snapshot reads).
-        vertices: Vec<u32>,
-    },
-    /// Full run description (graph, partitioning, technique, faults).
-    Setup {
-        /// The run spec.
-        spec: Box<RunSpec>,
-    },
-    /// Data-plane addresses of every worker.
-    PeerMap {
-        /// `(rank, host:port)` for each worker.
-        peers: Vec<(u32, String)>,
-    },
-    /// Begin computing `superstep`.
-    StartSuperstep {
-        /// The superstep to run.
-        superstep: u64,
-    },
-    /// All workers reached quiescence; report your barrier vote.
-    ReportRequest {
-        /// The superstep being voted on.
-        superstep: u64,
-    },
-    /// The blocking acquire for `unit` succeeded; compute may proceed.
-    UnitGranted {
-        /// Unit id.
-        unit: u32,
-    },
-    /// Perform a C1 write-all flush to `target` (a fork or token is about
-    /// to hand over); reply `FlushDone { flush_seq }` once `target`
-    /// acknowledged applying everything.
-    FlushForks {
-        /// Receiving worker of the fork/token.
-        target: u32,
-        /// Protocol unit traveling: the philosopher id of a fork, 0 for a
-        /// token (recorded as the trace event's argument).
-        unit: u64,
-        /// True for a token ring pass, false for a Chandy-Misra fork.
-        token: bool,
-        /// Coordinator-chosen id echoed in `FlushDone`.
-        flush_seq: u64,
-    },
-    /// The run is over; upload results and shut down.
-    Halt,
+            fn put_body(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $( Message::$V $({ $($f),* })? => { $($( $f.put(buf); )*)? } )*
+                }
+            }
 
-    // -- data plane: worker <-> worker --------------------------------------
-    /// Mesh handshake: identifies the dialing worker and, on reconnect,
-    /// the next frame seq it expects from the peer.
-    PeerHello {
-        /// Codec version.
-        version: u8,
-        /// Dialing worker's rank.
-        rank: u32,
-        /// Next frame seq expected from the peer (0 on first connect).
-        resume_from: u64,
-    },
-    /// A batch of remote vertex messages with variable-length payloads.
-    /// On the receive hot path this frame is *not* decoded to `Message` —
-    /// the link parses a [`BatchView`] over the receive buffer instead.
-    BatchFlush {
-        /// The wire-format entries.
-        batch: MsgBatch,
-    },
-    /// Flush fence: the receiver replies `FlushAck` only after applying
-    /// every earlier frame on this connection (the write-all receipt).
-    FlushPing {
-        /// Sender-chosen fence id.
-        flush_seq: u64,
-    },
-    /// All frames up to and including `ack_through` were applied.
-    FlushAck {
-        /// Echo of the fence id.
-        flush_seq: u64,
-        /// Highest contiguous frame seq applied (retransmit-buffer prune
-        /// point).
-        ack_through: u64,
-    },
-    /// Keepalive. `echo_ns` is an opaque sender-local monotonic timestamp;
-    /// the receiver reflects it verbatim in `HeartbeatAck` so the sender
-    /// can measure the link round-trip time.
-    Heartbeat {
-        /// Sender's monotonic clock at send time (opaque to the receiver).
-        echo_ns: u64,
-    },
-    /// Heartbeat reply: reflects the echo and carries the receiver's
-    /// retransmit-buffer prune point (like `FlushAck`, without a fence).
-    HeartbeatAck {
-        /// Verbatim echo of the heartbeat's `echo_ns`.
-        echo_ns: u64,
-        /// Highest contiguous frame seq the receiver has applied.
-        ack_through: u64,
-    },
+            fn get_body(byte: u8, r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match byte {
+                    $( $kind => Message::$V $({ $( $f: Field::get(r)? ),* })?, )*
+                    other => return Err(WireError::BadKind(other)),
+                })
+            }
+        }
+    };
 }
 
-// Kinds 8, 17 and 23 carried v7's history upload and request-token relay;
-// they now decode as `BadKind`.
-const K_HELLO: u8 = 1;
-const K_COMPUTE_DONE: u8 = 2;
-const K_BARRIER_VOTE: u8 = 3;
-const K_ACQUIRE_UNIT: u8 = 4;
-const K_RELEASE_UNIT: u8 = 5;
-const K_FLUSH_DONE: u8 = 6;
-const K_VALUES_UPLOAD: u8 = 7;
-const K_METRICS_UPLOAD: u8 = 9;
-const K_TRACE_UPLOAD: u8 = 10;
-const K_SETUP: u8 = 11;
-const K_PEER_MAP: u8 = 12;
-const K_START_SUPERSTEP: u8 = 13;
-const K_REPORT_REQUEST: u8 = 14;
-const K_UNIT_GRANTED: u8 = 15;
-const K_FLUSH_FORKS: u8 = 16;
-const K_HALT: u8 = 18;
-const K_PEER_HELLO: u8 = 19;
+/// `BatchFlush`'s kind byte: the one the zero-copy receive path dispatches
+/// on without decoding the frame.
 const K_BATCH_FLUSH: u8 = 20;
-const K_FLUSH_PING: u8 = 21;
-const K_FLUSH_ACK: u8 = 22;
-const K_HEARTBEAT: u8 = 24;
-const K_TELEMETRY_UPLOAD: u8 = 25;
-const K_HEARTBEAT_ACK: u8 = 26;
-const K_AUDIT_UPLOAD: u8 = 27;
-const K_QUERY_REQ: u8 = 28;
-const K_QUERY_RESP: u8 = 29;
+
+wire_messages! {
+    /// A typed protocol message. Control-plane messages travel on the
+    /// coordinator link; data-plane messages on the worker-to-worker mesh.
+    #[derive(Clone, Debug, PartialEq)]
+    pub enum Message {
+        // -- control plane: worker -> coordinator ---------------------------
+        /// Worker `rank` joined; `data_addr` is its peer-mesh listener.
+        Hello {
+            /// Codec version; mismatches abort the handshake.
+            version: u8,
+            /// Global worker rank.
+            rank: u32,
+            /// `host:port` of this worker's data-plane listener.
+            data_addr: String,
+        } = 1,
+        /// Compute for `superstep` finished and all staged batches flushed.
+        ComputeDone {
+            /// The completed superstep.
+            superstep: u64,
+        } = 2,
+        /// Quiescent state report (phase two of the barrier).
+        BarrierVote {
+            /// The completed superstep.
+            superstep: u64,
+            /// Vertices still active (unhalted or with undelivered input).
+            active: u64,
+        } = 3,
+        /// Blocking lock-acquire request for a partition or vertex unit.
+        AcquireUnit {
+            /// Unit id in the technique's unit space.
+            unit: u32,
+        } = 4,
+        /// Unit released after the unit's vertices committed.
+        ReleaseUnit {
+            /// Unit id.
+            unit: u32,
+        } = 5,
+        /// The C1 write-all flush requested by `FlushForks` completed: the
+        /// receiving worker acknowledged applying every staged update.
+        FlushDone {
+            /// Echo of the coordinator's flush request id.
+            flush_seq: u64,
+        } = 6,
+        /// Final vertex values for this worker's vertices.
+        ValuesUpload {
+            /// `(vertex, value)` pairs; the value is its variable-length
+            /// `WireCodec` byte encoding.
+            values: Vec<(u32, Vec<u8>)>,
+        } = 7,
+        // Kinds 8, 17 and 23 carried v7's history upload and request-token
+        // relay; they now decode as `BadKind`.
+        /// Final counter values, summed into the cluster totals.
+        MetricsUpload {
+            /// Counter values in `Counter::ALL` order.
+            counters: Vec<u64>,
+        } = 9,
+        /// Retained trace events for the merged Chrome trace.
+        TraceUpload {
+            /// Decoded events from this worker's ring.
+            events: Vec<WireTraceEvent>,
+        } = 10,
+        /// Live telemetry snapshot (periodic during the run, final at halt).
+        TelemetryUpload {
+            /// Flattened registry rows.
+            rows: Vec<WireMetricRow>,
+        } = 25,
+        /// The one transaction stream: every transaction recorded since the
+        /// last upload, plus this worker's Lamport watermark — a composite
+        /// stamp strictly below every stamp any *future* transaction from this
+        /// worker can carry. The coordinator merges the frames into the
+        /// post-hoc history and, with the audit plane on, its audit hub merges
+        /// them live by advancing a frontier = min watermark across workers.
+        AuditUpload {
+            /// Transactions recorded since the previous `AuditUpload`.
+            txns: Vec<WireTxn>,
+            /// Composite Lamport watermark (`lamport << 8 | rank`).
+            watermark: u64,
+        } = 27,
+
+        /// Answer to a `QueryRequest` (worker -> coordinator).
+        QueryResponse {
+            /// Echo of the request id.
+            id: u64,
+            /// 1 = served; 0 = the worker could not satisfy it (e.g. unknown
+            /// snapshot handle after a worker restart, or a vertex the graph
+            /// does not have).
+            ok: u8,
+            /// Op-dependent values (wire-encoded vertex values for lookups and
+            /// snapshot reads, in request order; `u64::MAX` marks a vertex
+            /// with no committed version).
+            values: Vec<u64>,
+            /// Op-dependent scalar: snapshot `read_ts` for `SnapOpen`, the
+            /// store checksum for `SnapChecksum`, else 0.
+            checksum: u64,
+            /// Vertices this worker owns (checksum combining weight).
+            count: u64,
+        } = 29,
+
+        // -- control plane: coordinator -> worker ---------------------------
+        /// Serving-plane query against this worker's MVCC vertex store
+        /// (coordinator -> worker). `op` selects the operation; see
+        /// [`QUERY_OP_MULTI_LOOKUP`] and friends for the operand meanings.
+        QueryRequest {
+            /// Coordinator-chosen id echoed in the response.
+            id: u64,
+            /// Operation selector (`QUERY_OP_*`).
+            op: u8,
+            /// First operand (snapshot handle for snapshot ops).
+            a: u64,
+            /// Vertices to resolve (for lookups and snapshot reads).
+            vertices: Vec<u32>,
+        } = 28,
+        /// Full run description (graph, partitioning, technique, faults).
+        Setup {
+            /// The run spec.
+            spec: Box<RunSpec>,
+        } = 11,
+        /// Data-plane addresses of every worker.
+        PeerMap {
+            /// `(rank, host:port)` for each worker.
+            peers: Vec<(u32, String)>,
+        } = 12,
+        /// Begin computing `superstep`.
+        StartSuperstep {
+            /// The superstep to run.
+            superstep: u64,
+        } = 13,
+        /// All workers reached quiescence; report your barrier vote.
+        ReportRequest {
+            /// The superstep being voted on.
+            superstep: u64,
+        } = 14,
+        /// The blocking acquire for `unit` succeeded; compute may proceed.
+        UnitGranted {
+            /// Unit id.
+            unit: u32,
+        } = 15,
+        /// Perform a C1 write-all flush to `target` (a fork or token is about
+        /// to hand over); reply `FlushDone { flush_seq }` once `target`
+        /// acknowledged applying everything.
+        FlushForks {
+            /// Receiving worker of the fork/token.
+            target: u32,
+            /// Protocol unit traveling: the philosopher id of a fork, 0 for a
+            /// token (recorded as the trace event's argument).
+            unit: u64,
+            /// True for a token ring pass, false for a Chandy-Misra fork.
+            token: bool,
+            /// Coordinator-chosen id echoed in `FlushDone`.
+            flush_seq: u64,
+        } = 16,
+        /// The run is over; upload results and shut down.
+        Halt = 18,
+
+        // -- data plane: worker <-> worker ----------------------------------
+        /// Mesh handshake: identifies the dialing worker and, on reconnect,
+        /// the next frame seq it expects from the peer.
+        PeerHello {
+            /// Codec version.
+            version: u8,
+            /// Dialing worker's rank.
+            rank: u32,
+            /// Next frame seq expected from the peer (0 on first connect).
+            resume_from: u64,
+        } = 19,
+        /// A batch of remote vertex messages with variable-length payloads.
+        /// On the receive hot path this frame is *not* decoded to `Message` —
+        /// the link parses a [`BatchView`] over the receive buffer instead.
+        BatchFlush {
+            /// The wire-format entries.
+            batch: MsgBatch,
+        } = K_BATCH_FLUSH,
+        /// Flush fence: the receiver replies `FlushAck` only after applying
+        /// every earlier frame on this connection (the write-all receipt).
+        FlushPing {
+            /// Sender-chosen fence id.
+            flush_seq: u64,
+        } = 21,
+        /// All frames up to and including `ack_through` were applied.
+        FlushAck {
+            /// Echo of the fence id.
+            flush_seq: u64,
+            /// Highest contiguous frame seq applied (retransmit-buffer prune
+            /// point).
+            ack_through: u64,
+        } = 22,
+        /// Keepalive. `echo_ns` is an opaque sender-local monotonic timestamp;
+        /// the receiver reflects it verbatim in `HeartbeatAck` so the sender
+        /// can measure the link round-trip time.
+        Heartbeat {
+            /// Sender's monotonic clock at send time (opaque to the receiver).
+            echo_ns: u64,
+        } = 24,
+        /// Heartbeat reply: reflects the echo and carries the receiver's
+        /// retransmit-buffer prune point (like `FlushAck`, without a fence).
+        HeartbeatAck {
+            /// Verbatim echo of the heartbeat's `echo_ns`.
+            echo_ns: u64,
+            /// Highest contiguous frame seq the receiver has applied.
+            ack_through: u64,
+        } = 26,
+    }
+}
 
 /// `QueryRequest` op: resolve `vertices` at the latest committed frontier.
 pub const QUERY_OP_MULTI_LOOKUP: u8 = 0;
@@ -781,426 +901,6 @@ pub const QUERY_OP_SNAP_READ: u8 = 2;
 pub const QUERY_OP_SNAP_CLOSE: u8 = 3;
 /// `QueryRequest` op: checksum every owned vertex in snapshot `a`.
 pub const QUERY_OP_SNAP_CHECKSUM: u8 = 4;
-
-impl Message {
-    /// The message's kind byte (stable wire identity).
-    pub fn kind(&self) -> u8 {
-        match self {
-            Message::Hello { .. } => K_HELLO,
-            Message::ComputeDone { .. } => K_COMPUTE_DONE,
-            Message::BarrierVote { .. } => K_BARRIER_VOTE,
-            Message::AcquireUnit { .. } => K_ACQUIRE_UNIT,
-            Message::ReleaseUnit { .. } => K_RELEASE_UNIT,
-            Message::FlushDone { .. } => K_FLUSH_DONE,
-            Message::ValuesUpload { .. } => K_VALUES_UPLOAD,
-            Message::MetricsUpload { .. } => K_METRICS_UPLOAD,
-            Message::TraceUpload { .. } => K_TRACE_UPLOAD,
-            Message::Setup { .. } => K_SETUP,
-            Message::PeerMap { .. } => K_PEER_MAP,
-            Message::StartSuperstep { .. } => K_START_SUPERSTEP,
-            Message::ReportRequest { .. } => K_REPORT_REQUEST,
-            Message::UnitGranted { .. } => K_UNIT_GRANTED,
-            Message::FlushForks { .. } => K_FLUSH_FORKS,
-            Message::Halt => K_HALT,
-            Message::PeerHello { .. } => K_PEER_HELLO,
-            Message::BatchFlush { .. } => K_BATCH_FLUSH,
-            Message::FlushPing { .. } => K_FLUSH_PING,
-            Message::FlushAck { .. } => K_FLUSH_ACK,
-            Message::Heartbeat { .. } => K_HEARTBEAT,
-            Message::HeartbeatAck { .. } => K_HEARTBEAT_ACK,
-            Message::TelemetryUpload { .. } => K_TELEMETRY_UPLOAD,
-            Message::AuditUpload { .. } => K_AUDIT_UPLOAD,
-            Message::QueryRequest { .. } => K_QUERY_REQ,
-            Message::QueryResponse { .. } => K_QUERY_RESP,
-        }
-    }
-
-    fn encode_body(&self, buf: &mut Vec<u8>) {
-        match self {
-            Message::Hello {
-                version,
-                rank,
-                data_addr,
-            } => {
-                put_u8(buf, *version);
-                put_u32(buf, *rank);
-                put_str(buf, data_addr);
-            }
-            Message::ComputeDone { superstep }
-            | Message::StartSuperstep { superstep }
-            | Message::ReportRequest { superstep } => put_u64(buf, *superstep),
-            Message::BarrierVote { superstep, active } => {
-                put_u64(buf, *superstep);
-                put_u64(buf, *active);
-            }
-            Message::AcquireUnit { unit }
-            | Message::ReleaseUnit { unit }
-            | Message::UnitGranted { unit } => put_u32(buf, *unit),
-            Message::FlushDone { flush_seq } | Message::FlushPing { flush_seq } => {
-                put_u64(buf, *flush_seq)
-            }
-            Message::ValuesUpload { values } => {
-                put_u32(buf, values.len() as u32);
-                for (v, payload) in values {
-                    put_u32(buf, *v);
-                    put_u32(buf, payload.len() as u32);
-                    buf.extend_from_slice(payload);
-                }
-            }
-            Message::AuditUpload { txns, watermark } => {
-                put_u32(buf, txns.len() as u32);
-                for t in txns {
-                    put_u32(buf, t.vertex);
-                    put_u64(buf, t.start);
-                    put_u64(buf, t.end);
-                    put_u32(buf, t.stale.len() as u32);
-                    for &s in &t.stale {
-                        put_u32(buf, s);
-                    }
-                }
-                put_u64(buf, *watermark);
-            }
-            Message::MetricsUpload { counters } => {
-                put_u32(buf, counters.len() as u32);
-                for &c in counters {
-                    put_u64(buf, c);
-                }
-            }
-            Message::TraceUpload { events } => {
-                put_u32(buf, events.len() as u32);
-                for e in events {
-                    put_u32(buf, e.worker);
-                    put_u64(buf, e.superstep);
-                    put_u8(buf, e.kind);
-                    put_u64(buf, e.ts_ns);
-                    put_u64(buf, e.dur_ns);
-                    put_u64(buf, e.arg);
-                    put_u32(buf, e.peer);
-                }
-            }
-            Message::Setup { spec } => {
-                put_u32(buf, spec.num_vertices);
-                put_u32(buf, spec.offsets.len() as u32);
-                for &o in &spec.offsets {
-                    put_u64(buf, o);
-                }
-                put_u32(buf, spec.targets.len() as u32);
-                for &t in &spec.targets {
-                    put_u32(buf, t);
-                }
-                put_u32(buf, spec.assignment.len() as u32);
-                for &p in &spec.assignment {
-                    put_u32(buf, p);
-                }
-                put_u32(buf, spec.workers);
-                put_u32(buf, spec.partitions_per_worker);
-                put_str(buf, &spec.technique);
-                put_str(buf, &spec.workload);
-                put_u64(buf, spec.workload_arg);
-                put_u64(buf, spec.max_supersteps);
-                put_u64(buf, spec.buffer_cap);
-                put_u8(buf, u8::from(spec.record_history));
-                put_u64(buf, spec.trace_capacity);
-                put_u64(buf, spec.epoch_ns);
-                spec.fault.encode(buf);
-                put_u64(buf, spec.telemetry_interval_ms);
-                put_u64(buf, spec.audit_interval_ms);
-            }
-            Message::PeerMap { peers } => {
-                put_u32(buf, peers.len() as u32);
-                for (rank, addr) in peers {
-                    put_u32(buf, *rank);
-                    put_str(buf, addr);
-                }
-            }
-            Message::FlushForks {
-                target,
-                unit,
-                token,
-                flush_seq,
-            } => {
-                put_u32(buf, *target);
-                put_u64(buf, *unit);
-                put_u8(buf, u8::from(*token));
-                put_u64(buf, *flush_seq);
-            }
-            Message::Halt => {}
-            Message::PeerHello {
-                version,
-                rank,
-                resume_from,
-            } => {
-                put_u8(buf, *version);
-                put_u32(buf, *rank);
-                put_u64(buf, *resume_from);
-            }
-            Message::BatchFlush { batch } => {
-                put_u32(buf, batch.count);
-                buf.extend_from_slice(&batch.bytes);
-            }
-            Message::FlushAck {
-                flush_seq,
-                ack_through,
-            } => {
-                put_u64(buf, *flush_seq);
-                put_u64(buf, *ack_through);
-            }
-            Message::TelemetryUpload { rows } => {
-                put_u32(buf, rows.len() as u32);
-                for row in rows {
-                    put_str(buf, &row.name);
-                    put_u32(buf, row.labels.len() as u32);
-                    for (k, v) in &row.labels {
-                        put_str(buf, k);
-                        put_str(buf, v);
-                    }
-                    put_u8(buf, row.kind);
-                    put_u32(buf, row.values.len() as u32);
-                    for &v in &row.values {
-                        put_u64(buf, v);
-                    }
-                }
-            }
-            Message::QueryRequest {
-                id,
-                op,
-                a,
-                vertices,
-            } => {
-                put_u64(buf, *id);
-                put_u8(buf, *op);
-                put_u64(buf, *a);
-                put_u32(buf, vertices.len() as u32);
-                for &v in vertices {
-                    put_u32(buf, v);
-                }
-            }
-            Message::QueryResponse {
-                id,
-                ok,
-                values,
-                checksum,
-                count,
-            } => {
-                put_u64(buf, *id);
-                put_u8(buf, *ok);
-                put_u32(buf, values.len() as u32);
-                for &v in values {
-                    put_u64(buf, v);
-                }
-                put_u64(buf, *checksum);
-                put_u64(buf, *count);
-            }
-            Message::Heartbeat { echo_ns } => put_u64(buf, *echo_ns),
-            Message::HeartbeatAck {
-                echo_ns,
-                ack_through,
-            } => {
-                put_u64(buf, *echo_ns);
-                put_u64(buf, *ack_through);
-            }
-        }
-    }
-
-    fn decode_body(kind: u8, r: &mut Reader<'_>) -> Result<Message, WireError> {
-        let msg = match kind {
-            K_HELLO => Message::Hello {
-                version: r.u8()?,
-                rank: r.u32()?,
-                data_addr: r.str()?,
-            },
-            K_COMPUTE_DONE => Message::ComputeDone {
-                superstep: r.u64()?,
-            },
-            K_START_SUPERSTEP => Message::StartSuperstep {
-                superstep: r.u64()?,
-            },
-            K_REPORT_REQUEST => Message::ReportRequest {
-                superstep: r.u64()?,
-            },
-            K_BARRIER_VOTE => Message::BarrierVote {
-                superstep: r.u64()?,
-                active: r.u64()?,
-            },
-            K_ACQUIRE_UNIT => Message::AcquireUnit { unit: r.u32()? },
-            K_RELEASE_UNIT => Message::ReleaseUnit { unit: r.u32()? },
-            K_UNIT_GRANTED => Message::UnitGranted { unit: r.u32()? },
-            K_FLUSH_DONE => Message::FlushDone {
-                flush_seq: r.u64()?,
-            },
-            K_FLUSH_PING => Message::FlushPing {
-                flush_seq: r.u64()?,
-            },
-            K_VALUES_UPLOAD => {
-                let n = r.len(8)?;
-                let values = (0..n)
-                    .map(|_| {
-                        let v = r.u32()?;
-                        let len = r.len(1)?;
-                        Ok((v, r.take(len)?.to_vec()))
-                    })
-                    .collect::<Result<_, WireError>>()?;
-                Message::ValuesUpload { values }
-            }
-            K_AUDIT_UPLOAD => {
-                let n = r.len(24)?;
-                let txns = (0..n)
-                    .map(|_| {
-                        let (vertex, start, end) = (r.u32()?, r.u64()?, r.u64()?);
-                        let m = r.len(4)?;
-                        let stale = (0..m).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                        Ok(WireTxn {
-                            vertex,
-                            start,
-                            end,
-                            stale,
-                        })
-                    })
-                    .collect::<Result<_, WireError>>()?;
-                Message::AuditUpload {
-                    txns,
-                    watermark: r.u64()?,
-                }
-            }
-            K_METRICS_UPLOAD => {
-                let n = r.len(8)?;
-                let counters = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-                Message::MetricsUpload { counters }
-            }
-            K_TRACE_UPLOAD => {
-                let n = r.len(37)?;
-                let events = (0..n)
-                    .map(|_| {
-                        Ok(WireTraceEvent {
-                            worker: r.u32()?,
-                            superstep: r.u64()?,
-                            kind: r.u8()?,
-                            ts_ns: r.u64()?,
-                            dur_ns: r.u64()?,
-                            arg: r.u64()?,
-                            peer: r.u32()?,
-                        })
-                    })
-                    .collect::<Result<_, WireError>>()?;
-                Message::TraceUpload { events }
-            }
-            K_SETUP => {
-                let num_vertices = r.u32()?;
-                let n = r.len(8)?;
-                let offsets = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-                let n = r.len(4)?;
-                let targets = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                let n = r.len(4)?;
-                let assignment = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                Message::Setup {
-                    spec: Box::new(RunSpec {
-                        num_vertices,
-                        offsets,
-                        targets,
-                        assignment,
-                        workers: r.u32()?,
-                        partitions_per_worker: r.u32()?,
-                        technique: r.str()?,
-                        workload: r.str()?,
-                        workload_arg: r.u64()?,
-                        max_supersteps: r.u64()?,
-                        buffer_cap: r.u64()?,
-                        record_history: r.u8()? != 0,
-                        trace_capacity: r.u64()?,
-                        epoch_ns: r.u64()?,
-                        fault: FaultPlan::decode(r)?,
-                        telemetry_interval_ms: r.u64()?,
-                        audit_interval_ms: r.u64()?,
-                    }),
-                }
-            }
-            K_PEER_MAP => {
-                let n = r.len(8)?;
-                let peers = (0..n)
-                    .map(|_| Ok((r.u32()?, r.str()?)))
-                    .collect::<Result<_, WireError>>()?;
-                Message::PeerMap { peers }
-            }
-            K_FLUSH_FORKS => Message::FlushForks {
-                target: r.u32()?,
-                unit: r.u64()?,
-                token: r.u8()? != 0,
-                flush_seq: r.u64()?,
-            },
-            K_HALT => Message::Halt,
-            K_PEER_HELLO => Message::PeerHello {
-                version: r.u8()?,
-                rank: r.u32()?,
-                resume_from: r.u64()?,
-            },
-            K_BATCH_FLUSH => {
-                let view = BatchView::parse(r.take(r.remaining())?)?;
-                Message::BatchFlush {
-                    batch: view.to_owned_batch(),
-                }
-            }
-            K_FLUSH_ACK => Message::FlushAck {
-                flush_seq: r.u64()?,
-                ack_through: r.u64()?,
-            },
-            K_HEARTBEAT => Message::Heartbeat { echo_ns: r.u64()? },
-            K_HEARTBEAT_ACK => Message::HeartbeatAck {
-                echo_ns: r.u64()?,
-                ack_through: r.u64()?,
-            },
-            K_TELEMETRY_UPLOAD => {
-                // name len + labels len + kind + values len.
-                let n = r.len(13)?;
-                let rows = (0..n)
-                    .map(|_| {
-                        let name = r.str()?;
-                        let m = r.len(8)?;
-                        let labels =
-                            (0..m)
-                                .map(|_| Ok((r.str()?, r.str()?)))
-                                .collect::<Result<_, WireError>>()?;
-                        let kind = r.u8()?;
-                        let m = r.len(8)?;
-                        let values = (0..m).map(|_| r.u64()).collect::<Result<_, _>>()?;
-                        Ok(WireMetricRow {
-                            name,
-                            labels,
-                            kind,
-                            values,
-                        })
-                    })
-                    .collect::<Result<_, WireError>>()?;
-                Message::TelemetryUpload { rows }
-            }
-            K_QUERY_REQ => {
-                let (id, op, a) = (r.u64()?, r.u8()?, r.u64()?);
-                let n = r.len(4)?;
-                let vertices = (0..n).map(|_| r.u32()).collect::<Result<_, _>>()?;
-                Message::QueryRequest {
-                    id,
-                    op,
-                    a,
-                    vertices,
-                }
-            }
-            K_QUERY_RESP => {
-                let id = r.u64()?;
-                let ok = r.u8()?;
-                let n = r.len(8)?;
-                let values = (0..n).map(|_| r.u64()).collect::<Result<_, _>>()?;
-                Message::QueryResponse {
-                    id,
-                    ok,
-                    values,
-                    checksum: r.u64()?,
-                    count: r.u64()?,
-                }
-            }
-            other => return Err(WireError::BadKind(other)),
-        };
-        Ok(msg)
-    }
-}
 
 /// One frame as it travels on a connection: the link sequence number, the
 /// sender's Lamport clock, and the typed message.
@@ -1235,11 +935,9 @@ impl Frame {
         if payload.len() > MAX_FRAME_LEN {
             return Err(WireError::BadLength(payload.len() as u64));
         }
-        let mut r = Reader::new(payload);
-        let kind = r.u8()?;
-        let seq = r.u64()?;
-        let clock = r.u64()?;
-        let msg = Message::decode_body(kind, &mut r)?;
+        let mut r = Reader(payload);
+        let FrameHeader { kind, seq, clock } = FrameHeader::get(&mut r)?;
+        let msg = Message::get_body(kind, &mut r)?;
         r.finish()?;
         Ok(Frame { seq, clock, msg })
     }
@@ -1250,24 +948,25 @@ impl Frame {
 pub fn encode_frame_into(seq: u64, clock: u64, msg: &Message, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&[0, 0, 0, 0]);
-    put_u8(out, msg.kind());
-    put_u64(out, seq);
-    put_u64(out, clock);
-    msg.encode_body(out);
+    let kind = msg.kind();
+    FrameHeader { kind, seq, clock }.put(out);
+    msg.put_body(out);
     let n = (out.len() - 4) as u32;
     out[..4].copy_from_slice(&n.to_le_bytes());
 }
 
-/// A frame header peeked off a raw payload without decoding the body —
-/// the zero-copy receive path's dispatch point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FrameHeader {
-    /// Message kind byte.
-    pub kind: u8,
-    /// Per-connection sequence number.
-    pub seq: u64,
-    /// Sender's Lamport clock at send time.
-    pub clock: u64,
+wire_struct! {
+    /// A frame header peeked off a raw payload without decoding the body —
+    /// the zero-copy receive path's dispatch point.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct FrameHeader {
+        /// Message kind byte.
+        pub kind: u8,
+        /// Per-connection sequence number.
+        pub seq: u64,
+        /// Sender's Lamport clock at send time.
+        pub clock: u64,
+    }
 }
 
 impl FrameHeader {
@@ -1281,12 +980,7 @@ impl FrameHeader {
 /// Peek the 17-byte frame header off a payload (bytes after the length
 /// prefix) without touching the body.
 pub fn peek_header(payload: &[u8]) -> Result<FrameHeader, WireError> {
-    let mut r = Reader::new(payload);
-    Ok(FrameHeader {
-        kind: r.u8()?,
-        seq: r.u64()?,
-        clock: r.u64()?,
-    })
+    FrameHeader::get(&mut Reader(payload))
 }
 
 /// Borrow a validated [`BatchView`] out of a batch-flush payload (bytes
@@ -1298,12 +992,9 @@ pub fn batch_view<'a>(
     payload: &'a [u8],
     _scratch: &mut Vec<u8>,
 ) -> Result<BatchView<'a>, WireError> {
-    let mut r = Reader::new(payload);
-    let kind = r.u8()?;
-    let _seq = r.u64()?;
-    let _clock = r.u64()?;
-    match kind {
-        K_BATCH_FLUSH => BatchView::parse(r.take(r.remaining())?),
+    let mut r = Reader(payload);
+    match FrameHeader::get(&mut r)?.kind {
+        K_BATCH_FLUSH => BatchView::parse(r.rest()),
         other => Err(WireError::BadKind(other)),
     }
 }
@@ -1518,7 +1209,12 @@ mod tests {
             Err(WireError::Truncated)
         );
         // An implausible txn count must be BadLength before allocation.
-        let mut payload = vec![K_AUDIT_UPLOAD];
+        let kind = Message::AuditUpload {
+            txns: vec![],
+            watermark: 0,
+        }
+        .kind();
+        let mut payload = vec![kind];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&0u64.to_le_bytes());
         payload.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -1586,7 +1282,7 @@ mod tests {
     fn batch_view_rejects_malformed_entries() {
         // Entry header truncated mid-way.
         let mut body = Vec::new();
-        put_u32(&mut body, 1);
+        1u32.put(&mut body);
         body.extend_from_slice(&[1, 2, 3]);
         assert!(matches!(
             BatchView::parse(&body),
@@ -1595,10 +1291,10 @@ mod tests {
 
         // Payload length pointing past the end.
         let mut body = Vec::new();
-        put_u32(&mut body, 1);
-        put_u32(&mut body, 1);
-        put_u32(&mut body, 2);
-        put_u32(&mut body, 100); // claims 100 payload bytes, none follow
+        1u32.put(&mut body);
+        1u32.put(&mut body);
+        2u32.put(&mut body);
+        100u32.put(&mut body); // claims 100 payload bytes, none follow
         assert_eq!(BatchView::parse(&body), Err(WireError::BadLength(100)));
 
         // Count smaller than the bytes present: trailing garbage.
@@ -1606,7 +1302,7 @@ mod tests {
         batch.push(1, 2, &[9]);
         batch.push(3, 4, &[8]);
         let mut body = Vec::new();
-        put_u32(&mut body, 1); // claim one entry, provide two
+        1u32.put(&mut body); // claim one entry, provide two
         body.extend_from_slice(&batch.bytes);
         assert_eq!(BatchView::parse(&body), Err(WireError::TrailingBytes(13)));
     }
@@ -1627,7 +1323,8 @@ mod tests {
         let bytes = f.encode();
         assert_eq!(Frame::decode(&bytes[4..]).unwrap(), f);
         // Implausible count rejected before allocation.
-        let mut payload = vec![K_VALUES_UPLOAD];
+        let kind = Message::ValuesUpload { values: vec![] }.kind();
+        let mut payload = vec![kind];
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&0u64.to_le_bytes());
         payload.extend_from_slice(&u32::MAX.to_le_bytes());

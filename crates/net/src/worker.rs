@@ -374,6 +374,14 @@ where
     let graph = Graph::from_sorted_csr(spec.num_vertices, offsets, targets)
         .map_err(|e| NetError::Protocol(format!("Setup graph: {e}")))?;
     let (layout, assignment) = checked_layout(&spec, rank)?;
+    // The mesh indexes its links by rank: each of 0..workers exactly once.
+    let mut ranks: Vec<u32> = peers.iter().map(|&(peer, _)| peer).collect();
+    ranks.sort_unstable();
+    if !ranks.iter().copied().eq(0..spec.workers) {
+        let want = spec.workers;
+        let why = format!("PeerMap: ranks {ranks:?}, want each of 0..{want} once");
+        return Err(NetError::Protocol(why));
+    }
     let pm = Arc::new(PartitionMap::from_assignment(&graph, layout, assignment));
     let metrics = Arc::new(Metrics::new());
     // Per-worker live-telemetry registry, attached before the technique
@@ -698,11 +706,21 @@ fn dispatcher<M: WireCodec>(
 /// reads resolve the requested vertices (`u64::MAX` = no committed
 /// version here — e.g. a vertex another rank owns); checksums fold
 /// [`checksum_word`] over this rank's owned vertices only, so the
-/// coordinator combines disjoint domains with a wrapping sum.
+/// coordinator combines disjoint domains with a wrapping sum. A vertex the
+/// graph does not have is refused (`ok: 0`) like an unknown op.
 fn answer_query<M>(shared: &Shared<M>, id: u64, op: u8, a: u64, vertices: &[u32]) {
     let serve = &shared.serve;
     let count = serve.owned.len() as u64;
+    let refused = Message::QueryResponse {
+        id,
+        ok: 0,
+        values: Vec::new(),
+        checksum: 0,
+        count,
+    };
+    let in_graph = vertices.iter().all(|&v| (v as usize) < serve.vstore.len());
     let resp = match op {
+        _ if !in_graph => refused,
         QUERY_OP_MULTI_LOOKUP => Message::QueryResponse {
             id,
             ok: 1,
@@ -752,13 +770,7 @@ fn answer_query<M>(shared: &Shared<M>, id: u64, op: u8, a: u64, vertices: &[u32]
                         count,
                     }
                 }
-                None => Message::QueryResponse {
-                    id,
-                    ok: 0,
-                    values: Vec::new(),
-                    checksum: 0,
-                    count,
-                },
+                None => refused,
             }
         }
         QUERY_OP_SNAP_CLOSE => {
@@ -774,13 +786,7 @@ fn answer_query<M>(shared: &Shared<M>, id: u64, op: u8, a: u64, vertices: &[u32]
                 count,
             }
         }
-        _ => Message::QueryResponse {
-            id,
-            ok: 0,
-            values: Vec::new(),
-            checksum: 0,
-            count,
-        },
+        _ => refused,
     };
     let _ = shared.ctrl.send(&resp);
 }

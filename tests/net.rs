@@ -10,7 +10,7 @@ use serigraph::sg_algos::{validate, MisState};
 use serigraph::sg_net::link::{accept_handshake, CtrlConn, FrameReader, PeerHandler, PeerLink};
 use serigraph::sg_net::wire::{
     batch_view, peek_header, read_frame, FaultPlan, WireMetricRow, WireTraceEvent, WireTxn,
-    MAX_FRAME_LEN,
+    MAX_FRAME_LEN, QUERY_OP_MULTI_LOOKUP,
 };
 use serigraph::sg_net::{
     parse_fault_plan, run_cluster, worker_main, BatchView, Clock, ClusterConfig, ClusterOutcome,
@@ -191,6 +191,95 @@ fn every_message_kind_round_trips_through_the_codec() {
             .expect("not eof")
             .expect("well-formed");
         assert_eq!(read, frame);
+    }
+}
+
+/// The exact v8 bytes of [`every_message`] as the hand-written codec wrote
+/// them, length prefix included: frame `i` at seq `i + 1`, clock `1000 + i`.
+/// A layout change made to the encoder and the decoder at once survives
+/// every round trip; it cannot survive this.
+const V8_GOLDEN: [&str; 26] = [
+    // Hello (kind 1)
+    "28000000010100000000000000e80300000000000008030000000e0000003132372e302e302e313a\
+     34353637",
+    // ComputeDone (kind 2)
+    "19000000020200000000000000e9030000000000000900000000000000",
+    // BarrierVote (kind 3)
+    "21000000030300000000000000ea0300000000000009000000000000001100000000000000",
+    // AcquireUnit (kind 4)
+    "15000000040400000000000000eb030000000000002a000000",
+    // ReleaseUnit (kind 5)
+    "15000000050500000000000000ec030000000000002a000000",
+    // FlushDone (kind 6)
+    "19000000060600000000000000ed030000000000000700000000000000",
+    // ValuesUpload (kind 7)
+    "29000000070700000000000000ee030000000000000200000000000000040000000b000000050000\
+     0000000000",
+    // MetricsUpload (kind 9)
+    "35000000090800000000000000ef0300000000000004000000000000000000000001000000000000\
+     0002000000000000000300000000000000",
+    // TraceUpload (kind 10)
+    "3e0000000a0900000000000000f00300000000000001000000010000000200000000000000016400\
+     00000000000032000000000000000700000000000000ffffffff",
+    // Setup (kind 11)
+    "f30000000b0a00000000000000f10300000000000004000000050000000000000000000000010000\
+     00000000000200000000000000020000000000000002000000000000000200000001000000000000\
+     00040000000000000000000000010000000100000002000000010000000c00000073696e676c652d\
+     746f6b656e08000000636f6c6f72696e670000000000000000640000000000000040000000000000\
+     000100000000000000007b0000000000000001000000010000000000000001000000020000000000\
+     00000100000003000000000000000a00000000000000010400000000000000fa0000000000000019\
+     00000000000000",
+    // PeerMap (kind 12)
+    "3b0000000c0b00000000000000f20300000000000002000000000000000b0000003132372e302e30\
+     2e313a31010000000b0000003132372e302e302e313a32",
+    // StartSuperstep (kind 13)
+    "190000000d0c00000000000000f3030000000000000100000000000000",
+    // ReportRequest (kind 14)
+    "190000000e0d00000000000000f4030000000000000100000000000000",
+    // UnitGranted (kind 15)
+    "150000000f0e00000000000000f50300000000000008000000",
+    // FlushForks (kind 16)
+    "26000000100f00000000000000f603000000000000010000000500000000000000010c0000000000\
+     0000",
+    // Halt (kind 18)
+    "11000000121000000000000000f703000000000000",
+    // PeerHello (kind 19)
+    "1e000000131100000000000000f80300000000000008010000000600000000000000",
+    // BatchFlush (kind 20)
+    "35000000141200000000000000f90300000000000002000000010000000200000008000000030000\
+     0000000000040000000500000000000000",
+    // FlushPing (kind 21)
+    "19000000151300000000000000fa030000000000000200000000000000",
+    // FlushAck (kind 22)
+    "21000000161400000000000000fb0300000000000002000000000000000e00000000000000",
+    // TelemetryUpload (kind 25)
+    "4c000000191500000000000000fc03000000000000010000001300000073675f776f726b65725f73\
+     75706572737465700100000006000000776f726b6572010000003101010000000500000000000000",
+    // Heartbeat (kind 24)
+    "19000000181600000000000000fd0300000000000040e2010000000000",
+    // HeartbeatAck (kind 26)
+    "210000001a1700000000000000fe0300000000000040e20100000000005800000000000000",
+    // AuditUpload (kind 27)
+    "3d0000001b1800000000000000ff0300000000000001000000040000000103000000000000020400\
+     00000000000200000001000000030000000005000000000000",
+    // QueryRequest (kind 28)
+    "320000001c1900000000000000000400000000000009000000000000000203000000000000000300\
+     0000010000000200000003000000",
+    // QueryResponse (kind 29)
+    "3e0000001d1a00000000000000010400000000000009000000000000000102000000070000000000\
+     0000ffffffffffffffffcdab0000000000000200000000000000",
+];
+
+#[test]
+fn every_message_kind_encodes_to_its_v8_golden_bytes() {
+    for (i, (msg, want)) in every_message().into_iter().zip(V8_GOLDEN).enumerate() {
+        let frame = Frame {
+            seq: i as u64 + 1,
+            clock: 1000 + i as u64,
+            msg,
+        };
+        let got: String = frame.encode().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(got, want, "kind {} left its v8 layout", frame.msg.kind());
     }
 }
 
@@ -898,9 +987,12 @@ impl PeerHandler for Ignore {
 
 /// Play coordinator to a real `worker_main` rank 1 up to the end of
 /// bring-up: take its `Hello`, send it the puppet's `Setup` — as `edit`
-/// leaves it — and the peer map.
+/// leaves it — and the peer map, as `edit_peers` leaves it. Every read on
+/// the control link is bounded, so a rank that stops answering fails the
+/// test instead of hanging it.
 fn greet(
     edit: impl FnOnce(&mut RunSpec),
+    edit_peers: impl FnOnce(&mut Vec<(u32, String)>),
 ) -> (
     CtrlConn,
     FrameReader,
@@ -914,6 +1006,8 @@ fn greet(
     let (stream, _) = listener.accept().expect("worker connects");
     let clock = Arc::new(Clock::new());
     let (ctrl, read_half) = CtrlConn::new(stream, Arc::clone(&clock)).expect("ctrl");
+    let bound = Some(Duration::from_secs(10));
+    read_half.set_read_timeout(bound).expect("read timeout");
     let mut reader = FrameReader::new(read_half, Arc::clone(&clock));
     let Some(Message::Hello {
         rank: 1, data_addr, ..
@@ -948,14 +1042,15 @@ fn greet(
     };
     ctrl.send(&setup).expect("setup");
     // The lower rank dials, so rank 1 never uses rank 0's address.
-    let peers = vec![(0, "127.0.0.1:1".to_string()), (1, data_addr.clone())];
+    let mut peers = vec![(0, "127.0.0.1:1".to_string()), (1, data_addr.clone())];
+    edit_peers(&mut peers);
     ctrl.send(&Message::PeerMap { peers }).expect("peer map");
     (ctrl, reader, data_addr, clock, worker)
 }
 
 impl Puppet {
     fn join() -> Puppet {
-        let (ctrl, reader, data_addr, clock, worker) = greet(|_| {});
+        let (ctrl, reader, data_addr, clock, worker) = greet(|_| {}, |_| {});
         let fault = Arc::new(FaultInjector::none());
         let link = PeerLink::new(0, 1, data_addr, clock, fault, Arc::new(Ignore), None);
         // The worker's accept thread starts after it has built its graph.
@@ -1107,7 +1202,7 @@ fn a_combined_inbox_votes_its_envelopes_and_reaches_quiescence() {
 /// and 256 would stamp identical transaction intervals.
 #[test]
 fn a_setup_naming_more_than_255_workers_is_refused() {
-    let (_ctrl, _reader, _, _, worker) = greet(|s| s.workers = 300);
+    let (_ctrl, _reader, _, _, worker) = greet(|s| s.workers = 300, |_| {});
     match worker.join().expect("the rank must not panic") {
         Err(NetError::Protocol(why)) => {
             assert!(
@@ -1136,7 +1231,7 @@ fn a_malformed_setup_is_a_protocol_error_not_a_panic() {
         }),
     ];
     for (want, edit) in cases {
-        let (_ctrl, _reader, _, _, worker) = greet(edit);
+        let (_ctrl, _reader, _, _, worker) = greet(edit, |_| {});
         match worker.join().expect("the rank must not panic") {
             Err(NetError::Protocol(why)) => {
                 assert!(why.starts_with("Setup ") && why.contains(want), "{why}");
@@ -1144,6 +1239,58 @@ fn a_malformed_setup_is_a_protocol_error_not_a_panic() {
             other => panic!("{want}: expected a protocol error, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn a_malformed_peer_map_is_a_protocol_error_not_a_panic() {
+    // The mesh indexes its links by rank: a map must name each of 0..workers
+    // exactly once, and a rank checks that before it builds a link.
+    type Edit = fn(&mut Vec<(u32, String)>);
+    let cases: [(&str, Edit); 3] = [
+        ("[0, 1, 7]", |p| p.push((7, "127.0.0.1:7".into()))),
+        ("[1, 1]", |p| p[0].0 = 1),
+        ("[1]", |p| drop(p.remove(0))),
+    ];
+    for (want, edit) in cases {
+        let (_ctrl, _reader, _, _, worker) = greet(|_| {}, edit);
+        match worker.join().expect("the rank must not panic") {
+            Err(NetError::Protocol(why)) => {
+                assert!(why.starts_with("PeerMap: ") && why.contains(want), "{why}");
+            }
+            other => panic!("{want}: expected a protocol error, got {other:?}"),
+        }
+    }
+}
+
+/// A query naming a vertex the graph does not have is refused (`ok: 0`),
+/// not a panic on the thread that serves the control link: the rank goes
+/// on to answer the next query and halts cleanly.
+#[test]
+fn an_out_of_range_query_vertex_is_refused() {
+    let mut rank1 = Puppet::join();
+    for (id, vertices, ok) in [(1, vec![4, u32::MAX], 0), (2, vec![1, 3], 1)] {
+        let ask = Message::QueryRequest {
+            id,
+            op: QUERY_OP_MULTI_LOOKUP,
+            a: 0,
+            vertices,
+        };
+        rank1.ctrl.send(&ask).expect("query");
+        match rank1.reader.recv().expect("the rank answers") {
+            Some(Message::QueryResponse {
+                id: got,
+                ok: served,
+                values,
+                ..
+            }) => {
+                assert_eq!((got, served), (id, ok));
+                assert_eq!(values.len(), 2 * usize::from(ok));
+            }
+            other => panic!("expected query {id}'s answer, got {other:?}"),
+        }
+    }
+    let (labels, rejected, _) = rank1.halt();
+    assert_eq!((labels.len(), rejected), (3, 0));
 }
 
 // ---------------------------------------------------------------------------
