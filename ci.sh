@@ -60,6 +60,9 @@ if grep -rnE 'HistoryUpload|RequestTokenRelay|Message::RequestToken\b|on_request
 echo "== each wire kind is declared once: no hand-written body codec, no hand-counted length guard, no panic on peer input in wire.rs =="
 if sed '/^#\[cfg(test)\]/,$d' crates/net/src/wire.rs | grep -nE 'fn (encode_body|decode_body)|r\.len\([0-9]|unwrap\(\)|expect\('; then exit 1; fi
 
+echo "== sg-check hosts the shipped datapath: no outbox or BSP flag of its own, no direct end of superstep, no second C1 ledger =="
+if grep -rnE 'outbox|bsp:|end_superstep\(|IncrementalChecker' crates/check/src; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

@@ -2,47 +2,71 @@
 //!
 //! A real run of the engines interleaves protocol steps nondeterministically
 //! across threads. This module re-expresses the same control flow — vertex
-//! execution, fork/token acquisition, superstep barriers, token delivery —
-//! as a set of *atomic events* over the **production protocol state
-//! machines** from `sg-sync` (not reimplementations: the very same
-//! [`ForkTable`](sg_sync::ForkTable) and token rings the engines run are
-//! driven here through their non-blocking hooks). At every state the model
-//! reports which events are enabled; the explorer picks one; the model
-//! executes it and re-checks every invariant:
+//! execution, fork/token acquisition, message staging, shipping and
+//! landing, superstep barriers, token delivery — as a set of *atomic
+//! events* over the **production code**, not reimplementations: the very
+//! same [`ForkTable`](sg_sync::ForkTable) and token rings the engines run,
+//! driven through their non-blocking hooks, and the engines' own message
+//! datapath. At every state the model reports which events are enabled;
+//! the explorer picks one; the model executes it and re-checks every
+//! invariant:
 //!
-//! * **C1 / C2 / serialization-graph acyclicity** — via
-//!   [`sg_serial::IncrementalChecker`], on every event;
+//! * **C1 / C2 / serialization-graph acyclicity** — the engines' own
+//!   [`Recorder`] hears every begin, send, landing and end, and a
+//!   [`StreamingAuditor`] drains it after every event, as a run with
+//!   `ObsConfig::audit` does;
 //! * **token liveness** — the exclusive global token is always either held
 //!   or in flight, never lost or duplicated;
 //! * **token routing** — only the holder passes, and never while a pass is
 //!   already in flight (checked as each pass is applied);
 //! * **deadlock freedom** — some event is enabled until the run finishes.
 //!
-//! The model is a host like the thread engine, the socket worker and the
-//! simulator: it builds its protocol object with
-//! [`sg_sync::build_synchronizer`], asks [`PartitionWalk`] — the product's
-//! own scan/acquire/release order — what each lane does next, and applies
-//! what the technique tells its transport from the shared
-//! [`QueueTransport`], right after each protocol call. The lane structure
-//! mirrors the engines: techniques that demand a single compute thread per
-//! worker (single-layer token) get one sequential lane per worker walking
-//! all its partitions in order; all others get one per partition (maximal
-//! modeled concurrency). The model's abstract program never halts: every
-//! vertex is runnable in every superstep. A same-worker update is visible
-//! at once, except under BSP (Proposition 1), where every update waits for
-//! the master's write-all.
+//! The model is the fourth host of the superstep, beside the thread engine,
+//! the socket worker and the simulator. It builds its protocol object with
+//! [`sg_sync::build_synchronizer`] and asks [`PartitionWalk`] — the
+//! product's own scan/acquire/release order — what each lane does next. A
+//! remote send stages in the engine's [`StagingBuffers`], combining
+//! sender-side; a staged run ships as an event of its own, and a shipped
+//! batch lands, through [`InboxPair::deliver_batch`], as another. The
+//! inboxes are the engine's [`InboxPair`], so when a message turns readable
+//! — at once, or under BSP (Proposition 1) at the barrier's flip — is the
+//! product's rule. What the technique tells the shared [`QueueTransport`]
+//! is applied right after each protocol call: a fork or token leaving
+//! worker `w` first performs `w`'s write-all. A superstep closes in the
+//! engine's own [`barrier::close`].
+//!
+//! The lane structure mirrors the engines: techniques that demand a single
+//! compute thread per worker (single-layer token) get one sequential lane
+//! per worker walking all its partitions in order; all others get one per
+//! partition (maximal modeled concurrency). The model's abstract program
+//! never halts: every vertex is runnable in every superstep, and each
+//! execution sends its id to every out-neighbor through a `min` combiner.
+//! The sends of one execution are part of its `end` event: only its
+//! neighbors could tell them apart, and a serializable technique keeps
+//! those out until it ends.
 
 use crate::config::{ExploreConfig, FaultPlan};
+use sg_engine::barrier::{self, BarrierHost, BarrierParts};
+use sg_engine::store::{Envelope, InboxPair, Routed, StagingBuffers};
+use sg_engine::{AggregatorSet, Combiner, MinCombiner};
 use sg_graph::partition::HashPartitioner;
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
-use sg_metrics::{Metrics, TraceBuffer, TraceEventKind};
-use sg_serial::{HistorySummary, IncrementalChecker};
+use sg_metrics::{Metrics, SimClocks, Trace, TraceBuffer, TraceEventKind};
+use sg_serial::recorder::TxnGuard;
+use sg_serial::{HistorySummary, Recorder, StreamingAuditor};
 use sg_sync::{
     build_synchronizer, LockGranularity, NetAction, PartitionWalk, QueueTransport, Step,
     Synchronizer,
 };
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
+
+/// What the abstract program sends: the sender's id.
+type Msg = u32;
+
+/// The abstract program's combiner.
+const COMBINER: Option<&dyn Combiner<Msg>> = Some(&MinCombiner);
 
 /// One atomic, reorderable step of the modeled execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,23 +74,40 @@ pub enum Event {
     /// Lane runs one non-blocking pass of its unit acquisition (request
     /// missing forks, collect yielded ones).
     TryAcquire(u32),
-    /// Lane begins its current vertex's transaction (the read step).
+    /// Lane begins its current vertex's transaction: the drain, then the
+    /// read step.
     Begin(u32),
-    /// Lane ends its current vertex (sends + write step).
+    /// Lane ends its current vertex: each send delivered to its own worker
+    /// or staged for another, then the write step.
     End(u32),
     /// Lane releases its held unit (forks hand over here).
     Release(u32),
     /// Worker reaches the superstep barrier.
     Barrier(u32),
-    /// The master ends the superstep: the technique's end of superstep (a
-    /// token pass is *sent* here; Proposition 1's forks move here), then
-    /// every worker's write-all — under BSP, the flush that makes the
-    /// superstep's updates visible.
+    /// The master closes the superstep in [`barrier::close`]: every
+    /// worker's write-all, the technique's end of superstep (a token pass
+    /// is *sent* here; Proposition 1's forks move here), the BSP flip.
     MasterStep,
     /// The in-flight global token lands at its destination.
     DeliverToken,
     /// All barriers passed and the token landed: the next superstep opens.
     NextSuperstep,
+    /// Worker `from`'s staged run for worker `to` leaves as one batch (a
+    /// buffer-cap flush, at whatever moment the schedule picks).
+    Ship {
+        /// Sending worker.
+        from: u32,
+        /// Receiving worker.
+        to: u32,
+    },
+    /// The oldest batch on the link `from -> to` lands in the receiver's
+    /// inboxes.
+    Land {
+        /// Sending worker.
+        from: u32,
+        /// Receiving worker.
+        to: u32,
+    },
 }
 
 impl fmt::Display for Event {
@@ -80,6 +121,8 @@ impl fmt::Display for Event {
             Event::MasterStep => f.write_str("master-step"),
             Event::DeliverToken => f.write_str("deliver-token"),
             Event::NextSuperstep => f.write_str("next-superstep"),
+            Event::Ship { from, to } => write!(f, "ship(w{from}->w{to})"),
+            Event::Land { from, to } => write!(f, "land(w{from}->w{to})"),
         }
     }
 }
@@ -88,14 +131,14 @@ impl fmt::Display for Event {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Violation {
     /// C1 broken: a transaction began while an in-neighbor replica was
-    /// stale (a sent update was not yet visible).
+    /// stale (a sent update was not yet readable).
     StaleRead {
-        /// Superstep of the offending begin.
+        /// Superstep the violation was found in.
         superstep: u64,
     },
     /// C2 broken: neighbor transactions overlapped in time.
     NeighborOverlap {
-        /// Superstep of the offending begin.
+        /// Superstep the violation was found in.
         superstep: u64,
     },
     /// The serialization graph acquired a cycle (no 1SR order exists).
@@ -184,18 +227,23 @@ impl fmt::Display for Violation {
     }
 }
 
+/// The transaction a lane has open: its vertex, the recorder's guard, and
+/// `now` when it began (trace timestamps).
+struct Open {
+    v: VertexId,
+    guard: TxnGuard,
+    since: u64,
+}
+
 /// One sequential execution lane — a worker thread of the engines: the
 /// walks of the partitions it runs this superstep, plus the transaction it
 /// has open.
-#[derive(Debug)]
 struct Lane {
     worker: WorkerId,
     /// One walk per partition the lane runs, in order; all built when the
     /// superstep opens (building one decides the halted-partition skip).
     walks: Vec<PartitionWalk>,
-    /// The vertex whose transaction is open, and `now` when it began
-    /// (trace timestamps).
-    open: Option<(VertexId, u64)>,
+    open: Option<Open>,
     /// Blocked in acquisition; re-polled after the next release.
     parked: bool,
 }
@@ -220,12 +268,22 @@ pub struct Model {
     /// What the technique told its transport during the last protocol
     /// call; applied by [`Model::apply_net`] before anything else happens.
     net: QueueTransport,
-    /// Replica updates not yet visible, per sending worker: they become
-    /// visible when a C1 flush point fires (a fork or the token leaving the
-    /// worker, or the superstep's write-all).
-    outbox: Vec<Vec<(VertexId, VertexId)>>,
-    /// Under BSP, same-worker updates wait in the outbox too.
-    bsp: bool,
+    recorder: Arc<Recorder>,
+    auditor: StreamingAuditor,
+    inboxes: InboxPair<Msg>,
+    /// Per worker, its remote sends, staged by destination worker.
+    staging: Vec<StagingBuffers<Msg>>,
+    /// Per link `from * workers + to`: shipped batches not yet landed,
+    /// oldest first.
+    wire: Vec<VecDeque<Vec<Routed<Msg>>>>,
+    /// Drain scratch of a beginning transaction.
+    drained: Vec<Envelope<Msg>>,
+    aggregators: AggregatorSet,
+    metrics: Arc<Metrics>,
+    trace: Trace,
+    /// Per worker, in trace nanoseconds: its barrier arrival, which
+    /// [`barrier::close`] levels.
+    clocks: SimClocks,
     /// Does this run have an exclusive global token to account for?
     tracks_token: bool,
     /// Worker holding the global token; `None` while it is in flight — or,
@@ -235,7 +293,6 @@ pub struct Model {
     /// A routing violation seen while applying a pass (wrong sender, or a
     /// second pass in flight), reported by the next invariant check.
     misroute: Option<String>,
-    checker: IncrementalChecker,
     lanes: Vec<Lane>,
     superstep: u64,
     max_supersteps: u64,
@@ -245,7 +302,6 @@ pub struct Model {
     violation: Option<Violation>,
     /// Executed-event counter, doubling as virtual time.
     now: u64,
-    trace: Option<Arc<TraceBuffer>>,
 }
 
 impl Model {
@@ -265,31 +321,46 @@ impl Model {
             layout,
             &HashPartitioner::default(),
         ));
-        let tech = build_synchronizer(cfg.technique, &graph, &pm, Arc::new(Metrics::new()));
+        let metrics = Arc::new(Metrics::new());
+        let tech = build_synchronizer(cfg.technique, &graph, &pm, Arc::clone(&metrics));
         let tracks_token = cfg.technique.uses_global_token() && cfg.workers > 1;
-        let checker = IncrementalChecker::new(Arc::clone(&graph));
+        let recorder = Arc::new(Recorder::new(Arc::clone(&graph)));
+        let visibility = if cfg.technique.requires_bsp() {
+            sg_engine::Model::Bsp
+        } else {
+            sg_engine::Model::Async
+        };
+        let workers = cfg.workers as usize;
         let mut model = Self {
             fault: cfg.fault,
-            graph,
-            pm,
             tech,
             net: QueueTransport::default(),
-            outbox: vec![Vec::new(); cfg.workers as usize],
-            bsp: cfg.technique.requires_bsp(),
+            auditor: StreamingAuditor::new(Arc::clone(&recorder)),
+            inboxes: InboxPair::new(&pm, visibility, Some(Arc::clone(&recorder)), None),
+            recorder,
+            staging: (0..workers)
+                .map(|_| StagingBuffers::new(workers, true))
+                .collect(),
+            wire: (0..workers * workers).map(|_| VecDeque::new()).collect(),
+            drained: Vec::new(),
+            aggregators: AggregatorSet::new(),
+            metrics,
+            trace: Trace::from(trace),
+            clocks: SimClocks::new(workers),
+            graph,
+            pm,
             tracks_token,
             token_at: tracks_token.then(|| WorkerId::new(0)), // both rings start at worker 0
             in_flight: None,
             misroute: None,
-            checker,
             lanes: Vec::new(),
             superstep: 0,
             max_supersteps: cfg.supersteps,
-            barrier: vec![false; cfg.workers as usize],
+            barrier: vec![false; workers],
             master_done: false,
             finished: cfg.supersteps == 0,
             violation: None,
             now: 0,
-            trace,
         };
         model.build_lanes();
         model
@@ -350,6 +421,10 @@ impl Model {
         unreachable!("lane {li} advanced past its last step")
     }
 
+    fn workers(&self) -> usize {
+        self.barrier.len()
+    }
+
     /// Every event enabled in the current state, in a deterministic order.
     /// Empty iff the run [`finished`](Model::finished), a violation was
     /// found, or (a violation in itself) the model deadlocked.
@@ -392,6 +467,25 @@ impl Model {
         if self.master_done && self.barrier.iter().all(|&b| b) && self.in_flight.is_none() {
             events.push(Event::NextSuperstep);
         }
+        // The wire is worth scheduling only towards a worker that may still
+        // read this superstep: the barrier's write-all lands the rest.
+        let workers = self.workers();
+        let reading = |to: usize| {
+            (0..self.lanes.len()).any(|li| self.lanes[li].worker.index() == to && !done(li))
+        };
+        for (from, staging) in self.staging.iter().enumerate() {
+            for to in (0..workers).filter(|&to| staging.staged(to) > 0 && reading(to)) {
+                let (from, to) = (from as u32, to as u32);
+                events.push(Event::Ship { from, to });
+            }
+        }
+        for (link, batches) in self.wire.iter().enumerate() {
+            let (from, to) = (link / workers, link % workers);
+            if !batches.is_empty() && reading(to) {
+                let (from, to) = (from as u32, to as u32);
+                events.push(Event::Land { from, to });
+            }
+        }
         events
     }
 
@@ -419,36 +513,30 @@ impl Model {
                 }
             }
             Event::Begin(li) => {
-                let (_, Step::Run { v, .. }) = self.advance(li as usize) else {
+                let li = li as usize;
+                let (wi, Step::Run { local, v }) = self.advance(li) else {
                     panic!("{e} is not lane {li}'s next step");
                 };
-                self.lanes[li as usize].open = Some((v, self.now));
-                self.checker.begin(v);
+                // The transaction reads what its inbox holds, then opens.
+                let p = self.lanes[li].walks[wi].partition();
+                let inbox = &self.inboxes.current()[p.index()];
+                inbox.drain_into(local, &mut self.drained);
+                self.drained.clear();
+                let guard = self.recorder.begin(v);
+                let since = self.now;
+                self.lanes[li].open = Some(Open { v, guard, since });
             }
             Event::End(li) => {
                 let lane = &mut self.lanes[li as usize];
-                let (v, since) = lane.open.take().expect("end without begin");
+                let Open { v, guard, since } = lane.open.take().expect("end without begin");
                 let worker = lane.worker;
-                // The write step: the update to every out-neighbor replica
-                // is sent; same-worker replicas see it immediately, unless
-                // under BSP, and the rest wait for a C1 flush point.
-                for &t in self.graph.out_neighbors(v) {
-                    self.checker.on_send(v, t);
-                    if !self.bsp && self.pm.worker_of(t) == worker {
-                        self.checker.on_visible(v, t);
-                    } else {
-                        self.outbox[worker.index()].push((v, t));
-                    }
+                let graph = Arc::clone(&self.graph);
+                for &t in graph.out_neighbors(v) {
+                    self.send(worker, v, t);
                 }
-                self.checker.end(v);
-                let dur = self.now - since;
-                self.record_full(
-                    worker.raw(),
-                    TraceEventKind::VertexExecute,
-                    since,
-                    dur,
-                    u64::from(v.raw()),
-                );
+                self.recorder.end(guard);
+                let (kind, dur) = (TraceEventKind::VertexExecute, self.now - since);
+                self.record_full(worker.raw(), kind, since, dur, u64::from(v.raw()));
             }
             Event::Release(li) => {
                 let (_, Step::Release(unit)) = self.advance(li as usize) else {
@@ -463,16 +551,11 @@ impl Model {
             }
             Event::Barrier(w) => {
                 self.barrier[w as usize] = true;
-                self.record(w, TraceEventKind::BarrierWait, 0, 0);
+                self.clocks.observe(w as usize, self.now * 1000);
             }
             Event::MasterStep => {
-                // Technique rotation first (the token pass and its C1 flush
-                // of the sender), then the BSP write-all for everyone.
-                self.tech.end_superstep(self.superstep, &self.net);
-                self.apply_net();
-                for w in 0..self.outbox.len() {
-                    self.flush_worker(WorkerId::new(w as u32));
-                }
+                let s = self.superstep;
+                barrier::close(self, s);
                 // Every walk is over: a gate the end of superstep reopened
                 // (Proposition 1's forks move there) must not revive one.
                 self.lanes.iter_mut().for_each(|l| l.walks.clear());
@@ -489,17 +572,15 @@ impl Model {
                 // nor in transit.
                 if !dropped {
                     self.token_at = Some(flight.to);
-                    if let Some(t) = &self.trace {
-                        t.record_peer(
-                            flight.from.raw(),
-                            self.superstep,
-                            TraceEventKind::RingPass,
-                            flight.sent_at * 1000,
-                            (self.now - flight.sent_at) * 1000,
-                            0,
-                            flight.to.raw(),
-                        );
-                    }
+                    self.trace.record_peer(
+                        flight.from.raw(),
+                        self.superstep,
+                        TraceEventKind::RingPass,
+                        flight.sent_at * 1000,
+                        (self.now - flight.sent_at) * 1000,
+                        0,
+                        flight.to.raw(),
+                    );
                 }
             }
             Event::NextSuperstep => {
@@ -512,14 +593,66 @@ impl Model {
                     self.build_lanes();
                 }
             }
+            Event::Ship { from, to } => self.ship(from as usize, to as usize),
+            Event::Land { from, to } => self.land(from as usize, to as usize),
         }
         self.post_event();
     }
 
-    /// The C1 flush of worker `w`: everything it buffered becomes visible.
-    fn flush_worker(&mut self, w: WorkerId) {
-        for (from, to) in std::mem::take(&mut self.outbox[w.index()]) {
-            self.checker.on_visible(from, to);
+    /// One send of the abstract program, routed as `Cycle::run_vertex`
+    /// routes it: recorded, then delivered to a vertex of the sending
+    /// worker, or staged for another. A staged fold into an envelope from
+    /// another sender marks that sender's message readable, as the engine
+    /// and the simulator do: the envelope no longer carries it.
+    fn send(&mut self, worker: WorkerId, from: VertexId, to: VertexId) {
+        self.recorder.on_send(from, to);
+        let slot = self.pm.slot_of(to);
+        let dest = self.pm.layout().worker_of_partition(slot.0);
+        if dest == worker {
+            self.inboxes.deliver(from, to, slot, from.raw(), COMBINER);
+        } else {
+            let routed = (to, from, from.raw());
+            let (folded, _) = self.staging[worker.index()].stage(dest.index(), routed, COMBINER);
+            if let Some(absorbed) = folded {
+                self.inboxes.readable(absorbed, to);
+            }
+        }
+    }
+
+    /// The staged run `from -> to` leaves as one batch onto the link.
+    fn ship(&mut self, from: usize, to: usize) {
+        let run = std::mem::take(self.staging[from].take_run(to));
+        if !run.is_empty() {
+            let (a, b) = (WorkerId::new(from as u32), WorkerId::new(to as u32));
+            self.record_hop(a, b, TraceEventKind::BatchFlush, run.len() as u64);
+            let link = from * self.workers() + to;
+            self.wire[link].push_back(run);
+        }
+    }
+
+    /// The oldest batch on the link `from -> to` lands in `to`'s inboxes.
+    fn land(&mut self, from: usize, to: usize) {
+        let link = from * self.workers() + to;
+        if let Some(batch) = self.wire[link].pop_front() {
+            let slots: Vec<_> = batch.iter().map(|r| self.pm.slot_of(r.0)).collect();
+            let receiver = WorkerId::new(to as u32);
+            self.inboxes
+                .deliver_batch(receiver, &slots, &batch, COMBINER);
+        }
+    }
+
+    /// Worker `w`'s write-all, the C1 flush: every batch it has on the wire
+    /// lands, in the order it shipped them, then everything it has staged
+    /// ships and lands.
+    fn flush_worker(&mut self, w: usize) {
+        for to in 0..self.workers() {
+            while !self.wire[w * self.workers() + to].is_empty() {
+                self.land(w, to);
+            }
+        }
+        for to in 0..self.workers() {
+            self.ship(w, to);
+            self.land(w, to);
         }
     }
 
@@ -537,7 +670,7 @@ impl Model {
                     if unit.is_none() && self.tracks_token {
                         self.send_token(from, to);
                     }
-                    self.flush_worker(from);
+                    self.flush_worker(from.index());
                     // Ring passes are traced at delivery (they span time).
                     if let Some(unit) = unit {
                         self.record_hop(from, to, TraceEventKind::ForkTransfer, u64::from(unit));
@@ -586,6 +719,10 @@ impl Model {
         }
     }
 
+    /// The protocol invariants, then the auditor's verdict on every
+    /// transaction the recorder's watermark has released: a transaction's
+    /// C1 and C2 witnesses count once it has ended and no earlier one is
+    /// still open.
     fn check_invariants(&mut self) -> Option<Violation> {
         if let Some(detail) = self.misroute.take() {
             return Some(Violation::TokenMisrouted {
@@ -593,30 +730,23 @@ impl Model {
                 detail,
             });
         }
+        let superstep = self.superstep;
         if self.tracks_token
             && !self.finished
             && self.token_at.is_none()
             && self.in_flight.is_none()
         {
-            return Some(Violation::TokenLost {
-                superstep: self.superstep,
-            });
+            return Some(Violation::TokenLost { superstep });
         }
-        let status = self.checker.status();
+        let status = self.auditor.drain();
         if status.c1_violations > 0 {
-            return Some(Violation::StaleRead {
-                superstep: self.superstep,
-            });
+            return Some(Violation::StaleRead { superstep });
         }
         if status.c2_violations > 0 {
-            return Some(Violation::NeighborOverlap {
-                superstep: self.superstep,
-            });
+            return Some(Violation::NeighborOverlap { superstep });
         }
         if !status.serialization_graph_acyclic {
-            return Some(Violation::SerializationCycle {
-                superstep: self.superstep,
-            });
+            return Some(Violation::SerializationCycle { superstep });
         }
         None
     }
@@ -644,13 +774,15 @@ impl Model {
     }
 
     /// Scheduling priority hint for the delay adversary: higher means
-    /// "more valuable to defer". Token deliveries score highest, then
-    /// acquisitions of contended units (scaled by conflict degree), then
-    /// barriers and transaction ends (deferring ends widens overlap
-    /// windows); begins and bookkeeping score zero.
+    /// "more valuable to defer". Token deliveries score highest, then batch
+    /// landings (a batch on the wire is a stale replica), then acquisitions
+    /// of contended units (scaled by conflict degree), then barriers and
+    /// transaction ends (deferring ends widens overlap windows); begins,
+    /// ships and bookkeeping score the least.
     pub fn delay_score(&self, e: Event) -> u64 {
         match e {
             Event::DeliverToken => 1000,
+            Event::Land { .. } => 950,
             Event::TryAcquire(li) => {
                 let contention = match (self.peek(li as usize), self.tech.granularity()) {
                     (Step::Acquire(p), LockGranularity::Partition) => {
@@ -666,7 +798,7 @@ impl Model {
             Event::Barrier(_) => 50,
             Event::Release(_) => 30,
             Event::End(_) => 20,
-            Event::Begin(_) => 1,
+            Event::Begin(_) | Event::Ship { .. } => 1,
             Event::MasterStep | Event::NextSuperstep => 0,
         }
     }
@@ -693,7 +825,7 @@ impl Model {
 
     /// Run the batch Theorem 1 checkers over everything recorded so far.
     pub fn history_summary(&self) -> HistorySummary {
-        self.checker.log().summarize(self.checker.graph())
+        self.recorder.history().summarize(&self.graph)
     }
 
     fn record(&self, worker: u32, kind: TraceEventKind, dur: u64, arg: u64) {
@@ -701,16 +833,45 @@ impl Model {
     }
 
     fn record_full(&self, worker: u32, kind: TraceEventKind, ts: u64, dur: u64, arg: u64) {
-        if let Some(t) = &self.trace {
-            t.record(worker, self.superstep, kind, ts * 1000, dur * 1000, arg);
-        }
+        let s = self.superstep;
+        self.trace
+            .record(worker, s, kind, ts * 1000, dur * 1000, arg);
     }
 
     /// One protocol message `from -> to`, taking the current tick.
     fn record_hop(&self, from: WorkerId, to: WorkerId, kind: TraceEventKind, arg: u64) {
-        if let Some(t) = &self.trace {
-            let at = self.now * 1000;
-            t.record_peer(from.raw(), self.superstep, kind, at, 1000, arg, to.raw());
+        let (s, at) = (self.superstep, self.now * 1000);
+        self.trace
+            .record_peer(from.raw(), s, kind, at, 1000, arg, to.raw());
+    }
+}
+
+/// The model closes a superstep with the engine's own barrier step: its
+/// write-all is the one a fork handover performs, what the technique
+/// queued is applied right after its end of superstep, and the clocks it
+/// levels hold the workers' barrier arrivals.
+impl BarrierHost for Model {
+    type Message = Msg;
+
+    fn write_all(&mut self, w: usize) {
+        self.flush_worker(w);
+    }
+
+    fn apply_actions(&mut self) {
+        self.apply_net();
+    }
+
+    fn parts(&self) -> BarrierParts<'_, Msg> {
+        BarrierParts {
+            sync: &*self.tech,
+            transport: &self.net,
+            inboxes: &self.inboxes,
+            pm: &self.pm,
+            aggregators: &self.aggregators,
+            metrics: &self.metrics,
+            trace: &self.trace,
+            clocks: &self.clocks,
+            barrier_ns: 0,
         }
     }
 }
@@ -750,23 +911,25 @@ mod tests {
         }
     }
 
-    /// Always pick the first enabled event (the canonical straight-line
-    /// schedule) until the model stops.
-    fn run_first_choice(model: &mut Model) -> usize {
+    /// Drive `model` until it stops, executing the enabled event `pick`
+    /// chooses at every state.
+    fn run_picking(model: &mut Model, pick: impl Fn(&[Event]) -> usize) {
         let mut steps = 0;
-        loop {
-            if model.finished() || model.violation().is_some() {
-                return steps;
-            }
+        while !model.finished() && model.violation().is_none() {
             let enabled = model.enabled();
             if enabled.is_empty() {
                 model.flag_deadlock();
-                return steps;
+                return;
             }
-            model.execute(enabled[0]);
+            model.execute(enabled[pick(&enabled)]);
             steps += 1;
             assert!(steps < 100_000, "runaway model");
         }
+    }
+
+    /// The canonical straight-line schedule: always the first enabled event.
+    fn run_first_choice(model: &mut Model) {
+        run_picking(model, |_| 0);
     }
 
     #[test]
@@ -819,28 +982,15 @@ mod tests {
         let mut c = cfg(TechniqueKind::SingleToken);
         c.fault = FaultPlan::DropDelayedTokenPass { superstep: 0 };
         let mut model = Model::new(&c, None);
-        // Drive to completion, ending the superstep as soon as possible
-        // (before the barriers) and then deferring DeliverToken while
-        // anything else is enabled — the racy window the fault needs.
-        let mut steps = 0;
-        loop {
-            if model.finished() || model.violation().is_some() {
-                break;
-            }
-            let enabled = model.enabled();
-            if enabled.is_empty() {
-                model.flag_deadlock();
-                break;
-            }
-            let pick = enabled
-                .iter()
-                .position(|e| *e == Event::MasterStep)
-                .or_else(|| enabled.iter().position(|e| *e != Event::DeliverToken))
-                .unwrap_or(0);
-            model.execute(enabled[pick]);
-            steps += 1;
-            assert!(steps < 100_000, "runaway model");
-        }
+        // End the superstep as soon as possible (before the barriers), then
+        // defer DeliverToken while anything else is enabled — the racy
+        // window the fault needs.
+        run_picking(&mut model, |enabled| {
+            let at = |want: fn(&Event) -> bool| enabled.iter().position(want);
+            at(|e| *e == Event::MasterStep)
+                .or_else(|| at(|e| *e != Event::DeliverToken))
+                .unwrap_or(0)
+        });
         assert_eq!(
             model.violation().map(Violation::code),
             Some("token-lost"),
@@ -857,25 +1007,11 @@ mod tests {
         c.workers = 2;
         c.ppw = 1;
         let mut model = Model::new(&c, None);
-        let mut steps = 0;
-        // Prefer Begins over everything else to maximize open overlap.
-        loop {
-            if model.finished() || model.violation().is_some() {
-                break;
-            }
-            let enabled = model.enabled();
-            if enabled.is_empty() {
-                model.flag_deadlock();
-                break;
-            }
-            let pick = enabled
-                .iter()
-                .position(|e| matches!(e, Event::Begin(_)))
-                .unwrap_or(0);
-            model.execute(enabled[pick]);
-            steps += 1;
-            assert!(steps < 100_000, "runaway model");
-        }
+        let begin_first = |enabled: &[Event]| {
+            let begin = enabled.iter().position(|e| matches!(e, Event::Begin(_)));
+            begin.unwrap_or(0)
+        };
+        run_picking(&mut model, begin_first);
         assert_eq!(
             model.violation().map(Violation::code),
             Some("c2-neighbor-overlap"),
@@ -896,40 +1032,49 @@ mod tests {
         WorkerId::new(i)
     }
 
-    /// A fresh token-ring model with one remote update buffered on each
+    /// A fresh `ring:8` model with one remote update staged on each
     /// worker, over an edge `a - b` that the partitioning cuts: `a` lives
-    /// on worker 0 (where the ring starts), `b` on worker 1.
-    fn ring_with_buffered_updates() -> (Model, VertexId, VertexId) {
-        let mut m = Model::new(&cfg(TechniqueKind::SingleToken), None);
+    /// on worker 0 (where a token ring starts), `b` on worker 1.
+    fn ring_with_staged_updates(technique: TechniqueKind) -> (Model, VertexId, VertexId) {
+        let mut m = Model::new(&cfg(technique), None);
         let home = |m: &Model, x| m.pm.worker_of(x);
         let (a, b) = (m.graph.vertices())
             .flat_map(|a| m.graph.out_neighbors(a).iter().map(move |&b| (a, b)))
             .find(|&(a, b)| home(&m, a) == w(0) && home(&m, b) == w(1))
             .expect("ring:8 on two workers has a cut edge");
-        for (from, to) in [(a, b), (b, a)] {
-            let sender = home(&m, from).index();
-            m.checker.on_send(from, to);
-            m.outbox[sender].push((from, to));
-        }
+        m.send(w(0), a, b);
+        m.send(w(1), b, a);
         (m, a, b)
+    }
+
+    /// Would `u` begin with a stale replica now? (Records a transaction.)
+    fn reads_stale(m: &Model, u: VertexId) -> bool {
+        m.recorder.end(m.recorder.begin(u));
+        let history = m.recorder.history();
+        !history
+            .txns()
+            .last()
+            .expect("just ended")
+            .stale_reads
+            .is_empty()
+    }
+
+    fn staged(m: &Model) -> Vec<usize> {
+        m.staging.iter().map(StagingBuffers::total_staged).collect()
     }
 
     #[test]
     fn a_ring_pass_flushes_only_the_sender_and_the_write_all_the_rest() {
-        let (mut m, a, b) = ring_with_buffered_updates();
+        let (mut m, a, b) = ring_with_staged_updates(TechniqueKind::SingleToken);
         m.net.transfer(w(0), w(1), None);
         m.apply_net();
-        assert!(m.outbox[0].is_empty());
-        assert_eq!(m.outbox[1], vec![(b, a)]);
+        assert_eq!(staged(&m), [0, 1]);
         // `b` now reads `a` fresh; `a` would still read `b` stale.
-        m.checker.begin(b);
-        assert_eq!(m.checker.status().c1_violations, 0);
-        m.checker.begin(a);
-        assert_eq!(m.checker.status().c1_violations, 1);
-        for w in 0..2 {
-            m.flush_worker(WorkerId::new(w)); // the superstep write-all
-        }
-        assert!(m.outbox.iter().all(Vec::is_empty));
+        assert!(!reads_stale(&m, b));
+        assert!(reads_stale(&m, a));
+        m.flush_worker(1); // the superstep write-all
+        assert_eq!(staged(&m), [0, 0]);
+        assert!(!reads_stale(&m, a));
     }
 
     #[test]
@@ -977,13 +1122,77 @@ mod tests {
 
     #[test]
     fn fork_moves_flush_without_touching_the_token() {
-        let (mut m, ..) = ring_with_buffered_updates();
+        let (mut m, a, _) = ring_with_staged_updates(TechniqueKind::SingleToken);
         m.net.transfer(w(0), w(1), Some(7));
         m.net.request(w(1), w(0));
         m.post_event();
-        assert!(m.outbox[0].is_empty(), "the fork's sender flushed");
-        assert_eq!(m.outbox[1].len(), 1, "nobody else did");
-        assert_eq!((m.token_at, m.in_flight), (Some(w(0)), None));
         assert!(m.violation().is_none(), "{:?}", m.violation());
+        assert_eq!((m.token_at, m.in_flight), (Some(w(0)), None));
+        assert_eq!(staged(&m), [0, 1], "the fork's sender flushed, nobody else");
+        assert!(reads_stale(&m, a));
+    }
+
+    #[test]
+    fn a_shipped_batch_is_unread_until_it_lands_or_its_sender_fences() {
+        // Every vertex of vertex locking may run: both workers still read.
+        let (mut m, a, b) = ring_with_staged_updates(TechniqueKind::VertexLock);
+        let (ship, land) = (
+            Event::Ship { from: 0, to: 1 },
+            Event::Land { from: 0, to: 1 },
+        );
+        assert!(m.enabled().contains(&ship) && !m.enabled().contains(&land));
+        m.execute(ship);
+        assert_eq!(staged(&m), [0, 1]);
+        assert!(m.enabled().contains(&land));
+        assert!(reads_stale(&m, b), "on the wire is not readable");
+        m.land(0, 1);
+        assert!(!reads_stale(&m, b));
+        // Worker 1's run ships; the write-all of its next fork lands it.
+        m.ship(1, 0);
+        assert!(reads_stale(&m, a));
+        m.net.transfer(w(1), w(0), Some(3));
+        m.apply_net();
+        assert!(m.wire.iter().all(VecDeque::is_empty));
+        assert!(!reads_stale(&m, a));
+    }
+
+    #[test]
+    fn a_staged_fold_accounts_for_the_sender_it_absorbed() {
+        // Two senders of worker 0 stage for one vertex of worker 1: the
+        // combiner keeps one envelope, and once it lands the target reads
+        // both replicas fresh.
+        let mut c = cfg(TechniqueKind::VertexLock);
+        (c.graph, c.ppw) = (GraphSpec::Complete(8), 1);
+        let mut m = Model::new(&c, None);
+        let target = (m.graph.vertices())
+            .find(|&t| m.pm.worker_of(t) == w(1))
+            .expect("a vertex on worker 1");
+        let senders: Vec<_> = (m.graph.in_neighbors(target).iter().copied())
+            .filter(|&s| m.pm.worker_of(s) == w(0))
+            .collect();
+        assert!(senders.len() >= 2, "complete:8 on two workers");
+        for &s in &senders {
+            m.send(w(0), s, target);
+        }
+        assert_eq!(staged(&m), [1, 0], "the combiner folded them");
+        assert!(reads_stale(&m, target));
+        m.flush_worker(0);
+        assert!(!reads_stale(&m, target));
+    }
+
+    #[test]
+    fn under_bsp_a_same_worker_send_waits_for_the_flip() {
+        let mut m = Model::new(&cfg(TechniqueKind::BspVertexLock), None);
+        let (a, b) = (m.graph.vertices())
+            .flat_map(|a| m.graph.out_neighbors(a).iter().map(move |&b| (a, b)))
+            .find(|&(a, b)| m.pm.worker_of(a) == m.pm.worker_of(b))
+            .expect("ring:8 on two workers has an uncut edge");
+        let home = m.pm.worker_of(a);
+        m.send(home, a, b);
+        assert!(reads_stale(&m, b), "unread until the flip");
+        m.flush_worker(home.index());
+        assert!(reads_stale(&m, b), "a write-all does not flip");
+        m.inboxes.flip(&m.pm);
+        assert!(!reads_stale(&m, b));
     }
 }

@@ -718,6 +718,11 @@ impl<M: Clone + Send + 'static> StagingBuffers<M> {
         (None, dest.run.len())
     }
 
+    /// Envelopes staged for `to_worker`.
+    pub fn staged(&self, to_worker: usize) -> usize {
+        self.dests[to_worker].run.len()
+    }
+
     /// Envelopes staged across all destinations.
     pub fn total_staged(&self) -> usize {
         self.dests.iter().map(|d| d.run.len()).sum()

@@ -562,6 +562,13 @@ impl Trace {
     }
 }
 
+impl From<Option<Arc<TraceBuffer>>> for Trace {
+    /// A handle over `buffer`: enabled iff there is one.
+    fn from(buffer: Option<Arc<TraceBuffer>>) -> Self {
+        Trace(buffer)
+    }
+}
+
 /// A stall/deadlock watchdog: samples a monotone progress counter on a
 /// background thread; if the counter stops moving for `stall_after` of wall
 /// time, fires `on_stall` once (engines pass a closure that dumps the last

@@ -197,12 +197,14 @@ fn decision_log(cfg: &ExploreConfig) -> (usize, usize, u64, Option<&'static str>
     (outcome.events, outcome.decisions.len(), digest, code)
 }
 
-/// The model is event for event what it was before it became a host of
-/// `PartitionWalk`, the shared factory and the shared transport queue:
-/// every row below — events / decisions / digest of every enabled set and
-/// choice, per technique — was measured on the commit before that change.
-/// The unsynchronized control stops at the named violation; the rest run
-/// clean. `ring:3` on 4 x 2 leaves at least five of the eight partitions
+/// The model's schedules are pinned event for event: every row below —
+/// events / decisions / digest of every enabled set and choice, per
+/// technique — was measured when the model became a host of the engines'
+/// message datapath (`ship`/`land` events, `barrier::close`, the recorder's
+/// audit). The token rows are the ones measured before that change: their
+/// walks never put a batch on the wire towards a worker still reading. The
+/// unsynchronized control stops at the named violation, reported when the
+/// offending transaction's record lands; the rest run clean. `ring:3` on 4 x 2 leaves at least five of the eight partitions
 /// empty (the walk's `has_work` case).
 #[test]
 fn decision_logs_are_stable() {
@@ -218,41 +220,41 @@ fn decision_logs_are_stable() {
         (
             ("ring:8", 2, 2, "c1-stale-read"),
             [
-                (4, 4, "6774a8526d527fb5"),
+                (13, 13, "852877c1025c3dc4"),
                 (52, 13, "81d203a4ad441e7d"),
                 (50, 28, "b006ff292e03fd44"),
-                (153, 128, "747452372359c7dd"),
-                (128, 84, "7d00803b5f2e0ab8"),
+                (191, 168, "c03c20b64ad8ce41"),
+                (152, 102, "3b59d7add7b7c9ca"),
             ],
         ),
         (
             ("grid:3x4", 2, 2, "c1-stale-read"),
             [
-                (4, 4, "6774a8526d527fb5"),
-                (84, 51, "4fae554f97004e10"),
-                (58, 38, "1be315cc36fee53d"),
-                (235, 205, "11a68ce90b513cb0"),
-                (165, 79, "d2806bdcdea32573"),
+                (23, 23, "2da13a5d594b46f9"),
+                (91, 51, "5849ebddc65d7a0e"),
+                (61, 38, "9181b15e419930b7"),
+                (254, 213, "cca5868b8bc8bd47"),
+                (204, 155, "2c5d31c20c34d7be"),
             ],
         ),
         (
             ("complete:6", 3, 1, "c2-neighbor-overlap"),
             [
-                (2, 2, "3822b984cdb9eef4"),
+                (11, 11, "877684fb00bc66f9"),
                 (38, 19, "7303d7879d04ca2b"),
                 (38, 19, "7303d7879d04ca2b"),
-                (143, 74, "e90e6fd5828ea3a3"),
-                (104, 38, "dd8a7dd07d40a226"),
+                (173, 107, "0f55ba524994d4a4"),
+                (130, 82, "9d2efaa1897fe52c"),
             ],
         ),
         (
             ("ring:3", 4, 2, "c2-neighbor-overlap"),
             [
-                (4, 4, "581a94bfd7431085"),
+                (8, 8, "cdd0a2844f52e285"),
                 (34, 19, "39c1d3191c9ecd68"),
                 (30, 18, "c033be4e32d8c263"),
-                (80, 45, "77f41dfa11c76fb1"),
-                (80, 45, "77f41dfa11c76fb1"),
+                (90, 55, "74549f087d9c3693"),
+                (90, 55, "74549f087d9c3693"),
             ],
         ),
     ];
@@ -278,8 +280,8 @@ fn decision_logs_are_stable() {
     for (technique, adversary, dfs) in [
         (SingleToken, 416, 416),
         (DualToken, 400, 400),
-        (VertexLock, 1152, 1152),
-        (PartitionLock, 896, 905),
+        (VertexLock, 1341, 1152),
+        (PartitionLock, 1071, 906),
     ] {
         for (strategy, total) in [
             (StrategyKind::Adversary, adversary),
