@@ -19,6 +19,15 @@ if grep -rnE 'enum (NetAction|TransportEvent|CheckTechnique)' crates | grep -v '
 echo "== the incremental checker stays linear: no nested-Vec adjacency, no membership scan (tests below #[cfg(test)] may) =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'Vec<Vec<|\.contains\('; then exit 1; fi
 
+echo "== the post-hoc checker stays linear: no per-vertex Vec<Vec< list in history.rs (serialization_graph's return type, the tests' oracle, aside); summarize reaches conflict_edges/topo_sort only through the acyclicity fallback =="
+if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/history.rs | grep -n 'Vec<Vec<' | grep -v 'pub fn serialization_graph(&self, g: &Graph) -> Vec<Vec<TxnId>> {$'; then exit 1; fi
+body() { sed -n "/^    \(pub \)\?fn $1(/,/^    }$/p" crates/serial/src/history.rs; }
+for f in summarize c1_violations c2_violations commits_in_topological_order; do
+    [ -n "$(body $f)" ] || { echo "no fn $f in history.rs"; exit 1; }
+    if body $f | grep -nE 'conflict_edges|topo_sort|equivalent_serial_order|serialization_graph\(|is_one_copy_serializable'; then echo "in $f"; exit 1; fi
+done
+if body serialization_graph_acyclic | grep -E 'conflict_edges|topo_sort|equivalent_serial_order' | grep -v 'self\.commits_in_topological_order(g) || '; then exit 1; fi
+
 echo "== a fork costs what a fork costs: flat fork table, counters batched per protocol call, ring pass vs fork move told apart by the unit =="
 if sed '/^#\[cfg(test)\]/,$d' crates/sync/src/chandy_misra.rs | grep -nE 'Vec<Vec<|metrics\.inc\('; then exit 1; fi
 if grep -n 'granularity() == LockGranularity::None' crates/engine/src/engine.rs; then exit 1; fi

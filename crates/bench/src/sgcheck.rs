@@ -327,7 +327,7 @@ mod tests {
     /// A well-formed counterexample document with three fields of choice.
     fn document(technique: &str, graph: &str, workers: &str) -> String {
         format!(
-            "{{\"schema_version\":1,\"technique\":\"{technique}\",\"graph\":\"{graph}\",\
+            "{{\"schema_version\":{COUNTEREXAMPLE_SCHEMA_VERSION},\"technique\":\"{technique}\",\"graph\":\"{graph}\",\
              \"workers\":{workers},\"ppw\":1,\"supersteps\":2,\"strategy\":\"dfs\",\"seed\":1,\
              \"max_events\":10,\"fault\":\"none\",\"violation\":\"token-lost\",\"decisions\":[]}}"
         )
@@ -348,7 +348,9 @@ mod tests {
             (format!("{}{}", "[".repeat(5000), "]".repeat(5000)), ""),
             // Valid JSON, wrong shape.
             (
-                "{\"schema_version\":1,\"technique\":\"warp-drive\"}".into(),
+                format!(
+                    "{{\"schema_version\":{COUNTEREXAMPLE_SCHEMA_VERSION},\"technique\":\"warp-drive\"}}"
+                ),
                 "unknown technique",
             ),
             (document("single-token", "ring:8", "0"), "must be positive"),
@@ -363,6 +365,34 @@ mod tests {
             assert_eq!(err.code, EXIT_MALFORMED, "{bad}");
             assert!(err.message.contains(why), "{bad}: {}", err.message);
         }
+    }
+
+    /// A schema-1 decision log indexes another model's events, so the file
+    /// is refused with the typed error before anything replays: no trace
+    /// is written for it. The same file at the current version replays.
+    #[test]
+    fn schema_1_counterexample_is_refused_not_replayed() {
+        let cfg = seeded_bug_config();
+        let found = explore(&cfg).violation.expect("seeded bug found");
+        let current = Counterexample::from_report(&cfg, &found).to_json();
+        let v1 = current.replace(
+            &format!("\"schema_version\":{COUNTEREXAMPLE_SCHEMA_VERSION},"),
+            "\"schema_version\":1,",
+        );
+        assert_ne!(v1, current);
+        let dir = std::env::temp_dir().join(format!("sgcheck_v1_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.json");
+        let err = run_replay(&v1, Some(trace.to_str().unwrap())).unwrap_err();
+        assert_eq!(err.code, EXIT_MALFORMED);
+        assert!(
+            err.message.contains("unsupported schema_version 1"),
+            "{}",
+            err.message
+        );
+        assert!(!trace.exists(), "a refused file was replayed");
+        assert_eq!(run_replay(&current, None).unwrap().code, EXIT_VIOLATION);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

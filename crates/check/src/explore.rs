@@ -254,8 +254,10 @@ pub struct Counterexample {
     pub violation: String,
 }
 
-/// Current counterexample schema version.
-pub const COUNTEREXAMPLE_SCHEMA_VERSION: u64 = 1;
+/// Current counterexample schema version. Version 2: decision logs index
+/// the events of the model that stages, ships and lands message batches
+/// as scheduled events, so a version-1 log means a different schedule.
+pub const COUNTEREXAMPLE_SCHEMA_VERSION: u64 = 2;
 
 impl Counterexample {
     /// Package an exploration's violation for replay.
@@ -432,7 +434,7 @@ mod tests {
         };
         let json = ce.to_json();
         for needle in [
-            "\"schema_version\":1",
+            "\"schema_version\":2",
             "\"technique\":\"single-token\"",
             "\"graph\":\"ring:8\"",
             "\"workers\":2",

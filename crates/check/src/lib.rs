@@ -14,9 +14,9 @@
 //!   applied by the model, so that every protocol step (token pass, fork
 //!   transfer, lock grant, message flush, barrier, vertex execution)
 //!   becomes an explicit, reorderable event. Every explored state is
-//!   checked: C1/C2 and serialization-graph acyclicity via
-//!   `sg-serial`'s incremental checker, token liveness and routing,
-//!   deadlock freedom.
+//!   checked: C1/C2 and serialization-graph acyclicity via the engines'
+//!   `Recorder` feeding `sg-serial`'s `StreamingAuditor`, token liveness
+//!   and routing, deadlock freedom.
 //! * [`explore`] — pluggable strategies over the schedule tree: seeded
 //!   random walks, bounded exhaustive DFS (stateless prefix enumeration),
 //!   and a delay-injection adversary that defers token deliveries and

@@ -90,54 +90,49 @@ impl History {
     }
 
     /// Pairs of transactions on *neighboring* vertices whose execution
-    /// intervals overlap — the witnesses that **condition C2** failed.
+    /// intervals overlap — the witnesses that **condition C2** failed,
+    /// sorted.
     ///
-    /// This is a post-hoc check over the full history: for every undirected
-    /// edge `{u, v}` of `g`, the interval lists of `u`'s and `v`'s
-    /// transactions are merge-scanned.
+    /// This is a post-hoc check over the full history. Every transaction's
+    /// interval is counting-sorted by vertex into one CSR of compact
+    /// `(start, end, id)` entries, each vertex's run ordered by start; then for every
+    /// undirected edge `{u, v}` of `g` the runs of `u` and `v` are
+    /// merge-scanned, reading sequential memory only.
     pub fn c2_violations(&self, g: &Graph) -> Vec<OverlapViolation> {
-        let mut per_vertex: Vec<Vec<TxnId>> = vec![Vec::new(); g.num_vertices() as usize];
-        for (i, t) in self.txns.iter().enumerate() {
-            per_vertex[t.vertex.index()].push(i);
-        }
-        for list in &mut per_vertex {
-            list.sort_by_key(|&i| self.txns[i].start);
-        }
+        let runs = ByVertex::new(self, g, |txn, t| Interval {
+            start: t.start,
+            end: t.end,
+            txn,
+        });
 
         let mut out = Vec::new();
         for u in g.vertices() {
-            let us = &per_vertex[u.index()];
+            let us = runs.run(u);
             if us.is_empty() {
                 continue;
             }
-            for v in g.neighbors(u) {
-                if v.raw() <= u.raw() {
-                    continue; // each undirected pair once
-                }
-                let vs = &per_vertex[v.index()];
-                // Merge scan: for each txn of u, find overlapping txns of v.
+            // Each undirected pair once, so each overlapping pair once.
+            for v in g.higher_neighbors(u) {
+                let vs = runs.run(v);
                 let mut j = 0;
-                for &ti in us {
-                    let t = &self.txns[ti];
-                    // advance past v-txns that end before t starts
-                    while j < vs.len() && self.txns[vs[j]].end <= t.start {
+                for t in us {
+                    // Starts ascend, so a v-interval that ends before this
+                    // one starts ends before every later one starts too.
+                    while j < vs.len() && vs[j].end <= t.start {
                         j += 1;
                     }
-                    let mut k = j;
-                    while k < vs.len() && self.txns[vs[k]].start < t.end {
-                        if t.overlaps(&self.txns[vs[k]]) {
+                    for w in vs[j..].iter().take_while(|w| w.start < t.end) {
+                        if t.start < w.end {
                             out.push(OverlapViolation {
-                                a: ti.min(vs[k]),
-                                b: ti.max(vs[k]),
+                                a: t.txn.min(w.txn) as TxnId,
+                                b: t.txn.max(w.txn) as TxnId,
                             });
                         }
-                        k += 1;
                     }
                 }
             }
         }
-        out.sort_by_key(|v| (v.a, v.b));
-        out.dedup();
+        out.sort_unstable_by_key(|v| (v.a, v.b));
         out
     }
 
@@ -151,7 +146,7 @@ impl History {
     /// `start`, writes `u` at `end`. Timestamps are globally unique, so the
     /// order is total.
     pub fn serialization_graph(&self, g: &Graph) -> Vec<Vec<TxnId>> {
-        let mut adj: Vec<Vec<TxnId>> = vec![Vec::new(); self.txns.len()];
+        let mut adj = vec![Vec::new(); self.txns.len()];
         for (from, to) in self.conflict_edges(g) {
             adj[from as usize].push(to as usize);
         }
@@ -245,8 +240,50 @@ impl History {
     /// an acyclic serialization graph means the history is
     /// conflict-serializable; combined with C1 (Lemma 1 collapses replicas
     /// to one logical copy) this certifies one-copy serializability.
+    ///
+    /// Commit order is the certificate tried first: it needs no edge list
+    /// and no graph, and it holds for every history with unique stamps
+    /// that satisfies C2 and runs each vertex one execution at a time.
+    /// Only when it fails does the check fall back to Kahn's algorithm over
+    /// the full edge list, so the verdict stays exact whatever C2 says.
     pub fn serialization_graph_acyclic(&self, g: &Graph) -> bool {
-        self.equivalent_serial_order(g).is_some()
+        self.commits_in_topological_order(g) || self.equivalent_serial_order(g).is_some()
+    }
+
+    /// Does every serialization-graph edge run from an earlier commit to a
+    /// later one (ties by transaction id)? If so, commit order is a
+    /// topological order and the graph is acyclic.
+    ///
+    /// Of the three kinds of edge [`History::conflict_edges`] lists per
+    /// item, two run forward whenever every transaction ends after it
+    /// starts: `w -> r` (the write comes before the read, which comes
+    /// before the reader's commit) and `w1 -> w2` (the item's writes are its
+    /// own vertex's commits, dealt in that order). Only `r -> w`, from a
+    /// read to the item's next write, can point backward, and it does
+    /// exactly when the reader is still open as that write commits — a C2
+    /// violation or two overlapping executions of one vertex. So each read
+    /// looks up the item's next write by binary search over the item's
+    /// writes in commit order, and the whole test holds one entry per
+    /// transaction.
+    fn commits_in_topological_order(&self, g: &Graph) -> bool {
+        if self.txns.iter().any(|t| t.start >= t.end) {
+            return false;
+        }
+        // Per item, its writes — its own transactions' commits — as
+        // `(end, write op)`, in the order the item's operations are
+        // bucketed for the edge list: by stamp, then operation.
+        let writes = ByVertex::new(self, g, |txn, t| (t.end, txn << 1 | 1));
+        self.txns.iter().zip(0u32..).all(|(t, txn)| {
+            let read = (t.start, txn << 1);
+            let foreign = g.in_neighbors(t.vertex).iter().filter(|&&v| v != t.vertex);
+            std::iter::once(&t.vertex).chain(foreign).all(|&item| {
+                let run = writes.run(item);
+                match run.get(run.partition_point(|&w| w < read)) {
+                    Some(&(end, op)) => op == read.1 | 1 || t.end < end,
+                    None => true,
+                }
+            })
+        })
     }
 
     /// The full Theorem 1 check: C1 holds, C2 holds, and the serialization
@@ -276,6 +313,54 @@ impl History {
             serialization_graph_acyclic: acyclic,
             one_copy_serializable: c1.is_empty() && c2.is_empty() && acyclic,
         }
+    }
+}
+
+/// A transaction's interval and id, as the C2 merge scans read it.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Interval {
+    start: u64,
+    end: u64,
+    txn: u32,
+}
+
+/// One entry per transaction, counting-sorted by vertex into one CSR: the
+/// entries of vertex `v`'s transactions are `entries[offsets[v]..offsets[v
+/// + 1]]`, each run sorted.
+struct ByVertex<T> {
+    offsets: Vec<usize>,
+    entries: Vec<T>,
+}
+
+impl<T: Copy + Default + Ord> ByVertex<T> {
+    /// `entry(txn, record)` for every transaction of `h`, by vertex.
+    fn new(h: &History, g: &Graph, entry: impl Fn(u32, &TxnRecord) -> T) -> Self {
+        assert!(
+            h.txns.len() <= (u32::MAX >> 1) as usize,
+            "history too long for 31-bit transaction ids"
+        );
+        let n = g.num_vertices() as usize;
+        let mut offsets = vec![0usize; n + 1];
+        for t in &h.txns {
+            offsets[t.vertex.index() + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut entries = vec![T::default(); h.txns.len()];
+        let mut cursor = offsets[..n].to_vec();
+        for (t, txn) in h.txns.iter().zip(0u32..) {
+            entries[cursor[t.vertex.index()]] = entry(txn, t);
+            cursor[t.vertex.index()] += 1;
+        }
+        for run in offsets.windows(2) {
+            entries[run[0]..run[1]].sort_unstable();
+        }
+        Self { offsets, entries }
+    }
+
+    fn run(&self, v: VertexId) -> &[T] {
+        &self.entries[self.offsets[v.index()]..self.offsets[v.index() + 1]]
     }
 }
 
@@ -549,6 +634,42 @@ mod tests {
                 .collect();
             let h = History::new(txns);
             assert!(h.is_one_copy_serializable(&g), "seed {seed} failed");
+            // Decided by the certificate, not the fallback.
+            assert!(h.commits_in_topological_order(&g), "seed {seed}");
         }
+    }
+
+    /// The certificate fails on a backward edge whether or not it closes a
+    /// cycle; the fallback then decides.
+    #[test]
+    fn backward_edge_falls_back_to_kahn() {
+        // 1 -> 0 only: T0 on v0 reads v1 at 0; T1 on v1, nested inside T0,
+        // writes v1 at 2. Edge T0 -> T1 runs backward in commit order (T0
+        // commits at 3), and nothing orders T1 before T0: acyclic.
+        let g = Graph::from_edges(2, &[(1, 0)]);
+        let h = History::new(vec![txn(0, 0, 3), txn(1, 1, 2)]);
+        assert!(!h.commits_in_topological_order(&g));
+        assert!(h.serialization_graph_acyclic(&g));
+        assert_eq!(h.equivalent_serial_order(&g), Some(vec![0, 1]));
+        // Both ways: T1 also reads v0 at 1 before T0 writes it at 3.
+        let g = two_clique();
+        assert!(!h.commits_in_topological_order(&g));
+        assert!(!h.serialization_graph_acyclic(&g));
+    }
+
+    /// A commit stamp shared on one vertex, or an interval that does not
+    /// end after it starts, does not fool the certificate.
+    #[test]
+    fn degenerate_stamps_void_the_certificate() {
+        let g = two_clique();
+        let tied = History::new(vec![txn(0, 0, 2), txn(0, 1, 2)]);
+        assert!(!tied.commits_in_topological_order(&g));
+        assert_eq!(
+            tied.serialization_graph_acyclic(&g),
+            tied.equivalent_serial_order(&g).is_some()
+        );
+        let empty = History::new(vec![txn(0, 1, 1)]);
+        assert!(!empty.commits_in_topological_order(&g));
+        assert!(empty.serialization_graph_acyclic(&g));
     }
 }

@@ -1,48 +1,46 @@
 //! Incremental per-state serializability checking.
 //!
-//! [`History`] checks a *complete* run post hoc; a model checker needs the
-//! Theorem 1 verdict after **every explored event** so a violation is
-//! reported at the exact state that introduced it (and the decision prefix
-//! up to that state becomes the counterexample). Re-running the batch
-//! checkers per event would be quadratic in history length, so this module
+//! [`History`] checks a *complete* run post hoc; the live audit planes need
+//! the Theorem 1 verdict while the run is still going, so a violation is
+//! reported at the point that introduced it. Re-running the batch checkers
+//! per transaction would be quadratic in history length, so this module
 //! maintains the same three verdicts incrementally:
 //!
-//! * **C1** — a per-directed-pair count of messages sent but not yet
-//!   visible, tested when a transaction begins (exactly
-//!   [`crate::Recorder`]'s freshness test);
+//! * **C1** — the producer's witnesses: each [`StampedTxn`] carries the
+//!   in-edge neighbors whose replica was stale when it began (the
+//!   [`crate::Recorder`]'s freshness test), and a transaction with any
+//!   counts once;
 //! * **C2** — eager overlap detection: an interval overlap exists iff the
 //!   later transaction begins while the earlier is still open, so checking
-//!   open neighbors at `begin` finds every violating pair exactly once;
+//!   open neighbors at each begin finds every violating pair exactly once;
 //! * **serialization graph** — per-item `last_write` / `written_at` and
-//!   per-vertex `newest_txn` state; because the driver is single-threaded,
-//!   operations arrive in global timestamp order and fold into a subset of
-//!   the edges [`History::serialization_graph`] computes with the same
-//!   reachability (an edge is left out only when a path of kept edges
-//!   already implies it), with a reachability probe per added edge for
-//!   cycle detection. Every structure is a flat array indexed by vertex or
-//!   transaction, and no step scans an adjacency, so a transaction costs
-//!   O(its degree) however the graph is skewed.
+//!   per-vertex `newest_txn` state; operations are applied in global
+//!   timestamp order and fold into a subset of the edges
+//!   [`History::serialization_graph`] computes with the same reachability
+//!   (an edge is left out only when a path of kept edges already implies
+//!   it), with a reachability probe per added edge for cycle detection.
+//!   Every structure is a flat array indexed by vertex or transaction, and
+//!   no step scans an adjacency, so a transaction costs O(its degree)
+//!   however the graph is skewed.
 //!
 //! The checker also accumulates full [`TxnRecord`]s, so the final
-//! [`IncrementalChecker::log`] is byte-for-byte comparable with a
-//! recorded run (the replay-determinism tests rely on this).
+//! [`IncrementalChecker::log`] is record-for-record comparable with a
+//! recorded run.
 //!
-//! # Watermark-ordered ingestion (the streaming audit plane)
+//! # Watermark-ordered ingestion
 //!
-//! A distributed run cannot drive `begin`/`end` in global timestamp order:
-//! each worker ships complete, Lamport-stamped transactions in batches, and
-//! batches from different workers interleave arbitrarily. The streaming
-//! entry points tolerate that: [`IncrementalChecker::observe`] buffers a
-//! whole stamped transaction, and [`IncrementalChecker::advance`] applies
-//! every buffered begin/commit event with `time < frontier` in global
-//! timestamp order — the caller (an `AuditHub`) guarantees, via per-worker
+//! Producers ship complete, stamped transactions in batches, and batches
+//! from different producers interleave arbitrarily.
+//! [`IncrementalChecker::observe`] buffers a whole stamped transaction, and
+//! [`IncrementalChecker::advance`] applies every buffered begin/commit
+//! event with `time < frontier` in global timestamp order — the caller (a
+//! [`crate::StreamingAuditor`] or the cluster's `AuditHub`) guarantees, via
 //! watermarks, that no future event can be stamped below the frontier.
 //! Because events are *replayed* in timestamp order, the verdicts and the
 //! accumulated history are identical to what a perfectly in-order feed
 //! would produce, no matter how arrivals were interleaved.
 
-use crate::history::{History, HistorySummary, TxnId, TxnRecord};
-use crate::ledger::{pair_slot, Ledger};
+use crate::history::{History, HistorySummary, TxnRecord};
 use sg_graph::{Graph, VertexId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -214,24 +212,15 @@ impl SerializationGraph {
     }
 }
 
-/// Incremental Theorem 1 checker driven by a single-threaded explorer.
-///
-/// Call order per transaction mirrors [`crate::Recorder`]:
-/// [`IncrementalChecker::begin`] → sends/visibility → final
-/// [`IncrementalChecker::end`]. Timestamps come from an internal monotone
-/// clock, so the operation stream is totally ordered by construction.
+/// Incremental Theorem 1 checker over a watermark-ordered feed of
+/// [`StampedTxn`]s: [`IncrementalChecker::observe`] buffers, and
+/// [`IncrementalChecker::advance`] applies in global timestamp order.
 pub struct IncrementalChecker {
     graph: Arc<Graph>,
-    clock: u64,
     /// vertex -> its currently open transaction, if any.
     open: Vec<Option<OpenTxn>>,
     /// Number of `open` slots currently occupied.
     open_count: usize,
-    /// Messages sent but not yet readable per directed pair (a send adds
-    /// one, a delivery takes one away) — [`crate::Recorder`]'s ledger.
-    /// Built by the first send or delivery: the streaming entry points
-    /// never make one, their producers ship the C1 witnesses.
-    ledger: Option<Ledger<u32>>,
     sg: SerializationGraph,
     /// Per item (vertex): the transaction that last wrote it, or [`NIL`].
     last_write: Vec<u32>,
@@ -244,13 +233,13 @@ pub struct IncrementalChecker {
     log: History,
     c1: usize,
     c2: usize,
-    /// Buffered stamped transactions awaiting release (streaming mode).
+    /// Buffered stamped transactions awaiting release.
     slab: Vec<Option<StampedTxn>>,
     /// Emptied `slab` slots awaiting reuse.
     free_slots: Vec<usize>,
     /// Min-heap of buffered events: `(time, slab index, is_commit)`.
     events: BinaryHeap<Reverse<(u64, usize, bool)>>,
-    /// Largest event stamp applied so far (streaming mode).
+    /// Largest event stamp applied so far.
     applied: u64,
 }
 
@@ -260,10 +249,8 @@ impl IncrementalChecker {
         let n = graph.num_vertices() as usize;
         Self {
             graph,
-            clock: 0,
             open: (0..n).map(|_| None).collect(),
             open_count: 0,
-            ledger: None,
             sg: SerializationGraph {
                 head: Vec::new(),
                 edges: Vec::new(),
@@ -294,36 +281,9 @@ impl IncrementalChecker {
             .expect("more transactions than u32 ids")
     }
 
-    fn tick(&mut self) -> u64 {
-        let t = self.clock;
-        self.clock += 1;
-        t
-    }
-
-    fn in_flight_mut(&mut self, from: VertexId, to: VertexId) -> Option<&mut u32> {
-        let i = pair_slot(&self.graph, from, to)?;
-        let graph = &self.graph;
-        let ledger = self.ledger.get_or_insert_with(|| Ledger::new(graph));
-        Some(&mut ledger.in_flight[i])
-    }
-
-    /// Vertex `from` handed a message for `to` to the system.
-    pub fn on_send(&mut self, from: VertexId, to: VertexId) {
-        if let Some(count) = self.in_flight_mut(from, to) {
-            *count = count.wrapping_add(1);
-        }
-    }
-
-    /// A message from `from` became readable by `to`.
-    pub fn on_visible(&mut self, from: VertexId, to: VertexId) {
-        if let Some(count) = self.in_flight_mut(from, to) {
-            *count = count.wrapping_sub(1);
-        }
-    }
-
-    /// Core of a transaction begin at `start` with producer-supplied C1
+    /// A transaction begins at `start` with producer-supplied C1
     /// witnesses: assign an id, count violations, fold the read operations.
-    fn apply_begin(&mut self, u: VertexId, start: u64, stale_reads: Vec<VertexId>) -> u32 {
+    fn apply_begin(&mut self, u: VertexId, start: u64, stale_reads: Vec<VertexId>) {
         assert!(
             self.open[u.index()].is_none(),
             "vertex {u:?} began twice without ending"
@@ -356,10 +316,9 @@ impl IncrementalChecker {
             concurrent_neighbors,
         });
         self.open_count += 1;
-        txn
     }
 
-    /// Core of a transaction commit at `end`: fold the write operation and
+    /// A transaction commits at `end`: fold the write operation and
     /// record the completed [`TxnRecord`].
     fn apply_end(&mut self, u: VertexId, end: u64) {
         let open = self.open[u.index()]
@@ -395,33 +354,8 @@ impl IncrementalChecker {
         self.written_at[u.index()] = self.begun();
     }
 
-    /// Vertex `u` begins executing: C1 freshness test, eager C2 probe, and
-    /// the read operations on `u` and its in-edge neighborhood.
-    ///
-    /// # Panics
-    /// Panics if `u` already has an open transaction (the explorer drives
-    /// each vertex sequentially).
-    pub fn begin(&mut self, u: VertexId) -> TxnId {
-        let start = self.tick();
-
-        let stale_reads = match &self.ledger {
-            Some(ledger) => ledger.stale_reads(&self.graph, u, |&c| c != 0),
-            None => Vec::new(),
-        };
-        self.apply_begin(u, start, stale_reads) as TxnId
-    }
-
-    /// Vertex `u`'s execution commits its write.
-    ///
-    /// # Panics
-    /// Panics if `u` has no open transaction.
-    pub fn end(&mut self, u: VertexId) {
-        let end = self.tick();
-        self.apply_end(u, end);
-    }
-
     /// Buffer a complete, externally-stamped transaction for
-    /// watermark-ordered release (streaming mode). Nothing is checked until
+    /// watermark-ordered release. Nothing is checked until
     /// [`IncrementalChecker::advance`] passes the transaction's stamps.
     ///
     /// # Panics
@@ -514,7 +448,7 @@ impl IncrementalChecker {
         self.slab.len() - self.free_slots.len()
     }
 
-    /// Largest event stamp applied so far (streaming mode).
+    /// Largest event stamp applied so far.
     pub fn applied_frontier(&self) -> u64 {
         self.applied
     }
@@ -587,35 +521,54 @@ mod tests {
         VertexId::new(raw)
     }
 
+    /// A fresh transaction of vertex `raw` over `[start, end)`.
+    fn stamped(raw: u32, start: u64, end: u64) -> StampedTxn {
+        StampedTxn {
+            vertex: v(raw),
+            start,
+            end,
+            stale_reads: Vec::new(),
+        }
+    }
+
+    /// Three rounds of one stamped txn per vertex, serially spaced, each
+    /// applied as it arrives: clean verdicts throughout.
     #[test]
-    fn serial_fresh_execution_stays_clean() {
+    fn serial_feed_stays_clean() {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
+        let mut t = 0u64;
         for _ in 0..3 {
             for u in g.vertices() {
-                c.begin(u);
-                for &t in g.out_neighbors(u) {
-                    c.on_send(u, t);
-                    c.on_visible(u, t);
-                }
-                c.end(u);
+                c.observe(stamped(u.raw(), t, t + 1));
+                t += 2;
+                assert!(c.advance(t).is_empty());
                 assert!(c.status().clean());
             }
         }
+        assert!(c.finish().is_empty());
+        assert_eq!(c.transactions(), 12);
+        assert_eq!(c.pending(), 0);
+        assert!(c.summary().one_copy_serializable);
         assert!(c.log().is_one_copy_serializable(&g));
     }
 
+    /// C1 counts when the stale transaction begins, before it commits.
     #[test]
     fn stale_read_flags_c1_at_begin() {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
-        c.begin(v(0));
-        c.on_send(v(0), v(1));
-        c.end(v(0));
+        c.observe(stamped(0, 0, 1));
+        c.observe(StampedTxn {
+            stale_reads: vec![v(0)],
+            ..stamped(1, 2, 3)
+        });
+        c.advance(2);
         assert!(c.status().clean());
-        c.begin(v(1)); // undelivered message: stale replica of v0
+        c.advance(3); // v1 has begun on a stale replica of v0
         assert_eq!(c.status().c1_violations, 1);
-        c.end(v(1));
+        assert_eq!(c.transactions(), 1);
+        c.finish();
         assert_eq!(c.log().c1_violations(), vec![1]);
     }
 
@@ -623,14 +576,15 @@ mod tests {
     fn overlapping_neighbors_flag_c2_and_cycle() {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
-        c.begin(v(0));
-        c.begin(v(1)); // neighbor of v0, concurrent
+        c.observe(stamped(0, 0, 2));
+        c.observe(stamped(1, 1, 3)); // neighbor of v0, concurrent
+        c.advance(2);
         let st = c.status();
         assert_eq!(st.c2_violations, 1);
+        assert!(st.serialization_graph_acyclic);
         // Both read each other before either writes: the cycle appears once
         // both writes commit.
-        c.end(v(0));
-        c.end(v(1));
+        assert_eq!(c.finish(), vec![AuditEvent::Cycle { vertex: v(1) }]);
         assert!(!c.status().serialization_graph_acyclic);
     }
 
@@ -639,10 +593,9 @@ mod tests {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
         // v0 and v3 are not adjacent in the paper's C4.
-        c.begin(v(0));
-        c.begin(v(3));
-        c.end(v(0));
-        c.end(v(3));
+        c.observe(stamped(0, 0, 2));
+        c.observe(stamped(3, 1, 3));
+        assert!(c.finish().is_empty());
         assert!(c.status().clean());
     }
 
@@ -651,39 +604,9 @@ mod tests {
     fn double_begin_panics() {
         let g = Arc::new(gen::ring(4));
         let mut c = IncrementalChecker::new(g);
-        c.begin(v(0));
-        c.begin(v(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "ended without beginning")]
-    fn end_without_begin_panics() {
-        let g = Arc::new(gen::ring(4));
-        let mut c = IncrementalChecker::new(g);
-        c.end(v(0));
-    }
-
-    /// Feed one stamped txn per vertex, serially spaced: clean verdicts.
-    #[test]
-    fn streaming_serial_feed_stays_clean() {
-        let g = Arc::new(gen::paper_c4());
-        let mut c = IncrementalChecker::new(Arc::clone(&g));
-        let mut t = 0u64;
-        for u in g.vertices() {
-            c.observe(StampedTxn {
-                vertex: u,
-                start: t,
-                end: t + 1,
-                stale_reads: Vec::new(),
-            });
-            t += 2;
-        }
-        let events = c.finish();
-        assert!(events.is_empty());
-        assert!(c.status().clean());
-        assert_eq!(c.transactions(), 4);
-        assert_eq!(c.pending(), 0);
-        assert!(c.summary().one_copy_serializable);
+        c.observe(stamped(0, 0, 2));
+        c.observe(stamped(0, 1, 3));
+        c.finish();
     }
 
     /// Overlapping stamped neighbor txns surface C2 (and the cycle) as
@@ -693,18 +616,8 @@ mod tests {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
         // v1's interval nests inside v0's — arrival order reversed.
-        c.observe(StampedTxn {
-            vertex: v(1),
-            start: 5,
-            end: 6,
-            stale_reads: Vec::new(),
-        });
-        c.observe(StampedTxn {
-            vertex: v(0),
-            start: 4,
-            end: 9,
-            stale_reads: Vec::new(),
-        });
+        c.observe(stamped(1, 5, 6));
+        c.observe(stamped(0, 4, 9));
         let events = c.finish();
         assert!(events.contains(&AuditEvent::C2 {
             vertex: v(1),
@@ -719,10 +632,8 @@ mod tests {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
         c.observe(StampedTxn {
-            vertex: v(1),
-            start: 0,
-            end: 1,
             stale_reads: vec![v(0)],
+            ..stamped(1, 0, 1)
         });
         let events = c.finish();
         assert_eq!(
@@ -741,18 +652,8 @@ mod tests {
     fn advance_respects_the_frontier() {
         let g = Arc::new(gen::ring(4));
         let mut c = IncrementalChecker::new(Arc::clone(&g));
-        c.observe(StampedTxn {
-            vertex: v(0),
-            start: 0,
-            end: 1,
-            stale_reads: Vec::new(),
-        });
-        c.observe(StampedTxn {
-            vertex: v(1),
-            start: 10,
-            end: 11,
-            stale_reads: Vec::new(),
-        });
+        c.observe(stamped(0, 0, 1));
+        c.observe(stamped(1, 10, 11));
         c.advance(5);
         assert_eq!(c.transactions(), 1);
         assert_eq!(c.pending(), 1);
@@ -769,19 +670,9 @@ mod tests {
     fn observe_below_applied_frontier_panics() {
         let g = Arc::new(gen::ring(4));
         let mut c = IncrementalChecker::new(g);
-        c.observe(StampedTxn {
-            vertex: v(0),
-            start: 10,
-            end: 11,
-            stale_reads: Vec::new(),
-        });
+        c.observe(stamped(0, 10, 11));
         c.finish();
-        c.observe(StampedTxn {
-            vertex: v(1),
-            start: 3,
-            end: 4,
-            stale_reads: Vec::new(),
-        });
+        c.observe(stamped(1, 3, 4));
     }
 
     /// 10,000 observe/advance rounds with one to three transactions in
@@ -797,12 +688,7 @@ mod tests {
             let in_flight = 1 + round % 3;
             for k in 0..in_flight {
                 // Vertices 0, 2, 4 of the ring are pairwise non-adjacent.
-                c.observe(StampedTxn {
-                    vertex: v(2 * k),
-                    start: t,
-                    end: t + 1,
-                    stale_reads: Vec::new(),
-                });
+                c.observe(stamped(2 * k, t, t + 1));
                 t += 2;
             }
             assert_eq!(c.pending(), in_flight as usize);
@@ -852,45 +738,55 @@ mod tests {
         ]
     }
 
-    /// Drive the self-clocked checker and a [`Recorder`] in lockstep through
-    /// a random schedule that overlaps neighbors and leaves sends
-    /// undelivered, checking every begin's stale reads against a per-pair
-    /// count kept here, and the live verdicts against the batch checkers
-    /// whenever no transaction is open (the batch checkers see committed
-    /// transactions only). Returns the checker and the recorder's history.
+    /// Drive a [`Recorder`] through a random schedule that overlaps
+    /// neighbors and leaves sends undelivered, checking every recorded
+    /// transaction's stale reads against a per-pair count kept here. The
+    /// checker ingests the recorder's transactions as a
+    /// [`crate::StreamingAuditor`] does, and whenever no transaction is
+    /// open its verdicts are checked against the batch checkers (which see
+    /// committed transactions only). Returns the checker and the
+    /// recorder's history.
     fn drive_random(g: &Arc<Graph>, seed: u64) -> (IncrementalChecker, History) {
         let mut rng = SplitMix64::new(seed);
         let n = u64::from(g.num_vertices());
         let mut c = IncrementalChecker::new(Arc::clone(g));
         let rec = Recorder::new(Arc::clone(g));
         let mut undelivered: BTreeMap<(VertexId, VertexId), i64> = BTreeMap::new();
-        let mut open: Vec<(VertexId, TxnGuard)> = Vec::new();
+        // Open executions, each with the stale reads it began with.
+        let mut open: Vec<(VertexId, TxnGuard, Vec<VertexId>)> = Vec::new();
+        // The stale reads of every commit, in commit order.
+        let mut expected_stale = Vec::new();
+        let mut fed = 0;
         for _ in 0..12 * n.min(40) {
             // Half the time aim at a neighbor of an open transaction, so a
             // large sparse graph sees overlaps too.
-            let near = open.last().map(|(o, _)| g.neighbors(*o));
+            let near = open.last().map(|(o, ..)| g.neighbors(*o));
             let u = match near {
                 Some(near) if !near.is_empty() && rng.gen_bool(0.5) => {
                     near[rng.gen_range(near.len() as u64) as usize]
                 }
                 _ => v(rng.gen_range(n) as u32),
             };
-            if let Some(pos) = open.iter().position(|(x, _)| *x == u) {
+            if let Some(pos) = open.iter().position(|(x, ..)| *x == u) {
                 if rng.gen_bool(0.6) {
                     for &t in g.out_neighbors(u) {
-                        c.on_send(u, t);
                         rec.on_send(u, t);
                         *undelivered.entry((u, t)).or_default() += 1;
                         if rng.gen_bool(0.5) {
-                            c.on_visible(u, t);
                             rec.on_visible(u, t);
                             *undelivered.entry((u, t)).or_default() -= 1;
                         }
                     }
                 }
-                c.end(u);
-                rec.end(open.swap_remove(pos).1);
+                let (_, guard, stale) = open.swap_remove(pos);
+                rec.end(guard);
+                expected_stale.push(stale);
                 if open.is_empty() {
+                    let fresh = rec.txns_since(fed);
+                    fed += fresh.len();
+                    fresh.into_iter().for_each(|t| c.observe(t));
+                    c.advance(rec.safe_watermark());
+                    assert_eq!(c.pending(), 0);
                     assert_matches_batch(
                         &c,
                         g,
@@ -901,16 +797,23 @@ mod tests {
                 let mut stale: Vec<VertexId> = g.in_neighbors(u).to_vec();
                 stale.dedup();
                 stale.retain(|&w| w != u && undelivered.get(&(w, u)).is_some_and(|&d| d != 0));
-                c.begin(u);
-                assert_eq!(c.open[u.index()].as_ref().unwrap().stale_reads, stale);
-                open.push((u, rec.begin(u)));
+                open.push((u, rec.begin(u), stale));
             }
         }
-        for (u, guard) in open {
-            c.end(u);
+        for (_, guard, stale) in open {
             rec.end(guard);
+            expected_stale.push(stale);
         }
-        (c, rec.history())
+        rec.txns_since(fed).into_iter().for_each(|t| c.observe(t));
+        c.finish();
+        let recorded = rec.history();
+        let stale: Vec<_> = recorded.txns().iter().map(|t| &t.stale_reads).collect();
+        assert_eq!(
+            stale,
+            expected_stale.iter().collect::<Vec<_>>(),
+            "seed {seed}"
+        );
+        (c, recorded)
     }
 
     /// Live verdicts of `c` against the batch checkers over its own log.
@@ -962,7 +865,7 @@ mod tests {
                 let what = format!("{name} seed {seed}");
                 let mut rng = SplitMix64::new(seed ^ 0x5EED);
                 // A random stamped schedule (possibly overlapping), harvested
-                // from the self-clocked checker's log.
+                // from the recorder's history.
                 let recorded = drive_random(&g, seed).1;
                 let stamped: Vec<StampedTxn> =
                     recorded.txns().iter().map(StampedTxn::from).collect();

@@ -1,6 +1,5 @@
-//! Condition C1's ledger, shared by [`crate::Recorder`] and
-//! [`crate::IncrementalChecker`]: one count of messages in flight per
-//! directed pair, addressed by the sender.
+//! Condition C1's ledger, the [`crate::Recorder`]'s: one count of messages
+//! in flight per directed pair, addressed by the sender.
 //!
 //! A pair `from -> to` counts at the out-CSR slot of its first edge in
 //! `from`'s out-run — a binary search over the adjacency the sender's
@@ -10,17 +9,18 @@
 //! that walk is one gather. Parallel edges share their first slot.
 
 use sg_graph::{Graph, VertexId};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Per-pair in-flight counters of cell type `C` (an atomic for the
-/// concurrent recorder, a plain integer for the single-threaded checker).
-pub(crate) struct Ledger<C> {
+/// Per-pair in-flight counters: a send adds one, a delivery takes one
+/// away (wrapping).
+pub(crate) struct Ledger {
     /// Per out-CSR slot ([`pair_slot`]); only a pair's first slot counts.
-    pub(crate) in_flight: Vec<C>,
+    pub(crate) in_flight: Vec<AtomicU32>,
     /// In-CSR slot -> its pair's counter slot.
     in_to_out: Vec<u32>,
 }
 
-impl<C: Default> Ledger<C> {
+impl Ledger {
     /// Zeroed counters over `graph`, and the in-to-out map built by the
     /// walk [`Graph`] fills its in-CSR with: sources ascending, each
     /// out-run ascending, so every in-slot comes up in the order it was
@@ -46,25 +46,21 @@ impl<C: Default> Ledger<C> {
             }
         }
         Self {
-            in_flight: targets.iter().map(|_| C::default()).collect(),
+            in_flight: targets.iter().map(|_| AtomicU32::new(0)).collect(),
             in_to_out,
         }
     }
 
     /// C1's test as `u` begins: its distinct in-neighbors other than `u`
-    /// whose counter `in_flight` reports messages in flight, ascending.
-    pub(crate) fn stale_reads(
-        &self,
-        graph: &Graph,
-        u: VertexId,
-        in_flight: impl Fn(&C) -> bool,
-    ) -> Vec<VertexId> {
+    /// with messages in flight to `u`, ascending.
+    pub(crate) fn stale_reads(&self, graph: &Graph, u: VertexId) -> Vec<VertexId> {
         let ins = graph.in_neighbors(u);
         let base = graph.in_edge_base(u) as usize;
         let slots = &self.in_to_out[base..base + ins.len()];
         let mut stale = Vec::new();
         for (&v, &slot) in ins.iter().zip(slots) {
-            if v != u && stale.last() != Some(&v) && in_flight(&self.in_flight[slot as usize]) {
+            let in_flight = || self.in_flight[slot as usize].load(Ordering::SeqCst) != 0;
+            if v != u && stale.last() != Some(&v) && in_flight() {
                 stale.push(v);
             }
         }

@@ -26,7 +26,7 @@ use crate::history::{History, TxnRecord};
 use crate::incremental::StampedTxn;
 use crate::ledger::{pair_slot, Ledger};
 use sg_graph::{Graph, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
@@ -44,7 +44,7 @@ pub struct Recorder {
     executing_since: Vec<AtomicU64>,
     /// Messages handed to the system but not yet readable, per directed
     /// pair: a send adds one, a delivery takes one away (wrapping).
-    ledger: Ledger<AtomicU32>,
+    ledger: Ledger,
     txns: Mutex<Vec<TxnRecord>>,
     /// Fired from [`Recorder::end`] once the finished record has landed —
     /// the point at which the vertex execution's write is *committed*.
@@ -111,8 +111,7 @@ impl Recorder {
         self.executing_since[u.index()].store(self.clock.load(Ordering::SeqCst), Ordering::SeqCst);
         let start = self.tick();
 
-        let in_flight = |c: &AtomicU32| c.load(Ordering::SeqCst) != 0;
-        let stale_reads = self.ledger.stale_reads(&self.graph, u, in_flight);
+        let stale_reads = self.ledger.stale_reads(&self.graph, u);
 
         let concurrent_neighbors = self
             .graph

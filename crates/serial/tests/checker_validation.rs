@@ -1,8 +1,10 @@
 //! Validation of the serializability checker itself: for small random
 //! histories, the serialization-graph test must agree with a brute-force
 //! oracle that enumerates every serial order and checks conflict
-//! equivalence directly. Cases are drawn from the in-repo deterministic
-//! [`SplitMix64`] generator, so the suite is exactly reproducible offline.
+//! equivalence directly, the commit-order certificate must agree with
+//! Kahn's algorithm, and the C2 scan with a scan of every pair. Cases are
+//! drawn from the in-repo deterministic [`SplitMix64`] generator, so the
+//! suite is exactly reproducible offline.
 
 use sg_graph::{Graph, SplitMix64, VertexId};
 use sg_serial::{History, TxnRecord};
@@ -176,4 +178,165 @@ fn equivalent_serial_order_respects_conflicts() {
             }
         }
     }
+}
+
+/// The history shapes the differential test draws.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// One transaction at a time.
+    Serial,
+    /// Each vertex runs one execution at a time, neighbors interleave.
+    NeighborOverlaps,
+    /// Any two transactions may overlap, on one vertex too.
+    SameVertexOverlaps,
+    /// Stamps drawn from a narrow range, so transactions share them.
+    SharedStamps,
+}
+
+/// A random directed graph on 3 to 6 vertices: one-way and two-way edges,
+/// now and then a parallel edge or a self-loop.
+fn random_digraph(rng: &mut SplitMix64) -> Graph {
+    let n = 3 + rng.gen_index(4) as u32;
+    let mut edges = Vec::new();
+    for a in 0..n {
+        for b in 0..n {
+            if a != b && rng.gen_bool(0.35) {
+                edges.push((a, b));
+                if rng.gen_bool(0.1) {
+                    edges.push((a, b));
+                }
+            }
+        }
+    }
+    if rng.gen_bool(0.2) {
+        let v = rng.gen_range(u64::from(n)) as u32;
+        edges.push((v, v));
+    }
+    Graph::from_edges(n, &edges)
+}
+
+fn shuffle<T>(items: &mut [T], rng: &mut SplitMix64) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_index(i + 1));
+    }
+}
+
+/// 2 to 12 transactions of `shape` on random vertices of `g`.
+fn shaped_history(rng: &mut SplitMix64, g: &Graph, shape: Shape) -> Vec<TxnRecord> {
+    let count = 2 + rng.gen_index(11);
+    let n = u64::from(g.num_vertices());
+    let vertices: Vec<u32> = (0..count).map(|_| rng.gen_range(n) as u32).collect();
+    let mut stamps: Vec<u64> = (0..2 * count as u64).collect();
+    shuffle(&mut stamps, rng);
+    let intervals: Vec<(u64, u64)> = match shape {
+        Shape::Serial => (0..count as u64).map(|k| (2 * k, 2 * k + 1)).collect(),
+        Shape::SameVertexOverlaps => stamps
+            .chunks(2)
+            .map(|p| (p[0].min(p[1]), p[0].max(p[1])))
+            .collect(),
+        Shape::NeighborOverlaps => {
+            // Each vertex pairs up its own stamps in ascending order.
+            let mut intervals = vec![(0, 0); count];
+            for v in 0..g.num_vertices() {
+                let own: Vec<usize> = (0..count).filter(|&k| vertices[k] == v).collect();
+                let mut mine: Vec<u64> = own
+                    .iter()
+                    .flat_map(|&k| [stamps[2 * k], stamps[2 * k + 1]])
+                    .collect();
+                mine.sort_unstable();
+                for (&k, pair) in own.iter().zip(mine.chunks(2)) {
+                    intervals[k] = (pair[0], pair[1]);
+                }
+            }
+            intervals
+        }
+        Shape::SharedStamps => (0..count)
+            .map(|_| {
+                let start = rng.gen_range(6);
+                (start, start + 1 + rng.gen_range(3))
+            })
+            .collect(),
+    };
+    vertices
+        .iter()
+        .zip(intervals)
+        .map(|(&v, (start, end))| TxnRecord {
+            vertex: VertexId::new(v),
+            start,
+            end,
+            stale_reads: vec![],
+            concurrent_neighbors: vec![],
+        })
+        .collect()
+}
+
+/// Condition C2 by definition: every pair of transactions on two distinct
+/// adjacent vertices (either direction) whose intervals overlap.
+fn c2_by_pairs(g: &Graph, txns: &[TxnRecord]) -> Vec<(usize, usize)> {
+    let adjacent = |a: VertexId, b: VertexId| {
+        a != b && (g.out_neighbors(a).contains(&b) || g.in_neighbors(a).contains(&b))
+    };
+    let mut pairs = Vec::new();
+    for a in 0..txns.len() {
+        for b in a + 1..txns.len() {
+            if adjacent(txns[a].vertex, txns[b].vertex) && txns[a].overlaps(&txns[b]) {
+                pairs.push((a, b));
+            }
+        }
+    }
+    pairs
+}
+
+/// Differential test of the post-hoc checker on every history shape: the
+/// acyclicity verdict (commit order first, Kahn's algorithm only as the
+/// fallback) equals Kahn's verdict alone and, where the permutation
+/// oracle is affordable, the oracle's; the C2 witnesses equal a scan of
+/// every pair. The cases include serialization graphs whose edges all run
+/// forward in commit order, graphs with a backward edge that stay acyclic,
+/// and graphs with a backward edge that close a cycle, so the fallback is
+/// taken and decides both ways.
+#[test]
+fn certificate_and_c2_scan_match_brute_force() {
+    let mut rng = SplitMix64::new(0xD1FF);
+    let (mut forward, mut backward_acyclic, mut cyclic, mut overlapping) = (0, 0, 0, 0);
+    for case in 0..2_000 {
+        let shape = [
+            Shape::Serial,
+            Shape::NeighborOverlaps,
+            Shape::SameVertexOverlaps,
+            Shape::SharedStamps,
+        ][case % 4];
+        let g = random_digraph(&mut rng);
+        let txns = shaped_history(&mut rng, &g, shape);
+        let h = History::new(txns.clone());
+        let what = format!("case {case} ({shape:?}): graph={g:?} txns={txns:?}");
+
+        let acyclic = h.serialization_graph_acyclic(&g);
+        assert_eq!(acyclic, h.equivalent_serial_order(&g).is_some(), "{what}");
+        if txns.len() <= 6 && !matches!(shape, Shape::SharedStamps) {
+            assert_eq!(acyclic, oracle_serializable(&g, &txns), "{what}");
+        }
+        let c2: Vec<(usize, usize)> = h.c2_violations(&g).iter().map(|v| (v.a, v.b)).collect();
+        assert_eq!(c2, c2_by_pairs(&g, &txns), "{what}");
+
+        let backward = h
+            .serialization_graph(&g)
+            .iter()
+            .enumerate()
+            .any(|(a, outs)| outs.iter().any(|&b| txns[a].end >= txns[b].end));
+        match (backward, acyclic) {
+            (false, true) => forward += 1,
+            (true, true) => backward_acyclic += 1,
+            (_, false) => cyclic += 1,
+        }
+        overlapping += usize::from(!c2.is_empty());
+        if matches!(shape, Shape::Serial) {
+            assert!(!backward && c2.is_empty(), "{what}");
+        }
+    }
+    assert!(
+        forward > 0 && backward_acyclic > 0 && cyclic > 0 && overlapping > 0,
+        "{forward} forward, {backward_acyclic} backward but acyclic, {cyclic} cyclic, \
+         {overlapping} with C2 witnesses"
+    );
 }
