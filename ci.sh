@@ -45,6 +45,9 @@ if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/store.rs | grep -nE 'HashMap|MAX
 if grep -n 'pending\.fetch_' crates/engine/src/engine.rs; then exit 1; fi
 if grep -rnE 'locate: Vec<\(u32, u32\)>' crates/engine/src crates/net/src; then exit 1; fi
 
+echo "== a queued message costs a block slot, not a node: no per-envelope node type or node slab in the store =="
+if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/store.rs | grep -niE 'struct Node<|slab'; then exit 1; fi
+
 echo "== one C1 ledger, addressed by the sender: no in-CSR pair search, no sent/visible counter arrays in the recorder =="
 if grep -rn 'in_edge_index' crates/*/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/recorder.rs | grep -nE '\b(sent|visible):'; then exit 1; fi

@@ -16,11 +16,14 @@
 //!    local vertex, and a slot holds its first envelope *inline*: with a
 //!    combiner — at most one envelope per vertex — an insert touches the
 //!    slot's cache line and nothing else. Later envelopes of a combiner-
-//!    free run chain through a node slab with a free list, so the
-//!    insert/drain cycle allocates nothing in steady state. The queued
-//!    count is a plain integer under the lock; an occupancy bitmap beside
-//!    it answers [`PartitionStore::has_messages`] without the lock. A
-//!    whole batch goes in under one acquisition per partition through
+//!    free run fill a chain of fixed-size blocks in arrival order, eight
+//!    envelopes to a block (a cache line of `u32` messages): a drain reads
+//!    one block per eight messages and hands the whole chain to a free
+//!    list in one step, so the insert/drain cycle allocates nothing in
+//!    steady state. The queued count is a plain integer under the lock;
+//!    an occupancy bitmap beside it answers
+//!    [`PartitionStore::has_messages`] without the lock. A whole batch
+//!    goes in under one acquisition per partition through
 //!    [`InboxPair::deliver_batch`], which is what keeps the single lock
 //!    uncontended; the thread engine, the networked worker and the
 //!    simulator all land batches there.
@@ -45,67 +48,83 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// and the BSP visibility swap) and its payload.
 pub type Envelope<M> = (VertexId, M);
 
-/// Sentinel for "no node" in the overflow chains.
+/// Sentinel for "no block" in the overflow chains.
 const NIL: u32 = u32::MAX;
 
-/// One vertex's queue: the first envelope in place, any later ones chained
-/// through [`Slots::slab`] in arrival order.
+/// Envelopes per overflow block: one block of the colouring programs'
+/// `(VertexId, u32)` envelopes is one 64-byte cache line.
+const BLOCK_LEN: usize = 8;
+
+/// One vertex's queue: the first envelope in place, any later ones in a
+/// chain of [`Block`]s, filled in arrival order.
 #[derive(Debug)]
 struct Slot<M> {
     first: Option<Envelope<M>>,
-    /// Second envelope's node (`NIL` = none).
+    /// First overflow block (`NIL` = none).
     head: u32,
-    /// Last envelope's node, for O(1) FIFO append (`NIL` with `head`).
+    /// Position of the last chained envelope, `block * BLOCK_LEN +
+    /// offset`: the tail block and how full it is, in one word (meaningless
+    /// while `head` is `NIL`). Every block before the tail is full.
     tail: u32,
 }
 
-/// One overflow node: an envelope plus the intrusive chain/free-list link.
-/// Freed nodes keep their payload until reused (messages are small values;
-/// nothing observes a freed node).
+/// A run of up to [`BLOCK_LEN`] chained envelopes plus the intrusive
+/// chain/free-list link. A block is born full of clones of the envelope
+/// that opened it, and freed blocks keep their payloads until reused
+/// (messages are small values; nothing reads past a chain's tail).
 #[derive(Debug)]
-struct Node<M> {
-    sender: VertexId,
-    msg: M,
+struct Block<M> {
+    envelopes: [Envelope<M>; BLOCK_LEN],
     next: u32,
 }
 
-/// Overflow nodes, addressed by a dense index, in chunks of a fixed size:
+/// Overflow blocks, addressed by a dense index, in chunks of a fixed size:
 /// growing allocates a chunk and moves nothing. (One `Vec` doubling by
 /// copy left the allocator holding the old copies — several MiB of a
 /// colouring run's peak.)
 #[derive(Debug)]
-struct Slab<M> {
-    chunks: Vec<Vec<Node<M>>>,
+struct Blocks<M> {
+    chunks: Vec<Vec<Block<M>>>,
     len: u32,
 }
 
-const CHUNK_BITS: u32 = 10;
+/// Blocks per chunk: 1,024 envelopes.
+const CHUNK_BITS: u32 = 7;
 const CHUNK_MASK: u32 = (1 << CHUNK_BITS) - 1;
 
-impl<M> Slab<M> {
-    fn push(&mut self, node: Node<M>) -> u32 {
+impl<M: Clone> Blocks<M> {
+    /// A new block holding `envelope` at offset 0.
+    fn push(&mut self, envelope: Envelope<M>) -> u32 {
         let idx = self.len;
-        assert!(idx < NIL, "partition store overflow");
+        assert!(
+            (idx as usize) < NIL as usize / BLOCK_LEN,
+            "partition store overflow"
+        );
         if idx & CHUNK_MASK == 0 {
             self.chunks.push(Vec::with_capacity(1 << CHUNK_BITS));
         }
-        self.chunks[(idx >> CHUNK_BITS) as usize].push(node);
+        let mut envelopes = std::array::from_fn(|_| envelope.clone());
+        envelopes[0] = envelope;
+        self.chunks[(idx >> CHUNK_BITS) as usize].push(Block {
+            envelopes,
+            next: NIL,
+        });
         self.len += 1;
         idx
     }
 }
 
-impl<M> std::ops::Index<u32> for Slab<M> {
-    type Output = Node<M>;
+impl<M> std::ops::Index<u32> for Blocks<M> {
+    type Output = Block<M>;
     #[inline]
-    fn index(&self, idx: u32) -> &Node<M> {
+    fn index(&self, idx: u32) -> &Block<M> {
         &self.chunks[(idx >> CHUNK_BITS) as usize][(idx & CHUNK_MASK) as usize]
     }
 }
 
-impl<M> std::ops::IndexMut<u32> for Slab<M> {
+impl<M> std::ops::IndexMut<u32> for Blocks<M> {
     #[inline]
-    fn index_mut(&mut self, idx: u32) -> &mut Node<M> {
+    fn index_mut(&mut self, idx: u32) -> &mut Block<M> {
         &mut self.chunks[(idx >> CHUNK_BITS) as usize][(idx & CHUNK_MASK) as usize]
     }
 }
@@ -114,42 +133,61 @@ impl<M> std::ops::IndexMut<u32> for Slab<M> {
 #[derive(Debug)]
 struct Slots<M> {
     slots: Vec<Slot<M>>,
-    /// Overflow nodes; indices are stable until the node is freed.
-    slab: Slab<M>,
-    /// Head of the free list threaded through `slab[i].next`.
+    /// Overflow blocks; indices are stable until the block is freed.
+    blocks: Blocks<M>,
+    /// Head of the free list threaded through `blocks[i].next`.
     free: u32,
     /// Envelopes queued across all slots.
     count: usize,
 }
 
-impl<M> Slots<M> {
-    /// Take a node off the free list (or grow the slab) and append it to
-    /// `local`'s overflow chain.
-    fn chain(&mut self, local: usize, sender: VertexId, msg: M) {
+impl<M: Clone> Slots<M> {
+    /// Append an envelope to `local`'s overflow chain: into the tail
+    /// block's next free place, or at the start of a block taken off the
+    /// free list (or grown) and linked behind the tail.
+    fn chain(&mut self, local: usize, envelope: Envelope<M>) {
+        let slot = &mut self.slots[local];
+        let at = slot.tail as usize + 1;
+        if slot.head != NIL && !at.is_multiple_of(BLOCK_LEN) {
+            self.blocks[(at / BLOCK_LEN) as u32].envelopes[at % BLOCK_LEN] = envelope;
+            slot.tail = at as u32;
+            return;
+        }
         let idx = if self.free != NIL {
             let idx = self.free;
-            let node = &mut self.slab[idx];
-            self.free = node.next;
-            *node = Node {
-                sender,
-                msg,
-                next: NIL,
-            };
+            let block = &mut self.blocks[idx];
+            self.free = std::mem::replace(&mut block.next, NIL);
+            block.envelopes[0] = envelope;
             idx
         } else {
-            self.slab.push(Node {
-                sender,
-                msg,
-                next: NIL,
-            })
+            self.blocks.push(envelope)
         };
-        let slot = &mut self.slots[local];
         if slot.head == NIL {
             slot.head = idx;
         } else {
-            self.slab[slot.tail].next = idx;
+            self.blocks[slot.tail / BLOCK_LEN as u32].next = idx;
         }
-        slot.tail = idx;
+        slot.tail = idx * BLOCK_LEN as u32;
+    }
+
+    /// The filled part of each block of the chain from block `head` to
+    /// position `tail` (a [`Slot`]'s pair), in FIFO order.
+    fn runs(&self, head: u32, tail: u32) -> impl Iterator<Item = &[Envelope<M>]> {
+        let (last, tail_len) = (tail / BLOCK_LEN as u32, tail as usize % BLOCK_LEN + 1);
+        let mut idx = head;
+        std::iter::from_fn(move || {
+            if idx == NIL {
+                return None;
+            }
+            let block = &self.blocks[idx];
+            let (run, next) = if idx == last {
+                (&block.envelopes[..tail_len], NIL)
+            } else {
+                (&block.envelopes[..], block.next)
+            };
+            idx = next;
+            Some(run)
+        })
     }
 }
 
@@ -218,7 +256,7 @@ impl<M: Clone + Send + 'static> LockedStore<'_, M> {
                     *queued = (sender, c.combine(queued.1.clone(), msg));
                     return Some(absorbed);
                 }
-                None => self.inner.chain(local, sender, msg),
+                None => self.inner.chain(local, (sender, msg)),
             },
         }
         self.inner.count += 1;
@@ -235,19 +273,19 @@ impl<M: Clone + Send + 'static> LockedStore<'_, M> {
         let Some(first) = slot.first.take() else {
             return 0;
         };
+        let before = out.len();
         out.push(first);
-        let mut n = 1;
-        let mut idx = std::mem::replace(&mut slot.head, NIL);
-        slot.tail = NIL;
-        while idx != NIL {
-            let node = &mut inner.slab[idx];
-            out.push((node.sender, node.msg.clone()));
-            // Onto the free list; on along the chain.
-            let next = std::mem::replace(&mut node.next, inner.free);
-            inner.free = idx;
-            idx = next;
-            n += 1;
+        let head = std::mem::replace(&mut slot.head, NIL);
+        if head != NIL {
+            let tail = slot.tail;
+            for run in inner.runs(head, tail) {
+                out.extend_from_slice(run);
+            }
+            // The whole chain onto the free list at once.
+            inner.blocks[tail / BLOCK_LEN as u32].next = inner.free;
+            inner.free = head;
         }
+        let n = out.len() - before;
         inner.count -= n;
         self.mark(local, false);
         n
@@ -265,7 +303,7 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
         Self {
             inner: Mutex::new(Slots {
                 slots: (0..len).map(|_| empty()).collect(),
-                slab: Slab {
+                blocks: Blocks {
                     chunks: Vec::new(),
                     len: 0,
                 },
@@ -324,8 +362,8 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
 
     /// Move every queued message into `dst` (same slot layout), calling
     /// `on_move(local, sender)` per envelope — the BSP barrier swap. Both
-    /// stores keep their slab allocations: the source's nodes return to its
-    /// free list, the target allocates from its own.
+    /// stores keep their block allocations: the source's blocks return to
+    /// its free list, the target allocates from its own.
     ///
     /// # Panics
     /// Panics if the stores have different slot counts.
@@ -351,11 +389,8 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
         let inner = &*store.inner;
         let queue = |slot: &Slot<M>| {
             let mut queue: Vec<_> = slot.first.iter().cloned().collect();
-            let mut idx = slot.head;
-            while idx != NIL {
-                let node = &inner.slab[idx];
-                queue.push((node.sender, node.msg.clone()));
-                idx = node.next;
+            for run in inner.runs(slot.head, slot.tail) {
+                queue.extend_from_slice(run);
             }
             queue
         };
@@ -855,20 +890,193 @@ mod tests {
                     }
                     _ => agrees(&store, &model, &what),
                 }
-                let chained =
-                    |m: &Model| -> usize { m.iter().map(|q| q.len().saturating_sub(1)).sum() };
-                high_water = high_water.max(chained(&model));
-                // Overflow nodes are reused, not leaked: the slab is no
-                // longer than the most the chains ever held at once (plus
-                // what a rollback's scratch insert may have chained).
-                let slab = store.lock().inner.slab.len as usize;
+                let blocks_needed = |m: &Model| -> usize {
+                    m.iter()
+                        .map(|q| q.len().saturating_sub(1).div_ceil(BLOCK_LEN))
+                        .sum()
+                };
+                high_water = high_water.max(blocks_needed(&model));
+                // Overflow blocks are reused, not leaked: no more are
+                // allocated than the chains ever filled at once (plus what
+                // a rollback's scratch insert may have opened).
+                let blocks = store.lock().inner.blocks.len as usize;
                 assert!(
-                    slab <= high_water + 1,
-                    "{what}: {slab} nodes, peak {high_water}"
+                    blocks <= high_water + 1,
+                    "{what}: {blocks} blocks, peak {high_water}"
                 );
-                assert!(!combine || slab == 0, "{what}: a combined slot chained");
+                assert!(!combine || blocks == 0, "{what}: a combined slot chained");
             }
             agrees(&store, &model, "end");
+        }
+    }
+
+    /// Blocks allocated, and blocks on the free list.
+    fn block_census<M: Clone + Send + 'static>(store: &PartitionStore<M>) -> (u32, u32) {
+        let locked = store.lock();
+        let inner = &*locked.inner;
+        let mut free = 0;
+        let mut idx = inner.free;
+        while idx != NIL {
+            free += 1;
+            idx = inner.blocks[idx].next;
+        }
+        (inner.blocks.len, free)
+    }
+
+    #[test]
+    fn a_slot_stays_32_bytes() {
+        assert_eq!(std::mem::size_of::<Slot<f64>>(), 32);
+    }
+
+    /// One slot, every queue length from empty to past the third block
+    /// boundary: FIFO through the inline envelope and every block edge, and
+    /// each drain's blocks serve the next, longer queue.
+    #[test]
+    fn every_block_boundary_keeps_fifo() {
+        let s = PartitionStore::new(1);
+        for n in 0..=3 * BLOCK_LEN as u64 + 1 {
+            let want: Vec<_> = (0..n).map(|i| (v(i as u32), 100 + i)).collect();
+            {
+                let mut locked = s.lock();
+                for &(sender, msg) in &want {
+                    assert_eq!(locked.insert(0, sender, msg, None), None);
+                }
+            }
+            assert_eq!(s.total(), n as usize);
+            assert_eq!(s.has_messages(0), n > 0);
+            let exported = s.export();
+            assert_eq!(exported[0], want, "export, {n} queued");
+            let mut out = vec![(v(0), 0)];
+            assert_eq!(s.drain_into(0, &mut out), n as usize);
+            assert_eq!(out[1..], want[..], "drain, {n} queued");
+            assert_eq!(s.total(), 0);
+            assert!(!s.has_messages(0));
+            let chained = (n as usize).saturating_sub(1);
+            let (blocks, free) = block_census(&s);
+            assert_eq!(blocks as usize, chained.div_ceil(BLOCK_LEN), "{n} queued");
+            assert_eq!(free, blocks, "a drain frees the whole chain");
+        }
+    }
+
+    /// Multi-block chains freed by drains are what the refills chain
+    /// through: the same blocks, whatever the new queues' shapes.
+    #[test]
+    fn freed_chains_are_reused_by_refills() {
+        let s = PartitionStore::new(4);
+        let fill = |lens: [usize; 4], base: u64| {
+            let mut locked = s.lock();
+            for (local, &len) in lens.iter().enumerate() {
+                for i in 0..len as u64 {
+                    locked.insert(local, v(local as u32), base + i, None);
+                }
+            }
+        };
+        let drain_all = |lens: [usize; 4], base: u64| {
+            for (local, &len) in lens.iter().enumerate() {
+                let want: Vec<_> = (0..len as u64)
+                    .map(|i| (v(local as u32), base + i))
+                    .collect();
+                assert_eq!(s.drain(local), want, "slot {local}");
+            }
+        };
+        // 1 + 2K + 1, 1 + 3K and 1 + K + 3 envelopes chain 3, 3 and 2 blocks.
+        let k = BLOCK_LEN;
+        let first = [2 * k + 2, 3 * k + 1, 0, k + 4];
+        fill(first, 0);
+        assert_eq!(block_census(&s), (8, 0));
+        drain_all(first, 0);
+        assert_eq!(block_census(&s), (8, 8));
+        // All eight blocks behind one slot, then spread thin over four.
+        for (lens, base) in [([0, 0, 8 * k + 1, 0], 1_000), ([k + 1, 2, k, 3], 2_000)] {
+            fill(lens, base);
+            let chained: usize = lens.iter().map(|&l| l.saturating_sub(1).div_ceil(k)).sum();
+            assert_eq!(block_census(&s), (8, 8 - chained as u32), "{lens:?}");
+            drain_all(lens, base);
+            assert_eq!(block_census(&s), (8, 8));
+        }
+        // Half drained and refilled: the refill takes the freed blocks and
+        // the undrained chain stays intact and in order.
+        fill(first, 3_000);
+        s.drain(0);
+        s.drain(3);
+        fill([2 * k + 1, 0, 0, 0], 4_000);
+        assert_eq!(block_census(&s), (8, 3));
+        let slot = |local: u32, len: u64, base: u64| (0..len).map(move |i| (v(local), base + i));
+        assert!(s.drain(0).into_iter().eq(slot(0, 2 * k as u64 + 1, 4_000)));
+        assert!(s.drain(1).into_iter().eq(slot(1, 3 * k as u64 + 1, 3_000)));
+        assert_eq!(block_census(&s), (8, 8));
+    }
+
+    /// The checkpoint pair and the barrier swap on queues that end on, just
+    /// before and just past block edges, into targets whose tail blocks are
+    /// part full.
+    #[test]
+    fn export_restore_and_transfer_cross_block_edges() {
+        let k = BLOCK_LEN;
+        let lens = [k, k + 1, k + 2, 2 * k + 1, 2 * k + 2, 1];
+        let queue =
+            |local: usize, base: u64| (0..lens[local] as u64).map(move |i| (v(i as u32), base + i));
+        let a = PartitionStore::new(lens.len());
+        for local in 0..lens.len() {
+            for (sender, msg) in queue(local, 0) {
+                a.insert(local, sender, msg, None);
+            }
+        }
+        let snapshot = a.export();
+        for (local, q) in snapshot.iter().enumerate() {
+            assert!(q.iter().copied().eq(queue(local, 0)), "export {local}");
+        }
+        let b = PartitionStore::new(lens.len());
+        b.insert(1, v(9), 9, None);
+        b.insert(4, v(9), 9, None);
+        b.restore(snapshot.clone());
+        assert_eq!(b.export(), snapshot, "restore");
+
+        // Into targets already holding 3 envelopes a slot: what moves in
+        // queues behind them, across the targets' part-full tail blocks.
+        let c = PartitionStore::new(lens.len());
+        for local in 0..lens.len() {
+            for i in 0..3 {
+                c.insert(local, v(50), 50 + i, None);
+            }
+        }
+        let mut moved = 0;
+        b.transfer_all(&c, |_, _| moved += 1);
+        assert_eq!((moved, b.total()), (lens.iter().sum::<usize>(), 0));
+        for local in 0..lens.len() {
+            let held = (0..3).map(|i| (v(50), 50 + i));
+            assert!(
+                c.drain(local).into_iter().eq(held.chain(queue(local, 0))),
+                "slot {local}"
+            );
+        }
+        // The source's blocks all went back to its free list.
+        let (blocks, free) = block_census(&b);
+        assert_eq!(free, blocks);
+    }
+
+    /// A message type that is not `Copy`: new blocks are filled with clones
+    /// of the envelope that opened them, and neither those clones nor a
+    /// freed block's leftovers ever reach a reader.
+    #[test]
+    fn clone_filled_blocks_carry_owned_messages() {
+        let s = PartitionStore::new(2);
+        let text = |round: usize, i: usize| format!("round {round} message {i}");
+        for (round, n) in [2 * BLOCK_LEN + 3, BLOCK_LEN + 1, 3 * BLOCK_LEN]
+            .into_iter()
+            .enumerate()
+        {
+            for i in 0..n {
+                s.insert(i % 2, v(i as u32), text(round, i), None);
+            }
+            for local in 0..2 {
+                let want: Vec<_> = (local..n)
+                    .step_by(2)
+                    .map(|i| (v(i as u32), text(round, i)))
+                    .collect();
+                assert_eq!(s.export()[local], want, "round {round} export");
+                assert_eq!(s.drain(local), want, "round {round} drain");
+            }
         }
     }
 
