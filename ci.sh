@@ -19,6 +19,9 @@ if grep -rnE 'enum (NetAction|TransportEvent|CheckTechnique)' crates | grep -v '
 echo "== the incremental checker stays linear: no nested-Vec adjacency, no membership scan (tests below #[cfg(test)] may) =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'Vec<Vec<|\.contains\('; then exit 1; fi
 
+echo "== one Theorem-1 checker: the live checker certifies commit order and keeps no serialization graph (no SerializationGraph, no reachability probe, no per-item last writer above #[cfg(test)]) =="
+if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'struct SerializationGraph|fn reaches|last_write'; then exit 1; fi
+
 echo "== the post-hoc checker stays linear: no per-vertex Vec<Vec< list in history.rs (serialization_graph's return type, the tests' oracle, aside); summarize reaches conflict_edges/topo_sort only through the acyclicity fallback =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/history.rs | grep -n 'Vec<Vec<' | grep -v 'pub fn serialization_graph(&self, g: &Graph) -> Vec<Vec<TxnId>> {$'; then exit 1; fi
 body() { sed -n "/^    \(pub \)\?fn $1(/,/^    }$/p" crates/serial/src/history.rs; }

@@ -7,11 +7,17 @@
 //! it). The hub merges the streams:
 //!
 //! * buffered transactions land in the generalized
-//!   [`IncrementalChecker`] via [`IncrementalChecker::observe`];
+//!   [`IncrementalChecker`] via [`IncrementalChecker::observe`]. Peer
+//!   input is checked before it can reach the checker's assertions: a
+//!   transaction the checker refuses (a vertex outside the graph, an empty
+//!   interval, a start below the applied frontier), or one that does not
+//!   start after the previous accepted end of its vertex, is counted and
+//!   dropped — each vertex runs one execution at a time on its owning
+//!   rank, which ships them in end order;
 //! * the **frontier** = min watermark across live ranks; events stamped
 //!   strictly below it are globally complete and are replayed in stamp
 //!   order by [`IncrementalChecker::advance`], updating the live C1 /
-//!   C2 / serialization-graph verdicts mid-run;
+//!   C2 / acyclicity verdicts mid-run;
 //! * every released violation increments the per-vertex and
 //!   per-partition conflict heatmaps, bumps the conflict-rate window,
 //!   and appends a JSONL **sentinel** line (when a log path is
@@ -99,6 +105,11 @@ struct Inner {
     /// Per-rank promise: no future transaction from rank `r` starts
     /// below `watermarks[r]`. `u64::MAX` once the rank said goodbye.
     watermarks: Vec<u64>,
+    /// Per vertex: the smallest start its next transaction may have, one
+    /// past the end of the last one accepted.
+    next_start: Vec<u64>,
+    /// Malformed transactions refused at ingest.
+    refused: u64,
     frontier: u64,
     last_advance: Instant,
     vertex_conflicts: Vec<u64>,
@@ -154,6 +165,8 @@ impl AuditHub {
             inner: Mutex::new(Inner {
                 checker: IncrementalChecker::new(graph),
                 watermarks: vec![0; workers],
+                next_start: vec![0; n],
+                refused: 0,
                 frontier: 0,
                 last_advance: now,
                 vertex_conflicts: vec![0; n],
@@ -173,16 +186,27 @@ impl AuditHub {
     }
 
     /// Absorb one `AuditUpload` from `rank`: buffer the transactions,
-    /// raise the rank's watermark, advance the frontier.
+    /// raise the rank's watermark, advance the frontier. A malformed
+    /// transaction is refused and counted, never a panic.
     pub fn ingest(&self, rank: usize, txns: &[WireTxn], watermark: u64) {
         let mut inner = self.inner.lock().unwrap();
         for t in txns {
-            inner.checker.observe(StampedTxn {
-                vertex: VertexId::new(t.vertex),
-                start: t.start,
-                end: t.end,
-                stale_reads: t.stale.iter().copied().map(VertexId::new).collect(),
-            });
+            let next = inner.next_start.get(t.vertex as usize).copied();
+            let accepted = next.is_some_and(|next| t.start >= next)
+                && inner
+                    .checker
+                    .observe(StampedTxn {
+                        vertex: VertexId::new(t.vertex),
+                        start: t.start,
+                        end: t.end,
+                        stale_reads: t.stale.iter().copied().map(VertexId::new).collect(),
+                    })
+                    .is_ok();
+            if accepted {
+                inner.next_start[t.vertex as usize] = t.end.saturating_add(1);
+            } else {
+                inner.refused += 1;
+            }
         }
         if let Some(w) = inner.watermarks.get_mut(rank) {
             *w = (*w).max(watermark);
@@ -217,6 +241,14 @@ impl AuditHub {
     /// Live verdict snapshot (for tests and the driver's status line).
     pub fn summary(&self) -> HistorySummary {
         self.inner.lock().unwrap().checker.summary()
+    }
+
+    /// Malformed transactions refused at ingest so far.
+    pub fn refused(&self) -> u64 {
+        self.inner
+            .lock()
+            .expect("no panic while the audit hub's lock is held")
+            .refused
     }
 
     /// Transactions checked when the verdict first flipped, if it has.
@@ -393,7 +425,7 @@ impl AuditHub {
              \"sg_acyclic\":{},\"txns_checked\":{},\"pending_txns\":{},\
              \"frontier\":{},\"audit_lag_ms\":{},\"conflicts_total\":{},\
              \"conflict_rate_per_s\":{:.2},\"sentinels\":{},\
-             \"first_violation_at_txn\":{},\
+             \"first_violation_at_txn\":{},\"refused_txns\":{},\
              \"hot_vertices\":[{}],\"partition_conflicts\":[{}]}}\n",
             status.clean(),
             status.c1_violations,
@@ -409,6 +441,7 @@ impl AuditHub {
             inner
                 .first_violation_at
                 .map_or("null".into(), |t| t.to_string()),
+            inner.refused,
             hot_json.join(","),
             parts_json.join(",")
         )
@@ -504,6 +537,49 @@ mod tests {
         };
         assert!(!final_summary.one_copy_serializable);
         assert!(final_summary.c2_violations > 0);
+    }
+
+    /// Malformed peer input is refused and counted, and the hub keeps
+    /// answering: no panic under the lock, so no poisoned mutex.
+    #[test]
+    fn malformed_uploads_are_refused_not_a_panic() {
+        let h = hub(1);
+        h.ingest(0, &[wt(0, stamp(5, 0), stamp(6, 0))], stamp(7, 0));
+        assert_eq!(h.summary().transactions, 1);
+        let bad = [
+            wt(4, stamp(8, 0), stamp(9, 0)),        // vertex outside the graph
+            wt(u32::MAX, stamp(8, 0), stamp(9, 0)), // ... far outside
+            wt(1, stamp(9, 0), stamp(9, 0)),        // start == end
+            wt(1, stamp(10, 0), stamp(9, 0)),       // start > end
+            wt(1, stamp(2, 0), stamp(3, 0)),        // below the applied frontier
+            wt(0, stamp(6, 0), stamp(12, 0)),       // starts at v0's last end
+            wt(0, stamp(5, 0), stamp(11, 0)),       // overlaps v0's last txn
+            WireTxn {
+                stale: vec![7], // stale witness outside
+                ..wt(2, stamp(8, 0), stamp(9, 0))
+            },
+        ];
+        h.ingest(0, &bad, stamp(20, 0));
+        assert_eq!(h.refused(), bad.len() as u64);
+        assert_eq!(h.summary().transactions, 1);
+        // A vertex's overlapping pair within one upload: the second is
+        // refused, the first checked.
+        h.ingest(
+            0,
+            &[
+                wt(1, stamp(21, 0), stamp(24, 0)),
+                wt(1, stamp(22, 0), stamp(23, 0)),
+            ],
+            stamp(25, 0),
+        );
+        assert_eq!(h.refused(), bad.len() as u64 + 1);
+        assert!(h
+            .render_json()
+            .contains(&format!("\"refused_txns\":{}", bad.len() + 1)));
+        let s = h.finalize();
+        assert_eq!(s.transactions, 2);
+        assert!(s.one_copy_serializable);
+        assert_eq!(h.summary(), s);
     }
 
     #[test]

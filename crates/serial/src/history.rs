@@ -63,6 +63,17 @@ impl History {
         self.txns.push(txn);
     }
 
+    /// Keep the first `len` transactions and return the rest (the
+    /// incremental checker's prefix probes).
+    pub(crate) fn split_off(&mut self, len: usize) -> Vec<TxnRecord> {
+        self.txns.split_off(len)
+    }
+
+    /// Re-append what [`History::split_off`] took.
+    pub(crate) fn append(&mut self, mut tail: Vec<TxnRecord>) {
+        self.txns.append(&mut tail);
+    }
+
     /// The recorded transactions.
     pub fn txns(&self) -> &[TxnRecord] {
         &self.txns

@@ -13,17 +13,24 @@
 //! * **C2** — eager overlap detection: an interval overlap exists iff the
 //!   later transaction begins while the earlier is still open, so checking
 //!   open neighbors at each begin finds every violating pair exactly once;
-//! * **serialization graph** — per-item `last_write` / `written_at` and
-//!   per-vertex `newest_txn` state; operations are applied in global
-//!   timestamp order and fold into a subset of the edges
-//!   [`History::serialization_graph`] computes with the same reachability
-//!   (an edge is left out only when a path of kept edges already implies
-//!   it), with a reachability probe per added edge for cycle detection.
-//!   Every structure is a flat array indexed by vertex or transaction, and
-//!   no step scans an adjacency, so a transaction costs O(its degree)
-//!   however the graph is skewed.
+//! * **acyclicity** — commit order is the certificate, checked as it goes.
+//!   Of the serialization graph's edges only one from a read to the item's
+//!   next write can run backward in commit order, and it does exactly when
+//!   the write commits while the reader is still open. So each commit of
+//!   `u` asks whether an out-edge neighbor of `u` — a reader of item `u` —
+//!   has an open transaction: O(degree), and never true while C2 holds.
+//!   Until a commit answers yes, commit order is a topological order of the
+//!   committed history, which is therefore acyclic. From the first
+//!   *backward* commit on, every advance that applied a commit decides the
+//!   verdict before it returns by running
+//!   [`History::serialization_graph_acyclic`] over the committed log — the
+//!   check [`History::summarize`] runs — so the verdict is never pending,
+//!   and a backward edge that closes no cycle is never reported as one.
+//!   A cyclic history stays cyclic as commits are added, so once the
+//!   fallback finds a cycle it runs no more.
 //!
-//! The checker also accumulates full [`TxnRecord`]s, so the final
+//! The checker keeps no graph of its own: one open flag per vertex, the
+//! committed log, and the buffered transactions. The final
 //! [`IncrementalChecker::log`] is record-for-record comparable with a
 //! recorded run.
 //!
@@ -46,14 +53,16 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// The three Theorem 1 verdicts, valid after every applied operation.
+/// The three Theorem 1 verdicts, valid after every advance. C1 and C2
+/// count transactions from their begin; acyclicity covers the committed
+/// transactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckStatus {
     /// Transactions so far that began with at least one stale replica.
     pub c1_violations: usize,
     /// Overlapping neighbor-transaction pairs so far.
     pub c2_violations: usize,
-    /// Is the serialization graph (so far) acyclic?
+    /// Is the serialization graph of the committed transactions acyclic?
     pub serialization_graph_acyclic: bool,
 }
 
@@ -93,8 +102,50 @@ impl From<&TxnRecord> for StampedTxn {
     }
 }
 
+/// Why [`IncrementalChecker::observe`] refused a transaction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ObserveError {
+    /// The transaction's vertex, or one of its stale-read witnesses, is not
+    /// a vertex of the checker's graph.
+    UnknownVertex(VertexId),
+    /// `start >= end`: the interval is empty.
+    EmptyInterval {
+        /// The transaction's start stamp.
+        start: u64,
+        /// Its end stamp.
+        end: u64,
+    },
+    /// `start` lies below a frontier the checker has already applied — a
+    /// stamp the watermark protocol promised would never come.
+    BelowFrontier {
+        /// The transaction's start stamp.
+        start: u64,
+        /// The largest event stamp applied so far.
+        applied: u64,
+    },
+}
+
+impl std::fmt::Display for ObserveError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::UnknownVertex(v) => write!(f, "vertex {v:?} is not in the graph"),
+            Self::EmptyInterval { start, end } => {
+                write!(f, "stamped txn has start {start} >= end {end}")
+            }
+            Self::BelowFrontier { start, applied } => write!(
+                f,
+                "stamped txn starts at {start} below the applied frontier {applied}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ObserveError {}
+
 /// One observability event surfaced by [`IncrementalChecker::advance`] —
-/// what the audit plane turns into sentinels and heatmap increments.
+/// what the audit plane turns into sentinels and heatmap increments. Like
+/// the verdicts, C1 and C2 events fire at a transaction's begin; the cycle
+/// event covers committed transactions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AuditEvent {
     /// A transaction began with stale in-neighbor replicas (condition C1).
@@ -113,103 +164,13 @@ pub enum AuditEvent {
         /// The neighbors whose transactions were open at its begin.
         neighbors: Vec<VertexId>,
     },
-    /// The serialization graph acquired its first cycle (emitted once).
+    /// The committed history's serialization graph acquired its first
+    /// cycle (emitted once).
     Cycle {
-        /// The vertex whose committed write closed the cycle.
+        /// The vertex of the first commit after which the committed
+        /// history is cyclic.
         vertex: VertexId,
     },
-}
-
-/// An open (begun, not yet ended) transaction.
-struct OpenTxn {
-    txn: u32,
-    start: u64,
-    stale_reads: Vec<VertexId>,
-    concurrent_neighbors: Vec<VertexId>,
-}
-
-/// "No edge" / "no transaction" in the `u32` index spaces below.
-const NIL: u32 = u32::MAX;
-
-/// The serialization graph so far — every transaction's out-edges as a
-/// linked list through one edge arena — and whether a cycle has closed yet.
-struct SerializationGraph {
-    /// Per transaction: its newest out-edge in `edges`, [`NIL`] if none.
-    head: Vec<u32>,
-    /// `(to, next out-edge of the same transaction)`.
-    edges: Vec<(u32, u32)>,
-    /// Cycle-probe scratch: `seen[t] == epoch` marks `t` visited in the
-    /// current probe, so probes allocate nothing in steady state.
-    seen: Vec<u64>,
-    epoch: u64,
-    stack: Vec<u32>,
-    /// Transactions the cycle probes have walked through, over all probes.
-    probe_steps: u64,
-    cyclic: bool,
-}
-
-impl SerializationGraph {
-    fn first_out(&self, txn: u32) -> u32 {
-        self.head.get(txn as usize).copied().unwrap_or(NIL)
-    }
-
-    /// Add edge `from -> to`, probing for a new cycle (is `from` reachable
-    /// from `to`?) unless one was already found. Only a repeat of `from`'s
-    /// newest edge is recognised and dropped; any other repeat is stored
-    /// again — it changes no reachability, and finding it would mean
-    /// scanning `from`'s list.
-    fn add_edge(&mut self, from: u32, to: u32) {
-        if from == NIL || from == to {
-            return;
-        }
-        if self.head.len() <= from as usize {
-            self.head.resize(from as usize + 1, NIL);
-        }
-        let newest = self.head[from as usize];
-        if newest != NIL && self.edges[newest as usize].0 == to {
-            return;
-        }
-        self.head[from as usize] =
-            u32::try_from(self.edges.len()).expect("edge arena outgrew u32 indices");
-        self.edges.push((to, newest));
-        if !self.cyclic && self.reaches(to, from) {
-            self.cyclic = true;
-        }
-    }
-
-    /// DFS reachability `from -> target`. In the common case — the new
-    /// edge's head is a transaction nothing has been ordered after yet —
-    /// `from` has no out-edge and the probe is O(1).
-    fn reaches(&mut self, from: u32, target: u32) -> bool {
-        if self.first_out(from) == NIL {
-            return false;
-        }
-        if self.seen.len() < self.head.len() {
-            self.seen.resize(self.head.len(), 0);
-        }
-        self.epoch += 1;
-        self.stack.clear();
-        self.stack.push(from);
-        while let Some(t) = self.stack.pop() {
-            if t == target {
-                return true;
-            }
-            self.probe_steps += 1;
-            // A transaction past the end of `seen` has no out-edge either.
-            let mut edge = self.first_out(t);
-            if edge == NIL
-                || std::mem::replace(&mut self.seen[t as usize], self.epoch) == self.epoch
-            {
-                continue;
-            }
-            while edge != NIL {
-                let (to, next) = self.edges[edge as usize];
-                self.stack.push(to);
-                edge = next;
-            }
-        }
-        false
-    }
 }
 
 /// Incremental Theorem 1 checker over a watermark-ordered feed of
@@ -217,28 +178,30 @@ impl SerializationGraph {
 /// [`IncrementalChecker::advance`] applies in global timestamp order.
 pub struct IncrementalChecker {
     graph: Arc<Graph>,
-    /// vertex -> its currently open transaction, if any.
-    open: Vec<Option<OpenTxn>>,
-    /// Number of `open` slots currently occupied.
+    /// Per vertex: has it a begun, not yet committed transaction?
+    open: Vec<bool>,
+    /// Number of `open` flags set.
     open_count: usize,
-    sg: SerializationGraph,
-    /// Per item (vertex): the transaction that last wrote it, or [`NIL`].
-    last_write: Vec<u32>,
-    /// Per item: how many transactions had begun when it was last written
-    /// — the smallest id that can have read that version.
-    written_at: Vec<u32>,
-    /// Per vertex: its newest transaction, open or committed, or [`NIL`].
-    newest_txn: Vec<u32>,
+    /// Has a commit overwritten a version an open transaction read? Until
+    /// one has, commit order certifies the committed history acyclic.
+    backward: bool,
+    /// Did the fallback find the committed history cyclic?
+    cyclic: bool,
+    /// Runs of the acyclicity fallback so far, bisection probes included.
+    fallback_runs: u64,
     /// Committed transactions, in commit order.
     log: History,
     c1: usize,
     c2: usize,
-    /// Buffered stamped transactions awaiting release.
-    slab: Vec<Option<StampedTxn>>,
+    /// Buffered transactions, from `observe` until they commit; one that
+    /// has begun carries its C2 witnesses.
+    slab: Vec<Option<TxnRecord>>,
     /// Emptied `slab` slots awaiting reuse.
     free_slots: Vec<usize>,
-    /// Min-heap of buffered events: `(time, slab index, is_commit)`.
-    events: BinaryHeap<Reverse<(u64, usize, bool)>>,
+    /// Min-heap of each buffered transaction's next event:
+    /// `(time, slab index << 1 | is_commit)`. A commit is queued when its
+    /// begin applies.
+    events: BinaryHeap<Reverse<(u64, usize)>>,
     /// Largest event stamp applied so far.
     applied: u64,
 }
@@ -249,20 +212,11 @@ impl IncrementalChecker {
         let n = graph.num_vertices() as usize;
         Self {
             graph,
-            open: (0..n).map(|_| None).collect(),
+            open: vec![false; n],
             open_count: 0,
-            sg: SerializationGraph {
-                head: Vec::new(),
-                edges: Vec::new(),
-                seen: Vec::new(),
-                epoch: 0,
-                stack: Vec::new(),
-                probe_steps: 0,
-                cyclic: false,
-            },
-            last_write: vec![NIL; n],
-            written_at: vec![0; n],
-            newest_txn: vec![NIL; n],
+            backward: false,
+            cyclic: false,
+            fallback_runs: 0,
             log: History::new(Vec::new()),
             c1: 0,
             c2: 0,
@@ -273,117 +227,98 @@ impl IncrementalChecker {
         }
     }
 
-    /// Transactions begun so far: the next transaction's id.
-    fn begun(&self) -> u32 {
-        u32::try_from(self.log.len() + self.open_count)
-            .ok()
-            .filter(|&t| t != NIL)
-            .expect("more transactions than u32 ids")
-    }
-
-    /// A transaction begins at `start` with producer-supplied C1
-    /// witnesses: assign an id, count violations, fold the read operations.
-    fn apply_begin(&mut self, u: VertexId, start: u64, stale_reads: Vec<VertexId>) {
+    /// The buffered transaction in slot `idx` begins: count and report
+    /// its violations, open it, and queue its commit.
+    fn apply_begin(&mut self, idx: usize, out: &mut Vec<AuditEvent>) {
+        let txn = self.slab[idx].as_mut().expect("begin without buffered txn");
+        let u = txn.vertex;
         assert!(
-            self.open[u.index()].is_none(),
+            !self.open[u.index()],
             "vertex {u:?} began twice without ending"
         );
-        let txn = self.begun();
-        if !stale_reads.is_empty() {
+        if !txn.stale_reads.is_empty() {
             self.c1 += 1;
+            out.push(AuditEvent::C1 {
+                vertex: u,
+                stale: txn.stale_reads.clone(),
+            });
         }
-
-        let concurrent_neighbors = if self.open_count > 0 {
+        if self.open_count > 0 {
             let open = &self.open;
-            self.graph.neighbors_where(u, |v| open[v.index()].is_some())
-        } else {
-            Vec::new()
-        };
-        self.c2 += concurrent_neighbors.len();
-
-        // Read set: u itself plus in-edge neighbors (the batch algorithm's
-        // operation model). A read orders after the item's last write.
-        self.sg.add_edge(self.last_write[u.index()], txn);
-        for &v in self.graph.in_neighbors(u) {
-            self.sg.add_edge(self.last_write[v.index()], txn);
-        }
-        self.newest_txn[u.index()] = txn;
-
-        self.open[u.index()] = Some(OpenTxn {
-            txn,
-            start,
-            stale_reads,
-            concurrent_neighbors,
-        });
-        self.open_count += 1;
-    }
-
-    /// A transaction commits at `end`: fold the write operation and
-    /// record the completed [`TxnRecord`].
-    fn apply_end(&mut self, u: VertexId, end: u64) {
-        let open = self.open[u.index()]
-            .take()
-            .unwrap_or_else(|| panic!("vertex {u:?} ended without beginning"));
-        self.open_count -= 1;
-        let txn = open.txn;
-
-        // Write op on item u: it orders after the previous write — only
-        // u's transactions write u, so that edge went in with this
-        // transaction's own read of u — and after every read of that
-        // version. Those readers are transactions of u's out-edge
-        // neighbors, begun since `written_at[u]`; of each neighbor only the
-        // newest needs an edge, its earlier transactions reach that one
-        // through the neighbor's own write -> read chain.
-        let since = self.written_at[u.index()];
-        for &x in self.graph.out_neighbors(u) {
-            // A neighbor that never ran holds NIL, which `add_edge` drops.
-            let reader = self.newest_txn[x.index()];
-            if reader >= since {
-                self.sg.add_edge(reader, txn);
+            txn.concurrent_neighbors = self.graph.neighbors_where(u, |v| open[v.index()]);
+            if !txn.concurrent_neighbors.is_empty() {
+                self.c2 += txn.concurrent_neighbors.len();
+                out.push(AuditEvent::C2 {
+                    vertex: u,
+                    neighbors: txn.concurrent_neighbors.clone(),
+                });
             }
         }
-        self.last_write[u.index()] = txn;
+        self.open[u.index()] = true;
+        self.open_count += 1;
+        self.events.push(Reverse((txn.end, idx << 1 | 1)));
+    }
 
-        self.log.push(TxnRecord {
-            vertex: u,
-            start: open.start,
-            end,
-            stale_reads: open.stale_reads,
-            concurrent_neighbors: open.concurrent_neighbors,
-        });
-        self.written_at[u.index()] = self.begun();
+    /// The transaction in slot `idx` commits: note whether its write runs
+    /// a serialization-graph edge backward, and log it.
+    fn apply_end(&mut self, idx: usize) {
+        let txn = self.slab[idx].take().expect("commit without buffered txn");
+        self.free_slots.push(idx);
+        let u = txn.vertex;
+        self.open[u.index()] = false;
+        self.open_count -= 1;
+        // The readers of item u are u's own transactions and those of its
+        // out-edge neighbors. One still open read the version this write
+        // overwrites and commits after it: a backward edge.
+        if !self.backward && self.open_count > 0 {
+            let open = &self.open;
+            self.backward = self.graph.out_neighbors(u).iter().any(|x| open[x.index()]);
+        }
+        self.log.push(txn);
     }
 
     /// Buffer a complete, externally-stamped transaction for
     /// watermark-ordered release. Nothing is checked until
     /// [`IncrementalChecker::advance`] passes the transaction's stamps.
     ///
-    /// # Panics
-    /// Panics if `txn.start >= txn.end`, or if `txn.start` lies below an
-    /// already-applied frontier — the caller's watermark protocol promised
-    /// no event would ever be stamped there.
-    pub fn observe(&mut self, txn: StampedTxn) {
-        assert!(
-            txn.start < txn.end,
-            "stamped txn on {:?} has start {} >= end {}",
-            txn.vertex,
-            txn.start,
-            txn.end
-        );
-        assert!(
-            txn.start >= self.applied,
-            "stamped txn on {:?} starts at {} below the applied frontier {}",
-            txn.vertex,
-            txn.start,
-            self.applied
-        );
+    /// Refuses, buffering nothing, a transaction on a vertex (or with a
+    /// stale-read witness) outside the graph, one with `start >= end`, and
+    /// one whose `start` lies below the already-applied frontier. Keeping
+    /// each vertex's transactions disjoint is the caller's part: a begin
+    /// replayed while its vertex's previous transaction is open panics.
+    pub fn observe(&mut self, txn: StampedTxn) -> Result<(), ObserveError> {
+        let n = self.open.len();
+        if let Some(&v) = std::iter::once(&txn.vertex)
+            .chain(&txn.stale_reads)
+            .find(|v| v.index() >= n)
+        {
+            return Err(ObserveError::UnknownVertex(v));
+        }
+        if txn.start >= txn.end {
+            return Err(ObserveError::EmptyInterval {
+                start: txn.start,
+                end: txn.end,
+            });
+        }
+        if txn.start < self.applied {
+            return Err(ObserveError::BelowFrontier {
+                start: txn.start,
+                applied: self.applied,
+            });
+        }
         let idx = self.free_slots.pop().unwrap_or_else(|| {
             self.slab.push(None);
             self.slab.len() - 1
         });
-        self.events.push(Reverse((txn.start, idx, false)));
-        self.events.push(Reverse((txn.end, idx, true)));
-        self.slab[idx] = Some(txn);
+        self.events.push(Reverse((txn.start, idx << 1)));
+        self.slab[idx] = Some(TxnRecord {
+            vertex: txn.vertex,
+            start: txn.start,
+            end: txn.end,
+            stale_reads: txn.stale_reads,
+            concurrent_neighbors: Vec::new(),
+        });
+        Ok(())
     }
 
     /// Apply every buffered event with `time < frontier`, in global
@@ -402,45 +337,57 @@ impl IncrementalChecker {
     }
 
     fn drain(&mut self, frontier: Option<u64>) -> Vec<AuditEvent> {
+        let committed = self.log.len();
         let mut out = Vec::new();
-        while let Some(&Reverse((time, idx, is_commit))) = self.events.peek() {
+        while let Some(&Reverse((time, event))) = self.events.peek() {
             if frontier.is_some_and(|f| time >= f) {
                 break;
             }
             self.events.pop();
             self.applied = time;
-            if is_commit {
-                let txn = self.slab[idx].take().expect("commit without buffered txn");
-                self.free_slots.push(idx);
-                let was_cyclic = self.sg.cyclic;
-                self.apply_end(txn.vertex, time);
-                if self.sg.cyclic && !was_cyclic {
-                    out.push(AuditEvent::Cycle { vertex: txn.vertex });
-                }
+            if event & 1 == 1 {
+                self.apply_end(event >> 1);
             } else {
-                let (vertex, stale) = {
-                    let txn = self.slab[idx].as_mut().expect("begin without buffered txn");
-                    (txn.vertex, std::mem::take(&mut txn.stale_reads))
-                };
-                if !stale.is_empty() {
-                    out.push(AuditEvent::C1 {
-                        vertex,
-                        stale: stale.clone(),
-                    });
-                }
-                self.apply_begin(vertex, time, stale);
-                let open = self.open[vertex.index()]
-                    .as_ref()
-                    .expect("begin left no open txn");
-                if !open.concurrent_neighbors.is_empty() {
-                    out.push(AuditEvent::C2 {
-                        vertex,
-                        neighbors: open.concurrent_neighbors.clone(),
-                    });
-                }
+                self.apply_begin(event >> 1, &mut out);
+            }
+        }
+        if self.backward && !self.cyclic && self.log.len() > committed {
+            if let Some(vertex) = self.first_cyclic_commit(committed) {
+                self.cyclic = true;
+                out.push(AuditEvent::Cycle { vertex });
             }
         }
         out
+    }
+
+    /// The fallback over the committed log: if it is cyclic, the vertex of
+    /// the first commit after which it is, found by bisecting the commits
+    /// past `acyclic_upto` — a prefix length already known acyclic. A
+    /// cycle, once closed, stays closed as commits are appended, so the
+    /// prefix verdicts are monotone.
+    fn first_cyclic_commit(&mut self, acyclic_upto: usize) -> Option<VertexId> {
+        let (mut lo, mut hi) = (acyclic_upto, self.log.len());
+        if self.prefix_acyclic(hi) {
+            return None;
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.prefix_acyclic(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(self.log.txns()[hi - 1].vertex)
+    }
+
+    /// Is the serialization graph of the first `len` commits acyclic?
+    fn prefix_acyclic(&mut self, len: usize) -> bool {
+        self.fallback_runs += 1;
+        let tail = self.log.split_off(len);
+        let acyclic = self.log.serialization_graph_acyclic(&self.graph);
+        self.log.append(tail);
+        acyclic
     }
 
     /// Number of buffered transactions not yet fully applied.
@@ -471,12 +418,12 @@ impl IncrementalChecker {
         }
     }
 
-    /// The verdicts as of the last applied operation.
+    /// The verdicts as of the last advance.
     pub fn status(&self) -> CheckStatus {
         CheckStatus {
             c1_violations: self.c1,
             c2_violations: self.c2,
-            serialization_graph_acyclic: !self.sg.cyclic,
+            serialization_graph_acyclic: !self.cyclic,
         }
     }
 
@@ -496,17 +443,11 @@ impl IncrementalChecker {
         &self.graph
     }
 
-    /// Serialization-graph edges stored so far, repeats included.
+    /// Runs of the acyclicity fallback so far, bisection probes included;
+    /// zero while commit order has certified every advance.
     #[doc(hidden)]
-    pub fn edge_count(&self) -> usize {
-        self.sg.edges.len()
-    }
-
-    /// Transactions the cycle probes have walked through so far; zero
-    /// while every probe has taken the O(1) path.
-    #[doc(hidden)]
-    pub fn probe_steps(&self) -> u64 {
-        self.sg.probe_steps
+    pub fn fallback_runs(&self) -> u64 {
+        self.fallback_runs
     }
 }
 
@@ -540,7 +481,7 @@ mod tests {
         let mut t = 0u64;
         for _ in 0..3 {
             for u in g.vertices() {
-                c.observe(stamped(u.raw(), t, t + 1));
+                c.observe(stamped(u.raw(), t, t + 1)).unwrap();
                 t += 2;
                 assert!(c.advance(t).is_empty());
                 assert!(c.status().clean());
@@ -558,11 +499,12 @@ mod tests {
     fn stale_read_flags_c1_at_begin() {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
-        c.observe(stamped(0, 0, 1));
+        c.observe(stamped(0, 0, 1)).unwrap();
         c.observe(StampedTxn {
             stale_reads: vec![v(0)],
             ..stamped(1, 2, 3)
-        });
+        })
+        .unwrap();
         c.advance(2);
         assert!(c.status().clean());
         c.advance(3); // v1 has begun on a stale replica of v0
@@ -576,8 +518,8 @@ mod tests {
     fn overlapping_neighbors_flag_c2_and_cycle() {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
-        c.observe(stamped(0, 0, 2));
-        c.observe(stamped(1, 1, 3)); // neighbor of v0, concurrent
+        c.observe(stamped(0, 0, 2)).unwrap();
+        c.observe(stamped(1, 1, 3)).unwrap(); // neighbor of v0, concurrent
         c.advance(2);
         let st = c.status();
         assert_eq!(st.c2_violations, 1);
@@ -593,8 +535,8 @@ mod tests {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
         // v0 and v3 are not adjacent in the paper's C4.
-        c.observe(stamped(0, 0, 2));
-        c.observe(stamped(3, 1, 3));
+        c.observe(stamped(0, 0, 2)).unwrap();
+        c.observe(stamped(3, 1, 3)).unwrap();
         assert!(c.finish().is_empty());
         assert!(c.status().clean());
     }
@@ -604,8 +546,8 @@ mod tests {
     fn double_begin_panics() {
         let g = Arc::new(gen::ring(4));
         let mut c = IncrementalChecker::new(g);
-        c.observe(stamped(0, 0, 2));
-        c.observe(stamped(0, 1, 3));
+        c.observe(stamped(0, 0, 2)).unwrap();
+        c.observe(stamped(0, 1, 3)).unwrap();
         c.finish();
     }
 
@@ -616,8 +558,8 @@ mod tests {
         let g = Arc::new(gen::paper_c4());
         let mut c = IncrementalChecker::new(Arc::clone(&g));
         // v1's interval nests inside v0's — arrival order reversed.
-        c.observe(stamped(1, 5, 6));
-        c.observe(stamped(0, 4, 9));
+        c.observe(stamped(1, 5, 6)).unwrap();
+        c.observe(stamped(0, 4, 9)).unwrap();
         let events = c.finish();
         assert!(events.contains(&AuditEvent::C2 {
             vertex: v(1),
@@ -634,7 +576,8 @@ mod tests {
         c.observe(StampedTxn {
             stale_reads: vec![v(0)],
             ..stamped(1, 0, 1)
-        });
+        })
+        .unwrap();
         let events = c.finish();
         assert_eq!(
             events,
@@ -652,8 +595,8 @@ mod tests {
     fn advance_respects_the_frontier() {
         let g = Arc::new(gen::ring(4));
         let mut c = IncrementalChecker::new(Arc::clone(&g));
-        c.observe(stamped(0, 0, 1));
-        c.observe(stamped(1, 10, 11));
+        c.observe(stamped(0, 0, 1)).unwrap();
+        c.observe(stamped(1, 10, 11)).unwrap();
         c.advance(5);
         assert_eq!(c.transactions(), 1);
         assert_eq!(c.pending(), 1);
@@ -665,14 +608,88 @@ mod tests {
         assert_eq!(c.pending(), 0);
     }
 
+    /// Malformed input is refused with a typed error and leaves nothing
+    /// buffered: a vertex or stale-read witness outside the graph, an
+    /// empty interval, a start below the applied frontier.
     #[test]
-    #[should_panic(expected = "below the applied frontier")]
-    fn observe_below_applied_frontier_panics() {
+    fn observe_refuses_malformed_transactions() {
         let g = Arc::new(gen::ring(4));
         let mut c = IncrementalChecker::new(g);
-        c.observe(stamped(0, 10, 11));
+        c.observe(stamped(0, 10, 11)).unwrap();
         c.finish();
-        c.observe(stamped(1, 3, 4));
+        assert_eq!(
+            c.observe(stamped(4, 20, 21)),
+            Err(ObserveError::UnknownVertex(v(4)))
+        );
+        let witness = StampedTxn {
+            stale_reads: vec![v(9)],
+            ..stamped(1, 20, 21)
+        };
+        assert_eq!(c.observe(witness), Err(ObserveError::UnknownVertex(v(9))));
+        assert_eq!(
+            c.observe(stamped(1, 21, 21)),
+            Err(ObserveError::EmptyInterval { start: 21, end: 21 })
+        );
+        assert_eq!(
+            c.observe(stamped(1, 3, 4)),
+            Err(ObserveError::BelowFrontier {
+                start: 3,
+                applied: 11
+            })
+        );
+        assert_eq!(c.pending(), 0);
+        c.observe(stamped(1, 20, 21)).unwrap();
+        assert!(c.finish().is_empty());
+        assert_eq!(c.transactions(), 2);
+    }
+
+    /// The cycle event names the commit that closed the cycle, not the
+    /// advance's last commit: v0 and v1 read each other before either
+    /// writes, so v1's commit at 3 closes the cycle; v2 and v0 commit
+    /// after it in the same advance.
+    #[test]
+    fn cycle_event_names_the_closing_commit() {
+        let g = Arc::new(Graph::from_edges(3, &[(0, 1), (1, 0)]));
+        let mut c = IncrementalChecker::new(Arc::clone(&g));
+        for t in [
+            stamped(0, 0, 2),
+            stamped(1, 1, 3),
+            stamped(2, 4, 5),
+            stamped(0, 6, 7),
+        ] {
+            c.observe(t).unwrap();
+        }
+        let events = c.advance(8);
+        assert_eq!(events.last(), Some(&AuditEvent::Cycle { vertex: v(1) }));
+        assert_eq!(c.transactions(), 4);
+        assert!(!c.status().serialization_graph_acyclic);
+        assert!(c.fallback_runs() > 1, "the closing commit was bisected");
+        // Cyclic for good: later advances neither re-run the fallback nor
+        // repeat the event.
+        let runs = c.fallback_runs();
+        c.observe(stamped(2, 8, 9)).unwrap();
+        assert!(c.finish().is_empty());
+        assert_eq!(c.fallback_runs(), runs);
+        assert_matches_batch(&c, &g, "after the cycle");
+    }
+
+    /// A backward edge that closes no cycle: v1 writes v1 while v0, which
+    /// read it, is still open; nothing orders v1 before v0. The fallback
+    /// decides "acyclic" at every advance, and no cycle event fires.
+    #[test]
+    fn backward_but_acyclic_is_not_a_cycle() {
+        let g = Arc::new(Graph::from_edges(2, &[(1, 0)]));
+        let mut c = IncrementalChecker::new(Arc::clone(&g));
+        c.observe(stamped(0, 0, 3)).unwrap();
+        c.observe(stamped(1, 1, 2)).unwrap();
+        // v1 committed over v0's read; only its C2 overlap surfaces.
+        let events = c.advance(3);
+        assert!(matches!(events[..], [AuditEvent::C2 { .. }]), "{events:?}");
+        assert!(c.status().serialization_graph_acyclic);
+        assert_eq!(c.fallback_runs(), 1);
+        assert!(c.finish().is_empty()); // v0 commits
+        assert_eq!(c.fallback_runs(), 2);
+        assert_matches_batch(&c, &g, "backward but acyclic");
     }
 
     /// 10,000 observe/advance rounds with one to three transactions in
@@ -688,7 +705,7 @@ mod tests {
             let in_flight = 1 + round % 3;
             for k in 0..in_flight {
                 // Vertices 0, 2, 4 of the ring are pairwise non-adjacent.
-                c.observe(stamped(2 * k, t, t + 1));
+                c.observe(stamped(2 * k, t, t + 1)).unwrap();
                 t += 2;
             }
             assert_eq!(c.pending(), in_flight as usize);
@@ -784,7 +801,7 @@ mod tests {
                 if open.is_empty() {
                     let fresh = rec.txns_since(fed);
                     fed += fresh.len();
-                    fresh.into_iter().for_each(|t| c.observe(t));
+                    fresh.into_iter().for_each(|t| c.observe(t).unwrap());
                     c.advance(rec.safe_watermark());
                     assert_eq!(c.pending(), 0);
                     assert_matches_batch(
@@ -804,7 +821,9 @@ mod tests {
             rec.end(guard);
             expected_stale.push(stale);
         }
-        rec.txns_since(fed).into_iter().for_each(|t| c.observe(t));
+        rec.txns_since(fed)
+            .into_iter()
+            .for_each(|t| c.observe(t).unwrap());
         c.finish();
         let recorded = rec.history();
         let stale: Vec<_> = recorded.txns().iter().map(|t| &t.stale_reads).collect();
@@ -875,7 +894,7 @@ mod tests {
                 let mut sorted = stamped.clone();
                 sorted.sort_by_key(|t| t.start);
                 for t in sorted {
-                    in_order.observe(t);
+                    in_order.observe(t).unwrap();
                 }
                 in_order.finish();
 
@@ -895,7 +914,7 @@ mod tests {
                 for (i, t) in shuffled.into_iter().enumerate() {
                     unseen.remove(&t.start);
                     unseen.remove(&t.end);
-                    ooo.observe(t);
+                    ooo.observe(t).unwrap();
                     if i % 3 == 0 {
                         let frontier = unseen.iter().next().copied().unwrap_or(u64::MAX);
                         ooo.advance(frontier);

@@ -15,8 +15,12 @@
 //! * [`History`] — a recorded set of [`TxnRecord`]s with checkers for C1
 //!   ([`History::c1_violations`]), C2 ([`History::c2_violations`] — a
 //!   post-hoc interval-overlap test over every edge), and full
-//!   conflict-serializability via an explicit serialization graph with
-//!   cycle detection ([`History::serialization_graph_acyclic`]).
+//!   conflict-serializability ([`History::serialization_graph_acyclic`] —
+//!   commit order as the certificate, cycle detection over the explicit
+//!   serialization graph as the fallback).
+//! * [`IncrementalChecker`] — the same verdicts while a run is going,
+//!   over a watermark-ordered feed: the commit-order certificate checked
+//!   at each commit, and [`History`]'s acyclicity check as its fallback.
 //! * [`Recorder`] — a concurrent instrument the engines attach to record
 //!   live executions: logical start/end timestamps per transaction,
 //!   per-pair counts of messages in flight (the freshness test), and
@@ -35,6 +39,6 @@ pub mod recorder;
 pub mod streaming;
 
 pub use history::{History, HistorySummary, TxnId, TxnRecord};
-pub use incremental::{AuditEvent, CheckStatus, IncrementalChecker, StampedTxn};
+pub use incremental::{AuditEvent, CheckStatus, IncrementalChecker, ObserveError, StampedTxn};
 pub use recorder::Recorder;
 pub use streaming::StreamingAuditor;

@@ -2,12 +2,15 @@
 //! histories, the serialization-graph test must agree with a brute-force
 //! oracle that enumerates every serial order and checks conflict
 //! equivalence directly, the commit-order certificate must agree with
-//! Kahn's algorithm, and the C2 scan with a scan of every pair. Cases are
-//! drawn from the in-repo deterministic [`SplitMix64`] generator, so the
-//! suite is exactly reproducible offline.
+//! Kahn's algorithm, the C2 scan with a scan of every pair, and the live
+//! checker with the post-hoc one. Cases are drawn from the in-repo
+//! deterministic [`SplitMix64`] generator, so the suite is exactly
+//! reproducible offline.
 
 use sg_graph::{Graph, SplitMix64, VertexId};
-use sg_serial::{History, TxnRecord};
+use sg_serial::{History, IncrementalChecker, StampedTxn, TxnRecord};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// All (item, op) pairs of a transaction under the paper's model:
 /// `Ti(Nu) = ri[Nu] wi[u]` — reads of `u` and its in-neighbors at `start`,
@@ -287,6 +290,26 @@ fn c2_by_pairs(g: &Graph, txns: &[TxnRecord]) -> Vec<(usize, usize)> {
     pairs
 }
 
+/// Feed `txns` to a live checker as a watermark merge would: shuffled
+/// arrivals, and after every few an advance to the smallest stamp not yet
+/// observed. Returns the drained checker.
+fn feed_live(g: &Arc<Graph>, txns: &[TxnRecord], rng: &mut SplitMix64) -> IncrementalChecker {
+    let mut arrivals: Vec<StampedTxn> = txns.iter().map(StampedTxn::from).collect();
+    shuffle(&mut arrivals, rng);
+    let mut unseen: BTreeSet<u64> = arrivals.iter().flat_map(|t| [t.start, t.end]).collect();
+    let mut live = IncrementalChecker::new(Arc::clone(g));
+    for (i, t) in arrivals.into_iter().enumerate() {
+        unseen.remove(&t.start);
+        unseen.remove(&t.end);
+        live.observe(t).unwrap();
+        if i % 2 == 0 {
+            live.advance(unseen.first().copied().unwrap_or(u64::MAX));
+        }
+    }
+    live.finish();
+    live
+}
+
 /// Differential test of the post-hoc checker on every history shape: the
 /// acyclicity verdict (commit order first, Kahn's algorithm only as the
 /// fallback) equals Kahn's verdict alone and, where the permutation
@@ -295,10 +318,18 @@ fn c2_by_pairs(g: &Graph, txns: &[TxnRecord]) -> Vec<(usize, usize)> {
 /// forward in commit order, graphs with a backward edge that stay acyclic,
 /// and graphs with a backward edge that close a cycle, so the fallback is
 /// taken and decides both ways.
+///
+/// The shapes a live feed can produce (unique stamps, one open execution
+/// per vertex) are also fed to the live checker, shuffled and advanced by
+/// watermark: its summary equals the post-hoc one, and it leaves its
+/// commit-order certificate for the fallback exactly when an edge runs
+/// backward — including backward edges that close no cycle, which it must
+/// not report as one.
 #[test]
 fn certificate_and_c2_scan_match_brute_force() {
     let mut rng = SplitMix64::new(0xD1FF);
     let (mut forward, mut backward_acyclic, mut cyclic, mut overlapping) = (0, 0, 0, 0);
+    let mut live_backward_acyclic = 0;
     for case in 0..2_000 {
         let shape = [
             Shape::Serial,
@@ -306,7 +337,7 @@ fn certificate_and_c2_scan_match_brute_force() {
             Shape::SameVertexOverlaps,
             Shape::SharedStamps,
         ][case % 4];
-        let g = random_digraph(&mut rng);
+        let g = Arc::new(random_digraph(&mut rng));
         let txns = shaped_history(&mut rng, &g, shape);
         let h = History::new(txns.clone());
         let what = format!("case {case} ({shape:?}): graph={g:?} txns={txns:?}");
@@ -333,10 +364,21 @@ fn certificate_and_c2_scan_match_brute_force() {
         if matches!(shape, Shape::Serial) {
             assert!(!backward && c2.is_empty(), "{what}");
         }
+
+        if matches!(shape, Shape::Serial | Shape::NeighborOverlaps) {
+            let live = feed_live(&g, &txns, &mut SplitMix64::new(case as u64 ^ 0x11FE));
+            assert_eq!(live.summary(), h.summarize(&g), "live: {what}");
+            assert_eq!(live.fallback_runs() > 0, backward, "live: {what}");
+            live_backward_acyclic += usize::from(backward && acyclic);
+        }
     }
     assert!(
         forward > 0 && backward_acyclic > 0 && cyclic > 0 && overlapping > 0,
         "{forward} forward, {backward_acyclic} backward but acyclic, {cyclic} cyclic, \
          {overlapping} with C2 witnesses"
+    );
+    assert!(
+        live_backward_acyclic > 0,
+        "no backward-but-acyclic case reached the live checker"
     );
 }
