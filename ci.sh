@@ -78,6 +78,13 @@ if sed '/^#\[cfg(test)\]/,$d' crates/net/src/wire.rs | grep -nE 'fn (encode_body
 echo "== sg-check hosts the shipped datapath: no outbox or BSP flag of its own, no direct end of superstep, no second C1 ledger =="
 if grep -rnE 'outbox|bsp:|end_superstep\(|IncrementalChecker' crates/check/src; then exit 1; fi
 
+echo "== one JSON codec: every document is built as sg_metrics::Json; no hand-written \"key\": literal above #[cfg(test)] outside crates/metrics/src/json.rs, no second string writer or parser =="
+for f in $(find crates/*/src -name '*.rs' ! -path crates/metrics/src/json.rs | sort); do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\\"[A-Za-z0-9_]+\\":'; then echo "in $f"; exit 1; fi
+done
+if grep -rnE 'fn (json_string|ids_json|json_value|snapshot_json)\b' crates src tests examples; then exit 1; fi
+if grep -rn 'sg_bench::json' crates src tests examples scripts; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

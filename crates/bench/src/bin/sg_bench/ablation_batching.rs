@@ -9,20 +9,21 @@
 //! Usage: `sg-bench ablation-batching [--scale-div N] [--workers 8]`
 
 use crate::OrSim;
+use sg_bench::cli::Flag;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, Table};
+use sg_bench::Table;
 use sg_core::prelude::*;
 use sg_core::Runner;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
     let OrSim {
         workers,
         graph,
         mut log,
         ..
-    } = OrSim::new(args, "ablation_batching", "pagerank", 8);
+    } = OrSim::new(flags, "ablation_batching", "pagerank", 8)?;
 
     println!(
         "Batching ablation: PageRank(0.01) on OR-sim, {workers} workers, partition-based locking\n"
@@ -64,5 +65,5 @@ pub fn run(args: &Args) -> ExitCode {
     println!(
         "\nExpected: cap 1 ≈ vertex-based locking's tiny batches; large caps amortize latency."
     );
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

@@ -10,20 +10,21 @@
 //! Usage: `sg-bench ablation-halt-skip [--scale-div N] [--workers 8]`
 
 use crate::OrSim;
+use sg_bench::cli::Flag;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, Table};
+use sg_bench::Table;
 use sg_core::prelude::*;
 use sg_core::Runner;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
     let OrSim {
         workers,
         graph,
         mut log,
         ..
-    } = OrSim::new(args, "ablation_halt_skip", "sssp", 8);
+    } = OrSim::new(flags, "ablation_halt_skip", "sssp", 8)?;
 
     println!("Halted-partition skip ablation: SSSP on OR-sim, {workers} workers\n");
     let mut t = Table::new([
@@ -57,5 +58,5 @@ pub fn run(args: &Args) -> ExitCode {
     }
     t.print();
     println!("\nExpected: the skip variant trades fork traffic for `skips` and finishes sooner.");
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

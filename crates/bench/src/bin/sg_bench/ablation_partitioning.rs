@@ -10,8 +10,9 @@
 //! Usage: `sg-bench ablation-partitioning [--scale-div N] [--workers 8]`
 
 use crate::OrSim;
+use sg_bench::cli::Flag;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, Table};
+use sg_bench::Table;
 use sg_core::prelude::*;
 use sg_core::sg_engine::Engine;
 use sg_core::sg_graph::partition::{HashPartitioner, LdgPartitioner, Partitioner};
@@ -19,13 +20,13 @@ use sg_core::sg_graph::PartitionMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
     let OrSim {
         workers,
         graph,
         mut log,
         ..
-    } = OrSim::new(args, "ablation_partitioning", "pagerank", 8);
+    } = OrSim::new(flags, "ablation_partitioning", "pagerank", 8)?;
     let layout = ClusterLayout::new(workers, workers);
     println!(
         "Partitioning ablation: PageRank(0.01) with partition-based locking on OR-sim \
@@ -86,13 +87,13 @@ pub fn run(args: &Args) -> ExitCode {
         log.outcome_cell(name, TechniqueKind::PartitionLock.label(), &out);
         log.raw_cell(
             &format!("{name}/layout"),
-            &[
-                ("cut_edges", cut.to_string()),
-                ("partition_edges", pm.num_partition_edges().to_string()),
+            [
+                ("cut_edges", cut.into()),
+                ("partition_edges", pm.num_partition_edges().into()),
             ],
         );
     }
     t.print();
     println!("\nExpected: LDG cuts fewer edges, so fewer remote messages and forks.");
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

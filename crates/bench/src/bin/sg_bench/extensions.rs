@@ -12,21 +12,22 @@
 //! Usage: `sg-bench extensions [--scale-div N] [--workers 8]`
 
 use crate::OrSim;
+use sg_bench::cli::Flag;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, Table};
+use sg_bench::Table;
 use sg_core::prelude::*;
 use sg_core::sg_algos::validate;
 use sg_core::Runner;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
     let OrSim {
         workers,
         graph,
         mut log,
         ..
-    } = OrSim::new(args, "extensions", "coloring+sssp", 8);
+    } = OrSim::new(flags, "extensions", "coloring+sssp", 8)?;
     let graph = Arc::new(graph.to_undirected());
     println!(
         "Serializable execution regimes: coloring + SSSP on OR-sim undirected \
@@ -130,5 +131,5 @@ pub fn run(args: &Args) -> ExitCode {
          Proposition 1 pays heavily in sub-supersteps — the reason the paper\n\
          declined to implement it (Section 6)."
     );
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

@@ -21,8 +21,9 @@
 //!   [--trace [path]]`
 
 use crate::OrSim;
+use sg_bench::cli::{flag_value, has_flag, Flag};
 use sg_bench::experiment::{fmt_makespan, run_pregel_obs, Algo};
-use sg_bench::{emit_obs, Args, Table};
+use sg_bench::{emit_obs, Table};
 use sg_core::prelude::*;
 use sg_core::sg_metrics::critical_path::{self, Category};
 use sg_core::Runner;
@@ -30,16 +31,17 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
-    let algo = Algo::from_name(args.get("algo").unwrap_or("pagerank"), 0.01).expect("algo");
-    let trace_requested = args.get("trace").is_some() || args.has_flag("trace");
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
+    let name = flag_value(flags, "algo").unwrap_or("pagerank");
+    let algo = Algo::from_name(name, 0.01).ok_or_else(|| format!("unknown --algo {name:?}"))?;
+    let trace_requested = has_flag(flags, "trace");
     let OrSim {
         scale_div,
         workers,
         graph,
         workload,
         mut log,
-    } = OrSim::new(args, "fig1_spectrum", algo.name(), 8);
+    } = OrSim::new(flags, "fig1_spectrum", algo.name(), 8)?;
     println!(
         "Figure 1 spectrum on OR-sim (scale-div={scale_div}), {} vertices / {} edges, {workers} workers, algo={}\n",
         graph.num_vertices(),
@@ -142,7 +144,7 @@ pub fn run(args: &Args) -> ExitCode {
         let obs = r.obs.expect("instrumented run carries a report");
         emit_obs(
             "fig1_spectrum",
-            args.get("trace").map(Path::new),
+            flag_value(flags, "trace").map(Path::new),
             &obs,
             Technique::PartitionLock.label(),
             &workload,
@@ -179,11 +181,11 @@ pub fn run(args: &Args) -> ExitCode {
         ]);
         log.raw_cell(
             &format!("ppw-sweep/{ppw}"),
-            &[
-                ("partitions_per_worker", ppw.to_string()),
-                ("partition_edges", pm.num_partition_edges().to_string()),
-                ("makespan_ns", out.makespan_ns.to_string()),
-                ("remote_batches", out.metrics.remote_batches.to_string()),
+            [
+                ("partitions_per_worker", ppw.into()),
+                ("partition_edges", pm.num_partition_edges().into()),
+                ("makespan_ns", out.makespan_ns.into()),
+                ("remote_batches", out.metrics.remote_batches.into()),
             ],
         );
     }
@@ -194,5 +196,5 @@ pub fn run(args: &Args) -> ExitCode {
          in between, best simulated time near the Giraph default |P|/worker = |W|."
     );
     println!();
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

@@ -12,7 +12,8 @@
 //!
 //! Usage: `sg-bench fig2-3`
 
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::cli::Flag;
+use sg_bench::{BenchLog, Table};
 use sg_core::prelude::*;
 use sg_core::sg_algos::validate;
 use sg_core::sg_algos::ConflictFixColoring;
@@ -78,18 +79,18 @@ fn print_run(log: &mut BenchLog, title: &str, model: Model, technique: Technique
     }
     log.raw_cell(
         title,
-        &[
-            ("supersteps", last_cap.to_string()),
-            ("terminated", converged.to_string()),
+        [
+            ("supersteps", (*last_cap).into()),
+            ("terminated", (*converged).into()),
             (
                 "conflicts",
-                validate::coloring_conflicts(&g, last_colors).to_string(),
+                validate::coloring_conflicts(&g, last_colors).into(),
             ),
         ],
     );
 }
 
-pub fn run(_args: &Args) -> ExitCode {
+pub fn run(_flags: &[Flag]) -> Result<ExitCode, String> {
     println!("Graph: 4-cycle v0-v1-v3-v2-v0; W1 = {{v0, v2}}, W2 = {{v1, v3}}");
     let mut log = BenchLog::new("fig2_fig3", "coloring/paper-c4/w2");
     print_run(
@@ -121,5 +122,5 @@ pub fn run(_args: &Args) -> ExitCode {
         20,
     );
     println!();
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

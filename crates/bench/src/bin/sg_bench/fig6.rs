@@ -18,29 +18,32 @@
 //! Usage: `sg-bench fig6 [--algo coloring|pagerank|sssp|wcc|all]
 //!   [--scale-div N] [--workers16 16] [--workers32 32] [--include-ar]`
 
+use sg_bench::cli::{flag_or, flag_value, has_flag, Flag};
 use sg_bench::experiment::{fmt_makespan, run_gas_vertex_lock, run_pregel, Algo};
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::{BenchLog, Table};
 use sg_core::prelude::*;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
-    let scale_div = args.get_or("scale-div", 16u64);
-    let w_small = args.get_or("workers16", 16u32);
-    let w_large = args.get_or("workers32", 32u32);
-    let algo_arg = args.get("algo").unwrap_or("all").to_string();
-    let max_supersteps = args.get_or("max-supersteps", 20_000u64);
-    let max_exec = args.get_or("max-executions", 200_000_000u64);
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
+    let scale_div = flag_or(flags, "scale-div", 16u64)?;
+    let w_small = flag_or(flags, "workers16", 16u32)?;
+    let w_large = flag_or(flags, "workers32", 32u32)?;
+    let algo_arg = flag_value(flags, "algo").unwrap_or("all").to_string();
+    let max_supersteps = flag_or(flags, "max-supersteps", 20_000u64)?;
+    let max_exec = flag_or(flags, "max-executions", 200_000_000u64)?;
 
     let mut graphs: Vec<(&str, f64)> = vec![("OR-sim", 0.01), ("TW-sim", 0.1), ("UK-sim", 0.1)];
-    if args.has_flag("include-ar") {
+    if has_flag(flags, "include-ar") {
         graphs.insert(1, ("AR-sim", 0.01));
     }
 
     let algos: Vec<&str> = if algo_arg == "all" {
         vec!["coloring", "pagerank", "sssp", "wcc"]
-    } else {
+    } else if Algo::from_name(&algo_arg, 0.01).is_some() {
         vec![algo_arg.as_str()]
+    } else {
+        return Err(format!("unknown --algo {algo_arg:?}"));
     };
 
     println!(
@@ -95,7 +98,7 @@ pub fn run(args: &Args) -> ExitCode {
         t.print();
         println!();
     }
-    crate::finish(log)
+    Ok(crate::finish(log))
 }
 
 fn load(name: &str, scale_div: u64) -> Graph {

@@ -17,21 +17,22 @@
 //! Usage: `sg-bench giraphx [--scale-div N] [--workers 16]`
 
 use crate::OrSim;
+use sg_bench::cli::Flag;
 use sg_bench::experiment::fmt_makespan;
-use sg_bench::{Args, Table};
+use sg_bench::Table;
 use sg_core::prelude::*;
 use sg_core::sg_algos::giraphx::{ByIdColoring, UserTokenColoring};
 use sg_core::sg_algos::{validate, GreedyColoring};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
     let OrSim {
         workers,
         graph,
         mut log,
         ..
-    } = OrSim::new(args, "giraphx_compare", "coloring", 16);
+    } = OrSim::new(flags, "giraphx_compare", "coloring", 16)?;
     let graph = Arc::new(graph.to_undirected());
     println!(
         "Giraphx comparison: coloring on OR-sim undirected ({} vertices / {} edges), {workers} workers\n",
@@ -124,5 +125,5 @@ pub fn run(args: &Args) -> ExitCode {
     }
 
     t.print();
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

@@ -19,7 +19,8 @@ mod serve;
 mod sim;
 mod table1;
 
-use sg_bench::{Args, BenchLog};
+use sg_bench::cli::{flag_or, split_args, Flag};
+use sg_bench::BenchLog;
 use sg_core::sg_graph::gen::datasets;
 use sg_core::sg_graph::Graph;
 use std::process::ExitCode;
@@ -44,10 +45,30 @@ Dataset lanes take --scale-div N (default 16; larger = smaller graphs) and
 --workers N; each lane's module doc lists the rest. Artifacts go to
 results/ or $SG_RESULTS_DIR.";
 
+/// Every flag a lane reads a value from; `--trace` takes an optional path.
+const VALUE_FLAGS: &[&str] = &[
+    "scale-div",
+    "workers",
+    "workers16",
+    "workers32",
+    "algo",
+    "max-supersteps",
+    "max-executions",
+    "verts",
+    "rounds",
+    "readers",
+    "idle-ms",
+    "trace?",
+];
+
+/// A lane: reads its flags (an unparsable value is `Err`, before any
+/// work), runs, and says how it went.
+type Lane = fn(&[Flag]) -> Result<ExitCode, String>;
+
 fn main() -> ExitCode {
-    let mut argv = std::env::args().skip(1);
-    let lane = argv.next().unwrap_or_default();
-    let run: fn(&Args) -> ExitCode = match lane.as_str() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let lane = argv.first().map_or("", String::as_str);
+    let run: Lane = match lane {
         "table1" => table1::run,
         "fig1" => fig1::run,
         "fig2-3" => fig2_3::run,
@@ -68,7 +89,16 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    run(&Args::parse(argv))
+    let ran = split_args(&argv[1..], VALUE_FLAGS).and_then(|(positional, flags)| {
+        if let Some(extra) = positional.first() {
+            return Err(format!("unexpected argument {extra:?}"));
+        }
+        run(&flags)
+    });
+    ran.unwrap_or_else(|e| {
+        eprintln!("sg-bench {lane}: {e}\n\n{USAGE}");
+        ExitCode::from(1)
+    })
 }
 
 /// What the six OR-sim lanes set up before their first table: the
@@ -84,17 +114,17 @@ struct OrSim {
 
 impl OrSim {
     /// `bench` names the artifact, `algo` leads the workload string.
-    fn new(args: &Args, bench: &str, algo: &str, default_workers: u32) -> Self {
-        let scale_div = args.get_or("scale-div", 16u64);
-        let workers = args.get_or("workers", default_workers);
+    fn new(flags: &[Flag], bench: &str, algo: &str, default_workers: u32) -> Result<Self, String> {
+        let scale_div = flag_or(flags, "scale-div", 16u64)?;
+        let workers = flag_or(flags, "workers", default_workers)?;
         let workload = format!("{algo}/or_sim-div{scale_div}/w{workers}");
-        Self {
+        Ok(Self {
             scale_div,
             workers,
             graph: Arc::new(datasets::or_sim(scale_div)),
             log: BenchLog::new(bench, &workload),
             workload,
-        }
+        })
     }
 }
 

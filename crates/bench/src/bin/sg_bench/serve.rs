@@ -24,7 +24,8 @@
 //! `--rounds`, `--readers`, and `--idle-ms` shrink or grow the workload
 //! (CI smoke uses tiny sizes).
 
-use sg_bench::{Args, BenchLog};
+use sg_bench::cli::{flag_or, Flag};
+use sg_bench::BenchLog;
 use sg_core::sg_engine::{Context, Engine, EngineConfig, Model, TechniqueKind, VertexProgram};
 use sg_core::sg_graph::{gen, Graph, VertexId};
 use std::process::ExitCode;
@@ -226,11 +227,11 @@ fn bench_idle(verts: u32, rounds: u64, readers: usize, idle_ms: u64) -> ServeSta
     }
 }
 
-pub fn run(args: &Args) -> ExitCode {
-    let verts: u32 = args.get_or("verts", 2_000);
-    let rounds: u64 = args.get_or("rounds", 60);
-    let readers: usize = args.get_or("readers", 2);
-    let idle_ms: u64 = args.get_or("idle-ms", 300);
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
+    let verts: u32 = flag_or(flags, "verts", 2_000)?;
+    let rounds: u64 = flag_or(flags, "rounds", 60)?;
+    let readers: usize = flag_or(flags, "readers", 2)?;
+    let idle_ms: u64 = flag_or(flags, "idle-ms", 300)?;
 
     let techniques = [
         TechniqueKind::SingleToken,
@@ -258,10 +259,10 @@ pub fn run(args: &Args) -> ExitCode {
     );
     log.raw_cell(
         "serve/idle",
-        &[
-            ("reads_per_sec", format!("{:.0}", idle.reads_per_sec())),
-            ("snap_open_ns", format!("{:.0}", idle.snap_open_ns())),
-            ("snap_opens", idle.snap_opens.to_string()),
+        [
+            ("reads_per_sec", idle.reads_per_sec().into()),
+            ("snap_open_ns", idle.snap_open_ns().into()),
+            ("snap_opens", idle.snap_opens.into()),
         ],
     );
 
@@ -279,18 +280,18 @@ pub fn run(args: &Args) -> ExitCode {
         );
         log.raw_cell(
             &format!("{label}/load"),
-            &[
-                ("reads_per_sec", format!("{:.0}", s.reads_per_sec())),
-                ("run_secs", format!("{:.6}", s.secs)),
-                ("supersteps", s.supersteps.to_string()),
-                ("installs", installs.to_string()),
+            [
+                ("reads_per_sec", s.reads_per_sec().into()),
+                ("run_secs", s.secs.into()),
+                ("supersteps", s.supersteps.into()),
+                ("installs", installs.into()),
             ],
         );
         log.raw_cell(
             &format!("{label}/snap"),
-            &[
-                ("snap_open_ns", format!("{:.0}", s.snap_open_ns())),
-                ("snap_opens", s.snap_opens.to_string()),
+            [
+                ("snap_open_ns", s.snap_open_ns().into()),
+                ("snap_opens", s.snap_opens.into()),
             ],
         );
         summary.push((tech.label(), s.reads_per_sec()));
@@ -307,44 +308,7 @@ pub fn run(args: &Args) -> ExitCode {
             100.0 * rps / idle_rps.max(1e-9)
         );
     }
-    log.raw_cell(
-        "serve/summary",
-        &[("idle_reads_per_sec", format!("{idle_rps:.0}"))],
-    );
+    log.raw_cell("serve/summary", [("idle_reads_per_sec", idle_rps.into())]);
 
-    let path = match log.write() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: could not write BENCH_serve.json: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    println!("wrote {}", path.display());
-
-    // Self-check: the artifact must be well-formed schema_version-2 JSON
-    // with at least one cell, or this run is worthless to the trajectory.
-    let text = std::fs::read_to_string(&path).unwrap_or_default();
-    match sg_bench::json::Json::parse(&text) {
-        Ok(doc)
-            if doc.get("schema_version").and_then(|v| v.as_u64())
-                == Some(sg_bench::BENCH_SCHEMA_VERSION)
-                && doc
-                    .get("cells")
-                    .and_then(|c| c.as_arr())
-                    .is_some_and(|c| !c.is_empty()) =>
-        {
-            ExitCode::SUCCESS
-        }
-        Ok(_) => {
-            eprintln!(
-                "error: {} is valid JSON but not a schema_version-2 bench log",
-                path.display()
-            );
-            ExitCode::from(2)
-        }
-        Err(e) => {
-            eprintln!("error: {} is malformed: {e:?}", path.display());
-            ExitCode::from(2)
-        }
-    }
+    Ok(crate::finish(log))
 }

@@ -32,19 +32,21 @@
 //!
 //! Usage: `sg-bench sim [--scale-div N] [--full]`
 
+use sg_bench::cli::{flag_or, has_flag, Flag};
 use sg_bench::experiment::{fmt_makespan, run_sim, Algo, ExperimentResult};
-use sg_bench::{emit_obs, Args, BenchLog, Table};
+use sg_bench::{emit_obs, BenchLog, Table};
 use sg_core::prelude::*;
 use sg_core::sg_metrics::critical_path::{self, Category};
+use sg_core::sg_metrics::Json;
 use sg_core::sg_sim::{fit_cost_model, simulate};
 use sg_core::Runner;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-pub fn run(args: &Args) -> ExitCode {
-    let scale_div = args.get_or("scale-div", 16u64);
-    let full = args.has_flag("full");
-    let max_supersteps = args.get_or("max-supersteps", 20_000u64);
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
+    let scale_div = flag_or(flags, "scale-div", 16u64)?;
+    let full = has_flag(flags, "full");
+    let max_supersteps = flag_or(flags, "max-supersteps", 20_000u64)?;
     let workload = format!("sim/or_sim-div{scale_div}");
 
     let graph = Arc::new(sg_core::sg_graph::gen::datasets::or_sim(scale_div));
@@ -63,7 +65,7 @@ pub fn run(args: &Args) -> ExitCode {
     calibration_round_trip(&graph, max_supersteps, &mut log);
 
     println!();
-    crate::finish(log)
+    Ok(crate::finish(log))
 }
 
 const FIG1_TECHNIQUES: [(&str, Technique); 5] = [
@@ -132,11 +134,11 @@ fn fig1_at_paper_shape(graph: &Arc<Graph>, max_supersteps: u64, log: &mut BenchL
     );
     log.raw_cell(
         "fig1/ordering",
-        &[
-            ("single_token_transfers", single.to_string()),
-            ("dual_token_transfers", dual.to_string()),
-            ("partition_lock_transfers", partition.to_string()),
-            ("vertex_lock_transfers", vertex.to_string()),
+        [
+            ("single_token_transfers", single.into()),
+            ("dual_token_transfers", dual.into()),
+            ("partition_lock_transfers", partition.into()),
+            ("vertex_lock_transfers", vertex.into()),
         ],
     );
     // Exact-in-virtual-time ratios for the cross-PR drift gate.
@@ -148,10 +150,7 @@ fn fig1_at_paper_shape(graph: &Arc<Graph>, max_supersteps: u64, log: &mut BenchL
     for (name, r) in &cells {
         log.raw_cell(
             &format!("speedup/fig1/{name}"),
-            &[(
-                "speedup",
-                format!("{:.6}", single_ns as f64 / r.makespan_ns as f64),
-            )],
+            [("speedup", (single_ns as f64 / r.makespan_ns as f64).into())],
         );
     }
 }
@@ -248,7 +247,7 @@ fn scale_curve(graph: &Arc<Graph>, max_supersteps: u64, full: bool, log: &mut Be
     for (name, ns) in &at512 {
         log.raw_cell(
             &format!("speedup/512/{name}"),
-            &[("speedup", format!("{:.6}", single512 as f64 / *ns as f64))],
+            [("speedup", (single512 as f64 / *ns as f64).into())],
         );
     }
     println!();
@@ -320,7 +319,7 @@ fn dual_token_512_verified(
     log.outcome_cell("dual512/coloring", Technique::DualToken.label(), &out);
     log.raw_cell(
         "speedup/512-verified",
-        &[("speedup", if serializable { "1.0" } else { "0.0" }.into())],
+        [("speedup", Json::Num(if serializable { 1.0 } else { 0.0 }))],
     );
     println!();
 }
@@ -351,10 +350,10 @@ fn determinism_replay(graph: &Arc<Graph>, max_supersteps: u64, log: &mut BenchLo
     );
     log.raw_cell(
         "determinism/replay",
-        &[
-            ("digest", format!("\"{:016x}\"", a.digest)),
-            ("events", a.events.to_string()),
-            ("speedup", "1.0".into()),
+        [
+            ("digest", format!("{:016x}", a.digest).into()),
+            ("events", a.events.into()),
+            ("speedup", Json::Num(1.0)),
         ],
     );
 }
@@ -403,16 +402,16 @@ fn calibration_round_trip(graph: &Arc<Graph>, max_supersteps: u64, log: &mut Ben
     );
     log.raw_cell(
         "calibrate/fit",
-        &[
-            ("vertex_samples", fit.vertex_samples.to_string()),
-            ("batch_samples", fit.batch_samples.to_string()),
-            ("vertex_compute_ns", fit.model.vertex_compute_ns.to_string()),
+        [
+            ("vertex_samples", fit.vertex_samples.into()),
+            ("batch_samples", fit.batch_samples.into()),
+            ("vertex_compute_ns", fit.model.vertex_compute_ns.into()),
             (
                 "per_message_compute_ns",
-                fit.model.per_message_compute_ns.to_string(),
+                fit.model.per_message_compute_ns.into(),
             ),
-            ("engine_makespan_ns", real.makespan_ns.to_string()),
-            ("sim_makespan_ns", replay.makespan_ns.to_string()),
+            ("engine_makespan_ns", real.makespan_ns.into()),
+            ("sim_makespan_ns", replay.makespan_ns.into()),
         ],
     );
 }

@@ -6,13 +6,14 @@
 //!
 //! Usage: `sg-bench table1 [--scale-div N]`
 
-use sg_bench::{Args, BenchLog, Table};
+use sg_bench::cli::{flag_or, Flag};
+use sg_bench::{BenchLog, Table};
 use sg_core::sg_graph::gen::datasets;
 use sg_core::sg_graph::stats::GraphStats;
 use std::process::ExitCode;
 
-pub fn run(args: &Args) -> ExitCode {
-    let scale_div = args.get_or("scale-div", 16u64);
+pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
+    let scale_div = flag_or(flags, "scale-div", 16u64)?;
 
     println!("Table 1: directed datasets (synthetic stand-ins, scale-div={scale_div})");
     println!("Parentheses in the paper = undirected versions used by coloring.\n");
@@ -39,11 +40,11 @@ pub fn run(args: &Args) -> ExitCode {
         ]);
         log.raw_cell(
             name,
-            &[
-                ("vertices", g.num_vertices().to_string()),
-                ("edges_directed", g.num_edges().to_string()),
-                ("edges_undirected", und.num_edges().to_string()),
-                ("max_degree", g.max_degree().to_string()),
+            [
+                ("vertices", g.num_vertices().into()),
+                ("edges_directed", g.num_edges().into()),
+                ("edges_undirected", und.num_edges().into()),
+                ("max_degree", g.max_degree().into()),
             ],
         );
     }
@@ -52,5 +53,5 @@ pub fn run(args: &Args) -> ExitCode {
         "\nReal datasets for reference (paper): OR 3.0M/117M, AR 22.7M/639M, \
          TW 41.6M/1.46B, UK 105M/3.73B; |E|/|V| ratios are preserved."
     );
-    crate::finish(log)
+    Ok(crate::finish(log))
 }

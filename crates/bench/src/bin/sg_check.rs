@@ -168,8 +168,7 @@ fn run(args: &[String]) -> Result<(String, i32), CliError> {
 /// An integer flag value that fits the field it is for (`--workers
 /// 4294967298` is an error, not 2).
 fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, CliError> {
-    v.parse()
-        .map_err(|_| usage(&format!("--{flag} needs an integer in range, got {v:?}")))
+    cli::parse_flag(flag, Some(v)).map_err(|m| usage(&m))
 }
 
 fn split_args(args: &[String], value_flags: &[&str]) -> Result<(Vec<String>, Vec<Flag>), CliError> {

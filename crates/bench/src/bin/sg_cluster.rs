@@ -48,10 +48,11 @@
 //! `/audit` and renders the verdict, conflict heatmap, and audit lag until
 //! the endpoint goes away.
 
-use sg_bench::json::Json;
+use sg_bench::cli::{flag_or, flag_value, has_flag, parse_flag, split_args, Flag};
 use sg_bench::{emit_obs, BenchLog};
 use sg_core::sg_algos::validate;
 use sg_core::sg_graph::{gen, Graph, GraphSpec, VertexId};
+use sg_core::sg_metrics::Json;
 use sg_core::sg_net::{self, http_get, parse_fault_plan, FaultPlan, SpawnMode, Workload};
 use sg_core::{NetworkOptions, Runner, Technique};
 use std::collections::BTreeMap;
@@ -122,24 +123,13 @@ fn main() -> ExitCode {
 
 /// Hidden worker mode: what `run`'s process spawner re-execs.
 fn worker(args: &[String]) -> ExitCode {
-    let mut coord = None;
-    let mut rank = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--coord" => {
-                i += 1;
-                coord = args.get(i).cloned();
-            }
-            "--rank" => {
-                i += 1;
-                rank = args.get(i).and_then(|r| r.parse::<u32>().ok());
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    let (Some(coord), Some(rank)) = (coord, rank) else {
+    let parsed = split_args(args, &["coord", "rank"])
+        .ok()
+        .and_then(|(_, flags)| {
+            let coord = flag_value(&flags, "coord")?.to_owned();
+            Some((coord, flag_value(&flags, "rank")?.parse::<u32>().ok()?))
+        });
+    let Some((coord, rank)) = parsed else {
         eprintln!("sg-cluster worker: needs --coord <addr> --rank <r>");
         return ExitCode::FAILURE;
     };
@@ -194,74 +184,79 @@ impl Default for RunArgs {
     }
 }
 
+/// Split `args` for a subcommand that takes the flags `value_flags` (each
+/// with a value) and `switches`, and nothing else.
+fn flags_only(
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<Vec<Flag>, String> {
+    let (positional, flags) = split_args(args, value_flags)?;
+    if let Some(extra) = positional.first() {
+        return Err(format!("unexpected argument {extra:?}"));
+    }
+    let known = |f: &str| value_flags.contains(&f) || switches.contains(&f);
+    match flags.iter().find(|(f, _)| !known(f)) {
+        Some((f, _)) => Err(format!("unknown flag --{f}")),
+        None => Ok(flags),
+    }
+}
+
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut out = RunArgs::default();
     let mut source = 0u32;
     let mut want_sssp = false;
     let mut threshold = 0.01f64;
     let mut want_pagerank = false;
-    let mut i = 0;
-    let next = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                out.workers = next(args, &mut i, "--workers")?
-                    .parse()
-                    .map_err(|_| "--workers needs an integer".to_string())?;
-            }
-            "--ppw" => {
-                out.ppw = Some(
-                    next(args, &mut i, "--ppw")?
-                        .parse()
-                        .map_err(|_| "--ppw needs an integer".to_string())?,
-                );
-            }
-            "--technique" => {
-                let label = next(args, &mut i, "--technique")?;
+    let flags = flags_only(
+        args,
+        &[
+            "workers",
+            "ppw",
+            "technique",
+            "workload",
+            "source",
+            "threshold",
+            "graph",
+            "bind",
+            "max-supersteps",
+            "buffer-cap",
+            "fault",
+            "telemetry-addr",
+            "telemetry-interval-ms",
+            "audit-interval-ms",
+            "audit-log",
+        ],
+        &["threads", "no-history", "trace"],
+    )?;
+    for (flag, value) in &flags {
+        let v = value.as_deref();
+        let text = || v.unwrap_or_default().to_owned();
+        match flag.as_str() {
+            "workers" => out.workers = parse_flag(flag, v)?,
+            "ppw" => out.ppw = Some(parse_flag(flag, v)?),
+            "technique" => {
+                let label = text();
                 out.technique = Technique::from_label(&label)
                     .ok_or_else(|| format!("unknown technique {label:?}"))?;
             }
-            "--workload" => {
-                let w = next(args, &mut i, "--workload")?;
-                match w.as_str() {
-                    "coloring" => out.workload = Workload::Coloring,
-                    "wcc" => out.workload = Workload::Wcc,
-                    "sssp" => want_sssp = true,
-                    "mis" => out.workload = Workload::Mis,
-                    "pagerank" => want_pagerank = true,
-                    other => return Err(format!("unknown workload {other:?}")),
-                }
-            }
-            "--source" => {
-                source = next(args, &mut i, "--source")?
-                    .parse()
-                    .map_err(|_| "--source needs a vertex id".to_string())?;
-            }
-            "--threshold" => {
-                threshold = next(args, &mut i, "--threshold")?
-                    .parse()
-                    .map_err(|_| "--threshold needs a number".to_string())?;
-            }
-            "--graph" => out.graph_spec = next(args, &mut i, "--graph")?,
-            "--threads" => out.threads = true,
-            "--bind" => out.bind = next(args, &mut i, "--bind")?,
-            "--max-supersteps" => {
-                out.max_supersteps = next(args, &mut i, "--max-supersteps")?
-                    .parse()
-                    .map_err(|_| "--max-supersteps needs an integer".to_string())?;
-            }
-            "--buffer-cap" => {
-                out.buffer_cap = next(args, &mut i, "--buffer-cap")?
-                    .parse()
-                    .map_err(|_| "--buffer-cap needs an integer".to_string())?;
-            }
-            "--fault" => {
-                let spec = next(args, &mut i, "--fault")?;
+            "workload" => match v.unwrap_or_default() {
+                "coloring" => out.workload = Workload::Coloring,
+                "wcc" => out.workload = Workload::Wcc,
+                "sssp" => want_sssp = true,
+                "mis" => out.workload = Workload::Mis,
+                "pagerank" => want_pagerank = true,
+                other => return Err(format!("unknown workload {other:?}")),
+            },
+            "source" => source = parse_flag(flag, v)?,
+            "threshold" => threshold = parse_flag(flag, v)?,
+            "graph" => out.graph_spec = text(),
+            "threads" => out.threads = true,
+            "bind" => out.bind = text(),
+            "max-supersteps" => out.max_supersteps = parse_flag(flag, v)?,
+            "buffer-cap" => out.buffer_cap = parse_flag(flag, v)?,
+            "fault" => {
+                let spec = text();
                 let (rank, plan) = spec
                     .split_once(':')
                     .ok_or_else(|| "--fault wants RANK:SPEC".to_string())?;
@@ -270,29 +265,14 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                     .map_err(|_| format!("fault rank {rank:?} is not an integer"))?;
                 out.faults.push((rank, parse_fault_plan(plan)?));
             }
-            "--no-history" => out.history = false,
-            "--trace" => out.trace = true,
-            "--telemetry-addr" => {
-                out.telemetry_addr = Some(next(args, &mut i, "--telemetry-addr")?);
-            }
-            "--telemetry-interval-ms" => {
-                out.telemetry_interval_ms = Some(
-                    next(args, &mut i, "--telemetry-interval-ms")?
-                        .parse()
-                        .map_err(|_| "--telemetry-interval-ms needs an integer".to_string())?,
-                );
-            }
-            "--audit-interval-ms" => {
-                out.audit_interval_ms = next(args, &mut i, "--audit-interval-ms")?
-                    .parse()
-                    .map_err(|_| "--audit-interval-ms needs an integer".to_string())?;
-            }
-            "--audit-log" => {
-                out.audit_log = Some(next(args, &mut i, "--audit-log")?);
-            }
-            other => return Err(format!("unknown run flag {other:?}")),
+            "no-history" => out.history = false,
+            "trace" => out.trace = true,
+            "telemetry-addr" => out.telemetry_addr = Some(text()),
+            "telemetry-interval-ms" => out.telemetry_interval_ms = Some(parse_flag(flag, v)?),
+            "audit-interval-ms" => out.audit_interval_ms = parse_flag(flag, v)?,
+            "audit-log" => out.audit_log = Some(text()),
+            _ => return Err(format!("unknown run flag --{flag}")),
         }
-        i += 1;
     }
     if want_sssp {
         out.workload = Workload::Sssp(source);
@@ -483,40 +463,21 @@ fn print_counters(m: &sg_core::sg_metrics::MetricsSnapshot) {
 /// `sg-cluster bench`: coloring under every technique over loopback,
 /// `results/BENCH_net.json` + a merged Chrome trace from the last run.
 fn bench(args: &[String]) -> ExitCode {
-    let mut workers = 2u32;
-    let mut threads = false;
-    let mut telemetry_addr = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--workers" => {
-                i += 1;
-                workers = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(w) => w,
-                    None => {
-                        eprintln!("sg-cluster bench: --workers needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--threads" => threads = true,
-            "--telemetry-addr" => {
-                i += 1;
-                telemetry_addr = match args.get(i) {
-                    Some(a) => Some(a.clone()),
-                    None => {
-                        eprintln!("sg-cluster bench: --telemetry-addr needs an address");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            other => {
-                eprintln!("sg-cluster bench: unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
+    let parsed = flags_only(args, &["workers", "telemetry-addr"], &["threads"]).and_then(|flags| {
+        let telemetry_addr = flag_value(&flags, "telemetry-addr").map(str::to_owned);
+        Ok((
+            flag_or(&flags, "workers", 2u32)?,
+            has_flag(&flags, "threads"),
+            telemetry_addr,
+        ))
+    });
+    let (workers, threads, telemetry_addr) = match parsed {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("sg-cluster bench: {e}");
+            return ExitCode::FAILURE;
         }
-        i += 1;
-    }
+    };
     let spawn = match spawn_mode(threads) {
         Ok(s) => s,
         Err(e) => {
@@ -613,42 +574,15 @@ struct TopArgs {
 }
 
 fn parse_top_args(args: &[String]) -> Result<TopArgs, String> {
-    let mut addr = None;
-    let mut once = false;
-    let mut interval_ms = 1000u64;
-    let mut raw = false;
-    let mut json = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => {
-                i += 1;
-                addr = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--addr needs host:port".to_string())?,
-                );
-            }
-            "--once" => once = true,
-            "--interval-ms" => {
-                i += 1;
-                interval_ms = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| "--interval-ms needs an integer".to_string())?;
-            }
-            "--raw" => raw = true,
-            "--json" => json = true,
-            other => return Err(format!("unknown top flag {other:?}")),
-        }
-        i += 1;
-    }
+    let flags = flags_only(args, &["addr", "interval-ms"], &["once", "raw", "json"])?;
     Ok(TopArgs {
-        addr: addr.ok_or_else(|| "top needs --addr <host:port>".to_string())?,
-        once,
-        interval_ms: interval_ms.max(100),
-        raw,
-        json,
+        addr: flag_value(&flags, "addr")
+            .ok_or_else(|| "top needs --addr <host:port>".to_string())?
+            .to_owned(),
+        once: has_flag(&flags, "once"),
+        interval_ms: flag_or(&flags, "interval-ms", 1000u64)?.max(100),
+        raw: has_flag(&flags, "raw"),
+        json: has_flag(&flags, "json"),
     })
 }
 

@@ -73,7 +73,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
             for (flag, value) in &flags {
                 match (flag.as_str(), value) {
                     ("top-k", Some(v)) => {
-                        top_k = Some(v.parse().map_err(|_| usage("--top-k needs an integer"))?);
+                        top_k = Some(cli::parse_flag(flag, Some(v)).map_err(|m| usage(&m))?);
                     }
                     ("json", None) => json = true,
                     _ => return Err(usage(&format!("unknown analyze flag --{flag}"))),
@@ -134,9 +134,7 @@ fn run(args: &[String]) -> Result<String, CliError> {
                     ("against", Some(v)) => against = Some(v.clone()),
                     ("cell", Some(v)) => cell = Some(v.clone()),
                     ("tolerance", Some(v)) => {
-                        tolerance = v
-                            .parse()
-                            .map_err(|_| usage("--tolerance needs a number (percent)"))?;
+                        tolerance = cli::parse_flag(flag, Some(v)).map_err(|m| usage(&m))?;
                     }
                     _ => return Err(usage(&format!("unknown check flag --{flag}"))),
                 }

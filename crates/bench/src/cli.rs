@@ -1,124 +1,124 @@
-//! Tiny argument parsers (no external dependencies): [`Args`] for the
-//! `sg-bench` lanes' `--key value` soup, [`split_args`] for the subcommand
-//! CLIs that know which of their flags take a value.
+//! The one argument splitter of the `sg-bench`, `sg-trace`, `sg-check` and
+//! `sg-cluster` CLIs (no external dependencies): [`split_args`] separates
+//! positionals from `--flag [value]` pairs, and [`parse_flag`]/[`flag_or`]
+//! turn a value into the type its flag wants — or into a usage error.
 
-use std::collections::HashMap;
-
-/// Parsed command-line arguments: `--key value` pairs and bare flags.
-#[derive(Clone, Debug, Default)]
-pub struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
-}
-
-impl Args {
-    /// Parse from an iterator of tokens.
-    pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Self {
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
-        let mut iter = tokens.into_iter().peekable();
-        while let Some(tok) = iter.next() {
-            if let Some(key) = tok.strip_prefix("--") {
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        values.insert(key.to_owned(), iter.next().expect("peeked"));
-                    }
-                    _ => flags.push(key.to_owned()),
-                }
-            } else {
-                flags.push(tok);
-            }
-        }
-        Self { values, flags }
-    }
-
-    /// String value of `--key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    /// Parsed value of `--key`, or `default`.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Was a bare flag (`--quick` with no value, or a positional) given?
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.flags.iter().any(|f| f == flag)
-    }
-}
+use std::str::FromStr;
 
 /// A parsed `--flag` with its value, when the flag takes one.
 pub type Flag = (String, Option<String>);
 
 /// Split argv into positionals and `--flag [value]` pairs. Only the flags
-/// named in `value_flags` consume the next token; everything else is
-/// boolean (`--json`) and keeps a `None` value. The error is the message
-/// for the caller's usage text.
+/// named in `value_flags` consume the next token; a name written `name?`
+/// takes one only when the next token is not itself a `--flag` (`--trace
+/// [path]`). Everything else is boolean (`--json`) and keeps a `None`
+/// value. The error is the message for the caller's usage text.
 pub fn split_args(
     args: &[String],
     value_flags: &[&str],
 ) -> Result<(Vec<String>, Vec<Flag>), String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if name.is_empty() {
-                return Err("stray --".into());
-            }
-            let value = if value_flags.contains(&name) {
-                i += 1;
-                Some(
-                    args.get(i)
-                        .ok_or_else(|| format!("--{name} needs a value"))?
-                        .clone(),
-                )
-            } else {
-                None
-            };
-            flags.push((name.to_owned(), value));
-        } else {
+    let mut args = args.iter().peekable();
+    while let Some(a) = args.next() {
+        let Some(name) = a.strip_prefix("--") else {
             positional.push(a.clone());
+            continue;
+        };
+        if name.is_empty() {
+            return Err("stray --".into());
         }
-        i += 1;
+        let value = if value_flags.contains(&name) {
+            Some(
+                args.next()
+                    .ok_or_else(|| format!("--{name} needs a value"))?,
+            )
+        } else if value_flags.contains(&format!("{name}?").as_str()) {
+            args.next_if(|next| !next.starts_with("--"))
+        } else {
+            None
+        };
+        flags.push((name.to_owned(), value.cloned()));
     }
     Ok((positional, flags))
+}
+
+/// `value` of `--flag` as a `T`; a missing or unparsable value is an error
+/// naming the flag.
+pub fn parse_flag<T: FromStr>(flag: &str, value: Option<&str>) -> Result<T, String> {
+    let v = value.unwrap_or_default();
+    v.parse()
+        .map_err(|_| format!("--{flag}: {v:?} is not a valid value"))
+}
+
+/// The value of the last `--name` in `flags`, if it was given one.
+pub fn flag_value<'a>(flags: &'a [Flag], name: &str) -> Option<&'a str> {
+    let (_, value) = flags.iter().rev().find(|(f, _)| f == name)?;
+    value.as_deref()
+}
+
+/// The last `--name`'s value parsed as a `T`, or `default` when the flag is
+/// absent.
+pub fn flag_or<T: FromStr>(flags: &[Flag], name: &str, default: T) -> Result<T, String> {
+    flag_value(flags, name).map_or(Ok(default), |v| parse_flag(name, Some(v)))
+}
+
+/// Was `--name` given, with or without a value?
+pub fn has_flag(flags: &[Flag], name: &str) -> bool {
+    flags.iter().any(|(f, _)| f == name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Args {
-        Args::parse(s.split_whitespace().map(str::to_owned))
+    fn split(s: &str, value_flags: &[&str]) -> Result<(Vec<String>, Vec<Flag>), String> {
+        let argv: Vec<String> = s.split_whitespace().map(str::to_owned).collect();
+        split_args(&argv, value_flags)
     }
 
     #[test]
     fn key_values_and_flags() {
-        let a = parse("--scale-div 8 --algo coloring --quick");
-        assert_eq!(a.get("scale-div"), Some("8"));
-        assert_eq!(a.get_or("scale-div", 1u64), 8);
-        assert_eq!(a.get("algo"), Some("coloring"));
-        assert!(a.has_flag("quick"));
-        assert!(!a.has_flag("slow"));
+        let (_, flags) = split(
+            "--scale-div 8 --algo coloring --quick",
+            &["scale-div", "algo"],
+        )
+        .unwrap();
+        assert_eq!(flag_value(&flags, "scale-div"), Some("8"));
+        assert_eq!(flag_or(&flags, "scale-div", 1u64), Ok(8));
+        assert_eq!(flag_value(&flags, "algo"), Some("coloring"));
+        assert!(has_flag(&flags, "quick"));
+        assert!(!has_flag(&flags, "slow"));
+        assert_eq!(flag_or(&flags, "missing", 3u32), Ok(3));
+    }
+
+    /// `--scale-div abc` is a usage error, not a silent default.
+    #[test]
+    fn an_unparsable_value_is_an_error_not_the_default() {
+        let (_, flags) = split(
+            "--scale-div abc --workers 4294967296",
+            &["scale-div", "workers"],
+        )
+        .unwrap();
+        let err = flag_or(&flags, "scale-div", 16u64).unwrap_err();
+        assert!(
+            err.contains("--scale-div") && err.contains("\"abc\""),
+            "{err}"
+        );
+        assert!(flag_or(&flags, "workers", 8u32).is_err());
+        assert_eq!(flag_or(&flags, "workers", 8u64), Ok(1 << 32));
     }
 
     #[test]
-    fn default_when_missing_or_unparsable() {
-        let a = parse("--n abc");
-        assert_eq!(a.get_or("n", 7u32), 7);
-        assert_eq!(a.get_or("missing", 3i64), 3);
-    }
-
-    #[test]
-    fn consecutive_flags() {
-        let a = parse("--x --y 5");
-        assert!(a.has_flag("x"));
-        assert_eq!(a.get_or("y", 0u32), 5);
+    fn an_optional_value_is_taken_only_when_one_follows() {
+        let opt = ["trace?", "workers"];
+        let (_, flags) = split("--trace out.json --workers 4", &opt).unwrap();
+        assert_eq!(flag_value(&flags, "trace"), Some("out.json"));
+        for bare in ["--trace --workers 4", "--workers 4 --trace"] {
+            let (positional, flags) = split(bare, &opt).unwrap();
+            assert!(positional.is_empty() && has_flag(&flags, "trace"), "{bare}");
+            assert_eq!(flag_value(&flags, "trace"), None, "{bare}");
+        }
     }
 
     #[test]

@@ -26,13 +26,11 @@
 
 pub mod cli;
 pub mod experiment;
-pub mod json;
 pub mod report;
 pub mod sgcheck;
 pub mod sgtrace;
 pub mod table;
 
-pub use cli::Args;
 pub use experiment::{run_gas_vertex_lock, run_pregel, run_pregel_obs, Algo, ExperimentResult};
 pub use report::{emit_obs, BenchLog, BENCH_SCHEMA_VERSION};
 pub use table::Table;

@@ -8,10 +8,7 @@
 //! (Perfetto / `chrome://tracing`) and a plain-text report via [`emit_obs`].
 
 use crate::experiment::ExperimentResult;
-use sg_core::sg_metrics::report::snapshot_json;
-use sg_core::sg_metrics::telemetry::json_string;
-use sg_core::sg_metrics::ObsReport;
-use std::fmt::Write as _;
+use sg_core::sg_metrics::{Json, ObsReport};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,7 +41,7 @@ pub const BENCH_SCHEMA_VERSION: u64 = 2;
 pub struct BenchLog {
     name: String,
     workload: String,
-    cells: Vec<String>,
+    cells: Vec<Json>,
 }
 
 impl BenchLog {
@@ -114,51 +111,43 @@ impl BenchLog {
         obs: Option<&ObsReport>,
         telemetry: Option<&sg_core::sg_metrics::TelemetrySnapshot>,
     ) {
-        let mut c = String::from("{\"label\":");
-        json_string(&mut c, label);
-        c.push_str(",\"technique\":");
-        json_string(&mut c, technique);
-        let _ = write!(c, ",\"makespan_ns\":{makespan_ns}");
-        let _ = write!(c, ",\"iterations\":{iterations}");
-        let _ = write!(c, ",\"converged\":{converged}");
-        let _ = write!(c, ",\"wall_us\":{wall_us}");
-        let _ = write!(c, ",\"totals\":{}", snapshot_json(metrics));
+        let mut c = Json::obj([
+            ("label", label.into()),
+            ("technique", technique.into()),
+            ("makespan_ns", makespan_ns.into()),
+            ("iterations", iterations.into()),
+            ("converged", converged.into()),
+            ("wall_us", wall_us.into()),
+            ("totals", metrics.to_json()),
+        ]);
         if let Some(obs) = obs {
-            let _ = write!(c, ",\"obs\":{}", obs.to_json());
+            c.push("obs", obs.to_json());
         }
         if let Some(t) = telemetry {
-            let _ = write!(c, ",\"telemetry\":{}", t.to_json());
+            c.push("telemetry", t.to_json());
         }
-        c.push('}');
         self.cells.push(c);
     }
 
-    /// Record a cell that is just labelled key/value numbers (for lanes
+    /// Record a cell that is just labelled key/value fields (for lanes
     /// whose rows aren't [`ExperimentResult`]s, e.g. dataset statistics).
-    pub fn raw_cell(&mut self, label: &str, fields: &[(&str, String)]) {
-        let mut c = String::from("{\"label\":");
-        json_string(&mut c, label);
+    pub fn raw_cell<const N: usize>(&mut self, label: &str, fields: [(&str, Json); N]) {
+        let mut c = Json::obj([("label", label.into())]);
         for (k, v) in fields {
-            c.push(',');
-            json_string(&mut c, k);
-            let _ = write!(c, ":{v}");
+            c.push(k, v);
         }
-        c.push('}');
         self.cells.push(c);
     }
 
     /// Write `results/BENCH_<name>.json` and return its path.
     pub fn write(self) -> io::Result<PathBuf> {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"schema_version\":{BENCH_SCHEMA_VERSION}");
-        out.push_str(",\"bench\":");
-        json_string(&mut out, &self.name);
-        out.push_str(",\"workload\":");
-        json_string(&mut out, &self.workload);
-        out.push_str(",\"cells\":[");
-        out.push_str(&self.cells.join(","));
-        out.push_str("]}");
-        write_results_file(&format!("BENCH_{}.json", self.name), &out)
+        let doc = Json::obj([
+            ("schema_version", BENCH_SCHEMA_VERSION.into()),
+            ("bench", self.name.as_str().into()),
+            ("workload", self.workload.as_str().into()),
+            ("cells", Json::Arr(self.cells)),
+        ]);
+        write_results_file(&format!("BENCH_{}.json", self.name), &doc.to_string())
     }
 }
 
@@ -222,31 +211,30 @@ mod tests {
     }
 
     #[test]
-    fn bench_log_shape_is_balanced_json_with_all_counters() {
+    fn bench_log_cells_read_back_with_all_counters() {
         let mut log = BenchLog::new("unit_test", "pagerank/toy");
         log.cell("row \"a\"", "partition-lock", &result());
         log.raw_cell(
             "stats",
-            &[("vertices", "10".into()), ("edges", "20".into())],
+            [("vertices", 10u64.into()), ("edges", 20u64.into())],
         );
-        // Assemble without touching the filesystem.
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"schema_version\":{BENCH_SCHEMA_VERSION},\"bench\":\"unit_test\",\
-             \"workload\":\"pagerank/toy\",\"cells\":["
-        );
-        out.push_str(&log.cells.join(","));
-        out.push_str("]}");
-        assert_eq!(out.matches('{').count(), out.matches('}').count());
-        assert_eq!(out.matches('[').count(), out.matches(']').count());
-        assert!(out.contains("\"schema_version\":2"));
-        assert!(out.contains("\"workload\":\"pagerank/toy\""));
-        assert!(out.contains("\"label\":\"row \\\"a\\\"\""));
-        assert!(out.contains("\"technique\":\"partition-lock\""));
-        assert!(out.contains("\"vertices\":10"));
+        // Read back what the artifact would hold, without the filesystem.
+        let cells = Json::parse(&Json::Arr(log.cells).to_string()).unwrap();
+        let [cell, stats] = cells.as_arr().unwrap() else {
+            panic!("two cells expected: {cells}");
+        };
+        let field = |c: &Json, k: &str| c.get(k).cloned().unwrap_or(Json::Null);
+        assert_eq!(field(cell, "label"), Json::from("row \"a\""));
+        assert_eq!(field(cell, "technique"), Json::from("partition-lock"));
+        assert_eq!(field(cell, "makespan_ns"), Json::U64(123));
+        assert_eq!(field(cell, "converged"), Json::Bool(true));
+        assert_eq!(field(cell, "wall_us"), Json::U64(55));
+        let totals = field(cell, "totals");
         for &c in Counter::ALL {
-            assert!(out.contains(&format!("\"{}\":", c.name())), "{}", c.name());
+            assert_eq!(field(&totals, c.name()), Json::U64(0), "{}", c.name());
         }
+        assert_eq!(field(stats, "label"), Json::from("stats"));
+        assert_eq!(field(stats, "vertices"), Json::U64(10));
+        assert_eq!(field(stats, "edges"), Json::U64(20));
     }
 }

@@ -9,13 +9,9 @@
 //! Exit codes follow `sg-trace`: 0 clean, 1 usage, 2 malformed input,
 //! 3 violation found (exploration) or reproduced (replay).
 
-use crate::json::Json;
 use crate::report::{write_results_file, BENCH_SCHEMA_VERSION};
 use crate::sgtrace::{CliError, EXIT_MALFORMED};
-use sg_core::sg_check::{
-    explore, Counterexample, ExploreConfig, FaultPlan, GraphSpec, StrategyKind, TechniqueKind,
-    COUNTEREXAMPLE_SCHEMA_VERSION,
-};
+use sg_core::sg_check::{explore, Counterexample, ExploreConfig, COUNTEREXAMPLE_SCHEMA_VERSION};
 use sg_core::sg_metrics::TraceBuffer;
 use std::fmt::Write as _;
 use std::fs::File;
@@ -85,7 +81,7 @@ pub fn run_explore(
             let _ = writeln!(text, "  {}", found.violation);
             let path = match out {
                 Some(p) => {
-                    std::fs::write(p, ce.to_json()).map_err(|e| CliError {
+                    std::fs::write(p, ce.to_json().to_string()).map_err(|e| CliError {
                         code: EXIT_MALFORMED,
                         message: format!("{p}: {e}"),
                     })?;
@@ -95,10 +91,13 @@ pub fn run_explore(
                     // `partition-lock/noskip` must not name a directory.
                     let technique = cfg.technique.label().replace('/', "-");
                     let filename = format!("CHECK_{technique}_{}_{}.json", cfg.strategy, cfg.seed);
-                    let p = write_results_file(&filename, &ce.to_json()).map_err(|e| CliError {
-                        code: EXIT_MALFORMED,
-                        message: format!("writing counterexample: {e}"),
-                    })?;
+                    let p =
+                        write_results_file(&filename, &ce.to_json().to_string()).map_err(|e| {
+                            CliError {
+                                code: EXIT_MALFORMED,
+                                message: format!("writing counterexample: {e}"),
+                            }
+                        })?;
                     p.display().to_string()
                 }
             };
@@ -121,7 +120,8 @@ pub fn run_explore(
 /// treated as malformed (exit 2) — a decision log that no longer reaches
 /// its violation proves nothing.
 pub fn run_replay(text: &str, trace: Option<&str>) -> Result<CmdOutput, CliError> {
-    let ce = parse_counterexample(text)?;
+    let ce =
+        Counterexample::from_json(text).map_err(|e| malformed(format!("counterexample: {e}")))?;
     let trace_buf =
         trace.map(|_| Arc::new(TraceBuffer::new(ce.config.workers as usize, TRACE_CAPACITY)));
     let outcome = ce.replay(trace_buf.clone());
@@ -222,78 +222,10 @@ fn malformed(message: impl Into<String>) -> CliError {
     }
 }
 
-/// Parse a counterexample JSON document back into a replayable
-/// [`Counterexample`]. Every field is validated; unknown techniques,
-/// graphs, strategies, faults, or schema versions are rejected rather
-/// than guessed at.
-pub fn parse_counterexample(text: &str) -> Result<Counterexample, CliError> {
-    let doc = Json::parse(text).map_err(|e| malformed(format!("counterexample: {e}")))?;
-    let str_field = |key: &str| -> Result<&str, CliError> {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| malformed(format!("counterexample: missing string field {key:?}")))
-    };
-    let num_field = |key: &str| -> Result<u64, CliError> {
-        doc.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| malformed(format!("counterexample: missing numeric field {key:?}")))
-    };
-    let schema_version = num_field("schema_version")?;
-    if schema_version != COUNTEREXAMPLE_SCHEMA_VERSION {
-        return Err(malformed(format!(
-            "counterexample: unsupported schema_version {schema_version} (this build reads {COUNTEREXAMPLE_SCHEMA_VERSION})"
-        )));
-    }
-    let technique = TechniqueKind::from_label(str_field("technique")?)
-        .ok_or_else(|| malformed("counterexample: unknown technique"))?;
-    let graph = GraphSpec::parse(str_field("graph")?)
-        .map_err(|e| malformed(format!("counterexample: {e}")))?;
-    let strategy = StrategyKind::parse(str_field("strategy")?)
-        .ok_or_else(|| malformed("counterexample: unknown strategy"))?;
-    let fault = FaultPlan::parse(str_field("fault")?)
-        .ok_or_else(|| malformed("counterexample: unknown fault"))?;
-    let decisions = doc
-        .get("decisions")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| malformed("counterexample: missing \"decisions\" array"))?
-        .iter()
-        .map(|d| {
-            d.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| malformed("counterexample: non-integer decision"))
-        })
-        .collect::<Result<Vec<u32>, CliError>>()?;
-    let fits = |key: &str| -> Result<u32, CliError> {
-        u32::try_from(num_field(key)?)
-            .map_err(|_| malformed(format!("counterexample: {key:?} exceeds {}", u32::MAX)))
-    };
-    let config = ExploreConfig {
-        technique,
-        graph,
-        workers: fits("workers")?,
-        ppw: fits("ppw")?,
-        supersteps: num_field("supersteps")?,
-        strategy,
-        seed: num_field("seed")?,
-        episodes: 1,
-        max_depth: usize::MAX,
-        max_events: usize::try_from(num_field("max_events")?).unwrap_or(usize::MAX),
-        fault,
-    };
-    config
-        .validate()
-        .map_err(|e| malformed(format!("counterexample: {e}")))?;
-    Ok(Counterexample {
-        schema_version,
-        config,
-        decisions,
-        violation: str_field("violation")?.to_string(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sg_core::sg_check::{FaultPlan, StrategyKind, TechniqueKind};
 
     fn seeded_bug_config() -> ExploreConfig {
         ExploreConfig {
@@ -302,26 +234,6 @@ mod tests {
             fault: FaultPlan::DropDelayedTokenPass { superstep: 0 },
             ..ExploreConfig::smoke(TechniqueKind::SingleToken)
         }
-    }
-
-    #[test]
-    fn counterexample_json_round_trips_through_the_parser() {
-        let cfg = seeded_bug_config();
-        let report = explore(&cfg);
-        let found = report.violation.expect("seeded bug found");
-        let ce = Counterexample::from_report(&cfg, &found);
-        let parsed = parse_counterexample(&ce.to_json()).expect("parses");
-        assert_eq!(parsed.decisions, ce.decisions);
-        assert_eq!(parsed.violation, ce.violation);
-        assert_eq!(parsed.config.technique, cfg.technique);
-        assert_eq!(parsed.config.graph, cfg.graph);
-        assert_eq!(parsed.config.fault, cfg.fault);
-        // And the parsed copy still reproduces the violation.
-        let outcome = parsed.replay(None);
-        assert_eq!(
-            outcome.violation.map(|v| v.code().to_string()),
-            Some(ce.violation)
-        );
     }
 
     /// A well-formed counterexample document with three fields of choice.
@@ -335,7 +247,7 @@ mod tests {
 
     #[test]
     fn malformed_counterexamples_are_rejected_not_crashed() {
-        parse_counterexample(&document("single-token", "ring:8", "2")).expect("the control");
+        Counterexample::from_json(&document("single-token", "ring:8", "2")).expect("the control");
         for (bad, why) in [
             (String::new(), ""),
             ("not json".into(), ""),
@@ -361,7 +273,7 @@ mod tests {
             (document("single-token", "complete:0", "2"), "at least 1"),
             (document("single-token", "grid:0x3", "2"), "at least 1 row"),
         ] {
-            let err = parse_counterexample(&bad).expect_err(&bad);
+            let err = run_replay(&bad, None).expect_err(&bad);
             assert_eq!(err.code, EXIT_MALFORMED, "{bad}");
             assert!(err.message.contains(why), "{bad}: {}", err.message);
         }
@@ -374,7 +286,9 @@ mod tests {
     fn schema_1_counterexample_is_refused_not_replayed() {
         let cfg = seeded_bug_config();
         let found = explore(&cfg).violation.expect("seeded bug found");
-        let current = Counterexample::from_report(&cfg, &found).to_json();
+        let current = Counterexample::from_report(&cfg, &found)
+            .to_json()
+            .to_string();
         let v1 = current.replace(
             &format!("\"schema_version\":{COUNTEREXAMPLE_SCHEMA_VERSION},"),
             "\"schema_version\":1,",
@@ -434,7 +348,7 @@ mod tests {
             decisions: vec![0, 0, 0],
             violation: "token-lost".to_string(),
         };
-        let err = run_replay(&ce.to_json(), None).unwrap_err();
+        let err = run_replay(&ce.to_json().to_string(), None).unwrap_err();
         assert_eq!(err.code, EXIT_MALFORMED);
         assert!(err.message.contains("ran clean"), "{}", err.message);
     }

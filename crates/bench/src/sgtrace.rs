@@ -22,11 +22,10 @@
 //! Exit codes: 0 ok, 1 usage error, 2 malformed or incompatible input,
 //! 3 tolerance failure.
 
-use crate::json::Json;
 use sg_core::sg_metrics::critical_path::{self, Category, CriticalPathReport};
 use sg_core::sg_metrics::simtime::fmt_sim_ns;
-use sg_core::sg_metrics::telemetry::json_string;
 use sg_core::sg_metrics::trace::{TraceEvent, TraceEventKind};
+use sg_core::sg_metrics::Json;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -197,21 +196,17 @@ pub fn default_top_k(trace: &ParsedTrace) -> usize {
 pub fn analyze_text(trace: &ParsedTrace, top_k: usize, json: bool) -> String {
     let report = critical_path::analyze(&trace.events, trace.makespan_ns);
     if json {
-        let mut out = String::from("{");
+        let mut doc = Json::obj([]);
         for (key, value) in [
-            ("\"technique\":", &trace.meta.technique),
-            ("\"workload\":", &trace.meta.workload),
+            ("technique", &trace.meta.technique),
+            ("workload", &trace.meta.workload),
         ] {
             if let Some(v) = value {
-                out.push_str(key);
-                json_string(&mut out, v);
-                out.push(',');
+                doc.push(key, v.as_str());
             }
         }
-        out.push_str("\"critical_path\":");
-        out.push_str(&report.to_json());
-        out.push('}');
-        out
+        doc.push("critical_path", report.to_json());
+        doc.to_string()
     } else {
         format!(
             "{}\nevents: {}\n\n{}",

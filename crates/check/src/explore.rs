@@ -9,12 +9,13 @@
 //! same events, same history, same violation. That is what makes a
 //! counterexample a *proof object* rather than a bug report.
 
-use crate::config::{ExploreConfig, StrategyKind};
+use crate::config::{ExploreConfig, FaultPlan, StrategyKind};
 use crate::model::{Event, Model, Violation};
-use sg_graph::SplitMix64;
+use sg_graph::{GraphSpec, SplitMix64};
+use sg_metrics::Json;
 use sg_metrics::{TraceBuffer, TraceEventKind};
 use sg_serial::HistorySummary;
-use std::fmt::Write as _;
+use sg_sync::TechniqueKind;
 use std::sync::Arc;
 
 /// Everything one episode produced.
@@ -273,29 +274,85 @@ impl Counterexample {
     }
 
     /// Serialize to the JSON interchange format.
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let c = &self.config;
-        let mut out = String::from("{");
-        let _ = write!(out, "\"schema_version\":{},", self.schema_version);
-        let _ = write!(out, "\"technique\":\"{}\",", c.technique);
-        let _ = write!(out, "\"graph\":\"{}\",", c.graph);
-        let _ = write!(out, "\"workers\":{},", c.workers);
-        let _ = write!(out, "\"ppw\":{},", c.ppw);
-        let _ = write!(out, "\"supersteps\":{},", c.supersteps);
-        let _ = write!(out, "\"strategy\":\"{}\",", c.strategy);
-        let _ = write!(out, "\"seed\":{},", c.seed);
-        let _ = write!(out, "\"max_events\":{},", c.max_events);
-        let _ = write!(out, "\"fault\":\"{}\",", c.fault);
-        let _ = write!(out, "\"violation\":\"{}\",", self.violation);
-        out.push_str("\"decisions\":[");
-        for (i, d) in self.decisions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{d}");
+        Json::obj([
+            ("schema_version", self.schema_version.into()),
+            ("technique", c.technique.to_string().into()),
+            ("graph", c.graph.to_string().into()),
+            ("workers", c.workers.into()),
+            ("ppw", c.ppw.into()),
+            ("supersteps", c.supersteps.into()),
+            ("strategy", c.strategy.to_string().into()),
+            ("seed", c.seed.into()),
+            ("max_events", c.max_events.into()),
+            ("fault", c.fault.to_string().into()),
+            ("violation", self.violation.as_str().into()),
+            ("decisions", self.decisions.iter().copied().collect()),
+        ])
+    }
+
+    /// Parse a counterexample document back into a replayable
+    /// counterexample. Every field is validated; unknown techniques, graphs,
+    /// strategies, faults, or schema versions are rejected rather than
+    /// guessed at.
+    pub fn from_json(text: &str) -> Result<Counterexample, String> {
+        let doc = Json::parse(text).map_err(|e| e.to_string())?;
+        let str_field = |key: &str| -> Result<&str, String> {
+            doc.get(key)
+                .and_then(Json::as_str)
+                .ok_or_else(|| format!("missing string field {key:?}"))
+        };
+        let num_field = |key: &str| -> Result<u64, String> {
+            doc.get(key)
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing numeric field {key:?}"))
+        };
+        let schema_version = num_field("schema_version")?;
+        if schema_version != COUNTEREXAMPLE_SCHEMA_VERSION {
+            return Err(format!(
+                "unsupported schema_version {schema_version} (this build reads {COUNTEREXAMPLE_SCHEMA_VERSION})"
+            ));
         }
-        out.push_str("]}");
-        out
+        let technique =
+            TechniqueKind::from_label(str_field("technique")?).ok_or("unknown technique")?;
+        let graph = GraphSpec::parse(str_field("graph")?)?;
+        let strategy = StrategyKind::parse(str_field("strategy")?).ok_or("unknown strategy")?;
+        let fault = FaultPlan::parse(str_field("fault")?).ok_or("unknown fault")?;
+        let decisions = doc
+            .get("decisions")
+            .and_then(Json::as_arr)
+            .ok_or("missing \"decisions\" array")?
+            .iter()
+            .map(|d| {
+                d.as_u64()
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or("non-integer decision")
+            })
+            .collect::<Result<Vec<u32>, _>>()?;
+        let fits = |key: &str| -> Result<u32, String> {
+            u32::try_from(num_field(key)?).map_err(|_| format!("{key:?} exceeds {}", u32::MAX))
+        };
+        let config = ExploreConfig {
+            technique,
+            graph,
+            workers: fits("workers")?,
+            ppw: fits("ppw")?,
+            supersteps: num_field("supersteps")?,
+            strategy,
+            seed: num_field("seed")?,
+            episodes: 1,
+            max_depth: usize::MAX,
+            max_events: usize::try_from(num_field("max_events")?).unwrap_or(usize::MAX),
+            fault,
+        };
+        config.validate().map_err(|e| e.to_string())?;
+        Ok(Counterexample {
+            schema_version,
+            config,
+            decisions,
+            violation: str_field("violation")?.to_string(),
+        })
     }
 
     /// Re-run the recorded episode: replay the decision log (first-choice
@@ -318,9 +375,6 @@ impl Counterexample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FaultPlan;
-    use sg_graph::GraphSpec;
-    use sg_sync::TechniqueKind;
 
     /// Every serializable technique the model hosts.
     fn serializable() -> impl Iterator<Item = TechniqueKind> {
@@ -432,7 +486,7 @@ mod tests {
             decisions: vec![0, 2, 1],
             violation: "token-lost".to_string(),
         };
-        let json = ce.to_json();
+        let json = ce.to_json().to_string();
         for needle in [
             "\"schema_version\":2",
             "\"technique\":\"single-token\"",
@@ -447,6 +501,29 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
+    }
+
+    #[test]
+    fn counterexample_json_round_trips_through_the_parser() {
+        let cfg = ExploreConfig {
+            supersteps: 2,
+            fault: FaultPlan::DropDelayedTokenPass { superstep: 0 },
+            ..base(TechniqueKind::SingleToken, StrategyKind::Dfs)
+        };
+        let found = explore(&cfg).violation.expect("seeded bug found");
+        let ce = Counterexample::from_report(&cfg, &found);
+        let parsed = Counterexample::from_json(&ce.to_json().to_string()).expect("parses");
+        assert_eq!(parsed.decisions, ce.decisions);
+        assert_eq!(parsed.violation, ce.violation);
+        assert_eq!(parsed.config.technique, cfg.technique);
+        assert_eq!(parsed.config.graph, cfg.graph);
+        assert_eq!(parsed.config.fault, cfg.fault);
+        // And the parsed copy still reproduces the violation.
+        let outcome = parsed.replay(None);
+        assert_eq!(
+            outcome.violation.map(|v| v.code().to_string()),
+            Some(ce.violation)
+        );
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! `fetch_add` (the `match` is resolved at monomorphization time for
 //! constant arguments), replacing the older closure-based accessor API.
 
+use crate::json::Json;
 use std::fmt;
 use std::ops::Sub;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -181,6 +182,15 @@ impl Metrics {
 }
 
 impl MetricsSnapshot {
+    /// Every counter by name, as one flat JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::Obj(
+            (Counter::ALL.iter())
+                .map(|&c| (c.name().to_owned(), self.get(c).into()))
+                .collect(),
+        )
+    }
+
     /// Total messages, local + remote.
     pub fn total_messages(&self) -> u64 {
         self.local_messages + self.remote_messages

@@ -56,6 +56,7 @@
 //! stays comm). This is what makes single-layer token passing's
 //! attribution show the paper's serial-chain story.
 
+use crate::json::Json;
 use crate::trace::{TraceBuffer, TraceEvent, TraceEventKind};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -167,16 +168,12 @@ impl Attribution {
     }
 
     /// Flat JSON object, one `<name>_ns` key per category.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, c) in Category::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}_ns\":{}", c.name(), self.get(c));
-        }
-        out.push('}');
-        out
+    pub fn to_json(&self) -> Json {
+        Json::Obj(
+            (Category::ALL.into_iter())
+                .map(|c| (format!("{}_ns", c.name()), self.get(c).into()))
+                .collect(),
+        )
     }
 }
 
@@ -305,50 +302,34 @@ impl CriticalPathReport {
         out
     }
 
-    /// Machine-readable JSON (hand-rolled; no external serializer).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"makespan_ns\":{},\"critical_path_ns\":{},\"max_worker_busy_ns\":{}",
-            self.makespan_ns,
-            self.critical_path_ns(),
-            self.max_worker_busy_ns
-        );
-        out.push_str(",\"attribution\":");
-        out.push_str(&self.attribution.to_json());
-        out.push_str(",\"supersteps\":[");
-        for (i, p) in self.per_superstep.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"superstep\":{},\"start_ns\":{},\"end_ns\":{},\"straggler\":{},\"attribution\":{}}}",
-                p.superstep,
-                p.start_ns,
-                p.end_ns,
-                p.straggler,
-                p.attribution.to_json()
-            );
-        }
-        out.push_str("],\"blocking_edges\":[");
-        for (i, e) in self.blocking_edges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"from\":{},\"to\":{},\"kind\":\"{}\",\"count\":{},\"total_ns\":{}}}",
-                e.from,
-                e.to,
-                e.kind.name(),
-                e.count,
-                e.total_ns
-            );
-        }
-        out.push_str("]}");
-        out
+    /// Machine-readable JSON.
+    pub fn to_json(&self) -> Json {
+        let supersteps = self.per_superstep.iter().map(|p| {
+            Json::obj([
+                ("superstep", p.superstep.into()),
+                ("start_ns", p.start_ns.into()),
+                ("end_ns", p.end_ns.into()),
+                ("straggler", p.straggler.into()),
+                ("attribution", p.attribution.to_json()),
+            ])
+        });
+        let edges = self.blocking_edges.iter().map(|e| {
+            Json::obj([
+                ("from", e.from.into()),
+                ("to", e.to.into()),
+                ("kind", e.kind.name().into()),
+                ("count", e.count.into()),
+                ("total_ns", e.total_ns.into()),
+            ])
+        });
+        Json::obj([
+            ("makespan_ns", self.makespan_ns.into()),
+            ("critical_path_ns", self.critical_path_ns().into()),
+            ("max_worker_busy_ns", self.max_worker_busy_ns.into()),
+            ("attribution", self.attribution.to_json()),
+            ("supersteps", supersteps.collect()),
+            ("blocking_edges", edges.collect()),
+        ])
     }
 }
 
@@ -905,14 +886,18 @@ mod tests {
         assert!(text.contains("makespan attribution:"));
         assert!(text.contains("per-superstep critical path:"));
         assert!(text.contains("top blocking edges:"));
-        let json = r.to_json();
+        let doc = Json::parse(&r.to_json().to_string()).unwrap();
+        let attribution = doc.get("attribution").unwrap();
         for c in Category::ALL {
-            assert!(json.contains(&format!("\"{}_ns\":", c.name())));
+            let ns = attribution.get(&format!("{}_ns", c.name()));
+            assert_eq!(ns.and_then(Json::as_u64), Some(r.attribution.get(c)));
         }
-        assert!(json.contains("\"critical_path_ns\":"));
-        assert!(json.contains("\"blocking_edges\":["));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let cp = doc.get("critical_path_ns").and_then(Json::as_u64);
+        assert_eq!(cp, Some(r.critical_path_ns()));
+        let edges = doc.get("blocking_edges").and_then(Json::as_arr).unwrap();
+        assert_eq!(edges.len(), r.blocking_edges.len());
+        let kind = edges[0].get("kind").and_then(Json::as_str);
+        assert_eq!(kind, Some(r.blocking_edges[0].kind.name()));
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 pub mod counters;
 pub mod critical_path;
+pub mod json;
 pub mod report;
 pub mod simtime;
 pub mod telemetry;
@@ -39,6 +40,7 @@ pub mod trace;
 
 pub use counters::{Counter, Metrics, MetricsSnapshot};
 pub use critical_path::{Attribution, BlockingEdge, Category, CriticalPathReport, SuperstepPath};
+pub use json::Json;
 pub use report::{ObsConfig, ObsReport, SuperstepRow, WorkerBreakdown, WorkerTimers};
 pub use simtime::{CostModel, SimClocks};
 pub use telemetry::{

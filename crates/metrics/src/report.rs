@@ -8,7 +8,8 @@
 //! row per worker per superstep, the GAS engine adds per execution) — the
 //! run itself never formats anything.
 
-use crate::counters::{Counter, MetricsSnapshot};
+use crate::counters::MetricsSnapshot;
+use crate::json::Json;
 use crate::simtime::fmt_sim_ns;
 use crate::trace::{Trace, TraceBuffer};
 use std::fmt::Write as _;
@@ -329,65 +330,44 @@ impl ObsReport {
     }
 
     /// Machine-readable JSON: totals, per-worker rows, per-superstep rows
-    /// (every counter by name). Hand-rolled (flat, numeric) — no external
-    /// serializer available offline.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(out, "\"makespan_ns\":{}", self.makespan_ns);
-        let _ = write!(out, ",\"stalled\":{}", self.stalled);
-        out.push_str(",\"totals\":");
-        out.push_str(&snapshot_json(&self.totals));
+    /// (every counter by name).
+    pub fn to_json(&self) -> Json {
+        let mut doc = Json::obj([
+            ("makespan_ns", self.makespan_ns.into()),
+            ("stalled", self.stalled.into()),
+            ("totals", self.totals.to_json()),
+        ]);
         if let Some(trace) = &self.trace {
             let cp = crate::critical_path::analyze_buffer(trace, self.makespan_ns);
-            out.push_str(",\"critical_path\":");
-            out.push_str(&cp.to_json());
+            doc.push("critical_path", cp.to_json());
         }
-        out.push_str(",\"workers\":[");
-        for (i, b) in self.per_worker.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"worker\":{},\"busy_ns\":{},\"blocked_ns\":{},\"idle_ns\":{},\"skew_ns\":{},\
-                 \"accounting_error_ns\":{}}}",
-                b.worker, b.busy_ns, b.blocked_ns, b.idle_ns, b.skew_ns, b.accounting_error_ns
-            );
-        }
-        out.push_str("],\"supersteps\":[");
-        for (i, row) in self.per_superstep.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"superstep\":{},\"makespan_ns\":{},\"delta\":{}}}",
-                row.superstep,
-                row.makespan_ns,
-                snapshot_json(&row.delta)
-            );
-        }
-        out.push_str("]}");
-        out
+        let workers = self.per_worker.iter().map(|b| {
+            Json::obj([
+                ("worker", b.worker.into()),
+                ("busy_ns", b.busy_ns.into()),
+                ("blocked_ns", b.blocked_ns.into()),
+                ("idle_ns", b.idle_ns.into()),
+                ("skew_ns", b.skew_ns.into()),
+                ("accounting_error_ns", b.accounting_error_ns.into()),
+            ])
+        });
+        doc.push("workers", workers.collect::<Json>());
+        let supersteps = self.per_superstep.iter().map(|row| {
+            Json::obj([
+                ("superstep", row.superstep.into()),
+                ("makespan_ns", row.makespan_ns.into()),
+                ("delta", row.delta.to_json()),
+            ])
+        });
+        doc.push("supersteps", supersteps.collect::<Json>());
+        doc
     }
-}
-
-/// A [`MetricsSnapshot`] as a flat JSON object, one key per counter.
-pub fn snapshot_json(s: &MetricsSnapshot) -> String {
-    let mut out = String::from("{");
-    for (i, &c) in Counter::ALL.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", c.name(), s.get(c));
-    }
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Counter;
 
     #[test]
     fn default_obs_config_is_fully_off() {
@@ -441,7 +421,9 @@ mod tests {
             ..ObsReport::default()
         };
         assert!(report.render_text().contains("ACCOUNTING ERROR"));
-        assert!(report.to_json().contains("\"accounting_error_ns\":20"));
+        let doc = report.to_json();
+        let worker = &doc.get("workers").and_then(Json::as_arr).unwrap()[0];
+        assert_eq!(worker.get("accounting_error_ns"), Some(&Json::U64(20)));
     }
 
     #[test]
@@ -502,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn json_has_every_counter_and_balances() {
+    fn json_names_every_counter_and_reads_back() {
         let report = ObsReport {
             per_worker: vec![WorkerBreakdown::default()],
             per_superstep: vec![SuperstepRow {
@@ -515,12 +497,18 @@ mod tests {
             makespan_ns: 5,
             stalled: true,
         };
-        let json = report.to_json();
+        let doc = Json::parse(&report.to_json().to_string()).unwrap();
+        let step = &doc.get("supersteps").and_then(Json::as_arr).unwrap()[0];
         for &c in Counter::ALL {
-            assert!(json.contains(&format!("\"{}\":", c.name())), "{}", c.name());
+            for counters in [doc.get("totals"), step.get("delta")].map(Option::unwrap) {
+                assert_eq!(counters.get(c.name()), Some(&Json::U64(0)), "{}", c.name());
+            }
         }
-        assert!(json.contains("\"stalled\":true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert_eq!(doc.get("stalled"), Some(&Json::Bool(true)));
+        assert_eq!(doc.get("makespan_ns"), Some(&Json::U64(5)));
+        assert_eq!(
+            doc.get("workers").and_then(Json::as_arr).map(<[_]>::len),
+            Some(1)
+        );
     }
 }

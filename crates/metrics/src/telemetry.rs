@@ -25,6 +25,7 @@
 //!    Merging is associative and commutative (u64 addition), so the
 //!    coordinator can fold per-worker snapshots in any order.
 
+use crate::json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -626,65 +627,46 @@ impl TelemetrySnapshot {
         out
     }
 
-    /// Render the snapshot as a JSON array (dependency-free, matches the
-    /// bench artifact schema): one object per row with `name`, `labels`,
-    /// `kind`, and either `value` or `count`/`sum`/`buckets`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            json_string(&mut out, &row.name);
-            out.push_str(",\"labels\":{");
-            for (j, (k, v)) in row.labels.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json_string(&mut out, k);
-                out.push(':');
-                json_string(&mut out, v);
-            }
-            out.push('}');
-            match &row.value {
-                MetricValue::Counter(v) => {
-                    out.push_str(",\"kind\":\"counter\",\"value\":");
-                    out.push_str(&v.to_string());
-                }
-                MetricValue::Gauge(v) => {
-                    out.push_str(",\"kind\":\"gauge\",\"value\":");
-                    out.push_str(&v.to_string());
-                }
-                MetricValue::Histogram(h) => {
-                    out.push_str(",\"kind\":\"histogram\",\"count\":");
-                    out.push_str(&h.count.to_string());
-                    out.push_str(",\"sum\":");
-                    out.push_str(&h.sum.to_string());
-                    out.push_str(",\"p50\":");
-                    out.push_str(&h.quantile(0.5).to_string());
-                    out.push_str(",\"p99\":");
-                    out.push_str(&h.quantile(0.99).to_string());
-                    out.push_str(",\"buckets\":[");
-                    // Sparse: [index, count] pairs for nonzero buckets.
-                    let mut first = true;
-                    for (bi, &c) in h.buckets.iter().enumerate() {
-                        if c == 0 {
-                            continue;
-                        }
-                        if !first {
-                            out.push(',');
-                        }
-                        first = false;
-                        out.push_str(&format!("[{bi},{c}]"));
+    /// Render the snapshot as a JSON array (matches the bench artifact
+    /// schema): one object per row with `name`, `labels`, `kind`, and
+    /// either `value` or `count`/`sum`/`p50`/`p99`/`buckets`.
+    pub fn to_json(&self) -> Json {
+        self.rows
+            .iter()
+            .map(|row| {
+                let labels = row
+                    .labels
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.as_str().into()));
+                let mut doc = Json::obj([
+                    ("name", row.name.as_str().into()),
+                    ("labels", Json::Obj(labels.collect())),
+                ]);
+                match &row.value {
+                    MetricValue::Counter(v) => {
+                        doc.push("kind", "counter");
+                        doc.push("value", *v);
                     }
-                    out.push(']');
+                    MetricValue::Gauge(v) => {
+                        doc.push("kind", "gauge");
+                        doc.push("value", *v);
+                    }
+                    MetricValue::Histogram(h) => {
+                        doc.push("kind", "histogram");
+                        doc.push("count", h.count);
+                        doc.push("sum", h.sum);
+                        doc.push("p50", h.quantile(0.5));
+                        doc.push("p99", h.quantile(0.99));
+                        // Sparse: [index, count] pairs for nonzero buckets.
+                        let buckets = (h.buckets.iter().enumerate())
+                            .filter(|&(_, &c)| c > 0)
+                            .map(|(bi, &c)| Json::from_iter([bi as u64, c]));
+                        doc.push("buckets", buckets.collect::<Json>());
+                    }
                 }
-            }
-            out.push('}');
-        }
-        out.push(']');
-        out
+                doc
+            })
+            .collect()
     }
 }
 
@@ -728,24 +710,6 @@ fn render_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&
         out.push('"');
     }
     out.push('}');
-}
-
-/// Append `s` to `out` as a quoted JSON string (RFC 8259 escapes, control
-/// characters included) — the workspace's one JSON string writer.
-pub fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

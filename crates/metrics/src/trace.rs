@@ -27,7 +27,7 @@
 //!    per worker; `total_recorded` still counts everything, so exporters can
 //!    say how much was dropped.
 
-use crate::telemetry::json_string;
+use crate::json::{self, Json};
 use std::fmt;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -405,71 +405,59 @@ impl TraceBuffer {
     /// to refuse incompatible comparisons.
     pub fn write_chrome_trace_with_meta<W: Write>(
         &self,
-        mut w: W,
+        w: W,
         meta: &[(&str, String)],
     ) -> io::Result<()> {
-        w.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
-        // The process-name metadata record always comes first, so every
-        // subsequent record is unconditionally comma-prefixed.
-        write!(
+        let metadata = |name: &str, tid: u32, args: Json| {
+            Json::obj([
+                ("name", name.into()),
+                ("ph", "M".into()),
+                ("pid", 0u64.into()),
+                ("tid", tid.into()),
+                ("args", args),
+            ])
+        };
+        let named = |name: String| Json::obj([("name", name.into())]);
+        let run = (!meta.is_empty()).then(|| {
+            let args = meta.iter().map(|(k, v)| (k.to_string(), v.as_str().into()));
+            metadata("serigraph_run", 0, Json::Obj(args.collect()))
+        });
+        let workers = 0..self.num_workers() as u32;
+        let threads = workers
+            .clone()
+            .map(|w| metadata("thread_name", w, named(format!("worker {w}"))));
+        let events = workers.flat_map(|w| self.events(w as usize)).map(|e| {
+            let mut args = Json::obj([("superstep", e.superstep.into()), ("arg", e.arg.into())]);
+            if let Some(p) = e.peer {
+                args.push("peer", p);
+            }
+            let mut doc = Json::obj([("name", e.kind.name().into())]);
+            if e.dur_ns > 0 {
+                doc.push("ph", "X");
+                doc.push("ts", e.ts_ns as f64 / 1_000.0);
+                doc.push("dur", e.dur_ns as f64 / 1_000.0);
+            } else {
+                doc.push("ph", "i");
+                doc.push("s", "t");
+                doc.push("ts", e.ts_ns as f64 / 1_000.0);
+            }
+            doc.push("pid", 0u64);
+            doc.push("tid", e.worker);
+            doc.push("args", args);
+            doc
+        });
+        // The process-name metadata record always comes first.
+        let process = metadata("process_name", 0, named("serigraph virtual cluster".into()));
+        let records = std::iter::once(process)
+            .chain(run)
+            .chain(threads)
+            .chain(events);
+        json::write_streaming_object(
             w,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{{\"name\":\"serigraph virtual cluster\"}}}}"
-        )?;
-        if !meta.is_empty() {
-            w.write_all(
-                b",{\"name\":\"serigraph_run\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{",
-            )?;
-            let mut pair = String::new();
-            for (i, (k, v)) in meta.iter().enumerate() {
-                pair.clear();
-                if i > 0 {
-                    pair.push(',');
-                }
-                json_string(&mut pair, k);
-                pair.push(':');
-                json_string(&mut pair, v);
-                w.write_all(pair.as_bytes())?;
-            }
-            w.write_all(b"}}")?;
-        }
-        for worker in 0..self.num_workers() {
-            w.write_all(b",")?;
-            write!(
-                w,
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{worker},\
-                 \"args\":{{\"name\":\"worker {worker}\"}}}}"
-            )?;
-        }
-        for worker in 0..self.num_workers() {
-            for e in self.events(worker) {
-                w.write_all(b",")?;
-                let ts_us = e.ts_ns as f64 / 1_000.0;
-                let mut args = format!("\"superstep\":{},\"arg\":{}", e.superstep, e.arg);
-                if let Some(p) = e.peer {
-                    let _ = std::fmt::Write::write_fmt(&mut args, format_args!(",\"peer\":{p}"));
-                }
-                if e.dur_ns > 0 {
-                    let dur_us = e.dur_ns as f64 / 1_000.0;
-                    write!(
-                        w,
-                        "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts_us:.3},\"dur\":{dur_us:.3},\
-                         \"pid\":0,\"tid\":{},\"args\":{{{args}}}}}",
-                        e.kind.name(),
-                        e.worker,
-                    )?;
-                } else {
-                    write!(
-                        w,
-                        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts_us:.3},\
-                         \"pid\":0,\"tid\":{},\"args\":{{{args}}}}}",
-                        e.kind.name(),
-                        e.worker,
-                    )?;
-                }
-            }
-        }
-        w.write_all(b"]}")
+            &[("displayTimeUnit", "ms".into())],
+            "traceEvents",
+            records,
+        )
     }
 }
 
@@ -921,20 +909,26 @@ mod tests {
         b.record(1, 1, TraceEventKind::RingPass, 5_000, 0, 0);
         let mut out = Vec::new();
         b.write_chrome_trace(&mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with('{') && s.ends_with('}'));
-        assert!(s.contains("\"traceEvents\":["));
-        assert!(s.contains("\"name\":\"vertex_execute\""));
-        assert!(s.contains("\"ph\":\"X\""));
-        assert!(s.contains("\"ph\":\"i\""));
-        assert!(s.contains("\"tid\":1"));
-        assert!(s.contains("\"dur\":2.000"));
-        assert!(!s.contains(",,"));
-        assert!(!s.contains("[,"));
-        // Balanced braces/brackets (no nested strings with braces are
-        // emitted, so simple counting is sound).
-        assert_eq!(s.matches('{').count(), s.matches('}').count());
-        assert_eq!(s.matches('[').count(), s.matches(']').count());
+        let doc = Json::parse(std::str::from_utf8(&out).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
+        );
+        let records = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        // process_name, two thread_names, two events.
+        assert_eq!(records.len(), 5);
+        let field = |r: &Json, k: &str| r.get(k).cloned().unwrap_or(Json::Null);
+        let (exec, pass) = (&records[3], &records[4]);
+        assert_eq!(field(exec, "name"), Json::from("vertex_execute"));
+        assert_eq!(field(exec, "ph"), Json::from("X"));
+        assert_eq!(field(exec, "ts"), Json::Num(1.0));
+        assert_eq!(field(exec, "dur"), Json::Num(2.0));
+        assert_eq!(field(exec, "tid"), Json::U64(0));
+        assert_eq!(field(&field(exec, "args"), "arg"), Json::U64(3));
+        assert_eq!(field(pass, "ph"), Json::from("i"));
+        assert_eq!(field(pass, "tid"), Json::U64(1));
+        assert_eq!(field(pass, "dur"), Json::Null);
+        assert_eq!(field(&field(pass, "args"), "superstep"), Json::U64(1));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::sync::Mutex;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use sg_graph::{Graph, VertexId};
-use sg_metrics::{GaugeHandle, Telemetry};
+use sg_metrics::{GaugeHandle, Json, Telemetry};
 use sg_serial::{AuditEvent, HistorySummary, IncrementalChecker, StampedTxn};
 use std::sync::Arc;
 
@@ -264,11 +264,10 @@ impl AuditHub {
         let lag = self.lag_ms(&inner);
         if self.cfg.lag_alert_ms > 0 && lag >= self.cfg.lag_alert_ms && !inner.lag_alerted {
             inner.lag_alerted = true;
-            let line = format!(
-                "{{\"ts_ms\":{},\"kind\":\"alert\",\"alert\":\"audit_lag\",\"lag_ms\":{lag},\"threshold_ms\":{}}}",
-                wall_ms(),
-                self.cfg.lag_alert_ms
-            );
+            let mut line = sentinel("alert");
+            line.push("alert", "audit_lag");
+            line.push("lag_ms", lag);
+            line.push("threshold_ms", self.cfg.lag_alert_ms);
             Self::write_sentinel(&mut inner, &line);
         }
     }
@@ -302,33 +301,25 @@ impl AuditHub {
         }
         for ev in events {
             inner.conflicts_total += 1;
+            let ids = |vs: &[VertexId]| vs.iter().map(|v| v.raw()).collect::<Json>();
             let (vertex, line) = match &ev {
-                AuditEvent::C1 { vertex, stale } => (
-                    *vertex,
-                    format!(
-                        "{{\"ts_ms\":{},\"kind\":\"c1\",\"vertex\":{},\"stale\":{}}}",
-                        wall_ms(),
-                        vertex.raw(),
-                        ids_json(stale)
-                    ),
-                ),
-                AuditEvent::C2 { vertex, neighbors } => (
-                    *vertex,
-                    format!(
-                        "{{\"ts_ms\":{},\"kind\":\"c2\",\"vertex\":{},\"neighbors\":{}}}",
-                        wall_ms(),
-                        vertex.raw(),
-                        ids_json(neighbors)
-                    ),
-                ),
-                AuditEvent::Cycle { vertex } => (
-                    *vertex,
-                    format!(
-                        "{{\"ts_ms\":{},\"kind\":\"cycle\",\"vertex\":{}}}",
-                        wall_ms(),
-                        vertex.raw()
-                    ),
-                ),
+                AuditEvent::C1 { vertex, stale } => {
+                    let mut line = sentinel("c1");
+                    line.push("vertex", vertex.raw());
+                    line.push("stale", ids(stale));
+                    (*vertex, line)
+                }
+                AuditEvent::C2 { vertex, neighbors } => {
+                    let mut line = sentinel("c2");
+                    line.push("vertex", vertex.raw());
+                    line.push("neighbors", ids(neighbors));
+                    (*vertex, line)
+                }
+                AuditEvent::Cycle { vertex } => {
+                    let mut line = sentinel("cycle");
+                    line.push("vertex", vertex.raw());
+                    (*vertex, line)
+                }
             };
             if let Some(c) = inner.vertex_conflicts.get_mut(vertex.index()) {
                 *c += 1;
@@ -356,12 +347,10 @@ impl AuditHub {
                 if inner.conflict_rate > self.cfg.conflict_rate_alert {
                     if !inner.rate_alerted {
                         inner.rate_alerted = true;
-                        let line = format!(
-                            "{{\"ts_ms\":{},\"kind\":\"alert\",\"alert\":\"conflict_rate\",\"rate\":{:.1},\"threshold\":{:.1}}}",
-                            wall_ms(),
-                            inner.conflict_rate,
-                            self.cfg.conflict_rate_alert
-                        );
+                        let mut line = sentinel("alert");
+                        line.push("alert", "conflict_rate");
+                        line.push("rate", inner.conflict_rate);
+                        line.push("threshold", self.cfg.conflict_rate_alert);
                         Self::write_sentinel(inner, &line);
                     }
                 } else {
@@ -371,7 +360,7 @@ impl AuditHub {
         }
     }
 
-    fn write_sentinel(inner: &mut Inner, line: &str) {
+    fn write_sentinel(inner: &mut Inner, line: &Json) {
         inner.sentinels_written += 1;
         if let Some(s) = inner.sentinel.as_mut() {
             let _ = writeln!(s, "{line}");
@@ -396,7 +385,7 @@ impl AuditHub {
     }
 
     /// The `GET /audit` document: verdicts, progress, heatmaps, rate.
-    pub fn render_json(&self) -> String {
+    pub fn render_json(&self) -> Json {
         self.tick();
         let inner = self.inner.lock().unwrap();
         let status = inner.checker.status();
@@ -409,56 +398,39 @@ impl AuditHub {
             .collect();
         hot.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         hot.truncate(self.cfg.top_k);
-        let hot_json: Vec<String> = hot
+        let hot = hot
             .iter()
-            .map(|&(v, c)| format!("{{\"vertex\":{v},\"conflicts\":{c}}}"))
-            .collect();
-        let parts_json: Vec<String> = inner
-            .partition_conflicts
-            .iter()
-            .enumerate()
+            .map(|&(v, c)| Json::obj([("vertex", v.into()), ("conflicts", c.into())]));
+        let parts = (inner.partition_conflicts.iter().enumerate())
             .filter(|&(_, &c)| c > 0)
-            .map(|(p, &c)| format!("{{\"partition\":{p},\"conflicts\":{c}}}"))
-            .collect();
-        format!(
-            "{{\"serializable\":{},\"c1_violations\":{},\"c2_violations\":{},\
-             \"sg_acyclic\":{},\"txns_checked\":{},\"pending_txns\":{},\
-             \"frontier\":{},\"audit_lag_ms\":{},\"conflicts_total\":{},\
-             \"conflict_rate_per_s\":{:.2},\"sentinels\":{},\
-             \"first_violation_at_txn\":{},\"refused_txns\":{},\
-             \"hot_vertices\":[{}],\"partition_conflicts\":[{}]}}\n",
-            status.clean(),
-            status.c1_violations,
-            status.c2_violations,
-            status.serialization_graph_acyclic,
-            inner.checker.transactions(),
-            inner.checker.pending(),
-            inner.frontier >> 8,
-            self.lag_ms(&inner),
-            inner.conflicts_total,
-            inner.conflict_rate,
-            inner.sentinels_written,
-            inner
-                .first_violation_at
-                .map_or("null".into(), |t| t.to_string()),
-            inner.refused,
-            hot_json.join(","),
-            parts_json.join(",")
-        )
+            .map(|(p, &c)| Json::obj([("partition", p.into()), ("conflicts", c.into())]));
+        Json::obj([
+            ("serializable", status.clean().into()),
+            ("c1_violations", status.c1_violations.into()),
+            ("c2_violations", status.c2_violations.into()),
+            ("sg_acyclic", status.serialization_graph_acyclic.into()),
+            ("txns_checked", inner.checker.transactions().into()),
+            ("pending_txns", inner.checker.pending().into()),
+            ("frontier", (inner.frontier >> 8).into()),
+            ("audit_lag_ms", self.lag_ms(&inner).into()),
+            ("conflicts_total", inner.conflicts_total.into()),
+            ("conflict_rate_per_s", inner.conflict_rate.into()),
+            ("sentinels", inner.sentinels_written.into()),
+            ("first_violation_at_txn", inner.first_violation_at.into()),
+            ("refused_txns", inner.refused.into()),
+            ("hot_vertices", hot.collect()),
+            ("partition_conflicts", parts.collect()),
+        ])
     }
 }
 
-/// Wall clock in milliseconds since the Unix epoch (sentinel timestamps).
-fn wall_ms() -> u64 {
-    SystemTime::now()
+/// A JSONL sentinel line of `kind`, stamped with the wall clock in
+/// milliseconds since the Unix epoch.
+fn sentinel(kind: &str) -> Json {
+    let ts_ms = SystemTime::now()
         .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-fn ids_json(ids: &[VertexId]) -> String {
-    let inner: Vec<String> = ids.iter().map(|v| v.raw().to_string()).collect();
-    format!("[{}]", inner.join(","))
+        .map_or(0, |d| d.as_millis() as u64);
+    Json::obj([("ts_ms", ts_ms.into()), ("kind", kind.into())])
 }
 
 #[cfg(test)]
@@ -527,9 +499,10 @@ mod tests {
         assert_eq!(live.transactions, 2);
         assert!(!live.one_copy_serializable, "violation must surface live");
         assert!(h.first_violation_at().is_some());
-        let json = h.render_json();
-        assert!(json.contains("\"serializable\":false"));
-        assert!(json.contains("\"hot_vertices\":[{\"vertex\":"));
+        let doc = Json::parse(&h.render_json().to_string()).unwrap();
+        assert_eq!(doc.get("serializable"), Some(&Json::Bool(false)));
+        let hot = doc.get("hot_vertices").and_then(Json::as_arr).unwrap();
+        assert!(hot[0].get("vertex").and_then(Json::as_u64).is_some());
         let final_summary = {
             h.finish_rank(0);
             h.finish_rank(1);
@@ -573,9 +546,8 @@ mod tests {
             stamp(25, 0),
         );
         assert_eq!(h.refused(), bad.len() as u64 + 1);
-        assert!(h
-            .render_json()
-            .contains(&format!("\"refused_txns\":{}", bad.len() + 1)));
+        let refused = h.render_json().get("refused_txns").and_then(Json::as_u64);
+        assert_eq!(refused, Some(bad.len() as u64 + 1));
         let s = h.finalize();
         assert_eq!(s.transactions, 2);
         assert!(s.one_copy_serializable);
@@ -609,9 +581,12 @@ mod tests {
         h.finalize();
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.trim().is_empty(), "sentinel file must not be empty");
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-        assert!(text.contains("\"kind\":\"c2\""));
-        assert!(text.contains("\"kind\":\"c1\""));
+        let kinds: Vec<String> = (text.lines())
+            .map(|l| Json::parse(l).unwrap())
+            .map(|l| l.get("kind").and_then(Json::as_str).unwrap().to_owned())
+            .collect();
+        assert!(kinds.iter().any(|k| k == "c2"), "{text}");
+        assert!(kinds.iter().any(|k| k == "c1"), "{text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use sg_engine::{build_synchronizer, EngineConfig, TechniqueKind};
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
-    merge_ranked_events, Counter, Metrics, MetricsSnapshot, TraceEvent, TraceEventKind,
+    merge_ranked_events, Counter, Json, Metrics, MetricsSnapshot, TraceEvent, TraceEventKind,
 };
 use sg_serial::{History, HistorySummary, TxnRecord};
 use sg_sync::{SyncTransport, Synchronizer};
@@ -280,6 +280,7 @@ struct Coord {
     audit: Option<Arc<AuditHub>>,
     query: QueryHub,
     halting: AtomicBool,
+    num_vertices: u32,
 }
 
 impl Coord {
@@ -474,14 +475,10 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     })
 }
 
-/// Render a wire value as JSON, mapping the no-committed-version
-/// sentinel to `null`.
-fn json_value(w: u64) -> String {
-    if w == u64::MAX {
-        "null".into()
-    } else {
-        w.to_string()
-    }
+/// A wire value, or `None` for the no-committed-version sentinel (served
+/// as `null`).
+fn committed(w: u64) -> Option<u64> {
+    (w != u64::MAX).then_some(w)
 }
 
 impl ClusterQueryService {
@@ -611,7 +608,7 @@ impl ClusterQueryService {
 }
 
 impl QueryService for ClusterQueryService {
-    fn handle(&self, query: &str) -> Result<String, String> {
+    fn handle(&self, query: &str) -> Result<Json, String> {
         match query_param(query, "op") {
             Some("lookup") => {
                 let v = self.vertex_param(query, "v")?;
@@ -620,10 +617,11 @@ impl QueryService for ClusterQueryService {
                     None => None,
                 };
                 let resolved = self.resolve(&[v], snap)?;
-                Ok(format!(
-                    "{{\"op\":\"lookup\",\"vertex\":{v},\"value\":{}}}\n",
-                    json_value(resolved[0].1)
-                ))
+                Ok(Json::obj([
+                    ("op", "lookup".into()),
+                    ("vertex", v.into()),
+                    ("value", committed(resolved[0].1).into()),
+                ]))
             }
             Some("khop") => {
                 let v = self.vertex_param(query, "v")?;
@@ -637,15 +635,16 @@ impl QueryService for ClusterQueryService {
                 };
                 let vertices = self.khop_frontier(v, k);
                 let resolved = self.resolve(&vertices, snap)?;
-                let rows: Vec<String> = resolved
+                let rows = resolved
                     .iter()
-                    .map(|&(u, w)| format!("{{\"v\":{u},\"value\":{}}}", json_value(w)))
-                    .collect();
-                Ok(format!(
-                    "{{\"op\":\"khop\",\"v\":{v},\"k\":{k},\"count\":{},\"vertices\":[{}]}}\n",
-                    rows.len(),
-                    rows.join(",")
-                ))
+                    .map(|&(u, w)| Json::obj([("v", u.into()), ("value", committed(w).into())]));
+                Ok(Json::obj([
+                    ("op", "khop".into()),
+                    ("v", v.into()),
+                    ("k", k.into()),
+                    ("count", resolved.len().into()),
+                    ("vertices", rows.collect()),
+                ]))
             }
             Some("snapshot") => {
                 let handle = self.next_snap.fetch_add(1, Ordering::SeqCst) + 1;
@@ -653,14 +652,12 @@ impl QueryService for ClusterQueryService {
                 replies.sort_unstable_by_key(|&(rank, ..)| rank);
                 // Each worker reports its pinned local read frontier in
                 // the `checksum` field of the SnapOpen reply.
-                let read_ts: Vec<String> = replies
-                    .iter()
-                    .map(|(_, _, r)| r.checksum.to_string())
-                    .collect();
-                Ok(format!(
-                    "{{\"op\":\"snapshot\",\"snap\":{handle},\"read_ts\":[{}]}}\n",
-                    read_ts.join(",")
-                ))
+                let read_ts = replies.iter().map(|(_, _, r)| r.checksum);
+                Ok(Json::obj([
+                    ("op", "snapshot".into()),
+                    ("snap", handle.into()),
+                    ("read_ts", read_ts.collect()),
+                ]))
             }
             Some("checksum") => {
                 let handle = self.snap_param(query)?;
@@ -671,14 +668,17 @@ impl QueryService for ClusterQueryService {
                     checksum = checksum.wrapping_add(r.checksum);
                     count += r.count;
                 }
-                Ok(format!(
-                    "{{\"op\":\"checksum\",\"snap\":{handle},\"checksum\":{checksum},\"count\":{count}}}\n"
-                ))
+                Ok(Json::obj([
+                    ("op", "checksum".into()),
+                    ("snap", handle.into()),
+                    ("checksum", checksum.into()),
+                    ("count", count.into()),
+                ]))
             }
             Some("close") => {
                 let handle = self.snap_param(query)?;
                 self.fan_out(QUERY_OP_SNAP_CLOSE, handle, self.all_ranks())?;
-                Ok(format!("{{\"op\":\"close\",\"snap\":{handle}}}\n"))
+                Ok(Json::obj([("op", "close".into()), ("snap", handle.into())]))
             }
             Some(other) => Err(format!(
                 "unknown op '{other}' (expected lookup, khop, snapshot, checksum, or close)"
@@ -968,6 +968,7 @@ fn drive(
         audit: audit.clone(),
         query: QueryHub::default(),
         halting: AtomicBool::new(false),
+        num_vertices: graph.num_vertices(),
     });
     // The HTTP listener starts after the control connections exist so the
     // /query service can route to live workers from its first request.
@@ -1199,6 +1200,15 @@ fn reader_thread(
                 }
             }
             Message::AuditUpload { txns, watermark } => {
+                // The post-hoc History indexes per-vertex arrays by these
+                // fields: a malformed transaction ends the run here.
+                if let Some(why) = txns.iter().find_map(|t| malformed(t, coord.num_vertices)) {
+                    coord.fail(format!(
+                        "rank {rank} uploaded a transaction with {why} ({} vertices)",
+                        coord.num_vertices
+                    ));
+                    continue;
+                }
                 if let Some(a) = &coord.audit {
                     a.ingest(rank as usize, &txns, watermark);
                 }
@@ -1246,6 +1256,18 @@ fn reader_thread(
     if !clean_exit && !coord.halting.load(Ordering::SeqCst) {
         coord.fail(format!("worker {rank} disconnected mid-run"));
     }
+}
+
+/// Which field of `t` cannot belong to a run over `num_vertices` vertices,
+/// if any.
+fn malformed(t: &WireTxn, num_vertices: u32) -> Option<String> {
+    if t.vertex >= num_vertices {
+        return Some(format!("vertex {} out of range", t.vertex));
+    }
+    if let Some(s) = t.stale.iter().find(|&&s| s >= num_vertices) {
+        return Some(format!("stale-read witness {s} out of range"));
+    }
+    (t.end <= t.start).then(|| format!("end {} not after start {}", t.end, t.start))
 }
 
 fn decode_trace_event(e: &WireTraceEvent) -> Option<TraceEvent> {

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sg_metrics::{Telemetry, TelemetrySnapshot};
+use sg_metrics::{Json, Telemetry, TelemetrySnapshot};
 
 use crate::audit::AuditHub;
 
@@ -84,10 +84,10 @@ impl TelemetryHub {
 /// A pluggable handler for `GET /query`, keeping the listener decoupled
 /// from whatever owns the vertex stores (the cluster coordinator, in
 /// practice). Receives the raw query string (the part after `?`, possibly
-/// empty); returns a JSON body, or a message served as a `400`.
+/// empty); returns the JSON document, or a message served as a `400`.
 pub trait QueryService: Send + Sync {
     /// Answer one query.
-    fn handle(&self, query: &str) -> Result<String, String>;
+    fn handle(&self, query: &str) -> Result<Json, String>;
 }
 
 /// Handle to a running scrape server; stops (and joins) the accept
@@ -206,9 +206,17 @@ fn serve_one(
                 "text/plain; version=0.0.4",
                 hub.aggregate().render_prometheus(),
             ),
-            "/json" => ("200 OK", "application/json", hub.aggregate().to_json()),
+            "/json" => (
+                "200 OK",
+                "application/json",
+                hub.aggregate().to_json().to_string(),
+            ),
             "/audit" => match audit {
-                Some(a) => ("200 OK", "application/json", a.render_json()),
+                Some(a) => (
+                    "200 OK",
+                    "application/json",
+                    format!("{}\n", a.render_json()),
+                ),
                 None => (
                     "404 Not Found",
                     "text/plain",
@@ -216,19 +224,13 @@ fn serve_one(
                 ),
             },
             "/healthz" => {
-                let up = started.elapsed();
-                (
-                    "200 OK",
-                    "application/json",
-                    format!(
-                        "{{\"status\":\"ok\",\"uptime_ms\":{}}}\n",
-                        up.as_millis() as u64
-                    ),
-                )
+                let uptime_ms = started.elapsed().as_millis() as u64;
+                let doc = Json::obj([("status", "ok".into()), ("uptime_ms", uptime_ms.into())]);
+                ("200 OK", "application/json", format!("{doc}\n"))
             }
             "/query" => match query {
                 Some(q) => match q.handle(query_string) {
-                    Ok(doc) => ("200 OK", "application/json", doc),
+                    Ok(doc) => ("200 OK", "application/json", format!("{doc}\n")),
                     Err(msg) => ("400 Bad Request", "text/plain", format!("{msg}\n")),
                 },
                 None => (
@@ -430,10 +432,10 @@ mod tests {
     fn query_route_dispatches_to_the_service() {
         struct Echo;
         impl QueryService for Echo {
-            fn handle(&self, query: &str) -> Result<String, String> {
+            fn handle(&self, query: &str) -> Result<Json, String> {
                 match query {
                     "boom" => Err("bad query".into()),
-                    q => Ok(format!("{{\"echo\":\"{q}\"}}")),
+                    q => Ok(Json::obj([("echo", q.into())])),
                 }
             }
         }
@@ -443,7 +445,7 @@ mod tests {
                 .unwrap();
         let addr = server.addr.to_string();
         let body = http_get(&addr, "/query?op=lookup&v=3", Duration::from_secs(2)).unwrap();
-        assert_eq!(body, "{\"echo\":\"op=lookup&v=3\"}");
+        assert_eq!(body, "{\"echo\":\"op=lookup&v=3\"}\n");
         let (status, _, body) = raw_get(&addr, "/query?boom");
         assert_eq!(status, "HTTP/1.1 400 Bad Request");
         assert_eq!(body, "bad query\n");

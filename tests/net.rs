@@ -1293,6 +1293,131 @@ fn an_out_of_range_query_vertex_is_refused() {
     assert_eq!((labels.len(), rejected), (3, 0));
 }
 
+/// Play rank 0 of a one-rank run against a real coordinator at `addr`:
+/// upload `txns` right after bring-up, then answer every barrier (nothing
+/// active) and the halt, as a worker that got its transactions wrong but
+/// the protocol right would. Hands a clone of its socket to `hang_up`, and
+/// returns when either end closes it.
+fn puppet_worker(
+    addr: String,
+    txns: Vec<WireTxn>,
+    num_vertices: u32,
+    hang_up: std::sync::mpsc::Sender<std::net::TcpStream>,
+) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stream = loop {
+        match std::net::TcpStream::connect(&addr) {
+            Ok(s) => break s,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) => panic!("coordinator never listened on {addr}: {e}"),
+        }
+    };
+    hang_up
+        .send(stream.try_clone().expect("clone"))
+        .expect("hand over");
+    let clock = Arc::new(Clock::new());
+    let (ctrl, read_half) = CtrlConn::new(stream, Arc::clone(&clock)).expect("ctrl");
+    read_half
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let mut reader = FrameReader::new(read_half, clock);
+    let hello = Message::Hello {
+        version: PROTOCOL_VERSION,
+        rank: 0,
+        data_addr: "127.0.0.1:1".into(),
+    };
+    ctrl.send(&hello).expect("hello");
+    while let Ok(Some(msg)) = reader.recv() {
+        let reply = match msg {
+            Message::PeerMap { .. } => vec![Message::AuditUpload {
+                txns: txns.clone(),
+                watermark: u64::MAX,
+            }],
+            Message::StartSuperstep { superstep } => vec![Message::ComputeDone { superstep }],
+            Message::ReportRequest { superstep } => vec![Message::BarrierVote {
+                superstep,
+                active: 0,
+            }],
+            Message::Halt => vec![
+                Message::ValuesUpload {
+                    values: (0..num_vertices)
+                        .map(|v| (v, v.to_le_bytes().to_vec()))
+                        .collect(),
+                },
+                Message::ComputeDone {
+                    superstep: u64::MAX,
+                },
+            ],
+            _ => vec![],
+        };
+        for m in &reply {
+            if ctrl.send(m).is_err() {
+                return;
+            }
+        }
+    }
+}
+
+/// A transaction a rank uploads is checked where it enters the
+/// coordinator: an out-of-range vertex or stale-read witness, or an empty
+/// interval, ends the run with a protocol error naming the rank and the
+/// field — it never reaches the post-hoc `History`, whose per-vertex
+/// arrays it would index out of bounds.
+#[test]
+fn a_malformed_uploaded_transaction_is_a_protocol_error_not_a_panic() {
+    let g = Graph::from_edges(4, &[(0, 1), (1, 0), (2, 3), (3, 2)]);
+    let txn = |vertex, stale: Vec<u32>, start, end| WireTxn {
+        vertex,
+        start,
+        end,
+        stale,
+    };
+    let cases = [
+        ("vertex 9 out of range", txn(9, vec![], 256, 512)),
+        (
+            "stale-read witness 4 out of range",
+            txn(1, vec![0, 4], 256, 512),
+        ),
+        ("end 256 not after start 512", txn(1, vec![], 512, 256)),
+    ];
+    for (want, bad) in cases {
+        // A port for the coordinator to bind, so the puppet knows where to dial.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("free port")
+            .to_string();
+        let mut cfg = ClusterConfig::new(1, Technique::None, Workload::Wcc);
+        cfg.partitions_per_worker = 1;
+        cfg.bind_addr = addr.clone();
+        // The one "worker process" exits at once; the puppet plays rank 0.
+        cfg.spawn = SpawnMode::Processes {
+            exe: "true".into(),
+            args: vec![],
+        };
+        let good = txn(0, vec![1], 1 << 8, 2 << 8);
+        let (hang_up, socket) = std::sync::mpsc::channel();
+        let puppet = std::thread::spawn(move || puppet_worker(addr, vec![good, bad], 4, hang_up));
+        let run = run_cluster(&g, &cfg);
+        // A failed run leaves the control link open: close it for both ends.
+        let _ = socket.recv().map(|s| s.shutdown(std::net::Shutdown::Both));
+        puppet.join().expect("the puppet must not panic");
+        match run {
+            Err(NetError::Protocol(why)) => {
+                assert!(
+                    why.contains("rank 0") && why.contains(want),
+                    "{want}: {why}"
+                );
+            }
+            Err(e) => panic!("{want}: expected a protocol error, got {e}"),
+            Ok(out) => {
+                // What a caller does with the run's history.
+                let summary = out.history.expect("history").summarize(&g);
+                panic!("{want}: the run accepted the upload: {summary:?}");
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection
 

@@ -336,7 +336,7 @@ fn json_rendering_matches_bench_artifact_schema() {
     let h = reg.histogram("sg_h", &[]);
     h.record(2);
     h.record(1000);
-    let json = reg.snapshot().to_json();
+    let json = reg.snapshot().to_json().to_string();
     assert!(json.starts_with('[') && json.ends_with(']'));
     assert!(json.contains("\"name\":\"sg_c\""), "{json}");
     assert!(json.contains("\"labels\":{\"worker\":\"0\"}"), "{json}");
