@@ -85,6 +85,12 @@ done
 if grep -rnE 'fn (json_string|ids_json|json_value|snapshot_json)\b' crates src tests examples; then exit 1; fi
 if grep -rn 'sg_bench::json' crates src tests examples scripts; then exit 1; fi
 
+echo "== one clock per host: the thread engine and the model checker keep no virtual time (no SimClocks, CostModel, charge_lock_wait, charge_virtual or barrier_ns above #[cfg(test)] in crates/engine/src or crates/check/src; EngineConfig has no cost) =="
+for f in crates/engine/src/*.rs crates/check/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'SimClocks|CostModel|charge_lock_wait|charge_virtual|barrier_ns'; then echo "in $f"; exit 1; fi
+done
+if grep -n 'pub cost:' crates/engine/src/config.rs; then exit 1; fi
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

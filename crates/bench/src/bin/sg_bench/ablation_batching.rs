@@ -41,6 +41,7 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
             .technique(Technique::PartitionLock)
             .buffer_cap(cap)
             .max_supersteps(50_000)
+            .simulated(SimOptions::default())
             .run_pagerank(0.01)
             .expect("config");
         let label = if cap == usize::MAX {

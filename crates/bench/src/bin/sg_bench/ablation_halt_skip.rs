@@ -43,6 +43,7 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
             .workers(workers)
             .technique(technique)
             .max_supersteps(50_000)
+            .simulated(SimOptions::default())
             .run_sssp(VertexId::new(0))
             .expect("config");
         assert!(out.converged);

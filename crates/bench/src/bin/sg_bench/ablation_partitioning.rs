@@ -14,9 +14,9 @@ use sg_bench::cli::Flag;
 use sg_bench::experiment::fmt_makespan;
 use sg_bench::Table;
 use sg_core::prelude::*;
-use sg_core::sg_engine::Engine;
 use sg_core::sg_graph::partition::{HashPartitioner, LdgPartitioner, Partitioner};
 use sg_core::sg_graph::PartitionMap;
+use sg_core::Runner;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -60,21 +60,14 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
             })
             .sum();
 
-        let config = EngineConfig {
-            workers,
-            technique: TechniqueKind::PartitionLock,
-            explicit_partitions: Some(assignment),
-            max_supersteps: 50_000,
-            ..Default::default()
-        };
-        let out = Engine::new(
-            Arc::clone(&graph),
-            sg_core::sg_algos::DeltaPageRank::new(0.01),
-            config,
-        )
-        .expect("config")
-        .with_combiner(Box::new(sg_core::sg_algos::DeltaPageRank::combiner()))
-        .run();
+        let out = Runner::from_arc(Arc::clone(&graph))
+            .workers(workers)
+            .technique(Technique::PartitionLock)
+            .explicit_partitions(assignment)
+            .max_supersteps(50_000)
+            .simulated(SimOptions::default())
+            .run_pagerank(0.01)
+            .expect("config");
         assert!(out.converged);
         t.row([
             name.to_string(),

@@ -71,7 +71,7 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
             breakdown: true,
             ..ObsConfig::default()
         };
-        let r = run_pregel_obs(&graph, algo, technique, workers, 4, 50_000, obs);
+        let r = run_pregel_obs(&graph, algo, technique, workers, None, 4, 50_000, obs);
         let cp = r
             .obs
             .as_ref()
@@ -132,6 +132,7 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
             algo,
             Technique::PartitionLock,
             workers,
+            None,
             4,
             50_000,
             ObsConfig::full(),
@@ -167,7 +168,8 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
             .partitions_per_worker(ppw)
             .threads_per_worker(4)
             .technique(Technique::PartitionLock)
-            .max_supersteps(50_000);
+            .max_supersteps(50_000)
+            .simulated(SimOptions::default());
         let out = runner.run_pagerank(0.01).expect("config");
         // Count virtual partition edges for this layout.
         let pm = runner.config().partition_map(&graph).expect("config");

@@ -3,11 +3,12 @@
 //! For each algorithm × dataset × cluster size, compares the paper's three
 //! contenders:
 //!
-//! * dual-layer **token passing** on the Pregel engine (Giraph async),
-//! * **partition-based distributed locking** on the Pregel engine
-//!   (the paper's proposal),
+//! * dual-layer **token passing** on the simulated Pregel cluster
+//!   (`sg-sim`; Giraph async),
+//! * **partition-based distributed locking** on the simulated Pregel
+//!   cluster (the paper's proposal),
 //! * **vertex-based distributed locking** on the GAS engine
-//!   (GraphLab async).
+//!   (GraphLab async), on its own virtual clock.
 //!
 //! The reported metric is the *simulated computation time* (virtual-time
 //! makespan); message/fork counters are printed alongside. Expect the

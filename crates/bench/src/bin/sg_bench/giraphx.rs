@@ -22,7 +22,8 @@ use sg_bench::experiment::fmt_makespan;
 use sg_bench::Table;
 use sg_core::prelude::*;
 use sg_core::sg_algos::giraphx::{ByIdColoring, UserTokenColoring};
-use sg_core::sg_algos::{validate, GreedyColoring};
+use sg_core::sg_algos::validate;
+use sg_core::Runner;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -49,12 +50,12 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
         "converged",
     ]);
 
-    let base = |threads: u32, technique| EngineConfig {
-        workers,
-        threads_per_worker: threads,
-        technique,
-        max_supersteps: 50_000,
-        ..Default::default()
+    let base = |threads: u32| {
+        Runner::from_arc(Arc::clone(&graph))
+            .workers(workers)
+            .threads_per_worker(threads)
+            .max_supersteps(50_000)
+            .simulated(SimOptions::default())
     };
 
     // System-level techniques: algorithm is plain Algorithm 1.
@@ -63,9 +64,10 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
         ("system dual-token", Technique::DualToken, 4),
         ("system partition-lock", Technique::PartitionLock, 4),
     ] {
-        let out = Engine::new(Arc::clone(&graph), GreedyColoring, base(threads, technique))
-            .expect("config")
-            .run();
+        let out = base(threads)
+            .technique(technique)
+            .run_coloring()
+            .expect("config");
         t.row([
             name.to_string(),
             fmt_makespan(out.makespan_ns),
@@ -79,15 +81,11 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
 
     // User-level token passing: gating embedded in the algorithm.
     {
-        let config = base(1, Technique::None);
-        let pm = config.partition_map(&graph).expect("config");
-        let out = Engine::new(
-            Arc::clone(&graph),
-            UserTokenColoring::new(Arc::new(pm)),
-            config,
-        )
-        .expect("config")
-        .run();
+        let runner = base(1);
+        let pm = runner.config().partition_map(&graph).expect("config");
+        let out = runner
+            .run_program(UserTokenColoring::new(Arc::new(pm)))
+            .expect("config");
         let colors = sg_core::sg_algos::giraphx::user_token_colors(&out.values);
         t.row([
             "user-level token (Giraphx)".to_string(),
@@ -102,16 +100,10 @@ pub fn run(flags: &[Flag]) -> Result<ExitCode, String> {
 
     // User-level locking: priority negotiation over sub-supersteps on BSP.
     {
-        let config = EngineConfig {
-            workers,
-            threads_per_worker: 4,
-            model: Model::Bsp,
-            max_supersteps: 50_000,
-            ..Default::default()
-        };
-        let out = Engine::new(Arc::clone(&graph), ByIdColoring, config)
-            .expect("config")
-            .run();
+        let out = base(4)
+            .model(Model::Bsp)
+            .run_program(ByIdColoring)
+            .expect("config");
         let colors = sg_core::sg_algos::giraphx::by_id_colors(&out.values);
         t.row([
             "user-level locking (Giraphx)".to_string(),

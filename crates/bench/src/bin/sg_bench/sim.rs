@@ -1,13 +1,12 @@
 //! `sg-bench sim` — the paper's experiments on the `sg-sim` discrete-event
 //! cluster simulator.
 //!
-//! Where `fig1`/`fig6` spend one OS thread per simulated compute
-//! thread (topping out at tens of workers on a laptop), every run here
-//! executes as a single-threaded event-loop walk with exact virtual-time
-//! makespans — so the paper's 16×4 testbed shape (64 workers) and the
-//! 512-worker degradation curve both finish inside a CI smoke budget, and
-//! every number is bit-identical across machines (virtual time, default
-//! cost model, deterministic event order).
+//! `fig1` and `fig6` simulate the paper's figures at the shape their flags
+//! give; this lane runs them at the paper's 16×4 testbed shape (64
+//! workers) and up the 512-worker degradation curve, inside a CI smoke
+//! budget. Every run is a single-threaded event-loop walk with exact
+//! virtual-time makespans, so every number is bit-identical across
+//! machines (virtual time, default cost model, deterministic event order).
 //!
 //! Lanes:
 //!
@@ -23,8 +22,8 @@
 //!    attributes the makespan; the trace exports to
 //!    `results/TRACE_sim_dual512.json` for `sg-trace analyze`.
 //! 5. **determinism** — the same seeded run twice; digests must match.
-//! 6. **calibrate** — fit the cost model from a real traced engine run and
-//!    replay the fit in the simulator.
+//! 6. **calibrate** — fit the cost model from a real engine run's
+//!    wall-clock trace and replay the fit in the simulator.
 //!
 //! The `speedup/...` cells in `results/BENCH_sim.json` are exact in
 //! virtual time, so CI gates them against the committed baseline with a
@@ -33,7 +32,7 @@
 //! Usage: `sg-bench sim [--scale-div N] [--full]`
 
 use sg_bench::cli::{flag_or, has_flag, Flag};
-use sg_bench::experiment::{fmt_makespan, run_sim, Algo, ExperimentResult};
+use sg_bench::experiment::{fmt_makespan, run_pregel_obs, Algo, ExperimentResult};
 use sg_bench::{emit_obs, BenchLog, Table};
 use sg_core::prelude::*;
 use sg_core::sg_metrics::critical_path::{self, Category};
@@ -90,14 +89,14 @@ fn fig1_at_paper_shape(graph: &Arc<Graph>, max_supersteps: u64, log: &mut BenchL
     let mut cells: Vec<(&str, ExperimentResult)> = Vec::new();
     for (name, technique) in FIG1_TECHNIQUES {
         let algo = Algo::from_name("pagerank", 0.01).expect("algo");
-        let r = run_sim(
+        let r = run_pregel_obs(
             graph,
             algo,
             technique,
             64,
-            4,
+            Some(4),
+            2,
             max_supersteps,
-            SimOptions::default(),
             ObsConfig::default(),
         );
         t.row([
@@ -167,14 +166,14 @@ fn fig6_at_paper_shape(graph: &Arc<Graph>, max_supersteps: u64, log: &mut BenchL
             ("partition lock", Technique::PartitionLock),
             ("vertex lock", Technique::VertexLock),
         ] {
-            let r = run_sim(
+            let r = run_pregel_obs(
                 graph,
                 algo,
                 technique,
                 64,
-                4,
+                Some(4),
+                2,
                 max_supersteps,
-                SimOptions::default(),
                 ObsConfig::default(),
             );
             t.row([
@@ -215,14 +214,14 @@ fn scale_curve(graph: &Arc<Graph>, max_supersteps: u64, full: bool, log: &mut Be
             ("partition-lock", Technique::PartitionLock),
         ] {
             let algo = Algo::from_name("pagerank", 0.1).expect("algo");
-            let r = run_sim(
+            let r = run_pregel_obs(
                 graph,
                 algo,
                 technique,
                 workers,
-                1,
+                Some(1),
+                2,
                 max_supersteps,
-                SimOptions::default(),
                 ObsConfig::default(),
             );
             t.row([
@@ -358,10 +357,11 @@ fn determinism_replay(graph: &Arc<Graph>, max_supersteps: u64, log: &mut BenchLo
     );
 }
 
-/// Lane 6: fit the cost model from a real traced engine run, then replay
-/// the fitted machine inside the simulator.
+/// Lane 6: fit the cost model from a real traced engine run — its trace is
+/// stamped on the wall clock — then replay the fitted machine inside the
+/// simulator.
 fn calibration_round_trip(graph: &Arc<Graph>, max_supersteps: u64, log: &mut BenchLog) {
-    println!("== cost-model calibration from a real engine trace ==");
+    println!("== cost-model calibration from a real engine's wall-clock trace ==");
     let real = Runner::from_arc(Arc::clone(graph))
         .workers(4)
         .threads_per_worker(2)
@@ -391,12 +391,14 @@ fn calibration_round_trip(graph: &Arc<Graph>, max_supersteps: u64, log: &mut Ben
         .threads_per_worker(2)
         .technique(Technique::PartitionLock)
         .max_supersteps(max_supersteps)
-        .cost_model(fit.model)
-        .simulated(SimOptions::default())
+        .simulated(SimOptions {
+            cost: fit.model,
+            ..SimOptions::default()
+        })
         .run_pagerank(0.01)
         .expect("config");
     println!(
-        "replayed on the fitted machine: engine makespan {}, simulated {}\n",
+        "replayed on the fitted machine: engine wall time {}, simulated {}\n",
         fmt_makespan(real.makespan_ns),
         fmt_makespan(replay.makespan_ns),
     );

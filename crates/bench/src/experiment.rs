@@ -52,7 +52,9 @@ impl Algo {
 /// Outcome of one experiment cell.
 #[derive(Clone, Debug)]
 pub struct ExperimentResult {
-    /// Simulated computation time in nanoseconds — the Figure 6 metric.
+    /// Simulated computation time in nanoseconds — the Figure 6 metric:
+    /// `sg-sim`'s virtual time for a Pregel cell, `sg-gas`'s own for a
+    /// GraphLab cell.
     pub makespan_ns: u64,
     /// Supersteps (Pregel engines) or total executions (GAS engine).
     pub iterations: u64,
@@ -67,7 +69,8 @@ pub struct ExperimentResult {
     pub obs: Option<ObsReport>,
 }
 
-/// Run `algo` on the Pregel engine (`sg-engine`) under `technique`.
+/// Run `algo` on a simulated Pregel cluster (`sg-sim`, hosting
+/// `sg-engine`'s superstep cycle) under `technique`.
 ///
 /// The coloring input is symmetrized first, exactly as the paper does
 /// (Table 1's parenthesized sizes).
@@ -84,61 +87,41 @@ pub fn run_pregel(
         algo,
         technique,
         workers,
+        None,
         threads_per_worker,
         max_supersteps,
         ObsConfig::default(),
     )
 }
 
-/// [`run_pregel`] with observability: tracing, per-superstep deltas,
-/// per-worker breakdowns, and the stall watchdog per `obs`.
+/// [`run_pregel`] with `ppw` partitions per worker and observability:
+/// tracing, per-superstep deltas, per-worker breakdowns, and the stall
+/// watchdog per `obs`. `ppw = None` keeps the `|P|/worker = |W|` default,
+/// which is quadratic in workers — untenable at 512, so the sim lane
+/// passes it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_pregel_obs(
     graph: &Arc<Graph>,
     algo: Algo,
     technique: Technique,
     workers: u32,
+    ppw: Option<u32>,
     threads_per_worker: u32,
     max_supersteps: u64,
     obs: ObsConfig,
 ) -> ExperimentResult {
     run_on(graph, algo, |g| {
-        Runner::from_arc(g)
-            .workers(workers)
+        let runner = Runner::from_arc(g).workers(workers);
+        let runner = match ppw {
+            Some(ppw) => runner.partitions_per_worker(ppw),
+            None => runner,
+        };
+        runner
             .threads_per_worker(threads_per_worker)
             .max_supersteps(max_supersteps)
             .technique(technique)
             .observability(obs.clone())
-    })
-}
-
-/// Run `algo` on the `sg-sim` discrete-event simulator under `technique`.
-///
-/// Mirrors [`run_pregel_obs`] (including the coloring symmetrization) but
-/// executes the whole cluster as one single-threaded event-loop walk, so
-/// worker counts in the hundreds finish within a CI budget. `ppw` is
-/// explicit because the engine's `|P|/worker = |W|` default is quadratic
-/// in workers — untenable at 512.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sim(
-    graph: &Arc<Graph>,
-    algo: Algo,
-    technique: Technique,
-    workers: u32,
-    ppw: u32,
-    max_supersteps: u64,
-    opts: SimOptions,
-    obs: ObsConfig,
-) -> ExperimentResult {
-    run_on(graph, algo, |g| {
-        Runner::from_arc(g)
-            .workers(workers)
-            .partitions_per_worker(ppw)
-            .threads_per_worker(2)
-            .max_supersteps(max_supersteps)
-            .technique(technique)
-            .observability(obs.clone())
-            .simulated(opts)
+            .simulated(SimOptions::default())
     })
 }
 

@@ -51,7 +51,7 @@ use sg_engine::store::{Envelope, InboxPair, Routed, StagingBuffers};
 use sg_engine::{AggregatorSet, Combiner, MinCombiner};
 use sg_graph::partition::HashPartitioner;
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
-use sg_metrics::{Metrics, SimClocks, Trace, TraceBuffer, TraceEventKind};
+use sg_metrics::{Metrics, Trace, TraceBuffer, TraceEventKind};
 use sg_serial::recorder::TxnGuard;
 use sg_serial::{HistorySummary, Recorder, StreamingAuditor};
 use sg_sync::{
@@ -281,9 +281,6 @@ pub struct Model {
     aggregators: AggregatorSet,
     metrics: Arc<Metrics>,
     trace: Trace,
-    /// Per worker, in trace nanoseconds: its barrier arrival, which
-    /// [`barrier::close`] levels.
-    clocks: SimClocks,
     /// Does this run have an exclusive global token to account for?
     tracks_token: bool,
     /// Worker holding the global token; `None` while it is in flight — or,
@@ -296,7 +293,8 @@ pub struct Model {
     lanes: Vec<Lane>,
     superstep: u64,
     max_supersteps: u64,
-    barrier: Vec<bool>,
+    /// Per worker, its barrier arrival this superstep (trace ns), if any.
+    barrier: Vec<Option<u64>>,
     master_done: bool,
     finished: bool,
     violation: Option<Violation>,
@@ -346,7 +344,6 @@ impl Model {
             aggregators: AggregatorSet::new(),
             metrics,
             trace: Trace::from(trace),
-            clocks: SimClocks::new(workers),
             graph,
             pm,
             tracks_token,
@@ -356,7 +353,7 @@ impl Model {
             lanes: Vec::new(),
             superstep: 0,
             max_supersteps: cfg.supersteps,
-            barrier: vec![false; workers],
+            barrier: vec![None; workers],
             master_done: false,
             finished: cfg.supersteps == 0,
             violation: None,
@@ -454,7 +451,7 @@ impl Model {
         let done = |li: usize| next[li] == Some(Step::Done);
         for (w, passed) in self.barrier.iter().enumerate() {
             let mine = |li: &usize| self.lanes[*li].worker.index() == w;
-            if !passed && (0..self.lanes.len()).filter(mine).all(done) {
+            if passed.is_none() && (0..self.lanes.len()).filter(mine).all(done) {
                 events.push(Event::Barrier(w as u32));
             }
         }
@@ -464,7 +461,7 @@ impl Model {
         if self.in_flight.is_some() {
             events.push(Event::DeliverToken);
         }
-        if self.master_done && self.barrier.iter().all(|&b| b) && self.in_flight.is_none() {
+        if self.master_done && !self.barrier.contains(&None) && self.in_flight.is_none() {
             events.push(Event::NextSuperstep);
         }
         // The wire is worth scheduling only towards a worker that may still
@@ -550,8 +547,7 @@ impl Model {
                 }
             }
             Event::Barrier(w) => {
-                self.barrier[w as usize] = true;
-                self.clocks.observe(w as usize, self.now * 1000);
+                self.barrier[w as usize] = Some(self.now * 1000);
             }
             Event::MasterStep => {
                 let s = self.superstep;
@@ -584,11 +580,17 @@ impl Model {
                 }
             }
             Event::NextSuperstep => {
+                // Each worker waited from its arrival to the last one's.
+                let (s, kind) = (self.superstep, TraceEventKind::BarrierWait);
+                let last = self.barrier.iter().flatten().max().copied().unwrap_or(0);
+                for (w, &at) in self.barrier.iter().flatten().enumerate() {
+                    self.trace.record(w as u32, s, kind, at, last - at, 0);
+                }
                 self.superstep += 1;
                 if self.superstep >= self.max_supersteps {
                     self.finished = true;
                 } else {
-                    self.barrier.iter_mut().for_each(|b| *b = false);
+                    self.barrier.iter_mut().for_each(|b| *b = None);
                     self.master_done = false;
                     self.build_lanes();
                 }
@@ -847,9 +849,8 @@ impl Model {
 }
 
 /// The model closes a superstep with the engine's own barrier step: its
-/// write-all is the one a fork handover performs, what the technique
-/// queued is applied right after its end of superstep, and the clocks it
-/// levels hold the workers' barrier arrivals.
+/// write-all is the one a fork handover performs, and what the technique
+/// queued is applied right after its end of superstep.
 impl BarrierHost for Model {
     type Message = Msg;
 
@@ -869,9 +870,6 @@ impl BarrierHost for Model {
             pm: &self.pm,
             aggregators: &self.aggregators,
             metrics: &self.metrics,
-            trace: &self.trace,
-            clocks: &self.clocks,
-            barrier_ns: 0,
         }
     }
 }
@@ -947,6 +945,29 @@ mod tests {
             assert!(summary.one_copy_serializable, "{technique}: {summary}");
             assert!(summary.transactions > 0, "{technique} executed nothing");
         }
+    }
+
+    #[test]
+    fn each_barrier_wait_runs_from_its_arrival_to_the_last_one() {
+        let trace = Arc::new(TraceBuffer::new(2, 4096));
+        let cfg = cfg(TechniqueKind::PartitionLock);
+        let mut model = Model::new(&cfg, Some(Arc::clone(&trace)));
+        run_first_choice(&mut model);
+        assert!(model.finished());
+        let waits: Vec<Vec<_>> = (0..2)
+            .map(|w| trace.events(w).into_iter())
+            .map(|es| es.filter(|e| e.kind == TraceEventKind::BarrierWait))
+            .map(Iterator::collect)
+            .collect();
+        assert_eq!(waits[0].len(), cfg.supersteps as usize);
+        assert_eq!(waits[1].len(), cfg.supersteps as usize);
+        for (a, b) in waits[0].iter().zip(&waits[1]) {
+            assert_eq!(a.superstep, b.superstep);
+            assert_eq!(a.ts_ns + a.dur_ns, b.ts_ns + b.dur_ns, "{a:?} {b:?}");
+            assert!(a.dur_ns == 0 || b.dur_ns == 0, "nobody arrived last");
+        }
+        // The first-choice schedule lets worker 0 arrive first.
+        assert!(waits[0].iter().any(|e| e.dur_ns > 0));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! One-stop, high-level API over the whole workspace: build a [`Runner`]
 //! with a graph and a cluster shape, pick a computation model and a
 //! synchronization [`Technique`], and run any of the paper's algorithms —
-//! or your own [`VertexProgram`] — with metrics, virtual-time makespan,
-//! and optional serializability checking.
+//! or your own [`VertexProgram`] — with metrics, a makespan (wall time on
+//! the in-process engine, virtual time on the simulator), and optional
+//! serializability checking.
 //!
 //! ```
 //! use sg_core::prelude::*;
@@ -21,7 +22,7 @@
 pub mod runner;
 
 pub use runner::{NetworkOptions, Runner, Technique};
-pub use sg_sim::{NetModel, SimOptions, SimReport};
+pub use sg_sim::{SimOptions, SimReport};
 
 // Re-export the subsystem crates under their crate names so downstream
 // users need only one dependency.
@@ -52,6 +53,6 @@ pub mod prelude {
     pub use sg_graph::{gen, ClusterLayout, Graph, GraphBuilder, PartitionId, VertexId, WorkerId};
     pub use sg_metrics::{CostModel, MetricsSnapshot, ObsConfig, ObsReport};
     pub use sg_serial::History;
-    pub use sg_sim::{NetModel, SimOptions, SimReport};
+    pub use sg_sim::{SimOptions, SimReport};
     pub use sg_store::{GraphReader, SnapshotView, VertexStore};
 }

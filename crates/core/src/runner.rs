@@ -10,7 +10,7 @@ use sg_engine::{
     Combiner, Engine, EngineConfig, EngineError, Model, Outcome, TechniqueKind, VertexProgram,
 };
 use sg_graph::{Graph, PartitionId, VertexId};
-use sg_metrics::{CostModel, ObsConfig, ObsReport, TraceBuffer};
+use sg_metrics::{ObsConfig, ObsReport, TraceBuffer};
 use sg_net::{ClusterConfig, ClusterOutcome, FaultPlan, SpawnMode, WireCodec, Workload};
 use sg_sim::SimOptions;
 use std::sync::Arc;
@@ -65,7 +65,8 @@ impl Default for NetworkOptions {
 ///
 /// Defaults: 2 workers, Giraph's `|W|` partitions per worker, 2 threads per
 /// worker, asynchronous model, no synchronization (not serializable), the
-/// default EC2-flavoured cost model.
+/// in-process engine on the wall clock. [`Runner::simulated`] moves the run
+/// onto virtual time, priced by its [`SimOptions::cost`].
 #[derive(Clone)]
 pub struct Runner {
     graph: Arc<Graph>,
@@ -124,12 +125,6 @@ impl Runner {
     /// Cap on supersteps.
     pub fn max_supersteps(mut self, cap: u64) -> Self {
         self.config.max_supersteps = cap;
-        self
-    }
-
-    /// Virtual-time cost model.
-    pub fn cost_model(mut self, cost: CostModel) -> Self {
-        self.config.cost = cost;
         self
     }
 
@@ -198,15 +193,15 @@ impl Runner {
     }
 
     /// Collect per-superstep counter deltas and per-worker
-    /// busy/blocked/idle virtual-time breakdowns.
+    /// busy/blocked/idle breakdowns, on the host's clock.
     pub fn metrics_breakdown(mut self, yes: bool) -> Self {
         self.config.obs.breakdown = yes;
         self
     }
 
-    /// Arm the stall watchdog: if no counter or virtual clock moves for
-    /// this many wall-clock milliseconds, dump diagnostics to stderr and
-    /// flag the run as stalled instead of hanging silently.
+    /// Arm the stall watchdog: if no counter moves for this many
+    /// wall-clock milliseconds, dump diagnostics to stderr and flag the run
+    /// as stalled instead of hanging silently.
     pub fn watchdog_ms(mut self, ms: u64) -> Self {
         self.config.obs.watchdog_stall_ms = Some(ms);
         self

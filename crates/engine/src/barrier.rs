@@ -2,16 +2,15 @@
 //! with global barriers. [`close`] runs, in order: every worker's
 //! write-all; the technique's end of superstep, whose transport effects the
 //! host applies at once; the inboxes' BSP flip; the aggregators' roll; the
-//! superstep and barrier counters; one `BarrierWait` per worker and the
-//! virtual clocks levelled to the frontier plus `barrier_ns`. [`halts`] is
-//! the verdict the host then reaches. Its own extras — gauges, GC,
+//! superstep and barrier counters. [`halts`] is the verdict the host then
+//! reaches. Its own extras — its clock, `BarrierWait` events, gauges, GC,
 //! checkpoints — sit around the two calls.
 
 use crate::aggregators::AggregatorSet;
 use crate::program::VertexProgram;
 use crate::store::InboxPair;
 use sg_graph::PartitionMap;
-use sg_metrics::{Counter, Metrics, SimClocks, Trace, TraceEventKind};
+use sg_metrics::{Counter, Metrics};
 use sg_sync::{SyncTransport, Synchronizer};
 
 /// What [`close`] needs from its host: two hooks, and the run's shared
@@ -37,18 +36,11 @@ pub struct BarrierParts<'a, M> {
     pub pm: &'a PartitionMap,
     pub aggregators: &'a AggregatorSet,
     pub metrics: &'a Metrics,
-    pub trace: &'a Trace,
-    /// One virtual clock per worker, each already joined with everything
-    /// its worker did this superstep.
-    pub clocks: &'a SimClocks,
-    pub barrier_ns: u64,
 }
 
-/// Close `superstep` on `host`. Returns each worker's gap behind the
-/// frontier — the idle time this barrier absorbed — for a host that keeps
-/// per-worker breakdowns.
-pub fn close<H: BarrierHost>(host: &mut H, superstep: u64) -> Vec<u64> {
-    let workers = host.parts().clocks.len();
+/// Close `superstep` on `host`.
+pub fn close<H: BarrierHost>(host: &mut H, superstep: u64) {
+    let workers = host.parts().pm.layout().num_workers() as usize;
     for w in 0..workers {
         host.write_all(w);
     }
@@ -61,15 +53,6 @@ pub fn close<H: BarrierHost>(host: &mut H, superstep: u64) -> Vec<u64> {
     parts.aggregators.roll();
     parts.metrics.inc(Counter::Supersteps);
     parts.metrics.inc(Counter::Barriers);
-    let (clocks, trace) = (parts.clocks, parts.trace);
-    let frontier = clocks.makespan();
-    let gaps: Vec<u64> = (0..workers).map(|w| frontier - clocks.now(w)).collect();
-    for (w, &gap) in gaps.iter().enumerate() {
-        let kind = TraceEventKind::BarrierWait;
-        trace.record(w as u32, superstep, kind, frontier - gap, gap, 0);
-    }
-    clocks.barrier(parts.barrier_ns);
-    gaps
 }
 
 /// Does the run stop after `superstep`? When the master hook says so, or

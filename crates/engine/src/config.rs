@@ -1,11 +1,11 @@
 //! Engine configuration — cluster shape, computation model, synchronization
-//! technique, cost model — and the host-independent set-up every host
+//! technique — and the host-independent set-up every host
 //! derives from it: the partition map (the technique table and its
 //! synchronizer factory live with the techniques, in `sg-sync`).
 
 use sg_graph::partition::HashPartitioner;
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap};
-use sg_metrics::{CostModel, ObsConfig};
+use sg_metrics::ObsConfig;
 use sg_sync::Synchronizer;
 pub use sg_sync::{build_synchronizer, TechniqueKind};
 use std::fmt;
@@ -40,8 +40,6 @@ pub struct EngineConfig {
     pub technique: TechniqueKind,
     /// Hard cap on supersteps; exceeded means `converged = false`.
     pub max_supersteps: u64,
-    /// Virtual-time cost model.
-    pub cost: CostModel,
     /// Message buffer cache capacity per (worker, worker) pair: buffered
     /// remote messages are flushed when this many accumulate
     /// (`usize::MAX` = flush only at superstep boundaries and C1 flushes —
@@ -88,7 +86,6 @@ impl Default for EngineConfig {
             model: Model::Async,
             technique: TechniqueKind::None,
             max_supersteps: 100_000,
-            cost: CostModel::default(),
             buffer_cap: 512,
             partition_seed: 0xC0FFEE,
             explicit_partitions: None,

@@ -84,17 +84,19 @@ impl<P: VertexProgram + ?Sized> Context<'_, P> {
         self.worker
     }
 
-    /// The executing thread's virtual clock, nanoseconds, as of entry to
-    /// this `compute()` call.
+    /// The executing lane's clock on its host, nanoseconds, as of entry to
+    /// this `compute()` call: virtual time on the simulator, wall time
+    /// since the run started on the thread engine (0 there unless tracing
+    /// or breakdown is on).
     #[inline]
-    pub fn virtual_time_ns(&self) -> u64 {
+    pub fn clock_ns(&self) -> u64 {
         self.clock_ns
     }
 
-    /// Drop a `user_marker` annotation into the trace at the current
-    /// virtual time, tagged with `tag` (e.g. a phase number or a residual
-    /// bucket). One branch and gone when tracing is off; never perturbs
-    /// the computation.
+    /// Drop a `user_marker` annotation into the trace at
+    /// [`Context::clock_ns`], tagged with `tag` (e.g. a phase number or a
+    /// residual bucket). One branch and gone when tracing is off; never
+    /// perturbs the computation.
     #[inline]
     pub fn trace_marker(&self, tag: u64) {
         self.trace.record(
@@ -238,7 +240,7 @@ mod tests {
             assert_eq!(ctx.vertex(), VertexId::new(1));
             assert_eq!(ctx.superstep(), 3);
             assert_eq!(ctx.worker(), 2);
-            assert_eq!(ctx.virtual_time_ns(), 777);
+            assert_eq!(ctx.clock_ns(), 777);
             assert_eq!(ctx.num_vertices(), 4);
             assert_eq!(ctx.out_degree(), 2);
             assert_eq!(ctx.out_neighbors(), &[VertexId::new(0), VertexId::new(2)]);

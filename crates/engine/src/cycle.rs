@@ -24,7 +24,7 @@ use crate::aggregators::AggregatorSet;
 use crate::context::Context;
 use crate::program::VertexProgram;
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
-use sg_metrics::{CostModel, Counter, Metrics, Trace, TraceEventKind};
+use sg_metrics::{Counter, Metrics, Trace};
 use sg_serial::Recorder;
 
 /// The IO one vertex transaction needs from its host. Hooks are called in
@@ -98,9 +98,9 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
     }
 
     /// Execute vertex `v` on `worker` in `superstep` as one transaction
-    /// against `host`; `clock_ns` is the executing lane's clock on entry
-    /// (virtual or wall, the host's choice). Returns `(messages consumed,
-    /// messages sent)` for the host to charge and trace.
+    /// against `host`; `clock_ns` is the executing lane's clock on entry,
+    /// on the host's own clock. Returns `(messages consumed, messages
+    /// sent)` for the host to charge and trace.
     pub fn run_vertex<H: Host<P>>(
         &mut self,
         host: &mut H,
@@ -162,47 +162,6 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
     }
 }
 
-/// Virtual-time hosts: `unit` became available at `ready`. If the lane
-/// had to wait, trace the gap and advance `clock` over it. Returns the wait.
-pub fn charge_lock_wait(
-    trace: &Trace,
-    worker: u32,
-    superstep: u64,
-    clock: &mut u64,
-    ready: u64,
-    unit: u32,
-) -> u64 {
-    let wait = ready.saturating_sub(*clock);
-    if wait > 0 {
-        let kind = TraceEventKind::LockWait;
-        trace.record(worker, superstep, kind, *clock, wait, unit.into());
-        *clock = ready;
-    }
-    wait
-}
-
-/// Virtual-time hosts: charge the execution whose `(consumed, sent)`
-/// counts [`Cycle::run_vertex`] returned — a `VertexExecute` span of the
-/// model's cost, then a `MessageSend` marker if it sent. Returns the cost.
-pub fn charge_virtual(
-    cost: &CostModel,
-    trace: &Trace,
-    worker: u32,
-    superstep: u64,
-    clock: &mut u64,
-    (n_in, n_out): (u64, u64),
-) -> u64 {
-    let ns = cost.vertex_cost(n_in, n_out);
-    let kind = TraceEventKind::VertexExecute;
-    trace.record(worker, superstep, kind, *clock, ns, n_in);
-    *clock += ns;
-    if n_out > 0 {
-        let kind = TraceEventKind::MessageSend;
-        trace.record(worker, superstep, kind, *clock, 0, n_out);
-    }
-    ns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +180,7 @@ mod tests {
         }
         fn compute(&self, ctx: &mut Context<'_, Self>, msgs: &[u64]) {
             assert_eq!((ctx.superstep(), ctx.worker()), (7, 0));
-            assert_eq!(ctx.virtual_time_ns(), 1234);
+            assert_eq!(ctx.clock_ns(), 1234);
             ctx.set_value(msgs.iter().sum());
             for to in [3, 1, 2, 0] {
                 ctx.send(VertexId::new(to), u64::from(to) * 10);
@@ -333,42 +292,5 @@ mod tests {
             (2, 4)
         );
         assert_eq!(host.calls.len(), 9);
-    }
-
-    #[test]
-    fn virtual_charge_advances_the_clock_and_traces_both_events() {
-        let cost = CostModel {
-            vertex_compute_ns: 100,
-            per_message_compute_ns: 10,
-            per_send_ns: 1,
-            ..CostModel::zero()
-        };
-        let trace = Trace::enabled(2, 8);
-        let mut clock = 1_000;
-        assert_eq!(charge_virtual(&cost, &trace, 1, 3, &mut clock, (2, 4)), 124);
-        assert_eq!(clock, 1_124);
-        let events = trace.buffer().expect("enabled").events(1);
-        let seen: Vec<_> = events
-            .iter()
-            .map(|e| (e.kind, e.superstep, e.ts_ns, e.dur_ns, e.arg))
-            .collect();
-        assert_eq!(
-            seen,
-            [
-                (TraceEventKind::VertexExecute, 3, 1_000, 124, 2),
-                (TraceEventKind::MessageSend, 3, 1_124, 0, 4),
-            ]
-        );
-        // Nothing sent: no send marker. No wait: no event, no charge.
-        charge_virtual(&cost, &trace, 1, 3, &mut clock, (0, 0));
-        assert_eq!(charge_lock_wait(&trace, 1, 3, &mut clock, 9, 42), 0);
-        assert_eq!(trace.buffer().expect("enabled").events(1).len(), 3);
-        assert_eq!(charge_lock_wait(&trace, 1, 3, &mut clock, 2_000, 42), 776);
-        assert_eq!(clock, 2_000);
-        let wait = trace.buffer().expect("enabled").events(1)[3];
-        assert_eq!(
-            (wait.kind, wait.ts_ns, wait.dur_ns, wait.arg),
-            (TraceEventKind::LockWait, 1_224, 776, 42)
-        );
     }
 }

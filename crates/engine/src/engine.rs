@@ -1,17 +1,17 @@
 //! The engine runtime: master loop, persistent worker threads, message
-//! routing, and the virtual-time accounting.
+//! routing, and the wall-clock stamps of its observability planes.
 
 use crate::aggregators::AggregatorSet;
 use crate::barrier::{self, BarrierHost, BarrierParts};
 use crate::config::{build_synchronizer, EngineConfig, EngineError};
-use crate::cycle::{charge_lock_wait, charge_virtual, Cycle, Env, Host};
+use crate::cycle::{Cycle, Env, Host};
 use crate::program::{Combiner, VertexProgram};
 use crate::state::{gather_values, PartitionData};
 use crate::store::{Envelope, InboxPair, OutboundBuffers, PartitionStore, Routed, StagingBuffers};
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
-    CostModel, Counter, GaugeHandle, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SimClocks,
-    SuperstepRow, Telemetry, TelemetrySnapshot, Trace, TraceEventKind, Watchdog, WorkerTimers,
+    Counter, GaugeHandle, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SuperstepRow, Telemetry,
+    TelemetrySnapshot, Trace, TraceEventKind, Watchdog, WorkerTimers,
 };
 use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
 use sg_store::{GraphReader, VertexStore};
@@ -34,7 +34,8 @@ pub struct Outcome<V> {
     pub converged: bool,
     /// Counter snapshot for the run.
     pub metrics: MetricsSnapshot,
-    /// Simulated computation time (virtual-time makespan, nanoseconds).
+    /// The run's length on its host's clock, nanoseconds: virtual time on
+    /// `sg-sim`, wall time on this engine and on the `sg-net` cluster.
     pub makespan_ns: u64,
     /// Host wall-clock time of the run.
     pub wall_time: Duration,
@@ -209,14 +210,13 @@ impl<P: VertexProgram> Engine<P> {
                 .map(|_| Mutex::new(StagingBuffers::new(workers, has_combiner)))
                 .collect(),
             threads_per_worker: tpw,
-            lane_rows: (0..workers * tpw).map(|_| Mutex::default()).collect(),
             combiner: self.combiner,
             aggs,
             metrics: Arc::clone(&metrics),
-            clocks: SimClocks::new(workers),
-            cost: self.config.cost,
             trace: obs.trace_handle(workers),
             timers: obs.breakdown.then(|| WorkerTimers::new(workers)),
+            timed: obs.enabled(),
+            done: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             in_flight: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             owed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             superstep: AtomicU64::new(0),
@@ -233,6 +233,7 @@ impl<P: VertexProgram> Engine<P> {
             total_threads: workers * tpw,
             rounds: AtomicU64::new(0),
             round_capped: AtomicBool::new(false),
+            origin: Instant::now(),
         });
         (core, self.config)
     }
@@ -241,7 +242,7 @@ impl<P: VertexProgram> Engine<P> {
     pub fn run(self) -> Outcome<P::Value> {
         let (core, config) = self.into_core();
         let (metrics, recorder, obs) = (&core.metrics, &core.recorder, &config.obs);
-        let (workers, tpw) = (core.clocks.len(), core.threads_per_worker);
+        let (workers, tpw) = (core.owed.len(), core.threads_per_worker);
         let watchdog = spawn_watchdog(obs, &core);
 
         // The in-process audit plane: a streaming checker over the live
@@ -306,7 +307,7 @@ impl<P: VertexProgram> Engine<P> {
             start_barrier.wait();
             // ... workers execute superstep s ...
             end_barrier.wait();
-            core.settle_lanes();
+            core.stamp_barrier(s);
 
             // Sample staging depth before the master flush drains it: this
             // is how much each superstep left sitting in sender-side
@@ -320,16 +321,7 @@ impl<P: VertexProgram> Engine<P> {
                 g.staging.set(staged as u64);
             }
 
-            // Close the superstep. Each worker's gap behind the frontier is
-            // the idle time this barrier absorbed (and its skew behind the
-            // superstep's straggler).
-            let gaps = barrier::close(&mut core.as_ref(), s);
-            if let Some(t) = &core.timers {
-                for (w, &gap) in gaps.iter().enumerate() {
-                    t.add_idle(w, gap);
-                    t.set_skew(w, gap);
-                }
-            }
+            barrier::close(&mut core.as_ref(), s);
             // Reclaim versions below the oldest open snapshot; the barrier
             // is off the compute hot path, so GC never contends with a
             // vertex execution for its stripe.
@@ -339,7 +331,7 @@ impl<P: VertexProgram> Engine<P> {
                 rows.push(SuperstepRow {
                     superstep: s,
                     delta: snap - *prev,
-                    makespan_ns: core.clocks.makespan(),
+                    makespan_ns: core.now_ns(),
                 });
                 *prev = snap;
             }
@@ -419,19 +411,15 @@ impl EngineGauges {
     }
 }
 
-/// Start the stall watchdog when configured: progress = every counter plus
-/// every virtual clock (any vertex execution, message, transfer, or clock
-/// join moves it); a stall dumps the tail of the trace rings to stderr.
+/// Start the stall watchdog when configured: progress = the sum of every
+/// counter (any vertex execution, message, batch, transfer or barrier
+/// moves it); a stall dumps the tail of the trace rings to stderr.
 fn spawn_watchdog<P: VertexProgram>(obs: &ObsConfig, core: &Arc<Core<P>>) -> Option<Watchdog> {
     let stall_ms = obs.watchdog_stall_ms?;
     let progress_core = Arc::clone(core);
     let progress = move || {
         let snap = progress_core.metrics.snapshot();
-        let counters: u64 = Counter::ALL.iter().map(|&c| snap.get(c)).sum();
-        let clocks: u64 = (0..progress_core.clocks.len())
-            .map(|w| progress_core.clocks.now(w))
-            .sum();
-        counters.wrapping_add(clocks)
+        Counter::ALL.iter().map(|&c| snap.get(c)).sum()
     };
     let dump = core.trace.buffer().cloned();
     let on_stall = move || {
@@ -464,20 +452,22 @@ struct Core<P: VertexProgram> {
     /// before the fork moves; the lock is uncontended on the hot path.
     staging: Vec<Mutex<StagingBuffers<P::Message>>>,
     threads_per_worker: usize,
-    /// Each compute thread's [`LaneClock`], indexed like `staging`. Only
-    /// its thread touches it while threads execute; the master reads it
-    /// between supersteps ([`Core::settle_lanes`]).
-    lane_rows: Vec<Mutex<LaneClock>>,
     combiner: Option<Box<dyn Combiner<P::Message>>>,
     aggs: AggregatorSet,
     metrics: Arc<Metrics>,
-    clocks: SimClocks,
-    cost: CostModel,
     /// Event tracing handle (disabled = one branch per would-be event).
     trace: Trace,
     /// Per-worker busy/blocked/idle accumulators, when breakdown is on.
-    /// Busy and blocked are charged by [`Core::settle_lanes`] only.
+    /// A worker's busy and blocked are the mean over its lanes
+    /// ([`Core::settle`]); its idle is its wait for the straggler
+    /// ([`Core::stamp_barrier`]).
     timers: Option<WorkerTimers>,
+    /// Does the run read the clock — is tracing or breakdown on? When not,
+    /// no execution, wait, transfer or batch reads it.
+    timed: bool,
+    /// Per worker, the clock when its last lane finished the superstep
+    /// (0 when the run is not timed).
+    done: Vec<AtomicU64>,
     /// Per-worker count of shipments in progress: messages taken out of a
     /// staging run or outbound buffer but not yet inserted into their
     /// destination stores. The C1 write-all flush must wait for these —
@@ -521,71 +511,53 @@ struct Core<P: VertexProgram> {
     rounds: AtomicU64,
     /// A thread hit the local-round cap (barrierless non-convergence).
     round_capped: AtomicBool,
+    /// The run's clock starts here: every stamp is nanoseconds since.
+    origin: Instant,
 }
 
 /// The engine is the technique's transport: fork/token hops trigger the C1
 /// write-all flush (Section 4.1's "flush all pending remote replica
-/// updates ... before handing over the shared resource"). Virtual-time
-/// dependencies ride on the fork timestamps themselves (`sg-sync` adds
-/// [`SyncTransport::link_latency_ns`] per cross-machine hop), so only
-/// the *global token* of the ring techniques — which really does stall the
-/// receiving worker — joins whole-worker clocks here.
+/// updates ... before handing over the shared resource").
 impl<P: VertexProgram> SyncTransport for Core<P> {
     /// C1 write-all flush (in one address space it is applied by the time
-    /// `flush_outbound` returns), ring-token clock join, and the
-    /// cross-worker trace edge (`peer` = receiving worker, `arg` = protocol
-    /// unit for forks).
+    /// `flush_outbound` returns), traced as the cross-worker edge (`peer` =
+    /// receiving worker, `arg` = protocol unit for forks) lasting as long
+    /// as the flush. A fork that moves with nothing to flush is a flag
+    /// flip under the fork table's lock: the technique counts it, and the
+    /// trace skips it, as a clock read would cost more than the hop (a
+    /// vertex-lock run moves millions).
     fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>) {
         // Every transaction the resource guarded raised `owed` before the
         // technique let the resource go, so 0 here means all their writes
         // are applied at their receivers — most forks move with nothing
         // owed, and pay one load for it.
-        if self.owed[from.index()].load(Ordering::SeqCst) != 0 {
+        let owed = self.owed[from.index()].load(Ordering::SeqCst) != 0;
+        let traced = self.trace.is_enabled() && (owed || unit.is_none());
+        let start = traced.then(|| self.now_ns());
+        if owed {
             self.flush_outbound(from.index());
         }
-        let ring = unit.is_none();
-        if ring {
-            // Token techniques: the token gates the whole worker.
-            let ts = self.clocks.now(from.index()) + self.cost.network_latency_ns;
-            self.clocks.observe(to.index(), ts);
-        }
-        if self.trace.is_enabled() {
-            let s = self.superstep.load(Ordering::Relaxed);
-            let kind = if ring {
-                TraceEventKind::RingPass
-            } else {
-                TraceEventKind::ForkTransfer
+        if let Some(start) = start {
+            let kind = match unit {
+                None => TraceEventKind::RingPass,
+                Some(_) => TraceEventKind::ForkTransfer,
             };
             self.trace.record_peer(
-                from.index() as u32,
-                s,
+                from.raw(),
+                self.superstep.load(Ordering::Relaxed),
                 kind,
-                self.clocks.now(from.index()),
-                self.cost.network_latency_ns,
+                start,
+                self.now_ns() - start,
                 unit.map_or(0, u64::from),
-                to.index() as u32,
+                to.raw(),
             );
         }
     }
 
-    fn request(&self, from: WorkerId, to: WorkerId) {
-        if self.trace.is_enabled() {
-            let s = self.superstep.load(Ordering::Relaxed);
-            self.trace.record_peer(
-                from.index() as u32,
-                s,
-                TraceEventKind::RequestToken,
-                self.clocks.now(from.index()),
-                0,
-                0,
-                to.index() as u32,
-            );
-        }
-    }
-
-    fn link_latency_ns(&self, _from: WorkerId, _to: WorkerId) -> u64 {
-        self.cost.network_latency_ns
-    }
+    /// A request token guards no data and moves under the fork table's
+    /// lock: the technique counts it, and the trace skips it, like a fork
+    /// that moves with nothing to flush.
+    fn request(&self, _from: WorkerId, _to: WorkerId) {}
 }
 
 /// The master hosts the barrier between supersteps, with every compute
@@ -611,9 +583,6 @@ impl<P: VertexProgram> BarrierHost for &Core<P> {
             pm: &self.pm,
             aggregators: &self.aggs,
             metrics: &self.metrics,
-            trace: &self.trace,
-            clocks: &self.clocks,
-            barrier_ns: self.cost.barrier_ns,
         }
     }
 }
@@ -647,18 +616,8 @@ fn run_barrierless<P: VertexProgram>(core: &Arc<Core<P>>, max_rounds: u64) -> (u
     for h in handles {
         h.join().expect("worker thread panicked");
     }
-    core.settle_lanes();
-
     let rounds = core.rounds.load(Ordering::SeqCst);
     core.metrics.add(Counter::Supersteps, rounds);
-    if let Some(t) = &core.timers {
-        // No barriers ever leveled the clocks: the final spread is the
-        // workers' terminal skew (idle is derived from the makespan).
-        let frontier = core.clocks.makespan();
-        for w in 0..core.clocks.len() {
-            t.set_skew(w, frontier - core.clocks.now(w));
-        }
-    }
     (rounds, !core.round_capped.load(Ordering::SeqCst))
 }
 
@@ -694,7 +653,7 @@ fn barrierless_loop<P: VertexProgram>(
         // contends on another thread's staging lock); the C1 write-all
         // (`flush_outbound`) still drains them all when a fork moves.
         core.ship_from(worker, std::slice::from_ref(lane.staging));
-        core.clocks.observe(worker, lane.clock.lock().unwrap().now);
+        core.settle(worker, &mut lane);
         if did_work {
             round += 1;
             core.rounds.fetch_max(round, Ordering::SeqCst);
@@ -779,13 +738,6 @@ fn worker_loop<P: VertexProgram>(
             return;
         }
         let s = core.superstep.load(Ordering::SeqCst);
-        // This OS thread models one core of the simulated worker: its
-        // virtual clock starts at the worker's barrier-leveled frontier
-        // and advances with everything the thread executes or waits on.
-        *lane.clock.lock().unwrap() = LaneClock {
-            now: core.clocks.now(worker),
-            ..LaneClock::default()
-        };
         loop {
             let k = core.claim[worker].fetch_add(1, Ordering::SeqCst);
             if k >= ppw {
@@ -794,29 +746,23 @@ fn worker_loop<P: VertexProgram>(
             let p = PartitionId::new(worker as u32 * ppw + k);
             core.execute_partition(worker, p, s, &mut lane);
         }
-        core.clocks.observe(worker, lane.clock.lock().unwrap().now);
+        core.settle(worker, &mut lane);
         end_barrier.wait();
     }
 }
 
-/// One compute thread's virtual clock and what advanced it since it was
-/// last seeded — vertex executions (`busy`) and waits for a unit's last
-/// fork (`blocked`): `now - seed == busy + blocked`, exactly.
-#[derive(Clone, Copy, Debug, Default)]
-struct LaneClock {
-    now: u64,
-    busy: u64,
-    blocked: u64,
-}
-
 /// What one compute thread keeps for the whole run: the shared cycle and
-/// its scratch, the drain scratch, its staging buffer, its clock (a row of
-/// `Core::lane_rows`; barrierless runs never re-seed it).
+/// its scratch, the drain scratch, its staging buffer, and — when the run
+/// is timed — the nanoseconds its partition walks spent executing
+/// vertices (`busy`) and acquiring units (`blocked`) since
+/// [`Core::settle`] last took them; each step counts from the end of the
+/// one before it.
 struct Lane<'a, P: VertexProgram> {
     cycle: Cycle<'a, P>,
     envelopes: Vec<Envelope<P::Message>>,
     staging: &'a Mutex<StagingBuffers<P::Message>>,
-    clock: &'a Mutex<LaneClock>,
+    busy: u64,
+    blocked: u64,
 }
 
 /// The thread engine's side of one partition walk: the partition's state
@@ -838,7 +784,6 @@ struct PartitionHost<'a, P: VertexProgram> {
     /// Did the open transaction deliver to a vertex of its own worker?
     delivered: bool,
     envelopes: &'a mut Vec<Envelope<P::Message>>,
-    clock: MutexGuard<'a, LaneClock>,
 }
 
 impl<P: VertexProgram> PartitionHost<'_, P> {
@@ -941,7 +886,52 @@ impl<P: VertexProgram> Core<P> {
             }),
             envelopes: Vec::new(),
             staging: &self.staging[worker * self.threads_per_worker + slot],
-            clock: &self.lane_rows[worker * self.threads_per_worker + slot],
+            busy: 0,
+            blocked: 0,
+        }
+    }
+
+    /// Nanoseconds since the run started.
+    fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// [`Core::now_ns`] when the run is timed, else 0 without a clock read.
+    fn stamp(&self) -> u64 {
+        if self.timed {
+            self.now_ns()
+        } else {
+            0
+        }
+    }
+
+    /// Close a lane's stint — a superstep, or a barrierless round: what it
+    /// was busy and blocked joins its worker's breakdown as its share of
+    /// the mean over the worker's lanes, and the worker's finish time moves
+    /// up to now.
+    fn settle(&self, worker: usize, lane: &mut Lane<'_, P>) {
+        if let Some(t) = &self.timers {
+            let lanes = self.threads_per_worker as u64;
+            t.add_busy(worker, std::mem::take(&mut lane.busy) / lanes);
+            t.add_blocked(worker, std::mem::take(&mut lane.blocked) / lanes);
+        }
+        self.done[worker].fetch_max(self.stamp(), Ordering::Relaxed);
+    }
+
+    /// Superstep `s`'s barrier on the run's clock: each worker waited from
+    /// its last lane's finish to the straggler's. Traced as `BarrierWait`,
+    /// charged as the worker's idle time and skew.
+    fn stamp_barrier(&self, s: u64) {
+        let done = self.done.iter().map(|d| d.load(Ordering::Relaxed));
+        let frontier = done.clone().max().unwrap_or(0);
+        for (w, at) in done.enumerate() {
+            let wait = frontier - at;
+            let kind = TraceEventKind::BarrierWait;
+            self.trace.record(w as u32, s, kind, at, wait, 0);
+            if let Some(t) = &self.timers {
+                t.add_idle(w, wait);
+                t.set_skew(w, wait);
+            }
         }
     }
 
@@ -957,8 +947,8 @@ impl<P: VertexProgram> Core<P> {
     }
 
     /// Host one [`PartitionWalk`]: block where it says acquire, run the
-    /// shared vertex transaction where it says run, and charge the lane's
-    /// virtual clock for both.
+    /// shared vertex transaction where it says run, and — when the run is
+    /// timed — charge the lane and trace both.
     fn execute_partition(&self, worker: usize, p: PartitionId, s: u64, lane: &mut Lane<'_, P>) {
         let store = &self.inboxes.current()[p.index()];
         let mut host = PartitionHost {
@@ -971,48 +961,46 @@ impl<P: VertexProgram> Core<P> {
             unowed: 0,
             delivered: false,
             envelopes: &mut lane.envelopes,
-            clock: lane.clock.lock().unwrap(),
         };
         let has_work = store.total() > 0 || host.data.any_active();
         let mut walk = PartitionWalk::new(p, &*self.sync, has_work);
         let w = worker as u32;
+        // A timed walk is tiled: each acquire or execution lasts from the
+        // end of the step before it (or the walk's start) to its own end,
+        // so it costs one clock read.
+        let mut mark = self.stamp();
         loop {
             let data = &host.data;
             let awake = |i, _| !data.halted(i) || store.has_messages(i);
             match walk.next(&*self.sync, s, &data.vertices, awake) {
                 Step::Acquire(unit) => {
-                    // The unit may start once this core is free AND its
-                    // last fork has arrived.
-                    let ready = self.sync.acquire_unit(unit, self);
-                    let now = &mut host.clock.now;
-                    host.clock.blocked += charge_lock_wait(&self.trace, w, s, now, ready, unit);
+                    self.sync.acquire_unit(unit, self);
+                    if self.timed {
+                        let end = self.now_ns();
+                        lane.blocked += end - mark;
+                        let kind = TraceEventKind::LockWait;
+                        self.trace.record(w, s, kind, mark, end - mark, unit.into());
+                        mark = end;
+                    }
                     walk.granted();
                 }
                 Step::Run { local, v } => {
-                    let now = host.clock.now;
-                    let counts = lane.cycle.run_vertex(&mut host, s, w, now, local, v);
-                    let now = &mut host.clock.now;
-                    host.clock.busy += charge_virtual(&self.cost, &self.trace, w, s, now, counts);
+                    let (n_in, n_out) = lane.cycle.run_vertex(&mut host, s, w, mark, local, v);
+                    if self.timed {
+                        let end = self.now_ns();
+                        lane.busy += end - mark;
+                        let kind = TraceEventKind::VertexExecute;
+                        self.trace.record(w, s, kind, mark, end - mark, n_in);
+                        if n_out > 0 {
+                            let kind = TraceEventKind::MessageSend;
+                            self.trace.record(w, s, kind, end, 0, n_out);
+                        }
+                        mark = end;
+                    }
                 }
-                Step::Release(unit) => self.sync.release_unit(unit, host.clock.now, self),
+                Step::Release(unit) => self.sync.release_unit(unit, 0, self),
                 Step::Done => return,
             }
-        }
-    }
-
-    /// Charge each worker's breakdown with the row of the lane whose clock
-    /// the worker adopted — the last to finish of those that ran. Busy +
-    /// blocked is then exactly that lane's clock advance and cannot exceed
-    /// the worker's, however many sibling lanes were blocked over the same
-    /// virtual interval.
-    fn settle_lanes(&self) {
-        let Some(t) = &self.timers else { return };
-        for (w, lanes) in self.lane_rows.chunks(self.threads_per_worker).enumerate() {
-            let ran = |r: &LaneClock| r.busy + r.blocked > 0;
-            let rows = lanes.iter().map(|l| *l.lock().unwrap()).filter(ran);
-            let row = rows.max_by_key(|r| r.now).unwrap_or_default();
-            t.add_busy(w, row.busy);
-            t.add_blocked(w, row.blocked);
         }
     }
 
@@ -1026,6 +1014,7 @@ impl<P: VertexProgram> Core<P> {
         audit: Option<std::thread::JoinHandle<StreamingAuditor>>,
         watchdog: Option<Watchdog>,
     ) -> Outcome<P::Value> {
+        let makespan_ns = self.now_ns();
         let audit = audit.map(|h| h.join().expect("audit thread panicked").finish());
         let stalled = watchdog.map(Watchdog::stop).unwrap_or(false);
         let parts = self.partitions.iter().map(|p| p.lock().unwrap());
@@ -1034,11 +1023,11 @@ impl<P: VertexProgram> Core<P> {
             supersteps,
             converged,
             metrics: self.metrics.snapshot(),
-            makespan_ns: self.clocks.makespan(),
+            makespan_ns,
             wall_time: wall_start.elapsed(),
             history: self.recorder.as_ref().map(|r| r.take_history()),
             audit,
-            obs: self.obs_report(rows, stalled),
+            obs: self.obs_report(rows, stalled, makespan_ns),
             telemetry: self.metrics.telemetry().map(|t| t.snapshot()),
         }
     }
@@ -1079,34 +1068,30 @@ impl<P: VertexProgram> Core<P> {
         self.in_flight[from].fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Ship one batch: count it, charge the wire, deliver into the
-    /// destination stores.
+    /// Ship one batch: count it, deliver it into the destination stores,
+    /// trace it as lasting as long as the delivery.
     fn ship_batch(&self, from: usize, to: usize, routed: Vec<Routed<P::Message>>) {
         if routed.is_empty() {
             return;
         }
         let n = routed.len() as u64;
         self.metrics.inc(Counter::RemoteBatches);
-        // The sender pays to assemble/dispatch the batch; the receiver
-        // observes its arrival.
-        self.clocks.advance(from, self.cost.batch_overhead_ns);
-        let ts = self.clocks.now(from) + self.cost.batch_cost(n);
-        self.clocks.observe(to, ts);
-        if self.trace.is_enabled() {
-            self.trace.record_peer(
-                from as u32,
-                self.superstep.load(Ordering::Relaxed),
-                TraceEventKind::BatchFlush,
-                self.clocks.now(from),
-                self.cost.batch_cost(n),
-                n,
-                to as u32,
-            );
-        }
+        let start = self.trace.is_enabled().then(|| self.now_ns());
         let slots: Vec<_> = routed.iter().map(|r| self.pm.slot_of(r.0)).collect();
         let receiver = WorkerId::new(to as u32);
         self.inboxes
             .deliver_batch(receiver, &slots, &routed, self.combiner.as_deref());
+        if let Some(start) = start {
+            self.trace.record_peer(
+                from as u32,
+                self.superstep.load(Ordering::Relaxed),
+                TraceEventKind::BatchFlush,
+                start,
+                self.now_ns() - start,
+                n,
+                to as u32,
+            );
+        }
         self.wake_parked();
         let owed = self.owed[from].fetch_sub(n, Ordering::SeqCst);
         debug_assert!(owed >= n, "worker {from} shipped {n} messages, owed {owed}");
@@ -1141,7 +1126,7 @@ impl<P: VertexProgram> Core<P> {
     /// worker `from`: one pass of [`Core::flush_outbound`], or with one
     /// thread's staging, a barrierless round flush.
     fn ship_from(&self, from: usize, staging: &[Mutex<StagingBuffers<P::Message>>]) {
-        let others = (0..self.clocks.len()).filter(|&to| to != from);
+        let others = (0..self.owed.len()).filter(|&to| to != from);
         for st in staging {
             let mut st = st.lock().unwrap();
             others
@@ -1153,11 +1138,15 @@ impl<P: VertexProgram> Core<P> {
 
     /// Assemble the run's observability report (or `None` when everything
     /// was off). `rows` are the master loop's per-superstep deltas.
-    fn obs_report(&self, rows: Vec<SuperstepRow>, stalled: bool) -> Option<ObsReport> {
-        if self.timers.is_none() && !self.trace.is_enabled() {
+    fn obs_report(
+        &self,
+        rows: Vec<SuperstepRow>,
+        stalled: bool,
+        makespan: u64,
+    ) -> Option<ObsReport> {
+        if !self.timed {
             return None;
         }
-        let makespan = self.clocks.makespan();
         Some(ObsReport {
             per_superstep: rows,
             per_worker: self
@@ -1178,7 +1167,7 @@ impl<P: VertexProgram> Core<P> {
             0,
             superstep,
             TraceEventKind::Checkpoint,
-            self.clocks.makespan(),
+            self.stamp(),
             0,
             superstep,
         );
@@ -1208,7 +1197,7 @@ impl<P: VertexProgram> Core<P> {
             0,
             ckpt.superstep,
             TraceEventKind::Recovery,
-            self.clocks.makespan(),
+            self.stamp(),
             0,
             ckpt.superstep,
         );

@@ -21,10 +21,12 @@
 //! partition-based distributed locking. The combination is rejected for BSP
 //! (synchronous models cannot update local replicas eagerly, Section 4.1).
 //!
-//! The engine simulates the cluster on one host: workers are persistent OS
-//! threads, the "network" is the in-process buffer/store machinery, and a
-//! virtual-time cost model (`sg-metrics`) produces the simulated
-//! computation time the benchmarks report.
+//! The engine runs the cluster on one host: workers are persistent OS
+//! threads, the "network" is the in-process buffer/store machinery, and
+//! the one clock is the wall clock — its makespan, traces and breakdowns
+//! say where this code spent real time. The simulated computation time the
+//! figures report comes from `sg-sim`, which hosts the same superstep
+//! cycle on virtual time.
 //!
 //! A superstep is written once for every host: [`cycle`] is one vertex
 //! transaction, [`barrier`] closes the superstep, and

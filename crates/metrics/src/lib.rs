@@ -1,34 +1,37 @@
-//! # sg-metrics — instrumentation and the virtual-time cluster cost model
+//! # sg-metrics — instrumentation, and the cost model virtual time runs on
 //!
 //! The paper's evaluation metric is *computation time* on a 16/32-machine
 //! EC2 cluster, which "captures any communication overheads that the
 //! synchronization techniques may have" (Section 7.3). This reproduction
 //! runs on a single host, so wall-clock time cannot expose the parallelism
-//! differences between techniques. Instead the engines are instrumented two
-//! ways:
+//! differences between techniques. So each host keeps one clock — the
+//! thread engine and the cluster measure real code on the wall clock, the
+//! simulator and the GAS engine predict on virtual time — and this crate
+//! instruments all of them three ways:
 //!
 //! 1. **Counters** ([`Metrics`]): every local/remote message, batch flush,
 //!    fork transfer, request token, token-ring pass, barrier, and vertex
 //!    execution is counted. These are exact, deterministic measures of the
 //!    communication overheads Figure 1 talks about.
-//! 2. **Virtual time** ([`SimClocks`] + [`CostModel`]): each simulated
-//!    worker carries a logical clock in nanoseconds. Executing a vertex
-//!    advances the executing worker's clock; a remote transfer (message
-//!    batch, fork, or token) stamps the sender's clock and the receiver
-//!    joins it with `max(own, sent + latency)`; a global barrier joins all
-//!    clocks. The final **makespan** (max clock) is the simulated
-//!    computation time the benchmark harness reports — it exposes exactly
-//!    the serial chains (token rings) and per-transfer latencies (per-vertex
-//!    forks) that dominate the paper's results.
+//! 2. **Virtual time** ([`SimClocks`] + [`CostModel`]), for the hosts that
+//!    predict: each simulated worker carries a logical clock in
+//!    nanoseconds. Executing a vertex advances the executing worker's
+//!    clock; a remote transfer (message batch, fork, or token) stamps the
+//!    sender's clock and the receiver joins it with `max(own, sent +
+//!    latency)`; a global barrier joins all clocks. The final **makespan**
+//!    (max clock) is the simulated computation time the figures report —
+//!    it exposes exactly the serial chains (token rings) and per-transfer
+//!    latencies (per-vertex forks) that dominate the paper's results.
 //! 3. **Traces** ([`trace::TraceBuffer`]): when enabled, every interesting
 //!    transition (vertex execution, batch flush, fork/token transfer, lock
 //!    wait, barrier wait, checkpoint) is recorded as a typed event in a
 //!    lock-free per-worker ring, stamped with worker id, superstep, and
-//!    virtual-time nanoseconds. Rings export to Chrome `trace_event` JSON
-//!    (loadable in Perfetto / `chrome://tracing`) and feed the stall
-//!    watchdog's diagnostics ([`trace::Watchdog`]). Per-run summaries
-//!    (per-superstep counter deltas, per-worker busy/blocked/idle time)
-//!    live in [`report::ObsReport`].
+//!    nanoseconds on the host's clock. Rings export to Chrome
+//!    `trace_event` JSON (loadable in Perfetto / `chrome://tracing`), feed
+//!    the critical-path profiler — one analyzer for wall and virtual time —
+//!    and the stall watchdog's diagnostics ([`trace::Watchdog`]). Per-run
+//!    summaries (per-superstep counter deltas, per-worker
+//!    busy/blocked/idle time) live in [`report::ObsReport`].
 
 pub mod counters;
 pub mod critical_path;

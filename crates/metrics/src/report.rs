@@ -1,12 +1,12 @@
-//! Per-run observability reports: per-worker virtual-time breakdowns,
-//! per-superstep counter deltas, and renderers (human text + JSON).
+//! Per-run observability reports: per-worker time breakdowns, per-superstep
+//! counter deltas, and renderers (human text + JSON).
 //!
-//! The engines populate these when observability is enabled in
-//! [`ObsConfig`]; the bench harness prints/persists them under `results/`.
-//! Everything here is assembled *after* the run from data collected on the
-//! hot path into [`WorkerTimers`] (the Pregel engine settles one lane's
-//! row per worker per superstep, the GAS engine adds per execution) — the
-//! run itself never formats anything.
+//! The hosts populate these when observability is enabled in
+//! [`ObsConfig`], each on its own clock — wall time on the thread engine,
+//! virtual time on the simulator and the GAS engine; the bench harness
+//! prints/persists them under `results/`. Everything here is assembled
+//! *after* the run from data collected on the hot path into
+//! [`WorkerTimers`] — the run itself never formats anything.
 
 use crate::counters::MetricsSnapshot;
 use crate::json::Json;
@@ -26,7 +26,7 @@ pub struct ObsConfig {
     /// Collect per-worker busy/blocked/idle breakdowns and per-superstep
     /// counter deltas, surfaced in the run outcome.
     pub breakdown: bool,
-    /// Spawn a stall watchdog: if no counter or clock moves for this many
+    /// Spawn a stall watchdog: if the run makes no progress for this many
     /// wall-clock milliseconds, dump the last trace events per worker to
     /// stderr instead of hanging silently.
     pub watchdog_stall_ms: Option<u64>,
@@ -85,15 +85,15 @@ impl ObsConfig {
     }
 }
 
-/// Hot-path accumulator for per-worker virtual time. All adds are relaxed;
-/// the engines' barriers order them before any read.
+/// Hot-path accumulator for per-worker time, on the host's clock. All adds
+/// are relaxed; the hosts' barriers order them before any read.
 #[derive(Debug)]
 pub struct WorkerTimers {
     busy: Vec<AtomicU64>,
     blocked: Vec<AtomicU64>,
     idle: Vec<AtomicU64>,
-    /// Clock skew observed at the most recent barrier (or run end), per
-    /// worker: `max(all clocks) - clock[w]` before the barrier leveled them.
+    /// Skew observed at the most recent barrier (or run end), per worker:
+    /// how far it trailed the superstep's straggler.
     skew: Vec<AtomicU64>,
 }
 
@@ -149,7 +149,7 @@ impl WorkerTimers {
     /// when no idle was charged, idle = makespan − busy − blocked.
     ///
     /// When the charged time (busy + blocked + idle) exceeds the makespan —
-    /// double-charged overlap, or a cost-model bug — the excess is surfaced
+    /// double-charged overlap, or a host's accounting bug — the excess is surfaced
     /// as [`WorkerBreakdown::accounting_error_ns`] rather than silently
     /// clamped away.
     pub fn breakdown(&self, makespan_ns: u64) -> Vec<WorkerBreakdown> {
@@ -164,7 +164,7 @@ impl WorkerTimers {
                 let accounting_error_ns = (busy + blocked + idle).saturating_sub(makespan_ns);
                 if accounting_error_ns > 0 && cfg!(debug_assertions) {
                     eprintln!(
-                        "obs: worker {w} virtual-time accounting overcharged by {} \
+                        "obs: worker {w} time accounting overcharged by {} \
                          (busy {busy} + blocked {blocked} + idle {idle} > makespan {makespan_ns})",
                         accounting_error_ns
                     );
@@ -182,19 +182,19 @@ impl WorkerTimers {
     }
 }
 
-/// One worker's virtual-time breakdown over a whole run.
+/// One worker's time breakdown over a whole run, on its host's clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerBreakdown {
     /// Worker id.
     pub worker: u32,
-    /// Virtual time spent executing vertex programs and handling messages.
+    /// Time spent executing vertex programs and handling messages.
     pub busy_ns: u64,
-    /// Virtual time spent waiting for forks, tokens, or locks.
+    /// Time spent waiting for forks, tokens, or locks.
     pub blocked_ns: u64,
-    /// Virtual time spent idle at barriers (or otherwise unaccounted).
+    /// Time spent idle at barriers (or otherwise unaccounted).
     pub idle_ns: u64,
-    /// Clock skew at the final barrier (how far this worker's clock trailed
-    /// the slowest worker before the barrier leveled them).
+    /// Skew at the final barrier: how far this worker trailed the slowest
+    /// worker before the barrier released them.
     pub skew_ns: u64,
     /// How far busy + blocked + idle overshoots the makespan. Zero when the
     /// books balance; nonzero means time was double-charged (e.g. an engine
@@ -210,7 +210,7 @@ pub struct SuperstepRow {
     pub superstep: u64,
     /// Counters incremented during this superstep alone.
     pub delta: MetricsSnapshot,
-    /// Virtual makespan at the end of this superstep.
+    /// The host's clock at the end of this superstep.
     pub makespan_ns: u64,
 }
 
@@ -227,7 +227,8 @@ pub struct ObsReport {
     pub trace: Option<Arc<TraceBuffer>>,
     /// Whole-run counter totals.
     pub totals: MetricsSnapshot,
-    /// Whole-run virtual makespan.
+    /// The run's length on its host's clock: virtual on the simulator and
+    /// the GAS engine, wall on the thread engine and the cluster.
     pub makespan_ns: u64,
     /// Whether the stall watchdog fired during the run.
     pub stalled: bool,
@@ -249,7 +250,7 @@ impl ObsReport {
             }
         );
         if !self.per_worker.is_empty() {
-            let _ = writeln!(out, "\nper-worker virtual time:");
+            let _ = writeln!(out, "\nper-worker time:");
             let _ = writeln!(
                 out,
                 "{:>6} {:>12} {:>12} {:>12} {:>12} {:>7}",
@@ -476,7 +477,7 @@ mod tests {
             stalled: false,
         };
         let text = report.render_text();
-        assert!(text.contains("per-worker virtual time:"));
+        assert!(text.contains("per-worker time:"));
         assert!(text.contains("per-superstep deltas:"));
         assert!(text.contains("trace: 0 events recorded"));
         assert!(text.contains("counter totals:"));

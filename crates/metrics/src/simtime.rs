@@ -1,10 +1,13 @@
 //! Virtual-time simulation of a distributed cluster.
 //!
 //! Each simulated worker machine owns a monotone logical clock measured in
-//! simulated nanoseconds. The engines charge work against these clocks using
-//! a [`CostModel`], and join clocks whenever information flows between
-//! workers. The resulting **makespan** — the maximum clock after the run —
-//! is the simulated analogue of the paper's measured computation time:
+//! simulated nanoseconds. The virtual-time hosts — the discrete-event
+//! simulator (`sg-sim`) and the GAS engine (`sg-gas`) — charge work against
+//! these clocks using a [`CostModel`], and join clocks whenever information
+//! flows between workers. The thread engine keeps none: it runs on the
+//! wall clock. The resulting **makespan** — the maximum clock after the
+//! run — is the simulated analogue of the paper's measured computation
+//! time:
 //!
 //! * a worker idling while it waits for the global token shows up as its
 //!   clock jumping to the token's (later) timestamp;
@@ -13,12 +16,14 @@
 //! * message batching shows up as one latency charge per *batch* rather
 //!   than per message.
 //!
-//! Clock joins use `fetch_max`, so concurrent updates from real threads are
-//! safe and the result is independent of benign interleavings.
+//! Clock joins use `fetch_max`, so concurrent updates from real threads
+//! (the GAS engine's fibers) are safe and the result is independent of
+//! benign interleavings.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cost parameters for the simulated cluster, all in simulated nanoseconds.
+/// Cost parameters for the simulated cluster, all in simulated nanoseconds
+/// (`sg_sim::SimOptions::cost`, `sg_gas::GasConfig::cost`).
 ///
 /// Defaults are loosely calibrated to the paper's EC2 r3.xlarge cluster:
 /// sub-microsecond per-vertex compute, ~0.5 ms one-way network latency, and
@@ -134,8 +139,8 @@ impl SimClocks {
     }
 
     /// Global barrier: every clock jumps to `max(all clocks) + barrier_ns`.
-    /// Must be called while worker threads are quiescent (the engines call
-    /// it from the master between supersteps).
+    /// Must be called while nothing else charges a clock (the simulator
+    /// calls it between supersteps).
     pub fn barrier(&self, barrier_ns: u64) -> u64 {
         let max = self.makespan() + barrier_ns;
         for c in &self.clocks {

@@ -2,12 +2,14 @@
 //! typed engine events, a Chrome `trace_event` exporter, and a stall
 //! watchdog.
 //!
-//! Counters ([`crate::Metrics`]) say *how much* happened; the virtual clocks
-//! ([`crate::SimClocks`]) say *how long* it took; traces say *when and
-//! where*. Every event is stamped with the worker that produced it, the
-//! superstep it happened in, and its virtual-time interval, so a run can be
-//! replayed on a timeline (e.g. in Perfetto / `chrome://tracing`) and a
-//! token-ring serial chain or a fork convoy is visible as such.
+//! Counters ([`crate::Metrics`]) say *how much* happened; traces say *when
+//! and where*. Every event is stamped with the worker that produced it, the
+//! superstep it happened in, and its interval on the host's clock — wall
+//! nanoseconds since the run started on the thread engine and the cluster,
+//! virtual nanoseconds on the simulator, the GAS engine and the model
+//! checker — so a run can be replayed on a timeline (e.g. in Perfetto /
+//! `chrome://tracing`) and a token-ring serial chain or a fork convoy is
+//! visible as such.
 //!
 //! Design constraints, in order:
 //!
@@ -39,7 +41,7 @@ use std::time::{Duration, Instant};
 /// Cross-worker kinds (`BatchFlush`, `ForkTransfer`, `RequestToken`,
 /// `RingPass`) additionally carry the destination worker in
 /// [`TraceEvent::peer`], so a recorded run forms a happens-before DAG over
-/// virtual time: the event's interval is the edge from the recording worker
+/// the host's time: the event's interval is the edge from the recording worker
 /// to the peer, and `ts + dur` is the arrival instant at the peer. The
 /// [`crate::critical_path`] module reconstructs that DAG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -51,17 +53,19 @@ pub enum TraceEventKind {
     MessageSend = 1,
     /// A remote batch flush; `arg` = messages in the batch.
     BatchFlush = 2,
-    /// A Chandy–Misra fork handed to another philosopher's worker;
-    /// `arg` = receiving worker.
+    /// A Chandy–Misra fork handed to another philosopher's worker
+    /// ([`TraceEvent::peer`]); `arg` = the receiving protocol unit. The
+    /// thread engine traces only hops that pay a write-all flush.
     ForkTransfer = 3,
-    /// A request token sent cross-worker; `arg` = receiving worker.
+    /// A request token sent cross-worker ([`TraceEvent::peer`]); not
+    /// traced by the thread engine.
     RequestToken = 4,
     /// A global-token ring pass; `arg` = receiving worker.
     RingPass = 5,
-    /// Virtual time spent blocked acquiring a lock/fork set; `dur` = wait.
+    /// Time spent blocked acquiring a lock/fork set; `dur` = wait.
     LockWait = 6,
-    /// Worker reached the superstep barrier; `dur` = its wait until the
-    /// barrier released (clock skew absorbed by the barrier).
+    /// Worker reached the superstep barrier; `dur` = its wait for the
+    /// superstep's straggler (the skew the barrier absorbed).
     BarrierWait = 7,
     /// A checkpoint was written; `arg` = superstep.
     Checkpoint = 8,
@@ -179,9 +183,9 @@ pub struct TraceEvent {
     pub superstep: u64,
     /// Event type.
     pub kind: TraceEventKind,
-    /// Virtual-time start, nanoseconds.
+    /// Start on the host's clock, nanoseconds.
     pub ts_ns: u64,
-    /// Virtual duration, nanoseconds (0 for instant events).
+    /// Duration, nanoseconds (0 for instant events).
     pub dur_ns: u64,
     /// Kind-specific payload (message count, lock unit, fork pair id, …).
     pub arg: u64,
@@ -192,7 +196,7 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Virtual end/arrival instant: for cross-worker events, the time the
+    /// End/arrival instant: for cross-worker events, the time the
     /// payload lands at [`TraceEvent::peer`].
     #[inline]
     pub fn end_ns(&self) -> u64 {
@@ -393,7 +397,7 @@ impl TraceBuffer {
 
     /// Write the whole buffer as Chrome `trace_event` JSON (the
     /// `traceEvents` array format), loadable in Perfetto or
-    /// `chrome://tracing`. Virtual time maps to the trace clock (µs);
+    /// `chrome://tracing`. The host's clock maps to the trace clock (µs);
     /// workers map to threads of one process.
     pub fn write_chrome_trace<W: Write>(&self, w: W) -> io::Result<()> {
         self.write_chrome_trace_with_meta(w, &[])
@@ -571,8 +575,8 @@ pub struct Watchdog {
 
 impl Watchdog {
     /// Start watching. `progress` must strictly increase while the observed
-    /// system is making progress (e.g. the sum of all counters plus all
-    /// virtual clocks); `on_stall` runs at most once, on the watchdog
+    /// system is making progress (e.g. the sum of all counters);
+    /// `on_stall` runs at most once, on the watchdog
     /// thread.
     pub fn spawn(
         poll: Duration,

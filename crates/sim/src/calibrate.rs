@@ -1,12 +1,12 @@
 //! Cost-model calibration: fit the simulator's per-vertex / per-message
 //! charges from a real instrumented run's trace events.
 //!
-//! The engine stamps every `VertexExecute` with its charged duration and
-//! the number of messages consumed (`arg`), and every `BatchFlush` with
-//! its wire cost and batch size — both linear models by construction
-//! (`vertex_cost = a + b·msgs_in`, `batch_cost = lat + c·msgs`). A
-//! least-squares line through the observed `(arg, dur)` points recovers
-//! the coefficients, so a cost model fitted from a run on *this* machine
+//! The thread engine stamps every `VertexExecute` with its wall-clock
+//! duration and the number of messages consumed (`arg`), and every
+//! `BatchFlush` with the time it took to land and its batch size. A
+//! least-squares line through the observed `(arg, dur)` points fits the
+//! cost model's linear shapes (`vertex_cost = a + b·msgs_in`, `batch_cost
+//! = lat + c·msgs`), so a cost model fitted from a run on *this* machine
 //! replays that machine's shape inside the simulator.
 
 use sg_metrics::{CostModel, TraceEvent, TraceEventKind};

@@ -14,11 +14,10 @@
 //! * [`simulate`] runs a vertex program on a simulated cluster and
 //!   returns the engine-shaped [`Outcome`](sg_engine::Outcome) plus a
 //!   determinism digest ([`SimReport`]).
-//! * [`NetModel`] shapes the simulated network: worker-mesh vs
-//!   coordinator-uplink latency, per-message bandwidth, deterministic
-//!   per-link jitter.
+//! * [`SimOptions`] is the simulated machine: its cost model, and the
+//!   deterministic per-link jitter of the wire derived from it.
 //! * [`calibrate::fit_cost_model`] fits the per-vertex / per-message cost
-//!   charges from a real instrumented run's trace events.
+//!   charges from a real engine run's wall-clock trace events.
 //!
 //! Trace events carry simulated timestamps, so `sg-trace analyze` and the
 //! critical-path profiler work unchanged; histories feed the existing 1SR
@@ -28,9 +27,8 @@
 
 pub mod calibrate;
 pub mod event;
-pub mod net;
+mod net;
 mod sim;
 
 pub use calibrate::{fit_cost_model, CostFit};
-pub use net::NetModel;
 pub use sim::{simulate, SimOptions, SimReport};

@@ -2,11 +2,11 @@
 //! it directly, and `sg-sync`'s queue transport answers the protocol
 //! objects' latency queries from it.
 //!
-//! The model distinguishes the worker mesh (fork transfers, message
-//! batches) from the coordinator uplink (token ring passes, which the
-//! paper routes through the master), and can jitter each directed link
-//! deterministically from a seed — so a 512-worker topology is not one
-//! uniform constant but still replays bit-identically.
+//! Every hop — a fork transfer, a message batch, a token ring pass — pays
+//! its directed link's latency. The model derives from the run's
+//! [`CostModel`] and can jitter each link deterministically from a seed, so
+//! a 512-worker topology is not one uniform constant but still replays
+//! bit-identically.
 
 use sg_metrics::CostModel;
 
@@ -20,62 +20,42 @@ fn mix64(mut x: u64) -> u64 {
 
 /// Latency/bandwidth shape of the simulated cluster network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NetModel {
-    /// One-way latency between two workers (the mesh), nanoseconds.
-    pub mesh_latency_ns: u64,
-    /// One-way latency between a worker and the coordinator (token ring
-    /// passes, barrier traffic), nanoseconds. Equal to the mesh by
-    /// default; raise it to model a master bottleneck.
-    pub uplink_latency_ns: u64,
+pub(crate) struct NetModel {
+    /// One-way latency between two workers, nanoseconds.
+    pub(crate) mesh_latency_ns: u64,
     /// Per-message serialization/transfer cost on a remote batch,
     /// nanoseconds (the bandwidth term).
-    pub per_message_ns: u64,
+    pub(crate) per_message_ns: u64,
     /// Deterministic per-directed-link jitter, ± percent of the mesh
     /// latency. 0 = uniform links.
-    pub jitter_pct: u32,
+    pub(crate) jitter_pct: u32,
     /// Seed for the jitter hash.
-    pub seed: u64,
-}
-
-impl Default for NetModel {
-    fn default() -> Self {
-        Self::from_cost(&CostModel::default())
-    }
+    pub(crate) seed: u64,
 }
 
 impl NetModel {
-    /// Derive the network shape from an engine cost model (uniform links,
-    /// no jitter) so sim and in-process runs charge the same wire by
-    /// default.
-    pub fn from_cost(cost: &CostModel) -> Self {
+    /// The wire of `cost`, each directed link jittered by ± `jitter_pct`
+    /// percent of its latency, seeded by `seed` (0 percent = uniform
+    /// links).
+    pub(crate) fn new(cost: &CostModel, jitter_pct: u32, seed: u64) -> Self {
         Self {
             mesh_latency_ns: cost.network_latency_ns,
-            uplink_latency_ns: cost.network_latency_ns,
             per_message_ns: cost.per_remote_message_ns,
-            jitter_pct: 0,
-            seed: 0,
+            jitter_pct,
+            seed,
         }
     }
 
     /// One-way latency of the directed link `from -> to`.
-    pub fn link_latency_ns(&self, from: u32, to: u32) -> u64 {
+    pub(crate) fn link_latency_ns(&self, from: u32, to: u32) -> u64 {
         if from == to {
             return 0;
         }
         self.jittered(self.mesh_latency_ns, from, to)
     }
 
-    /// One-way latency of the coordinator uplink as seen from `from`
-    /// toward `to` (ring passes).
-    pub fn uplink_latency_ns(&self, from: u32, to: u32) -> u64 {
-        if from == to {
-            return 0;
-        }
-        self.jittered(self.uplink_latency_ns, from, to)
-    }
-
     /// Arrival delay of an `n`-message batch on `from -> to`.
-    pub fn batch_latency_ns(&self, from: u32, to: u32, n: u64) -> u64 {
+    pub(crate) fn batch_latency_ns(&self, from: u32, to: u32, n: u64) -> u64 {
         self.link_latency_ns(from, to) + n * self.per_message_ns
     }
 
@@ -98,29 +78,25 @@ mod tests {
 
     #[test]
     fn uniform_links_without_jitter() {
-        let net = NetModel {
-            mesh_latency_ns: 1000,
-            uplink_latency_ns: 3000,
-            per_message_ns: 10,
-            jitter_pct: 0,
-            seed: 0,
+        let cost = CostModel {
+            network_latency_ns: 1000,
+            per_remote_message_ns: 10,
+            ..CostModel::zero()
         };
+        let net = NetModel::new(&cost, 0, 0);
         assert_eq!(net.link_latency_ns(0, 1), 1000);
         assert_eq!(net.link_latency_ns(7, 3), 1000);
         assert_eq!(net.link_latency_ns(4, 4), 0);
-        assert_eq!(net.uplink_latency_ns(2, 0), 3000);
         assert_eq!(net.batch_latency_ns(0, 1, 5), 1050);
     }
 
     #[test]
     fn jitter_is_deterministic_per_link_and_bounded() {
-        let net = NetModel {
-            mesh_latency_ns: 1000,
-            uplink_latency_ns: 1000,
-            per_message_ns: 0,
-            jitter_pct: 20,
-            seed: 42,
+        let cost = CostModel {
+            network_latency_ns: 1000,
+            ..CostModel::zero()
         };
+        let net = NetModel::new(&cost, 20, 42);
         let mut distinct = std::collections::BTreeSet::new();
         for from in 0..8 {
             for to in 0..8 {

@@ -7,14 +7,14 @@
 //! order, not a transcription of it — through one [`Cycle::run_vertex`]
 //! (the product's own vertex transaction), or retries a blocked lock
 //! acquisition. Remote message batches travel as `Deliver` events through
-//! the [`NetModel`].
+//! the `NetModel`.
 //!
 //! The synchronization techniques are the **unmodified** `sg-sync`
 //! protocol objects: where the walk says acquire the simulation polls
 //! [`Synchronizer::try_acquire_unit`] and parks the lane, exactly as the
 //! model checker does, and their transport is the same
 //! [`QueueTransport`] the model checker drains, answering latency queries
-//! from the [`NetModel`]: each queued action is applied right after the
+//! from the `NetModel`: each queued action is applied right after the
 //! protocol call that made it returns.
 //!
 //! Fidelity notes (what the simulator's IO half shares with `sg-engine`):
@@ -28,18 +28,18 @@
 //! * a fork/token handover performs the write-all flush of the sender's
 //!   outbound messages *synchronously* (condition C1) — in-flight batches
 //!   from that worker are applied before the handover completes;
-//! * each worker machine's clock is a row of the engine's [`SimClocks`]:
-//!   batch assembly advances the sender's, an arrival joins the
-//!   receiver's;
+//! * each worker machine's clock is a row of [`SimClocks`]: batch assembly
+//!   advances the sender's, an arrival joins the receiver's;
 //! * a superstep closes in the engine's own [`barrier::close`] — write-all,
-//!   the technique's end of superstep, the BSP flip, the aggregators, the
-//!   clocks levelled to the frontier plus `barrier_ns` — and stops on the
-//!   engine's own [`barrier::halts`] verdict.
+//!   the technique's end of superstep, the BSP flip, the aggregators — after
+//!   which the simulator levels its clocks to the frontier plus
+//!   `barrier_ns`, and stops on the engine's own [`barrier::halts`] verdict;
+//! * virtual time is the simulator's alone: [`SimOptions::cost`] prices it;
+//!   the trace and the per-worker / per-superstep breakdowns are in it.
 
 use crate::event::{EventKind, EventQueue};
 use crate::net::NetModel;
 use sg_engine::barrier::{self, BarrierHost, BarrierParts};
-use sg_engine::cycle::{charge_lock_wait, charge_virtual};
 use sg_engine::state::{gather_values, PartitionData};
 use sg_engine::store::{Envelope, InboxPair, Routed, StagingBuffers};
 use sg_engine::{
@@ -47,32 +47,39 @@ use sg_engine::{
     Outcome, VertexProgram,
 };
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
-use sg_metrics::{CostModel, Counter, Metrics, ObsReport, SimClocks, Trace, TraceEventKind};
+use sg_metrics::{
+    CostModel, Counter, Metrics, MetricsSnapshot, ObsReport, SimClocks, SuperstepRow, Trace,
+    TraceEventKind, WorkerTimers,
+};
 use sg_serial::Recorder;
 use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Step, Synchronizer};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Knobs specific to the discrete-event simulator (everything else comes
-/// from the shared [`EngineConfig`]).
+/// The simulated machine (everything else comes from the shared
+/// [`EngineConfig`]): what each operation costs in virtual time, and how
+/// the links between workers vary around the cost model's wire.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimOptions {
-    /// Network topology model. `None` derives uniform links from the
-    /// engine cost model, making a 1-thread-per-worker sim run charge the
-    /// same wire the in-process engine would.
-    pub net: Option<NetModel>,
+    /// Virtual-time price of every vertex execution, message, batch, hop
+    /// and barrier. The simulated wire (each link's latency, each remote
+    /// message's cost) derives from it.
+    pub cost: CostModel,
+    /// Deterministic per-directed-link jitter, ± percent of the wire
+    /// latency. 0 = uniform links.
+    pub jitter_pct: u32,
+    /// Seed for the jitter hash.
+    pub seed: u64,
 }
 
 impl SimOptions {
-    /// Uniform links from the cost model, with deterministic per-link
-    /// jitter of ± `pct` percent seeded by `seed`.
+    /// The default machine, its links jittered by ± `pct` percent, seeded
+    /// by `seed`.
     pub fn with_jitter(pct: u32, seed: u64) -> Self {
         Self {
-            net: Some(NetModel {
-                jitter_pct: pct,
-                seed,
-                ..NetModel::default()
-            }),
+            jitter_pct: pct,
+            seed,
+            ..Self::default()
         }
     }
 }
@@ -105,15 +112,46 @@ fn fnv_fold(mut h: u64, word: u64) -> u64 {
 }
 
 /// One simulated compute thread: a clock, the walk of the partition it
-/// has claimed, and whether it is parked on a contended unit.
+/// has claimed, and whether it is parked on a contended unit. Since its
+/// clock was seeded at the superstep's start it advanced by vertex
+/// executions (`busy`) and waits for a unit's last fork (`blocked`):
+/// `clock - seed == busy + blocked`, exactly.
 #[derive(Clone, Copy, Debug, Default)]
 struct Lane {
     clock: u64,
+    busy: u64,
+    blocked: u64,
     /// `None` between partitions (and once the worker's claims run out).
     walk: Option<PartitionWalk>,
     /// The unit whose forks the lane waits for; a release re-polls it.
     parked: Option<u32>,
     pending_step: bool,
+}
+
+impl Lane {
+    /// `unit` became available at `ready`: if the lane had to wait, trace
+    /// the gap and advance the clock over it, as blocked time.
+    fn charge_lock_wait(&mut self, trace: &Trace, w: u32, s: u64, ready: u64, unit: u32) {
+        let wait = ready.saturating_sub(self.clock);
+        if wait > 0 {
+            let kind = TraceEventKind::LockWait;
+            trace.record(w, s, kind, self.clock, wait, unit.into());
+            (self.clock, self.blocked) = (ready, self.blocked + wait);
+        }
+    }
+
+    /// Charge the execution whose `(consumed, sent)` counts
+    /// [`Cycle::run_vertex`] returned, as busy time: a `VertexExecute` span
+    /// of the model's cost, then a `MessageSend` marker if it sent.
+    fn charge_virtual(&mut self, cost: &CostModel, trace: &Trace, w: u32, s: u64, n: (u64, u64)) {
+        let ns = cost.vertex_cost(n.0, n.1);
+        let kind = TraceEventKind::VertexExecute;
+        trace.record(w, s, kind, self.clock, ns, n.0);
+        (self.clock, self.busy) = (self.clock + ns, self.busy + ns);
+        if n.1 > 0 {
+            trace.record(w, s, TraceEventKind::MessageSend, self.clock, 0, n.1);
+        }
+    }
 }
 
 /// A batch in flight between two workers.
@@ -153,6 +191,11 @@ struct Sim<'a, P: VertexProgram> {
     /// arrivals, ring passes and the lanes' own clocks, levelled at the
     /// barrier.
     clocks: SimClocks,
+    /// Per-worker busy/blocked/idle, when breakdown is on.
+    timers: Option<WorkerTimers>,
+    /// Per-superstep counter deltas, when breakdown is on.
+    rows: Vec<SuperstepRow>,
+    last_snapshot: MetricsSnapshot,
 
     /// Per-worker outbound staging, plus the destinations each worker has
     /// staged for since its last write-all (so a 512-worker barrier visits
@@ -204,9 +247,7 @@ pub fn simulate<P: VertexProgram>(
     let sync = build_synchronizer(config.technique, &graph, &pm, Arc::clone(&metrics));
     let lanes_per_worker = config.lanes_per_worker(&*sync);
 
-    let net = opts
-        .net
-        .unwrap_or_else(|| NetModel::from_cost(&config.cost));
+    let net = NetModel::new(&opts.cost, opts.jitter_pct, opts.seed);
     let trace = config.obs.trace_handle(workers as usize);
     let record_history = config.record_history || config.obs.audit;
     let recorder = record_history.then(|| Arc::new(Recorder::new(Arc::clone(&graph))));
@@ -235,7 +276,7 @@ pub fn simulate<P: VertexProgram>(
             net.link_latency_ns(from.raw(), to.raw())
         }),
         net,
-        cost: config.cost,
+        cost: opts.cost,
         metrics: &metrics,
         trace: &trace,
         aggs: &aggs,
@@ -249,6 +290,12 @@ pub fn simulate<P: VertexProgram>(
         lanes: vec![Lane::default(); (workers * lanes_per_worker) as usize],
         claim: vec![0; workers as usize],
         clocks: SimClocks::new(workers as usize),
+        timers: config
+            .obs
+            .breakdown
+            .then(|| WorkerTimers::new(workers as usize)),
+        rows: Vec::new(),
+        last_snapshot: MetricsSnapshot::default(),
         staging: (0..workers)
             .map(|_| StagingBuffers::new(workers as usize, combiner.is_some()))
             .collect(),
@@ -263,10 +310,13 @@ pub fn simulate<P: VertexProgram>(
     let (converged, executed, makespan) = sim.run(&mut cycle, config.max_supersteps)?;
 
     let metrics_snapshot = sim.metrics.snapshot();
-    let obs = sim.trace.buffer().map(|buf| ObsReport {
-        per_superstep: Vec::new(),
-        per_worker: Vec::new(),
-        trace: Some(Arc::clone(buf)),
+    let obs = config.obs.enabled().then(|| ObsReport {
+        per_worker: sim
+            .timers
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.breakdown(makespan)),
+        per_superstep: std::mem::take(&mut sim.rows),
+        trace: sim.trace.buffer().cloned(),
         totals: metrics_snapshot,
         makespan_ns: makespan,
         stalled: false,
@@ -309,7 +359,8 @@ impl<P: VertexProgram> Sim<'_, P> {
             // levelled) clock.
             self.claim.fill(0);
             for li in 0..self.lanes.len() {
-                self.lanes[li].clock = self.clocks.now(li / lpw);
+                let lane = &mut self.lanes[li];
+                (lane.clock, lane.busy, lane.blocked) = (self.clocks.now(li / lpw), 0, 0);
                 self.wake(li, 0);
             }
             while let Some(ev) = self.queue.pop() {
@@ -334,6 +385,7 @@ impl<P: VertexProgram> Sim<'_, P> {
             self.in_flight.iter_mut().for_each(Vec::clear);
             let s = self.superstep;
             barrier::close(self, s);
+            self.level_clocks(s);
             executed += 1;
             let active: usize = self.parts.iter().map(PartitionData::active_count).sum();
             let pending = self.inboxes.queued();
@@ -386,14 +438,13 @@ impl<P: VertexProgram> Sim<'_, P> {
                     let Some(ready) = got else {
                         return; // parked; a release will re-poll
                     };
-                    charge_lock_wait(self.trace, w, s, &mut self.lanes[li].clock, ready, unit);
+                    self.lanes[li].charge_lock_wait(self.trace, w, s, ready, unit);
                 }
                 Step::Run { local, v } => {
                     let entered = self.lanes[li].clock;
                     let mut host = LaneHost { sim: self, w, p };
                     let counts = cycle.run_vertex(&mut host, s, w, entered, local, v);
-                    let clock = &mut self.lanes[li].clock;
-                    charge_virtual(&self.cost, self.trace, w, s, clock, counts);
+                    self.lanes[li].charge_virtual(&self.cost, self.trace, w, s, counts);
                     // One costed vertex per event — plus, when the unit
                     // was acquired for this vertex alone, its release.
                     if !per_vertex {
@@ -507,7 +558,7 @@ impl<P: VertexProgram> Sim<'_, P> {
     /// Apply the protocol-level network actions the technique recorded
     /// during its last call: fork/token handovers perform the C1
     /// write-all flush; ring passes additionally gate the receiving
-    /// worker behind the coordinator uplink.
+    /// worker's whole machine behind the hop.
     fn drain_actions(&mut self) {
         for a in self.transport.drain() {
             match a {
@@ -521,11 +572,11 @@ impl<P: VertexProgram> Sim<'_, P> {
                     }
                     self.write_all_from(from);
                     let ring = unit.is_none();
-                    let net = self.net;
-                    let (kind, lat) = if ring {
-                        (TraceEventKind::RingPass, net.uplink_latency_ns(from, to))
+                    let lat = self.net.link_latency_ns(from, to);
+                    let kind = if ring {
+                        TraceEventKind::RingPass
                     } else {
-                        (TraceEventKind::ForkTransfer, net.link_latency_ns(from, to))
+                        TraceEventKind::ForkTransfer
                     };
                     let now = self.clocks.now(from as usize);
                     if ring {
@@ -554,6 +605,41 @@ impl<P: VertexProgram> Sim<'_, P> {
                     );
                 }
             }
+        }
+    }
+
+    /// The barrier on the simulated clocks: each worker's gap behind the
+    /// frontier is a `BarrierWait`, its idle time and its skew; then every
+    /// clock jumps to the frontier plus `barrier_ns`, and the superstep's
+    /// counter deltas close at the new makespan. A worker's busy and blocked
+    /// are those of the lane whose clock it adopted — the last to finish of
+    /// those that ran — so they are exactly that lane's clock advance,
+    /// however many sibling lanes were blocked over the same interval.
+    fn level_clocks(&mut self, s: u64) {
+        let frontier = self.clocks.makespan();
+        let lanes = self.lanes.chunks(self.lanes_per_worker as usize);
+        for (w, lanes) in lanes.enumerate() {
+            let gap = frontier - self.clocks.now(w);
+            let kind = TraceEventKind::BarrierWait;
+            self.trace.record(w as u32, s, kind, frontier - gap, gap, 0);
+            if let Some(t) = &self.timers {
+                let ran = lanes.iter().filter(|l| l.busy + l.blocked > 0);
+                let row = ran.max_by_key(|l| l.clock).copied().unwrap_or_default();
+                t.add_busy(w, row.busy);
+                t.add_blocked(w, row.blocked);
+                t.add_idle(w, gap);
+                t.set_skew(w, gap);
+            }
+        }
+        self.clocks.barrier(self.cost.barrier_ns);
+        if self.timers.is_some() {
+            let snap = self.metrics.snapshot();
+            self.rows.push(SuperstepRow {
+                superstep: s,
+                delta: snap - self.last_snapshot,
+                makespan_ns: self.clocks.makespan(),
+            });
+            self.last_snapshot = snap;
         }
     }
 
@@ -604,9 +690,6 @@ impl<P: VertexProgram> BarrierHost for Sim<'_, P> {
             pm: self.pm,
             aggregators: self.aggs,
             metrics: self.metrics,
-            trace: self.trace,
-            clocks: &self.clocks,
-            barrier_ns: self.cost.barrier_ns,
         }
     }
 }
@@ -817,6 +900,103 @@ mod tests {
             },
             "checkpointing",
         );
+    }
+
+    #[test]
+    fn virtual_charge_advances_the_clock_and_traces_both_events() {
+        let cost = CostModel {
+            vertex_compute_ns: 100,
+            per_message_compute_ns: 10,
+            per_send_ns: 1,
+            ..CostModel::zero()
+        };
+        let trace = Trace::enabled(2, 8);
+        let mut lane = Lane {
+            clock: 1_000,
+            ..Lane::default()
+        };
+        lane.charge_virtual(&cost, &trace, 1, 3, (2, 4));
+        assert_eq!((lane.clock, lane.busy), (1_124, 124));
+        let events = trace.buffer().expect("enabled").events(1);
+        let seen: Vec<_> = events
+            .iter()
+            .map(|e| (e.kind, e.superstep, e.ts_ns, e.dur_ns, e.arg))
+            .collect();
+        assert_eq!(
+            seen,
+            [
+                (TraceEventKind::VertexExecute, 3, 1_000, 124, 2),
+                (TraceEventKind::MessageSend, 3, 1_124, 0, 4),
+            ]
+        );
+        // Nothing sent: no send marker. No wait: no event, no charge.
+        lane.charge_virtual(&cost, &trace, 1, 3, (0, 0));
+        lane.charge_lock_wait(&trace, 1, 3, 9, 42);
+        assert_eq!(trace.buffer().expect("enabled").events(1).len(), 3);
+        assert_eq!((lane.clock, lane.blocked), (1_224, 0));
+        lane.charge_lock_wait(&trace, 1, 3, 2_000, 42);
+        assert_eq!((lane.clock, lane.blocked), (2_000, 776));
+        let wait = trace.buffer().expect("enabled").events(1)[3];
+        assert_eq!(
+            (wait.kind, wait.ts_ns, wait.dur_ns, wait.arg),
+            (TraceEventKind::LockWait, 1_224, 776, 42)
+        );
+    }
+
+    #[test]
+    fn a_jittered_run_charges_its_own_cost_model() {
+        // Ten times the default wire, jittered by ± 15 %: every fork hop
+        // and batch must take at least 85 % of the slow wire.
+        let slow = CostModel {
+            network_latency_ns: 10 * CostModel::default().network_latency_ns,
+            ..CostModel::default()
+        };
+        let opts = SimOptions {
+            cost: slow,
+            ..SimOptions::with_jitter(15, 0xABCD)
+        };
+        let mut cfg = config(4, TechniqueKind::PartitionLock);
+        cfg.obs.trace = true;
+        let r =
+            simulate(Arc::new(gen::ring(64)), GreedyColoring, None, &cfg, &opts).expect("simulate");
+        let events = r.outcome.obs.expect("traced").trace.expect("buffer");
+        let floor = slow.network_latency_ns * 85 / 100;
+        let mut hops = 0;
+        for e in events.all_events() {
+            if matches!(
+                e.kind,
+                TraceEventKind::ForkTransfer | TraceEventKind::BatchFlush
+            ) {
+                hops += 1;
+                assert!(e.dur_ns >= floor, "{:?} took {} ns", e.kind, e.dur_ns);
+            }
+        }
+        assert!(hops > 0, "the run moved forks and batches");
+    }
+
+    #[test]
+    fn breakdown_accounts_virtual_time_per_worker_and_superstep() {
+        let mut cfg = config(4, TechniqueKind::PartitionLock);
+        cfg.obs.breakdown = true;
+        let r = simulate(
+            Arc::new(gen::ring(64)),
+            GreedyColoring,
+            None,
+            &cfg,
+            &SimOptions::default(),
+        )
+        .expect("simulate");
+        let obs = r.outcome.obs.expect("breakdown on");
+        assert!(obs.trace.is_none());
+        assert_eq!(obs.per_superstep.len() as u64, r.outcome.supersteps);
+        let last = obs.per_superstep.last().expect("a superstep");
+        assert_eq!(last.makespan_ns, r.outcome.makespan_ns);
+        assert_eq!(obs.per_worker.len(), 4);
+        for b in &obs.per_worker {
+            assert!(b.busy_ns > 0);
+            assert!(b.busy_ns + b.blocked_ns + b.idle_ns <= obs.makespan_ns);
+            assert_eq!(b.accounting_error_ns, 0);
+        }
     }
 
     #[test]

@@ -88,6 +88,7 @@ fn main() {
         .workers(4)
         .technique(Technique::PartitionLock)
         .max_supersteps(200)
+        .simulated(SimOptions::default())
         .run_program(LabelPropagation)
         .expect("valid configuration");
 

@@ -1,6 +1,7 @@
 //! Section 6.4 fault tolerance in action: run WCC with periodic barrier
 //! checkpoints, kill a "machine" mid-run, and watch the cluster roll back
-//! and finish with the exact same answer.
+//! and finish with the exact same answer. Checkpointing runs on the
+//! in-process engine only, so both times printed are wall time.
 //!
 //! Run with: `cargo run --release --example fault_tolerant_run`
 
@@ -21,7 +22,7 @@ fn main() {
         .run_wcc()
         .expect("valid configuration");
     println!(
-        "clean run:    {} supersteps, simulated {:.2}ms",
+        "clean run:    {} supersteps, wall {:.2}ms",
         clean.supersteps,
         clean.makespan_ns as f64 / 1e6
     );
@@ -34,7 +35,7 @@ fn main() {
         .run_wcc()
         .expect("valid configuration");
     println!(
-        "failure run:  {} supersteps ({} checkpoint(s), {} recovery), simulated {:.2}ms",
+        "failure run:  {} supersteps ({} checkpoint(s), {} recovery), wall {:.2}ms",
         failed.supersteps,
         failed.metrics.checkpoints,
         failed.metrics.recoveries,

@@ -15,10 +15,12 @@ fn main() {
     );
 
     // Serializable execution via the paper's partition-based distributed
-    // locking: the greedy coloring algorithm needs no changes.
+    // locking: the greedy coloring algorithm needs no changes. The run is
+    // simulated, so its computation time is the cluster's virtual time.
     let outcome = Runner::new(graph.clone())
         .workers(4)
         .technique(Technique::PartitionLock)
+        .simulated(SimOptions::default())
         .run_coloring()
         .expect("valid configuration");
 

@@ -32,6 +32,7 @@ fn main() {
             .workers(8)
             .threads_per_worker(2)
             .technique(technique)
+            .simulated(SimOptions::default())
             .run_pagerank(0.01)
             .expect("valid configuration");
         assert!(out.converged);

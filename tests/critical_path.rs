@@ -1,16 +1,17 @@
 //! Critical-path profiler invariants and the paper's attribution stories.
 //!
-//! Property-style checks over real traced runs, both engines, all four
+//! Property-style checks over real traced runs — the thread engine on the
+//! wall clock, the simulator and the GAS engine on virtual time — all four
 //! techniques:
 //!
 //! * the six-category attribution partitions the makespan **exactly**;
 //! * the critical path is at most the makespan and at least the busiest
 //!   worker's compute coverage (a lower bound on any schedule);
 //! * per-superstep spans tile the analyzed range in order;
-//! * the technique stories of Figure 1: single-layer token passing's
-//!   makespan is dominated by token-serialization wait, vertex-based
-//!   locking spends a larger share fork-waiting (and moves far more
-//!   per-transfer sync traffic) than partition-based locking.
+//! * the technique stories of Figure 1, told in virtual time: single-layer
+//!   token passing's makespan is dominated by token-serialization wait,
+//!   vertex-based locking spends a larger share fork-waiting (and moves
+//!   far more per-transfer sync traffic) than partition-based locking.
 
 use serigraph::prelude::*;
 use serigraph::sg_gas::programs::GasSssp;
@@ -72,37 +73,49 @@ fn analyzed(obs: &ObsReport) -> CriticalPathReport {
     analyze_buffer(buf, obs.makespan_ns)
 }
 
-fn run_technique(technique: Technique) -> CriticalPathReport {
-    let out = Runner::new(gen::datasets::or_sim(256))
+/// A runner on the wall-clock thread engine, or on the simulator.
+fn host(runner: Runner, simulated: bool) -> Runner {
+    if simulated {
+        runner.simulated(SimOptions::default())
+    } else {
+        runner
+    }
+}
+
+fn run_technique(technique: Technique, simulated: bool) -> CriticalPathReport {
+    let runner = Runner::new(gen::datasets::or_sim(256))
         .workers(4)
         .technique(technique)
         .max_supersteps(50_000)
-        .observability(instrumented())
-        .run_pagerank(0.01)
-        .expect("config");
+        .observability(instrumented());
+    let out = host(runner, simulated).run_pagerank(0.01).expect("config");
     assert!(out.converged);
     analyzed(&out.obs.expect("report"))
 }
 
-/// The partition/bound invariants hold for all four techniques on the
-/// Pregel engine.
+/// The partition/bound invariants hold for all four techniques on both
+/// Pregel hosts.
 #[test]
 fn invariants_hold_for_all_pregel_techniques() {
-    for technique in [
+    for (technique, simulated) in [
         Technique::SingleToken,
         Technique::DualToken,
         Technique::VertexLock,
         Technique::PartitionLock,
-    ] {
-        let report = run_technique(technique);
-        assert_invariants(&report, &format!("{technique:?}"));
+    ]
+    .into_iter()
+    .flat_map(|t| [(t, false), (t, true)])
+    {
+        let report = run_technique(technique, simulated);
+        let label = format!("{technique:?}, simulated={simulated}");
+        assert_invariants(&report, &label);
         assert!(
             !report.per_superstep.is_empty(),
-            "{technique:?}: barrier-segmented supersteps expected"
+            "{label}: barrier-segmented supersteps expected"
         );
         assert!(
             !report.blocking_edges.is_empty(),
-            "{technique:?}: cross-worker transfers expected"
+            "{label}: cross-worker transfers expected"
         );
     }
 }
@@ -112,16 +125,19 @@ fn invariants_hold_for_all_pregel_techniques() {
 #[test]
 fn invariants_hold_across_workloads() {
     for workers in [2u32, 8] {
-        let out = Runner::new(gen::datasets::or_sim(256))
-            .workers(workers)
-            .technique(Technique::PartitionLock)
-            .max_supersteps(50_000)
-            .observability(instrumented())
-            .run_sssp(VertexId::new(0))
-            .expect("config");
-        assert!(out.converged);
-        let report = analyzed(&out.obs.expect("report"));
-        assert_invariants(&report, &format!("sssp/w{workers}"));
+        for simulated in [false, true] {
+            let runner = Runner::new(gen::datasets::or_sim(256))
+                .workers(workers)
+                .technique(Technique::PartitionLock)
+                .max_supersteps(50_000)
+                .observability(instrumented());
+            let out = host(runner, simulated)
+                .run_sssp(VertexId::new(0))
+                .expect("config");
+            assert!(out.converged);
+            let report = analyzed(&out.obs.expect("report"));
+            assert_invariants(&report, &format!("sssp/w{workers}/simulated={simulated}"));
+        }
     }
 }
 
@@ -154,7 +170,7 @@ fn invariants_hold_on_the_gas_engine() {
 /// serialized behind the ring, not to compute or raw network latency.
 #[test]
 fn single_token_is_dominated_by_token_wait() {
-    let report = run_technique(Technique::SingleToken);
+    let report = run_technique(Technique::SingleToken, true);
     assert_eq!(
         report.attribution.dominant(),
         Category::TokenWait,
@@ -175,8 +191,8 @@ fn single_token_is_dominated_by_token_wait() {
 /// shows token-ring serialization.
 #[test]
 fn vertex_lock_pays_more_fork_overhead_than_partition_lock() {
-    let vertex = run_technique(Technique::VertexLock);
-    let partition = run_technique(Technique::PartitionLock);
+    let vertex = run_technique(Technique::VertexLock, true);
+    let partition = run_technique(Technique::PartitionLock, true);
     for (name, r) in [("vertex", &vertex), ("partition", &partition)] {
         assert!(
             r.attribution.percent(Category::ForkWait) > 20.0,

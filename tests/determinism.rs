@@ -158,6 +158,7 @@ fn bsp_makespan_reproducible() {
             .workers(3)
             .threads_per_worker(1)
             .model(Model::Bsp)
+            .simulated(SimOptions::default())
             .run_sssp(VertexId::new(0))
             .expect("config")
     };

@@ -82,18 +82,18 @@ fn superstep_deltas_reconstruct_totals() {
         let sum: u64 = obs.per_superstep.iter().map(|r| r.delta.get(c)).sum();
         assert_eq!(sum, out.metrics.get(c), "delta sum for {}", c.name());
     }
-    // Rows carry a monotonically non-decreasing virtual makespan.
+    // Rows carry a monotonically non-decreasing makespan.
     for w in obs.per_superstep.windows(2) {
         assert!(w[0].makespan_ns <= w[1].makespan_ns);
     }
 }
 
 /// The trace buffer records the structural events every AP locking run
-/// must produce, stamped within the run's virtual-time span, and the
-/// per-worker breakdown accounts busy/blocked/idle against the makespan —
-/// exactly, however many compute lanes a worker runs: a worker's row is
-/// the row of the lane whose clock it adopted, so two lanes blocked on
-/// forks over the same virtual interval are not summed.
+/// must produce, stamped within the run's wall-clock span, and the
+/// per-worker breakdown accounts busy/blocked/idle against the makespan,
+/// however many compute lanes a worker runs: a worker's busy and blocked
+/// are the mean over its lanes, so two lanes blocked on forks over the
+/// same interval are not summed.
 #[test]
 fn trace_events_and_breakdown_are_consistent() {
     let workers = 4;
@@ -135,6 +135,53 @@ fn trace_events_and_breakdown_are_consistent() {
             );
             assert_eq!(b.accounting_error_ns, 0, "{threads} threads per worker");
         }
+    }
+}
+
+/// The thread engine stamps its trace on the wall clock, from the start of
+/// the run: a vertex that sleeps 2 ms executes for at least 2 ms, and every
+/// event lies inside the run.
+#[test]
+fn engine_trace_is_stamped_on_the_wall_clock() {
+    struct Sleepy;
+    impl VertexProgram for Sleepy {
+        type Value = ();
+        type Message = ();
+        fn init(&self, _v: VertexId, _g: &Graph) {}
+        fn compute(&self, ctx: &mut Context<'_, Self>, _msgs: &[()]) {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            ctx.vote_to_halt();
+        }
+    }
+    let out = Runner::new(gen::ring(4))
+        .workers(1)
+        .threads_per_worker(1)
+        .trace(true)
+        .run_program(Sleepy)
+        .expect("config");
+    assert!(out.converged);
+    let obs = out.obs.expect("traced");
+    assert_eq!(obs.makespan_ns, out.makespan_ns);
+    let events = obs.trace.expect("trace enabled").all_events();
+    let executions = events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::VertexExecute);
+    assert_eq!(executions.clone().count(), 4);
+    for e in executions {
+        assert!(
+            e.dur_ns >= 2_000_000,
+            "a 2 ms vertex traced as {} ns",
+            e.dur_ns
+        );
+    }
+    for e in &events {
+        assert!(
+            e.end_ns() <= out.makespan_ns,
+            "{:?} ends at {} ns, after the run's {} ns",
+            e.kind,
+            e.end_ns(),
+            out.makespan_ns
+        );
     }
 }
 

@@ -120,17 +120,17 @@ fn model_technique_pairing_enforced() {
 }
 
 /// `BspVertexLock` reports `LockGranularity::None` — it blocks nobody — yet
-/// the forks it moves at barriers carry a unit, and the thread engine, its
-/// only host, tells a fork from a ring token by that unit: every move is
-/// traced as a `ForkTransfer` and joins no whole-worker clock (BSP's
-/// barrier levels them anyway). One thread per worker: with two the
-/// makespan wobbles by ~1 µs.
+/// the forks it moves at barriers carry a unit, and every host tells a
+/// fork from a ring token by that unit: every move is traced as a
+/// `ForkTransfer` and gates no whole worker (BSP's barrier levels the
+/// clocks anyway). The simulator prices the run exactly.
 #[test]
 fn bsp_fork_moves_are_charged_and_traced_as_fork_transfers() {
     use serigraph::sg_metrics::TraceEventKind;
     let out = bsp_locked(&gen::grid(6, 6), 3)
         .threads_per_worker(1)
         .trace(true)
+        .simulated(SimOptions::default())
         .run_coloring()
         .expect("config");
     let events = out.obs.expect("traced").trace.expect("buffer").all_events();
