@@ -91,6 +91,11 @@ for f in crates/engine/src/*.rs crates/check/src/*.rs; do
 done
 if grep -n 'pub cost:' crates/engine/src/config.rs; then exit 1; fi
 
+echo "== the fork table keeps no clock: no per-pair stamp, link latency or ready time (ts:, link_latency_ns, ready_at) above #[cfg(test)] in crates/sync/src =="
+for f in crates/sync/src/*.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\bts:|link_latency_ns|ready_at'; then echo "in $f"; exit 1; fi
+done
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

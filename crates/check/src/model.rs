@@ -500,13 +500,12 @@ impl Model {
                 let (wi, Step::Acquire(unit)) = self.advance(li) else {
                     panic!("{e} is not lane {li}'s next step");
                 };
-                match self.tech.try_acquire_unit(unit, &self.net) {
-                    Some(_) => self.lanes[li].walks[wi].granted(),
-                    None => {
-                        self.lanes[li].parked = true;
-                        let worker = self.lanes[li].worker.raw();
-                        self.record(worker, TraceEventKind::LockWait, 0, u64::from(unit));
-                    }
+                if self.tech.try_acquire_unit(unit, &self.net) {
+                    self.lanes[li].walks[wi].granted();
+                } else {
+                    self.lanes[li].parked = true;
+                    let worker = self.lanes[li].worker.raw();
+                    self.record(worker, TraceEventKind::LockWait, 0, u64::from(unit));
                 }
             }
             Event::Begin(li) => {

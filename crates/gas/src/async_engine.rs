@@ -6,7 +6,7 @@
 use crate::program::GasProgram;
 use sg_graph::{Graph, VertexId, WorkerId};
 use sg_metrics::{
-    CostModel, Counter, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SimClocks, Trace,
+    CostModel, Counter, EatOrder, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SimClocks, Trace,
     TraceEventKind, Watchdog, WorkerTimers,
 };
 use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
@@ -130,6 +130,9 @@ struct Core<P: GasProgram> {
     /// Serializable mode's lock: every vertex a philosopher, this core its
     /// transport.
     lock: Option<VertexLock>,
+    /// When each vertex last ate under `lock` (empty without it): when a
+    /// granted vertex's forks arrived.
+    eats: EatOrder,
     /// Buffered mirror-update counts per (from, to) machine pair
     /// (serializable mode batches them until a fork handover).
     pending_updates: Vec<Vec<AtomicU64>>,
@@ -143,9 +146,10 @@ struct Core<P: GasProgram> {
 impl<P: GasProgram> SyncTransport for Core<P> {
     /// Write-all: flush every buffered mirror update leaving `from` before
     /// the fork crosses machines (condition C1, Section 4.3). The fork's
-    /// own network hop is charged onto its timestamp by the fork table, not
-    /// onto whole-machine clocks. Trace events carry the receiving machine
-    /// as `peer` and the traveling fork's philosopher id as `arg`.
+    /// own network hop delays only the vertex that receives it — `execute`
+    /// works out its arrival from eat order ([`EatOrder`]) — not whole
+    /// machine clocks. Trace events carry the receiving machine as `peer`
+    /// and the traveling fork's philosopher id as `arg`.
     fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>) {
         let f = from.index();
         for dest in 0..self.pending_updates[f].len() {
@@ -193,10 +197,6 @@ impl<P: GasProgram> SyncTransport for Core<P> {
                 to.index() as u32,
             );
         }
-    }
-
-    fn link_latency_ns(&self, _from: WorkerId, _to: WorkerId) -> u64 {
-        self.config.cost.network_latency_ns
     }
 }
 
@@ -273,6 +273,11 @@ impl<P: GasProgram> AsyncGasEngine<P> {
             executions: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             live_failed: AtomicBool::new(false),
+            eats: EatOrder::new(if lock.is_some() {
+                g.num_vertices() as usize
+            } else {
+                0
+            }),
             lock,
             pending_updates: (0..machines)
                 .map(|_| (0..machines).map(|_| AtomicU64::new(0)).collect())
@@ -458,7 +463,19 @@ impl<P: GasProgram> Core<P> {
     fn execute(&self, machine: usize, v: VertexId, fiber_clock: &mut u64) {
         let g = &self.graph;
         if let Some(lock) = &self.lock {
-            let ready = lock.acquire_unit(v.raw(), self);
+            lock.acquire_unit(v.raw(), self);
+            // Forks cross machines at the cost model's one-way latency.
+            let own = self.machine_of[v.index()];
+            let latency = |q: u32| {
+                if self.machine_of[q as usize] == own {
+                    0
+                } else {
+                    self.config.cost.network_latency_ns
+                }
+            };
+            let ready = self
+                .eats
+                .ready(v.raw(), lock.fork_neighbors(v.raw()), latency);
             let wait = ready.saturating_sub(*fiber_clock);
             if wait > 0 {
                 if let Some(t) = &self.timers {
@@ -579,6 +596,9 @@ impl<P: GasProgram> Core<P> {
             );
         }
         if let Some(lock) = &self.lock {
+            // Logged before the release: the table's mutex orders it before
+            // any neighbour's grant.
+            self.eats.ate(v.raw(), *fiber_clock);
             lock.release_unit(v.raw(), *fiber_clock, self);
         }
         self.clocks.observe(machine, *fiber_clock);

@@ -45,7 +45,7 @@ pub use counters::{Counter, Metrics, MetricsSnapshot};
 pub use critical_path::{Attribution, BlockingEdge, Category, CriticalPathReport, SuperstepPath};
 pub use json::Json;
 pub use report::{ObsConfig, ObsReport, SuperstepRow, WorkerBreakdown, WorkerTimers};
-pub use simtime::{CostModel, SimClocks};
+pub use simtime::{CostModel, EatOrder, SimClocks};
 pub use telemetry::{
     CounterHandle, GaugeHandle, HistogramHandle, HistogramSnapshot, MetricKind, MetricRow,
     MetricValue, Telemetry, TelemetrySnapshot,

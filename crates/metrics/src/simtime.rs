@@ -12,7 +12,7 @@
 //! * a worker idling while it waits for the global token shows up as its
 //!   clock jumping to the token's (later) timestamp;
 //! * per-vertex fork traffic shows up as per-transfer latency charged on
-//!   every one of the `O(|E|)` forks;
+//!   every one of the `O(|E|)` forks, when each arrives ([`EatOrder`]);
 //! * message batching shows up as one latency charge per *batch* rather
 //!   than per message.
 //!
@@ -166,6 +166,94 @@ impl SimClocks {
     }
 }
 
+/// When a granted unit's forks arrived, worked out from the order units
+/// ate in — the fork table itself keeps no clock.
+///
+/// A fork between units `p` and `q` is available where it sits from the
+/// end of its last holder's execution, plus one link latency if it then
+/// crossed machines. Chandy–Misra forks move only to a hungry requester,
+/// which keeps them until it has eaten, so when `p` is granted its fork
+/// with neighbour `q` was stamped:
+///
+/// * `end[q]` plus the `q -> p` latency, if `q` ate more recently than `p`
+///   (the fork came over after `q`'s execution);
+/// * `end[p]`, if `p` ate more recently (the fork never left);
+/// * if neither has eaten, the `q -> p` latency when `q > p` (the fork
+///   starts at the higher id, Section 6.3) and 0 otherwise.
+///
+/// `p` is ready at the latest of those stamps. "More recently" is eat
+/// order, a per-unit sequence number, not end time: zero-cost executions
+/// end at the same instant.
+///
+/// Hosts call [`EatOrder::ate`] before they release a unit and
+/// [`EatOrder::ready`] after a grant. Atomics let the GAS engine's fibers
+/// share one log. They are `Relaxed` because the fork table's mutex does
+/// the ordering: a release unlocks it after `ate` (Release) and the grant
+/// that hands a neighbour the fork locks it before `ready` (Acquire), so a
+/// neighbour's `ate` is seen, and its place in `last`'s modification order
+/// comes first.
+#[derive(Debug)]
+pub struct EatOrder {
+    /// Per unit: the virtual time its last execution ended.
+    end: Vec<AtomicU64>,
+    /// Per unit: its last execution's place in eat order; 0 = never ate.
+    seq: Vec<AtomicU64>,
+    /// The last place handed out.
+    last: AtomicU64,
+}
+
+impl EatOrder {
+    /// A log over units `0..units`, none of which has eaten.
+    pub fn new(units: usize) -> Self {
+        let zeros = || (0..units).map(|_| AtomicU64::new(0)).collect();
+        Self {
+            end: zeros(),
+            seq: zeros(),
+            last: AtomicU64::new(0),
+        }
+    }
+
+    /// Unit `p`'s execution ended at `end`. Call before releasing `p`.
+    #[inline]
+    pub fn ate(&self, p: u32, end: u64) {
+        let seq = self.last.fetch_add(1, Ordering::Relaxed) + 1;
+        self.end[p as usize].store(end, Ordering::Relaxed);
+        self.seq[p as usize].store(seq, Ordering::Relaxed);
+    }
+
+    /// The virtual time unit `p`'s last fork became available, given the
+    /// units it shares a fork with and `latency(q)`, the `q -> p` link
+    /// latency (0 on one machine). Call after `p` was granted.
+    pub fn ready(
+        &self,
+        p: u32,
+        neighbors: impl IntoIterator<Item = u32>,
+        latency: impl Fn(u32) -> u64,
+    ) -> u64 {
+        let at = |u: u32| {
+            let u = u as usize;
+            let seq = self.seq[u].load(Ordering::Relaxed);
+            (seq, self.end[u].load(Ordering::Relaxed))
+        };
+        let (p_seq, p_end) = at(p);
+        let stamp = |q: u32| {
+            let (q_seq, q_end) = at(q);
+            if q_seq > p_seq {
+                q_end + latency(q)
+            } else if p_seq == 0 {
+                if q > p {
+                    latency(q)
+                } else {
+                    0
+                }
+            } else {
+                p_end
+            }
+        };
+        neighbors.into_iter().map(stamp).max().unwrap_or(0)
+    }
+}
+
 /// Render simulated nanoseconds human-readably (`1.50ms`, `2.3s`, …).
 pub fn fmt_sim_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
@@ -268,6 +356,36 @@ mod tests {
         assert_eq!(fmt_sim_ns(1_500), "1.50us");
         assert_eq!(fmt_sim_ns(2_500_000), "2.50ms");
         assert_eq!(fmt_sim_ns(3_000_000_000), "3.00s");
+    }
+
+    #[test]
+    fn eat_order_stamps_each_fork_by_who_ate_last() {
+        let lat = |q: u32| 100 + u64::from(q); // every neighbour remote
+        let log = EatOrder::new(3);
+        // Nobody ate: forks start at the higher id.
+        assert_eq!(log.ready(1, [0, 2], lat), 102);
+        assert_eq!(log.ready(1, [0], lat), 0);
+        assert_eq!(log.ready(1, [], lat), 0);
+        log.ate(1, 500);
+        // 1 ate last: its forks never left it.
+        assert_eq!(log.ready(1, [0, 2], lat), 500);
+        // 1 ate more recently than 0 and 2: theirs come from 1.
+        assert_eq!(log.ready(0, [1], lat), 601);
+        log.ate(0, 700);
+        log.ate(2, 700);
+        // Same end time, but 2 ate after 1 and after 0: its fork comes
+        // over from 2.
+        assert_eq!(log.ready(1, [0, 2], lat), 802);
+        assert_eq!(log.ready(0, [1], lat), 700);
+    }
+
+    #[test]
+    fn eat_order_breaks_end_time_ties_by_sequence() {
+        let log = EatOrder::new(2);
+        log.ate(1, 40);
+        log.ate(0, 40); // a zero-cost execution after 1's
+        assert_eq!(log.ready(1, [0], |_| 7), 47);
+        assert_eq!(log.ready(0, [1], |_| 7), 40);
     }
 
     #[test]

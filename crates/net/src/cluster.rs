@@ -274,7 +274,6 @@ struct Coord {
     state: Mutex<CoordState>,
     cv: Condvar,
     conns: Vec<Arc<CtrlConn>>,
-    clock: Arc<Clock>,
     metrics: Arc<Metrics>,
     hub: Arc<TelemetryHub>,
     audit: Option<Arc<AuditHub>>,
@@ -962,7 +961,6 @@ fn drive(
         }),
         cv: Condvar::new(),
         conns,
-        clock: Arc::clone(&clock),
         metrics: Arc::clone(&metrics),
         hub: Arc::clone(&hub),
         audit: audit.clone(),
@@ -1297,13 +1295,10 @@ fn executor_thread(
     for req in requests {
         match req {
             ExecReq::Acquire(unit) => {
-                let _ready = sync.acquire_unit(unit, &transport);
+                sync.acquire_unit(unit, &transport);
                 coord.send(rank, &Message::UnitGranted { unit });
             }
-            ExecReq::Release(unit) => {
-                let end_ts = coord.clock.tick();
-                sync.release_unit(unit, end_ts, &transport);
-            }
+            ExecReq::Release(unit) => sync.release_unit(unit, 0, &transport),
         }
     }
 }

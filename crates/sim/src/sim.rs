@@ -13,9 +13,11 @@
 //! protocol objects: where the walk says acquire the simulation polls
 //! [`Synchronizer::try_acquire_unit`] and parks the lane, exactly as the
 //! model checker does, and their transport is the same
-//! [`QueueTransport`] the model checker drains, answering latency queries
-//! from the `NetModel`: each queued action is applied right after the
-//! protocol call that made it returns.
+//! [`QueueTransport`] the model checker drains: each queued action is
+//! applied right after the protocol call that made it returns. The fork
+//! table keeps no clock: a granted unit's lock wait ends when its last
+//! fork arrived, which [`EatOrder`] works out from the order units ate in,
+//! the unit's [`Synchronizer::fork_neighbors`] and the `NetModel`'s links.
 //!
 //! Fidelity notes (what the simulator's IO half shares with `sg-engine`):
 //! * inboxes are the engine's own [`InboxPair`], fed through the
@@ -48,8 +50,8 @@ use sg_engine::{
 };
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
-    CostModel, Counter, Metrics, MetricsSnapshot, ObsReport, SimClocks, SuperstepRow, Trace,
-    TraceEventKind, WorkerTimers,
+    CostModel, Counter, EatOrder, Metrics, MetricsSnapshot, ObsReport, SimClocks, SuperstepRow,
+    Trace, TraceEventKind, WorkerTimers,
 };
 use sg_serial::Recorder;
 use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Step, Synchronizer};
@@ -167,6 +169,8 @@ struct Sim<'a, P: VertexProgram> {
     pm: &'a PartitionMap,
     sync: Arc<dyn Synchronizer>,
     transport: QueueTransport,
+    /// When each protocol unit last ate, for its neighbours' fork arrivals.
+    eats: EatOrder,
     net: NetModel,
     cost: CostModel,
     metrics: &'a Metrics,
@@ -271,10 +275,13 @@ pub fn simulate<P: VertexProgram>(
         program: &program,
         combiner: combiner.as_deref(),
         pm: &pm,
-        sync,
-        transport: QueueTransport::with_latency(move |from, to| {
-            net.link_latency_ns(from.raw(), to.raw())
+        eats: EatOrder::new(match sync.granularity() {
+            LockGranularity::None => 0,
+            LockGranularity::Partition => pm.layout().num_partitions() as usize,
+            LockGranularity::Vertex => n,
         }),
+        sync,
+        transport: QueueTransport::default(),
         net,
         cost: opts.cost,
         metrics: &metrics,
@@ -430,14 +437,15 @@ impl<P: VertexProgram> Sim<'_, P> {
                 Step::Done => self.lanes[li].walk = None,
                 Step::Acquire(unit) => {
                     let got = self.sync.try_acquire_unit(unit, &self.transport);
-                    if got.is_some() {
+                    if got {
                         walk.granted();
                     }
-                    self.lanes[li].parked = got.is_none().then_some(unit);
+                    self.lanes[li].parked = (!got).then_some(unit);
                     self.drain_actions();
-                    let Some(ready) = got else {
+                    if !got {
                         return; // parked; a release will re-poll
-                    };
+                    }
+                    let ready = self.forks_ready(unit, per_vertex);
                     self.lanes[li].charge_lock_wait(self.trace, w, s, ready, unit);
                 }
                 Step::Run { local, v } => {
@@ -453,6 +461,7 @@ impl<P: VertexProgram> Sim<'_, P> {
                 }
                 Step::Release(unit) => {
                     let end = self.lanes[li].clock;
+                    self.eats.ate(unit, end);
                     self.sync.release_unit(unit, end, &self.transport);
                     self.drain_actions();
                     // It may have yielded the forks a parked lane needs.
@@ -468,6 +477,23 @@ impl<P: VertexProgram> Sim<'_, P> {
             }
         }
         self.wake(li, 0);
+    }
+
+    /// The virtual time the last fork of the just-granted `unit` (a vertex
+    /// when `per_vertex`, else a partition) arrived at its worker.
+    fn forks_ready(&self, unit: u32, per_vertex: bool) -> u64 {
+        let worker = |u: u32| {
+            let w = if per_vertex {
+                self.pm.worker_of(VertexId::new(u))
+            } else {
+                self.pm.layout().worker_of_partition(PartitionId::new(u))
+            };
+            w.raw()
+        };
+        let at = worker(unit);
+        let latency = |q| self.net.link_latency_ns(worker(q), at);
+        self.eats
+            .ready(unit, self.sync.fork_neighbors(unit), latency)
     }
 
     /// Schedule lane `li`'s next step at `max(at, its clock)`, unless one

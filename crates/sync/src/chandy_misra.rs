@@ -31,9 +31,14 @@
 //!
 //! The table is flat arrays. Adjacency is CSR — philosopher `p`'s
 //! neighbors, ascending, each with the index of the pair they share —
-//! and a pair is one flag byte plus its availability stamp. A pair does not
-//! store its endpoints: whoever walks to it through the adjacency knows
-//! both, and the lower endpoint is the smaller id.
+//! and a pair is one flag byte. A pair does not store its endpoints:
+//! whoever walks to it through the adjacency knows both, and the lower
+//! endpoint is the smaller id.
+//!
+//! The table keeps no clock. A virtual-time host works out when a granted
+//! philosopher's forks arrived from the order philosophers ate in
+//! (`sg_metrics::EatOrder`), walking the philosopher's fork neighbors
+//! ([`ForkNeighbors`]).
 
 use crate::transport::SyncTransport;
 use sg_graph::WorkerId;
@@ -102,12 +107,6 @@ struct State {
     status: Vec<Status>,
     /// `FORK_LOW | DIRTY | TOKEN_LOW` per pair.
     flags: Vec<u8>,
-    /// Per pair, the virtual time at which the fork is available at its
-    /// current location: the last holder's eat-end, plus one network
-    /// latency per cross-machine hop. This is what makes the virtual-time
-    /// model track *resource* dependencies instead of serializing whole
-    /// machines.
-    ts: Vec<u64>,
     /// Wall-clock ([`mono_ns`]) eat-start per philosopher; only written
     /// when telemetry is enabled. Indexed like `status`.
     eat_started: Vec<u64>,
@@ -146,6 +145,28 @@ pub struct ForkTable {
     /// registry attached. Absent => zero recording overhead.
     hists: OnceLock<SyncHists>,
 }
+
+/// The philosophers one philosopher shares a fork with, ascending, read
+/// straight off the table's adjacency: what
+/// [`Synchronizer::fork_neighbors`](crate::Synchronizer::fork_neighbors)
+/// returns.
+#[derive(Clone, Debug, Default)]
+pub struct ForkNeighbors<'a>(std::slice::Iter<'a, (PhilId, u32)>);
+
+impl Iterator for ForkNeighbors<'_> {
+    type Item = PhilId;
+
+    #[inline]
+    fn next(&mut self) -> Option<PhilId> {
+        self.0.next().map(|&(q, _)| q)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for ForkNeighbors<'_> {}
 
 impl ForkTable {
     /// Build a table for philosophers `0..owner.len()`, where `owner[p]` is
@@ -195,7 +216,6 @@ impl ForkTable {
             state: Mutex::new(State {
                 status: vec![Status::Thinking; n],
                 flags: vec![INITIAL; num_pairs],
-                ts: vec![0; num_pairs],
                 eat_started: vec![0; n],
             }),
             cv: (0..n).map(|_| Condvar::new()).collect(),
@@ -243,6 +263,12 @@ impl ForkTable {
     #[inline]
     pub fn owner_of(&self, p: PhilId) -> WorkerId {
         self.owner[p as usize]
+    }
+
+    /// The philosophers `p` shares a fork with, ascending.
+    #[inline]
+    pub(crate) fn neighbors(&self, p: PhilId) -> ForkNeighbors<'_> {
+        ForkNeighbors(self.neighbors_of(p).iter())
     }
 
     /// `p`'s `(neighbor, pair index)` entries, ascending by neighbor.
@@ -302,7 +328,6 @@ impl ForkTable {
                 missing -= 1;
                 moves.forks += 1;
                 if qw != pw {
-                    s.ts[pair] += transport.link_latency_ns(qw, pw);
                     moves.forks_remote += 1;
                     // Write-all before the fork crosses machines (C1): the
                     // call returns once the receiver has applied the flush,
@@ -319,18 +344,15 @@ impl ForkTable {
     }
 
     /// Transition `p` (which holds all its forks) to eating; dirties its
-    /// forks, asserts mutual exclusion, and returns the virtual time the
-    /// last fork became available.
-    fn start_eating_locked(&self, s: &mut State, p: PhilId) -> u64 {
+    /// forks and asserts mutual exclusion.
+    fn start_eating_locked(&self, s: &mut State, p: PhilId) {
         s.status[p as usize] = Status::Eating;
         if self.hists.get().is_some() {
             s.eat_started[p as usize] = mono_ns();
         }
-        let mut ready_at = 0u64;
         for &(q, pair) in self.neighbors_of(p) {
             // Eating dirties every fork of the eater.
             s.flags[pair as usize] |= DIRTY;
-            ready_at = ready_at.max(s.ts[pair as usize]);
             assert_ne!(
                 s.status[q as usize],
                 Status::Eating,
@@ -338,7 +360,6 @@ impl ForkTable {
             );
         }
         self.assert_precedence_acyclic(s);
-        ready_at
     }
 
     /// The Chandy–Misra invariant H: the precedence graph stays acyclic at
@@ -356,14 +377,13 @@ impl ForkTable {
     }
 
     /// Block until philosopher `p` holds all its forks, then mark it
-    /// eating. Returns the virtual time at which the last fork becomes
-    /// available — the earliest simulated instant the execution may start.
+    /// eating.
     ///
     /// # Panics
     /// Panics if `p` is already hungry or eating (each philosopher is driven
     /// by one thread at a time), or if mutual exclusion would be violated —
     /// the latter indicates a protocol bug and is checked on every call.
-    pub fn acquire(&self, p: PhilId, transport: &dyn SyncTransport) -> u64 {
+    pub fn acquire(&self, p: PhilId, transport: &dyn SyncTransport) {
         let pi = p as usize;
         let wait_start = self.hists.get().map(|_| mono_ns());
         let mut s = self.state.lock().unwrap();
@@ -377,23 +397,22 @@ impl ForkTable {
         while self.scan_locked(&mut s, p, transport) > 0 {
             s = self.cv[pi].wait(s).unwrap();
         }
-        let ready = self.start_eating_locked(&mut s, p);
+        self.start_eating_locked(&mut s, p);
         if let (Some(h), Some(t0)) = (self.hists.get(), wait_start) {
             h.wait.record(mono_ns().saturating_sub(t0));
         }
-        ready
     }
 
     /// Non-blocking step of the acquire protocol, for single-threaded
     /// drivers (the `sg-check` model checker): marks `p` hungry on first
     /// call, runs one request/collect pass, and either transitions to
-    /// eating (returning the ready time, as [`ForkTable::acquire`]) or
-    /// leaves `p` hungry and returns `None`. A hungry philosopher becomes
+    /// eating (returning `true`, as [`ForkTable::acquire`] would) or
+    /// leaves `p` hungry and returns `false`. A hungry philosopher becomes
     /// worth re-polling whenever any neighbor releases.
     ///
     /// # Panics
     /// Panics if `p` is already eating.
-    pub fn try_acquire(&self, p: PhilId, transport: &dyn SyncTransport) -> Option<u64> {
+    pub fn try_acquire(&self, p: PhilId, transport: &dyn SyncTransport) -> bool {
         let pi = p as usize;
         let mut s = self.state.lock().unwrap();
         match s.status[pi] {
@@ -401,11 +420,11 @@ impl ForkTable {
             Status::Hungry => {}
             Status::Eating => panic!("philosopher {p} acquired twice"),
         }
-        if self.scan_locked(&mut s, p, transport) == 0 {
-            Some(self.start_eating_locked(&mut s, p))
-        } else {
-            None
+        let granted = self.scan_locked(&mut s, p, transport) == 0;
+        if granted {
+            self.start_eating_locked(&mut s, p);
         }
+        granted
     }
 
     /// Neighbors whose fork `p` is currently missing — the wait-for edges a
@@ -423,13 +442,10 @@ impl ForkTable {
     }
 
     /// Mark `p` thinking and hand its requested forks to the requesters.
-    /// `end_ts` is the virtual time `p`'s execution finished: every
-    /// incident fork becomes available no earlier than that (plus a
-    /// network latency when it immediately crosses machines).
     ///
     /// # Panics
     /// Panics if `p` is not currently eating.
-    pub fn release(&self, p: PhilId, end_ts: u64, transport: &dyn SyncTransport) {
+    pub fn release(&self, p: PhilId, transport: &dyn SyncTransport) {
         let pi = p as usize;
         let mut s = self.state.lock().unwrap();
         assert_eq!(s.status[pi], Status::Eating, "release without acquire");
@@ -441,7 +457,6 @@ impl ForkTable {
         let mut moves = Moves::default();
         for &(q, pair) in self.neighbors_of(p) {
             let (pair, p_low) = (pair as usize, p < q);
-            s.ts[pair] = s.ts[pair].max(end_ts);
             let flags = s.flags[pair];
             // fork here + token here = a deferred request from q.
             if at(flags, FORK_LOW, p_low) && at(flags, TOKEN_LOW, p_low) {
@@ -449,7 +464,6 @@ impl ForkTable {
                 moves.forks += 1;
                 let qw = self.owner_of(q);
                 if qw != pw {
-                    s.ts[pair] += transport.link_latency_ns(pw, qw);
                     moves.forks_remote += 1;
                     // The C1 write-all, as in `scan_locked`.
                     transport.transfer(pw, qw, Some(q));
@@ -623,9 +637,9 @@ impl ForkTable {
 /// eating and no fork or token is in transit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ForkSnapshot {
-    /// `(fork_at_a, dirty, token_at_a, ts)` per pair, in pair-index order
+    /// `(fork_at_a, dirty, token_at_a)` per pair, in pair-index order
     /// (`a` is the pair's lower endpoint).
-    pairs: Vec<(bool, bool, bool, u64)>,
+    pairs: Vec<(bool, bool, bool)>,
 }
 
 impl ForkTable {
@@ -637,10 +651,9 @@ impl ForkTable {
             s.status.iter().all(|st| *st == Status::Thinking),
             "checkpoint requires quiescence"
         );
-        let tuple =
-            |(&f, &ts): (&u8, &u64)| (f & FORK_LOW != 0, f & DIRTY != 0, f & TOKEN_LOW != 0, ts);
+        let tuple = |&f: &u8| (f & FORK_LOW != 0, f & DIRTY != 0, f & TOKEN_LOW != 0);
         ForkSnapshot {
-            pairs: s.flags.iter().zip(&s.ts).map(tuple).collect(),
+            pairs: s.flags.iter().map(tuple).collect(),
         }
     }
 
@@ -656,11 +669,9 @@ impl ForkTable {
             snapshot.pairs.len(),
             "snapshot shape mismatch"
         );
-        let State { flags, ts, .. } = &mut *s;
-        for (pair, &(fork_at_a, dirty, token_at_a, at_ts)) in snapshot.pairs.iter().enumerate() {
-            flags[pair] = moved(moved(0, FORK_LOW, fork_at_a), TOKEN_LOW, token_at_a)
+        for (pair, &(fork_at_a, dirty, token_at_a)) in snapshot.pairs.iter().enumerate() {
+            s.flags[pair] = moved(moved(0, FORK_LOW, fork_at_a), TOKEN_LOW, token_at_a)
                 | if dirty { DIRTY } else { 0 };
-            ts[pair] = at_ts;
         }
     }
 }
@@ -736,33 +747,24 @@ mod tests {
             [2, 3, 2, 2, 1],
             "one fork per distinct neighbor"
         );
-        // Dirty fork at the higher id, token at the lower, never stamped.
-        assert_eq!(t.snapshot().pairs, [(false, true, true, 0); 5]);
+        // Dirty fork at the higher id, token at the lower.
+        const KEPT: (bool, bool, bool) = (false, true, true); // fork at the higher id
+        const TAKEN: (bool, bool, bool) = (true, true, false); // pulled to the lower id
+        assert_eq!(t.snapshot().pairs, [KEPT; 5]);
         t.check_invariants();
 
-        // Pair indices ascend with (a, b): each eater below rewrites exactly
-        // the tuples of its own pairs.
-        let eat = |p, end_ts| {
+        // Pair indices ascend with (a, b): each eater below moves exactly
+        // the forks of its own pairs.
+        let eat = |p| {
             t.acquire(p, &NoopTransport);
-            t.release(p, end_ts, &NoopTransport);
+            t.release(p, &NoopTransport);
         };
-        let taken = |ts| (true, true, false, ts); // fork pulled to the lower id
-        let kept = |ts| (false, true, true, ts); // fork stayed at the higher id
-        eat(0, 7); // (0,1) and (0,3): pairs 0 and 1
-        assert_eq!(
-            t.snapshot().pairs,
-            [taken(7), taken(7), kept(0), kept(0), kept(0)]
-        );
-        eat(4, 9); // (2,4): pair 4
-        assert_eq!(
-            t.snapshot().pairs,
-            [taken(7), taken(7), kept(0), kept(0), kept(9)]
-        );
-        eat(2, 11); // (1,2) and (2,4): pairs 2 and 4
-        assert_eq!(
-            t.snapshot().pairs,
-            [taken(7), taken(7), kept(11), kept(0), taken(11)]
-        );
+        eat(0); // (0,1) and (0,3): pairs 0 and 1
+        assert_eq!(t.snapshot().pairs, [TAKEN, TAKEN, KEPT, KEPT, KEPT]);
+        eat(4); // (2,4): pair 4, already at 4
+        assert_eq!(t.snapshot().pairs, [TAKEN, TAKEN, KEPT, KEPT, KEPT]);
+        eat(2); // (1,2) and (2,4): pairs 2 and 4
+        assert_eq!(t.snapshot().pairs, [TAKEN, TAKEN, KEPT, KEPT, TAKEN]);
     }
 
     /// Philosopher 0 on worker 0 at the center of a star whose leaves sit on
@@ -786,7 +788,7 @@ mod tests {
         let t = mixed_owner_star(Arc::new(Metrics::new()));
         let net = QueueTransport::default();
         // Every leaf yields its dirty fork at once; leaf 2 is local.
-        assert_eq!(t.try_acquire(0, &net), Some(0));
+        assert!(t.try_acquire(0, &net));
         assert_eq!(
             net.drain(),
             [
@@ -800,14 +802,14 @@ mod tests {
         );
         // Leaves ask while the center eats, in an order of their own ...
         for leaf in [3, 1, 4] {
-            assert_eq!(t.try_acquire(leaf, &net), None);
+            assert!(!t.try_acquire(leaf, &net));
         }
         assert_eq!(
             net.drain(),
             [request(w2, w0), request(w1, w0), request(w1, w0)]
         );
         // ... and are served in the center's adjacency order.
-        t.release(0, 5, &net);
+        t.release(0, &net);
         assert_eq!(
             net.drain(),
             [
@@ -823,11 +825,11 @@ mod tests {
         let m = Arc::new(Metrics::new());
         let t = mixed_owner_star(Arc::clone(&m));
         let net = QueueTransport::default();
-        assert!(t.try_acquire(0, &net).is_some()); // 4 tokens, 4 forks; 3 + 3 remote
+        assert!(t.try_acquire(0, &net)); // 4 tokens, 4 forks; 3 + 3 remote
         for leaf in [1, 2, 3] {
-            assert!(t.try_acquire(leaf, &net).is_none()); // a token each, 2 remote
+            assert!(!t.try_acquire(leaf, &net)); // a token each, 2 remote
         }
-        t.release(0, 0, &net); // 3 forks, 2 remote
+        t.release(0, &net); // 3 forks, 2 remote
         let actions = net.drain();
         let transfers = actions
             .iter()
@@ -847,11 +849,11 @@ mod tests {
     #[test]
     fn restore_returns_the_table_to_a_snapshot() {
         let t = table(vec![0, 1, 0, 1, 0], &MESSY);
-        let net = QueueTransport::with_latency(|_, _| 100);
+        let net = QueueTransport::default();
         let initial = t.snapshot();
-        for (p, end_ts) in [(1, 10), (3, 20), (0, 30)] {
+        for p in [1, 3, 0] {
             t.acquire(p, &net);
-            t.release(p, end_ts, &net);
+            t.release(p, &net);
         }
         let moved = t.snapshot();
         assert_ne!(moved, initial);
@@ -873,7 +875,7 @@ mod tests {
         let t = table(vec![0, 0], &[]);
         t.acquire(0, &NoopTransport);
         assert!(t.is_eating(0));
-        t.release(0, 0, &NoopTransport);
+        t.release(0, &NoopTransport);
         assert!(!t.is_eating(0));
     }
 
@@ -882,9 +884,9 @@ mod tests {
         let t = table(vec![0, 0], &[(0, 1)]);
         for _ in 0..5 {
             t.acquire(0, &NoopTransport);
-            t.release(0, 0, &NoopTransport);
+            t.release(0, &NoopTransport);
             t.acquire(1, &NoopTransport);
-            t.release(1, 0, &NoopTransport);
+            t.release(1, &NoopTransport);
         }
         t.check_invariants();
     }
@@ -901,7 +903,7 @@ mod tests {
     #[should_panic(expected = "release without acquire")]
     fn release_without_acquire_panics() {
         let t = table(vec![0], &[]);
-        t.release(0, 0, &NoopTransport);
+        t.release(0, &NoopTransport);
     }
 
     #[test]
@@ -924,7 +926,7 @@ mod tests {
                 },
             ]
         );
-        t.release(0, 0, &net);
+        t.release(0, &net);
         assert!(net.drain().is_empty(), "nobody asked for the fork back");
     }
 
@@ -933,7 +935,7 @@ mod tests {
         let t = table(vec![0, 0], &[(0, 1)]);
         let net = QueueTransport::default();
         t.acquire(0, &net);
-        t.release(0, 0, &net);
+        t.release(0, &net);
         assert!(net.drain().is_empty(), "no cross-worker traffic expected");
     }
 
@@ -946,7 +948,7 @@ mod tests {
             Arc::clone(&m),
         );
         t.acquire(0, &NoopTransport); // request token + fork transfer
-        t.release(0, 0, &NoopTransport);
+        t.release(0, &NoopTransport);
         let s = m.snapshot();
         assert_eq!(s.request_tokens, 1);
         assert_eq!(s.request_tokens_remote, 1);
@@ -962,12 +964,12 @@ mod tests {
         let t2 = Arc::clone(&t);
         let h = thread::spawn(move || {
             t2.acquire(1, &NoopTransport);
-            t2.release(1, 0, &NoopTransport);
+            t2.release(1, &NoopTransport);
         });
         // Give the hungry thread time to lodge its request.
         thread::sleep(Duration::from_millis(50));
         assert!(!t.is_eating(1), "1 must wait while 0 eats");
-        t.release(0, 0, &NoopTransport);
+        t.release(0, &NoopTransport);
         h.join().unwrap();
         t.check_invariants();
     }
@@ -990,7 +992,7 @@ mod tests {
                     for _ in 0..rounds {
                         t.acquire(p, &NoopTransport);
                         eaten[p as usize].fetch_add(1, Ordering::Relaxed);
-                        t.release(p, 0, &NoopTransport);
+                        t.release(p, &NoopTransport);
                     }
                 })
             })
@@ -1046,34 +1048,42 @@ mod tests {
         // Initially the dirty fork sits at 1 (larger id), token at 0.
         let t = table(vec![0, 0], &[(0, 1)]);
         // 0 requests and immediately receives the dirty fork.
-        assert_eq!(t.try_acquire(0, &NoopTransport), Some(0));
+        assert!(t.try_acquire(0, &NoopTransport));
         assert!(t.is_eating(0));
         // 1 lodges a request against the eating 0: stays hungry.
-        assert_eq!(t.try_acquire(1, &NoopTransport), None);
+        assert!(!t.try_acquire(1, &NoopTransport));
         assert_eq!(t.waiting_on(1), vec![0]);
         assert!(!t.is_eating(1));
         // Re-polling while still blocked is a no-op, not a panic.
-        assert_eq!(t.try_acquire(1, &NoopTransport), None);
+        assert!(!t.try_acquire(1, &NoopTransport));
         // 0 releases: the deferred transfer hands the fork to 1.
-        t.release(0, 7, &NoopTransport);
-        assert_eq!(t.try_acquire(1, &NoopTransport), Some(7));
+        t.release(0, &NoopTransport);
+        assert!(t.try_acquire(1, &NoopTransport));
         assert!(t.is_eating(1));
         assert!(t.waiting_on(1).is_empty());
-        t.release(1, 9, &NoopTransport);
+        t.release(1, &NoopTransport);
         t.check_invariants();
     }
 
     #[test]
-    fn try_acquire_matches_blocking_acquire_results() {
-        // A lone philosopher and a chain: the stepped API must agree with
-        // the blocking one on ready times in the uncontended case.
-        let t = table(vec![0, 0, 0], &[(0, 1), (1, 2)]);
-        let via_try = t.try_acquire(0, &NoopTransport).unwrap();
-        t.release(0, 3, &NoopTransport);
-        let t2 = table(vec![0, 0, 0], &[(0, 1), (1, 2)]);
-        let via_block = t2.acquire(0, &NoopTransport);
-        t2.release(0, 3, &NoopTransport);
-        assert_eq!(via_try, via_block);
+    fn try_acquire_matches_blocking_acquire() {
+        // A chain, uncontended: the stepped API must leave the table where
+        // the blocking one does.
+        let t = table(vec![0, 1, 0], &[(0, 1), (1, 2)]);
+        assert!(t.try_acquire(0, &NoopTransport));
+        t.release(0, &NoopTransport);
+        let t2 = table(vec![0, 1, 0], &[(0, 1), (1, 2)]);
+        t2.acquire(0, &NoopTransport);
+        t2.release(0, &NoopTransport);
+        assert_eq!(t.snapshot(), t2.snapshot());
+    }
+
+    #[test]
+    fn neighbors_reads_the_adjacency_ascending() {
+        let t = table(vec![0; 5], &MESSY);
+        let of = |p| t.neighbors(p).collect::<Vec<_>>();
+        assert_eq!([of(0), of(1), of(4)], [vec![1, 3], vec![0, 2, 3], vec![2]]);
+        assert_eq!(t.neighbors(1).len(), t.degree(1));
     }
 
     #[test]
@@ -1098,7 +1108,7 @@ mod tests {
         t.enable_telemetry("partition-lock");
         for _ in 0..3 {
             t.acquire(0, &NoopTransport);
-            t.release(0, 0, &NoopTransport);
+            t.release(0, &NoopTransport);
         }
         let snap = tel.snapshot();
         let labels = [("technique", "partition-lock")];
@@ -1115,7 +1125,7 @@ mod tests {
         let t = table(vec![0, 0], &[(0, 1)]);
         t.enable_telemetry("vertex-lock"); // no registry attached: no-op
         t.acquire(0, &NoopTransport);
-        t.release(0, 0, &NoopTransport);
+        t.release(0, &NoopTransport);
     }
 
     #[test]
@@ -1124,7 +1134,7 @@ mod tests {
         assert!(t.waiting_on(0).is_empty());
         t.acquire(0, &NoopTransport);
         assert!(t.waiting_on(0).is_empty());
-        t.release(0, 0, &NoopTransport);
+        t.release(0, &NoopTransport);
     }
 
     #[test]
@@ -1135,8 +1145,8 @@ mod tests {
         t.acquire(0, &NoopTransport);
         t.acquire(2, &NoopTransport);
         assert!(t.is_eating(0) && t.is_eating(2));
-        t.release(0, 0, &NoopTransport);
-        t.release(2, 0, &NoopTransport);
+        t.release(0, &NoopTransport);
+        t.release(2, &NoopTransport);
     }
 
     #[test]
@@ -1146,9 +1156,9 @@ mod tests {
         let t = table(vec![0, 1, 2], &[(0, 1), (1, 2)]);
         for _ in 0..50 {
             t.acquire(0, &NoopTransport);
-            t.release(0, 0, &NoopTransport);
+            t.release(0, &NoopTransport);
             t.acquire(2, &NoopTransport);
-            t.release(2, 0, &NoopTransport);
+            t.release(2, &NoopTransport);
         }
         t.check_invariants();
     }

@@ -32,7 +32,9 @@
 //! Hosts build a technique by name with [`build_synchronizer`] (the one
 //! [`TechniqueKind`] table), drive it through the [`Synchronizer`] trait,
 //! and provide a [`SyncTransport`] so the technique can trigger the C1
-//! flushes and charge virtual time for its network traffic. The order in
+//! flushes and report its network traffic. The techniques keep no clock:
+//! a virtual-time host reads [`Synchronizer::fork_neighbors`] after a grant
+//! and works out when the forks arrived itself. The order in
 //! which the trait's methods are called around a partition's vertices —
 //! the calling contract C1 and C2 rest on — is written once, as
 //! [`PartitionWalk`]; every host (threads, sockets, the event loop, the
@@ -47,7 +49,7 @@ pub mod transport;
 pub mod walk;
 
 pub use bsp_lock::BspVertexLock;
-pub use chandy_misra::{ForkSnapshot, ForkTable};
+pub use chandy_misra::{ForkNeighbors, ForkSnapshot, ForkTable};
 pub use kind::{build_synchronizer, TechniqueKind};
 pub use technique::{LockGranularity, NoSync, PartitionLock, Synchronizer, VertexLock};
 pub use token::{DualLayerToken, SingleLayerToken};

@@ -18,7 +18,7 @@
 //!
 //! [`release_unit`]: Synchronizer::release_unit
 
-use crate::chandy_misra::{ForkSnapshot, ForkTable};
+use crate::chandy_misra::{ForkNeighbors, ForkSnapshot, ForkTable};
 use crate::transport::SyncTransport;
 use sg_graph::{Graph, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, Metrics};
@@ -66,21 +66,29 @@ pub trait Synchronizer: Send + Sync {
 
     /// Blocking acquisition of the unit identified by `unit` (a partition
     /// id under [`LockGranularity::Partition`], a vertex id under
-    /// [`LockGranularity::Vertex`]). Returns the virtual time at which the
-    /// unit's last fork becomes available — the earliest simulated instant
-    /// the execution may start (0 for techniques without forks).
-    fn acquire_unit(&self, _unit: u32, _transport: &dyn SyncTransport) -> u64 {
-        0
-    }
+    /// [`LockGranularity::Vertex`]): returns once the unit holds all its
+    /// forks.
+    fn acquire_unit(&self, _unit: u32, _transport: &dyn SyncTransport) {}
 
     /// Non-blocking variant of [`Synchronizer::acquire_unit`] for
-    /// single-threaded drivers (the `sg-check` model checker): runs one
-    /// protocol step and returns `Some(ready_ts)` once the unit is held, or
-    /// `None` when it must keep waiting (worth re-polling after any
-    /// release). The default — correct for techniques whose `acquire_unit`
-    /// never blocks — simply acquires.
-    fn try_acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> Option<u64> {
-        Some(self.acquire_unit(unit, transport))
+    /// single-threaded drivers (the model checker, the simulator): runs one
+    /// protocol step and returns `true` once the unit is held, or `false`
+    /// when it must keep waiting (worth re-polling after any release). The
+    /// default — correct for techniques whose `acquire_unit` never blocks —
+    /// simply acquires.
+    fn try_acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> bool {
+        self.acquire_unit(unit, transport);
+        true
+    }
+
+    /// The units `unit` shares a fork with, ascending: the peers whose
+    /// forks [`Synchronizer::acquire_unit`] waits for. Empty for
+    /// techniques that never block. Virtual-time hosts read it after a
+    /// grant to work out when the unit's last fork arrived
+    /// (`sg_metrics::EatOrder`); only the technique decides which pairs
+    /// carry forks.
+    fn fork_neighbors(&self, _unit: u32) -> ForkNeighbors<'_> {
+        ForkNeighbors::default()
     }
 
     /// The wait-for edges of a unit stuck in
@@ -91,8 +99,8 @@ pub trait Synchronizer: Send + Sync {
         Vec::new()
     }
 
-    /// Release a unit previously acquired; `end_ts` is the virtual time
-    /// its execution finished (stamped onto the released forks).
+    /// Release a unit previously acquired. `_end_ts` is ignored by every
+    /// technique: the fork table keeps no clock.
     fn release_unit(&self, _unit: u32, _end_ts: u64, _transport: &dyn SyncTransport) {}
 
     /// The Section 5.4 skip optimization: `true` if the technique agrees
@@ -193,20 +201,24 @@ impl Synchronizer for PartitionLock {
         LockGranularity::Partition
     }
 
-    fn acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> u64 {
-        self.table.acquire(unit, transport)
+    fn acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) {
+        self.table.acquire(unit, transport);
     }
 
-    fn try_acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> Option<u64> {
+    fn try_acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> bool {
         self.table.try_acquire(unit, transport)
+    }
+
+    fn fork_neighbors(&self, unit: u32) -> ForkNeighbors<'_> {
+        self.table.neighbors(unit)
     }
 
     fn unit_waiting_on(&self, unit: u32) -> Vec<u32> {
         self.table.waiting_on(unit)
     }
 
-    fn release_unit(&self, unit: u32, end_ts: u64, transport: &dyn SyncTransport) {
-        self.table.release(unit, end_ts, transport);
+    fn release_unit(&self, unit: u32, _end_ts: u64, transport: &dyn SyncTransport) {
+        self.table.release(unit, transport);
     }
 
     fn unit_skippable(&self, _unit: u32, active: bool) -> bool {
@@ -302,20 +314,18 @@ impl Synchronizer for VertexLock {
         LockGranularity::Vertex
     }
 
-    fn acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> u64 {
+    fn acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) {
         if self.is_philosopher(unit) {
-            self.table.acquire(unit, transport)
-        } else {
-            0
+            self.table.acquire(unit, transport);
         }
     }
 
-    fn try_acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> Option<u64> {
-        if self.is_philosopher(unit) {
-            self.table.try_acquire(unit, transport)
-        } else {
-            Some(0)
-        }
+    fn try_acquire_unit(&self, unit: u32, transport: &dyn SyncTransport) -> bool {
+        !self.is_philosopher(unit) || self.table.try_acquire(unit, transport)
+    }
+
+    fn fork_neighbors(&self, unit: u32) -> ForkNeighbors<'_> {
+        self.table.neighbors(unit)
     }
 
     fn unit_waiting_on(&self, unit: u32) -> Vec<u32> {
@@ -326,9 +336,9 @@ impl Synchronizer for VertexLock {
         }
     }
 
-    fn release_unit(&self, unit: u32, end_ts: u64, transport: &dyn SyncTransport) {
+    fn release_unit(&self, unit: u32, _end_ts: u64, transport: &dyn SyncTransport) {
         if self.is_philosopher(unit) {
-            self.table.release(unit, end_ts, transport);
+            self.table.release(unit, transport);
         }
     }
 
@@ -478,13 +488,12 @@ mod tests {
         let pm = pm_for(&g, 2, 2);
         let pl = PartitionLock::new(&pm, Arc::new(Metrics::new()));
         // Neighboring partitions: whoever wins first blocks the other.
-        let first = pl.try_acquire_unit(0, &NoopTransport);
-        assert!(first.is_some());
+        assert!(pl.try_acquire_unit(0, &NoopTransport));
         let contender = pl.try_acquire_unit(1, &NoopTransport);
-        assert!(contender.is_none(), "neighbor acquired while 0 eats");
+        assert!(!contender, "neighbor acquired while 0 eats");
         assert!(pl.unit_waiting_on(1).contains(&0));
         pl.release_unit(0, 7, &NoopTransport);
-        assert!(pl.try_acquire_unit(1, &NoopTransport).is_some());
+        assert!(pl.try_acquire_unit(1, &NoopTransport));
         assert!(pl.unit_waiting_on(1).is_empty());
         pl.release_unit(1, 9, &NoopTransport);
     }
@@ -505,11 +514,14 @@ mod tests {
             ]),
         );
         let vl = VertexLock::new(&g, &pm, Arc::new(Metrics::new()));
-        assert_eq!(vl.try_acquire_unit(0, &NoopTransport), Some(0));
+        assert!(vl.try_acquire_unit(0, &NoopTransport));
         assert!(vl.unit_waiting_on(0).is_empty());
-        // NoSync's default never blocks either.
-        assert_eq!(NoSync.try_acquire_unit(3, &NoopTransport), Some(0));
+        assert_eq!(vl.fork_neighbors(0).count(), 0);
+        assert_eq!(vl.fork_neighbors(1).collect::<Vec<_>>(), [2]);
+        // NoSync's default never blocks either, and has no forks.
+        assert!(NoSync.try_acquire_unit(3, &NoopTransport));
         assert!(NoSync.unit_waiting_on(3).is_empty());
+        assert_eq!(NoSync.fork_neighbors(3).count(), 0);
     }
 
     #[test]

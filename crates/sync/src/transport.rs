@@ -7,9 +7,9 @@ use std::sync::Mutex;
 
 /// Calls from a synchronization technique into its host.
 ///
-/// The host owns the message buffers and the clocks; the technique owns
-/// the protocol. Three things cross the seam: a shared resource moves, a
-/// request for one moves, and the technique asks what a hop costs.
+/// The host owns the message buffers and any clocks; the technique owns
+/// the protocol. Two things cross the seam: a shared resource moves, and a
+/// request for one moves.
 pub trait SyncTransport: Send + Sync {
     /// A fork guarding protocol unit `unit` — or, when `unit` is `None`,
     /// the global token of a ring technique — moves from `from` to `to`,
@@ -17,21 +17,13 @@ pub trait SyncTransport: Send + Sync {
     /// updates (the write-all step that enforces condition C1, Sections
     /// 4.1 and 5.4) and returns only once they have been *applied at the
     /// receiver*: the resource must not arrive before the writes it
-    /// guards. Hosts with clocks join them here.
+    /// guards. Hosts with clocks join them here; a fork's own arrival time
+    /// they work out from eat order (`sg_metrics::EatOrder`).
     fn transfer(&self, from: WorkerId, to: WorkerId, unit: Option<u32>);
 
     /// A request token moves from `from` to `to`. No flush is required —
     /// request tokens do not guard data.
     fn request(&self, from: WorkerId, to: WorkerId);
-
-    /// One-way latency of the link `from -> to` in simulated nanoseconds,
-    /// added to a fork's availability timestamp whenever it crosses worker
-    /// machines. The default of 0 keeps protocol-only hosts free of
-    /// virtual time.
-    fn link_latency_ns(&self, from: WorkerId, to: WorkerId) -> u64 {
-        let _ = (from, to);
-        0
-    }
 }
 
 /// A transport that does nothing. Used by unit tests that exercise protocol
@@ -76,23 +68,9 @@ pub enum NetAction {
 #[derive(Default)]
 pub struct QueueTransport {
     actions: Mutex<Vec<NetAction>>,
-    /// Answers [`SyncTransport::link_latency_ns`]; absent, every link is
-    /// free.
-    latency: Option<Box<dyn Fn(WorkerId, WorkerId) -> u64 + Send + Sync>>,
 }
 
 impl QueueTransport {
-    /// An empty queue answering [`SyncTransport::link_latency_ns`] from
-    /// `latency` ([`QueueTransport::default`] has zero-latency links).
-    pub fn with_latency(
-        latency: impl Fn(WorkerId, WorkerId) -> u64 + Send + Sync + 'static,
-    ) -> Self {
-        Self {
-            actions: Mutex::default(),
-            latency: Some(Box::new(latency)),
-        }
-    }
-
     /// Drain the actions queued since the last drain, in call order.
     pub fn drain(&self) -> Vec<NetAction> {
         std::mem::take(&mut self.queue())
@@ -110,10 +88,6 @@ impl SyncTransport for QueueTransport {
 
     fn request(&self, from: WorkerId, to: WorkerId) {
         self.queue().push(NetAction::Request { from, to });
-    }
-
-    fn link_latency_ns(&self, from: WorkerId, to: WorkerId) -> u64 {
-        self.latency.as_ref().map_or(0, |latency| latency(from, to))
     }
 }
 
@@ -145,15 +119,5 @@ mod tests {
             ]
         );
         assert!(t.drain().is_empty());
-    }
-
-    #[test]
-    fn latency_defaults_to_zero_and_follows_the_given_function() {
-        let (w0, w3) = (WorkerId::new(0), WorkerId::new(3));
-        assert_eq!(NoopTransport.link_latency_ns(w0, w3), 0);
-        assert_eq!(QueueTransport::default().link_latency_ns(w0, w3), 0);
-        let t = QueueTransport::with_latency(|from, to| u64::from(from.raw() + 10 * to.raw()));
-        assert_eq!(t.link_latency_ns(w0, w3), 30);
-        assert_eq!(t.link_latency_ns(w3, w0), 3);
     }
 }

@@ -294,15 +294,15 @@ mod tests {
         let vertices = pm.vertices_in(PartitionId::new(1));
         let mut walk = PartitionWalk::new(PartitionId::new(1), &sync, true);
         // Vertex 1 (partition 0) eats first: its neighbor 2 must wait.
-        assert!(sync.try_acquire_unit(1, &NoopTransport).is_some());
+        assert!(sync.try_acquire_unit(1, &NoopTransport));
         let next = |walk: &mut PartitionWalk| walk.next(&sync, 0, vertices, |_, _| true);
         for _ in 0..3 {
             assert_eq!(next(&mut walk), Step::Acquire(2));
-            assert!(sync.try_acquire_unit(2, &NoopTransport).is_none());
+            assert!(!sync.try_acquire_unit(2, &NoopTransport));
         }
         sync.release_unit(1, 0, &NoopTransport);
         assert_eq!(next(&mut walk), Step::Acquire(2));
-        assert!(sync.try_acquire_unit(2, &NoopTransport).is_some());
+        assert!(sync.try_acquire_unit(2, &NoopTransport));
         walk.granted();
         assert_eq!(next(&mut walk), run(0, 2));
         assert_eq!(next(&mut walk), Step::Release(2));

@@ -9,6 +9,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# `cargo build --release` builds only the root package; the binaries
+# called below by path are sg-bench's.
+cargo build -q --release -p sg-bench
+
 SMOKE=target/ci-check-smoke
 SG_CHECK=target/release/sg-check
 SG_TRACE=target/release/sg-trace

@@ -9,9 +9,10 @@
 #      cost model ⇒ nothing may drift, not even across machines);
 #   2. the fig1 technique ordering at the paper shape (asserted inside
 #      sg-bench sim; its absence from the log fails the smoke);
-#   3. no drift of the relational speedup cells from the committed
-#      results/BENCH_sim.json baseline (sg-trace check, bench-vs-bench;
-#      tight tolerance because virtual-time ratios are exact).
+#   3. no drift from the committed results/BENCH_sim.json baseline: the
+#      fresh artifact, normalised as in 1, must equal the normalised
+#      baseline byte for byte, and its relational speedup cells must pass
+#      sg-trace check (bench-vs-bench, tight tolerance).
 #
 # Offline-safe; writes only under target/ (SG_RESULTS_DIR redirects the
 # artifacts away from the tracked results/ directory).
@@ -55,9 +56,11 @@ SG_RESULTS_DIR="$SMOKE/b" cargo run -q -p sg-bench --release --bin sg-bench -- s
 # Virtual-time cells are exact. Only wall_us varies between runs — plus
 # the calibrate/fit cell, which fits from a *real* multi-threaded engine
 # run and is legitimately schedule-dependent; both are stripped.
+normalize() {
+    sed 's/"wall_us":[0-9]*//g; s/{"label":"calibrate\/fit".*//' "$1"
+}
 for f in a b; do
-    sed 's/"wall_us":[0-9]*//g; s/{"label":"calibrate\/fit".*//' \
-        "$SMOKE/$f/BENCH_sim.json" >"$SMOKE/$f.normalized"
+    normalize "$SMOKE/$f/BENCH_sim.json" >"$SMOKE/$f.normalized"
 done
 cmp -s "$SMOKE/a.normalized" "$SMOKE/b.normalized" \
     || { echo "FAIL: two sg-bench sim runs produced different virtual-time artifacts"; exit 1; }
@@ -70,7 +73,10 @@ cargo run -q -p sg-bench --release --bin sg-trace -- analyze "$TRACE" \
 grep -q 'critical path:' "$SMOKE/analyze.log" \
     || { echo "FAIL: sg-trace analyze produced no attribution"; exit 1; }
 
-echo "-- drift gate against the committed baseline (bench-vs-bench check)"
+echo "-- drift gate against the committed baseline: byte for byte, then bench-vs-bench check"
+normalize results/BENCH_sim.json >"$SMOKE/baseline.normalized"
+cmp -s "$SMOKE/a.normalized" "$SMOKE/baseline.normalized" \
+    || { echo "FAIL: sg-bench sim drifted from results/BENCH_sim.json"; exit 1; }
 cargo run -q -p sg-bench --release --bin sg-trace -- \
     check "$ART" --against results/BENCH_sim.json --tolerance 2
 
