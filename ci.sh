@@ -96,6 +96,11 @@ for f in crates/sync/src/*.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\bts:|link_latency_ns|ready_at'; then echo "in $f"; exit 1; fi
 done
 
+echo "== generator drift fails fast: sg-bench table1 (R-MAT and to_undirected on all four stand-ins) reproduces results/table1.txt, its wrote line aside =="
+rm -rf target/ci-table1 && mkdir -p target/ci-table1
+SG_RESULTS_DIR=target/ci-table1 cargo run -q -p sg-bench --release --bin sg-bench -- table1 >target/ci-table1/table1.txt
+cmp <(grep -v '^wrote ' target/ci-table1/table1.txt) <(grep -v '^wrote ' results/table1.txt)
+
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q

@@ -84,17 +84,9 @@ impl GraphBuilder {
     /// Finish and produce the [`Graph`].
     pub fn build(mut self) -> Graph {
         if self.symmetric {
-            let mut sym = Vec::with_capacity(self.edges.len() * 2);
-            for &(s, t) in &self.edges {
-                if s != t {
-                    sym.push((s, t));
-                    sym.push((t, s));
-                }
-            }
-            self.edges = sym;
-            self.dedup = true;
-        }
-        if self.dedup {
+            // A self-loop is dropped, so its vertex does not widen the id space.
+            self.edges.retain(|&(s, t)| s != t);
+        } else if self.dedup {
             self.edges.sort_unstable();
             self.edges.dedup();
         }
@@ -105,7 +97,12 @@ impl GraphBuilder {
             .max()
             .unwrap_or(0)
             .max(self.min_vertices);
-        Graph::from_edges(n, &self.edges)
+        let g = Graph::from_edges(n, &self.edges);
+        if self.symmetric {
+            g.to_undirected()
+        } else {
+            g
+        }
     }
 }
 

@@ -115,7 +115,7 @@ pub fn erdos_renyi(n: u32, m: u64, symmetric: bool, seed: u64) -> Graph {
     let max_edges = n as u64 * (n as u64 - 1) / if symmetric { 2 } else { 1 };
     assert!(m <= max_edges, "too many edges requested");
     let mut rng = SplitMix64::new(seed);
-    let mut seen = std::collections::HashSet::with_capacity(m as usize);
+    let mut seen = EdgeSet::with_capacity_and_hasher(m as usize, Default::default());
     let mut edges = Vec::with_capacity(if symmetric {
         2 * m as usize
     } else {
@@ -127,15 +127,15 @@ pub fn erdos_renyi(n: u32, m: u64, symmetric: bool, seed: u64) -> Graph {
         if a == b {
             continue;
         }
-        let key = if symmetric {
+        let (s, t) = if symmetric {
             (a.min(b), a.max(b))
         } else {
             (a, b)
         };
-        if seen.insert(key) {
-            edges.push((key.0, key.1));
+        if seen.insert(edge_key(s, t)) {
+            edges.push((s, t));
             if symmetric {
-                edges.push((key.1, key.0));
+                edges.push((t, s));
             }
         }
     }
@@ -228,56 +228,86 @@ pub fn watts_strogatz(n: u32, k: u32, beta: f64, seed: u64) -> Graph {
 /// Self-loops are rejected; parallel edges are rejected, so the output has
 /// exactly `num_edges` distinct directed edges (callers should keep
 /// `num_edges` well below `4^scale`).
+///
+/// Each level takes one draw `r` and picks quadrant a, b, c or d as `r`
+/// falls below `a`, `a + b`, `a + b + c` or none of them. The draw is
+/// compared as the integer `m` with `r = m·2^-53` (what
+/// [`SplitMix64::next_f64`] returns), against `ceil(t·2^53)` for each
+/// threshold `t`: exactly the float comparison, without a branch. Vertex ids
+/// are `u32`, so `scale` is at most 31.
 pub fn rmat(scale: u32, num_edges: u64, probs: (f64, f64, f64, f64), seed: u64) -> Graph {
     let (a, b, c, d) = probs;
     assert!(
         (a + b + c + d - 1.0).abs() < 1e-9,
         "R-MAT probabilities must sum to 1"
     );
+    assert!(
+        scale <= 31,
+        "R-MAT scale {scale} exceeds 31: vertex ids are u32"
+    );
     let n: u64 = 1 << scale;
     assert!(
         num_edges <= n * (n - 1) / 2,
         "too many edges for 2^{scale} vertices"
     );
+    let threshold = |t: f64| (t * (1u64 << 53) as f64).ceil() as u64;
+    let (ta, tab, tabc) = (threshold(a), threshold(a + b), threshold(a + b + c));
     let mut rng = SplitMix64::new(seed);
-    let mut seen = std::collections::HashSet::with_capacity(num_edges as usize);
+    let mut candidate = || {
+        let (mut x, mut y) = (0u64, 0u64);
+        for _ in 0..scale {
+            let m = rng.next_u64() >> 11;
+            let (right, down) = ((m >= ta) ^ (m >= tab) ^ (m >= tabc), m >= tab);
+            x = x << 1 | u64::from(right);
+            y = y << 1 | u64::from(down);
+        }
+        edge_key(x as u32, y as u32)
+    };
+    let mut seen = EdgeSet::with_capacity_and_hasher(num_edges as usize, Default::default());
     let mut edges = Vec::with_capacity(num_edges as usize);
-    while (seen.len() as u64) < num_edges {
-        let (mut x0, mut x1) = (0u64, n);
-        let (mut y0, mut y1) = (0u64, n);
-        while x1 - x0 > 1 {
-            let r = rng.next_f64();
-            let (right, down) = if r < a {
-                (false, false)
-            } else if r < a + b {
-                (true, false)
-            } else if r < a + b + c {
-                (false, true)
-            } else {
-                (true, true)
-            };
-            let xm = (x0 + x1) / 2;
-            let ym = (y0 + y1) / 2;
-            if right {
-                x0 = xm;
-            } else {
-                x1 = xm;
+    // Candidates are drawn a batch at a time, so the descent runs apart from
+    // the set's probes. The generator is local: the draws behind the last
+    // accepted edge are simply dropped.
+    let mut batch = [0u64; 256];
+    while (edges.len() as u64) < num_edges {
+        batch.fill_with(&mut candidate);
+        for &key in &batch {
+            let (s, t) = ((key >> 32) as u32, key as u32);
+            if s != t && (edges.len() as u64) < num_edges && seen.insert(key) {
+                edges.push((s, t));
             }
-            if down {
-                y0 = ym;
-            } else {
-                y1 = ym;
-            }
-        }
-        let (s, t) = (x0 as u32, y0 as u32);
-        if s == t {
-            continue;
-        }
-        if seen.insert((s, t)) {
-            edges.push((s, t));
         }
     }
+    drop(seen);
     Graph::from_edges(n as u32, &edges)
+}
+
+/// The generators' set of drawn edges, keyed `s << 32 | t`.
+type EdgeSet = std::collections::HashSet<u64, std::hash::BuildHasherDefault<KeyHasher>>;
+
+fn edge_key(s: u32, t: u32) -> u64 {
+    u64::from(s) << 32 | u64::from(t)
+}
+
+/// One 64×64→128-bit multiply, folded: every bit of the key reaches the low
+/// bits the table indexes by and the high bits it tags with. The keys are
+/// generator output, not adversarial input.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl std::hash::Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("edge keys hash as one u64")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let p = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = p as u64 ^ (p >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A small workload graph named by a compact spec string — `ring:8`,

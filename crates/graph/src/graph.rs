@@ -322,19 +322,26 @@ impl Graph {
     /// duplicates removed, self-loops removed. This is the transformation
     /// the paper applies to produce the undirected inputs for graph
     /// coloring (Table 1, parenthesized values).
+    ///
+    /// A vertex's neighbours in the copy are its [`Graph::neighbors`]: the
+    /// merge of its sorted out- and in-run. So the out-CSR is written one
+    /// merge per vertex, without an edge list or a sort, and the in-CSR of a
+    /// symmetric graph is the out-CSR again.
     pub fn to_undirected(&self) -> Graph {
-        let mut edges = Vec::with_capacity(self.out_targets.len() * 2);
-        for u in self.vertices() {
-            for &v in self.out_neighbors(u) {
-                if u != v {
-                    edges.push((u.raw(), v.raw()));
-                    edges.push((v.raw(), u.raw()));
-                }
-            }
+        let mut offsets = Vec::with_capacity(self.num_vertices as usize + 1);
+        let mut targets = Vec::with_capacity(2 * self.out_targets.len());
+        offsets.push(0);
+        for v in self.vertices() {
+            targets.extend(self.neighbors_iter(v));
+            offsets.push(targets.len() as u64);
         }
-        edges.sort_unstable();
-        edges.dedup();
-        Graph::from_edges(self.num_vertices, &edges)
+        Graph {
+            num_vertices: self.num_vertices,
+            in_offsets: offsets.clone(),
+            in_sources: targets.clone(),
+            out_offsets: offsets,
+            out_targets: targets,
+        }
     }
 }
 
