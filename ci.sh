@@ -96,6 +96,11 @@ for f in crates/sync/src/*.rs; do
     if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\bts:|link_latency_ns|ready_at'; then echo "in $f"; exit 1; fi
 done
 
+echo "== the networked worker sleeps only to back off a retry: no thread::sleep( above #[cfg(test)] in crates/net/src/worker.rs or cluster.rs but the CONNECT_RETRY_DELAY one; bring-up and teardown wait on events =="
+for f in crates/net/src/worker.rs crates/net/src/cluster.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'thread::sleep(' | grep -v 'thread::sleep(CONNECT_RETRY_DELAY);'; then echo "in $f"; exit 1; fi
+done
+
 echo "== generator drift fails fast: sg-bench table1 (R-MAT and to_undirected on all four stand-ins) reproduces results/table1.txt, its wrote line aside =="
 rm -rf target/ci-table1 && mkdir -p target/ci-table1
 SG_RESULTS_DIR=target/ci-table1 cargo run -q -p sg-bench --release --bin sg-bench -- table1 >target/ci-table1/table1.txt

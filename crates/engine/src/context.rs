@@ -87,7 +87,8 @@ impl<P: VertexProgram + ?Sized> Context<'_, P> {
     /// The executing lane's clock on its host, nanoseconds, as of entry to
     /// this `compute()` call: virtual time on the simulator, wall time
     /// since the run started on the thread engine (0 there unless tracing
-    /// or breakdown is on).
+    /// or breakdown is on), wall time since the coordinator's epoch on a
+    /// networked worker (0 there unless tracing is on).
     #[inline]
     pub fn clock_ns(&self) -> u64 {
         self.clock_ns

@@ -174,8 +174,12 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A loopback thread-mode config with the defaults the in-process
-    /// engine uses.
+    /// A loopback thread-mode config. It shares the in-process engine's
+    /// partition seed but not its other defaults: 2 partitions per worker,
+    /// at most 200 supersteps (the engine allows 100,000), staged runs ship
+    /// at 64 messages (the engine's at 512), and `record_history` is on
+    /// (the engine's is off), so the coordinator checks the merged history.
+    /// Tracing, live telemetry, the audit plane and fault injection are off.
     pub fn new(workers: u32, technique: TechniqueKind, workload: Workload) -> Self {
         Self {
             workers,
@@ -804,6 +808,86 @@ fn validate(cfg: &ClusterConfig) -> Result<(), NetError> {
     Ok(())
 }
 
+/// Phase 1 of [`drive`]: each rank's control connection and data-plane
+/// address, indexed by rank. An acceptor thread hands each connection over
+/// as it lands, so the wait ends with the last `Hello` (or at
+/// [`SETUP_TIMEOUT`]) rather than on a polling tick; a connection of our
+/// own then wakes the acceptor out of `accept` so it ends.
+fn collect_hellos(
+    listener: TcpListener,
+    workers: u32,
+    clock: &Clock,
+) -> Result<Vec<Option<(TcpStream, String)>>, NetError> {
+    let addr = listener.local_addr()?;
+    let (arrived, arrivals) = mpsc::channel();
+    let acceptor = std::thread::Builder::new()
+        .name("sg-net-coord-accept".into())
+        .spawn(move || {
+            for stream in listener.incoming() {
+                if arrived.send(stream).is_err() {
+                    return;
+                }
+            }
+        })
+        .expect("spawn coordinator acceptor");
+    let hellos = read_hellos(&arrivals, workers, clock);
+    drop(arrivals);
+    if TcpStream::connect(addr).is_ok() {
+        let _ = acceptor.join();
+    }
+    hellos
+}
+
+/// Read one `Hello` off each connection `arrivals` hands over until every
+/// rank has joined. Raw frame reads are safe here: a worker sends nothing
+/// after `Hello` until it sees `Setup`.
+fn read_hellos(
+    arrivals: &mpsc::Receiver<std::io::Result<TcpStream>>,
+    workers: u32,
+    clock: &Clock,
+) -> Result<Vec<Option<(TcpStream, String)>>, NetError> {
+    let deadline = Instant::now() + SETUP_TIMEOUT;
+    let mut pending: Vec<Option<(TcpStream, String)>> = (0..workers).map(|_| None).collect();
+    for joined in 0..workers {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        let Ok(stream) = arrivals.recv_timeout(wait) else {
+            return Err(NetError::Protocol(format!(
+                "only {joined}/{workers} workers joined within {SETUP_TIMEOUT:?}"
+            )));
+        };
+        let stream = stream?;
+        let mut raw = &stream;
+        let hello = match read_frame(&mut raw)? {
+            Some(Ok(frame)) => frame,
+            _ => return Err(NetError::Protocol("bad Hello frame".into())),
+        };
+        clock.join(hello.clock);
+        match hello.msg {
+            Message::Hello {
+                version,
+                rank,
+                data_addr,
+            } => {
+                check_version(version)?;
+                let slot = pending
+                    .get_mut(rank as usize)
+                    .ok_or_else(|| NetError::Protocol(format!("rank {rank} out of range")))?;
+                if slot.is_some() {
+                    return Err(NetError::Protocol(format!("duplicate rank {rank}")));
+                }
+                *slot = Some((stream, data_addr));
+            }
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "expected Hello, got kind {}",
+                    other.kind()
+                )))
+            }
+        }
+    }
+    Ok(pending)
+}
+
 /// Accept the workers, run setup + the superstep loop, merge results.
 fn drive(
     graph: &Graph,
@@ -814,58 +898,8 @@ fn drive(
 ) -> Result<ClusterOutcome, NetError> {
     let clock = Arc::new(Clock::new());
 
-    // Phase 1: collect one Hello per rank. Raw frame reads are safe here:
-    // a worker sends nothing after Hello until it sees Setup.
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + SETUP_TIMEOUT;
-    let mut pending: Vec<Option<(TcpStream, String)>> = (0..cfg.workers).map(|_| None).collect();
-    let mut joined = 0;
-    while joined < cfg.workers {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nonblocking(false)?;
-                let mut raw = &stream;
-                let hello = match read_frame(&mut raw)? {
-                    Some(Ok(frame)) => frame,
-                    _ => return Err(NetError::Protocol("bad Hello frame".into())),
-                };
-                clock.join(hello.clock);
-                match hello.msg {
-                    Message::Hello {
-                        version,
-                        rank,
-                        data_addr,
-                    } => {
-                        check_version(version)?;
-                        let slot = pending.get_mut(rank as usize).ok_or_else(|| {
-                            NetError::Protocol(format!("rank {rank} out of range"))
-                        })?;
-                        if slot.is_some() {
-                            return Err(NetError::Protocol(format!("duplicate rank {rank}")));
-                        }
-                        *slot = Some((stream, data_addr));
-                        joined += 1;
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected Hello, got kind {}",
-                            other.kind()
-                        )))
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() >= deadline {
-                    return Err(NetError::Protocol(format!(
-                        "only {joined}/{} workers joined within {SETUP_TIMEOUT:?}",
-                        cfg.workers
-                    )));
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
+    // Phase 1: collect one Hello per rank.
+    let pending = collect_hellos(listener, cfg.workers, &clock)?;
 
     // Phase 2: wrap control connections, ship Setup + PeerMap.
     let epoch_ns = SystemTime::now()
@@ -1091,7 +1125,6 @@ fn drive(
                 start: t.start,
                 end: t.end,
                 stale_reads: t.stale.into_iter().map(VertexId::new).collect(),
-                concurrent_neighbors: Vec::new(),
             })
             .collect();
         txns.sort_by_key(|t| t.start);

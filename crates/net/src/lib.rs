@@ -63,7 +63,7 @@ pub use fault::{parse_fault_plan, FaultAction, FaultInjector};
 pub use sg_engine::WireCodec;
 pub use telemetry::{http_get, QueryService, TelemetryHub, TelemetryServer};
 pub use wire::{
-    BatchView, FaultPlan, Frame, Message, MsgBatch, RunSpec, WireError, WireMetricRow,
+    BatchFrame, BatchView, FaultPlan, Frame, Message, MsgBatch, RunSpec, WireError, WireMetricRow,
     PROTOCOL_VERSION,
 };
 pub use worker::worker_main;

@@ -22,10 +22,12 @@
 //! ## Data-plane v2: pooled buffers and vectored writes
 //!
 //! Every sequenced frame is encoded exactly once at send time into a
-//! buffer drawn from a per-link [`BufPool`]; the encoded bytes live in the
-//! retransmit tail until acknowledged, so a retransmit (fence retry or
-//! post-redial resume) replays the *identical* bytes — no re-encode, no
-//! allocation, no fresh Lamport stamp. Batch flushes are lazily staged and
+//! buffer drawn from a per-link [`BufPool`] — a batch flush's entries
+//! straight from the sender's staged messages ([`PeerLink::send_batch`]);
+//! the encoded bytes live in the retransmit tail until acknowledged, so a
+//! retransmit (fence retry or post-redial resume) replays the *identical*
+//! bytes — no re-encode, no allocation, no fresh Lamport stamp. Batch
+//! flushes are lazily staged and
 //! submitted in one `write_vectored` call when a latency-sensitive frame
 //! follows (fence pings, acks, heartbeats — they ride behind the staged
 //! batches in the same syscall) or when the staged run exceeds
@@ -42,8 +44,8 @@ use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector};
 use crate::wire::{
-    batch_view, check_version, peek_header, read_frame, read_frame_into, BatchView, Frame, Message,
-    PROTOCOL_VERSION,
+    batch_view, check_version, peek_header, read_frame, read_frame_into, BatchFrame, BatchView,
+    Frame, Message, PROTOCOL_VERSION,
 };
 use crate::{Clock, NetError};
 use sg_metrics::{CounterHandle, GaugeHandle, HistogramHandle, Telemetry};
@@ -567,6 +569,32 @@ impl PeerLink {
         let mut bytes = self.inner.pool_get();
         let clock = self.inner.clock.tick();
         crate::wire::encode_frame_into(seq, clock, &msg, &mut bytes);
+        self.stage_locked(&mut s, seq, bytes, is_batch);
+        seq
+    }
+
+    /// [`PeerLink::send`] for a `BatchFlush` of about `entries` messages
+    /// that `fill` writes straight into the pooled frame buffer: each entry
+    /// is encoded once, into the bytes that go on the wire and stay in the
+    /// retransmit tail. The frame equals what
+    /// `send(Message::BatchFlush { batch })` would encode for a `batch` of
+    /// the same entries.
+    pub fn send_batch(&self, entries: usize, fill: impl FnOnce(&mut BatchFrame<'_>)) -> u64 {
+        let mut bytes = self.inner.pool_get();
+        let mut s = self.inner.send.lock().unwrap();
+        let seq = s.next_seq;
+        s.next_seq += 1;
+        let clock = self.inner.clock.tick();
+        let mut frame = BatchFrame::begin(&mut bytes, seq, clock, entries);
+        fill(&mut frame);
+        frame.finish();
+        self.stage_locked(&mut s, seq, bytes, true);
+        seq
+    }
+
+    /// Claim the frame's fault action and queue it in the retransmit tail;
+    /// submit unless it is a batch that may wait to coalesce.
+    fn stage_locked(&self, s: &mut SendHalf, seq: u64, bytes: Vec<u8>, is_batch: bool) {
         let fault = if self.inner.fault.is_active() {
             self.inner.fault.next().1
         } else {
@@ -584,9 +612,8 @@ impl PeerLink {
             st.queue_depth.set(s.buffer.len() as u64);
         }
         if !is_batch || s.staged_frames >= COALESCE_FRAMES || s.staged_bytes >= COALESCE_BYTES {
-            flush_locked(&self.inner, &mut s);
+            flush_locked(&self.inner, s);
         }
-        seq
     }
 
     /// Fire-and-forget unsequenced frame (acks, heartbeats): never
@@ -898,7 +925,7 @@ fn reader_loop(inner: Arc<LinkInner>, stream: TcpStream, generation: u64) {
     // Reused across frames: the raw payload buffer — the zero-copy,
     // alloc-free receive path. Batch payloads are handed to the handler as
     // borrowed views of this buffer and never decoded into owned messages.
-    let mut payload: Vec<u8> = Vec::new();
+    let (mut payload, mut scratch) = (Vec::new(), Vec::new());
     loop {
         if inner.shutdown.load(Ordering::SeqCst) {
             return;
@@ -979,7 +1006,7 @@ fn reader_loop(inner: Arc<LinkInner>, stream: TcpStream, generation: u64) {
             // the receive buffer. Validation happens BEFORE the watermark
             // advances — a malformed batch must not count as applied, so
             // the fence retransmit path redelivers it.
-            match batch_view(&payload, &mut Vec::new()) {
+            match batch_view(&payload, &mut scratch) {
                 Ok(view) => {
                     inner.recv_next.store(expected + 1, Ordering::SeqCst);
                     inner.handler.on_batch(inner.peer_rank, view);
@@ -1322,6 +1349,12 @@ mod tests {
         a.dial().unwrap();
         a.send(batch(&[(1, 0, 0xAABB)]));
         a.send(batch(&[(2, 0, 0xCCDD)]));
+        // The worker's path: entries written straight into the frame.
+        a.send_batch(2, |frame| {
+            for (to, val) in [(3u32, 0xEEFFu64), (4, 0x1122)] {
+                frame.push(to, 0, |buf| buf.extend_from_slice(&val.to_le_bytes()));
+            }
+        });
         a.flush_fence(1, Duration::from_secs(10)).unwrap();
         let recorded = recorded.lock().unwrap();
         let mut by_seq: std::collections::HashMap<u64, Vec<&Vec<u8>>> =
@@ -1333,6 +1366,9 @@ mod tests {
             recorded.len() > by_seq.len(),
             "expected at least one retransmitted frame"
         );
+        let written_in_place = by_seq.get(&3).expect("the in-place batch arrived");
+        let Frame { msg, .. } = Frame::decode(written_in_place[0]).unwrap();
+        assert_eq!(msg, batch(&[(3, 0, 0xEEFF), (4, 0, 0x1122)]));
         for (seq, copies) in &by_seq {
             for c in copies.iter().skip(1) {
                 assert_eq!(

@@ -25,8 +25,8 @@
 //! can walk borrowed `&[u8]` payload slices straight out of its receive
 //! buffer ([`BatchView`], [`peek_header`], [`read_frame_into`]) without
 //! materializing a typed `Message` or allocating per message. Senders
-//! stage outgoing messages directly in wire format, making frame encoding
-//! a header write plus one `memcpy`.
+//! write each message once, straight into the pooled buffer of the frame
+//! that carries it ([`BatchFrame`]).
 
 use std::fmt;
 
@@ -307,10 +307,10 @@ const ENTRY_MIN: usize = <(u32, (u32, Vec<u8>)) as Field>::MIN;
 
 /// An owned batch of remote vertex messages, stored *in wire format*: a
 /// flat byte run of `[to: u32][from: u32][len: u32][payload: len bytes]`
-/// entries. Senders stage messages straight into this layout so encoding a
-/// `BatchFlush` frame is a header write plus one `memcpy`; receivers that
-/// want zero-copy access parse a [`BatchView`] over the receive buffer
-/// instead of decoding to this type at all.
+/// entries — what a `BatchFlush` decodes to. The worker never builds one:
+/// it writes its entries straight into the frame ([`BatchFrame`]), and
+/// receivers that want zero-copy access parse a [`BatchView`] over the
+/// receive buffer instead of decoding to this type at all.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MsgBatch {
     count: u32,
@@ -328,10 +328,9 @@ impl MsgBatch {
     ///
     /// [`WireCodec`]: sg_engine::WireCodec
     pub fn push(&mut self, to: u32, from: u32, payload: &[u8]) {
-        to.put(&mut self.bytes);
-        from.put(&mut self.bytes);
-        (payload.len() as u32).put(&mut self.bytes);
-        self.bytes.extend_from_slice(payload);
+        put_entry(&mut self.bytes, to, from, |buf| {
+            buf.extend_from_slice(payload)
+        });
         self.count += 1;
     }
 
@@ -362,6 +361,77 @@ impl MsgBatch {
             entries: Reader(&self.bytes),
             remaining: self.count,
         }
+    }
+}
+
+/// The one batch-entry encoder, behind [`MsgBatch::push`] and
+/// [`BatchFrame::push`]: `to`, `from`, then the bytes `payload` appends,
+/// behind their `u32` length.
+fn put_entry(buf: &mut Vec<u8>, to: u32, from: u32, payload: impl FnOnce(&mut Vec<u8>)) {
+    to.put(buf);
+    from.put(buf);
+    let at = buf.len();
+    0u32.put(buf);
+    payload(buf);
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// A `BatchFlush` frame written in place, with no [`MsgBatch`] in between:
+/// [`BatchFrame::begin`] lays down the length prefix, the header and a
+/// count, [`BatchFrame::push`] appends each entry through the encoder
+/// [`MsgBatch::push`] uses, and [`BatchFrame::finish`] fills in the count
+/// and the length. The bytes equal
+/// `encode_frame_into(seq, clock, &Message::BatchFlush { batch }, out)` for
+/// a `batch` of the same entries — the sender's one encode per batch.
+pub struct BatchFrame<'a> {
+    out: &'a mut Vec<u8>,
+    count: u32,
+    /// Entries the caller means to push: the first one sizes the frame.
+    expected: usize,
+}
+
+impl<'a> BatchFrame<'a> {
+    /// Byte offset of the entry count: after the length prefix and header.
+    const COUNT_AT: usize = 4 + <FrameHeader as Field>::MIN;
+
+    /// Start a frame in `out` (cleared first) for about `entries` pushes.
+    pub fn begin(out: &'a mut Vec<u8>, seq: u64, clock: u64, entries: usize) -> Self {
+        out.clear();
+        0u32.put(out);
+        let kind = K_BATCH_FLUSH;
+        FrameHeader { kind, seq, clock }.put(out);
+        0u32.put(out);
+        Self {
+            out,
+            count: 0,
+            expected: entries,
+        }
+    }
+
+    /// Append one message; `payload` appends its [`WireCodec`] encoding
+    /// (zero bytes are legal).
+    ///
+    /// [`WireCodec`]: sg_engine::WireCodec
+    pub fn push(&mut self, to: u32, from: u32, payload: impl FnOnce(&mut Vec<u8>)) {
+        let at = self.out.len();
+        put_entry(self.out, to, from, payload);
+        if self.count == 0 {
+            // Size the frame from its first entry (exactly, when every
+            // payload has one length), so a pooled buffer is not rounded up
+            // to the next power of two by doubling as the entries land.
+            let rest = self.expected.saturating_sub(1);
+            self.out.reserve(rest.saturating_mul(self.out.len() - at));
+        }
+        self.count += 1;
+    }
+
+    /// Fill in the entry count and the length prefix: the frame is done.
+    pub fn finish(self) {
+        let at = Self::COUNT_AT;
+        self.out[at..at + 4].copy_from_slice(&self.count.to_le_bytes());
+        let n = (self.out.len() - 4) as u32;
+        self.out[..4].copy_from_slice(&n.to_le_bytes());
     }
 }
 

@@ -14,11 +14,16 @@
 //!   ship what is staged for the target, fence until the peer
 //!   acknowledges application, then report `FlushDone` —
 //!   this must run while the compute thread is busy or blocked;
-//! * the **mesh accept** thread — adopts incoming (and replacement)
-//!   data-plane connections;
+//! * the **mesh accept** thread — blocked in `accept`, adopts incoming
+//!   (and replacement) data-plane connections as they arrive; teardown
+//!   wakes it with a connection of its own;
 //! * the **maintenance** thread — heartbeats idle links, re-dials dead
 //!   ones with backoff, and ships the transaction log every
-//!   `audit_interval_ms`.
+//!   `audit_interval_ms`, waiting out each tick on a channel that teardown
+//!   drops, so it ends as soon as the run does.
+//!
+//! None of them sleeps on a timer: a rank comes up as fast as its peers
+//! dial and goes down as soon as it has uploaded.
 //!
 //! The compute thread *hosts* the shared superstep cycle rather than
 //! transcribing it: [`sg_sync::PartitionWalk`] decides which vertex runs
@@ -31,9 +36,13 @@
 //!
 //! The datapath is the thread engine's, fed through the program's canonical
 //! combiner (the one `Runner` attaches in-process) on both sides. Remote
-//! sends stage typed in a [`StagingBuffers`], combining sender-side, and
-//! are encoded only when a run ships: at `buffer_cap`, at the C1 write-all
-//! and at the end of the superstep, all through [`ship`]. Incoming messages
+//! sends stage typed in a [`StagingBuffers`], combining sender-side, under
+//! one staging lock per execution — taken at the vertex's first remote
+//! send, dropped at its close, never held across a lock RPC, as the
+//! engine's `PartitionHost` holds it — and are encoded only when a run
+//! ships: at `buffer_cap`, at the C1 write-all and at the end of the
+//! superstep, all through [`ship`], each message once, straight into the
+//! link's pooled frame buffer. Incoming messages
 //! land in an [`InboxPair`] that holds this rank's partitions: a local send
 //! is [`InboxPair::deliver`] at the slot the cycle's routing lookup already
 //! found; a peer's batch is decoded on the link reader that received it and
@@ -43,6 +52,11 @@
 //! a payload that does not decode — is counted in
 //! `sg_worker_rejected_messages_total`, never dropped silently.
 //!
+//! An untraced execution reads no clock: `sg_worker_compute_ns_total` grows
+//! by each partition walk's wall time less its lock waits, added at the
+//! walk's lock RPCs and at its end. A traced run also times each execution
+//! for its `VertexExecute` span.
+//!
 //! With `record_history` on, every execution's Lamport interval goes into
 //! one log, [`AuditShip`], and leaves it once, in `AuditUpload` frames:
 //! the maintenance thread's periodic ships, then the drain at `Halt`.
@@ -50,7 +64,8 @@
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
@@ -66,9 +81,9 @@ use crate::cluster::GOODBYE_SUPERSTEP;
 use crate::fault::FaultInjector;
 use crate::link::{accept_handshake, CtrlConn, FrameReader, PeerHandler, PeerLink};
 use crate::wire::{
-    BatchView, Message, MsgBatch, RunSpec, WireMetricRow, WireTraceEvent, WireTxn,
-    PROTOCOL_VERSION, QUERY_OP_MULTI_LOOKUP, QUERY_OP_SNAP_CHECKSUM, QUERY_OP_SNAP_CLOSE,
-    QUERY_OP_SNAP_OPEN, QUERY_OP_SNAP_READ,
+    BatchView, Message, RunSpec, WireMetricRow, WireTraceEvent, WireTxn, PROTOCOL_VERSION,
+    QUERY_OP_MULTI_LOOKUP, QUERY_OP_SNAP_CHECKSUM, QUERY_OP_SNAP_CLOSE, QUERY_OP_SNAP_OPEN,
+    QUERY_OP_SNAP_READ,
 };
 use crate::{stamp, Clock, NetError};
 use sg_store::{checksum_word, Snapshot, VertexStore};
@@ -185,10 +200,9 @@ fn wall_ns(epoch_ns: u64) -> u64 {
 type Staged<M> = (StagingBuffers<M>, Vec<bool>);
 
 /// This worker's live-telemetry handles (the registry itself rides on
-/// [`Metrics`]): progress gauges set at barrier votes, plus two counters
-/// accumulated on the hot path from durations the worker already measures
-/// — `sg-top` derives busy/blocked percentages from their deltas against
-/// the uptime gauge.
+/// [`Metrics`]): progress gauges set at barrier votes, plus two counters —
+/// compute time between lock RPCs, lock wait per lock RPC — from which
+/// `sg-top` derives busy/blocked percentages against the uptime gauge.
 struct WorkerTelemetry {
     registry: Arc<Telemetry>,
     superstep: GaugeHandle,
@@ -478,36 +492,32 @@ where
     let links: Arc<Vec<Option<PeerLink>>> = Arc::new(link_vec);
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    // Accept thread: adopts initial and replacement connections.
+    // Accept thread: adopts initial and replacement connections, blocked in
+    // `accept` until one arrives. Teardown wakes it with a connection of
+    // its own once `shutdown` is set.
+    let data_addr = listener.local_addr()?;
     let accept_handle = {
         let links = Arc::clone(&links);
         let clock = Arc::clone(&clock);
         let shutdown = Arc::clone(&shutdown);
-        listener.set_nonblocking(true)?;
         std::thread::Builder::new()
             .name(format!("sg-net-accept-{rank}"))
             .spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nonblocking(false);
-                            let links2 = Arc::clone(&links);
-                            let handshake = accept_handshake(&stream, &clock, rank, |peer| {
-                                links2
-                                    .get(peer as usize)
-                                    .and_then(|l| l.as_ref())
-                                    .map_or(1, |l| l.recv_next())
-                            });
-                            if let Ok((peer, resume)) = handshake {
-                                if let Some(Some(link)) = links.get(peer as usize) {
-                                    let _ = link.accept(stream, resume);
-                                }
-                            }
+                for stream in listener.incoming() {
+                    if shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = stream else { break };
+                    let handshake = accept_handshake(&stream, &clock, rank, |peer| {
+                        links
+                            .get(peer as usize)
+                            .and_then(|l| l.as_ref())
+                            .map_or(1, |l| l.recv_next())
+                    });
+                    if let Ok((peer, resume)) = handshake {
+                        if let Some(Some(link)) = links.get(peer as usize) {
+                            let _ = link.accept(stream, resume);
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => break,
                     }
                 }
             })
@@ -522,10 +532,12 @@ where
     }
 
     // Maintenance thread: heartbeats + redial with backoff, plus the
-    // periodic telemetry frames when the coordinator asked for them.
+    // periodic telemetry frames when the coordinator asked for them. It
+    // waits out each tick on `stop`, which teardown drops, so it ends at
+    // once rather than at its next tick.
+    let (stop, stopped) = mpsc::channel::<()>();
     let maintenance_handle = {
         let links = Arc::clone(&links);
-        let shutdown = Arc::clone(&shutdown);
         let shared = Arc::clone(&shared);
         let interval_ms = spec.telemetry_interval_ms;
         let audit_ms = spec.audit_interval_ms;
@@ -535,13 +547,13 @@ where
                 let mut last_upload = std::time::Instant::now();
                 let mut last_audit = std::time::Instant::now();
                 // Audit batches ride the maintenance loop too, so the
-                // effective cadence is max(audit_ms, the loop's sleep).
+                // effective cadence is max(audit_ms, the loop's tick).
                 let tick = if audit_ms > 0 {
                     Duration::from_millis(audit_ms.min(100))
                 } else {
                     Duration::from_millis(100)
                 };
-                while !shutdown.load(Ordering::SeqCst) {
+                loop {
                     for link in links.iter().flatten() {
                         link.maintain();
                     }
@@ -556,7 +568,10 @@ where
                     // Serving-plane GC: reclaim versions below the oldest
                     // pinned snapshot, off the compute path.
                     shared.serve.vstore.gc();
-                    std::thread::sleep(tick);
+                    if let Ok(()) | Err(RecvTimeoutError::Disconnected) = stopped.recv_timeout(tick)
+                    {
+                        break;
+                    }
                 }
             })
             .expect("spawn maintenance thread")
@@ -597,16 +612,22 @@ where
         halted: vec![false; n],
         envelopes: Vec::new(),
         opened: 0,
+        staged: None,
     }
     .run(&mut cycle);
 
     shutdown.store(true, Ordering::SeqCst);
+    drop(stop);
     for link in links.iter().flatten() {
         link.shutdown();
     }
     ctrl.close();
     let _ = dispatcher_handle.join();
-    let _ = accept_handle.join();
+    // A listener this process can no longer reach leaves its thread behind
+    // rather than hanging the rank.
+    if TcpStream::connect(data_addr).is_ok() {
+        let _ = accept_handle.join();
+    }
     let _ = maintenance_handle.join();
     result
 }
@@ -853,6 +874,10 @@ struct Compute<'a, P: VertexProgram> {
     envelopes: Vec<Envelope<P::Message>>,
     /// Lamport stamp the open transaction started at.
     opened: u64,
+    /// The staging lock, held from a vertex's first remote send to its
+    /// close: taken once per execution, not once per message, and never
+    /// across a lock RPC.
+    staged: Option<MutexGuard<'a, Staged<P::Message>>>,
 }
 
 impl<P> Compute<'_, P>
@@ -915,8 +940,10 @@ where
         active
     }
 
-    /// Blocking lock RPC: request the unit, wait for the grant.
-    fn acquire_unit_rpc(&self, superstep: u64, unit: u32) -> Result<(), NetError> {
+    /// Blocking lock RPC: request the unit, wait for the grant. Returns
+    /// when it asked and when the grant came, on [`wall_ns`].
+    fn acquire_unit_rpc(&self, superstep: u64, unit: u32) -> Result<(u64, u64), NetError> {
+        debug_assert!(self.staged.is_none(), "staging lock held across a lock RPC");
         let shared = self.shared;
         let t0 = wall_ns(shared.epoch_ns);
         shared.ctrl.send(&Message::AcquireUnit { unit })?;
@@ -948,7 +975,7 @@ where
             dur,
             u64::from(unit),
         );
-        Ok(())
+        Ok((t0, t0 + dur))
     }
 
     /// Result uploads, chunked to stay far under the frame cap, terminated
@@ -1007,10 +1034,14 @@ where
     }
 
     /// Host one [`PartitionWalk`] per owned partition: the lock RPC where
-    /// it says acquire, the shared vertex transaction where it says run,
-    /// timed on the wall clock.
+    /// it says acquire, the shared vertex transaction where it says run.
+    /// `sg_worker_compute_ns_total` grows by the walk's wall time less its
+    /// lock waits, added at each lock RPC and at the walk's end from the
+    /// clock reads the RPC makes anyway, so a live scrape sees it grow
+    /// mid-walk; only a traced run reads the clock around each execution,
+    /// for its `VertexExecute` span.
     fn run_superstep(&mut self, cycle: &mut Cycle<'_, P>, s: u64) -> Result<(), NetError> {
-        let shared = self.shared;
+        let (shared, traced) = (self.shared, self.shared.trace.is_enabled());
         let (pm, replica) = (self.pm, self.replica);
         let granularity = replica.granularity();
         // Only p-boundary vertices are philosophers; the technique's
@@ -1025,6 +1056,8 @@ where
             let (vertices, store) = (pm.vertices_in(p), &shared.inboxes.current()[p.index()]);
             let has_work = store.total() > 0 || vertices.iter().any(|v| !self.halted[v.index()]);
             let mut walk = PartitionWalk::new(p, replica, has_work);
+            // When the compute time not yet counted began.
+            let mut mark = wall_ns(shared.epoch_ns);
             loop {
                 // The Pregel activity test, as the thread engine makes it.
                 let halted = &self.halted;
@@ -1033,17 +1066,21 @@ where
                 match step {
                     Step::Acquire(unit) => {
                         if needs_rpc(unit) {
-                            self.acquire_unit_rpc(s, unit)?;
+                            let (asked, granted) = self.acquire_unit_rpc(s, unit)?;
+                            shared.wtel.compute_ns.add(asked.saturating_sub(mark));
+                            mark = granted;
                         }
                         walk.granted();
                     }
-                    Step::Run { local, v } => {
+                    Step::Run { local, v } if traced => {
                         let (rank, t0) = (shared.rank, wall_ns(shared.epoch_ns));
                         let (n_in, _) = cycle.run_vertex(self, s, rank, t0, local, v);
                         let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
-                        shared.wtel.compute_ns.add(dur);
                         let kind = TraceEventKind::VertexExecute;
                         shared.trace.record(rank, s, kind, t0, dur, n_in);
+                    }
+                    Step::Run { local, v } => {
+                        cycle.run_vertex(self, s, shared.rank, 0, local, v);
                     }
                     Step::Release(unit) if needs_rpc(unit) => {
                         shared.ctrl.send(&Message::ReleaseUnit { unit })?;
@@ -1052,6 +1089,8 @@ where
                     Step::Done => break,
                 }
             }
+            let walked = wall_ns(shared.epoch_ns).saturating_sub(mark);
+            shared.wtel.compute_ns.add(walked);
         }
         Ok(())
     }
@@ -1107,23 +1146,28 @@ where
             .deliver(from, to, slot, msg, shared.combiner.as_deref());
     }
 
-    /// Stage, combining sender-side; a run that reaches the cap ships at
-    /// once, and its peer is owed a fence at the next write-all.
+    /// Stage, combining sender-side, under the staging lock the vertex's
+    /// first remote send took; a run that reaches the cap ships at once,
+    /// and its peer is owed a fence at the next write-all.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
         let (shared, w) = (self.shared, to_worker as usize);
-        let mut staged = shared.staged();
+        let staged = self.staged.get_or_insert_with(|| shared.staged());
         let combiner = shared.combiner.as_deref();
         let (folded, n) = staged.0.stage(w, (to, from, msg), combiner);
         if folded.is_some() {
             shared.metrics.inc(Counter::SenderCombines);
         }
         if n >= shared.buffer_cap {
-            let owed = ship(shared, self.links, &mut staged, w);
+            let owed = ship(shared, self.links, staged, w);
             staged.1[w] = owed;
         }
     }
 
+    /// Release the staging lock — a `FlushForks` write-all waiting on it
+    /// now finds the whole execution's messages staged — and log the
+    /// transaction.
     fn close(&mut self, v: VertexId) {
+        self.staged = None;
         let (shared, start) = (self.shared, self.opened);
         let end = shared.clock.tick();
         if let Some(log) = &shared.log {
@@ -1177,10 +1221,11 @@ fn flush_all<M: WireCodec>(shared: &Shared<M>, links: &[Option<PeerLink>]) -> Re
 }
 
 /// Ship what is staged for `peer`, under the staging lock the caller
-/// holds: take the run, clear the peer's fence bit, encode each surviving
-/// entry into one [`MsgBatch`] and enqueue its `BatchFlush` on the link.
-/// Returns whether the peer is owed a fence: a batch went now, or one went
-/// since its last fence.
+/// holds: take the run, clear the peer's fence bit, and enqueue one
+/// `BatchFlush` on the link, each surviving entry encoded straight into
+/// the link's pooled frame buffer ([`PeerLink::send_batch`]). Returns
+/// whether the peer is owed a fence: a batch went now, or one went since
+/// its last fence.
 ///
 /// Take, clear and enqueue are one critical section, and that is C1: a
 /// `FlushForks` write-all on the dispatcher waits for the lock, so its
@@ -1198,22 +1243,22 @@ fn ship<M: WireCodec>(
         run.clear();
         return owed;
     };
-    let (mut batch, mut enc) = (MsgBatch::new(), Vec::new());
-    for (to, from, msg) in run.drain(..) {
-        enc.clear();
-        msg.encode_into(&mut enc);
-        batch.push(to.raw(), from.raw(), &enc);
-    }
     shared.metrics.inc(Counter::RemoteBatches);
-    shared.trace.record_peer(
-        shared.rank,
-        shared.superstep.load(Ordering::Relaxed),
-        TraceEventKind::BatchFlush,
-        wall_ns(shared.epoch_ns),
-        0,
-        batch.len() as u64,
-        peer as u32,
-    );
-    link.send(Message::BatchFlush { batch });
+    if shared.trace.is_enabled() {
+        shared.trace.record_peer(
+            shared.rank,
+            shared.superstep.load(Ordering::Relaxed),
+            TraceEventKind::BatchFlush,
+            wall_ns(shared.epoch_ns),
+            0,
+            run.len() as u64,
+            peer as u32,
+        );
+    }
+    link.send_batch(run.len(), |frame| {
+        for (to, from, msg) in run.drain(..) {
+            frame.push(to.raw(), from.raw(), |buf| msg.encode_into(buf));
+        }
+    });
     owed
 }

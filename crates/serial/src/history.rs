@@ -20,11 +20,9 @@ pub struct TxnRecord {
     /// Logical time the execution committed its write. `end > start`.
     pub end: u64,
     /// In-edge neighbors whose replica was stale at `start` — C1 witnesses.
+    /// C2 needs no witness field: it is read off the intervals
+    /// ([`History::c2_violations`]).
     pub stale_reads: Vec<VertexId>,
-    /// Neighbors observed mid-execution at `start` — eager C2 witnesses
-    /// (the post-hoc interval check in [`History::c2_violations`] is
-    /// authoritative; this field helps debugging).
-    pub concurrent_neighbors: Vec<VertexId>,
 }
 
 impl TxnRecord {
@@ -474,7 +472,6 @@ mod tests {
             start,
             end,
             stale_reads: vec![],
-            concurrent_neighbors: vec![],
         }
     }
 

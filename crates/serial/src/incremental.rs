@@ -193,8 +193,7 @@ pub struct IncrementalChecker {
     log: History,
     c1: usize,
     c2: usize,
-    /// Buffered transactions, from `observe` until they commit; one that
-    /// has begun carries its C2 witnesses.
+    /// Buffered transactions, from `observe` until they commit.
     slab: Vec<Option<TxnRecord>>,
     /// Emptied `slab` slots awaiting reuse.
     free_slots: Vec<usize>,
@@ -230,7 +229,7 @@ impl IncrementalChecker {
     /// The buffered transaction in slot `idx` begins: count and report
     /// its violations, open it, and queue its commit.
     fn apply_begin(&mut self, idx: usize, out: &mut Vec<AuditEvent>) {
-        let txn = self.slab[idx].as_mut().expect("begin without buffered txn");
+        let txn = self.slab[idx].as_ref().expect("begin without buffered txn");
         let u = txn.vertex;
         assert!(
             !self.open[u.index()],
@@ -245,12 +244,12 @@ impl IncrementalChecker {
         }
         if self.open_count > 0 {
             let open = &self.open;
-            txn.concurrent_neighbors = self.graph.neighbors_where(u, |v| open[v.index()]);
-            if !txn.concurrent_neighbors.is_empty() {
-                self.c2 += txn.concurrent_neighbors.len();
+            let neighbors = self.graph.neighbors_where(u, |v| open[v.index()]);
+            if !neighbors.is_empty() {
+                self.c2 += neighbors.len();
                 out.push(AuditEvent::C2 {
                     vertex: u,
-                    neighbors: txn.concurrent_neighbors.clone(),
+                    neighbors,
                 });
             }
         }
@@ -316,7 +315,6 @@ impl IncrementalChecker {
             start: txn.start,
             end: txn.end,
             stale_reads: txn.stale_reads,
-            concurrent_neighbors: Vec::new(),
         });
         Ok(())
     }
@@ -852,7 +850,7 @@ mod tests {
     /// Property: against randomized schedules (most of them violating),
     /// the incremental verdicts agree with the batch [`History`] checkers,
     /// and the checker's log is the recorder's history record for record —
-    /// stale reads and concurrent neighbors included.
+    /// stale reads included.
     #[test]
     fn prop_matches_batch_checkers() {
         for (name, g) in prop_graphs() {

@@ -7,9 +7,10 @@
 //! * [`Recorder::on_visible`] — that message became *readable* by `to`
 //!   (immediately for eager local delivery, at flush/barrier otherwise);
 //! * [`Recorder::begin`] — vertex `u` starts executing: the recorder
-//!   timestamps the read, tests freshness of every in-edge replica (no
-//!   message in flight per directed pair — condition C1), and snapshots
-//!   which neighbors are mid-execution (condition C2, eagerly);
+//!   timestamps the read and tests freshness of every in-edge replica (no
+//!   message in flight per directed pair — condition C1). Condition C2 is
+//!   read off the recorded intervals afterwards
+//!   ([`History::c2_violations`], and the live checkers' own open sets);
 //! * [`Recorder::end`] — the execution commits its write.
 //!
 //! Recording costs one binary search over the *sender's* out-run — the
@@ -26,7 +27,7 @@ use crate::history::{History, TxnRecord};
 use crate::incremental::StampedTxn;
 use crate::ledger::{pair_slot, Ledger};
 use sg_graph::{Graph, VertexId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
@@ -36,7 +37,6 @@ use std::sync::{Mutex, OnceLock};
 pub struct Recorder {
     graph: Arc<Graph>,
     clock: AtomicU64,
-    executing: Vec<AtomicBool>,
     /// Pre-start clock snapshot per vertex mid-execution, `u64::MAX` when
     /// idle. Stored *before* the start tick and cleared only *after* the
     /// finished record lands in `txns`, so [`Recorder::safe_watermark`]
@@ -60,7 +60,6 @@ pub struct TxnGuard {
     vertex: VertexId,
     start: u64,
     stale_reads: Vec<VertexId>,
-    concurrent_neighbors: Vec<VertexId>,
 }
 
 impl Recorder {
@@ -71,7 +70,6 @@ impl Recorder {
             ledger: Ledger::new(&graph),
             graph,
             clock: AtomicU64::new(0),
-            executing: (0..n).map(|_| AtomicBool::new(false)).collect(),
             executing_since: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
             txns: Mutex::new(Vec::new()),
             commit_hook: OnceLock::new(),
@@ -104,30 +102,20 @@ impl Recorder {
         }
     }
 
-    /// Vertex `u` begins executing. Performs the C1 freshness test and the
-    /// eager C2 concurrency probe.
+    /// Vertex `u` begins executing. Performs the C1 freshness test.
     pub fn begin(&self, u: VertexId) -> TxnGuard {
-        self.executing[u.index()].store(true, Ordering::SeqCst);
         self.executing_since[u.index()].store(self.clock.load(Ordering::SeqCst), Ordering::SeqCst);
         let start = self.tick();
-
         let stale_reads = self.ledger.stale_reads(&self.graph, u);
-
-        let concurrent_neighbors = self
-            .graph
-            .neighbors_where(u, |v| self.executing[v.index()].load(Ordering::SeqCst));
-
         TxnGuard {
             vertex: u,
             start,
             stale_reads,
-            concurrent_neighbors,
         }
     }
 
     /// Vertex execution commits its write.
     pub fn end(&self, guard: TxnGuard) {
-        self.executing[guard.vertex.index()].store(false, Ordering::SeqCst);
         let end = self.tick();
         let vertex = guard.vertex;
         self.txns.lock().unwrap().push(TxnRecord {
@@ -135,7 +123,6 @@ impl Recorder {
             start: guard.start,
             end,
             stale_reads: guard.stale_reads,
-            concurrent_neighbors: guard.concurrent_neighbors,
         });
         if let Some(hook) = self.commit_hook.get() {
             hook(vertex);
@@ -262,11 +249,16 @@ mod tests {
         let r = Recorder::new(Arc::clone(&g));
         let g0 = r.begin(v(0));
         let g1 = r.begin(v(1)); // neighbor of v0, concurrent
-        assert_eq!(g1.concurrent_neighbors, vec![v(0)]);
         r.end(g1);
         r.end(g0);
         let h = r.history();
-        assert_eq!(h.c2_violations(&g).len(), 1);
+        let overlaps = h.c2_violations(&g);
+        assert_eq!(overlaps.len(), 1);
+        let pair = [
+            h.txns()[overlaps[0].a].vertex,
+            h.txns()[overlaps[0].b].vertex,
+        ];
+        assert!(pair == [v(0), v(1)] || pair == [v(1), v(0)], "{pair:?}");
     }
 
     #[test]
@@ -276,7 +268,6 @@ mod tests {
         // v0 and v3 are NOT adjacent in the paper's C4.
         let g0 = r.begin(v(0));
         let g3 = r.begin(v(3));
-        assert!(g3.concurrent_neighbors.is_empty());
         r.end(g0);
         r.end(g3);
         assert!(r.history().c2_violations(&g).is_empty());

@@ -52,7 +52,6 @@ fn serial_history(g: &Graph) -> History {
                 start: clock,
                 end: clock + 1,
                 stale_reads: vec![],
-                concurrent_neighbors: vec![],
             });
             clock += 2;
         }

@@ -122,7 +122,6 @@ fn random_history(rng: &mut SplitMix64, max_txns: usize) -> (Graph, Vec<TxnRecor
                 start: start * 2 + (i as u64 % 2),
                 end: start * 2 + 3 + (i as u64 * 2),
                 stale_reads: vec![],
-                concurrent_neighbors: vec![],
             }
         })
         .collect();
@@ -268,7 +267,6 @@ fn shaped_history(rng: &mut SplitMix64, g: &Graph, shape: Shape) -> Vec<TxnRecor
             start,
             end,
             stale_reads: vec![],
-            concurrent_neighbors: vec![],
         })
         .collect()
 }

@@ -13,9 +13,9 @@ use serigraph::sg_net::wire::{
     MAX_FRAME_LEN, QUERY_OP_MULTI_LOOKUP,
 };
 use serigraph::sg_net::{
-    parse_fault_plan, run_cluster, worker_main, BatchView, Clock, ClusterConfig, ClusterOutcome,
-    FaultInjector, Frame, Message, MsgBatch, NetError, RunSpec, SpawnMode, WireCodec, WireError,
-    Workload, PROTOCOL_VERSION,
+    parse_fault_plan, run_cluster, worker_main, BatchFrame, BatchView, Clock, ClusterConfig,
+    ClusterOutcome, FaultInjector, Frame, Message, MsgBatch, NetError, RunSpec, SpawnMode,
+    WireCodec, WireError, Workload, PROTOCOL_VERSION,
 };
 use serigraph::sg_sim::simulate;
 use serigraph::NetworkOptions;
@@ -462,6 +462,80 @@ fn batch_frames_round_trip_zero_copy_at_random_payload_sizes() {
     }
 }
 
+/// The worker's send path writes each entry straight into the frame
+/// ([`BatchFrame`]): the bytes must be exactly what encoding a
+/// `BatchFlush` of the same entries gives, and the receive path must read
+/// the entries back — at zero entries, one, zero-length payloads and a
+/// full 512-message run.
+#[test]
+fn a_batch_written_in_place_is_the_encoded_batch_flush_frame() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut rng = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let word = |i: u32| {
+        u64::from(i)
+            .wrapping_mul(0x0101_0101)
+            .to_le_bytes()
+            .to_vec()
+    };
+    type Entries = Vec<(u32, u32, Vec<u8>)>;
+    let cases: Vec<(&str, Entries)> = vec![
+        ("empty", Vec::new()),
+        ("one entry", vec![(7, 3, 42u64.to_le_bytes().to_vec())]),
+        (
+            "zero-length payloads",
+            (0..5).map(|i| (i, 9 - i, Vec::new())).collect(),
+        ),
+        (
+            "512 entries",
+            (0..512u32)
+                .map(|i| {
+                    let len = (rng() % 24) as usize;
+                    let payload = if i % 3 == 0 {
+                        word(i)
+                    } else {
+                        vec![i as u8; len]
+                    };
+                    (rng() as u32, rng() as u32, payload)
+                })
+                .collect(),
+        ),
+    ];
+    for (name, entries) in cases {
+        let (seq, clock) = (0x0102_0304_0506_0708, u64::MAX - 5);
+        let mut direct = vec![0xEE; 3]; // begin clears what the pool left
+        let mut frame = BatchFrame::begin(&mut direct, seq, clock, entries.len());
+        for (to, from, payload) in &entries {
+            frame.push(*to, *from, |buf| buf.extend_from_slice(payload));
+        }
+        frame.finish();
+
+        let mut batch = MsgBatch::new();
+        for (to, from, payload) in &entries {
+            batch.push(*to, *from, payload);
+        }
+        let mut encoded = Vec::new();
+        let msg = Message::BatchFlush { batch };
+        serigraph::sg_net::wire::encode_frame_into(seq, clock, &msg, &mut encoded);
+        assert_eq!(direct, encoded, "{name}: bytes differ");
+
+        let payload = &direct[4..];
+        let header = peek_header(payload).expect("header");
+        assert!(header.is_batch() && header.seq == seq && header.clock == clock);
+        let view = batch_view(payload, &mut Vec::new()).expect("batch view");
+        assert_eq!(view.len(), entries.len(), "{name}");
+        for (got, want) in view.iter().zip(&entries) {
+            assert_eq!(got, (want.0, want.1, want.2.as_slice()), "{name}");
+        }
+        let decoded = Frame::decode(payload).expect("decodes as a frame");
+        assert_eq!(decoded.msg, msg, "{name}");
+    }
+}
+
 #[test]
 fn oversized_and_truncated_batches_are_rejected_with_typed_errors() {
     // A length prefix past MAX_FRAME_LEN is rejected before any allocation.
@@ -587,6 +661,55 @@ fn cluster(graph: &Graph, technique: Technique, workload: Workload) -> ClusterOu
     cfg.partitions_per_worker = 1;
     cfg.explicit_partitions = Some(c4_assignment());
     run_cluster(graph, &cfg).expect("cluster run")
+}
+
+/// Bring-up and teardown wait on the events they are for — a `Hello`, a
+/// peer's dial, the end of the run — not on polling ticks: a 2-rank run on
+/// a 16-vertex graph ends well inside the 100 ms the maintenance thread
+/// sleeps between passes. The fastest of five runs is what is bounded, so
+/// one slow scheduling on a loaded host does not fail it.
+#[test]
+fn a_small_cluster_run_waits_out_no_timer() {
+    let g = gen::grid(4, 4);
+    let cfg = ClusterConfig::new(2, Technique::PartitionLock, Workload::Coloring);
+    let fastest = (0..5)
+        .map(|_| {
+            let t = Instant::now();
+            run_cluster(&g, &cfg).expect("cluster run");
+            t.elapsed()
+        })
+        .min()
+        .expect("five runs");
+    assert!(
+        fastest < Duration::from_millis(90),
+        "fastest of five runs took {fastest:?}"
+    );
+}
+
+/// An untraced run reads no clock per execution, yet still reports its
+/// compute time: each rank's `sg_worker_compute_ns_total` (its partition
+/// walks less their lock waits) is nonzero and fits inside the run.
+#[test]
+fn an_untraced_run_still_counts_its_compute_time() {
+    let g = gen::grid(8, 8);
+    for technique in [Technique::VertexLock, Technique::DualToken] {
+        let cfg = ClusterConfig::new(2, technique, Workload::Coloring);
+        let t = Instant::now();
+        let out = run_cluster(&g, &cfg).expect("cluster run");
+        let wall = t.elapsed().as_nanos() as u64;
+        assert!(out.trace_events.is_empty(), "the run must be untraced");
+        let telemetry = out.telemetry.expect("final telemetry");
+        for rank in ["0", "1"] {
+            let compute = telemetry.get("sg_worker_compute_ns_total", &[("worker", rank)]);
+            let Some(serigraph::sg_metrics::MetricValue::Counter(ns)) = compute else {
+                panic!("{technique:?}: rank {rank} reported no compute counter: {compute:?}");
+            };
+            assert!(
+                *ns > 0 && *ns <= wall,
+                "{technique:?}: rank {rank} computed {ns} ns of a {wall} ns run"
+            );
+        }
+    }
 }
 
 /// An explicit assignment that is too short, or names a partition the
