@@ -51,6 +51,9 @@ if grep -rnE 'locate: Vec<\(u32, u32\)>' crates/engine/src crates/net/src; then 
 echo "== a queued message costs a block slot, not a node: no per-envelope node type or node slab in the store =="
 if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/store.rs | grep -niE 'struct Node<|slab'; then exit 1; fi
 
+echo "== a committed vertex value costs a slot write: no per-version node type, node slab or free list in the MVCC store =="
+if sed '/^#\[cfg(test)\]/,$d' crates/store/src/store.rs | grep -niE 'struct Node<|slab|free list'; then exit 1; fi
+
 echo "== one C1 ledger, addressed by the sender: no in-CSR pair search, no sent/visible counter arrays in the recorder =="
 if grep -rn 'in_edge_index' crates/*/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/recorder.rs | grep -nE '\b(sent|visible):'; then exit 1; fi

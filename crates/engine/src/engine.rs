@@ -169,22 +169,23 @@ impl<P: VertexProgram> Engine<P> {
         // transaction's close: the execution's commit installs the new version
         // and parks its xid here; the recorder's end() fires this hook, which
         // flips the version visible. Without a recorder the execution
-        // commits directly.
-        let pending_xid: Arc<Vec<AtomicU64>> = Arc::new(
-            (0..self.graph.num_vertices())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        );
-        if let Some(r) = &recorder {
+        // commits directly and nothing is parked.
+        let pending_xid = recorder.as_ref().map(|r| {
+            let pending: Arc<Vec<AtomicU64>> = Arc::new(
+                (0..self.graph.num_vertices())
+                    .map(|_| AtomicU64::new(0))
+                    .collect(),
+            );
             let store = Arc::clone(&self.store);
-            let pending = Arc::clone(&pending_xid);
+            let parked = Arc::clone(&pending);
             r.set_commit_hook(Box::new(move |v: VertexId| {
-                let xid = pending[v.index()].swap(0, Ordering::SeqCst);
+                let xid = parked[v.index()].swap(0, Ordering::SeqCst);
                 if xid != 0 {
                     store.commit_xid(xid);
                 }
             }));
-        }
+            pending
+        });
 
         let layout = *self.pm.layout();
         let workers = layout.num_workers() as usize;
@@ -326,6 +327,9 @@ impl<P: VertexProgram> Engine<P> {
             // is off the compute hot path, so GC never contends with a
             // vertex execution for its stripe.
             core.vstore.gc();
+            if let Some(g) = &gauges {
+                g.store.set(&core.vstore);
+            }
             if let Some(prev) = &mut prev_snap {
                 let snap = metrics.snapshot();
                 rows.push(SuperstepRow {
@@ -398,6 +402,7 @@ struct EngineGauges {
     active: GaugeHandle,
     pending: GaugeHandle,
     staging: GaugeHandle,
+    store: StoreGauges,
 }
 
 impl EngineGauges {
@@ -407,7 +412,43 @@ impl EngineGauges {
             active: t.gauge("sg_engine_active_vertices", &[]),
             pending: t.gauge("sg_engine_pending_messages", &[]),
             staging: t.gauge("sg_engine_staging_depth", &[]),
+            store: StoreGauges::new(t),
         })
+    }
+}
+
+/// The MVCC store's gauges, shared by the thread engine (set once per
+/// barrier) and the cluster worker (once per maintenance tick). Each
+/// [`StoreGauges::set`] takes every stripe lock once, so it never runs
+/// per execution.
+pub struct StoreGauges {
+    commits: GaugeHandle,
+    live: GaugeHandle,
+    chained: GaugeHandle,
+    open: GaugeHandle,
+    horizon_lag: GaugeHandle,
+}
+
+impl StoreGauges {
+    /// Register the `sg_store_*` gauges in `t`.
+    pub fn new(t: &Telemetry) -> Self {
+        Self {
+            commits: t.gauge("sg_store_commits", &[]),
+            live: t.gauge("sg_store_live_versions", &[]),
+            chained: t.gauge("sg_store_chained_versions", &[]),
+            open: t.gauge("sg_store_open_snapshots", &[]),
+            horizon_lag: t.gauge("sg_store_gc_horizon_lag", &[]),
+        }
+    }
+
+    /// Read `store`'s counters into the gauges.
+    pub fn set<V>(&self, store: &VertexStore<V>) {
+        let st = store.stats();
+        self.commits.set(store.tst().commits());
+        self.live.set(st.live_versions);
+        self.chained.set(st.chained_versions);
+        self.open.set(st.open_snapshots);
+        self.horizon_lag.set(st.gc_horizon_lag);
     }
 }
 
@@ -493,9 +534,9 @@ struct Core<P: VertexProgram> {
     /// keep the `store`/`stores` names).
     vstore: Arc<VertexStore<P::Value>>,
     /// Per-vertex xid of the version installed by the execution currently
-    /// closing (0 = none). The recorder's commit hook swaps it out and
-    /// commits; see `Engine::run`.
-    pending_xid: Arc<Vec<AtomicU64>>,
+    /// closing (0 = none), present exactly when `recorder` is. The
+    /// recorder's commit hook swaps it out and commits; see `Engine::run`.
+    pending_xid: Option<Arc<Vec<AtomicU64>>>,
     buffer_cap: usize,
     /// Per worker: next partition offset to claim this superstep.
     claim: Vec<AtomicU32>,
@@ -819,8 +860,8 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
         let txn = core.vstore.begin();
         core.vstore
             .install(v.index(), self.data.values[local].clone(), txn.xid);
-        if core.recorder.is_some() {
-            core.pending_xid[v.index()].store(txn.xid, Ordering::SeqCst);
+        if let Some(pending) = &core.pending_xid {
+            pending[v.index()].store(txn.xid, Ordering::SeqCst);
         } else {
             core.vstore.commit(txn);
         }

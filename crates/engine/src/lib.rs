@@ -47,6 +47,6 @@ pub use aggregators::{AggOp, AggregatorSet};
 pub use config::{build_synchronizer, EngineConfig, EngineError, Model, TechniqueKind};
 pub use context::Context;
 pub use cycle::{Cycle, Env, Host};
-pub use engine::{Engine, Outcome};
+pub use engine::{Engine, Outcome, StoreGauges};
 pub use program::{Combiner, MinCombiner, SumCombiner, VertexProgram, WireCodec};
 pub use sg_store::{GraphReader, Snapshot, SnapshotView, VertexStore};

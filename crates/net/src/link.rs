@@ -40,6 +40,7 @@ use std::io::{BufReader, IoSlice, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::fault::{FaultAction, FaultInjector};
@@ -367,6 +368,9 @@ struct LinkInner {
     pool: BufPool,
     /// Wire stats, when a telemetry registry was attached.
     stats: Option<LinkStats>,
+    /// One reader thread per attached connection, pushed under the `send`
+    /// lock; `shutdown` joins them.
+    readers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl LinkInner {
@@ -427,6 +431,7 @@ impl PeerLink {
                 shutdown: AtomicBool::new(false),
                 pool: BufPool::new(),
                 stats: telemetry.map(|t| LinkStats::new(t, peer_rank)),
+                readers: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -513,15 +518,20 @@ impl PeerLink {
 
     /// Install a live stream: prune what the peer already applied,
     /// retransmit the rest, and start a reader thread for this
-    /// connection generation.
+    /// connection generation. A link already shut down refuses the
+    /// stream.
     fn attach(&self, stream: TcpStream, peer_resume_from: u64) {
         let reader_stream = match stream.try_clone() {
             Ok(s) => s,
             Err(_) => return,
         };
+        let mut s = self.inner.send.lock().unwrap();
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
+        }
         let generation;
         {
-            let mut s = self.inner.send.lock().unwrap();
             if let Some(old) = s.stream.take() {
                 let _ = old.shutdown(Shutdown::Both);
             }
@@ -543,14 +553,17 @@ impl PeerLink {
             retransmit_locked(&self.inner, &mut s);
             self.inner.cv.notify_all();
         }
+        // Spawned and registered under the send lock, so a `shutdown`
+        // either finds the handle or made this attach refuse.
         let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
+        let reader = std::thread::Builder::new()
             .name(format!(
                 "sg-net-link-{}-{}",
                 self.inner.my_rank, self.inner.peer_rank
             ))
             .spawn(move || reader_loop(inner, reader_stream, generation))
             .expect("spawn link reader");
+        self.inner.readers.lock().unwrap().push(reader);
     }
 
     /// Send a sequenced frame; returns its seq. The frame is encoded
@@ -700,14 +713,26 @@ impl PeerLink {
         }
     }
 
-    /// Graceful shutdown: close the socket, wake fences, stop upkeep.
+    /// Graceful shutdown: close the socket, wake fences, stop upkeep, and
+    /// join every reader thread except the calling one. Once this
+    /// returns, the handler gets no further callback from this link.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        let mut s = self.inner.send.lock().unwrap();
-        if let Some(stream) = s.stream.take() {
-            let _ = stream.shutdown(Shutdown::Both);
+        {
+            let mut s = self.inner.send.lock().unwrap();
+            if let Some(stream) = s.stream.take() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            self.inner.cv.notify_all();
         }
-        self.inner.cv.notify_all();
+        let readers = std::mem::take(&mut *self.inner.readers.lock().unwrap());
+        let me = std::thread::current().id();
+        for reader in readers {
+            if reader.thread().id() != me {
+                // A reader's panic has already reported itself on stderr.
+                let _ = reader.join();
+            }
+        }
     }
 }
 
@@ -1192,6 +1217,93 @@ mod tests {
         a.flush_fence(1, Duration::from_secs(5)).unwrap();
         let batches = hb.batches.lock().unwrap();
         assert_eq!(batches.as_slice(), &[(0, vec![(7, 3, 42)])]);
+    }
+
+    /// A handler that parks inside its first batch until released.
+    struct ParkingHandler {
+        entered: Mutex<Option<std::sync::mpsc::Sender<()>>>,
+        release: Mutex<std::sync::mpsc::Receiver<()>>,
+        calls: AtomicU64,
+    }
+
+    impl PeerHandler for ParkingHandler {
+        fn on_batch(&self, _from: u32, _batch: BatchView<'_>) {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            if let Some(entered) = self.entered.lock().unwrap().take() {
+                entered.send(()).unwrap();
+                let _ = self.release.lock().unwrap().recv();
+            }
+        }
+    }
+
+    #[test]
+    fn shutdown_joins_every_reader() {
+        use std::sync::mpsc;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let hb = Arc::new(ParkingHandler {
+            entered: Mutex::new(Some(entered_tx)),
+            release: Mutex::new(release_rx),
+            calls: AtomicU64::new(0),
+        });
+        let a = PeerLink::new(
+            0,
+            1,
+            addr,
+            Arc::new(Clock::new()),
+            Arc::new(FaultInjector::none()),
+            CountingHandler::new() as Arc<dyn PeerHandler>,
+            None,
+        );
+        let b = PeerLink::new(
+            1,
+            0,
+            String::new(),
+            Arc::new(Clock::new()),
+            Arc::new(FaultInjector::none()),
+            hb.clone() as Arc<dyn PeerHandler>,
+            None,
+        );
+        let acceptor = {
+            let b = b.clone();
+            std::thread::spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let clock = Clock::new();
+                let (_rank, resume) =
+                    accept_handshake(&stream, &clock, 1, |_| b.recv_next()).unwrap();
+                b.accept(stream, resume).unwrap();
+            })
+        };
+        a.dial().expect("dial");
+        acceptor.join().unwrap();
+
+        // B's reader is inside the handler when B shuts down. (A ping
+        // submits the staged batch without waiting for its receipt.)
+        a.send(batch(&[(7, 3, 42)]));
+        a.send(Message::FlushPing { flush_seq: 1 });
+        entered_rx.recv().unwrap();
+        let (done_tx, done_rx) = mpsc::channel();
+        let closer = {
+            let b = b.clone();
+            std::thread::spawn(move || {
+                b.shutdown();
+                done_tx.send(()).unwrap();
+            })
+        };
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "shutdown returned while a reader was still in the handler"
+        );
+        release_tx.send(()).unwrap();
+        done_rx.recv().unwrap();
+        closer.join().unwrap();
+        // No reader of B is left: each would hold a reference to the link.
+        assert_eq!(Arc::strong_count(&b.inner), 1);
+        a.send(batch(&[(7, 3, 43)]));
+        a.shutdown();
+        assert_eq!(hb.calls.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -71,7 +71,8 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
 use sg_engine::store::{Envelope, InboxPair, StagingBuffers};
 use sg_engine::{
-    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Host, Model, VertexProgram, WireCodec,
+    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Host, Model, StoreGauges,
+    VertexProgram, WireCodec,
 };
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
@@ -212,6 +213,9 @@ struct WorkerTelemetry {
     uptime_ns: GaugeHandle,
     compute_ns: CounterHandle,
     lock_wait_ns: CounterHandle,
+    /// The serving store's `sg_store_*` gauges, set once per maintenance
+    /// tick.
+    store: StoreGauges,
 }
 
 impl WorkerTelemetry {
@@ -225,6 +229,7 @@ impl WorkerTelemetry {
             uptime_ns: t.gauge("sg_worker_uptime_ns", &[]),
             compute_ns: t.counter("sg_worker_compute_ns_total", &[]),
             lock_wait_ns: t.counter("sg_worker_lock_wait_ns_total", &[]),
+            store: StoreGauges::new(t),
             registry,
         }
     }
@@ -568,6 +573,7 @@ where
                     // Serving-plane GC: reclaim versions below the oldest
                     // pinned snapshot, off the compute path.
                     shared.serve.vstore.gc();
+                    shared.wtel.store.set(&shared.serve.vstore);
                     if let Ok(()) | Err(RecvTimeoutError::Disconnected) = stopped.recv_timeout(tick)
                     {
                         break;

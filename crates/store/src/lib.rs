@@ -14,13 +14,14 @@
 //!   whose *contiguous frontier* is advanced cooperatively (no waiting),
 //!   so the set of transactions below any frontier reading is always a
 //!   prefix of the commit order.
-//! * **Version chains** ([`VertexStore`]): per-vertex newest-first chains
-//!   in lock-striped slab shards (the PR-4 striped-slab discipline: a
-//!   vertex's chain lives in shard `v & 63`, nodes are slab-allocated and
-//!   recycled through a free list). Each version header carries `xmin`,
-//!   the creating XID; `xmax` is implicit — the chain is prepend-only, so
-//!   a version's overwriter is simply its successor toward the head, and
-//!   commit never touches a header.
+//! * **Version slots** ([`VertexStore`]): dense per-vertex slots in
+//!   lock-striped shards (vertex `v` lives in shard `v & 63`, slot
+//!   `v >> 6`). A slot holds the newest version and the one it superseded,
+//!   each with `xmin`, the creating XID; `xmax` is implicit — a version's
+//!   overwriter is the next newer one — and commit never touches a slot.
+//!   While no snapshot is open an install overwrites the superseded
+//!   version in place; while one is, older versions move onto a per-vertex
+//!   chain until GC finds them unreachable.
 //! * **Snapshots** ([`Snapshot`]): `read_ts` is the commit-log frontier
 //!   captured at open; a version is visible iff its `xmin` committed with
 //!   sequence ≤ `read_ts` (or is the bootstrap version, XID 0). Because
@@ -31,7 +32,8 @@
 //!   is the minimum open `read_ts` (or the current frontier when none are
 //!   open). A version is reclaimed once a newer version committed at or
 //!   below the horizon — every open and future snapshot resolves to the
-//!   newer one — and aborted versions are unlinked on sight.
+//!   newer one — and aborted versions go on sight. A pass visits only the
+//!   vertices written since the last one and the chained ones.
 //! * **Serving** ([`GraphReader`]): point lookups, k-hop neighborhoods,
 //!   and whole-graph snapshot views with stable checksums, usable from
 //!   any thread while an engine writes through the store.

@@ -348,3 +348,45 @@ fn json_rendering_matches_bench_artifact_schema() {
     // Sparse [index, count] bucket pairs: 2 → bucket 2, 1000 → bucket 10.
     assert!(json.contains("\"buckets\":[[2,1],[10,1]]"), "{json}");
 }
+
+// ------------------------------------------------------- store gauges
+
+/// The `sg_store_*` gauges, set once per barrier, scraped from an engine
+/// run while a serving snapshot stays open the whole time: the pinned
+/// horizon shows as an open snapshot, chained versions and a horizon lag
+/// equal to every commit of the run.
+#[test]
+fn store_gauges_scraped_from_a_run_holding_a_snapshot() {
+    use serigraph::prelude::*;
+    let g = Arc::new(gen::grid(8, 8));
+    let config = EngineConfig {
+        workers: 2,
+        model: Model::Async,
+        technique: TechniqueKind::PartitionLock,
+        obs: ObsConfig {
+            telemetry: true,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let engine = Engine::new(g, DeltaPageRank::new(1e-6), config).expect("engine");
+    let held = engine.reader().snapshot();
+    let initial = held.values();
+    let out = engine.run();
+    assert!(out.converged);
+    let snap = out.telemetry.expect("telemetry requested");
+    let gauge = |name: &str| match snap.get(name, &[]) {
+        Some(MetricValue::Gauge(x)) => *x,
+        other => panic!("{name}: {other:?}"),
+    };
+    let commits = gauge("sg_store_commits");
+    assert!(commits > 2 * 64, "every vertex ran more than twice");
+    assert_eq!(gauge("sg_store_open_snapshots"), 1);
+    // The snapshot opened at read_ts 0, so GC is held back by every commit.
+    assert_eq!(held.read_ts(), 0);
+    assert_eq!(gauge("sg_store_gc_horizon_lag"), commits);
+    let chained = gauge("sg_store_chained_versions");
+    assert!(chained > 0, "a pinned horizon chains superseded versions");
+    assert!(gauge("sg_store_live_versions") >= 64 + chained);
+    assert_eq!(held.values(), initial, "the held snapshot drifted");
+}
