@@ -22,14 +22,14 @@ if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'Vec<V
 echo "== one Theorem-1 checker: the live checker certifies commit order and keeps no serialization graph (no SerializationGraph, no reachability probe, no per-item last writer above #[cfg(test)]) =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'struct SerializationGraph|fn reaches|last_write'; then exit 1; fi
 
-echo "== the post-hoc checker stays linear: no per-vertex Vec<Vec< list in history.rs (serialization_graph's return type, the tests' oracle, aside); summarize reaches conflict_edges/topo_sort only through the acyclicity fallback =="
+echo "== the post-hoc checker stays linear: no per-vertex Vec<Vec< list in history.rs (serialization_graph's return type, the tests' oracle, aside); summarize, c1/c2 and the separation scan reach conflict_edges/topo_sort only through the acyclicity fallback, behind the separation certificate =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/history.rs | grep -n 'Vec<Vec<' | grep -v 'pub fn serialization_graph(&self, g: &Graph) -> Vec<Vec<TxnId>> {$'; then exit 1; fi
 body() { sed -n "/^    \(pub \)\?fn $1(/,/^    }$/p" crates/serial/src/history.rs; }
-for f in summarize c1_violations c2_violations commits_in_topological_order; do
+for f in summarize c1_violations c2_violations separation; do
     [ -n "$(body $f)" ] || { echo "no fn $f in history.rs"; exit 1; }
     if body $f | grep -nE 'conflict_edges|topo_sort|equivalent_serial_order|serialization_graph\(|is_one_copy_serializable'; then echo "in $f"; exit 1; fi
 done
-if body serialization_graph_acyclic | grep -E 'conflict_edges|topo_sort|equivalent_serial_order' | grep -v 'self\.commits_in_topological_order(g) || '; then exit 1; fi
+if body serialization_graph_acyclic | grep -E 'conflict_edges|topo_sort|equivalent_serial_order' | grep -v 'self\.separation(g)\.strict || '; then exit 1; fi
 
 echo "== a fork costs what a fork costs: flat fork table, counters batched per protocol call, ring pass vs fork move told apart by the unit =="
 if sed '/^#\[cfg(test)\]/,$d' crates/sync/src/chandy_misra.rs | grep -nE 'Vec<Vec<|metrics\.inc\('; then exit 1; fi
@@ -54,9 +54,10 @@ if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/store.rs | grep -niE 'struct Nod
 echo "== a committed vertex value costs a slot write: no per-version node type, node slab or free list in the MVCC store =="
 if sed '/^#\[cfg(test)\]/,$d' crates/store/src/store.rs | grep -niE 'struct Node<|slab|free list'; then exit 1; fi
 
-echo "== one C1 ledger, addressed by the sender: no in-CSR pair search, no sent/visible counter arrays in the recorder =="
+echo "== one C1 ledger, addressed by the sender: no in-CSR pair search, no sent/visible counter arrays in the recorder, no in-to-out map in the ledger (a begin reads its summary) =="
 if grep -rn 'in_edge_index' crates/*/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/recorder.rs | grep -nE '\b(sent|visible):'; then exit 1; fi
+if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/ledger.rs | grep -nE 'in_to_out|in_edge_base'; then exit 1; fi
 
 echo "== one barrier, one inbox pair: the engine and the simulator close a superstep in barrier.rs and keep BSP visibility in the inbox pair; sg-check models every technique =="
 for f in crates/engine/src/*.rs crates/sim/src/*.rs; do

@@ -100,26 +100,32 @@ impl History {
 
     /// Pairs of transactions on *neighboring* vertices whose execution
     /// intervals overlap — the witnesses that **condition C2** failed,
-    /// sorted.
-    ///
-    /// This is a post-hoc check over the full history. Every transaction's
-    /// interval is counting-sorted by vertex into one CSR of compact
-    /// `(start, end, id)` entries, each vertex's run ordered by start; then for every
-    /// undirected edge `{u, v}` of `g` the runs of `u` and `v` are
-    /// merge-scanned, reading sequential memory only.
+    /// sorted, as the acyclicity certificate's merge scan finds them.
     pub fn c2_violations(&self, g: &Graph) -> Vec<OverlapViolation> {
-        let runs = ByVertex::new(self, g, |txn, t| Interval {
-            start: t.start,
-            end: t.end,
-            txn,
-        });
+        self.separation(g).overlaps
+    }
 
-        let mut out = Vec::new();
+    /// The one post-hoc scan behind C2 and the acyclicity certificate.
+    ///
+    /// Every transaction's interval is counting-sorted by vertex into one
+    /// CSR of compact `(start, end, id)` entries, each vertex's run ordered
+    /// by start; then for every undirected edge `{u, v}` of `g` the runs of
+    /// `u` and `v` are merge-scanned, reading sequential memory only. The
+    /// scan lists the overlapping pairs (C2), and decides on the way
+    /// whether the history is *strictly separated*: every `start < end`,
+    /// each vertex's consecutive intervals `a.end < b.start`, and no
+    /// interval on an edge overlapping or touching one on the other end.
+    fn separation(&self, g: &Graph) -> Separation {
+        let runs = ByVertex::new(self, g);
+        let mut strict = runs.entries.iter().all(|t| t.start < t.end);
+
+        let mut overlaps = Vec::new();
         for u in g.vertices() {
             let us = runs.run(u);
             if us.is_empty() {
                 continue;
             }
+            strict &= us.windows(2).all(|w| w[0].end < w[1].start);
             // Each undirected pair once, so each overlapping pair once.
             for v in g.higher_neighbors(u) {
                 let vs = runs.run(v);
@@ -127,22 +133,29 @@ impl History {
                 for t in us {
                     // Starts ascend, so a v-interval that ends before this
                     // one starts ends before every later one starts too.
-                    while j < vs.len() && vs[j].end <= t.start {
+                    while j < vs.len() && vs[j].end < t.start {
                         j += 1;
                     }
-                    for w in vs[j..].iter().take_while(|w| w.start < t.end) {
-                        if t.start < w.end {
-                            out.push(OverlapViolation {
+                    for w in vs[j..].iter().take_while(|w| w.start <= t.end) {
+                        if t.start < w.end && w.start < t.end {
+                            overlaps.push(OverlapViolation {
                                 a: t.txn.min(w.txn) as TxnId,
                                 b: t.txn.max(w.txn) as TxnId,
                             });
+                        } else {
+                            // They touch: a shared stamp leaves their order
+                            // to the transaction order.
+                            strict = false;
                         }
                     }
                 }
             }
         }
-        out.sort_unstable_by_key(|v| (v.a, v.b));
-        out
+        overlaps.sort_unstable_by_key(|v| (v.a, v.b));
+        Separation {
+            strict: strict && overlaps.is_empty(),
+            overlaps,
+        }
     }
 
     /// Build the serialization graph (Bernstein et al.): one node per
@@ -250,49 +263,18 @@ impl History {
     /// conflict-serializable; combined with C1 (Lemma 1 collapses replicas
     /// to one logical copy) this certifies one-copy serializability.
     ///
-    /// Commit order is the certificate tried first: it needs no edge list
-    /// and no graph, and it holds for every history with unique stamps
-    /// that satisfies C2 and runs each vertex one execution at a time.
-    /// Only when it fails does the check fall back to Kahn's algorithm over
-    /// the full edge list, so the verdict stays exact whatever C2 says.
+    /// A strictly separated history (the merge scan behind C2) is the
+    /// certificate tried first. Every conflict joins two transactions on
+    /// one vertex or on two neighbours — an item is written by its own
+    /// vertex and read by that vertex and its out-edge neighbours — and
+    /// strict separation puts all of the earlier one's operations before
+    /// the later one's, so every edge runs forward in start order. That is
+    /// Theorem 1's own argument: with no neighbour overlap, commit order is
+    /// a serial order. Only when the certificate fails does the check fall
+    /// back to Kahn's algorithm over the full edge list, so the verdict
+    /// stays exact whatever C2 says.
     pub fn serialization_graph_acyclic(&self, g: &Graph) -> bool {
-        self.commits_in_topological_order(g) || self.equivalent_serial_order(g).is_some()
-    }
-
-    /// Does every serialization-graph edge run from an earlier commit to a
-    /// later one (ties by transaction id)? If so, commit order is a
-    /// topological order and the graph is acyclic.
-    ///
-    /// Of the three kinds of edge [`History::conflict_edges`] lists per
-    /// item, two run forward whenever every transaction ends after it
-    /// starts: `w -> r` (the write comes before the read, which comes
-    /// before the reader's commit) and `w1 -> w2` (the item's writes are its
-    /// own vertex's commits, dealt in that order). Only `r -> w`, from a
-    /// read to the item's next write, can point backward, and it does
-    /// exactly when the reader is still open as that write commits — a C2
-    /// violation or two overlapping executions of one vertex. So each read
-    /// looks up the item's next write by binary search over the item's
-    /// writes in commit order, and the whole test holds one entry per
-    /// transaction.
-    fn commits_in_topological_order(&self, g: &Graph) -> bool {
-        if self.txns.iter().any(|t| t.start >= t.end) {
-            return false;
-        }
-        // Per item, its writes — its own transactions' commits — as
-        // `(end, write op)`, in the order the item's operations are
-        // bucketed for the edge list: by stamp, then operation.
-        let writes = ByVertex::new(self, g, |txn, t| (t.end, txn << 1 | 1));
-        self.txns.iter().zip(0u32..).all(|(t, txn)| {
-            let read = (t.start, txn << 1);
-            let foreign = g.in_neighbors(t.vertex).iter().filter(|&&v| v != t.vertex);
-            std::iter::once(&t.vertex).chain(foreign).all(|&item| {
-                let run = writes.run(item);
-                match run.get(run.partition_point(|&w| w < read)) {
-                    Some(&(end, op)) => op == read.1 | 1 || t.end < end,
-                    None => true,
-                }
-            })
-        })
+        self.separation(g).strict || self.equivalent_serial_order(g).is_some()
     }
 
     /// The full Theorem 1 check: C1 holds, C2 holds, and the serialization
@@ -313,19 +295,27 @@ impl History {
     /// this history against `g`.
     pub fn summarize(&self, g: &Graph) -> HistorySummary {
         let c1 = self.c1_violations();
-        let c2 = self.c2_violations(g);
-        let acyclic = self.serialization_graph_acyclic(g);
+        let c2 = self.separation(g);
+        let acyclic = c2.strict || self.serialization_graph_acyclic(g);
         HistorySummary {
             transactions: self.len(),
             c1_violations: c1.len(),
-            c2_violations: c2.len(),
+            c2_violations: c2.overlaps.len(),
             serialization_graph_acyclic: acyclic,
-            one_copy_serializable: c1.is_empty() && c2.is_empty() && acyclic,
+            one_copy_serializable: c1.is_empty() && c2.overlaps.is_empty() && acyclic,
         }
     }
 }
 
-/// A transaction's interval and id, as the C2 merge scans read it.
+/// What [`History::separation`]'s scan finds.
+struct Separation {
+    /// C2's witnesses, sorted.
+    overlaps: Vec<OverlapViolation>,
+    /// Is the history strictly separated — the acyclicity certificate?
+    strict: bool,
+}
+
+/// A transaction's interval and id, as the C2 merge scan reads it.
 #[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 struct Interval {
     start: u64,
@@ -333,17 +323,17 @@ struct Interval {
     txn: u32,
 }
 
-/// One entry per transaction, counting-sorted by vertex into one CSR: the
-/// entries of vertex `v`'s transactions are `entries[offsets[v]..offsets[v
-/// + 1]]`, each run sorted.
-struct ByVertex<T> {
+/// One interval per transaction, counting-sorted by vertex into one CSR:
+/// the intervals of vertex `v`'s transactions are
+/// `entries[offsets[v]..offsets[v + 1]]`, each run sorted.
+struct ByVertex {
     offsets: Vec<usize>,
-    entries: Vec<T>,
+    entries: Vec<Interval>,
 }
 
-impl<T: Copy + Default + Ord> ByVertex<T> {
-    /// `entry(txn, record)` for every transaction of `h`, by vertex.
-    fn new(h: &History, g: &Graph, entry: impl Fn(u32, &TxnRecord) -> T) -> Self {
+impl ByVertex {
+    /// Every transaction of `h`, by vertex.
+    fn new(h: &History, g: &Graph) -> Self {
         assert!(
             h.txns.len() <= (u32::MAX >> 1) as usize,
             "history too long for 31-bit transaction ids"
@@ -356,10 +346,14 @@ impl<T: Copy + Default + Ord> ByVertex<T> {
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        let mut entries = vec![T::default(); h.txns.len()];
+        let mut entries = vec![Interval::default(); h.txns.len()];
         let mut cursor = offsets[..n].to_vec();
         for (t, txn) in h.txns.iter().zip(0u32..) {
-            entries[cursor[t.vertex.index()]] = entry(txn, t);
+            entries[cursor[t.vertex.index()]] = Interval {
+                start: t.start,
+                end: t.end,
+                txn,
+            };
             cursor[t.vertex.index()] += 1;
         }
         for run in offsets.windows(2) {
@@ -368,7 +362,7 @@ impl<T: Copy + Default + Ord> ByVertex<T> {
         Self { offsets, entries }
     }
 
-    fn run(&self, v: VertexId) -> &[T] {
+    fn run(&self, v: VertexId) -> &[Interval] {
         &self.entries[self.offsets[v.index()]..self.offsets[v.index() + 1]]
     }
 }
@@ -643,7 +637,7 @@ mod tests {
             let h = History::new(txns);
             assert!(h.is_one_copy_serializable(&g), "seed {seed} failed");
             // Decided by the certificate, not the fallback.
-            assert!(h.commits_in_topological_order(&g), "seed {seed}");
+            assert!(h.separation(&g).strict, "seed {seed}");
         }
     }
 
@@ -656,12 +650,12 @@ mod tests {
         // commits at 3), and nothing orders T1 before T0: acyclic.
         let g = Graph::from_edges(2, &[(1, 0)]);
         let h = History::new(vec![txn(0, 0, 3), txn(1, 1, 2)]);
-        assert!(!h.commits_in_topological_order(&g));
+        assert!(!h.separation(&g).strict);
         assert!(h.serialization_graph_acyclic(&g));
         assert_eq!(h.equivalent_serial_order(&g), Some(vec![0, 1]));
         // Both ways: T1 also reads v0 at 1 before T0 writes it at 3.
         let g = two_clique();
-        assert!(!h.commits_in_topological_order(&g));
+        assert!(!h.separation(&g).strict);
         assert!(!h.serialization_graph_acyclic(&g));
     }
 
@@ -671,13 +665,121 @@ mod tests {
     fn degenerate_stamps_void_the_certificate() {
         let g = two_clique();
         let tied = History::new(vec![txn(0, 0, 2), txn(0, 1, 2)]);
-        assert!(!tied.commits_in_topological_order(&g));
+        assert!(!tied.separation(&g).strict);
         assert_eq!(
             tied.serialization_graph_acyclic(&g),
             tied.equivalent_serial_order(&g).is_some()
         );
         let empty = History::new(vec![txn(0, 1, 1)]);
-        assert!(!empty.commits_in_topological_order(&g));
+        assert!(!empty.separation(&g).strict);
         assert!(empty.serialization_graph_acyclic(&g));
+    }
+
+    /// Two neighbours' intervals that touch at a shared stamp pass C2
+    /// (half-open intervals) yet can close a cycle: the tie leaves the
+    /// later transaction's read ahead of the earlier one's write. So the
+    /// certificate must refuse touching intervals and let Kahn decide.
+    #[test]
+    fn touching_neighbours_fall_back_and_can_cycle() {
+        let g = two_clique();
+        // T(v1) = [3, 5) listed first, T(v0) = [1, 3): at stamp 3, T(v1)
+        // reads v0 before T(v0) writes it, and T(v0) read v1 at 1.
+        let h = History::new(vec![txn(1, 3, 5), txn(0, 1, 3)]);
+        assert!(h.c2_violations(&g).is_empty());
+        assert!(!h.separation(&g).strict);
+        assert_eq!(h.equivalent_serial_order(&g), None);
+        let s = h.summarize(&g);
+        assert!(!s.serialization_graph_acyclic && !s.one_copy_serializable);
+        // Listed the other way round, the tie orders the write first.
+        let h = History::new(vec![txn(0, 1, 3), txn(1, 3, 5)]);
+        assert!(!h.separation(&g).strict);
+        assert!(h.summarize(&g).one_copy_serializable);
+    }
+
+    /// Differential test of the certificate: over seeded random histories
+    /// on small directed and undirected graphs — touching intervals, equal
+    /// stamps, `start == end`, same-vertex overlaps and one-way edges
+    /// included — `summarize`'s acyclicity verdict is Kahn's, and a
+    /// strictly separated history is never cyclic. Where the live checker
+    /// accepts the history (every stamp unique, each vertex's intervals
+    /// disjoint), its summary is the batch one.
+    #[test]
+    fn certificate_agrees_with_kahn_and_the_live_checker() {
+        use crate::incremental::{IncrementalChecker, StampedTxn};
+        use sg_graph::SplitMix64;
+        use std::sync::Arc;
+        let graphs = [
+            ("ring-5", gen::ring(5)),
+            ("complete-4", gen::complete(4)),
+            (
+                "one-way",
+                Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 3), (3, 4), (3, 4), (4, 1)]),
+            ),
+        ];
+        for (name, g) in graphs {
+            let g = Arc::new(g);
+            let n = u64::from(g.num_vertices());
+            let (mut strict, mut kahn_acyclic, mut cyclic, mut live) = (0, 0, 0, 0);
+            for seed in 0..400u64 {
+                let mut rng = SplitMix64::new(seed);
+                let len = 1 + rng.gen_index(7);
+                let mut cursor = 0u64;
+                let txns: Vec<TxnRecord> = (0..len)
+                    .map(|_| {
+                        let vertex = rng.gen_range(n) as u32;
+                        let (start, end) = if seed % 2 == 0 {
+                            // Walk on: gaps of -1 (overlap), 0 (touch), 1, 2.
+                            let start = (cursor + rng.gen_range(4)).saturating_sub(1);
+                            (start, start + rng.gen_range(3))
+                        } else {
+                            // Anywhere in a short window: ties abound.
+                            let (a, b) = (rng.gen_range(10), rng.gen_range(10));
+                            (a.min(b), a.max(b))
+                        };
+                        cursor = end;
+                        txn(vertex, start, end)
+                    })
+                    .collect();
+                let h = History::new(txns);
+                let what = format!("{name} seed {seed}: {:?}", h.txns());
+                let kahn = h.equivalent_serial_order(&g).is_some();
+                let summary = h.summarize(&g);
+                assert_eq!(summary.serialization_graph_acyclic, kahn, "{what}");
+                assert_eq!(h.serialization_graph_acyclic(&g), kahn, "{what}");
+                if h.separation(&g).strict {
+                    assert!(kahn, "{what}");
+                    strict += 1;
+                } else if kahn {
+                    kahn_acyclic += 1;
+                } else {
+                    cyclic += 1;
+                }
+
+                let mut stamps: Vec<u64> = h.txns().iter().flat_map(|t| [t.start, t.end]).collect();
+                stamps.sort_unstable();
+                stamps.dedup();
+                let unique = stamps.len() == 2 * h.len();
+                let txns = h.txns();
+                let disjoint = txns.iter().enumerate().all(|(i, a)| {
+                    txns[..i]
+                        .iter()
+                        .all(|b| a.vertex != b.vertex || !a.overlaps(b))
+                });
+                if unique && disjoint && txns.iter().all(|t| t.start < t.end) {
+                    let mut c = IncrementalChecker::new(Arc::clone(&g));
+                    for t in h.txns() {
+                        c.observe(StampedTxn::from(t)).unwrap();
+                    }
+                    c.finish();
+                    assert_eq!(c.summary(), summary, "{what}");
+                    live += 1;
+                }
+            }
+            assert!(
+                strict > 20 && kahn_acyclic > 20 && cyclic > 20 && live > 20,
+                "{name}: {strict} certified, {kahn_acyclic} acyclic by Kahn, \
+                 {cyclic} cyclic, {live} checked live"
+            );
+        }
     }
 }

@@ -16,15 +16,15 @@
 //!   ([`History::c1_violations`]), C2 ([`History::c2_violations`] — a
 //!   post-hoc interval-overlap test over every edge), and full
 //!   conflict-serializability ([`History::serialization_graph_acyclic`] —
-//!   commit order as the certificate, cycle detection over the explicit
-//!   serialization graph as the fallback).
+//!   strict separation, read off the C2 scan, as the certificate, cycle
+//!   detection over the explicit serialization graph as the fallback).
 //! * [`IncrementalChecker`] — the same verdicts while a run is going,
 //!   over a watermark-ordered feed: the commit-order certificate checked
 //!   at each commit, and [`History`]'s acyclicity check as its fallback.
 //! * [`Recorder`] — a concurrent instrument the engines attach to record
 //!   live executions: logical start/end timestamps per transaction,
-//!   per-pair counts of messages in flight (the freshness test), and
-//!   eager neighbor-concurrency detection.
+//!   per-pair counts of messages in flight with a per-receiver summary
+//!   (the freshness test, one load while C1 holds).
 //!
 //! The integration tests validate Theorem 1 empirically in both directions:
 //! runs under any synchronization technique yield histories where C1 ∧ C2

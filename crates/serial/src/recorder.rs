@@ -15,25 +15,26 @@
 //!
 //! Recording costs one binary search over the *sender's* out-run — the
 //! adjacency its `compute` has just walked — plus one atomic add or sub
-//! per message event, into the sender's own contiguous run of counters
-//! (the shared C1 ledger, `ledger.rs`). An execution adds one gathered
-//! pass of atomic loads over its in-edge range. `sg-perf`'s
+//! per message event, into the sender's own contiguous run of counters,
+//! and a second RMW on the receiver's summary when that moves the pair
+//! on or off zero (the shared C1 ledger, `ledger.rs`). An execution adds
+//! one load of its own summary, and walks its in-neighbours only when
+//! the summary is non-zero — when C1 may fail. `sg-perf`'s
 //! `coloring-dtoken-audited` workload prices it end to end on every
-//! benchmark run (`sg-serial.record_ns_per_txn`, `record_overhead_x`):
-//! about 1.9x an unrecorded colouring run at ~13 reads per transaction
-//! (EXPERIMENTS.md, "What recording costs").
+//! benchmark run (`sg-serial.record_ns_per_txn`, `record_overhead_x`;
+//! EXPERIMENTS.md, "What recording costs" and "C1 from one counter").
 
 use crate::history::{History, TxnRecord};
 use crate::incremental::StampedTxn;
-use crate::ledger::{pair_slot, Ledger};
+use crate::ledger::{Ledger, DELIVER, SEND};
 use sg_graph::{Graph, VertexId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
-/// Concurrent execution recorder: one `|E|`-sized counter array plus one
-/// [`TxnRecord`] per execution. Attach via the engines' `record_history`
-/// option.
+/// Concurrent execution recorder: one `|E|`-sized counter array, one
+/// summary per vertex, plus one [`TxnRecord`] per execution. Attach via
+/// the engines' `record_history` option.
 pub struct Recorder {
     graph: Arc<Graph>,
     clock: AtomicU64,
@@ -43,7 +44,8 @@ pub struct Recorder {
     /// never overtakes a transaction it has not yet handed out.
     executing_since: Vec<AtomicU64>,
     /// Messages handed to the system but not yet readable, per directed
-    /// pair: a send adds one, a delivery takes one away (wrapping).
+    /// pair: a send adds one, a delivery takes one away (wrapping); and per
+    /// receiver, how many of its in-pairs are non-zero.
     ledger: Ledger,
     txns: Mutex<Vec<TxnRecord>>,
     /// Fired from [`Recorder::end`] once the finished record has landed —
@@ -90,16 +92,15 @@ impl Recorder {
 
     /// Vertex `from` handed a message for `to` to the system.
     pub fn on_send(&self, from: VertexId, to: VertexId) {
-        if let Some(i) = pair_slot(&self.graph, from, to) {
-            self.ledger.in_flight[i].fetch_add(1, Ordering::SeqCst);
-        }
+        self.ledger.add(&self.graph, from, to, SEND);
     }
 
-    /// A message from `from` became readable by `to`.
+    /// A message from `from` became readable by `to`. Call it only after
+    /// the message's [`Recorder::on_send`] has returned (or, for a
+    /// delivery counted ahead of its send, before that send starts): the
+    /// per-receiver summary relies on it (`ledger.rs`).
     pub fn on_visible(&self, from: VertexId, to: VertexId) {
-        if let Some(i) = pair_slot(&self.graph, from, to) {
-            self.ledger.in_flight[i].fetch_sub(1, Ordering::SeqCst);
-        }
+        self.ledger.add(&self.graph, from, to, DELIVER);
     }
 
     /// Vertex `u` begins executing. Performs the C1 freshness test.

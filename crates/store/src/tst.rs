@@ -57,48 +57,56 @@ const STATE_MASK: u64 = 0b11;
 const COMMITTED: u64 = 1;
 const ABORTED: u64 = 2;
 
-/// Slots per chunk; chunks are allocated on first touch so idle tables
-/// cost two pointer arrays.
-const CHUNK: usize = 1 << 12;
-/// Maximum chunks (capacity `CHUNK * MAX_CHUNKS` transactions — far above
-/// any run this system executes; exceeding it is a panic, not UB).
-const MAX_CHUNKS: usize = 1 << 14;
+/// Slots per chunk. Chunks, and the directory segments that hold them,
+/// are allocated on first touch, so an idle table costs one array of
+/// `SEGMENTS` empty cells and a touched one a chunk per `CHUNK` slots.
+const CHUNK: usize = 1 << 10;
+/// Chunks per directory segment.
+const SEGMENT: usize = 1 << 8;
+/// Directory segments (capacity `CHUNK * SEGMENT * SEGMENTS` = 2^26
+/// transactions — far above any run this system executes; exceeding it is
+/// a panic, not UB).
+const SEGMENTS: usize = 1 << 8;
 
-/// A grow-only chunked array of atomic words, indexable without locks.
+type Chunk = Box<[AtomicU64]>;
+
+/// A grow-only chunked array of atomic words, indexable without locks: a
+/// two-level directory, both levels filled on demand.
 struct Chunked {
-    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    segments: [OnceLock<Box<[OnceLock<Chunk>]>>; SEGMENTS],
 }
 
 impl Chunked {
     fn new() -> Self {
-        let mut v = Vec::with_capacity(MAX_CHUNKS);
-        v.resize_with(MAX_CHUNKS, OnceLock::new);
         Self {
-            chunks: v.into_boxed_slice(),
+            segments: std::array::from_fn(|_| OnceLock::new()),
         }
+    }
+
+    /// `(segment, chunk within it, slot within that)` of index `i`.
+    #[inline]
+    fn split(i: u64) -> (usize, usize, usize) {
+        let i = i as usize;
+        (i / CHUNK / SEGMENT, i / CHUNK % SEGMENT, i % CHUNK)
     }
 
     #[inline]
     fn slot(&self, i: u64) -> &AtomicU64 {
-        let chunk = (i as usize) / CHUNK;
-        assert!(
-            chunk < MAX_CHUNKS,
-            "transaction-status table capacity exceeded"
-        );
-        let c = self.chunks[chunk].get_or_init(|| {
-            let mut v = Vec::with_capacity(CHUNK);
-            v.resize_with(CHUNK, || AtomicU64::new(0));
-            v.into_boxed_slice()
-        });
-        &c[(i as usize) % CHUNK]
+        let (s, c, k) = Self::split(i);
+        assert!(s < SEGMENTS, "transaction-status table capacity exceeded");
+        let segment =
+            self.segments[s].get_or_init(|| (0..SEGMENT).map(|_| OnceLock::new()).collect());
+        let chunk = segment[c].get_or_init(|| (0..CHUNK).map(|_| AtomicU64::new(0)).collect());
+        &chunk[k]
     }
 
     /// Read without allocating: 0 for never-touched slots.
     #[inline]
     fn load(&self, i: u64) -> u64 {
-        let chunk = (i as usize) / CHUNK;
-        match self.chunks.get(chunk).and_then(OnceLock::get) {
-            Some(c) => c[(i as usize) % CHUNK].load(Ordering::Acquire),
+        let (s, c, k) = Self::split(i);
+        let chunk = self.segments.get(s).and_then(OnceLock::get);
+        match chunk.and_then(|segment| segment[c].get()) {
+            Some(chunk) => chunk[k].load(Ordering::Acquire),
             None => 0,
         }
     }
@@ -417,6 +425,39 @@ mod tests {
             // Both committed: the final frontier covers both.
             assert_eq!(t.read_ts(), 2);
         }
+    }
+
+    /// The directory fills on demand: slots on either side of a chunk and
+    /// a segment boundary, and the last one, keep what was stored; a slot
+    /// never touched reads 0 without allocating; one past the capacity
+    /// panics.
+    #[test]
+    fn chunk_directory_grows_on_demand() {
+        let c = Chunked::new();
+        let capacity = (CHUNK * SEGMENT * SEGMENTS) as u64;
+        let probes = [
+            0,
+            CHUNK as u64 - 1,
+            CHUNK as u64,
+            (CHUNK * SEGMENT) as u64 - 1,
+            (CHUNK * SEGMENT) as u64,
+            capacity - 1,
+        ];
+        for (value, &i) in (1u64..).zip(&probes) {
+            assert_eq!(c.load(i), 0);
+            c.slot(i).store(value, Ordering::Release);
+        }
+        for (value, &i) in (1u64..).zip(&probes) {
+            assert_eq!(c.load(i), value, "slot {i}");
+        }
+        assert_eq!(c.load(2 * CHUNK as u64), 0);
+        assert_eq!(c.load(2 * (CHUNK * SEGMENT) as u64), 0);
+        assert!(c.segments[2].get().is_none(), "a read allocated a segment");
+        assert_eq!(c.load(capacity), 0);
+        let past = std::panic::catch_unwind(|| {
+            c.slot(capacity);
+        });
+        assert!(past.is_err(), "slot past the capacity");
     }
 
     #[test]
