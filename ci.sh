@@ -16,6 +16,13 @@ hosts="crates/engine/src crates/net/src crates/sim/src crates/check/src"
 if grep -rnE 'vertex_allowed\(|unit_skippable\(' $hosts; then exit 1; fi
 if grep -rnE 'enum (NetAction|TransportEvent|CheckTechnique)' crates | grep -v '^crates/sync/src/transport.rs:'; then exit 1; fi
 
+echo "== one vertex state: only cycle.rs drains an inbox, lends a value or delivers locally (no fn drain(, value_mut( or send_local( above #[cfg(test)] in crates/{engine,sim,net}/src, PartitionStore::drain and Context::value_mut aside); the networked worker keeps no whole-graph halt vector =="
+for f in crates/engine/src/*.rs crates/sim/src/*.rs crates/net/src/*.rs; do
+    [ "$f" = crates/engine/src/cycle.rs ] && continue
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'fn (drain|value_mut|send_local)\(' | grep -vF -e 'pub fn drain(&self, local: usize) -> Vec<Envelope<M>> {' -e 'pub fn value_mut(&mut self) -> &mut P::Value {'; then echo "in $f"; exit 1; fi
+done
+if sed '/^#\[cfg(test)\]/,$d' crates/net/src/worker.rs | grep -n 'halted: Vec<bool>'; then exit 1; fi
+
 echo "== the incremental checker stays linear: no nested-Vec adjacency, no membership scan (tests below #[cfg(test)] may) =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'Vec<Vec<|\.contains\('; then exit 1; fi
 

@@ -1,60 +1,49 @@
 //! The transaction half of the superstep cycle: one vertex execution,
-//! start to finish, written once for every host.
+//! start to finish, written once for every host, on the one vertex state
+//! every host keeps — a [`PartitionData`] per partition.
 //!
 //! [`sg_sync::PartitionWalk`] decides *which* vertex runs next and under
 //! which unit; [`Cycle::run_vertex`] is what running it means, in the
 //! order conditions C1 and C2 lean on:
 //!
-//! 1. **drain** the vertex's inbox (the reads the transaction makes);
+//! 1. **drain** the vertex's inbox in the run's [`InboxPair`] (the reads
+//!    the transaction makes);
 //! 2. **open** the record — the in-process [`Recorder`]'s and the host's;
-//! 3. call the program's `compute` — the only call site in the engine,
-//!    the networked worker and the simulator;
-//! 4. **commit** the halt vote and the new value;
-//! 5. record and route each outgoing message, in send order, to the
-//!    host's local or remote path — remote messages are *staged* here,
+//! 3. call the program's `compute` on the partition's value, in place —
+//!    the only call site in the engine, the networked worker and the
+//!    simulator;
+//! 4. store the halt vote in the partition and **publish** the new value;
+//! 5. record and route each outgoing message, in send order: one for the
+//!    executing worker lands in the [`InboxPair`] at once, one for another
+//!    worker goes to the host's remote path — where it is *staged*,
 //!    before the walk's `Release`, so the release-triggered write-all
-//!    finds them (C1);
+//!    finds it (C1);
 //! 6. **close** the record and count the execution.
 //!
-//! What differs per host — where inboxes and values live, how a message
-//! reaches another worker — sits behind the [`Host`] hooks; `run_vertex`
-//! is generic over them (monomorphised, no dynamic dispatch per vertex).
+//! What differs per host — what publishing a value means, how a message
+//! reaches another worker, a record of its own — sits behind the four
+//! [`Host`] hooks; `run_vertex` is generic over them (monomorphised, no
+//! dynamic dispatch per vertex).
 
 use crate::aggregators::AggregatorSet;
 use crate::context::Context;
-use crate::program::VertexProgram;
-use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
+use crate::program::{Combiner, VertexProgram};
+use crate::state::PartitionData;
+use crate::store::{Envelope, InboxPair};
+use sg_graph::{Graph, PartitionMap, VertexId};
 use sg_metrics::{Counter, Metrics, Trace};
 use sg_serial::Recorder;
 
 /// The IO one vertex transaction needs from its host. Hooks are called in
-/// the module header's order, all for the same vertex `v`, the `local`-th
-/// of the partition being walked.
+/// the module header's order, all for the same vertex.
 pub trait Host<P: VertexProgram> {
-    /// Move the vertex's queued messages into `into` (empty on entry), in
-    /// arrival order.
-    fn drain(&mut self, local: usize, v: VertexId, into: &mut Vec<P::Message>);
-
     /// Open the host's own record, if it keeps one (Lamport stamps):
     /// after the drain, so it orders after every write about to be read.
     fn open(&mut self, _v: VertexId) {}
 
-    /// The vertex's value, for `compute` to mutate in place.
-    fn value_mut(&mut self, local: usize, v: VertexId) -> &mut P::Value;
-
-    /// Store the halt vote and publish the value `compute` left behind.
-    fn commit(&mut self, local: usize, v: VertexId, halt: bool);
-
-    /// Deliver to a vertex of the executing worker: visible at once.
-    /// `slot` is `to`'s `PartitionMap::slot_of`, which routing the message
-    /// already looked up.
-    fn send_local(
-        &mut self,
-        from: VertexId,
-        to: VertexId,
-        slot: (PartitionId, u32),
-        msg: P::Message,
-    );
+    /// Publish the `local`-th vertex of `data` as `compute` left it: its
+    /// value, its halt vote already stored.
+    fn publish(&mut self, _data: &PartitionData<P::Value>, _local: usize) {}
 
     /// Stage for `to_worker`: visible there after the host's next flush,
     /// which must precede any handover of the executing unit.
@@ -70,6 +59,11 @@ pub struct Env<'a, P: VertexProgram> {
     pub program: &'a P,
     pub graph: &'a Graph,
     pub pm: &'a PartitionMap,
+    /// The inboxes of the partitions the cycle runs: the drain reads
+    /// them, a send to the executing worker lands in them.
+    pub inboxes: &'a InboxPair<P::Message>,
+    /// The program's combiner, where a local send lands.
+    pub combiner: Option<&'a dyn Combiner<P::Message>>,
     pub aggregators: &'a AggregatorSet,
     /// Sink for the program's `trace_marker` annotations.
     pub trace: &'a Trace,
@@ -78,11 +72,23 @@ pub struct Env<'a, P: VertexProgram> {
     pub metrics: &'a Metrics,
 }
 
+/// What one execution moved, for its host to charge and trace.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Executed {
+    /// Messages the vertex read.
+    pub consumed: u64,
+    /// Messages it sent.
+    pub sent: u64,
+    /// Of those, the ones that landed on its own worker.
+    pub local: u64,
+}
+
 /// The vertex transaction, plus the scratch buffers it reuses: one per
 /// compute lane, alive for the whole run, so steady-state executions
 /// allocate nothing here.
 pub struct Cycle<'a, P: VertexProgram> {
     env: Env<'a, P>,
+    envelopes: Vec<Envelope<P::Message>>,
     messages: Vec<P::Message>,
     outgoing: Vec<(VertexId, P::Message)>,
 }
@@ -92,27 +98,31 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
     pub fn new(env: Env<'a, P>) -> Self {
         Self {
             env,
+            envelopes: Vec::new(),
             messages: Vec::new(),
             outgoing: Vec::new(),
         }
     }
 
-    /// Execute vertex `v` on `worker` in `superstep` as one transaction
-    /// against `host`; `clock_ns` is the executing lane's clock on entry,
-    /// on the host's own clock. Returns `(messages consumed, messages
-    /// sent)` for the host to charge and trace.
+    /// Execute the `local`-th vertex of `data` on `worker` in `superstep`
+    /// as one transaction, with `host` for its IO; `clock_ns` is the
+    /// executing lane's clock on entry, on the host's own clock.
     pub fn run_vertex<H: Host<P>>(
         &mut self,
         host: &mut H,
+        data: &mut PartitionData<P::Value>,
         superstep: u64,
         worker: u32,
         clock_ns: u64,
         local: usize,
-        v: VertexId,
-    ) -> (u64, u64) {
+    ) -> Executed {
         let env = &self.env;
+        let v = data.vertices[local];
+        let store = &env.inboxes.current()[data.partition().index()];
+        store.drain_into(local, &mut self.envelopes);
         self.messages.clear();
-        host.drain(local, v, &mut self.messages);
+        self.messages
+            .extend(self.envelopes.drain(..).map(|(_, m)| m));
         let guard = env.recorder.map(|r| r.begin(v));
         host.open(v);
         let mut ctx = Context::<P>::external(
@@ -120,7 +130,7 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
             superstep,
             worker,
             env.graph,
-            host.value_mut(local, v),
+            &mut data.values[local],
             &mut self.outgoing,
             env.aggregators,
             env.trace,
@@ -128,9 +138,10 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
         );
         env.program.compute(&mut ctx, &self.messages);
         let halt = ctx.halted();
-        host.commit(local, v, halt);
+        data.set_halted(local, halt);
+        host.publish(data, local);
 
-        let n_out = self.outgoing.len() as u64;
+        let sent = self.outgoing.len() as u64;
         let mut n_local = 0u64;
         let layout = env.pm.layout();
         for (to, msg) in self.outgoing.drain(..) {
@@ -143,7 +154,7 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
             let to_worker = layout.worker_of_partition(slot.0).raw();
             if to_worker == worker {
                 n_local += 1;
-                host.send_local(v, to, slot, msg);
+                env.inboxes.deliver(v, to, slot, msg, env.combiner);
             } else {
                 host.send_remote(to_worker, v, to, msg);
             }
@@ -153,20 +164,25 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
             r.end(g);
         }
 
-        if n_out > 0 {
+        if sent > 0 {
             env.metrics.add(Counter::LocalMessages, n_local);
-            env.metrics.add(Counter::RemoteMessages, n_out - n_local);
+            env.metrics.add(Counter::RemoteMessages, sent - n_local);
         }
         env.metrics.inc(Counter::VertexExecutions);
-        (self.messages.len() as u64, n_out)
+        Executed {
+            consumed: self.messages.len() as u64,
+            sent,
+            local: n_local,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Model;
     use sg_graph::partition::ExplicitPartitioner;
-    use sg_graph::{gen, ClusterLayout};
+    use sg_graph::{gen, ClusterLayout, PartitionId};
     use std::sync::Arc;
 
     /// Sums its mail into its value, then writes to 3, 1, 2, 0 in that
@@ -189,51 +205,42 @@ mod tests {
         }
     }
 
+    /// Each hook as the host saw it, with the envelopes then queued in
+    /// partition 0 — worker 0's only partition, the one being walked.
     #[derive(Debug, PartialEq)]
     enum Call {
-        Drain(usize, u32),
-        Open(u32),
-        Value(usize, u32),
-        Commit(usize, u32, bool, u64),
-        Local(u32, u32, u64),
-        Remote(u32, u32, u32, u64),
-        Close(u32),
+        Open(u32, usize),
+        Publish(u32, bool, u64),
+        Remote(u32, u32, u32, u64, usize),
+        Close(u32, usize),
     }
 
-    #[derive(Default)]
-    struct Fake {
-        value: u64,
+    struct Fake<'a> {
+        inboxes: &'a InboxPair<u64>,
         calls: Vec<Call>,
     }
 
-    impl Host<Scatter> for Fake {
-        fn drain(&mut self, local: usize, v: VertexId, into: &mut Vec<u64>) {
-            assert!(into.is_empty());
-            into.extend([5, 6]);
-            self.calls.push(Call::Drain(local, v.raw()));
+    impl Fake<'_> {
+        fn queued(&self) -> usize {
+            self.inboxes.current()[0].total()
         }
+    }
+
+    impl Host<Scatter> for Fake<'_> {
         fn open(&mut self, v: VertexId) {
-            self.calls.push(Call::Open(v.raw()));
+            self.calls.push(Call::Open(v.raw(), self.queued()));
         }
-        fn value_mut(&mut self, local: usize, v: VertexId) -> &mut u64 {
-            self.calls.push(Call::Value(local, v.raw()));
-            &mut self.value
-        }
-        fn commit(&mut self, local: usize, v: VertexId, halt: bool) {
-            self.calls
-                .push(Call::Commit(local, v.raw(), halt, self.value));
-        }
-        fn send_local(&mut self, from: VertexId, to: VertexId, slot: (PartitionId, u32), msg: u64) {
-            // W0 = {v0, v2} is partition 0: v0 its 0th vertex, v2 its 1st.
-            assert_eq!(slot, (PartitionId::new(0), to.raw() / 2));
-            self.calls.push(Call::Local(from.raw(), to.raw(), msg));
+        fn publish(&mut self, data: &PartitionData<u64>, local: usize) {
+            let v = data.vertices[local].raw();
+            let call = Call::Publish(v, data.halted(local), data.values[local]);
+            self.calls.push(call);
         }
         fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: u64) {
-            self.calls
-                .push(Call::Remote(to_worker, from.raw(), to.raw(), msg));
+            let call = Call::Remote(to_worker, from.raw(), to.raw(), msg, self.queued());
+            self.calls.push(call);
         }
         fn close(&mut self, v: VertexId) {
-            self.calls.push(Call::Close(v.raw()));
+            self.calls.push(Call::Close(v.raw(), self.queued()));
         }
     }
 
@@ -248,38 +255,62 @@ mod tests {
             &ExplicitPartitioner(parts),
         );
         let (metrics, aggs, trace) = (Metrics::new(), AggregatorSet::new(), Trace::disabled());
-        let recorder = Recorder::new(Arc::new(graph.clone()));
-        let mut host = Fake::default();
+        let recorder = Arc::new(Recorder::new(Arc::new(graph.clone())));
+        let inboxes = InboxPair::new(&pm, Model::Async, Some(Arc::clone(&recorder)), None);
+        let mut data = PartitionData::init(&Scatter, &graph, &pm, PartitionId::new(0));
+        // Vertex 2 (partition 0's 1st) has mail from its neighbours 3 and 0.
+        let v2 = VertexId::new(2);
+        for (from, msg) in [(3, 5), (0, 6)] {
+            let from = VertexId::new(from);
+            recorder.on_send(from, v2);
+            inboxes.deliver(from, v2, pm.slot_of(v2), msg, None);
+        }
+        let mut host = Fake {
+            inboxes: &inboxes,
+            calls: Vec::new(),
+        };
         let mut cycle = Cycle::new(Env {
             program: &Scatter,
             graph: &graph,
             pm: &pm,
+            inboxes: &inboxes,
+            combiner: None,
             aggregators: &aggs,
             trace: &trace,
             recorder: Some(&recorder),
             metrics: &metrics,
         });
-        let counts = cycle.run_vertex(&mut host, 7, 0, 1234, 1, VertexId::new(2));
-        assert_eq!(counts, (2, 4));
+        let ran = cycle.run_vertex(&mut host, &mut data, 7, 0, 1234, 1);
+        let counts = Executed {
+            consumed: 2,
+            sent: 4,
+            local: 2,
+        };
+        assert_eq!(ran, counts);
         assert_eq!(
             host.calls,
             [
-                Call::Drain(1, 2),
-                Call::Open(2),
-                Call::Value(1, 2),
-                // compute ran between the two: 5 + 6 stored, halt voted.
-                Call::Commit(1, 2, true, 11),
-                Call::Remote(1, 2, 3, 30),
-                Call::Remote(1, 2, 1, 10),
-                Call::Local(2, 2, 20),
-                Call::Local(2, 0, 0),
-                Call::Close(2),
+                // Drained before the record opens.
+                Call::Open(2, 0),
+                // compute ran: 5 + 6 stored, the halt vote with it.
+                Call::Publish(2, true, 11),
+                // Routed in send order: the two local sends land in the
+                // inbox pair between the remote ones and the close.
+                Call::Remote(1, 2, 3, 30, 0),
+                Call::Remote(1, 2, 1, 10, 0),
+                Call::Close(2, 2),
             ]
         );
+        // The local sends: to vertex 2 itself (local 1) and to vertex 0.
+        let store = &inboxes.current()[0];
+        assert_eq!(store.drain(0), [(v2, 0)]);
+        assert_eq!(store.drain(1), [(v2, 20)]);
+        assert_eq!(data.values, [0, 11]);
+        assert_eq!(data.active_count(), 1);
         // The recorder saw one transaction, opened and closed, on vertex 2.
         let history = recorder.history();
         assert_eq!(history.len(), 1);
-        assert_eq!(history.txns()[0].vertex, VertexId::new(2));
+        assert_eq!(history.txns()[0].vertex, v2);
         let snap = metrics.snapshot();
         assert_eq!(snap.vertex_executions, 1);
         assert_eq!(snap.local_messages, 2);
@@ -288,9 +319,13 @@ mod tests {
         // The scratch buffers are reused, not leaked into the next run.
         host.calls.clear();
         assert_eq!(
-            cycle.run_vertex(&mut host, 7, 0, 1234, 1, VertexId::new(2)),
-            (2, 4)
+            cycle.run_vertex(&mut host, &mut data, 7, 0, 1234, 1),
+            Executed {
+                consumed: 0,
+                ..counts
+            }
         );
-        assert_eq!(host.calls.len(), 9);
+        assert_eq!(host.calls.len(), 5);
+        assert_eq!(host.calls[1], Call::Publish(2, true, 0));
     }
 }

@@ -7,13 +7,13 @@ use crate::config::{build_synchronizer, EngineConfig, EngineError};
 use crate::cycle::{Cycle, Env, Host};
 use crate::program::{Combiner, VertexProgram};
 use crate::state::{gather_values, PartitionData};
-use crate::store::{Envelope, InboxPair, OutboundBuffers, PartitionStore, Routed, StagingBuffers};
+use crate::store::{InboxPair, OutboundBuffers, Routed, StagingBuffers};
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
     Counter, GaugeHandle, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SuperstepRow, Telemetry,
     TelemetrySnapshot, Trace, TraceEventKind, Watchdog, WorkerTimers,
 };
-use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
+use sg_serial::{AuditSidecar, History, HistorySummary, Recorder};
 use sg_store::{GraphReader, VertexStore};
 use sg_sync::{ForkSnapshot, PartitionWalk, Step, SyncTransport, Synchronizer};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -89,10 +89,12 @@ pub struct Engine<P: VertexProgram> {
     config: EngineConfig,
     pm: Arc<PartitionMap>,
     combiner: Option<Box<dyn Combiner<P::Message>>>,
+    /// Every partition's vertex state, at the program's init values.
+    partitions: Vec<PartitionData<P::Value>>,
     /// The MVCC vertex store every execution writes through. Created (and
-    /// bootstrapped with the program's init values) at build time so
-    /// [`Engine::reader`] handles can be cloned off before the run starts
-    /// and serve queries while it executes.
+    /// bootstrapped from `partitions`) at build time so [`Engine::reader`]
+    /// handles can be cloned off before the run starts and serve queries
+    /// while it executes.
     store: Arc<VertexStore<P::Value>>,
 }
 
@@ -102,9 +104,13 @@ impl<P: VertexProgram> Engine<P> {
     pub fn new(graph: Arc<Graph>, program: P, config: EngineConfig) -> Result<Self, EngineError> {
         config.validate()?;
         let pm = config.partition_map(&graph)?;
+        let init = |p| PartitionData::init(&program, &graph, &pm, p);
+        let partitions: Vec<_> = pm.layout().partitions().map(init).collect();
         let store = Arc::new(VertexStore::new(graph.num_vertices() as usize));
-        for v in graph.vertices() {
-            store.install_bootstrap(v.index(), program.init(v, &graph));
+        for d in &partitions {
+            for (v, value) in d.vertices.iter().zip(&d.values) {
+                store.install_bootstrap(v.index(), value.clone());
+            }
         }
         Ok(Self {
             graph,
@@ -112,6 +118,7 @@ impl<P: VertexProgram> Engine<P> {
             config,
             pm: Arc::new(pm),
             combiner: None,
+            partitions,
             store,
         })
     }
@@ -190,8 +197,7 @@ impl<P: VertexProgram> Engine<P> {
         let layout = *self.pm.layout();
         let workers = layout.num_workers() as usize;
 
-        let init = |p| PartitionData::init(&self.program, &self.graph, &self.pm, p);
-        let partitions = layout.partitions().map(|p| Mutex::new(init(p))).collect();
+        let partitions = self.partitions.into_iter().map(Mutex::new).collect();
         let inboxes = InboxPair::new(&self.pm, self.config.model, recorder.clone(), None);
 
         let mut aggs = AggregatorSet::new();
@@ -247,26 +253,16 @@ impl<P: VertexProgram> Engine<P> {
         let watchdog = spawn_watchdog(obs, &core);
 
         // The in-process audit plane: a streaming checker over the live
-        // recorder, drained on a sidecar thread so live Theorem 1 verdicts
-        // cost compute threads interference only, never critical-path time
-        // (the same off-path placement as the cluster's coordinator-side
-        // checker). The thread hands the auditor back for the tail drain.
-        let audit_handle = (obs.audit && recorder.is_some()).then(|| {
-            let mut a = StreamingAuditor::new(Arc::clone(recorder.as_ref().unwrap()));
-            let stop = Arc::clone(&core);
-            std::thread::spawn(move || {
-                while !stop.stop.load(Ordering::SeqCst) {
-                    a.drain();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                a
-            })
-        });
+        // recorder, on a sidecar thread.
+        let audit = recorder
+            .clone()
+            .filter(|_| obs.audit)
+            .map(AuditSidecar::start);
 
         let wall_start = Instant::now();
         if config.barrierless {
             let ended = run_barrierless(&core, config.max_supersteps);
-            return core.outcome(ended, Vec::new(), wall_start, audit_handle, watchdog);
+            return core.outcome(ended, Vec::new(), wall_start, audit, watchdog);
         }
 
         let total_threads = core.total_threads;
@@ -384,13 +380,7 @@ impl<P: VertexProgram> Engine<P> {
         for h in handles {
             h.join().expect("worker thread panicked");
         }
-        core.outcome(
-            (executed, converged),
-            rows,
-            wall_start,
-            audit_handle,
-            watchdog,
-        )
+        core.outcome((executed, converged), rows, wall_start, audit, watchdog)
     }
 }
 
@@ -793,27 +783,22 @@ fn worker_loop<P: VertexProgram>(
 }
 
 /// What one compute thread keeps for the whole run: the shared cycle and
-/// its scratch, the drain scratch, its staging buffer, and — when the run
-/// is timed — the nanoseconds its partition walks spent executing
-/// vertices (`busy`) and acquiring units (`blocked`) since
-/// [`Core::settle`] last took them; each step counts from the end of the
-/// one before it.
+/// its scratch, its staging buffer, and — when the run is timed — the
+/// nanoseconds its partition walks spent executing vertices (`busy`) and
+/// acquiring units (`blocked`) since [`Core::settle`] last took them; each
+/// step counts from the end of the one before it.
 struct Lane<'a, P: VertexProgram> {
     cycle: Cycle<'a, P>,
-    envelopes: Vec<Envelope<P::Message>>,
     staging: &'a Mutex<StagingBuffers<P::Message>>,
     busy: u64,
     blocked: u64,
 }
 
-/// The thread engine's side of one partition walk: the partition's state
-/// (locked for the walk — Giraph's "vertices in each partition are executed
-/// sequentially"), its message store, and the lane executing it.
+/// The thread engine's side of one partition walk: the MVCC write-through
+/// and the remote path of the lane executing it.
 struct PartitionHost<'a, P: VertexProgram> {
     core: &'a Core<P>,
     worker: usize,
-    data: MutexGuard<'a, PartitionData<P::Value>>,
-    store: &'a PartitionStore<P::Message>,
     staging: &'a Mutex<StagingBuffers<P::Message>>,
     /// The staging lock, held from a vertex's first remote send to its
     /// close: taken once per vertex, not once per message, and never
@@ -822,9 +807,6 @@ struct PartitionHost<'a, P: VertexProgram> {
     /// Envelopes the open transaction has staged and not yet added to
     /// `Core::owed`.
     unowed: u64,
-    /// Did the open transaction deliver to a vertex of its own worker?
-    delivered: bool,
-    envelopes: &'a mut Vec<Envelope<P::Message>>,
 }
 
 impl<P: VertexProgram> PartitionHost<'_, P> {
@@ -839,44 +821,22 @@ impl<P: VertexProgram> PartitionHost<'_, P> {
 }
 
 impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
-    fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
-        self.store.drain_into(local, self.envelopes);
-        into.extend(self.envelopes.drain(..).map(|(_, m)| m));
-    }
-
-    fn value_mut(&mut self, local: usize, _v: VertexId) -> &mut P::Value {
-        &mut self.data.values[local]
-    }
-
     /// Write-through: install the execution's result as a new MVCC
     /// version. With a recorder the commit is deferred to the recorded
     /// transaction's close (its end fires the hook); without one the
     /// execution commits here. Either way readers only ever see committed
     /// versions — never the in-place working value a neighbor's compute
     /// might be mutating.
-    fn commit(&mut self, local: usize, v: VertexId, halt: bool) {
-        self.data.set_halted(local, halt);
-        let core = self.core;
+    fn publish(&mut self, data: &PartitionData<P::Value>, local: usize) {
+        let (core, v) = (self.core, data.vertices[local]);
         let txn = core.vstore.begin();
         core.vstore
-            .install(v.index(), self.data.values[local].clone(), txn.xid);
+            .install(v.index(), data.values[local].clone(), txn.xid);
         if let Some(pending) = &core.pending_xid {
             pending[v.index()].store(txn.xid, Ordering::SeqCst);
         } else {
             core.vstore.commit(txn);
         }
-    }
-
-    fn send_local(
-        &mut self,
-        from: VertexId,
-        to: VertexId,
-        slot: (PartitionId, u32),
-        msg: P::Message,
-    ) {
-        let combiner = self.core.combiner.as_deref();
-        self.core.inboxes.deliver(from, to, slot, msg, combiner);
-        self.delivered = true;
     }
 
     /// Into the executing thread's staging buffer — where the combiner
@@ -902,14 +862,10 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
     }
 
     /// Once per transaction, not per message: what it staged becomes owed,
-    /// then the staging lock goes and flushers may find it; what it
-    /// delivered may be work for a parked sibling.
+    /// then the staging lock goes and flushers may find it.
     fn close(&mut self, _v: VertexId) {
         self.owe();
         self.staged = None;
-        if std::mem::take(&mut self.delivered) {
-            self.core.wake_parked();
-        }
     }
 }
 
@@ -920,12 +876,13 @@ impl<P: VertexProgram> Core<P> {
                 program: &self.program,
                 graph: &self.graph,
                 pm: &self.pm,
+                inboxes: &self.inboxes,
+                combiner: self.combiner.as_deref(),
                 aggregators: &self.aggs,
                 trace: &self.trace,
                 recorder: self.recorder.as_deref(),
                 metrics: &self.metrics,
             }),
-            envelopes: Vec::new(),
             staging: &self.staging[worker * self.threads_per_worker + slot],
             busy: 0,
             blocked: 0,
@@ -984,35 +941,33 @@ impl<P: VertexProgram> Core<P> {
 
     /// Any active vertex or queued message in partition `p`?
     fn partition_has_work(&self, p: usize) -> bool {
-        self.inboxes.current()[p].total() > 0 || self.partitions[p].lock().unwrap().any_active()
+        let store = &self.inboxes.current()[p];
+        self.partitions[p].lock().unwrap().has_work(store)
     }
 
     /// Host one [`PartitionWalk`]: block where it says acquire, run the
     /// shared vertex transaction where it says run, and — when the run is
     /// timed — charge the lane and trace both.
     fn execute_partition(&self, worker: usize, p: PartitionId, s: u64, lane: &mut Lane<'_, P>) {
+        // Locked for the walk: Giraph's "vertices in each partition are
+        // executed sequentially".
+        let mut data = self.partitions[p.index()].lock().unwrap();
         let store = &self.inboxes.current()[p.index()];
         let mut host = PartitionHost {
             core: self,
             worker,
-            data: self.partitions[p.index()].lock().unwrap(),
-            store,
             staging: lane.staging,
             staged: None,
             unowed: 0,
-            delivered: false,
-            envelopes: &mut lane.envelopes,
         };
-        let has_work = store.total() > 0 || host.data.any_active();
-        let mut walk = PartitionWalk::new(p, &*self.sync, has_work);
+        let mut walk = PartitionWalk::new(p, &*self.sync, data.has_work(store));
         let w = worker as u32;
         // A timed walk is tiled: each acquire or execution lasts from the
         // end of the step before it (or the walk's start) to its own end,
         // so it costs one clock read.
         let mut mark = self.stamp();
         loop {
-            let data = &host.data;
-            let awake = |i, _| !data.halted(i) || store.has_messages(i);
+            let awake = |i, _| data.awake(store, i);
             match walk.next(&*self.sync, s, &data.vertices, awake) {
                 Step::Acquire(unit) => {
                     self.sync.acquire_unit(unit, self);
@@ -1025,16 +980,23 @@ impl<P: VertexProgram> Core<P> {
                     }
                     walk.granted();
                 }
-                Step::Run { local, v } => {
-                    let (n_in, n_out) = lane.cycle.run_vertex(&mut host, s, w, mark, local, v);
+                Step::Run { local, .. } => {
+                    let ran = lane
+                        .cycle
+                        .run_vertex(&mut host, &mut data, s, w, mark, local);
+                    // What it delivered may be work for a parked sibling.
+                    if ran.local > 0 {
+                        self.wake_parked();
+                    }
                     if self.timed {
                         let end = self.now_ns();
                         lane.busy += end - mark;
                         let kind = TraceEventKind::VertexExecute;
-                        self.trace.record(w, s, kind, mark, end - mark, n_in);
-                        if n_out > 0 {
+                        self.trace
+                            .record(w, s, kind, mark, end - mark, ran.consumed);
+                        if ran.sent > 0 {
                             let kind = TraceEventKind::MessageSend;
-                            self.trace.record(w, s, kind, end, 0, n_out);
+                            self.trace.record(w, s, kind, end, 0, ran.sent);
                         }
                         mark = end;
                     }
@@ -1052,11 +1014,11 @@ impl<P: VertexProgram> Core<P> {
         (supersteps, converged): (u64, bool),
         rows: Vec<SuperstepRow>,
         wall_start: Instant,
-        audit: Option<std::thread::JoinHandle<StreamingAuditor>>,
+        audit: Option<AuditSidecar>,
         watchdog: Option<Watchdog>,
     ) -> Outcome<P::Value> {
         let makespan_ns = self.now_ns();
-        let audit = audit.map(|h| h.join().expect("audit thread panicked").finish());
+        let audit = audit.map(AuditSidecar::finish);
         let stalled = watchdog.map(Watchdog::stop).unwrap_or(false);
         let parts = self.partitions.iter().map(|p| p.lock().unwrap());
         Outcome {

@@ -1,4 +1,7 @@
-//! Per-partition vertex state: values and halt votes.
+//! Per-partition vertex state: values and halt votes — the one vertex
+//! state of every host. The thread engine, the simulator and the networked
+//! worker each keep a [`PartitionData`] per partition they run, and
+//! [`crate::Cycle::run_vertex`] is what reads and writes it.
 //!
 //! Each partition's state is owned by exactly one compute thread at a time
 //! (the engine wraps it in a mutex locked for the whole partition
@@ -13,6 +16,7 @@
 //! that can change the count.
 
 use crate::program::VertexProgram;
+use crate::store::PartitionStore;
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId};
 use std::ops::Deref;
 
@@ -20,6 +24,8 @@ use std::ops::Deref;
 /// vertex of the partition in ascending id order.
 #[derive(Debug)]
 pub struct PartitionData<V> {
+    /// Which partition this is: where its inbox sits in an `InboxPair`.
+    partition: PartitionId,
     /// The vertices of this partition, ascending.
     pub vertices: Vec<VertexId>,
     /// Vertex values, parallel to `vertices`.
@@ -33,11 +39,13 @@ pub struct PartitionData<V> {
 }
 
 impl<V> PartitionData<V> {
-    /// Build with all vertices active and the given initial values.
-    pub fn new(vertices: Vec<VertexId>, values: Vec<V>) -> Self {
+    /// Partition `partition`, with all vertices active and the given
+    /// initial values.
+    pub fn new(partition: PartitionId, vertices: Vec<VertexId>, values: Vec<V>) -> Self {
         assert_eq!(vertices.len(), values.len());
         let n = vertices.len();
         Self {
+            partition,
             vertices,
             values,
             halted: vec![false; n],
@@ -53,7 +61,12 @@ impl<V> PartitionData<V> {
     {
         let vertices = pm.vertices_in(p);
         let values = vertices.iter().map(|&v| program.init(v, graph)).collect();
-        Self::new(vertices.to_vec(), values)
+        Self::new(p, vertices.to_vec(), values)
+    }
+
+    /// Which partition this is.
+    pub fn partition(&self) -> PartitionId {
+        self.partition
     }
 
     /// Number of vertices in the partition.
@@ -88,6 +101,23 @@ impl<V> PartitionData<V> {
     /// `true` if any vertex is still active.
     pub fn any_active(&self) -> bool {
         self.active != 0
+    }
+
+    /// Pregel's activity test for the `i`-th vertex, `store` being the
+    /// partition's inbox: it runs if it has not voted to halt, or has mail.
+    #[inline]
+    pub fn awake<M: Clone + Send + 'static>(&self, store: &PartitionStore<M>, i: usize) -> bool {
+        !self.halted[i] || store.has_messages(i)
+    }
+
+    /// Has the partition work — an active vertex, or mail in `store`?
+    pub fn has_work<M: Clone + Send + 'static>(&self, store: &PartitionStore<M>) -> bool {
+        self.any_active() || store.total() > 0
+    }
+
+    /// Number of vertices [`PartitionData::awake`] holds for.
+    pub fn awake_count<M: Clone + Send + 'static>(&self, store: &PartitionStore<M>) -> usize {
+        (0..self.len()).filter(|&i| self.awake(store, i)).count()
     }
 
     /// Number of vertices that have not voted to halt.
@@ -139,16 +169,28 @@ pub fn gather_values<V: Clone, D: Deref<Target = PartitionData<V>>>(
 mod tests {
     use super::*;
 
+    fn p(i: u32) -> PartitionId {
+        PartitionId::new(i)
+    }
+
     #[test]
     fn gather_orders_values_by_vertex_id() {
-        let a = PartitionData::new(vec![VertexId::new(2), VertexId::new(0)], vec!['c', 'a']);
-        let b = PartitionData::new(vec![VertexId::new(1)], vec!['b']);
+        let a = PartitionData::new(
+            p(0),
+            vec![VertexId::new(2), VertexId::new(0)],
+            vec!['c', 'a'],
+        );
+        let b = PartitionData::new(p(1), vec![VertexId::new(1)], vec!['b']);
         assert_eq!(gather_values([&a, &b], 3), ['a', 'b', 'c']);
     }
 
     #[test]
     fn starts_fully_active() {
-        let d = PartitionData::new(vec![VertexId::new(3), VertexId::new(7)], vec![0u32, 1]);
+        let d = PartitionData::new(
+            p(0),
+            vec![VertexId::new(3), VertexId::new(7)],
+            vec![0u32, 1],
+        );
         assert_eq!(d.len(), 2);
         assert!(!d.is_empty());
         assert_eq!(d.active_count(), 2);
@@ -157,7 +199,7 @@ mod tests {
 
     #[test]
     fn halting_reduces_active_count() {
-        let mut d = PartitionData::new(vec![VertexId::new(0)], vec![0u32]);
+        let mut d = PartitionData::new(p(0), vec![VertexId::new(0)], vec![0u32]);
         d.set_halted(0, true);
         assert!(d.halted(0));
         assert_eq!(d.active_count(), 0);
@@ -166,7 +208,7 @@ mod tests {
 
     #[test]
     fn counter_tracks_reactivation_and_idempotent_votes() {
-        let mut d = PartitionData::new((0..4).map(VertexId::new).collect(), vec![0u32; 4]);
+        let mut d = PartitionData::new(p(0), (0..4).map(VertexId::new).collect(), vec![0u32; 4]);
         d.set_halted(1, true);
         d.set_halted(1, true); // repeat vote must not double-decrement
         d.set_halted(3, true);
@@ -178,7 +220,7 @@ mod tests {
 
     #[test]
     fn restore_resets_counter() {
-        let mut d = PartitionData::new((0..3).map(VertexId::new).collect(), vec![0u32; 3]);
+        let mut d = PartitionData::new(p(0), (0..3).map(VertexId::new).collect(), vec![0u32; 3]);
         d.set_halted(0, true);
         assert_eq!(d.halted_snapshot(), vec![true, false, false]);
         d.restore_halted(vec![true, true, false]);
@@ -188,14 +230,29 @@ mod tests {
     }
 
     #[test]
+    fn awake_means_not_halted_or_has_mail() {
+        let mut d = PartitionData::new(p(0), (0..3).map(VertexId::new).collect(), vec![0u32; 3]);
+        let store = PartitionStore::new(3);
+        d.set_halted(0, true);
+        d.set_halted(1, true);
+        d.set_halted(2, true);
+        assert!(!d.has_work(&store));
+        store.insert(1, VertexId::new(0), 7u32, None);
+        assert!(d.has_work(&store));
+        assert_eq!((d.awake(&store, 0), d.awake(&store, 1)), (false, true));
+        d.set_halted(2, false);
+        assert_eq!(d.awake_count(&store), 2);
+    }
+
+    #[test]
     #[should_panic]
     fn mismatched_lengths_panic() {
-        PartitionData::new(vec![VertexId::new(0)], Vec::<u32>::new());
+        PartitionData::new(p(0), vec![VertexId::new(0)], Vec::<u32>::new());
     }
 
     #[test]
     fn empty_partition() {
-        let d = PartitionData::<u32>::new(vec![], vec![]);
+        let d = PartitionData::<u32>::new(p(0), vec![], vec![]);
         assert!(d.is_empty());
         assert_eq!(d.active_count(), 0);
         assert!(!d.any_active());

@@ -4,12 +4,13 @@
 //! locking over the full GAS (Sections 2.3, 4.3, 5.1).
 
 use crate::program::GasProgram;
+use sg_graph::rng::mix64;
 use sg_graph::{Graph, VertexId, WorkerId};
 use sg_metrics::{
     CostModel, Counter, EatOrder, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SimClocks, Trace,
     TraceEventKind, Watchdog, WorkerTimers,
 };
-use sg_serial::{History, HistorySummary, Recorder, StreamingAuditor};
+use sg_serial::{AuditSidecar, History, HistorySummary, Recorder};
 use sg_sync::{SyncTransport, Synchronizer, VertexLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,13 +89,6 @@ pub struct GasOutcome<V> {
     /// Observability report, when any of [`ObsConfig`] was enabled
     /// (`per_superstep` is empty: async GAS has no supersteps).
     pub obs: Option<ObsReport>,
-}
-
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The asynchronous GAS engine.
@@ -327,21 +321,11 @@ impl<P: GasProgram> AsyncGasEngine<P> {
             )
         });
 
-        // In-process audit plane: async GAS has no barriers, so a sidecar
-        // thread polls the recorder for live Theorem 1 verdicts until the
-        // fibers finish, then hands the auditor back for the tail drain.
-        let audit_stop = Arc::new(AtomicBool::new(false));
-        let audit_handle = (core.config.obs.audit && recorder.is_some()).then(|| {
-            let mut a = StreamingAuditor::new(Arc::clone(recorder.as_ref().unwrap()));
-            let stop = Arc::clone(&audit_stop);
-            std::thread::spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    a.drain();
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                a
-            })
-        });
+        // In-process audit plane: a streaming checker over the live
+        // recorder, on a sidecar thread, until the fibers finish.
+        let audit = (recorder.clone())
+            .filter(|_| core.config.obs.audit)
+            .map(AuditSidecar::start);
 
         let wall_start = Instant::now();
         if core.outstanding.load(Ordering::SeqCst) > 0 {
@@ -356,8 +340,7 @@ impl<P: GasProgram> AsyncGasEngine<P> {
                 h.join().expect("gas fiber panicked");
             }
         }
-        audit_stop.store(true, Ordering::SeqCst);
-        let audit = audit_handle.map(|h| h.join().expect("audit thread panicked").finish());
+        let audit = audit.map(AuditSidecar::finish);
 
         let values: Vec<P::Value> = core
             .values

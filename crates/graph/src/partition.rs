@@ -15,6 +15,7 @@
 
 use crate::graph::Graph;
 use crate::ids::{PartitionId, VertexId, WorkerId};
+use crate::rng::mix64;
 
 /// Shape of the simulated cluster: how many workers, and how many partitions
 /// each worker owns. Partition ids are dense and blocked by worker:
@@ -176,14 +177,6 @@ impl Default for HashPartitioner {
     fn default() -> Self {
         Self::new(0x9E37_79B9_7F4A_7C15)
     }
-}
-
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    // splitmix64 finalizer — good avalanche, cheap, dependency-free.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl Partitioner for HashPartitioner {

@@ -10,6 +10,17 @@
 //! from any `u64`, and every value depends only on `(seed, call index)` — so
 //! generated graphs are stable across platforms and runs.
 
+/// SplitMix64's finalizer: a bijective, well-avalanched scramble of a
+/// 64-bit word (a variant of MurmurHash3's `fmix64`). The generator below
+/// applies it to its counter; the hash partitioner, the store's snapshot
+/// checksum and the simulated links' jitter hash with it.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Deterministic SplitMix64 pseudo-random number generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
@@ -28,10 +39,7 @@ impl SplitMix64 {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        mix64(self.state)
     }
 
     /// Next `u32` (upper half of the 64-bit output, which has the best

@@ -612,16 +612,12 @@ mod tests {
         assert_eq!(String::from_utf8(out).unwrap(), whole.to_string());
     }
 
-    /// SplitMix64: a tiny deterministic generator for the round-trip trees.
-    struct Rng(u64);
+    /// A tiny deterministic generator for the round-trip trees.
+    struct Rng(sg_graph::SplitMix64);
 
     impl Rng {
         fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.0.next_u64()
         }
 
         fn below(&mut self, n: u64) -> u64 {
@@ -692,7 +688,7 @@ mod tests {
     /// `parse(write(x)) == x` over seeded random trees.
     #[test]
     fn random_trees_round_trip() {
-        let mut rng = Rng(0x5EED_0000_0000_0037);
+        let mut rng = Rng(sg_graph::SplitMix64::new(0x5EED_0000_0000_0037));
         for _ in 0..2_000 {
             let tree = random_tree(&mut rng, 1);
             let text = tree.to_string();

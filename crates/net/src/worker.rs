@@ -28,8 +28,10 @@
 //! The compute thread *hosts* the shared superstep cycle rather than
 //! transcribing it: [`sg_sync::PartitionWalk`] decides which vertex runs
 //! next and where the acquire/release brackets go, [`sg_engine::Cycle`]
-//! runs the vertex transaction, and this module supplies the IO — the
-//! engine's message datapath, the lock RPC, Lamport stamps. Remote messages
+//! runs the vertex transaction on the rank's [`PartitionData`] — one per
+//! partition it owns, the vertex state every host keeps — and this module
+//! supplies the rest of the IO: the serving plane a value is published
+//! to, the remote path, the lock RPC, Lamport stamps. Remote messages
 //! are staged *before* the walk's release step, so the release-triggered
 //! write-all finds them. Workers run one compute thread each — rank is
 //! worker is thread, which is the paper's single-threaded-worker setting.
@@ -42,12 +44,12 @@
 //! engine's `PartitionHost` holds it — and are encoded only when a run
 //! ships: at `buffer_cap`, at the C1 write-all and at the end of the
 //! superstep, all through [`ship`], each message once, straight into the
-//! link's pooled frame buffer. Incoming messages
-//! land in an [`InboxPair`] that holds this rank's partitions: a local send
-//! is [`InboxPair::deliver`] at the slot the cycle's routing lookup already
-//! found; a peer's batch is decoded on the link reader that received it and
-//! landed with [`InboxPair::deliver_batch`] — the compute thread and the
-//! readers share no rank-wide lock, and bytes exist only on the wire.
+//! link's pooled frame buffer. Incoming messages land in an [`InboxPair`]
+//! that holds this rank's partitions: the cycle delivers a local send
+//! there itself; a peer's batch is decoded on the link reader that
+//! received it and landed with [`InboxPair::deliver_batch`] — the compute
+//! thread and the readers share no rank-wide lock, and bytes exist only on
+//! the wire.
 //! What a peer sends that this rank cannot take — a vertex it does not own,
 //! a payload that does not decode — is counted in
 //! `sg_worker_rejected_messages_total`, never dropped silently.
@@ -69,7 +71,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
-use sg_engine::store::{Envelope, InboxPair, StagingBuffers};
+use sg_engine::state::PartitionData;
+use sg_engine::store::{InboxPair, StagingBuffers};
 use sg_engine::{
     build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Host, Model, StoreGauges,
     VertexProgram, WireCodec,
@@ -418,17 +421,14 @@ where
         Trace::disabled()
     };
 
-    // The serving-plane store, bootstrapped with init values for the
-    // vertices this rank owns so a pre-superstep-0 query already answers.
+    // The serving-plane store, bootstrapped below from the vertex state of
+    // the partitions this rank owns.
     let vstore = Arc::new(VertexStore::new(n));
     let mut owned: Vec<u32> = Vec::new();
     for p in pm.layout().partitions_of_worker(WorkerId::new(rank)) {
         owned.extend(pm.vertices_in(p).iter().map(|v| v.raw()));
     }
     owned.sort_unstable();
-    for &v in &owned {
-        vstore.install_bootstrap(v as usize, program.init(VertexId::new(v), &graph).to_word());
-    }
 
     let workers = spec.workers as usize;
     let shared = Arc::new(Shared {
@@ -463,10 +463,6 @@ where
     // all of them so the fault plan's frame indices count every
     // data-plane frame this worker sends, in order.
     let fault = Arc::new(FaultInjector::new(spec.fault.clone()));
-    let my_partitions: Vec<PartitionId> = pm
-        .layout()
-        .partitions_of_worker(WorkerId::new(rank))
-        .collect();
     let handler: Arc<dyn PeerHandler> = Arc::new(InboxHandler {
         shared: Arc::clone(&shared),
         pm: Arc::clone(&pm),
@@ -536,6 +532,21 @@ where
         }
     }
 
+    // The vertex state of the partitions this rank owns, at init values,
+    // seeds the store before the dispatcher starts, so a pre-superstep-0
+    // query already answers. It is built once the mesh is up: allocated
+    // before it, these vectors land where they raise the process's peak
+    // RSS (by 2.5 MiB on `pagerank-plock-net`, through heap placement).
+    let parts: Vec<_> = (pm.layout().partitions_of_worker(WorkerId::new(rank)))
+        .map(|p| PartitionData::init(&program, &graph, &pm, p))
+        .collect();
+    let vstore = &shared.serve.vstore;
+    for d in &parts {
+        for (v, value) in d.vertices.iter().zip(&d.values) {
+            vstore.install_bootstrap(v.index(), value.to_word());
+        }
+    }
+
     // Maintenance thread: heartbeats + redial with backoff, plus the
     // periodic telemetry frames when the coordinator asked for them. It
     // waits out each tick on `stop`, which teardown drops, so it ends at
@@ -601,24 +612,24 @@ where
         program: &program,
         graph: &graph,
         pm: &pm,
+        inboxes: &shared.inboxes,
+        combiner: shared.combiner.as_deref(),
         aggregators: &no_aggregators,
         trace: &shared.trace,
         recorder: None,
         metrics: &metrics,
     });
     let result = Compute {
-        shared: &shared,
-        links: &links,
-        rx: &rx,
+        host: RankHost {
+            shared: &shared,
+            links: &links,
+            rx: &rx,
+            opened: 0,
+            staged: None,
+        },
         pm: &pm,
         replica: &*replica,
-        my_partitions,
-        walking: 0,
-        values: graph.vertices().map(|v| program.init(v, &graph)).collect(),
-        halted: vec![false; n],
-        envelopes: Vec::new(),
-        opened: 0,
-        staged: None,
+        parts,
     }
     .run(&mut cycle);
 
@@ -861,29 +872,31 @@ fn handle_flush<M: WireCodec>(
     }
 }
 
-/// The compute thread's state — the cluster handles it does IO through,
-/// the vertex state it owns, its scratch: the networked [`Host`].
+/// The compute thread's state: the vertex state of the partitions this
+/// rank owns, and the networked [`Host`] it runs them with.
 struct Compute<'a, P: VertexProgram> {
-    shared: &'a Shared<P::Message>,
-    links: &'a [Option<PeerLink>],
-    rx: &'a mpsc::Receiver<Cmd>,
+    host: RankHost<'a, P::Message>,
     pm: &'a PartitionMap,
     /// Stateless technique replica (see `run_worker`).
     replica: &'a dyn Synchronizer,
-    my_partitions: Vec<PartitionId>,
-    /// The partition `run_superstep` is walking: the one `Host::drain`'s
-    /// `local` is in.
-    walking: usize,
-    values: Vec<P::Value>,
-    halted: Vec<bool>,
-    /// Drain scratch: the store hands out envelopes, `compute` takes messages.
-    envelopes: Vec<Envelope<P::Message>>,
+    /// The partitions this rank owns, ascending.
+    parts: Vec<PartitionData<P::Value>>,
+}
+
+/// The networked [`Host`]: the cluster handles the compute thread does IO
+/// through — the serving plane a value is published to, the links a
+/// remote message ships on, the coordinator's lock grants — and its
+/// record of the open transaction.
+struct RankHost<'a, M> {
+    shared: &'a Shared<M>,
+    links: &'a [Option<PeerLink>],
+    rx: &'a mpsc::Receiver<Cmd>,
     /// Lamport stamp the open transaction started at.
     opened: u64,
     /// The staging lock, held from a vertex's first remote send to its
     /// close: taken once per execution, not once per message, and never
     /// across a lock RPC.
-    staged: Option<MutexGuard<'a, Staged<P::Message>>>,
+    staged: Option<MutexGuard<'a, Staged<M>>>,
 }
 
 impl<P> Compute<'_, P>
@@ -893,12 +906,12 @@ where
     P::Message: WireCodec,
 {
     fn run(mut self, cycle: &mut Cycle<'_, P>) -> Result<(), NetError> {
-        let shared = self.shared;
+        let shared = self.host.shared;
         loop {
-            match self.rx.recv() {
+            match self.host.rx.recv() {
                 Ok(Cmd::Start(s)) => {
                     self.run_superstep(cycle, s)?;
-                    flush_all(shared, self.links)?;
+                    flush_all(shared, self.host.links)?;
                     shared.ctrl.send(&Message::ComputeDone { superstep: s })?;
                 }
                 Ok(Cmd::Report(s)) => {
@@ -926,17 +939,13 @@ where
     /// `sg_worker_pending_messages` to the envelopes queued — the stores'
     /// `total()`, after combining.
     fn barrier_vote(&self) -> u64 {
-        let shared = self.shared;
+        let shared = self.host.shared;
         let mut active = 0u64;
         let mut pending = 0u64;
-        for &p in &self.my_partitions {
-            let store = &shared.inboxes.current()[p.index()];
+        for d in &self.parts {
+            let store = &shared.inboxes.current()[d.partition().index()];
             pending += store.total() as u64;
-            for (local, v) in self.pm.vertices_in(p).iter().enumerate() {
-                if !self.halted[v.index()] || store.has_messages(local) {
-                    active += 1;
-                }
-            }
+            active += d.awake_count(store) as u64;
         }
         shared.wtel.active.set(active);
         shared.wtel.pending.set(pending);
@@ -946,58 +955,17 @@ where
         active
     }
 
-    /// Blocking lock RPC: request the unit, wait for the grant. Returns
-    /// when it asked and when the grant came, on [`wall_ns`].
-    fn acquire_unit_rpc(&self, superstep: u64, unit: u32) -> Result<(u64, u64), NetError> {
-        debug_assert!(self.staged.is_none(), "staging lock held across a lock RPC");
-        let shared = self.shared;
-        let t0 = wall_ns(shared.epoch_ns);
-        shared.ctrl.send(&Message::AcquireUnit { unit })?;
-        match self.rx.recv() {
-            Ok(Cmd::Granted(u)) if u == unit => {}
-            Ok(Cmd::Granted(u)) => {
-                return Err(NetError::Protocol(format!(
-                    "grant for unit {u} while waiting on {unit}"
-                )))
-            }
-            Ok(Cmd::Disconnected) | Err(_) => {
-                return Err(NetError::Protocol(
-                    "coordinator connection lost during acquire".into(),
-                ))
-            }
-            Ok(_) => {
-                return Err(NetError::Protocol(
-                    "barrier frame while waiting on a grant".into(),
-                ))
-            }
-        }
-        let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
-        shared.wtel.lock_wait_ns.add(dur);
-        shared.trace.record(
-            shared.rank,
-            superstep,
-            TraceEventKind::LockWait,
-            t0,
-            dur,
-            u64::from(unit),
-        );
-        Ok((t0, t0 + dur))
-    }
-
     /// Result uploads, chunked to stay far under the frame cap, terminated
     /// by the goodbye marker. Every chunk is moved into its frame: nothing
     /// the run produced is copied on the way out.
     fn upload(self) -> Result<(), NetError> {
-        let shared = self.shared;
-        let owned = self
-            .my_partitions
-            .iter()
-            .flat_map(|&p| self.pm.vertices_in(p));
+        let shared = self.host.shared;
+        let owned = (self.parts.iter()).flat_map(|d| d.vertices.iter().zip(&d.values));
         // `ValuesUpload` owns each value's bytes, so each is encoded into
         // its own buffer once and never again.
-        let pairs = owned.map(|v| {
+        let pairs = owned.map(|(v, value)| {
             let mut payload = Vec::new();
-            self.values[v.index()].encode_into(&mut payload);
+            value.encode_into(&mut payload);
             (v.raw(), payload)
         });
         upload_chunks(shared, pairs, |values, _| Message::ValuesUpload { values })?;
@@ -1047,8 +1015,9 @@ where
     /// mid-walk; only a traced run reads the clock around each execution,
     /// for its `VertexExecute` span.
     fn run_superstep(&mut self, cycle: &mut Cycle<'_, P>, s: u64) -> Result<(), NetError> {
-        let (shared, traced) = (self.shared, self.shared.trace.is_enabled());
-        let (pm, replica) = (self.pm, self.replica);
+        let shared = self.host.shared;
+        let host = &mut self.host;
+        let (pm, replica, traced) = (self.pm, self.replica, shared.trace.is_enabled());
         let granularity = replica.granularity();
         // Only p-boundary vertices are philosophers; the technique's
         // acquire is a no-op for the rest (free in-process), so their
@@ -1056,37 +1025,33 @@ where
         let needs_rpc = |unit: u32| {
             granularity != LockGranularity::Vertex || pm.is_p_boundary(VertexId::new(unit))
         };
-        for k in 0..self.my_partitions.len() {
-            let p = self.my_partitions[k];
-            self.walking = p.index();
-            let (vertices, store) = (pm.vertices_in(p), &shared.inboxes.current()[p.index()]);
-            let has_work = store.total() > 0 || vertices.iter().any(|v| !self.halted[v.index()]);
-            let mut walk = PartitionWalk::new(p, replica, has_work);
+        for data in &mut self.parts {
+            let p = data.partition();
+            let store = &shared.inboxes.current()[p.index()];
+            let mut walk = PartitionWalk::new(p, replica, data.has_work(store));
             // When the compute time not yet counted began.
             let mut mark = wall_ns(shared.epoch_ns);
             loop {
-                // The Pregel activity test, as the thread engine makes it.
-                let halted = &self.halted;
-                let awake = |local, v: VertexId| !halted[v.index()] || store.has_messages(local);
-                let step = walk.next(replica, s, vertices, awake);
+                let awake = |local, _| data.awake(store, local);
+                let step = walk.next(replica, s, &data.vertices, awake);
                 match step {
                     Step::Acquire(unit) => {
                         if needs_rpc(unit) {
-                            let (asked, granted) = self.acquire_unit_rpc(s, unit)?;
+                            let (asked, granted) = host.acquire_unit_rpc(s, unit)?;
                             shared.wtel.compute_ns.add(asked.saturating_sub(mark));
                             mark = granted;
                         }
                         walk.granted();
                     }
-                    Step::Run { local, v } if traced => {
+                    Step::Run { local, .. } if traced => {
                         let (rank, t0) = (shared.rank, wall_ns(shared.epoch_ns));
-                        let (n_in, _) = cycle.run_vertex(self, s, rank, t0, local, v);
+                        let ran = cycle.run_vertex(host, data, s, rank, t0, local);
                         let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
                         let kind = TraceEventKind::VertexExecute;
-                        shared.trace.record(rank, s, kind, t0, dur, n_in);
+                        shared.trace.record(rank, s, kind, t0, dur, ran.consumed);
                     }
-                    Step::Run { local, v } => {
-                        cycle.run_vertex(self, s, shared.rank, 0, local, v);
+                    Step::Run { local, .. } => {
+                        cycle.run_vertex(host, data, s, shared.rank, 0, local);
                     }
                     Step::Release(unit) if needs_rpc(unit) => {
                         shared.ctrl.send(&Message::ReleaseUnit { unit })?;
@@ -1102,18 +1067,52 @@ where
     }
 }
 
-impl<P> Host<P> for Compute<'_, P>
+impl<M> RankHost<'_, M> {
+    /// Blocking lock RPC: request the unit, wait for the grant. Returns
+    /// when it asked and when the grant came, on [`wall_ns`].
+    fn acquire_unit_rpc(&self, superstep: u64, unit: u32) -> Result<(u64, u64), NetError> {
+        debug_assert!(self.staged.is_none(), "staging lock held across a lock RPC");
+        let shared = self.shared;
+        let t0 = wall_ns(shared.epoch_ns);
+        shared.ctrl.send(&Message::AcquireUnit { unit })?;
+        match self.rx.recv() {
+            Ok(Cmd::Granted(u)) if u == unit => {}
+            Ok(Cmd::Granted(u)) => {
+                return Err(NetError::Protocol(format!(
+                    "grant for unit {u} while waiting on {unit}"
+                )))
+            }
+            Ok(Cmd::Disconnected) | Err(_) => {
+                return Err(NetError::Protocol(
+                    "coordinator connection lost during acquire".into(),
+                ))
+            }
+            Ok(_) => {
+                return Err(NetError::Protocol(
+                    "barrier frame while waiting on a grant".into(),
+                ))
+            }
+        }
+        let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
+        shared.wtel.lock_wait_ns.add(dur);
+        shared.trace.record(
+            shared.rank,
+            superstep,
+            TraceEventKind::LockWait,
+            t0,
+            dur,
+            u64::from(unit),
+        );
+        Ok((t0, t0 + dur))
+    }
+}
+
+impl<P> Host<P> for RankHost<'_, P::Message>
 where
     P: VertexProgram,
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
-    fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
-        let store = &self.shared.inboxes.current()[self.walking];
-        store.drain_into(local, &mut self.envelopes);
-        into.extend(self.envelopes.drain(..).map(|(_, m)| m));
-    }
-
     /// Messages just drained arrived on link readers that joined the
     /// sender's clock first, so this tick orders after every sender write.
     fn open(&mut self, _v: VertexId) {
@@ -1124,32 +1123,14 @@ where
         self.opened = self.shared.clock.tick();
     }
 
-    fn value_mut(&mut self, _local: usize, v: VertexId) -> &mut P::Value {
-        &mut self.values[v.index()]
-    }
-
     /// Publish the execution's result to the serving plane: one MVCC
     /// transaction, committed here, so a serving snapshot's visible set is
     /// always a prefix of this worker's committed executions.
-    fn commit(&mut self, _local: usize, v: VertexId, halt: bool) {
-        self.halted[v.index()] = halt;
-        let vstore = &self.shared.serve.vstore;
+    fn publish(&mut self, data: &PartitionData<P::Value>, local: usize) {
+        let (vstore, v) = (&self.shared.serve.vstore, data.vertices[local]);
         let txn = vstore.begin();
-        vstore.install(v.index(), self.values[v.index()].to_word(), txn.xid);
+        vstore.install(v.index(), data.values[local].to_word(), txn.xid);
         vstore.commit(txn);
-    }
-
-    fn send_local(
-        &mut self,
-        from: VertexId,
-        to: VertexId,
-        slot: (PartitionId, u32),
-        msg: P::Message,
-    ) {
-        let shared = self.shared;
-        shared
-            .inboxes
-            .deliver(from, to, slot, msg, shared.combiner.as_deref());
     }
 
     /// Stage, combining sender-side, under the staging lock the vertex's

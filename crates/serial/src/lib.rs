@@ -41,4 +41,4 @@ pub mod streaming;
 pub use history::{History, HistorySummary, TxnId, TxnRecord};
 pub use incremental::{AuditEvent, CheckStatus, IncrementalChecker, ObserveError, StampedTxn};
 pub use recorder::Recorder;
-pub use streaming::StreamingAuditor;
+pub use streaming::{AuditSidecar, StreamingAuditor};

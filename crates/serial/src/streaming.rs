@@ -1,11 +1,11 @@
 //! The in-process streaming auditor: a [`Recorder`] feeding a
 //! watermark-ordered [`IncrementalChecker`], no sockets involved.
 //!
-//! Both engines attach one when `ObsConfig::audit` is on: a drain —
-//! between supersteps (barriered) or from a small polling thread
-//! (barrierless / GAS) — pulls every transaction recorded since the
-//! last drain through [`Recorder::txns_since`], buffers it in the
-//! checker, and releases everything below [`Recorder::safe_watermark`].
+//! The thread engine and the asynchronous GAS engine attach one when
+//! `ObsConfig::audit` is on, on an [`AuditSidecar`] thread: each drain
+//! pulls every transaction recorded since the last drain through
+//! [`Recorder::txns_since`], buffers it in the checker, and releases
+//! everything below [`Recorder::safe_watermark`].
 //! Under a working technique each drain costs the released transactions'
 //! degrees and no more: commit order certifies the history acyclic, and
 //! the checker runs [`crate::History`]'s acyclicity check only after a
@@ -18,7 +18,10 @@
 use crate::history::HistorySummary;
 use crate::incremental::{CheckStatus, IncrementalChecker};
 use crate::recorder::Recorder;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Incremental Theorem 1 verdicts over a live [`Recorder`].
 pub struct StreamingAuditor {
@@ -74,6 +77,40 @@ impl StreamingAuditor {
         self.pull();
         self.checker.finish();
         self.checker.summary()
+    }
+}
+
+/// A [`StreamingAuditor`] draining on a thread of its own every 2 ms, so
+/// live Theorem 1 verdicts cost the compute threads interference only,
+/// never critical-path time — the off-path placement of the cluster's
+/// coordinator-side checker.
+pub struct AuditSidecar {
+    stop: Arc<AtomicBool>,
+    handle: JoinHandle<StreamingAuditor>,
+}
+
+impl AuditSidecar {
+    /// Start auditing the executions `recorder` observes.
+    pub fn start(recorder: Arc<Recorder>) -> Self {
+        let mut auditor = StreamingAuditor::new(recorder);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let handle = std::thread::spawn(move || {
+            while !stopped.load(Ordering::SeqCst) {
+                auditor.drain();
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            auditor
+        });
+        Self { stop, handle }
+    }
+
+    /// The run is over: stop draining, drain the tail, return the final
+    /// verdict.
+    pub fn finish(self) -> HistorySummary {
+        self.stop.store(true, Ordering::SeqCst);
+        let auditor = self.handle.join().expect("audit thread panicked");
+        auditor.finish()
     }
 }
 

@@ -1,9 +1,11 @@
 //! Validation of the serializability checker itself: for small random
 //! histories, the serialization-graph test must agree with a brute-force
 //! oracle that enumerates every serial order and checks conflict
-//! equivalence directly, the commit-order certificate must agree with
-//! Kahn's algorithm, the C2 scan with a scan of every pair, and the live
-//! checker with the post-hoc one. Cases are drawn from the in-repo
+//! equivalence directly, the post-hoc check's strict-separation
+//! certificate (with Kahn's algorithm behind it) must agree with Kahn's
+//! algorithm alone, the C2 scan with a scan of every pair, and the live
+//! checker — which certifies commit order instead — with the post-hoc one.
+//! Cases are drawn from the in-repo
 //! deterministic [`SplitMix64`] generator, so the suite is exactly
 //! reproducible offline.
 
@@ -309,13 +311,14 @@ fn feed_live(g: &Arc<Graph>, txns: &[TxnRecord], rng: &mut SplitMix64) -> Increm
 }
 
 /// Differential test of the post-hoc checker on every history shape: the
-/// acyclicity verdict (commit order first, Kahn's algorithm only as the
-/// fallback) equals Kahn's verdict alone and, where the permutation
-/// oracle is affordable, the oracle's; the C2 witnesses equal a scan of
-/// every pair. The cases include serialization graphs whose edges all run
-/// forward in commit order, graphs with a backward edge that stay acyclic,
-/// and graphs with a backward edge that close a cycle, so the fallback is
-/// taken and decides both ways.
+/// acyclicity verdict (strict separation, the C2 merge scan's
+/// certificate, first; Kahn's algorithm only as the fallback) equals
+/// Kahn's verdict alone and, where the permutation oracle is affordable,
+/// the oracle's; the C2 witnesses equal a scan of every pair. The cases
+/// include serialization graphs whose edges all run forward in commit
+/// order, graphs with a backward edge that stay acyclic, and graphs with a
+/// backward edge that close a cycle, so both checkers' fallbacks are taken
+/// and decide both ways.
 ///
 /// The shapes a live feed can produce (unique stamps, one open execution
 /// per vertex) are also fed to the live checker, shuffled and advanced by

@@ -8,15 +8,8 @@
 //! a 512-worker topology is not one uniform constant but still replays
 //! bit-identically.
 
+use sg_graph::rng::mix64;
 use sg_metrics::CostModel;
-
-/// SplitMix64 finalizer: a cheap, well-mixed hash for per-link jitter.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Latency/bandwidth shape of the simulated cluster network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

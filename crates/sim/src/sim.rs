@@ -43,7 +43,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::net::NetModel;
 use sg_engine::barrier::{self, BarrierHost, BarrierParts};
 use sg_engine::state::{gather_values, PartitionData};
-use sg_engine::store::{Envelope, InboxPair, Routed, StagingBuffers};
+use sg_engine::store::{InboxPair, Routed, StagingBuffers};
 use sg_engine::{
     build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Host,
     Outcome, VertexProgram,
@@ -179,12 +179,9 @@ struct Sim<'a, P: VertexProgram> {
     buffer_cap: usize,
     superstep: u64,
 
-    /// Values and halt votes, per partition.
-    parts: Vec<PartitionData<P::Value>>,
-    /// Incoming messages, per partition: the engine's own inboxes.
-    inboxes: InboxPair<P::Message>,
-    /// Scratch for one vertex's drained envelopes.
-    envelopes: Vec<Envelope<P::Message>>,
+    /// Incoming messages, per partition: the engine's own inboxes, which
+    /// the cycle drains and delivers to as well.
+    inboxes: &'a InboxPair<P::Message>,
 
     ppw: u32,
     lanes_per_worker: u32,
@@ -258,7 +255,8 @@ pub fn simulate<P: VertexProgram>(
 
     let n = graph.num_vertices() as usize;
     let init = |p| PartitionData::init(&program, &graph, &pm, p);
-    let parts: Vec<_> = pm.layout().partitions().map(init).collect();
+    let mut parts: Vec<_> = pm.layout().partitions().map(init).collect();
+    let inboxes = InboxPair::new(&pm, config.model, recorder.clone(), None);
     let mut aggs = AggregatorSet::new();
     program.register_aggregators(&mut aggs);
 
@@ -266,6 +264,8 @@ pub fn simulate<P: VertexProgram>(
         program: &program,
         graph: &graph,
         pm: &pm,
+        inboxes: &inboxes,
+        combiner: combiner.as_deref(),
         aggregators: &aggs,
         trace: &trace,
         recorder: recorder.as_deref(),
@@ -289,9 +289,7 @@ pub fn simulate<P: VertexProgram>(
         aggs: &aggs,
         buffer_cap: config.buffer_cap,
         superstep: 0,
-        inboxes: InboxPair::new(&pm, config.model, recorder.clone(), None),
-        parts,
-        envelopes: Vec::new(),
+        inboxes: &inboxes,
         ppw,
         lanes_per_worker,
         lanes: vec![Lane::default(); (workers * lanes_per_worker) as usize],
@@ -314,7 +312,7 @@ pub fn simulate<P: VertexProgram>(
         events: 0,
     };
 
-    let (converged, executed, makespan) = sim.run(&mut cycle, config.max_supersteps)?;
+    let (converged, executed, makespan) = sim.run(&mut cycle, &mut parts, config.max_supersteps)?;
 
     let metrics_snapshot = sim.metrics.snapshot();
     let obs = config.obs.enabled().then(|| ObsReport {
@@ -336,7 +334,7 @@ pub fn simulate<P: VertexProgram>(
 
     Ok(SimReport {
         outcome: Outcome {
-            values: gather_values(&sim.parts, n),
+            values: gather_values(&parts, n),
             supersteps: executed,
             converged,
             metrics: metrics_snapshot,
@@ -353,9 +351,12 @@ pub fn simulate<P: VertexProgram>(
 }
 
 impl<P: VertexProgram> Sim<'_, P> {
+    /// Run supersteps over `parts`, every partition's vertex state, until
+    /// the barrier halts the run or `max_supersteps` is reached.
     fn run(
         &mut self,
         cycle: &mut Cycle<'_, P>,
+        parts: &mut [PartitionData<P::Value>],
         max_supersteps: u64,
     ) -> Result<(bool, u64, u64), EngineError> {
         let mut executed = 0u64;
@@ -377,7 +378,9 @@ impl<P: VertexProgram> Sim<'_, P> {
                 self.digest = fnv_fold(self.digest, (k << 56) | payload);
                 match ev.kind {
                     EventKind::Deliver { batch } => self.apply_batch(batch as usize),
-                    EventKind::Step { worker, lane } => self.step_lane(cycle, worker, lane, ev.at),
+                    EventKind::Step { worker, lane } => {
+                        self.step_lane(cycle, parts, worker, lane, ev.at)
+                    }
                 }
             }
             if let Some(report) = self.blocked_report() {
@@ -394,7 +397,7 @@ impl<P: VertexProgram> Sim<'_, P> {
             barrier::close(self, s);
             self.level_clocks(s);
             executed += 1;
-            let active: usize = self.parts.iter().map(PartitionData::active_count).sum();
+            let active: usize = parts.iter().map(PartitionData::active_count).sum();
             let pending = self.inboxes.queued();
             if barrier::halts(self.program, s, self.aggs, active, pending) {
                 converged = true;
@@ -412,7 +415,14 @@ impl<P: VertexProgram> Sim<'_, P> {
     /// quiet vertices are skipped inline (zero virtual cost, no event
     /// spam) — through at most one costed vertex, then reschedule; or park
     /// on a contended unit.
-    fn step_lane(&mut self, cycle: &mut Cycle<'_, P>, w: u32, l: u32, now: u64) {
+    fn step_lane(
+        &mut self,
+        cycle: &mut Cycle<'_, P>,
+        parts: &mut [PartitionData<P::Value>],
+        w: u32,
+        l: u32,
+        now: u64,
+    ) {
         let li = (w * self.lanes_per_worker + l) as usize;
         self.lanes[li].pending_step = false;
         let s = self.superstep;
@@ -425,15 +435,15 @@ impl<P: VertexProgram> Sim<'_, P> {
                 }
                 self.claim[w as usize] += 1;
                 let p = (w * self.ppw + k) as usize;
-                let has_work = self.inboxes.current()[p].total() > 0 || self.parts[p].any_active();
+                let has_work = parts[p].has_work(&self.inboxes.current()[p]);
                 let p = PartitionId::new(p as u32);
                 self.lanes[li].walk = Some(PartitionWalk::new(p, &*self.sync, has_work));
                 continue;
             };
             let p = walk.partition().index();
-            let (part, store) = (&self.parts[p], &self.inboxes.current()[p]);
-            let awake = |local, _| !part.halted(local) || store.has_messages(local);
-            match walk.next(&*self.sync, s, self.pm.vertices_in(walk.partition()), awake) {
+            let (part, store) = (&parts[p], &self.inboxes.current()[p]);
+            let awake = |local, _| part.awake(store, local);
+            match walk.next(&*self.sync, s, &part.vertices, awake) {
                 Step::Done => self.lanes[li].walk = None,
                 Step::Acquire(unit) => {
                     let got = self.sync.try_acquire_unit(unit, &self.transport);
@@ -448,10 +458,11 @@ impl<P: VertexProgram> Sim<'_, P> {
                     let ready = self.forks_ready(unit, per_vertex);
                     self.lanes[li].charge_lock_wait(self.trace, w, s, ready, unit);
                 }
-                Step::Run { local, v } => {
+                Step::Run { local, .. } => {
                     let entered = self.lanes[li].clock;
-                    let mut host = LaneHost { sim: self, w, p };
-                    let counts = cycle.run_vertex(&mut host, s, w, entered, local, v);
+                    let mut host = LaneHost { sim: self, w };
+                    let ran = cycle.run_vertex(&mut host, &mut parts[p], s, w, entered, local);
+                    let counts = (ran.consumed, ran.sent);
                     self.lanes[li].charge_virtual(&self.cost, self.trace, w, s, counts);
                     // One costed vertex per event — plus, when the unit
                     // was acquired for this vertex alone, its release.
@@ -712,7 +723,7 @@ impl<P: VertexProgram> BarrierHost for Sim<'_, P> {
         BarrierParts {
             sync: &*self.sync,
             transport: &self.transport,
-            inboxes: &self.inboxes,
+            inboxes: self.inboxes,
             pm: self.pm,
             aggregators: self.aggs,
             metrics: self.metrics,
@@ -720,40 +731,15 @@ impl<P: VertexProgram> BarrierHost for Sim<'_, P> {
     }
 }
 
-/// The simulator's side of one vertex transaction: worker `w` executing
-/// a vertex of partition `p`.
+/// The simulator's side of one vertex transaction, worker `w` executing
+/// it: the remote path alone — the partition's state and inbox are the
+/// cycle's, and a simulated value is published to nobody.
 struct LaneHost<'s, 'a, P: VertexProgram> {
     sim: &'s mut Sim<'a, P>,
     w: u32,
-    p: usize,
 }
 
 impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
-    fn drain(&mut self, local: usize, _v: VertexId, into: &mut Vec<P::Message>) {
-        let sim = &mut *self.sim;
-        sim.inboxes.current()[self.p].drain_into(local, &mut sim.envelopes);
-        into.extend(sim.envelopes.drain(..).map(|(_, m)| m));
-    }
-
-    fn value_mut(&mut self, local: usize, _v: VertexId) -> &mut P::Value {
-        &mut self.sim.parts[self.p].values[local]
-    }
-
-    fn commit(&mut self, local: usize, _v: VertexId, halt: bool) {
-        self.sim.parts[self.p].set_halted(local, halt);
-    }
-
-    fn send_local(
-        &mut self,
-        from: VertexId,
-        to: VertexId,
-        slot: (PartitionId, u32),
-        msg: P::Message,
-    ) {
-        let sim = &*self.sim;
-        sim.inboxes.deliver(from, to, slot, msg, sim.combiner);
-    }
-
     /// Stage, combining sender-side; flush as a wire batch when the staged
     /// run reaches `buffer_cap`.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {

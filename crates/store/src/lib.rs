@@ -51,8 +51,5 @@ pub use tst::{CommitSeq, Tst, Txn, TxnStatus, Xid};
 /// snapshot checksum both the cluster worker and the smoke tests use.
 #[inline]
 pub fn checksum_word(vertex: u32, word: u64) -> u64 {
-    let mut x = word ^ (u64::from(vertex) << 32) ^ 0x9E37_79B9_7F4A_7C15;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    sg_graph::rng::mix64(word ^ (u64::from(vertex) << 32) ^ 0x9E37_79B9_7F4A_7C15)
 }
