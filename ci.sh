@@ -23,6 +23,12 @@ for f in crates/engine/src/*.rs crates/sim/src/*.rs crates/net/src/*.rs; do
 done
 if sed '/^#\[cfg(test)\]/,$d' crates/net/src/worker.rs | grep -n 'halted: Vec<bool>'; then exit 1; fi
 
+echo "== one partition walk: Cycle::run_partition is the only caller of PartitionWalk::next and granted (exactly one walk.next( and one .granted() above #[cfg(test)] in crates/{engine,sim,net}/src, both in cycle.rs); a host implements how it waits, not a loop =="
+for pat in 'walk\.next\(' '\.granted\(\)'; do
+    sites=$(for f in crates/engine/src/*.rs crates/sim/src/*.rs crates/net/src/*.rs; do sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE "$pat" | sed "s|^|$f:|" || true; done)
+    if [ "$(echo "$sites" | grep -c .)" != 1 ] || [ "${sites%%:*}" != crates/engine/src/cycle.rs ]; then echo "$sites"; exit 1; fi
+done
+
 echo "== the incremental checker stays linear: no nested-Vec adjacency, no membership scan (tests below #[cfg(test)] may) =="
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/incremental.rs | grep -nE 'Vec<Vec<|\.contains\('; then exit 1; fi
 
@@ -120,6 +126,9 @@ cmp <(grep -v '^wrote ' target/ci-table1/table1.txt) <(grep -v '^wrote ' results
 echo "== tier-1: release build + root test suite =="
 cargo build --release
 cargo test -q
+
+echo "== tier-1 under load (root test binaries, three rounds beside nproc busy loops; every failing test by name) =="
+./scripts/loaded_tier1.sh
 
 echo "== full workspace tests =="
 cargo test -q --workspace

@@ -1,10 +1,11 @@
-//! The transaction half of the superstep cycle: one vertex execution,
-//! start to finish, written once for every host, on the one vertex state
-//! every host keeps — a [`PartitionData`] per partition.
+//! The transaction half of the superstep cycle, written once for every
+//! host, on the one vertex state every host keeps — a [`PartitionData`]
+//! per partition.
 //!
 //! [`sg_sync::PartitionWalk`] decides *which* vertex runs next and under
-//! which unit; [`Cycle::run_vertex`] is what running it means, in the
-//! order conditions C1 and C2 lean on:
+//! which unit; [`Cycle::run_partition`] is the one loop that follows it,
+//! and `Cycle::run_vertex` is what running a vertex means, in the order
+//! conditions C1 and C2 lean on:
 //!
 //! 1. **drain** the vertex's inbox in the run's [`InboxPair`] (the reads
 //!    the transaction makes);
@@ -20,10 +21,10 @@
 //!    finds it (C1);
 //! 6. **close** the record and count the execution.
 //!
-//! What differs per host — what publishing a value means, how a message
-//! reaches another worker, a record of its own — sits behind the four
-//! [`Host`] hooks; `run_vertex` is generic over them (monomorphised, no
-//! dynamic dispatch per vertex).
+//! What differs per host — how it waits for a unit, what a step costs,
+//! what publishing a value means, how a message reaches another worker, a
+//! record of its own — sits behind the [`Host`] hooks; the cycle is
+//! generic over them (monomorphised, no dynamic dispatch per step).
 
 use crate::aggregators::AggregatorSet;
 use crate::context::Context;
@@ -33,10 +34,37 @@ use crate::store::{Envelope, InboxPair};
 use sg_graph::{Graph, PartitionMap, VertexId};
 use sg_metrics::{Counter, Metrics, Trace};
 use sg_serial::Recorder;
+use sg_sync::{PartitionWalk, Step, Synchronizer};
 
-/// The IO one vertex transaction needs from its host. Hooks are called in
-/// the module header's order, all for the same vertex.
+/// What a [`Host`] hook tells the walk: go on, or stop where it is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flow {
+    Continue,
+    Pause,
+}
+
+/// How [`Cycle::run_partition`] left the walk: over for this superstep,
+/// or paused, to resume by passing the same walk in again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Walked {
+    Done,
+    Paused,
+}
+
+/// How a host waits, what a step costs, and the IO one vertex transaction
+/// needs. The transaction's hooks are called in the module header's
+/// order, all for the same vertex.
 pub trait Host<P: VertexProgram> {
+    /// Hold `unit`, or pause without it: the walk offers it again.
+    fn acquire(&mut self, unit: u32) -> Flow;
+
+    /// Give `unit` back: its executions have closed, their remote writes
+    /// staged where the write-all the release triggers finds them (C1).
+    fn release(&mut self, unit: u32) -> Flow;
+
+    /// Call `run` with the host's clock on entry; charge what it ran.
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow;
+
     /// Open the host's own record, if it keeps one (Lamport stamps):
     /// after the drain, so it orders after every write about to be read.
     fn open(&mut self, _v: VertexId) {}
@@ -59,6 +87,8 @@ pub struct Env<'a, P: VertexProgram> {
     pub program: &'a P,
     pub graph: &'a Graph,
     pub pm: &'a PartitionMap,
+    /// The run's technique, which the walks consult.
+    pub sync: &'a dyn Synchronizer,
     /// The inboxes of the partitions the cycle runs: the drain reads
     /// them, a send to the executing worker lands in them.
     pub inboxes: &'a InboxPair<P::Message>,
@@ -104,10 +134,51 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
         }
     }
 
+    /// A fresh walk of `data`'s partition for this superstep.
+    pub fn walk(&self, data: &PartitionData<P::Value>) -> PartitionWalk {
+        let store = &self.env.inboxes.current()[data.partition().index()];
+        PartitionWalk::new(data.partition(), self.env.sync, data.has_work(store))
+    }
+
+    /// Follow `walk` over `data` on `worker` in `superstep` — acquire, run,
+    /// release, each through `host` — until it is done or a hook pauses;
+    /// an acquire that paused is offered again on the next call.
+    pub fn run_partition<H: Host<P>>(
+        &mut self,
+        host: &mut H,
+        walk: &mut PartitionWalk,
+        data: &mut PartitionData<P::Value>,
+        superstep: u64,
+        worker: u32,
+    ) -> Walked {
+        let (sync, inboxes) = (self.env.sync, self.env.inboxes);
+        let store = &inboxes.current()[walk.partition().index()];
+        loop {
+            let awake = |local, _| data.awake(store, local);
+            let flow = match walk.next(sync, superstep, &data.vertices, awake) {
+                Step::Acquire(unit) => {
+                    let flow = host.acquire(unit);
+                    if flow == Flow::Continue {
+                        walk.granted();
+                    }
+                    flow
+                }
+                Step::Run { local, .. } => host.execute(|host, clock_ns| {
+                    self.run_vertex(host, data, superstep, worker, clock_ns, local)
+                }),
+                Step::Release(unit) => host.release(unit),
+                Step::Done => return Walked::Done,
+            };
+            if flow == Flow::Pause {
+                return Walked::Paused;
+            }
+        }
+    }
+
     /// Execute the `local`-th vertex of `data` on `worker` in `superstep`
     /// as one transaction, with `host` for its IO; `clock_ns` is the
     /// executing lane's clock on entry, on the host's own clock.
-    pub fn run_vertex<H: Host<P>>(
+    fn run_vertex<H: Host<P>>(
         &mut self,
         host: &mut H,
         data: &mut PartitionData<P::Value>,
@@ -180,9 +251,10 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Model;
+    use crate::config::{build_synchronizer, Model, TechniqueKind};
     use sg_graph::partition::ExplicitPartitioner;
     use sg_graph::{gen, ClusterLayout, PartitionId};
+    use sg_sync::NoSync;
     use std::sync::Arc;
 
     /// Sums its mail into its value, then writes to 3, 1, 2, 0 in that
@@ -227,6 +299,16 @@ mod tests {
     }
 
     impl Host<Scatter> for Fake<'_> {
+        fn acquire(&mut self, _unit: u32) -> Flow {
+            Flow::Continue
+        }
+        fn release(&mut self, _unit: u32) -> Flow {
+            Flow::Continue
+        }
+        fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+            run(self, 0);
+            Flow::Continue
+        }
         fn open(&mut self, v: VertexId) {
             self.calls.push(Call::Open(v.raw(), self.queued()));
         }
@@ -273,6 +355,7 @@ mod tests {
             program: &Scatter,
             graph: &graph,
             pm: &pm,
+            sync: &NoSync,
             inboxes: &inboxes,
             combiner: None,
             aggregators: &aggs,
@@ -327,5 +410,188 @@ mod tests {
         );
         assert_eq!(host.calls.len(), 5);
         assert_eq!(host.calls[1], Call::Publish(2, true, 0));
+    }
+
+    /// Counts its mail into its value, passes one message on to its 8-ring
+    /// successor in superstep 0, and votes to halt.
+    struct Relay;
+    impl VertexProgram for Relay {
+        type Value = u64;
+        type Message = u64;
+        fn init(&self, _v: VertexId, _g: &Graph) -> u64 {
+            0
+        }
+        fn compute(&self, ctx: &mut Context<'_, Self>, msgs: &[u64]) {
+            ctx.set_value(msgs.len() as u64);
+            if ctx.superstep() == 0 {
+                let next = (ctx.vertex().raw() + 1) % 8;
+                ctx.send(VertexId::new(next), 1);
+            }
+            ctx.vote_to_halt();
+        }
+    }
+
+    /// A walk's hooks as the host saw them: acquires it granted, the
+    /// vertices it ran (logged at `open`), remote sends, releases.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Hook {
+        Acquire(u32),
+        Run(u32),
+        Remote(u32),
+        Release(u32),
+    }
+
+    /// A host that never waits. With `pause` it pauses at the first offer
+    /// of every unit and after every execution. `offered` lists every
+    /// unit `acquire` was called with.
+    #[derive(Default)]
+    struct Walker {
+        pause: bool,
+        refused: Option<u32>,
+        offered: Vec<u32>,
+        log: Vec<Hook>,
+    }
+
+    impl Host<Relay> for Walker {
+        fn acquire(&mut self, unit: u32) -> Flow {
+            self.offered.push(unit);
+            if self.pause && self.refused != Some(unit) {
+                self.refused = Some(unit);
+                return Flow::Pause;
+            }
+            self.log.push(Hook::Acquire(unit));
+            Flow::Continue
+        }
+        fn release(&mut self, unit: u32) -> Flow {
+            self.log.push(Hook::Release(unit));
+            Flow::Continue
+        }
+        fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+            run(self, 0);
+            if self.pause {
+                Flow::Pause
+            } else {
+                Flow::Continue
+            }
+        }
+        fn open(&mut self, v: VertexId) {
+            self.log.push(Hook::Run(v.raw()));
+        }
+        fn send_remote(&mut self, _to_worker: u32, _from: VertexId, to: VertexId, _msg: u64) {
+            self.log.push(Hook::Remote(to.raw()));
+        }
+    }
+
+    /// Walk partition 0 of an 8-ring — vertices 0-3 on worker 0, 4-7 on
+    /// worker 1 — in superstep 0 under `technique`, with vertices 2 and 3
+    /// asleep unless `quiet`, when all four are. Returns how many
+    /// `run_partition` calls it took to reach `Done`; `host` keeps the log.
+    fn walk_partition(technique: TechniqueKind, host: &mut Walker, quiet: bool) -> usize {
+        let graph = gen::ring(8);
+        let parts = (0..8).map(|v| PartitionId::new(v / 4)).collect();
+        let pm = Arc::new(PartitionMap::build(
+            &graph,
+            ClusterLayout::new(2, 1),
+            &ExplicitPartitioner(parts),
+        ));
+        let metrics = Arc::new(Metrics::new());
+        let sync = build_synchronizer(technique, &graph, &pm, Arc::clone(&metrics));
+        let (aggs, trace) = (AggregatorSet::new(), Trace::disabled());
+        let inboxes = InboxPair::new(&pm, Model::Async, None, None);
+        let mut data = PartitionData::init(&Relay, &graph, &pm, PartitionId::new(0));
+        let asleep = if quiet { 0..4 } else { 2..4 };
+        asleep.for_each(|local| data.set_halted(local, true));
+        let mut cycle = Cycle::new(Env {
+            program: &Relay,
+            graph: &graph,
+            pm: &pm,
+            sync: &*sync,
+            inboxes: &inboxes,
+            combiner: None,
+            aggregators: &aggs,
+            trace: &trace,
+            recorder: None,
+            metrics: &metrics,
+        });
+        let mut walk = cycle.walk(&data);
+        let mut calls = 1;
+        while cycle.run_partition(host, &mut walk, &mut data, 0, 0) == Walked::Paused {
+            calls += 1;
+            assert!(calls < 100, "the walk never ends");
+        }
+        // Each read its predecessor's message, sent earlier in the walk:
+        // vertex 2 woke on vertex 1's, vertex 3 on vertex 2's.
+        let read = if quiet { [0; 4] } else { [0, 1, 1, 1] };
+        assert_eq!(data.values, read);
+        calls
+    }
+
+    #[test]
+    fn a_paused_walk_resumes_to_the_same_hooks() {
+        use Hook::*;
+        let runs = [Run(0), Run(1), Run(2), Run(3), Remote(4)];
+        let bracketed = [
+            [Acquire(0), Run(0), Release(0)].as_slice(),
+            &[Acquire(1), Run(1), Release(1)],
+            &[Acquire(2), Run(2), Release(2)],
+            &[Acquire(3), Run(3), Remote(4), Release(3)],
+        ]
+        .concat();
+        let cases = [
+            // No locking: every pause is after an execution.
+            (TechniqueKind::None, runs.to_vec(), 4),
+            // One refusal of the partition's unit, four executions.
+            (
+                TechniqueKind::PartitionLock,
+                [&[Acquire(0)], runs.as_slice(), &[Release(0)]].concat(),
+                5,
+            ),
+            // Each vertex's unit refused once, each execution paused after.
+            (TechniqueKind::VertexLock, bracketed, 8),
+        ];
+        for (technique, want, pauses) in cases {
+            let mut straight = Walker::default();
+            assert_eq!(walk_partition(technique, &mut straight, false), 1);
+            assert_eq!(straight.log, want, "{technique:?}");
+            let mut paused = Walker {
+                pause: true,
+                ..Walker::default()
+            };
+            let calls = walk_partition(technique, &mut paused, false);
+            assert_eq!(paused.log, want, "{technique:?}, paused");
+            assert_eq!(calls, pauses + 1, "{technique:?}");
+            // A paused acquire is offered again, unchanged, on resume.
+            let twice: Vec<u32> = (straight.offered.iter()).flat_map(|&u| [u, u]).collect();
+            assert_eq!(paused.offered, twice, "{technique:?}");
+        }
+    }
+
+    #[test]
+    fn vertex_grain_releases_each_run_before_the_next_acquire() {
+        let mut host = Walker::default();
+        walk_partition(TechniqueKind::VertexLock, &mut host, false);
+        let mut held = None;
+        for hook in host.log {
+            match hook {
+                Hook::Acquire(u) => assert_eq!(held.replace(u), None, "{u} acquired while held"),
+                Hook::Run(v) => assert_eq!(held, Some(v), "{v} ran without its unit"),
+                Hook::Release(u) => assert_eq!(held.take(), Some(u)),
+                Hook::Remote(_) => assert!(held.is_some(), "staged after the release"),
+            }
+        }
+        assert_eq!(held, None, "the walk ended holding a unit");
+    }
+
+    #[test]
+    fn a_quiet_partition_is_done_without_an_acquire() {
+        let mut host = Walker {
+            pause: true,
+            ..Walker::default()
+        };
+        assert_eq!(
+            walk_partition(TechniqueKind::PartitionLock, &mut host, true),
+            1
+        );
+        assert_eq!(host.log, []);
     }
 }

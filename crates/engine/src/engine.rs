@@ -4,7 +4,7 @@
 use crate::aggregators::AggregatorSet;
 use crate::barrier::{self, BarrierHost, BarrierParts};
 use crate::config::{build_synchronizer, EngineConfig, EngineError};
-use crate::cycle::{Cycle, Env, Host};
+use crate::cycle::{Cycle, Env, Executed, Flow, Host, Walked};
 use crate::program::{Combiner, VertexProgram};
 use crate::state::{gather_values, PartitionData};
 use crate::store::{InboxPair, OutboundBuffers, Routed, StagingBuffers};
@@ -15,7 +15,7 @@ use sg_metrics::{
 };
 use sg_serial::{AuditSidecar, History, HistorySummary, Recorder};
 use sg_store::{GraphReader, VertexStore};
-use sg_sync::{ForkSnapshot, PartitionWalk, Step, SyncTransport, Synchronizer};
+use sg_sync::{ForkSnapshot, SyncTransport, Synchronizer};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -676,14 +676,14 @@ fn barrierless_loop<P: VertexProgram>(
         for &p in &my_parts {
             if core.partition_has_work(p.index()) {
                 did_work = true;
-                core.execute_partition(worker, p, round, &mut lane);
+                core.execute_partition(p, round, &mut lane);
             }
         }
         // Per-round flush of this thread's own staging plus the worker's
         // shared buffers (siblings flush their own, so the hot loop never
         // contends on another thread's staging lock); the C1 write-all
         // (`flush_outbound`) still drains them all when a fork moves.
-        core.ship_from(worker, std::slice::from_ref(lane.staging));
+        core.ship_from(worker, std::slice::from_ref(lane.host.staging));
         core.settle(worker, &mut lane);
         if did_work {
             round += 1;
@@ -775,7 +775,7 @@ fn worker_loop<P: VertexProgram>(
                 break;
             }
             let p = PartitionId::new(worker as u32 * ppw + k);
-            core.execute_partition(worker, p, s, &mut lane);
+            core.execute_partition(p, s, &mut lane);
         }
         core.settle(worker, &mut lane);
         end_barrier.wait();
@@ -783,22 +783,19 @@ fn worker_loop<P: VertexProgram>(
 }
 
 /// What one compute thread keeps for the whole run: the shared cycle and
-/// its scratch, its staging buffer, and — when the run is timed — the
-/// nanoseconds its partition walks spent executing vertices (`busy`) and
-/// acquiring units (`blocked`) since [`Core::settle`] last took them; each
-/// step counts from the end of the one before it.
+/// its scratch, and the host its partition walks run with.
 struct Lane<'a, P: VertexProgram> {
     cycle: Cycle<'a, P>,
-    staging: &'a Mutex<StagingBuffers<P::Message>>,
-    busy: u64,
-    blocked: u64,
+    host: PartitionHost<'a, P>,
 }
 
-/// The thread engine's side of one partition walk: the MVCC write-through
-/// and the remote path of the lane executing it.
+/// The thread engine's side of a lane's partition walks: it blocks for a
+/// unit, times each step when the run is timed, and adds the MVCC
+/// write-through and the lane's remote path.
 struct PartitionHost<'a, P: VertexProgram> {
     core: &'a Core<P>,
     worker: usize,
+    superstep: u64,
     staging: &'a Mutex<StagingBuffers<P::Message>>,
     /// The staging lock, held from a vertex's first remote send to its
     /// close: taken once per vertex, not once per message, and never
@@ -807,6 +804,14 @@ struct PartitionHost<'a, P: VertexProgram> {
     /// Envelopes the open transaction has staged and not yet added to
     /// `Core::owed`.
     unowed: u64,
+    /// A timed walk is tiled: each acquire or execution lasts from the
+    /// end of the step before it (or the walk's start) to its own end, so
+    /// it costs one clock read. `mark` is where the next step starts.
+    mark: u64,
+    /// Nanoseconds the walks spent executing vertices (`busy`) and
+    /// acquiring units (`blocked`) since [`Core::settle`] last took them.
+    busy: u64,
+    blocked: u64,
 }
 
 impl<P: VertexProgram> PartitionHost<'_, P> {
@@ -818,9 +823,53 @@ impl<P: VertexProgram> PartitionHost<'_, P> {
             self.unowed = 0;
         }
     }
+
+    /// End a timed step now: trace it as `kind` from `mark`, move `mark`
+    /// here, and return its length.
+    fn lap(&mut self, kind: TraceEventKind, arg: u64) -> u64 {
+        let (start, w) = (self.mark, self.worker as u32);
+        self.mark = self.core.now_ns();
+        let len = self.mark - start;
+        self.core
+            .trace
+            .record(w, self.superstep, kind, start, len, arg);
+        len
+    }
 }
 
 impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
+    /// Block in the technique until the unit is held.
+    fn acquire(&mut self, unit: u32) -> Flow {
+        self.core.sync.acquire_unit(unit, self.core);
+        if self.core.timed {
+            self.blocked += self.lap(TraceEventKind::LockWait, unit.into());
+        }
+        Flow::Continue
+    }
+
+    fn release(&mut self, unit: u32) -> Flow {
+        self.core.sync.release_unit(unit, 0, self.core);
+        Flow::Continue
+    }
+
+    /// What the execution delivered locally may be work for a parked
+    /// sibling; a `MessageSend` marker follows its span if it sent.
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+        let start = self.mark;
+        let ran = run(self, start);
+        if ran.local > 0 {
+            self.core.wake_parked();
+        }
+        if self.core.timed {
+            self.busy += self.lap(TraceEventKind::VertexExecute, ran.consumed);
+            let (w, kind) = (self.worker as u32, TraceEventKind::MessageSend);
+            if ran.sent > 0 {
+                (self.core.trace).record(w, self.superstep, kind, self.mark, 0, ran.sent);
+            }
+        }
+        Flow::Continue
+    }
+
     /// Write-through: install the execution's result as a new MVCC
     /// version. With a recorder the commit is deferred to the recorded
     /// transaction's close (its end fires the hook); without one the
@@ -876,6 +925,7 @@ impl<P: VertexProgram> Core<P> {
                 program: &self.program,
                 graph: &self.graph,
                 pm: &self.pm,
+                sync: &*self.sync,
                 inboxes: &self.inboxes,
                 combiner: self.combiner.as_deref(),
                 aggregators: &self.aggs,
@@ -883,9 +933,17 @@ impl<P: VertexProgram> Core<P> {
                 recorder: self.recorder.as_deref(),
                 metrics: &self.metrics,
             }),
-            staging: &self.staging[worker * self.threads_per_worker + slot],
-            busy: 0,
-            blocked: 0,
+            host: PartitionHost {
+                core: self,
+                worker,
+                superstep: 0,
+                staging: &self.staging[worker * self.threads_per_worker + slot],
+                staged: None,
+                unowed: 0,
+                mark: 0,
+                busy: 0,
+                blocked: 0,
+            },
         }
     }
 
@@ -910,8 +968,8 @@ impl<P: VertexProgram> Core<P> {
     fn settle(&self, worker: usize, lane: &mut Lane<'_, P>) {
         if let Some(t) = &self.timers {
             let lanes = self.threads_per_worker as u64;
-            t.add_busy(worker, std::mem::take(&mut lane.busy) / lanes);
-            t.add_blocked(worker, std::mem::take(&mut lane.blocked) / lanes);
+            t.add_busy(worker, std::mem::take(&mut lane.host.busy) / lanes);
+            t.add_blocked(worker, std::mem::take(&mut lane.host.blocked) / lanes);
         }
         self.done[worker].fetch_max(self.stamp(), Ordering::Relaxed);
     }
@@ -945,66 +1003,16 @@ impl<P: VertexProgram> Core<P> {
         self.partitions[p].lock().unwrap().has_work(store)
     }
 
-    /// Host one [`PartitionWalk`]: block where it says acquire, run the
-    /// shared vertex transaction where it says run, and — when the run is
-    /// timed — charge the lane and trace both.
-    fn execute_partition(&self, worker: usize, p: PartitionId, s: u64, lane: &mut Lane<'_, P>) {
-        // Locked for the walk: Giraph's "vertices in each partition are
-        // executed sequentially".
+    /// Walk partition `p` on `lane` in round `s`, the partition's state
+    /// locked for the walk: Giraph's "vertices in each partition are
+    /// executed sequentially". The host blocks, so the walk never pauses.
+    fn execute_partition(&self, p: PartitionId, s: u64, lane: &mut Lane<'_, P>) {
         let mut data = self.partitions[p.index()].lock().unwrap();
-        let store = &self.inboxes.current()[p.index()];
-        let mut host = PartitionHost {
-            core: self,
-            worker,
-            staging: lane.staging,
-            staged: None,
-            unowed: 0,
-        };
-        let mut walk = PartitionWalk::new(p, &*self.sync, data.has_work(store));
-        let w = worker as u32;
-        // A timed walk is tiled: each acquire or execution lasts from the
-        // end of the step before it (or the walk's start) to its own end,
-        // so it costs one clock read.
-        let mut mark = self.stamp();
-        loop {
-            let awake = |i, _| data.awake(store, i);
-            match walk.next(&*self.sync, s, &data.vertices, awake) {
-                Step::Acquire(unit) => {
-                    self.sync.acquire_unit(unit, self);
-                    if self.timed {
-                        let end = self.now_ns();
-                        lane.blocked += end - mark;
-                        let kind = TraceEventKind::LockWait;
-                        self.trace.record(w, s, kind, mark, end - mark, unit.into());
-                        mark = end;
-                    }
-                    walk.granted();
-                }
-                Step::Run { local, .. } => {
-                    let ran = lane
-                        .cycle
-                        .run_vertex(&mut host, &mut data, s, w, mark, local);
-                    // What it delivered may be work for a parked sibling.
-                    if ran.local > 0 {
-                        self.wake_parked();
-                    }
-                    if self.timed {
-                        let end = self.now_ns();
-                        lane.busy += end - mark;
-                        let kind = TraceEventKind::VertexExecute;
-                        self.trace
-                            .record(w, s, kind, mark, end - mark, ran.consumed);
-                        if ran.sent > 0 {
-                            let kind = TraceEventKind::MessageSend;
-                            self.trace.record(w, s, kind, end, 0, ran.sent);
-                        }
-                        mark = end;
-                    }
-                }
-                Step::Release(unit) => self.sync.release_unit(unit, 0, self),
-                Step::Done => return,
-            }
-        }
+        let Lane { cycle, host } = lane;
+        (host.superstep, host.mark) = (s, self.stamp());
+        let (mut walk, w) = (cycle.walk(&data), host.worker as u32);
+        let walked = cycle.run_partition(host, &mut walk, &mut data, s, w);
+        debug_assert_eq!(walked, Walked::Done);
     }
 
     /// How both thread regimes end — after `supersteps`, `converged` or
@@ -1505,7 +1513,7 @@ mod tests {
         let start = core.take_checkpoint(0);
 
         // Worker 0 runs v0 and v2: one writes to v1, one to v3, both staged.
-        core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
+        core.execute_partition(PartitionId::new(0), 0, &mut core.lane(0, 0));
         assert_eq!((owed(0), owed(1)), (2, 0));
         assert_eq!(core.inboxes.current()[1].total(), 0, "nothing applied yet");
 
@@ -1522,7 +1530,7 @@ mod tests {
         assert_eq!(core.inboxes.current()[1].total(), 2);
 
         // Owed again, then a rollback: the count goes with the messages.
-        core.execute_partition(1, PartitionId::new(1), 0, &mut core.lane(1, 0));
+        core.execute_partition(PartitionId::new(1), 0, &mut core.lane(1, 0));
         assert!(owed(1) > 0);
         core.flush_outbound(1);
         assert_eq!(core.restore_checkpoint(&start), 0);
@@ -1536,7 +1544,7 @@ mod tests {
         // count must already cover it (`ship_batch` asserts so in debug
         // builds).
         let core = c4_core(1);
-        core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
+        core.execute_partition(PartitionId::new(0), 0, &mut core.lane(0, 0));
         assert_eq!(core.owed[0].load(Ordering::SeqCst), 0);
         assert_eq!(core.inboxes.current()[1].total(), 2);
     }
@@ -1546,12 +1554,12 @@ mod tests {
         // The halt test reads what the stores hold, so a checkpoint needs
         // no count of its own: restoring the queues restores the total.
         let core = c4_core(1); // every remote send ships at once
-        core.execute_partition(0, PartitionId::new(0), 0, &mut core.lane(0, 0));
+        core.execute_partition(PartitionId::new(0), 0, &mut core.lane(0, 0));
         // v1 and v3 each hold one; v0 holds v2's, sent after v0 ran.
         assert_eq!(core.inboxes.queued(), 3);
         let ckpt = core.take_checkpoint(1);
         // Worker 1 reads its two and, having learnt nothing new, stays quiet.
-        core.execute_partition(1, PartitionId::new(1), 1, &mut core.lane(1, 0));
+        core.execute_partition(PartitionId::new(1), 1, &mut core.lane(1, 0));
         assert_eq!(core.inboxes.queued(), 1);
         assert_eq!(core.restore_checkpoint(&ckpt), 1);
         assert_eq!(

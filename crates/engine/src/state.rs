@@ -1,7 +1,7 @@
 //! Per-partition vertex state: values and halt votes — the one vertex
 //! state of every host. The thread engine, the simulator and the networked
 //! worker each keep a [`PartitionData`] per partition they run, and
-//! [`crate::Cycle::run_vertex`] is what reads and writes it.
+//! [`crate::Cycle::run_partition`] is what reads and writes it.
 //!
 //! Each partition's state is owned by exactly one compute thread at a time
 //! (the engine wraps it in a mutex locked for the whole partition

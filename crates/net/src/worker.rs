@@ -28,10 +28,11 @@
 //! The compute thread *hosts* the shared superstep cycle rather than
 //! transcribing it: [`sg_sync::PartitionWalk`] decides which vertex runs
 //! next and where the acquire/release brackets go, [`sg_engine::Cycle`]
-//! runs the vertex transaction on the rank's [`PartitionData`] — one per
-//! partition it owns, the vertex state every host keeps — and this module
-//! supplies the rest of the IO: the serving plane a value is published
-//! to, the remote path, the lock RPC, Lamport stamps. Remote messages
+//! follows the walk and runs the vertex transaction on the rank's
+//! [`PartitionData`] — one per partition it owns, the vertex state every
+//! host keeps — and this module supplies how it waits and the rest of the
+//! IO: the lock RPC, the serving plane a value is published to, the
+//! remote path, Lamport stamps. Remote messages
 //! are staged *before* the walk's release step, so the release-triggered
 //! write-all finds them. Workers run one compute thread each — rank is
 //! worker is thread, which is the paper's single-threaded-worker setting.
@@ -74,12 +75,12 @@ use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
 use sg_engine::state::PartitionData;
 use sg_engine::store::{InboxPair, StagingBuffers};
 use sg_engine::{
-    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Host, Model, StoreGauges,
-    VertexProgram, WireCodec,
+    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Executed, Flow, Host, Model,
+    StoreGauges, VertexProgram, WireCodec,
 };
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
-use sg_sync::{LockGranularity, PartitionWalk, Step, Synchronizer, TechniqueKind};
+use sg_sync::{LockGranularity, TechniqueKind};
 
 use crate::cluster::GOODBYE_SUPERSTEP;
 use crate::fault::FaultInjector;
@@ -612,6 +613,7 @@ where
         program: &program,
         graph: &graph,
         pm: &pm,
+        sync: &*replica,
         inboxes: &shared.inboxes,
         combiner: shared.combiner.as_deref(),
         aggregators: &no_aggregators,
@@ -624,11 +626,14 @@ where
             shared: &shared,
             links: &links,
             rx: &rx,
+            pm: &pm,
+            per_vertex: replica.granularity() == LockGranularity::Vertex,
+            superstep: 0,
+            mark: 0,
+            failed: None,
             opened: 0,
             staged: None,
         },
-        pm: &pm,
-        replica: &*replica,
         parts,
     }
     .run(&mut cycle);
@@ -876,21 +881,29 @@ fn handle_flush<M: WireCodec>(
 /// rank owns, and the networked [`Host`] it runs them with.
 struct Compute<'a, P: VertexProgram> {
     host: RankHost<'a, P::Message>,
-    pm: &'a PartitionMap,
-    /// Stateless technique replica (see `run_worker`).
-    replica: &'a dyn Synchronizer,
     /// The partitions this rank owns, ascending.
     parts: Vec<PartitionData<P::Value>>,
 }
 
 /// The networked [`Host`]: the cluster handles the compute thread does IO
-/// through — the serving plane a value is published to, the links a
-/// remote message ships on, the coordinator's lock grants — and its
-/// record of the open transaction.
+/// through — the coordinator's lock grants, the serving plane a value is
+/// published to, the links a remote message ships on — and its record of
+/// the open transaction and of the compute time not yet counted.
 struct RankHost<'a, M> {
     shared: &'a Shared<M>,
     links: &'a [Option<PeerLink>],
     rx: &'a mpsc::Receiver<Cmd>,
+    pm: &'a PartitionMap,
+    /// Vertex-grain technique: a unit is a vertex, and only p-boundary
+    /// vertices are philosophers.
+    per_vertex: bool,
+    /// The superstep being walked.
+    superstep: u64,
+    /// When the compute time not yet added to `sg_worker_compute_ns_total`
+    /// began, on [`wall_ns`].
+    mark: u64,
+    /// A lock RPC's failure: it paused the walk and ends the superstep.
+    failed: Option<NetError>,
     /// Lamport stamp the open transaction started at.
     opened: u64,
     /// The staging lock, held from a vertex's first remote send to its
@@ -1007,60 +1020,22 @@ where
         Ok(())
     }
 
-    /// Host one [`PartitionWalk`] per owned partition: the lock RPC where
-    /// it says acquire, the shared vertex transaction where it says run.
-    /// `sg_worker_compute_ns_total` grows by the walk's wall time less its
-    /// lock waits, added at each lock RPC and at the walk's end from the
-    /// clock reads the RPC makes anyway, so a live scrape sees it grow
-    /// mid-walk; only a traced run reads the clock around each execution,
-    /// for its `VertexExecute` span.
+    /// Walk each owned partition in superstep `s`. A lock RPC that fails
+    /// pauses the walk, and its error ends the superstep.
+    /// `sg_worker_compute_ns_total` grows by each walk's wall time less its
+    /// lock waits, added at each lock RPC and at the walk's end.
     fn run_superstep(&mut self, cycle: &mut Cycle<'_, P>, s: u64) -> Result<(), NetError> {
-        let shared = self.host.shared;
         let host = &mut self.host;
-        let (pm, replica, traced) = (self.pm, self.replica, shared.trace.is_enabled());
-        let granularity = replica.granularity();
-        // Only p-boundary vertices are philosophers; the technique's
-        // acquire is a no-op for the rest (free in-process), so their
-        // round trip to the coordinator's fork table is skipped.
-        let needs_rpc = |unit: u32| {
-            granularity != LockGranularity::Vertex || pm.is_p_boundary(VertexId::new(unit))
-        };
+        let shared = host.shared;
+        host.superstep = s;
         for data in &mut self.parts {
-            let p = data.partition();
-            let store = &shared.inboxes.current()[p.index()];
-            let mut walk = PartitionWalk::new(p, replica, data.has_work(store));
-            // When the compute time not yet counted began.
-            let mut mark = wall_ns(shared.epoch_ns);
-            loop {
-                let awake = |local, _| data.awake(store, local);
-                let step = walk.next(replica, s, &data.vertices, awake);
-                match step {
-                    Step::Acquire(unit) => {
-                        if needs_rpc(unit) {
-                            let (asked, granted) = host.acquire_unit_rpc(s, unit)?;
-                            shared.wtel.compute_ns.add(asked.saturating_sub(mark));
-                            mark = granted;
-                        }
-                        walk.granted();
-                    }
-                    Step::Run { local, .. } if traced => {
-                        let (rank, t0) = (shared.rank, wall_ns(shared.epoch_ns));
-                        let ran = cycle.run_vertex(host, data, s, rank, t0, local);
-                        let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
-                        let kind = TraceEventKind::VertexExecute;
-                        shared.trace.record(rank, s, kind, t0, dur, ran.consumed);
-                    }
-                    Step::Run { local, .. } => {
-                        cycle.run_vertex(host, data, s, shared.rank, 0, local);
-                    }
-                    Step::Release(unit) if needs_rpc(unit) => {
-                        shared.ctrl.send(&Message::ReleaseUnit { unit })?;
-                    }
-                    Step::Release(_) => {}
-                    Step::Done => break,
-                }
+            let mut walk = cycle.walk(data);
+            host.mark = wall_ns(shared.epoch_ns);
+            cycle.run_partition(host, &mut walk, data, s, shared.rank);
+            if let Some(e) = host.failed.take() {
+                return Err(e);
             }
-            let walked = wall_ns(shared.epoch_ns).saturating_sub(mark);
+            let walked = wall_ns(shared.epoch_ns).saturating_sub(host.mark);
             shared.wtel.compute_ns.add(walked);
         }
         Ok(())
@@ -1068,9 +1043,16 @@ where
 }
 
 impl<M> RankHost<'_, M> {
-    /// Blocking lock RPC: request the unit, wait for the grant. Returns
-    /// when it asked and when the grant came, on [`wall_ns`].
-    fn acquire_unit_rpc(&self, superstep: u64, unit: u32) -> Result<(u64, u64), NetError> {
+    /// Only p-boundary vertices are philosophers; the technique's acquire
+    /// is a no-op for the rest (free in-process), so their round trip to
+    /// the coordinator's fork table is skipped.
+    fn needs_rpc(&self, unit: u32) -> bool {
+        !self.per_vertex || self.pm.is_p_boundary(VertexId::new(unit))
+    }
+
+    /// Blocking lock RPC: request the unit, wait for the grant. The
+    /// compute time up to the request is counted; the wait is lock wait.
+    fn acquire_unit_rpc(&mut self, unit: u32) -> Result<(), NetError> {
         debug_assert!(self.staged.is_none(), "staging lock held across a lock RPC");
         let shared = self.shared;
         let t0 = wall_ns(shared.epoch_ns);
@@ -1095,15 +1077,19 @@ impl<M> RankHost<'_, M> {
         }
         let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
         shared.wtel.lock_wait_ns.add(dur);
-        shared.trace.record(
-            shared.rank,
-            superstep,
-            TraceEventKind::LockWait,
-            t0,
-            dur,
-            u64::from(unit),
-        );
-        Ok((t0, t0 + dur))
+        shared.wtel.compute_ns.add(t0.saturating_sub(self.mark));
+        self.mark = t0 + dur;
+        let kind = TraceEventKind::LockWait;
+        (shared.trace).record(shared.rank, self.superstep, kind, t0, dur, unit.into());
+        Ok(())
+    }
+
+    /// Go on, or keep `done`'s error for the superstep to end with and
+    /// pause the walk.
+    fn flow(&mut self, done: Result<(), NetError>) -> Flow {
+        let Err(e) = done else { return Flow::Continue };
+        self.failed = Some(e);
+        Flow::Pause
     }
 }
 
@@ -1113,6 +1099,35 @@ where
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
+    fn acquire(&mut self, unit: u32) -> Flow {
+        let done = self.needs_rpc(unit).then(|| self.acquire_unit_rpc(unit));
+        self.flow(done.unwrap_or(Ok(())))
+    }
+
+    fn release(&mut self, unit: u32) -> Flow {
+        let ctrl = &self.shared.ctrl;
+        let done = self
+            .needs_rpc(unit)
+            .then(|| ctrl.send(&Message::ReleaseUnit { unit }));
+        self.flow(done.unwrap_or(Ok(())).map_err(NetError::from))
+    }
+
+    /// Untraced, an execution reads no clock; traced, it is timed for its
+    /// `VertexExecute` span.
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+        let shared = self.shared;
+        if shared.trace.is_enabled() {
+            let t0 = wall_ns(shared.epoch_ns);
+            let ran = run(self, t0);
+            let dur = wall_ns(shared.epoch_ns).saturating_sub(t0);
+            let kind = TraceEventKind::VertexExecute;
+            (shared.trace).record(shared.rank, self.superstep, kind, t0, dur, ran.consumed);
+        } else {
+            run(self, 0);
+        }
+        Flow::Continue
+    }
+
     /// Messages just drained arrived on link readers that joined the
     /// sender's clock first, so this tick orders after every sender write.
     fn open(&mut self, _v: VertexId) {

@@ -3,10 +3,9 @@
 //! One OS thread walks a binary-heap event queue over virtual time. Each
 //! simulated worker machine owns `threads_per_worker` *lanes* (simulated
 //! compute threads); a lane's `Step` event claims partitions and follows
-//! each one's [`PartitionWalk`] — the product's own scan/acquire/release
-//! order, not a transcription of it — through one [`Cycle::run_vertex`]
-//! (the product's own vertex transaction), or retries a blocked lock
-//! acquisition. Remote message batches travel as `Deliver` events through
+//! each one's [`PartitionWalk`] through [`Cycle::run_partition`] — the
+//! product's own scan/acquire/release order and vertex transaction, not a
+//! transcription of them — or retries a blocked lock acquisition. Remote message batches travel as `Deliver` events through
 //! the `NetModel`.
 //!
 //! The synchronization techniques are the **unmodified** `sg-sync`
@@ -45,8 +44,8 @@ use sg_engine::barrier::{self, BarrierHost, BarrierParts};
 use sg_engine::state::{gather_values, PartitionData};
 use sg_engine::store::{InboxPair, Routed, StagingBuffers};
 use sg_engine::{
-    build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Host,
-    Outcome, VertexProgram,
+    build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Executed,
+    Flow, Host, Outcome, VertexProgram, Walked,
 };
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
@@ -54,7 +53,7 @@ use sg_metrics::{
     Trace, TraceEventKind, WorkerTimers,
 };
 use sg_serial::Recorder;
-use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Step, Synchronizer};
+use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Synchronizer};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -142,9 +141,9 @@ impl Lane {
         }
     }
 
-    /// Charge the execution whose `(consumed, sent)` counts
-    /// [`Cycle::run_vertex`] returned, as busy time: a `VertexExecute` span
-    /// of the model's cost, then a `MessageSend` marker if it sent.
+    /// Charge the execution whose `(consumed, sent)` counts the cycle
+    /// returned, as busy time: a `VertexExecute` span of the model's cost,
+    /// then a `MessageSend` marker if it sent.
     fn charge_virtual(&mut self, cost: &CostModel, trace: &Trace, w: u32, s: u64, n: (u64, u64)) {
         let ns = cost.vertex_cost(n.0, n.1);
         let kind = TraceEventKind::VertexExecute;
@@ -264,6 +263,7 @@ pub fn simulate<P: VertexProgram>(
         program: &program,
         graph: &graph,
         pm: &pm,
+        sync: &*sync,
         inboxes: &inboxes,
         combiner: combiner.as_deref(),
         aggregators: &aggs,
@@ -280,7 +280,7 @@ pub fn simulate<P: VertexProgram>(
             LockGranularity::Partition => pm.layout().num_partitions() as usize,
             LockGranularity::Vertex => n,
         }),
-        sync,
+        sync: Arc::clone(&sync),
         transport: QueueTransport::default(),
         net,
         cost: opts.cost,
@@ -428,66 +428,35 @@ impl<P: VertexProgram> Sim<'_, P> {
         let s = self.superstep;
         let per_vertex = self.sync.granularity() == LockGranularity::Vertex;
         loop {
-            let Some(walk) = &mut self.lanes[li].walk else {
-                let k = self.claim[w as usize];
-                if k >= self.ppw {
-                    return; // done with this superstep
+            let mut walk = match self.lanes[li].walk.take() {
+                Some(walk) => walk,
+                None => {
+                    let k = self.claim[w as usize];
+                    if k >= self.ppw {
+                        return; // done with this superstep
+                    }
+                    self.claim[w as usize] += 1;
+                    cycle.walk(&parts[(w * self.ppw + k) as usize])
                 }
-                self.claim[w as usize] += 1;
-                let p = (w * self.ppw + k) as usize;
-                let has_work = parts[p].has_work(&self.inboxes.current()[p]);
-                let p = PartitionId::new(p as u32);
-                self.lanes[li].walk = Some(PartitionWalk::new(p, &*self.sync, has_work));
-                continue;
             };
-            let p = walk.partition().index();
-            let (part, store) = (&parts[p], &self.inboxes.current()[p]);
-            let awake = |local, _| part.awake(store, local);
-            match walk.next(&*self.sync, s, &part.vertices, awake) {
-                Step::Done => self.lanes[li].walk = None,
-                Step::Acquire(unit) => {
-                    let got = self.sync.try_acquire_unit(unit, &self.transport);
-                    if got {
-                        walk.granted();
-                    }
-                    self.lanes[li].parked = (!got).then_some(unit);
-                    self.drain_actions();
-                    if !got {
-                        return; // parked; a release will re-poll
-                    }
-                    let ready = self.forks_ready(unit, per_vertex);
-                    self.lanes[li].charge_lock_wait(self.trace, w, s, ready, unit);
+            let data = &mut parts[walk.partition().index()];
+            let mut host = LaneHost {
+                sim: self,
+                w,
+                li,
+                now,
+                per_vertex,
+            };
+            if cycle.run_partition(&mut host, &mut walk, data, s, w) == Walked::Paused {
+                // Resumed at its next step, or, parked, when a release
+                // re-polls it.
+                self.lanes[li].walk = Some(walk);
+                if self.lanes[li].parked.is_none() {
+                    self.wake(li, 0);
                 }
-                Step::Run { local, .. } => {
-                    let entered = self.lanes[li].clock;
-                    let mut host = LaneHost { sim: self, w };
-                    let ran = cycle.run_vertex(&mut host, &mut parts[p], s, w, entered, local);
-                    let counts = (ran.consumed, ran.sent);
-                    self.lanes[li].charge_virtual(&self.cost, self.trace, w, s, counts);
-                    // One costed vertex per event — plus, when the unit
-                    // was acquired for this vertex alone, its release.
-                    if !per_vertex {
-                        break;
-                    }
-                }
-                Step::Release(unit) => {
-                    let end = self.lanes[li].clock;
-                    self.eats.ate(unit, end);
-                    self.sync.release_unit(unit, end, &self.transport);
-                    self.drain_actions();
-                    // It may have yielded the forks a parked lane needs.
-                    for other in 0..self.lanes.len() {
-                        if self.lanes[other].parked.is_some() {
-                            self.wake(other, now);
-                        }
-                    }
-                    if per_vertex {
-                        break;
-                    }
-                }
+                return;
             }
         }
-        self.wake(li, 0);
     }
 
     /// The virtual time the last fork of the just-granted `unit` (a vertex
@@ -731,15 +700,71 @@ impl<P: VertexProgram> BarrierHost for Sim<'_, P> {
     }
 }
 
-/// The simulator's side of one vertex transaction, worker `w` executing
-/// it: the remote path alone — the partition's state and inbox are the
-/// cycle's, and a simulated value is published to nobody.
+/// The simulator's side of a partition walk, lane `li` of worker `w`
+/// walking it in the `Step` event at `now`: it polls for a unit, parks the
+/// lane on a contended one, and prices each step in virtual time. Of the
+/// transaction it keeps only the remote path: the partition's state and
+/// inbox are the cycle's, and a simulated value is published to nobody.
 struct LaneHost<'s, 'a, P: VertexProgram> {
     sim: &'s mut Sim<'a, P>,
     w: u32,
+    li: usize,
+    now: u64,
+    per_vertex: bool,
 }
 
 impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
+    /// Poll; on a grant, the lane waits until the unit's last fork arrived.
+    fn acquire(&mut self, unit: u32) -> Flow {
+        let sim = &mut *self.sim;
+        let got = sim.sync.try_acquire_unit(unit, &sim.transport);
+        sim.lanes[self.li].parked = (!got).then_some(unit);
+        sim.drain_actions();
+        if !got {
+            return Flow::Pause;
+        }
+        let ready = sim.forks_ready(unit, self.per_vertex);
+        let (trace, s) = (sim.trace, sim.superstep);
+        sim.lanes[self.li].charge_lock_wait(trace, self.w, s, ready, unit);
+        Flow::Continue
+    }
+
+    /// Stamped with the lane's clock, it may yield the forks a parked lane
+    /// needs: every parked lane re-polls. One costed vertex per event —
+    /// under vertex grain, the release ends it.
+    fn release(&mut self, unit: u32) -> Flow {
+        let sim = &mut *self.sim;
+        let end = sim.lanes[self.li].clock;
+        sim.eats.ate(unit, end);
+        sim.sync.release_unit(unit, end, &sim.transport);
+        sim.drain_actions();
+        for other in 0..sim.lanes.len() {
+            if sim.lanes[other].parked.is_some() {
+                sim.wake(other, self.now);
+            }
+        }
+        if self.per_vertex {
+            Flow::Pause
+        } else {
+            Flow::Continue
+        }
+    }
+
+    /// Entered at the lane's clock, charged at the cost model's price.
+    /// One costed vertex per event — under vertex grain, with its release.
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+        let entered = self.sim.lanes[self.li].clock;
+        let ran = run(self, entered);
+        let (sim, counts) = (&mut *self.sim, (ran.consumed, ran.sent));
+        let (cost, trace, s) = (sim.cost, sim.trace, sim.superstep);
+        sim.lanes[self.li].charge_virtual(&cost, trace, self.w, s, counts);
+        if self.per_vertex {
+            Flow::Continue
+        } else {
+            Flow::Pause
+        }
+    }
+
     /// Stage, combining sender-side; flush as a wire batch when the staged
     /// run reaches `buffer_cap`.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {

@@ -72,6 +72,9 @@ fn snapshot_prefix_case(rng: &mut SplitMix64, technique: TechniqueKind) {
     let snapper = reader.clone();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let snap_stop = Arc::clone(&stop);
+    // The run starts only once the reader holds its first snapshot, so a
+    // short run on a loaded host still ends with at least one capture.
+    let (first_tx, first_rx) = std::sync::mpsc::channel();
     let capture = std::thread::spawn(move || {
         let mut obs: Vec<Observation> = Vec::new();
         while !snap_stop.load(std::sync::atomic::Ordering::Relaxed) && obs.len() < 32 {
@@ -84,11 +87,15 @@ fn snapshot_prefix_case(rng: &mut SplitMix64, technique: TechniqueKind) {
                 values,
                 _view: view,
             });
+            if obs.len() == 1 {
+                first_tx.send(()).expect("the run waits on it");
+            }
             std::thread::sleep(std::time::Duration::from_micros(300));
         }
         obs
     });
 
+    first_rx.recv().expect("first snapshot taken");
     let out = engine.run();
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let observations = capture.join().expect("capture thread");
