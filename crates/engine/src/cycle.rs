@@ -35,35 +35,22 @@ use sg_graph::{Graph, PartitionMap, VertexId};
 use sg_metrics::{Counter, Metrics, Trace};
 use sg_serial::Recorder;
 use sg_sync::{PartitionWalk, Step, Synchronizer};
-
-/// What a [`Host`] hook tells the walk: go on, or stop where it is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Flow {
-    Continue,
-    Pause,
-}
-
-/// How [`Cycle::run_partition`] left the walk: over for this superstep,
-/// or paused, to resume by passing the same walk in again.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Walked {
-    Done,
-    Paused,
-}
+use std::ops::ControlFlow;
 
 /// How a host waits, what a step costs, and the IO one vertex transaction
 /// needs. The transaction's hooks are called in the module header's
-/// order, all for the same vertex.
+/// order, all for the same vertex. The walk hooks return `Continue` to go
+/// on, or `Break` to pause the walk where it is.
 pub trait Host<P: VertexProgram> {
     /// Hold `unit`, or pause without it: the walk offers it again.
-    fn acquire(&mut self, unit: u32) -> Flow;
+    fn acquire(&mut self, unit: u32) -> ControlFlow<()>;
 
     /// Give `unit` back: its executions have closed, their remote writes
     /// staged where the write-all the release triggers finds them (C1).
-    fn release(&mut self, unit: u32) -> Flow;
+    fn release(&mut self, unit: u32) -> ControlFlow<()>;
 
     /// Call `run` with the host's clock on entry; charge what it ran.
-    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow;
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> ControlFlow<()>;
 
     /// Open the host's own record, if it keeps one (Lamport stamps):
     /// after the drain, so it orders after every write about to be read.
@@ -141,8 +128,9 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
     }
 
     /// Follow `walk` over `data` on `worker` in `superstep` — acquire, run,
-    /// release, each through `host` — until it is done or a hook pauses;
-    /// an acquire that paused is offered again on the next call.
+    /// release, each through `host` — until it is done (`Continue`) or a
+    /// hook pauses it (`Break`); an acquire that paused is offered again
+    /// on the next call.
     pub fn run_partition<H: Host<P>>(
         &mut self,
         host: &mut H,
@@ -150,27 +138,21 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
         data: &mut PartitionData<P::Value>,
         superstep: u64,
         worker: u32,
-    ) -> Walked {
+    ) -> ControlFlow<()> {
         let (sync, inboxes) = (self.env.sync, self.env.inboxes);
         let store = &inboxes.current()[walk.partition().index()];
         loop {
             let awake = |local, _| data.awake(store, local);
-            let flow = match walk.next(sync, superstep, &data.vertices, awake) {
+            match walk.next(sync, superstep, &data.vertices, awake) {
                 Step::Acquire(unit) => {
-                    let flow = host.acquire(unit);
-                    if flow == Flow::Continue {
-                        walk.granted();
-                    }
-                    flow
+                    host.acquire(unit)?;
+                    walk.granted();
                 }
                 Step::Run { local, .. } => host.execute(|host, clock_ns| {
                     self.run_vertex(host, data, superstep, worker, clock_ns, local)
-                }),
-                Step::Release(unit) => host.release(unit),
-                Step::Done => return Walked::Done,
-            };
-            if flow == Flow::Pause {
-                return Walked::Paused;
+                })?,
+                Step::Release(unit) => host.release(unit)?,
+                Step::Done => return ControlFlow::Continue(()),
             }
         }
     }
@@ -299,15 +281,15 @@ mod tests {
     }
 
     impl Host<Scatter> for Fake<'_> {
-        fn acquire(&mut self, _unit: u32) -> Flow {
-            Flow::Continue
+        fn acquire(&mut self, _unit: u32) -> ControlFlow<()> {
+            ControlFlow::Continue(())
         }
-        fn release(&mut self, _unit: u32) -> Flow {
-            Flow::Continue
+        fn release(&mut self, _unit: u32) -> ControlFlow<()> {
+            ControlFlow::Continue(())
         }
-        fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+        fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> ControlFlow<()> {
             run(self, 0);
-            Flow::Continue
+            ControlFlow::Continue(())
         }
         fn open(&mut self, v: VertexId) {
             self.calls.push(Call::Open(v.raw(), self.queued()));
@@ -453,25 +435,25 @@ mod tests {
     }
 
     impl Host<Relay> for Walker {
-        fn acquire(&mut self, unit: u32) -> Flow {
+        fn acquire(&mut self, unit: u32) -> ControlFlow<()> {
             self.offered.push(unit);
             if self.pause && self.refused != Some(unit) {
                 self.refused = Some(unit);
-                return Flow::Pause;
+                return ControlFlow::Break(());
             }
             self.log.push(Hook::Acquire(unit));
-            Flow::Continue
+            ControlFlow::Continue(())
         }
-        fn release(&mut self, unit: u32) -> Flow {
+        fn release(&mut self, unit: u32) -> ControlFlow<()> {
             self.log.push(Hook::Release(unit));
-            Flow::Continue
+            ControlFlow::Continue(())
         }
-        fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+        fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> ControlFlow<()> {
             run(self, 0);
             if self.pause {
-                Flow::Pause
+                ControlFlow::Break(())
             } else {
-                Flow::Continue
+                ControlFlow::Continue(())
             }
         }
         fn open(&mut self, v: VertexId) {
@@ -515,7 +497,10 @@ mod tests {
         });
         let mut walk = cycle.walk(&data);
         let mut calls = 1;
-        while cycle.run_partition(host, &mut walk, &mut data, 0, 0) == Walked::Paused {
+        while cycle
+            .run_partition(host, &mut walk, &mut data, 0, 0)
+            .is_break()
+        {
             calls += 1;
             assert!(calls < 100, "the walk never ends");
         }

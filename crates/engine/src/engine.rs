@@ -4,7 +4,7 @@
 use crate::aggregators::AggregatorSet;
 use crate::barrier::{self, BarrierHost, BarrierParts};
 use crate::config::{build_synchronizer, EngineConfig, EngineError};
-use crate::cycle::{Cycle, Env, Executed, Flow, Host, Walked};
+use crate::cycle::{Cycle, Env, Executed, Host};
 use crate::program::{Combiner, VertexProgram};
 use crate::state::{gather_values, PartitionData};
 use crate::store::{InboxPair, OutboundBuffers, Routed, StagingBuffers};
@@ -16,6 +16,7 @@ use sg_metrics::{
 use sg_serial::{AuditSidecar, History, HistorySummary, Recorder};
 use sg_store::{GraphReader, VertexStore};
 use sg_sync::{ForkSnapshot, SyncTransport, Synchronizer};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -839,22 +840,22 @@ impl<P: VertexProgram> PartitionHost<'_, P> {
 
 impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
     /// Block in the technique until the unit is held.
-    fn acquire(&mut self, unit: u32) -> Flow {
+    fn acquire(&mut self, unit: u32) -> ControlFlow<()> {
         self.core.sync.acquire_unit(unit, self.core);
         if self.core.timed {
             self.blocked += self.lap(TraceEventKind::LockWait, unit.into());
         }
-        Flow::Continue
+        ControlFlow::Continue(())
     }
 
-    fn release(&mut self, unit: u32) -> Flow {
+    fn release(&mut self, unit: u32) -> ControlFlow<()> {
         self.core.sync.release_unit(unit, 0, self.core);
-        Flow::Continue
+        ControlFlow::Continue(())
     }
 
     /// What the execution delivered locally may be work for a parked
     /// sibling; a `MessageSend` marker follows its span if it sent.
-    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> ControlFlow<()> {
         let start = self.mark;
         let ran = run(self, start);
         if ran.local > 0 {
@@ -867,7 +868,7 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
                 (self.core.trace).record(w, self.superstep, kind, self.mark, 0, ran.sent);
             }
         }
-        Flow::Continue
+        ControlFlow::Continue(())
     }
 
     /// Write-through: install the execution's result as a new MVCC
@@ -1011,8 +1012,8 @@ impl<P: VertexProgram> Core<P> {
         let Lane { cycle, host } = lane;
         (host.superstep, host.mark) = (s, self.stamp());
         let (mut walk, w) = (cycle.walk(&data), host.worker as u32);
-        let walked = cycle.run_partition(host, &mut walk, &mut data, s, w);
-        debug_assert_eq!(walked, Walked::Done);
+        let flow = cycle.run_partition(host, &mut walk, &mut data, s, w);
+        debug_assert!(flow.is_continue());
     }
 
     /// How both thread regimes end — after `supersteps`, `converged` or

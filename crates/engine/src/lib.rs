@@ -46,7 +46,7 @@ pub mod store;
 pub use aggregators::{AggOp, AggregatorSet};
 pub use config::{build_synchronizer, EngineConfig, EngineError, Model, TechniqueKind};
 pub use context::Context;
-pub use cycle::{Cycle, Env, Executed, Flow, Host, Walked};
+pub use cycle::{Cycle, Env, Executed, Host};
 pub use engine::{Engine, Outcome, StoreGauges};
 pub use program::{Combiner, MinCombiner, SumCombiner, VertexProgram, WireCodec};
 pub use sg_store::{GraphReader, Snapshot, SnapshotView, VertexStore};

@@ -66,6 +66,7 @@
 
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -75,8 +76,8 @@ use sg_algos::{DeltaPageRank, GreedyColoring, GreedyMis, Sssp, Wcc};
 use sg_engine::state::PartitionData;
 use sg_engine::store::{InboxPair, StagingBuffers};
 use sg_engine::{
-    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Executed, Flow, Host, Model,
-    StoreGauges, VertexProgram, WireCodec,
+    build_synchronizer, AggregatorSet, Combiner, Cycle, Env, Executed, Host, Model, StoreGauges,
+    VertexProgram, WireCodec,
 };
 use sg_graph::{ClusterLayout, Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{Counter, CounterHandle, GaugeHandle, Metrics, Telemetry, Trace, TraceEventKind};
@@ -1031,10 +1032,11 @@ where
         for data in &mut self.parts {
             let mut walk = cycle.walk(data);
             host.mark = wall_ns(shared.epoch_ns);
-            cycle.run_partition(host, &mut walk, data, s, shared.rank);
+            let flow = cycle.run_partition(host, &mut walk, data, s, shared.rank);
             if let Some(e) = host.failed.take() {
                 return Err(e);
             }
+            debug_assert!(flow.is_continue(), "paused by no failed RPC");
             let walked = wall_ns(shared.epoch_ns).saturating_sub(host.mark);
             shared.wtel.compute_ns.add(walked);
         }
@@ -1086,10 +1088,12 @@ impl<M> RankHost<'_, M> {
 
     /// Go on, or keep `done`'s error for the superstep to end with and
     /// pause the walk.
-    fn flow(&mut self, done: Result<(), NetError>) -> Flow {
-        let Err(e) = done else { return Flow::Continue };
+    fn flow(&mut self, done: Result<(), NetError>) -> ControlFlow<()> {
+        let Err(e) = done else {
+            return ControlFlow::Continue(());
+        };
         self.failed = Some(e);
-        Flow::Pause
+        ControlFlow::Break(())
     }
 }
 
@@ -1099,12 +1103,12 @@ where
     P::Value: WireCodec,
     P::Message: WireCodec,
 {
-    fn acquire(&mut self, unit: u32) -> Flow {
+    fn acquire(&mut self, unit: u32) -> ControlFlow<()> {
         let done = self.needs_rpc(unit).then(|| self.acquire_unit_rpc(unit));
         self.flow(done.unwrap_or(Ok(())))
     }
 
-    fn release(&mut self, unit: u32) -> Flow {
+    fn release(&mut self, unit: u32) -> ControlFlow<()> {
         let ctrl = &self.shared.ctrl;
         let done = self
             .needs_rpc(unit)
@@ -1114,7 +1118,7 @@ where
 
     /// Untraced, an execution reads no clock; traced, it is timed for its
     /// `VertexExecute` span.
-    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> ControlFlow<()> {
         let shared = self.shared;
         if shared.trace.is_enabled() {
             let t0 = wall_ns(shared.epoch_ns);
@@ -1125,7 +1129,7 @@ where
         } else {
             run(self, 0);
         }
-        Flow::Continue
+        ControlFlow::Continue(())
     }
 
     /// Messages just drained arrived on link readers that joined the

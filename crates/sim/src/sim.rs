@@ -5,8 +5,8 @@
 //! compute threads); a lane's `Step` event claims partitions and follows
 //! each one's [`PartitionWalk`] through [`Cycle::run_partition`] — the
 //! product's own scan/acquire/release order and vertex transaction, not a
-//! transcription of them — or retries a blocked lock acquisition. Remote message batches travel as `Deliver` events through
-//! the `NetModel`.
+//! transcription of them — or retries a blocked lock acquisition. Remote
+//! message batches travel as `Deliver` events through the `NetModel`.
 //!
 //! The synchronization techniques are the **unmodified** `sg-sync`
 //! protocol objects: where the walk says acquire the simulation polls
@@ -45,7 +45,7 @@ use sg_engine::state::{gather_values, PartitionData};
 use sg_engine::store::{InboxPair, Routed, StagingBuffers};
 use sg_engine::{
     build_synchronizer, AggregatorSet, Combiner, Cycle, EngineConfig, EngineError, Env, Executed,
-    Flow, Host, Outcome, VertexProgram, Walked,
+    Host, Outcome, VertexProgram,
 };
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
@@ -54,6 +54,7 @@ use sg_metrics::{
 };
 use sg_serial::Recorder;
 use sg_sync::{LockGranularity, NetAction, PartitionWalk, QueueTransport, Synchronizer};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -447,7 +448,8 @@ impl<P: VertexProgram> Sim<'_, P> {
                 now,
                 per_vertex,
             };
-            if cycle.run_partition(&mut host, &mut walk, data, s, w) == Walked::Paused {
+            let flow = cycle.run_partition(&mut host, &mut walk, data, s, w);
+            if flow.is_break() {
                 // Resumed at its next step, or, parked, when a release
                 // re-polls it.
                 self.lanes[li].walk = Some(walk);
@@ -715,24 +717,24 @@ struct LaneHost<'s, 'a, P: VertexProgram> {
 
 impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
     /// Poll; on a grant, the lane waits until the unit's last fork arrived.
-    fn acquire(&mut self, unit: u32) -> Flow {
+    fn acquire(&mut self, unit: u32) -> ControlFlow<()> {
         let sim = &mut *self.sim;
         let got = sim.sync.try_acquire_unit(unit, &sim.transport);
         sim.lanes[self.li].parked = (!got).then_some(unit);
         sim.drain_actions();
         if !got {
-            return Flow::Pause;
+            return ControlFlow::Break(());
         }
         let ready = sim.forks_ready(unit, self.per_vertex);
         let (trace, s) = (sim.trace, sim.superstep);
         sim.lanes[self.li].charge_lock_wait(trace, self.w, s, ready, unit);
-        Flow::Continue
+        ControlFlow::Continue(())
     }
 
     /// Stamped with the lane's clock, it may yield the forks a parked lane
     /// needs: every parked lane re-polls. One costed vertex per event —
     /// under vertex grain, the release ends it.
-    fn release(&mut self, unit: u32) -> Flow {
+    fn release(&mut self, unit: u32) -> ControlFlow<()> {
         let sim = &mut *self.sim;
         let end = sim.lanes[self.li].clock;
         sim.eats.ate(unit, end);
@@ -744,24 +746,24 @@ impl<P: VertexProgram> Host<P> for LaneHost<'_, '_, P> {
             }
         }
         if self.per_vertex {
-            Flow::Pause
+            ControlFlow::Break(())
         } else {
-            Flow::Continue
+            ControlFlow::Continue(())
         }
     }
 
     /// Entered at the lane's clock, charged at the cost model's price.
     /// One costed vertex per event — under vertex grain, with its release.
-    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> Flow {
+    fn execute(&mut self, run: impl FnOnce(&mut Self, u64) -> Executed) -> ControlFlow<()> {
         let entered = self.sim.lanes[self.li].clock;
         let ran = run(self, entered);
         let (sim, counts) = (&mut *self.sim, (ran.consumed, ran.sent));
         let (cost, trace, s) = (sim.cost, sim.trace, sim.superstep);
         sim.lanes[self.li].charge_virtual(&cost, trace, self.w, s, counts);
         if self.per_vertex {
-            Flow::Continue
+            ControlFlow::Continue(())
         } else {
-            Flow::Pause
+            ControlFlow::Break(())
         }
     }
 

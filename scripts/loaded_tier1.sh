@@ -5,7 +5,7 @@
 # for, an "at least one" assert, a wall-time bound — fails here rather
 # than now and then on a busy runner.
 #
-#   scripts/loaded_tier1.sh [rounds]      default 3
+#   scripts/loaded_tier1.sh
 #
 # Every failing test is reported as `FAIL round <r>: <binary>::<test>`;
 # the exit status is 1 if any failed. Writes only under target/.
@@ -14,7 +14,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-rounds="${1:-3}"
 out=target/ci-loaded
 rm -rf "$out" && mkdir -p "$out"
 
@@ -37,10 +36,10 @@ for _ in $(seq "$(nproc)"); do
     (while :; do :; done) &
     loops+=($!)
 done
-echo "-- ${#bins[@]} test binaries, $rounds rounds, beside ${#loops[@]} busy loops"
+echo "-- ${#bins[@]} test binaries, 3 rounds, beside ${#loops[@]} busy loops"
 
 failed=0
-for round in $(seq "$rounds"); do
+for round in 1 2 3; do
     for bin in "${bins[@]}"; do
         name=$(basename "$bin")
         name=${name%-*} # cargo's hash suffix
