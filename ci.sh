@@ -72,6 +72,10 @@ if grep -rn 'in_edge_index' crates/*/src; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/recorder.rs | grep -nE '\b(sent|visible):'; then exit 1; fi
 if sed '/^#\[cfg(test)\]/,$d' crates/serial/src/ledger.rs | grep -nE 'in_to_out|in_edge_base'; then exit 1; fi
 
+echo "== only what is in flight reaches the C1 ledger: exactly one on_visible( call above #[cfg(test)] across crates/*/src, InboxPair::readable's in crates/engine/src/store.rs (a send readable before its transaction closes records nothing) =="
+sites=$(for f in $(find crates/*/src -name '*.rs' | sort); do sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'on_visible\(' | grep -v 'fn on_visible(' | sed "s|^|$f:|" || true; done)
+if [ "$(echo "$sites" | grep -c .)" != 1 ] || [ "${sites%%:*}" != crates/engine/src/store.rs ]; then echo "$sites"; exit 1; fi
+
 echo "== one barrier, one inbox pair: the engine and the simulator close a superstep in barrier.rs and keep BSP visibility in the inbox pair; sg-check models every technique =="
 for f in crates/engine/src/*.rs crates/sim/src/*.rs; do
     if [ "$f" != crates/engine/src/barrier.rs ] && sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'end_superstep\(|\.roll\(\)'; then echo "in $f"; exit 1; fi

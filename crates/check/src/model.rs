@@ -600,15 +600,19 @@ impl Model {
         self.post_event();
     }
 
-    /// One send of the abstract program, routed as `Cycle::run_vertex`
-    /// routes it: recorded, then delivered to a vertex of the sending
-    /// worker, or staged for another. A staged fold into an envelope from
-    /// another sender marks that sender's message readable, as the engine
-    /// and the simulator do: the envelope no longer carries it.
+    /// One send of the abstract program, routed and recorded as
+    /// `Cycle::run_vertex` does it: delivered to a vertex of the sending
+    /// worker, recorded only under BSP (under AP it is readable at once,
+    /// never in flight), or recorded and staged for another. A staged fold
+    /// into an envelope from another sender marks that sender's message
+    /// readable, as the engine and the simulator do: the envelope no
+    /// longer carries it.
     fn send(&mut self, worker: WorkerId, from: VertexId, to: VertexId) {
-        self.recorder.on_send(from, to);
         let slot = self.pm.slot_of(to);
         let dest = self.pm.layout().worker_of_partition(slot.0);
+        if dest != worker || self.inboxes.defers() {
+            self.recorder.on_send(from, to);
+        }
         if dest == worker {
             self.inboxes.deliver(from, to, slot, from.raw(), COMBINER);
         } else {

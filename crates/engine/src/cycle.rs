@@ -15,10 +15,10 @@
 //!    simulator;
 //! 4. store the halt vote in the partition and **publish** the new value;
 //! 5. record and route each outgoing message, in send order: one for the
-//!    executing worker lands in the [`InboxPair`] at once, one for another
-//!    worker goes to the host's remote path — where it is *staged*,
-//!    before the walk's `Release`, so the release-triggered write-all
-//!    finds it (C1);
+//!    executing worker lands in the [`InboxPair`] at once (recorded only
+//!    under BSP: under AP it is never in flight), one for another worker
+//!    goes to the host's remote path — where it is *staged*, before the
+//!    walk's `Release`, so the release-triggered write-all finds it (C1);
 //! 6. **close** the record and count the execution.
 //!
 //! What differs per host — how it waits for a unit, what a step costs,
@@ -197,15 +197,19 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
         let sent = self.outgoing.len() as u64;
         let mut n_local = 0u64;
         let layout = env.pm.layout();
+        // The recorder hears only of messages that can be seen in flight:
+        // under AP a same-worker send is readable before `close`.
+        let local_recorder = env.recorder.filter(|_| env.inboxes.defers());
         for (to, msg) in self.outgoing.drain(..) {
-            if let Some(r) = env.recorder {
-                r.on_send(v, to);
-            }
             // The message's one table lookup: the owner routes it, the
             // slot addresses the owner's store.
             let slot = env.pm.slot_of(to);
             let to_worker = layout.worker_of_partition(slot.0).raw();
-            if to_worker == worker {
+            let local = to_worker == worker;
+            if let Some(r) = if local { local_recorder } else { env.recorder } {
+                r.on_send(v, to);
+            }
+            if local {
                 n_local += 1;
                 env.inboxes.deliver(v, to, slot, msg, env.combiner);
             } else {
@@ -322,11 +326,11 @@ mod tests {
         let recorder = Arc::new(Recorder::new(Arc::new(graph.clone())));
         let inboxes = InboxPair::new(&pm, Model::Async, Some(Arc::clone(&recorder)), None);
         let mut data = PartitionData::init(&Scatter, &graph, &pm, PartitionId::new(0));
-        // Vertex 2 (partition 0's 1st) has mail from its neighbours 3 and 0.
+        // Vertex 2 (partition 0's 1st) has mail from its neighbours 3 and 0,
+        // readable already: nothing in flight.
         let v2 = VertexId::new(2);
         for (from, msg) in [(3, 5), (0, 6)] {
             let from = VertexId::new(from);
-            recorder.on_send(from, v2);
             inboxes.deliver(from, v2, pm.slot_of(v2), msg, None);
         }
         let mut host = Fake {
@@ -376,6 +380,16 @@ mod tests {
         let history = recorder.history();
         assert_eq!(history.len(), 1);
         assert_eq!(history.txns()[0].vertex, v2);
+        assert!(history.txns()[0].stale_reads.is_empty());
+        // Of its sends along edges, the remote one to 3 is in flight; the
+        // local one to 0 was readable before the close and recorded nothing.
+        let stale_at = |u| {
+            recorder.end(recorder.begin(VertexId::new(u)));
+            let history = recorder.history();
+            history.txns()[history.len() - 1].stale_reads.clone()
+        };
+        let stale: Vec<_> = (0..4).map(stale_at).collect();
+        assert_eq!(stale, [vec![], vec![], vec![], vec![v2]]);
         let snap = metrics.snapshot();
         assert_eq!(snap.vertex_executions, 1);
         assert_eq!(snap.local_messages, 2);

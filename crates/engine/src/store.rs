@@ -416,7 +416,11 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
 /// Vertices read the *current* stores. Under AP a send lands there too,
 /// readable at once; under BSP it lands in the partition's *next* store
 /// until [`InboxPair::flip`]. The recorder, when the run keeps one, hears
-/// of each message as it turns readable.
+/// of each message that can be seen in flight as it turns readable: a
+/// batch from another worker, a BSP send at the flip, a staged fold. A
+/// same-worker AP send is readable before its sender's transaction
+/// closes, so it is never in flight and the recorder hears nothing of it
+/// (`sg_serial::recorder`'s module docs).
 pub struct InboxPair<M> {
     current: Vec<PartitionStore<M>>,
     /// Under BSP, per partition, what this superstep sent; empty under AP.
@@ -460,11 +464,19 @@ impl<M: Clone + Send + 'static> InboxPair<M> {
     /// The store a send to partition `p` lands in.
     #[inline]
     pub fn landing(&self, p: usize) -> &PartitionStore<M> {
-        if self.next.is_empty() {
-            &self.current[p]
-        } else {
+        if self.defers() {
             &self.next[p]
+        } else {
+            &self.current[p]
         }
+    }
+
+    /// Whether a landed message waits for [`InboxPair::flip`] (BSP): only
+    /// then can a same-worker send be seen in flight, so only then does
+    /// the recorder hear of it.
+    #[inline]
+    pub fn defers(&self) -> bool {
+        !self.next.is_empty()
     }
 
     /// A message from `sender` landed for `to`, folding into an envelope
@@ -472,7 +484,7 @@ impl<M: Clone + Send + 'static> InboxPair<M> {
     /// under BSP, where the flip makes the envelope so.
     #[inline]
     pub fn landed(&self, sender: VertexId, to: VertexId, folded: Option<VertexId>) {
-        if self.next.is_empty() {
+        if !self.defers() {
             self.readable(sender, to);
         } else if let Some(absorbed) = folded {
             self.readable(absorbed, to);
@@ -490,8 +502,9 @@ impl<M: Clone + Send + 'static> InboxPair<M> {
         }
     }
 
-    /// Land one message for `to`, in slot `(p, local)`, through the
-    /// combiner.
+    /// Land one same-worker message for `to`, in slot `(p, local)`,
+    /// through the combiner. Under AP it is readable at once and the
+    /// recorder hears nothing; under BSP a fold is [`InboxPair::landed`].
     #[inline]
     pub fn deliver(
         &self,
@@ -504,14 +517,17 @@ impl<M: Clone + Send + 'static> InboxPair<M> {
         let folded = self
             .landing(p.index())
             .insert(local as usize, sender, msg, combiner);
-        self.landed(sender, to, folded);
+        if self.defers() {
+            self.landed(sender, to, folded);
+        }
     }
 
     /// Land a batch for worker `receiver`: `routed[i]` at `slots[i]`, the
     /// [`PartitionMap::slot_of`] of its destination, through the combiner.
     /// One lock acquisition per destination partition, one store's lock at
-    /// a time; within a partition the batch's order is kept, so folds and
-    /// the recorder see what [`InboxPair::deliver`] per message shows them.
+    /// a time; within a partition the batch's order is kept, so folds see
+    /// what [`InboxPair::deliver`] per message shows them. Every message
+    /// of a batch was in flight, so each is [`InboxPair::landed`].
     pub fn deliver_batch(
         &self,
         receiver: WorkerId,
@@ -1240,8 +1256,12 @@ mod tests {
                         (to, from, rng.gen_range(1_000))
                     })
                     .collect();
+                // A same-worker AP send records nothing, so the
+                // per-message side records a send only under BSP.
                 for &(to, from, _) in &routed {
-                    one_rec.on_send(from, to);
+                    if model == Model::Bsp {
+                        one_rec.on_send(from, to);
+                    }
                     batch_rec.on_send(from, to);
                 }
                 for &(to, from, m) in &routed {

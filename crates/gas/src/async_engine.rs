@@ -498,13 +498,10 @@ impl<P: GasProgram> Core<P> {
 
         let mut sent = 0u64;
         if changed {
-            // Write-all mirror updates for v's replicas.
-            if let Some(r) = &self.recorder {
-                for &u in g.out_neighbors(v) {
-                    r.on_send(v, u);
-                    r.on_visible(v, u); // shared-memory reads are fresh
-                }
-            }
+            // Write-all mirror updates for v's replicas. The recorder
+            // hears nothing of them: shared-memory reads are fresh, so an
+            // update is readable before v's transaction closes and is
+            // never in flight (`sg_serial::recorder`'s module docs).
             for &dest in &self.mirrors[v.index()] {
                 self.metrics.inc(Counter::RemoteMessages);
                 sent += 1;

@@ -1,6 +1,9 @@
 //! Condition C1's ledger, the [`crate::Recorder`]'s: one count of messages
 //! in flight per directed pair, addressed by the sender, and one summary
-//! per receiver.
+//! per receiver. Only a message that can be seen in flight is counted — a
+//! remote send until its batch lands, a BSP send until the flip. One that
+//! is readable before its sender's transaction closes never reaches the
+//! ledger (the recorder's module docs say why no verdict changes).
 //!
 //! A pair `from -> to` counts at the out-CSR slot of its first edge in
 //! `from`'s out-run — a binary search over the adjacency the sender's

@@ -5,7 +5,7 @@
 //! * [`Recorder::on_send`] — vertex `from` handed a message for `to` to the
 //!   system (during `from`'s execution);
 //! * [`Recorder::on_visible`] — that message became *readable* by `to`
-//!   (immediately for eager local delivery, at flush/barrier otherwise);
+//!   (when a batch lands, at the BSP flip, or as a staged fold absorbs it);
 //! * [`Recorder::begin`] — vertex `u` starts executing: the recorder
 //!   timestamps the read and tests freshness of every in-edge replica (no
 //!   message in flight per directed pair — condition C1). Condition C2 is
@@ -13,16 +13,34 @@
 //!   ([`History::c2_violations`], and the live checkers' own open sets);
 //! * [`Recorder::end`] — the execution commits its write.
 //!
-//! Recording costs one binary search over the *sender's* out-run — the
-//! adjacency its `compute` has just walked — plus one atomic add or sub
-//! per message event, into the sender's own contiguous run of counters,
-//! and a second RMW on the receiver's summary when that moves the pair
-//! on or off zero (the shared C1 ledger, `ledger.rs`). An execution adds
-//! one load of its own summary, and walks its in-neighbours only when
-//! the summary is non-zero — when C1 may fail. `sg-perf`'s
-//! `coloring-dtoken-audited` workload prices it end to end on every
-//! benchmark run (`sg-serial.record_ns_per_txn`, `record_overhead_x`;
-//! EXPERIMENTS.md, "What recording costs" and "C1 from one counter").
+//! **Only what can be seen in flight is recorded.** A message that is
+//! readable before its sender's transaction closes — a same-worker send
+//! under AP, or sg-gas's shared-memory write-all — reaches the recorder
+//! not at all: no send, no delivery. Remote sends, same-worker BSP sends
+//! (readable at the flip) and sender-side folds keep both events. No
+//! 1SR verdict changes, because a receiver `u` of such a message either
+//!
+//! * begins after the sender ends, and then finds the message delivered:
+//!   delivery precedes the sender's `close`, so `u`'s read is fresh and
+//!   the sender's two events would have cancelled before `u` looked; or
+//! * begins while the sender runs, and then overlaps a neighbour: C2
+//!   rejects the history whatever C1 says; or
+//! * began before the sender, and then tested C1 before either event.
+//!
+//! So only the racy C1 count can fall, and only on histories C2 already
+//! rejects (`streaming::tests::overlap_without_flight_is_c2_alone`).
+//!
+//! Recording a message that can be in flight costs one binary search over
+//! the *sender's* out-run — the adjacency its `compute` has just walked —
+//! plus one atomic add or sub per message event, into the sender's own
+//! contiguous run of counters, and a second RMW on the receiver's summary
+//! when that moves the pair on or off zero (the shared C1 ledger,
+//! `ledger.rs`). An execution adds one load of its own summary, and walks
+//! its in-neighbours only when the summary is non-zero — when C1 may fail.
+//! `sg-perf`'s `coloring-dtoken-audited` workload prices it end to end on
+//! every benchmark run (`sg-serial.record_ns_per_txn`, `record_overhead_x`;
+//! EXPERIMENTS.md, "What recording costs", "C1 from one counter" and
+//! "Only what is in flight").
 
 use crate::history::{History, TxnRecord};
 use crate::incremental::StampedTxn;
