@@ -128,7 +128,8 @@ impl Runner {
         self
     }
 
-    /// Message buffer cache capacity.
+    /// Message buffer capacity per compute thread and destination worker
+    /// ([`EngineConfig::buffer_cap`]).
     pub fn buffer_cap(mut self, cap: usize) -> Self {
         self.config.buffer_cap = cap;
         self

@@ -40,10 +40,12 @@ pub struct EngineConfig {
     pub technique: TechniqueKind,
     /// Hard cap on supersteps; exceeded means `converged = false`.
     pub max_supersteps: u64,
-    /// Message buffer cache capacity per (worker, worker) pair: buffered
-    /// remote messages are flushed when this many accumulate
-    /// (`usize::MAX` = flush only at superstep boundaries and C1 flushes —
-    /// used to reproduce the paper's Figure 3 schedule exactly).
+    /// Message buffer capacity per compute thread and destination worker
+    /// (Giraph's per-thread send cache; the paper's "per-thread message
+    /// buffer caches with batching"): a thread's staged run to one worker
+    /// ships as one batch when it holds this many envelopes (`usize::MAX`
+    /// = ship only at superstep boundaries and C1 flushes — used to
+    /// reproduce the paper's Figure 3 schedule exactly).
     pub buffer_cap: usize,
     /// Seed for the default hash partitioner.
     pub partition_seed: u64,

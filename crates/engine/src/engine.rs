@@ -7,7 +7,7 @@ use crate::config::{build_synchronizer, EngineConfig, EngineError};
 use crate::cycle::{Cycle, Env, Executed, Host};
 use crate::program::{Combiner, VertexProgram};
 use crate::state::{gather_values, PartitionData};
-use crate::store::{InboxPair, OutboundBuffers, Routed, StagingBuffers};
+use crate::store::{InboxPair, Routed, StagingBuffers};
 use sg_graph::{Graph, PartitionId, PartitionMap, VertexId, WorkerId};
 use sg_metrics::{
     Counter, GaugeHandle, Metrics, MetricsSnapshot, ObsConfig, ObsReport, SuperstepRow, Telemetry,
@@ -213,7 +213,6 @@ impl<P: VertexProgram> Engine<P> {
             pm: Arc::clone(&self.pm),
             partitions,
             inboxes,
-            outbound: OutboundBuffers::new(workers),
             staging: (0..workers * tpw)
                 .map(|_| Mutex::new(StagingBuffers::new(workers, has_combiner)))
                 .collect(),
@@ -225,7 +224,6 @@ impl<P: VertexProgram> Engine<P> {
             timers: obs.breakdown.then(|| WorkerTimers::new(workers)),
             timed: obs.enabled(),
             done: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            in_flight: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             owed: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             superstep: AtomicU64::new(0),
             sync,
@@ -476,12 +474,13 @@ struct Core<P: VertexProgram> {
     pm: Arc<PartitionMap>,
     partitions: Vec<Mutex<PartitionData<P::Value>>>,
     inboxes: InboxPair<P::Message>,
-    outbound: OutboundBuffers<P::Message>,
     /// Per-compute-thread outbound staging (sender-side combining), indexed
     /// `worker * threads_per_worker + slot`. Behind mutexes (not true
     /// thread-locals) because a C1 write-all flush can arrive on another
     /// thread — a fork request must drain the holder's staged messages
-    /// before the fork moves; the lock is uncontended on the hot path.
+    /// before the fork moves; the lock is uncontended on the hot path. A
+    /// run ships with its lock held until it has landed, so a staging
+    /// buffer is never empty while a batch taken from it is on its way.
     staging: Vec<Mutex<StagingBuffers<P::Message>>>,
     threads_per_worker: usize,
     combiner: Option<Box<dyn Combiner<P::Message>>>,
@@ -500,14 +499,6 @@ struct Core<P: VertexProgram> {
     /// Per worker, the clock when its last lane finished the superstep
     /// (0 when the run is not timed).
     done: Vec<AtomicU64>,
-    /// Per-worker count of shipments in progress: messages taken out of a
-    /// staging run or outbound buffer but not yet inserted into their
-    /// destination stores. The C1 write-all flush must wait for these —
-    /// a fork transfer that only drains the (empty) containers while a
-    /// round flush is mid-ship would hand the fork over before the
-    /// holder's writes are visible, and a greedy-coloring neighbor would
-    /// pick against a stale store.
-    in_flight: Vec<AtomicU64>,
     /// Per worker, what it owes the others: remote messages that a closed
     /// (or mid-transaction cap-flushing) transaction of the worker has
     /// staged and that are not yet inserted into their destination stores.
@@ -680,10 +671,10 @@ fn barrierless_loop<P: VertexProgram>(
                 core.execute_partition(p, round, &mut lane);
             }
         }
-        // Per-round flush of this thread's own staging plus the worker's
-        // shared buffers (siblings flush their own, so the hot loop never
-        // contends on another thread's staging lock); the C1 write-all
-        // (`flush_outbound`) still drains them all when a fork moves.
+        // Per-round flush of this thread's own staging (siblings flush
+        // their own, so the hot loop never contends on another thread's
+        // staging lock); the C1 write-all (`flush_outbound`) still drains
+        // them all when a fork moves.
         core.ship_from(worker, std::slice::from_ref(lane.host.staging));
         core.settle(worker, &mut lane);
         if did_work {
@@ -714,8 +705,8 @@ impl<P: VertexProgram> Core<P> {
     /// Park until this thread's partitions have work again; returns `false`
     /// when the engine stopped. The *last* thread to park performs the
     /// global quiescence check. No other thread is executing then, and each
-    /// flushed its staging and its worker's buffers before it parked, so
-    /// every message there is sits in a store.
+    /// shipped its staging before it parked, so every message there is sits
+    /// in a store.
     fn park(&self, my_parts: &[PartitionId]) -> bool {
         let mut idle = self.idle.lock().unwrap();
         *idle += 1;
@@ -890,8 +881,8 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
     }
 
     /// Into the executing thread's staging buffer — where the combiner
-    /// merges sender-side — batching into the shared buffer caches when
-    /// the destination's staged run reaches the buffer cap.
+    /// merges sender-side — shipping the destination's staged run as one
+    /// batch when it reaches the buffer cap.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
         let (core, staging, to_worker) = (self.core, self.staging, to_worker as usize);
         let st = self.staged.get_or_insert_with(|| staging.lock().unwrap());
@@ -1052,47 +1043,30 @@ impl<P: VertexProgram> Core<P> {
         }
     }
 
-    /// Drain one destination's staged run into the shared outbound buffer
-    /// (a single lock acquisition for the whole run) and ship any batches
-    /// that reached the cap on the way in.
+    /// Ship one destination's staged run as one batch. The caller holds the
+    /// staging lock throughout, so the run has landed before the guard
+    /// drops: a write-all that takes the same lock waits out the shipment.
     fn flush_staged(&self, from: usize, to: usize, st: &mut StagingBuffers<P::Message>) {
-        // Raise the in-flight fence before the run leaves the staging
-        // buffer: from `take_run` until the shipped batches land in their
-        // destination stores the messages are in neither container, and a
-        // concurrent C1 flush must not conclude the worker is drained.
-        self.in_flight[from].fetch_add(1, Ordering::SeqCst);
         let run = st.take_run(to);
         if run.is_empty() {
-            self.in_flight[from].fetch_sub(1, Ordering::SeqCst);
             return;
         }
         self.metrics.inc(Counter::StagingFlushes);
-        for batch in self.outbound.push_batch(from, to, run, self.buffer_cap) {
-            self.ship_batch(from, to, batch);
-        }
-        self.in_flight[from].fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Ship whatever the (from, to) buffer currently holds as one batch.
-    fn flush_buffer(&self, from: usize, to: usize) {
-        self.in_flight[from].fetch_add(1, Ordering::SeqCst);
-        self.ship_batch(from, to, self.outbound.take(from, to));
-        self.in_flight[from].fetch_sub(1, Ordering::SeqCst);
+        self.ship_batch(from, to, run);
     }
 
     /// Ship one batch: count it, deliver it into the destination stores,
-    /// trace it as lasting as long as the delivery.
-    fn ship_batch(&self, from: usize, to: usize, routed: Vec<Routed<P::Message>>) {
-        if routed.is_empty() {
-            return;
-        }
+    /// trace it as lasting as long as the delivery, and leave `routed`
+    /// empty with its capacity kept.
+    fn ship_batch(&self, from: usize, to: usize, routed: &mut Vec<Routed<P::Message>>) {
         let n = routed.len() as u64;
         self.metrics.inc(Counter::RemoteBatches);
         let start = self.trace.is_enabled().then(|| self.now_ns());
         let slots: Vec<_> = routed.iter().map(|r| self.pm.slot_of(r.0)).collect();
         let receiver = WorkerId::new(to as u32);
         self.inboxes
-            .deliver_batch(receiver, &slots, &routed, self.combiner.as_deref());
+            .deliver_batch(receiver, &slots, routed, self.combiner.as_deref());
+        routed.clear();
         if let Some(start) = start {
             self.trace.record_peer(
                 from as u32,
@@ -1110,42 +1084,26 @@ impl<P: VertexProgram> Core<P> {
     }
 
     /// Write-all flush of everything leaving worker `from` (the C1 step):
-    /// every compute thread's staging buffers drain into the shared
-    /// outbound caches, then every (from, to) buffer ships. Runs on
-    /// whatever thread the technique triggers it from — a fork request
+    /// every compute thread's staged runs ship, one staging lock at a time,
+    /// so one pass also waits out a sibling's shipment in progress. Runs
+    /// on whatever thread the technique triggers it from — a fork request
     /// arriving cross-thread must still see the holder's staged messages
-    /// flushed before the fork moves.
+    /// applied before the fork moves.
     fn flush_outbound(&self, from: usize) {
         let tpw = self.threads_per_worker;
-        loop {
-            self.ship_from(from, &self.staging[from * tpw..][..tpw]);
-            // Draining the containers is not enough: a sibling thread's
-            // round flush may have taken messages out before we looked and
-            // not yet delivered them (and its partial batches re-land in
-            // the buffer we just emptied). Wait out every concurrent
-            // shipment and re-drain, so the fork handoff really is
-            // write-all. Our own flush calls above balanced their fence
-            // increments before returning, so a non-zero count here is
-            // always another thread mid-ship.
-            if self.in_flight[from].load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
+        self.ship_from(from, &self.staging[from * tpw..][..tpw]);
     }
 
-    /// Ship what `staging` holds for other workers, then every buffer of
-    /// worker `from`: one pass of [`Core::flush_outbound`], or with one
-    /// thread's staging, a barrierless round flush.
+    /// Ship what `staging` holds for other workers: the whole of
+    /// [`Core::flush_outbound`], or with one thread's staging, a
+    /// barrierless round flush.
     fn ship_from(&self, from: usize, staging: &[Mutex<StagingBuffers<P::Message>>]) {
-        let others = (0..self.owed.len()).filter(|&to| to != from);
         for st in staging {
             let mut st = st.lock().unwrap();
-            others
-                .clone()
-                .for_each(|to| self.flush_staged(from, to, &mut st));
+            for to in (0..self.owed.len()).filter(|&to| to != from) {
+                self.flush_staged(from, to, &mut st);
+            }
         }
-        others.for_each(|to| self.flush_buffer(from, to));
     }
 
     /// Assemble the run's observability report (or `None` when everything
@@ -1200,10 +1158,10 @@ impl<P: VertexProgram> Core<P> {
     }
 
     /// Roll every worker back to `ckpt`; returns the superstep to resume
-    /// from. Staging buffers, outbound buffers, and BSP next-stores are all
-    /// empty at any barrier (the master's write-all flush drains them), so
-    /// only values, halt votes, current stores, aggregators, and the
-    /// technique's fork placement need restoring.
+    /// from. Staging buffers and BSP next-stores are empty at any barrier
+    /// (the master's write-all flush drains them), so only values, halt
+    /// votes, current stores, aggregators, and the technique's fork
+    /// placement need restoring.
     fn restore_checkpoint(&self, ckpt: &EngineCheckpoint<P::Value, P::Message>) -> u64 {
         self.trace.record(
             0,
@@ -1537,6 +1495,36 @@ mod tests {
         assert_eq!(core.restore_checkpoint(&start), 0);
         assert_eq!((owed(0), owed(1)), (0, 0));
         assert_eq!(core.inboxes.current()[1].total(), 0);
+    }
+
+    #[test]
+    fn one_write_all_lands_what_every_lane_of_the_worker_staged() {
+        // Worker 0 holds v0 and v2 in partitions of their own, one per
+        // lane; worker 1 holds v1 and v3. Every edge crosses.
+        let config = EngineConfig {
+            workers: 2,
+            partitions_per_worker: Some(2),
+            threads_per_worker: 2,
+            explicit_partitions: Some([0, 2, 1, 3].map(PartitionId::new).to_vec()),
+            model: Model::Async,
+            buffer_cap: usize::MAX,
+            ..Default::default()
+        };
+        let engine = Engine::new(Arc::new(gen::paper_c4()), MaxId, config).unwrap();
+        let core = engine.into_core().0;
+        let owed = || core.owed[0].load(Ordering::SeqCst);
+        let landed = || core.inboxes.current()[2..].iter().map(|s| s.total());
+
+        // Each lane stages its own vertex's write in its own buffer.
+        core.execute_partition(PartitionId::new(0), 0, &mut core.lane(0, 0));
+        core.execute_partition(PartitionId::new(1), 0, &mut core.lane(0, 1));
+        assert_eq!((owed(), landed().sum::<usize>()), (2, 0));
+
+        // One write-all lands both, one batch per lane's run.
+        core.flush_outbound(0);
+        assert_eq!((owed(), landed().collect::<Vec<_>>()), (0, vec![1, 1]));
+        let m = core.metrics.snapshot();
+        assert_eq!((m.staging_flushes, m.remote_batches), (2, 2));
     }
 
     #[test]

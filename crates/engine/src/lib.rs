@@ -3,8 +3,8 @@
 //! A from-scratch reproduction of the Giraph architecture the paper builds
 //! on (Section 6.1): a master coordinating simulated worker machines, each
 //! owning several graph partitions; vertex-centric programs; push-based
-//! messaging with per-worker message stores and batching buffer caches;
-//! vote-to-halt termination; aggregators and combiners.
+//! messaging with per-worker message stores and per-thread batching send
+//! buffers; vote-to-halt termination; aggregators and combiners.
 //!
 //! Two computation models are provided ([`Model`]):
 //!
@@ -12,8 +12,8 @@
 //!   are visible only in superstep `i + 1`.
 //! * **AP** (Giraph async, Section 2.2): local messages are visible
 //!   immediately; remote messages become visible when a batch is flushed —
-//!   when the buffer cache fills, when a synchronization technique demands
-//!   it (the C1 write-all flush), and at every superstep boundary.
+//!   when a thread's send buffer fills, when a synchronization technique
+//!   demands it (the C1 write-all flush), and at every superstep boundary.
 //!
 //! Serializable execution pairs the AP model with a synchronization
 //! technique from `sg-sync` ([`EngineConfig::technique`]): dual-layer token

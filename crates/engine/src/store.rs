@@ -1,16 +1,15 @@
-//! Message stores, staging buffers, and outbound buffer caches — the
-//! engine's "network".
+//! Message stores and staging buffers — the engine's "network".
 //!
 //! Mirrors the Giraph machinery of Section 6.1: each worker holds a message
 //! store for incoming messages (here, one sub-store per partition so that
 //! "more partitions enables more parallel modifications to the store",
-//! Section 7.1), while outgoing remote messages accumulate in per-
-//! destination buffer caches that are flushed when full, at superstep
+//! Section 7.1), while outgoing remote messages accumulate in per-thread,
+//! per-destination buffers that are flushed when full, at superstep
 //! boundaries, and whenever a synchronization technique needs a write-all
 //! flush before handing a fork or token to another worker (condition C1).
 //!
 //! A message is priced in cache lines and shared read-modify-writes, so
-//! the three layers keep both to the minimum:
+//! the two layers keep both to the minimum:
 //!
 //! 1. [`PartitionStore`] is one mutex over a flat array of slots, one per
 //!    local vertex, and a slot holds its first envelope *inline*: with a
@@ -31,11 +30,15 @@
 //!    Sends to remote workers land here first, where the message combiner
 //!    is applied *sender-side* (Giraph's classic optimization): messages to
 //!    the same destination vertex merge before they ever touch a shared
-//!    lock or the simulated wire. Staged runs batch-flush into the shared
-//!    [`OutboundBuffers`] on a size threshold, at superstep boundaries, and
-//!    on every C1 write-all flush.
-//! 3. [`OutboundBuffers`] keep one mutex per (source, destination) worker
-//!    pair, fed in batches rather than per message.
+//!    lock or the wire. A host ships a staged run as one batch into
+//!    [`InboxPair::deliver_batch`] (or onto a link) on a size threshold,
+//!    at superstep boundaries, and on every C1 write-all flush. A threaded
+//!    host holds the staging lock until the batch has landed (the engine)
+//!    or is enqueued on its link (the networked worker).
+//!
+//! [`OutboundBuffers`], a shared per-worker-pair buffer cache, is no
+//! longer on any host's path; only the datapath probe of the end-to-end
+//! benchmark still drives it.
 
 use crate::config::Model;
 use crate::program::Combiner;
@@ -558,9 +561,9 @@ impl<M: Clone + Send + 'static> InboxPair<M> {
         }
     }
 
-    /// Envelopes queued in every store. With every staging buffer and
-    /// buffer cache flushed — at a barrier, or with every barrierless
-    /// thread parked — this is every message there is.
+    /// Envelopes queued in every store. With every staging buffer shipped
+    /// — at a barrier, or with every barrierless thread parked — this is
+    /// every message there is.
     pub fn queued(&self) -> usize {
         let stores = self.current.iter().chain(&self.next);
         stores.map(PartitionStore::total).sum()
@@ -573,6 +576,11 @@ pub type Routed<M> = (VertexId, VertexId, M);
 
 /// Per-(source worker, destination worker) buffer caches, fed in batches by
 /// the per-thread [`StagingBuffers`].
+///
+/// No engine path uses it: every host ships a staged run straight into
+/// [`InboxPair::deliver_batch`]. It remains, signature unchanged, because
+/// the end-to-end benchmark's message-datapath probe drives it; ROADMAP
+/// item 1 deletes it when that probe moves to the batch path.
 #[derive(Debug)]
 pub struct OutboundBuffers<M> {
     bufs: Vec<Vec<Mutex<Vec<Routed<M>>>>>,
@@ -624,15 +632,17 @@ impl<M: Send> OutboundBuffers<M> {
 /// touch any shared state. When the run has a combiner it is applied here,
 /// **sender-side** — messages to the same destination vertex merge in place
 /// (first-insertion order is preserved, so flush order stays deterministic
-/// for a given send order) — and only the survivors are pushed, in batches,
-/// into the shared [`OutboundBuffers`].
+/// for a given send order) — and only the survivors ship, one batch per
+/// destination run.
 ///
 /// Each engine compute thread owns one staging buffer for the whole run.
 /// The engine keeps them behind per-thread mutexes rather than true
 /// thread-locals because a C1 write-all flush can be triggered *by another
 /// thread* (a fork request arriving through the synchronization technique
 /// must flush the holder's pending messages before the fork moves); the
-/// mutex is uncontended on the hot path.
+/// mutex is uncontended on the hot path. A run is taken and shipped under
+/// that mutex, so a write-all that takes it never finds the buffer empty
+/// while a batch taken from it is still on its way.
 #[derive(Debug)]
 pub struct StagingBuffers<M> {
     dests: Vec<StagedDest<M>>,
@@ -779,9 +789,10 @@ impl<M: Clone + Send + 'static> StagingBuffers<M> {
         self.dests.iter().map(|d| d.run.len()).sum()
     }
 
-    /// Hand the staged run for `to_worker` to the caller for draining
-    /// (e.g. via [`OutboundBuffers::push_batch`]), resetting the combining
-    /// index. The caller must leave the returned `Vec` empty.
+    /// Hand the staged run for `to_worker` to the caller to ship, resetting
+    /// the combining index. The caller must leave the returned `Vec` empty
+    /// (`clear` or `drain` keeps its capacity for the next run) before it
+    /// lets the buffer go.
     pub fn take_run(&mut self, to_worker: usize) -> &mut Vec<Routed<M>> {
         let dest = &mut self.dests[to_worker];
         dest.index.clear();

@@ -139,13 +139,12 @@ metrics! {
     /// Checkpoint recoveries performed after an injected failure.
     recoveries => Recoveries,
     /// Remote messages merged into an already-staged message by the
-    /// sender-side combiner before reaching the shared outbound buffers
-    /// (Giraph's classic optimization; each one is a message that never
-    /// paid for a lock or the simulated wire).
+    /// sender-side combiner before it ships (Giraph's classic
+    /// optimization; each one is a message that never paid for a lock or
+    /// the wire).
     sender_combines => SenderCombines,
-    /// Per-thread staging buffers drained into the shared outbound buffer
-    /// caches — on the size threshold, at superstep boundaries, or by a C1
-    /// write-all flush.
+    /// Per-thread staged runs shipped, one batch each — on the size
+    /// threshold, at superstep boundaries, or by a C1 write-all flush.
     staging_flushes => StagingFlushes,
 }
 

@@ -15,8 +15,6 @@
 //!
 //! 1. **Near-zero cost when off.** Engines hold a [`Trace`] handle; a
 //!    disabled handle is a `None` and every record call is one branch.
-//!    Building `sg-metrics` with the `trace_off` feature compiles the body
-//!    of [`Trace::record`] away entirely.
 //! 2. **Lock-free when on.** Each worker writes to its own shard (a bounded
 //!    ring), so tracing never introduces cross-worker synchronization that
 //!    would perturb the schedules being observed. Within a shard, a relaxed
@@ -481,8 +479,7 @@ impl fmt::Debug for TraceBuffer {
 }
 
 /// The handle engines carry. Disabled: a `None`, one branch per record call.
-/// Enabled: an [`Arc<TraceBuffer>`]. Building `sg-metrics` with the
-/// `trace_off` feature compiles even that branch out.
+/// Enabled: an [`Arc<TraceBuffer>`].
 #[derive(Clone, Debug, Default)]
 pub struct Trace(Option<Arc<TraceBuffer>>);
 
@@ -508,7 +505,7 @@ impl Trace {
         self.0.as_ref()
     }
 
-    /// Record one worker-local event (no-op when disabled or compiled out).
+    /// Record one worker-local event (no-op when disabled).
     #[inline]
     pub fn record(
         &self,
@@ -519,18 +516,13 @@ impl Trace {
         dur_ns: u64,
         arg: u64,
     ) {
-        #[cfg(feature = "trace_off")]
-        {
-            let _ = (worker, superstep, kind, ts_ns, dur_ns, arg);
-        }
-        #[cfg(not(feature = "trace_off"))]
         if let Some(b) = &self.0 {
             b.record(worker, superstep, kind, ts_ns, dur_ns, arg);
         }
     }
 
     /// Record one cross-worker event whose payload lands on worker `peer`
-    /// at `ts_ns + dur_ns` (no-op when disabled or compiled out).
+    /// at `ts_ns + dur_ns` (no-op when disabled).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn record_peer(
@@ -543,11 +535,6 @@ impl Trace {
         arg: u64,
         peer: u32,
     ) {
-        #[cfg(feature = "trace_off")]
-        {
-            let _ = (worker, superstep, kind, ts_ns, dur_ns, arg, peer);
-        }
-        #[cfg(not(feature = "trace_off"))]
         if let Some(b) = &self.0 {
             b.record_peer(worker, superstep, kind, ts_ns, dur_ns, arg, peer);
         }
