@@ -605,11 +605,11 @@ impl Model {
     /// worker, recorded only under BSP (under AP it is readable at once,
     /// never in flight), or recorded and staged for another. A staged fold
     /// into an envelope from another sender marks that sender's message
-    /// readable, as the engine and the simulator do: the envelope no
+    /// readable, as the simulator's sender-side fold does: the envelope no
     /// longer carries it.
     fn send(&mut self, worker: WorkerId, from: VertexId, to: VertexId) {
         let slot = self.pm.slot_of(to);
-        let dest = self.pm.layout().worker_of_partition(slot.0);
+        let dest = self.pm.worker_of_partition(slot.0);
         if dest != worker || self.inboxes.defers() {
             self.recorder.on_send(from, to);
         }

@@ -196,15 +196,14 @@ impl<'a, P: VertexProgram> Cycle<'a, P> {
 
         let sent = self.outgoing.len() as u64;
         let mut n_local = 0u64;
-        let layout = env.pm.layout();
         // The recorder hears only of messages that can be seen in flight:
         // under AP a same-worker send is readable before `close`.
         let local_recorder = env.recorder.filter(|_| env.inboxes.defers());
         for (to, msg) in self.outgoing.drain(..) {
-            // The message's one table lookup: the owner routes it, the
-            // slot addresses the owner's store.
+            // The message's one vertex lookup: the slot addresses the
+            // owner's store, and its partition's owner routes it.
             let slot = env.pm.slot_of(to);
-            let to_worker = layout.worker_of_partition(slot.0).raw();
+            let to_worker = env.pm.worker_of_partition(slot.0).raw();
             let local = to_worker == worker;
             if let Some(r) = if local { local_recorder } else { env.recorder } {
                 r.on_send(v, to);

@@ -206,7 +206,6 @@ impl<P: VertexProgram> Engine<P> {
 
         let obs = &self.config.obs;
         let tpw = threads_per_worker as usize;
-        let has_combiner = self.combiner.is_some();
         let core = Arc::new(Core {
             graph: Arc::clone(&self.graph),
             program: self.program,
@@ -214,7 +213,7 @@ impl<P: VertexProgram> Engine<P> {
             partitions,
             inboxes,
             staging: (0..workers * tpw)
-                .map(|_| Mutex::new(StagingBuffers::new(workers, has_combiner)))
+                .map(|_| Mutex::new(StagingBuffers::new(workers, false)))
                 .collect(),
             threads_per_worker: tpw,
             combiner: self.combiner,
@@ -474,8 +473,9 @@ struct Core<P: VertexProgram> {
     pm: Arc<PartitionMap>,
     partitions: Vec<Mutex<PartitionData<P::Value>>>,
     inboxes: InboxPair<P::Message>,
-    /// Per-compute-thread outbound staging (sender-side combining), indexed
-    /// `worker * threads_per_worker + slot`. Behind mutexes (not true
+    /// Per-compute-thread outbound staging, indexed `worker *
+    /// threads_per_worker + slot`: a plain append, as the combiner folds a
+    /// message once, where its batch lands. Behind mutexes (not true
     /// thread-locals) because a C1 write-all flush can arrive on another
     /// thread — a fork request must drain the holder's staged messages
     /// before the fork moves; the lock is uncontended on the hot path. A
@@ -880,20 +880,15 @@ impl<P: VertexProgram> Host<P> for PartitionHost<'_, P> {
         }
     }
 
-    /// Into the executing thread's staging buffer — where the combiner
-    /// merges sender-side — shipping the destination's staged run as one
-    /// batch when it reaches the buffer cap.
+    /// Append to the executing thread's staging buffer, shipping the
+    /// destination's staged run as one batch when it reaches the buffer
+    /// cap. Nothing folds here: every staged message is one envelope, owed
+    /// until its batch lands and the receiver's inbox combines it.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
         let (core, staging, to_worker) = (self.core, self.staging, to_worker as usize);
         let st = self.staged.get_or_insert_with(|| staging.lock().unwrap());
-        let (folded, staged) = st.stage(to_worker, (to, from, msg), core.combiner.as_deref());
-        match folded {
-            None => self.unowed += 1,
-            Some(absorbed) => {
-                core.metrics.inc(Counter::SenderCombines);
-                core.inboxes.readable(absorbed, to);
-            }
-        }
+        let (_, staged) = st.stage(to_worker, (to, from, msg), None);
+        self.unowed += 1;
         if staged >= core.buffer_cap {
             // The run is about to ship, this transaction's part with it.
             self.owe();
@@ -1525,6 +1520,88 @@ mod tests {
         assert_eq!((owed(), landed().collect::<Vec<_>>()), (0, vec![1, 1]));
         let m = core.metrics.snapshot();
         assert_eq!((m.staging_flushes, m.remote_batches), (2, 2));
+    }
+
+    #[test]
+    fn a_write_all_waits_out_a_shipment_stalled_at_its_store() {
+        let core = c4_core(usize::MAX); // nothing ships on size
+        let (core, released) = (&*core, &AtomicBool::new(false));
+        // Worker 0 stages its writes to v1 and v3, both in partition 1.
+        core.execute_partition(PartitionId::new(0), 0, &mut core.lane(0, 0));
+        // Holding partition 1's store stalls any shipment inside
+        // `deliver_batch`.
+        let store = core.inboxes.current()[1].lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let early = std::thread::scope(|s| {
+            let shipper = s.spawn(|| core.flush_outbound(0));
+            // On until the shipper holds the staging lock or has taken the
+            // run out from under it.
+            loop {
+                match core.staging[0].try_lock() {
+                    Err(std::sync::TryLockError::WouldBlock) => break,
+                    Ok(st) if st.staged(1) == 0 => break,
+                    _ => std::thread::yield_now(),
+                }
+            }
+            let write_all = s.spawn(move || {
+                core.flush_outbound(0);
+                let early = !released.load(Ordering::SeqCst);
+                tx.send(()).expect("the test thread waits");
+                early
+            });
+            // The timeout only bounds how long a write-all that does not
+            // wait is given to return; a write-all that waits cannot
+            // return before `released` is set, whatever the timing.
+            let _ = rx.recv_timeout(Duration::from_millis(100));
+            released.store(true, Ordering::SeqCst);
+            drop(store);
+            shipper.join().expect("shipper");
+            write_all.join().expect("write-all")
+        });
+        assert!(!early, "the write-all returned with a batch on its way");
+        assert_eq!(core.inboxes.current()[1].total(), 2);
+        assert_eq!(core.owed[0].load(Ordering::SeqCst), 0);
+    }
+
+    /// Adds its messages: a fold that kept either operand reads wrong.
+    struct Sum;
+    impl Combiner<u32> for Sum {
+        fn combine(&self, a: u32, b: u32) -> u32 {
+            a + b
+        }
+    }
+
+    #[test]
+    fn a_staged_run_ships_every_envelope_and_folds_where_it_lands() {
+        // v1 and v2 on worker 0 both write to v0 on worker 1.
+        let config = EngineConfig {
+            workers: 2,
+            partitions_per_worker: Some(1),
+            explicit_partitions: Some([1, 0, 0].map(PartitionId::new).to_vec()),
+            model: Model::Async,
+            buffer_cap: usize::MAX,
+            record_history: true,
+            ..Default::default()
+        };
+        let g = Arc::new(Graph::from_edges(3, &[(1, 0), (2, 0)]));
+        let engine = Engine::new(g, MaxId, config).unwrap();
+        let core = engine.with_combiner(Box::new(Sum)).into_core().0;
+        core.execute_partition(PartitionId::new(0), 0, &mut core.lane(0, 0));
+        let staged = core.staging[0].lock().unwrap().staged(1);
+        assert_eq!((staged, core.owed[0].load(Ordering::SeqCst)), (2, 2));
+
+        // One batch of two envelopes; the inbox folds the second into the
+        // first, adopting its sender.
+        core.flush_outbound(0);
+        let m = core.metrics.snapshot();
+        assert_eq!((m.remote_batches, m.sender_combines), (1, 0));
+        let queued = core.inboxes.current()[1].export();
+        assert_eq!(queued, vec![vec![(VertexId::new(2), 3)]]);
+
+        // Both messages were owed, and both are readable: v0 reads fresh.
+        let r = core.recorder.as_deref().expect("recording");
+        r.end(r.begin(VertexId::new(0)));
+        assert!(r.history().c1_violations().is_empty(), "v0 read stale");
     }
 
     #[test]

@@ -27,14 +27,17 @@
 //!    uncontended; the thread engine, the networked worker and the
 //!    simulator all land batches there.
 //! 2. [`StagingBuffers`] are per-compute-thread outbound staging areas.
-//!    Sends to remote workers land here first, where the message combiner
-//!    is applied *sender-side* (Giraph's classic optimization): messages to
-//!    the same destination vertex merge before they ever touch a shared
-//!    lock or the wire. A host ships a staged run as one batch into
-//!    [`InboxPair::deliver_batch`] (or onto a link) on a size threshold,
-//!    at superstep boundaries, and on every C1 write-all flush. A threaded
-//!    host holds the staging lock until the batch has landed (the engine)
-//!    or is enqueued on its link (the networked worker).
+//!    Sends to remote workers land here first. On the thread engine and
+//!    the networked worker a send is a plain append, and the combiner
+//!    folds a message once, in the receiving inbox, when its batch lands.
+//!    The simulator, which prices Giraph's wire, applies the combiner
+//!    *sender-side* here (Giraph's classic optimization): messages to the
+//!    same destination vertex merge before they ship. A host ships a
+//!    staged run as one batch into [`InboxPair::deliver_batch`] (or onto a
+//!    link) on a size threshold, at superstep boundaries, and on every C1
+//!    write-all flush. A threaded host holds the staging lock until the
+//!    batch has landed (the engine) or is enqueued on its link (the
+//!    networked worker).
 //!
 //! [`OutboundBuffers`], a shared per-worker-pair buffer cache, is no
 //! longer on any host's path; only the datapath probe of the end-to-end
@@ -420,10 +423,10 @@ impl<M: Clone + Send + 'static> PartitionStore<M> {
 /// readable at once; under BSP it lands in the partition's *next* store
 /// until [`InboxPair::flip`]. The recorder, when the run keeps one, hears
 /// of each message that can be seen in flight as it turns readable: a
-/// batch from another worker, a BSP send at the flip, a staged fold. A
-/// same-worker AP send is readable before its sender's transaction
-/// closes, so it is never in flight and the recorder hears nothing of it
-/// (`sg_serial::recorder`'s module docs).
+/// batch from another worker, a BSP send at the flip, the simulator's
+/// sender-side fold. A same-worker AP send is readable before its sender's
+/// transaction closes, so it is never in flight and the recorder hears
+/// nothing of it (`sg_serial::recorder`'s module docs).
 pub struct InboxPair<M> {
     current: Vec<PartitionStore<M>>,
     /// Under BSP, per partition, what this superstep sent; empty under AP.
@@ -494,10 +497,11 @@ impl<M: Clone + Send + 'static> InboxPair<M> {
         }
     }
 
-    /// The recorder counts `from`'s message to `to` readable. A host calls
-    /// it for a message a combiner folded, in sender-side staging, into an
-    /// envelope that now names another sender: the envelope accounts for
-    /// one message when it turns readable, so the absorbed one does here.
+    /// The recorder counts `from`'s message to `to` readable. A host that
+    /// folds sender-side (the simulator, the model checker) calls it for a
+    /// message a combiner folded, in staging, into an envelope that now
+    /// names another sender: the envelope accounts for one message when it
+    /// turns readable, so the absorbed one does here.
     #[inline]
     pub fn readable(&self, from: VertexId, to: VertexId) {
         if let Some(r) = &self.recorder {
@@ -629,11 +633,14 @@ impl<M: Send> OutboundBuffers<M> {
 }
 
 /// Per-compute-thread outbound staging: remote sends land here before they
-/// touch any shared state. When the run has a combiner it is applied here,
-/// **sender-side** — messages to the same destination vertex merge in place
-/// (first-insertion order is preserved, so flush order stays deterministic
-/// for a given send order) — and only the survivors ship, one batch per
-/// destination run.
+/// touch any shared state, and ship one batch per destination run. Built
+/// with `combine` and staged with a combiner, it folds **sender-side** —
+/// messages to the same destination vertex merge in place (first-insertion
+/// order is preserved, so flush order stays deterministic for a given send
+/// order) — and only the survivors ship. The simulator and the model
+/// checker stage so, as Giraph does; the thread engine and the networked
+/// worker build it with `combine = false`, so a send is an append and the
+/// receiving inbox does the one fold.
 ///
 /// Each engine compute thread owns one staging buffer for the whole run.
 /// The engine keeps them behind per-thread mutexes rather than true
@@ -742,7 +749,9 @@ impl RunIndex {
 
 impl<M: Clone + Send + 'static> StagingBuffers<M> {
     /// Staging for sends into a `workers`-machine cluster; `combine` turns
-    /// on sender-side combining (pass `true` iff the run has a combiner).
+    /// on sender-side combining (a host that folds sender-side passes
+    /// `true` iff the run has a combiner; the wall-clock hosts pass
+    /// `false`).
     pub fn new(workers: usize, combine: bool) -> Self {
         Self {
             dests: (0..workers)

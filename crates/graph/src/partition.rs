@@ -319,6 +319,9 @@ pub struct PartitionMap {
     /// partition's [`PartitionMap::vertices_in`] — the one table every
     /// message store is addressed through.
     slot_of: Vec<(PartitionId, u32)>,
+    /// The worker of each partition, so routing a message reads a table
+    /// rather than dividing by the layout's partitions per worker.
+    worker_of_partition: Vec<WorkerId>,
     vertices_in_partition: Vec<Vec<VertexId>>,
     class: Vec<VertexClass>,
     /// Sorted, deduplicated neighbor partitions of each partition
@@ -394,6 +397,10 @@ impl PartitionMap {
         Self {
             layout,
             slot_of,
+            worker_of_partition: layout
+                .partitions()
+                .map(|p| layout.worker_of_partition(p))
+                .collect(),
             vertices_in_partition,
             class,
             partition_neighbors,
@@ -423,7 +430,14 @@ impl PartitionMap {
     /// Worker that owns vertex `v`.
     #[inline]
     pub fn worker_of(&self, v: VertexId) -> WorkerId {
-        self.layout.worker_of_partition(self.partition_of(v))
+        self.worker_of_partition(self.partition_of(v))
+    }
+
+    /// Worker that owns partition `p`: [`ClusterLayout::worker_of_partition`]
+    /// read from a table, for the per-message routing paths.
+    #[inline]
+    pub fn worker_of_partition(&self, p: PartitionId) -> WorkerId {
+        self.worker_of_partition[p.index()]
     }
 
     /// The vertices of partition `p`, in ascending id order (partitions are
@@ -650,8 +664,9 @@ mod tests {
 
     #[test]
     fn slot_of_inverts_vertices_in() {
-        // `vertices_in(p)[local] == v` for every vertex, whichever way the
-        // assignment was made — including layouts with empty partitions.
+        // `vertices_in(p)[local] == v` for every vertex, and the owner table
+        // agrees with the layout, whichever way the assignment was made —
+        // including layouts with empty partitions.
         let mut rng = crate::SplitMix64::new(0x5107);
         for case in 0..40 {
             let n = rng.gen_range(60) as u32;
@@ -684,6 +699,10 @@ mod tests {
                 }
                 let placed: usize = pm.partition_sizes().iter().sum();
                 assert_eq!(placed, n as usize, "case {case}");
+                for part in layout.partitions() {
+                    let owner = layout.worker_of_partition(part);
+                    assert_eq!(pm.worker_of_partition(part), owner, "case {case}");
+                }
             }
             // Fewer vertices than partitions: some partition must be empty.
             if u64::from(n) < np {

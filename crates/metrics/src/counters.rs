@@ -141,7 +141,9 @@ metrics! {
     /// Remote messages merged into an already-staged message by the
     /// sender-side combiner before it ships (Giraph's classic
     /// optimization; each one is a message that never paid for a lock or
-    /// the wire).
+    /// the wire). Only the simulator, which prices Giraph's wire, folds
+    /// sender-side: the thread engine and the networked worker combine
+    /// where a batch lands, so they read 0.
     sender_combines => SenderCombines,
     /// Per-thread staged runs shipped, one batch each — on the size
     /// threshold, at superstep boundaries, or by a C1 write-all flush.

@@ -38,14 +38,15 @@
 //! worker is thread, which is the paper's single-threaded-worker setting.
 //!
 //! The datapath is the thread engine's, fed through the program's canonical
-//! combiner (the one `Runner` attaches in-process) on both sides. Remote
-//! sends stage typed in a [`StagingBuffers`], combining sender-side, under
-//! one staging lock per execution — taken at the vertex's first remote
-//! send, dropped at its close, never held across a lock RPC, as the
-//! engine's `PartitionHost` holds it — and are encoded only when a run
-//! ships: at `buffer_cap`, at the C1 write-all and at the end of the
-//! superstep, all through [`ship`], each message once, straight into the
-//! link's pooled frame buffer. Incoming messages land in an [`InboxPair`]
+//! combiner (the one `Runner` attaches in-process) where a message lands,
+//! in the receiving rank's inbox. Remote sends stage typed in a
+//! [`StagingBuffers`], appended without folding, under one staging lock
+//! per execution — taken at the vertex's first remote send, dropped at its
+//! close, never held across a lock RPC, as the engine's `PartitionHost`
+//! holds it — and are encoded only when a run ships: at `buffer_cap`, at
+//! the C1 write-all and at the end of the superstep, all through [`ship`],
+//! each message once, straight into the link's pooled frame buffer.
+//! Incoming messages land in an [`InboxPair`]
 //! that holds this rank's partitions: the cycle delivers a local send
 //! there itself; a peer's batch is decoded on the link reader that
 //! received it and landed with [`InboxPair::deliver_batch`] — the compute
@@ -275,8 +276,8 @@ struct Shared<M> {
     rank: u32,
     ctrl: Arc<CtrlConn>,
     clock: Arc<Clock>,
-    /// The program's combiner: sender-side in `staging`, receiver-side in
-    /// `inboxes`.
+    /// The program's combiner, applied where a message lands in `inboxes`
+    /// (`staging` only appends).
     combiner: Option<Box<dyn Combiner<M>>>,
     staging: Mutex<Staged<M>>,
     /// This rank's partitions' inboxes (AP visibility).
@@ -346,7 +347,7 @@ impl<M: WireCodec> PeerHandler for InboxHandler<M> {
             // Peer input may name any id: take this rank's vertices only.
             let to = VertexId::new(to);
             let slot = (to.index() < self.num_vertices).then(|| self.pm.slot_of(to));
-            let mine = slot.filter(|&(p, _)| self.pm.layout().worker_of_partition(p) == me);
+            let mine = slot.filter(|&(p, _)| self.pm.worker_of_partition(p) == me);
             if let (Some(slot), Some(msg)) = (mine, M::decode(payload)) {
                 slots.push(slot);
                 routed.push((to, VertexId::new(from), msg));
@@ -437,10 +438,7 @@ where
         rank,
         ctrl: Arc::clone(&ctrl),
         clock: Arc::clone(&clock),
-        staging: Mutex::new((
-            StagingBuffers::new(workers, combiner.is_some()),
-            vec![false; workers],
-        )),
+        staging: Mutex::new((StagingBuffers::new(workers, false), vec![false; workers])),
         inboxes: InboxPair::new(&pm, Model::Async, None, Some(WorkerId::new(rank))),
         combiner,
         metrics: Arc::clone(&metrics),
@@ -1152,17 +1150,14 @@ where
         vstore.commit(txn);
     }
 
-    /// Stage, combining sender-side, under the staging lock the vertex's
-    /// first remote send took; a run that reaches the cap ships at once,
-    /// and its peer is owed a fence at the next write-all.
+    /// Append under the staging lock the vertex's first remote send took;
+    /// nothing folds here, the peer's inbox combines. A run that reaches
+    /// the cap ships at once, and its peer is owed a fence at the next
+    /// write-all.
     fn send_remote(&mut self, to_worker: u32, from: VertexId, to: VertexId, msg: P::Message) {
         let (shared, w) = (self.shared, to_worker as usize);
         let staged = self.staged.get_or_insert_with(|| shared.staged());
-        let combiner = shared.combiner.as_deref();
-        let (folded, n) = staged.0.stage(w, (to, from, msg), combiner);
-        if folded.is_some() {
-            shared.metrics.inc(Counter::SenderCombines);
-        }
+        let (_, n) = staged.0.stage(w, (to, from, msg), None);
         if n >= shared.buffer_cap {
             let owed = ship(shared, self.links, staged, w);
             staged.1[w] = owed;

@@ -23,9 +23,12 @@
 //!   program's combiner: a local message is readable at once under the
 //!   asynchronous model and after the barrier under BSP;
 //! * remote messages stage in the engine's own [`StagingBuffers`], one per
-//!   worker, combine sender-side, and flush as batches when `buffer_cap`
-//!   accumulate; a batch lands through the engine's own
-//!   [`InboxPair::deliver_batch`];
+//!   worker, and flush as batches when `buffer_cap` accumulate; a batch
+//!   lands through the engine's own [`InboxPair::deliver_batch`]. Unlike
+//!   the wall-clock hosts (the thread engine and the networked worker),
+//!   which stage without folding and combine only where a batch lands,
+//!   the simulator keeps Giraph's sender-side fold, since it prices
+//!   Giraph's wire: its batch counts and wire bytes are Giraph's;
 //! * a fork/token handover performs the write-all flush of the sender's
 //!   outbound messages *synchronously* (condition C1) — in-flight batches
 //!   from that worker are applied before the handover completes;

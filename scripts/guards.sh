@@ -67,6 +67,12 @@ if grep -rnE 'locate: Vec<\(u32, u32\)>' crates/engine/src crates/net/src; then 
 echo "== the thread engine ships what it stages: no OutboundBuffers, in_flight, flush_buffer or yield_now above #[cfg(test)] in crates/engine/src/engine.rs (a staged run lands under its staging lock, so the C1 write-all is one pass over the worker's staging locks) =="
 if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/engine.rs | grep -nE 'OutboundBuffers|in_flight|flush_buffer|yield_now'; then exit 1; fi
 
+echo "== the thread engine and the networked worker fold only at the inbox: no SenderCombines and no .readable( above #[cfg(test)] in crates/engine/src/engine.rs or crates/net/src/worker.rs, and every StagingBuffers::new( there passes false (a staged message is one envelope, combined where its batch lands) =="
+for f in crates/engine/src/engine.rs crates/net/src/worker.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'SenderCombines|\.readable\('; then echo "in $f"; exit 1; fi
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'StagingBuffers::new(' | grep -v 'StagingBuffers::new(workers, false)'; then echo "in $f"; exit 1; fi
+done
+
 echo "== a queued message costs a block slot, not a node: no per-envelope node type or node slab in the store =="
 if sed '/^#\[cfg(test)\]/,$d' crates/engine/src/store.rs | grep -niE 'struct Node<|slab'; then exit 1; fi
 

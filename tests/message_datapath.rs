@@ -1,7 +1,8 @@
-//! Message-datapath semantics: the store's layout and locking and
-//! sender-side combining must be invisible to programs — same delivered multisets,
-//! same combined values, same serializability guarantees — under every
-//! technique, thread count, and flush cadence.
+//! Message-datapath semantics: the store's layout and locking and where
+//! the combiner folds (at the receiving inbox in the thread engine) must be
+//! invisible to programs — same delivered multisets, same combined values,
+//! same serializability guarantees — under every technique, thread count,
+//! and flush cadence.
 //!
 //! Seeded with the in-repo [`SplitMix64`], so every run explores exactly
 //! the same case set.
@@ -186,11 +187,12 @@ fn wcc_correct_across_techniques_threads_and_caps() {
 }
 
 /// Regression: a combiner folds messages into an envelope already queued —
-/// sender-side in the staging buffers, and in a BSP next-store — and the
-/// folded sender's message must become visible with the envelope that
-/// absorbed it. When the fold dropped it from the recorder's ledger, its
-/// pair stayed in flight for the rest of the run and nearly every recorded
-/// history was C1-dirty under a technique that guarantees C1.
+/// as a batch lands (the engine stages without folding), and in a BSP
+/// next-store — and the folded sender's message must become visible with
+/// the envelope that absorbed it. When the fold dropped it from the
+/// recorder's ledger, its pair stayed in flight for the rest of the run and
+/// nearly every recorded history was C1-dirty under a technique that
+/// guarantees C1.
 #[test]
 fn combined_messages_keep_the_c1_ledger_balanced() {
     let mut rng = SplitMix64::new(0xF01D);
